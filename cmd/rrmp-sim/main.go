@@ -1,8 +1,12 @@
 // Command rrmp-sim runs simulated RRMP scenarios and prints metrics:
 // topology, workload, loss, churn, crash faults, partitions and policy
-// are all flags.
+// are all flags. The scenario flags translate into one sweep declaration
+// (buildSweep) whatever the mode; the modes differ only in how many cells
+// and trials of it they run.
 //
-// One scenario, one trial (the original mode):
+// One scenario, one seeded trial — the single cell the flags describe, run
+// once on -seed through the same kernel every sweep cell runs, printed as
+// the cell's sorted metrics (the same cell -trials N would aggregate):
 //
 //	rrmp-sim -regions 100 -msgs 50 -loss 0.2
 //	rrmp-sim -regions 50,50,50 -msgs 20 -loss 0.1 -policy fixed -hold 500ms
@@ -32,7 +36,8 @@
 // The protocol axis runs the same cells under the RMTP repair-server
 // baseline (-protocol rmtp for one cell, -sweep-protocols rrmp,rmtp for a
 // matrix; rmtp families append after all rrmp cells and report the
-// nak_*/ack_* counters instead of RRMP's request/search/handoff keys):
+// nak_*/ack_* counters instead of RRMP's request/search/handoff keys). A
+// seeded cell sees the same publishes, DATA drops and faults under both:
 //
 //	rrmp-sim -protocol rmtp -regions 30,30 -loss 0.2
 //	rrmp-sim -sweep -sweep-protocols rrmp,rmtp -trials 8
@@ -51,8 +56,11 @@
 //	rrmp-sim -workload mc -trace-record mc.trace
 //	rrmp-sim -workload mc -trace-replay mc.trace
 //
-// Single-run traces stream to stderr with -trace and/or to a file with
-// -trace-out (both flags reject sweep/multi-trial modes loudly).
+// Single-run protocol-event traces stream to stderr with -trace and/or to
+// a file with -trace-out, for any rrmp cell including -workload ones (both
+// flags reject sweep/multi-trial modes and -protocol rmtp loudly). A
+// traced run takes one event loop whatever -shards says, so the trace is
+// a pure function of the seed; its metrics are the untraced run's.
 //
 // Policies come from the central registry: -policy (and -sweep-policies)
 // accept any registered kind or alias, optionally parameterized, and
@@ -83,65 +91,63 @@ import (
 
 	"repro"
 	"repro/internal/policy"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
 func main() {
-	var (
-		regions      = flag.String("regions", "100", "comma-separated region sizes (chain hierarchy)")
-		star         = flag.Bool("star", false, "attach all regions directly to the sender's region")
-		tree         = flag.String("tree", "", "balanced tree topology 'branch,levels,members' (overrides -regions)")
-		msgs         = flag.Int("msgs", 20, "messages to publish")
-		gap          = flag.Duration("gap", 20*time.Millisecond, "inter-message gap")
-		loss         = flag.Float64("loss", 0.2, "independent DATA loss probability")
-		lossMode     = flag.String("loss-mode", "", "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs parallel under -shards; combine with -burst for the shard-safe Gilbert-Elliott chain)")
-		burst        = flag.Bool("burst", false, "use a Gilbert-Elliott burst loss channel instead")
-		churn        = flag.Float64("churn", 0, "graceful leaves per second (Poisson over non-sender members)")
-		crash        = flag.Float64("crash", 0, "crash faults per second (Poisson over non-sender members; no handoff)")
-		crashRecover = flag.Duration("crash-recover", 0, "downtime before a crashed member returns (0 = crash-stop)")
-		partitionAt  = flag.Duration("partition-at", 0, "instant to split the group into two halves (0 = never)")
-		partitionFor = flag.Duration("partition-for", 0, "partition duration before the heal event (0 = never heals)")
-		c            = flag.Float64("c", 6, "expected long-term bufferers per region (C)")
-		lambda       = flag.Float64("lambda", 1, "expected remote requests per regional loss (lambda)")
-		payload      = flag.Int("payload", 0, "payload bytes per message (0 = the historic 256)")
-		payloadModel = flag.String("payload-model", "", "payload size model: fixed|uniform|lognormal (sizes drawn around -payload)")
-		budget       = flag.Int("budget", 0, "per-member buffer byte budget (0 = unlimited)")
-		protocol     = flag.String("protocol", "rrmp", "recovery protocol: rrmp (the paper's) or rmtp (tree repair-server baseline)")
-		policy       = flag.String("policy", "two-phase", "buffering policy spec, e.g. two-phase, fixed:hold=200ms or adaptive:tmin=20ms,tmax=200ms,target=2 (rrmp only; rmtp cells always run the repair-server discipline; see -list-policies)")
-		hold         = flag.Duration("hold", 500*time.Millisecond, "retention for -policy fixed")
-		seed         = flag.Uint64("seed", 1, "root random seed")
-		horizon      = flag.Duration("horizon", 5*time.Second, "virtual run time")
-		doTrace      = flag.Bool("trace", false, "stream protocol events to stderr (single-trial rrmp mode only)")
-		traceOut     = flag.String("trace-out", "", "write protocol events to this file instead of stderr (single-trial rrmp mode only)")
-		backoff      = flag.Duration("backoff", 0, "regional repair multicast back-off window (0 = immediate)")
-		workloadFlag = flag.String("workload", "", "multi-client publish workload: a preset (mc|bursty|vod) or 'key=val,...' with keys clients,msgs,arrival(constant|poisson|burst),gap,zipf,burst-len,burst-gap,window(from-to:factor),size-model(fixed|uniform|lognormal),size-mean,late-frac,late-at,late-spread")
-		traceRecord  = flag.String("trace-record", "", "write the materialized publish timeline to this file as rrmp-trace/v1 (single-trial -workload mode only)")
-		traceReplay  = flag.String("trace-replay", "", "drive the run from a recorded rrmp-trace/v1 file instead of generating the timeline (single-trial -workload mode only)")
+	var a sweepArgs
+	flag.StringVar(&a.regionsCSV, "regions", "100", "comma-separated region sizes (chain hierarchy)")
+	flag.BoolVar(&a.star, "star", false, "attach all regions directly to the sender's region")
+	flag.StringVar(&a.tree, "tree", "", "balanced tree topology 'branch,levels,members' (overrides -regions)")
+	flag.IntVar(&a.msgs, "msgs", 20, "messages to publish")
+	flag.DurationVar(&a.gap, "gap", 20*time.Millisecond, "inter-message gap")
+	flag.Float64Var(&a.loss, "loss", 0.2, "independent DATA loss probability")
+	flag.StringVar(&a.lossMode, "loss-mode", "", "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs parallel under -shards; combine with -burst for the shard-safe Gilbert-Elliott chain)")
+	flag.BoolVar(&a.burst, "burst", false, "use a Gilbert-Elliott burst loss channel instead")
+	flag.Float64Var(&a.churn, "churn", 0, "graceful leaves per second (Poisson over non-sender members)")
+	flag.Float64Var(&a.crash, "crash", 0, "crash faults per second (Poisson over non-sender members; no handoff)")
+	flag.DurationVar(&a.crashRecover, "crash-recover", 0, "downtime before a crashed member returns (0 = crash-stop)")
+	flag.DurationVar(&a.partitionAt, "partition-at", 0, "instant to split the group into two halves (0 = never)")
+	flag.DurationVar(&a.partitionFor, "partition-for", 0, "partition duration before the heal event (0 = never heals)")
+	flag.Float64Var(&a.c, "c", 6, "expected long-term bufferers per region (C)")
+	flag.Float64Var(&a.lambda, "lambda", 1, "expected remote requests per regional loss (lambda)")
+	flag.IntVar(&a.payload, "payload", 0, "payload bytes per message (0 = the historic 256)")
+	flag.StringVar(&a.payloadModel, "payload-model", "", "payload size model: fixed|uniform|lognormal (sizes drawn around -payload)")
+	flag.IntVar(&a.budget, "budget", 0, "per-member buffer byte budget (0 = unlimited)")
+	flag.StringVar(&a.protocol, "protocol", "rrmp", "recovery protocol: rrmp (the paper's) or rmtp (tree repair-server baseline)")
+	flag.StringVar(&a.policy, "policy", "two-phase", "buffering policy spec, e.g. two-phase, fixed:hold=200ms or adaptive:tmin=20ms,tmax=200ms,target=2 (rrmp only; rmtp cells always run the repair-server discipline; see -list-policies)")
+	flag.DurationVar(&a.hold, "hold", 500*time.Millisecond, "retention for -policy fixed")
+	flag.Uint64Var(&a.seed, "seed", 1, "root random seed")
+	flag.DurationVar(&a.horizon, "horizon", 5*time.Second, "virtual run time")
+	flag.BoolVar(&a.doTrace, "trace", false, "stream protocol events to stderr (single-trial rrmp mode only; a traced run is serial whatever -shards says)")
+	flag.StringVar(&a.traceOut, "trace-out", "", "write protocol events to this file instead of stderr (single-trial rrmp mode only)")
+	flag.DurationVar(&a.backoff, "backoff", 0, "regional repair multicast back-off window (0 = immediate)")
+	flag.StringVar(&a.workload, "workload", "", "multi-client publish workload: a preset (mc|bursty|vod) or 'key=val,...' with keys clients,msgs,arrival(constant|poisson|burst),gap,zipf,burst-len,burst-gap,window(from-to:factor),size-model(fixed|uniform|lognormal),size-mean,late-frac,late-at,late-spread")
+	flag.StringVar(&a.traceRecord, "trace-record", "", "write the materialized publish timeline to this file as rrmp-trace/v1 (single-trial -workload mode only)")
+	flag.StringVar(&a.traceReplay, "trace-replay", "", "drive the run from a recorded rrmp-trace/v1 file instead of generating the timeline (single-trial -workload mode only)")
 
-		sweep      = flag.Bool("sweep", false, "run the scenario matrix instead of a single scenario")
-		sweepScale = flag.Bool("sweep-scale", false, "run the scale matrix (members×depth balanced trees) and record wall-clock + events/sec")
-		trials     = flag.Int("trials", 1, "independently seeded trials per scenario cell")
-		parallel   = flag.Int("parallel", 0, "worker pool size for trials (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "region-sharded event loops per trial (1 = serial; aggregates are byte-identical at any width)")
-		jsonOut    = flag.Bool("json", false, "print the sweep report as JSON instead of a table")
-		outPath    = flag.String("out", "", "also write the sweep report JSON here (default BENCH_sweep.json for a default-matrix -sweep; empty = don't)")
+	flag.BoolVar(&a.sweep, "sweep", false, "run the scenario matrix instead of a single scenario")
+	flag.BoolVar(&a.sweepScale, "sweep-scale", false, "run the scale matrix (members×depth balanced trees) and record wall-clock + events/sec")
+	flag.IntVar(&a.trials, "trials", 1, "independently seeded trials per scenario cell")
+	flag.IntVar(&a.parallel, "parallel", 0, "worker pool size for trials (0 = GOMAXPROCS)")
+	flag.IntVar(&a.shards, "shards", 1, "region-sharded event loops per trial (1 = serial; aggregates are byte-identical at any width)")
+	flag.BoolVar(&a.json, "json", false, "print the sweep report as JSON instead of a table")
+	flag.StringVar(&a.outPath, "out", "", "also write the sweep report JSON here (default BENCH_sweep.json for a default-matrix -sweep; empty = don't)")
 
-		swRegions    = flag.String("sweep-regions", "", "region vectors to sweep, e.g. '50;100;50,50' (default 50;100;30,30)")
-		swLosses     = flag.String("sweep-losses", "", "loss rates to sweep, e.g. '0.05,0.2' (default 0.05,0.2)")
-		swChurns     = flag.String("sweep-churns", "", "churn rates to sweep, e.g. '0,1' (default 0,1)")
-		swCrashes    = flag.String("sweep-crashes", "", "crash rates to sweep, e.g. '0,1' (default 0,1)")
-		swPartitions = flag.String("sweep-partitions", "", "partition durations to sweep, e.g. '0,1s' (default 0,1s; 0 = no partition)")
-		swPolicies   = flag.String("sweep-policies", "", "policies to sweep, e.g. 'two-phase,fixed' (default two-phase,fixed)")
-		swTrees      = flag.String("sweep-trees", "", "tree shapes to sweep as 'branch:levels:members;...' (adds tree cells to -sweep; overrides the -sweep-scale grid)")
-		swPayloads   = flag.String("sweep-payloads", "", "payload sizes to sweep, e.g. '0,1024' (default 0,1024; 0 = historic 256)")
-		swBudgets    = flag.String("sweep-budgets", "", "buffer byte budgets to sweep, e.g. '0,8192' (default 0,8192; 0 = unlimited)")
-		swProtocols  = flag.String("sweep-protocols", "", "protocols to sweep, e.g. 'rrmp,rmtp' (default rrmp,rmtp; rmtp families append after all rrmp cells)")
+	flag.StringVar(&a.swRegions, "sweep-regions", "", "region vectors to sweep, e.g. '50;100;50,50' (default 50;100;30,30)")
+	flag.StringVar(&a.swLosses, "sweep-losses", "", "loss rates to sweep, e.g. '0.05,0.2' (default 0.05,0.2)")
+	flag.StringVar(&a.swChurns, "sweep-churns", "", "churn rates to sweep, e.g. '0,1' (default 0,1)")
+	flag.StringVar(&a.swCrashes, "sweep-crashes", "", "crash rates to sweep, e.g. '0,1' (default 0,1)")
+	flag.StringVar(&a.swPartitions, "sweep-partitions", "", "partition durations to sweep, e.g. '0,1s' (default 0,1s; 0 = no partition)")
+	flag.StringVar(&a.swPolicies, "sweep-policies", "", "policies to sweep, e.g. 'two-phase,fixed' (default two-phase,fixed)")
+	flag.StringVar(&a.swTrees, "sweep-trees", "", "tree shapes to sweep as 'branch:levels:members;...' (adds tree cells to -sweep; overrides the -sweep-scale grid)")
+	flag.StringVar(&a.swPayloads, "sweep-payloads", "", "payload sizes to sweep, e.g. '0,1024' (default 0,1024; 0 = historic 256)")
+	flag.StringVar(&a.swBudgets, "sweep-budgets", "", "buffer byte budgets to sweep, e.g. '0,8192' (default 0,8192; 0 = unlimited)")
+	flag.StringVar(&a.swProtocols, "sweep-protocols", "", "protocols to sweep, e.g. 'rrmp,rmtp' (default rrmp,rmtp; rmtp families append after all rrmp cells)")
 
-		listPolicies   = flag.Bool("list-policies", false, "print the policy registry roster (kinds, aliases, parameters) and exit")
-		fitnessWeights = flag.String("fitness-weights", "", "print a fitness-ranked cell table after a sweep: 'key=val,...' weights with keys delivery,bytesec,unrec,recovery ('default' = standing weights; never changes the report bytes)")
-	)
+	listPolicies := flag.Bool("list-policies", false, "print the policy registry roster (kinds, aliases, parameters) and exit")
+	flag.StringVar(&a.fitnessWeights, "fitness-weights", "", "print a fitness-ranked cell table after a sweep: 'key=val,...' weights with keys delivery,bytesec,unrec,recovery ('default' = standing weights; never changes the report bytes)")
 	flag.Parse()
 
 	if *listPolicies {
@@ -154,18 +160,18 @@ func main() {
 	// customized sweeps and ad-hoc multi-trial runs must not clobber it.
 	// (-trials/-parallel/-json stay allowed: trial count is visible in the
 	// report and parallelism never changes its bytes.)
-	outSet, matrixCustomized, protocolSet := false, false, false
+	matrixCustomized := false
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "protocol" {
-			protocolSet = true
-		}
 		switch f.Name {
 		case "out":
-			outSet = true
+			a.outSet = true
+		case "protocol":
+			a.protocolSet = true
+			matrixCustomized = true
 		case "regions", "star", "tree", "burst", "msgs", "gap", "horizon", "hold",
 			"c", "lambda", "backoff", "seed", "churn", "loss", "loss-mode", "policy",
 			"crash", "crash-recover", "partition-at", "partition-for",
-			"payload", "payload-model", "budget", "protocol",
+			"payload", "payload-model", "budget",
 			"workload", "trace-record", "trace-replay",
 			"sweep-regions", "sweep-losses", "sweep-churns", "sweep-crashes",
 			"sweep-partitions", "sweep-policies", "sweep-trees",
@@ -173,104 +179,67 @@ func main() {
 			matrixCustomized = true
 		}
 	})
-	// Tracing observes one deterministic run; a parallel sweep would
-	// interleave members of many trials into the same stream. Fail loudly
-	// instead of silently dropping the flag, as the old -trace did.
-	if (*doTrace || *traceOut != "") && (*sweep || *sweepScale || *trials > 1) {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -trace/-trace-out apply to single-trial mode only")
+	if err := checkFlags(a); err != nil {
+		fmt.Fprintln(os.Stderr, "rrmp-sim:", err)
 		os.Exit(2)
 	}
-	// Timeline traces bind one (workload, seed) pair to one file; sweeps
-	// and multi-trial runs have many timelines, so the flags reject those
-	// modes the same way the event tracer does.
-	if *traceRecord != "" || *traceReplay != "" {
+	// The same goes for the scale record: regenerated per PR (its
+	// wall-clock fields are the point), never clobbered by a customized
+	// scale matrix.
+	if !a.outSet && !matrixCustomized {
 		switch {
-		case *sweep || *sweepScale || *trials > 1:
-			fmt.Fprintln(os.Stderr, "rrmp-sim: -trace-record/-trace-replay apply to single-trial mode only")
-			os.Exit(2)
-		case *workloadFlag == "":
-			fmt.Fprintln(os.Stderr, "rrmp-sim: -trace-record/-trace-replay require -workload (the spec names the cell the timeline belongs to)")
-			os.Exit(2)
-		case *traceRecord != "" && *traceReplay != "":
-			fmt.Fprintln(os.Stderr, "rrmp-sim: choose one of -trace-record or -trace-replay")
-			os.Exit(2)
+		case a.sweepScale:
+			a.outPath = "BENCH_scale.json"
+		case a.sweep:
+			a.outPath = "BENCH_sweep.json"
 		}
 	}
-	if *workloadFlag != "" && (*doTrace || *traceOut != "") {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -trace/-trace-out observe the single-run engine; -workload cells run the sweep kernel, which has no tracer hook")
-		os.Exit(2)
-	}
-	if *workloadFlag != "" && *sweepScale {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -workload does not apply to -sweep-scale")
-		os.Exit(2)
-	}
-	if *fitnessWeights != "" && (*sweepScale || !(*sweep || *trials > 1)) {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -fitness-weights scores sweep/multi-trial reports (use with -sweep or -trials > 1)")
-		os.Exit(2)
-	}
-	if !outSet && *sweep && !*sweepScale && !matrixCustomized {
-		*outPath = "BENCH_sweep.json"
-	}
-	// The committed scale record is regenerated per PR (its wall-clock
-	// fields are the point), but a customized scale matrix must not
-	// clobber it either.
-	if !outSet && *sweepScale && !matrixCustomized {
-		*outPath = "BENCH_scale.json"
-	}
-	if outSet && *outPath != "" && !*sweep && !*sweepScale && *trials <= 1 {
-		fmt.Fprintln(os.Stderr, "rrmp-sim: -out only applies with -sweep, -sweep-scale or -trials > 1")
-		os.Exit(2)
-	}
+	a.workloadFamily = a.sweep && !matrixCustomized
 
 	var err error
-	if *sweepScale {
-		err = runScale(scaleArgs{
-			trials: *trials, parallel: *parallel, seed: *seed, shards: *shards,
-			json: *jsonOut, outPath: *outPath, swTrees: *swTrees,
-		})
-	} else if *sweep || *trials > 1 {
-		err = runSweep(sweepArgs{
-			sweep: *sweep, regionsCSV: *regions, star: *star, tree: *tree, msgs: *msgs, gap: *gap,
-			loss: *loss, lossMode: *lossMode, burst: *burst, churn: *churn, c: *c, lambda: *lambda,
-			backoff: *backoff, policy: *policy, hold: *hold,
-			crash: *crash, crashRecover: *crashRecover,
-			partitionAt: *partitionAt, partitionFor: *partitionFor,
-			payload: *payload, payloadModel: *payloadModel, budget: *budget,
-			protocol: *protocol, protocolSet: protocolSet,
-			seed: *seed, horizon: *horizon, trials: *trials, parallel: *parallel,
-			shards: *shards, json: *jsonOut, outPath: *outPath,
-			workload:       *workloadFlag,
-			workloadFamily: *sweep && !matrixCustomized,
-			fitnessWeights: *fitnessWeights,
-			swRegions:      *swRegions, swLosses: *swLosses, swChurns: *swChurns,
-			swCrashes: *swCrashes, swPartitions: *swPartitions, swPolicies: *swPolicies,
-			swTrees: *swTrees, swPayloads: *swPayloads, swBudgets: *swBudgets,
-			swProtocols: *swProtocols,
-		})
-	} else {
-		sa := singleArgs{
-			regionsCSV: *regions, star: *star, tree: *tree, msgs: *msgs, gap: *gap,
-			loss: *loss, lossMode: *lossMode, burst: *burst, churn: *churn, c: *c, lambda: *lambda,
-			policy: *policy, hold: *hold, seed: *seed, horizon: *horizon,
-			doTrace: *doTrace, traceOut: *traceOut, backoff: *backoff,
-			crash: *crash, crashRecover: *crashRecover,
-			partitionAt: *partitionAt, partitionFor: *partitionFor,
-			payload: *payload, payloadModel: *payloadModel, budget: *budget,
-			protocol: *protocol, shards: *shards,
-		}
-		if *workloadFlag != "" {
-			err = runSingleWorkload(os.Stdout, workloadArgs{
-				single: sa, workload: *workloadFlag,
-				traceRecord: *traceRecord, traceReplay: *traceReplay,
-			})
-		} else {
-			err = run(sa)
-		}
+	switch {
+	case a.sweepScale:
+		err = runScale(a)
+	case a.sweep || a.trials > 1:
+		err = runSweep(a)
+	default:
+		err = runSingle(os.Stdout, a)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rrmp-sim:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag combinations no mode can honor, before anything
+// runs. main exits 2 on its error.
+func checkFlags(a sweepArgs) error {
+	multi := a.sweep || a.sweepScale || a.trials > 1
+	tracing := a.doTrace || a.traceOut != ""
+	timeline := a.traceRecord != "" || a.traceReplay != ""
+	switch {
+	// Tracing observes one deterministic run; a parallel sweep would
+	// interleave members of many trials into the same stream.
+	case tracing && multi:
+		return fmt.Errorf("-trace/-trace-out apply to single-trial mode only")
+	case tracing && a.protocol == "rmtp":
+		return fmt.Errorf("-trace/-trace-out observe the rrmp engine; the rmtp baseline has no tracer hook")
+	// Timeline traces bind one (workload, seed) pair to one file; sweeps
+	// and multi-trial runs have many timelines.
+	case timeline && multi:
+		return fmt.Errorf("-trace-record/-trace-replay apply to single-trial mode only")
+	case timeline && a.workload == "":
+		return fmt.Errorf("-trace-record/-trace-replay require -workload (the spec names the cell the timeline belongs to)")
+	case a.traceRecord != "" && a.traceReplay != "":
+		return fmt.Errorf("choose one of -trace-record or -trace-replay")
+	case a.workload != "" && a.sweepScale:
+		return fmt.Errorf("-workload does not apply to -sweep-scale")
+	case a.fitnessWeights != "" && (a.sweepScale || !(a.sweep || a.trials > 1)):
+		return fmt.Errorf("-fitness-weights scores sweep/multi-trial reports (use with -sweep or -trials > 1)")
+	case a.outSet && a.outPath != "" && !multi:
+		return fmt.Errorf("-out only applies with -sweep, -sweep-scale or -trials > 1")
+	}
+	return nil
 }
 
 // printPolicyRoster prints the policy registry in listing order: one line
@@ -383,8 +352,11 @@ func parseDurations(csv string) ([]time.Duration, error) {
 	return out, nil
 }
 
+// sweepArgs are the parsed flags. Every mode reads the scenario fields
+// through buildSweep; the rest select the mode and its outputs.
 type sweepArgs struct {
 	sweep      bool
+	sweepScale bool
 	regionsCSV string
 	star       bool
 	tree       string
@@ -422,9 +394,19 @@ type sweepArgs struct {
 	shards  int
 	json    bool
 	outPath string
+	// outSet records that -out was given explicitly (it then applies only
+	// to the modes that write a report).
+	outSet bool
 	// quiet suppresses stdout reporting (the in-process golden test only
 	// compares the -out files).
 	quiet bool
+	// The single-run-only outputs and input: protocol-event tracing to
+	// stderr and/or a file, and the publish timeline recorded to or
+	// replayed from an rrmp-trace/v1 file.
+	doTrace     bool
+	traceOut    string
+	traceRecord string
+	traceReplay string
 	// workload, when set, pins the sweep's workload axis to one parsed
 	// -workload spec (multi-trial statistics for a workload cell).
 	workload string
@@ -448,11 +430,14 @@ type sweepArgs struct {
 	swProtocols    string
 }
 
-// runSweep runs either the scenario matrix (-sweep) or a single-cell sweep
-// (-trials > 1 without -sweep) and reports per-cell aggregates.
-func runSweep(a sweepArgs) error {
+// buildSweep is the one translation from flags to a scenario declaration:
+// the matrix under -sweep, otherwise the single cell the scalar flags
+// describe. Every mode — sweep, multi-trial, single run — runs what this
+// returns, so a cell means the same thing in all of them.
+func buildSweep(a sweepArgs) (repro.Sweep, error) {
+	var sw repro.Sweep
 	if a.payload < 0 || a.budget < 0 {
-		return fmt.Errorf("-payload and -budget must be non-negative (got %d, %d)", a.payload, a.budget)
+		return sw, fmt.Errorf("-payload and -budget must be non-negative (got %d, %d)", a.payload, a.budget)
 	}
 	// Single-cell modes partition only when -partition-at is set ("0 =
 	// never"); the axis encodes "none" as duration 0. An open-ended
@@ -465,7 +450,6 @@ func runSweep(a sweepArgs) error {
 		}
 	}
 
-	var sw repro.Sweep
 	if a.sweep {
 		sw = repro.DefaultSweep()
 		if a.swRegions != "" {
@@ -473,7 +457,7 @@ func runSweep(a sweepArgs) error {
 			for _, vec := range strings.Split(a.swRegions, ";") {
 				sizes, err := parseSizes(vec)
 				if err != nil {
-					return err
+					return sw, err
 				}
 				sw.Regions = append(sw.Regions, sizes)
 			}
@@ -481,22 +465,22 @@ func runSweep(a sweepArgs) error {
 		var err error
 		if a.swLosses != "" {
 			if sw.Losses, err = parseFloats(a.swLosses); err != nil {
-				return err
+				return sw, err
 			}
 		}
 		if a.swChurns != "" {
 			if sw.Churns, err = parseFloats(a.swChurns); err != nil {
-				return err
+				return sw, err
 			}
 		}
 		if a.swCrashes != "" {
 			if sw.Crashes, err = parseFloats(a.swCrashes); err != nil {
-				return err
+				return sw, err
 			}
 		}
 		if a.swPartitions != "" {
 			if sw.Partitions, err = parseDurations(a.swPartitions); err != nil {
-				return err
+				return sw, err
 			}
 		}
 		if a.swPolicies != "" {
@@ -508,36 +492,31 @@ func runSweep(a sweepArgs) error {
 		if a.swTrees != "" {
 			trees, err := parseTreeShapes(a.swTrees)
 			if err != nil {
-				return err
+				return sw, err
 			}
 			sw.Trees = trees
 		}
-	} else if a.tree != "" {
-		// Multi-trial statistics for one tree cell.
-		shape, err := parseTreeShape(a.tree)
-		if err != nil {
-			return err
-		}
-		sw = repro.Sweep{
-			Trees:      []repro.TreeShape{shape},
-			Losses:     []float64{a.loss},
-			Churns:     []float64{a.churn},
-			Crashes:    []float64{a.crash},
-			Partitions: []time.Duration{pf},
-			Policies:   []string{a.policy},
-		}
 	} else {
-		sizes, err := parseSizes(a.regionsCSV)
-		if err != nil {
-			return err
-		}
+		// One cell: the scalar flags pin every axis to a single value.
 		sw = repro.Sweep{
-			Regions:    [][]int{sizes},
 			Losses:     []float64{a.loss},
 			Churns:     []float64{a.churn},
 			Crashes:    []float64{a.crash},
 			Partitions: []time.Duration{pf},
 			Policies:   []string{a.policy},
+		}
+		if a.tree != "" {
+			shape, err := parseTreeShape(a.tree)
+			if err != nil {
+				return sw, err
+			}
+			sw.Trees = []repro.TreeShape{shape}
+		} else {
+			sizes, err := parseSizes(a.regionsCSV)
+			if err != nil {
+				return sw, err
+			}
+			sw.Regions = [][]int{sizes}
 		}
 	}
 	// Byte axes: explicit -sweep-* lists win; otherwise a scalar -payload
@@ -546,7 +525,7 @@ func runSweep(a sweepArgs) error {
 	if a.swPayloads != "" {
 		v, err := parseInts(a.swPayloads)
 		if err != nil {
-			return err
+			return sw, err
 		}
 		sw.PayloadSizes = v
 	} else if a.payload > 0 {
@@ -555,7 +534,7 @@ func runSweep(a sweepArgs) error {
 	if a.swBudgets != "" {
 		v, err := parseInts(a.swBudgets)
 		if err != nil {
-			return err
+			return sw, err
 		}
 		sw.Budgets = v
 	} else if a.budget > 0 {
@@ -571,17 +550,18 @@ func runSweep(a sweepArgs) error {
 	if a.swProtocols != "" {
 		sw.Protocols = nil
 		for _, p := range strings.Split(a.swProtocols, ",") {
-			p = strings.TrimSpace(p)
-			// Validate here, like the other axes: an empty token (a
-			// trailing comma) would otherwise normalize to a second
-			// identical rrmp family instead of erroring.
-			if p != "rrmp" && p != "rmtp" {
-				return fmt.Errorf("-sweep-protocols: unknown protocol %q (want rrmp or rmtp)", p)
-			}
-			sw.Protocols = append(sw.Protocols, p)
+			sw.Protocols = append(sw.Protocols, strings.TrimSpace(p))
 		}
 	} else if a.protocolSet || (a.protocol != "" && a.protocol != "rrmp") {
 		sw.Protocols = []string{a.protocol}
+	}
+	// Validate here, like the other axes: an empty token (a trailing comma)
+	// would otherwise normalize to a second identical rrmp family instead
+	// of erroring.
+	for _, p := range sw.Protocols {
+		if p != "rrmp" && p != "rmtp" {
+			return sw, fmt.Errorf("unknown protocol %q (want rrmp or rmtp)", p)
+		}
 	}
 	sw.Star = a.star
 	sw.LossMode = a.lossMode
@@ -599,9 +579,19 @@ func runSweep(a sweepArgs) error {
 	if a.workload != "" {
 		spec, err := parseWorkloadSpec(a.workload)
 		if err != nil {
-			return err
+			return sw, err
 		}
 		sw.Workloads = []*repro.WorkloadSpec{spec}
+	}
+	return sw, nil
+}
+
+// runSweep runs either the scenario matrix (-sweep) or a single-cell sweep
+// (-trials > 1 without -sweep) and reports per-cell aggregates.
+func runSweep(a sweepArgs) error {
+	sw, err := buildSweep(a)
+	if err != nil {
+		return err
 	}
 
 	// The default -sweep shape is the standing matrix plus the workload
@@ -625,24 +615,8 @@ func runSweep(a sweepArgs) error {
 		return err
 	}
 
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := emitReport(a, rep, len(rep.Cells), rep.Trials, func() { printReport(rep) }); err != nil {
 		return err
-	}
-	blob = append(blob, '\n')
-	switch {
-	case a.quiet:
-	case a.json:
-		os.Stdout.Write(blob)
-	default:
-		printReport(rep)
-	}
-	if a.outPath != "" {
-		if err := os.WriteFile(a.outPath, blob, 0o644); err != nil {
-			return fmt.Errorf("writing report: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d cells × %d trials)\n",
-			a.outPath, len(rep.Cells), rep.Trials)
 	}
 	if a.fitnessWeights != "" && !a.quiet {
 		if err := printFitness(os.Stdout, rep, a.fitnessWeights); err != nil {
@@ -675,25 +649,34 @@ func printFitness(w io.Writer, rep repro.SweepReport, spec string) error {
 	return nil
 }
 
-// scaleArgs are the -sweep-scale mode's inputs.
-type scaleArgs struct {
-	trials   int
-	parallel int
-	seed     uint64
-	// shards sets Sweep.Shards on every scale row (execution-only; the
-	// aggregate sections stay byte-identical at any width).
-	shards  int
-	json    bool
-	outPath string
-	swTrees string
-	// quiet suppresses stdout reporting (in-process tests).
-	quiet bool
+// emitReport prints a finished report — as indented JSON under -json,
+// else through table — and writes the same JSON bytes to -out.
+func emitReport(a sweepArgs, rep any, cells, trials int, table func()) error {
+	blob, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	blob = append(blob, '\n')
+	switch {
+	case a.quiet:
+	case a.json:
+		os.Stdout.Write(blob)
+	default:
+		table()
+	}
+	if a.outPath != "" {
+		if err := os.WriteFile(a.outPath, blob, 0o644); err != nil {
+			return fmt.Errorf("writing report: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d cells × %d trials)\n", a.outPath, cells, trials)
+	}
+	return nil
 }
 
 // runScale runs the members×depth scale matrix, timing every cell, and
 // writes the rrmp-scale/v1 report (BENCH_scale.json by default — the
 // committed perf-trajectory record every PR regenerates).
-func runScale(a scaleArgs) error {
+func runScale(a sweepArgs) error {
 	sw := repro.ScaleSweep()
 	sw.Shards = a.shards
 	// The default grid appends the XL rows (10k/100k members) and the 1M
@@ -723,26 +706,7 @@ func runScale(a scaleArgs) error {
 		return err
 	}
 
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	switch {
-	case a.quiet:
-	case a.json:
-		os.Stdout.Write(blob)
-	default:
-		printScaleReport(rep)
-	}
-	if a.outPath != "" {
-		if err := os.WriteFile(a.outPath, blob, 0o644); err != nil {
-			return fmt.Errorf("writing scale report: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d cells × %d trials)\n",
-			a.outPath, len(rep.Cells), rep.Trials)
-	}
-	return nil
+	return emitReport(a, rep, len(rep.Cells), rep.Trials, func() { printScaleReport(rep) })
 }
 
 // printScaleReport prints the scale table: per-cell delivery, recovery and
@@ -819,98 +783,6 @@ func meanOnly(agg repro.TrialAggregate, name, verb string) string {
 	return fmt.Sprintf(verb, m.Mean)
 }
 
-// singleArgs are the single-scenario, single-trial mode's inputs.
-type singleArgs struct {
-	regionsCSV   string
-	star         bool
-	tree         string
-	msgs         int
-	gap          time.Duration
-	loss         float64
-	lossMode     string
-	burst        bool
-	churn        float64
-	crash        float64
-	crashRecover time.Duration
-	partitionAt  time.Duration
-	partitionFor time.Duration
-	c            float64
-	lambda       float64
-	policy       string
-	hold         time.Duration
-	payload      int
-	payloadModel string
-	budget       int
-	protocol     string
-	// shards requests region-sharded event loops (1 = serial; lossy cells
-	// with the legacy shared loss stream fall back to serial).
-	shards   int
-	seed     uint64
-	horizon  time.Duration
-	doTrace  bool
-	traceOut string
-	backoff  time.Duration
-}
-
-// runSingleRMTP runs one seeded trial of the tree baseline by building the
-// equivalent scenario cell and printing its metrics: the single-run mode's
-// rich narrative output is RRMP-specific, but the cell metrics are the
-// protocol-comparable currency anyway.
-func runSingleRMTP(a singleArgs) error {
-	sc := repro.Scenario{
-		Protocol: "rmtp",
-		Loss:     a.loss,
-		LossMode: a.lossMode,
-		Burst:    a.burst,
-		Churn:    a.churn,
-		Crash:    a.crash,
-		Policy:   "server",
-		Msgs:     a.msgs,
-		Gap:      a.gap,
-		Horizon:  a.horizon,
-	}
-	if a.crash > 0 {
-		sc.CrashRecover = a.crashRecover
-	}
-	if a.partitionAt > 0 {
-		sc.PartitionAt = a.partitionAt
-		sc.PartitionDur = a.partitionFor
-	}
-	sc.PayloadBytes = a.payload
-	if a.payloadModel != "" && a.payloadModel != "fixed" {
-		sc.PayloadModel = a.payloadModel
-	}
-	sc.ByteBudget = a.budget
-	if a.tree != "" {
-		shape, err := parseTreeShape(a.tree)
-		if err != nil {
-			return err
-		}
-		sc.Tree = &shape
-	} else {
-		sizes, err := parseSizes(a.regionsCSV)
-		if err != nil {
-			return err
-		}
-		sc.Regions = sizes
-		sc.Star = a.star
-	}
-	m, err := repro.RunScenario(sc, a.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rmtp baseline: %s (seed %d)\n", sc.Name(), a.seed)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("  %-28s %g\n", k, m[k])
-	}
-	return nil
-}
-
 // parseWorkloadSpec parses the -workload flag: one of the standing
 // presets, or a comma-separated key=val spec validated as a whole.
 func parseWorkloadSpec(s string) (*repro.WorkloadSpec, error) {
@@ -982,116 +854,81 @@ func parseWorkloadSpec(s string) (*repro.WorkloadSpec, error) {
 	return spec, nil
 }
 
-// workloadArgs are the single-trial -workload mode's inputs.
-type workloadArgs struct {
-	single   singleArgs
-	workload string
-	// traceRecord writes the cell's materialized timeline to this file
-	// as rrmp-trace/v1 after the run.
-	traceRecord string
-	// traceReplay drives the run from this recorded rrmp-trace/v1 file
-	// instead of the generated timeline. A trace recorded from the same
-	// cell and seed replays to a byte-identical report.
-	traceReplay string
-}
-
-// runSingleWorkload runs one seeded trial of a multi-client workload cell
-// through the sweep kernel (the Group facade publishes from one sender;
-// workload cells need per-client senders) and prints the cell metrics —
-// the same currency runSingleRMTP speaks, so record and replay runs can
-// be compared byte for byte.
-func runSingleWorkload(w io.Writer, a workloadArgs) error {
-	s := a.single
-	if s.payload < 0 || s.budget < 0 {
-		return fmt.Errorf("-payload and -budget must be non-negative (got %d, %d)", s.payload, s.budget)
-	}
-	spec, err := parseWorkloadSpec(a.workload)
+// runSingle runs the one cell the flags describe once, seeded with -seed
+// itself, through the kernel every sweep cell runs (the cell -trials N
+// aggregates, under the protocol -protocol names), and prints the cell's
+// metrics sorted by key. Only a single run can be traced (-trace,
+// -trace-out), record its publish timeline (-trace-record) or replay one
+// (-trace-replay).
+func runSingle(w io.Writer, a sweepArgs) error {
+	sw, err := buildSweep(a)
 	if err != nil {
 		return err
 	}
-	sc := repro.Scenario{
-		Loss: s.loss, LossMode: s.lossMode, Burst: s.burst,
-		Churn: s.churn, Crash: s.crash,
-		Policy: s.policy, FixedHold: s.hold,
-		C: s.c, Lambda: s.lambda, RepairBackoff: s.backoff,
-		Msgs: s.msgs, Gap: s.gap, Horizon: s.horizon,
-		ByteBudget: s.budget,
-		Workload:   spec,
-		Shards:     s.shards,
+	cells := sw.Expand()
+	if len(cells) != 1 {
+		return fmt.Errorf("single-trial mode runs one cell, but the flags describe %d (add -sweep or -trials)", len(cells))
 	}
-	switch s.protocol {
-	case "", "rrmp":
-	case "rmtp":
-		sc.Protocol = "rmtp"
-		sc.Policy = "server"
-	default:
-		return fmt.Errorf("unknown protocol %q (want rrmp or rmtp)", s.protocol)
+	sc := cells[0]
+
+	// nil = the kernel materializes the cell's own timeline; a recording
+	// run materializes it here instead, so the file holds what ran.
+	var timeline repro.WorkloadTimeline
+	switch {
+	case a.traceReplay != "":
+		timeline, err = readTimeline(a.traceReplay)
+	case a.traceRecord != "":
+		timeline, err = repro.ScenarioTimeline(sc, a.seed)
 	}
-	if s.crash > 0 {
-		sc.CrashRecover = s.crashRecover
-	}
-	if s.partitionAt > 0 {
-		sc.PartitionAt = s.partitionAt
-		sc.PartitionDur = s.partitionFor
-	}
-	sc.PayloadBytes = s.payload
-	if s.payloadModel != "" && s.payloadModel != "fixed" {
-		sc.PayloadModel = s.payloadModel
-	}
-	if s.tree != "" {
-		shape, err := parseTreeShape(s.tree)
-		if err != nil {
-			return err
-		}
-		sc.Tree = &shape
-	} else {
-		sizes, err := parseSizes(s.regionsCSV)
-		if err != nil {
-			return err
-		}
-		sc.Regions = sizes
-		sc.Star = s.star
+	if err != nil {
+		return err
 	}
 
-	var m map[string]float64
-	if a.traceReplay != "" {
-		f, err := os.Open(a.traceReplay)
-		if err != nil {
-			return fmt.Errorf("opening trace: %w", err)
+	var sinks []io.Writer
+	if a.doTrace {
+		sinks = append(sinks, os.Stderr)
+	}
+	var traceFile *os.File
+	if a.traceOut != "" {
+		if traceFile, err = os.Create(a.traceOut); err != nil {
+			return fmt.Errorf("opening trace output: %w", err)
 		}
-		tl, err := repro.ReplayTrace(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("replaying %s: %w", a.traceReplay, err)
-		}
-		if m, err = repro.RunScenarioTimeline(sc, s.seed, tl); err != nil {
-			return err
-		}
-	} else {
-		if m, err = repro.RunScenario(sc, s.seed); err != nil {
-			return err
-		}
-		if a.traceRecord != "" {
-			tl, err := repro.ScenarioTimeline(sc, s.seed)
-			if err != nil {
-				return err
-			}
-			f, err := os.Create(a.traceRecord)
-			if err != nil {
-				return fmt.Errorf("creating trace: %w", err)
-			}
-			if err := repro.RecordTrace(f, tl); err != nil {
-				f.Close()
-				return fmt.Errorf("recording trace: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("closing trace: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d events, %d clients)\n",
-				a.traceRecord, len(tl), tl.Clients())
+		defer traceFile.Close() // error paths; success checks Close below
+		sinks = append(sinks, traceFile)
+	}
+	var tracer trace.Tracer
+	if len(sinks) > 0 {
+		tracer = &trace.Writer{W: io.MultiWriter(sinks...)}
+	}
+	// -shards never changes the metrics, but say when it cannot apply
+	// instead of letting the flag look like a no-op.
+	if a.shards > 1 {
+		switch {
+		case tracer != nil:
+			fmt.Fprintf(os.Stderr, "rrmp-sim: a traced run is serial, so the trace is a pure function of the seed; -shards %d ignored\n", a.shards)
+		case sc.Loss > 0 && sc.LossMode != "hash":
+			fmt.Fprintf(os.Stderr, "rrmp-sim: -shards %d with the legacy loss stream runs serial; use -loss-mode hash for shard-safe loss\n", a.shards)
 		}
 	}
-	fmt.Fprintf(w, "workload cell: %s (seed %d)\n", sc.Name(), s.seed)
+
+	m, err := runner.RunScenarioWith(sc, a.seed, timeline, tracer)
+	if err != nil {
+		return err
+	}
+	// Close the trace file explicitly so a failed flush (full disk, ...)
+	// surfaces as an error instead of an exit-0 truncated trace.
+	if traceFile != nil {
+		if err := traceFile.Close(); err != nil {
+			return fmt.Errorf("closing trace output: %w", err)
+		}
+	}
+	if a.traceRecord != "" {
+		if err := writeTimeline(a.traceRecord, timeline); err != nil {
+			return err
+		}
+	}
+
+	fmt.Fprintf(w, "cell: %s (seed %d)\n", sc.Name(), a.seed)
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -1103,247 +940,33 @@ func runSingleWorkload(w io.Writer, a workloadArgs) error {
 	return nil
 }
 
-func run(a singleArgs) error {
-	if a.payload < 0 || a.budget < 0 {
-		return fmt.Errorf("-payload and -budget must be non-negative (got %d, %d)", a.payload, a.budget)
-	}
-	switch a.protocol {
-	case "", "rrmp":
-	case "rmtp":
-		if a.doTrace || a.traceOut != "" {
-			return fmt.Errorf("-trace/-trace-out observe the rrmp engine; the rmtp baseline has no tracer hook")
-		}
-		return runSingleRMTP(a)
-	default:
-		return fmt.Errorf("unknown protocol %q (want rrmp or rmtp)", a.protocol)
-	}
-	var sizes []int
-	if a.tree == "" {
-		var err error
-		if sizes, err = parseSizes(a.regionsCSV); err != nil {
-			return err
-		}
-	}
-	msgs, gap, loss, seed, horizon := a.msgs, a.gap, a.loss, a.seed, a.horizon
-	churn, policyName := a.churn, a.policy
-
-	params := repro.DefaultParams()
-	params.C = a.c
-	params.Lambda = a.lambda
-	params.RepairBackoffMax = a.backoff
-	params.ByteBudget = a.budget
-	// Fault scenarios need the failure detector so recovery routes around
-	// dead members (same rule the sweep runner applies).
-	params.FDEnabled = a.crash > 0 || a.partitionAt > 0
-
-	opts := []repro.Option{
-		repro.WithSeed(seed),
-		repro.WithParams(params),
-	}
-	if a.shards > 1 {
-		opts = append(opts, repro.WithShards(a.shards))
-	}
-	switch {
-	case a.tree != "":
-		shape, err := parseTreeShape(a.tree)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, repro.WithTree(shape.Branch, shape.Levels, shape.Members))
-	case a.star:
-		opts = append(opts, repro.WithStar(sizes...))
-	default:
-		opts = append(opts, repro.WithRegions(sizes...))
-	}
-	switch a.lossMode {
-	case "", "hash":
-	default:
-		return fmt.Errorf("unknown loss mode %q (want '' or 'hash')", a.lossMode)
-	}
-	if loss > 0 {
-		if a.shards > 1 && a.lossMode != "hash" {
-			// The legacy shared loss stream only reproduces on one loop,
-			// so the run silently falls back to serial (effectiveShards).
-			// Say so instead of letting -shards look like a no-op.
-			fmt.Fprintf(os.Stderr, "rrmp-sim: -shards %d with the legacy loss stream runs serial; use -loss-mode hash for shard-safe loss\n", a.shards)
-		}
-		switch {
-		case a.burst && a.lossMode == "hash":
-			opts = append(opts, repro.WithHashBurstLoss(loss))
-		case a.burst:
-			opts = append(opts, repro.WithBurstDataLoss(loss))
-		case a.lossMode == "hash":
-			opts = append(opts, repro.WithHashDataLoss(loss))
-		default:
-			opts = append(opts, repro.WithDataLoss(loss))
-		}
-	}
-	// The registry owns the policy grammar; a bad spec fails inside
-	// NewGroup with the registry's known-kinds menu in the error.
-	opts = append(opts, repro.WithPolicySpec(policyName), repro.WithFixedHold(a.hold))
-	// Tracing routes through the cluster's Tracer hook: -trace streams to
-	// stderr (the historic behaviour), -trace-out to a file, and both at
-	// once fan out to both sinks.
-	var traceSinks []io.Writer
-	var traceFile *os.File
-	if a.doTrace {
-		traceSinks = append(traceSinks, os.Stderr)
-	}
-	if a.traceOut != "" {
-		f, err := os.Create(a.traceOut)
-		if err != nil {
-			return fmt.Errorf("opening trace output: %w", err)
-		}
-		traceFile = f
-		defer func() {
-			if traceFile != nil {
-				traceFile.Close()
-			}
-		}()
-		traceSinks = append(traceSinks, f)
-	}
-	switch len(traceSinks) {
-	case 0:
-	case 1:
-		opts = append(opts, repro.WithTracer(&trace.Writer{W: traceSinks[0]}))
-	default:
-		opts = append(opts, repro.WithTracer(&trace.Writer{W: io.MultiWriter(traceSinks...)}))
-	}
-
-	g, err := repro.NewGroup(opts...)
+// readTimeline loads a recorded rrmp-trace/v1 publish timeline.
+func readTimeline(path string) (repro.WorkloadTimeline, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("opening trace: %w", err)
 	}
-	g.StartSessions()
-	// One backing buffer serves every publish at its drawn size, exactly
-	// as the sweep runner does (fixed sizes draw no randomness, so legacy
-	// invocations replay identically).
-	paySizes, maxSize, err := runner.PayloadSizesFor(a.payloadModel, a.payload, msgs, seed)
+	defer f.Close()
+	tl, err := repro.ReplayTrace(f)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("replaying %s: %w", path, err)
 	}
-	payloadBuf := make([]byte, maxSize)
-	ids := make([]repro.MessageID, 0, msgs)
-	for i := 0; i < msgs; i++ {
-		i := i
-		g.At(time.Duration(i)*gap, func() { ids = append(ids, g.Publish(payloadBuf[:paySizes[i]])) })
-	}
+	return tl, nil
+}
 
-	// Churn and crashes: Poisson-timed schedules of distinct random
-	// non-sender members (the sweep runner's construction, shared so both
-	// modes produce the identical fault sequence for a seed).
-	var candidates []repro.NodeID
-	if churn > 0 || a.crash > 0 {
-		for n := repro.NodeID(0); n < repro.NodeID(g.NumMembers()); n++ {
-			if n != g.SenderID() {
-				candidates = append(candidates, n)
-			}
-		}
+// writeTimeline records a publish timeline as rrmp-trace/v1.
+func writeTimeline(path string, tl repro.WorkloadTimeline) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("creating trace: %w", err)
 	}
-	// Counted at execution time: a member drawn by both streams only has
-	// its first fault injected (the runner counts the same way).
-	leaves, crashes := 0, 0
-	if churn > 0 {
-		runner.ScheduleChurn(rng.New(seed).Split(runner.ChurnStreamLabel),
-			churn, horizon, candidates, func(at time.Duration, victim repro.NodeID) {
-				g.At(at, func() {
-					if m := g.Member(victim); m.Left() || m.Crashed() {
-						return
-					}
-					g.Leave(victim)
-					leaves++
-				})
-			})
+	if err := repro.RecordTrace(f, tl); err != nil {
+		f.Close()
+		return fmt.Errorf("recording trace: %w", err)
 	}
-	if a.crash > 0 {
-		runner.ScheduleChurn(rng.New(seed).Split(runner.CrashStreamLabel),
-			a.crash, horizon, candidates, func(at time.Duration, victim repro.NodeID) {
-				g.At(at, func() {
-					if m := g.Member(victim); m.Left() || m.Crashed() {
-						return
-					}
-					g.Crash(victim)
-					crashes++
-				})
-				if a.crashRecover > 0 {
-					g.At(at+a.crashRecover, func() { g.Recover(victim) })
-				}
-			})
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing trace: %w", err)
 	}
-	if a.partitionAt > 0 {
-		g.At(a.partitionAt, g.Partition)
-		if a.partitionFor > 0 {
-			g.At(a.partitionAt+a.partitionFor, g.Heal)
-		}
-	}
-
-	g.Run(horizon)
-
-	fmt.Printf("topology: %d members in %d regions (seed %d)\n", g.NumMembers(), g.NumRegions(), seed)
-	fmt.Printf("workload: %d messages every %v, %.0f%% DATA loss (burst=%v), policy %s\n",
-		msgs, gap, 100*loss, a.burst, policyName)
-	if churn > 0 {
-		fmt.Printf("churn:    %.2g leaves/s — %d members departed gracefully\n", churn, leaves)
-	}
-	if a.crash > 0 {
-		mode := "crash-stop"
-		if a.crashRecover > 0 {
-			mode = fmt.Sprintf("recover after %v", a.crashRecover)
-		}
-		fmt.Printf("crashes:  %.2g faults/s (%s) — %d members crashed\n", a.crash, mode, crashes)
-	}
-	if a.partitionAt > 0 {
-		heal := "never healed"
-		if a.partitionFor > 0 {
-			heal = fmt.Sprintf("healed at %v", a.partitionAt+a.partitionFor)
-		}
-		fmt.Printf("partition: cut at %v, %s\n", a.partitionAt, heal)
-	}
-	fmt.Printf("virtual time: %v\n\n", g.Now())
-
-	complete := 0
-	worst := g.NumMembers()
-	for _, id := range ids {
-		got := g.CountReceived(id)
-		if got == g.NumMembers() {
-			complete++
-		}
-		if got < worst {
-			worst = got
-		}
-	}
-	fmt.Printf("delivery: %d/%d messages fully delivered; worst message reached %d/%d members\n",
-		complete, len(ids), worst, g.NumMembers())
-
-	s := g.Stats()
-	fmt.Printf("recovery: %d local requests, %d remote requests, %d repairs, %d regional multicasts\n",
-		s.LocalRequests, s.RemoteRequests, s.Repairs, s.RegionalMulticasts)
-	if s.Searches > 0 || s.Suspects > 0 || s.Unrecoverable > 0 {
-		fmt.Printf("faults:   %d searches (%d failed), %d suspect events, %d unrecoverable losses\n",
-			s.Searches, s.SearchFailures, s.Suspects, s.Unrecoverable)
-	}
-	fmt.Printf("latency:  mean recovery %.1f ms, mean buffering %.1f ms\n",
-		s.MeanRecoveryMs, s.MeanBufferingMs)
-	if s.MeanReRecoveryMs > 0 {
-		fmt.Printf("          mean post-crash re-recovery %.1f ms\n", s.MeanReRecoveryMs)
-	}
-	fmt.Printf("buffers:  %d entries live (%d long-term); %.1f msg·s total buffering cost\n",
-		s.BufferedEntries, s.LongTermEntries, s.BufferIntegral)
-	fmt.Printf("bytes:    %d B held (worst member peaked at %d B); %.1f B·s byte cost\n",
-		s.BufferedBytes, s.PeakBufferedBytes, s.ByteIntegral)
-	if a.budget > 0 {
-		fmt.Printf("budget:   %d B per member — %d pressure evictions, %d denials\n",
-			a.budget, s.PressureEvictions, s.BudgetDenials)
-	}
-	fmt.Printf("network:  %d packets, %d bytes offered\n", g.TotalPacketsSent(), g.TotalBytesSent())
-	// Close the trace file explicitly so a failed flush (full disk, ...)
-	// surfaces as an error instead of an exit-0 truncated trace.
-	if traceFile != nil {
-		err := traceFile.Close()
-		traceFile = nil
-		if err != nil {
-			return fmt.Errorf("closing trace output: %w", err)
-		}
-	}
+	fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d events, %d clients)\n", path, len(tl), tl.Clients())
 	return nil
 }

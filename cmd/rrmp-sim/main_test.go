@@ -3,15 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/policy"
+	"repro/internal/runner"
 )
 
 // TestSweepReportByteIdenticalAcrossParallelism runs the full -sweep code
@@ -289,7 +293,7 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 	report := func(parallel, shards int) []byte {
 		t.Helper()
 		out := filepath.Join(dir, "scale.json")
-		if err := runScale(scaleArgs{
+		if err := runScale(sweepArgs{
 			trials:   2,
 			parallel: parallel,
 			shards:   shards,
@@ -337,9 +341,9 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 }
 
 // TestTreeSingleRun drives the single-scenario mode on a depth-3 balanced
-// tree (the -tree flag's path through repro.WithTree).
+// tree (the -tree flag's path).
 func TestTreeSingleRun(t *testing.T) {
-	err := run(singleArgs{
+	err := runSingle(io.Discard, sweepArgs{
 		tree:    "3,3,130",
 		msgs:    5,
 		gap:     20e6,
@@ -379,7 +383,7 @@ func TestParseTreeShapes(t *testing.T) {
 // crash and partition flags (cmd/ previously had zero test files; this
 // covers the non-sweep path too).
 func TestSingleRunWithFaults(t *testing.T) {
-	err := run(singleArgs{
+	err := runSingle(io.Discard, sweepArgs{
 		regionsCSV:   "10,10",
 		msgs:         5,
 		gap:          20e6, // 20 ms
@@ -402,7 +406,7 @@ func TestSingleRunWithFaults(t *testing.T) {
 // TestSingleRunWithBudget drives the single-scenario mode end to end with
 // a lognormal payload model and a binding byte budget.
 func TestSingleRunWithBudget(t *testing.T) {
-	err := run(singleArgs{
+	err := runSingle(io.Discard, sweepArgs{
 		regionsCSV:   "10",
 		msgs:         10,
 		gap:          20e6, // 20 ms
@@ -441,8 +445,8 @@ func TestParseInts(t *testing.T) {
 	if err := runSweep(sweepArgs{sweep: true, budget: -1, trials: 1}); err == nil {
 		t.Fatal("negative -budget accepted by runSweep")
 	}
-	if err := run(singleArgs{regionsCSV: "4", payload: -1, msgs: 1, gap: 1e6, horizon: 1e8, policy: "two-phase", c: 4, lambda: 1}); err == nil {
-		t.Fatal("negative -payload accepted by run")
+	if err := runSingle(io.Discard, sweepArgs{regionsCSV: "4", payload: -1, msgs: 1, gap: 1e6, horizon: 1e8, policy: "two-phase", c: 4, lambda: 1}); err == nil {
+		t.Fatal("negative -payload accepted by runSingle")
 	}
 }
 
@@ -520,7 +524,7 @@ func TestProtocolSweepMiniature(t *testing.T) {
 // TestSingleRunRMTP drives the -protocol rmtp single-scenario mode end to
 // end, faults included.
 func TestSingleRunRMTP(t *testing.T) {
-	err := run(singleArgs{
+	err := runSingle(io.Discard, sweepArgs{
 		protocol:     "rmtp",
 		regionsCSV:   "10,10",
 		msgs:         5,
@@ -537,17 +541,35 @@ func TestSingleRunRMTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(singleArgs{protocol: "bogus", regionsCSV: "4", msgs: 1, gap: 1e6, horizon: 1e8, policy: "two-phase", c: 4, lambda: 1}); err == nil {
+	if err := runSingle(io.Discard, sweepArgs{protocol: "bogus", regionsCSV: "4", msgs: 1, gap: 1e6, horizon: 1e8, policy: "two-phase", c: 4, lambda: 1}); err == nil {
 		t.Fatal("bogus -protocol accepted")
 	}
 }
 
-// TestTraceOutWritesFile pins the -trace-out bugfix: traces route through
-// the cluster Tracer hook into the named file instead of unconditionally
-// spamming stderr.
+// TestTraceOutWritesFile pins -trace-out: traces route through the
+// kernel's Tracer hook into the named file instead of unconditionally
+// spamming stderr — for workload cells too, now that they run the same
+// kernel — and a traced run's bytes do not depend on -shards (it takes one
+// loop; at the parent commit every lane goroutine wrote the file and four
+// runs gave four files).
 func TestTraceOutWritesFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.log")
-	err := run(singleArgs{
+	dir := t.TempDir()
+	traceOf := func(name string, a sweepArgs) []byte {
+		t.Helper()
+		a.traceOut = filepath.Join(dir, name)
+		if err := runSingle(io.Discard, a); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(a.traceOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(blob, []byte("DELIVER")) {
+			t.Fatalf("%s has no DELIVER events; got %d bytes", name, len(blob))
+		}
+		return blob
+	}
+	base := sweepArgs{
 		regionsCSV: "6",
 		msgs:       3,
 		gap:        10e6,
@@ -557,17 +579,121 @@ func TestTraceOutWritesFile(t *testing.T) {
 		policy:     "two-phase",
 		seed:       4,
 		horizon:    2e9,
-		traceOut:   path,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	traceOf("trace.log", base)
+
+	wl := base
+	wl.regionsCSV, wl.workload = "8,8", "mc"
+	traceOf("workload.log", wl)
+
+	// A hash-loss four-region cell genuinely shards when untraced.
+	wide := sweepArgs{
+		regionsCSV: "40,40,40,40", loss: 0.2, lossMode: "hash",
+		c: 6, lambda: 1, policy: "two-phase",
+		msgs: 10, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
+		seed: 1, shards: 1,
 	}
-	if !bytes.Contains(blob, []byte("DELIVER")) {
-		t.Fatalf("trace file has no DELIVER events; got %d bytes", len(blob))
+	serial := traceOf("shards1.log", wide)
+	wide.shards = 4
+	if sharded := traceOf("shards4.log", wide); !bytes.Equal(serial, sharded) {
+		t.Fatal("trace bytes differ between -shards 1 and -shards 4")
+	}
+}
+
+// TestSingleRunMatchesKernelCell pins the single run as exactly the
+// kernel's cell: for an rrmp cell, an rmtp cell and a -workload cell, the
+// printed metrics equal runner.RunScenario on the flags' expanded cell at
+// -seed, key for key and bit for bit (%g prints the shortest string that
+// round-trips a float64). At the parent commit the rrmp single run seeded
+// its own loss stream and reported 1582 packets where the cell has 1551.
+func TestSingleRunMatchesKernelCell(t *testing.T) {
+	base := sweepArgs{
+		regionsCSV: "10,10", loss: 0.2,
+		c: 6, lambda: 1, policy: "two-phase", hold: 500 * time.Millisecond,
+		msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
+		seed: 3,
+	}
+	rmtp := base
+	rmtp.protocol = "rmtp"
+	wl := base
+	wl.workload, wl.lossMode = "mc", "hash"
+	for name, a := range map[string]sweepArgs{"rrmp": base, "rmtp": rmtp, "workload": wl} {
+		sw, err := buildSweep(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := sw.Expand()
+		if len(cells) != 1 {
+			t.Fatalf("%s: flags expand to %d cells, want 1", name, len(cells))
+		}
+		want, err := runner.RunScenario(cells[0], a.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := runSingle(&out, a); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if wantHead := fmt.Sprintf("cell: %s (seed 3)", cells[0].Name()); lines[0] != wantHead {
+			t.Fatalf("%s: header %q, want %q", name, lines[0], wantHead)
+		}
+		got := map[string]float64{}
+		for _, line := range lines[1:] {
+			key, val, _ := strings.Cut(strings.TrimSpace(line), " ")
+			v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+			if err != nil {
+				t.Fatalf("%s: malformed metric line %q", name, line)
+			}
+			got[key] = v
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: single run printed %d metrics, the cell has %d", name, len(got), len(want))
+		}
+		for k, v := range want {
+			if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(v) {
+				t.Errorf("%s: %s = %v, the cell has %v", name, k, g, v)
+			}
+		}
+	}
+}
+
+// TestCheckFlags covers every flag-combination rejection (main exits 2 on
+// each) and the neighbouring combinations that must pass.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    sweepArgs
+		want string // substring of the error; "" = accepted
+	}{
+		{"plain single run", sweepArgs{trials: 1, protocol: "rrmp"}, ""},
+		{"traced single run", sweepArgs{trials: 1, doTrace: true, protocol: "rrmp"}, ""},
+		{"traced workload cell", sweepArgs{trials: 1, traceOut: "f", workload: "mc"}, ""},
+		{"trace with -sweep", sweepArgs{sweep: true, doTrace: true}, "-trace/-trace-out apply to single-trial mode only"},
+		{"trace-out with -trials", sweepArgs{trials: 2, traceOut: "f"}, "-trace/-trace-out apply to single-trial mode only"},
+		{"trace with -sweep-scale", sweepArgs{sweepScale: true, doTrace: true}, "-trace/-trace-out apply to single-trial mode only"},
+		{"trace with rmtp", sweepArgs{trials: 1, doTrace: true, protocol: "rmtp"}, "the rmtp baseline has no tracer hook"},
+		{"record with -trials", sweepArgs{trials: 4, workload: "mc", traceRecord: "f"}, "-trace-record/-trace-replay apply to single-trial mode only"},
+		{"replay with -sweep", sweepArgs{sweep: true, workload: "mc", traceReplay: "f"}, "-trace-record/-trace-replay apply to single-trial mode only"},
+		{"record without -workload", sweepArgs{trials: 1, traceRecord: "f"}, "require -workload"},
+		{"record and replay", sweepArgs{trials: 1, workload: "mc", traceRecord: "f", traceReplay: "g"}, "choose one of"},
+		{"record alone", sweepArgs{trials: 1, workload: "mc", traceRecord: "f"}, ""},
+		{"workload with -sweep-scale", sweepArgs{sweepScale: true, workload: "mc"}, "-workload does not apply to -sweep-scale"},
+		{"workload with -trials", sweepArgs{trials: 2, workload: "mc"}, ""},
+		{"fitness on a single run", sweepArgs{trials: 1, fitnessWeights: "default"}, "-fitness-weights scores sweep/multi-trial reports"},
+		{"fitness with -sweep-scale", sweepArgs{sweepScale: true, fitnessWeights: "default"}, "-fitness-weights scores sweep/multi-trial reports"},
+		{"fitness with -trials", sweepArgs{trials: 2, fitnessWeights: "default"}, ""},
+		{"-out on a single run", sweepArgs{trials: 1, outSet: true, outPath: "x.json"}, "-out only applies"},
+		{"-out '' on a single run", sweepArgs{trials: 1, outSet: true}, ""},
+		{"-out with -sweep", sweepArgs{sweep: true, outSet: true, outPath: "x.json"}, ""},
+	} {
+		err := checkFlags(tc.a)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -608,16 +734,16 @@ func TestParseWorkloadSpec(t *testing.T) {
 // that file print byte-identical metrics.
 func TestWorkloadRecordReplayByteIdentical(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "mc.trace")
-	base := singleArgs{
+	base := sweepArgs{
 		regionsCSV: "10,10", loss: 0.1, lossMode: "hash",
 		c: 6, lambda: 1, policy: "two-phase", hold: 500 * time.Millisecond,
 		msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-		seed: 7,
+		seed: 7, workload: "mc",
 	}
+	record, replay := base, base
+	record.traceRecord, replay.traceReplay = trace, trace
 	var recorded bytes.Buffer
-	if err := runSingleWorkload(&recorded, workloadArgs{
-		single: base, workload: "mc", traceRecord: trace,
-	}); err != nil {
+	if err := runSingle(&recorded, record); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(trace)
@@ -628,9 +754,7 @@ func TestWorkloadRecordReplayByteIdentical(t *testing.T) {
 		t.Fatalf("trace lacks the schema header: %q", blob[:20])
 	}
 	var replayed bytes.Buffer
-	if err := runSingleWorkload(&replayed, workloadArgs{
-		single: base, workload: "mc", traceReplay: trace,
-	}); err != nil {
+	if err := runSingle(&replayed, replay); err != nil {
 		t.Fatal(err)
 	}
 	if recorded.String() != replayed.String() {
@@ -644,9 +768,7 @@ func TestWorkloadRecordReplayByteIdentical(t *testing.T) {
 	if err := os.WriteFile(trace, blob[:len(blob)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSingleWorkload(io.Discard, workloadArgs{
-		single: base, workload: "mc", traceReplay: trace,
-	}); err == nil {
+	if err := runSingle(io.Discard, replay); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
 }

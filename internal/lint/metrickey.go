@@ -20,8 +20,10 @@ import (
 //     and report printers agreeing by construction, not convention.
 //  2. Protocol scoping: a file carrying a `//metrics:scope rrmp` (or
 //     rmtp) directive may only mention keys whose registry entry is gated
-//     to that protocol or to both. This is the PR 5 invariant — RRMP-only
-//     keys never leak into rmtp cells — checked statically.
+//     to that protocol or to both; `//metrics:scope both` (the shared
+//     scenario kernel) admits only keys gated both. This is the PR 5
+//     invariant — RRMP-only keys never leak into rmtp cells — checked
+//     statically.
 //  3. Registry completeness: every MK constant in the registry package
 //     must have a metricKeyRegistry entry.
 var MetricKey = &Analyzer{
@@ -34,7 +36,8 @@ var MetricKey = &Analyzer{
 // string literals: the registry itself.
 const metricKeysFile = "metrickeys.go"
 
-// scopeDirective marks a file as emitting cells for one protocol.
+// scopeDirective marks a file as emitting cells for one protocol (or,
+// with `both`, for either).
 const scopeDirective = "//metrics:scope "
 
 // mkPrefix is the naming convention for registry constants.

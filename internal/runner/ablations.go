@@ -159,7 +159,7 @@ func AblationLoadBalanceSized(payloadBytes int, model string, seed uint64) ([]Lo
 		{"flat-50", func() (*topology.Topology, error) { return topology.SingleRegion(50) }},
 		{"two-level-25+25", func() (*topology.Topology, error) { return topology.Chain(25, 25) }},
 	}
-	sizes, maxSize, err := PayloadSizesFor(model, payloadBytes, msgs, seed)
+	sizes, maxSize, err := payloadSizesFor(model, payloadBytes, msgs, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -98,11 +98,11 @@ func TestRunScenarioPayloadModelDeterministic(t *testing.T) {
 			t.Fatalf("metric %q differs across identically seeded runs: %v vs %v", k, v, b[k])
 		}
 	}
-	sizes1, _, err := PayloadSizesFor("lognormal", 1024, 10, 7)
+	sizes1, _, err := payloadSizesFor("lognormal", 1024, 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes2, _, err := PayloadSizesFor("lognormal", 1024, 10, 7)
+	sizes2, _, err := payloadSizesFor("lognormal", 1024, 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRunScenarioPayloadModelDeterministic(t *testing.T) {
 	if !varied {
 		t.Fatal("lognormal payload model drew a constant size sequence")
 	}
-	if _, _, err := PayloadSizesFor("zipf", 1024, 10, 7); err == nil {
+	if _, _, err := payloadSizesFor("zipf", 1024, 10, 7); err == nil {
 		t.Fatal("unknown payload model accepted")
 	}
 }

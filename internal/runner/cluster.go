@@ -43,7 +43,10 @@ type ClusterConfig struct {
 	Policy func(view topology.View, params rrmp.Params) core.Policy
 	// Hooks, if non-nil, builds per-member instrumentation callbacks.
 	Hooks func(n topology.NodeID) rrmp.Hooks
-	// Tracer observes all members (nil = none).
+	// Tracer observes all members (nil = none). An enabled tracer is one
+	// sink fed in event order, so a traced cluster always runs the serial
+	// engine, whatever Shards says: the trace is then a pure function of
+	// the seed, and aggregates are byte-identical at any width anyway.
 	Tracer trace.Tracer
 	// BufferIndex selects every member's buffer index implementation
 	// (tests run the legacy map side by side with the dense default).
@@ -97,7 +100,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		sharded   *sim.Sharded
 		nodeShard []int32
 	)
-	if cfg.Shards > 1 {
+	traced := cfg.Tracer != nil && cfg.Tracer.Enabled()
+	if cfg.Shards > 1 && !traced {
 		look := cfg.Lookahead
 		if look <= 0 {
 			if cfg.Latency != nil {

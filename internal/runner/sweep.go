@@ -1,7 +1,9 @@
-// This file emits RRMP sweep cells; the metrickey analyzer checks that
-// only keys gated to rrmp (or both) appear here.
+// This file is the scenario kernel, shared by both protocols; the
+// metrickey analyzer checks that only keys gated `both` appear here, so
+// the kernel cannot leak a protocol-only key (those live behind the
+// drivers in rrmp_scenario.go and tree_scenario.go).
 //
-//metrics:scope rrmp
+//metrics:scope both
 package runner
 
 import (
@@ -11,11 +13,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/netsim"
-	policyspec "repro/internal/policy"
 	"repro/internal/rng"
-	"repro/internal/rrmp"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -23,13 +25,11 @@ import (
 // Churn and loss draw from dedicated streams split off the trial seed with
 // labels far above any node id (member streams use labels 1..NumNodes).
 const (
-	lossStreamLabel = 0xfeed1055
-	// ChurnStreamLabel derives the churn stream; exported so rrmp-sim's
-	// single-run mode schedules the identical leave sequence for a seed.
-	ChurnStreamLabel = 0xfeedc4a2
-	// CrashStreamLabel derives the crash-fault stream, independent of the
+	lossStreamLabel  = 0xfeed1055
+	churnStreamLabel = 0xfeedc4a2
+	// crashStreamLabel derives the crash-fault stream, independent of the
 	// churn stream so adding crashes never perturbs the leave sequence.
-	CrashStreamLabel = 0xfeedc4a5
+	crashStreamLabel = 0xfeedc4a5
 	// PayloadStreamLabel derives the payload-size stream for randomized
 	// payload models. Fixed-size scenarios (including the historic
 	// 256-byte default) never touch it, so pre-axis runs replay
@@ -46,11 +46,11 @@ const (
 	clusterRootStreamLabel = 0xaaaa
 )
 
-// PayloadSizesFor draws the n per-publish payload sizes for a scenario's
+// payloadSizesFor draws the n per-publish payload sizes for a scenario's
 // size model around the mean (0 = the historic 256 bytes). The second
 // result is the largest drawn size, so drivers can serve every publish
 // from one shared backing buffer instead of allocating per message.
-func PayloadSizesFor(model string, mean, n int, seed uint64) ([]int, int, error) {
+func payloadSizesFor(model string, mean, n int, seed uint64) ([]int, int, error) {
 	m, err := workload.NewSizeModel(model, mean)
 	if err != nil {
 		return nil, 0, err
@@ -69,13 +69,13 @@ func PayloadSizesFor(model string, mean, n int, seed uint64) ([]int, int, error)
 	return sizes, max, nil
 }
 
-// ScheduleChurn draws Poisson-timed events on distinct random candidates
+// scheduleChurn draws Poisson-timed events on distinct random candidates
 // at the given rate (events/second) until the horizon, invoking schedule
 // for each (time, victim) pair, and returns how many it scheduled. It
 // consumes candidates without replacement, so no member is picked twice.
-// rrmp-sim's single-run mode and RunScenario share this construction for
-// graceful leaves (ChurnStreamLabel) and crash faults (CrashStreamLabel).
-func ScheduleChurn(r *rng.Source, rate float64, horizon time.Duration,
+// Graceful leaves (churnStreamLabel) and crash faults (crashStreamLabel)
+// share this construction.
+func scheduleChurn(r *rng.Source, rate float64, horizon time.Duration,
 	candidates []topology.NodeID, schedule func(at time.Duration, victim topology.NodeID)) int {
 	if rate <= 0 {
 		return 0
@@ -126,10 +126,8 @@ func PartitionClasses(topo *topology.Topology) map[topology.NodeID]int {
 }
 
 // scenarioLoss builds a scenario's DATA loss model from its dedicated rng
-// stream (nil when lossless). Both protocol kernels share it, so a seeded
-// cell drops the identical DATA packets under RRMP and RMTP — the common-
-// random-numbers design extended to the protocol axis. nNodes sizes the
-// hash-mode model's per-sender state.
+// stream (nil when lossless). nNodes sizes the hash-mode model's
+// per-sender state.
 func scenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, error) {
 	if sc.Loss <= 0 {
 		return nil, nil
@@ -171,7 +169,7 @@ func scenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, e
 // only a single loop reproduces, so scenarios using them fall back to
 // serial execution (where byte-identity to the serial engine is trivial).
 // Lossless and hash-mode scenarios — Bernoulli (HashLoss) and burst
-// (HashBurstLoss) alike — run genuinely parallel. The rmtp kernel is its
+// (HashBurstLoss) alike — run genuinely parallel. The rmtp driver is its
 // own serial baseline and never shards.
 func effectiveShards(sc exp.Scenario) int {
 	if sc.Shards <= 1 {
@@ -183,32 +181,54 @@ func effectiveShards(sc exp.Scenario) int {
 	return sc.Shards
 }
 
-// faultInjector abstracts one protocol's fault operations so both kernels
-// schedule the identical fault timeline: the common-random-numbers design
-// across the protocol axis is only valid while the scheduling code is
-// literally shared, not merely similar.
-type faultInjector struct {
-	// excused reports whether the victim already left or crashed (a
-	// member drawn by both Poisson streams only has its first fault
-	// injected, and faults are counted at execution time).
-	excused func(victim topology.NodeID) bool
+// protocolDriver is one recovery protocol as the scenario kernel sees it.
+// A protocol's build function (newRRMPDriver, newRMTPDriver) turns the
+// kernel's shared inputs — topology, loss model, publisher set, optional
+// tracer — into its parameters and cluster, starts its sessions/ACK loops,
+// and returns this value; everything else the kernel does is written once.
+// The common-random-numbers design across the protocol axis holds by
+// construction: there is no second copy of the scheduling or collection
+// code for a protocol to drift from.
+type protocolDriver struct {
+	engine sim.Engine
+	net    *netsim.Network
+	// publish sends one payload from the timeline client's publisher.
+	publish func(client int, payload []byte) wire.MessageID
+	// excused reports whether the node already left or crashed: a member
+	// drawn by both Poisson streams only has its first fault injected
+	// (faults are counted at execution time), and everyone not excused is
+	// a survivor for the reliability keys.
+	excused func(node topology.NodeID) bool
 	leave   func(victim topology.NodeID)
 	crash   func(victim topology.NodeID)
 	recover func(victim topology.NodeID)
+	// received reports whether the node ever received the message.
+	received func(node topology.NodeID, id wire.MessageID) bool
+	// node returns the node's share of the state both protocols keep.
+	node func(node topology.NodeID) nodeView
+	// collect adds the protocol-only keys (its //metrics:scope file's).
+	collect func(out map[string]float64)
+}
+
+// nodeView is one node's slice of the fields rrmp.Metrics and rmtp.Metrics
+// share by name, plus its buffer (nil where the node keeps none: rmtp
+// receivers).
+type nodeView struct {
+	delivered, duplicates, repairsSent, unrecoverable int64
+	recoveryLatency, bufferingTime                    *stats.Histogram
+	buffer                                            *core.Buffer
 }
 
 // scheduleScenarioFaults schedules the scenario's churn, crash/recover and
-// partition timelines on the simulator from the shared dedicated streams
-// (ChurnStreamLabel, CrashStreamLabel), exactly as both protocol kernels
-// require: churn events first, then crash events (each with its optional
-// recovery), then the partition cut/heal pair. protected lists the nodes
-// faults must never hit — the publisher set (the sender alone in legacy
-// cells, so their candidate lists keep their historical order); the sender
-// is excluded regardless. The returned counters are live — read them
-// after the run.
-func scheduleScenarioFaults(c sim.Engine, net *netsim.Network, topo *topology.Topology,
-	all []topology.NodeID, sc exp.Scenario, seed uint64,
-	protected []topology.NodeID, inj faultInjector) (leaves, crashes *int) {
+// partition timelines on the driver's engine from the dedicated streams
+// (churnStreamLabel, crashStreamLabel): churn events first, then crash
+// events (each with its optional recovery), then the partition cut/heal
+// pair. protected lists the nodes faults must never hit — the publisher
+// set (the sender alone in legacy cells, so their candidate lists keep
+// their historical order); the sender is excluded regardless. The returned
+// counters are live — read them after the run.
+func scheduleScenarioFaults(d protocolDriver, topo *topology.Topology, sc exp.Scenario,
+	seed uint64, protected []topology.NodeID) (leaves, crashes *int) {
 	leaves, crashes = new(int), new(int)
 	var candidates []topology.NodeID
 	if sc.Churn > 0 || sc.Crash > 0 {
@@ -218,60 +238,57 @@ func scheduleScenarioFaults(c sim.Engine, net *netsim.Network, topo *topology.To
 			shielded[p] = true
 		}
 		candidates = make([]topology.NodeID, 0, topo.NumNodes()-1)
-		for _, n := range all {
+		for n := topology.NodeID(0); int(n) < topo.NumNodes(); n++ {
 			if !shielded[n] {
 				candidates = append(candidates, n)
 			}
 		}
 	}
 	if sc.Churn > 0 {
-		ScheduleChurn(rng.New(seed).Split(ChurnStreamLabel), sc.Churn, sc.Horizon,
+		scheduleChurn(rng.New(seed).Split(churnStreamLabel), sc.Churn, sc.Horizon,
 			candidates, func(at time.Duration, victim topology.NodeID) {
-				c.At(at, func() {
-					if inj.excused(victim) {
+				d.engine.At(at, func() {
+					if d.excused(victim) {
 						return
 					}
-					inj.leave(victim)
+					d.leave(victim)
 					*leaves++
 				})
 			})
 	}
 	if sc.Crash > 0 {
-		ScheduleChurn(rng.New(seed).Split(CrashStreamLabel), sc.Crash, sc.Horizon,
+		scheduleChurn(rng.New(seed).Split(crashStreamLabel), sc.Crash, sc.Horizon,
 			candidates, func(at time.Duration, victim topology.NodeID) {
-				c.At(at, func() {
-					if inj.excused(victim) {
+				d.engine.At(at, func() {
+					if d.excused(victim) {
 						return
 					}
-					inj.crash(victim)
+					d.crash(victim)
 					*crashes++
 				})
 				if sc.CrashRecover > 0 {
-					c.At(at+sc.CrashRecover, func() { inj.recover(victim) })
+					d.engine.At(at+sc.CrashRecover, func() { d.recover(victim) })
 				}
 			})
 	}
 	if sc.PartitionAt > 0 {
 		classes := PartitionClasses(topo)
-		c.At(sc.PartitionAt, func() { net.SetPartition(classes) })
+		d.engine.At(sc.PartitionAt, func() { d.net.SetPartition(classes) })
 		if sc.PartitionDur > 0 {
-			c.At(sc.PartitionAt+sc.PartitionDur, func() { net.ClearPartition() })
+			d.engine.At(sc.PartitionAt+sc.PartitionDur, func() { d.net.ClearPartition() })
 		}
 	}
 	return leaves, crashes
 }
 
-// reachMetrics fills the delivery/reach keys both protocol kernels share:
-// overall delivery ratio, the worst message's reach, and the
-// survivor-scoped variants (crashed and departed members are excused, so
-// these read as the reliability guarantee under the fault threat model).
-// msgs is the publish-count denominator: the scenario's nominal Msgs for
-// legacy cells (the historic contract), the timeline's actual publish
-// count for workload cells.
-func reachMetrics(out map[string]float64, msgs, nNodes, survivors int,
-	delivered int64, ids []wire.MessageID,
-	received func(node topology.NodeID, id wire.MessageID) bool,
-	survivor func(node topology.NodeID) bool) {
+// reachMetrics fills the delivery/reach keys: overall delivery ratio, the
+// worst message's reach, and the survivor-scoped variants (crashed and
+// departed members are excused, so these read as the reliability guarantee
+// under the fault threat model). msgs is the publish-count denominator:
+// the scenario's nominal Msgs for legacy cells (the historic contract),
+// the timeline's actual publish count for workload cells.
+func reachMetrics(out map[string]float64, d protocolDriver, msgs, nNodes, survivors int,
+	delivered int64, ids []wire.MessageID) {
 	if msgs <= 0 {
 		return
 	}
@@ -282,11 +299,11 @@ func reachMetrics(out map[string]float64, msgs, nNodes, survivors int,
 	for _, id := range ids {
 		got, survGot := 0, 0
 		for node := topology.NodeID(0); int(node) < nNodes; node++ {
-			if !received(node, id) {
+			if !d.received(node, id) {
 				continue
 			}
 			got++
-			if survivor(node) {
+			if !d.excused(node) {
 				survGot++
 			}
 		}
@@ -309,95 +326,68 @@ func reachMetrics(out map[string]float64, msgs, nNodes, survivors int,
 // the horizon, returning the cell metrics exp aggregates. It is the
 // ScenarioFunc the sweep subsystem runs; everything it does is a pure
 // function of (sc, seed), which is what makes sweep aggregates reproducible
-// at any parallelism. Scenario.Protocol picks the kernel: the RRMP engine
-// (default) or the RMTP repair-server baseline (runTreeScenario).
+// at any parallelism. Scenario.Protocol picks the driver: the RRMP engine
+// (default) or the RMTP repair-server baseline.
 func RunScenario(sc exp.Scenario, seed uint64) (map[string]float64, error) {
-	return runScenario(sc, seed, nil)
+	return runScenario(sc, seed, nil, nil)
 }
 
-// runScenario is the shared kernel dispatcher. timeline, when non-nil,
-// overrides the scenario's generated publish timeline (the trace-replay
-// path); nil means "materialize from the scenario" (TimelineFor).
-func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (map[string]float64, error) {
-	switch sc.Protocol {
-	case "", "rrmp":
-		// The paper's protocol, below.
-	case "rmtp":
-		return runTreeScenario(sc, seed, timeline)
-	default:
-		return nil, fmt.Errorf("runner: unknown scenario protocol %q", sc.Protocol)
+// RunScenarioWith is RunScenario with the two things only a single run
+// has. timeline, when non-nil, replaces the scenario's generated publish
+// timeline — the replay path: a recorded rrmp-trace/v1 stream drives the
+// run, and an identical timeline yields a byte-identical report. Invalid
+// timelines (out of order, non-positive sizes) are rejected up front
+// rather than silently scheduled out of order. tracer, when non-nil,
+// observes every member's protocol events (rrmp only), and the run takes
+// one event loop whatever Scenario.Shards says (see NewCluster); the
+// metrics are unchanged by either.
+func RunScenarioWith(sc exp.Scenario, seed uint64, timeline workload.Timeline, tracer trace.Tracer) (map[string]float64, error) {
+	if timeline != nil && !timeline.Valid() {
+		return nil, fmt.Errorf("runner: replay timeline invalid (out-of-order or malformed events)")
 	}
+	return runScenario(sc, seed, timeline, tracer)
+}
+
+// runScenario is the scenario kernel, the only one: topology, loss,
+// timeline, publisher set, late joiners, publishes, faults, run, and the
+// keys gated `both`, for whichever protocol the driver speaks. A nil
+// timeline means "materialize from the scenario" (TimelineFor).
+func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline, tracer trace.Tracer) (map[string]float64, error) {
 	topo, err := scenarioTopology(sc)
 	if err != nil {
 		return nil, fmt.Errorf("runner: scenario topology: %w", err)
 	}
-
+	// Both protocols get the same model from the same dedicated stream, so
+	// a seeded cell drops the identical DATA packets under either.
 	loss, err := scenarioLoss(sc, seed, topo.NumNodes())
 	if err != nil {
 		return nil, err
 	}
-
-	hold := sc.FixedHold
-	if hold <= 0 {
-		hold = 500 * time.Millisecond
-	}
-	spec, err := policyspec.Parse(sc.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("runner: scenario: %w", err)
-	}
-	policyFn := PolicyFactory(spec, hold)
-
-	params := rrmp.DefaultParams()
-	if sc.C > 0 {
-		params.C = sc.C
-	}
-	if sc.Lambda > 0 {
-		params.Lambda = sc.Lambda
-	}
-	if sc.RepairBackoff > 0 {
-		params.RepairBackoffMax = sc.RepairBackoff
-	}
-	// Crash and partition cells run the gossip failure detector so that
-	// recovery routes around dead members — as do VoD late-join cells,
-	// whose joiners are down for seconds; fault-free cells keep the
-	// detector (and its traffic) off and stay comparable to old runs.
-	params.FDEnabled = sc.Crash > 0 || sc.PartitionAt > 0 ||
-		(sc.Workload != nil && sc.Workload.LateJoinFrac > 0)
-	params.ByteBudget = sc.ByteBudget
-	c, err := NewCluster(ClusterConfig{
-		Topo:   topo,
-		Params: params,
-		Seed:   seed,
-		Loss:   loss,
-		Policy: policyFn,
-		Shards: effectiveShards(sc),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: scenario cluster: %w", err)
-	}
-
 	tl := timeline
 	if tl == nil {
 		if tl, _, err = TimelineFor(sc, seed); err != nil {
 			return nil, err
 		}
 	}
-	// One sender per publishing client, client 0 on the legacy sender
-	// node: RRMP tracks reception per source (Member.sources), so
-	// multi-sender publishes flow through the existing machinery — every
-	// publisher announces its own TopSeq via sessions.
+	// The publisher set is a pure function of (topology, clients), so the
+	// fault scheduler shields the identical nodes under both protocols —
+	// even though RMTP, a single-source protocol, publishes every client's
+	// events from its root sender.
 	pubs, err := publisherNodes(topo, tl.Clients())
 	if err != nil {
 		return nil, err
 	}
-	senders := make([]*rrmp.Sender, len(pubs))
-	for i, node := range pubs {
-		if node == topo.Sender() {
-			senders[i] = c.Sender
-		} else {
-			senders[i] = rrmp.NewSender(c.Members[node])
-		}
-		senders[i].StartSessions()
+	var d protocolDriver
+	switch sc.Protocol {
+	case "", "rrmp":
+		d, err = newRRMPDriver(sc, seed, topo, loss, pubs, tracer)
+	case "rmtp":
+		d, err = newRMTPDriver(sc, seed, topo, loss, tracer)
+	default:
+		err = fmt.Errorf("runner: unknown scenario protocol %q", sc.Protocol)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// VoD late joiners crash (and drop off the network) at t=0, before any
@@ -406,114 +396,80 @@ func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (map[
 	joiners := lateJoinersFor(topo, sc.Workload, pubs)
 	for _, j := range joiners {
 		j := j
-		c.Engine.At(0, func() {
-			c.Members[j.node].Crash()
-			c.Net.SetDown(j.node, true)
-		})
-		c.Engine.At(j.at, func() {
-			c.Net.SetDown(j.node, false)
-			c.Members[j.node].Recover()
-		})
+		d.engine.At(0, func() { d.crash(j.node) })
+		d.engine.At(j.at, func() { d.recover(j.node) })
 	}
 
 	ids := make([]wire.MessageID, 0, len(tl))
 	// One backing buffer serves every publish — each message is the
 	// prefix of its drawn size, so steady-state publishing allocates
-	// nothing. Every member's buffer entry aliases this slice; the
-	// engine never mutates payloads (pinned by a property test), and
-	// Params.CopyOnStore exists for callers that must.
+	// nothing. Every buffer entry aliases this slice; the engines never
+	// mutate payloads (pinned by a property test), and Params.CopyOnStore
+	// exists for callers that must.
 	payloadBuf := make([]byte, tl.MaxBytes())
 	for i := range tl {
 		ev := tl[i]
-		c.Engine.At(ev.At, func() {
-			ids = append(ids, senders[ev.Client].Publish(payloadBuf[:ev.Bytes]))
+		d.engine.At(ev.At, func() {
+			ids = append(ids, d.publish(ev.Client, payloadBuf[:ev.Bytes]))
 		})
 	}
 
 	// Churn (§3.2's handoff under load), crash faults (§3.3's search
 	// recovery and the failure detector, with optional per-victim
-	// recovery) and the partition timeline all come from the shared
-	// scheduler, so the rmtp kernel injects the identical fault sequence.
-	leaves, crashes := scheduleScenarioFaults(c.Engine, c.Net, topo, c.All, sc, seed, pubs, faultInjector{
-		excused: func(v topology.NodeID) bool { return c.Members[v].Left() || c.Members[v].Crashed() },
-		leave:   func(v topology.NodeID) { c.Members[v].Leave() },
-		crash: func(v topology.NodeID) {
-			c.Members[v].Crash()
-			c.Net.SetDown(v, true)
-		},
-		recover: func(v topology.NodeID) {
-			c.Net.SetDown(v, false)
-			c.Members[v].Recover()
-		},
-	})
+	// recovery) and the partition timeline; the victims differ between
+	// protocols only in what failing *means*.
+	leaves, crashes := scheduleScenarioFaults(d, topo, sc, seed, pubs)
 
-	c.Engine.RunUntil(sc.Horizon)
+	d.engine.RunUntil(sc.Horizon)
 
 	n := topo.NumNodes()
+	now := d.engine.Now()
 	out := map[string]float64{
 		MKLeaves:      float64(*leaves),
-		MKPacketsSent: float64(c.Net.Stats().TotalSent()),
-		MKBytesSent:   float64(c.Net.Stats().TotalBytes()),
-		MKEvents:      float64(c.Engine.Processed()),
+		MKPacketsSent: float64(d.net.Stats().TotalSent()),
+		MKBytesSent:   float64(d.net.Stats().TotalBytes()),
+		MKEvents:      float64(d.engine.Processed()),
 	}
-	var delivered, duplicates, localReq, remoteReq, repairs, regional, handoffs int64
-	var searches, searchFailures, suspects, unrecoverable int64
+	var delivered, duplicates, repairs, unrecoverable int64
 	var bufferIntegral, byteIntegral float64
-	var peak, peakBytes, longTerm, survivors int
+	var peak, peakBytes, survivors int
 	var pressureEvictions, budgetDenials int
-	var recSum, recN, bufSum, bufN, rerecSum, rerecN float64
-	for _, m := range c.Members {
-		mm := m.Metrics()
-		delivered += mm.Delivered.Value()
-		duplicates += mm.Duplicates.Value()
-		localReq += mm.LocalReqSent.Value()
-		remoteReq += mm.RemoteReqSent.Value()
-		repairs += mm.RepairsSent.Value()
-		regional += mm.RegionalMulticasts.Value()
-		handoffs += mm.HandoffsSent.Value()
-		searches += mm.SearchesStarted.Value()
-		searchFailures += mm.SearchFailures.Value()
-		suspects += mm.Suspects.Value()
-		bufferIntegral += m.Buffer().OccupancyIntegral(c.Engine.Now())
-		byteIntegral += m.Buffer().ByteOccupancyIntegral(c.Engine.Now())
-		if p := m.Buffer().PeakLen(); p > peak {
-			peak = p
+	var recSum, recN, bufSum, bufN float64
+	for node := topology.NodeID(0); int(node) < n; node++ {
+		v := d.node(node)
+		delivered += v.delivered
+		duplicates += v.duplicates
+		repairs += v.repairsSent
+		if b := v.buffer; b != nil {
+			bufferIntegral += b.OccupancyIntegral(now)
+			byteIntegral += b.ByteOccupancyIntegral(now)
+			if p := b.PeakLen(); p > peak {
+				peak = p
+			}
+			if p := b.PeakBytes(); p > peakBytes {
+				peakBytes = p
+			}
+			pressureEvictions += b.EvictedCount(core.EvictPressure)
+			budgetDenials += b.DeniedCount()
 		}
-		if p := m.Buffer().PeakBytes(); p > peakBytes {
-			peakBytes = p
-		}
-		pressureEvictions += m.Buffer().EvictedCount(core.EvictPressure)
-		budgetDenials += m.Buffer().DeniedCount()
-		longTerm += m.Buffer().LongTermCount()
-		recSum += mm.RecoveryLatency.Mean() * float64(mm.RecoveryLatency.N())
-		recN += float64(mm.RecoveryLatency.N())
-		bufSum += mm.BufferingTime.Mean() * float64(mm.BufferingTime.N())
-		bufN += float64(mm.BufferingTime.N())
-		rerecSum += mm.ReRecoveryLatency.Mean() * float64(mm.ReRecoveryLatency.N())
-		rerecN += float64(mm.ReRecoveryLatency.N())
-		if !m.Crashed() && !m.Left() {
+		recSum += v.recoveryLatency.Mean() * float64(v.recoveryLatency.N())
+		recN += float64(v.recoveryLatency.N())
+		bufSum += v.bufferingTime.Mean() * float64(v.bufferingTime.N())
+		bufN += float64(v.bufferingTime.N())
+		if !d.excused(node) {
 			survivors++
-			unrecoverable += mm.Unrecoverable.Value()
+			unrecoverable += v.unrecoverable
 		}
 	}
 	msgs := sc.Msgs
 	if sc.Workload != nil {
 		msgs = len(ids)
 	}
-	reachMetrics(out, msgs, n, survivors, delivered, ids,
-		func(node topology.NodeID, id wire.MessageID) bool { return c.Members[node].HasReceived(id) },
-		func(node topology.NodeID) bool { return !c.Members[node].Crashed() && !c.Members[node].Left() })
+	reachMetrics(out, d, msgs, n, survivors, delivered, ids)
 	out[MKDuplicates] = float64(duplicates)
-	out[MKLocalRequests] = float64(localReq)
-	out[MKRemoteRequests] = float64(remoteReq)
 	out[MKRepairs] = float64(repairs)
-	out[MKRegionalMulticasts] = float64(regional)
-	out[MKHandoffs] = float64(handoffs)
-	out[MKSearches] = float64(searches)
-	out[MKSearchFailures] = float64(searchFailures)
 	out[MKBufferIntegralMsgSec] = bufferIntegral
 	out[MKPeakBuffered] = float64(peak)
-	out[MKLongTermEntries] = float64(longTerm)
 	// The byte-currency keys appear only in cells that engage the payload
 	// or budget axes (or a size-drawing workload): pre-axis cells must
 	// keep the exact key set the committed golden reports pin byte for
@@ -527,18 +483,15 @@ func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline) (map[
 	}
 	workloadMetrics(out, sc, len(ids), joiners)
 	out[MKCrashes] = float64(*crashes)
-	out[MKSuspects] = float64(suspects)
 	out[MKUnrecoverable] = float64(unrecoverable)
-	out[MKPartitionDrops] = float64(c.Net.Stats().PartitionDrops())
+	out[MKPartitionDrops] = float64(d.net.Stats().PartitionDrops())
 	if recN > 0 {
 		out[MKMeanRecoveryMs] = recSum / recN
 	}
 	if bufN > 0 {
 		out[MKMeanBufferingMs] = bufSum / bufN
 	}
-	if rerecN > 0 {
-		out[MKMeanReRecoveryMs] = rerecSum / rerecN
-	}
+	d.collect(out)
 	return out, nil
 }
 

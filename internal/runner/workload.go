@@ -18,15 +18,15 @@ import (
 const WorkloadStreamLabel = 0xfeed3017
 
 // TimelineFor materializes the scenario's merged publish timeline, the
-// single source both protocol kernels drive (common random numbers across
-// the protocol axis). A nil Workload reproduces the legacy single-sender
+// single source the kernel drives under either protocol (common random
+// numbers across the protocol axis). A nil Workload reproduces the legacy single-sender
 // shape exactly — client 0 publishing Msgs messages Gap apart with the
-// PayloadSizesFor size draws — so pre-workload cells keep their bytes.
-// The second result is the largest payload, sizing the kernels' shared
+// payloadSizesFor size draws — so pre-workload cells keep their bytes.
+// The second result is the largest payload, sizing the kernel's shared
 // backing buffer.
 func TimelineFor(sc exp.Scenario, seed uint64) (workload.Timeline, int, error) {
 	if sc.Workload == nil {
-		sizes, maxSize, err := PayloadSizesFor(sc.PayloadModel, sc.PayloadBytes, sc.Msgs, seed)
+		sizes, maxSize, err := payloadSizesFor(sc.PayloadModel, sc.PayloadBytes, sc.Msgs, seed)
 		if err != nil {
 			return nil, 0, fmt.Errorf("runner: scenario payload model: %w", err)
 		}
@@ -48,9 +48,8 @@ func TimelineFor(sc exp.Scenario, seed uint64) (workload.Timeline, int, error) {
 // always the topology's sender (so single-client workloads reuse the
 // legacy sender), and the rest stride evenly across the member space
 // (probing past collisions), spreading publishers over regions. The
-// mapping is a pure function of (topology, clients), identical in both
-// kernels, so the fault scheduler can protect the same node set under
-// either protocol.
+// mapping is a pure function of (topology, clients), so the fault
+// scheduler protects the same node set under either protocol.
 func publisherNodes(topo *topology.Topology, clients int) ([]topology.NodeID, error) {
 	n := topo.NumNodes()
 	if clients > n {
@@ -134,7 +133,7 @@ func workloadBytesEngaged(sc exp.Scenario) bool {
 		sc.Workload.BytesEngaged()
 }
 
-// workloadMetrics adds the workload-cell-only keys shared by both kernels.
+// workloadMetrics adds the workload-cell-only keys.
 // Gated on the spec so legacy cells keep the exact key set the committed
 // reports pin.
 func workloadMetrics(out map[string]float64, sc exp.Scenario, published int, joiners []lateJoin) {
@@ -146,19 +145,6 @@ func workloadMetrics(out map[string]float64, sc exp.Scenario, published int, joi
 	if sc.Workload.LateJoinFrac > 0 {
 		out[MKLateJoiners] = float64(len(joiners))
 	}
-}
-
-// RunScenarioTimeline is RunScenario with an externally supplied publish
-// timeline — the replay path: a recorded rrmp-trace/v1 stream drives the
-// run instead of the scenario's generated workload, and an identical
-// timeline yields a byte-identical report. Invalid timelines (out of
-// order, non-positive sizes) are rejected up front rather than silently
-// scheduled out of order.
-func RunScenarioTimeline(sc exp.Scenario, seed uint64, tl workload.Timeline) (map[string]float64, error) {
-	if !tl.Valid() {
-		return nil, fmt.Errorf("runner: replay timeline invalid (out-of-order or malformed events)")
-	}
-	return runScenario(sc, seed, tl)
 }
 
 // RunSweeps expands every sweep in order and runs the concatenation

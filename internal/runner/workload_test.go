@@ -11,7 +11,7 @@ import (
 
 // TestTimelineForLegacyShape pins the nil-workload timeline against the
 // historic single-sender contract: client 0 publishing Msgs messages
-// exactly Gap apart with the PayloadSizesFor draws — the identity that
+// exactly Gap apart with the payloadSizesFor draws — the identity that
 // keeps every pre-workload cell byte-stable.
 func TestTimelineForLegacyShape(t *testing.T) {
 	sc := exp.Scenario{Regions: []int{10}, Msgs: 15, Gap: 20 * time.Millisecond,
@@ -20,7 +20,7 @@ func TestTimelineForLegacyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes, wantMax, err := PayloadSizesFor(sc.PayloadModel, sc.PayloadBytes, sc.Msgs, 7)
+	sizes, wantMax, err := payloadSizesFor(sc.PayloadModel, sc.PayloadBytes, sc.Msgs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,15 @@ func TestFaultsShieldPublishers(t *testing.T) {
 		shielded[p] = true
 	}
 	var victims []topology.NodeID
-	inj := faultInjector{
+	d := protocolDriver{
+		engine:  c.Engine,
+		net:     c.Net,
 		excused: func(topology.NodeID) bool { return false },
 		leave:   func(v topology.NodeID) { victims = append(victims, v) },
 		crash:   func(v topology.NodeID) { victims = append(victims, v) },
 		recover: func(topology.NodeID) {},
 	}
-	scheduleScenarioFaults(c.Engine, c.Net, topo, c.All, sc, 3, pubs, inj)
+	scheduleScenarioFaults(d, topo, sc, 3, pubs)
 	c.Engine.RunUntil(sc.Horizon)
 	if len(victims) == 0 {
 		t.Fatal("aggressive fault rates drew no victims")
@@ -113,8 +115,8 @@ func TestFaultsShieldPublishers(t *testing.T) {
 
 // TestRecordedTimelineReplaysByteIdentical is the trace-replay acceptance
 // gate: materializing a workload cell's timeline and replaying it through
-// RunScenarioTimeline must reproduce RunScenario's metrics exactly, under
-// both protocol kernels.
+// RunScenarioWith must reproduce RunScenario's metrics exactly, under both
+// protocols.
 func TestRecordedTimelineReplaysByteIdentical(t *testing.T) {
 	for _, proto := range []string{"", "rmtp"} {
 		sc := exp.Scenario{
@@ -136,7 +138,7 @@ func TestRecordedTimelineReplaysByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunScenarioTimeline(sc, 11, tl)
+		got, err := RunScenarioWith(sc, 11, tl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +160,7 @@ func TestRunScenarioTimelineRejectsInvalid(t *testing.T) {
 		{At: time.Second, Client: 0, Bytes: 8},
 		{At: 0, Client: 0, Bytes: 8},
 	}
-	if _, err := RunScenarioTimeline(sc, 1, bad); err == nil {
+	if _, err := RunScenarioWith(sc, 1, bad, nil); err == nil {
 		t.Fatal("out-of-order timeline accepted")
 	}
 }

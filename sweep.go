@@ -142,7 +142,7 @@ func RunScenario(sc Scenario, seed uint64) (map[string]float64, error) {
 // publish timeline — the trace-replay path. Replaying a recorded timeline
 // reproduces the recording run's metrics byte for byte.
 func RunScenarioTimeline(sc Scenario, seed uint64, tl WorkloadTimeline) (map[string]float64, error) {
-	return runner.RunScenarioTimeline(sc, seed, tl)
+	return runner.RunScenarioWith(sc, seed, tl, nil)
 }
 
 // ScenarioTimeline materializes the scenario's merged publish timeline —
