@@ -90,6 +90,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/runner"
 	"repro/internal/trace"
@@ -903,11 +904,14 @@ func runSingle(w io.Writer, a sweepArgs) error {
 	// -shards never changes the metrics, but say when it cannot apply
 	// instead of letting the flag look like a no-op.
 	if a.shards > 1 {
-		switch {
-		case tracer != nil:
+		if tracer != nil {
 			fmt.Fprintf(os.Stderr, "rrmp-sim: a traced run is serial, so the trace is a pure function of the seed; -shards %d ignored\n", a.shards)
-		case sc.Loss > 0 && sc.LossMode != "hash":
-			fmt.Fprintf(os.Stderr, "rrmp-sim: -shards %d with the legacy loss stream runs serial; use -loss-mode hash for shard-safe loss\n", a.shards)
+		} else {
+			// A malformed loss spec is the run's error to report, below.
+			loss, _ := runner.ScenarioLoss(sc, a.seed, 0)
+			if reason := netsim.ShardSafe(loss); reason != nil {
+				fmt.Fprintf(os.Stderr, "rrmp-sim: -shards %d ignored: %v; use -loss-mode hash for shard-safe loss\n", a.shards, reason)
+			}
 		}
 	}
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/runner"
 )
@@ -979,5 +980,85 @@ func TestFitnessTableDisplayOnly(t *testing.T) {
 	}
 	if err := printFitness(io.Discard, rep, "bogus=1"); err == nil {
 		t.Fatal("unknown weight key accepted")
+	}
+}
+
+// captureStderr returns what fn writes to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	old := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = old }()
+	fn()
+	w.Close()
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
+// TestShardsFallbackQuotesTheRule pins that the two places a user learns
+// -shards could not apply — the single run's stderr warning and a sweep
+// report's exec_note — both state netsim.ShardSafe's own reason, and that
+// neither speaks when the loss model is shard-safe.
+func TestShardsFallbackQuotesTheRule(t *testing.T) {
+	reason := netsim.ShardSafe(&netsim.BernoulliLoss{}).Error()
+
+	single := sweepArgs{
+		regionsCSV: "6,6", loss: 0.2,
+		c: 6, lambda: 1, policy: "two-phase", hold: 500 * time.Millisecond,
+		msgs: 5, gap: 20 * time.Millisecond, horizon: 2 * time.Second,
+		seed: 1, shards: 4,
+	}
+	run := func(a sweepArgs) string {
+		return captureStderr(t, func() {
+			if err := runSingle(io.Discard, a); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if got := run(single); !strings.Contains(got, reason) || !strings.Contains(got, "-shards 4") {
+		t.Fatalf("legacy-loss -shards 4 warning %q does not state the rule %q", got, reason)
+	}
+	single.lossMode = "hash"
+	if got := run(single); got != "" {
+		t.Fatalf("hash-loss -shards 4 run warned: %q", got)
+	}
+
+	note := func(lossMode string) string {
+		out := filepath.Join(t.TempDir(), "sweep.json")
+		if err := runSweep(sweepArgs{
+			sweep:     true,
+			swRegions: "6,6", swLosses: "0.2", swChurns: "0", swPolicies: "two-phase",
+			swPayloads: "0", swBudgets: "0", swProtocols: "rrmp",
+			lossMode: lossMode,
+			c:        6, lambda: 1, hold: 500 * time.Millisecond,
+			msgs: 5, gap: 20 * time.Millisecond, horizon: 2 * time.Second,
+			trials: 1, parallel: 1, shards: 4, seed: 1,
+			outPath: out, quiet: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep repro.SweepReport
+		if err := json.Unmarshal(blob, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep.ExecNote
+	}
+	if got := note(""); !strings.Contains(got, reason) {
+		t.Fatalf("exec_note %q does not state the rule %q", got, reason)
+	}
+	if got := note("hash"); got != "" {
+		t.Fatalf("hash-loss sweep carries an exec note: %q", got)
 	}
 }

@@ -9,7 +9,7 @@
 // dedicated rng streams so runs are reproducible.
 //
 // The delivery path is engineered for 1000+-member fan-outs: per-node state
-// (handlers, crash flags, partition classes) lives in dense slices indexed
+// (receivers, crash flags, partition classes) lives in dense slices indexed
 // by NodeID, traffic counters are fixed per-type arrays, in-flight packets
 // are pooled delivery records with a pre-bound callback, and events are
 // scheduled through the scheduler's no-handle Post path when available.
@@ -17,6 +17,7 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -45,6 +46,10 @@ type PacketReceiver interface {
 	ReceivePacket(pkt Packet)
 }
 
+// ReceivePacket makes a Handler a PacketReceiver, so the network keeps one
+// receiver table whichever way a node registered.
+func (h Handler) ReceivePacket(pkt Packet) { h(pkt) }
+
 // LatencyModel yields the one-way delay between two members.
 type LatencyModel interface {
 	OneWay(from, to topology.NodeID) time.Duration
@@ -65,29 +70,32 @@ type poster interface {
 	Post(d time.Duration, fn func())
 }
 
-// ShardRouter is the sharded simulator's delivery primitive: schedule fn
-// after d on the event loop owning node to, sent from node from's context.
-// *sim.Sharded implements it; EnableSharding routes all deliveries through
-// it instead of the plain post path.
+// ShardRouter is the delivery primitive: schedule fn after d on the event
+// loop owning node to, sent from node from's context. *sim.Sharded
+// implements it (EnableSharding installs it); until then the network routes
+// through singleLoop.
 type ShardRouter interface {
 	PostFrom(from, to int32, d time.Duration, fn func())
 }
 
+// singleLoop is the router of an unsharded network: one event loop owns
+// every node, so every delivery is a plain post on it.
+type singleLoop func(d time.Duration, fn func())
+
+// PostFrom implements ShardRouter.
+func (post singleLoop) PostFrom(_, _ int32, d time.Duration, fn func()) { post(d, fn) }
+
 // Network delivers packets between registered nodes over a clock.Scheduler.
 type Network struct {
-	sched   clock.Scheduler
-	post    func(d time.Duration, fn func())
+	router  ShardRouter
 	latency LatencyModel
 	loss    LossModel
 
-	// handlers, receivers and down are dense, indexed by NodeID (IDs are
-	// dense by construction, see topology). Slices grow on
-	// Register/RegisterReceiver/SetDown. A node has a handler or a
-	// receiver, never both; the last registration wins.
-	handlers  []Handler
+	// receivers and down are dense, indexed by NodeID (IDs are dense by
+	// construction, see topology). Slices grow on
+	// Register/RegisterReceiver/SetDown; the last registration wins.
 	receivers []PacketReceiver
 	down      []bool
-	stats     Stats
 	// partition assigns each node a partition class; packets between
 	// different classes vanish. partActive gates the check so the
 	// partition-free hot path pays a single predictable branch. Nodes
@@ -95,30 +103,35 @@ type Network struct {
 	partition  []int32
 	partActive bool
 
-	// pool recycles delivery records; each carries a pre-bound callback so
-	// scheduling an in-flight packet allocates nothing in steady state.
-	pool []*delivery
-
-	// Sharded-execution state (nil/empty unless EnableSharding ran).
-	// shardOf maps NodeID -> shard; counters and pools become per-shard so
-	// concurrent shard loops never touch one counter or free list: sends
-	// account to (and allocate from) the sending node's shard, deliveries
-	// account to (and recycle into) the receiving node's shard, and each
-	// shard's state is only ever touched by its own loop or by the
-	// coordinator between windows. Records migrate between pools on
-	// cross-shard packets, which is safe for the same reason.
-	router  ShardRouter
+	// shardOf maps NodeID -> shard; nil (until EnableSharding) means shard
+	// 0 owns every node — an unsharded network is the 1-shard network.
+	// Counters and pools are per shard so concurrent shard loops never
+	// touch one counter or free list: sends account to (and allocate from)
+	// the sending node's shard, deliveries account to (and recycle into)
+	// the receiving node's shard, and each shard's state is only ever
+	// touched by its own loop or by the coordinator between windows.
+	// Records migrate between pools on cross-shard packets, which is safe
+	// for the same reason.
 	shardOf []int32
-	shStats []Stats
-	pools   [][]*delivery
+	shards  []shard
 	merged  Stats
 }
 
+// shard is the traffic accounting and delivery-record pool of one event
+// loop. Each pooled record carries a pre-bound callback, so scheduling an
+// in-flight packet allocates nothing in steady state.
+type shard struct {
+	stats Stats
+	pool  []*delivery
+}
+
 // delivery is one in-flight packet. fire is bound once at construction and
-// reused for the record's whole pooled lifetime.
+// reused for the record's whole pooled lifetime. shard is the receiving
+// node's, resolved when the packet is sent.
 type delivery struct {
 	n        *Network
 	from, to topology.NodeID
+	shard    int32
 	msg      wire.Message
 	size     int
 	fn       func()
@@ -179,25 +192,21 @@ func New(sched clock.Scheduler, latency LatencyModel, loss LossModel) *Network {
 	if loss == nil {
 		loss = NoLoss{}
 	}
-	n := &Network{
-		sched:   sched,
+	post := func(d time.Duration, fn func()) { sched.After(d, fn) }
+	if p, ok := sched.(poster); ok {
+		post = p.Post
+	}
+	return &Network{
+		router:  singleLoop(post),
 		latency: latency,
 		loss:    loss,
+		shards:  make([]shard, 1),
 	}
-	if p, ok := sched.(poster); ok {
-		n.post = p.Post
-	} else {
-		n.post = func(d time.Duration, fn func()) { sched.After(d, fn) }
-	}
-	return n
 }
 
 // grow extends the dense per-node slices to cover node.
 func (n *Network) grow(node topology.NodeID) {
 	need := int(node) + 1
-	for len(n.handlers) < need {
-		n.handlers = append(n.handlers, nil)
-	}
 	for len(n.receivers) < need {
 		n.receivers = append(n.receivers, nil)
 	}
@@ -206,24 +215,16 @@ func (n *Network) grow(node topology.NodeID) {
 	}
 }
 
-// Register installs the delivery handler for node. Registering twice
-// replaces the previous handler (used when a member restarts).
+// Register installs the delivery handler for node; see RegisterReceiver.
 func (n *Network) Register(node topology.NodeID, h Handler) {
 	if h == nil {
 		panic(fmt.Sprintf("netsim: nil handler for node %d", node))
 	}
-	if node < 0 {
-		panic(fmt.Sprintf("netsim: Register with negative node %d", node))
-	}
-	n.grow(node)
-	n.handlers[node] = h
-	n.receivers[node] = nil
+	n.RegisterReceiver(node, h)
 }
 
-// RegisterReceiver installs the delivery receiver for node — the
-// allocation-free equivalent of Register for types that implement
-// PacketReceiver. Registering twice (or after Register) replaces the
-// previous registration.
+// RegisterReceiver installs the delivery receiver for node. Registering
+// twice replaces the previous registration (used when a member restarts).
 func (n *Network) RegisterReceiver(node topology.NodeID, r PacketReceiver) {
 	if r == nil {
 		panic(fmt.Sprintf("netsim: nil receiver for node %d", node))
@@ -233,7 +234,6 @@ func (n *Network) RegisterReceiver(node topology.NodeID, r PacketReceiver) {
 	}
 	n.grow(node)
 	n.receivers[node] = r
-	n.handlers[node] = nil
 }
 
 // SetDown marks a node as crashed: packets to and from it vanish. Used by
@@ -314,20 +314,19 @@ func (n *Network) EnableSharding(r ShardRouter, shardOf []int32, shards int) {
 	}
 	n.router = r
 	n.shardOf = shardOf
-	n.shStats = make([]Stats, shards)
-	n.pools = make([][]*delivery, shards)
+	n.shards = make([]shard, shards)
 }
 
-// Stats returns the traffic counters. Unsharded this is a live view; when
-// sharding is enabled it is a snapshot merged across shards, recomputed on
-// every call (call it only between runs).
+// Stats returns the traffic counters. At width 1 this is a live view; over
+// several shards it is a snapshot merged across them, recomputed on every
+// call (call it only between runs).
 func (n *Network) Stats() *Stats {
-	if n.shardOf == nil {
-		return &n.stats
+	if len(n.shards) == 1 {
+		return &n.shards[0].stats
 	}
-	n.merged = n.stats
-	for i := range n.shStats {
-		n.merged.add(&n.shStats[i])
+	n.merged = Stats{}
+	for i := range n.shards {
+		n.merged.add(&n.shards[i].stats)
 	}
 	return &n.merged
 }
@@ -343,27 +342,13 @@ func (s *Stats) add(o *Stats) {
 	s.Partitioned.Add(o.Partitioned.Value())
 }
 
-// getDelivery takes a pooled delivery record, or builds one with its
-// callback pre-bound.
-func (n *Network) getDelivery() *delivery {
-	if k := len(n.pool); k > 0 {
-		d := n.pool[k-1]
-		n.pool[k-1] = nil
-		n.pool = n.pool[:k-1]
-		return d
-	}
-	d := &delivery{n: n}
-	d.fn = d.fire
-	return d
-}
-
-// getDeliveryShard is getDelivery against the sending shard's pool.
-func (n *Network) getDeliveryShard(shard int32) *delivery {
-	pool := n.pools[shard]
-	if k := len(pool); k > 0 {
-		d := pool[k-1]
-		pool[k-1] = nil
-		n.pools[shard] = pool[:k-1]
+// getDelivery takes a delivery record from the shard's pool, or builds one
+// with its callback pre-bound.
+func (n *Network) getDelivery(sh *shard) *delivery {
+	if k := len(sh.pool); k > 0 {
+		d := sh.pool[k-1]
+		sh.pool[k-1] = nil
+		sh.pool = sh.pool[:k-1]
 		return d
 	}
 	d := &delivery{n: n}
@@ -373,22 +358,17 @@ func (n *Network) getDeliveryShard(shard int32) *delivery {
 
 // fire completes an in-flight packet: re-check liveness and connectivity at
 // delivery time (the node may have crashed, or a partition may have cut the
-// path, while the packet was in flight), then dispatch to the handler. The
-// record is returned to the pool before the handler runs, so a handler that
-// immediately sends (the common protocol pattern) reuses it.
+// path, while the packet was in flight), then dispatch to the receiver. The
+// record is returned to the pool before the receiver runs, so a receiver
+// that immediately sends (the common protocol pattern) reuses it.
 func (d *delivery) fire() {
 	n, from, to, msg, size := d.n, d.from, d.to, d.msg, d.size
 	d.msg = wire.Message{} // drop payload references while pooled
-	st := &n.stats
-	if n.shardOf == nil {
-		n.pool = append(n.pool, d)
-	} else {
-		// Delivery runs on the receiving node's shard loop: recycle into
-		// and account against that shard's state.
-		sh := n.shardOf[to]
-		n.pools[sh] = append(n.pools[sh], d)
-		st = &n.shStats[sh]
-	}
+	// Delivery runs on the receiving node's shard loop: recycle into and
+	// account against that shard's state.
+	sh := &n.shards[d.shard]
+	sh.pool = append(sh.pool, d)
+	st := &sh.stats
 
 	ti := int(msg.Type) % wire.TypeCount
 	if n.partActive && n.classOf(from) != n.classOf(to) {
@@ -398,15 +378,6 @@ func (d *delivery) fire() {
 	}
 	if n.isDown(to) {
 		st.dropped[ti].Inc()
-		return
-	}
-	var h Handler
-	if int(to) < len(n.handlers) {
-		h = n.handlers[to]
-	}
-	if h != nil {
-		st.delivered[ti].Inc()
-		h(Packet{From: from, To: to, Msg: msg, Size: size})
 		return
 	}
 	var r PacketReceiver
@@ -425,15 +396,15 @@ func (d *delivery) fire() {
 func (n *Network) Unicast(from, to topology.NodeID, msg wire.Message) {
 	size := msg.EncodedSize()
 	ti := int(msg.Type) % wire.TypeCount
-	st := &n.stats
-	var sendShard int32
+	// Send runs on the sending node's shard loop (or the coordinator,
+	// which is exclusive): account against that shard's state. The loss
+	// model must likewise be shard-safe there (see ShardSafe).
+	var src, dst int32
 	if n.shardOf != nil {
-		// Send runs on the sending node's shard loop (or the coordinator,
-		// which is exclusive): account against that shard's state. The
-		// loss model must likewise be shard-safe here (see HashLoss).
-		sendShard = n.shardOf[from]
-		st = &n.shStats[sendShard]
+		src, dst = n.shardOf[from], n.shardOf[to]
 	}
+	sh := &n.shards[src]
+	st := &sh.stats
 	st.sent[ti].Inc()
 	st.bytes[ti].Add(int64(size))
 	if n.partActive && n.classOf(from) != n.classOf(to) {
@@ -446,16 +417,9 @@ func (n *Network) Unicast(from, to topology.NodeID, msg wire.Message) {
 		return
 	}
 	lat := n.latency.OneWay(from, to)
-	var d *delivery
-	if n.shardOf != nil {
-		d = n.getDeliveryShard(sendShard)
-		d.from, d.to, d.msg, d.size = from, to, msg, size
-		n.router.PostFrom(int32(from), int32(to), lat, d.fn)
-		return
-	}
-	d = n.getDelivery()
-	d.from, d.to, d.msg, d.size = from, to, msg, size
-	n.post(lat, d.fn)
+	d := n.getDelivery(sh)
+	d.from, d.to, d.shard, d.msg, d.size = from, to, dst, msg, size
+	n.router.PostFrom(int32(from), int32(to), lat, d.fn)
 }
 
 // Multicast sends msg from -> each target with independent latency and loss
@@ -584,6 +548,25 @@ func (g *GilbertElliott) Drop(from, to topology.NodeID, t wire.Type) bool {
 
 var _ LossModel = (*GilbertElliott)(nil)
 
+// errSharedStream is why the two models above are not shard-safe.
+var errSharedStream = errors.New("shared-stream loss draws from one rng in global send order, which only a single event loop reproduces")
+
+// ShardSafe is the one statement of the shard-safety rule: it returns nil
+// if a trial using loss may run on more than one event loop, and the reason
+// if it may not. BernoulliLoss and GilbertElliott consume a single rng in
+// global send order — several loops would interleave (and race on) its
+// draws — so they, and nothing else, pin a run to one loop. Every other
+// model (nil, the counter-hash models, a caller's wrapper around one) is
+// taken to keep its draw state per sender or per pair, as Unicast requires
+// of anything it calls from a shard loop.
+func ShardSafe(loss LossModel) error {
+	switch loss.(type) {
+	case *BernoulliLoss, *GilbertElliott:
+		return errSharedStream
+	}
+	return nil
+}
+
 // UniformLatency applies a fixed one-way delay between every pair.
 type UniformLatency struct {
 	Delay time.Duration
@@ -616,40 +599,3 @@ func (h HierLatency) OneWay(from, to topology.NodeID) time.Duration {
 }
 
 var _ LatencyModel = HierLatency{}
-
-// JitteredLatency wraps another model, scaling each delay by a uniform
-// factor in [1-Frac, 1+Frac]. Jitter models queueing variance and also
-// breaks protocol-level ties in wall-clock order, as a real network would.
-type JitteredLatency struct {
-	Inner LatencyModel
-	Frac  float64
-	Rng   *rng.Source
-}
-
-// OneWay implements LatencyModel.
-func (j JitteredLatency) OneWay(from, to topology.NodeID) time.Duration {
-	base := j.Inner.OneWay(from, to)
-	return time.Duration(j.Rng.Jitter(float64(base), j.Frac))
-}
-
-var _ LatencyModel = JitteredLatency{}
-
-// MatrixLatency specifies one-way delay per (fromRegion, toRegion) pair,
-// with Intra used when the regions coincide. It panics on a region pair
-// outside the matrix, which indicates a construction bug.
-type MatrixLatency struct {
-	Topo  *topology.Topology
-	Intra time.Duration
-	Inter [][]time.Duration
-}
-
-// OneWay implements LatencyModel.
-func (m MatrixLatency) OneWay(from, to topology.NodeID) time.Duration {
-	ra, rb := m.Topo.RegionOf(from), m.Topo.RegionOf(to)
-	if ra == rb {
-		return m.Intra
-	}
-	return m.Inter[ra][rb]
-}
-
-var _ LatencyModel = MatrixLatency{}

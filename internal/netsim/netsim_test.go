@@ -194,37 +194,6 @@ func TestHierLatency(t *testing.T) {
 	}
 }
 
-func TestJitteredLatencyBounds(t *testing.T) {
-	lm := JitteredLatency{Inner: UniformLatency{Delay: 100 * time.Millisecond}, Frac: 0.2, Rng: rng.New(5)}
-	for i := 0; i < 1000; i++ {
-		d := lm.OneWay(0, 1)
-		if d < 80*time.Millisecond || d > 120*time.Millisecond {
-			t.Fatalf("jittered delay %v out of bounds", d)
-		}
-	}
-}
-
-func TestMatrixLatency(t *testing.T) {
-	topo, err := topology.Chain(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := MatrixLatency{
-		Topo:  topo,
-		Intra: 2 * time.Millisecond,
-		Inter: [][]time.Duration{{0, 70 * time.Millisecond}, {30 * time.Millisecond, 0}},
-	}
-	if got := lm.OneWay(0, 0); got != 2*time.Millisecond {
-		t.Fatalf("intra = %v", got)
-	}
-	if got := lm.OneWay(0, 1); got != 70*time.Millisecond {
-		t.Fatalf("0->1 = %v", got)
-	}
-	if got := lm.OneWay(1, 0); got != 30*time.Millisecond {
-		t.Fatalf("1->0 = %v", got)
-	}
-}
-
 func TestStatsTotals(t *testing.T) {
 	s := sim.New()
 	n := New(s, UniformLatency{}, nil)

@@ -85,16 +85,16 @@ func AblationPolicies(seed uint64) ([]PolicyComparison, error) {
 		c.Sender.StartSessions()
 		for i := 0; i < msgs; i++ {
 			i := i
-			c.Sim.At(time.Duration(i)*20*time.Millisecond, func() { c.Sender.Publish(make([]byte, 64)) })
+			c.Engine.At(time.Duration(i)*20*time.Millisecond, func() { c.Sender.Publish(make([]byte, 64)) })
 		}
-		c.Sim.RunUntil(horizon)
+		c.Engine.RunUntil(horizon)
 
 		row := PolicyComparison{Policy: pe.name}
 		var delivered int64
 		var bufTime stats.Histogram
 		for _, m := range c.Members {
 			delivered += m.Metrics().Delivered.Value()
-			row.BufferIntegral += m.Buffer().OccupancyIntegral(c.Sim.Now())
+			row.BufferIntegral += m.Buffer().OccupancyIntegral(c.Engine.Now())
 			if p := m.Buffer().PeakLen(); p > row.PeakPerMember {
 				row.PeakPerMember = p
 			}
@@ -180,12 +180,12 @@ func AblationLoadBalanceSized(payloadBytes int, model string, seed uint64) ([]Lo
 		}
 		for i := 0; i < msgs; i++ {
 			i := i
-			c.Sim.At(time.Duration(i)*10*time.Millisecond, func() { c.Sender.Publish(payloadBuf[:sizes[i]]) })
+			c.Engine.At(time.Duration(i)*10*time.Millisecond, func() { c.Sender.Publish(payloadBuf[:sizes[i]]) })
 		}
-		c.Sim.RunUntil(horizon)
+		c.Engine.RunUntil(horizon)
 		integrals := make([]float64, topo.NumNodes())
 		for id, m := range c.Members {
-			integrals[id] = m.Buffer().ByteOccupancyIntegral(c.Sim.Now())
+			integrals[id] = m.Buffer().ByteOccupancyIntegral(c.Engine.Now())
 		}
 		out = append(out, loadBalanceRow("rrmp two-phase", tc.name, topo, integrals))
 
@@ -199,13 +199,13 @@ func AblationLoadBalanceSized(payloadBytes int, model string, seed uint64) ([]Lo
 		}
 		for i := 0; i < msgs; i++ {
 			i := i
-			tree.Sim.At(time.Duration(i)*10*time.Millisecond, func() { tree.Sender.Publish(payloadBuf[:sizes[i]]) })
+			tree.Engine.At(time.Duration(i)*10*time.Millisecond, func() { tree.Sender.Publish(payloadBuf[:sizes[i]]) })
 		}
-		tree.Sim.RunUntil(horizon)
+		tree.Engine.RunUntil(horizon)
 		integrals = make([]float64, topo.NumNodes())
 		for id, node := range tree.Nodes {
 			if node.Buffer() != nil {
-				integrals[id] = node.Buffer().ByteOccupancyIntegral(tree.Sim.Now())
+				integrals[id] = node.Buffer().ByteOccupancyIntegral(tree.Engine.Now())
 			}
 		}
 		out = append(out, loadBalanceRow("rmtp repair-server", tc.name, topo, integrals))
@@ -318,7 +318,7 @@ func implosionRun(mode rrmp.SearchMode, holders int, seed uint64) (int64, error)
 	c.Net.Unicast(requester, target, wire.Message{
 		Type: wire.TypeRemoteRequest, From: requester, ID: id, Origin: requester,
 	})
-	c.Sim.RunUntil(10 * time.Second)
+	c.Engine.RunUntil(10 * time.Second)
 	// Count repairs that actually reached (or were sent toward) the
 	// requester: received + in-flight-equivalents are both counted at the
 	// senders to include implosion traffic the requester dedupes.
@@ -392,14 +392,14 @@ func churnRun(graceful bool, seed uint64) (ChurnResult, error) {
 		}
 		node := node
 		if graceful {
-			c.Sim.At(0, func() { c.Members[node].Leave() })
+			c.Engine.At(0, func() { c.Members[node].Leave() })
 		} else {
-			c.Sim.At(0, func() { c.Net.SetDown(node, true) })
+			c.Engine.At(0, func() { c.Net.SetDown(node, true) })
 		}
 	}
 	// The straggler detects its loss shortly after.
-	c.Sim.At(100*time.Millisecond, func() { c.Members[straggler].StartRecovery(id) })
-	c.Sim.RunUntil(20 * time.Second)
+	c.Engine.At(100*time.Millisecond, func() { c.Members[straggler].StartRecovery(id) })
+	c.Engine.RunUntil(20 * time.Second)
 
 	res := ChurnResult{Mode: map[bool]string{true: "graceful-handoff", false: "crash"}[graceful]}
 	if c.Members[straggler].HasReceived(id) {
@@ -479,7 +479,7 @@ func lambdaRun(lambda float64, seed uint64) (reqs, recoveryMs float64, err error
 		})
 		c.Members[node].StartRecovery(id)
 	}
-	c.Sim.RunUntil(30 * time.Second)
+	c.Engine.RunUntil(30 * time.Second)
 	if delivered != 50 {
 		return 0, 0, fmt.Errorf("runner: lambda run delivered %d/50", delivered)
 	}
@@ -554,7 +554,7 @@ func AblationStabilityTraffic(seed uint64) ([]OverheadResult, error) {
 				det := stability.New(stability.Config{
 					View:        view,
 					Source:      topo.Sender(),
-					Sched:       c.Sim,
+					Sched:       c.Engine,
 					Rng:         root.Split(memberStreamBase + uint64(node)),
 					Send:        func(to topology.NodeID, msg wire.Message) { c.Net.Unicast(node, to, msg) },
 					LocalPrefix: func() uint64 { return m.Prefix(topo.Sender()) },
@@ -579,9 +579,9 @@ func AblationStabilityTraffic(seed uint64) ([]OverheadResult, error) {
 		c.Sender.StartSessions()
 		for i := 0; i < msgs; i++ {
 			i := i
-			c.Sim.At(time.Duration(i)*20*time.Millisecond, func() { c.Sender.Publish(make([]byte, 64)) })
+			c.Engine.At(time.Duration(i)*20*time.Millisecond, func() { c.Sender.Publish(make([]byte, 64)) })
 		}
-		c.Sim.RunUntil(horizon)
+		c.Engine.RunUntil(horizon)
 		for _, det := range detectors {
 			det.Stop()
 		}
@@ -592,7 +592,7 @@ func AblationStabilityTraffic(seed uint64) ([]OverheadResult, error) {
 		var delivered int64
 		for _, m := range c.Members {
 			delivered += m.Metrics().Delivered.Value()
-			row.BufferIntegral += m.Buffer().OccupancyIntegral(c.Sim.Now())
+			row.BufferIntegral += m.Buffer().OccupancyIntegral(c.Engine.Now())
 		}
 		row.DeliveryRatio = float64(delivered) / float64(n*msgs)
 		out = append(out, row)

@@ -222,7 +222,7 @@ func TestTreeClusterDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Sender.Publish([]byte("x"))
-	c.Sim.RunUntil(time.Second)
+	c.Engine.RunUntil(time.Second)
 	if got := c.CountReceived(1); got != 10 {
 		t.Fatalf("tree cluster delivered %d/10", got)
 	}

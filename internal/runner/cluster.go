@@ -54,10 +54,9 @@ type ClusterConfig struct {
 	// Shards > 1 runs the trial on the region-sharded parallel engine
 	// (sim.Sharded): regions are packed into at most Shards contiguous
 	// blocks and each block gets its own event loop. Aggregates stay
-	// byte-identical to the single-loop engine at any shard count, but
-	// every randomized model in play must be shard-safe: loss must be nil
-	// or per-sender (netsim.HashLoss) — RunScenario gates this
-	// automatically, direct Cluster users must themselves.
+	// byte-identical to the single-loop engine at any shard count. A Loss
+	// that is not shard-safe (netsim.ShardSafe: the shared-stream models)
+	// keeps the cluster on one loop whatever Shards says, as a tracer does.
 	Shards int
 	// Lookahead bounds the sharded engine's conservative windows and must
 	// not exceed the minimum cross-region packet latency. It defaults to
@@ -68,12 +67,9 @@ type ClusterConfig struct {
 
 // Cluster is a fully wired simulated deployment.
 type Cluster struct {
-	// Engine drives the simulation; it is always set. Sim aliases it when
-	// the cluster runs the serial engine (the default), so legacy callers
-	// keep their richer *sim.Sim surface; it is nil on a sharded cluster.
+	// Engine drives the simulation: a *sim.Sim on one event loop, a
+	// *sim.Sharded on several.
 	Engine  sim.Engine
-	Sim     *sim.Sim
-	Sharded *sim.Sharded // non-nil iff the cluster runs sharded
 	Net     *netsim.Network
 	Topo    *topology.Topology
 	Members []*rrmp.Member // indexed by dense NodeID
@@ -82,26 +78,37 @@ type Cluster struct {
 	Root    *rng.Source // harness-side randomness (bufferer choices etc.)
 }
 
-// NewCluster builds a deployment: one member per topology node, registered
-// on a simulated network, with the topology's sender wrapped as the
-// protocol sender.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Topo == nil {
-		return nil, fmt.Errorf("runner: ClusterConfig.Topo is required")
-	}
+// deployment is the substrate under a cluster of either protocol: the
+// engine, the network on it and the rng family its nodes draw from.
+type deployment struct {
+	engine sim.Engine
+	net    *netsim.Network
+	// clockOf returns the scheduler a node's protocol code runs against:
+	// the engine itself on one loop, the owning shard's clock otherwise.
+	clockOf func(topology.NodeID) clock.Scheduler
+	root    *rng.Source
+	sources []rng.Source // backing store of the member streams
+}
+
+// newDeployment is the one place a deployment's execution is decided: the
+// engine (one loop unless cfg asks for more and everything in play allows
+// it), the default latency model and the lookahead it implies, whether the
+// network shards, and the root/member rng streams. It reads only the Topo,
+// Seed, Loss, Latency, Tracer, Shards and Lookahead fields.
+func newDeployment(cfg ClusterConfig) (*deployment, error) {
 	lat := cfg.Latency
 	if lat == nil {
 		lat = netsim.HierLatency{Topo: cfg.Topo, IntraOneWay: IntraOneWay, InterOneWay: InterOneWay}
 	}
-
-	var (
-		eng       sim.Engine
-		serial    *sim.Sim
-		sharded   *sim.Sharded
-		nodeShard []int32
-	)
+	d := &deployment{
+		root:    rng.New(cfg.Seed),
+		sources: make([]rng.Source, cfg.Topo.NumNodes()),
+	}
+	// An enabled tracer is one sink fed in event order and a shared-stream
+	// loss model is one rng drawn in send order: either pins the run to one
+	// event loop.
 	traced := cfg.Tracer != nil && cfg.Tracer.Enabled()
-	if cfg.Shards > 1 && !traced {
+	if cfg.Shards > 1 && !traced && netsim.ShardSafe(cfg.Loss) == nil {
 		look := cfg.Lookahead
 		if look <= 0 {
 			if cfg.Latency != nil {
@@ -112,36 +119,51 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			// region, so InterOneWay bounds all cross-shard latency.
 			look = InterOneWay
 		}
-		var eff int
-		nodeShard, eff = cfg.Topo.NodeShards(cfg.Shards)
+		nodeShard, eff := cfg.Topo.NodeShards(cfg.Shards)
 		if eff > 1 {
-			var err error
-			sharded, err = sim.NewSharded(eff, nodeShard, look)
+			sharded, err := sim.NewSharded(eff, nodeShard, look)
 			if err != nil {
 				return nil, fmt.Errorf("runner: %w", err)
 			}
-			eng = sharded
+			d.engine = sharded
+			d.clockOf = func(n topology.NodeID) clock.Scheduler { return sharded.Clock(nodeShard[n]) }
+			d.net = netsim.New(sharded, lat, cfg.Loss)
+			d.net.EnableSharding(sharded, nodeShard, eff)
+			return d, nil
 		}
 	}
-	if eng == nil {
-		serial = sim.New()
-		eng = serial
-	}
+	d.engine = sim.New()
+	d.clockOf = func(topology.NodeID) clock.Scheduler { return d.engine }
+	d.net = netsim.New(d.engine, lat, cfg.Loss)
+	return d, nil
+}
 
-	net := netsim.New(eng, lat, cfg.Loss)
-	if sharded != nil {
-		net.EnableSharding(sharded, nodeShard, sharded.Shards())
+// memberRng returns node n's stream of the member family (labels
+// memberStreamBase + n off the seed's root).
+func (d *deployment) memberRng(n topology.NodeID) *rng.Source {
+	d.root.SplitInto(memberStreamBase+uint64(n), &d.sources[n])
+	return &d.sources[n]
+}
+
+// NewCluster builds a deployment: one member per topology node, registered
+// on a simulated network, with the topology's sender wrapped as the
+// protocol sender.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+	if cfg.Topo == nil {
+		return nil, fmt.Errorf("runner: ClusterConfig.Topo is required")
 	}
-	root := rng.New(cfg.Seed)
+	d, err := newDeployment(cfg)
+	if err != nil {
+		return nil, err
+	}
+	net := d.net
 
 	c := &Cluster{
-		Engine:  eng,
-		Sim:     serial,
-		Sharded: sharded,
+		Engine:  d.engine,
 		Net:     net,
 		Topo:    cfg.Topo,
 		Members: make([]*rrmp.Member, cfg.Topo.NumNodes()),
-		Root:    root.Split(clusterRootStreamLabel),
+		Root:    d.root.Split(clusterRootStreamLabel),
 	}
 	// Node IDs are assigned region by region in ascending order (see
 	// topology.build), so the region-ordered member list is exactly the
@@ -158,7 +180,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// per-member closures, transport boxes, or split sources that used to
 	// dominate construction survive at scale.
 	transports := make([]rrmp.NetTransport, total)
-	sources := make([]rng.Source, total)
 	for _, n := range c.All {
 		view, err := cfg.Topo.ViewOf(n)
 		if err != nil {
@@ -172,17 +193,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.Hooks != nil {
 			hooks = cfg.Hooks(n)
 		}
-		sched := clock.Scheduler(eng)
-		if sharded != nil {
-			sched = sharded.Clock(nodeShard[n])
-		}
 		transports[n] = rrmp.NetTransport{Net: net, Self: n, Group: c.All}
-		root.SplitInto(memberStreamBase+uint64(n), &sources[n])
 		m := rrmp.NewMember(rrmp.Config{
 			View:        view,
 			Transport:   &transports[n],
-			Sched:       sched,
-			Rng:         &sources[n],
+			Sched:       d.clockOf(n),
+			Rng:         d.memberRng(n),
 			Params:      cfg.Params,
 			Policy:      policy,
 			Tracer:      cfg.Tracer,

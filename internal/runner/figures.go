@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/rrmp"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -182,7 +183,9 @@ func fig6Run(cfg Fig6Config, k int, seed uint64, hist *stats.Histogram) error {
 			c.Members[n].StartRecovery(id)
 		}
 	}
-	c.Sim.MustQuiesce(10_000_000)
+	// No Shards asked for, so the engine is the single loop, whose
+	// MustQuiesce bounds a runaway recovery.
+	c.Engine.(*sim.Sim).MustQuiesce(10_000_000)
 	return nil
 }
 
@@ -221,12 +224,12 @@ func Figure7(n int, seed uint64, sampleEvery, horizon time.Duration) (Fig7Series
 	var out Fig7Series
 	for at := time.Duration(0); at <= horizon; at += sampleEvery {
 		at := at
-		c.Sim.At(at, func() {
+		c.Engine.At(at, func() {
 			out.TimesMs = append(out.TimesMs, float64(at)/1e6)
 			out.Received = append(out.Received, c.CountReceived(id))
 			out.Buffered = append(out.Buffered, c.CountBuffered(id))
 		})
 	}
-	c.Sim.RunUntil(horizon)
+	c.Engine.RunUntil(horizon)
 	return out, nil
 }

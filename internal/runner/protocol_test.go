@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -115,20 +116,20 @@ func TestRMTPServerCrashUnrecoverableNeverSilent(t *testing.T) {
 	var ids []wire.MessageID
 	for i := 0; i < 5; i++ {
 		i := i
-		c.Sim.At(time.Duration(i)*20*time.Millisecond, func() {
+		c.Engine.At(time.Duration(i)*20*time.Millisecond, func() {
 			ids = append(ids, c.Sender.Publish([]byte{byte(i)}))
 		})
 	}
 	// The leaf server crashes before it can fetch the repairs.
-	c.Sim.At(10*time.Millisecond, func() { c.Crash(leafServer) })
-	c.Sim.RunUntil(3 * time.Second)
+	c.Engine.At(10*time.Millisecond, func() { c.Crash(leafServer) })
+	c.Engine.RunUntil(3 * time.Second)
 	// Quiesce: stop the periodic loops so every bounded NAK budget runs
 	// out, then every loss must be explicitly accounted.
 	c.Sender.StopSessions()
 	for _, n := range c.Nodes {
 		n.StopAcks()
 	}
-	c.Sim.MustQuiesce(5_000_000)
+	c.Engine.(*sim.Sim).MustQuiesce(5_000_000)
 
 	sawLoss := false
 	for _, node := range topo.Members(1) {
@@ -188,14 +189,14 @@ func TestRMTPServerRecoverRepairsOrphanedRegion(t *testing.T) {
 	var ids []wire.MessageID
 	for i := 0; i < 5; i++ {
 		i := i
-		c.Sim.At(time.Duration(i)*20*time.Millisecond, func() {
+		c.Engine.At(time.Duration(i)*20*time.Millisecond, func() {
 			ids = append(ids, c.Sender.Publish([]byte{byte(i)}))
 		})
 	}
-	c.Sim.At(10*time.Millisecond, func() { c.Crash(leafServer) })
+	c.Engine.At(10*time.Millisecond, func() { c.Crash(leafServer) })
 	// Long enough for every receiver to exhaust a NAK budget first.
-	c.Sim.At(2*time.Second, func() { c.Recover(leafServer) })
-	c.Sim.RunUntil(8 * time.Second)
+	c.Engine.At(2*time.Second, func() { c.Recover(leafServer) })
+	c.Engine.RunUntil(8 * time.Second)
 
 	for _, node := range topo.Members(1) {
 		nd := c.Nodes[node]
@@ -248,16 +249,16 @@ func TestTreeClusterLeaveDeregistersAcker(t *testing.T) {
 		// floor stays pinned at 0 until it departs.
 		for i := 0; i < 4; i++ {
 			i := i
-			c.Sim.At(time.Duration(i)*10*time.Millisecond, func() { c.Sender.Publish([]byte{byte(i)}) })
+			c.Engine.At(time.Duration(i)*10*time.Millisecond, func() { c.Sender.Publish([]byte{byte(i)}) })
 		}
-		c.Sim.At(500*time.Millisecond, func() {
+		c.Engine.At(500*time.Millisecond, func() {
 			if graceful {
 				c.Leave(victim)
 			} else {
 				c.Crash(victim)
 			}
 		})
-		c.Sim.RunUntil(3 * time.Second)
+		c.Engine.RunUntil(3 * time.Second)
 		server := c.Nodes[topo.MemberAt(0, 0)]
 		if graceful {
 			if got := server.Buffer().Len(); got != 0 {

@@ -18,9 +18,9 @@ import (
 )
 
 // newRRMPDriver builds the paper's protocol for the scenario kernel: the
-// cluster (sharded when the scenario's loss model allows it), one sender
-// per publishing client with its session stream started, and the nine
-// rrmp-only keys.
+// cluster (sharded when the scenario asks and its loss model allows it,
+// see newDeployment), one sender per publishing client with its session
+// stream started, and the nine rrmp-only keys.
 func newRRMPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss netsim.LossModel,
 	pubs []topology.NodeID, tracer trace.Tracer) (protocolDriver, error) {
 	hold := sc.FixedHold
@@ -56,7 +56,7 @@ func newRRMPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss n
 		Loss:   loss,
 		Policy: PolicyFactory(spec, hold),
 		Tracer: tracer,
-		Shards: effectiveShards(sc),
+		Shards: sc.Shards,
 	})
 	if err != nil {
 		return protocolDriver{}, fmt.Errorf("runner: scenario cluster: %w", err)

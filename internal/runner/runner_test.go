@@ -24,7 +24,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	c.Sender.StartSessions()
 	id := c.Sender.Publish([]byte("hello"))
-	c.Sim.RunUntil(2 * time.Second)
+	c.Engine.RunUntil(2 * time.Second)
 	if got := c.CountReceived(id); got != 20 {
 		t.Fatalf("received %d/20", got)
 	}

@@ -97,7 +97,7 @@ func searchRun(cfg SearchConfig, seed uint64) (ms float64, forwards int64, ok bo
 			return rrmp.Hooks{
 				OnSearchResolved: func(wire.MessageID, topology.NodeID) {
 					if resolvedAt < 0 {
-						resolvedAt = c.Sim.Now()
+						resolvedAt = c.Engine.Now()
 					}
 				},
 			}
@@ -145,7 +145,7 @@ func searchRun(cfg SearchConfig, seed uint64) (ms float64, forwards int64, ok bo
 		Type: wire.TypeRemoteRequest, From: requester, ID: id, Origin: requester,
 	})
 	arrival := InterOneWay // unicast sent at t=0, one inter-region hop
-	c.Sim.RunUntil(30 * time.Second)
+	c.Engine.RunUntil(30 * time.Second)
 
 	if resolvedAt < 0 {
 		return 0, 0, false, nil

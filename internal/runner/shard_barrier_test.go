@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/rrmp"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -41,7 +42,7 @@ func TestBarrierBoundaryFaultCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shards > 1 && c.Sharded == nil {
+		if _, sharded := c.Engine.(*sim.Sharded); shards > 1 && !sharded {
 			t.Fatalf("shards=%d: cluster fell back to the serial engine", shards)
 		}
 		c.Sender.StartSessions()

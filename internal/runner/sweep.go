@@ -125,10 +125,12 @@ func PartitionClasses(topo *topology.Topology) map[topology.NodeID]int {
 	return classes
 }
 
-// scenarioLoss builds a scenario's DATA loss model from its dedicated rng
-// stream (nil when lossless). nNodes sizes the hash-mode model's
-// per-sender state.
-func scenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, error) {
+// ScenarioLoss builds a scenario's DATA loss model (nil when lossless) from
+// the seed's dedicated rng stream, reading only sc's Loss, Burst and
+// LossMode; nNodes sizes the hash-mode model's per-sender state. Sweep cells
+// of either protocol and repro.Group all get their model here, so one seed
+// drops the same packets through whichever door it came.
+func ScenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, error) {
 	if sc.Loss <= 0 {
 		return nil, nil
 	}
@@ -137,7 +139,7 @@ func scenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, e
 	case "":
 		// Legacy shared-stream models: draws consume one global rng in send
 		// order, entangling every sender. Deterministic, but only on a
-		// single loop (see effectiveShards).
+		// single loop (see netsim.ShardSafe).
 	case "hash":
 		// Per-pair counter-hash streams: shard-safe, so lossy cells can
 		// run parallel. Seeded from the trial seed like the legacy stream.
@@ -162,23 +164,6 @@ func scenarioLoss(sc exp.Scenario, seed uint64, nNodes int) (netsim.LossModel, e
 		}, nil
 	}
 	return &netsim.BernoulliLoss{P: sc.Loss, Only: only, Rng: lossRng}, nil
-}
-
-// effectiveShards gates a scenario's Shards knob on shard safety: the
-// legacy loss models draw from one rng stream in global send order, which
-// only a single loop reproduces, so scenarios using them fall back to
-// serial execution (where byte-identity to the serial engine is trivial).
-// Lossless and hash-mode scenarios — Bernoulli (HashLoss) and burst
-// (HashBurstLoss) alike — run genuinely parallel. The rmtp driver is its
-// own serial baseline and never shards.
-func effectiveShards(sc exp.Scenario) int {
-	if sc.Shards <= 1 {
-		return 1
-	}
-	if sc.Loss > 0 && sc.LossMode != "hash" {
-		return 1
-	}
-	return sc.Shards
 }
 
 // protocolDriver is one recovery protocol as the scenario kernel sees it.
@@ -359,7 +344,7 @@ func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline, trace
 	}
 	// Both protocols get the same model from the same dedicated stream, so
 	// a seeded cell drops the identical DATA packets under either.
-	loss, err := scenarioLoss(sc, seed, topo.NumNodes())
+	loss, err := ScenarioLoss(sc, seed, topo.NumNodes())
 	if err != nil {
 		return nil, err
 	}
@@ -502,12 +487,14 @@ func RunSweep(o exp.Options, sw exp.Sweep) (exp.Report, error) {
 }
 
 // execNotes summarizes the cells that cannot honor a requested -shards
-// width (see effectiveShards): instead of failing or silently lying about
-// the execution, the report carries a top-level note. The note is
-// execution metadata — it never appears at the default width, so the
-// committed default-shards reports keep their bytes.
+// width — their loss model is not shard-safe (netsim.ShardSafe, whose
+// reason the note quotes), or they are rmtp cells: instead of failing or
+// silently lying about the execution, the report carries a top-level note.
+// The note is execution metadata — it never appears at the default width,
+// so the committed default-shards reports keep their bytes.
 func execNotes(sweeps []exp.Sweep) string {
-	shards, legacy, rmtp, total := 0, 0, 0, 0
+	shards, pinned, rmtp, total := 0, 0, 0, 0
+	var why error
 	for _, sw := range sweeps {
 		if sw.Shards > shards {
 			shards = sw.Shards
@@ -518,21 +505,24 @@ func execNotes(sweeps []exp.Sweep) string {
 			continue
 		}
 		for _, sc := range cells {
-			switch {
-			case sc.Protocol == "rmtp":
+			if sc.Protocol == "rmtp" {
 				rmtp++
-			case effectiveShards(sc) == 1:
-				legacy++
+				continue
+			}
+			// A malformed loss spec fails its own cell; it is no fallback.
+			loss, _ := ScenarioLoss(sc, 0, 0)
+			if reason := netsim.ShardSafe(loss); reason != nil {
+				pinned, why = pinned+1, reason
 			}
 		}
 	}
-	if shards <= 1 || (legacy == 0 && rmtp == 0) {
+	if shards <= 1 || (pinned == 0 && rmtp == 0) {
 		return ""
 	}
-	note := fmt.Sprintf("shards=%d requested; %d of %d cells ran serial (", shards, legacy+rmtp, total)
+	note := fmt.Sprintf("shards=%d requested; %d of %d cells ran serial (", shards, pinned+rmtp, total)
 	sep := ""
-	if legacy > 0 {
-		note += fmt.Sprintf("%d legacy-stream loss — use LossMode \"hash\" for shard-safe loss", legacy)
+	if pinned > 0 {
+		note += fmt.Sprintf("%d: %v — use LossMode \"hash\" for shard-safe loss", pinned, why)
 		sep = "; "
 	}
 	if rmtp > 0 {

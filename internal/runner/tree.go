@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/rmtp"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -27,7 +26,7 @@ type TreeClusterConfig struct {
 
 // TreeCluster is a fully wired tree-protocol deployment.
 type TreeCluster struct {
-	Sim    *sim.Sim
+	Engine sim.Engine
 	Net    *netsim.Network
 	Topo   *topology.Topology
 	Nodes  []*rmtp.Node // indexed by dense NodeID
@@ -86,12 +85,15 @@ func NewTreeCluster(cfg TreeClusterConfig) (*TreeCluster, error) {
 		return nil, fmt.Errorf("runner: TreeClusterConfig.Topo is required")
 	}
 	topo := cfg.Topo
-	s := sim.New()
-	lat := netsim.HierLatency{Topo: topo, IntraOneWay: IntraOneWay, InterOneWay: InterOneWay}
-	net := netsim.New(s, lat, cfg.Loss)
-	root := rng.New(cfg.Seed)
+	// The baseline asks for one event loop: it exists as a reference, not
+	// a scale target.
+	d, err := newDeployment(ClusterConfig{Topo: topo, Seed: cfg.Seed, Loss: cfg.Loss})
+	if err != nil {
+		return nil, err
+	}
+	net := d.net
 
-	c := &TreeCluster{Sim: s, Net: net, Topo: topo, Nodes: make([]*rmtp.Node, topo.NumNodes())}
+	c := &TreeCluster{Engine: d.engine, Net: net, Topo: topo, Nodes: make([]*rmtp.Node, topo.NumNodes())}
 	serverOf := func(r topology.RegionID) topology.NodeID { return topo.MemberAt(r, 0) }
 	childServers := make(map[topology.RegionID][]topology.NodeID)
 	for r := 0; r < topo.NumRegions(); r++ {
@@ -114,8 +116,8 @@ func NewTreeCluster(cfg TreeClusterConfig) (*TreeCluster, error) {
 				RegionMembers: topo.Members(rid),
 				ChildServers:  childServers[rid],
 				Send:          func(to topology.NodeID, msg wire.Message) { net.Unicast(node, to, msg) },
-				Sched:         s,
-				Rng:           root.Split(memberStreamBase + uint64(node)),
+				Sched:         d.clockOf(node),
+				Rng:           d.memberRng(node),
 				Params:        cfg.Params,
 			})
 			c.Nodes[node] = n
@@ -153,9 +155,9 @@ func RunBoth(topo *topology.Topology, msgs int, gap time.Duration, seed uint64, 
 		return nil, nil, err
 	}
 	for i := 0; i < msgs; i++ {
-		c.Sim.At(time.Duration(i)*gap, func() { c.Sender.Publish(payload) })
+		c.Engine.At(time.Duration(i)*gap, func() { c.Sender.Publish(payload) })
 	}
-	c.Sim.RunUntil(horizon)
+	c.Engine.RunUntil(horizon)
 
 	t, err := NewTreeCluster(TreeClusterConfig{Topo: topo, Seed: seed})
 	if err != nil {
@@ -165,8 +167,8 @@ func RunBoth(topo *topology.Topology, msgs int, gap time.Duration, seed uint64, 
 		n.StartAcks()
 	}
 	for i := 0; i < msgs; i++ {
-		t.Sim.At(time.Duration(i)*gap, func() { t.Sender.Publish(payload) })
+		t.Engine.At(time.Duration(i)*gap, func() { t.Sender.Publish(payload) })
 	}
-	t.Sim.RunUntil(horizon)
+	t.Engine.RunUntil(horizon)
 	return c, t, nil
 }

@@ -44,9 +44,8 @@ func newRMTPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss n
 
 	params := rmtp.DefaultParams()
 	params.ByteBudget = sc.ByteBudget
-	// The rmtp baseline always runs the serial engine (Scenario.Shards is
-	// ignored here): it exists as a reference, not a scale target, and its
-	// shared-stream loss draws are not shard-safe anyway.
+	// The rmtp baseline always runs one event loop (Scenario.Shards is
+	// ignored here, see NewTreeCluster).
 	c, err := NewTreeCluster(TreeClusterConfig{
 		Topo:   topo,
 		Params: params,
@@ -62,7 +61,7 @@ func newRMTPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss n
 	c.Sender.StartSessions()
 
 	return protocolDriver{
-		engine:   c.Sim,
+		engine:   c.Engine,
 		net:      c.Net,
 		publish:  func(_ int, payload []byte) wire.MessageID { return c.Sender.Publish(payload) },
 		excused:  func(n topology.NodeID) bool { return c.Nodes[n].Left() || c.Nodes[n].Crashed() },

@@ -55,7 +55,7 @@ func runTwoPhaseInvariantTrial(t *testing.T, topo *topology.Topology, seed uint6
 	const msgs = 6
 	ids := make([]wire.MessageID, 0, msgs)
 	for i := 0; i < msgs; i++ {
-		c.Sim.At(time.Duration(i)*50*time.Millisecond, func() {
+		c.Engine.At(time.Duration(i)*50*time.Millisecond, func() {
 			ids = append(ids, c.Sender.Publish(make([]byte, 64)))
 		})
 	}
@@ -68,16 +68,16 @@ func runTwoPhaseInvariantTrial(t *testing.T, topo *topology.Topology, seed uint6
 		}
 		scheduleChurn(rng.New(seed).Split(churnStreamLabel), churn, 1200*time.Millisecond,
 			candidates, func(at time.Duration, victim topology.NodeID) {
-				c.Sim.At(at, func() { c.Members[victim].Leave() })
+				c.Engine.At(at, func() { c.Members[victim].Leave() })
 			})
 	}
 
 	// Run well past the idle threshold (40 ms), stop the session stream,
 	// and drain, so every surviving copy is a long-term election — but stay
 	// far below the 3 s TTL.
-	c.Sim.RunUntil(1500 * time.Millisecond)
+	c.Engine.RunUntil(1500 * time.Millisecond)
 	c.Sender.StopSessions()
-	c.Sim.RunUntil(1800 * time.Millisecond)
+	c.Engine.RunUntil(1800 * time.Millisecond)
 
 	snap := twoPhaseSnapshot{
 		longTerm: make(map[topology.NodeID]map[wire.MessageID]bool),
@@ -213,7 +213,7 @@ func checkTwoPhaseInvariant(t *testing.T, c *Cluster, topo *topology.Topology,
 
 	// After the TTL, quiesced long-term copies age out (§3.2: "eventually
 	// even a long-term bufferer may decide to discard").
-	c.Sim.RunUntil(6 * time.Second)
+	c.Engine.RunUntil(6 * time.Second)
 	for _, n := range c.All {
 		if got := c.Members[n].Buffer().LongTermCount(); got != 0 {
 			t.Fatalf("node %d still holds %d long-term entries after the TTL", n, got)

@@ -42,34 +42,33 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/eventq"
 )
 
-// Sharded runs one simulation across several shard-local event loops. It
-// implements Engine (drive it like a Sim) and clock.Scheduler (driver-level
-// scheduling lands on the global lane); per-shard schedulers for protocol
-// members come from Clock. Create one with NewSharded.
+// Sharded runs one simulation across several event loops. It owns Sim
+// values — one lane per shard plus the global lane — and adds only what
+// makes them one engine: windows, barriers and outboxes. Every event is
+// pushed, popped, fired and cancelled by Sim's code. Sharded implements
+// Engine (drive it like a Sim) and clock.Scheduler (driver-level scheduling
+// lands on the global lane); per-shard schedulers for protocol members come
+// from Clock. Create one with NewSharded.
 //
 // Concurrency contract: all Engine/Scheduler methods are driver-side and
-// must be called from the driving goroutine, outside RunUntil. During a
-// window, each shard's goroutine may only touch its own lane (through its
-// Clock or PostFrom with a same/cross-shard target); cross-shard effects
-// are deferred to the barrier.
+// must be called from the driving goroutine, outside RunUntil, or from a
+// global-lane event. During a window, each shard's goroutine may only touch
+// its own lane (through its Clock or PostFrom with a same/cross-shard
+// target); cross-shard effects are deferred to the barrier.
 type Sharded struct {
 	lanes     []*lane
-	clocks    []laneClock
 	nodeShard []int32
 	lookahead time.Duration
 
 	// global is the driver/coordinator lane: plain (at, seq) order, exactly
-	// a serial engine's pre-run queue. gmu guards it because shard contexts
-	// may Stop global timers mid-window; all other access is coordinator-
-	// side. gcount counts executed global events.
-	gmu    sync.Mutex
-	global eventq.Queue
-	gcount uint64
+	// a serial engine's pre-run queue, and its clock is the barrier clock
+	// (the driver-visible virtual time). Only the coordinator pushes to and
+	// runs it; shard contexts may Stop its timers mid-window, which its
+	// stopMu serializes.
+	global Sim
 
-	now     time.Duration
 	setup   bool // until the first RunUntil: every push goes to the global lane
 	barrier bool // coordinator is executing between windows
 	running bool
@@ -77,23 +76,22 @@ type Sharded struct {
 	active []*lane // scratch for runWindow
 }
 
-// lane is one shard's event loop: a keyed queue, the shard's local clock,
-// and an outbox of cross-shard pushes deferred to the next barrier.
+// lane is one shard: its event loop (a Sim whose src is the shard index),
+// the outbox of cross-shard pushes deferred to the next barrier, and — as
+// the clock.Scheduler the shard's members run against — the engine whose
+// phase routes their timers.
 type lane struct {
-	id        int32
-	q         eventq.Queue
-	now       time.Duration
-	out       []outEvent
-	processed uint64
+	loop Sim
+	out  []outEvent
+	e    *Sharded
 }
 
-// outEvent is a cross-shard push captured during a window.
+// outEvent is a cross-shard push captured during a window, keyed at the
+// barrier with the capturing lane's src.
 type outEvent struct {
-	dst    int32
-	at     time.Duration
-	pushAt time.Duration
-	src    int32
-	fn     func()
+	dst        int32
+	at, pushAt time.Duration
+	fn         func()
 }
 
 // coordinatorSrc orders barrier-context pushes before any shard's pushes at
@@ -120,85 +118,52 @@ func NewSharded(shards int, nodeShard []int32, lookahead time.Duration) (*Sharde
 	}
 	e := &Sharded{
 		lanes:     make([]*lane, shards),
-		clocks:    make([]laneClock, shards),
 		nodeShard: nodeShard,
 		lookahead: lookahead,
+		global:    Sim{stopMu: new(sync.Mutex)},
 		setup:     true,
 	}
 	for i := range e.lanes {
-		e.lanes[i] = &lane{id: int32(i)}
-		e.clocks[i] = laneClock{e: e, shard: int32(i)}
+		e.lanes[i] = &lane{loop: Sim{src: int32(i)}, e: e}
 	}
 	return e, nil
 }
 
-// Shards returns the number of shard loops.
-func (e *Sharded) Shards() int { return len(e.lanes) }
-
-// Lookahead returns the conservative window bound.
-func (e *Sharded) Lookahead() time.Duration { return e.lookahead }
-
 // Clock returns the scheduler shard-owned protocol code must use: Now is
 // the shard's local window clock and timers land on the shard's own queue.
-func (e *Sharded) Clock(shard int32) clock.Scheduler { return &e.clocks[shard] }
+func (e *Sharded) Clock(shard int32) clock.Scheduler { return e.lanes[shard] }
 
 // Now returns the engine's barrier clock (the driver-visible virtual time).
-func (e *Sharded) Now() time.Duration { return e.now }
+func (e *Sharded) Now() time.Duration { return e.global.now }
 
 // Processed returns the number of events executed across all lanes plus the
 // global lane.
 func (e *Sharded) Processed() uint64 {
-	total := e.gcount
+	total := e.global.processed
 	for _, ln := range e.lanes {
-		total += ln.processed
+		total += ln.loop.processed
 	}
 	return total
 }
 
 // Pending returns the number of scheduled events not yet executed.
 func (e *Sharded) Pending() int {
-	e.gmu.Lock()
-	n := e.global.Len()
-	e.gmu.Unlock()
+	n := e.global.Pending()
 	for _, ln := range e.lanes {
-		n += ln.q.Len()
+		n += ln.loop.Pending()
 	}
 	return n
 }
 
 // After schedules fn on the global lane d after the barrier clock.
-func (e *Sharded) After(d time.Duration, fn func()) clock.Timer {
-	if fn == nil {
-		panic("sim: After with nil callback")
-	}
-	if d < 0 {
-		d = 0
-	}
-	e.gmu.Lock()
-	ev := e.global.Push(e.now+d, fn)
-	t := &gtimer{e: e, ev: ev, gen: ev.Gen()}
-	e.gmu.Unlock()
-	return t
-}
+func (e *Sharded) After(d time.Duration, fn func()) clock.Timer { return e.global.After(d, fn) }
 
 // At schedules fn on the global lane at the absolute time at, clamped to
 // the barrier clock.
-func (e *Sharded) At(at time.Duration, fn func()) clock.Timer {
-	return e.After(at-e.now, fn)
-}
+func (e *Sharded) At(at time.Duration, fn func()) clock.Timer { return e.global.At(at, fn) }
 
 // Post schedules fn like After without a cancellation handle.
-func (e *Sharded) Post(d time.Duration, fn func()) {
-	if fn == nil {
-		panic("sim: Post with nil callback")
-	}
-	if d < 0 {
-		d = 0
-	}
-	e.gmu.Lock()
-	e.global.Push(e.now+d, fn)
-	e.gmu.Unlock()
-}
+func (e *Sharded) Post(d time.Duration, fn func()) { e.global.Post(d, fn) }
 
 // PostFrom schedules fn to run d after the sending context's clock, on the
 // shard owning node to. from identifies the sending node; the sending
@@ -208,33 +173,29 @@ func (e *Sharded) Post(d time.Duration, fn func()) {
 // lookahead bound panic: they would land inside another shard's current
 // window, which the engine cannot order deterministically.
 func (e *Sharded) PostFrom(from, to int32, d time.Duration, fn func()) {
-	if fn == nil {
-		panic("sim: PostFrom with nil callback")
-	}
-	if d < 0 {
-		d = 0
-	}
 	if e.setup {
-		e.gmu.Lock()
-		e.global.Push(e.now+d, fn)
-		e.gmu.Unlock()
+		e.global.Post(d, fn)
 		return
 	}
 	dst := e.nodeShard[to]
 	if e.barrier {
-		e.lanes[dst].q.PushKeyed(e.now+d, e.now, coordinatorSrc, fn)
+		// Lane clocks equal the barrier clock here (see barrierAt).
+		e.lanes[dst].loop.push(d, coordinatorSrc, fn)
 		return
 	}
 	src := e.nodeShard[from]
 	ln := e.lanes[src]
 	if src == dst {
-		ln.q.PushKeyed(ln.now+d, ln.now, src, fn)
+		ln.loop.Post(d, fn)
 		return
+	}
+	if fn == nil {
+		panic("sim: scheduling a nil callback")
 	}
 	if d < e.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard post from node %d to node %d with delay %v below the %v lookahead bound", from, to, d, e.lookahead))
 	}
-	ln.out = append(ln.out, outEvent{dst: dst, at: ln.now + d, pushAt: ln.now, src: src, fn: fn})
+	ln.out = append(ln.out, outEvent{dst: dst, at: ln.loop.now + d, pushAt: ln.loop.now, fn: fn})
 }
 
 // RunUntil executes events with timestamps <= deadline in lookahead-bounded
@@ -268,130 +229,83 @@ func (e *Sharded) RunUntil(deadline time.Duration) uint64 {
 // executed.
 func (e *Sharded) Run() uint64 { return e.RunUntil(-1) }
 
-// runTo advances the engine to the absolute time deadline (>= 0).
+// runTo advances the engine to the absolute time deadline (>= 0): a barrier,
+// then windows of at most the lookahead bound, each closed by a barrier at
+// its upper edge.
 func (e *Sharded) runTo(deadline time.Duration) {
-	for {
-		e.syncLanes()
-		e.runGlobalDue()
-		if e.now >= deadline {
-			// Final pass: events at exactly the deadline instant. Globals
-			// at the deadline already fired above (driver-scheduled events
-			// precede runtime events at equal timestamps, as in the serial
-			// engine); now the shard loops run theirs inclusively.
-			e.runWindow(deadline, true)
-			e.drainOutboxes()
-			return
-		}
-		h := e.now + e.lookahead
-		if g, ok := e.nextGlobalAt(); ok && g < h {
-			h = g
+	e.barrierAt(e.global.now)
+	for e.global.now < deadline {
+		h := e.global.now + e.lookahead
+		if head := e.global.queue.Peek(); head != nil && head.At() < h {
+			h = head.At()
 		}
 		if deadline < h {
 			h = deadline
 		}
-		e.runWindow(h, false)
-		e.drainOutboxes()
-		e.now = h
+		// Durations are integer nanoseconds: the half-open window [now, h)
+		// is the events due by h-1.
+		e.runWindow(h - 1)
+		e.barrierAt(h)
 	}
+	// Final pass: events at exactly the deadline instant. Globals at the
+	// deadline already fired at the last barrier (driver-scheduled events
+	// precede runtime events at equal timestamps, as in the serial engine);
+	// now the shard loops run theirs inclusively.
+	e.runWindow(deadline)
 }
 
-// syncLanes aligns every lane clock with the barrier clock.
-func (e *Sharded) syncLanes() {
+// barrierAt moves the barrier clock and every lane clock to h and executes
+// the global-lane events due there, in (time, insertion) order, on the
+// coordinator.
+func (e *Sharded) barrierAt(h time.Duration) {
 	for _, ln := range e.lanes {
-		ln.now = e.now
+		ln.loop.now = h
 	}
-}
-
-// runGlobalDue executes global-lane events due at the barrier clock, in
-// (time, insertion) order, on the coordinator.
-func (e *Sharded) runGlobalDue() {
+	e.global.now = h
 	e.barrier = true
-	for {
-		e.gmu.Lock()
-		head := e.global.Peek()
-		if head == nil || head.At() > e.now {
-			e.gmu.Unlock()
-			break
-		}
-		_, fn, _ := e.global.PopFire()
-		e.gmu.Unlock()
-		e.gcount++
-		fn()
-	}
+	e.global.runDue(h)
 	e.barrier = false
 }
 
-// nextGlobalAt returns the earliest pending global event time.
-func (e *Sharded) nextGlobalAt() (time.Duration, bool) {
-	e.gmu.Lock()
-	defer e.gmu.Unlock()
-	head := e.global.Peek()
-	if head == nil {
-		return 0, false
-	}
-	return head.At(), true
-}
-
 // nextEventAt returns the earliest pending event time across all queues.
-func (e *Sharded) nextEventAt() (time.Duration, bool) {
-	at, ok := e.nextGlobalAt()
+func (e *Sharded) nextEventAt() (at time.Duration, ok bool) {
+	if head := e.global.queue.Peek(); head != nil {
+		at, ok = head.At(), true
+	}
 	for _, ln := range e.lanes {
-		if head := ln.q.Peek(); head != nil && (!ok || head.At() < at) {
+		if head := ln.loop.queue.Peek(); head != nil && (!ok || head.At() < at) {
 			at, ok = head.At(), true
 		}
 	}
 	return at, ok
 }
 
-// runWindow executes every lane's events in [now, limit) — or [now, limit]
-// when inclusive — concurrently, one goroutine per lane with due events.
-func (e *Sharded) runWindow(limit time.Duration, inclusive bool) {
+// runWindow executes every lane's events due by limit concurrently, one
+// goroutine per lane with due events, then merges the cross-shard pushes
+// they made.
+func (e *Sharded) runWindow(limit time.Duration) {
 	e.active = e.active[:0]
 	for _, ln := range e.lanes {
-		if head := ln.q.Peek(); head != nil && due(head.At(), limit, inclusive) {
+		if head := ln.loop.queue.Peek(); head != nil && head.At() <= limit {
 			e.active = append(e.active, ln)
 		}
 	}
-	if len(e.active) == 0 {
-		return
-	}
-	if len(e.active) == 1 {
-		e.active[0].run(limit, inclusive)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(e.active))
-	for _, ln := range e.active {
-		go func(ln *lane) {
-			defer wg.Done()
-			ln.run(limit, inclusive)
-		}(ln)
-	}
-	wg.Wait()
-}
-
-func due(at, limit time.Duration, inclusive bool) bool {
-	if inclusive {
-		return at <= limit
-	}
-	return at < limit
-}
-
-// run executes the lane's due events in extended-key order, advancing the
-// lane clock to each event's timestamp.
-func (ln *lane) run(limit time.Duration, inclusive bool) {
-	for {
-		head := ln.q.Peek()
-		if head == nil || !due(head.At(), limit, inclusive) {
-			break
+	switch len(e.active) {
+	case 0: // an empty window
+	case 1:
+		e.active[0].loop.runDue(limit)
+	default:
+		var wg sync.WaitGroup
+		wg.Add(len(e.active))
+		for _, ln := range e.active {
+			go func(ln *lane) {
+				defer wg.Done()
+				ln.loop.runDue(limit)
+			}(ln)
 		}
-		at, fn, _ := ln.q.PopFire()
-		if at > ln.now {
-			ln.now = at
-		}
-		ln.processed++
-		fn()
+		wg.Wait()
 	}
+	e.drainOutboxes()
 }
 
 // drainOutboxes merges the window's cross-shard pushes into their target
@@ -400,78 +314,29 @@ func (e *Sharded) drainOutboxes() {
 	for _, ln := range e.lanes {
 		for i := range ln.out {
 			o := &ln.out[i]
-			e.lanes[o.dst].q.PushKeyed(o.at, o.pushAt, o.src, o.fn)
+			e.lanes[o.dst].loop.queue.PushKeyed(o.at, o.pushAt, ln.loop.src, o.fn)
 			o.fn = nil
 		}
 		ln.out = ln.out[:0]
 	}
 }
 
-// laneClock is the clock.Scheduler one shard's members run against.
-type laneClock struct {
-	e     *Sharded
-	shard int32
-}
-
 // Now returns the shard's local clock (the barrier clock between windows).
-func (c *laneClock) Now() time.Duration { return c.e.lanes[c.shard].now }
+func (ln *lane) Now() time.Duration { return ln.loop.now }
 
-// After schedules fn on the owning shard's queue. During setup it routes to
-// the global lane (matching the serial engine's pre-run insertion order);
-// from a barrier it is keyed as a coordinator push.
-func (c *laneClock) After(d time.Duration, fn func()) clock.Timer {
-	if fn == nil {
-		panic("sim: After with nil callback")
+// After schedules fn on the shard's loop. During setup it routes to the
+// global lane (matching the serial engine's pre-run insertion order); from
+// a barrier it is keyed as a coordinator push.
+func (ln *lane) After(d time.Duration, fn func()) clock.Timer {
+	switch e := ln.e; {
+	case e.setup:
+		return e.global.After(d, fn)
+	case e.barrier:
+		return ln.loop.after(d, coordinatorSrc, fn)
+	default:
+		return ln.loop.After(d, fn)
 	}
-	if d < 0 {
-		d = 0
-	}
-	e := c.e
-	if e.setup {
-		e.gmu.Lock()
-		ev := e.global.Push(e.now+d, fn)
-		t := &gtimer{e: e, ev: ev, gen: ev.Gen()}
-		e.gmu.Unlock()
-		return t
-	}
-	ln := e.lanes[c.shard]
-	src := c.shard
-	if e.barrier {
-		src = coordinatorSrc
-	}
-	ev := ln.q.PushKeyed(ln.now+d, ln.now, src, fn)
-	return &ltimer{ln: ln, ev: ev, gen: ev.Gen()}
 }
 
-var _ clock.Scheduler = (*laneClock)(nil)
+var _ clock.Scheduler = (*lane)(nil)
 var _ Engine = (*Sharded)(nil)
-
-// gtimer is a handle to a global-lane event.
-type gtimer struct {
-	e   *Sharded
-	ev  *eventq.Event
-	gen uint32
-}
-
-// Stop cancels the timer; see clock.Timer.
-func (t *gtimer) Stop() bool {
-	t.e.gmu.Lock()
-	defer t.e.gmu.Unlock()
-	return t.e.global.Cancel(t.ev, t.gen)
-}
-
-// ltimer is a handle to a shard-lane event. Stop is only safe from the
-// owning shard's context (or a barrier) — the same ownership rule as every
-// other lane operation. Protocol members only cancel their own timers, so
-// this holds by construction.
-type ltimer struct {
-	ln  *lane
-	ev  *eventq.Event
-	gen uint32
-}
-
-// Stop cancels the timer; see clock.Timer.
-func (t *ltimer) Stop() bool { return t.ln.q.Cancel(t.ev, t.gen) }
-
-var _ clock.Timer = (*gtimer)(nil)
-var _ clock.Timer = (*ltimer)(nil)

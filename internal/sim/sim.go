@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -39,13 +40,25 @@ type Engine interface {
 	RunUntil(deadline time.Duration) uint64
 }
 
-// Sim is a discrete-event simulator. Create one with New. Sim is not safe
-// for concurrent use: everything runs on the caller's goroutine.
+// Sim is a discrete-event simulator: one clock, one queue, one loop. Create
+// one with New. It is the only event loop in the package — a Sharded engine
+// is a coordinator over several Sim values (its lanes), so a serial run is
+// exactly a one-lane run. Sim is not safe for concurrent use: everything
+// runs on the caller's goroutine.
 type Sim struct {
 	now       time.Duration
 	queue     eventq.Queue
 	processed uint64
 	running   bool
+
+	// src is the context index of the ordering key (at, pushAt, src, seq)
+	// this loop's own pushes carry: zero standalone, the lane index on a
+	// Sharded's lanes. With one pushing context the key orders exactly as
+	// (at, seq) does, because pushAt (the clock) never decreases in seq.
+	src int32
+	// stopMu is set only on a Sharded's global lane, the one queue whose
+	// timers several lane goroutines may Stop within a window.
+	stopMu *sync.Mutex
 }
 
 // New returns an empty simulator at virtual time zero.
@@ -65,7 +78,10 @@ func (s *Sim) Pending() int { return s.queue.Len() }
 // timer adapts an eventq handle to clock.Timer. Events are pooled, so the
 // timer remembers the generation observed at Push time; a Stop after the
 // event fired (and the struct was reused for a later event) is a stale
-// handle that Cancel correctly refuses.
+// handle that Cancel correctly refuses. On a Sharded's lanes Stop is only
+// safe from the owning lane's context (or a barrier) — the ownership rule
+// of every lane operation; protocol members only cancel their own timers,
+// so it holds by construction.
 type timer struct {
 	sim *Sim
 	ev  *eventq.Event
@@ -73,39 +89,48 @@ type timer struct {
 }
 
 // Stop cancels the timer; see clock.Timer.
-func (t *timer) Stop() bool { return t.sim.queue.Cancel(t.ev, t.gen) }
+func (t *timer) Stop() bool {
+	s := t.sim
+	if s.stopMu != nil {
+		s.stopMu.Lock()
+		defer s.stopMu.Unlock()
+	}
+	return s.queue.Cancel(t.ev, t.gen)
+}
 
 var _ clock.Timer = (*timer)(nil)
 var _ clock.Scheduler = (*Sim)(nil)
 var _ Engine = (*Sim)(nil)
 
-// After schedules fn to run d after the current virtual time. A non-positive
-// d schedules for "now"; the event still goes through the queue so it runs
-// after the currently executing event completes.
-func (s *Sim) After(d time.Duration, fn func()) clock.Timer {
+// push is the one way an event enters the queue: d after the loop's clock
+// (a non-positive d means "now"; the event still goes through the queue so
+// it runs after the currently executing event completes), keyed as pushed
+// by context src.
+func (s *Sim) push(d time.Duration, src int32, fn func()) *eventq.Event {
 	if fn == nil {
-		panic("sim: After with nil callback")
+		panic("sim: scheduling a nil callback")
 	}
 	if d < 0 {
 		d = 0
 	}
-	ev := s.queue.Push(s.now+d, fn)
+	return s.queue.PushKeyed(s.now+d, s.now, src, fn)
+}
+
+// after is push with a cancellation handle.
+func (s *Sim) after(d time.Duration, src int32, fn func()) clock.Timer {
+	ev := s.push(d, src, fn)
 	return &timer{sim: s, ev: ev, gen: ev.Gen()}
 }
+
+// After schedules fn to run d after the current virtual time, clamped to
+// now.
+func (s *Sim) After(d time.Duration, fn func()) clock.Timer { return s.after(d, s.src, fn) }
 
 // Post schedules fn like After but returns no cancellation handle, saving
 // the timer allocation. It exists for fire-and-forget events — the
 // simulated network's packet deliveries are never cancelled, and they
 // dominate event volume at scale.
-func (s *Sim) Post(d time.Duration, fn func()) {
-	if fn == nil {
-		panic("sim: Post with nil callback")
-	}
-	if d < 0 {
-		d = 0
-	}
-	s.queue.Push(s.now+d, fn)
-}
+func (s *Sim) Post(d time.Duration, fn func()) { s.push(d, s.src, fn) }
 
 // At schedules fn at the absolute virtual time at, clamped to now.
 func (s *Sim) At(at time.Duration, fn func()) clock.Timer {
@@ -127,6 +152,20 @@ func (s *Sim) Step() bool {
 	return true
 }
 
+// runDue executes, in key order, every event with a timestamp <= limit
+// (every event at all under a negative limit), including the ones those
+// events schedule. It is the loop under RunUntil and under every window and
+// barrier of a Sharded engine.
+func (s *Sim) runDue(limit time.Duration) {
+	for {
+		head := s.queue.Peek()
+		if head == nil || (limit >= 0 && head.At() > limit) {
+			return
+		}
+		s.Step()
+	}
+}
+
 // Run executes events until the queue is empty. It returns the number of
 // events executed. Run panics if called reentrantly from an event callback.
 func (s *Sim) Run() uint64 {
@@ -144,16 +183,7 @@ func (s *Sim) RunUntil(deadline time.Duration) uint64 {
 	defer func() { s.running = false }()
 
 	start := s.processed
-	for {
-		head := s.queue.Peek()
-		if head == nil {
-			break
-		}
-		if deadline >= 0 && head.At() > deadline {
-			break
-		}
-		s.Step()
-	}
+	s.runDue(deadline)
 	if deadline >= 0 && s.now < deadline {
 		s.now = deadline
 	}

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/netsim"
 	policyspec "repro/internal/policy"
-	"repro/internal/rng"
 	"repro/internal/rrmp"
 	"repro/internal/runner"
 	"repro/internal/topology"
@@ -60,7 +60,7 @@ type config struct {
 	params      Params
 	lossP       float64
 	burstLoss   bool
-	hashLoss    bool
+	lossMode    string // exp.Scenario.LossMode: "" shared-stream, "hash" per-sender
 	blackouts   []int
 	policy      PolicyKind
 	policySpec  string
@@ -133,7 +133,7 @@ func WithBurstDataLoss(p float64) Option {
 // stream — so switching models changes results, switching shard counts
 // never does.
 func WithHashDataLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.hashLoss = true; c.burstLoss = false }
+	return func(c *config) { c.lossP = p; c.lossMode = "hash"; c.burstLoss = false }
 }
 
 // WithHashBurstLoss is the shard-safe form of WithBurstDataLoss: a
@@ -144,7 +144,7 @@ func WithHashDataLoss(p float64) Option {
 // stream than the legacy model at equal p, and groups built WithShards
 // keep running genuinely parallel.
 func WithHashBurstLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.hashLoss = true; c.burstLoss = true }
+	return func(c *config) { c.lossP = p; c.lossMode = "hash"; c.burstLoss = true }
 }
 
 // WithRegionBlackout drops the initial multicast entirely for every member
@@ -198,12 +198,12 @@ func WithCopyOnStore() Option {
 	return func(c *config) { c.params.CopyOnStore = true }
 }
 
-// WithShards runs the group on the region-sharded parallel engine with up
-// to n event loops (<= 1 keeps the serial engine). Results are
-// byte-identical either way. Groups with a shared-stream loss model
-// (WithDataLoss, WithBurstDataLoss) fall back to the serial engine — those
-// draws happen in global send order, which only one loop reproduces. The
-// hash-stream models (WithHashDataLoss, WithHashBurstLoss) stay parallel.
+// WithShards runs the group on up to n region-sharded event loops (<= 1
+// keeps one). Results are byte-identical either way. Groups with a
+// shared-stream loss model (WithDataLoss, WithBurstDataLoss) keep one loop
+// whatever n says — those draws happen in global send order, which only
+// one loop reproduces (netsim.ShardSafe is the rule). The hash-stream
+// models (WithHashDataLoss, WithHashBurstLoss) stay parallel.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -272,25 +272,19 @@ func NewGroup(opts ...Option) (*Group, error) {
 		return nil, fmt.Errorf("repro: building topology: %w", err)
 	}
 
-	var loss netsim.LossModel
-	if cfg.lossP > 0 {
-		only := map[wire.Type]bool{wire.TypeData: true}
-		switch {
-		case cfg.burstLoss && cfg.hashLoss:
-			loss = netsim.NewHashBurstLoss(rng.New(cfg.seed^0xbadbad).Uint64(),
-				cfg.lossP/4, 0.9, 0.02, 0.2, topo.NumNodes(), only)
-		case cfg.burstLoss:
-			loss = &netsim.GilbertElliott{
-				PGood: cfg.lossP / 4, PBad: 0.9,
-				PGB: 0.02, PBG: 0.2,
-				Only: only, Rng: rng.New(cfg.seed ^ 0xbadbad),
-			}
-		case cfg.hashLoss:
-			loss = netsim.NewHashLoss(rng.New(cfg.seed^0xbadbad).Uint64(),
-				cfg.lossP, topo.NumNodes(), only)
-		default:
-			loss = &netsim.BernoulliLoss{P: cfg.lossP, Only: only, Rng: rng.New(cfg.seed ^ 0xbadbad)}
-		}
+	// The DATA loss model is the one a sweep cell of the same loss, mode
+	// and seed gets, so a Group and a RunScenario cell drop the same
+	// packets.
+	loss, err := runner.ScenarioLoss(exp.Scenario{Loss: cfg.lossP, Burst: cfg.burstLoss, LossMode: cfg.lossMode},
+		cfg.seed, topo.NumNodes())
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	// NewCluster keeps a cluster with shared-stream loss on one event loop
+	// by itself; the blackout wrapper below would hide the model from it.
+	shards := cfg.shards
+	if netsim.ShardSafe(loss) != nil {
+		shards = 1
 	}
 	if len(cfg.blackouts) > 0 {
 		victims := make(map[topology.NodeID]bool)
@@ -326,10 +320,6 @@ func NewGroup(opts ...Option) (*Group, error) {
 	}
 	policy := runner.PolicyFactory(spec, cfg.fixedHold)
 
-	shards := cfg.shards
-	if cfg.lossP > 0 && !cfg.hashLoss {
-		shards = 1 // shared-stream loss draws are only deterministic serially
-	}
 	cluster, err := runner.NewCluster(runner.ClusterConfig{
 		Topo:   topo,
 		Params: cfg.params,

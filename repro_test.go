@@ -216,3 +216,67 @@ func TestGroupByteBudget(t *testing.T) {
 		t.Fatal("byte integral not accumulated")
 	}
 }
+
+// TestGroupMatchesScenarioKernel is the facade≡kernel check: a Group and a
+// RunScenario cell given the same topology, loss model, seed and publish
+// timeline are the same run — they drop the same DATA packets (one loss
+// constructor, one stream label) and so report the same numbers.
+func TestGroupMatchesScenarioKernel(t *testing.T) {
+	const seed, loss = 11, 0.2
+	regions := []int{30, 30}
+	cases := []struct {
+		name  string
+		burst bool
+		mode  string
+		opt   repro.Option
+	}{
+		{"bernoulli", false, "", repro.WithDataLoss(loss)},
+		{"burst", true, "", repro.WithBurstDataLoss(loss)},
+		{"hash", false, "hash", repro.WithHashDataLoss(loss)},
+		{"hash-burst", true, "hash", repro.WithHashBurstLoss(loss)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := repro.Scenario{
+				Regions: regions, Loss: loss, Burst: tc.burst, LossMode: tc.mode,
+				Policy: "two-phase", Msgs: 12, Gap: 20 * time.Millisecond, Horizon: 4 * time.Second,
+			}
+			want, err := repro.RunScenario(sc, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl, err := repro.ScenarioTimeline(sc, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			g, err := repro.NewGroup(repro.WithRegions(regions...), repro.WithSeed(seed), tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.StartSessions()
+			payload := make([]byte, tl.MaxBytes())
+			for _, ev := range tl {
+				ev := ev
+				g.At(ev.At, func() { g.Publish(payload[:ev.Bytes]) })
+			}
+			g.RunUntil(sc.Horizon)
+			st := g.Stats()
+
+			got := map[string]float64{
+				"delivery_ratio":         float64(st.Delivered) / float64(g.NumMembers()*sc.Msgs),
+				"duplicates":             float64(st.Duplicates),
+				"packets_sent":           float64(g.TotalPacketsSent()),
+				"buffer_integral_msgsec": st.BufferIntegral,
+			}
+			for k, v := range got {
+				if w, ok := want[k]; !ok || w != v {
+					t.Errorf("%s: Group %v, RunScenario %v", k, v, w)
+				}
+			}
+			if want["delivery_ratio"] == 0 || want["packets_sent"] == 0 {
+				t.Fatalf("degenerate cell: %v", want)
+			}
+		})
+	}
+}
