@@ -1,12 +1,17 @@
 // Command rrmp-sim runs simulated RRMP scenarios and prints metrics:
 // topology, workload, loss, churn, crash faults, partitions and policy
-// are all flags. The scenario flags translate into one sweep declaration
-// (buildSweep) whatever the mode; the modes differ only in how many cells
-// and trials of it they run.
+// are all flags. Each scenario parameter is one flag, declared once (the
+// scenarioFlags table) and written straight into the one sweep declaration
+// every mode runs. Axis flags take lists — ',' between numbers, durations
+// and protocols; ';' where an element itself contains commas (region
+// vectors, tree shapes, policy specs, workload specs) — so a scalar is a
+// one-value axis and one rule holds everywhere: a given flag pins its axis.
+// The mode is derived from what the flags describe: one cell × one trial
+// prints that cell's metrics, anything else prints the per-cell report.
 //
-// One scenario, one seeded trial — the single cell the flags describe, run
-// once on -seed through the same kernel every sweep cell runs, printed as
-// the cell's sorted metrics (the same cell -trials N would aggregate):
+// One scenario, one seeded trial — the cell run once on -seed through the
+// same kernel every sweep cell runs, printed as its sorted metrics (the
+// same cell -trials N would aggregate):
 //
 //	rrmp-sim -regions 100 -msgs 50 -loss 0.2
 //	rrmp-sim -regions 50,50,50 -msgs 20 -loss 0.1 -policy fixed -hold 500ms
@@ -14,18 +19,21 @@
 //	rrmp-sim -regions 100 -loss 0.2 -crash 1 -crash-recover 500ms
 //	rrmp-sim -regions 50,50 -partition-at 1s -partition-for 2s
 //
-// Multi-trial statistics for one scenario (mean / stddev / 95% CI across
-// independently seeded trials, run on a bounded worker pool):
+// Multi-trial statistics (mean / stddev / 95% CI across independently
+// seeded trials, run on a bounded worker pool), for one cell or for the
+// small matrix a few list-valued flags describe:
 //
 //	rrmp-sim -regions 100 -loss 0.2 -trials 16 -parallel 8
+//	rrmp-sim -regions '50;30,30' -loss 0.05,0.2 -policy 'two-phase;fixed' -trials 4
 //
-// A full scenario sweep (regions × loss × churn × crash × partition ×
-// policy matrix; -sweep-* flags override the default matrix), with the
-// JSON report also written to -out for machine tracking:
+// -sweep starts from the standing matrix (regions × loss × churn × crash ×
+// partition × policy × payload × budget × protocol) instead of the one-cell
+// defaults; given flags pin their axes the same way. The JSON report is
+// also written to -out for machine tracking:
 //
 //	rrmp-sim -sweep -trials 8 -parallel 4 -json
-//	rrmp-sim -sweep -sweep-crashes 0,2 -sweep-partitions 0,1s -trials 4
-//	rrmp-sim -sweep -sweep-payloads 512,2048 -budget 16384 -trials 4
+//	rrmp-sim -sweep -crash 0,2 -partition-for 0,1s -trials 4
+//	rrmp-sim -sweep -payload 512,2048 -budget 16384 -trials 4
 //
 // Byte-accurate buffer accounting: -payload/-payload-model set the
 // per-message payload size (model: fixed|uniform|lognormal), -budget caps
@@ -34,21 +42,20 @@
 // pressure_evictions / budget_denials.
 //
 // The protocol axis runs the same cells under the RMTP repair-server
-// baseline (-protocol rmtp for one cell, -sweep-protocols rrmp,rmtp for a
-// matrix; rmtp families append after all rrmp cells and report the
+// baseline (rmtp families append after all rrmp cells and report the
 // nak_*/ack_* counters instead of RRMP's request/search/handoff keys). A
 // seeded cell sees the same publishes, DATA drops and faults under both:
 //
 //	rrmp-sim -protocol rmtp -regions 30,30 -loss 0.2
-//	rrmp-sim -sweep -sweep-protocols rrmp,rmtp -trials 8
+//	rrmp-sim -sweep -protocol rrmp,rmtp -trials 8
 //
 // Multi-client workloads (-workload, a preset or a key=val spec) replace
 // the single-sender publish stream with N concurrent publishers under
 // per-client arrival processes, Zipf volume skew and optional VoD late
 // joiners; -trace-record persists the materialized publish timeline as a
 // canonical rrmp-trace/v1 file and -trace-replay drives a run from one
-// (same cell and seed → byte-identical metrics). The default -sweep also
-// appends the standing 18-cell workload family after the legacy matrix:
+// (same cell and seed → byte-identical metrics). The uncustomized -sweep
+// also appends the standing 18-cell workload family after the matrix:
 //
 //	rrmp-sim -workload mc -regions 30,30 -loss 0.1 -loss-mode hash
 //	rrmp-sim -workload vod -regions 12,12 -policy fixed
@@ -58,21 +65,28 @@
 //
 // Single-run protocol-event traces stream to stderr with -trace and/or to
 // a file with -trace-out, for any rrmp cell including -workload ones (both
-// flags reject sweep/multi-trial modes and -protocol rmtp loudly). A
+// flags reject multi-cell/multi-trial runs and -protocol rmtp loudly). A
 // traced run takes one event loop whatever -shards says, so the trace is
 // a pure function of the seed; its metrics are the untraced run's.
 //
-// Policies come from the central registry: -policy (and -sweep-policies)
-// accept any registered kind or alias, optionally parameterized, and
-// -list-policies prints the roster with parameter defaults. The default
-// -sweep also appends the 6-cell adaptive-policy family after the
-// workload family, and -fitness-weights ranks a sweep's cells by the
-// weighted multi-objective fitness score (delivery up; byte-seconds,
-// unrecoverables and recovery latency down) without touching the report:
+// Policies come from the central registry: -policy accepts any registered
+// kind or alias, optionally parameterized, and -list-policies prints the
+// roster with parameter defaults. The uncustomized -sweep also appends the
+// 6-cell adaptive-policy family after the workload family, and
+// -fitness-weights ranks a report's cells by the weighted multi-objective
+// fitness score (delivery up; byte-seconds, unrecoverables and recovery
+// latency down) without touching the report:
 //
 //	rrmp-sim -list-policies
 //	rrmp-sim -regions 30,30 -loss 0.2 -policy adaptive:tmin=20ms,tmax=200ms,target=2
 //	rrmp-sim -sweep -trials 8 -fitness-weights delivery=1,bytesec=0.5
+//
+// -sweep-scale starts from the scale matrix (members×depth balanced trees,
+// plus the 10k/100k/1M rows when uncustomized) and records wall-clock and
+// events/sec per cell:
+//
+//	rrmp-sim -sweep-scale -trials 3 -shards 32
+//	rrmp-sim -sweep-scale -tree 4:3:2000 -trials 1 -out /tmp/scale.json
 //
 // The report is a pure function of (matrix, -trials, -seed): the same
 // seeds produce byte-identical aggregates at any -parallel width.
@@ -84,127 +98,36 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro"
+	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/runner"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
-	var a sweepArgs
-	flag.StringVar(&a.regionsCSV, "regions", "100", "comma-separated region sizes (chain hierarchy)")
-	flag.BoolVar(&a.star, "star", false, "attach all regions directly to the sender's region")
-	flag.StringVar(&a.tree, "tree", "", "balanced tree topology 'branch,levels,members' (overrides -regions)")
-	flag.IntVar(&a.msgs, "msgs", 20, "messages to publish")
-	flag.DurationVar(&a.gap, "gap", 20*time.Millisecond, "inter-message gap")
-	flag.Float64Var(&a.loss, "loss", 0.2, "independent DATA loss probability")
-	flag.StringVar(&a.lossMode, "loss-mode", "", "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs parallel under -shards; combine with -burst for the shard-safe Gilbert-Elliott chain)")
-	flag.BoolVar(&a.burst, "burst", false, "use a Gilbert-Elliott burst loss channel instead")
-	flag.Float64Var(&a.churn, "churn", 0, "graceful leaves per second (Poisson over non-sender members)")
-	flag.Float64Var(&a.crash, "crash", 0, "crash faults per second (Poisson over non-sender members; no handoff)")
-	flag.DurationVar(&a.crashRecover, "crash-recover", 0, "downtime before a crashed member returns (0 = crash-stop)")
-	flag.DurationVar(&a.partitionAt, "partition-at", 0, "instant to split the group into two halves (0 = never)")
-	flag.DurationVar(&a.partitionFor, "partition-for", 0, "partition duration before the heal event (0 = never heals)")
-	flag.Float64Var(&a.c, "c", 6, "expected long-term bufferers per region (C)")
-	flag.Float64Var(&a.lambda, "lambda", 1, "expected remote requests per regional loss (lambda)")
-	flag.IntVar(&a.payload, "payload", 0, "payload bytes per message (0 = the historic 256)")
-	flag.StringVar(&a.payloadModel, "payload-model", "", "payload size model: fixed|uniform|lognormal (sizes drawn around -payload)")
-	flag.IntVar(&a.budget, "budget", 0, "per-member buffer byte budget (0 = unlimited)")
-	flag.StringVar(&a.protocol, "protocol", "rrmp", "recovery protocol: rrmp (the paper's) or rmtp (tree repair-server baseline)")
-	flag.StringVar(&a.policy, "policy", "two-phase", "buffering policy spec, e.g. two-phase, fixed:hold=200ms or adaptive:tmin=20ms,tmax=200ms,target=2 (rrmp only; rmtp cells always run the repair-server discipline; see -list-policies)")
-	flag.DurationVar(&a.hold, "hold", 500*time.Millisecond, "retention for -policy fixed")
-	flag.Uint64Var(&a.seed, "seed", 1, "root random seed")
-	flag.DurationVar(&a.horizon, "horizon", 5*time.Second, "virtual run time")
-	flag.BoolVar(&a.doTrace, "trace", false, "stream protocol events to stderr (single-trial rrmp mode only; a traced run is serial whatever -shards says)")
-	flag.StringVar(&a.traceOut, "trace-out", "", "write protocol events to this file instead of stderr (single-trial rrmp mode only)")
-	flag.DurationVar(&a.backoff, "backoff", 0, "regional repair multicast back-off window (0 = immediate)")
-	flag.StringVar(&a.workload, "workload", "", "multi-client publish workload: a preset (mc|bursty|vod) or 'key=val,...' with keys clients,msgs,arrival(constant|poisson|burst),gap,zipf,burst-len,burst-gap,window(from-to:factor),size-model(fixed|uniform|lognormal),size-mean,late-frac,late-at,late-spread")
-	flag.StringVar(&a.traceRecord, "trace-record", "", "write the materialized publish timeline to this file as rrmp-trace/v1 (single-trial -workload mode only)")
-	flag.StringVar(&a.traceReplay, "trace-replay", "", "drive the run from a recorded rrmp-trace/v1 file instead of generating the timeline (single-trial -workload mode only)")
-
-	flag.BoolVar(&a.sweep, "sweep", false, "run the scenario matrix instead of a single scenario")
-	flag.BoolVar(&a.sweepScale, "sweep-scale", false, "run the scale matrix (members×depth balanced trees) and record wall-clock + events/sec")
-	flag.IntVar(&a.trials, "trials", 1, "independently seeded trials per scenario cell")
-	flag.IntVar(&a.parallel, "parallel", 0, "worker pool size for trials (0 = GOMAXPROCS)")
-	flag.IntVar(&a.shards, "shards", 1, "region-sharded event loops per trial (1 = serial; aggregates are byte-identical at any width)")
-	flag.BoolVar(&a.json, "json", false, "print the sweep report as JSON instead of a table")
-	flag.StringVar(&a.outPath, "out", "", "also write the sweep report JSON here (default BENCH_sweep.json for a default-matrix -sweep; empty = don't)")
-
-	flag.StringVar(&a.swRegions, "sweep-regions", "", "region vectors to sweep, e.g. '50;100;50,50' (default 50;100;30,30)")
-	flag.StringVar(&a.swLosses, "sweep-losses", "", "loss rates to sweep, e.g. '0.05,0.2' (default 0.05,0.2)")
-	flag.StringVar(&a.swChurns, "sweep-churns", "", "churn rates to sweep, e.g. '0,1' (default 0,1)")
-	flag.StringVar(&a.swCrashes, "sweep-crashes", "", "crash rates to sweep, e.g. '0,1' (default 0,1)")
-	flag.StringVar(&a.swPartitions, "sweep-partitions", "", "partition durations to sweep, e.g. '0,1s' (default 0,1s; 0 = no partition)")
-	flag.StringVar(&a.swPolicies, "sweep-policies", "", "policies to sweep, e.g. 'two-phase,fixed' (default two-phase,fixed)")
-	flag.StringVar(&a.swTrees, "sweep-trees", "", "tree shapes to sweep as 'branch:levels:members;...' (adds tree cells to -sweep; overrides the -sweep-scale grid)")
-	flag.StringVar(&a.swPayloads, "sweep-payloads", "", "payload sizes to sweep, e.g. '0,1024' (default 0,1024; 0 = historic 256)")
-	flag.StringVar(&a.swBudgets, "sweep-budgets", "", "buffer byte budgets to sweep, e.g. '0,8192' (default 0,8192; 0 = unlimited)")
-	flag.StringVar(&a.swProtocols, "sweep-protocols", "", "protocols to sweep, e.g. 'rrmp,rmtp' (default rrmp,rmtp; rmtp families append after all rrmp cells)")
-
-	listPolicies := flag.Bool("list-policies", false, "print the policy registry roster (kinds, aliases, parameters) and exit")
-	flag.StringVar(&a.fitnessWeights, "fitness-weights", "", "print a fitness-ranked cell table after a sweep: 'key=val,...' weights with keys delivery,bytesec,unrec,recovery ('default' = standing weights; never changes the report bytes)")
-	flag.Parse()
-
-	if *listPolicies {
-		printPolicyRoster(os.Stdout)
-		return
-	}
-
-	// The committed record tracks the *default* matrix, so it is only the
-	// default target when no flag that changes cell semantics was given;
-	// customized sweeps and ad-hoc multi-trial runs must not clobber it.
-	// (-trials/-parallel/-json stay allowed: trial count is visible in the
-	// report and parallelism never changes its bytes.)
-	matrixCustomized := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "out":
-			a.outSet = true
-		case "protocol":
-			a.protocolSet = true
-			matrixCustomized = true
-		case "regions", "star", "tree", "burst", "msgs", "gap", "horizon", "hold",
-			"c", "lambda", "backoff", "seed", "churn", "loss", "loss-mode", "policy",
-			"crash", "crash-recover", "partition-at", "partition-for",
-			"payload", "payload-model", "budget",
-			"workload", "trace-record", "trace-replay",
-			"sweep-regions", "sweep-losses", "sweep-churns", "sweep-crashes",
-			"sweep-partitions", "sweep-policies", "sweep-trees",
-			"sweep-payloads", "sweep-budgets", "sweep-protocols":
-			matrixCustomized = true
-		}
-	})
-	if err := checkFlags(a); err != nil {
+	a, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rrmp-sim:", err)
 		os.Exit(2)
 	}
-	// The same goes for the scale record: regenerated per PR (its
-	// wall-clock fields are the point), never clobbered by a customized
-	// scale matrix.
-	if !a.outSet && !matrixCustomized {
-		switch {
-		case a.sweepScale:
-			a.outPath = "BENCH_scale.json"
-		case a.sweep:
-			a.outPath = "BENCH_sweep.json"
-		}
-	}
-	a.workloadFamily = a.sweep && !matrixCustomized
-
-	var err error
 	switch {
+	case a.listPolicies:
+		printPolicyRoster(os.Stdout)
 	case a.sweepScale:
 		err = runScale(a)
-	case a.sweep || a.trials > 1:
-		err = runSweep(a)
-	default:
+	case a.single:
 		err = runSingle(os.Stdout, a)
+	default:
+		err = runSweep(a)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rrmp-sim:", err)
@@ -212,189 +135,30 @@ func main() {
 	}
 }
 
-// checkFlags rejects flag combinations no mode can honor, before anything
-// runs. main exits 2 on its error.
-func checkFlags(a sweepArgs) error {
-	multi := a.sweep || a.sweepScale || a.trials > 1
-	tracing := a.doTrace || a.traceOut != ""
-	timeline := a.traceRecord != "" || a.traceReplay != ""
-	switch {
-	// Tracing observes one deterministic run; a parallel sweep would
-	// interleave members of many trials into the same stream.
-	case tracing && multi:
-		return fmt.Errorf("-trace/-trace-out apply to single-trial mode only")
-	case tracing && a.protocol == "rmtp":
-		return fmt.Errorf("-trace/-trace-out observe the rrmp engine; the rmtp baseline has no tracer hook")
-	// Timeline traces bind one (workload, seed) pair to one file; sweeps
-	// and multi-trial runs have many timelines.
-	case timeline && multi:
-		return fmt.Errorf("-trace-record/-trace-replay apply to single-trial mode only")
-	case timeline && a.workload == "":
-		return fmt.Errorf("-trace-record/-trace-replay require -workload (the spec names the cell the timeline belongs to)")
-	case a.traceRecord != "" && a.traceReplay != "":
-		return fmt.Errorf("choose one of -trace-record or -trace-replay")
-	case a.workload != "" && a.sweepScale:
-		return fmt.Errorf("-workload does not apply to -sweep-scale")
-	case a.fitnessWeights != "" && (a.sweepScale || !(a.sweep || a.trials > 1)):
-		return fmt.Errorf("-fitness-weights scores sweep/multi-trial reports (use with -sweep or -trials > 1)")
-	case a.outSet && a.outPath != "" && !multi:
-		return fmt.Errorf("-out only applies with -sweep, -sweep-scale or -trials > 1")
-	}
-	return nil
-}
-
-// printPolicyRoster prints the policy registry in listing order: one line
-// per kind with its aliases and summary, then one indented line per
-// parameter with its default (the -policy / -sweep-policies grammar).
-func printPolicyRoster(w io.Writer) {
-	for _, info := range policy.Known() {
-		name := info.Kind
-		if len(info.Aliases) > 0 {
-			name += " (" + strings.Join(info.Aliases, ", ") + ")"
-		}
-		fmt.Fprintf(w, "%-24s %s\n", name, info.Summary)
-		for _, p := range info.Params {
-			fmt.Fprintf(w, "    %-10s default %-8s %s\n", p.Name+"=", p.Default, p.Doc)
-		}
-	}
-}
-
-// parseSizes parses one comma-separated region-size vector.
-func parseSizes(csv string) ([]int, error) {
-	sizes, err := parseInts(csv)
-	if err != nil {
-		return nil, fmt.Errorf("region sizes: %w", err)
-	}
-	return sizes, nil
-}
-
-// parseInts parses a comma-separated list of non-negative ints ("0"
-// entries allowed — both the region and byte axes use 0 as a meaningful
-// default, and neither has a legal negative value).
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("parsing %q: %w", csv, err)
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("parsing %q: negative value %d", csv, n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parseFloats parses a comma-separated float list.
-func parseFloats(csv string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(csv, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %q: %w", csv, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseTreeShape parses one 'branch,levels,members' (or colon-separated)
-// balanced-tree spec.
-func parseTreeShape(spec string) (repro.TreeShape, error) {
-	sep := ","
-	if strings.Contains(spec, ":") {
-		sep = ":"
-	}
-	parts := strings.Split(spec, sep)
-	if len(parts) != 3 {
-		return repro.TreeShape{}, fmt.Errorf("tree spec %q: want branch%slevels%smembers", spec, sep, sep)
-	}
-	var vals [3]int
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return repro.TreeShape{}, fmt.Errorf("tree spec %q: %w", spec, err)
-		}
-		vals[i] = v
-	}
-	return repro.TreeShape{Branch: vals[0], Levels: vals[1], Members: vals[2]}, nil
-}
-
-// parseTreeShapes parses a semicolon-separated list of tree specs.
-func parseTreeShapes(csv string) ([]repro.TreeShape, error) {
-	var out []repro.TreeShape
-	for _, spec := range strings.Split(csv, ";") {
-		t, err := parseTreeShape(strings.TrimSpace(spec))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// parseDurations parses a comma-separated duration list; a bare "0" is
-// allowed (no unit needed for the zero value).
-func parseDurations(csv string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "0" {
-			out = append(out, 0)
-			continue
-		}
-		v, err := time.ParseDuration(f)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %q: %w", csv, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// sweepArgs are the parsed flags. Every mode reads the scenario fields
-// through buildSweep; the rest select the mode and its outputs.
+// sweepArgs is a parsed command line: the mode, execution and output
+// settings, plus sw — the one scenario declaration every mode runs, which
+// the scenario flags wrote into directly (no field here mirrors one of
+// its fields).
 type sweepArgs struct {
+	sw repro.Sweep
+	// sweep and sweepScale pick the base the scenario flags wrote over:
+	// the standing matrix, the scale matrix, or (neither) the one-cell
+	// defaults.
 	sweep      bool
 	sweepScale bool
-	regionsCSV string
-	star       bool
-	tree       string
-	msgs       int
-	gap        time.Duration
-	loss       float64
-	// lossMode sets Sweep.LossMode: "" is the legacy shared stream,
-	// "hash" the shard-safe per-sender counter hash. Part of cell
-	// identity (it changes which packets drop), unlike shards.
-	lossMode     string
-	burst        bool
-	churn        float64
-	crash        float64
-	crashRecover time.Duration
-	partitionAt  time.Duration
-	partitionFor time.Duration
-	c            float64
-	lambda       float64
-	backoff      time.Duration
-	policy       string
-	hold         time.Duration
-	payload      int
-	payloadModel string
-	budget       int
-	protocol     string
-	// protocolSet records that -protocol was given explicitly, so even
-	// the default value "rrmp" pins the sweep's protocol axis.
-	protocolSet bool
-	seed        uint64
-	horizon     time.Duration
-	trials      int
-	parallel    int
-	// shards sets Sweep.Shards: region-sharded event loops per trial.
-	// Execution-only (like parallel) — aggregates stay byte-identical.
-	shards  int
-	json    bool
-	outPath string
+	// single is the derived mode: the declaration is one cell and one
+	// trial was asked for, so the run prints that cell instead of a report.
+	single bool
+	// customized records that a scenario flag or -seed was given. Only an
+	// uncustomized standing matrix carries its appended families and
+	// defaults -out to the committed record.
+	customized   bool
+	listPolicies bool
+	seed         uint64
+	trials       int
+	parallel     int
+	json         bool
+	outPath      string
 	// outSet records that -out was given explicitly (it then applies only
 	// to the modes that write a report).
 	outSet bool
@@ -408,203 +172,306 @@ type sweepArgs struct {
 	traceOut    string
 	traceRecord string
 	traceReplay string
-	// workload, when set, pins the sweep's workload axis to one parsed
-	// -workload spec (multi-trial statistics for a workload cell).
-	workload string
-	// workloadFamily appends the standing WorkloadSweep matrix and the
-	// AdaptiveSweep policy family after the main sweep — the default
-	// -sweep shape BENCH_sweep.json records.
-	workloadFamily bool
 	// fitnessWeights, when non-empty, prints a fitness-ranked cell table
 	// after the report ("default" = standing weights). Display-only: it
 	// never changes the report bytes.
 	fitnessWeights string
-	swRegions      string
-	swLosses       string
-	swChurns       string
-	swCrashes      string
-	swPartitions   string
-	swPolicies     string
-	swTrees        string
-	swPayloads     string
-	swBudgets      string
-	swProtocols    string
 }
 
-// buildSweep is the one translation from flags to a scenario declaration:
-// the matrix under -sweep, otherwise the single cell the scalar flags
-// describe. Every mode — sweep, multi-trial, single run — runs what this
-// returns, so a cell means the same thing in all of them.
-func buildSweep(a sweepArgs) (repro.Sweep, error) {
-	var sw repro.Sweep
-	if a.payload < 0 || a.budget < 0 {
-		return sw, fmt.Errorf("-payload and -budget must be non-negative (got %d, %d)", a.payload, a.budget)
-	}
-	// Single-cell modes partition only when -partition-at is set ("0 =
-	// never"); the axis encodes "none" as duration 0. An open-ended
-	// partition (-partition-at without -partition-for) runs to the horizon.
-	pf := time.Duration(0)
-	if a.partitionAt > 0 {
-		pf = a.partitionFor
-		if pf <= 0 {
-			pf = a.horizon
-		}
-	}
+// scenarioFlag is one scenario parameter: the flag that names it and its
+// write into the declaration. A parameter is declared here once and
+// nowhere else in this command — no mirror field, no second flag for
+// sweeps, no list of names: being a row of the table is what makes a flag
+// one that customizes the matrix. Axis rows parse lists (see list), so a
+// scalar is a one-value axis and a given flag pins its axis in every mode.
+type scenarioFlag struct {
+	name, usage string
+	boolean     bool // a bare -name means true
+	set         func(sw *repro.Sweep, v string) error
+}
 
-	if a.sweep {
-		sw = repro.DefaultSweep()
-		if a.swRegions != "" {
-			sw.Regions = nil
-			for _, vec := range strings.Split(a.swRegions, ";") {
-				sizes, err := parseSizes(vec)
-				if err != nil {
-					return sw, err
-				}
-				sw.Regions = append(sw.Regions, sizes)
+var scenarioFlags = []scenarioFlag{
+	{name: "regions", usage: "region-size vectors (chain hierarchy), ';'-separated: '100', '50,50', '50;100;30,30' (default 100; -sweep: 50;100;30,30)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Regions, err = list(v, ";", parseSizes); return }},
+	{name: "star", usage: "attach all regions directly to the sender's region", boolean: true,
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Star, err = strconv.ParseBool(v); return }},
+	{name: "tree", usage: "balanced tree shapes 'branch,levels,members' (or ':'-separated), ';'-separated; tree cells follow the -regions cells and replace the default -regions 100",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Trees, err = list(v, ";", parseTreeShape); return }},
+	{name: "msgs", usage: "messages to publish (default 20)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Msgs, err = strconv.Atoi(v); return }},
+	{name: "gap", usage: "inter-message gap (default 20ms)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Gap, err = time.ParseDuration(v); return }},
+	{name: "loss", usage: "independent DATA loss probabilities, e.g. 0.2 or 0.05,0.2 (default 0.2; -sweep: 0.05,0.2)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Losses, err = list(v, ",", parseFloat); return }},
+	{name: "loss-mode", usage: "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs parallel under -shards; combine with -burst for the shard-safe Gilbert-Elliott chain)",
+		set: func(sw *repro.Sweep, v string) error { sw.LossMode = v; return nil }},
+	{name: "burst", usage: "use a Gilbert-Elliott burst loss channel instead", boolean: true,
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Burst, err = strconv.ParseBool(v); return }},
+	{name: "churn", usage: "graceful leaves per second (Poisson over non-sender members), e.g. 1 or 0,1 (default 0; -sweep: 0,1)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Churns, err = list(v, ",", parseFloat); return }},
+	{name: "crash", usage: "crash faults per second (Poisson over non-sender members; no handoff), e.g. 1 or 0,2 (default 0; -sweep: 0,1)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Crashes, err = list(v, ",", parseFloat); return }},
+	{name: "crash-recover", usage: "downtime before a crashed member returns (default 0 = crash-stop)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.CrashRecover, err = time.ParseDuration(v); return }},
+	{name: "partition-at", usage: "instant to split the group into two halves (default: a quarter of -horizon in cells that partition)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.PartitionAt, err = time.ParseDuration(v); return }},
+	{name: "partition-for", usage: "partition durations before the heal event, e.g. 2s or 0,1s; 0 = no partition (default 0, or the whole run given -partition-at; -sweep: 0,1s)",
+		set: func(sw *repro.Sweep, v string) (err error) {
+			sw.Partitions, err = list(v, ",", time.ParseDuration)
+			return
+		}},
+	{name: "c", usage: "expected long-term bufferers per region (C) (default 6)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.C, err = parseFloat(v); return }},
+	{name: "lambda", usage: "expected remote requests per regional loss (lambda) (default 1)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Lambda, err = parseFloat(v); return }},
+	{name: "payload", usage: "payload bytes per message, e.g. 1024 or 512,2048; 0 = the historic 256 (default 0; -sweep: 0,1024)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.PayloadSizes, err = list(v, ",", strconv.Atoi); return }},
+	{name: "payload-model", usage: "payload size model: fixed|uniform|lognormal (sizes drawn around -payload)",
+		set: func(sw *repro.Sweep, v string) error {
+			// "fixed" is the default spelled out: it must not engage the
+			// payload token of an otherwise legacy cell.
+			if v == workload.SizeFixed {
+				v = ""
 			}
-		}
-		var err error
-		if a.swLosses != "" {
-			if sw.Losses, err = parseFloats(a.swLosses); err != nil {
-				return sw, err
-			}
-		}
-		if a.swChurns != "" {
-			if sw.Churns, err = parseFloats(a.swChurns); err != nil {
-				return sw, err
-			}
-		}
-		if a.swCrashes != "" {
-			if sw.Crashes, err = parseFloats(a.swCrashes); err != nil {
-				return sw, err
-			}
-		}
-		if a.swPartitions != "" {
-			if sw.Partitions, err = parseDurations(a.swPartitions); err != nil {
-				return sw, err
-			}
-		}
-		if a.swPolicies != "" {
-			sw.Policies = nil
-			for _, p := range strings.Split(a.swPolicies, ",") {
-				sw.Policies = append(sw.Policies, strings.TrimSpace(p))
-			}
-		}
-		if a.swTrees != "" {
-			trees, err := parseTreeShapes(a.swTrees)
-			if err != nil {
-				return sw, err
-			}
-			sw.Trees = trees
-		}
-	} else {
-		// One cell: the scalar flags pin every axis to a single value.
-		sw = repro.Sweep{
-			Losses:     []float64{a.loss},
-			Churns:     []float64{a.churn},
-			Crashes:    []float64{a.crash},
-			Partitions: []time.Duration{pf},
-			Policies:   []string{a.policy},
-		}
-		if a.tree != "" {
-			shape, err := parseTreeShape(a.tree)
-			if err != nil {
-				return sw, err
-			}
-			sw.Trees = []repro.TreeShape{shape}
+			sw.PayloadModel = v
+			return nil
+		}},
+	{name: "budget", usage: "per-member buffer byte budgets, e.g. 8192 or 0,8192; 0 = unlimited (default 0; -sweep: 0,8192)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Budgets, err = list(v, ",", strconv.Atoi); return }},
+	{name: "protocol", usage: "recovery protocols: rrmp (the paper's), rmtp (tree repair-server baseline) or rrmp,rmtp — rmtp families append after all rrmp cells (default rrmp; -sweep: rrmp,rmtp)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Protocols, err = list(v, ",", text); return }},
+	{name: "policy", usage: "buffering policy specs, ';'-separated: two-phase, 'two-phase;fixed:hold=200ms', adaptive:tmin=20ms,tmax=200ms,target=2 (rrmp only; rmtp cells always run the repair-server discipline; see -list-policies) (default two-phase; -sweep: two-phase;fixed)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Policies, err = list(v, ";", text); return }},
+	{name: "hold", usage: "retention for -policy fixed (default 500ms)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.FixedHold, err = time.ParseDuration(v); return }},
+	{name: "horizon", usage: "virtual run time (default 5s)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Horizon, err = time.ParseDuration(v); return }},
+	{name: "backoff", usage: "regional repair multicast back-off window (default 0 = immediate)",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.RepairBackoff, err = time.ParseDuration(v); return }},
+	{name: "workload", usage: "multi-client publish workloads, ';'-separated: a preset (mc|bursty|vod) or 'key=val,...' with keys clients,msgs,arrival(constant|poisson|burst),gap,zipf,burst-len,burst-gap,window(from-to:factor),size-model(fixed|uniform|lognormal),size-mean,late-frac,late-at,late-spread",
+		set: func(sw *repro.Sweep, v string) (err error) { sw.Workloads, err = list(v, ";", parseWorkload); return }},
+}
+
+// parseArgs parses a command line into the mode, execution and output
+// settings and the built, validated declaration. Parse errors are the
+// flag set's to report (main's exits 2 on them); everything after —
+// a malformed or out-of-domain scenario value, a combination no mode can
+// honor — comes back as the error, before anything runs.
+func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
+	a := sweepArgs{seed: 1}
+	// Scenario flags only record themselves while parsing: the base they
+	// write over depends on -sweep / -sweep-scale, which may come later on
+	// the line.
+	type givenFlag struct {
+		row scenarioFlag
+		v   string
+	}
+	var given []givenFlag
+	for _, row := range scenarioFlags {
+		record := func(v string) error { given = append(given, givenFlag{row, v}); return nil }
+		if row.boolean {
+			fs.BoolFunc(row.name, row.usage, record)
 		} else {
-			sizes, err := parseSizes(a.regionsCSV)
-			if err != nil {
-				return sw, err
-			}
-			sw.Regions = [][]int{sizes}
+			fs.Func(row.name, row.usage, record)
 		}
 	}
-	// Byte axes: explicit -sweep-* lists win; otherwise a scalar -payload
-	// or -budget pins its axis to that one value, so `-sweep-payloads
-	// 512,2048 -budget 4096` reads as a payload axis × one fixed budget.
-	if a.swPayloads != "" {
-		v, err := parseInts(a.swPayloads)
-		if err != nil {
-			return sw, err
+	fs.Func("seed", "root random seed (default 1)", func(v string) (err error) {
+		a.customized = true
+		a.seed, err = strconv.ParseUint(v, 10, 64)
+		return
+	})
+	fs.BoolVar(&a.doTrace, "trace", false, "stream protocol events to stderr (single rrmp cell × one trial only; a traced run is serial whatever -shards says)")
+	fs.StringVar(&a.traceOut, "trace-out", "", "write protocol events to this file instead of stderr (single rrmp cell × one trial only)")
+	fs.StringVar(&a.traceRecord, "trace-record", "", "write the materialized publish timeline to this file as rrmp-trace/v1 (single -workload cell × one trial only)")
+	fs.StringVar(&a.traceReplay, "trace-replay", "", "drive the run from a recorded rrmp-trace/v1 file instead of generating the timeline (single -workload cell × one trial only)")
+
+	fs.BoolVar(&a.sweep, "sweep", false, "start from the standing scenario matrix instead of the one-cell defaults (given scenario flags pin their axes either way)")
+	fs.BoolVar(&a.sweepScale, "sweep-scale", false, "start from the scale matrix (members×depth balanced trees) and record wall-clock + events/sec per cell")
+	fs.IntVar(&a.trials, "trials", 1, "independently seeded trials per scenario cell")
+	fs.IntVar(&a.parallel, "parallel", 0, "worker pool size for trials (0 = GOMAXPROCS)")
+	shards := fs.Int("shards", 1, "region-sharded event loops per trial (1 = serial; aggregates are byte-identical at any width)")
+	fs.BoolVar(&a.json, "json", false, "print the report as JSON instead of a table")
+	fs.Func("out", "also write the report JSON here (default BENCH_sweep.json / BENCH_scale.json for an uncustomized -sweep / -sweep-scale; empty = don't)", func(v string) error {
+		a.outPath, a.outSet = v, true
+		return nil
+	})
+	fs.BoolVar(&a.listPolicies, "list-policies", false, "print the policy registry roster (kinds, aliases, parameters) and exit")
+	fs.StringVar(&a.fitnessWeights, "fitness-weights", "", "print a fitness-ranked cell table after a report: 'key=val,...' weights with keys delivery,bytesec,unrec,recovery ('default' = standing weights; never changes the report bytes)")
+	if err := fs.Parse(args); err != nil {
+		return a, err
+	}
+
+	// The base is the standing matrix the mode names, or the one-cell
+	// defaults; the given scenario flags then write over it in
+	// command-line order.
+	switch {
+	case a.sweepScale:
+		a.sw = repro.ScaleSweep()
+	case a.sweep:
+		a.sw = repro.DefaultSweep()
+	default:
+		a.sw = repro.Sweep{Losses: []float64{0.2}}
+	}
+	if !a.sweepScale {
+		// These six defaults have always been written into every cell of
+		// both bases: the committed record's cells serialize c 6 and lambda 1.
+		a.sw.C, a.sw.Lambda, a.sw.FixedHold = 6, 1, 500*time.Millisecond
+		a.sw.Msgs, a.sw.Gap, a.sw.Horizon = 20, 20*time.Millisecond, 5*time.Second
+	}
+	for _, g := range given {
+		if err := g.row.set(&a.sw, g.v); err != nil {
+			return a, fmt.Errorf("invalid value %q for flag -%s: %w", g.v, g.row.name, err)
 		}
-		sw.PayloadSizes = v
-	} else if a.payload > 0 {
-		sw.PayloadSizes = []int{a.payload}
 	}
-	if a.swBudgets != "" {
-		v, err := parseInts(a.swBudgets)
-		if err != nil {
-			return sw, err
+	a.customized = a.customized || len(given) > 0
+	a.sw.Shards = *shards
+	// -partition-at without -partition-for is an open-ended partition: it
+	// runs to the horizon. (The axis encodes "no partition" as duration 0,
+	// so the open end has to be spelled as a duration.)
+	if a.sw.PartitionAt > 0 && len(a.sw.Partitions) == 0 {
+		if a.sw.Horizon <= 0 {
+			return a, fmt.Errorf("-partition-at without -partition-for runs to -horizon, which this matrix leaves to its cells: give one of them")
 		}
-		sw.Budgets = v
-	} else if a.budget > 0 {
-		sw.Budgets = []int{a.budget}
+		a.sw.Partitions = []time.Duration{a.sw.Horizon}
 	}
-	if a.payloadModel != "" && a.payloadModel != "fixed" {
-		sw.PayloadModel = a.payloadModel
+	if err := a.sw.Validate(); err != nil {
+		return a, err
 	}
-	// Protocol axis: an explicit -sweep-protocols list wins; otherwise an
-	// explicit scalar -protocol pins the axis to that one protocol (same
-	// rule the byte axes follow — and "-sweep -protocol rrmp" genuinely
-	// excludes the rmtp family, not just when the value is non-default).
-	if a.swProtocols != "" {
-		sw.Protocols = nil
-		for _, p := range strings.Split(a.swProtocols, ",") {
-			sw.Protocols = append(sw.Protocols, strings.TrimSpace(p))
-		}
-	} else if a.protocolSet || (a.protocol != "" && a.protocol != "rrmp") {
-		sw.Protocols = []string{a.protocol}
+	a.single = !a.sweepScale && a.trials <= 1 && len(a.sw.Expand()) == 1
+	if err := checkFlags(a); err != nil {
+		return a, err
 	}
-	// Validate here, like the other axes: an empty token (a trailing comma)
-	// would otherwise normalize to a second identical rrmp family instead
-	// of erroring.
-	for _, p := range sw.Protocols {
-		if p != "rrmp" && p != "rmtp" {
-			return sw, fmt.Errorf("unknown protocol %q (want rrmp or rmtp)", p)
+	// The committed records track the *standing* matrices, so they are the
+	// default -out only when nothing that changes cell semantics was
+	// given; customized sweeps and ad-hoc multi-trial runs must not clobber
+	// them. (-trials/-parallel/-shards/-json stay allowed: trial count is
+	// visible in the report and execution width never changes its bytes.)
+	if !a.outSet && !a.customized {
+		switch {
+		case a.sweepScale:
+			a.outPath = "BENCH_scale.json"
+		case a.sweep:
+			a.outPath = "BENCH_sweep.json"
 		}
 	}
-	sw.Star = a.star
-	sw.LossMode = a.lossMode
-	sw.Burst = a.burst
-	sw.Shards = a.shards
-	sw.FixedHold = a.hold
-	sw.C = a.c
-	sw.Lambda = a.lambda
-	sw.RepairBackoff = a.backoff
-	sw.CrashRecover = a.crashRecover
-	sw.PartitionAt = a.partitionAt
-	sw.Msgs = a.msgs
-	sw.Gap = a.gap
-	sw.Horizon = a.horizon
-	if a.workload != "" {
-		spec, err := parseWorkloadSpec(a.workload)
-		if err != nil {
-			return sw, err
-		}
-		sw.Workloads = []*repro.WorkloadSpec{spec}
-	}
-	return sw, nil
+	return a, nil
 }
 
-// runSweep runs either the scenario matrix (-sweep) or a single-cell sweep
-// (-trials > 1 without -sweep) and reports per-cell aggregates.
-func runSweep(a sweepArgs) error {
-	sw, err := buildSweep(a)
-	if err != nil {
-		return err
+// checkFlags rejects flag combinations no mode can honor, before anything
+// runs.
+func checkFlags(a sweepArgs) error {
+	tracing := a.doTrace || a.traceOut != ""
+	timeline := a.traceRecord != "" || a.traceReplay != ""
+	switch {
+	// Tracing observes one deterministic run; a parallel sweep would
+	// interleave members of many trials into the same stream.
+	case tracing && !a.single:
+		return fmt.Errorf("-trace/-trace-out apply to one cell × one trial only")
+	case tracing && slices.Contains(a.sw.Protocols, "rmtp"):
+		return fmt.Errorf("-trace/-trace-out observe the rrmp engine; the rmtp baseline has no tracer hook")
+	// Timeline traces bind one (workload, seed) pair to one file; sweeps
+	// and multi-trial runs have many timelines.
+	case timeline && !a.single:
+		return fmt.Errorf("-trace-record/-trace-replay apply to one cell × one trial only")
+	case timeline && len(a.sw.Workloads) == 0:
+		return fmt.Errorf("-trace-record/-trace-replay require -workload (the spec names the cell the timeline belongs to)")
+	case a.traceRecord != "" && a.traceReplay != "":
+		return fmt.Errorf("choose one of -trace-record or -trace-replay")
+	case a.fitnessWeights != "" && (a.sweepScale || a.single):
+		return fmt.Errorf("-fitness-weights scores multi-cell/multi-trial reports (use with -sweep, list-valued flags or -trials > 1)")
+	case a.outSet && a.outPath != "" && a.single:
+		return fmt.Errorf("-out only applies to a report (several cells, -sweep-scale or -trials > 1)")
 	}
+	return nil
+}
 
-	// The default -sweep shape is the standing matrix plus the workload
-	// and adaptive-policy families, run through one pool into one report;
-	// each family's cells append after all earlier cells, so the committed
-	// record grows without a single pre-existing cell moving or re-byting.
-	sweeps := []repro.Sweep{sw}
-	if a.workloadFamily {
+// printPolicyRoster prints the policy registry in listing order: one line
+// per kind with its aliases and summary, then one indented line per
+// parameter with its default (the -policy grammar).
+func printPolicyRoster(w io.Writer) {
+	for _, info := range policy.Known() {
+		name := info.Kind
+		if len(info.Aliases) > 0 {
+			name += " (" + strings.Join(info.Aliases, ", ") + ")"
+		}
+		fmt.Fprintf(w, "%-24s %s\n", name, info.Summary)
+		for _, p := range info.Params {
+			fmt.Fprintf(w, "    %-10s default %-8s %s\n", p.Name+"=", p.Default, p.Doc)
+		}
+	}
+}
+
+// list parses one axis flag's value: the elements between sep, each through
+// parse. sep is ',' for numbers, durations and protocol names, and ';'
+// where an element itself contains commas.
+func list[T any](s, sep string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, elem := range strings.Split(s, sep) {
+		v, err := parse(strings.TrimSpace(elem))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// text is the element parser of token axes (protocols, policy specs), whose
+// tokens Sweep.Validate checks against their registries. An empty element
+// (a trailing separator) is a typo here, though the library reads "" as the
+// default token.
+func text(s string) (string, error) {
+	if s == "" {
+		return "", fmt.Errorf("empty list element")
+	}
+	return s, nil
+}
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// parseSizes parses one comma-separated region-size vector.
+func parseSizes(s string) ([]int, error) { return list(s, ",", strconv.Atoi) }
+
+// parseTreeShape parses one 'branch,levels,members' (or colon-separated)
+// balanced-tree spec.
+func parseTreeShape(spec string) (repro.TreeShape, error) {
+	sep := ","
+	if strings.Contains(spec, ":") {
+		sep = ":"
+	}
+	vals, err := list(spec, sep, strconv.Atoi)
+	if err != nil {
+		return repro.TreeShape{}, fmt.Errorf("tree spec %q: %w", spec, err)
+	}
+	if len(vals) != 3 {
+		return repro.TreeShape{}, fmt.Errorf("tree spec %q: want branch%slevels%smembers", spec, sep, sep)
+	}
+	return repro.TreeShape{Branch: vals[0], Levels: vals[1], Members: vals[2]}, nil
+}
+
+// parseWorkload parses one -workload element: a standing preset's name, or
+// a key=val spec in the workload package's grammar.
+func parseWorkload(s string) (*repro.WorkloadSpec, error) {
+	if spec := exp.WorkloadPreset(s); spec != nil {
+		return spec, nil
+	}
+	return workload.ParseSpec(s)
+}
+
+// runSweep runs the declaration's cells × -trials through one pool and
+// reports per-cell aggregates.
+func runSweep(a sweepArgs) error {
+	// The uncustomized -sweep is the standing matrix plus the workload and
+	// adaptive-policy families, run through one pool into one report —
+	// the shape BENCH_sweep.json records. Each family's cells append after
+	// all earlier cells, so the committed record grows without a single
+	// pre-existing cell moving or re-byting.
+	sweeps := []repro.Sweep{a.sw}
+	if a.sweep && !a.customized {
 		wf := repro.WorkloadSweep()
-		wf.Shards = a.shards
+		wf.Shards = a.sw.Shards
 		af := repro.AdaptiveSweep()
-		af.Shards = a.shards
+		af.Shards = a.sw.Shards
 		sweeps = append(sweeps, wf, af)
 	}
 	rep, err := repro.RunSweeps(repro.SweepOptions{
@@ -674,29 +541,19 @@ func emitReport(a sweepArgs, rep any, cells, trials int, table func()) error {
 	return nil
 }
 
-// runScale runs the members×depth scale matrix, timing every cell, and
-// writes the rrmp-scale/v1 report (BENCH_scale.json by default — the
-// committed perf-trajectory record every PR regenerates).
+// runScale runs the scale declaration, timing every cell, and writes the
+// rrmp-scale/v1 report (BENCH_scale.json by default — the committed
+// perf-trajectory record every PR regenerates).
 func runScale(a sweepArgs) error {
-	sw := repro.ScaleSweep()
-	sw.Shards = a.shards
-	// The default grid appends the XL rows (10k/100k members) and the 1M
-	// hash-burst row after the standing matrix; -sweep-trees replaces the
-	// whole grid instead.
-	var sweeps []repro.Sweep
-	if a.swTrees != "" {
-		trees, err := parseTreeShapes(a.swTrees)
-		if err != nil {
-			return err
-		}
-		sw.Trees = trees
-		sweeps = []repro.Sweep{sw}
-	} else {
+	// The uncustomized grid appends the XL rows (10k/100k members) and the
+	// 1M hash-burst row after the standing matrix.
+	sweeps := []repro.Sweep{a.sw}
+	if !a.customized {
 		xl := repro.ScaleSweepXL()
-		xl.Shards = a.shards
+		xl.Shards = a.sw.Shards
 		m1 := repro.ScaleSweep1M()
-		m1.Shards = a.shards
-		sweeps = []repro.Sweep{sw, xl, m1}
+		m1.Shards = a.sw.Shards
+		sweeps = append(sweeps, xl, m1)
 	}
 	rep, err := repro.RunScale(repro.SweepOptions{
 		Trials:   a.trials,
@@ -784,77 +641,6 @@ func meanOnly(agg repro.TrialAggregate, name, verb string) string {
 	return fmt.Sprintf(verb, m.Mean)
 }
 
-// parseWorkloadSpec parses the -workload flag: one of the standing
-// presets, or a comma-separated key=val spec validated as a whole.
-func parseWorkloadSpec(s string) (*repro.WorkloadSpec, error) {
-	switch s {
-	case "mc":
-		return repro.MultiClientWorkload(), nil
-	case "bursty":
-		return repro.BurstyWorkload(), nil
-	case "vod":
-		return repro.VoDPrefixPush(), nil
-	}
-	spec := &repro.WorkloadSpec{}
-	for _, field := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return nil, fmt.Errorf("-workload: %q is not key=val (or a preset: mc|bursty|vod)", field)
-		}
-		var err error
-		switch k {
-		//lint:allow metrickey -- workload spec field name, coincides with the metric key
-		case "clients":
-			spec.Clients, err = strconv.Atoi(v)
-		case "msgs":
-			spec.Msgs, err = strconv.Atoi(v)
-		case "arrival":
-			spec.Arrival = v
-		case "gap":
-			spec.Gap, err = time.ParseDuration(v)
-		case "zipf":
-			spec.ZipfS, err = strconv.ParseFloat(v, 64)
-		case "burst-len":
-			spec.BurstLen, err = strconv.Atoi(v)
-		case "burst-gap":
-			spec.BurstGap, err = time.ParseDuration(v)
-		case "window":
-			// from-to:factor, e.g. 0s-1s:4 (repeatable).
-			var win repro.WorkloadWindow
-			span, factor, ok := strings.Cut(v, ":")
-			from, to, ok2 := strings.Cut(span, "-")
-			if !ok || !ok2 {
-				return nil, fmt.Errorf("-workload: window %q: want from-to:factor", v)
-			}
-			if win.From, err = time.ParseDuration(from); err == nil {
-				if win.To, err = time.ParseDuration(to); err == nil {
-					win.Factor, err = strconv.ParseFloat(factor, 64)
-				}
-			}
-			spec.Windows = append(spec.Windows, win)
-		case "size-model":
-			spec.SizeModel = v
-		case "size-mean":
-			spec.SizeMean, err = strconv.Atoi(v)
-		case "late-frac":
-			spec.LateJoinFrac, err = strconv.ParseFloat(v, 64)
-		case "late-at":
-			spec.LateJoinAt, err = time.ParseDuration(v)
-		case "late-spread":
-			spec.LateJoinSpread, err = time.ParseDuration(v)
-		default:
-			return nil, fmt.Errorf("-workload: unknown key %q", k)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("-workload: %s=%q: %v", k, v, err)
-		}
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("-workload: %w", err)
-	}
-	return spec, nil
-}
-
 // runSingle runs the one cell the flags describe once, seeded with -seed
 // itself, through the kernel every sweep cell runs (the cell -trials N
 // aggregates, under the protocol -protocol names), and prints the cell's
@@ -862,19 +648,12 @@ func parseWorkloadSpec(s string) (*repro.WorkloadSpec, error) {
 // -trace-out), record its publish timeline (-trace-record) or replay one
 // (-trace-replay).
 func runSingle(w io.Writer, a sweepArgs) error {
-	sw, err := buildSweep(a)
-	if err != nil {
-		return err
-	}
-	cells := sw.Expand()
-	if len(cells) != 1 {
-		return fmt.Errorf("single-trial mode runs one cell, but the flags describe %d (add -sweep or -trials)", len(cells))
-	}
-	sc := cells[0]
+	sc := a.sw.Expand()[0]
 
 	// nil = the kernel materializes the cell's own timeline; a recording
 	// run materializes it here instead, so the file holds what ran.
 	var timeline repro.WorkloadTimeline
+	var err error
 	switch {
 	case a.traceReplay != "":
 		timeline, err = readTimeline(a.traceReplay)
@@ -903,14 +682,14 @@ func runSingle(w io.Writer, a sweepArgs) error {
 	}
 	// -shards never changes the metrics, but say when it cannot apply
 	// instead of letting the flag look like a no-op.
-	if a.shards > 1 {
+	if a.sw.Shards > 1 {
 		if tracer != nil {
-			fmt.Fprintf(os.Stderr, "rrmp-sim: a traced run is serial, so the trace is a pure function of the seed; -shards %d ignored\n", a.shards)
+			fmt.Fprintf(os.Stderr, "rrmp-sim: a traced run is serial, so the trace is a pure function of the seed; -shards %d ignored\n", a.sw.Shards)
 		} else {
 			// A malformed loss spec is the run's error to report, below.
 			loss, _ := runner.ScenarioLoss(sc, a.seed, 0)
 			if reason := netsim.ShardSafe(loss); reason != nil {
-				fmt.Fprintf(os.Stderr, "rrmp-sim: -shards %d ignored: %v; use -loss-mode hash for shard-safe loss\n", a.shards, reason)
+				fmt.Fprintf(os.Stderr, "rrmp-sim: -shards %d ignored: %v; use -loss-mode hash for shard-safe loss\n", a.sw.Shards, reason)
 			}
 		}
 	}

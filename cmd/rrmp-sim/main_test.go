@@ -3,21 +3,42 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/runner"
 )
+
+// tryParse runs a command line through the real flag table, exactly as
+// main does: parse, build the declaration, validate, derive the mode.
+func tryParse(line ...string) (sweepArgs, error) {
+	fs := flag.NewFlagSet("rrmp-sim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseArgs(fs, line)
+}
+
+// parse is tryParse for command lines that must be accepted. Report runs
+// come back quiet: the tests read the -out file, not stdout.
+func parse(t *testing.T, line ...string) sweepArgs {
+	t.Helper()
+	a, err := tryParse(line...)
+	if err != nil {
+		t.Fatalf("rrmp-sim %s: %v", strings.Join(line, " "), err)
+	}
+	a.quiet = true
+	return a
+}
 
 // TestSweepReportByteIdenticalAcrossParallelism runs the full -sweep code
 // path in-process (small topologies, the default fault axes, 2 trials)
@@ -30,15 +51,9 @@ func TestSweepReportByteIdenticalAcrossParallelism(t *testing.T) {
 	report := func(parallel int) []byte {
 		t.Helper()
 		out := filepath.Join(dir, "sweep.json")
-		err := runSweep(sweepArgs{
-			sweep:     true,
-			swRegions: "8;6,6", // shrink topologies; keep every default axis
-			trials:    2,
-			parallel:  parallel,
-			seed:      1,
-			outPath:   out,
-			quiet:     true,
-		})
+		// Shrink the topologies; keep every default axis.
+		err := runSweep(parse(t, "-sweep", "-regions", "8;6,6",
+			"-trials", "2", "-parallel", fmt.Sprint(parallel), "-seed", "1", "-out", out))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,20 +167,9 @@ func TestBudgetSweepPressureAndDeterminism(t *testing.T) {
 	report := func(parallel int) []byte {
 		t.Helper()
 		out := filepath.Join(dir, "budget_sweep.json")
-		if err := runSweep(sweepArgs{
-			sweep:       true,
-			swRegions:   "8;6,6",
-			swPayloads:  "512,1024",
-			swProtocols: "rrmp",
-			budget:      16384,
-			c:           6, lambda: 1, hold: 500 * time.Millisecond,
-			msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-			trials:   2,
-			parallel: parallel,
-			seed:     1,
-			outPath:  out,
-			quiet:    true,
-		}); err != nil {
+		if err := runSweep(parse(t, "-sweep", "-regions", "8;6,6",
+			"-payload", "512,1024", "-protocol", "rrmp", "-budget", "16384",
+			"-trials", "2", "-parallel", fmt.Sprint(parallel), "-seed", "1", "-out", out)); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := os.ReadFile(out)
@@ -188,7 +192,7 @@ func TestBudgetSweepPressureAndDeterminism(t *testing.T) {
 	var pressure float64
 	for _, cell := range rep.Cells {
 		if cell.Scenario.ByteBudget != 16384 {
-			t.Fatalf("cell %q lost the scalar -budget", cell.Name)
+			t.Fatalf("cell %q lost the one-value -budget axis", cell.Name)
 		}
 		if !strings.Contains(cell.Name, "payload=") || !strings.Contains(cell.Name, "budget=16384") {
 			t.Fatalf("cell %q lacks byte-axis tokens", cell.Name)
@@ -221,8 +225,8 @@ func TestBudgetSweepPressureAndDeterminism(t *testing.T) {
 // cell must keep its pre-axis name, keys, and bytes. Regenerate
 // deliberately with:
 //
-//	go run ./cmd/rrmp-sim -sweep -sweep-regions '8;6,6' -trials 2 \
-//	    -sweep-payloads 0 -sweep-budgets 0 -sweep-protocols rrmp \
+//	go run ./cmd/rrmp-sim -sweep -regions '8;6,6' -trials 2 \
+//	    -payload 0 -budget 0 -protocol rrmp \
 //	    -seed 1 -out cmd/rrmp-sim/testdata/sweep_golden.json -json >/dev/null
 func TestSweepReportMatchesGolden(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "sweep_golden.json"))
@@ -233,23 +237,9 @@ func TestSweepReportMatchesGolden(t *testing.T) {
 	// survive the region-sharded engine at any width.
 	for _, shards := range []int{1, 8} {
 		out := filepath.Join(t.TempDir(), "sweep.json")
-		if err := runSweep(sweepArgs{
-			sweep:       true,
-			swRegions:   "8;6,6",
-			swPayloads:  "0",
-			swBudgets:   "0",
-			swProtocols: "rrmp",
-			// Flag defaults the CLI bakes into every sweep, spelled out because
-			// runSweep is invoked below flag parsing.
-			c: 6, lambda: 1, hold: 500 * time.Millisecond,
-			msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-			trials:   2,
-			parallel: 4,
-			shards:   shards,
-			seed:     1,
-			outPath:  out,
-			quiet:    true,
-		}); err != nil {
+		if err := runSweep(parse(t, "-sweep", "-regions", "8;6,6",
+			"-payload", "0", "-budget", "0", "-protocol", "rrmp",
+			"-trials", "2", "-parallel", "4", "-shards", fmt.Sprint(shards), "-seed", "1", "-out", out)); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(out)
@@ -294,15 +284,8 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 	report := func(parallel, shards int) []byte {
 		t.Helper()
 		out := filepath.Join(dir, "scale.json")
-		if err := runScale(sweepArgs{
-			trials:   2,
-			parallel: parallel,
-			shards:   shards,
-			seed:     1,
-			outPath:  out,
-			swTrees:  "4:2:120;4:3:150",
-			quiet:    true,
-		}); err != nil {
+		if err := runScale(parse(t, "-sweep-scale", "-tree", "4:2:120;4:3:150", "-trials", "2",
+			"-parallel", fmt.Sprint(parallel), "-shards", fmt.Sprint(shards), "-seed", "1", "-out", out)); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := os.ReadFile(out)
@@ -344,17 +327,8 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 // TestTreeSingleRun drives the single-scenario mode on a depth-3 balanced
 // tree (the -tree flag's path).
 func TestTreeSingleRun(t *testing.T) {
-	err := runSingle(io.Discard, sweepArgs{
-		tree:    "3,3,130",
-		msgs:    5,
-		gap:     20e6,
-		loss:    0.1,
-		c:       4,
-		lambda:  1,
-		policy:  "two-phase",
-		seed:    2,
-		horizon: 2e9,
-	})
+	err := runSingle(io.Discard, parse(t, "-tree", "3,3,130", "-msgs", "5", "-loss", "0.1",
+		"-c", "4", "-seed", "2", "-horizon", "2s"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,13 +336,13 @@ func TestTreeSingleRun(t *testing.T) {
 
 // TestParseTreeShapes covers both separators and the error paths.
 func TestParseTreeShapes(t *testing.T) {
-	got, err := parseTreeShapes("4:3:1000; 2:4:500")
+	got, err := list("4:3:1000; 2:4:500", ";", parseTreeShape)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []repro.TreeShape{{Branch: 4, Levels: 3, Members: 1000}, {Branch: 2, Levels: 4, Members: 500}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("parseTreeShapes = %v", got)
+		t.Fatalf("tree shape list = %v", got)
 	}
 	if one, err := parseTreeShape("4,3,1000"); err != nil || one != want[0] {
 		t.Fatalf("parseTreeShape = %v, %v", one, err)
@@ -384,21 +358,9 @@ func TestParseTreeShapes(t *testing.T) {
 // crash and partition flags (cmd/ previously had zero test files; this
 // covers the non-sweep path too).
 func TestSingleRunWithFaults(t *testing.T) {
-	err := runSingle(io.Discard, sweepArgs{
-		regionsCSV:   "10,10",
-		msgs:         5,
-		gap:          20e6, // 20 ms
-		loss:         0.2,
-		crash:        1,
-		crashRecover: 500e6, // 500 ms
-		partitionAt:  400e6,
-		partitionFor: 300e6,
-		c:            4,
-		lambda:       1,
-		policy:       "two-phase",
-		seed:         3,
-		horizon:      3e9,
-	})
+	err := runSingle(io.Discard, parse(t, "-regions", "10,10", "-msgs", "5", "-loss", "0.2",
+		"-crash", "1", "-crash-recover", "500ms", "-partition-at", "400ms", "-partition-for", "300ms",
+		"-c", "4", "-seed", "3", "-horizon", "3s"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,52 +369,35 @@ func TestSingleRunWithFaults(t *testing.T) {
 // TestSingleRunWithBudget drives the single-scenario mode end to end with
 // a lognormal payload model and a binding byte budget.
 func TestSingleRunWithBudget(t *testing.T) {
-	err := runSingle(io.Discard, sweepArgs{
-		regionsCSV:   "10",
-		msgs:         10,
-		gap:          20e6, // 20 ms
-		loss:         0.1,
-		c:            4,
-		lambda:       1,
-		policy:       "two-phase",
-		payload:      1024,
-		payloadModel: "lognormal",
-		budget:       4096,
-		seed:         5,
-		horizon:      3e9,
-	})
+	err := runSingle(io.Discard, parse(t, "-regions", "10", "-msgs", "10", "-loss", "0.1", "-c", "4",
+		"-payload", "1024", "-payload-model", "lognormal", "-budget", "4096", "-seed", "5", "-horizon", "3s"))
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestParseInts covers the byte-axis list parser.
+// TestParseInts covers the byte axes' list parsing.
 func TestParseInts(t *testing.T) {
-	got, err := parseInts("0, 1024,8192")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parse(t, "-budget", "0, 1024,8192").sw.Budgets
 	if len(got) != 3 || got[0] != 0 || got[1] != 1024 || got[2] != 8192 {
-		t.Fatalf("parseInts = %v", got)
+		t.Fatalf("-budget list = %v", got)
 	}
-	if _, err := parseInts("12,x"); err == nil {
+	if _, err := tryParse("-payload", "12,x"); err == nil {
 		t.Fatal("bogus int accepted")
 	}
 	// A stray minus sign must error loudly, not silently run the cell as
 	// an unbudgeted legacy cell under a budget-looking flag line.
-	if _, err := parseInts("-8192"); err == nil {
-		t.Fatal("negative value accepted")
-	}
-	if err := runSweep(sweepArgs{sweep: true, budget: -1, trials: 1}); err == nil {
-		t.Fatal("negative -budget accepted by runSweep")
-	}
-	if err := runSingle(io.Discard, sweepArgs{regionsCSV: "4", payload: -1, msgs: 1, gap: 1e6, horizon: 1e8, policy: "two-phase", c: 4, lambda: 1}); err == nil {
-		t.Fatal("negative -payload accepted by runSingle")
+	for _, line := range [][]string{
+		{"-budget", "-8192"}, {"-sweep", "-budget", "0,-1"}, {"-regions", "4", "-payload", "-1"},
+	} {
+		if _, err := tryParse(line...); err == nil {
+			t.Fatalf("rrmp-sim %s: negative byte size accepted", strings.Join(line, " "))
+		}
 	}
 }
 
 // TestProtocolSweepMiniature is the protocol-axis golden miniature: a
-// -sweep-protocols matrix crossing faults and a budget must be
+// -protocol rrmp,rmtp matrix crossing faults and a budget must be
 // byte-identical at -parallel 1 and 8, append every rmtp cell after every
 // rrmp cell, and keep the per-protocol key disciplines intact.
 func TestProtocolSweepMiniature(t *testing.T) {
@@ -460,20 +405,9 @@ func TestProtocolSweepMiniature(t *testing.T) {
 	report := func(parallel int) []byte {
 		t.Helper()
 		out := filepath.Join(dir, "protocol_sweep.json")
-		if err := runSweep(sweepArgs{
-			sweep:       true,
-			swRegions:   "8;6,6",
-			swPayloads:  "0,512",
-			swBudgets:   "0",
-			swProtocols: "rrmp,rmtp",
-			c:           6, lambda: 1, hold: 500 * time.Millisecond,
-			msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-			trials:   2,
-			parallel: parallel,
-			seed:     1,
-			outPath:  out,
-			quiet:    true,
-		}); err != nil {
+		if err := runSweep(parse(t, "-sweep", "-regions", "8;6,6",
+			"-payload", "0,512", "-budget", "0", "-protocol", "rrmp,rmtp",
+			"-trials", "2", "-parallel", fmt.Sprint(parallel), "-seed", "1", "-out", out)); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := os.ReadFile(out)
@@ -525,24 +459,14 @@ func TestProtocolSweepMiniature(t *testing.T) {
 // TestSingleRunRMTP drives the -protocol rmtp single-scenario mode end to
 // end, faults included.
 func TestSingleRunRMTP(t *testing.T) {
-	err := runSingle(io.Discard, sweepArgs{
-		protocol:     "rmtp",
-		regionsCSV:   "10,10",
-		msgs:         5,
-		gap:          20e6,
-		loss:         0.2,
-		crash:        1,
-		crashRecover: 500e6,
-		c:            6,
-		lambda:       1,
-		policy:       "two-phase", // ignored by the baseline
-		seed:         3,
-		horizon:      3e9,
-	})
+	err := runSingle(io.Discard, parse(t, "-protocol", "rmtp", "-regions", "10,10", "-msgs", "5",
+		"-loss", "0.2", "-crash", "1", "-crash-recover", "500ms",
+		"-policy", "two-phase", // ignored by the baseline
+		"-seed", "3", "-horizon", "3s"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runSingle(io.Discard, sweepArgs{protocol: "bogus", regionsCSV: "4", msgs: 1, gap: 1e6, horizon: 1e8, policy: "two-phase", c: 4, lambda: 1}); err == nil {
+	if _, err := tryParse("-protocol", "bogus", "-regions", "4"); err == nil {
 		t.Fatal("bogus -protocol accepted")
 	}
 }
@@ -555,9 +479,9 @@ func TestSingleRunRMTP(t *testing.T) {
 // runs gave four files).
 func TestTraceOutWritesFile(t *testing.T) {
 	dir := t.TempDir()
-	traceOf := func(name string, a sweepArgs) []byte {
+	traceOf := func(name string, line ...string) []byte {
 		t.Helper()
-		a.traceOut = filepath.Join(dir, name)
+		a := parse(t, append(line, "-trace-out", filepath.Join(dir, name))...)
 		if err := runSingle(io.Discard, a); err != nil {
 			t.Fatal(err)
 		}
@@ -570,33 +494,14 @@ func TestTraceOutWritesFile(t *testing.T) {
 		}
 		return blob
 	}
-	base := sweepArgs{
-		regionsCSV: "6",
-		msgs:       3,
-		gap:        10e6,
-		loss:       0.3,
-		c:          4,
-		lambda:     1,
-		policy:     "two-phase",
-		seed:       4,
-		horizon:    2e9,
-	}
-	traceOf("trace.log", base)
-
-	wl := base
-	wl.regionsCSV, wl.workload = "8,8", "mc"
-	traceOf("workload.log", wl)
+	base := []string{"-msgs", "3", "-gap", "10ms", "-loss", "0.3", "-c", "4", "-seed", "4", "-horizon", "2s"}
+	traceOf("trace.log", append(base, "-regions", "6")...)
+	traceOf("workload.log", append(base, "-regions", "8,8", "-workload", "mc")...)
 
 	// A hash-loss four-region cell genuinely shards when untraced.
-	wide := sweepArgs{
-		regionsCSV: "40,40,40,40", loss: 0.2, lossMode: "hash",
-		c: 6, lambda: 1, policy: "two-phase",
-		msgs: 10, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-		seed: 1, shards: 1,
-	}
-	serial := traceOf("shards1.log", wide)
-	wide.shards = 4
-	if sharded := traceOf("shards4.log", wide); !bytes.Equal(serial, sharded) {
+	wide := []string{"-regions", "40,40,40,40", "-loss", "0.2", "-loss-mode", "hash", "-msgs", "10"}
+	serial := traceOf("shards1.log", append(wide, "-shards", "1")...)
+	if sharded := traceOf("shards4.log", append(wide, "-shards", "4")...); !bytes.Equal(serial, sharded) {
 		t.Fatal("trace bytes differ between -shards 1 and -shards 4")
 	}
 }
@@ -608,22 +513,14 @@ func TestTraceOutWritesFile(t *testing.T) {
 // round-trips a float64). At the parent commit the rrmp single run seeded
 // its own loss stream and reported 1582 packets where the cell has 1551.
 func TestSingleRunMatchesKernelCell(t *testing.T) {
-	base := sweepArgs{
-		regionsCSV: "10,10", loss: 0.2,
-		c: 6, lambda: 1, policy: "two-phase", hold: 500 * time.Millisecond,
-		msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-		seed: 3,
-	}
-	rmtp := base
-	rmtp.protocol = "rmtp"
-	wl := base
-	wl.workload, wl.lossMode = "mc", "hash"
-	for name, a := range map[string]sweepArgs{"rrmp": base, "rmtp": rmtp, "workload": wl} {
-		sw, err := buildSweep(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells := sw.Expand()
+	base := []string{"-regions", "10,10", "-loss", "0.2", "-seed", "3"}
+	for name, line := range map[string][]string{
+		"rrmp":     base,
+		"rmtp":     append(base, "-protocol", "rmtp"),
+		"workload": append(base, "-workload", "mc", "-loss-mode", "hash"),
+	} {
+		a := parse(t, line...)
+		cells := a.sw.Expand()
 		if len(cells) != 1 {
 			t.Fatalf("%s: flags expand to %d cells, want 1", name, len(cells))
 		}
@@ -660,35 +557,41 @@ func TestSingleRunMatchesKernelCell(t *testing.T) {
 }
 
 // TestCheckFlags covers every flag-combination rejection (main exits 2 on
-// each) and the neighbouring combinations that must pass.
+// each) and the neighbouring combinations that must pass. The mode is
+// derived, so "single" below means what the flags describe — one cell ×
+// one trial — not the absence of -sweep.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		a    sweepArgs
+		line string
 		want string // substring of the error; "" = accepted
 	}{
-		{"plain single run", sweepArgs{trials: 1, protocol: "rrmp"}, ""},
-		{"traced single run", sweepArgs{trials: 1, doTrace: true, protocol: "rrmp"}, ""},
-		{"traced workload cell", sweepArgs{trials: 1, traceOut: "f", workload: "mc"}, ""},
-		{"trace with -sweep", sweepArgs{sweep: true, doTrace: true}, "-trace/-trace-out apply to single-trial mode only"},
-		{"trace-out with -trials", sweepArgs{trials: 2, traceOut: "f"}, "-trace/-trace-out apply to single-trial mode only"},
-		{"trace with -sweep-scale", sweepArgs{sweepScale: true, doTrace: true}, "-trace/-trace-out apply to single-trial mode only"},
-		{"trace with rmtp", sweepArgs{trials: 1, doTrace: true, protocol: "rmtp"}, "the rmtp baseline has no tracer hook"},
-		{"record with -trials", sweepArgs{trials: 4, workload: "mc", traceRecord: "f"}, "-trace-record/-trace-replay apply to single-trial mode only"},
-		{"replay with -sweep", sweepArgs{sweep: true, workload: "mc", traceReplay: "f"}, "-trace-record/-trace-replay apply to single-trial mode only"},
-		{"record without -workload", sweepArgs{trials: 1, traceRecord: "f"}, "require -workload"},
-		{"record and replay", sweepArgs{trials: 1, workload: "mc", traceRecord: "f", traceReplay: "g"}, "choose one of"},
-		{"record alone", sweepArgs{trials: 1, workload: "mc", traceRecord: "f"}, ""},
-		{"workload with -sweep-scale", sweepArgs{sweepScale: true, workload: "mc"}, "-workload does not apply to -sweep-scale"},
-		{"workload with -trials", sweepArgs{trials: 2, workload: "mc"}, ""},
-		{"fitness on a single run", sweepArgs{trials: 1, fitnessWeights: "default"}, "-fitness-weights scores sweep/multi-trial reports"},
-		{"fitness with -sweep-scale", sweepArgs{sweepScale: true, fitnessWeights: "default"}, "-fitness-weights scores sweep/multi-trial reports"},
-		{"fitness with -trials", sweepArgs{trials: 2, fitnessWeights: "default"}, ""},
-		{"-out on a single run", sweepArgs{trials: 1, outSet: true, outPath: "x.json"}, "-out only applies"},
-		{"-out '' on a single run", sweepArgs{trials: 1, outSet: true}, ""},
-		{"-out with -sweep", sweepArgs{sweep: true, outSet: true, outPath: "x.json"}, ""},
+		{"plain single run", "", ""},
+		{"traced single run", "-trace", ""},
+		{"traced workload cell", "-trace-out f -workload mc", ""},
+		{"traced one-cell -sweep", "-sweep -trace -regions 8 -loss 0.1 -churn 0 -crash 0 -partition-for 0 -policy fixed -payload 0 -budget 0 -protocol rrmp", ""},
+		{"trace with -sweep", "-sweep -trace", "-trace/-trace-out apply to one cell × one trial only"},
+		{"trace with a two-value axis", "-trace -loss 0.1,0.2", "-trace/-trace-out apply to one cell × one trial only"},
+		{"trace-out with -trials", "-trials 2 -trace-out f", "-trace/-trace-out apply to one cell × one trial only"},
+		{"trace with -sweep-scale", "-sweep-scale -trace", "-trace/-trace-out apply to one cell × one trial only"},
+		{"trace with rmtp", "-trace -protocol rmtp", "the rmtp baseline has no tracer hook"},
+		{"record with -trials", "-trials 4 -workload mc -trace-record f", "-trace-record/-trace-replay apply to one cell × one trial only"},
+		{"replay with -sweep", "-sweep -workload mc -trace-replay f", "-trace-record/-trace-replay apply to one cell × one trial only"},
+		{"record without -workload", "-trace-record f", "require -workload"},
+		{"record and replay", "-workload mc -trace-record f -trace-replay g", "choose one of"},
+		{"record alone", "-workload mc -trace-record f", ""},
+		{"workload with -trials", "-trials 2 -workload mc", ""},
+		{"fitness on a single run", "-fitness-weights default", "-fitness-weights scores multi-cell/multi-trial reports"},
+		{"fitness with -sweep-scale", "-sweep-scale -fitness-weights default", "-fitness-weights scores multi-cell/multi-trial reports"},
+		{"fitness with -trials", "-trials 2 -fitness-weights default", ""},
+		{"fitness with a two-value axis", "-policy two-phase;fixed -fitness-weights default", ""},
+		{"-out on a single run", "-out x.json", "-out only applies"},
+		{"-out '' on a single run", "-out=", ""},
+		{"-out with -sweep", "-sweep -out x.json", ""},
+		{"open-ended partition on the scale matrix", "-sweep-scale -partition-at 1s", "-partition-at without -partition-for"},
+		{"closed partition on the scale matrix", "-sweep-scale -partition-at 1s -partition-for 1s", ""},
 	} {
-		err := checkFlags(tc.a)
+		_, err := tryParse(strings.Fields(tc.line)...)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)
@@ -698,34 +601,29 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// TestParseWorkloadSpec covers the -workload flag parser: presets,
-// key=val specs (windows included), and the error paths.
+// TestParseWorkloadSpec covers the -workload flag: presets, a key=val
+// spec, a ';' list of both, and the rejection of anything else (the
+// grammar's own cases are internal/workload's TestParseSpec).
 func TestParseWorkloadSpec(t *testing.T) {
-	if spec, err := parseWorkloadSpec("mc"); err != nil || spec.Clients != 8 {
-		t.Fatalf("preset mc = %+v, %v", spec, err)
+	workloads := func(v string) []*repro.WorkloadSpec { return parse(t, "-workload", v, "-trials", "2").sw.Workloads }
+	if wl := workloads("mc"); len(wl) != 1 || wl[0].Clients != 8 {
+		t.Fatalf("preset mc = %+v", wl)
 	}
-	if spec, err := parseWorkloadSpec("vod"); err != nil || spec.LateJoinFrac != 0.25 {
-		t.Fatalf("preset vod = %+v, %v", spec, err)
+	if wl := workloads("vod"); len(wl) != 1 || wl[0].LateJoinFrac != 0.25 {
+		t.Fatalf("preset vod = %+v", wl)
 	}
-	spec, err := parseWorkloadSpec("clients=4,msgs=32,arrival=burst,gap=200ms,burst-len=4,burst-gap=5ms,window=0s-1s:4,window=2s-4s:0.5,size-model=lognormal,size-mean=512,zipf=1.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Clients != 4 || spec.Msgs != 32 || spec.BurstLen != 4 ||
-		spec.Gap != 200*time.Millisecond || len(spec.Windows) != 2 ||
-		spec.Windows[1].Factor != 0.5 || spec.SizeMean != 512 {
-		t.Fatalf("parsed spec = %+v", spec)
+	wl := workloads("bursty; clients=4,msgs=32,arrival=poisson,gap=50ms,zipf=1.1")
+	if len(wl) != 2 || wl[0].Arrival != "burst" || wl[1].Clients != 4 || wl[1].ZipfS != 1.1 {
+		t.Fatalf("preset;spec list = %+v", wl)
 	}
 	for _, bad := range []string{
 		"bogus-preset",                  // not key=val, not a preset
-		"clients=x",                     // bad int
 		"clients=4",                     // msgs missing -> Validate fails
-		"clients=4,msgs=8,arrival=warp", // unknown arrival
-		"clients=4,msgs=8,window=1s:4",  // malformed window
 		"clients=4,msgs=8,frobnicate=1", // unknown key
+		"mc;",                           // empty list element
 	} {
-		if _, err := parseWorkloadSpec(bad); err == nil {
-			t.Fatalf("spec %q accepted", bad)
+		if _, err := tryParse("-workload", bad); err == nil {
+			t.Fatalf("-workload %q accepted", bad)
 		}
 	}
 }
@@ -735,14 +633,9 @@ func TestParseWorkloadSpec(t *testing.T) {
 // that file print byte-identical metrics.
 func TestWorkloadRecordReplayByteIdentical(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "mc.trace")
-	base := sweepArgs{
-		regionsCSV: "10,10", loss: 0.1, lossMode: "hash",
-		c: 6, lambda: 1, policy: "two-phase", hold: 500 * time.Millisecond,
-		msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-		seed: 7, workload: "mc",
-	}
-	record, replay := base, base
-	record.traceRecord, replay.traceReplay = trace, trace
+	base := []string{"-regions", "10,10", "-loss", "0.1", "-loss-mode", "hash", "-seed", "7", "-workload", "mc"}
+	record := parse(t, append(base, "-trace-record", trace)...)
+	replay := parse(t, append(base, "-trace-replay", trace)...)
 	var recorded bytes.Buffer
 	if err := runSingle(&recorded, record); err != nil {
 		t.Fatal(err)
@@ -781,17 +674,11 @@ func TestWorkloadRecordReplayByteIdentical(t *testing.T) {
 // untouched.
 func TestSweepWorkloadFamilyAppends(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sweep.json")
-	if err := runSweep(sweepArgs{
-		sweep:     true,
-		swRegions: "6", // shrink the base matrix; the family keeps its real shape
-		c:         6, lambda: 1, hold: 500 * time.Millisecond,
-		msgs: 20, gap: 20 * time.Millisecond, horizon: 5 * time.Second,
-		trials:         1,
-		seed:           1,
-		outPath:        out,
-		quiet:          true,
-		workloadFamily: true,
-	}); err != nil {
+	// Shrink the base matrix, then force the uncustomized shape: the
+	// families keep their real cells.
+	a := parse(t, "-sweep", "-regions", "6", "-out", out)
+	a.customized = false
+	if err := runSweep(a); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(out)
@@ -857,16 +744,8 @@ func TestSweepWorkloadFamilyAppends(t *testing.T) {
 // flag pins the sweep's workload axis to that one spec.
 func TestSweepWorkloadAxisPinned(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "cell.json")
-	if err := runSweep(sweepArgs{
-		regionsCSV: "8,8", loss: 0.1, lossMode: "hash",
-		c: 6, lambda: 1, hold: 500 * time.Millisecond, policy: "two-phase",
-		msgs: 10, gap: 20 * time.Millisecond, horizon: 3 * time.Second,
-		trials:   2,
-		seed:     1,
-		workload: "bursty",
-		outPath:  out,
-		quiet:    true,
-	}); err != nil {
+	if err := runSweep(parse(t, "-regions", "8,8", "-loss", "0.1", "-loss-mode", "hash",
+		"-msgs", "10", "-horizon", "3s", "-trials", "2", "-workload", "bursty", "-out", out)); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(out)
@@ -889,16 +768,14 @@ func TestSweepWorkloadAxisPinned(t *testing.T) {
 	}
 }
 
-// TestParseDurations covers the sweep-partitions axis parser.
+// TestParseDurations covers the partition axis' list parsing (a bare 0
+// needs no unit).
 func TestParseDurations(t *testing.T) {
-	got, err := parseDurations("0, 1s,250ms")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parse(t, "-partition-for", "0, 1s,250ms").sw.Partitions
 	if len(got) != 3 || got[0] != 0 || got[1] != 1e9 || got[2] != 250e6 {
-		t.Fatalf("parseDurations = %v", got)
+		t.Fatalf("-partition-for list = %v", got)
 	}
-	if _, err := parseDurations("1s,bogus"); err == nil {
+	if _, err := tryParse("-partition-for", "1s,bogus"); err == nil {
 		t.Fatal("bogus duration accepted")
 	}
 }
@@ -939,12 +816,8 @@ func TestFitnessTableDisplayOnly(t *testing.T) {
 	runOnce := func(dir string, weights string) (string, *bytes.Buffer) {
 		t.Helper()
 		out := filepath.Join(dir, "sweep.json")
-		if err := runSweep(sweepArgs{
-			regionsCSV: "8", loss: 0.2, c: 6, lambda: 1, hold: 500 * time.Millisecond,
-			msgs: 5, gap: 20 * time.Millisecond, horizon: 2 * time.Second,
-			trials: 2, seed: 1, outPath: out, quiet: true,
-			policy: "two-phase",
-		}); err != nil {
+		if err := runSweep(parse(t, "-regions", "8", "-loss", "0.2", "-msgs", "5", "-horizon", "2s",
+			"-trials", "2", "-out", out)); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := os.ReadFile(out)
@@ -1010,39 +883,28 @@ func captureStderr(t *testing.T, fn func()) string {
 func TestShardsFallbackQuotesTheRule(t *testing.T) {
 	reason := netsim.ShardSafe(&netsim.BernoulliLoss{}).Error()
 
-	single := sweepArgs{
-		regionsCSV: "6,6", loss: 0.2,
-		c: 6, lambda: 1, policy: "two-phase", hold: 500 * time.Millisecond,
-		msgs: 5, gap: 20 * time.Millisecond, horizon: 2 * time.Second,
-		seed: 1, shards: 4,
-	}
-	run := func(a sweepArgs) string {
+	single := []string{"-regions", "6,6", "-loss", "0.2", "-msgs", "5", "-horizon", "2s", "-shards", "4"}
+	run := func(line ...string) string {
+		a := parse(t, line...)
 		return captureStderr(t, func() {
 			if err := runSingle(io.Discard, a); err != nil {
 				t.Error(err)
 			}
 		})
 	}
-	if got := run(single); !strings.Contains(got, reason) || !strings.Contains(got, "-shards 4") {
+	if got := run(single...); !strings.Contains(got, reason) || !strings.Contains(got, "-shards 4") {
 		t.Fatalf("legacy-loss -shards 4 warning %q does not state the rule %q", got, reason)
 	}
-	single.lossMode = "hash"
-	if got := run(single); got != "" {
+	if got := run(append(single, "-loss-mode", "hash")...); got != "" {
 		t.Fatalf("hash-loss -shards 4 run warned: %q", got)
 	}
 
 	note := func(lossMode string) string {
 		out := filepath.Join(t.TempDir(), "sweep.json")
-		if err := runSweep(sweepArgs{
-			sweep:     true,
-			swRegions: "6,6", swLosses: "0.2", swChurns: "0", swPolicies: "two-phase",
-			swPayloads: "0", swBudgets: "0", swProtocols: "rrmp",
-			lossMode: lossMode,
-			c:        6, lambda: 1, hold: 500 * time.Millisecond,
-			msgs: 5, gap: 20 * time.Millisecond, horizon: 2 * time.Second,
-			trials: 1, parallel: 1, shards: 4, seed: 1,
-			outPath: out, quiet: true,
-		}); err != nil {
+		if err := runSweep(parse(t, "-sweep", "-regions", "6,6", "-loss", "0.2", "-churn", "0",
+			"-policy", "two-phase", "-payload", "0", "-budget", "0", "-protocol", "rrmp",
+			"-loss-mode", lossMode, "-msgs", "5", "-horizon", "2s",
+			"-parallel", "1", "-shards", "4", "-out", out)); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := os.ReadFile(out)
@@ -1060,5 +922,156 @@ func TestShardsFallbackQuotesTheRule(t *testing.T) {
 	}
 	if got := note("hash"); got != "" {
 		t.Fatalf("hash-loss sweep carries an exec note: %q", got)
+	}
+}
+
+// TestOutOfDomainFlagsRejected pins ROADMAP aim 3 at the CLI: a value
+// outside its parameter's domain is a typed error before anything runs.
+// Every line below ran to completion at the parent commit and printed a
+// cell named e.g. "loss=NaN".
+func TestOutOfDomainFlagsRejected(t *testing.T) {
+	for line, want := range map[string]string{
+		"-loss NaN":             "loss NaN",
+		"-loss 1.5":             "loss 1.5",
+		"-loss -0.5":            "loss -0.5",
+		"-churn -3":             "churn rate -3",
+		"-loss 1.5 -churn -3":   "loss 1.5",
+		"-sweep -crash 0,-1":    "crash rate -1",
+		"-gap -20ms":            "gap -20ms",
+		"-msgs -5":              "msgs -5",
+		"-loss-mode hsah":       `loss mode "hsah"`,
+		"-payload-model zipf":   `"zipf"`,
+		"-protocol rrmp,":       "empty list element",
+		"-policy two-phase;;":   "empty list element",
+		"-partition-for 1s,-1s": "partition duration -1s",
+	} {
+		if _, err := tryParse(strings.Fields(line)...); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("rrmp-sim %s: error %v, want one naming %q", line, err, want)
+		}
+	}
+}
+
+// TestOnePinningRule pins the one rule every mode follows: a given axis
+// flag pins its axis. At the parent commit -sweep ignored seven scalar
+// axis flags (the first line ran loss 0.05/0.20, churn 0/1,
+// two-phase/fixed on the standing regions), and the policy list split on
+// the spec grammar's own comma ("unknown policy \"tmax=100ms\"").
+func TestOnePinningRule(t *testing.T) {
+	cells := parse(t, "-sweep", "-loss", "0.33", "-churn", "5", "-policy", "all", "-regions", "7").sw.Expand()
+	if len(cells) == 0 {
+		t.Fatal("no cells")
+	}
+	for _, sc := range cells {
+		if sc.Loss != 0.33 || sc.Churn != 5 || len(sc.Regions) != 1 || sc.Regions[0] != 7 ||
+			(sc.Protocol == "" && sc.Policy != "all") {
+			t.Fatalf("cell %q escaped a pinned axis", sc.Name())
+		}
+	}
+
+	a := parse(t, "-policy", "two-phase;adaptive:tmin=20ms,tmax=100ms", "-regions", "6", "-msgs", "3", "-horizon", "1s")
+	if a.single {
+		t.Fatal("a two-policy axis derived the single-cell mode")
+	}
+	cells = a.sw.Expand()
+	if len(cells) != 2 || !strings.HasSuffix(cells[0].Name(), " policy=two-phase") ||
+		!strings.HasSuffix(cells[1].Name(), " policy=adaptive:tmin=20ms,tmax=100ms") {
+		t.Fatalf("policy list expanded to %d cells: %v", len(cells), cells)
+	}
+	if err := runSweep(a); err != nil {
+		t.Fatal(err)
+	}
+	// An alias canonicalizes in the cell name, as in every other door.
+	if sc := parse(t, "-policy", "fixed-hold:hold=200ms").sw.Expand()[0]; !strings.HasSuffix(sc.Name(), " policy=fixed:hold=200ms") {
+		t.Fatalf("alias spec names the cell %q", sc.Name())
+	}
+}
+
+// TestFlagCensus pins the folded surface: no -sweep-* twin survives (and
+// so no alias for one), and every scenario parameter is one table row.
+func TestFlagCensus(t *testing.T) {
+	fs := flag.NewFlagSet("rrmp-sim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if _, err := parseArgs(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		n++
+		if strings.HasPrefix(f.Name, "sweep-") && f.Name != "sweep-scale" {
+			t.Errorf("twin flag -%s survives", f.Name)
+		}
+	})
+	if n > 38 {
+		t.Errorf("%d flags, want at most 38", n)
+	}
+}
+
+// documentedCommand matches an rrmp-sim invocation with flags in prose,
+// a shell block or a Go comment; continuation lines are joined first.
+var documentedCommand = regexp.MustCompile(`rrmp-sim (-[^\n]*)`)
+
+// shellFields splits a documented command the way a shell would, for the
+// subset the docs use: quotes group, and an unquoted comment, redirection,
+// pipe or closing backtick ends the command.
+func shellFields(s string) []string {
+	var fields []string
+	var cur strings.Builder
+	var quote rune
+	inField := false
+	flush := func() {
+		if inField {
+			fields = append(fields, cur.String())
+			cur.Reset()
+			inField = false
+		}
+	}
+	for _, r := range s {
+		switch {
+		case quote != 0:
+			if r == quote {
+				quote = 0
+			} else {
+				cur.WriteRune(r)
+			}
+		case r == '\'' || r == '"':
+			quote, inField = r, true
+		case r == ' ' || r == '\t':
+			flush()
+		case strings.ContainsRune("#><|&`()", r):
+			flush()
+			return fields
+		default:
+			cur.WriteRune(r)
+			inField = true
+		}
+	}
+	flush()
+	return fields
+}
+
+// TestDocumentedCommandLinesParse keeps the docs from rotting: every
+// rrmp-sim command line in the README, this command's header comment and
+// the verify skill must parse through the flag table, build its
+// declaration and validate — nothing is run.
+func TestDocumentedCommandLinesParse(t *testing.T) {
+	for file, atLeast := range map[string]int{
+		"../../README.md":                      30,
+		"main.go":                              20,
+		"../../.claude/skills/verify/SKILL.md": 8,
+	} {
+		blob, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.NewReplacer("\\\n//\t", " ", "\\\n", " ").Replace(string(blob))
+		lines := documentedCommand.FindAllStringSubmatch(text, -1)
+		if len(lines) < atLeast {
+			t.Errorf("%s: found %d rrmp-sim command lines, want at least %d (did the extraction rot?)", file, len(lines), atLeast)
+		}
+		for _, m := range lines {
+			if _, err := tryParse(shellFields(m[1])...); err != nil {
+				t.Errorf("%s: rrmp-sim %s\n\t%v", file, m[1], err)
+			}
+		}
 	}
 }

@@ -295,6 +295,54 @@ func TestRunSweepValidatesPolicies(t *testing.T) {
 	}
 }
 
+// TestSweepValidateDomains is the out-of-domain table: every value below
+// ran to completion (as a cell named e.g. "loss=NaN") before Validate
+// checked domains; each must now fail with an error naming the field and
+// the value, and every standing matrix must keep validating.
+func TestSweepValidateDomains(t *testing.T) {
+	for _, tc := range []struct {
+		sw   Sweep
+		want string // substring: the field and the offending value
+	}{
+		{Sweep{Losses: []float64{0.1, math.NaN()}}, "loss NaN"},
+		{Sweep{Losses: []float64{-0.5}}, "loss -0.5"},
+		{Sweep{Losses: []float64{1.5}}, "loss 1.5"},
+		{Sweep{Churns: []float64{0, -3}}, "churn rate -3"},
+		{Sweep{Churns: []float64{math.NaN()}}, "churn rate NaN"},
+		{Sweep{Crashes: []float64{-1}}, "crash rate -1"},
+		{Sweep{C: -6}, "c -6"},
+		{Sweep{Lambda: math.NaN()}, "lambda NaN"},
+		{Sweep{Gap: -time.Millisecond}, "gap -1ms"},
+		{Sweep{Horizon: -time.Second}, "horizon -1s"},
+		{Sweep{FixedHold: -time.Second}, "fixed hold -1s"},
+		{Sweep{RepairBackoff: -time.Second}, "repair backoff -1s"},
+		{Sweep{CrashRecover: -time.Second}, "crash-recover downtime -1s"},
+		{Sweep{PartitionAt: -time.Second}, "partition instant -1s"},
+		{Sweep{Partitions: []time.Duration{0, -time.Second}}, "partition duration -1s"},
+		{Sweep{Msgs: -1}, "msgs -1"},
+		{Sweep{PayloadSizes: []int{0, -512}}, "payload size -512"},
+		{Sweep{Budgets: []int{-8192}}, "byte budget -8192"},
+		{Sweep{Protocols: []string{"rrmp", "srm"}}, `protocol "srm"`},
+		{Sweep{Protocols: []string{"rmtp", " "}}, `protocol " "`},
+		{Sweep{LossMode: "hsah"}, `loss mode "hsah"`},
+		{Sweep{PayloadModel: "pareto"}, `"pareto"`},
+	} {
+		err := tc.sw.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v) = %v, want an error containing %q", tc.sw, err, tc.want)
+		}
+	}
+	for name, sw := range map[string]Sweep{
+		"zero": {}, "default": DefaultSweep(), "workload": WorkloadSweep(), "adaptive": AdaptiveSweep(),
+		"scale": ScaleSweep(), "scaleXL": ScaleSweepXL(), "scale1M": ScaleSweep1M(),
+		"boundaries": {Losses: []float64{0, 1}, PayloadModel: "lognormal", LossMode: "hash", Protocols: []string{"", "rrmp", "rmtp"}},
+	} {
+		if err := sw.Validate(); err != nil {
+			t.Errorf("%s sweep rejected: %v", name, err)
+		}
+	}
+}
+
 func TestSweepExpansionFaultAxes(t *testing.T) {
 	sw := Sweep{
 		Regions:      [][]int{{10}},

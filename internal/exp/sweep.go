@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -188,7 +189,9 @@ func (s Scenario) Name() string {
 }
 
 // Sweep declares a scenario matrix. Expand takes the cartesian product of
-// the four swept dimensions; the scalar fields apply to every cell. Empty
+// the ten swept dimensions (the slice fields: Workloads, Protocols,
+// PayloadSizes, Budgets, Regions+Trees, Losses, Churns, Crashes,
+// Partitions, Policies); the scalar fields apply to every cell. Empty
 // dimensions default to a single baseline value, so a zero Sweep expands to
 // one lossless, churn-free, two-phase cell.
 type Sweep struct {
@@ -418,6 +421,21 @@ func VoDPrefixPush() *workload.Spec {
 	}
 }
 
+// WorkloadPreset returns the standing workload shape a preset name selects
+// (mc, bursty or vod — the names the -workload flag accepts in place of a
+// key=val spec), or nil for any other name.
+func WorkloadPreset(name string) *workload.Spec {
+	switch name {
+	case "mc":
+		return MultiClientWorkload()
+	case "bursty":
+		return BurstyWorkload()
+	case "vod":
+		return VoDPrefixPush()
+	}
+	return nil
+}
+
 // WorkloadSweep returns the standing multi-client workload matrix appended
 // after DefaultSweep in BENCH_sweep.json: the three workload shapes
 // (multi-client Zipf, diurnal bursts, VoD prefix-push) over a two-region
@@ -618,32 +636,66 @@ func (sw Sweep) Expand() []Scenario {
 	return out
 }
 
-// Validate checks the sweep's policy axis against the registry before any
-// cell runs, so a typo fails at expansion time with the known-policy menu
-// (policy.UnknownKindError via errors.As) instead of deep inside the
-// runner on some mid-sweep trial. Sweeps whose protocols are all "rmtp"
-// skip the check: their policy axis collapses to the "server" placeholder.
+// Validate checks the declaration before any cell runs, so an out-of-domain
+// value fails at expansion time with an error naming the field and value
+// instead of running to completion as a cell named "loss=NaN": loss
+// probabilities inside [0, 1]; rates, durations, counts and byte sizes
+// non-negative; protocol, loss-mode and payload-model tokens known; and the
+// policy axis parseable by the registry (a typo fails with the known-policy
+// menu, policy.UnknownKindError via errors.As). Sweeps whose protocols are
+// all "rmtp" skip the policy check: their policy axis collapses to the
+// "server" placeholder.
 func (sw Sweep) Validate() error {
-	protocols := sw.Protocols
-	if len(protocols) == 0 {
-		protocols = []string{""}
+	for _, l := range sw.Losses {
+		if !(l >= 0 && l <= 1) { // false for NaN too
+			return fmt.Errorf("exp: sweep loss %g outside [0, 1]", l)
+		}
 	}
-	rrmpFamily := false
-	for _, p := range protocols {
-		if p == "" || p == "rrmp" {
+	if err := cmp.Or(
+		nonNegative("churn rate", sw.Churns...), nonNegative("crash rate", sw.Crashes...),
+		nonNegative("c", sw.C), nonNegative("lambda", sw.Lambda),
+		nonNegative("gap", sw.Gap), nonNegative("horizon", sw.Horizon),
+		nonNegative("fixed hold", sw.FixedHold), nonNegative("repair backoff", sw.RepairBackoff),
+		nonNegative("crash-recover downtime", sw.CrashRecover),
+		nonNegative("partition instant", sw.PartitionAt), nonNegative("partition duration", sw.Partitions...),
+		nonNegative("msgs", sw.Msgs),
+		nonNegative("payload size", sw.PayloadSizes...), nonNegative("byte budget", sw.Budgets...),
+	); err != nil {
+		return err
+	}
+	if sw.LossMode != "" && sw.LossMode != "hash" {
+		return fmt.Errorf("exp: sweep loss mode %q unknown (want \"\" or \"hash\")", sw.LossMode)
+	}
+	if _, err := workload.NewSizeModel(sw.PayloadModel, 0); err != nil {
+		return fmt.Errorf("exp: sweep payload model: %w", err)
+	}
+	rrmpFamily := len(sw.Protocols) == 0
+	for _, p := range sw.Protocols {
+		switch p {
+		case "", "rrmp":
 			rrmpFamily = true
+		case "rmtp":
+		default:
+			return fmt.Errorf("exp: sweep protocol %q unknown (want rrmp or rmtp)", p)
 		}
 	}
 	if !rrmpFamily {
 		return nil
 	}
-	policies := sw.Policies
-	if len(policies) == 0 {
-		policies = []string{policyspec.KindTwoPhase}
-	}
-	for _, p := range policies {
+	for _, p := range sw.Policies {
 		if _, err := policyspec.Parse(p); err != nil {
 			return fmt.Errorf("exp: sweep policy %q: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// nonNegative returns an error naming the field and the first value that is
+// negative (or NaN).
+func nonNegative[T int | float64 | time.Duration](field string, vals ...T) error {
+	for _, v := range vals {
+		if !(v >= 0) {
+			return fmt.Errorf("exp: sweep %s %v is negative or not a number", field, v)
 		}
 	}
 	return nil

@@ -251,9 +251,6 @@ func (n *Node) Metrics() *Metrics { return &n.metrics }
 // Buffer returns the repair server's buffer (nil for plain receivers).
 func (n *Node) Buffer() *core.Buffer { return n.buffer }
 
-// IsServer reports whether this node is its region's repair server.
-func (n *Node) IsServer() bool { return n.isServer }
-
 // HasReceived reports whether seq has been delivered to this node.
 func (n *Node) HasReceived(seq uint64) bool { return n.received[seq] }
 

@@ -113,11 +113,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	// 53 high bits give a uniform dyadic rational in [0,1).

@@ -452,12 +452,6 @@ func (m *Member) SetDeliverHook(fn func(id wire.MessageID, at time.Duration)) {
 	m.cfg.Hooks.OnDeliver = fn
 }
 
-// SetSearchResolvedHook (re)binds the search-resolution callback after
-// construction; see SetDeliverHook.
-func (m *Member) SetSearchResolvedHook(fn func(id wire.MessageID, origin topology.NodeID)) {
-	m.cfg.Hooks.OnSearchResolved = fn
-}
-
 // source returns (creating if needed) the reception state for src, with the
 // loss-detection baseline at Params.StartSeq.
 func (m *Member) source(src topology.NodeID) *sourceState {

@@ -233,19 +233,3 @@ func TestTreeClusterRequiresTopo(t *testing.T) {
 		t.Fatal("NewTreeCluster without topology succeeded")
 	}
 }
-
-func TestRunBoth(t *testing.T) {
-	topo, err := topology.SingleRegion(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, tree, err := RunBoth(topo, 5, 10*time.Millisecond, 8, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := c.Sender.Member().ID()
-	_ = id
-	if c.Sender.Seq() != 5 || tree.Sender.Seq() != 5 {
-		t.Fatal("workloads differ between protocols")
-	}
-}

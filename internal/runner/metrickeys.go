@@ -152,12 +152,3 @@ var metricKeyRegistry = []MetricKeyInfo{
 	{Key: MKPeakPerMember, Protocol: "rrmp", Axis: "ablation"},
 	{Key: MKRecoveryMs, Protocol: "rrmp", Axis: "ablation"},
 }
-
-// MetricKeys returns the registry in declaration order (protocol gates
-// first grouped by axis). Reporting and validation tools use it to
-// enumerate every key the repository can emit.
-func MetricKeys() []MetricKeyInfo {
-	out := make([]MetricKeyInfo, len(metricKeyRegistry))
-	copy(out, metricKeyRegistry)
-	return out
-}

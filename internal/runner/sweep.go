@@ -338,7 +338,7 @@ func RunScenarioWith(sc exp.Scenario, seed uint64, timeline workload.Timeline, t
 // keys gated `both`, for whichever protocol the driver speaks. A nil
 // timeline means "materialize from the scenario" (TimelineFor).
 func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline, tracer trace.Tracer) (map[string]float64, error) {
-	topo, err := scenarioTopology(sc)
+	topo, err := ScenarioTopology(sc)
 	if err != nil {
 		return nil, fmt.Errorf("runner: scenario topology: %w", err)
 	}

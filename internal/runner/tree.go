@@ -2,7 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/rmtp"
@@ -141,34 +140,4 @@ func (c *TreeCluster) CountReceived(seq uint64) int {
 		}
 	}
 	return count
-}
-
-// RunBoth runs the same publish workload under RRMP and the tree baseline
-// and returns both clusters quiesced at the horizon; comparison benches and
-// examples build on it.
-func RunBoth(topo *topology.Topology, msgs int, gap time.Duration, seed uint64, horizon time.Duration) (*Cluster, *TreeCluster, error) {
-	// One backing buffer serves every publish, as in the sweep runner: the
-	// engine never mutates payloads, so both protocols alias it safely.
-	payload := make([]byte, 64)
-	c, err := NewCluster(ClusterConfig{Topo: topo, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < msgs; i++ {
-		c.Engine.At(time.Duration(i)*gap, func() { c.Sender.Publish(payload) })
-	}
-	c.Engine.RunUntil(horizon)
-
-	t, err := NewTreeCluster(TreeClusterConfig{Topo: topo, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, n := range t.Nodes {
-		n.StartAcks()
-	}
-	for i := 0; i < msgs; i++ {
-		t.Engine.At(time.Duration(i)*gap, func() { t.Sender.Publish(payload) })
-	}
-	t.Engine.RunUntil(horizon)
-	return c, t, nil
 }

@@ -76,7 +76,7 @@ func TestFaultsShieldPublishers(t *testing.T) {
 		Workload: &workload.Spec{Clients: 6, Msgs: 24,
 			Arrival: workload.ArrivalPoisson, Gap: 50 * time.Millisecond},
 	}
-	topo, err := scenarioTopology(sc)
+	topo, err := ScenarioTopology(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -118,6 +119,71 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("workload: negative late-join spread %v", s.LateJoinSpread)
 	}
 	return nil
+}
+
+// ParseSpec parses the comma-separated key=val text form of a Spec (the
+// -workload grammar) and validates the result as a whole. Keys: clients,
+// msgs, arrival, gap, zipf, burst-len, burst-gap, window (from-to:factor,
+// repeatable), size-model, size-mean, late-frac, late-at, late-spread.
+func ParseSpec(s string) (*Spec, error) {
+	spec := &Spec{}
+	for _, field := range strings.Split(s, ",") {
+		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
+		if !ok {
+			return nil, fmt.Errorf("workload: %q is not key=val", field)
+		}
+		var err error
+		switch k {
+		//lint:allow metrickey -- workload spec field name, coincides with the metric key
+		case "clients":
+			spec.Clients, err = strconv.Atoi(v)
+		case "msgs":
+			spec.Msgs, err = strconv.Atoi(v)
+		case "arrival":
+			spec.Arrival = v
+		case "gap":
+			spec.Gap, err = time.ParseDuration(v)
+		case "zipf":
+			spec.ZipfS, err = strconv.ParseFloat(v, 64)
+		case "burst-len":
+			spec.BurstLen, err = strconv.Atoi(v)
+		case "burst-gap":
+			spec.BurstGap, err = time.ParseDuration(v)
+		case "window":
+			// from-to:factor, e.g. 0s-1s:4 (repeatable).
+			var win Window
+			span, factor, ok := strings.Cut(v, ":")
+			from, to, ok2 := strings.Cut(span, "-")
+			if !ok || !ok2 {
+				return nil, fmt.Errorf("workload: window %q: want from-to:factor", v)
+			}
+			if win.From, err = time.ParseDuration(from); err == nil {
+				if win.To, err = time.ParseDuration(to); err == nil {
+					win.Factor, err = strconv.ParseFloat(factor, 64)
+				}
+			}
+			spec.Windows = append(spec.Windows, win)
+		case "size-model":
+			spec.SizeModel = v
+		case "size-mean":
+			spec.SizeMean, err = strconv.Atoi(v)
+		case "late-frac":
+			spec.LateJoinFrac, err = strconv.ParseFloat(v, 64)
+		case "late-at":
+			spec.LateJoinAt, err = time.ParseDuration(v)
+		case "late-spread":
+			spec.LateJoinSpread, err = time.ParseDuration(v)
+		default:
+			return nil, fmt.Errorf("workload: unknown key %q", k)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("workload: %s=%q: %v", k, v, err)
+		}
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return spec, nil
 }
 
 // BytesEngaged reports whether the spec draws payload sizes (and so the

@@ -201,3 +201,62 @@ func TestSpecToken(t *testing.T) {
 		t.Fatalf("token %q", got)
 	}
 }
+
+// The README's -workload spec, and the bursty and vod presets spelled out in
+// the same grammar: between them they use every key.
+var readmeSpecs = []string{
+	"clients=4,msgs=32,arrival=poisson,gap=50ms,zipf=1.1,size-model=lognormal,size-mean=512",
+	"clients=4,msgs=48,arrival=burst,gap=200ms,burst-len=4,burst-gap=5ms,window=0s-1s:4,window=2s-4s:0.5",
+	"clients=1,msgs=60,arrival=constant,gap=20ms,size-model=fixed,size-mean=1024,late-frac=0.25,late-at=1500ms,late-spread=1s",
+}
+
+// TestParseSpec covers the key=val grammar (windows included) and its
+// error paths.
+func TestParseSpec(t *testing.T) {
+	for _, s := range readmeSpecs {
+		if _, err := ParseSpec(s); err != nil {
+			t.Fatalf("spec %q rejected: %v", s, err)
+		}
+	}
+	spec, err := ParseSpec(readmeSpecs[1] + ",size-model=lognormal,size-mean=512,zipf=1.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Clients != 4 || spec.Msgs != 48 || spec.BurstLen != 4 ||
+		spec.Gap != 200*time.Millisecond || len(spec.Windows) != 2 ||
+		spec.Windows[1].Factor != 0.5 || spec.SizeMean != 512 || spec.ZipfS != 1.1 {
+		t.Fatalf("parsed spec = %+v", spec)
+	}
+	for _, bad := range []string{
+		"mc",                            // not key=val (presets are exp's)
+		"clients=x",                     // bad int
+		"clients=4",                     // msgs missing -> Validate fails
+		"clients=4,msgs=8,arrival=warp", // unknown arrival
+		"clients=4,msgs=8,window=1s:4",  // malformed window
+		"clients=4,msgs=8,frobnicate=1", // unknown key
+	} {
+		if _, err := ParseSpec(bad); err == nil {
+			t.Fatalf("spec %q accepted", bad)
+		}
+	}
+}
+
+// FuzzParseSpec pins the parser's two safety properties: arbitrary text
+// never panics, and an accepted spec is one Validate accepts — nothing
+// reaches the kernel that the type's own check would refuse.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range readmeSpecs {
+		f.Add(s)
+	}
+	f.Add("")
+	f.Add("clients=1,msgs=1,arrival=constant,gap=1ns,window=-1s-1s:0")
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("ParseSpec accepted %q, which Validate rejects: %v", s, err)
+		}
+	})
+}

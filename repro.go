@@ -50,55 +50,52 @@ const (
 	PolicyHashElect
 )
 
-// config collects the functional options.
-type config struct {
-	regionSizes []int
-	star        bool
-	tree        *topology.Topology
-	treeErr     error
-	seed        uint64
-	params      Params
-	lossP       float64
-	burstLoss   bool
-	lossMode    string // exp.Scenario.LossMode: "" shared-stream, "hash" per-sender
-	blackouts   []int
-	policy      PolicyKind
-	policySpec  string
-	fixedHold   time.Duration
-	tracer      trace.Tracer
-	shards      int
+// policyKindSpecs maps each PolicyKind to its registry spec.
+var policyKindSpecs = map[PolicyKind]string{
+	PolicyTwoPhase:  policyspec.KindTwoPhase,
+	PolicyFixedHold: policyspec.KindFixed,
+	PolicyBufferAll: policyspec.KindAll,
+	PolicyHashElect: policyspec.KindHash,
 }
 
-// Option configures NewGroup.
+// config collects the functional options. Everything a sweep cell also
+// declares — topology, DATA loss, policy, fixed hold, byte budget, shards —
+// is written into sc, the same exp.Scenario the kernel reads, so a Group
+// and a RunScenario cell build those parts through the same constructors.
+type config struct {
+	sc        exp.Scenario
+	seed      uint64
+	params    Params
+	blackouts []int
+	tracer    trace.Tracer
+}
+
+// Option configures NewGroup. Options apply in order: where two write the
+// same thing, the later one wins.
 type Option func(*config)
 
 // WithRegions arranges members into a chain hierarchy: the first region
 // (the sender's) is the parent of the second, and so on. One size builds
 // the paper's single-region evaluation setup.
 func WithRegions(sizes ...int) Option {
-	return func(c *config) { c.regionSizes = sizes; c.star = false }
+	return func(c *config) { c.sc.Regions, c.sc.Star = sizes, false }
 }
 
 // WithStar arranges the regions as a two-level star: every region after
 // the first attaches directly to the sender's region (the paper's
 // Figure 1 shape).
 func WithStar(sizes ...int) Option {
-	return func(c *config) { c.regionSizes = sizes; c.star = true }
+	return func(c *config) { c.sc.Regions, c.sc.Star = sizes, true }
 }
 
 // WithTree arranges members into a balanced multi-level hierarchy: levels
 // levels of regions, each inner region with branch children, and members
 // total group members spread evenly (the scale experiments' deep-tree
-// layout). An invalid shape surfaces as a NewGroup error.
+// layout). It takes precedence over WithRegions and WithStar; an invalid
+// shape surfaces as a NewGroup error.
 func WithTree(branch, levels, members int) Option {
 	return func(c *config) {
-		t, err := topology.BalancedTree(branch, levels, members)
-		if err != nil {
-			c.tree = nil
-			c.treeErr = err
-			return
-		}
-		c.tree, c.treeErr = t, nil
+		c.sc.Tree = &exp.TreeShape{Branch: branch, Levels: levels, Members: members}
 	}
 }
 
@@ -115,13 +112,13 @@ func WithParams(p Params) Option {
 // WithDataLoss drops each initial-multicast DATA packet independently with
 // probability p, leaving recovery traffic lossless as in §4.
 func WithDataLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.burstLoss = false }
+	return func(c *config) { c.sc.Loss, c.sc.Burst, c.sc.LossMode = p, false, "" }
 }
 
 // WithBurstDataLoss uses a Gilbert–Elliott burst-loss channel for DATA at
 // roughly the given long-run loss rate.
 func WithBurstDataLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.burstLoss = true }
+	return func(c *config) { c.sc.Loss, c.sc.Burst, c.sc.LossMode = p, true, "" }
 }
 
 // WithHashDataLoss drops DATA with probability p like WithDataLoss, but
@@ -133,7 +130,7 @@ func WithBurstDataLoss(p float64) Option {
 // stream — so switching models changes results, switching shard counts
 // never does.
 func WithHashDataLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.lossMode = "hash"; c.burstLoss = false }
+	return func(c *config) { c.sc.Loss, c.sc.Burst, c.sc.LossMode = p, false, "hash" }
 }
 
 // WithHashBurstLoss is the shard-safe form of WithBurstDataLoss: a
@@ -144,7 +141,7 @@ func WithHashDataLoss(p float64) Option {
 // stream than the legacy model at equal p, and groups built WithShards
 // keep running genuinely parallel.
 func WithHashBurstLoss(p float64) Option {
-	return func(c *config) { c.lossP = p; c.lossMode = "hash"; c.burstLoss = true }
+	return func(c *config) { c.sc.Loss, c.sc.Burst, c.sc.LossMode = p, true, "hash" }
 }
 
 // WithRegionBlackout drops the initial multicast entirely for every member
@@ -154,26 +151,33 @@ func WithRegionBlackout(region int) Option {
 	return func(c *config) { c.blackouts = append(c.blackouts, region) }
 }
 
-// WithPolicy selects the buffering policy (default PolicyTwoPhase).
-// PolicyFixedHold uses hold as the retention time; PolicyHashElect uses
-// int(hold) ignored and c bufferers = Params.C.
+// WithPolicy selects the buffering policy by kind (default
+// PolicyTwoPhase). PolicyFixedHold retains for the WithFixedHold time;
+// PolicyHashElect elects Params.C bufferers per message. A value that is
+// not one of the four kinds surfaces as a NewGroup error.
 func WithPolicy(kind PolicyKind) Option {
-	return func(c *config) { c.policy = kind }
+	return func(c *config) {
+		spec, ok := policyKindSpecs[kind]
+		if !ok {
+			spec = fmt.Sprintf("PolicyKind(%d)", int(kind))
+		}
+		c.sc.Policy = spec
+	}
 }
 
 // WithPolicySpec selects the buffering policy by registry spec string,
 // e.g. "two-phase", "fixed:hold=200ms" or
 // "adaptive:tmin=20ms,tmax=200ms,target=2" — the same grammar rrmp-sim's
 // -policy flag and sweep policy axes accept (see rrmp-sim -list-policies
-// for the roster). A non-empty spec takes precedence over WithPolicy; an
-// unknown or malformed spec surfaces as a NewGroup error.
+// for the roster). An unknown or malformed spec surfaces as a NewGroup
+// error.
 func WithPolicySpec(spec string) Option {
-	return func(c *config) { c.policySpec = spec }
+	return func(c *config) { c.sc.Policy = spec }
 }
 
 // WithFixedHold sets the retention for PolicyFixedHold (default 500 ms).
 func WithFixedHold(d time.Duration) Option {
-	return func(c *config) { c.fixedHold = d }
+	return func(c *config) { c.sc.FixedHold = d }
 }
 
 // WithTracer streams protocol events to the tracer (e.g. &trace.Writer{W:
@@ -186,9 +190,10 @@ func WithTracer(t trace.Tracer) Option {
 // (Params.ByteBudget): stores past the cap displace older entries —
 // short-term longest-idle first, then oldest long-term copies — and a
 // displaced message recovers like any other miss, or is counted
-// unrecoverable, never silently lost. Zero keeps buffers unlimited.
+// unrecoverable, never silently lost. A non-zero n overrides the
+// ByteBudget of WithParams; zero leaves it (unlimited by default).
 func WithByteBudget(n int) Option {
-	return func(c *config) { c.params.ByteBudget = n }
+	return func(c *config) { c.sc.ByteBudget = n }
 }
 
 // WithCopyOnStore makes every member's buffer snapshot payload bytes at
@@ -205,7 +210,7 @@ func WithCopyOnStore() Option {
 // one loop reproduces (netsim.ShardSafe is the rule). The hash-stream
 // models (WithHashDataLoss, WithHashBurstLoss) stay parallel.
 func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
+	return func(c *config) { c.sc.Shards = n }
 }
 
 // WithFailureDetector attaches the region-scoped gossip failure detector
@@ -245,44 +250,31 @@ type Group struct {
 // single 100-member region with the paper's defaults.
 func NewGroup(opts ...Option) (*Group, error) {
 	cfg := config{
-		regionSizes: []int{100},
-		seed:        1,
-		params:      rrmp.DefaultParams(),
-		policy:      PolicyTwoPhase,
-		fixedHold:   500 * time.Millisecond,
+		sc: exp.Scenario{
+			Regions:   []int{100},
+			Policy:    policyspec.KindTwoPhase,
+			FixedHold: 500 * time.Millisecond,
+		},
+		seed:   1,
+		params: rrmp.DefaultParams(),
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var (
-		topo *topology.Topology
-		err  error
-	)
-	switch {
-	case cfg.treeErr != nil:
-		err = cfg.treeErr
-	case cfg.tree != nil:
-		topo = cfg.tree
-	case cfg.star:
-		topo, err = topology.Star(cfg.regionSizes...)
-	default:
-		topo, err = topology.Chain(cfg.regionSizes...)
-	}
+	// Topology, DATA loss and policy come from the constructors a sweep
+	// cell of the same declaration and seed gets, so a Group and a
+	// RunScenario cell are the same shape and drop the same packets.
+	topo, err := runner.ScenarioTopology(cfg.sc)
 	if err != nil {
 		return nil, fmt.Errorf("repro: building topology: %w", err)
 	}
-
-	// The DATA loss model is the one a sweep cell of the same loss, mode
-	// and seed gets, so a Group and a RunScenario cell drop the same
-	// packets.
-	loss, err := runner.ScenarioLoss(exp.Scenario{Loss: cfg.lossP, Burst: cfg.burstLoss, LossMode: cfg.lossMode},
-		cfg.seed, topo.NumNodes())
+	loss, err := runner.ScenarioLoss(cfg.sc, cfg.seed, topo.NumNodes())
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
 	// NewCluster keeps a cluster with shared-stream loss on one event loop
 	// by itself; the blackout wrapper below would hide the model from it.
-	shards := cfg.shards
+	shards := cfg.sc.Shards
 	if netsim.ShardSafe(loss) != nil {
 		shards = 1
 	}
@@ -298,34 +290,20 @@ func NewGroup(opts ...Option) (*Group, error) {
 		}
 		loss = &blackoutLoss{victims: victims, inner: loss}
 	}
-
-	specStr := cfg.policySpec
-	if specStr == "" {
-		switch cfg.policy {
-		case PolicyTwoPhase:
-			specStr = policyspec.KindTwoPhase
-		case PolicyFixedHold:
-			specStr = policyspec.KindFixed
-		case PolicyBufferAll:
-			specStr = policyspec.KindAll
-		case PolicyHashElect:
-			specStr = policyspec.KindHash
-		default:
-			return nil, fmt.Errorf("repro: unknown policy kind %d", cfg.policy)
-		}
-	}
-	spec, err := policyspec.Parse(specStr)
+	spec, err := policyspec.Parse(cfg.sc.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	policy := runner.PolicyFactory(spec, cfg.fixedHold)
+	if cfg.sc.ByteBudget != 0 {
+		cfg.params.ByteBudget = cfg.sc.ByteBudget
+	}
 
 	cluster, err := runner.NewCluster(runner.ClusterConfig{
 		Topo:   topo,
 		Params: cfg.params,
 		Seed:   cfg.seed,
 		Loss:   loss,
-		Policy: policy,
+		Policy: runner.PolicyFactory(spec, cfg.sc.FixedHold),
 		Tracer: cfg.tracer,
 		Shards: shards,
 	})
