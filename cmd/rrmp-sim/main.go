@@ -93,6 +93,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -669,16 +670,20 @@ func runSingle(w io.Writer, a sweepArgs) error {
 		sinks = append(sinks, os.Stderr)
 	}
 	var traceFile *os.File
+	var traceBuf *bufio.Writer
 	if a.traceOut != "" {
 		if traceFile, err = os.Create(a.traceOut); err != nil {
 			return fmt.Errorf("opening trace output: %w", err)
 		}
 		defer traceFile.Close() // error paths; success checks Close below
-		sinks = append(sinks, traceFile)
+		traceBuf = bufio.NewWriter(traceFile)
+		sinks = append(sinks, traceBuf)
 	}
+	// A nil tracer is "off"; keep the interface nil when there is no sink.
 	var tracer trace.Tracer
+	lines := &trace.Writer{W: io.MultiWriter(sinks...)}
 	if len(sinks) > 0 {
-		tracer = &trace.Writer{W: io.MultiWriter(sinks...)}
+		tracer = lines
 	}
 	// -shards never changes the metrics, but say when it cannot apply
 	// instead of letting the flag look like a no-op.
@@ -698,8 +703,16 @@ func runSingle(w io.Writer, a sweepArgs) error {
 	if err != nil {
 		return err
 	}
-	// Close the trace file explicitly so a failed flush (full disk, ...)
-	// surfaces as an error instead of an exit-0 truncated trace.
+	// A trace cut short (full disk, ...) is an error, not an exit-0
+	// truncated file: the sink's first failed write, else the flush, then
+	// the close.
+	err = lines.Err()
+	if err == nil && traceBuf != nil {
+		err = traceBuf.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("writing trace output: %w", err)
+	}
 	if traceFile != nil {
 		if err := traceFile.Close(); err != nil {
 			return fmt.Errorf("closing trace output: %w", err)

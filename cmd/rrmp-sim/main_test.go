@@ -477,6 +477,17 @@ func TestSingleRunRMTP(t *testing.T) {
 // kernel — and a traced run's bytes do not depend on -shards (it takes one
 // loop; at the parent commit every lane goroutine wrote the file and four
 // runs gave four files).
+//
+// testdata/trace_faults.golden pins the bytes themselves. It was written
+// by the last string-detail tracer (PR 15's binary, before trace.Event was
+// typed) from the fault-rich cell below, which reaches 17 of the 19 kinds;
+// QUERY-REPLY (Params.SearchMode has no flag) and IGNORE (no cell sends
+// RRMP a baseline PDU) are pinned at their call sites by internal/rrmp's
+// allocs_test.go instead. The cell has no partition, and its seed was
+// picked so that no failure-detector sweep suspects two peers at once:
+// gossipfd.Detector.sweep ranges over a map, so such a sweep reports its
+// SUSPECTs in a different order on every run (metrics are unaffected —
+// the callback's effects commute).
 func TestTraceOutWritesFile(t *testing.T) {
 	dir := t.TempDir()
 	traceOf := func(name string, line ...string) []byte {
@@ -503,6 +514,37 @@ func TestTraceOutWritesFile(t *testing.T) {
 	serial := traceOf("shards1.log", append(wide, "-shards", "1")...)
 	if sharded := traceOf("shards4.log", append(wide, "-shards", "4")...); !bytes.Equal(serial, sharded) {
 		t.Fatal("trace bytes differ between -shards 1 and -shards 4")
+	}
+
+	golden, err := os.ReadFile(filepath.Join("testdata", "trace_faults.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := []string{"-regions", "6,6,6", "-loss", "0.4", "-loss-mode", "hash", "-crash", "1", "-crash-recover", "300ms",
+		"-churn", "1", "-budget", "2048", "-payload", "512", "-seed", "8", "-msgs", "20", "-horizon", "2s"}
+	for _, shards := range []string{"1", "4"} {
+		if got := traceOf("faults"+shards+".log", append(faults, "-shards", shards)...); !bytes.Equal(got, golden) {
+			t.Errorf("-shards %s: trace differs from testdata/trace_faults.golden (%d bytes, golden %d)", shards, len(got), len(golden))
+		}
+	}
+}
+
+// TestTraceOutFailureFailsTheRun: a trace the disk refused is an error
+// before any metric prints, not an exit-0 truncated file. /dev/full opens
+// and closes cleanly and fails every write, which the string-detail
+// tracer's Fprintln dropped: the same run exited 0 there.
+func TestTraceOutFailureFailsTheRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	a := parse(t, "-regions", "6", "-msgs", "3", "-trace-out", "/dev/full")
+	var out bytes.Buffer
+	err := runSingle(&out, a)
+	if err == nil || !strings.Contains(err.Error(), "writing trace output") {
+		t.Fatalf("runSingle error = %v, want a trace write failure", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("metrics printed despite the failed trace:\n%s", out.String())
 	}
 }
 

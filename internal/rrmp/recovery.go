@@ -1,11 +1,11 @@
 package rrmp
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -84,7 +84,7 @@ func (m *Member) startRecoveryTagged(id wire.MessageID, rerecovery bool) {
 	}
 	rec := &recovery{id: id, detectedAt: m.cfg.Sched.Now(), rerecovery: rerecovery}
 	m.recoveries[id] = rec
-	m.trace("DETECT", id.String())
+	m.trace(trace.Event{Kind: trace.Detect, ID: id})
 	m.localAttempt(rec)
 	m.remoteAttempt(rec)
 }
@@ -120,7 +120,7 @@ func (m *Member) localAttempt(rec *recovery) {
 	rec.localTries++
 	q := pickPeer(m.cfg.Rng, peers, selfIdx)
 	m.metrics.LocalReqSent.Inc()
-	m.trace("LOCAL-REQ", fmt.Sprintf("id=%v to=%d try=%d", rec.id, q, rec.localTries))
+	m.trace(trace.Event{Kind: trace.LocalReq, ID: rec.id, Peer: q, N: int32(rec.localTries)})
 	m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self, ID: rec.id})
 	rec.localTimer = m.cfg.Sched.After(m.params.IntraRTT+m.params.RetryGrace, func() { m.localAttempt(rec) })
 }
@@ -152,7 +152,7 @@ func (m *Member) remoteAttempt(rec *recovery) {
 	if m.cfg.Rng.Bernoulli(p) {
 		r := parents[m.cfg.Rng.Intn(len(parents))]
 		m.metrics.RemoteReqSent.Inc()
-		m.trace("REMOTE-REQ", fmt.Sprintf("id=%v to=%d try=%d", rec.id, r, rec.remoteTries))
+		m.trace(trace.Event{Kind: trace.RemoteReq, ID: rec.id, Peer: r, N: int32(rec.remoteTries)})
 		m.cfg.Transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self, ID: rec.id, Origin: m.self})
 	}
 	rec.remoteTimer = m.cfg.Sched.After(m.params.ParentRTT+m.params.RetryGrace, func() { m.remoteAttempt(rec) })
@@ -175,5 +175,5 @@ func (m *Member) checkAbandoned(rec *recovery) {
 		m.unrecovered[rec.id] = true
 		m.metrics.Unrecoverable.Inc()
 	}
-	m.trace("UNRECOVERABLE", rec.id.String())
+	m.trace(trace.Event{Kind: trace.Unrecoverable, ID: rec.id})
 }

@@ -13,7 +13,6 @@
 package rrmp
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -216,9 +215,6 @@ func NewMember(cfg Config) *Member {
 	if cfg.Rng == nil {
 		panic("rrmp: Config.Rng is required")
 	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = trace.Nop{}
-	}
 	m := &Member{
 		cfg:           cfg,
 		params:        cfg.Params.withDefaults(),
@@ -292,12 +288,12 @@ func (m *Member) onSuspect(n topology.NodeID) {
 			delete(m.knownBufferer, id)
 		}
 	}
-	m.trace("SUSPECT", fmt.Sprintf("peer=%d", n))
+	m.trace(trace.Event{Kind: trace.Suspect, Peer: n})
 }
 
 func (m *Member) onRestore(n topology.NodeID) {
 	m.metrics.Restores.Inc()
-	m.trace("RESTORE", fmt.Sprintf("peer=%d", n))
+	m.trace(trace.Event{Kind: trace.Restore, Peer: n})
 }
 
 // peerLive reports whether the failure detector considers n alive. With
@@ -494,7 +490,7 @@ func (m *Member) Receive(from topology.NodeID, msg wire.Message) {
 		}
 	default:
 		// Unknown/baseline-only PDUs are ignored by the RRMP engine.
-		m.trace("IGNORE", fmt.Sprintf("type=%v from=%d", msg.Type, from))
+		m.trace(trace.Event{Kind: trace.Ignore, Peer: from, N: int32(msg.Type)})
 	}
 }
 
@@ -577,7 +573,7 @@ func (m *Member) onHandoff(_ topology.NodeID, msg wire.Message) {
 		m.deliver(id, msg.Payload, msg.From)
 	}
 	m.buf.StoreLongTerm(id, msg.Payload)
-	m.trace("HANDOFF-RECV", id.String())
+	m.trace(trace.Event{Kind: trace.HandoffRecv, ID: id})
 }
 
 // deliver records a received message, stores it per the buffering policy,
@@ -594,7 +590,7 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 
 	m.buf.Store(id, payload)
 	m.metrics.Delivered.Inc()
-	m.trace("DELIVER", fmt.Sprintf("id=%v from=%d", id, from))
+	m.trace(trace.Event{Kind: trace.Deliver, ID: id, Peer: from})
 
 	// Complete an in-flight recovery.
 	if rec, ok := m.recoveries[id]; ok {
@@ -680,7 +676,7 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
 	m.metrics.RegionalMulticasts.Inc()
-	m.trace("REGION-MC", id.String())
+	m.trace(trace.Event{Kind: trace.RegionMC, ID: id})
 	msg := wire.Message{Type: wire.TypeRepair, From: m.self, ID: id, Payload: payload}
 	for i, p := range m.cfg.View.RegionMembers {
 		if i == m.cfg.View.SelfIdx {
@@ -719,7 +715,7 @@ func (m *Member) Leave() {
 		}
 		to := pickPeer(m.cfg.Rng, peers, selfIdx)
 		m.metrics.HandoffsSent.Inc()
-		m.trace("HANDOFF-SEND", fmt.Sprintf("id=%v to=%d", e.ID, to))
+		m.trace(trace.Event{Kind: trace.HandoffSend, ID: e.ID, Peer: to})
 		m.cfg.Transport.Send(to, wire.Message{
 			Type:     wire.TypeHandoff,
 			From:     m.self,
@@ -781,7 +777,7 @@ func (m *Member) Crash() {
 		m.fd.Stop()
 	}
 	m.crashed = true
-	m.trace("CRASH", "")
+	m.trace(trace.Event{Kind: trace.Crash})
 }
 
 // Recover resumes a crashed member. Gossip restarts, and every gap the
@@ -798,7 +794,7 @@ func (m *Member) Recover() {
 	if m.fd != nil {
 		m.fd.Start()
 	}
-	m.trace("RECOVER", "")
+	m.trace(trace.Event{Kind: trace.Recover})
 	// Walk sources in a fixed order: recovery start order pairs rng draws
 	// with messages, so map iteration order must not leak into runs.
 	srcs := make([]topology.NodeID, 0, len(m.sources))
@@ -842,9 +838,12 @@ func (m *Member) Unrecovered() []wire.MessageID {
 	return out
 }
 
-func (m *Member) trace(kind, detail string) {
-	if !m.cfg.Tracer.Enabled() {
+// trace stamps e with the time and this member and hands it to the tracer.
+// Call sites fill in typed fields only, so an untraced run formats nothing.
+func (m *Member) trace(e trace.Event) {
+	if m.cfg.Tracer == nil {
 		return
 	}
-	m.cfg.Tracer.Emit(trace.Event{At: m.cfg.Sched.Now(), Node: m.self, Kind: kind, Detail: detail})
+	e.At, e.Node = m.cfg.Sched.Now(), m.self
+	m.cfg.Tracer.Emit(e)
 }

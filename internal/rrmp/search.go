@@ -1,11 +1,11 @@
 package rrmp
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -62,7 +62,7 @@ func (m *Member) startSearch(id wire.MessageID, origin topology.NodeID) {
 	s := &searchState{id: id, origins: []topology.NodeID{origin}, startedAt: m.cfg.Sched.Now()}
 	m.searches[id] = s
 	m.metrics.SearchesStarted.Inc()
-	m.trace("SEARCH-START", fmt.Sprintf("id=%v origin=%d", id, origin))
+	m.trace(trace.Event{Kind: trace.SearchStart, ID: id, Origin: origin})
 	if m.params.SearchMode == SearchMulticastQuery {
 		m.queryAttempt(s)
 		return
@@ -127,7 +127,7 @@ func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
 		m.sendRepair(origin, cur)
 		m.announceHave(id, origin)
 		m.resolveSearch(id, origin)
-		m.trace("QUERY-REPLY", fmt.Sprintf("id=%v origin=%d via=%d", id, origin, from))
+		m.trace(trace.Event{Kind: trace.QueryReply, ID: id, Origin: origin, Peer: from})
 	})
 }
 
@@ -146,7 +146,7 @@ func (m *Member) searchAttempt(s *searchState) {
 	}
 	if s.tries >= m.params.MaxSearchTries {
 		m.metrics.SearchFailures.Inc()
-		m.trace("SEARCH-FAIL", s.id.String())
+		m.trace(trace.Event{Kind: trace.SearchFail, ID: s.id})
 		delete(m.searches, s.id)
 		return
 	}
@@ -169,7 +169,7 @@ func (m *Member) searchAttempt(s *searchState) {
 	}
 	s.tries++
 	m.metrics.SearchForwards.Inc()
-	m.trace("SEARCH-FWD", fmt.Sprintf("id=%v to=%d try=%d", s.id, q, s.tries))
+	m.trace(trace.Event{Kind: trace.SearchFwd, ID: s.id, Peer: q, N: int32(s.tries)})
 	// One SEARCH per origin so each awaiting requester is carried forward.
 	for _, o := range s.origins {
 		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: s.id, Origin: o})
@@ -247,7 +247,7 @@ func (m *Member) onSearch(from topology.NodeID, msg wire.Message) {
 		m.sendRepair(origin, e)
 		m.announceHave(id, origin)
 		m.resolveSearch(id, origin)
-		m.trace("SEARCH-SERVE", fmt.Sprintf("id=%v origin=%d via=%d", id, origin, from))
+		m.trace(trace.Event{Kind: trace.SearchServe, ID: id, Origin: origin, Peer: from})
 		return
 	}
 	st := m.source(id.Source)
@@ -300,7 +300,7 @@ func (m *Member) onHave(from topology.NodeID, msg wire.Message) {
 	if len(s.origins) == 0 {
 		s.stop()
 		delete(m.searches, msg.ID)
-		m.trace("SEARCH-END", fmt.Sprintf("id=%v via HAVE from=%d", msg.ID, from))
+		m.trace(trace.Event{Kind: trace.SearchEnd, ID: msg.ID, Peer: from})
 		return
 	}
 	// Redirect remaining origins to the known bufferer.

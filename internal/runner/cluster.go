@@ -43,7 +43,7 @@ type ClusterConfig struct {
 	Policy func(view topology.View, params rrmp.Params) core.Policy
 	// Hooks, if non-nil, builds per-member instrumentation callbacks.
 	Hooks func(n topology.NodeID) rrmp.Hooks
-	// Tracer observes all members (nil = none). An enabled tracer is one
+	// Tracer observes all members (nil = none). A tracer is one
 	// sink fed in event order, so a traced cluster always runs the serial
 	// engine, whatever Shards says: the trace is then a pure function of
 	// the seed, and aggregates are byte-identical at any width anyway.
@@ -104,11 +104,10 @@ func newDeployment(cfg ClusterConfig) (*deployment, error) {
 		root:    rng.New(cfg.Seed),
 		sources: make([]rng.Source, cfg.Topo.NumNodes()),
 	}
-	// An enabled tracer is one sink fed in event order and a shared-stream
-	// loss model is one rng drawn in send order: either pins the run to one
+	// A tracer is one sink fed in event order and a shared-stream loss
+	// model is one rng drawn in send order: either pins the run to one
 	// event loop.
-	traced := cfg.Tracer != nil && cfg.Tracer.Enabled()
-	if cfg.Shards > 1 && !traced && netsim.ShardSafe(cfg.Loss) == nil {
+	if cfg.Shards > 1 && cfg.Tracer == nil && netsim.ShardSafe(cfg.Loss) == nil {
 		look := cfg.Lookahead
 		if look <= 0 {
 			if cfg.Latency != nil {

@@ -1,57 +1,139 @@
-// Package trace provides lightweight structured event logging for protocol
-// debugging and the example programs.
+// Package trace provides structured event logging for protocol debugging
+// and the example programs.
 //
-// Tracers are deliberately allocation-light: the Nop tracer compiles to
-// nothing on the hot path, and the protocol engine checks for it before
-// formatting. The Memory tracer retains a bounded ring of events for tests
-// and post-mortem printing; the Writer tracer streams human-readable lines.
+// An Event is a fixed-size value of typed fields — no string is built on
+// the protocol's side — and the sink decides what to do with it: Memory
+// retains a bounded ring for tests and post-mortem queries, Writer renders
+// each event as one human-readable line. Tracing is off when the engine's
+// Tracer is nil, and the engine checks that before it fills an Event in.
 package trace
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
-// Event is one traced protocol occurrence.
+// Kind names a protocol occurrence.
+type Kind uint8
+
+// The traced occurrences, in the order rrmp.go, recovery.go and search.go
+// emit them.
+const (
+	Suspect Kind = iota + 1
+	Restore
+	Ignore
+	HandoffRecv
+	Deliver
+	RegionMC
+	HandoffSend
+	Crash
+	Recover
+	Detect
+	LocalReq
+	RemoteReq
+	Unrecoverable
+	SearchStart
+	QueryReply
+	SearchFail
+	SearchFwd
+	SearchServe
+	SearchEnd
+	NumKinds // one past the last kind
+)
+
+// kinds gives each Kind its name on a trace line and the layout of what
+// follows it, which is also the list of Event fields the kind fills in:
+// %i is ID, %p Peer, %o Origin, %n N, and %t N as a wire.Type. Any uint8
+// indexes it, so a kind outside the enum prints blank, not a panic.
+var kinds = [256]struct{ name, layout string }{
+	Suspect:       {"SUSPECT", "peer=%p"},
+	Restore:       {"RESTORE", "peer=%p"},
+	Ignore:        {"IGNORE", "type=%t from=%p"},
+	HandoffRecv:   {"HANDOFF-RECV", "%i"},
+	Deliver:       {"DELIVER", "id=%i from=%p"},
+	RegionMC:      {"REGION-MC", "%i"},
+	HandoffSend:   {"HANDOFF-SEND", "id=%i to=%p"},
+	Crash:         {"CRASH", ""},
+	Recover:       {"RECOVER", ""},
+	Detect:        {"DETECT", "%i"},
+	LocalReq:      {"LOCAL-REQ", "id=%i to=%p try=%n"},
+	RemoteReq:     {"REMOTE-REQ", "id=%i to=%p try=%n"},
+	Unrecoverable: {"UNRECOVERABLE", "%i"},
+	SearchStart:   {"SEARCH-START", "id=%i origin=%o"},
+	QueryReply:    {"QUERY-REPLY", "id=%i origin=%o via=%p"},
+	SearchFail:    {"SEARCH-FAIL", "%i"},
+	SearchFwd:     {"SEARCH-FWD", "id=%i to=%p try=%n"},
+	SearchServe:   {"SEARCH-SERVE", "id=%i origin=%o via=%p"},
+	SearchEnd:     {"SEARCH-END", "id=%i via HAVE from=%p"},
+}
+
+// String returns the kind's name as trace lines print it.
+func (k Kind) String() string { return kinds[k].name }
+
+// Event is one traced protocol occurrence. Which of ID, Peer, Origin and N
+// carry meaning depends on Kind (see kinds).
 type Event struct {
 	At     time.Duration
 	Node   topology.NodeID
-	Kind   string
-	Detail string
+	Kind   Kind
+	ID     wire.MessageID
+	Peer   topology.NodeID
+	Origin topology.NodeID
+	N      int32
+}
+
+const spaces = "             " // the widest column (13) of padding
+
+// AppendText appends the event's log line (no newline) to b, laid out as
+// fmt's "%10.3fms node=%-4d %-12s " and then the kind's layout.
+func (e Event) AppendText(b []byte) []byte {
+	var num [24]byte
+	ms := strconv.AppendFloat(num[:0], float64(e.At)/float64(time.Millisecond), 'f', 3, 64)
+	b = append(b, spaces[:max(0, 10-len(ms))]...)
+	b = append(append(b, ms...), "ms node="...)
+	col := len(b)
+	b = strconv.AppendInt(b, int64(e.Node), 10)
+	b = append(b, spaces[:max(1, col+5-len(b))]...)
+	col = len(b)
+	b = append(b, e.Kind.String()...)
+	b = append(b, spaces[:max(1, col+13-len(b))]...)
+
+	layout := kinds[e.Kind].layout
+	for i := 0; i < len(layout); i++ {
+		if layout[i] != '%' {
+			b = append(b, layout[i])
+			continue
+		}
+		i++
+		switch layout[i] {
+		case 'i':
+			b = e.ID.AppendText(b)
+		case 'p':
+			b = strconv.AppendInt(b, int64(e.Peer), 10)
+		case 'o':
+			b = strconv.AppendInt(b, int64(e.Origin), 10)
+		case 'n':
+			b = strconv.AppendInt(b, int64(e.N), 10)
+		case 't':
+			b = append(b, wire.Type(e.N).String()...)
+		}
+	}
+	return b
 }
 
 // String formats the event as a single log line.
-func (e Event) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%10.3fms node=%-4d %-12s %s",
-		float64(e.At)/float64(time.Millisecond), e.Node, e.Kind, e.Detail)
-	return b.String()
-}
+func (e Event) String() string { return string(e.AppendText(nil)) }
 
-// Tracer receives protocol events. Implementations must be cheap; the
-// simulator may emit millions of events.
+// Tracer receives protocol events; a nil Tracer means tracing is off.
+// Implementations must be cheap: the simulator may emit millions of events.
 type Tracer interface {
-	// Enabled reports whether events will be recorded; callers should skip
-	// detail formatting when it returns false.
-	Enabled() bool
 	// Emit records one event.
 	Emit(e Event)
 }
-
-// Nop is a Tracer that discards everything.
-type Nop struct{}
-
-// Enabled implements Tracer (always false).
-func (Nop) Enabled() bool { return false }
-
-// Emit implements Tracer (no-op).
-func (Nop) Emit(Event) {}
-
-var _ Tracer = Nop{}
 
 // Memory retains the most recent Cap events in memory. The zero value is
 // unbounded; set Cap to bound retention. Memory is not safe for concurrent
@@ -64,9 +146,6 @@ type Memory struct {
 }
 
 var _ Tracer = (*Memory)(nil)
-
-// Enabled implements Tracer (always true).
-func (m *Memory) Enabled() bool { return true }
 
 // Emit implements Tracer.
 func (m *Memory) Emit(e Event) {
@@ -100,7 +179,7 @@ func (m *Memory) Events() []Event {
 func (m *Memory) Count() int { return len(m.events) }
 
 // Filter returns retained events whose Kind equals kind.
-func (m *Memory) Filter(kind string) []Event {
+func (m *Memory) Filter(kind Kind) []Event {
 	var out []Event
 	for _, e := range m.Events() {
 		if e.Kind == kind {
@@ -110,17 +189,25 @@ func (m *Memory) Filter(kind string) []Event {
 	return out
 }
 
-// Writer streams formatted events to an io.Writer as they are emitted.
+// Writer renders events as text lines on an io.Writer as they are emitted,
+// one Write per event from a reused buffer. The first write error sticks:
+// later events are dropped and Err reports it.
 type Writer struct {
-	W io.Writer
+	W   io.Writer
+	buf []byte
+	err error
 }
 
 var _ Tracer = (*Writer)(nil)
 
-// Enabled implements Tracer (always true).
-func (w *Writer) Enabled() bool { return true }
-
 // Emit implements Tracer.
 func (w *Writer) Emit(e Event) {
-	fmt.Fprintln(w.W, e.String())
+	if w.err != nil {
+		return
+	}
+	w.buf = append(e.AppendText(w.buf[:0]), '\n')
+	_, w.err = w.W.Write(w.buf)
 }
+
+// Err returns the first error W returned, if any.
+func (w *Writer) Err() error { return w.err }

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/topology"
 )
@@ -23,9 +24,17 @@ type MessageID struct {
 	Seq    uint64
 }
 
+// AppendText appends "source:seq" to b.
+func (id MessageID) AppendText(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(id.Source), 10)
+	b = append(b, ':')
+	return strconv.AppendUint(b, id.Seq, 10)
+}
+
 // String implements fmt.Stringer for log and trace output.
 func (id MessageID) String() string {
-	return fmt.Sprintf("%d:%d", id.Source, id.Seq)
+	var buf [32]byte // an int32, ':' and a uint64 at their widest
+	return string(id.AppendText(buf[:0]))
 }
 
 // Type enumerates the protocol PDUs.

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -145,9 +147,24 @@ func TestTypeString(t *testing.T) {
 }
 
 func TestMessageIDString(t *testing.T) {
-	id := MessageID{Source: 3, Seq: 17}
-	if id.String() != "3:17" {
-		t.Fatalf("MessageID.String() = %q", id.String())
+	for id, want := range map[MessageID]string{
+		{Source: 3, Seq: 17}:                           "3:17",
+		{Source: topology.NoNode, Seq: math.MaxUint64}: "-1:18446744073709551615",
+	} {
+		if got := id.String(); got != want || got != fmt.Sprintf("%d:%d", id.Source, id.Seq) {
+			t.Fatalf("MessageID.String() = %q, want %q", got, want)
+		}
+	}
+}
+
+func TestMessageIDAppendTextDoesNotAllocate(t *testing.T) {
+	id := MessageID{Source: 99999, Seq: 1 << 40}
+	buf := make([]byte, 0, 32)
+	if n := testing.AllocsPerRun(100, func() { buf = id.AppendText(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendText into a sized buffer: %v allocs, want 0", n)
+	}
+	if string(buf) != "99999:1099511627776" {
+		t.Fatalf("AppendText = %q", buf)
 	}
 }
 

@@ -180,8 +180,9 @@ func WithFixedHold(d time.Duration) Option {
 	return func(c *config) { c.sc.FixedHold = d }
 }
 
-// WithTracer streams protocol events to the tracer (e.g. &trace.Writer{W:
-// os.Stderr} — mostly for the examples and debugging).
+// WithTracer hands every protocol event, a typed trace.Event, to the tracer
+// (e.g. &trace.Writer{W: os.Stderr}, the sink that renders text lines —
+// mostly for the examples and debugging). Nil, the default, is off.
 func WithTracer(t trace.Tracer) Option {
 	return func(c *config) { c.tracer = t }
 }
