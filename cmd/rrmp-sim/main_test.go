@@ -484,26 +484,14 @@ func TestSingleRunRMTP(t *testing.T) {
 // QUERY-REPLY (Params.SearchMode has no flag) and IGNORE (no cell sends
 // RRMP a baseline PDU) are pinned at their call sites by internal/rrmp's
 // allocs_test.go instead. The cell has no partition, and its seed was
-// picked so that no failure-detector sweep suspects two peers at once:
-// gossipfd.Detector.sweep ranges over a map, so such a sweep reports its
-// SUSPECTs in a different order on every run (metrics are unaffected —
-// the callback's effects commute).
+// picked so that no failure-detector sweep suspects two peers at once —
+// the one thing PR 15's binary did not print reproducibly (see
+// TestTracePartitionByteStable).
 func TestTraceOutWritesFile(t *testing.T) {
 	dir := t.TempDir()
 	traceOf := func(name string, line ...string) []byte {
 		t.Helper()
-		a := parse(t, append(line, "-trace-out", filepath.Join(dir, name))...)
-		if err := runSingle(io.Discard, a); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(a.traceOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(blob, []byte("DELIVER")) {
-			t.Fatalf("%s has no DELIVER events; got %d bytes", name, len(blob))
-		}
-		return blob
+		return traceFile(t, filepath.Join(dir, name), line...)
 	}
 	base := []string{"-msgs", "3", "-gap", "10ms", "-loss", "0.3", "-c", "4", "-seed", "4", "-horizon", "2s"}
 	traceOf("trace.log", append(base, "-regions", "6")...)
@@ -525,6 +513,59 @@ func TestTraceOutWritesFile(t *testing.T) {
 	for _, shards := range []string{"1", "4"} {
 		if got := traceOf("faults"+shards+".log", append(faults, "-shards", shards)...); !bytes.Equal(got, golden) {
 			t.Errorf("-shards %s: trace differs from testdata/trace_faults.golden (%d bytes, golden %d)", shards, len(got), len(golden))
+		}
+	}
+}
+
+// traceFile runs the single-run command line with -trace-out path and
+// returns the file's bytes.
+func traceFile(t *testing.T, path string, line ...string) []byte {
+	t.Helper()
+	a := parse(t, append(line, "-trace-out", path)...)
+	if err := runSingle(io.Discard, a); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(a.traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(blob, []byte("DELIVER")) {
+		t.Fatalf("%s has no DELIVER events; got %d bytes", path, len(blob))
+	}
+	return blob
+}
+
+// TestTracePartitionByteStable pins the trace of a cell whose failure
+// detector suspects many peers in one sweep: a 30-member region split for
+// a second, 656 SUSPECT lines, most sharing their instant with others.
+// Until PR 17 gossipfd's sweep ranged over a map and called OnSuspect in
+// Go map order, so this command line wrote a different file on every run
+// (6 files in 6 runs at the parent commit; metrics were unaffected — the
+// callback's effects commute, trace lines do not). The dense table is
+// swept in ascending NodeID order, so the bytes are now a function of the
+// seed at any -shards.
+//
+// testdata/trace_partition.golden is this PR's binary's file. The parent
+// binary cannot write a stable one; what it prints equals the golden as a
+// sorted line set (1739 lines, checked on three parent runs when the
+// golden was committed), i.e. only the order inside same-instant SUSPECT
+// groups ever differed.
+func TestTracePartitionByteStable(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "trace_partition.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(golden, []byte(" SUSPECT ")); n != 656 {
+		t.Fatalf("golden has %d SUSPECT lines, want 656", n)
+	}
+	line := []string{"-regions", "30", "-loss", "0.2", "-loss-mode", "hash", "-partition-at", "500ms", "-partition-for", "1s",
+		"-seed", "3", "-msgs", "20", "-horizon", "3s"}
+	dir := t.TempDir()
+	for i, extra := range [][]string{nil, nil, nil, {"-shards", "1"}, {"-shards", "4"}} {
+		args := append(append([]string(nil), line...), extra...)
+		if got := traceFile(t, filepath.Join(dir, fmt.Sprintf("run%d.log", i)), args...); !bytes.Equal(got, golden) {
+			t.Errorf("run %d %v: trace differs from testdata/trace_partition.golden (%d bytes, golden %d)",
+				i, extra, len(got), len(golden))
 		}
 	}
 }

@@ -67,6 +67,7 @@ func (x *mapIndex) size() int                { return len(x.entries) }
 func (x *mapIndex) reset()                   { x.entries = make(map[wire.MessageID]*Entry) }
 func (x *mapIndex) each(fn func(e *Entry)) {
 	for _, e := range x.entries {
+		//lint:allow maporder -- each promises no order: its callers stop timers and take an argmin under Policy.DisplacedBefore, a strict total order
 		fn(e)
 	}
 }

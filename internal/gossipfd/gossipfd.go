@@ -13,10 +13,24 @@
 // a member gossips only within its region view. Stability detection and the
 // churn experiments use it to exclude dead members from membership-derived
 // decisions.
+//
+// The table is four parallel slices (counter, last-advance time, state,
+// tombstone) indexed by a peer's position in the view's shared, ascending
+// RegionMembers, which is also the order of the Counters in a heartbeat
+// PDU. A tick is one linear pass plus one copy, a merge compares two
+// slices, and everything observable happens in that order: a sweep that
+// suspects several peers reports them by ascending NodeID. A cleaned-up
+// peer keeps its slot in state "dropped": it reads 0 in outgoing tables
+// and true from Suspected, exactly as an absent peer would, and only a
+// counter above its tombstone re-admits it. The copy a tick sends goes into
+// a table an earlier heartbeat arrived in when the owner has handed one back
+// (Recycle), so a healthy region circulates its tables instead of
+// allocating one per tick. This is the fault cells' hot path (DESIGN §6);
+// the map-based original survives as the oracle of differential_test.go.
 package gossipfd
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -53,26 +67,40 @@ type Config struct {
 	OnRestore func(n topology.NodeID)
 }
 
-// entry is one tracked peer.
-type entry struct {
-	counter   uint64
-	updatedAt time.Duration
-	suspected bool
-}
+// Peer states. A dropped peer keeps its slot: its counter reads 0 in
+// outgoing tables (as an absent peer always did) and Suspected reports true.
+const (
+	peerLive uint8 = iota
+	peerSuspected
+	peerDropped
+)
 
 // Detector is a region-scoped gossip failure detector. Not safe for
 // concurrent use.
+//
+// Slot i of every slice below is peer order[i]. Sweeps, merges and picks
+// walk the slots in order, so the OnSuspect (or OnRestore) callbacks of
+// one sweep (or merge) fire in ascending NodeID order on every run.
 type Detector struct {
-	cfg     Config
-	order   []topology.NodeID // canonical table order: sorted region members
-	index   map[topology.NodeID]int
-	entries map[topology.NodeID]*entry
-	// tombstones remember the last counter of cleaned-up peers. Gossip
-	// tables keep circulating a dead peer's final counter; re-admission
-	// requires a strictly higher value, i.e. a genuinely fresh heartbeat.
-	tombstones map[topology.NodeID]uint64
-	ticker     clock.Timer
-	running    bool
+	cfg       Config
+	order     []topology.NodeID // cfg.View.RegionMembers, shared and read-only
+	selfIdx   int               // Self's slot; always peerLive, never swept
+	counter   []uint64          // highest heartbeat seen; 0 while dropped
+	updatedAt []time.Duration   // when counter last advanced
+	state     []uint8           // peerLive / peerSuspected / peerDropped
+	// tombstone remembers the last counter of cleaned-up peers (allocated
+	// on the first drop). Gossip tables keep circulating a dead peer's
+	// final counter; re-admission requires a strictly higher value, i.e. a
+	// genuinely fresh heartbeat.
+	tombstone []uint64
+	live      int // peers (Self excluded) in state peerLive
+	// spare[:spares] are tables handed back through Recycle; a tick takes
+	// its PDU's snapshot from here before it allocates one.
+	spare   [4][]uint64
+	spares  int
+	onTick  func() // the timer callback, bound once
+	ticker  clock.Timer
+	running bool
 }
 
 // New constructs a detector (stopped; call Start).
@@ -89,23 +117,34 @@ func New(cfg Config) *Detector {
 	if cfg.CleanupTimeout <= 0 {
 		cfg.CleanupTimeout = 2 * cfg.FailTimeout
 	}
-	// The detector owns its member ordering (and the view's slice is
-	// shared), so copy before sorting. Region slices are already
-	// ascending, but the sorted order is this package's invariant — keep
-	// enforcing it locally.
-	members := append([]topology.NodeID(nil), cfg.View.RegionMembers...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	// The view's slice is the table order as is; slot lookup and the
+	// ascending callback order depend on what topology promises for it.
+	order, n := cfg.View.RegionMembers, len(cfg.View.RegionMembers)
+	ok := cfg.View.SelfIdx < n && order[cfg.View.SelfIdx] == cfg.View.Self
+	for i := 1; ok && i < n; i++ {
+		ok = order[i-1] < order[i]
+	}
+	if !ok {
+		panic("gossipfd: View.RegionMembers must be ascending with Self at SelfIdx")
+	}
 	d := &Detector{
-		cfg:        cfg,
-		order:      members,
-		index:      make(map[topology.NodeID]int, len(members)),
-		entries:    make(map[topology.NodeID]*entry, len(members)),
-		tombstones: make(map[topology.NodeID]uint64),
+		cfg:       cfg,
+		order:     order,
+		selfIdx:   cfg.View.SelfIdx,
+		counter:   make([]uint64, n),
+		updatedAt: make([]time.Duration, n),
+		state:     make([]uint8, n),
+		live:      n - 1,
 	}
 	now := cfg.Sched.Now()
-	for i, n := range members {
-		d.index[n] = i
-		d.entries[n] = &entry{updatedAt: now}
+	for i := range d.updatedAt {
+		d.updatedAt[i] = now
+	}
+	d.onTick = func() {
+		d.tick()
+		if d.running {
+			d.scheduleTick()
+		}
 	}
 	return d
 }
@@ -134,34 +173,32 @@ func (d *Detector) Stop() {
 func (d *Detector) scheduleTick() {
 	// Jitter desynchronizes members so gossip rounds do not phase-lock.
 	delay := time.Duration(d.cfg.Rng.Jitter(float64(d.cfg.GossipInterval), 0.1))
-	d.ticker = d.cfg.Sched.After(delay, func() {
-		d.tick()
-		if d.running {
-			d.scheduleTick()
-		}
-	})
+	d.ticker = d.cfg.Sched.After(delay, d.onTick)
 }
 
 // tick increments the own counter, sweeps timeouts, and gossips the table
 // to one random live peer.
 func (d *Detector) tick() {
 	now := d.cfg.Sched.Now()
-	self := d.entries[d.cfg.View.Self]
-	self.counter++
-	self.updatedAt = now
+	d.counter[d.selfIdx]++
+	d.updatedAt[d.selfIdx] = now
 
 	d.sweep(now)
 
-	target, ok := d.randomLivePeer()
+	target, ok := d.PickPeer(d.cfg.Rng)
 	if !ok {
 		return
 	}
-	counters := make([]uint64, len(d.order))
-	for i, n := range d.order {
-		if e, ok := d.entries[n]; ok {
-			counters[i] = e.counter
-		}
+	// The PDU outlives the tick (it rides the network), so it gets its own
+	// snapshot of the table, in a recycled one when there is one.
+	var counters []uint64
+	if d.spares > 0 {
+		d.spares--
+		counters, d.spare[d.spares] = d.spare[d.spares], nil
+	} else {
+		counters = make([]uint64, len(d.counter))
 	}
+	copy(counters, d.counter)
 	d.cfg.Send(target, wire.Message{
 		Type:     wire.TypeHeartbeat,
 		From:     d.cfg.View.Self,
@@ -169,111 +206,134 @@ func (d *Detector) tick() {
 	})
 }
 
-// sweep updates suspicion state from timeouts.
+// sweep updates suspicion state from timeouts, in table order. Cleanup is
+// tested first, so a CleanupTimeout below FailTimeout drops a silent peer
+// without ever reporting it suspected.
 func (d *Detector) sweep(now time.Duration) {
-	for n, e := range d.entries {
-		if n == d.cfg.View.Self {
+	for i, s := range d.state {
+		if s == peerDropped || i == d.selfIdx {
 			continue
 		}
-		silence := now - e.updatedAt
+		silence := now - d.updatedAt[i]
 		switch {
 		case silence > d.cfg.CleanupTimeout:
-			d.tombstones[n] = e.counter
-			delete(d.entries, n)
-		case silence > d.cfg.FailTimeout && !e.suspected:
-			e.suspected = true
+			if d.tombstone == nil {
+				d.tombstone = make([]uint64, len(d.order))
+			}
+			d.tombstone[i], d.counter[i] = d.counter[i], 0
+			d.setState(i, peerDropped)
+		case silence > d.cfg.FailTimeout && s == peerLive:
+			d.setState(i, peerSuspected)
 			if d.cfg.OnSuspect != nil {
-				d.cfg.OnSuspect(n)
+				d.cfg.OnSuspect(d.order[i])
 			}
 		}
 	}
 }
 
-func (d *Detector) randomLivePeer() (topology.NodeID, bool) {
-	candidates := make([]topology.NodeID, 0, len(d.order))
-	for _, n := range d.order {
-		if n == d.cfg.View.Self {
-			continue
-		}
-		if e, ok := d.entries[n]; ok && !e.suspected {
-			candidates = append(candidates, n)
-		}
+// setState moves peer slot i to state s, keeping the live count in step.
+func (d *Detector) setState(i int, s uint8) {
+	if d.state[i] == peerLive {
+		d.live--
+	} else if s == peerLive {
+		d.live++
 	}
-	if len(candidates) == 0 {
-		// Everyone looks dead — typical after this node itself was
-		// partitioned or paused. Fall back to the static view so a
-		// rejoining member can re-establish contact instead of going
-		// permanently mute.
-		for _, n := range d.order {
-			if n != d.cfg.View.Self {
-				candidates = append(candidates, n)
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		return topology.NoNode, false
-	}
-	return candidates[d.cfg.Rng.Intn(len(candidates))], true
+	d.state[i] = s
 }
 
-// Receive merges an incoming heartbeat table (wire.TypeHeartbeat).
+// PickPeer draws one uniformly random region peer the detector considers
+// alive, with a single r.Intn over their count; ok is false only for a
+// one-member region. It is the gossip target pick, exported so RRMP's
+// request, search and handoff picks share the table instead of rebuilding a
+// candidate list from Suspected.
+func (d *Detector) PickPeer(r *rng.Source) (topology.NodeID, bool) {
+	peers := len(d.order) - 1
+	if d.live == 0 || d.live == peers {
+		// Nobody is excluded — or everyone looks dead, typical after this
+		// node itself was partitioned or paused: then fall back to the
+		// static view so a rejoining member can re-establish contact
+		// instead of going permanently mute.
+		if peers == 0 {
+			return topology.NoNode, false
+		}
+		return d.order[r.Pick(len(d.order), d.selfIdx)], true
+	}
+	k := r.Intn(d.live)
+	for i, s := range d.state {
+		if s == peerLive && i != d.selfIdx {
+			if k == 0 {
+				return d.order[i], true
+			}
+			k--
+		}
+	}
+	panic("gossipfd: live count out of step with the table")
+}
+
+// Receive merges an incoming heartbeat table (wire.TypeHeartbeat): slot by
+// slot, a counter above the one held is adopted and stamped with the time.
 func (d *Detector) Receive(msg wire.Message) {
 	if msg.Type != wire.TypeHeartbeat {
 		return
 	}
-	now := d.cfg.Sched.Now()
-	for i, c := range msg.Counters {
-		if i >= len(d.order) {
-			break
-		}
-		n := d.order[i]
-		if n == d.cfg.View.Self {
+	// Equal-length views of the slots both tables have let the compiler
+	// drop the bounds checks of the merge loop.
+	n := min(len(msg.Counters), len(d.counter))
+	in, counter, updatedAt, state := msg.Counters[:n], d.counter[:n], d.updatedAt[:n], d.state[:n]
+	now := time.Duration(-1) // read on the first advance only
+	for i, c := range in {
+		if c <= counter[i] || i == d.selfIdx {
 			continue
 		}
-		e, ok := d.entries[n]
-		if !ok {
-			// Re-admit a cleaned-up peer only on fresh evidence: a counter
-			// strictly above its tombstone. Stale tables recirculating the
-			// final pre-crash counter must not resurrect it.
-			if c <= d.tombstones[n] {
-				continue
-			}
-			delete(d.tombstones, n)
-			// Re-admission is a restore: the peer was considered failed
-			// (unknown reads as suspected) and is demonstrably alive.
-			e = &entry{suspected: true}
-			d.entries[n] = e
+		s := state[i]
+		// Re-admit a cleaned-up peer only on fresh evidence: a counter
+		// strictly above its tombstone. Stale tables recirculating the
+		// final pre-crash counter must not resurrect it.
+		if s == peerDropped && c <= d.tombstone[i] {
+			continue
 		}
-		if c > e.counter {
-			e.counter = c
-			e.updatedAt = now
-			if e.suspected {
-				e.suspected = false
-				if d.cfg.OnRestore != nil {
-					d.cfg.OnRestore(n)
-				}
+		if now < 0 {
+			now = d.cfg.Sched.Now()
+		}
+		counter[i] = c
+		updatedAt[i] = now
+		if s != peerLive {
+			// Re-admission is a restore too: the peer was considered
+			// failed (dropped reads as suspected) and is demonstrably alive.
+			d.setState(i, peerLive)
+			if d.cfg.OnRestore != nil {
+				d.cfg.OnRestore(d.order[i])
 			}
 		}
 	}
 }
 
-// Suspected reports whether n is currently suspected (unknown nodes count
-// as suspected).
-func (d *Detector) Suspected(n topology.NodeID) bool {
-	if n == d.cfg.View.Self {
-		return false
+// Recycle hands the detector the Counters of a heartbeat PDU that is spent:
+// Receive has merged it and nothing else references it (the network
+// delivered it to this member only). A later tick sends its snapshot in it
+// instead of allocating one. Tables of another length, and more than the
+// detector can hold, are left to the collector.
+func (d *Detector) Recycle(table []uint64) {
+	if len(table) == len(d.counter) && d.spares < len(d.spare) {
+		d.spare[d.spares] = table
+		d.spares++
 	}
-	e, ok := d.entries[n]
-	return !ok || e.suspected
+}
+
+// Suspected reports whether n is currently suspected (dropped and unknown
+// nodes count as suspected).
+func (d *Detector) Suspected(n topology.NodeID) bool {
+	i, known := slices.BinarySearch(d.order, n)
+	return !known || d.state[i] != peerLive
 }
 
 // Live returns the sorted region members currently considered alive
 // (including self).
 func (d *Detector) Live() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(d.entries))
-	for _, n := range d.order {
-		if e, ok := d.entries[n]; ok && !e.suspected {
-			out = append(out, n)
+	out := make([]topology.NodeID, 0, d.live+1)
+	for i, s := range d.state {
+		if s == peerLive {
+			out = append(out, d.order[i])
 		}
 	}
 	return out

@@ -7,10 +7,15 @@ import (
 
 // MapOrder flags range-over-map loops in simulation packages whose bodies
 // are sensitive to iteration order: drawing from an rng stream, posting or
-// scheduling events, or appending to a slice that outlives the loop. This
-// is exactly the bug class of the PR 1 seed-determinism fix (map-order
+// scheduling events, appending to a slice that outlives the loop, or
+// calling through a func-typed field, variable or parameter. This is
+// exactly the bug class of the PR 1 seed-determinism fix (map-order
 // handoff): Go randomizes map iteration, so any of those bodies makes the
-// run a function of the hash seed instead of the trial seed.
+// run a function of the hash seed instead of the trial seed. The dynamic
+// call is the shape PR 17 closed: gossipfd's sweep ranged over its entry
+// map and called cfg.OnSuspect(n), so same-tick SUSPECT trace lines came
+// out in map order — the callee is unknown here, so it must be assumed to
+// observe the order it is called in.
 //
 // The sanctioned fix — collect the keys, sort, then iterate — is
 // recognized automatically: an order-sensitive append is not flagged when
@@ -87,6 +92,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 		case *ast.CallExpr:
 			f := pkgFunc(pass.TypesInfo, node)
 			if f == nil {
+				checkDynamicCall(pass, node, rs)
 				return true
 			}
 			if isRNGSourceMethod(f) && f.Name() != "Split" && f.Name() != "SplitInto" {
@@ -104,6 +110,35 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 		}
 		return true
 	})
+}
+
+// checkDynamicCall flags a call whose callee is a func-typed variable —
+// a struct field (callback hooks), a parameter or a local — unless the
+// variable is declared inside the loop body, where what it holds is
+// visible to the other checks.
+func checkDynamicCall(pass *Pass, call *ast.CallExpr, rs *ast.RangeStmt) {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return
+	}
+	v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+	if !ok {
+		return
+	}
+	if _, isFunc := v.Type().Underlying().(*types.Signature); !isFunc {
+		return
+	}
+	if v.Pos() >= rs.Body.Pos() && v.Pos() < rs.Body.End() {
+		return
+	}
+	pass.Reportf(call.Pos(),
+		"dynamic call (%s) inside range over map: the callee runs in randomized order and may record, draw or post; iterate sorted keys (or annotate `//lint:allow maporder -- reason`)",
+		id.Name)
 }
 
 // checkEscapingAppend flags `x = append(x, ...)` inside the loop when x is

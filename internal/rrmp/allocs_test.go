@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -158,5 +159,95 @@ func TestUntracedFreshDataAllocs(t *testing.T) {
 	}
 	if got := m.Metrics().Delivered.Value(); got != int64(seq) {
 		t.Fatalf("delivered %d of %d packets: the guard did not measure deliveries", got, seq)
+	}
+}
+
+// countTransport counts sends and drops them, so a guard measures the
+// member's own allocations and not the simulated network's.
+type countTransport struct{ sends int }
+
+func (c *countTransport) Send(topology.NodeID, wire.Message) { c.sends++ }
+func (c *countTransport) Broadcast(wire.Message)             {}
+
+// TestPeerPickDoesNotAllocate pins the live-peer pick on the two paths
+// that draw one per attempt. Before PR 17 a member with the failure
+// detector on rebuilt the candidate list (one make, one Suspected map
+// lookup per region member) on every local request, search hop and
+// handoff; the pick is now the detector's own walk over its table. What an
+// attempt still allocates is its retry timer: the closure that re-enters
+// the attempt and the handle sim.after returns for it. (The guard stops
+// the previous retry timer first, as firing would, so the simulator's
+// event comes from its pool.)
+func TestPeerPickDoesNotAllocate(t *testing.T) {
+	params := DefaultParams()
+	params.FDEnabled = true
+	params.MaxLocalTries, params.MaxSearchTries = 1<<30, 1<<30
+	c := newCluster(t, singleRegion(t, 10), params, 1, nil)
+	m := c.members[3]
+	// A crashed peer, suspected by the time the guard runs, takes the pick
+	// off the everyone-is-live shortcut and onto the table walk.
+	c.members[6].Crash()
+	c.sim.RunUntil(time.Second)
+	if !m.fd.Suspected(6) || m.fd.Suspected(5) {
+		t.Fatal("setup: member 3 should suspect exactly the crashed member 6")
+	}
+	net := &countTransport{}
+	m.cfg.Transport = net
+
+	rec := &recovery{id: wire.MessageID{Source: 0, Seq: 99}}
+	m.recoveries[rec.id] = rec
+	if n := testing.AllocsPerRun(200, func() { rec.stop(); m.localAttempt(rec) }); n != 2 {
+		t.Errorf("local request attempt: %v allocs, want 2 (retry closure, its timer handle)", n)
+	}
+	s := &searchState{id: wire.MessageID{Source: 0, Seq: 98}, origins: []topology.NodeID{12}}
+	m.searches[s.id] = s
+	if n := testing.AllocsPerRun(200, func() { s.stop(); m.searchAttempt(s) }); n != 2 {
+		t.Errorf("search hop: %v allocs, want 2 (retry closure, its timer handle)", n)
+	}
+	if net.sends != 2*201 {
+		t.Fatalf("%d sends, want %d: the guard did not measure attempts", net.sends, 2*201)
+	}
+}
+
+// heartbeatTap forwards to the member's transport and notes every
+// heartbeat table on the way. It keeps each table reachable, so an address
+// seen twice is one table sent twice and never a freed block handed out
+// again.
+type heartbeatTap struct {
+	Transport
+	pdus   *int
+	tables map[*uint64][]uint64
+}
+
+func (h heartbeatTap) Send(to topology.NodeID, msg wire.Message) {
+	if msg.Type == wire.TypeHeartbeat {
+		*h.pdus++
+		h.tables[&msg.Counters[0]] = msg.Counters
+	}
+	h.Transport.Send(to, msg)
+}
+
+// TestHeartbeatTablesAreRecycled pins the one place a delivered heartbeat
+// table goes back to the detector: in a lossless region most heartbeats
+// must ride in a table that arrived earlier instead of a fresh snapshot.
+// The snapshot was 70 % of the bytes the fault cells of the sweep
+// allocated, and the collector's reaction to it was what made sweep600's
+// peak RSS vary from run to run.
+func TestHeartbeatTablesAreRecycled(t *testing.T) {
+	params := DefaultParams()
+	params.FDEnabled = true
+	c := newCluster(t, singleRegion(t, 10), params, 1, nil)
+	pdus, tables := 0, map[*uint64][]uint64{}
+	for _, m := range c.members {
+		m.cfg.Transport = heartbeatTap{m.cfg.Transport, &pdus, tables}
+	}
+	c.sim.RunUntil(10 * time.Second)
+	if pdus < 1500 || len(tables)*4 > pdus {
+		t.Errorf("%d heartbeats rode in %d distinct tables, want under a quarter of at least 1500", pdus, len(tables))
+	}
+	for n, m := range c.members {
+		if len(m.fd.Live()) != 10 {
+			t.Errorf("member %d sees %v live", n, m.fd.Live())
+		}
 	}
 }

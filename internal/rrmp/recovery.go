@@ -104,8 +104,7 @@ func (m *Member) localAttempt(rec *recovery) {
 	if m.recoveries[rec.id] != rec {
 		return
 	}
-	peers, selfIdx := m.livePeers()
-	if peerCount(peers, selfIdx) == 0 {
+	if m.cfg.View.NumPeers() == 0 {
 		// Single-member region: only remote recovery can help.
 		rec.localDead = true
 		m.checkAbandoned(rec)
@@ -118,7 +117,7 @@ func (m *Member) localAttempt(rec *recovery) {
 		return
 	}
 	rec.localTries++
-	q := pickPeer(m.cfg.Rng, peers, selfIdx)
+	q, _ := m.randomPeer() // ok: the region has peers, checked above
 	m.metrics.LocalReqSent.Inc()
 	m.trace(trace.Event{Kind: trace.LocalReq, ID: rec.id, Peer: q, N: int32(rec.localTries)})
 	m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self, ID: rec.id})

@@ -338,59 +338,23 @@ func (m *Member) inOwnRegion(n topology.NodeID) bool {
 	return n >= m.inRegionLo && n <= m.inRegionHi
 }
 
-// livePeers returns the candidate set for a random peer pick as a
-// (members, selfIdx) pair: selfIdx >= 0 means the slice is the shared
-// region-member list with Self at that index (to be skipped — the no-
-// detector fast path, no allocation), selfIdx < 0 means a freshly built
-// self-excluding list of peers the failure detector considers alive. If
-// the detector suspects everyone (e.g. right after this member's own
-// outage), it falls back to the full static view: probing a possibly-dead
-// peer beats deadlocking on an empty candidate set. Use peerCount/pickPeer
-// to consume the pair.
-func (m *Member) livePeers() ([]topology.NodeID, int) {
+// randomPeer draws one uniformly random region peer with a single rng
+// draw; ok is false only when the member is alone in its region (no draw
+// then). With the failure detector on the pick is the detector's own, so
+// requests, search hops and handoffs route around crashed members: live
+// peers only, or the full static view if it suspects everyone (e.g. right
+// after this member's own outage) — probing a possibly-dead peer beats
+// deadlocking on an empty candidate set. Without it, every peer of the
+// shared view is a candidate. Neither branch allocates.
+func (m *Member) randomPeer() (topology.NodeID, bool) {
+	if m.fd != nil {
+		return m.fd.PickPeer(m.cfg.Rng)
+	}
 	rm := m.cfg.View.RegionMembers
-	selfIdx := m.cfg.View.SelfIdx
-	if m.fd == nil {
-		return rm, selfIdx
+	if len(rm) < 2 {
+		return topology.NoNode, false
 	}
-	live := make([]topology.NodeID, 0, len(rm)-1)
-	for i, p := range rm {
-		if i == selfIdx {
-			continue
-		}
-		if !m.fd.Suspected(p) {
-			live = append(live, p)
-		}
-	}
-	if len(live) == 0 {
-		return rm, selfIdx
-	}
-	return live, -1
-}
-
-// peerCount returns the number of candidates in a livePeers pair.
-func peerCount(peers []topology.NodeID, selfIdx int) int {
-	n := len(peers)
-	if selfIdx >= 0 && n > 0 {
-		n--
-	}
-	return n
-}
-
-// pickPeer draws one uniform candidate from a livePeers pair with a single
-// rng draw: Intn over the candidate count, with indices at or past Self
-// shifted up by one — index-for-index the same draw (and result) the old
-// eager self-excluding peers slice produced. The caller must ensure
-// peerCount > 0.
-func pickPeer(r *rng.Source, peers []topology.NodeID, selfIdx int) topology.NodeID {
-	if selfIdx < 0 {
-		return peers[r.Intn(len(peers))]
-	}
-	j := r.Intn(len(peers) - 1)
-	if j >= selfIdx {
-		j++
-	}
-	return peers[j]
+	return rm[m.cfg.Rng.Pick(len(rm), m.cfg.View.SelfIdx)], true
 }
 
 // ID returns the member's node id.
@@ -460,7 +424,9 @@ func (m *Member) source(src topology.NodeID) *sourceState {
 }
 
 // Receive dispatches one incoming PDU. It is the single entry point for
-// network input.
+// network input. The PDU must be this member's alone (netsim and
+// udptransport deliver each one once and keep no reference): a heartbeat's
+// Counters are handed to the failure detector for reuse.
 func (m *Member) Receive(from topology.NodeID, msg wire.Message) {
 	if m.left || m.crashed {
 		return
@@ -487,6 +453,7 @@ func (m *Member) Receive(from topology.NodeID, msg wire.Message) {
 	case wire.TypeHeartbeat:
 		if m.fd != nil {
 			m.fd.Receive(msg)
+			m.fd.Recycle(msg.Counters)
 		}
 	default:
 		// Unknown/baseline-only PDUs are ignored by the RRMP engine.
@@ -708,12 +675,11 @@ func (m *Member) Leave() {
 	}
 	// Hand off to peers the failure detector believes are alive —
 	// transferring the long-term buffer to a corpse would defeat §3.2.
-	peers, selfIdx := m.livePeers()
 	for _, e := range m.buf.TakeForHandoff() {
-		if peerCount(peers, selfIdx) == 0 {
+		to, ok := m.randomPeer()
+		if !ok {
 			break // sole region member: nothing to transfer to
 		}
-		to := pickPeer(m.cfg.Rng, peers, selfIdx)
 		m.metrics.HandoffsSent.Inc()
 		m.trace(trace.Event{Kind: trace.HandoffSend, ID: e.ID, Peer: to})
 		m.cfg.Transport.Send(to, wire.Message{

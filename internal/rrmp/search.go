@@ -161,7 +161,7 @@ func (m *Member) searchAttempt(s *searchState) {
 	} else if m.locator != nil {
 		q, ok = m.nextDeterministicTarget(s)
 	} else {
-		q, ok = m.nextRandomTarget()
+		q, ok = m.randomPeer()
 	}
 	if !ok {
 		delete(m.searches, s.id)
@@ -175,17 +175,6 @@ func (m *Member) searchAttempt(s *searchState) {
 		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: s.id, Origin: o})
 	}
 	s.timer = m.cfg.Sched.After(m.params.IntraRTT+m.params.RetryGrace, func() { m.searchAttempt(s) })
-}
-
-// nextRandomTarget picks a uniformly random live region peer; with the
-// failure detector on, suspected members are excluded so the random walk
-// routes around crashed bufferers instead of timing out on them.
-func (m *Member) nextRandomTarget() (topology.NodeID, bool) {
-	peers, selfIdx := m.livePeers()
-	if peerCount(peers, selfIdx) == 0 {
-		return 0, false
-	}
-	return pickPeer(m.cfg.Rng, peers, selfIdx), true
 }
 
 // nextDeterministicTarget walks the hash-elected bufferer set in rank
