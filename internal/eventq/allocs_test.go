@@ -63,3 +63,116 @@ func TestTimerChurnCancelAllocs(t *testing.T) {
 		t.Fatalf("timer Push+Cancel allocates %.2f objects/op, want 0", avg)
 	}
 }
+
+// TestSameInstantFanoutAllocs guards a multicast's delivery burst: 10 000
+// events pushed for one instant ride as one run behind a random-time
+// backlog and drain in order, with no allocation once the arena is warm.
+func TestSameInstantFanoutAllocs(t *testing.T) {
+	r := rng.New(1)
+	var q Queue
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		q.Push(time.Hour+time.Duration(r.Intn(1_000_000)), fn)
+	}
+	at := time.Duration(0)
+	fanout := func() {
+		at++
+		heap := len(q.heap)
+		for j := 0; j < 10_000; j++ {
+			q.PushKeyed(at, at, 0, fn)
+		}
+		if len(q.heap) != heap+1 {
+			t.Fatalf("a 10 000-event burst took %d heap entries, want 1", len(q.heap)-heap)
+		}
+		for j := 0; j < 10_000; j++ {
+			if got, _, _ := q.PopFire(); got != at {
+				t.Fatalf("burst event popped at %v, want %v", got, at)
+			}
+		}
+	}
+	fanout() // warm the arena
+	if avg := testing.AllocsPerRun(20, fanout); avg != 0 {
+		t.Fatalf("same-instant fan-out allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestCompactionAllocs guards the tombstone compaction: unlinking dead
+// events, re-keying runs and re-heapifying happen in place.
+func TestCompactionAllocs(t *testing.T) {
+	r := rng.New(1)
+	var q Queue
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		q.Push(time.Duration(r.Intn(1_000_000)), fn)
+	}
+	compactions := 0
+	churn := func() {
+		for i := 0; i < 2*compactMin; i++ {
+			e := q.Push(time.Duration(r.Intn(1_000_000)), fn)
+			q.Cancel(e, e.Gen())
+			if q.dead == 0 {
+				compactions++
+			}
+		}
+		e := q.Push(time.Duration(r.Intn(1_000_000)), fn)
+		q.Cancel(e, e.Gen())
+		q.compact()
+		compactions++
+	}
+	churn() // warm the arena
+	if avg := testing.AllocsPerRun(100, churn); avg != 0 {
+		t.Fatalf("push/cancel/compact allocates %.2f objects/op, want 0", avg)
+	}
+	if compactions < 100 {
+		t.Fatalf("only %d compactions measured", compactions)
+	}
+}
+
+// TestTombstonesBounded is the memory bound tombstone cancel promises: under
+// 10^5 push/cancel cycles around 1 000 live events (the timer churn of a
+// retransmission-heavy run), the events the heap and its runs hold — live
+// plus tombstones — never exceed 2·live + 64, and neither does the arena.
+func TestTombstonesBounded(t *testing.T) {
+	const live = 1000
+	r := rng.New(7)
+	var q Queue
+	fn := func() {}
+	type handle struct {
+		e   *Event
+		gen uint32
+	}
+	hs := make([]handle, live)
+	now := time.Duration(0)
+	for i := range hs {
+		e := q.Push(time.Duration(r.Intn(1_000_000)), fn)
+		hs[i] = handle{e, e.Gen()}
+	}
+	for cycle := 0; cycle < 100_000; cycle++ {
+		i := r.Intn(live)
+		if !q.Cancel(hs[i].e, hs[i].gen) {
+			// Fired: its slot went back to the free list at once.
+			hs[i] = handle{}
+		}
+		if cycle%10 == 0 {
+			if at, _, ok := q.PopFire(); ok {
+				now = at
+			}
+		}
+		// Re-arm, half the time at a shared instant so runs form too.
+		at := now + time.Duration(r.Intn(1_000_000))
+		if r.Intn(2) == 0 {
+			at = now + 1000
+		}
+		e := q.Push(at, fn)
+		hs[i] = handle{e, e.Gen()}
+		if held := q.live + q.dead; len(q.heap) > held || held > 2*q.Len()+64 {
+			t.Fatalf("cycle %d: %d heap entries, %d live + %d tombstones", cycle, len(q.heap), q.live, q.dead)
+		}
+	}
+	if q.Len() < live/2 {
+		t.Fatalf("only %d events live at the end", q.Len())
+	}
+	if int(q.used) > 2*live+64 {
+		t.Fatalf("arena grew to %d slots around %d live events", q.used, live)
+	}
+}

@@ -8,50 +8,15 @@ import (
 )
 
 // Benchmarks for the simulator's hot path: every packet delivery and every
-// protocol timer is one Push (and often one Remove) on this queue, so sweep
+// protocol timer is one Push (and often one Cancel) on this queue, so sweep
 // throughput is bounded by these operations. BENCH_sweep.json tracks the
 // macro numbers; these isolate the queue itself.
 
-// BenchmarkSteadyStatePushPop measures steady-state heap traffic: a queue
-// holding 1024 random-time events pushes one more and pops the earliest,
-// per op (eventq_test.go's BenchmarkPushPop uses sequential times, which
-// hits the heap's best case; random times are the simulator's reality).
-func BenchmarkSteadyStatePushPop(b *testing.B) {
-	r := rng.New(1)
-	var q Queue
-	fn := func() {}
-	for i := 0; i < 1024; i++ {
-		q.Push(time.Duration(r.Intn(1_000_000)), fn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Push(time.Duration(r.Intn(1_000_000)), fn)
-		q.Pop()
-	}
-}
-
-// BenchmarkTimerChurn measures the cancel path the protocol leans on: every
-// retransmission timer is removed when the awaited message arrives. Each op
-// pushes a random-time event into a 1024-event heap and removes it again.
-func BenchmarkTimerChurn(b *testing.B) {
-	r := rng.New(1)
-	var q Queue
-	fn := func() {}
-	for i := 0; i < 1024; i++ {
-		q.Push(time.Duration(r.Intn(1_000_000)), fn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := q.Push(time.Duration(r.Intn(1_000_000)), fn)
-		if !q.Remove(e) {
-			b.Fatal("failed to remove a live event")
-		}
-	}
-}
-
-// BenchmarkSteadyStatePushPopFire is BenchmarkSteadyStatePushPop on the
-// pooled fast path the simulator's main loop actually runs: PopFire
-// recycles each fired event, so steady state allocates nothing.
+// BenchmarkSteadyStatePushPopFire measures steady-state heap traffic on
+// the simulator main loop's path: a queue holding 1024 random-time events
+// pushes one more and pops the earliest, per op (eventq_test.go's
+// BenchmarkPushPop uses sequential times, which hits the heap's best case).
+// PopFire recycles each fired event, so steady state allocates nothing.
 func BenchmarkSteadyStatePushPopFire(b *testing.B) {
 	r := rng.New(1)
 	var q Queue
@@ -66,9 +31,11 @@ func BenchmarkSteadyStatePushPopFire(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerChurnCancel is the pooled cancel path protocol timers use:
-// push a timer event, cancel it through its generation-checked handle, and
-// let the pool hand the struct back to the next push.
+// BenchmarkTimerChurnCancel measures the cancel path the protocol leans on
+// (every retransmission timer is cancelled when the awaited message
+// arrives): push a random-time event into a 1024-event queue and cancel it
+// through its generation-checked handle. The tombstone's slot comes back at
+// the next compaction.
 func BenchmarkTimerChurnCancel(b *testing.B) {
 	r := rng.New(1)
 	var q Queue
@@ -100,7 +67,33 @@ func BenchmarkDrain(b *testing.B) {
 		for _, at := range times {
 			q.Push(at, fn)
 		}
-		for q.Pop() != nil {
+		for {
+			if _, _, ok := q.PopFire(); !ok {
+				break
+			}
+		}
+	}
+}
+
+// BenchmarkSameInstantFanout is a multicast's delivery burst: 10 000 events
+// pushed for one instant behind a 1024-event random-time backlog, then
+// drained. The burst rides as one run, so each op is a link on push and a
+// single root sift on pop.
+func BenchmarkSameInstantFanout(b *testing.B) {
+	r := rng.New(1)
+	var q Queue
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		q.Push(time.Hour+time.Duration(r.Intn(1_000_000)), fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := time.Duration(i)
+		for j := 0; j < 10_000; j++ {
+			q.PushKeyed(at, at, 0, fn)
+		}
+		for j := 0; j < 10_000; j++ {
+			q.PopFire()
 		}
 	}
 }

@@ -1,68 +1,86 @@
 // Package eventq implements the ordered event queue at the heart of the
 // discrete-event simulator.
 //
-// The queue is a binary min-heap keyed on (time, sequence). The sequence
-// number is assigned on insertion, so events scheduled for the same instant
-// fire in insertion order. This total order is what makes whole-system
-// simulations deterministic: two runs with the same seed execute the exact
-// same event interleaving.
+// Events are totally ordered by the key (at, pushAt, src, seq); seq is
+// assigned on insertion, so events one context schedules for the same
+// instant fire in insertion order. This total order is what makes
+// whole-system simulations deterministic.
 //
-// Events can be cancelled in O(log n) through the handle returned by Push;
-// the heap tracks element indices to support removal without lazy deletion,
-// keeping memory bounded even under heavy timer churn (every retransmission
-// timer in the protocol is cancelled when the awaited message arrives).
+// The queue is a 4-ary min-heap of keys held by value beside an arena slot
+// index, so a heap slot holds no pointer. Events live in arena chunks that
+// never move, so the *Event handles Push returns stay valid.
 //
-// Event structs are pooled: PopFire and Cancel return the fired/cancelled
-// event to a free list that the next Push reuses, so steady-state simulation
-// allocates no queue memory at all. Because a pooled handle may be reused
-// for a later event, long-lived holders (the simulator's timers) must
-// remember the Gen observed at Push time and cancel through Cancel, which
-// refuses a stale generation. The unpooled Pop/Remove pair remains for
-// callers that keep handles around.
+// Same-instant runs: when the previous push is still pending at the same
+// instant and the new key orders after it, the new event is linked behind
+// it in the arena and never enters the heap (a multicast's n-1 deliveries
+// arrive this way). The heap holds one entry per run, keyed by its head;
+// popping a head moves its successor's key into the root with one
+// sift-down. Runs are sorted, so merging them pops events in exactly the
+// order a heap of single events would.
+//
+// Cancel is a tombstone: the dead event is discarded when it surfaces at
+// the root. Once tombstones outnumber live events (and number compactMin or
+// more) an O(n) compaction unlinks them all, re-keys each run whose head
+// died by its first live member and re-heapifies, so the queue holds at
+// most 2·Len() + compactMin events.
+//
+// Slots are recycled by later pushes, so steady-state simulation allocates
+// no queue memory; holders must keep the Gen observed at Push time and
+// cancel through Cancel, which refuses a stale generation.
 package eventq
 
 import "time"
 
-// Event is a callback scheduled to run at a virtual time.
+const (
+	chunkBits  = 9
+	chunkSize  = 1 << chunkBits
+	compactMin = 32
+)
+
+// Event is the handle of a scheduled callback. Its time is its run's, kept
+// in the heap entry; the rest of its key lets it become the run's head.
 type Event struct {
-	at time.Duration
-	// pushAt and src extend the ordering key for sharded simulation (see
-	// PushKeyed). Push leaves both zero, so single-queue users keep the
-	// plain (at, seq) order: with pushAt and src constant, the extended
-	// comparison reduces to (at, seq) exactly.
-	pushAt time.Duration
-	src    int32
-	seq    uint64
 	fn     func()
-
-	// index is the element's position in the heap, or -1 once removed.
-	index int
-	// gen increments every time the event struct is recycled into the
-	// pool, invalidating stale handles held by cancelled timers.
-	gen uint32
+	pushAt time.Duration
+	seq    uint64
+	src    int32
+	gen    uint32 // advances when the event fires or is cancelled
+	// next is the slot ref of the next run member while the event is held,
+	// of the next free slot while it is free; 0 for none.
+	next uint32
+	live bool
 }
-
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() time.Duration { return e.at }
 
 // Gen returns the event's current generation. A handle is only valid for
 // Cancel together with the generation read immediately after Push.
 func (e *Event) Gen() uint32 { return e.gen }
 
-// Queue is a min-heap of events ordered by (time, insertion sequence).
-// The zero value is ready to use. Queue is not safe for concurrent use.
+// entry is one heap slot: a run head's key and its slot ref.
+type entry struct {
+	at, pushAt time.Duration
+	seq        uint64
+	src        int32
+	ref        uint32
+}
+
+// Queue is an event queue ordered by (at, pushAt, src, seq). The zero value
+// is ready to use. Queue is not safe for concurrent use.
 type Queue struct {
-	heap    []*Event
-	nextSeq uint64
-	free    []*Event
+	heap       []entry
+	chunks     []*[chunkSize]Event
+	used, free uint32 // slots handed out (refs 1..used); first free ref
+	live, dead int    // pending events; cancelled events still held
+	nextSeq    uint64
+	last       uint32 // ref of the latest push, the tail a push may join
+	lastAt     time.Duration
 }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.heap) }
+func (q *Queue) Len() int { return q.live }
 
 // Push schedules fn to run at virtual time at and returns a handle that can
-// be passed to Remove or (with its Gen) Cancel. Scheduling in the past is
-// allowed (the simulator clamps, firing such events "now").
+// be passed (with its Gen) to Cancel. Scheduling in the past is allowed
+// (the simulator clamps, firing such events "now").
 func (q *Queue) Push(at time.Duration, fn func()) *Event {
 	return q.PushKeyed(at, 0, 0, fn)
 }
@@ -77,115 +95,156 @@ func (q *Queue) Push(at time.Duration, fn func()) *Event {
 // in seq, so (at, pushAt, src, seq) with constant src orders identically to
 // the legacy (at, seq) key.
 func (q *Queue) PushKeyed(at, pushAt time.Duration, src int32, fn func()) *Event {
-	var e *Event
-	if n := len(q.free); n > 0 {
-		e = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		e.at, e.pushAt, e.src, e.seq, e.fn, e.index = at, pushAt, src, q.nextSeq, fn, len(q.heap)
-	} else {
-		e = &Event{at: at, pushAt: pushAt, src: src, seq: q.nextSeq, fn: fn, index: len(q.heap)}
-	}
+	seq := q.nextSeq
 	q.nextSeq++
-	q.heap = append(q.heap, e)
-	q.up(e.index)
-	return e
-}
-
-// Peek returns the earliest event without removing it, or nil if empty.
-func (q *Queue) Peek() *Event {
-	if len(q.heap) == 0 {
-		return nil
+	q.live++
+	if q.last != 0 && at == q.lastAt {
+		if tail := q.event(q.last); tail.live && (pushAt > tail.pushAt || pushAt == tail.pushAt && src >= tail.src) {
+			q.last = q.alloc(pushAt, seq, src, fn)
+			tail.next = q.last
+			return q.event(q.last)
+		}
 	}
-	return q.heap[0]
+	q.last, q.lastAt = q.alloc(pushAt, seq, src, fn), at
+	q.heap = append(q.heap, entry{})
+	q.up(len(q.heap)-1, entry{at: at, pushAt: pushAt, seq: seq, src: src, ref: q.last})
+	return q.event(q.last)
 }
 
-// Pop removes and returns the earliest event, or nil if the queue is empty.
-// The event is NOT recycled: the caller owns the handle indefinitely (tests
-// and diagnostics). Hot loops should use PopFire instead.
-func (q *Queue) Pop() *Event {
-	if len(q.heap) == 0 {
-		return nil
+// NextAt returns the time of the earliest pending event, discarding the
+// cancelled events ahead of it; ok is false when nothing is pending.
+func (q *Queue) NextAt() (at time.Duration, ok bool) {
+	for len(q.heap) > 0 {
+		ref := q.heap[0].ref
+		e := q.event(ref)
+		if e.live {
+			return q.heap[0].at, true
+		}
+		q.popHead(e)
+		q.release(ref)
+		q.dead--
 	}
-	e := q.heap[0]
-	q.removeAt(0)
-	return e
+	return 0, false
 }
 
-// PopFire removes the earliest event and returns its (time, callback),
-// recycling the event struct into the pool before the callback is exposed.
-// It returns ok=false on an empty queue. This is the simulator's main-loop
+// PopFire removes the earliest pending event and returns its (time,
+// callback), recycling its slot before the callback is exposed. It returns
+// ok=false when nothing is pending. This is the simulator's main-loop
 // primitive: one event dispatch with zero allocation.
 func (q *Queue) PopFire() (at time.Duration, fn func(), ok bool) {
-	if len(q.heap) == 0 {
+	if at, ok = q.NextAt(); !ok {
 		return 0, nil, false
 	}
-	e := q.heap[0]
-	at, fn = e.at, e.fn
-	q.removeAt(0)
-	q.recycle(e)
+	ref := q.heap[0].ref
+	e := q.event(ref)
+	fn = e.fn
+	q.popHead(e)
+	q.retire(e)
+	q.release(ref)
 	return at, fn, true
 }
 
-// Remove cancels a pending event. It returns false if the event already
-// fired or was removed. Passing nil is a no-op returning false. The event is
-// NOT recycled (the caller may hold the handle); pooled callers use Cancel.
-func (q *Queue) Remove(e *Event) bool {
-	if e == nil || e.index < 0 || e.index >= len(q.heap) || q.heap[e.index] != e {
-		return false
-	}
-	q.removeAt(e.index)
-	return true
-}
-
-// Cancel removes a pending event if the handle's generation still matches,
-// recycling it into the pool. It returns false for a stale handle (the event
-// fired, was cancelled, and possibly reused since) — the guarantee timers
-// rely on: after a true Cancel the callback never runs, and a stale Stop
-// can never kill an unrelated event that happens to reuse the struct.
+// Cancel cancels a pending event if the handle's generation still matches.
+// It returns false for a stale handle (the event fired, was cancelled, and
+// possibly reused since) — the guarantee timers rely on: after a true
+// Cancel the callback never runs, and a stale Stop can never kill an
+// unrelated event that happens to reuse the slot.
 func (q *Queue) Cancel(e *Event, gen uint32) bool {
-	if e == nil || e.gen != gen {
+	if e == nil || e.gen != gen || !e.live {
 		return false
 	}
-	if e.index < 0 || e.index >= len(q.heap) || q.heap[e.index] != e {
-		return false
-	}
-	q.removeAt(e.index)
-	q.recycle(e)
+	q.dead++
+	q.retire(e)
 	return true
 }
 
-// Fn returns the event callback. It remains valid after removal so the
-// simulator can invoke it after popping.
-func (e *Event) Fn() func() { return e.fn }
-
-// recycle invalidates all outstanding handles to e and returns it to the
-// free list. The callback reference is dropped so its closure can be GCed
-// while the struct waits for reuse.
-func (q *Queue) recycle(e *Event) {
-	e.gen++
-	e.fn = nil
-	q.free = append(q.free, e)
+// event returns the event in slot ref (1-based).
+func (q *Queue) event(ref uint32) *Event {
+	ref--
+	return &q.chunks[ref>>chunkBits][ref&(chunkSize-1)]
 }
 
-func (q *Queue) removeAt(i int) {
-	e := q.heap[i]
-	last := len(q.heap) - 1
-	if i != last {
-		q.swap(i, last)
-	}
-	q.heap[last] = nil // allow GC of the event's closure
-	q.heap = q.heap[:last]
-	if i != last && i < len(q.heap) {
-		if !q.down(i) {
-			q.up(i)
+// alloc fills a free slot, or a fresh one, with a pending event.
+func (q *Queue) alloc(pushAt time.Duration, seq uint64, src int32, fn func()) uint32 {
+	ref := q.free
+	if ref != 0 {
+		q.free = q.event(ref).next
+	} else {
+		if q.used == uint32(len(q.chunks))<<chunkBits {
+			q.chunks = append(q.chunks, new([chunkSize]Event))
 		}
+		q.used++
+		ref = q.used
 	}
-	e.index = -1
+	e := q.event(ref)
+	e.fn, e.pushAt, e.seq, e.src, e.next, e.live = fn, pushAt, seq, src, 0, true
+	return ref
 }
 
-func (q *Queue) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
+// retire ends a pending event's life (fired, or cancelled and counted in
+// dead by the caller) and compacts once tombstones outnumber live events.
+func (q *Queue) retire(e *Event) {
+	e.gen++
+	e.fn, e.live = nil, false
+	q.live--
+	if q.dead > q.live && q.dead >= compactMin {
+		q.compact()
+	}
+}
+
+// release returns a retired event's slot to the free list.
+func (q *Queue) release(ref uint32) {
+	q.event(ref).next = q.free
+	q.free = ref
+}
+
+// popHead removes the root's head event e from its run: its successor's key
+// takes the root, or the root entry goes when the run is exhausted.
+func (q *Queue) popHead(e *Event) {
+	if next := e.next; next != 0 {
+		s, r := q.event(next), &q.heap[0]
+		r.pushAt, r.seq, r.src, r.ref = s.pushAt, s.seq, s.src, next
+	} else {
+		n := len(q.heap) - 1
+		q.heap[0] = q.heap[n]
+		q.heap = q.heap[:n]
+	}
+	q.down(0)
+}
+
+// compact frees every dead event, re-keys each run by its first live member,
+// drops runs with none, and restores the heap order.
+func (q *Queue) compact() {
+	w := 0
+	for _, h := range q.heap {
+		var head uint32
+		link := &head
+		for ref := h.ref; ref != 0; {
+			e := q.event(ref)
+			next := e.next
+			if e.live {
+				*link, link = ref, &e.next
+			} else {
+				q.release(ref)
+			}
+			ref = next
+		}
+		*link = 0
+		if head == 0 {
+			continue
+		}
+		e := q.event(head)
+		q.heap[w] = entry{at: h.at, pushAt: e.pushAt, seq: e.seq, src: e.src, ref: head}
+		w++
+	}
+	q.heap = q.heap[:w]
+	q.dead = 0
+	for i := (w - 2) / 4; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+func less(a, b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -198,41 +257,42 @@ func (q *Queue) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].index = i
-	q.heap[j].index = j
-}
-
-func (q *Queue) up(i int) {
+// up places x at hole i or above it; down places h[i] at i or below it.
+// Both move the hole rather than swapping, one entry write per level.
+func (q *Queue) up(i int, x entry) {
+	h := q.heap
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		p := (i - 1) / 4
+		if !less(&x, &h[p]) {
 			break
 		}
-		q.swap(i, parent)
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = x
 }
 
-func (q *Queue) down(i int) bool {
-	moved := false
-	n := len(q.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
-		}
-		if !q.less(smallest, i) {
-			break
-		}
-		q.swap(i, smallest)
-		i = smallest
-		moved = true
+func (q *Queue) down(i int) {
+	h := q.heap
+	if i >= len(h) {
+		return
 	}
-	return moved
+	x := h[i]
+	for {
+		m := 4*i + 1
+		if m >= len(h) {
+			break
+		}
+		for j, end := m+1, min(m+4, len(h)); j < end; j++ {
+			if less(&h[j], &h[m]) {
+				m = j
+			}
+		}
+		if !less(&h[m], &x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
 }

@@ -16,6 +16,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -155,7 +156,7 @@ func (sp *Spec) setParam(key, val string) error {
 	}
 	num := func(dst *float64, max float64) error {
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f <= 0 || (max > 0 && f > max) {
+		if err != nil || !(f > 0) || math.IsInf(f, 1) || (max > 0 && f > max) {
 			if max > 0 {
 				return fmt.Errorf("policy: %s parameter %s=%q: want a number in (0, %v]", sp.Kind, key, val, max)
 			}

@@ -70,6 +70,8 @@ func TestParseParameters(t *testing.T) {
 		"two-phase:hold=1s",        // parameterless kind
 		"adaptive:alpha=1.5",       // alpha outside (0, 1]
 		"adaptive:target=0",        // target must be positive
+		"adaptive:target=NaN",      // ... and a number
+		"adaptive:target=+Inf",     // ... and finite
 		"adaptive:tmin=9s,tmax=1s", // tmax below tmin
 		"adaptive:frobnicate=1",    // unknown key
 	} {

@@ -236,8 +236,8 @@ func (e *Sharded) runTo(deadline time.Duration) {
 	e.barrierAt(e.global.now)
 	for e.global.now < deadline {
 		h := e.global.now + e.lookahead
-		if head := e.global.queue.Peek(); head != nil && head.At() < h {
-			h = head.At()
+		if at, ok := e.global.queue.NextAt(); ok && at < h {
+			h = at
 		}
 		if deadline < h {
 			h = deadline
@@ -269,12 +269,10 @@ func (e *Sharded) barrierAt(h time.Duration) {
 
 // nextEventAt returns the earliest pending event time across all queues.
 func (e *Sharded) nextEventAt() (at time.Duration, ok bool) {
-	if head := e.global.queue.Peek(); head != nil {
-		at, ok = head.At(), true
-	}
+	at, ok = e.global.queue.NextAt()
 	for _, ln := range e.lanes {
-		if head := ln.loop.queue.Peek(); head != nil && (!ok || head.At() < at) {
-			at, ok = head.At(), true
+		if t, live := ln.loop.queue.NextAt(); live && (!ok || t < at) {
+			at, ok = t, true
 		}
 	}
 	return at, ok
@@ -286,7 +284,7 @@ func (e *Sharded) nextEventAt() (at time.Duration, ok bool) {
 func (e *Sharded) runWindow(limit time.Duration) {
 	e.active = e.active[:0]
 	for _, ln := range e.lanes {
-		if head := ln.loop.queue.Peek(); head != nil && head.At() <= limit {
+		if at, ok := ln.loop.queue.NextAt(); ok && at <= limit {
 			e.active = append(e.active, ln)
 		}
 	}

@@ -137,8 +137,9 @@ func (s *Sim) At(at time.Duration, fn func()) clock.Timer {
 	return s.After(at-s.now, fn)
 }
 
-// Step executes the single earliest event. It returns false if no events
-// are pending.
+// Step executes the single earliest pending event. It returns false if no
+// events are pending. Cancelled events are skipped: never run, counted or
+// allowed to move the clock.
 func (s *Sim) Step() bool {
 	at, fn, ok := s.queue.PopFire()
 	if !ok {
@@ -155,11 +156,11 @@ func (s *Sim) Step() bool {
 // runDue executes, in key order, every event with a timestamp <= limit
 // (every event at all under a negative limit), including the ones those
 // events schedule. It is the loop under RunUntil and under every window and
-// barrier of a Sharded engine.
+// barrier of a Sharded engine. Cancelled events never count as due.
 func (s *Sim) runDue(limit time.Duration) {
 	for {
-		head := s.queue.Peek()
-		if head == nil || (limit >= 0 && head.At() > limit) {
+		at, ok := s.queue.NextAt()
+		if !ok || (limit >= 0 && at > limit) {
 			return
 		}
 		s.Step()
