@@ -96,6 +96,46 @@ func TestSameInstantFanoutAllocs(t *testing.T) {
 	}
 }
 
+// TestInterleavedInstantsShareRuns guards concurrent sources interleaving a
+// few instants: 16 instants pushed round-robin 10 000 times behind a
+// 1 024-event backlog each ride as one run (the heap grows by exactly 16
+// entries), drain in order, and allocate nothing once the arena is warm.
+func TestInterleavedInstantsShareRuns(t *testing.T) {
+	const instants, rounds = 16, 10_000
+	r := rng.New(1)
+	var q Queue
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		q.Push(time.Hour+time.Duration(r.Intn(1_000_000)), fn)
+	}
+	if len(q.heap) != 1024 {
+		t.Fatalf("the backlog took %d heap entries, want 1024", len(q.heap))
+	}
+	base := time.Duration(0)
+	interleave := func() {
+		base += instants
+		for j := 0; j < rounds; j++ {
+			for i := time.Duration(0); i < instants; i++ {
+				q.PushKeyed(base+i, base, 0, fn)
+			}
+		}
+		if len(q.heap) != 1024+instants {
+			t.Fatalf("%d interleaved instants took %d heap entries, want %d", instants, len(q.heap)-1024, instants)
+		}
+		for i := time.Duration(0); i < instants; i++ {
+			for j := 0; j < rounds; j++ {
+				if got, _, _ := q.PopFire(); got != base+i {
+					t.Fatalf("interleaved event popped at %v, want %v", got, base+i)
+				}
+			}
+		}
+	}
+	interleave() // warm the arena
+	if avg := testing.AllocsPerRun(5, interleave); avg != 0 {
+		t.Fatalf("interleaved instants allocate %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestCompactionAllocs guards the tombstone compaction: unlinking dead
 // events, re-keying runs and re-heapifying happen in place.
 func TestCompactionAllocs(t *testing.T) {

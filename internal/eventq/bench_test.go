@@ -14,9 +14,9 @@ import (
 
 // BenchmarkSteadyStatePushPopFire measures steady-state heap traffic on
 // the simulator main loop's path: a queue holding 1024 random-time events
-// pushes one more and pops the earliest, per op (eventq_test.go's
-// BenchmarkPushPop uses sequential times, which hits the heap's best case).
-// PopFire recycles each fired event, so steady state allocates nothing.
+// pushes one more and pops the earliest, per op. Random times form no runs,
+// so every push takes a heap entry of its own. PopFire recycles each fired
+// event, so steady state allocates nothing.
 func BenchmarkSteadyStatePushPopFire(b *testing.B) {
 	r := rng.New(1)
 	var q Queue
@@ -93,6 +93,33 @@ func BenchmarkSameInstantFanout(b *testing.B) {
 			q.PushKeyed(at, at, 0, fn)
 		}
 		for j := 0; j < 10_000; j++ {
+			q.PopFire()
+		}
+	}
+}
+
+// BenchmarkInterleavedInstants is concurrent sources interleaving their
+// deliveries: 64 instants each pushed 160 times round-robin behind a
+// 1024-event random-time backlog, then drained. Each push finds its
+// instant's run through the tails index, so the heap holds one entry per
+// instant rather than one per event.
+func BenchmarkInterleavedInstants(b *testing.B) {
+	const instants, rounds = 64, 160
+	r := rng.New(1)
+	var q Queue
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		q.Push(time.Hour+time.Duration(r.Intn(1_000_000)), fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := time.Duration(i) * instants
+		for j := 0; j < rounds; j++ {
+			for k := time.Duration(0); k < instants; k++ {
+				q.PushKeyed(base+k, base, 0, fn)
+			}
+		}
+		for j := 0; j < instants*rounds; j++ {
 			q.PopFire()
 		}
 	}

@@ -55,7 +55,7 @@ const (
 var styles = [][]byte{
 	{0, 1, 2, 3, 4, 6},       // clustered
 	{0, 1, 2},                // equal
-	{4, 5, 7},                // random
+	{3, 4, 5, 7},             // random
 	{0, 1, 2, 3, 4, 5, 6, 7}, // mixed
 }
 
@@ -124,6 +124,8 @@ func (s *rngSource) arg() byte {
 type diffCoverage struct {
 	steps, pushes, pops                                   int
 	runJoins, lowPushAt, mixedSrc, pushAfterTailFired     int
+	otherRunJoins, slotCollisions, keyRefusals            int
+	tailFired, tailCancelled, tailReleased                int
 	cancelHead, cancelMiddle, cancelTail, cancelSingleton int
 	staleCancels, doubleCancels                           int
 	compactions, promoted                                 int
@@ -140,6 +142,12 @@ type diffHandle struct {
 	fired     bool
 }
 
+// tailKey names one life of an event slot: the handle and its generation.
+type tailKey struct {
+	e   *Event
+	gen uint32
+}
+
 type differ struct {
 	t   testing.TB
 	q   Queue
@@ -147,6 +155,7 @@ type differ struct {
 	cov *diffCoverage
 
 	hs         []diffHandle
+	tagOf      map[tailKey]int
 	pend       []int // tags of pending events
 	pos        []int // tag -> index in pend
 	firedNew   int
@@ -156,7 +165,7 @@ type differ struct {
 }
 
 func runProgram(t testing.TB, src source, cov *diffCoverage) {
-	d := &differ{t: t, cov: cov, lastCancel: -1}
+	d := &differ{t: t, cov: cov, lastCancel: -1, tagOf: map[tailKey]int{}}
 	for src.more() {
 		d.step(src)
 		d.compare()
@@ -217,20 +226,35 @@ func (d *differ) step(src source) {
 	}
 }
 
-// instant picks a push time: the previous push's instant, the clock, a
-// little or a lot after it, or slightly in the past.
+// instant picks a push time: the previous push's instant, a pending
+// event's instant, the clock, another instant in a pending instant's tails
+// slot, a little or a lot after the clock, or slightly in the past.
 func (d *differ) instant(mode byte, src source) time.Duration {
 	last := d.now
 	if n := len(d.hs); n > 0 {
 		last = d.hs[n-1].at
 	}
 	switch mode {
-	case 0, 1:
+	case 0:
 		return last
+	case 1:
+		if len(d.pend) == 0 {
+			return last
+		}
+		return d.pendingAt(src)
 	case 2:
 		return d.now
 	case 3:
-		return d.now + 1 + time.Duration(src.arg()%4)
+		if len(d.pend) == 0 {
+			return d.now + 1 + time.Duration(src.arg()%4)
+		}
+		at := d.pendingAt(src)
+		slot := tailSlot(at)
+		b := at + 1 + time.Duration(src.arg())
+		for tailSlot(b) != slot {
+			b++
+		}
+		return b
 	case 4:
 		return d.now + time.Duration(src.arg()%32)
 	case 5:
@@ -240,6 +264,11 @@ func (d *differ) instant(mode byte, src source) time.Duration {
 	default:
 		return max(0, d.now-time.Duration(src.arg()%4))
 	}
+}
+
+// pendingAt returns the instant of the pending event two argument bytes pick.
+func (d *differ) pendingAt(src source) time.Duration {
+	return d.hs[d.pend[(int(src.arg())<<8|int(src.arg()))%len(d.pend)]].at
 }
 
 func (d *differ) push(at time.Duration, lane bool, src source) {
@@ -276,16 +305,58 @@ func (d *differ) push(at time.Duration, lane bool, src source) {
 		d.cov.mixedSrc++
 	}
 	tag := len(d.hs)
-	before := len(d.q.heap)
+	before, t := len(d.q.heap), d.q.tails[tailSlot(at)]
+	d.classifyProbe(at, pushAt, s)
 	e := d.q.PushKeyed(at, pushAt, s, func() { d.firedNew = tag })
 	r := d.ref.PushKeyed(at, pushAt, s, func() { d.firedRef = tag })
 	if len(d.q.heap) == before {
 		d.cov.runJoins++
+		if prev == nil || d.q.event(t.ref) != prev.e || t.gen != prev.gen {
+			d.cov.otherRunJoins++
+		}
 	}
+	d.tagOf[tailKey{e, e.Gen()}] = tag
 	d.hs = append(d.hs, diffHandle{e: e, gen: e.Gen(), r: r, rgen: r.Gen(), at: at, pushAt: pushAt})
 	d.pos = append(d.pos, len(d.pend))
 	d.pend = append(d.pend, tag)
 	d.cov.pushes++
+}
+
+// classifyProbe counts what a push at (at, pushAt, src) finds in its tails
+// slot: another instant's live tail, a tail that fired, was cancelled or
+// has since been released, or a live tail whose key orders after the push.
+func (d *differ) classifyProbe(at, pushAt time.Duration, src int32) {
+	t := d.q.tails[tailSlot(at)]
+	if t.ref == 0 {
+		return
+	}
+	tail := d.q.event(t.ref)
+	switch {
+	case t.at != at:
+		if tail.gen == t.gen {
+			d.cov.slotCollisions++
+		}
+	case tail.gen == t.gen:
+		if pushAt < tail.pushAt || pushAt == tail.pushAt && src < tail.src {
+			d.cov.keyRefusals++
+		}
+	case d.hs[d.tagOf[tailKey{tail, t.gen}]].fired:
+		d.cov.tailFired++
+	case tail.live || tail.gen != t.gen+1 || d.isFree(t.ref):
+		d.cov.tailReleased++
+	default:
+		d.cov.tailCancelled++
+	}
+}
+
+// isFree reports whether slot ref is on the queue's free list.
+func (d *differ) isFree(ref uint32) bool {
+	for f := d.q.free; f != 0; f = d.q.event(f).next {
+		if f == ref {
+			return true
+		}
+	}
+	return false
 }
 
 func (d *differ) settle(tag int) {
@@ -428,7 +499,9 @@ func (d *differ) compare() {
 
 // checkStructure verifies the queue's invariants: the 4-ary heap order,
 // every run sorted and keyed by its head, the live/dead counts, every slot
-// either held once or free, and the tombstone bound.
+// either held once or free, the tombstone bound, and the tails index: a
+// slot whose generation still matches names the tail of a run at its
+// instant.
 func checkStructure(t testing.TB, q *Queue) {
 	t.Helper()
 	h := q.heap
@@ -438,6 +511,7 @@ func checkStructure(t testing.TB, q *Queue) {
 		}
 	}
 	seen := make([]bool, q.used+1)
+	runAt := make([]time.Duration, q.used+1)
 	live, dead := 0, 0
 	for _, ent := range h {
 		prev := entry{at: ent.at, pushAt: ent.pushAt, seq: ent.seq, src: ent.src}
@@ -446,6 +520,7 @@ func checkStructure(t testing.TB, q *Queue) {
 				t.Fatalf("slot %d held twice", ref)
 			}
 			seen[ref] = true
+			runAt[ref] = ent.at
 			e := q.event(ref)
 			cur := entry{at: ent.at, pushAt: e.pushAt, seq: e.seq, src: e.src}
 			if ref == ent.ref {
@@ -480,6 +555,17 @@ func checkStructure(t testing.TB, q *Queue) {
 	if q.dead > max(q.live, compactMin-1) {
 		t.Fatalf("%d tombstones beside %d live events", q.dead, q.live)
 	}
+	for i, c := range q.tails {
+		if c.ref == 0 || q.event(c.ref).gen != c.gen {
+			continue
+		}
+		if tailSlot(c.at) != uint64(i) {
+			t.Fatalf("tails slot %d holds instant %v of slot %d", i, c.at, tailSlot(c.at))
+		}
+		if e := q.event(c.ref); !e.live || e.next != 0 || runAt[c.ref] != c.at {
+			t.Fatalf("tails slot %d (instant %v) names slot %d, not a run tail at that instant", i, c.at, c.ref)
+		}
+	}
 }
 
 // TestQueueDifferential runs 320 seeded programs (clustered, equal, random
@@ -500,6 +586,12 @@ func TestQueueDifferential(t *testing.T) {
 		{"same-instant pushes with pushAt below the tail's", cov.lowPushAt, 100},
 		{"pushes from a non-zero src", cov.mixedSrc, 1000},
 		{"pushes after the run's tail fired", cov.pushAfterTailFired, 100},
+		{"joins behind a run other than the previous push's", cov.otherRunJoins, 10000},
+		{"pushes whose tails slot held another instant", cov.slotCollisions, 1000},
+		{"joins refused: the cached tail fired", cov.tailFired, 1000},
+		{"joins refused: the cached tail was cancelled", cov.tailCancelled, 100},
+		{"joins refused: the cached tail's slot was released", cov.tailReleased, 100},
+		{"joins refused on key order", cov.keyRefusals, 1000},
 		{"cancelled run heads", cov.cancelHead, 100},
 		{"cancelled run middles", cov.cancelMiddle, 100},
 		{"cancelled run tails", cov.cancelTail, 100},
@@ -527,6 +619,10 @@ func FuzzQueueDifferential(f *testing.F) {
 		f.Add(src.rec)
 	}
 	f.Add([]byte{opBurst, 15, opFireAt, opPush, opCancel, 0, 0, opCancelAgn})
+	// Two interleaved instants: join the older run, refuse a lane-like key
+	// there, push at a colliding instant, then pop and cancel across them.
+	f.Add([]byte{6 << 5, 1, 6 << 5, 2, 1 << 5, 0, 0, 1<<5 | 1<<4, 0, 1, 2,
+		3 << 5, 0, 0, 7, opPop, 1 << 5, 0, 1, opCancel, 0, 0, 1 << 5, 0, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			t.Skip()

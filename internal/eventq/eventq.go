@@ -10,13 +10,17 @@
 // index, so a heap slot holds no pointer. Events live in arena chunks that
 // never move, so the *Event handles Push returns stay valid.
 //
-// Same-instant runs: when the previous push is still pending at the same
-// instant and the new key orders after it, the new event is linked behind
-// it in the arena and never enters the heap (a multicast's n-1 deliveries
-// arrive this way). The heap holds one entry per run, keyed by its head;
-// popping a head moves its successor's key into the root with one
-// sift-down. Runs are sorted, so merging them pops events in exactly the
-// order a heap of single events would.
+// Same-instant runs: a push whose instant has a pending run, and whose key
+// orders after that run's tail, is linked behind the tail in the arena and
+// never enters the heap (a multicast's n-1 deliveries, and the timers they
+// arm, arrive this way). Run tails are found through a 256-slot index
+// direct-mapped by instant, so concurrent sources interleaving a handful
+// of instants still join their runs; a slot lost to a colliding instant
+// only costs the next push there a heap entry of its own. The heap holds
+// one entry per run, keyed by its head; popping a head moves its
+// successor's key into the root with one sift-down. Runs are sorted, so
+// merging them pops events in exactly the order a heap of single events
+// would.
 //
 // Cancel is a tombstone: the dead event is discarded when it surfaces at
 // the root. Once tombstones outnumber live events (and number compactMin or
@@ -35,6 +39,7 @@ const (
 	chunkBits  = 9
 	chunkSize  = 1 << chunkBits
 	compactMin = 32
+	tailBits   = 8
 )
 
 // Event is the handle of a scheduled callback. Its time is its run's, kept
@@ -71,8 +76,18 @@ type Queue struct {
 	used, free uint32 // slots handed out (refs 1..used); first free ref
 	live, dead int    // pending events; cancelled events still held
 	nextSeq    uint64
-	last       uint32 // ref of the latest push, the tail a push may join
-	lastAt     time.Duration
+	// tails[tailSlot(at)] caches a run tail at instant at, valid while the
+	// event in slot ref still has generation gen.
+	tails [1 << tailBits]struct {
+		at       time.Duration
+		ref, gen uint32
+	}
+}
+
+// tailSlot is the tails index of instant at: a Fibonacci hash, so the
+// instants of one simulation spread over the slots.
+func tailSlot(at time.Duration) uint64 {
+	return uint64(at) * 0x9e3779b97f4a7c15 >> (64 - tailBits)
 }
 
 // Len returns the number of pending events.
@@ -98,17 +113,22 @@ func (q *Queue) PushKeyed(at, pushAt time.Duration, src int32, fn func()) *Event
 	seq := q.nextSeq
 	q.nextSeq++
 	q.live++
-	if q.last != 0 && at == q.lastAt {
-		if tail := q.event(q.last); tail.live && (pushAt > tail.pushAt || pushAt == tail.pushAt && src >= tail.src) {
-			q.last = q.alloc(pushAt, seq, src, fn)
-			tail.next = q.last
-			return q.event(q.last)
+	ref := q.alloc(pushAt, seq, src, fn)
+	e := q.event(ref)
+	// A cached tail whose generation matches is pending, so alloc never
+	// hands out its slot; it takes the new event if the key orders after it.
+	t := &q.tails[tailSlot(at)]
+	if t.ref != 0 && t.at == at {
+		if tail := q.event(t.ref); tail.gen == t.gen && (pushAt > tail.pushAt || pushAt == tail.pushAt && src >= tail.src) {
+			tail.next = ref
+			t.ref, t.gen = ref, e.gen
+			return e
 		}
 	}
-	q.last, q.lastAt = q.alloc(pushAt, seq, src, fn), at
 	q.heap = append(q.heap, entry{})
-	q.up(len(q.heap)-1, entry{at: at, pushAt: pushAt, seq: seq, src: src, ref: q.last})
-	return q.event(q.last)
+	q.up(len(q.heap)-1, entry{at: at, pushAt: pushAt, seq: seq, src: src, ref: ref})
+	t.at, t.ref, t.gen = at, ref, e.gen
+	return e
 }
 
 // NextAt returns the time of the earliest pending event, discarding the

@@ -198,14 +198,3 @@ func TestRandomizedRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkPushPop(b *testing.B) {
-	var q Queue
-	fn := func() {}
-	for i := 0; i < b.N; i++ {
-		q.Push(time.Duration(i%1024), fn)
-		if q.Len() > 512 {
-			q.PopFire()
-		}
-	}
-}

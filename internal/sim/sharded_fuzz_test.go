@@ -366,8 +366,9 @@ func FuzzShardMerge(f *testing.F) {
 }
 
 // TestShardMergeDeterministic pins hand-built timelines that target the
-// known traps: same-tick root ties, zero-delay chains, and events landing
-// exactly on lookahead barrier boundaries.
+// known traps: same-tick root ties, zero-delay chains, events landing
+// exactly on lookahead barrier boundaries, and pushes a lane queue's run
+// tail must refuse.
 func TestShardMergeDeterministic(t *testing.T) {
 	cases := []mergeProg{
 		// Same-tick ties: every root at t=0.
@@ -378,6 +379,12 @@ func TestShardMergeDeterministic(t *testing.T) {
 		{shards: 2, seed: 0xdeadbeef, roots: []mergeRoot{
 			{5 * time.Millisecond}, {5 * time.Millisecond},
 			{5 * time.Millisecond}, {15 * time.Millisecond}}},
+		// Two interleaved instants, chains crossing shards: a barrier push
+		// joins a lane's run, and drained outbox pushes reach an instant
+		// whose lane-local run has a higher key, so its tail refuses them.
+		{shards: 2, seed: 250, roots: []mergeRoot{
+			{12 * time.Millisecond}, {17 * time.Millisecond},
+			{12 * time.Millisecond}, {17 * time.Millisecond}}},
 	}
 	for i, prog := range cases {
 		prog := prog
