@@ -7,8 +7,10 @@ package repro_test
 
 import (
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/runner"
 )
 
 // BenchmarkFigure3 regenerates Figure 3 (the Poisson distribution of
@@ -16,7 +18,7 @@ import (
 func BenchmarkFigure3(b *testing.B) {
 	var atMode float64
 	for i := 0; i < b.N; i++ {
-		series := repro.Figure3([]float64{5, 6, 7, 8}, 100, 20000, uint64(i)+1)
+		series := runner.Figure3([]float64{5, 6, 7, 8}, 100, 20000, uint64(i)+1)
 		// series[3] is "C=6 simulated"; X index 6 is k=6.
 		atMode = series[3].Y[6]
 	}
@@ -29,7 +31,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	var atC6 float64
 	for i := 0; i < b.N; i++ {
-		series := repro.Figure4([]float64{1, 2, 3, 4, 5, 6}, 100, 100000, uint64(i)+1)
+		series := runner.Figure4([]float64{1, 2, 3, 4, 5, 6}, 100, 100000, uint64(i)+1)
 		atC6 = series[1].Y[len(series[1].Y)-1]
 	}
 	b.ReportMetric(atC6, "%none@C=6")
@@ -40,7 +42,9 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	var k1, k64 float64
 	for i := 0; i < b.N; i++ {
-		s, err := repro.Figure6(10, uint64(i)+1)
+		cfg := runner.DefaultFig6Config()
+		cfg.Runs, cfg.Seed = 10, uint64(i)+1
+		s, err := runner.Figure6(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,7 +59,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var emptyAt float64
 	for i := 0; i < b.N; i++ {
-		s, err := repro.Figure7(uint64(i) + 1)
+		s, err := runner.Figure7(100, uint64(i)+1, time.Millisecond, 250*time.Millisecond)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +79,7 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkFigure8(b *testing.B) {
 	var b1, b10 float64
 	for i := 0; i < b.N; i++ {
-		s, err := repro.Figure8(30, uint64(i)+1)
+		s, err := runner.Figure8(30, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +94,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		s, err := repro.Figure9(30, uint64(i)+1)
+		s, err := runner.Figure9(30, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +108,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkAblationPolicies(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows, err := repro.AblationPolicies(uint64(i) + 1)
+		rows, err := runner.AblationPolicies(uint64(i) + 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +131,7 @@ func BenchmarkAblationPolicies(b *testing.B) {
 func BenchmarkAblationLoadBalance(b *testing.B) {
 	var rrmpShare, treeShare float64
 	for i := 0; i < b.N; i++ {
-		rows, err := repro.AblationLoadBalance(uint64(i) + 1)
+		rows, err := runner.AblationLoadBalance(uint64(i) + 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +146,7 @@ func BenchmarkAblationLoadBalance(b *testing.B) {
 func BenchmarkAblationSearchImplosion(b *testing.B) {
 	var walk, query float64
 	for i := 0; i < b.N; i++ {
-		rows, err := repro.AblationSearchImplosion(10, uint64(i)+1)
+		rows, err := runner.AblationSearchImplosion(10, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +170,7 @@ func BenchmarkAblationSearchImplosion(b *testing.B) {
 func BenchmarkAblationChurn(b *testing.B) {
 	var gracefulMs, crashRecovered float64
 	for i := 0; i < b.N; i++ {
-		rows, err := repro.AblationChurn(uint64(i) + 1)
+		rows, err := runner.AblationChurn(uint64(i) + 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +191,7 @@ func BenchmarkAblationChurn(b *testing.B) {
 func BenchmarkAblationLambda(b *testing.B) {
 	var reqs, ms float64
 	for i := 0; i < b.N; i++ {
-		rows, err := repro.AblationLambda([]float64{1}, 10, uint64(i)+1)
+		rows, err := runner.AblationLambda([]float64{1}, 10, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,7 +206,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 func BenchmarkAblationStabilityTraffic(b *testing.B) {
 	var digestKB float64
 	for i := 0; i < b.N; i++ {
-		rows, err := repro.AblationStabilityTraffic(uint64(i) + 1)
+		rows, err := runner.AblationStabilityTraffic(uint64(i) + 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,8 +20,10 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
-	"repro"
+	"repro/internal/exp"
+	"repro/internal/runner"
 )
 
 func main() {
@@ -41,7 +43,7 @@ func main() {
 // run regenerates the requested figures, writing every table to w (tests
 // capture a buffer; main passes os.Stdout).
 func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) error {
-	opt := repro.SweepOptions{Trials: trials, Parallel: parallel, BaseSeed: seed}
+	opt := exp.Options{Trials: trials, Parallel: parallel, BaseSeed: seed}
 	want := func(name string) bool { return fig == "all" || strings.EqualFold(fig, name) }
 	or := func(def int) int {
 		if runs > 0 {
@@ -54,28 +56,32 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 	if want("3") {
 		any = true
 		header(w, "Figure 3 — P(k long-term bufferers), region n=100")
-		series := repro.Figure3([]float64{5, 6, 7, 8}, 100, 20*or(1000), seed)
+		series := runner.Figure3([]float64{5, 6, 7, 8}, 100, 20*or(1000), seed)
 		printSeriesTable(w, "k", series)
 	}
 	if want("4") {
 		any = true
 		header(w, "Figure 4 — P(no long-term bufferer) vs C (percent)")
-		series := repro.Figure4([]float64{1, 2, 3, 4, 5, 6}, 100, 100*or(1000), seed)
+		series := runner.Figure4([]float64{1, 2, 3, 4, 5, 6}, 100, 100*or(1000), seed)
 		printSeriesTable(w, "C", series)
 	}
 	if want("6") {
 		any = true
 		header(w, "Figure 6 — mean buffering time vs #initial holders (n=100, T=40ms)")
-		s, err := repro.Figure6(or(20), seed)
+		cfg := runner.DefaultFig6Config()
+		cfg.Runs, cfg.Seed = or(20), seed
+		s, err := runner.Figure6(cfg)
 		if err != nil {
 			return err
 		}
-		printSeriesTable(w, "#holders", []repro.Series{s})
+		printSeriesTable(w, "#holders", []runner.Series{s})
 	}
 	if want("7") {
 		any = true
 		header(w, "Figure 7 — #received vs #buffered over time (1 initial holder, n=100)")
-		s, err := repro.Figure7(seed)
+		// The horizon runs past the paper's 140 ms x-range so the buffered
+		// count's collapse to zero is visible in full.
+		s, err := runner.Figure7(100, seed, time.Millisecond, 250*time.Millisecond)
 		if err != nil {
 			return err
 		}
@@ -90,26 +96,26 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 	if want("8") {
 		any = true
 		header(w, "Figure 8 — search time vs #bufferers (n=100)")
-		s, err := repro.Figure8(or(100), seed)
+		s, err := runner.Figure8(or(100), seed)
 		if err != nil {
 			return err
 		}
-		printSeriesTable(w, "#bufferers", []repro.Series{s})
+		printSeriesTable(w, "#bufferers", []runner.Series{s})
 	}
 	if want("9") {
 		any = true
 		header(w, "Figure 9 — search time vs region size (B=10)")
-		s, err := repro.Figure9(or(100), seed)
+		s, err := runner.Figure9(or(100), seed)
 		if err != nil {
 			return err
 		}
-		printSeriesTable(w, "region", []repro.Series{s})
+		printSeriesTable(w, "region", []runner.Series{s})
 	}
 	if want("A1") {
 		any = true
 		header(w, "Ablation A1 — buffering policy cost (n=100, 30 msgs, 10% loss)")
 		if trials > 1 {
-			rows, err := repro.AblationPoliciesTrials(opt)
+			rows, err := runner.AblationPoliciesTrials(opt)
 			if err != nil {
 				return err
 			}
@@ -124,7 +130,7 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 					r.MeanBufferingMs.Mean, r.MeanBufferingMs.CI95)
 			}
 		} else {
-			rows, err := repro.AblationPolicies(seed)
+			rows, err := runner.AblationPolicies(seed)
 			if err != nil {
 				return err
 			}
@@ -138,7 +144,7 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 	if want("A2") {
 		any = true
 		header(w, "Ablation A2 — buffering load balance, RRMP vs tree repair server")
-		rows, err := repro.AblationLoadBalance(seed)
+		rows, err := runner.AblationLoadBalance(seed)
 		if err != nil {
 			return err
 		}
@@ -152,7 +158,7 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 	if want("A3") {
 		any = true
 		header(w, "Ablation A3 — search reply implosion (replies per remote request)")
-		rows, err := repro.AblationSearchImplosion(or(10), seed)
+		rows, err := runner.AblationSearchImplosion(or(10), seed)
 		if err != nil {
 			return err
 		}
@@ -164,11 +170,11 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 	if want("A4") {
 		any = true
 		header(w, "Ablation A4 — churn: graceful handoff vs crash of all bufferers")
-		rows, err := repro.AblationChurn(seed)
+		rows, err := runner.AblationChurn(seed)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-18s %10s %14s %10s\n", "mode", "recovered", "recovery(ms)", "handoffs")
+		fmt.Fprintf(w, "%-18s %10s %14s %10s\n", "mode", "recovered", "recovery(ms)", runner.MKHandoffs)
 		for _, r := range rows {
 			fmt.Fprintf(w, "%-18s %10v %14.1f %10d\n", r.Mode, r.Recovered, r.RecoveryMs, r.Handoffs)
 		}
@@ -178,7 +184,7 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 		header(w, "Ablation A5 — remote recovery λ sweep (region-wide loss, 50 members)")
 		lambdas := []float64{0.5, 1, 2, 4, 8}
 		if trials > 1 {
-			rows, err := repro.AblationLambdaTrials(lambdas, or(10), opt)
+			rows, err := runner.AblationLambdaTrials(lambdas, or(10), opt)
 			if err != nil {
 				return err
 			}
@@ -190,7 +196,7 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 					r.RecoveryMs.Mean, r.RecoveryMs.CI95)
 			}
 		} else {
-			rows, err := repro.AblationLambda(lambdas, or(10), seed)
+			rows, err := runner.AblationLambda(lambdas, or(10), seed)
 			if err != nil {
 				return err
 			}
@@ -203,7 +209,7 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 	if want("A6") {
 		any = true
 		header(w, "Ablation A6 — control traffic: implicit feedback vs stability digests")
-		rows, err := repro.AblationStabilityTraffic(seed)
+		rows, err := runner.AblationStabilityTraffic(seed)
 		if err != nil {
 			return err
 		}
@@ -216,12 +222,12 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 	if want("A7") {
 		any = true
 		header(w, "Ablation A7 — VoD prefix-push: late joiners vs buffering policy")
-		rows, err := repro.AblationVoDPrefixPush(seed)
+		rows, err := runner.AblationVoDPrefixPush(seed)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-12s %10s %14s %10s %12s %14s\n",
-			"policy", "delivery", "unrecoverable", "joiners", "catchup(ms)", "buffer(B·s)")
+			"policy", "delivery", runner.MKUnrecoverable, "joiners", "catchup(ms)", "buffer(B·s)")
 		for _, r := range rows {
 			fmt.Fprintf(w, "%-12s %9.2f%% %14.0f %10.0f %12.1f %14.0f\n",
 				r.Policy, 100*r.Delivery, r.Unrecoverable, r.LateJoiners, r.CatchupMs, r.ByteIntegral)
@@ -231,12 +237,12 @@ func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) e
 	if want("A8") {
 		any = true
 		header(w, "Ablation A8 — bursty demand: adaptive vs two-phase vs fixed (fitness-ranked)")
-		rows, err := repro.AblationAdaptiveDemand(seed)
+		rows, err := runner.AblationAdaptiveDemand(seed)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-12s %10s %10s %14s %13s %14s\n",
-			"policy", "fitness", "delivery", "unrecoverable", "recovery(ms)", "buffer(B·s)")
+			"policy", "fitness", "delivery", runner.MKUnrecoverable, "recovery(ms)", "buffer(B·s)")
 		for _, r := range rows {
 			fmt.Fprintf(w, "%-12s %10.3f %9.2f%% %14.0f %13.1f %14.0f\n",
 				r.Policy, r.Fitness, 100*r.Delivery, r.Unrecoverable, r.RecoveryMs, r.ByteIntegral)
@@ -256,7 +262,7 @@ func header(w io.Writer, title string) {
 }
 
 // printSeriesTable prints multiple series sharing an x axis.
-func printSeriesTable(w io.Writer, xName string, series []repro.Series) {
+func printSeriesTable(w io.Writer, xName string, series []runner.Series) {
 	fmt.Fprintf(w, "%12s", xName)
 	for _, s := range series {
 		fmt.Fprintf(w, " %26s", s.Name)

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro"
+	"repro/internal/runner"
 )
 
 // TestA1A5TablesMatchGolden is cmd/rrmp-figures' first test: it regenerates
@@ -59,14 +59,14 @@ func TestA7VoDContrast(t *testing.T) {
 			t.Fatalf("A7 table lacks %q:\n%s", want, buf.String())
 		}
 	}
-	rows, err := repro.AblationVoDPrefixPush(1)
+	rows, err := runner.AblationVoDPrefixPush(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("A7 has %d rows, want 3", len(rows))
 	}
-	byPolicy := map[string]repro.VoDResult{}
+	byPolicy := map[string]runner.VoDResult{}
 	for _, r := range rows {
 		byPolicy[r.Policy] = r
 	}
@@ -101,7 +101,7 @@ func TestA8AdaptiveDemand(t *testing.T) {
 			t.Fatalf("A8 table lacks %q:\n%s", want, buf.String())
 		}
 	}
-	rows, err := repro.AblationAdaptiveDemand(1)
+	rows, err := runner.AblationAdaptiveDemand(1)
 	if err != nil {
 		t.Fatal(err)
 	}

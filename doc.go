@@ -7,8 +7,7 @@
 // protocol engine: randomized local/remote error recovery, the
 // search-for-bufferer protocol, long-term buffer handoff on leave). This
 // package is the public facade: it assembles complete simulated
-// deployments, runs workloads, and exposes the experiment drivers that
-// regenerate every figure in the paper's evaluation.
+// deployments, runs workloads, and runs declarative scenario sweeps.
 //
 // # Quick start
 //
@@ -21,18 +20,17 @@
 //
 // All time is virtual (a deterministic discrete-event simulator): runs are
 // exactly reproducible from a seed, and two identical runs produce
-// identical packet interleavings. The identical protocol code also runs on
-// real UDP sockets via internal/udptransport.
+// identical packet interleavings.
 //
 // # Reproducing the paper
 //
-// The Figure* functions regenerate the evaluation (§4): Figures 3 and 4
+// cmd/rrmp-figures regenerates the evaluation (§4) — Figures 3 and 4
 // (long-term bufferer distribution), Figure 6 (feedback-based buffering
 // time), Figure 7 (received vs buffered over time), and Figures 8 and 9
-// (search time). The Ablation* functions run the comparisons DESIGN.md
-// motivates: buffering-policy cost, load balance against a tree protocol,
-// multicast-query reply implosion, churn handoff, the λ tradeoff, and
-// stability-detection traffic overhead. cmd/rrmp-figures prints them all.
+// (search time) — and the ablations DESIGN.md motivates: buffering-policy
+// cost, load balance against a tree protocol, multicast-query reply
+// implosion, churn handoff, the λ tradeoff, and stability-detection
+// traffic overhead. The drivers live in internal/runner.
 //
 // # Sweeps and statistics
 //

@@ -3,9 +3,9 @@
 //
 // The protocol engine and buffer manager never read the wall clock or call
 // time.AfterFunc directly; they only use a Scheduler. The simulator binds
-// Scheduler to virtual time (internal/sim), while the UDP transport binds it
-// to real time (internal/udptransport). This is what lets the exact same
-// protocol code run both in deterministic experiments and on real sockets.
+// Scheduler to virtual time (internal/sim): a Sim implements it, and so
+// does each lane of a region-sharded run. This is what lets the exact same
+// protocol code run on one event loop or across sharded lanes.
 package clock
 
 import "time"

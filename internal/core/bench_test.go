@@ -14,20 +14,20 @@ import (
 // each of the ~n·msgs entries in a sweep rides the idle-check/re-arm cycle.
 // BENCH_scale.json tracks the macro effect; these isolate the index.
 
-func benchBuffer(b *testing.B, kind IndexKind) (*sim.Sim, *Buffer) {
+func benchBuffer(b *testing.B) (*sim.Sim, *Buffer) {
 	b.Helper()
 	s := sim.New()
 	buf := NewBuffer(Config{
 		Policy: NewTwoPhase(40*time.Millisecond, 6, 100, time.Minute),
 		Sched:  s,
 		Rng:    rng.New(1),
-		Index:  kind,
 	})
 	return s, buf
 }
 
-func benchStoreEvict(b *testing.B, kind IndexKind) {
-	s, buf := benchBuffer(b, kind)
+// BenchmarkBufferStoreEvict measures the dense index's store/idle cycle.
+func BenchmarkBufferStoreEvict(b *testing.B) {
+	s, buf := benchBuffer(b)
 	payload := make([]byte, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,18 +37,12 @@ func benchStoreEvict(b *testing.B, kind IndexKind) {
 			s.RunFor(time.Millisecond) // let idle checks drain the window
 		}
 	}
-	_ = s
 }
 
-// BenchmarkBufferStoreEvict measures the dense index's store/idle cycle.
-func BenchmarkBufferStoreEvict(b *testing.B) { benchStoreEvict(b, IndexDense) }
-
-// BenchmarkBufferStoreEvictLegacyMap is the same workload on the PR 2 map
-// index, kept as the comparison baseline for the rewrite.
-func BenchmarkBufferStoreEvictLegacyMap(b *testing.B) { benchStoreEvict(b, IndexLegacyMap) }
-
-func benchOnRequest(b *testing.B, kind IndexKind) {
-	_, buf := benchBuffer(b, kind)
+// BenchmarkBufferOnRequest measures the request-feedback lookup (the §3.1
+// implicit-feedback path: one per retransmission request received).
+func BenchmarkBufferOnRequest(b *testing.B) {
+	_, buf := benchBuffer(b)
 	payload := make([]byte, 256)
 	const live = 1024
 	for i := 0; i < live; i++ {
@@ -60,15 +54,10 @@ func benchOnRequest(b *testing.B, kind IndexKind) {
 	}
 }
 
-// BenchmarkBufferOnRequest measures the request-feedback lookup (the §3.1
-// implicit-feedback path: one per retransmission request received).
-func BenchmarkBufferOnRequest(b *testing.B) { benchOnRequest(b, IndexDense) }
-
-// BenchmarkBufferOnRequestLegacyMap is the map-index baseline.
-func BenchmarkBufferOnRequestLegacyMap(b *testing.B) { benchOnRequest(b, IndexLegacyMap) }
-
-func benchEntries(b *testing.B, kind IndexKind) {
-	_, buf := benchBuffer(b, kind)
+// BenchmarkBufferEntries measures the ordered snapshot (leave handoff pairs
+// it with rng draws; the dense index yields the order without sorting).
+func BenchmarkBufferEntries(b *testing.B) {
+	_, buf := benchBuffer(b)
 	payload := make([]byte, 16)
 	for i := 0; i < 1024; i++ {
 		buf.Store(wire.MessageID{Source: 0, Seq: uint64(i + 1)}, payload)
@@ -80,10 +69,3 @@ func benchEntries(b *testing.B, kind IndexKind) {
 		}
 	}
 }
-
-// BenchmarkBufferEntries measures the ordered snapshot (leave handoff pairs
-// it with rng draws; the dense index yields the order without sorting).
-func BenchmarkBufferEntries(b *testing.B) { benchEntries(b, IndexDense) }
-
-// BenchmarkBufferEntriesLegacyMap is the sort-on-snapshot baseline.
-func BenchmarkBufferEntriesLegacyMap(b *testing.B) { benchEntries(b, IndexLegacyMap) }

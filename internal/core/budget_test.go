@@ -20,30 +20,25 @@ type evictRecord struct {
 
 // budgetBuffer builds a budgeted buffer over BufferAll (no timers: full
 // manual control over phases via StoreLongTerm) and logs every eviction.
-func budgetBuffer(s *sim.Sim, kind IndexKind, budget int) (*Buffer, *[]evictRecord) {
+func budgetBuffer(s *sim.Sim, kind indexKind, budget int) (*Buffer, *[]evictRecord) {
 	log := &[]evictRecord{}
 	var b *Buffer
-	b = NewBuffer(Config{
+	b = newBufferWithIndex(Config{
 		Policy:     BufferAll{},
 		Sched:      s,
 		Rng:        rng.New(1),
-		Index:      kind,
 		ByteBudget: budget,
 		OnEvict: func(e *Entry, r EvictReason) {
 			*log = append(*log, evictRecord{e.ID.Seq, r, e.State, b.ShortTermCount()})
 		},
-	})
+	}, kind)
 	return b, log
 }
 
-func eachIndexKind(t *testing.T, fn func(t *testing.T, kind IndexKind)) {
+func eachIndexKind(t *testing.T, fn func(t *testing.T, kind indexKind)) {
 	t.Helper()
-	for _, kind := range []IndexKind{IndexDense, IndexLegacyMap} {
-		name := "IndexDense"
-		if kind == IndexLegacyMap {
-			name = "IndexLegacyMap"
-		}
-		t.Run(name, func(t *testing.T) { fn(t, kind) })
+	for _, kind := range []indexKind{indexDense, indexLegacyMap} {
+		t.Run(kind.name, func(t *testing.T) { fn(t, kind) })
 	}
 }
 
@@ -51,7 +46,7 @@ func eachIndexKind(t *testing.T, fn func(t *testing.T, kind IndexKind)) {
 // short-term entries leave longest-idle first, and long-term copies are
 // touched only once no short-term entry remains, oldest promotion first.
 func TestPressureEvictionOrder(t *testing.T) {
-	eachIndexKind(t, func(t *testing.T, kind IndexKind) {
+	eachIndexKind(t, func(t *testing.T, kind indexKind) {
 		s := sim.New()
 		b, log := budgetBuffer(s, kind, 1000)
 
@@ -108,7 +103,7 @@ func TestPressureEvictionOrder(t *testing.T) {
 // TestBudgetDenials pins the overflow case: a payload larger than the whole
 // budget is refused outright — nil entry, denial counted, nothing evicted.
 func TestBudgetDenials(t *testing.T) {
-	eachIndexKind(t, func(t *testing.T, kind IndexKind) {
+	eachIndexKind(t, func(t *testing.T, kind indexKind) {
 		s := sim.New()
 		b, log := budgetBuffer(s, kind, 100)
 		if e := b.Store(id(1), make([]byte, 150)); e != nil {
@@ -163,8 +158,8 @@ func TestCopyPayloadSnapshotsContent(t *testing.T) {
 func TestBudgetEvictionOrderProperty(t *testing.T) {
 	const budget = 1 << 12
 	for seed := uint64(1); seed <= 24; seed++ {
-		logs := map[IndexKind][]evictRecord{}
-		for _, kind := range []IndexKind{IndexDense, IndexLegacyMap} {
+		logs := map[string][]evictRecord{}
+		for _, kind := range []indexKind{indexDense, indexLegacyMap} {
 			s := sim.New()
 			b, log := budgetBuffer(s, kind, budget)
 			r := rng.New(seed)
@@ -219,11 +214,11 @@ func TestBudgetEvictionOrderProperty(t *testing.T) {
 						seed, reason, b.EvictedCount(reason), byReason[reason])
 				}
 			}
-			logs[kind] = *log
+			logs[kind.name] = *log
 		}
-		if fmt.Sprint(logs[IndexDense]) != fmt.Sprint(logs[IndexLegacyMap]) {
+		if dense, legacy := logs[indexDense.name], logs[indexLegacyMap.name]; fmt.Sprint(dense) != fmt.Sprint(legacy) {
 			t.Fatalf("seed %d: index implementations diverge:\ndense:  %+v\nlegacy: %+v",
-				seed, logs[IndexDense], logs[IndexLegacyMap])
+				seed, dense, legacy)
 		}
 	}
 }

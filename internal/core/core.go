@@ -20,8 +20,7 @@
 // The Buffer is a pure state machine over an injected clock.Scheduler: it
 // performs no I/O and is driven entirely by Store / OnRequest / timer
 // events, which is what lets every buffering policy (the paper's and the
-// baselines') run inside the identical protocol engine, both simulated and
-// on real sockets.
+// baselines') run inside the identical protocol engine.
 package core
 
 import (
@@ -115,7 +114,7 @@ type Entry struct {
 type Config struct {
 	// Policy decides retention; use NewTwoPhase for the paper's algorithm.
 	Policy Policy
-	// Sched supplies time and timers (virtual in simulation, real on UDP).
+	// Sched supplies time and timers.
 	Sched clock.Scheduler
 	// Rng drives randomized election. Required by randomized policies.
 	Rng *rng.Source
@@ -123,9 +122,6 @@ type Config struct {
 	OnEvict func(e *Entry, reason EvictReason)
 	// OnPromote, if set, observes long-term elections.
 	OnPromote func(e *Entry)
-	// Index selects the entry-index implementation (default IndexDense;
-	// IndexLegacyMap exists for behaviour-equivalence tests).
-	Index IndexKind
 	// ByteBudget caps the summed payload bytes this buffer may hold; zero
 	// or negative means unlimited (the paper's model, where buffer cost is
 	// measured but never constrained). When a Store would exceed the
@@ -169,7 +165,7 @@ func NewBuffer(cfg Config) *Buffer {
 	}
 	return &Buffer{
 		cfg:     cfg,
-		idx:     newEntryIndex(cfg.Index),
+		idx:     newDenseIndex(),
 		evicted: make(map[EvictReason]int),
 	}
 }
@@ -202,8 +198,7 @@ func (b *Buffer) Get(id wire.MessageID) (*Entry, bool) {
 // deterministic because callers pair entries with rng draws — the leave
 // protocol picks a random handoff peer per entry — and an unstable order
 // would make those pairings differ between identically seeded runs. The
-// dense index yields this order by construction; the legacy map index
-// sorts, exactly as before the rewrite.
+// dense index yields this order by construction.
 func (b *Buffer) Entries() []*Entry {
 	return b.idx.sorted(make([]*Entry, 0, b.idx.size()))
 }

@@ -7,25 +7,9 @@ import (
 	"repro/internal/wire"
 )
 
-// IndexKind selects the Buffer's entry-index implementation.
-type IndexKind int
-
-const (
-	// IndexDense (the default) keys entries by source with dense,
-	// sequence-indexed slices per source: one small map lookup on the
-	// source id plus an array index, no MessageID hashing, and sorted
-	// iteration for free (sources ascending, sequences ascending — the
-	// exact order the legacy index produced by sorting). This is the
-	// scale rewrite's O(1) id lookup.
-	IndexDense IndexKind = iota
-	// IndexLegacyMap is the pre-rewrite map[MessageID]*Entry index. It is
-	// retained so property tests can run both implementations side by side
-	// and prove the rewrite behaviour-preserving; new code should not
-	// select it.
-	IndexLegacyMap
-)
-
-// entryIndex stores a Buffer's live entries. Implementations must agree on
+// entryIndex stores a Buffer's live entries. The Buffer runs on denseIndex;
+// the interface is the seam the tests swap the map-based reference index
+// through (reference_test.go). Implementations must agree on
 // the observable contract exactly: sorted() iterates in (Source, Seq) order
 // (rng draws are paired with entries during leave handoff, so this order is
 // part of the determinism contract), and size/get/remove reflect puts
@@ -43,55 +27,12 @@ type entryIndex interface {
 	reset()
 }
 
-func newEntryIndex(kind IndexKind) entryIndex {
-	if kind == IndexLegacyMap {
-		return &mapIndex{entries: make(map[wire.MessageID]*Entry)}
-	}
-	return &denseIndex{srcs: make(map[topology.NodeID]*srcSlot)}
-}
-
-// mapIndex is the PR 2 implementation: a flat map with an O(n log n) sort
-// on every ordered snapshot.
-type mapIndex struct {
-	entries map[wire.MessageID]*Entry
-}
-
-func (x *mapIndex) get(id wire.MessageID) (*Entry, bool) {
-	e, ok := x.entries[id]
-	return e, ok
-}
-
-func (x *mapIndex) put(e *Entry)             { x.entries[e.ID] = e }
-func (x *mapIndex) remove(id wire.MessageID) { delete(x.entries, id) }
-func (x *mapIndex) size() int                { return len(x.entries) }
-func (x *mapIndex) reset()                   { x.entries = make(map[wire.MessageID]*Entry) }
-func (x *mapIndex) each(fn func(e *Entry)) {
-	for _, e := range x.entries {
-		//lint:allow maporder -- each promises no order: its callers stop timers and take an argmin under Policy.DisplacedBefore, a strict total order
-		fn(e)
-	}
-}
-
-func (x *mapIndex) sorted(dst []*Entry) []*Entry {
-	start := len(dst)
-	for _, e := range x.entries {
-		//lint:allow maporder -- the appended tail aliases dst[start:] as out and is sorted immediately below
-		dst = append(dst, e)
-	}
-	out := dst[start:]
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Source != out[j].ID.Source {
-			return out[i].ID.Source < out[j].ID.Source
-		}
-		return out[i].ID.Seq < out[j].ID.Seq
-	})
-	return dst
-}
-
 // denseIndex holds one srcSlot per message source. Sequence numbers from a
 // source are dense in practice (a sender counts 1, 2, 3, ...), so a slot is
 // a base offset plus a slice indexed by seq-base; lookups and removals are
-// pure array ops after one cheap int32-keyed map access.
+// pure array ops after one cheap int32-keyed map access, with no
+// MessageID hashing, and sorted iteration comes for free (sources
+// ascending, sequences ascending).
 type denseIndex struct {
 	srcs map[topology.NodeID]*srcSlot
 	// order is the sorted source list, maintained on slot creation (a rare
@@ -99,6 +40,10 @@ type denseIndex struct {
 	// sorted() a single allocation-free pass.
 	order []topology.NodeID
 	n     int
+}
+
+func newDenseIndex() *denseIndex {
+	return &denseIndex{srcs: make(map[topology.NodeID]*srcSlot)}
 }
 
 type srcSlot struct {

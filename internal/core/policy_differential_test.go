@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,49 +40,67 @@ func diffPolicies() map[string]func() Policy {
 }
 
 // diffScript drives one randomized op script (stores from several sources,
-// feedback, time advances, pressure from a byte budget) against a buffer
-// running the given policy and index kind, and returns the full eviction
-// ledger plus the end-of-run metric snapshot. The script is a pure
-// function of seed, so two calls with the same seed see identical ops.
-func diffScript(policy Policy, kind IndexKind, seed uint64) (ledger []string, metrics string) {
+// feedback, stability removals, leave handoffs, time advances, pressure
+// from a byte budget) against a buffer running the given policy and index
+// kind, and returns the full ledger plus the end-of-run metric snapshot.
+// The ledger records every eviction, the entries each TakeForHandoff
+// returns, and the Entries() snapshot after every op — the order leave
+// handoff pairs with rng draws, so a change in it would re-pair handoff
+// peers in every churn cell. The script is a pure function of seed, so two
+// calls with the same seed see identical ops.
+func diffScript(policy Policy, kind indexKind, seed uint64) (ledger []string, metrics string) {
 	const budget = 1 << 11
 	s := sim.New()
 	var b *Buffer
-	b = NewBuffer(Config{
+	b = newBufferWithIndex(Config{
 		Policy:     policy,
 		Sched:      s,
 		Rng:        rng.New(seed),
-		Index:      kind,
 		ByteBudget: budget,
 		OnEvict: func(e *Entry, r EvictReason) {
 			ledger = append(ledger, fmt.Sprintf("%d/%d %v %v short=%d",
 				e.ID.Source, e.ID.Seq, r, e.State, b.ShortTermCount()))
 		},
-	})
+	}, kind)
+	list := func(es []*Entry) string {
+		var sb strings.Builder
+		for _, e := range es {
+			fmt.Fprintf(&sb, " %d/%d:%v", e.ID.Source, e.ID.Seq, e.State)
+		}
+		return sb.String()
+	}
+	do := func(at time.Duration, op func()) {
+		s.At(at, func() {
+			op()
+			ledger = append(ledger, "entries"+list(b.Entries()))
+		})
+	}
 	script := rng.New(seed)
 	at := time.Duration(0)
 	seqs := make(map[topology.NodeID]uint64)
 	var known []wire.MessageID
 	for op := 0; op < 300; op++ {
 		at += time.Duration(script.Intn(4)) * time.Millisecond
-		switch draw := script.Intn(10); {
-		case draw < 6: // store from one of 4 sources, skewed toward source 0
+		switch draw := script.Intn(20); {
+		case draw < 12: // store from one of 4 sources, skewed toward source 0
 			src := topology.NodeID(script.Intn(8) / 2 % 4)
 			seqs[src]++
 			id := wire.MessageID{Source: src, Seq: seqs[src]}
 			known = append(known, id)
 			sz := 64 + script.Intn(budget/4)
-			s.At(at, func() { b.Store(id, make([]byte, sz)) })
-		case draw < 9: // feedback touch on a random known id
+			do(at, func() { b.Store(id, make([]byte, sz)) })
+		case draw < 18: // feedback touch on a random known id
 			if len(known) > 0 {
 				id := known[script.Intn(len(known))]
-				s.At(at, func() { b.OnRequest(id) })
+				do(at, func() { b.OnRequest(id) })
 			}
-		default: // stability removal of a random known id
+		case draw < 19: // stability removal of a random known id
 			if len(known) > 0 {
 				id := known[script.Intn(len(known))]
-				s.At(at, func() { b.Remove(id, EvictStable) })
+				do(at, func() { b.Remove(id, EvictStable) })
 			}
+		default: // leave handoff: the long-term copies, in transfer order
+			do(at, func() { ledger = append(ledger, "handoff"+list(b.TakeForHandoff())) })
 		}
 	}
 	s.Run()
@@ -97,20 +116,22 @@ func diffScript(policy Policy, kind IndexKind, seed uint64) (ledger []string, me
 // TestPolicyDifferentialAcrossIndexKinds is the widened-contract
 // differential property: every registered policy — the four legacy shapes
 // riding PolicyBase and the demand-aware adaptive policy — must produce a
-// byte-identical eviction ledger and end-of-run metrics under IndexDense
-// and IndexLegacyMap for the same op script. This pins both halves of the
-// contract: the observation hooks fire identically regardless of index
-// layout, and the policy-owned DisplacedBefore order is a strict total
-// order (an ambiguous comparator would let the index's internal iteration
-// order pick different pressure victims).
+// byte-identical ledger and end-of-run metrics under the dense index and
+// the map reference (reference_test.go) for the same op script. This pins
+// the contract three ways: the observation hooks fire identically
+// regardless of index layout; the policy-owned DisplacedBefore order is a
+// strict total order (an ambiguous comparator would let the index's
+// internal iteration order pick different pressure victims); and
+// Entries() and TakeForHandoff walk entries in (Source, Seq) order, the
+// order leave handoff pairs with rng draws.
 func TestPolicyDifferentialAcrossIndexKinds(t *testing.T) {
 	for name, mk := range diffPolicies() {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 12; seed++ {
-				denseLedger, denseMetrics := diffScript(mk(), IndexDense, seed)
-				legacyLedger, legacyMetrics := diffScript(mk(), IndexLegacyMap, seed)
+				denseLedger, denseMetrics := diffScript(mk(), indexDense, seed)
+				legacyLedger, legacyMetrics := diffScript(mk(), indexLegacyMap, seed)
 				if fmt.Sprint(denseLedger) != fmt.Sprint(legacyLedger) {
-					t.Fatalf("seed %d: eviction ledgers diverge:\ndense:  %v\nlegacy: %v",
+					t.Fatalf("seed %d: ledgers diverge:\ndense:  %v\nlegacy: %v",
 						seed, denseLedger, legacyLedger)
 				}
 				if denseMetrics != legacyMetrics {

@@ -214,7 +214,7 @@ func TestRunSweepPairsSeedsAcrossCells(t *testing.T) {
 	sw := Sweep{Policies: []string{"two-phase", "fixed", "all"}}
 	var mu sync.Mutex
 	seeds := map[string]map[uint64]bool{} // policy -> set of seeds
-	rep, err := RunSweep(Options{Trials: 5, Parallel: 4, BaseSeed: 3}, sw,
+	rep, err := RunSweeps(Options{Trials: 5, Parallel: 4, BaseSeed: 3}, []Sweep{sw},
 		func(sc Scenario, seed uint64) (map[string]float64, error) {
 			mu.Lock()
 			if seeds[sc.Policy] == nil {
@@ -248,7 +248,7 @@ func TestRunSweepPairsSeedsAcrossCells(t *testing.T) {
 
 func TestRunSweepErrorNamesCell(t *testing.T) {
 	sw := Sweep{Policies: []string{"two-phase", "fixed"}}
-	_, err := RunSweep(Options{Trials: 2, Parallel: 2, BaseSeed: 1}, sw,
+	_, err := RunSweeps(Options{Trials: 2, Parallel: 2, BaseSeed: 1}, []Sweep{sw},
 		func(sc Scenario, _ uint64) (map[string]float64, error) {
 			if sc.Policy == "fixed" {
 				return nil, errors.New("kaput")
@@ -267,7 +267,7 @@ func TestRunSweepErrorNamesCell(t *testing.T) {
 func TestRunSweepValidatesPolicies(t *testing.T) {
 	sw := Sweep{Policies: []string{"two-phase", "fixd"}}
 	ran := false
-	_, err := RunSweep(Options{Trials: 1, BaseSeed: 1}, sw,
+	_, err := RunSweeps(Options{Trials: 1, BaseSeed: 1}, []Sweep{sw},
 		func(Scenario, uint64) (map[string]float64, error) {
 			ran = true
 			return map[string]float64{"x": 1}, nil

@@ -732,31 +732,14 @@ type Report struct {
 	Cells    []Cell `json:"cells"`
 }
 
-// Cell returns the cell with the given name, if present.
-func (r Report) Cell(name string) (Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Cell{}, false
-}
-
-// RunSweep expands the sweep and runs every (cell, trial) pair through one
-// worker pool, so a wide matrix with few trials parallelizes as well as a
-// narrow one with many. Trial i uses the same seed in every cell — common
-// random numbers, the paired design that lets per-cell differences be read
-// as policy effects rather than draw luck.
-func RunSweep(o Options, sw Sweep, run ScenarioFunc) (Report, error) {
-	return RunSweeps(o, []Sweep{sw}, run)
-}
-
-// RunSweeps expands every sweep in order and runs the concatenated cell
-// list through one shared worker pool — how BENCH_sweep.json gains new
-// cell families without re-byting committed ones: each family is its own
-// sweep, appended after the previous ones. The common-random-numbers
-// pairing spans the whole concatenation (trial i uses one seed
-// everywhere).
+// RunSweeps expands every sweep in order and runs every (cell, trial) pair
+// of the concatenated cell list through one shared worker pool, so a wide
+// matrix with few trials parallelizes as well as a narrow one with many.
+// Concatenation is how BENCH_sweep.json gains new cell families without
+// re-byting committed ones: each family is its own sweep, appended after
+// the previous ones. Trial i uses the same seed in every cell of the whole
+// concatenation — common random numbers, the paired design that lets
+// per-cell differences be read as policy effects rather than draw luck.
 func RunSweeps(o Options, sweeps []Sweep, run ScenarioFunc) (Report, error) {
 	o = o.normalized()
 	var scenarios []Scenario

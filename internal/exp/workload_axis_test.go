@@ -106,8 +106,8 @@ func TestWorkloadSweepShape(t *testing.T) {
 }
 
 // TestRunSweepsConcatenates pins RunSweeps: cells from later sweeps append
-// after all cells of earlier ones, trial seeds pair across the whole
-// concatenation, and RunSweep(sw) == RunSweeps([sw]).
+// after all cells of earlier ones, and trial seeds pair across the whole
+// concatenation.
 func TestRunSweepsConcatenates(t *testing.T) {
 	a := Sweep{Regions: [][]int{{4}}, Losses: []float64{0, 0.1}}
 	b := Sweep{Regions: [][]int{{6}}, Losses: []float64{0.2}}

@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
@@ -65,5 +67,36 @@ func TestRepositoryClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("repository finding: %s", d)
+	}
+}
+
+// TestEveryInternalPackageIsImported guards against orphan packages: every
+// package under internal/ must be reachable from something the repository
+// runs — a command, an example, the bench harness or the root facade.
+// Test-support packages (name ending in "test", e.g. linttest) are exempt.
+// A package only its own tests import is code nothing runs.
+func TestEveryInternalPackageIsImported(t *testing.T) {
+	goList := func(args ...string) []string {
+		t.Helper()
+		cmd := exec.Command("go", append([]string{"list"}, args...)...)
+		cmd.Dir = "../.."
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list %v: %v", args, err)
+		}
+		return strings.Fields(string(out))
+	}
+	reached := map[string]bool{}
+	for _, p := range goList("-deps", "./cmd/...", "./examples/...", "./bench", ".") {
+		reached[p] = true
+	}
+	var orphans []string
+	for _, p := range goList("./internal/...") {
+		if !reached[p] && !strings.HasSuffix(p, "test") {
+			orphans = append(orphans, p)
+		}
+	}
+	if len(orphans) > 0 {
+		t.Fatalf("internal packages nothing outside their own tests imports: %v", orphans)
 	}
 }

@@ -12,9 +12,8 @@ import (
 // this repository (repro/internal/core, ...) and over the self-contained
 // fixture modules in testdata (simfix/core, ...).
 //
-// internal/clock and internal/udptransport are deliberately absent: clock
-// is the sanctioned boundary between simulated and wall time, and
-// udptransport is the real-time binding of it.
+// internal/clock is deliberately absent: it is the sanctioned boundary
+// between simulated and wall time.
 var simPackages = map[string]bool{
 	"core":     true,
 	"rrmp":     true,

@@ -36,9 +36,9 @@ var globalRandExempt = map[string]bool{
 // SimTime forbids wall-clock time and the global math/rand source inside
 // the simulation packages. All time must flow through internal/clock
 // schedulers and all randomness through internal/rng streams; the
-// sanctioned wall-clock sites (trial timing in runner/scale.go, the real
-// udptransport binding, benchmarks) are either outside the sim set or
-// carry a //lint:allow simtime annotation.
+// sanctioned wall-clock sites (trial timing in runner/scale.go,
+// benchmarks) are either outside the sim set or carry a //lint:allow
+// simtime annotation.
 var SimTime = &Analyzer{
 	Name: "simtime",
 	Doc:  "forbid time.Now/Sleep/After and the global math/rand source in simulation packages",

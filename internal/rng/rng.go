@@ -119,11 +119,6 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability 1/2.
-func (r *Source) Bool() bool {
-	return r.Uint64()&1 == 1
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -139,13 +134,5 @@ func (r *Source) ShuffleInts(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle permutes n elements in place using the provided swap function.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

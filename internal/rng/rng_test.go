@@ -171,20 +171,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
-func TestShuffleMatchesShuffleInts(t *testing.T) {
-	a := New(23)
-	b := New(23)
-	x := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	y := append([]int(nil), x...)
-	a.ShuffleInts(x)
-	b.Shuffle(len(y), func(i, j int) { y[i], y[j] = y[j], y[i] })
-	for i := range x {
-		if x[i] != y[i] {
-			t.Fatalf("Shuffle variants diverged: %v vs %v", x, y)
-		}
-	}
-}
-
 func TestUniformityChiSquared(t *testing.T) {
 	// Coarse chi-squared check across 16 buckets. The threshold is the 99.9%
 	// quantile of chi^2 with 15 degrees of freedom (~37.7).

@@ -7,9 +7,7 @@
 // A Member is a single-threaded state machine driven by Receive (incoming
 // PDUs) and timers from an injected clock.Scheduler. It performs I/O only
 // through the Transport interface. In simulation, thousands of members run
-// interleaved on one goroutine over virtual time; on real networks each
-// member runs on its own executor goroutine (internal/udptransport). The
-// member code is identical in both bindings.
+// interleaved on one goroutine over virtual time.
 package rrmp
 
 import (
@@ -42,7 +40,7 @@ const (
 
 // Transport lets a member send PDUs. Implementations must deliver
 // asynchronously (never call back into the member synchronously from Send),
-// which both the simulator and the UDP binding guarantee.
+// which the simulator's network guarantees.
 type Transport interface {
 	// Send transmits msg to one peer.
 	Send(to topology.NodeID, msg wire.Message)
@@ -90,10 +88,6 @@ type Config struct {
 	Tracer trace.Tracer
 	// Hooks are optional instrumentation callbacks.
 	Hooks Hooks
-	// BufferIndex selects the buffer's entry-index implementation (the
-	// default is the dense scale index; tests select the legacy map to
-	// prove the two are behaviourally identical).
-	BufferIndex core.IndexKind
 }
 
 // sourceState tracks per-sender reception: the highest sequence observed
@@ -165,14 +159,12 @@ type Member struct {
 	} // non-nil only under the deterministic hash policy (§3.4)
 
 	// Own-region membership (incl. self). The topology assigns region
-	// members contiguous ascending IDs, so membership is normally the
-	// range check [inRegionLo, inRegionHi] — a region-sized map per member
-	// is exactly the O(members × region size) setup cost the 1M-member
-	// path cannot afford. inRegion is the fallback for the (unused in
-	// practice) non-contiguous case.
+	// members contiguous ascending IDs (topology.View.RegionMembers), so
+	// membership is the range check [inRegionLo, inRegionHi] — a
+	// region-sized map per member would be exactly the O(members × region
+	// size) setup cost the 1M-member path cannot afford.
 	inRegionLo topology.NodeID
 	inRegionHi topology.NodeID
-	inRegion   map[topology.NodeID]bool
 	sources    map[topology.NodeID]*sourceState
 	recoveries map[wire.MessageID]*recovery
 	waiters    map[wire.MessageID][]topology.NodeID
@@ -247,7 +239,6 @@ func NewMember(cfg Config) *Member {
 	m.buf = core.NewBuffer(core.Config{
 		Policy:      policy,
 		Sched:       cfg.Sched,
-		Index:       cfg.BufferIndex,
 		ByteBudget:  m.params.ByteBudget,
 		CopyPayload: m.params.CopyOnStore,
 		Rng:         cfg.Rng.Split(bufferStreamLabel),
@@ -302,39 +293,21 @@ func (m *Member) peerLive(n topology.NodeID) bool {
 	return m.fd == nil || !m.fd.Suspected(n)
 }
 
-// initRegionMembership derives the own-region membership test from the
-// view: a range check when the (shared, ascending) region slice is
-// contiguous and covers Self, a map otherwise.
+// initRegionMembership derives the own-region membership range from the
+// view's region slice, which the topology builds as one dense ascending ID
+// range covering Self.
 func (m *Member) initRegionMembership(v topology.View) {
 	rm := v.RegionMembers
 	if len(rm) == 0 {
 		m.inRegionLo, m.inRegionHi = m.self, m.self
 		return
 	}
-	contiguous := true
-	for i := 1; i < len(rm); i++ {
-		if rm[i] != rm[i-1]+1 {
-			contiguous = false
-			break
-		}
-	}
-	if contiguous && m.self >= rm[0] && m.self <= rm[len(rm)-1] {
-		m.inRegionLo, m.inRegionHi = rm[0], rm[len(rm)-1]
-		return
-	}
-	m.inRegion = make(map[topology.NodeID]bool, len(rm)+1)
-	m.inRegion[m.self] = true
-	for _, p := range rm {
-		m.inRegion[p] = true
-	}
+	m.inRegionLo, m.inRegionHi = rm[0], rm[len(rm)-1]
 }
 
 // inOwnRegion reports whether n is a member of this member's own region
 // (Self included).
 func (m *Member) inOwnRegion(n topology.NodeID) bool {
-	if m.inRegion != nil {
-		return m.inRegion[n]
-	}
 	return n >= m.inRegionLo && n <= m.inRegionHi
 }
 
@@ -424,9 +397,9 @@ func (m *Member) source(src topology.NodeID) *sourceState {
 }
 
 // Receive dispatches one incoming PDU. It is the single entry point for
-// network input. The PDU must be this member's alone (netsim and
-// udptransport deliver each one once and keep no reference): a heartbeat's
-// Counters are handed to the failure detector for reuse.
+// network input. The PDU must be this member's alone (netsim delivers each
+// one once and keeps no reference): a heartbeat's Counters are handed to
+// the failure detector for reuse.
 func (m *Member) Receive(from topology.NodeID, msg wire.Message) {
 	if m.left || m.crashed {
 		return

@@ -48,9 +48,6 @@ type ClusterConfig struct {
 	// engine, whatever Shards says: the trace is then a pure function of
 	// the seed, and aggregates are byte-identical at any width anyway.
 	Tracer trace.Tracer
-	// BufferIndex selects every member's buffer index implementation
-	// (tests run the legacy map side by side with the dense default).
-	BufferIndex core.IndexKind
 	// Shards > 1 runs the trial on the region-sharded parallel engine
 	// (sim.Sharded): regions are packed into at most Shards contiguous
 	// blocks and each block gets its own event loop. Aggregates stay
@@ -194,15 +191,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		transports[n] = rrmp.NetTransport{Net: net, Self: n, Group: c.All}
 		m := rrmp.NewMember(rrmp.Config{
-			View:        view,
-			Transport:   &transports[n],
-			Sched:       d.clockOf(n),
-			Rng:         d.memberRng(n),
-			Params:      cfg.Params,
-			Policy:      policy,
-			Tracer:      cfg.Tracer,
-			Hooks:       hooks,
-			BufferIndex: cfg.BufferIndex,
+			View:      view,
+			Transport: &transports[n],
+			Sched:     d.clockOf(n),
+			Rng:       d.memberRng(n),
+			Params:    cfg.Params,
+			Policy:    policy,
+			Tracer:    cfg.Tracer,
+			Hooks:     hooks,
 		})
 		c.Members[n] = m
 		net.RegisterReceiver(n, m)

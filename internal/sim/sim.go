@@ -8,8 +8,7 @@
 // perfectly reproducible interleavings.
 //
 // Sim implements clock.Scheduler, which is the only interface the protocol
-// stack sees; the same protocol code runs unmodified on real time via
-// internal/udptransport.
+// stack sees.
 package sim
 
 import (

@@ -15,8 +15,8 @@ import (
 )
 
 // Counter is a monotonically adjustable tally. The zero value is ready to
-// use. Counter is not safe for concurrent use (the simulator is single
-// threaded; the UDP transport keeps per-member stats).
+// use. Counter is not safe for concurrent use (each event loop is single
+// threaded and every member keeps its own stats).
 type Counter struct {
 	n int64
 }
@@ -229,34 +229,6 @@ func (h *Histogram) Summarize() Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f max=%.2f",
 		s.N, s.Mean, s.Stddev, s.Min, s.P50, s.P95, s.Max)
-}
-
-// TimeSeries records (time, value) observations in arrival order.
-// The zero value is ready to use.
-type TimeSeries struct {
-	ts []time.Duration
-	vs []float64
-}
-
-// Add appends an observation.
-func (s *TimeSeries) Add(t time.Duration, v float64) {
-	s.ts = append(s.ts, t)
-	s.vs = append(s.vs, v)
-}
-
-// Len returns the number of observations.
-func (s *TimeSeries) Len() int { return len(s.ts) }
-
-// At returns the i-th observation.
-func (s *TimeSeries) At(i int) (time.Duration, float64) { return s.ts[i], s.vs[i] }
-
-// Points returns copies of the time and value slices.
-func (s *TimeSeries) Points() ([]time.Duration, []float64) {
-	ts := make([]time.Duration, len(s.ts))
-	vs := make([]float64, len(s.vs))
-	copy(ts, s.ts)
-	copy(vs, s.vs)
-	return ts, vs
 }
 
 // Occupancy integrates a step function over time: it tracks a current level

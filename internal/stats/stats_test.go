@@ -144,25 +144,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	var s TimeSeries
-	s.Add(1*time.Millisecond, 10)
-	s.Add(2*time.Millisecond, 20)
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	ts, v := s.At(1)
-	if ts != 2*time.Millisecond || v != 20 {
-		t.Fatalf("At(1) = %v, %v", ts, v)
-	}
-	tsCopy, vsCopy := s.Points()
-	tsCopy[0] = 0
-	vsCopy[0] = 0
-	if ts0, v0 := s.At(0); ts0 != 1*time.Millisecond || v0 != 10 {
-		t.Fatal("Points exposed internal storage")
-	}
-}
-
 func TestOccupancyIntegral(t *testing.T) {
 	var o Occupancy
 	o.Set(0, 2)                 // level 2 from t=0

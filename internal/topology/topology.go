@@ -126,36 +126,13 @@ func Star(sizes ...int) (*Topology, error) {
 	})
 }
 
-// Tree returns a balanced hierarchy: levels levels of regions, each inner
-// region with branch children, every region holding regionSize members.
-// Tree(b=1, levels=k, n) is equivalent to Chain of k regions of size n.
-func Tree(branch, levels, regionSize int) (*Topology, error) {
-	if branch < 1 || levels < 1 {
-		return nil, fmt.Errorf("%w: Tree(branch=%d, levels=%d)", errInvalid, branch, levels)
-	}
-	count := 0
-	width := 1
-	for l := 0; l < levels; l++ {
-		count += width
-		width *= branch
-	}
-	sizes := make([]int, count)
-	for i := range sizes {
-		sizes[i] = regionSize
-	}
-	return build(sizes, func(i int) RegionID {
-		if i == 0 {
-			return NoRegion
-		}
-		return RegionID((i - 1) / branch)
-	})
-}
-
-// BalancedTree returns a Tree(branch, levels, ·) hierarchy holding exactly
-// total members, spread as evenly as possible across the regions with the
-// remainder assigned to the regions nearest the root. It is the layout the
-// scale experiments use to hit exact member counts (1000, 5000, ...) on a
-// fixed tree shape; total must be at least the region count.
+// BalancedTree returns a balanced hierarchy — levels levels of regions,
+// each inner region with branch children, regions numbered breadth-first —
+// holding exactly total members, spread as evenly as possible across the
+// regions with the remainder assigned to the regions nearest the root. It
+// is the layout the scale experiments use to hit exact member counts
+// (1000, 5000, ...) on a fixed tree shape; total must be at least the
+// region count.
 func BalancedTree(branch, levels, total int) (*Topology, error) {
 	if branch < 1 || levels < 1 {
 		return nil, fmt.Errorf("%w: BalancedTree(branch=%d, levels=%d)", errInvalid, branch, levels)
@@ -394,8 +371,11 @@ type View struct {
 	Self         NodeID
 	Region       RegionID
 	ParentRegion RegionID // NoRegion if the member is in the root region
-	// RegionMembers is the member's own region, Self included, in region
-	// (ascending ID) order. Shared across views — read-only.
+	// RegionMembers is the member's own region, Self included. Regions are
+	// contiguous by construction: build, the only place members get IDs,
+	// gives each region the dense ascending range [first, first+len), so
+	// RegionMembers[i] == RegionMembers[0]+i and Self sits at index
+	// Self−RegionMembers[0]. Shared across views — read-only.
 	RegionMembers []NodeID
 	// SelfIdx is Self's position in RegionMembers, so self-excluding
 	// iteration and random peer picks need no separate peers slice.
@@ -438,18 +418,9 @@ func (t *Topology) ViewOf(node NodeID) (View, error) {
 		return View{}, fmt.Errorf("%w: node %d not in topology", errInvalid, node)
 	}
 	v := View{Self: node, Region: r, ParentRegion: t.Parent(r), RegionMembers: t.regions[r].Members}
-	// Region members are assigned dense ascending IDs at build time, so
-	// Self's index is a subtraction; scan as a fallback for safety.
-	if idx := int(node - v.RegionMembers[0]); idx >= 0 && idx < len(v.RegionMembers) && v.RegionMembers[idx] == node {
-		v.SelfIdx = idx
-	} else {
-		for i, m := range v.RegionMembers {
-			if m == node {
-				v.SelfIdx = i
-				break
-			}
-		}
-	}
+	// Regions are contiguous by construction (see View.RegionMembers), so
+	// Self's index is a subtraction.
+	v.SelfIdx = int(node - v.RegionMembers[0])
 	if v.ParentRegion != NoRegion {
 		v.ParentMembers = t.regions[v.ParentRegion].Members
 	}

@@ -69,7 +69,7 @@ func TestStar(t *testing.T) {
 }
 
 func TestTreeShape(t *testing.T) {
-	topo, err := Tree(2, 3, 4) // 1 + 2 + 4 = 7 regions
+	topo, err := BalancedTree(2, 3, 28) // 1 + 2 + 4 = 7 regions of 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestViewOf(t *testing.T) {
 }
 
 func TestHierarchyDistance(t *testing.T) {
-	topo, err := Tree(2, 3, 1) // regions: 0; 1,2; 3,4,5,6
+	topo, err := BalancedTree(2, 3, 7) // regions: 0; 1,2; 3,4,5,6
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,39 @@ func TestPartitionProperty(t *testing.T) {
 	}
 }
 
-func TestTreeRejectsBadArgs(t *testing.T) {
-	if _, err := Tree(0, 2, 5); err == nil {
-		t.Fatal("Tree with branch 0 succeeded")
+// TestRegionsAreContiguous pins the invariant View.RegionMembers states and
+// ViewOf and rrmp's region range check rely on: every constructor yields
+// regions that are dense ascending ID ranges [first, first+len), and
+// ViewOf(n).SelfIdx is n − RegionMembers[0].
+func TestRegionsAreContiguous(t *testing.T) {
+	build := map[string]func() (*Topology, error){
+		"single": func() (*Topology, error) { return SingleRegion(9) },
+		"chain":  func() (*Topology, error) { return Chain(3, 1, 5) },
+		"star":   func() (*Topology, error) { return Star(4, 2, 6, 1) },
+		"tree":   func() (*Topology, error) { return BalancedTree(3, 3, 50) },
 	}
-	if _, err := Tree(2, 0, 5); err == nil {
-		t.Fatal("Tree with 0 levels succeeded")
+	for name, mk := range build {
+		topo, err := mk()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		next := NodeID(0)
+		for r := 0; r < topo.NumRegions(); r++ {
+			for i, m := range topo.Members(RegionID(r)) {
+				if m != next {
+					t.Fatalf("%s: region %d member %d is node %d, want %d", name, r, i, m, next)
+				}
+				next++
+			}
+		}
+		for n := NodeID(0); int(n) < topo.NumNodes(); n++ {
+			v, err := topo.ViewOf(n)
+			if err != nil {
+				t.Fatalf("%s: ViewOf(%d): %v", name, n, err)
+			}
+			if v.SelfIdx != int(n-v.RegionMembers[0]) || v.RegionMembers[v.SelfIdx] != n {
+				t.Fatalf("%s: ViewOf(%d).SelfIdx = %d in %v", name, n, v.SelfIdx, v.RegionMembers)
+			}
+		}
 	}
 }

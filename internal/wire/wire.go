@@ -2,10 +2,11 @@
 // and a compact binary codec for them.
 //
 // Inside the simulator, messages travel as Go values and the codec is never
-// on the hot path; the UDP transport (internal/udptransport) uses
-// Marshal/Unmarshal to put the same messages on real sockets. EncodedSize
-// feeds the simulator's traffic accounting so byte counts match what the
-// real transport would send.
+// on the hot path. EncodedSize feeds the simulator's traffic accounting
+// (netsim's byte counts), and Marshal/Unmarshal are the encoding it
+// measures: the round-trip tests and fuzz targets check EncodedSize
+// against the length Marshal actually produces, so the byte counts are
+// what a real transport would send.
 package wire
 
 import (

@@ -1,11 +1,11 @@
-// Package workload generates publish schedules and payload-size draws for
-// experiments and examples: constant-rate streams, Poisson arrivals, on/off
-// bursts, and fixed / uniform / lognormal payload-size models.
+// Package workload generates publish timelines and payload-size draws for
+// experiments: a multi-client Spec (constant, Poisson or bursty arrivals
+// per publisher, Zipf volume skew, rate windows) materialized into one
+// merged Timeline, and fixed / uniform / lognormal payload-size models.
 //
-// A generator yields the virtual times at which the sender should publish
-// (and, via a SizeModel, how many bytes each publish carries); drivers
-// schedule those instants on the simulator (or sleep until them in
-// real-time mode). Schedules are pure data, so the same workload can be
+// A Timeline yields the virtual times at which each publisher publishes and
+// how many bytes each publish carries; drivers schedule those instants on
+// the simulator. Timelines are pure data, so the same workload can be
 // replayed against different protocols or policies for paired comparisons.
 package workload
 
@@ -17,68 +17,9 @@ import (
 	"repro/internal/rng"
 )
 
-// Schedule is a sorted list of publish instants relative to the run start.
+// Schedule is a sorted list of publish instants relative to the run start:
+// one client's arrivals, before Spec.Timeline merges them.
 type Schedule []time.Duration
-
-// Constant returns n publishes spaced exactly gap apart, starting at 0.
-func Constant(n int, gap time.Duration) Schedule {
-	if n <= 0 {
-		return nil
-	}
-	out := make(Schedule, n)
-	for i := range out {
-		out[i] = time.Duration(i) * gap
-	}
-	return out
-}
-
-// Poisson returns n publishes with exponential inter-arrival times of the
-// given mean (a Poisson arrival process), using r for randomness. A
-// non-positive mean gap is an error: generators are reachable from CLI
-// flags, so bad input must surface as an error, not a panic (NewSizeModel
-// set the convention).
-func Poisson(n int, meanGap time.Duration, r *rng.Source) (Schedule, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if meanGap <= 0 {
-		return nil, fmt.Errorf("workload: non-positive mean gap %v", meanGap)
-	}
-	rate := 1 / meanGap.Seconds()
-	out := make(Schedule, n)
-	at := time.Duration(0)
-	for i := range out {
-		out[i] = at
-		at += time.Duration(r.ExpFloat64(rate) * float64(time.Second))
-	}
-	return out, nil
-}
-
-// Bursts returns publishes grouped into bursts: burstLen messages spaced
-// inGap apart, with betweenGap from the last publish of one burst to the
-// start of the next, for total messages. This is the "burst" traffic whose
-// tail losses the paper's session messages exist to detect (§2.1).
-//
-// Advancing from the previous burst's last publish (rather than its start)
-// keeps the schedule monotone even when a burst lasts longer than the
-// between-burst gap — betweenGap < (burstLen-1)*inGap used to interleave
-// bursts out of order, failing Valid().
-func Bursts(total, burstLen int, inGap, betweenGap time.Duration) Schedule {
-	if total <= 0 || burstLen <= 0 {
-		return nil
-	}
-	out := make(Schedule, 0, total)
-	burstStart := time.Duration(0)
-	for len(out) < total {
-		last := burstStart
-		for i := 0; i < burstLen && len(out) < total; i++ {
-			last = burstStart + time.Duration(i)*inGap
-			out = append(out, last)
-		}
-		burstStart = last + betweenGap
-	}
-	return out
-}
 
 // A SizeModel draws per-message payload sizes, the second workload axis:
 // where a Schedule says when the sender publishes, a SizeModel says how
@@ -210,14 +151,6 @@ func Sizes(m SizeModel, n int, r *rng.Source) []int {
 		out[i] = m.Size(r)
 	}
 	return out
-}
-
-// Span returns the time of the last publish (0 for an empty schedule).
-func (s Schedule) Span() time.Duration {
-	if len(s) == 0 {
-		return 0
-	}
-	return s[len(s)-1]
 }
 
 // Valid reports whether the schedule is non-decreasing (drivers rely on

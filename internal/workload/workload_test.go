@@ -9,122 +9,25 @@ import (
 	"repro/internal/rng"
 )
 
-func TestConstant(t *testing.T) {
-	s := Constant(5, 10*time.Millisecond)
-	if len(s) != 5 {
-		t.Fatalf("len %d", len(s))
+// TestScheduleValid pins the ordering check every client schedule passes
+// before Spec.Timeline merges it: non-decreasing instants (ties allowed)
+// are valid, any step backwards is not.
+func TestScheduleValid(t *testing.T) {
+	ms := time.Millisecond
+	cases := []struct {
+		s    Schedule
+		want bool
+	}{
+		{nil, true},
+		{Schedule{0}, true},
+		{Schedule{0, ms, ms, 3 * ms}, true},
+		{Schedule{0, 2 * ms, ms}, false},
+		{Schedule{5 * ms, 0}, false},
 	}
-	for i, at := range s {
-		if at != time.Duration(i)*10*time.Millisecond {
-			t.Fatalf("schedule %v", s)
+	for _, c := range cases {
+		if got := c.s.Valid(); got != c.want {
+			t.Fatalf("Schedule%v.Valid() = %v, want %v", c.s, got, c.want)
 		}
-	}
-	if Constant(0, time.Second) != nil {
-		t.Fatal("empty constant not nil")
-	}
-	if s.Span() != 40*time.Millisecond {
-		t.Fatalf("span %v", s.Span())
-	}
-}
-
-func TestPoissonMeanGap(t *testing.T) {
-	r := rng.New(3)
-	const n = 20000
-	mean := 10 * time.Millisecond
-	s, err := Poisson(n, mean, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Valid() {
-		t.Fatal("Poisson schedule not sorted")
-	}
-	if s[0] != 0 {
-		t.Fatalf("first arrival %v", s[0])
-	}
-	got := s.Span().Seconds() / float64(n-1)
-	if math.Abs(got-mean.Seconds()) > mean.Seconds()*0.05 {
-		t.Fatalf("mean gap %.4fs, want ~%.4fs", got, mean.Seconds())
-	}
-}
-
-func TestPoissonDeterministic(t *testing.T) {
-	a, err := Poisson(100, time.Millisecond, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Poisson(100, time.Millisecond, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed, different schedule")
-		}
-	}
-}
-
-// A non-positive mean gap is CLI-reachable input, so it must surface as an
-// error, not a panic (the NewSizeModel convention).
-func TestPoissonErrorsOnBadGap(t *testing.T) {
-	if _, err := Poisson(5, 0, rng.New(1)); err == nil {
-		t.Fatal("no error for zero mean gap")
-	}
-	if _, err := Poisson(5, -time.Second, rng.New(1)); err == nil {
-		t.Fatal("no error for negative mean gap")
-	}
-	if s, err := Poisson(0, 0, rng.New(1)); s != nil || err != nil {
-		t.Fatalf("empty poisson = (%v, %v), want (nil, nil)", s, err)
-	}
-}
-
-func TestBurstsShape(t *testing.T) {
-	s := Bursts(7, 3, time.Millisecond, 100*time.Millisecond)
-	if len(s) != 7 {
-		t.Fatalf("len %d", len(s))
-	}
-	// betweenGap runs from each burst's LAST publish: burst one ends at
-	// 2ms, so burst two starts at 102ms and burst three at 204ms.
-	want := Schedule{
-		0, time.Millisecond, 2 * time.Millisecond,
-		102 * time.Millisecond, 103 * time.Millisecond, 104 * time.Millisecond,
-		204 * time.Millisecond,
-	}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("schedule %v, want %v", s, want)
-		}
-	}
-	if !s.Valid() {
-		t.Fatal("bursts not sorted")
-	}
-}
-
-// Regression for the non-monotone Bursts bug: when a burst lasts longer
-// than the between-burst gap (betweenGap < (burstLen-1)*inGap), advancing
-// from the burst START interleaved bursts out of order. Advancing from the
-// burst's last publish keeps the schedule monotone.
-func TestBurstsMonotoneWhenBurstsOutlastGap(t *testing.T) {
-	s := Bursts(6, 3, 10*time.Millisecond, 5*time.Millisecond)
-	if !s.Valid() {
-		t.Fatalf("overlapping bursts not monotone: %v", s)
-	}
-	want := Schedule{
-		0, 10 * time.Millisecond, 20 * time.Millisecond,
-		25 * time.Millisecond, 35 * time.Millisecond, 45 * time.Millisecond,
-	}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("schedule %v, want %v", s, want)
-		}
-	}
-	if s.Span() != 45*time.Millisecond {
-		t.Fatalf("span %v, want 45ms", s.Span())
-	}
-}
-
-func TestBurstsEmpty(t *testing.T) {
-	if Bursts(0, 3, 1, 2) != nil || Bursts(5, 0, 1, 2) != nil {
-		t.Fatal("degenerate bursts not nil")
 	}
 }
 
@@ -243,52 +146,6 @@ func TestSizesDeterministicProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: all generators produce valid (sorted) schedules of the exact
-// requested length, with Span() equal to the last (maximum) instant, and
-// identical schedules under a fixed seed. Burst gaps are drawn adversarially
-// small so the case the monotonicity fix covers (bursts outlasting the
-// between-burst gap) is exercised throughout.
-func TestGeneratorsValidProperty(t *testing.T) {
-	prop := func(nRaw, kindRaw, gapRaw uint8, seed uint16) bool {
-		n := int(nRaw % 64)
-		gen := func() Schedule {
-			switch kindRaw % 3 {
-			case 0:
-				return Constant(n, 3*time.Millisecond)
-			case 1:
-				s, err := Poisson(n, 5*time.Millisecond, rng.New(uint64(seed)))
-				if err != nil {
-					return nil
-				}
-				return s
-			default:
-				return Bursts(n, int(kindRaw%5)+1, time.Millisecond,
-					time.Duration(gapRaw%8)*500*time.Microsecond)
-			}
-		}
-		s, again := gen(), gen()
-		if n <= 0 {
-			return s == nil
-		}
-		if len(s) != n || !s.Valid() || s[0] != 0 {
-			return false
-		}
-		max := s[0]
-		for i := range s {
-			if s[i] > max {
-				max = s[i]
-			}
-			if s[i] != again[i] {
-				return false // same inputs must reproduce the schedule
-			}
-		}
-		return s.Span() == max
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -167,24 +167,6 @@ func TestGroupBurstLoss(t *testing.T) {
 	}
 }
 
-func TestFigureFacades(t *testing.T) {
-	if s := repro.Figure3([]float64{6}, 100, 1000, 1); len(s) != 2 {
-		t.Fatal("Figure3 facade")
-	}
-	if s := repro.Figure4([]float64{1, 6}, 100, 1000, 1); len(s) != 2 {
-		t.Fatal("Figure4 facade")
-	}
-	if s, err := repro.Figure6(2, 1); err != nil || len(s.X) == 0 {
-		t.Fatalf("Figure6 facade: %v", err)
-	}
-	if s, err := repro.Figure7(1); err != nil || len(s.TimesMs) == 0 {
-		t.Fatalf("Figure7 facade: %v", err)
-	}
-	if res, err := repro.RunSearch(repro.SearchConfig{RegionSize: 30, Bufferers: 5, Runs: 3, Seed: 1}); err != nil || res.FailedRuns != 0 {
-		t.Fatalf("RunSearch facade: %+v err=%v", res, err)
-	}
-}
-
 // TestGroupByteBudget drives the facade's byte-budget path: a binding
 // budget produces pressure evictions and the byte stats surface through
 // GroupStats, while delivery losses stay explicitly counted.

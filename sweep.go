@@ -25,14 +25,10 @@ type (
 	MetricSummary = exp.MetricSummary
 	// TrialAggregate is a multi-trial run's full metric reduction.
 	TrialAggregate = exp.Aggregate
-	// PolicySummary is a multi-trial A1 row.
-	PolicySummary = runner.PolicySummary
 	// FitnessWeights weight the sweep fitness score's four objectives.
 	FitnessWeights = exp.FitnessWeights
 	// FitnessRow is one candidate's fitness score plus its raw objectives.
 	FitnessRow = exp.FitnessRow
-	// LambdaSummary is a multi-trial A5 row.
-	LambdaSummary = runner.LambdaSummary
 	// TreeShape is a balanced multi-level hierarchy cell for sweeps
 	// (branch, levels, total members).
 	TreeShape = exp.TreeShape
@@ -159,14 +155,3 @@ func RecordTrace(w io.Writer, tl WorkloadTimeline) error { return workload.Recor
 // ReplayTrace parses a canonical rrmp-trace/v1 stream back into a
 // timeline, rejecting malformed or non-canonical input.
 func ReplayTrace(r io.Reader) (WorkloadTimeline, error) { return workload.Replay(r) }
-
-// AblationPoliciesTrials is the multi-trial variant of AblationPolicies:
-// every column becomes a mean ± 95% CI across o.Trials seeds.
-func AblationPoliciesTrials(o SweepOptions) ([]PolicySummary, error) {
-	return runner.AblationPoliciesTrials(o)
-}
-
-// AblationLambdaTrials is the multi-trial variant of AblationLambda.
-func AblationLambdaTrials(lambdas []float64, runs int, o SweepOptions) ([]LambdaSummary, error) {
-	return runner.AblationLambdaTrials(lambdas, runs, o)
-}
