@@ -102,7 +102,7 @@ type Entry struct {
 	// PromotedAt is when the entry became long-term (zero until then).
 	PromotedAt time.Duration
 
-	timer clock.Timer // idle timer in short-term, TTL timer in long-term
+	timer clock.Handle // idle timer in short-term, TTL timer in long-term
 	// fire is the entry's timer callback, bound once at Store so re-arming
 	// the idle or TTL clock never allocates a new closure. It dispatches on
 	// State: short-term entries run the idle check, long-term ones the TTL
@@ -247,7 +247,7 @@ func (b *Buffer) Store(id wire.MessageID, payload []byte) *Entry {
 	b.cfg.Policy.ObserveStore(id, now)
 	hold, _ := b.cfg.Policy.Hold(id)
 	if hold > 0 {
-		e.timer = b.cfg.Sched.After(hold, e.fire)
+		e.timer.Arm(b.cfg.Sched, hold, e.fire)
 	}
 	// hold == 0 means "never idles": retention until external removal
 	// (buffer-all / stability-detection baselines).
@@ -318,11 +318,7 @@ func (b *Buffer) TakeForHandoff() []*Entry {
 
 // Close stops all timers and drops all entries without eviction callbacks.
 func (b *Buffer) Close() {
-	b.idx.each(func(e *Entry) {
-		if e.timer != nil {
-			e.timer.Stop()
-		}
-	})
+	b.idx.each(func(e *Entry) { e.timer.Stop() })
 	b.idx.reset()
 	b.longCount = 0
 	b.bytes = 0
@@ -429,7 +425,7 @@ func (b *Buffer) idleCheck(e *Entry) {
 			// idle yet. Sleep exactly until the earliest instant it could
 			// become idle. Re-arming reuses the entry's bound callback —
 			// O(1), no closure allocation, however often feedback arrives.
-			e.timer = b.cfg.Sched.After(hold-quietFor, e.fire)
+			e.timer.Arm(b.cfg.Sched, hold-quietFor, e.fire)
 			return
 		}
 	}
@@ -445,15 +441,12 @@ func (b *Buffer) idleCheck(e *Entry) {
 
 // promote moves an entry to the long-term phase and arms its TTL.
 func (b *Buffer) promote(e *Entry) {
-	if e.timer != nil {
-		e.timer.Stop()
-		e.timer = nil
-	}
+	e.timer.Stop()
 	e.State = StateLongTerm
 	e.PromotedAt = b.cfg.Sched.Now()
 	b.longCount++
 	if ttl := b.cfg.Policy.LongTermTTL(); ttl > 0 {
-		e.timer = b.cfg.Sched.After(ttl, e.fire)
+		e.timer.Arm(b.cfg.Sched, ttl, e.fire)
 	}
 	if b.cfg.OnPromote != nil {
 		b.cfg.OnPromote(e)
@@ -471,17 +464,14 @@ func (b *Buffer) ttlCheck(e *Entry) {
 	ttl := b.cfg.Policy.LongTermTTL()
 	unusedFor := now - e.LastRequest
 	if unusedFor < ttl {
-		e.timer = b.cfg.Sched.After(ttl-unusedFor, e.fire)
+		e.timer.Arm(b.cfg.Sched, ttl-unusedFor, e.fire)
 		return
 	}
 	b.evict(e, EvictTTL)
 }
 
 func (b *Buffer) evict(e *Entry, reason EvictReason) {
-	if e.timer != nil {
-		e.timer.Stop()
-		e.timer = nil
-	}
+	e.timer.Stop()
 	b.idx.remove(e.ID)
 	b.bytes -= len(e.Payload)
 	if e.State == StateLongTerm {

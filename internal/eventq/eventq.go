@@ -30,7 +30,9 @@
 //
 // Slots are recycled by later pushes, so steady-state simulation allocates
 // no queue memory; holders must keep the Gen observed at Push time and
-// cancel through Cancel, which refuses a stale generation.
+// cancel through Cancel, which refuses a stale generation. PushRef and
+// CancelRef do the same with the slot's 32-bit reference in place of the
+// *Event, which is what a clock.Handle stores.
 package eventq
 
 import "time"
@@ -110,6 +112,27 @@ func (q *Queue) Push(at time.Duration, fn func()) *Event {
 // in seq, so (at, pushAt, src, seq) with constant src orders identically to
 // the legacy (at, seq) key.
 func (q *Queue) PushKeyed(at, pushAt time.Duration, src int32, fn func()) *Event {
+	_, e := q.push(at, pushAt, src, fn)
+	return e
+}
+
+// PushRef is PushKeyed for a holder that keeps the event's slot reference
+// and generation, two words, instead of an *Event; CancelRef takes them.
+func (q *Queue) PushRef(at, pushAt time.Duration, src int32, fn func()) (ref, gen uint32) {
+	ref, e := q.push(at, pushAt, src, fn)
+	return ref, e.gen
+}
+
+// CancelRef is Cancel for the event PushRef returned as (ref, gen).
+func (q *Queue) CancelRef(ref, gen uint32) bool {
+	if ref == 0 || ref > q.used {
+		return false
+	}
+	return q.Cancel(q.event(ref), gen)
+}
+
+// push places a pending event under the key and returns its slot.
+func (q *Queue) push(at, pushAt time.Duration, src int32, fn func()) (uint32, *Event) {
 	seq := q.nextSeq
 	q.nextSeq++
 	q.live++
@@ -122,13 +145,13 @@ func (q *Queue) PushKeyed(at, pushAt time.Duration, src int32, fn func()) *Event
 		if tail := q.event(t.ref); tail.gen == t.gen && (pushAt > tail.pushAt || pushAt == tail.pushAt && src >= tail.src) {
 			tail.next = ref
 			t.ref, t.gen = ref, e.gen
-			return e
+			return ref, e
 		}
 	}
 	q.heap = append(q.heap, entry{})
 	q.up(len(q.heap)-1, entry{at: at, pushAt: pushAt, seq: seq, src: src, ref: ref})
 	t.at, t.ref, t.gen = at, ref, e.gen
-	return e
+	return ref, e
 }
 
 // NextAt returns the time of the earliest pending event, discarding the

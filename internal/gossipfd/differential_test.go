@@ -15,58 +15,72 @@ import (
 )
 
 // manualSched is a hand-cranked clock.Scheduler: timers fire only inside
-// advance, in (deadline, scheduling order). After allocates exactly one
-// *manualTimer, which the tick allocation guard counts on.
+// advance, in (deadline, scheduling order). It is a clock.Armer that keeps
+// its timers by value, so the detector's clock.Handle arms without
+// allocating once the slice has grown, as on sim.Sim; After, which the
+// reference detector uses, allocates one *manualStop.
 type manualSched struct {
 	now    time.Duration
-	seq    int
-	timers []*manualTimer
+	seq    uint32
+	timers []manualTimer
 }
 
 type manualTimer struct {
-	s   *manualSched
 	at  time.Duration
-	seq int
+	seq uint32
 	fn  func()
 }
 
 func (s *manualSched) Now() time.Duration { return s.now }
 
-func (s *manualSched) After(d time.Duration, fn func()) clock.Timer {
+func (s *manualSched) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32, uint32) {
 	if d < 0 {
 		d = 0
 	}
 	s.seq++
-	t := &manualTimer{s: s, at: s.now + d, seq: s.seq, fn: fn}
-	s.timers = append(s.timers, t)
-	return t
+	s.timers = append(s.timers, manualTimer{at: s.now + d, seq: s.seq, fn: fn})
+	return s, s.seq, 0
 }
 
-func (t *manualTimer) Stop() bool {
-	for i, x := range t.s.timers {
-		if x == t {
-			t.s.timers = append(t.s.timers[:i], t.s.timers[i+1:]...)
+// Cancel removes the pending timer ArmAfter numbered ref.
+func (s *manualSched) Cancel(ref, _ uint32) bool {
+	for i, t := range s.timers {
+		if t.seq == ref {
+			s.timers = append(s.timers[:i], s.timers[i+1:]...)
 			return true
 		}
 	}
 	return false
 }
 
+func (s *manualSched) After(d time.Duration, fn func()) clock.Timer {
+	_, ref, _ := s.ArmAfter(d, fn)
+	return &manualStop{s: s, ref: ref}
+}
+
+type manualStop struct {
+	s   *manualSched
+	ref uint32
+}
+
+func (t *manualStop) Stop() bool { return t.s.Cancel(t.ref, 0) }
+
 // advance fires every timer due at or before to, then sets now = to.
 func (s *manualSched) advance(to time.Duration) {
 	for {
-		var next *manualTimer
-		for _, t := range s.timers {
-			if t.at <= to && (next == nil || t.at < next.at || t.at == next.at && t.seq < next.seq) {
-				next = t
+		next := -1
+		for i, t := range s.timers {
+			if t.at <= to && (next < 0 || t.at < s.timers[next].at || t.at == s.timers[next].at && t.seq < s.timers[next].seq) {
+				next = i
 			}
 		}
-		if next == nil {
+		if next < 0 {
 			break
 		}
-		next.Stop()
-		s.now = next.at
-		next.fn()
+		t := s.timers[next]
+		s.Cancel(t.seq, 0)
+		s.now = t.at
+		t.fn()
 	}
 	s.now = to
 }

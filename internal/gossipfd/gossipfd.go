@@ -99,7 +99,7 @@ type Detector struct {
 	spare   [4][]uint64
 	spares  int
 	onTick  func() // the timer callback, bound once
-	ticker  clock.Timer
+	ticker  clock.Handle
 	running bool
 }
 
@@ -164,16 +164,13 @@ func (d *Detector) Stop() {
 		return
 	}
 	d.running = false
-	if d.ticker != nil {
-		d.ticker.Stop()
-		d.ticker = nil
-	}
+	d.ticker.Stop()
 }
 
 func (d *Detector) scheduleTick() {
 	// Jitter desynchronizes members so gossip rounds do not phase-lock.
 	delay := time.Duration(d.cfg.Rng.Jitter(float64(d.cfg.GossipInterval), 0.1))
-	d.ticker = d.cfg.Sched.After(delay, d.onTick)
+	d.ticker.Arm(d.cfg.Sched, delay, d.onTick)
 }
 
 // tick increments the own counter, sweeps timeouts, and gossips the table

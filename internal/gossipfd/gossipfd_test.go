@@ -307,21 +307,21 @@ func TestDetectorAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { d.PickPeer(r) }); a != 0 {
 		t.Errorf("PickPeer: %v allocs, want 0", a)
 	}
-	// One steady-state tick allocates exactly two objects: the PDU's
-	// counter snapshot (it outlives the tick on the network) and the
-	// *manualTimer this test's scheduler returns from After (sim.Sim's
-	// After likewise allocates its one timer handle). No candidate slice,
-	// no closure — the tick callback is bound once in New.
+	// One steady-state tick allocates exactly one object: the PDU's counter
+	// snapshot (it outlives the tick on the network). No candidate slice,
+	// no closure — the tick callback is bound once in New — and no timer
+	// handle: the ticker is a clock.Handle in the detector, armed through
+	// the scheduler's ArmAfter as on sim.Sim.
 	a := testing.AllocsPerRun(200, func() {
 		advanceAll()
 		d.Receive(fresh) // keeps the table in its steady state as time passes
 		sched.advance(sched.timers[0].at)
 	})
-	if a != 2 {
-		t.Errorf("steady-state tick: %v allocs, want 2 (counter snapshot, scheduler's timer handle)", a)
+	if a != 1 {
+		t.Errorf("steady-state tick: %v allocs, want 1 (counter snapshot)", a)
 	}
-	// A tick that finds a recycled table sends its snapshot in it: the
-	// timer handle is all that is left. Recycle itself allocates nothing.
+	// A tick that finds a recycled table sends its snapshot in it and
+	// allocates nothing. Recycle itself allocates nothing.
 	spent := make([]uint64, n)
 	a = testing.AllocsPerRun(200, func() {
 		advanceAll()
@@ -329,8 +329,8 @@ func TestDetectorAllocs(t *testing.T) {
 		d.Recycle(spent) // as if spent had just arrived and been merged
 		sched.advance(sched.timers[0].at)
 	})
-	if a != 1 {
-		t.Errorf("tick with a recycled table: %v allocs, want 1 (scheduler's timer handle)", a)
+	if a != 0 {
+		t.Errorf("tick with a recycled table: %v allocs, want 0", a)
 	}
 }
 

@@ -167,7 +167,7 @@ type Node struct {
 	naks        map[uint64]*nakState
 	waiters     map[uint64][]topology.NodeID
 	ackFloors   map[topology.NodeID]uint64
-	ackTimer    clock.Timer
+	ackTimer    clock.Handle
 	acksStarted bool
 	trimmed     uint64 // highest seq removed from the server buffer
 	// unrecovered holds sequences this node gave up recovering; cleared on
@@ -220,7 +220,12 @@ func New(cfg Config) *Node {
 	if ps, ok := cfg.Sched.(poster); ok {
 		n.post = ps.Post
 	} else {
-		n.post = func(d time.Duration, fn func()) { cfg.Sched.After(d, fn) }
+		n.post = func(d time.Duration, fn func()) {
+			// Like Post's, these events are never cancelled: the handle
+			// is dropped.
+			var h clock.Handle
+			h.Arm(cfg.Sched, d, fn)
+		}
 	}
 	if n.isServer {
 		n.buffer = core.NewBuffer(core.Config{
@@ -278,7 +283,7 @@ func (n *Node) Unrecovered() []uint64 {
 // StartAcks begins the periodic ACK-window loop (receivers report to their
 // region server; servers report the aggregated floor to their parent).
 func (n *Node) StartAcks() {
-	if n.ackTimer != nil || n.left || n.crashed {
+	if n.ackTimer.Armed() || n.left || n.crashed {
 		return
 	}
 	n.acksStarted = true
@@ -291,18 +296,15 @@ func (n *Node) armAckLoop() {
 	var tick func()
 	tick = func() {
 		n.sendAck()
-		n.ackTimer = n.cfg.Sched.After(n.params.AckInterval, tick)
+		n.ackTimer.Arm(n.cfg.Sched, n.params.AckInterval, tick)
 	}
 	jitter := time.Duration(n.cfg.Rng.Jitter(float64(n.params.AckInterval), 0.2))
-	n.ackTimer = n.cfg.Sched.After(jitter, tick)
+	n.ackTimer.Arm(n.cfg.Sched, jitter, tick)
 }
 
 // StopAcks halts the ACK loop.
 func (n *Node) StopAcks() {
-	if n.ackTimer != nil {
-		n.ackTimer.Stop()
-		n.ackTimer = nil
-	}
+	n.ackTimer.Stop()
 	n.acksStarted = false
 }
 
@@ -638,10 +640,7 @@ func (n *Node) ForgetAcker(who topology.NodeID) {
 // abandons every NAK loop. Pending Post-scheduled retries become stale and
 // are rejected by the nakState identity check.
 func (n *Node) stopProtocolTimers() {
-	if n.ackTimer != nil {
-		n.ackTimer.Stop()
-		n.ackTimer = nil
-	}
+	n.ackTimer.Stop()
 	n.naks = make(map[uint64]*nakState)
 }
 

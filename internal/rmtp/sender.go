@@ -11,7 +11,7 @@ type Sender struct {
 	n            *Node
 	broadcast    Broadcast
 	seq          uint64
-	sessionTimer clock.Timer
+	sessionTimer clock.Handle
 }
 
 // NewSender wraps the root server node. It panics if the node is not a
@@ -41,21 +41,18 @@ func (s *Sender) Publish(payload []byte) wire.MessageID {
 
 // StartSessions begins periodic session messages. Idempotent.
 func (s *Sender) StartSessions() {
-	if s.sessionTimer != nil {
+	if s.sessionTimer.Armed() {
 		return
 	}
 	var tick func()
 	tick = func() {
 		s.broadcast(wire.Message{Type: wire.TypeSession, From: s.n.cfg.Self, TopSeq: s.seq})
-		s.sessionTimer = s.n.cfg.Sched.After(s.n.params.SessionInterval, tick)
+		s.sessionTimer.Arm(s.n.cfg.Sched, s.n.params.SessionInterval, tick)
 	}
-	s.sessionTimer = s.n.cfg.Sched.After(s.n.params.SessionInterval, tick)
+	s.sessionTimer.Arm(s.n.cfg.Sched, s.n.params.SessionInterval, tick)
 }
 
 // StopSessions cancels the session loop.
 func (s *Sender) StopSessions() {
-	if s.sessionTimer != nil {
-		s.sessionTimer.Stop()
-		s.sessionTimer = nil
-	}
+	s.sessionTimer.Stop()
 }

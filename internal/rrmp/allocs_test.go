@@ -139,13 +139,13 @@ func TestUntracedDuplicateDataDoesNotAllocate(t *testing.T) {
 }
 
 // TestUntracedFreshDataAllocs pins what a first, in-order DATA packet
-// still allocates with tracing off. All three are state the protocol
-// keeps until the copy is discarded, not garbage: Buffer.Store's
-// *core.Entry, that entry's fire closure, and the timer handle sim.after
-// returns for its idle timeout. (The string-detail tracer added four of
-// pure garbage: Sprintf's result, the boxed id, and MessageID.String's
-// result and boxed sequence number.) A PR that wants fewer has to embed
-// the closure or the handle in the entry.
+// still allocates with tracing off. Both are state the protocol keeps
+// until the copy is discarded, not garbage: Buffer.Store's *core.Entry and
+// that entry's fire closure. The idle timer is a clock.Handle inside the
+// entry, so arming it allocates nothing. (The string-detail tracer added
+// four of pure garbage: Sprintf's result, the boxed id, and
+// MessageID.String's result and boxed sequence number; a heap-allocated
+// timer handle per arm made a third.)
 func TestUntracedFreshDataAllocs(t *testing.T) {
 	const warm, runs = 1024, 200
 	m, data := warmMember(t, warm)
@@ -154,8 +154,8 @@ func TestUntracedFreshDataAllocs(t *testing.T) {
 		seq++
 		m.Receive(0, data(seq))
 	})
-	if n != 3 {
-		t.Fatalf("fresh in-order DATA: %v allocs per Receive, want 3 (core.Entry, its fire closure, the idle timer handle)", n)
+	if n != 2 {
+		t.Fatalf("fresh in-order DATA: %v allocs per Receive, want 2 (core.Entry, its fire closure)", n)
 	}
 	if got := m.Metrics().Delivered.Value(); got != int64(seq) {
 		t.Fatalf("delivered %d of %d packets: the guard did not measure deliveries", got, seq)
@@ -173,11 +173,12 @@ func (c *countTransport) Broadcast(wire.Message)             {}
 // that draw one per attempt. Before PR 17 a member with the failure
 // detector on rebuilt the candidate list (one make, one Suspected map
 // lookup per region member) on every local request, search hop and
-// handoff; the pick is now the detector's own walk over its table. What an
-// attempt still allocates is its retry timer: the closure that re-enters
-// the attempt and the handle sim.after returns for it. (The guard stops
-// the previous retry timer first, as firing would, so the simulator's
-// event comes from its pool.)
+// handoff; the pick is now the detector's own walk over its table. The
+// retry timer allocates nothing either: it is a clock.Handle in the
+// episode, re-armed with a callback bound once (a search's by newSearch,
+// a recovery's on its first arm, which AllocsPerRun's warm-up run makes).
+// The guard stops the previous retry timer first, as firing would, so the
+// simulator's event comes from its pool.
 func TestPeerPickDoesNotAllocate(t *testing.T) {
 	params := DefaultParams()
 	params.FDEnabled = true
@@ -196,13 +197,13 @@ func TestPeerPickDoesNotAllocate(t *testing.T) {
 
 	rec := &recovery{id: wire.MessageID{Source: 0, Seq: 99}}
 	m.recoveries[rec.id] = rec
-	if n := testing.AllocsPerRun(200, func() { rec.stop(); m.localAttempt(rec) }); n != 2 {
-		t.Errorf("local request attempt: %v allocs, want 2 (retry closure, its timer handle)", n)
+	if n := testing.AllocsPerRun(200, func() { rec.localTimer.Stop(); m.localAttempt(rec) }); n != 0 {
+		t.Errorf("local request attempt: %v allocs, want 0", n)
 	}
-	s := &searchState{id: wire.MessageID{Source: 0, Seq: 98}, origins: []topology.NodeID{12}}
+	s := m.newSearch(wire.MessageID{Source: 0, Seq: 98}, 12)
 	m.searches[s.id] = s
-	if n := testing.AllocsPerRun(200, func() { s.stop(); m.searchAttempt(s) }); n != 2 {
-		t.Errorf("search hop: %v allocs, want 2 (retry closure, its timer handle)", n)
+	if n := testing.AllocsPerRun(200, func() { s.timer.Stop(); m.searchAttempt(s) }); n != 0 {
+		t.Errorf("search hop: %v allocs, want 0", n)
 	}
 	if net.sends != 2*201 {
 		t.Fatalf("%d sends, want %d: the guard did not measure attempts", net.sends, 2*201)

@@ -21,7 +21,7 @@ type cluster struct {
 	all     []topology.NodeID
 }
 
-func newCluster(t *testing.T, topo *topology.Topology, params Params, seed uint64, loss netsim.LossModel) *cluster {
+func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint64, loss netsim.LossModel) *cluster {
 	t.Helper()
 	s := sim.New()
 	lat := netsim.HierLatency{
@@ -67,7 +67,7 @@ func (c *cluster) deliveredCount(id wire.MessageID) int {
 	return n
 }
 
-func singleRegion(t *testing.T, n int) *topology.Topology {
+func singleRegion(t testing.TB, n int) *topology.Topology {
 	t.Helper()
 	topo, err := topology.SingleRegion(n)
 	if err != nil {

@@ -18,8 +18,16 @@ type recovery struct {
 	detectedAt  time.Duration
 	localTries  int
 	remoteTries int
-	localTimer  clock.Timer
-	remoteTimer clock.Timer
+	localTimer  clock.Handle
+	remoteTimer clock.Handle
+	// localRetry / remoteRetry are the timers' callbacks, bound on their
+	// first arm, so a retry re-arms without allocating.
+	localRetry  func()
+	remoteRetry func()
+	// done is set when the episode leaves Member.recoveries (repaired,
+	// abandoned, or dropped by Leave/Crash); a retry that fires after that
+	// is stale and does nothing.
+	done bool
 	// localDead / remoteDead mark a phase that can make no further
 	// progress (retry budget exhausted, or no peers to ask). When both
 	// are set the episode is abandoned and counted unrecoverable.
@@ -30,15 +38,12 @@ type recovery struct {
 	rerecovery bool
 }
 
-func (r *recovery) stop() {
-	if r.localTimer != nil {
-		r.localTimer.Stop()
-		r.localTimer = nil
-	}
-	if r.remoteTimer != nil {
-		r.remoteTimer.Stop()
-		r.remoteTimer = nil
-	}
+// end stops the episode's timers and marks it done; the caller removes it
+// from Member.recoveries.
+func (r *recovery) end() {
+	r.localTimer.Stop()
+	r.remoteTimer.Stop()
+	r.done = true
 }
 
 // noteTop advances loss detection for src up to sequence top: every
@@ -101,7 +106,7 @@ func (m *Member) Recovering(id wire.MessageID) bool {
 // failure detector on, suspected peers are skipped so requests stop
 // landing on crashed members.
 func (m *Member) localAttempt(rec *recovery) {
-	if m.recoveries[rec.id] != rec {
+	if rec.done {
 		return
 	}
 	if m.cfg.View.NumPeers() == 0 {
@@ -121,7 +126,10 @@ func (m *Member) localAttempt(rec *recovery) {
 	m.metrics.LocalReqSent.Inc()
 	m.trace(trace.Event{Kind: trace.LocalReq, ID: rec.id, Peer: q, N: int32(rec.localTries)})
 	m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self, ID: rec.id})
-	rec.localTimer = m.cfg.Sched.After(m.params.IntraRTT+m.params.RetryGrace, func() { m.localAttempt(rec) })
+	if rec.localRetry == nil {
+		rec.localRetry = func() { m.localAttempt(rec) }
+	}
+	rec.localTimer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.RetryGrace, rec.localRetry)
 }
 
 // remoteAttempt runs one remote-recovery round: with probability λ/n send a
@@ -129,7 +137,7 @@ func (m *Member) localAttempt(rec *recovery) {
 // retry timer (§2.2: "This timer is set by any receiver missing a message,
 // regardless whether it actually sent out a request or not").
 func (m *Member) remoteAttempt(rec *recovery) {
-	if m.recoveries[rec.id] != rec {
+	if rec.done {
 		return
 	}
 	parents := m.cfg.View.ParentMembers
@@ -154,7 +162,10 @@ func (m *Member) remoteAttempt(rec *recovery) {
 		m.trace(trace.Event{Kind: trace.RemoteReq, ID: rec.id, Peer: r, N: int32(rec.remoteTries)})
 		m.cfg.Transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self, ID: rec.id, Origin: m.self})
 	}
-	rec.remoteTimer = m.cfg.Sched.After(m.params.ParentRTT+m.params.RetryGrace, func() { m.remoteAttempt(rec) })
+	if rec.remoteRetry == nil {
+		rec.remoteRetry = func() { m.remoteAttempt(rec) }
+	}
+	rec.remoteTimer.Arm(m.cfg.Sched, m.params.ParentRTT+m.params.RetryGrace, rec.remoteRetry)
 }
 
 // checkAbandoned finishes an episode once neither phase can make further
@@ -162,13 +173,10 @@ func (m *Member) remoteAttempt(rec *recovery) {
 // replacing silent loss — and the episode is dropped. A late delivery
 // (another member's repair multicast, a handoff) un-counts it again.
 func (m *Member) checkAbandoned(rec *recovery) {
-	if !rec.localDead || !rec.remoteDead {
+	if !rec.localDead || !rec.remoteDead || rec.done {
 		return
 	}
-	if m.recoveries[rec.id] != rec {
-		return
-	}
-	rec.stop()
+	rec.end()
 	delete(m.recoveries, rec.id)
 	if !m.unrecovered[rec.id] {
 		m.unrecovered[rec.id] = true

@@ -169,7 +169,7 @@ type Member struct {
 	recoveries map[wire.MessageID]*recovery
 	waiters    map[wire.MessageID][]topology.NodeID
 	searches   map[wire.MessageID]*searchState
-	pendingMC  map[wire.MessageID]clock.Timer // back-off regional multicasts
+	pendingMC  map[wire.MessageID]clock.Handle // back-off regional multicasts
 	// knownBufferer caches the sender of the last HAVE per message, so a
 	// search request arriving after the terminating HAVE routes straight to
 	// the announced bufferer instead of re-igniting the random walk. The
@@ -177,7 +177,7 @@ type Member struct {
 	knownBufferer map[wire.MessageID]topology.NodeID
 	// pendingReply holds back-off timers for multicast-query replies
 	// (SearchMulticastQuery mode only).
-	pendingReply map[wire.MessageID]clock.Timer
+	pendingReply map[wire.MessageID]clock.Handle
 	// served records when this member last repaired a given (message,
 	// origin) pair from a search, so the burst of in-flight SEARCH PDUs
 	// that race the terminating HAVE does not each trigger another repair.
@@ -215,9 +215,9 @@ func NewMember(cfg Config) *Member {
 		recoveries:    make(map[wire.MessageID]*recovery),
 		waiters:       make(map[wire.MessageID][]topology.NodeID),
 		searches:      make(map[wire.MessageID]*searchState),
-		pendingMC:     make(map[wire.MessageID]clock.Timer),
+		pendingMC:     make(map[wire.MessageID]clock.Handle),
 		knownBufferer: make(map[wire.MessageID]topology.NodeID),
-		pendingReply:  make(map[wire.MessageID]clock.Timer),
+		pendingReply:  make(map[wire.MessageID]clock.Handle),
 		served:        make(map[servedKey]time.Duration),
 		unrecovered:   make(map[wire.MessageID]bool),
 	}
@@ -495,8 +495,8 @@ func (m *Member) onRepair(from topology.NodeID, msg wire.Message) {
 	case fromLocal:
 		// Seeing the repair multicast by a local peer suppresses our own
 		// pending regional multicast of the same message.
-		if t, ok := m.pendingMC[msg.ID]; ok {
-			t.Stop()
+		if h, ok := m.pendingMC[msg.ID]; ok {
+			h.Stop()
 			delete(m.pendingMC, msg.ID)
 			m.metrics.SuppressedMulticasts.Inc()
 		}
@@ -534,7 +534,7 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 
 	// Complete an in-flight recovery.
 	if rec, ok := m.recoveries[id]; ok {
-		rec.stop()
+		rec.end()
 		delete(m.recoveries, id)
 		latency := now - rec.detectedAt
 		m.metrics.RecoveryLatency.AddDuration(latency)
@@ -608,10 +608,12 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 		return
 	}
 	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.RepairBackoffMax))) + 1
-	m.pendingMC[id] = m.cfg.Sched.After(delay, func() {
+	var h clock.Handle
+	h.Arm(m.cfg.Sched, delay, func() {
 		delete(m.pendingMC, id)
 		m.regionalMulticast(id, payload)
 	})
+	m.pendingMC[id] = h
 }
 
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
@@ -663,27 +665,34 @@ func (m *Member) Leave() {
 			LongTerm: true,
 		})
 	}
-	for _, rec := range m.recoveries {
-		rec.stop()
-	}
-	m.recoveries = make(map[wire.MessageID]*recovery)
-	for _, s := range m.searches {
-		s.stop()
-	}
-	m.searches = make(map[wire.MessageID]*searchState)
-	for _, t := range m.pendingMC {
-		t.Stop()
-	}
-	m.pendingMC = make(map[wire.MessageID]clock.Timer)
-	for _, t := range m.pendingReply {
-		t.Stop()
-	}
-	m.pendingReply = make(map[wire.MessageID]clock.Timer)
+	m.stopEpisodes()
 	if m.fd != nil {
 		m.fd.Stop()
 	}
 	m.buf.Close()
 	m.left = true
+}
+
+// stopEpisodes ends every recovery and search episode and stops every
+// pending back-off timer, leaving the member with no protocol timer but
+// its detector's.
+func (m *Member) stopEpisodes() {
+	for _, rec := range m.recoveries {
+		rec.end()
+	}
+	m.recoveries = make(map[wire.MessageID]*recovery)
+	for _, s := range m.searches {
+		s.end()
+	}
+	m.searches = make(map[wire.MessageID]*searchState)
+	for _, h := range m.pendingMC {
+		h.Stop()
+	}
+	m.pendingMC = make(map[wire.MessageID]clock.Handle)
+	for _, h := range m.pendingReply {
+		h.Stop()
+	}
+	m.pendingReply = make(map[wire.MessageID]clock.Handle)
 }
 
 // Crash halts the member ungracefully: no handoff, every pending protocol
@@ -696,22 +705,7 @@ func (m *Member) Crash() {
 	if m.left || m.crashed {
 		return
 	}
-	for _, rec := range m.recoveries {
-		rec.stop()
-	}
-	m.recoveries = make(map[wire.MessageID]*recovery)
-	for _, s := range m.searches {
-		s.stop()
-	}
-	m.searches = make(map[wire.MessageID]*searchState)
-	for _, t := range m.pendingMC {
-		t.Stop()
-	}
-	m.pendingMC = make(map[wire.MessageID]clock.Timer)
-	for _, t := range m.pendingReply {
-		t.Stop()
-	}
-	m.pendingReply = make(map[wire.MessageID]clock.Timer)
+	m.stopEpisodes()
 	if m.fd != nil {
 		m.fd.Stop()
 	}

@@ -25,14 +25,19 @@ type searchState struct {
 	origins   []topology.NodeID
 	startedAt time.Duration
 	tries     int
-	timer     clock.Timer
+	timer     clock.Handle
+	// retry is the timer's callback, bound once by newSearch.
+	retry func()
+	// done is set when the episode leaves Member.searches; a retry that
+	// fires after that is stale and does nothing.
+	done bool
 }
 
-func (s *searchState) stop() {
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
+// end stops the episode's timer and marks it done; the caller removes it
+// from Member.searches.
+func (s *searchState) end() {
+	s.timer.Stop()
+	s.done = true
 }
 
 func (s *searchState) addOrigin(o topology.NodeID) {
@@ -59,7 +64,7 @@ func (m *Member) startSearch(id wire.MessageID, origin topology.NodeID) {
 		s.addOrigin(origin)
 		return
 	}
-	s := &searchState{id: id, origins: []topology.NodeID{origin}, startedAt: m.cfg.Sched.Now()}
+	s := m.newSearch(id, origin)
 	m.searches[id] = s
 	m.metrics.SearchesStarted.Inc()
 	m.trace(trace.Event{Kind: trace.SearchStart, ID: id, Origin: origin})
@@ -70,17 +75,36 @@ func (m *Member) startSearch(id wire.MessageID, origin topology.NodeID) {
 	m.searchAttempt(s)
 }
 
+// newSearch builds a search episode for id on behalf of origin, its retry
+// bound to the search mode's attempt once for the episode's lifetime.
+func (m *Member) newSearch(id wire.MessageID, origin topology.NodeID) *searchState {
+	s := &searchState{id: id, origins: []topology.NodeID{origin}, startedAt: m.cfg.Sched.Now()}
+	if m.params.SearchMode == SearchMulticastQuery {
+		s.retry = func() { m.queryAttempt(s) }
+	} else {
+		s.retry = func() { m.searchAttempt(s) }
+	}
+	return s
+}
+
+// endSearch finishes an episode: its timer stops, it is marked done and it
+// leaves Member.searches.
+func (m *Member) endSearch(s *searchState) {
+	s.end()
+	delete(m.searches, s.id)
+}
+
 // queryAttempt multicasts the bufferer query in the region (§3.3's rejected
 // design). Retries re-multicast until a HAVE arrives or tries exhaust.
 func (m *Member) queryAttempt(s *searchState) {
-	if m.searches[s.id] != s {
+	if s.done {
 		return
 	}
 	if len(s.origins) == 0 || s.tries >= m.params.MaxSearchTries {
 		if len(s.origins) > 0 {
 			m.metrics.SearchFailures.Inc()
 		}
-		delete(m.searches, s.id)
+		m.endSearch(s)
 		return
 	}
 	s.tries++
@@ -96,8 +120,7 @@ func (m *Member) queryAttempt(s *searchState) {
 	}
 	// Wait out the worst-case reply back-off plus a round trip before
 	// re-multicasting.
-	s.timer = m.cfg.Sched.After(m.params.QueryBackoffMax+m.params.IntraRTT+m.params.RetryGrace,
-		func() { m.queryAttempt(s) })
+	s.timer.Arm(m.cfg.Sched, m.params.QueryBackoffMax+m.params.IntraRTT+m.params.RetryGrace, s.retry)
 }
 
 // onQuery handles a multicast bufferer query: holders schedule a reply
@@ -105,8 +128,7 @@ func (m *Member) queryAttempt(s *searchState) {
 // member's HAVE for the same message arrives first.
 func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
 	id, origin := msg.ID, msg.Origin
-	e, ok := m.buf.Get(id)
-	if !ok {
+	if _, ok := m.buf.Get(id); !ok {
 		// Non-holders stay silent under the multicast-query design; the
 		// querier re-multicasts if nobody answers.
 		return
@@ -116,19 +138,20 @@ func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
 		return
 	}
 	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.QueryBackoffMax))) + 1
-	m.pendingReply[id] = m.cfg.Sched.After(delay, func() {
+	var h clock.Handle
+	h.Arm(m.cfg.Sched, delay, func() {
 		delete(m.pendingReply, id)
 		cur, still := m.buf.Get(id)
 		if !still {
 			return
 		}
-		_ = e
 		m.metrics.QueryReplies.Inc()
 		m.sendRepair(origin, cur)
 		m.announceHave(id, origin)
 		m.resolveSearch(id, origin)
 		m.trace(trace.Event{Kind: trace.QueryReply, ID: id, Origin: origin, Peer: from})
 	})
+	m.pendingReply[id] = h
 }
 
 // searchAttempt forwards the search to the next candidate and arms the
@@ -136,23 +159,27 @@ func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
 // uniformly random region peer; under the deterministic hash baseline
 // (§3.4) the candidates are the computable bufferer set, probed in rank
 // order, skipping the random walk entirely.
+//
+// Only the first attempt consults knownBufferer: entries are made by
+// onHave alone, which ends every live episode for its id, so none can
+// appear while an episode runs, and a retry reads no MessageID-keyed map.
 func (m *Member) searchAttempt(s *searchState) {
-	if m.searches[s.id] != s {
+	if s.done {
 		return
 	}
 	if len(s.origins) == 0 {
-		delete(m.searches, s.id)
+		m.endSearch(s)
 		return
 	}
 	if s.tries >= m.params.MaxSearchTries {
 		m.metrics.SearchFailures.Inc()
 		m.trace(trace.Event{Kind: trace.SearchFail, ID: s.id})
-		delete(m.searches, s.id)
+		m.endSearch(s)
 		return
 	}
 	var q topology.NodeID
 	var ok bool
-	if known, hit := m.knownBufferer[s.id]; hit && known != m.self {
+	if known, hit := m.firstKnownBufferer(s); hit {
 		// A HAVE identified a bufferer: route directly. The cache entry is
 		// consumed so a stale pointer (bufferer discarded since) degrades
 		// back to the random walk on the next attempt.
@@ -164,7 +191,7 @@ func (m *Member) searchAttempt(s *searchState) {
 		q, ok = m.randomPeer()
 	}
 	if !ok {
-		delete(m.searches, s.id)
+		m.endSearch(s)
 		return
 	}
 	s.tries++
@@ -174,7 +201,18 @@ func (m *Member) searchAttempt(s *searchState) {
 	for _, o := range s.origins {
 		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: s.id, Origin: o})
 	}
-	s.timer = m.cfg.Sched.After(m.params.IntraRTT+m.params.RetryGrace, func() { m.searchAttempt(s) })
+	s.timer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.RetryGrace, s.retry)
+}
+
+// firstKnownBufferer returns the bufferer a HAVE announced for s's message,
+// on the episode's first attempt only (see searchAttempt), unless that is
+// this member itself.
+func (m *Member) firstKnownBufferer(s *searchState) (topology.NodeID, bool) {
+	if s.tries > 0 {
+		return 0, false
+	}
+	known, hit := m.knownBufferer[s.id]
+	return known, hit && known != m.self
 }
 
 // nextDeterministicTarget walks the hash-elected bufferer set in rank
@@ -276,8 +314,8 @@ func (m *Member) onHave(from topology.NodeID, msg wire.Message) {
 	// late probes for the same (message, origin) must not repair again.
 	m.served[servedKey{id: msg.ID, origin: msg.Origin}] = m.cfg.Sched.Now()
 	// Another member answered: suppress our own pending query reply.
-	if t, ok := m.pendingReply[msg.ID]; ok {
-		t.Stop()
+	if h, ok := m.pendingReply[msg.ID]; ok {
+		h.Stop()
 		delete(m.pendingReply, msg.ID)
 		m.metrics.SuppressedReplies.Inc()
 	}
@@ -287,8 +325,7 @@ func (m *Member) onHave(from topology.NodeID, msg wire.Message) {
 	}
 	s.dropOrigin(msg.Origin)
 	if len(s.origins) == 0 {
-		s.stop()
-		delete(m.searches, msg.ID)
+		m.endSearch(s)
 		m.trace(trace.Event{Kind: trace.SearchEnd, ID: msg.ID, Peer: from})
 		return
 	}
@@ -297,8 +334,7 @@ func (m *Member) onHave(from topology.NodeID, msg wire.Message) {
 		m.metrics.SearchForwards.Inc()
 		m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeSearch, From: m.self, ID: msg.ID, Origin: o})
 	}
-	s.stop()
-	delete(m.searches, msg.ID)
+	m.endSearch(s)
 }
 
 // resolveSearch reports a served remote requester to the hooks (the Fig. 8
@@ -308,8 +344,7 @@ func (m *Member) resolveSearch(id wire.MessageID, origin topology.NodeID) {
 	if s, ok := m.searches[id]; ok {
 		s.dropOrigin(origin)
 		if len(s.origins) == 0 {
-			s.stop()
-			delete(m.searches, id)
+			m.endSearch(s)
 		}
 	}
 	if m.cfg.Hooks.OnSearchResolved != nil {

@@ -11,7 +11,7 @@ import (
 type Sender struct {
 	m            *Member
 	seq          uint64
-	sessionTimer clock.Timer
+	sessionTimer clock.Handle
 }
 
 // NewSender wraps a member with sender duties. The member's node id becomes
@@ -47,7 +47,7 @@ func (s *Sender) Publish(payload []byte) wire.MessageID {
 // in a burst (§2.1). Safe to call once; restart after StopSessions is
 // allowed.
 func (s *Sender) StartSessions() {
-	if s.sessionTimer != nil {
+	if s.sessionTimer.Armed() {
 		return
 	}
 	var tick func()
@@ -57,15 +57,12 @@ func (s *Sender) StartSessions() {
 			From:   s.m.self,
 			TopSeq: s.seq,
 		})
-		s.sessionTimer = s.m.cfg.Sched.After(s.m.params.SessionInterval, tick)
+		s.sessionTimer.Arm(s.m.cfg.Sched, s.m.params.SessionInterval, tick)
 	}
-	s.sessionTimer = s.m.cfg.Sched.After(s.m.params.SessionInterval, tick)
+	s.sessionTimer.Arm(s.m.cfg.Sched, s.m.params.SessionInterval, tick)
 }
 
 // StopSessions cancels periodic session messages.
 func (s *Sender) StopSessions() {
-	if s.sessionTimer != nil {
-		s.sessionTimer.Stop()
-		s.sessionTimer = nil
-	}
+	s.sessionTimer.Stop()
 }

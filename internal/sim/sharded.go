@@ -158,6 +158,11 @@ func (e *Sharded) Pending() int {
 // After schedules fn on the global lane d after the barrier clock.
 func (e *Sharded) After(d time.Duration, fn func()) clock.Timer { return e.global.After(d, fn) }
 
+// ArmAfter is After for a clock.Handle.
+func (e *Sharded) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32, uint32) {
+	return e.global.ArmAfter(d, fn)
+}
+
 // At schedules fn on the global lane at the absolute time at, clamped to
 // the barrier clock.
 func (e *Sharded) At(at time.Duration, fn func()) clock.Timer { return e.global.At(at, fn) }
@@ -322,19 +327,24 @@ func (e *Sharded) drainOutboxes() {
 // Now returns the shard's local clock (the barrier clock between windows).
 func (ln *lane) Now() time.Duration { return ln.loop.now }
 
-// After schedules fn on the shard's loop. During setup it routes to the
-// global lane (matching the serial engine's pre-run insertion order); from
-// a barrier it is keyed as a coordinator push.
-func (ln *lane) After(d time.Duration, fn func()) clock.Timer {
+// After schedules fn on the shard's loop, routed as ArmAfter routes.
+func (ln *lane) After(d time.Duration, fn func()) clock.Timer { return newTimer(ln, d, fn) }
+
+// ArmAfter schedules fn on the shard's loop for a clock.Handle. During
+// setup it routes to the global lane (matching the serial engine's pre-run
+// insertion order); from a barrier it is keyed as a coordinator push.
+func (ln *lane) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32, uint32) {
 	switch e := ln.e; {
 	case e.setup:
-		return e.global.After(d, fn)
+		return e.global.ArmAfter(d, fn)
 	case e.barrier:
-		return ln.loop.after(d, coordinatorSrc, fn)
+		return ln.loop.arm(d, coordinatorSrc, fn)
 	default:
-		return ln.loop.After(d, fn)
+		return ln.loop.ArmAfter(d, fn)
 	}
 }
 
 var _ clock.Scheduler = (*lane)(nil)
+var _ clock.Armer = (*lane)(nil)
+var _ clock.Armer = (*Sharded)(nil)
 var _ Engine = (*Sharded)(nil)

@@ -3,9 +3,12 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // The shard-merge differential harness: a synthetic event program — a pure
@@ -87,6 +90,35 @@ func (e shardedMergeEngine) postFrom(from, to int32, d time.Duration, fn func())
 	e.e.PostFrom(from, to, d, fn)
 }
 func (e shardedMergeEngine) run() { e.e.Run() }
+
+// laneTimerMergeEngine schedules through the lanes' own schedulers wherever
+// a protocol member's timer could be armed — roots during setup, and every
+// push from a barrier or onto the pushing lane — by After or by
+// clock.Handle; cross-shard pushes from a lane still go through PostFrom.
+type laneTimerMergeEngine struct {
+	e      *Sharded
+	handle bool
+}
+
+func (e laneTimerMergeEngine) schedule(lane int32, d time.Duration, fn func()) {
+	if e.handle {
+		var h clock.Handle
+		h.Arm(e.e.Clock(lane), d, fn)
+		return
+	}
+	e.e.Clock(lane).After(d, fn)
+}
+
+// at is only called during setup, when the clock reads zero.
+func (e laneTimerMergeEngine) at(at time.Duration, fn func()) { e.schedule(0, at, fn) }
+func (e laneTimerMergeEngine) postFrom(from, to int32, d time.Duration, fn func()) {
+	if from >= 0 && from != to {
+		e.e.PostFrom(from, to, d, fn)
+		return
+	}
+	e.schedule(to, d, fn)
+}
+func (e laneTimerMergeEngine) run() { e.e.Run() }
 
 // mix is the splitmix64 finalizer: the program's behavior generator.
 func mix(z uint64) uint64 {
@@ -385,9 +417,39 @@ func TestShardMergeDeterministic(t *testing.T) {
 		{shards: 2, seed: 250, roots: []mergeRoot{
 			{12 * time.Millisecond}, {17 * time.Millisecond},
 			{12 * time.Millisecond}, {17 * time.Millisecond}}},
+		// A barrier push and a lane's cross-shard push tie on (at, pushAt)
+		// at the same lane: only the coordinator's src orders them.
+		{shards: 2, seed: 54, roots: []mergeRoot{
+			{12 * time.Millisecond}, {17 * time.Millisecond},
+			{12 * time.Millisecond}, {17 * time.Millisecond}}},
 	}
 	for i, prog := range cases {
 		prog := prog
 		t.Run(fmt.Sprintf("case%d", i), func(t *testing.T) { checkMergeProg(t, prog) })
+	}
+	// A lane timer — armed during setup, at a barrier or inside a window —
+	// carries exactly the keys PostFrom gives the same push, by After's
+	// Timer and by clock.Handle alike, so every lane fires the same log.
+	for i, prog := range cases {
+		prog := prog
+		t.Run(fmt.Sprintf("lane-timers/case%d", i), func(t *testing.T) {
+			engine := func() *Sharded {
+				nodeShard := make([]int32, prog.shards)
+				for i := range nodeShard {
+					nodeShard[i] = int32(i)
+				}
+				e, err := NewSharded(prog.shards, nodeShard, mergeW)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			want := runMergeProg(shardedMergeEngine{engine()}, prog)
+			for _, handle := range []bool{false, true} {
+				if got := runMergeProg(laneTimerMergeEngine{engine(), handle}, prog); !reflect.DeepEqual(got, want) {
+					t.Fatalf("lane timers (handle=%v) fired a different log from PostFrom's", handle)
+				}
+			}
+		})
 	}
 }

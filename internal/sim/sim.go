@@ -8,7 +8,8 @@
 // perfectly reproducible interleavings.
 //
 // Sim implements clock.Scheduler, which is the only interface the protocol
-// stack sees.
+// stack sees, and clock.Armer, through which the protocol's owner-embedded
+// timers (clock.Handle) arm without allocating.
 package sim
 
 import (
@@ -74,56 +75,63 @@ func (s *Sim) Processed() uint64 { return s.processed }
 // Pending returns the number of scheduled events not yet executed.
 func (s *Sim) Pending() int { return s.queue.Len() }
 
-// timer adapts an eventq handle to clock.Timer. Events are pooled, so the
-// timer remembers the generation observed at Push time; a Stop after the
-// event fired (and the struct was reused for a later event) is a stale
-// handle that Cancel correctly refuses. On a Sharded's lanes Stop is only
-// safe from the owning lane's context (or a barrier) — the ownership rule
-// of every lane operation; protocol members only cancel their own timers,
-// so it holds by construction.
-type timer struct {
-	sim *Sim
-	ev  *eventq.Event
-	gen uint32
-}
-
-// Stop cancels the timer; see clock.Timer.
-func (t *timer) Stop() bool {
-	s := t.sim
+// Cancel cancels the event ArmAfter returned as (ref, gen); see
+// clock.Canceller. Events are pooled, so a Cancel after the event fired
+// (and its slot was reused for a later event) carries a stale generation,
+// which the queue refuses. On a Sharded's lanes Cancel is only safe from
+// the owning lane's context (or a barrier) — the ownership rule of every
+// lane operation; protocol members only cancel their own timers, so it
+// holds by construction. The global lane, whose timers any lane may
+// cancel mid-window, serializes them under stopMu.
+func (s *Sim) Cancel(ref, gen uint32) bool {
 	if s.stopMu != nil {
 		s.stopMu.Lock()
 		defer s.stopMu.Unlock()
 	}
-	return s.queue.Cancel(t.ev, t.gen)
+	return s.queue.CancelRef(ref, gen)
 }
 
-var _ clock.Timer = (*timer)(nil)
 var _ clock.Scheduler = (*Sim)(nil)
+var _ clock.Armer = (*Sim)(nil)
 var _ Engine = (*Sim)(nil)
 
 // push is the one way an event enters the queue: d after the loop's clock
 // (a non-positive d means "now"; the event still goes through the queue so
 // it runs after the currently executing event completes), keyed as pushed
 // by context src.
-func (s *Sim) push(d time.Duration, src int32, fn func()) *eventq.Event {
+func (s *Sim) push(d time.Duration, src int32, fn func()) (ref, gen uint32) {
 	if fn == nil {
 		panic("sim: scheduling a nil callback")
 	}
 	if d < 0 {
 		d = 0
 	}
-	return s.queue.PushKeyed(s.now+d, s.now, src, fn)
+	return s.queue.PushRef(s.now+d, s.now, src, fn)
 }
 
-// after is push with a cancellation handle.
-func (s *Sim) after(d time.Duration, src int32, fn func()) clock.Timer {
-	ev := s.push(d, src, fn)
-	return &timer{sim: s, ev: ev, gen: ev.Gen()}
+// arm is push returning what a clock.Handle keeps.
+func (s *Sim) arm(d time.Duration, src int32, fn func()) (clock.Canceller, uint32, uint32) {
+	ref, gen := s.push(d, src, fn)
+	return s, ref, gen
 }
 
 // After schedules fn to run d after the current virtual time, clamped to
 // now.
-func (s *Sim) After(d time.Duration, fn func()) clock.Timer { return s.after(d, s.src, fn) }
+func (s *Sim) After(d time.Duration, fn func()) clock.Timer { return newTimer(s, d, fn) }
+
+// newTimer is After for any of the engine's schedulers: its Timer is a
+// clock.Handle of its own, armed through the scheduler's ArmAfter.
+func newTimer(s clock.Scheduler, d time.Duration, fn func()) clock.Timer {
+	h := new(clock.Handle)
+	h.Arm(s, d, fn)
+	return h
+}
+
+// ArmAfter schedules fn like After and returns the triple a clock.Handle
+// keeps in place of a Timer, so arming allocates nothing.
+func (s *Sim) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32, uint32) {
+	return s.arm(d, s.src, fn)
+}
 
 // Post schedules fn like After but returns no cancellation handle, saving
 // the timer allocation. It exists for fire-and-forget events — the

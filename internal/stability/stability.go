@@ -61,7 +61,8 @@ type Detector struct {
 	peers   []topology.NodeID // region peers (excluding self)
 	floors  map[topology.NodeID]uint64
 	stable  uint64 // highest sequence declared stable so far
-	ticker  clock.Timer
+	onTick  func() // the timer callback, bound once
+	ticker  clock.Handle
 	running bool
 
 	// DigestsSent counts outgoing history PDUs (the A6 overhead metric).
@@ -77,11 +78,18 @@ func New(cfg Config) *Detector {
 		cfg.Interval = 100 * time.Millisecond
 	}
 	peers := cfg.View.Peers()
-	return &Detector{
+	d := &Detector{
 		cfg:    cfg,
 		peers:  peers,
 		floors: make(map[topology.NodeID]uint64, len(peers)),
 	}
+	d.onTick = func() {
+		d.tick()
+		if d.running {
+			d.scheduleTick()
+		}
+	}
+	return d
 }
 
 // Start begins periodic digest gossip. Idempotent.
@@ -99,20 +107,12 @@ func (d *Detector) Stop() {
 		return
 	}
 	d.running = false
-	if d.ticker != nil {
-		d.ticker.Stop()
-		d.ticker = nil
-	}
+	d.ticker.Stop()
 }
 
 func (d *Detector) scheduleTick() {
 	delay := time.Duration(d.cfg.Rng.Jitter(float64(d.cfg.Interval), 0.1))
-	d.ticker = d.cfg.Sched.After(delay, func() {
-		d.tick()
-		if d.running {
-			d.scheduleTick()
-		}
-	})
+	d.ticker.Arm(d.cfg.Sched, delay, d.onTick)
 }
 
 // tick multicasts this member's digest to the region and re-evaluates
