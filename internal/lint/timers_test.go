@@ -69,3 +69,30 @@ func TestProtocolTimersAreOwned(t *testing.T) {
 		}
 	}
 }
+
+// TestMemberHasOneMessageTable keeps rrmp.Member's per-message state in one
+// table: the member may declare only one field of a map type keyed by
+// wire.MessageID, whose record holds every fact about a message in flight.
+// Its seven parallel maps had to agree with each other. Finding none is a
+// failure too, since then the match proves nothing.
+func TestMemberHasOneMessageTable(t *testing.T) {
+	pkgs, err := lint.Load("../..", "./internal/rrmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := pkgs[0].Types.Scope().Lookup("Member")
+	if obj == nil {
+		t.Fatal("package rrmp declares no Member")
+	}
+	st := obj.Type().Underlying().(*types.Struct)
+	var tables []string
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if m, ok := f.Type().Underlying().(*types.Map); ok && types.TypeString(m.Key(), nil) == "repro/internal/wire.MessageID" {
+			tables = append(tables, f.Name())
+		}
+	}
+	if len(tables) != 1 {
+		t.Fatalf("rrmp.Member has %d fields of a map type keyed by wire.MessageID (%s), want exactly one", len(tables), strings.Join(tables, ", "))
+	}
+}

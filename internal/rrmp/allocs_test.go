@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -196,12 +199,12 @@ func TestPeerPickDoesNotAllocate(t *testing.T) {
 	m.cfg.Transport = net
 
 	rec := &recovery{id: wire.MessageID{Source: 0, Seq: 99}}
-	m.recoveries[rec.id] = rec
+	m.msg(rec.id).recovery = rec
 	if n := testing.AllocsPerRun(200, func() { rec.localTimer.Stop(); m.localAttempt(rec) }); n != 0 {
 		t.Errorf("local request attempt: %v allocs, want 0", n)
 	}
-	s := m.newSearch(wire.MessageID{Source: 0, Seq: 98}, 12)
-	m.searches[s.id] = s
+	id := wire.MessageID{Source: 0, Seq: 98}
+	s := m.newSearch(m.msg(id), id, 12)
 	if n := testing.AllocsPerRun(200, func() { s.timer.Stop(); m.searchAttempt(s) }); n != 0 {
 		t.Errorf("search hop: %v allocs, want 0", n)
 	}
@@ -250,5 +253,35 @@ func TestHeartbeatTablesAreRecycled(t *testing.T) {
 		if len(m.fd.Live()) != 10 {
 			t.Errorf("member %d sees %v live", n, m.fd.Live())
 		}
+	}
+}
+
+// TestNewMemberAllocs pins what constructing a member costs, with the
+// failure detector off, in a ten-member region. Each member once made
+// nine maps up front, seven of them keyed by MessageID (18 allocations
+// here); the per-message state is now one table made on first use.
+func TestNewMemberAllocs(t *testing.T) {
+	view, err := singleRegion(t, 10).ViewOf(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		View:      view,
+		Transport: &countTransport{},
+		Sched:     sim.New(),
+		Rng:       rng.New(1),
+		Params:    DefaultParams(),
+	}
+	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 11 {
+		t.Fatalf("NewMember: %v allocs, want 11", n)
+	}
+}
+
+// TestMsgStateSize keeps a message's record at twelve words or less: a
+// HAVE makes one at every region member that has none, to hold only the
+// announced bufferer.
+func TestMsgStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(msgState{}); n > 96 {
+		t.Fatalf("msgState is %d bytes, want at most 96", n)
 	}
 }

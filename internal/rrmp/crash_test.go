@@ -126,7 +126,7 @@ func TestCrashRecoverReRecoversKnownGaps(t *testing.T) {
 	c.sim.At(0, func() {
 		c.members[victim].Receive(topo.Sender(),
 			wire.Message{Type: wire.TypeSession, From: topo.Sender(), TopSeq: 2})
-		if !c.members[victim].Recovering(id) {
+		if !recovering(c.members[victim], id) {
 			t.Error("victim did not start recovery from the session gap")
 		}
 		c.crashNode(victim)

@@ -81,7 +81,7 @@ func TestLateJoinerBaseline(t *testing.T) {
 		t.Fatal("joiner tried to recover pre-join history")
 	}
 	for seq := uint64(1); seq <= 10; seq++ {
-		if joiner.Recovering(wire.MessageID{Source: topo.Sender(), Seq: seq}) {
+		if recovering(joiner, wire.MessageID{Source: topo.Sender(), Seq: seq}) {
 			t.Fatalf("joiner recovering pre-baseline seq %d", seq)
 		}
 	}

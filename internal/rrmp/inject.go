@@ -13,14 +13,10 @@ import "repro/internal/wire"
 // member's policy. Gap detection below the sequence is NOT triggered,
 // keeping injected states exactly as the experiment intends.
 func (m *Member) InjectDeliver(id wire.MessageID, payload []byte) {
-	st := m.source(id.Source)
-	if st.has(id.Seq) {
+	if m.HasReceived(id) {
 		return
 	}
-	st.mark(id.Seq)
-	if id.Seq > st.maxSeen {
-		st.maxSeen = id.Seq
-	}
+	m.InjectDiscarded(id)
 	m.buf.Store(id, payload)
 	m.metrics.Delivered.Inc()
 	if m.cfg.Hooks.OnDeliver != nil {
@@ -32,11 +28,7 @@ func (m *Member) InjectDeliver(id wire.MessageID, payload []byte) {
 // long-term phase, modeling §4's "the expected number of bufferers is C"
 // search experiments where exactly B members hold an idle message.
 func (m *Member) InjectLongTerm(id wire.MessageID, payload []byte) {
-	st := m.source(id.Source)
-	st.mark(id.Seq)
-	if id.Seq > st.maxSeen {
-		st.maxSeen = id.Seq
-	}
+	m.InjectDiscarded(id)
 	m.buf.StoreLongTerm(id, payload)
 }
 

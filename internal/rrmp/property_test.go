@@ -229,7 +229,7 @@ func TestCrashFaultAccountingProperty(t *testing.T) {
 					if m.HasReceived(id) {
 						continue
 					}
-					if m.Recovering(id) {
+					if recovering(m, id) {
 						t.Fatalf("member %d still recovering %v at horizon", node, id)
 					}
 					unrec := false

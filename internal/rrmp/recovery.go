@@ -24,7 +24,7 @@ type recovery struct {
 	// first arm, so a retry re-arms without allocating.
 	localRetry  func()
 	remoteRetry func()
-	// done is set when the episode leaves Member.recoveries (repaired,
+	// done is set when the episode leaves its message's record (repaired,
 	// abandoned, or dropped by Leave/Crash); a retry that fires after that
 	// is stale and does nothing.
 	done bool
@@ -39,7 +39,7 @@ type recovery struct {
 }
 
 // end stops the episode's timers and marks it done; the caller removes it
-// from Member.recoveries.
+// from its message's record.
 func (r *recovery) end() {
 	r.localTimer.Stop()
 	r.remoteTimer.Stop()
@@ -56,7 +56,7 @@ func (m *Member) noteTop(src topology.NodeID, top uint64) {
 	}
 	for seq := st.maxSeen + 1; seq <= top; seq++ {
 		if !st.has(seq) {
-			m.startRecovery(wire.MessageID{Source: src, Seq: seq})
+			m.startRecovery(wire.MessageID{Source: src, Seq: seq}, false)
 		}
 	}
 	st.maxSeen = top
@@ -71,34 +71,24 @@ func (m *Member) StartRecovery(id wire.MessageID) {
 	if m.left || m.crashed {
 		return
 	}
-	m.startRecovery(id)
+	m.startRecovery(id, false)
 }
 
-func (m *Member) startRecovery(id wire.MessageID) {
-	m.startRecoveryTagged(id, false)
-}
-
-// startRecoveryTagged starts recovery, optionally marking the episode as a
+// startRecovery starts recovery, optionally marking the episode as a
 // post-crash re-recovery (Member.Recover sets rerecovery).
-func (m *Member) startRecoveryTagged(id wire.MessageID, rerecovery bool) {
+func (m *Member) startRecovery(id wire.MessageID, rerecovery bool) {
 	if m.source(id.Source).has(id.Seq) {
 		return
 	}
-	if _, ok := m.recoveries[id]; ok {
+	ms := m.msg(id)
+	if ms.recovery != nil {
 		return
 	}
 	rec := &recovery{id: id, detectedAt: m.cfg.Sched.Now(), rerecovery: rerecovery}
-	m.recoveries[id] = rec
+	ms.recovery = rec
 	m.trace(trace.Event{Kind: trace.Detect, ID: id})
 	m.localAttempt(rec)
 	m.remoteAttempt(rec)
-}
-
-// Recovering reports whether a recovery for id is in flight (used by tests
-// and the harness).
-func (m *Member) Recovering(id wire.MessageID) bool {
-	_, ok := m.recoveries[id]
-	return ok
 }
 
 // localAttempt sends one local-recovery request to a uniformly random
@@ -177,9 +167,10 @@ func (m *Member) checkAbandoned(rec *recovery) {
 		return
 	}
 	rec.end()
-	delete(m.recoveries, rec.id)
-	if !m.unrecovered[rec.id] {
-		m.unrecovered[rec.id] = true
+	ms := m.msgs[rec.id]
+	ms.recovery = nil
+	if !ms.unrecovered {
+		ms.unrecovered = true
 		m.metrics.Unrecoverable.Inc()
 	}
 	m.trace(trace.Event{Kind: trace.Unrecoverable, ID: rec.id})

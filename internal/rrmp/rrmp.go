@@ -11,7 +11,9 @@
 package rrmp
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -146,6 +148,51 @@ func (st *sourceState) mark(seq uint64) {
 	st.bits[i>>6] |= 1 << (i & 63)
 }
 
+// msgState is all a member keeps about one message while any of it is in
+// flight. A record exists only while one of its fields is set: every path
+// that clears one and may leave the record idle passes it to release.
+type msgState struct {
+	// The live §2.2 recovery and §3.3 search episodes; an episode is here
+	// exactly while it is not done.
+	recovery *recovery
+	search   *searchState
+	// waiters are the remote requesters to relay the message to (§2.2).
+	waiters []topology.NodeID
+	// The back-offs of the regional repair multicast and of a
+	// multicast-query reply. Each callback clears its own handle, since a
+	// fired Handle stays Armed.
+	mc, reply clock.Handle
+	// bufferer is the sender of the last HAVE, or topology.NoNode: a
+	// search starting after the terminating HAVE routes straight to it
+	// instead of re-igniting the random walk.
+	bufferer topology.NodeID
+	// unrecovered marks a message whose recovery was abandoned after every
+	// retry budget ran out, until it arrives late. See
+	// Metrics.Unrecoverable.
+	unrecovered bool
+}
+
+// msg returns id's record, making it if there is none.
+func (m *Member) msg(id wire.MessageID) *msgState {
+	ms := m.msgs[id]
+	if ms == nil {
+		if m.msgs == nil {
+			m.msgs = make(map[wire.MessageID]*msgState)
+		}
+		ms = &msgState{bufferer: topology.NoNode}
+		m.msgs[id] = ms
+	}
+	return ms
+}
+
+// release drops id's record ms once nothing about the message is in flight.
+func (m *Member) release(id wire.MessageID, ms *msgState) {
+	if ms.recovery == nil && ms.search == nil && len(ms.waiters) == 0 && !ms.mc.Armed() &&
+		!ms.reply.Armed() && ms.bufferer == topology.NoNode && !ms.unrecovered {
+		delete(m.msgs, id)
+	}
+}
+
 // Member is one RRMP group member. Not safe for concurrent use; drive it
 // from a single goroutine.
 type Member struct {
@@ -166,18 +213,9 @@ type Member struct {
 	inRegionLo topology.NodeID
 	inRegionHi topology.NodeID
 	sources    map[topology.NodeID]*sourceState
-	recoveries map[wire.MessageID]*recovery
-	waiters    map[wire.MessageID][]topology.NodeID
-	searches   map[wire.MessageID]*searchState
-	pendingMC  map[wire.MessageID]clock.Handle // back-off regional multicasts
-	// knownBufferer caches the sender of the last HAVE per message, so a
-	// search request arriving after the terminating HAVE routes straight to
-	// the announced bufferer instead of re-igniting the random walk. The
-	// entry is consumed on use (the bufferer may since have discarded).
-	knownBufferer map[wire.MessageID]topology.NodeID
-	// pendingReply holds back-off timers for multicast-query replies
-	// (SearchMulticastQuery mode only).
-	pendingReply map[wire.MessageID]clock.Handle
+	// msgs holds the record of every message with protocol state in
+	// flight at this member (see msgState); made on first use.
+	msgs map[wire.MessageID]*msgState
 	// served records when this member last repaired a given (message,
 	// origin) pair from a search, so the burst of in-flight SEARCH PDUs
 	// that race the terminating HAVE does not each trigger another repair.
@@ -185,10 +223,6 @@ type Member struct {
 	// fd is the optional gossip failure detector (Params.FDEnabled);
 	// nil when disabled, in which case every peer counts as live.
 	fd *gossipfd.Detector
-	// unrecovered holds messages whose recovery this member abandoned
-	// after exhausting every retry budget; cleared again if the message
-	// arrives late. See Metrics.Unrecoverable.
-	unrecovered map[wire.MessageID]bool
 
 	metrics Metrics
 	left    bool
@@ -208,18 +242,11 @@ func NewMember(cfg Config) *Member {
 		panic("rrmp: Config.Rng is required")
 	}
 	m := &Member{
-		cfg:           cfg,
-		params:        cfg.Params.withDefaults(),
-		self:          cfg.View.Self,
-		sources:       make(map[topology.NodeID]*sourceState),
-		recoveries:    make(map[wire.MessageID]*recovery),
-		waiters:       make(map[wire.MessageID][]topology.NodeID),
-		searches:      make(map[wire.MessageID]*searchState),
-		pendingMC:     make(map[wire.MessageID]clock.Handle),
-		knownBufferer: make(map[wire.MessageID]topology.NodeID),
-		pendingReply:  make(map[wire.MessageID]clock.Handle),
-		served:        make(map[servedKey]time.Duration),
-		unrecovered:   make(map[wire.MessageID]bool),
+		cfg:     cfg,
+		params:  cfg.Params.withDefaults(),
+		self:    cfg.View.Self,
+		sources: make(map[topology.NodeID]*sourceState),
+		served:  make(map[servedKey]time.Duration),
 	}
 	m.initRegionMembership(cfg.View)
 
@@ -274,9 +301,10 @@ func NewMember(cfg Config) *Member {
 // back to the random walk instead of probing a corpse.
 func (m *Member) onSuspect(n topology.NodeID) {
 	m.metrics.Suspects.Inc()
-	for id, who := range m.knownBufferer {
-		if who == n {
-			delete(m.knownBufferer, id)
+	for id, ms := range m.msgs {
+		if ms.bufferer == n {
+			ms.bufferer = topology.NoNode
+			m.release(id, ms)
 		}
 	}
 	m.trace(trace.Event{Kind: trace.Suspect, Peer: n})
@@ -495,10 +523,10 @@ func (m *Member) onRepair(from topology.NodeID, msg wire.Message) {
 	case fromLocal:
 		// Seeing the repair multicast by a local peer suppresses our own
 		// pending regional multicast of the same message.
-		if h, ok := m.pendingMC[msg.ID]; ok {
-			h.Stop()
-			delete(m.pendingMC, msg.ID)
+		if ms := m.msgs[msg.ID]; ms != nil && ms.mc.Armed() {
+			ms.mc.Stop()
 			m.metrics.SuppressedMulticasts.Inc()
+			m.release(msg.ID, ms)
 		}
 	}
 }
@@ -532,34 +560,36 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 	m.metrics.Delivered.Inc()
 	m.trace(trace.Event{Kind: trace.Deliver, ID: id, Peer: from})
 
-	// Complete an in-flight recovery.
-	if rec, ok := m.recoveries[id]; ok {
-		rec.end()
-		delete(m.recoveries, id)
-		latency := now - rec.detectedAt
-		m.metrics.RecoveryLatency.AddDuration(latency)
-		if rec.rerecovery {
-			m.metrics.ReRecoveryLatency.AddDuration(latency)
+	if ms := m.msgs[id]; ms != nil {
+		// Complete an in-flight recovery.
+		if rec := ms.recovery; rec != nil {
+			rec.end()
+			ms.recovery = nil
+			latency := now - rec.detectedAt
+			m.metrics.RecoveryLatency.AddDuration(latency)
+			if rec.rerecovery {
+				m.metrics.ReRecoveryLatency.AddDuration(latency)
+			}
+			if m.cfg.Hooks.OnRecovered != nil {
+				m.cfg.Hooks.OnRecovered(id, latency)
+			}
 		}
-		if m.cfg.Hooks.OnRecovered != nil {
-			m.cfg.Hooks.OnRecovered(id, latency)
+
+		// A message given up on can still arrive — a peer's regional repair
+		// multicast, a handoff, a very late retransmission. It is then no
+		// longer lost.
+		if ms.unrecovered {
+			ms.unrecovered = false
+			m.metrics.Unrecoverable.Add(-1)
 		}
-	}
 
-	// A message given up on can still arrive — a peer's regional repair
-	// multicast, a handoff, a very late retransmission. It is then no
-	// longer lost.
-	if m.unrecovered[id] {
-		delete(m.unrecovered, id)
-		m.metrics.Unrecoverable.Add(-1)
-	}
-
-	// Relay to downstream members recorded as waiting (§2.2). The repair
-	// is built from the in-hand payload, not the buffer: under a byte
-	// budget the store above may have been denied (or instantly
-	// displaced), and the waiters deserve the message either way.
-	if ws := m.waiters[id]; len(ws) > 0 {
-		delete(m.waiters, id)
+		// Relay to downstream members recorded as waiting (§2.2). The repair
+		// is built from the in-hand payload, not the buffer: under a byte
+		// budget the store above may have been denied (or instantly
+		// displaced), and the waiters deserve the message either way.
+		ws := ms.waiters
+		ms.waiters = nil
+		m.release(id, ms)
 		for _, w := range ws {
 			m.metrics.WaiterRelays.Inc()
 			m.sendRepairPayload(w, id, payload, false)
@@ -600,20 +630,18 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 	if m.cfg.View.NumPeers() == 0 {
 		return
 	}
-	if _, ok := m.pendingMC[id]; ok {
-		return
-	}
 	if m.params.RepairBackoffMax <= 0 {
 		m.regionalMulticast(id, payload)
 		return
 	}
+	// A message is new to a member once, so no back-off is pending yet.
+	ms := m.msg(id)
 	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.RepairBackoffMax))) + 1
-	var h clock.Handle
-	h.Arm(m.cfg.Sched, delay, func() {
-		delete(m.pendingMC, id)
+	ms.mc.Arm(m.cfg.Sched, delay, func() {
+		ms.mc = clock.Handle{}
+		m.release(id, ms)
 		m.regionalMulticast(id, payload)
 	})
-	m.pendingMC[id] = h
 }
 
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
@@ -631,13 +659,12 @@ func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
 // addWaiter records a remote requester to relay to on receipt, without
 // duplicates.
 func (m *Member) addWaiter(id wire.MessageID, who topology.NodeID) {
-	for _, w := range m.waiters[id] {
-		if w == who {
-			return
-		}
+	ms := m.msg(id)
+	if slices.Contains(ms.waiters, who) {
+		return
 	}
 	m.metrics.WaitersRecorded.Inc()
-	m.waiters[id] = append(m.waiters[id], who)
+	ms.waiters = append(ms.waiters, who)
 }
 
 // Leave removes the member from the group voluntarily: each long-term
@@ -675,24 +702,21 @@ func (m *Member) Leave() {
 
 // stopEpisodes ends every recovery and search episode and stops every
 // pending back-off timer, leaving the member with no protocol timer but
-// its detector's.
+// its detector's. Waiters, known bufferers and unrecovered marks stay.
 func (m *Member) stopEpisodes() {
-	for _, rec := range m.recoveries {
-		rec.end()
+	for id, ms := range m.msgs {
+		if ms.recovery != nil {
+			ms.recovery.end()
+			ms.recovery = nil
+		}
+		if ms.search != nil {
+			ms.search.end()
+			ms.search = nil
+		}
+		ms.mc.Stop()
+		ms.reply.Stop()
+		m.release(id, ms)
 	}
-	m.recoveries = make(map[wire.MessageID]*recovery)
-	for _, s := range m.searches {
-		s.end()
-	}
-	m.searches = make(map[wire.MessageID]*searchState)
-	for _, h := range m.pendingMC {
-		h.Stop()
-	}
-	m.pendingMC = make(map[wire.MessageID]clock.Handle)
-	for _, h := range m.pendingReply {
-		h.Stop()
-	}
-	m.pendingReply = make(map[wire.MessageID]clock.Handle)
 }
 
 // Crash halts the member ungracefully: no handoff, every pending protocol
@@ -730,23 +754,18 @@ func (m *Member) Recover() {
 	m.trace(trace.Event{Kind: trace.Recover})
 	// Walk sources in a fixed order: recovery start order pairs rng draws
 	// with messages, so map iteration order must not leak into runs.
-	srcs := make([]topology.NodeID, 0, len(m.sources))
-	for src := range m.sources {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, src := range srcs {
+	for _, src := range slices.Sorted(maps.Keys(m.sources)) {
 		st := m.sources[src]
 		for seq := m.params.StartSeq + 1; seq <= st.maxSeen; seq++ {
 			if !st.has(seq) {
 				id := wire.MessageID{Source: src, Seq: seq}
-				if m.unrecovered[id] {
+				if ms := m.msgs[id]; ms != nil && ms.unrecovered {
 					// A fresh retry budget: the message is back in
 					// flight, not lost.
-					delete(m.unrecovered, id)
+					ms.unrecovered = false
 					m.metrics.Unrecoverable.Add(-1)
 				}
-				m.startRecoveryTagged(id, true)
+				m.startRecovery(id, true)
 			}
 		}
 	}
@@ -758,15 +777,14 @@ func (m *Member) Crashed() bool { return m.crashed }
 // Unrecovered returns the messages this member has given up recovering,
 // sorted by (source, sequence). Empty for a healthy quiesced run.
 func (m *Member) Unrecovered() []wire.MessageID {
-	out := make([]wire.MessageID, 0, len(m.unrecovered))
-	for id := range m.unrecovered {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
+	out := []wire.MessageID{}
+	for id, ms := range m.msgs {
+		if ms.unrecovered {
+			out = append(out, id)
 		}
-		return out[i].Seq < out[j].Seq
+	}
+	slices.SortFunc(out, func(a, b wire.MessageID) int {
+		return cmp.Or(cmp.Compare(a.Source, b.Source), cmp.Compare(a.Seq, b.Seq))
 	})
 	return out
 }

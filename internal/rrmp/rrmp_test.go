@@ -541,7 +541,7 @@ func TestInjectHelpers(t *testing.T) {
 		t.Fatal("InjectDeliver did not buffer")
 	}
 	// Gap 4 must NOT be recovered (injection does not trigger detection).
-	if m.Recovering(wire.MessageID{Source: 0, Seq: 4}) {
+	if recovering(m, wire.MessageID{Source: 0, Seq: 4}) {
 		t.Fatal("InjectDeliver triggered gap recovery")
 	}
 

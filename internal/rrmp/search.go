@@ -1,6 +1,7 @@
 package rrmp
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -20,6 +21,8 @@ type servedKey struct {
 // random region members for a surviving copy.
 type searchState struct {
 	id wire.MessageID
+	// msg is the record of id that holds the episode while it is live.
+	msg *msgState
 	// origins are the remote requesters awaiting the repair. Usually one;
 	// multiple remote requests for the same discarded message merge.
 	origins   []topology.NodeID
@@ -28,44 +31,38 @@ type searchState struct {
 	timer     clock.Handle
 	// retry is the timer's callback, bound once by newSearch.
 	retry func()
-	// done is set when the episode leaves Member.searches; a retry that
-	// fires after that is stale and does nothing.
+	// done is set when the episode leaves its message's record; a retry
+	// that fires after that is stale and does nothing.
 	done bool
 }
 
 // end stops the episode's timer and marks it done; the caller removes it
-// from Member.searches.
+// from its message's record.
 func (s *searchState) end() {
 	s.timer.Stop()
 	s.done = true
 }
 
 func (s *searchState) addOrigin(o topology.NodeID) {
-	for _, x := range s.origins {
-		if x == o {
-			return
-		}
+	if !slices.Contains(s.origins, o) {
+		s.origins = append(s.origins, o)
 	}
-	s.origins = append(s.origins, o)
 }
 
 func (s *searchState) dropOrigin(o topology.NodeID) {
-	for i, x := range s.origins {
-		if x == o {
-			s.origins = append(s.origins[:i], s.origins[i+1:]...)
-			return
-		}
+	if i := slices.Index(s.origins, o); i >= 0 {
+		s.origins = slices.Delete(s.origins, i, i+1)
 	}
 }
 
 // startSearch begins (or joins) a search episode on behalf of origin.
 func (m *Member) startSearch(id wire.MessageID, origin topology.NodeID) {
-	if s, ok := m.searches[id]; ok {
+	ms := m.msg(id)
+	if s := ms.search; s != nil {
 		s.addOrigin(origin)
 		return
 	}
-	s := m.newSearch(id, origin)
-	m.searches[id] = s
+	s := m.newSearch(ms, id, origin)
 	m.metrics.SearchesStarted.Inc()
 	m.trace(trace.Event{Kind: trace.SearchStart, ID: id, Origin: origin})
 	if m.params.SearchMode == SearchMulticastQuery {
@@ -75,10 +72,12 @@ func (m *Member) startSearch(id wire.MessageID, origin topology.NodeID) {
 	m.searchAttempt(s)
 }
 
-// newSearch builds a search episode for id on behalf of origin, its retry
-// bound to the search mode's attempt once for the episode's lifetime.
-func (m *Member) newSearch(id wire.MessageID, origin topology.NodeID) *searchState {
-	s := &searchState{id: id, origins: []topology.NodeID{origin}, startedAt: m.cfg.Sched.Now()}
+// newSearch builds a search episode for id on behalf of origin and puts it
+// in id's record ms, its retry bound to the search mode's attempt once for
+// the episode's lifetime.
+func (m *Member) newSearch(ms *msgState, id wire.MessageID, origin topology.NodeID) *searchState {
+	s := &searchState{id: id, msg: ms, origins: []topology.NodeID{origin}, startedAt: m.cfg.Sched.Now()}
+	ms.search = s
 	if m.params.SearchMode == SearchMulticastQuery {
 		s.retry = func() { m.queryAttempt(s) }
 	} else {
@@ -88,10 +87,11 @@ func (m *Member) newSearch(id wire.MessageID, origin topology.NodeID) *searchSta
 }
 
 // endSearch finishes an episode: its timer stops, it is marked done and it
-// leaves Member.searches.
+// leaves its message's record, which is released.
 func (m *Member) endSearch(s *searchState) {
 	s.end()
-	delete(m.searches, s.id)
+	s.msg.search = nil
+	m.release(s.id, s.msg)
 }
 
 // queryAttempt multicasts the bufferer query in the region (§3.3's rejected
@@ -134,13 +134,14 @@ func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
 		return
 	}
 	m.buf.OnRequest(id)
-	if _, pending := m.pendingReply[id]; pending {
+	ms := m.msg(id)
+	if ms.reply.Armed() {
 		return
 	}
 	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.QueryBackoffMax))) + 1
-	var h clock.Handle
-	h.Arm(m.cfg.Sched, delay, func() {
-		delete(m.pendingReply, id)
+	ms.reply.Arm(m.cfg.Sched, delay, func() {
+		ms.reply = clock.Handle{}
+		m.release(id, ms)
 		cur, still := m.buf.Get(id)
 		if !still {
 			return
@@ -151,7 +152,6 @@ func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
 		m.resolveSearch(id, origin)
 		m.trace(trace.Event{Kind: trace.QueryReply, ID: id, Origin: origin, Peer: from})
 	})
-	m.pendingReply[id] = h
 }
 
 // searchAttempt forwards the search to the next candidate and arms the
@@ -160,9 +160,9 @@ func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
 // (§3.4) the candidates are the computable bufferer set, probed in rank
 // order, skipping the random walk entirely.
 //
-// Only the first attempt consults knownBufferer: entries are made by
+// Only the first attempt consults the record's bufferer: it is set by
 // onHave alone, which ends every live episode for its id, so none can
-// appear while an episode runs, and a retry reads no MessageID-keyed map.
+// appear while an episode runs.
 func (m *Member) searchAttempt(s *searchState) {
 	if s.done {
 		return
@@ -179,11 +179,11 @@ func (m *Member) searchAttempt(s *searchState) {
 	}
 	var q topology.NodeID
 	var ok bool
-	if known, hit := m.firstKnownBufferer(s); hit {
-		// A HAVE identified a bufferer: route directly. The cache entry is
-		// consumed so a stale pointer (bufferer discarded since) degrades
-		// back to the random walk on the next attempt.
-		delete(m.knownBufferer, s.id)
+	if known := s.msg.bufferer; s.tries == 0 && known != topology.NoNode && known != m.self {
+		// A HAVE identified a bufferer: route directly. It is consumed so
+		// a stale pointer (bufferer discarded since) degrades back to the
+		// random walk on the next attempt.
+		s.msg.bufferer = topology.NoNode
 		q, ok = known, true
 	} else if m.locator != nil {
 		q, ok = m.nextDeterministicTarget(s)
@@ -202,17 +202,6 @@ func (m *Member) searchAttempt(s *searchState) {
 		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: s.id, Origin: o})
 	}
 	s.timer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.RetryGrace, s.retry)
-}
-
-// firstKnownBufferer returns the bufferer a HAVE announced for s's message,
-// on the episode's first attempt only (see searchAttempt), unless that is
-// this member itself.
-func (m *Member) firstKnownBufferer(s *searchState) (topology.NodeID, bool) {
-	if s.tries > 0 {
-		return 0, false
-	}
-	known, hit := m.knownBufferer[s.id]
-	return known, hit && known != m.self
 }
 
 // nextDeterministicTarget walks the hash-elected bufferer set in rank
@@ -309,18 +298,18 @@ func (m *Member) announceHave(id wire.MessageID, origin topology.NodeID) {
 // the announcing bufferer rather than continuing the random walk.
 func (m *Member) onHave(from topology.NodeID, msg wire.Message) {
 	m.metrics.HavesRecv.Inc()
-	m.knownBufferer[msg.ID] = from
+	ms := m.msg(msg.ID)
+	ms.bufferer = from
 	// The requester named in the HAVE has been served: holders receiving
 	// late probes for the same (message, origin) must not repair again.
 	m.served[servedKey{id: msg.ID, origin: msg.Origin}] = m.cfg.Sched.Now()
 	// Another member answered: suppress our own pending query reply.
-	if h, ok := m.pendingReply[msg.ID]; ok {
-		h.Stop()
-		delete(m.pendingReply, msg.ID)
+	if ms.reply.Armed() {
+		ms.reply.Stop()
 		m.metrics.SuppressedReplies.Inc()
 	}
-	s, ok := m.searches[msg.ID]
-	if !ok {
+	s := ms.search
+	if s == nil {
 		return
 	}
 	s.dropOrigin(msg.Origin)
@@ -341,7 +330,8 @@ func (m *Member) onHave(from topology.NodeID, msg wire.Message) {
 // and Fig. 9 measurement point) and clears the origin from any local
 // episode.
 func (m *Member) resolveSearch(id wire.MessageID, origin topology.NodeID) {
-	if s, ok := m.searches[id]; ok {
+	if ms := m.msgs[id]; ms != nil && ms.search != nil {
+		s := ms.search
 		s.dropOrigin(origin)
 		if len(s.origins) == 0 {
 			m.endSearch(s)
