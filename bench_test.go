@@ -219,7 +219,7 @@ func BenchmarkAblationStabilityTraffic(b *testing.B) {
 // published message on a lossless 100-member region (engineering metric,
 // not a paper figure).
 func BenchmarkPublishThroughput(b *testing.B) {
-	g, err := repro.NewGroup(repro.WithSeed(1))
+	g, err := repro.NewGroup(repro.GroupConfig{Scenario: repro.Scenario{Regions: []int{100}}, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

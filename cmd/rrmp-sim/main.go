@@ -105,7 +105,6 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/policy"
@@ -141,7 +140,7 @@ func main() {
 // the scenario flags wrote into directly (no field here mirrors one of
 // its fields).
 type sweepArgs struct {
-	sw repro.Sweep
+	sw exp.Sweep
 	// sweep and sweepScale pick the base the scenario flags wrote over:
 	// the standing matrix, the scale matrix, or (neither) the one-cell
 	// defaults.
@@ -188,47 +187,47 @@ type sweepArgs struct {
 type scenarioFlag struct {
 	name, usage string
 	boolean     bool // a bare -name means true
-	set         func(sw *repro.Sweep, v string) error
+	set         func(sw *exp.Sweep, v string) error
 }
 
 var scenarioFlags = []scenarioFlag{
 	{name: "regions", usage: "region-size vectors (chain hierarchy), ';'-separated: '100', '50,50', '50;100;30,30' (default 100; -sweep: 50;100;30,30)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Regions, err = list(v, ";", parseSizes); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Regions, err = list(v, ";", parseSizes); return }},
 	{name: "star", usage: "attach all regions directly to the sender's region", boolean: true,
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Star, err = strconv.ParseBool(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Star, err = strconv.ParseBool(v); return }},
 	{name: "tree", usage: "balanced tree shapes 'branch,levels,members' (or ':'-separated), ';'-separated; tree cells follow the -regions cells and replace the default -regions 100",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Trees, err = list(v, ";", parseTreeShape); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Trees, err = list(v, ";", parseTreeShape); return }},
 	{name: "msgs", usage: "messages to publish (default 20)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Msgs, err = strconv.Atoi(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Msgs, err = strconv.Atoi(v); return }},
 	{name: "gap", usage: "inter-message gap (default 20ms)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Gap, err = time.ParseDuration(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Gap, err = time.ParseDuration(v); return }},
 	{name: "loss", usage: "independent DATA loss probabilities, e.g. 0.2 or 0.05,0.2 (default 0.2; -sweep: 0.05,0.2)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Losses, err = list(v, ",", parseFloat); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Losses, err = list(v, ",", parseFloat); return }},
 	{name: "loss-mode", usage: "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs parallel under -shards; combine with -burst for the shard-safe Gilbert-Elliott chain)",
-		set: func(sw *repro.Sweep, v string) error { sw.LossMode = v; return nil }},
+		set: func(sw *exp.Sweep, v string) error { sw.LossMode = v; return nil }},
 	{name: "burst", usage: "use a Gilbert-Elliott burst loss channel instead", boolean: true,
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Burst, err = strconv.ParseBool(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Burst, err = strconv.ParseBool(v); return }},
 	{name: "churn", usage: "graceful leaves per second (Poisson over non-sender members), e.g. 1 or 0,1 (default 0; -sweep: 0,1)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Churns, err = list(v, ",", parseFloat); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Churns, err = list(v, ",", parseFloat); return }},
 	{name: "crash", usage: "crash faults per second (Poisson over non-sender members; no handoff), e.g. 1 or 0,2 (default 0; -sweep: 0,1)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Crashes, err = list(v, ",", parseFloat); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Crashes, err = list(v, ",", parseFloat); return }},
 	{name: "crash-recover", usage: "downtime before a crashed member returns (default 0 = crash-stop)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.CrashRecover, err = time.ParseDuration(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.CrashRecover, err = time.ParseDuration(v); return }},
 	{name: "partition-at", usage: "instant to split the group into two halves (default: a quarter of -horizon in cells that partition)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.PartitionAt, err = time.ParseDuration(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.PartitionAt, err = time.ParseDuration(v); return }},
 	{name: "partition-for", usage: "partition durations before the heal event, e.g. 2s or 0,1s; 0 = no partition (default 0, or the whole run given -partition-at; -sweep: 0,1s)",
-		set: func(sw *repro.Sweep, v string) (err error) {
+		set: func(sw *exp.Sweep, v string) (err error) {
 			sw.Partitions, err = list(v, ",", time.ParseDuration)
 			return
 		}},
 	{name: "c", usage: "expected long-term bufferers per region (C) (default 6)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.C, err = parseFloat(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.C, err = parseFloat(v); return }},
 	{name: "lambda", usage: "expected remote requests per regional loss (lambda) (default 1)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Lambda, err = parseFloat(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Lambda, err = parseFloat(v); return }},
 	{name: "payload", usage: "payload bytes per message, e.g. 1024 or 512,2048; 0 = the historic 256 (default 0; -sweep: 0,1024)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.PayloadSizes, err = list(v, ",", strconv.Atoi); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.PayloadSizes, err = list(v, ",", strconv.Atoi); return }},
 	{name: "payload-model", usage: "payload size model: fixed|uniform|lognormal (sizes drawn around -payload)",
-		set: func(sw *repro.Sweep, v string) error {
+		set: func(sw *exp.Sweep, v string) error {
 			// "fixed" is the default spelled out: it must not engage the
 			// payload token of an otherwise legacy cell.
 			if v == workload.SizeFixed {
@@ -238,19 +237,19 @@ var scenarioFlags = []scenarioFlag{
 			return nil
 		}},
 	{name: "budget", usage: "per-member buffer byte budgets, e.g. 8192 or 0,8192; 0 = unlimited (default 0; -sweep: 0,8192)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Budgets, err = list(v, ",", strconv.Atoi); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Budgets, err = list(v, ",", strconv.Atoi); return }},
 	{name: "protocol", usage: "recovery protocols: rrmp (the paper's), rmtp (tree repair-server baseline) or rrmp,rmtp — rmtp families append after all rrmp cells (default rrmp; -sweep: rrmp,rmtp)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Protocols, err = list(v, ",", text); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Protocols, err = list(v, ",", text); return }},
 	{name: "policy", usage: "buffering policy specs, ';'-separated: two-phase, 'two-phase;fixed:hold=200ms', adaptive:tmin=20ms,tmax=200ms,target=2 (rrmp only; rmtp cells always run the repair-server discipline; see -list-policies) (default two-phase; -sweep: two-phase;fixed)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Policies, err = list(v, ";", text); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Policies, err = list(v, ";", text); return }},
 	{name: "hold", usage: "retention for -policy fixed (default 500ms)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.FixedHold, err = time.ParseDuration(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.FixedHold, err = time.ParseDuration(v); return }},
 	{name: "horizon", usage: "virtual run time (default 5s)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Horizon, err = time.ParseDuration(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Horizon, err = time.ParseDuration(v); return }},
 	{name: "backoff", usage: "regional repair multicast back-off window (default 0 = immediate)",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.RepairBackoff, err = time.ParseDuration(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.RepairBackoff, err = time.ParseDuration(v); return }},
 	{name: "workload", usage: "multi-client publish workloads, ';'-separated: a preset (mc|bursty|vod) or 'key=val,...' with keys clients,msgs,arrival(constant|poisson|burst),gap,zipf,burst-len,burst-gap,window(from-to:factor),size-model(fixed|uniform|lognormal),size-mean,late-frac,late-at,late-spread",
-		set: func(sw *repro.Sweep, v string) (err error) { sw.Workloads, err = list(v, ";", parseWorkload); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Workloads, err = list(v, ";", parseWorkload); return }},
 }
 
 // parseArgs parses a command line into the mode, execution and output
@@ -307,11 +306,11 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 	// command-line order.
 	switch {
 	case a.sweepScale:
-		a.sw = repro.ScaleSweep()
+		a.sw = exp.ScaleSweep()
 	case a.sweep:
-		a.sw = repro.DefaultSweep()
+		a.sw = exp.DefaultSweep()
 	default:
-		a.sw = repro.Sweep{Losses: []float64{0.2}}
+		a.sw = exp.Sweep{Losses: []float64{0.2}}
 	}
 	if !a.sweepScale {
 		// These six defaults have always been written into every cell of
@@ -435,24 +434,24 @@ func parseSizes(s string) ([]int, error) { return list(s, ",", strconv.Atoi) }
 
 // parseTreeShape parses one 'branch,levels,members' (or colon-separated)
 // balanced-tree spec.
-func parseTreeShape(spec string) (repro.TreeShape, error) {
+func parseTreeShape(spec string) (exp.TreeShape, error) {
 	sep := ","
 	if strings.Contains(spec, ":") {
 		sep = ":"
 	}
 	vals, err := list(spec, sep, strconv.Atoi)
 	if err != nil {
-		return repro.TreeShape{}, fmt.Errorf("tree spec %q: %w", spec, err)
+		return exp.TreeShape{}, fmt.Errorf("tree spec %q: %w", spec, err)
 	}
 	if len(vals) != 3 {
-		return repro.TreeShape{}, fmt.Errorf("tree spec %q: want branch%slevels%smembers", spec, sep, sep)
+		return exp.TreeShape{}, fmt.Errorf("tree spec %q: want branch%slevels%smembers", spec, sep, sep)
 	}
-	return repro.TreeShape{Branch: vals[0], Levels: vals[1], Members: vals[2]}, nil
+	return exp.TreeShape{Branch: vals[0], Levels: vals[1], Members: vals[2]}, nil
 }
 
 // parseWorkload parses one -workload element: a standing preset's name, or
 // a key=val spec in the workload package's grammar.
-func parseWorkload(s string) (*repro.WorkloadSpec, error) {
+func parseWorkload(s string) (*workload.Spec, error) {
 	if spec := exp.WorkloadPreset(s); spec != nil {
 		return spec, nil
 	}
@@ -467,15 +466,15 @@ func runSweep(a sweepArgs) error {
 	// the shape BENCH_sweep.json records. Each family's cells append after
 	// all earlier cells, so the committed record grows without a single
 	// pre-existing cell moving or re-byting.
-	sweeps := []repro.Sweep{a.sw}
+	sweeps := []exp.Sweep{a.sw}
 	if a.sweep && !a.customized {
-		wf := repro.WorkloadSweep()
+		wf := exp.WorkloadSweep()
 		wf.Shards = a.sw.Shards
-		af := repro.AdaptiveSweep()
+		af := exp.AdaptiveSweep()
 		af.Shards = a.sw.Shards
 		sweeps = append(sweeps, wf, af)
 	}
-	rep, err := repro.RunSweeps(repro.SweepOptions{
+	rep, err := runner.RunSweeps(exp.Options{
 		Trials:   a.trials,
 		Parallel: a.parallel,
 		BaseSeed: a.seed,
@@ -498,15 +497,15 @@ func runSweep(a sweepArgs) error {
 // printFitness prints the fitness-ranked cell table -fitness-weights asks
 // for. Pure display over the finished report: the report bytes (stdout
 // JSON and -out file) are already written when this runs.
-func printFitness(w io.Writer, rep repro.SweepReport, spec string) error {
+func printFitness(w io.Writer, rep exp.Report, spec string) error {
 	if spec == "default" {
 		spec = ""
 	}
-	weights, err := repro.ParseFitnessWeights(spec)
+	weights, err := exp.ParseFitnessWeights(spec)
 	if err != nil {
 		return err
 	}
-	rows := repro.SweepFitness(rep, weights)
+	rows := runner.SweepFitness(rep, weights)
 	fmt.Fprintf(w, "\nfitness ranking (weights: delivery=%g bytesec=%g unrec=%g recovery=%g; costs normalized over %d cells)\n",
 		weights.Delivery, weights.ByteSeconds, weights.Unrecoverable, weights.RecoveryMs, len(rows))
 	fmt.Fprintf(w, "%4s %8s %9s %14s %13s %14s  %s\n",
@@ -548,15 +547,15 @@ func emitReport(a sweepArgs, rep any, cells, trials int, table func()) error {
 func runScale(a sweepArgs) error {
 	// The uncustomized grid appends the XL rows (10k/100k members) and the
 	// 1M hash-burst row after the standing matrix.
-	sweeps := []repro.Sweep{a.sw}
+	sweeps := []exp.Sweep{a.sw}
 	if !a.customized {
-		xl := repro.ScaleSweepXL()
+		xl := exp.ScaleSweepXL()
 		xl.Shards = a.sw.Shards
-		m1 := repro.ScaleSweep1M()
+		m1 := exp.ScaleSweep1M()
 		m1.Shards = a.sw.Shards
 		sweeps = append(sweeps, xl, m1)
 	}
-	rep, err := repro.RunScale(repro.SweepOptions{
+	rep, err := runner.RunScale(exp.Options{
 		Trials:   a.trials,
 		Parallel: a.parallel,
 		BaseSeed: a.seed,
@@ -570,7 +569,7 @@ func runScale(a sweepArgs) error {
 
 // printScaleReport prints the scale table: per-cell delivery, recovery and
 // the machine cost columns the record tracks.
-func printScaleReport(rep repro.ScaleReport) {
+func printScaleReport(rep runner.ScaleReport) {
 	fmt.Printf("scale: %d cells × %d trials (base seed %d)\n", len(rep.Cells), rep.Trials, rep.BaseSeed)
 	fmt.Printf("note: %s\n\n", rep.Note)
 	fmt.Printf("%-58s %8s %8s %6s %12s %14s %12s %12s\n",
@@ -586,7 +585,7 @@ func printScaleReport(rep repro.ScaleReport) {
 
 // printReport prints the human-readable sweep table: headline metrics as
 // mean ± 95% CI per cell.
-func printReport(rep repro.SweepReport) {
+func printReport(rep exp.Report) {
 	fmt.Printf("sweep: %d cells × %d trials (base seed %d)\n\n", len(rep.Cells), rep.Trials, rep.BaseSeed)
 	// Byte columns appear only when some cell engages the byte axes, so
 	// purely legacy sweeps keep their historical table width.
@@ -597,7 +596,7 @@ func printReport(rep repro.SweepReport) {
 			break
 		}
 	}
-	byteCols := func(cell repro.SweepCell) string {
+	byteCols := func(cell exp.Cell) string {
 		if !bytesSwept {
 			return ""
 		}
@@ -625,7 +624,7 @@ func printReport(rep repro.SweepReport) {
 }
 
 // meanCI formats a metric as "mean±ci" ("-" when absent).
-func meanCI(agg repro.TrialAggregate, name, verb string) string {
+func meanCI(agg exp.Aggregate, name, verb string) string {
 	m, ok := agg.Metric(name)
 	if !ok {
 		return "-"
@@ -634,7 +633,7 @@ func meanCI(agg repro.TrialAggregate, name, verb string) string {
 }
 
 // meanOnly formats a metric's mean ("-" when absent).
-func meanOnly(agg repro.TrialAggregate, name, verb string) string {
+func meanOnly(agg exp.Aggregate, name, verb string) string {
 	m, ok := agg.Metric(name)
 	if !ok {
 		return "-"
@@ -653,13 +652,13 @@ func runSingle(w io.Writer, a sweepArgs) error {
 
 	// nil = the kernel materializes the cell's own timeline; a recording
 	// run materializes it here instead, so the file holds what ran.
-	var timeline repro.WorkloadTimeline
+	var timeline workload.Timeline
 	var err error
 	switch {
 	case a.traceReplay != "":
 		timeline, err = readTimeline(a.traceReplay)
 	case a.traceRecord != "":
-		timeline, err = repro.ScenarioTimeline(sc, a.seed)
+		timeline, _, err = runner.TimelineFor(sc, a.seed)
 	}
 	if err != nil {
 		return err
@@ -737,13 +736,13 @@ func runSingle(w io.Writer, a sweepArgs) error {
 }
 
 // readTimeline loads a recorded rrmp-trace/v1 publish timeline.
-func readTimeline(path string) (repro.WorkloadTimeline, error) {
+func readTimeline(path string) (workload.Timeline, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("opening trace: %w", err)
 	}
 	defer f.Close()
-	tl, err := repro.ReplayTrace(f)
+	tl, err := workload.Replay(f)
 	if err != nil {
 		return nil, fmt.Errorf("replaying %s: %w", path, err)
 	}
@@ -751,12 +750,12 @@ func readTimeline(path string) (repro.WorkloadTimeline, error) {
 }
 
 // writeTimeline records a publish timeline as rrmp-trace/v1.
-func writeTimeline(path string, tl repro.WorkloadTimeline) error {
+func writeTimeline(path string, tl workload.Timeline) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("creating trace: %w", err)
 	}
-	if err := repro.RecordTrace(f, tl); err != nil {
+	if err := workload.Record(f, tl); err != nil {
 		f.Close()
 		return fmt.Errorf("recording trace: %w", err)
 	}

@@ -14,10 +14,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 // tryParse runs a command line through the real flag table, exactly as
@@ -70,7 +71,7 @@ func TestSweepReportByteIdenticalAcrossParallelism(t *testing.T) {
 		t.Fatal("sweep report bytes differ between -parallel 1 and -parallel 4")
 	}
 
-	var rep repro.SweepReport
+	var rep exp.Report
 	if err := json.Unmarshal(serial, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
@@ -185,7 +186,7 @@ func TestBudgetSweepPressureAndDeterminism(t *testing.T) {
 		t.Fatal("budget sweep report bytes differ between -parallel 1 and -parallel 8")
 	}
 
-	var rep repro.SweepReport
+	var rep exp.Report
 	if err := json.Unmarshal(serial, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestSweepReportMatchesGolden(t *testing.T) {
 		// predates it, so strip the note — and pin that it appears exactly
 		// when it should — before the byte comparison. The cells
 		// themselves must match byte for byte.
-		var rep repro.SweepReport
+		var rep exp.Report
 		if err := json.Unmarshal(got, &rep); err != nil {
 			t.Fatalf("-shards %d sweep report is not valid JSON: %v", shards, err)
 		}
@@ -292,7 +293,7 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep repro.ScaleReport
+		var rep runner.ScaleReport
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			t.Fatalf("scale report is not valid JSON: %v", err)
 		}
@@ -340,7 +341,7 @@ func TestParseTreeShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []repro.TreeShape{{Branch: 4, Levels: 3, Members: 1000}, {Branch: 2, Levels: 4, Members: 500}}
+	want := []exp.TreeShape{{Branch: 4, Levels: 3, Members: 1000}, {Branch: 2, Levels: 4, Members: 500}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("tree shape list = %v", got)
 	}
@@ -423,7 +424,7 @@ func TestProtocolSweepMiniature(t *testing.T) {
 		t.Fatal("protocol sweep report bytes differ between -parallel 1 and -parallel 8")
 	}
 
-	var rep repro.SweepReport
+	var rep exp.Report
 	if err := json.Unmarshal(serial, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -688,7 +689,7 @@ func TestCheckFlags(t *testing.T) {
 // spec, a ';' list of both, and the rejection of anything else (the
 // grammar's own cases are internal/workload's TestParseSpec).
 func TestParseWorkloadSpec(t *testing.T) {
-	workloads := func(v string) []*repro.WorkloadSpec { return parse(t, "-workload", v, "-trials", "2").sw.Workloads }
+	workloads := func(v string) []*workload.Spec { return parse(t, "-workload", v, "-trials", "2").sw.Workloads }
 	if wl := workloads("mc"); len(wl) != 1 || wl[0].Clients != 8 {
 		t.Fatalf("preset mc = %+v", wl)
 	}
@@ -768,7 +769,7 @@ func TestSweepWorkloadFamilyAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep repro.SweepReport
+	var rep exp.Report
 	if err := json.Unmarshal(blob, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -835,7 +836,7 @@ func TestSweepWorkloadAxisPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep repro.SweepReport
+	var rep exp.Report
 	if err := json.Unmarshal(blob, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -907,7 +908,7 @@ func TestFitnessTableDisplayOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep repro.SweepReport
+		var rep exp.Report
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			t.Fatal(err)
 		}
@@ -927,7 +928,7 @@ func TestFitnessTableDisplayOnly(t *testing.T) {
 	if !strings.Contains(table.String(), "fitness ranking") || !strings.Contains(table.String(), "policy=two-phase") {
 		t.Fatalf("fitness table lacks ranking or cell name:\n%s", table.String())
 	}
-	var rep repro.SweepReport
+	var rep exp.Report
 	if err := json.Unmarshal([]byte(plain), &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -994,7 +995,7 @@ func TestShardsFallbackQuotesTheRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep repro.SweepReport
+		var rep exp.Report
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			t.Fatal(err)
 		}

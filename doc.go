@@ -6,17 +6,24 @@
 // (the buffering state machine and policies) and internal/rrmp (the
 // protocol engine: randomized local/remote error recovery, the
 // search-for-bufferer protocol, long-term buffer handoff on leave). This
-// package is the public facade: it assembles complete simulated
-// deployments, runs workloads, and runs declarative scenario sweeps.
+// package is the public facade: NewGroup builds one simulated deployment
+// from the Scenario a sweep cell declares, for a caller to script.
 //
 // # Quick start
 //
-//	g, err := repro.NewGroup(repro.WithRegions(50), repro.WithDataLoss(0.2))
+//	g, err := repro.NewGroup(repro.GroupConfig{
+//		Scenario: repro.Scenario{Regions: []int{50}, Loss: 0.2},
+//		Seed:     1,
+//	})
 //	if err != nil { ... }
 //	g.StartSessions()
 //	id := g.Publish([]byte("hello"))
 //	g.Run(2 * time.Second)                 // advance virtual time
 //	fmt.Println(g.CountReceived(id))       // 50: every member recovered
+//
+// The package's examples (go test -run Example -v .) script a lossy
+// stream, churn, a stock ticker and a WAN blackout, each with its output
+// pinned.
 //
 // All time is virtual (a deterministic discrete-event simulator): runs are
 // exactly reproducible from a seed, and two identical runs produce
@@ -34,14 +41,11 @@
 //
 // # Sweeps and statistics
 //
-// RunSweep runs declarative scenario matrices (region layout × data loss ×
-// churn × buffering policy, under either protocol: Scenario.Protocol
-// selects the RRMP engine or the RMTP repair-server baseline) across a
-// bounded worker pool, with every metric aggregated to mean / stddev /
-// 95% CI over independently seeded trials (internal/exp). Aggregates are
-// byte-identical at any parallelism. cmd/rrmp-sim exposes the same
-// machinery via -sweep, -trials, -parallel and -json, and records the
-// default matrix — including the RRMP-vs-RMTP families — in
-// BENCH_sweep.json. See README.md for the operator's manual and DESIGN.md
-// for the rationale.
+// cmd/rrmp-sim runs declarative scenario matrices (region layout × data
+// loss × churn × buffering policy, under RRMP or the RMTP repair-server
+// baseline) across a bounded worker pool, aggregating every metric to
+// mean / stddev / 95% CI over independently seeded trials (internal/exp,
+// internal/runner); aggregates are byte-identical at any parallelism. It
+// records the default matrix in BENCH_sweep.json. See README.md for the
+// operator's manual and DESIGN.md for the rationale.
 package repro

@@ -72,7 +72,7 @@ func TestRepositoryClean(t *testing.T) {
 
 // TestEveryInternalPackageIsImported guards against orphan packages: every
 // package under internal/ must be reachable from something the repository
-// runs — a command, an example, the bench harness or the root facade.
+// runs — a command, the bench harness or the root facade.
 // Test-support packages (name ending in "test", e.g. linttest) are exempt.
 // A package only its own tests import is code nothing runs.
 func TestEveryInternalPackageIsImported(t *testing.T) {
@@ -87,7 +87,7 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 		return strings.Fields(string(out))
 	}
 	reached := map[string]bool{}
-	for _, p := range goList("-deps", "./cmd/...", "./examples/...", "./bench", ".") {
+	for _, p := range goList("-deps", "./cmd/...", "./bench", ".") {
 		reached[p] = true
 	}
 	var orphans []string

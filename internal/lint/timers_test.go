@@ -96,3 +96,30 @@ func TestMemberHasOneMessageTable(t *testing.T) {
 		t.Fatalf("rrmp.Member has %d fields of a map type keyed by wire.MessageID (%s), want exactly one", len(tables), strings.Join(tables, ", "))
 	}
 }
+
+// TestFacadeHasOneConstructor keeps the root package to one way of saying
+// a deployment: a Group is built from a Scenario by NewGroup, and
+// DefaultParams is the only other exported function. Eighteen With*
+// options and a shelf of one-line forwards to internal packages once
+// spelled the same things a second time. Missing NewGroup fails too,
+// since then the check looked at the wrong package.
+func TestFacadeHasOneConstructor(t *testing.T) {
+	pkgs, err := lint.Load("../..", ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := pkgs[0].Types.Scope()
+	if _, ok := scope.Lookup("NewGroup").(*types.Func); !ok {
+		t.Fatal("package repro declares no NewGroup")
+	}
+	var extra []string
+	for _, name := range scope.Names() {
+		if _, ok := scope.Lookup(name).(*types.Func); ok && ast.IsExported(name) &&
+			name != "NewGroup" && name != "DefaultParams" {
+			extra = append(extra, name)
+		}
+	}
+	if len(extra) > 0 {
+		t.Fatalf("package repro exports %d functions besides NewGroup and DefaultParams: %s", len(extra), strings.Join(extra, ", "))
+	}
+}

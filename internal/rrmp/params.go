@@ -177,9 +177,10 @@ func (p Params) withDefaults() Params {
 	if p.MaxSearchTries <= 0 {
 		p.MaxSearchTries = d.MaxSearchTries
 	}
-	// C, Lambda-zero, LongTermTTL=0 and StartSeq=0 are meaningful values
-	// (no long-term election, no TTL, recover-from-start), so they are
-	// left alone. C defaults only when negative.
+	// C=0, LongTermTTL=0 and StartSeq=0 are meaningful values (no
+	// long-term election, no TTL, recover-from-start), so they are left
+	// alone; a negative C means zero. Lambda has no such value: any
+	// Lambda <= 0 took the default above.
 	if p.C < 0 {
 		p.C = 0
 	}

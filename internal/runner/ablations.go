@@ -139,15 +139,15 @@ type LoadBalance struct {
 // (§1, §6): the same 100-message stream on a flat 50-member region and on
 // a two-level 25+25 hierarchy, with the historic fixed 256-byte payload.
 func AblationLoadBalance(seed uint64) ([]LoadBalance, error) {
-	return AblationLoadBalanceSized(0, "", seed)
+	return ablationLoadBalanceSized(0, "", seed)
 }
 
-// AblationLoadBalanceSized is AblationLoadBalance under a payload-size
+// ablationLoadBalanceSized is AblationLoadBalance under a payload-size
 // model: payloadBytes is the per-message mean (0 = the historic 256) and
 // model selects fixed/uniform/lognormal draws (workload.NewSizeModel), so
 // the byte-time comparison covers variable payloads, not just a constant
 // multiple of the message count.
-func AblationLoadBalanceSized(payloadBytes int, model string, seed uint64) ([]LoadBalance, error) {
+func ablationLoadBalanceSized(payloadBytes int, model string, seed uint64) ([]LoadBalance, error) {
 	const (
 		msgs    = 100
 		horizon = 4 * time.Second

@@ -86,11 +86,11 @@ func TestAblationLoadBalance(t *testing.T) {
 // with the mean size, and the qualitative claim must survive variable
 // payloads.
 func TestAblationLoadBalanceSized(t *testing.T) {
-	small, err := AblationLoadBalanceSized(256, "", 2)
+	small, err := ablationLoadBalanceSized(256, "", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := AblationLoadBalanceSized(1024, "lognormal", 2)
+	big, err := ablationLoadBalanceSized(1024, "lognormal", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

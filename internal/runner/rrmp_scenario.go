@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/netsim"
 	policyspec "repro/internal/policy"
@@ -17,21 +18,14 @@ import (
 	"repro/internal/wire"
 )
 
-// newRRMPDriver builds the paper's protocol for the scenario kernel: the
-// cluster (sharded when the scenario asks and its loss model allows it,
-// see newDeployment), one sender per publishing client with its session
-// stream started, and the nine rrmp-only keys.
-func newRRMPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss netsim.LossModel,
-	pubs []topology.NodeID, tracer trace.Tracer) (protocolDriver, error) {
-	hold := sc.FixedHold
-	if hold <= 0 {
-		hold = 500 * time.Millisecond
-	}
-	spec, err := policyspec.Parse(sc.Policy)
-	if err != nil {
-		return protocolDriver{}, fmt.Errorf("runner: scenario: %w", err)
-	}
-
+// ScenarioParams returns the protocol parameters a scenario declares:
+// the paper's defaults with the scenario's C, λ and repair backoff where
+// set, and its byte budget. Crash and partition cells run the gossip
+// failure detector so that recovery routes around dead members — as do
+// VoD late-join cells, whose joiners are down for seconds; fault-free
+// cells keep the detector (and its traffic) off and stay comparable to
+// old runs.
+func ScenarioParams(sc exp.Scenario) rrmp.Params {
 	params := rrmp.DefaultParams()
 	if sc.C > 0 {
 		params.C = sc.C
@@ -42,19 +36,43 @@ func newRRMPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss n
 	if sc.RepairBackoff > 0 {
 		params.RepairBackoffMax = sc.RepairBackoff
 	}
-	// Crash and partition cells run the gossip failure detector so that
-	// recovery routes around dead members — as do VoD late-join cells,
-	// whose joiners are down for seconds; fault-free cells keep the
-	// detector (and its traffic) off and stay comparable to old runs.
 	params.FDEnabled = sc.Crash > 0 || sc.PartitionAt > 0 ||
 		(sc.Workload != nil && sc.Workload.LateJoinFrac > 0)
 	params.ByteBudget = sc.ByteBudget
+	return params
+}
+
+// ScenarioPolicy returns the per-member policy factory a scenario
+// declares (see PolicyFactory): its Policy spec, with FixedHold as the
+// fixed kind's hold, 500 ms when unset.
+func ScenarioPolicy(sc exp.Scenario) (func(topology.View, rrmp.Params) core.Policy, error) {
+	hold := sc.FixedHold
+	if hold <= 0 {
+		hold = 500 * time.Millisecond
+	}
+	spec, err := policyspec.Parse(sc.Policy)
+	if err != nil {
+		return nil, fmt.Errorf("runner: scenario: %w", err)
+	}
+	return PolicyFactory(spec, hold), nil
+}
+
+// newRRMPDriver builds the paper's protocol for the scenario kernel: the
+// cluster (sharded when the scenario asks and its loss model allows it,
+// see newDeployment), one sender per publishing client with its session
+// stream started, and the nine rrmp-only keys.
+func newRRMPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss netsim.LossModel,
+	pubs []topology.NodeID, tracer trace.Tracer) (protocolDriver, error) {
+	pol, err := ScenarioPolicy(sc)
+	if err != nil {
+		return protocolDriver{}, err
+	}
 	c, err := NewCluster(ClusterConfig{
 		Topo:   topo,
-		Params: params,
+		Params: ScenarioParams(sc),
 		Seed:   seed,
 		Loss:   loss,
-		Policy: PolicyFactory(spec, hold),
+		Policy: pol,
 		Tracer: tracer,
 		Shards: sc.Shards,
 	})

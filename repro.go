@@ -7,11 +7,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/netsim"
-	policyspec "repro/internal/policy"
 	"repro/internal/rrmp"
 	"repro/internal/runner"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -27,199 +25,69 @@ type (
 	Metrics = rrmp.Metrics
 	// Member is one protocol participant.
 	Member = rrmp.Member
+	// Scenario declares a deployment the way a sweep cell does (see
+	// internal/exp for field docs).
+	Scenario = exp.Scenario
+	// TreeShape is a balanced multi-level hierarchy: branch, levels and
+	// total members (Scenario.Tree).
+	TreeShape = exp.TreeShape
 )
 
 // DefaultParams returns the paper's §4 parameter defaults.
 func DefaultParams() Params { return rrmp.DefaultParams() }
 
-// PolicyKind selects a buffering policy for a Group.
-type PolicyKind int
-
-// Buffering policies.
-const (
-	// PolicyTwoPhase is the paper's algorithm (§3): feedback-based
-	// short-term buffering plus randomized long-term election.
-	PolicyTwoPhase PolicyKind = iota + 1
-	// PolicyFixedHold buffers every message for a fixed time (Bimodal
-	// Multicast's scheme).
-	PolicyFixedHold
-	// PolicyBufferAll never discards (the conservative strategy of §1).
-	PolicyBufferAll
-	// PolicyHashElect picks deterministic bufferers by hashing
-	// (the authors' earlier scheme, §3.4).
-	PolicyHashElect
-)
-
-// policyKindSpecs maps each PolicyKind to its registry spec.
-var policyKindSpecs = map[PolicyKind]string{
-	PolicyTwoPhase:  policyspec.KindTwoPhase,
-	PolicyFixedHold: policyspec.KindFixed,
-	PolicyBufferAll: policyspec.KindAll,
-	PolicyHashElect: policyspec.KindHash,
+// GroupConfig declares a Group.
+type GroupConfig struct {
+	// Scenario is the deployment: topology (Regions, Star or Tree), DATA
+	// loss (Loss, LossMode, Burst), buffering policy (Policy, FixedHold),
+	// C, Lambda, RepairBackoff, ByteBudget and Shards, built exactly as a
+	// sweep cell of the same fields builds them. A Group is driven by its
+	// caller, so NewGroup rejects the fields that script a kernel run:
+	// another Protocol, the publish stream and the fault timeline.
+	Scenario Scenario
+	// Seed is the run's root random seed.
+	Seed uint64
+	// Tune, when non-nil, adjusts the parameters the scenario declares,
+	// for the fields a Scenario does not carry (LongTermTTL, ParentRTT,
+	// CopyOnStore, FDEnabled, ...). It starts from the paper's defaults.
+	Tune func(*Params)
+	// Blackout lists regions (by index) whose members miss every initial
+	// multicast, the paper's "regional loss" that only remote recovery
+	// repairs (§2.2).
+	Blackout []int
 }
 
-// config collects the functional options. Everything a sweep cell also
-// declares — topology, DATA loss, policy, fixed hold, byte budget, shards —
-// is written into sc, the same exp.Scenario the kernel reads, so a Group
-// and a RunScenario cell build those parts through the same constructors.
-type config struct {
-	sc        exp.Scenario
-	seed      uint64
-	params    Params
-	blackouts []int
-	tracer    trace.Tracer
-}
-
-// Option configures NewGroup. Options apply in order: where two write the
-// same thing, the later one wins.
-type Option func(*config)
-
-// WithRegions arranges members into a chain hierarchy: the first region
-// (the sender's) is the parent of the second, and so on. One size builds
-// the paper's single-region evaluation setup.
-func WithRegions(sizes ...int) Option {
-	return func(c *config) { c.sc.Regions, c.sc.Star = sizes, false }
-}
-
-// WithStar arranges the regions as a two-level star: every region after
-// the first attaches directly to the sender's region (the paper's
-// Figure 1 shape).
-func WithStar(sizes ...int) Option {
-	return func(c *config) { c.sc.Regions, c.sc.Star = sizes, true }
-}
-
-// WithTree arranges members into a balanced multi-level hierarchy: levels
-// levels of regions, each inner region with branch children, and members
-// total group members spread evenly (the scale experiments' deep-tree
-// layout). It takes precedence over WithRegions and WithStar; an invalid
-// shape surfaces as a NewGroup error.
-func WithTree(branch, levels, members int) Option {
-	return func(c *config) {
-		c.sc.Tree = &exp.TreeShape{Branch: branch, Levels: levels, Members: members}
+// scriptField names the first field of sc that scripts a kernel run — a
+// protocol other than RRMP, the publish stream or the fault timeline — or
+// returns "" when there is none.
+func scriptField(sc Scenario) string {
+	switch {
+	case sc.Protocol != "" && sc.Protocol != "rrmp":
+		return "Protocol"
+	case sc.Churn != 0:
+		return "Churn"
+	case sc.Crash != 0:
+		return "Crash"
+	case sc.CrashRecover != 0:
+		return "CrashRecover"
+	case sc.PartitionAt != 0:
+		return "PartitionAt"
+	case sc.PartitionDur != 0:
+		return "PartitionDur"
+	case sc.Msgs != 0:
+		return "Msgs"
+	case sc.Gap != 0:
+		return "Gap"
+	case sc.Horizon != 0:
+		return "Horizon"
+	case sc.PayloadBytes != 0:
+		return "PayloadBytes"
+	case sc.PayloadModel != "":
+		return "PayloadModel"
+	case sc.Workload != nil:
+		return "Workload"
 	}
-}
-
-// WithSeed fixes the run's root random seed (default 1).
-func WithSeed(seed uint64) Option {
-	return func(c *config) { c.seed = seed }
-}
-
-// WithParams overrides protocol parameters; zero fields keep defaults.
-func WithParams(p Params) Option {
-	return func(c *config) { c.params = p }
-}
-
-// WithDataLoss drops each initial-multicast DATA packet independently with
-// probability p, leaving recovery traffic lossless as in §4.
-func WithDataLoss(p float64) Option {
-	return func(c *config) { c.sc.Loss, c.sc.Burst, c.sc.LossMode = p, false, "" }
-}
-
-// WithBurstDataLoss uses a Gilbert–Elliott burst-loss channel for DATA at
-// roughly the given long-run loss rate.
-func WithBurstDataLoss(p float64) Option {
-	return func(c *config) { c.sc.Loss, c.sc.Burst, c.sc.LossMode = p, true, "" }
-}
-
-// WithHashDataLoss drops DATA with probability p like WithDataLoss, but
-// draws from per-sender counter-hash streams (netsim.HashLoss) instead of
-// one shared rng consumed in global send order. Each sender's draws depend
-// only on its own send count, so the model is shard-safe: groups built
-// WithShards keep running genuinely parallel. The drop pattern differs
-// from WithDataLoss at equal p — a different, equally deterministic,
-// stream — so switching models changes results, switching shard counts
-// never does.
-func WithHashDataLoss(p float64) Option {
-	return func(c *config) { c.sc.Loss, c.sc.Burst, c.sc.LossMode = p, false, "hash" }
-}
-
-// WithHashBurstLoss is the shard-safe form of WithBurstDataLoss: a
-// Gilbert–Elliott burst channel at roughly the given long-run loss rate
-// (the same PGood=p/4 parameterization), whose per-(sender,receiver) chain
-// advances on per-pair counter-hash draws (netsim.HashBurstLoss) instead
-// of one shared rng. Like WithHashDataLoss it is a different deterministic
-// stream than the legacy model at equal p, and groups built WithShards
-// keep running genuinely parallel.
-func WithHashBurstLoss(p float64) Option {
-	return func(c *config) { c.sc.Loss, c.sc.Burst, c.sc.LossMode = p, true, "hash" }
-}
-
-// WithRegionBlackout drops the initial multicast entirely for every member
-// of the given region (by index), producing the paper's "regional loss"
-// scenario that only remote recovery can repair (§2.2). May be repeated.
-func WithRegionBlackout(region int) Option {
-	return func(c *config) { c.blackouts = append(c.blackouts, region) }
-}
-
-// WithPolicy selects the buffering policy by kind (default
-// PolicyTwoPhase). PolicyFixedHold retains for the WithFixedHold time;
-// PolicyHashElect elects Params.C bufferers per message. A value that is
-// not one of the four kinds surfaces as a NewGroup error.
-func WithPolicy(kind PolicyKind) Option {
-	return func(c *config) {
-		spec, ok := policyKindSpecs[kind]
-		if !ok {
-			spec = fmt.Sprintf("PolicyKind(%d)", int(kind))
-		}
-		c.sc.Policy = spec
-	}
-}
-
-// WithPolicySpec selects the buffering policy by registry spec string,
-// e.g. "two-phase", "fixed:hold=200ms" or
-// "adaptive:tmin=20ms,tmax=200ms,target=2" — the same grammar rrmp-sim's
-// -policy flag and sweep policy axes accept (see rrmp-sim -list-policies
-// for the roster). An unknown or malformed spec surfaces as a NewGroup
-// error.
-func WithPolicySpec(spec string) Option {
-	return func(c *config) { c.sc.Policy = spec }
-}
-
-// WithFixedHold sets the retention for PolicyFixedHold (default 500 ms).
-func WithFixedHold(d time.Duration) Option {
-	return func(c *config) { c.sc.FixedHold = d }
-}
-
-// WithTracer hands every protocol event, a typed trace.Event, to the tracer
-// (e.g. &trace.Writer{W: os.Stderr}, the sink that renders text lines —
-// mostly for the examples and debugging). Nil, the default, is off.
-func WithTracer(t trace.Tracer) Option {
-	return func(c *config) { c.tracer = t }
-}
-
-// WithByteBudget caps every member's buffer at n payload bytes
-// (Params.ByteBudget): stores past the cap displace older entries —
-// short-term longest-idle first, then oldest long-term copies — and a
-// displaced message recovers like any other miss, or is counted
-// unrecoverable, never silently lost. A non-zero n overrides the
-// ByteBudget of WithParams; zero leaves it (unlimited by default).
-func WithByteBudget(n int) Option {
-	return func(c *config) { c.sc.ByteBudget = n }
-}
-
-// WithCopyOnStore makes every member's buffer snapshot payload bytes at
-// store time instead of aliasing the received slice, for applications
-// that reuse or mutate publish buffers (Params.CopyOnStore).
-func WithCopyOnStore() Option {
-	return func(c *config) { c.params.CopyOnStore = true }
-}
-
-// WithShards runs the group on up to n region-sharded event loops (<= 1
-// keeps one). Results are byte-identical either way. Groups with a
-// shared-stream loss model (WithDataLoss, WithBurstDataLoss) keep one loop
-// whatever n says — those draws happen in global send order, which only
-// one loop reproduces (netsim.ShardSafe is the rule). The hash-stream
-// models (WithHashDataLoss, WithHashBurstLoss) stay parallel.
-func WithShards(n int) Option {
-	return func(c *config) { c.sc.Shards = n }
-}
-
-// WithFailureDetector attaches the region-scoped gossip failure detector
-// to every member, so recovery and search traffic routes around crashed
-// peers (see Params.FDEnabled). Crash and partition scenarios want this;
-// graceful-leave-only runs do not need it.
-func WithFailureDetector() Option {
-	return func(c *config) { c.params.FDEnabled = true }
+	return ""
 }
 
 // blackoutLoss drops all DATA to the victim set and defers to the inner
@@ -247,41 +115,32 @@ type Group struct {
 	sender  *rrmp.Sender
 }
 
-// NewGroup builds a deployment from options. With no options it builds a
-// single 100-member region with the paper's defaults.
-func NewGroup(opts ...Option) (*Group, error) {
-	cfg := config{
-		sc: exp.Scenario{
-			Regions:   []int{100},
-			Policy:    policyspec.KindTwoPhase,
-			FixedHold: 500 * time.Millisecond,
-		},
-		seed:   1,
-		params: rrmp.DefaultParams(),
+// NewGroup builds a deployment from its declaration. Topology, DATA loss,
+// parameters and policy come from the runner helpers a sweep cell of the
+// same scenario and seed uses, so a Group and a RunScenario cell are the
+// same shape, run the same protocol and drop the same packets.
+func NewGroup(cfg GroupConfig) (*Group, error) {
+	sc := cfg.Scenario
+	if f := scriptField(sc); f != "" {
+		return nil, fmt.Errorf("repro: Scenario.%s scripts a kernel run; a Group is driven by its caller", f)
 	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	// Topology, DATA loss and policy come from the constructors a sweep
-	// cell of the same declaration and seed gets, so a Group and a
-	// RunScenario cell are the same shape and drop the same packets.
-	topo, err := runner.ScenarioTopology(cfg.sc)
+	topo, err := runner.ScenarioTopology(sc)
 	if err != nil {
 		return nil, fmt.Errorf("repro: building topology: %w", err)
 	}
-	loss, err := runner.ScenarioLoss(cfg.sc, cfg.seed, topo.NumNodes())
+	loss, err := runner.ScenarioLoss(sc, cfg.Seed, topo.NumNodes())
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
 	// NewCluster keeps a cluster with shared-stream loss on one event loop
 	// by itself; the blackout wrapper below would hide the model from it.
-	shards := cfg.sc.Shards
+	shards := sc.Shards
 	if netsim.ShardSafe(loss) != nil {
 		shards = 1
 	}
-	if len(cfg.blackouts) > 0 {
+	if len(cfg.Blackout) > 0 {
 		victims := make(map[topology.NodeID]bool)
-		for _, r := range cfg.blackouts {
+		for _, r := range cfg.Blackout {
 			if r < 0 || r >= topo.NumRegions() {
 				return nil, fmt.Errorf("repro: blackout region %d out of range (have %d regions)", r, topo.NumRegions())
 			}
@@ -291,21 +150,21 @@ func NewGroup(opts ...Option) (*Group, error) {
 		}
 		loss = &blackoutLoss{victims: victims, inner: loss}
 	}
-	spec, err := policyspec.Parse(cfg.sc.Policy)
+	policy, err := runner.ScenarioPolicy(sc)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	if cfg.sc.ByteBudget != 0 {
-		cfg.params.ByteBudget = cfg.sc.ByteBudget
+	params := runner.ScenarioParams(sc)
+	if cfg.Tune != nil {
+		cfg.Tune(&params)
 	}
 
 	cluster, err := runner.NewCluster(runner.ClusterConfig{
 		Topo:   topo,
-		Params: cfg.params,
-		Seed:   cfg.seed,
+		Params: params,
+		Seed:   cfg.Seed,
 		Loss:   loss,
-		Policy: runner.PolicyFactory(spec, cfg.sc.FixedHold),
-		Tracer: cfg.tracer,
+		Policy: policy,
 		Shards: shards,
 	})
 	if err != nil {
@@ -329,8 +188,7 @@ func (g *Group) Members() []*Member { return g.cluster.Members }
 // SenderID returns the sender's node id.
 func (g *Group) SenderID() NodeID { return g.cluster.Topo.Sender() }
 
-// Publish multicasts one message from the group's sender and returns its
-// id.
+// Publish multicasts one message from the group's sender and returns its id.
 func (g *Group) Publish(payload []byte) MessageID { return g.sender.Publish(payload) }
 
 // StartSessions begins the sender's periodic session messages (§2.1).
@@ -408,8 +266,8 @@ type GroupStats struct {
 	// SearchFailures counts those abandoned after MaxSearchTries.
 	Searches       int64
 	SearchFailures int64
-	// Suspects counts failure-detector suspicion events (failure detector
-	// runs only with WithFailureDetector / Params.FDEnabled).
+	// Suspects counts failure-detector suspicion events (the detector
+	// runs only with Params.FDEnabled).
 	Suspects int64
 	// Unrecoverable counts losses whose recovery exhausted every retry
 	// budget at members still in the group — the explicit signal that a
