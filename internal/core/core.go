@@ -103,10 +103,11 @@ type Entry struct {
 	PromotedAt time.Duration
 
 	timer clock.Handle // idle timer in short-term, TTL timer in long-term
-	// fire is the entry's timer callback, bound once at Store so re-arming
-	// the idle or TTL clock never allocates a new closure. It dispatches on
-	// State: short-term entries run the idle check, long-term ones the TTL
-	// check.
+	// fire is the entry's timer callback, bound once when the Entry object
+	// is first allocated and kept while the buffer recycles it, so neither
+	// re-arming the idle or TTL clock nor storing a message binds a new
+	// closure. It dispatches on State: short-term entries run the idle
+	// check, long-term ones the TTL check.
 	fire func()
 }
 
@@ -118,7 +119,9 @@ type Config struct {
 	Sched clock.Scheduler
 	// Rng drives randomized election. Required by randomized policies.
 	Rng *rng.Source
-	// OnEvict, if set, observes every eviction.
+	// OnEvict, if set, observes every eviction. The *Entry is valid only
+	// during the callback: once it returns, the buffer may recycle the
+	// object for a later Store. Copy out what must outlive the call.
 	OnEvict func(e *Entry, reason EvictReason)
 	// OnPromote, if set, observes long-term elections.
 	OnPromote func(e *Entry)
@@ -145,13 +148,18 @@ type Config struct {
 type Buffer struct {
 	cfg Config
 	idx entryIndex
+	// free holds evicted entries for Store to reuse, so the store/evict
+	// cycle allocates nothing in steady state. An eviction recycles its
+	// entry only while the list is shorter than the live entry count, so
+	// a buffer that drains from N entries keeps at most N/2 spares.
+	free []*Entry
 
 	occupancy stats.Occupancy // message-count step function over time
 	byteOcc   stats.Occupancy // payload-byte step function over time
 	bytes     int             // current payload bytes held
 	longCount int
-	evicted   map[EvictReason]int
-	denied    int // stores refused because the payload exceeds ByteBudget
+	evicted   [EvictPressure + 1]int // indexed by EvictReason
+	denied    int                    // stores refused because the payload exceeds ByteBudget
 }
 
 // NewBuffer constructs an empty buffer. It panics on a missing policy or
@@ -163,11 +171,7 @@ func NewBuffer(cfg Config) *Buffer {
 	if cfg.Sched == nil {
 		panic("core: Config.Sched is required")
 	}
-	return &Buffer{
-		cfg:     cfg,
-		idx:     newDenseIndex(),
-		evicted: make(map[EvictReason]int),
-	}
+	return &Buffer{cfg: cfg, idx: newDenseIndex()}
 }
 
 // Len returns the number of buffered entries (both phases).
@@ -179,8 +183,14 @@ func (b *Buffer) LongTermCount() int { return b.longCount }
 // ShortTermCount returns the number of entries in the short-term phase.
 func (b *Buffer) ShortTermCount() int { return b.idx.size() - b.longCount }
 
-// EvictedCount returns how many entries have been evicted for the reason.
-func (b *Buffer) EvictedCount(r EvictReason) int { return b.evicted[r] }
+// EvictedCount returns how many entries have been evicted for the reason,
+// and 0 for a value that is not an EvictReason.
+func (b *Buffer) EvictedCount(r EvictReason) int {
+	if r < 0 || int(r) >= len(b.evicted) {
+		return 0
+	}
+	return b.evicted[r]
+}
 
 // Has reports whether id is currently buffered.
 func (b *Buffer) Has(id wire.MessageID) bool {
@@ -188,24 +198,27 @@ func (b *Buffer) Has(id wire.MessageID) bool {
 	return ok
 }
 
-// Get returns the entry for id if buffered.
+// Get returns the entry for id if buffered. The entry is valid until it is
+// evicted; after that the buffer may reuse it for another message.
 func (b *Buffer) Get(id wire.MessageID) (*Entry, bool) {
 	return b.idx.get(id)
 }
 
 // Entries returns a snapshot of all buffered entries in message-id order
-// (callers own the slice; the pointed-to entries remain live). The order is
-// deterministic because callers pair entries with rng draws — the leave
-// protocol picks a random handoff peer per entry — and an unstable order
-// would make those pairings differ between identically seeded runs. The
-// dense index yields this order by construction.
+// (callers own the slice; each pointed-to entry is valid until it is
+// evicted, as with Get). The order is deterministic because callers pair
+// entries with rng draws — the leave protocol picks a random handoff peer
+// per entry — and an unstable order would make those pairings differ
+// between identically seeded runs. The dense index yields this order by
+// construction.
 func (b *Buffer) Entries() []*Entry {
 	return b.idx.sorted(make([]*Entry, 0, b.idx.size()))
 }
 
 // Store buffers a message under the configured policy. Storing an
 // already-buffered id is a no-op returning the existing entry (duplicate
-// repairs are common under multicast). The returned entry is live.
+// repairs are common under multicast). The returned entry is live and,
+// like Get's, valid until it is evicted.
 //
 // Under a ByteBudget, storing may pressure-evict older entries to make
 // room; if the payload cannot fit even into an empty buffer the store is
@@ -224,20 +237,13 @@ func (b *Buffer) Store(id wire.MessageID, payload []byte) *Entry {
 		payload = append([]byte(nil), payload...)
 	}
 	now := b.cfg.Sched.Now()
-	e := &Entry{
-		ID:          id,
-		Payload:     payload,
-		StoredAt:    now,
-		LastRequest: now,
-		State:       StateShortTerm,
-	}
-	e.fire = func() {
-		if e.State == StateLongTerm {
-			b.ttlCheck(e)
-		} else {
-			b.idleCheck(e)
-		}
-	}
+	e := b.newEntry()
+	e.ID = id
+	e.Payload = payload
+	e.StoredAt = now
+	e.LastRequest = now
+	e.State = StateShortTerm
+	e.PromotedAt = 0
 	b.idx.put(e)
 	b.bytes += len(e.Payload)
 	b.account(now)
@@ -302,7 +308,8 @@ func (b *Buffer) Remove(id wire.MessageID, reason EvictReason) bool {
 // TakeForHandoff removes and returns all long-term entries, for transfer to
 // peers when this member leaves the group voluntarily (§3.2). Short-term
 // entries are dropped at the same time: a leaving member no longer answers
-// requests.
+// requests. The returned entries are the caller's: the buffer never
+// recycles an entry evicted for handoff.
 func (b *Buffer) TakeForHandoff() []*Entry {
 	var out []*Entry
 	for _, e := range b.Entries() {
@@ -316,10 +323,12 @@ func (b *Buffer) TakeForHandoff() []*Entry {
 	return out
 }
 
-// Close stops all timers and drops all entries without eviction callbacks.
+// Close stops all timers and drops all entries, and the spares kept for
+// reuse, without eviction callbacks.
 func (b *Buffer) Close() {
 	b.idx.each(func(e *Entry) { e.timer.Stop() })
 	b.idx.reset()
+	b.free = nil
 	b.longCount = 0
 	b.bytes = 0
 	b.account(b.cfg.Sched.Now())
@@ -359,10 +368,11 @@ func (b *Buffer) DeniedCount() int { return b.denied }
 // (possible only when need alone exceeds the budget) means the caller
 // must deny the store. No-op without a budget.
 //
-// Each victim is found by a linear minimum scan rather than a sorted
-// snapshot: displacement usually removes one or two entries, so the scan
-// is O(victims × entries) with zero allocation, keeping budgeted cells on
-// the same no-garbage footing as the rest of the store path.
+// Each victim is found by the index's linear minimum scan rather than a
+// sorted snapshot: displacement usually removes one or two entries, so the
+// scan is O(victims × entries) with zero allocation (no snapshot, no
+// closure), keeping budgeted cells on the same no-garbage footing as the
+// rest of the store path.
 func (b *Buffer) reserve(need int) bool {
 	if b.cfg.ByteBudget <= 0 || b.bytes+need <= b.cfg.ByteBudget {
 		return true
@@ -371,12 +381,7 @@ func (b *Buffer) reserve(need int) bool {
 		return false
 	}
 	for b.bytes+need > b.cfg.ByteBudget {
-		var victim *Entry
-		b.idx.each(func(e *Entry) {
-			if victim == nil || b.cfg.Policy.DisplacedBefore(e, victim) {
-				victim = e
-			}
-		})
+		victim := b.idx.victim(b.cfg.Policy)
 		if victim == nil {
 			break // empty buffer; need fits by the check above
 		}
@@ -477,12 +482,38 @@ func (b *Buffer) evict(e *Entry, reason EvictReason) {
 	if e.State == StateLongTerm {
 		b.longCount--
 	}
-	b.evicted[reason]++
+	if reason >= 0 && int(reason) < len(b.evicted) {
+		b.evicted[reason]++
+	}
 	b.cfg.Policy.ObserveEvict(e.ID, reason)
 	b.account(b.cfg.Sched.Now())
 	if b.cfg.OnEvict != nil {
 		b.cfg.OnEvict(e, reason)
 	}
+	if reason != EvictHandoff && len(b.free) < b.idx.size() {
+		e.Payload = nil // never reused: payload slices are shared with the network and peers
+		b.free = append(b.free, e)
+	}
+}
+
+// newEntry returns a spare from the free list, or a new entry with its
+// fire callback bound. The caller sets every exported field.
+func (b *Buffer) newEntry() *Entry {
+	if n := len(b.free); n > 0 {
+		e := b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+		return e
+	}
+	e := &Entry{}
+	e.fire = func() {
+		if e.State == StateLongTerm {
+			b.ttlCheck(e)
+		} else {
+			b.idleCheck(e)
+		}
+	}
+	return e
 }
 
 func (b *Buffer) account(now time.Duration) {

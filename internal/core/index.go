@@ -22,6 +22,9 @@ type entryIndex interface {
 	// sorted appends all entries in (Source, Seq) order to dst and returns
 	// the result.
 	sorted(dst []*Entry) []*Entry
+	// victim returns the entry p displaces first — the minimum under
+	// p.DisplacedBefore — or nil when the index is empty.
+	victim(p Policy) *Entry
 	// each visits all entries in unspecified order (timer teardown only).
 	each(fn func(*Entry))
 	reset()
@@ -46,9 +49,13 @@ func newDenseIndex() *denseIndex {
 	return &denseIndex{srcs: make(map[topology.NodeID]*srcSlot)}
 }
 
+// srcSlot's entries window is a subslice of back, its backing array. Every
+// slot of back outside the window is nil, so the window can grow into
+// back, or slide to its start, without clearing first.
 type srcSlot struct {
 	base    uint64 // seq of entries[0]
 	entries []*Entry
+	back    []*Entry // len(back) == cap(back)
 	count   int
 }
 
@@ -82,21 +89,18 @@ func (x *denseIndex) put(e *Entry) {
 	seq := e.ID.Seq
 	if s.count == 0 {
 		s.base = seq
-		s.entries = s.entries[:0]
+		s.entries = s.back[:0]
 	}
 	switch {
 	case seq < s.base:
 		// Prepend room for [seq, base): rare (an old message re-buffered
 		// after its predecessors were evicted below a later base).
-		shift := s.base - seq
-		grown := make([]*Entry, uint64(len(s.entries))+shift)
-		copy(grown[shift:], s.entries)
-		s.entries = grown
+		s.place(s.base-seq, s.base-seq+uint64(len(s.entries)))
 		s.base = seq
+	case seq-s.base >= uint64(cap(s.entries)):
+		s.place(0, seq-s.base+1)
 	case seq-s.base >= uint64(len(s.entries)):
-		for uint64(len(s.entries)) <= seq-s.base {
-			s.entries = append(s.entries, nil)
-		}
+		s.entries = s.entries[:seq-s.base+1] // past the window is nil
 	}
 	if s.entries[seq-s.base] == nil {
 		s.count++
@@ -118,7 +122,7 @@ func (x *denseIndex) remove(id wire.MessageID) {
 	s.count--
 	x.n--
 	if s.count == 0 {
-		s.entries = s.entries[:0]
+		s.entries = s.back[:0]
 		return
 	}
 	if i == 0 {
@@ -134,6 +138,23 @@ func (x *denseIndex) remove(id wire.MessageID) {
 	}
 }
 
+// place makes the window n slots long with the live window moved to start
+// at offset shift. It slides the window to the start of back when n fits
+// there, and only otherwise grows back, geometrically.
+func (s *srcSlot) place(shift, n uint64) {
+	live := uint64(len(s.entries))
+	if n <= uint64(len(s.back)) {
+		copy(s.back[shift:], s.entries)
+		clear(s.back[:shift])
+		clear(s.back[shift+live:])
+	} else {
+		grown := make([]*Entry, max(n, 2*uint64(len(s.back))))
+		copy(grown[shift:], s.entries)
+		s.back = grown
+	}
+	s.entries = s.back[:n]
+}
+
 func (x *denseIndex) size() int { return x.n }
 
 func (x *denseIndex) sorted(dst []*Entry) []*Entry {
@@ -146,6 +167,18 @@ func (x *denseIndex) sorted(dst []*Entry) []*Entry {
 		}
 	}
 	return dst
+}
+
+func (x *denseIndex) victim(p Policy) *Entry {
+	var v *Entry
+	for _, src := range x.order {
+		for _, e := range x.srcs[src].entries {
+			if e != nil && (v == nil || p.DisplacedBefore(e, v)) {
+				v = e
+			}
+		}
+	}
+	return v
 }
 
 func (x *denseIndex) each(fn func(e *Entry)) {

@@ -1,0 +1,182 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/rng"
+	"repro/internal/topology"
+	"repro/internal/wire"
+)
+
+// FuzzIndexDifferential drives the dense index and the map oracle
+// (reference_test.go) through one byte-decoded script of puts and removes
+// and requires them to agree after every op: get on every id ever put,
+// size, the sorted snapshot and the pressure victim under the default
+// displacement order. It also checks the dense layout itself: a non-nil
+// window slot i holds seq base+i, and no slot of the backing array outside
+// the window holds a pointer (a stale one would resurface when the window
+// grows back over it).
+func FuzzIndexDifferential(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 3, 0, 4, 1, 0, 2, 5, 6, 7, 200})
+	f.Add([]byte{0, 0, 0, 0, 3, 3, 2, 0, 2, 1, 0, 7, 90, 3, 3, 3, 2, 2, 0})
+	f.Add([]byte{8, 16, 0, 7, 40, 15, 99, 23, 77, 4, 1, 12, 3, 2, 3, 14, 0, 22, 0})
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.New(seed)
+		script := make([]byte, 400)
+		for i := range script {
+			script[i] = byte(r.Uint64())
+		}
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 512 {
+			t.Skip() // every op checks every id: cost is quadratic in length
+		}
+		runIndexScript(t, script)
+	})
+}
+
+// Script ops. An op byte's low three bits pick the op and the next bits
+// the source (0..2); ops that need an operand read the following byte (0
+// once the script is exhausted).
+const (
+	opPutNext   = iota // put the source's next sequence number
+	opPutNear          // put near the window: below it (prepend), inside a gap or just past it
+	opPutFar           // put well past the window (a gap the window must grow over)
+	opRemoveMin        // remove the source's lowest live entry (front trim)
+	opRemoveAny        // remove a live entry picked by the operand
+	opTouch            // change a live entry's idle time or promote it (moves the victim)
+	opDrain            // remove every live entry of the source (the window empties)
+	opPutNext2         // as opPutNext: in-order puts dominate real buffers
+)
+
+func runIndexScript(t *testing.T, script []byte) {
+	t.Helper()
+	dense := newDenseIndex()
+	oracle := &mapIndex{entries: make(map[wire.MessageID]*Entry)}
+	var (
+		pos  int
+		hi   = [3]uint64{1 << 20, 1 << 20, 1 << 20} // highest seq ever put per source
+		ids  []wire.MessageID                       // every id ever put
+		live = func(src topology.NodeID) []*Entry {
+			var out []*Entry
+			for _, e := range oracle.sorted(nil) {
+				if e.ID.Source == src {
+					out = append(out, e)
+				}
+			}
+			return out
+		}
+	)
+	next := func() byte {
+		if pos >= len(script) {
+			return 0
+		}
+		pos++
+		return script[pos-1]
+	}
+	put := func(src topology.NodeID, seq uint64, idle byte) {
+		id := wire.MessageID{Source: src, Seq: seq}
+		if _, ok := oracle.get(id); ok {
+			return // a Buffer never puts a held id
+		}
+		e := &Entry{ID: id, LastRequest: time.Duration(idle) * time.Millisecond, State: StateShortTerm}
+		dense.put(e)
+		oracle.put(e)
+		ids = append(ids, id)
+		hi[src] = max(hi[src], seq)
+	}
+	remove := func(e *Entry) {
+		dense.remove(e.ID)
+		oracle.remove(e.ID)
+	}
+	for step := 0; pos < len(script); step++ {
+		b := next()
+		src := topology.NodeID(b>>3) % 3
+		es := live(src)
+		switch b & 7 {
+		case opPutNext, opPutNext2:
+			put(src, hi[src]+1, next())
+		case opPutNear:
+			base := hi[src]
+			if len(es) > 0 {
+				base = es[0].ID.Seq
+			}
+			off := uint64(next())
+			put(src, base+off%64-16, byte(off))
+		case opPutFar:
+			put(src, hi[src]+17+uint64(next())%64, 0)
+		case opRemoveMin:
+			if len(es) > 0 {
+				remove(es[0])
+			}
+		case opRemoveAny:
+			if k := int(next()); len(es) > 0 {
+				remove(es[k%len(es)])
+			}
+		case opTouch:
+			if k := int(next()); len(es) > 0 {
+				e := es[k%len(es)]
+				if k&1 == 0 {
+					e.LastRequest = time.Duration(k) * time.Millisecond
+				} else {
+					e.State, e.PromotedAt = StateLongTerm, time.Duration(k)*time.Millisecond
+				}
+			}
+		case opDrain:
+			for _, e := range es {
+				remove(e)
+			}
+		}
+		checkIndexesAgree(t, step, dense, oracle, ids)
+	}
+}
+
+func checkIndexesAgree(t *testing.T, step int, dense *denseIndex, oracle *mapIndex, ids []wire.MessageID) {
+	t.Helper()
+	if dense.size() != oracle.size() {
+		t.Fatalf("step %d: size %d, oracle %d", step, dense.size(), oracle.size())
+	}
+	for _, id := range ids {
+		de, dok := dense.get(id)
+		oe, ook := oracle.get(id)
+		if de != oe || dok != ook {
+			t.Fatalf("step %d: get(%v) = %p %v, oracle %p %v", step, id, de, dok, oe, ook)
+		}
+	}
+	ds, ms := dense.sorted(nil), oracle.sorted(nil)
+	if len(ds) != len(ms) {
+		t.Fatalf("step %d: sorted has %d entries, oracle %d", step, len(ds), len(ms))
+	}
+	for i := range ds {
+		if ds[i] != ms[i] {
+			t.Fatalf("step %d: sorted[%d] = %v, oracle %v", step, i, ds[i].ID, ms[i].ID)
+		}
+	}
+	if dv, ov := dense.victim(BufferAll{}), oracle.victim(BufferAll{}); dv != ov {
+		t.Fatalf("step %d: victim %p, oracle %p", step, dv, ov)
+	}
+	for src, s := range dense.srcs {
+		n := 0
+		for i, e := range s.entries {
+			if e == nil {
+				continue
+			}
+			n++
+			if e.ID.Source != src || e.ID.Seq != s.base+uint64(i) {
+				t.Fatalf("step %d: source %d slot %d (base %d) holds %v", step, src, i, s.base, e.ID)
+			}
+		}
+		if n != s.count {
+			t.Fatalf("step %d: source %d counts %d live, window holds %d", step, src, s.count, n)
+		}
+		off := cap(s.back) - cap(s.entries) // the window's offset in back
+		for i, e := range s.back[:cap(s.back)] {
+			if e != nil && (i < off || i >= off+len(s.entries)) {
+				t.Fatalf("step %d: source %d back[%d] outside the window [%d, %d) holds %v",
+					step, src, i, off, off+len(s.entries), e.ID)
+			}
+		}
+	}
+}

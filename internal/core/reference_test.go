@@ -34,6 +34,17 @@ func (x *mapIndex) each(fn func(e *Entry)) {
 	}
 }
 
+func (x *mapIndex) victim(p Policy) *Entry {
+	var v *Entry
+	for _, e := range x.entries {
+		//lint:allow maporder -- the minimum under Policy.DisplacedBefore, a strict total order, is the same in any visit order
+		if v == nil || p.DisplacedBefore(e, v) {
+			v = e
+		}
+	}
+	return v
+}
+
 func (x *mapIndex) sorted(dst []*Entry) []*Entry {
 	start := len(dst)
 	for _, e := range x.entries {
