@@ -44,6 +44,35 @@ func TestA1A5TablesMatchGolden(t *testing.T) {
 	}
 }
 
+// TestAllFiguresMatchGolden pins every table rrmp-figures prints, Figures
+// 3–9 and A1–A8, byte for byte at two runs per point and seed 1 (well
+// under a second). Regenerate deliberately with:
+//
+//	UPDATE_FIGURES_GOLDEN=1 go test ./cmd/rrmp-figures -run AllFigures
+func TestAllFiguresMatchGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, "all", 2, 1, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.Bytes()
+
+	golden := filepath.Join("testdata", "figures_all.golden")
+	if os.Getenv("UPDATE_FIGURES_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", golden, len(got))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("figure tables diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+	}
+}
+
 // TestA7VoDContrast renders the A7 table and pins its point: only the
 // two-phase long-term set still holds the published prefix when the late
 // joiners arrive, so fixed-hold strands messages as unrecoverable and
