@@ -36,8 +36,10 @@
 // time), Figure 7 (received vs buffered over time), and Figures 8 and 9
 // (search time) — and the ablations DESIGN.md motivates: buffering-policy
 // cost, load balance against a tree protocol, multicast-query reply
-// implosion, churn handoff, the λ tradeoff, and stability-detection
-// traffic overhead. The drivers live in internal/runner.
+// implosion, churn handoff, the λ tradeoff, stability-detection traffic
+// overhead, VoD late joiners and bursty demand. They are one catalogue,
+// internal/runner's Figures: each entry returns a table, and -trials
+// aggregates any of them to mean ± 95% CI over seeded trials.
 //
 // # Sweeps and statistics
 //

@@ -123,3 +123,31 @@ func TestFacadeHasOneConstructor(t *testing.T) {
 		t.Fatalf("package repro exports %d functions besides NewGroup and DefaultParams: %s", len(extra), strings.Join(extra, ", "))
 	}
 }
+
+// TestFiguresHaveOneCatalogue keeps the evaluation one list: every figure
+// and ablation is an entry of runner.Figures that returns a runner.Table,
+// which rrmp-figures prints and aggregates through one path. Fourteen
+// exported Figure*/Ablation* drivers, each with its own result type,
+// printer and multi-trial twin, once said the same thing fourteen ways.
+// Missing Figures fails too, since then the check looked at the wrong
+// package.
+func TestFiguresHaveOneCatalogue(t *testing.T) {
+	pkgs, err := lint.Load("../..", "./internal/runner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := pkgs[0].Types.Scope()
+	if _, ok := scope.Lookup("Figures").(*types.Var); !ok {
+		t.Fatal("package runner declares no Figures")
+	}
+	var extra []string
+	for _, name := range scope.Names() {
+		if _, ok := scope.Lookup(name).(*types.Func); ok &&
+			(strings.HasPrefix(name, "Figure") || strings.HasPrefix(name, "Ablation")) {
+			extra = append(extra, name)
+		}
+	}
+	if len(extra) > 0 {
+		t.Fatalf("package runner exports figure drivers outside Figures: %s", strings.Join(extra, ", "))
+	}
+}

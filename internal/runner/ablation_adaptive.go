@@ -6,35 +6,18 @@ import (
 	"repro/internal/exp"
 )
 
-// AdaptiveResult is one A8 row: the bursty-demand workload under one
-// buffering policy, with the multi-objective fitness score attached.
-type AdaptiveResult struct {
-	// Policy is the RRMP buffering policy the row ran.
-	Policy string
-	// Fitness is the weighted multi-objective score under the default
-	// weights; costs are normalized against the other rows, so the score
-	// only ranks the policies within this ablation.
-	Fitness float64
-	// Delivery is the group-wide delivery ratio.
-	Delivery float64
-	// Unrecoverable counts messages stranded with no buffered copy left.
-	Unrecoverable float64
-	// RecoveryMs is the mean recovery latency.
-	RecoveryMs float64
-	// ByteIntegral is the group-wide buffering cost in byte-seconds.
-	ByteIntegral float64
-}
-
-// AblationAdaptiveDemand runs A8: the diurnal-burst workload (4 phase-
+// ablationAdaptiveDemand runs A8: the diurnal-burst workload (4 phase-
 // shifted publishers running 4x hot for the first second) over a lossy
 // two-region group, under the two-phase, fixed-hold and adaptive
 // policies. Bursty demand is the adaptive policy's target regime: request
 // demand concentrates on the burst sources, so a demand-scaled hold keeps
 // the hot sources' messages near TMax while quiet sources drop to TMin —
 // where a fixed hold pays the same byte-seconds for both and two-phase's
-// idle threshold reacts to silence, not to demand. Rows return ranked by
-// fitness under the default weights, best first.
-func AblationAdaptiveDemand(seed uint64) ([]AdaptiveResult, error) {
+// idle threshold reacts to silence, not to demand. Rows come ranked by
+// the multi-objective fitness score under the default weights, best
+// first; costs are normalized against the other rows, so the score only
+// ranks the policies within this ablation.
+func ablationAdaptiveDemand(seed uint64) (Table, error) {
 	base := exp.Scenario{
 		Regions:  []int{12, 12},
 		Loss:     0.2,
@@ -52,7 +35,7 @@ func AblationAdaptiveDemand(seed uint64) ([]AdaptiveResult, error) {
 		sc.Policy = policy
 		m, err := RunScenario(sc, seed)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		rows = append(rows, exp.FitnessInput{
 			Name:          policy,
@@ -62,16 +45,15 @@ func AblationAdaptiveDemand(seed uint64) ([]AdaptiveResult, error) {
 			RecoveryMs:    m[MKMeanRecoveryMs],
 		})
 	}
-	out := make([]AdaptiveResult, 0, len(policies))
-	for _, r := range exp.Fitness(rows, exp.DefaultFitnessWeights()) {
-		out = append(out, AdaptiveResult{
-			Policy:        r.Name,
-			Fitness:       r.Score,
-			Delivery:      r.Delivery,
-			Unrecoverable: r.Unrecoverable,
-			RecoveryMs:    r.RecoveryMs,
-			ByteIntegral:  r.ByteSeconds,
-		})
+	t := Table{
+		Labels: []Column{{Head: "policy", Width: -12}},
+		Cols: []Column{{Head: "fitness", Width: 10, Verb: "%.3f"}, {Head: "delivery", Width: 10, Verb: "%.2f%%"},
+			{Head: MKUnrecoverable, Width: 14, Verb: "%.0f"}, {Head: "recovery(ms)", Width: 13, Verb: "%.1f"},
+			{Head: "buffer(B·s)", Width: 14, Verb: "%.0f"}},
+		Note: "(rows ranked by the default-weight fitness score; costs normalized within the table)",
 	}
-	return out, nil
+	for _, r := range exp.Fitness(rows, exp.DefaultFitnessWeights()) {
+		t.add([]string{r.Name}, r.Score, 100*r.Delivery, r.Unrecoverable, r.RecoveryMs, r.ByteSeconds)
+	}
+	return t, nil
 }

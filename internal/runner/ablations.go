@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -14,26 +15,14 @@ import (
 	"repro/internal/wire"
 )
 
-// PolicyComparison is one row of ablation A1: the same lossy workload run
-// under a different buffering policy.
-type PolicyComparison struct {
-	Policy string
-	// DeliveryRatio is distinct deliveries / (members × messages).
-	DeliveryRatio float64
-	// BufferIntegral is the total message-seconds of buffer occupancy
-	// summed over all members (the buffering cost a policy pays).
-	BufferIntegral float64
-	// PeakPerMember is the highest instantaneous entry count at any member.
-	PeakPerMember int
-	// MeanBufferingMs is the mean store→evict time.
-	MeanBufferingMs float64
-}
-
-// AblationPolicies (A1) runs one workload — a 100-member region, 30
+// ablationPolicies (A1) runs one workload — a 100-member region, 30
 // messages at 20 ms spacing, 10% independent DATA loss — under the paper's
 // two-phase policy and the baselines, and reports what each pays in buffer
-// space for what reliability.
-func AblationPolicies(seed uint64) ([]PolicyComparison, error) {
+// space for what reliability: the delivery ratio (distinct deliveries over
+// members × messages), the message-seconds of buffer occupancy summed over
+// members, the highest entry count any member held at once, and the mean
+// store→evict time.
+func ablationPolicies(seed uint64) (Table, error) {
 	const (
 		n       = 100
 		msgs    = 30
@@ -60,11 +49,15 @@ func AblationPolicies(seed uint64) ([]PolicyComparison, error) {
 		}},
 	}
 
-	out := make([]PolicyComparison, 0, len(policies))
+	t := Table{
+		Labels: []Column{{Head: "policy", Width: -18}},
+		Cols: []Column{{Head: "delivery", Width: 10, Verb: "%.2f%%"}, {Head: "buf(msg·s)", Width: 14, Verb: "%.1f"},
+			{Head: "peak", Width: 8, Verb: "%.0f"}, {Head: "mean-buf(ms)", Width: 12, Verb: "%.1f"}},
+	}
 	for _, pe := range policies {
 		topo, err := topology.SingleRegion(n)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		params := rrmp.DefaultParams()
 		params.LongTermTTL = time.Second // bound long-term cost within the horizon
@@ -80,7 +73,7 @@ func AblationPolicies(seed uint64) ([]PolicyComparison, error) {
 			},
 		})
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		c.Sender.StartSessions()
 		for i := 0; i < msgs; i++ {
@@ -89,65 +82,32 @@ func AblationPolicies(seed uint64) ([]PolicyComparison, error) {
 		}
 		c.Engine.RunUntil(horizon)
 
-		row := PolicyComparison{Policy: pe.name}
 		var delivered int64
+		var integral float64
+		peak := 0
 		var bufTime stats.Histogram
 		for _, m := range c.Members {
 			delivered += m.Metrics().Delivered.Value()
-			row.BufferIntegral += m.Buffer().OccupancyIntegral(c.Engine.Now())
-			if p := m.Buffer().PeakLen(); p > row.PeakPerMember {
-				row.PeakPerMember = p
-			}
+			integral += m.Buffer().OccupancyIntegral(c.Engine.Now())
+			peak = max(peak, m.Buffer().PeakLen())
 			for _, v := range m.Metrics().BufferingTime.Values() {
 				bufTime.Add(v)
 			}
 		}
-		row.DeliveryRatio = float64(delivered) / float64(n*msgs)
-		row.MeanBufferingMs = bufTime.Mean()
-		out = append(out, row)
+		t.add([]string{pe.name}, 100*(float64(delivered)/float64(n*msgs)), integral, float64(peak), bufTime.Mean())
 	}
-	return out, nil
+	return t, nil
 }
 
-// LoadBalance is one row of ablation A2: how evenly the buffering burden is
-// spread across members.
-type LoadBalance struct {
-	Protocol string
-	// Topology names the group shape the row ran on ("flat-50" or
-	// "two-level-25+25"): the paper's repair-server claim is about a
-	// hierarchy of regions, so the flat single-region cell alone would
-	// not exercise it.
-	Topology string
-	// MeanIntegral and MaxIntegral are per-member payload-byte-seconds —
-	// the byte-time integral PR 4 made live; message-seconds hid the cost
-	// of variable payloads entirely.
-	MeanIntegral float64
-	MaxIntegral  float64
-	// Imbalance is MaxIntegral / MeanIntegral (1.0 = perfectly even).
-	Imbalance float64
-	// MaxShare is the most-burdened member's fraction of its *region's*
-	// total buffering cost — the paper's §1 claim is per region: "a
-	// repair server bears the entire burden of buffering messages for a
-	// local region" (≈ 1.0), while RRMP spreads it (≪ 1.0). Scoping the
-	// share to the region keeps the claim measurable on hierarchies,
-	// where each region has its own server.
-	MaxShare float64
-}
-
-// AblationLoadBalance (A2) contrasts RRMP's diffused buffering with the
+// ablationLoadBalance (A2) contrasts RRMP's diffused buffering with the
 // tree baseline, where a repair server carries its region's entire load
-// (§1, §6): the same 100-message stream on a flat 50-member region and on
-// a two-level 25+25 hierarchy, with the historic fixed 256-byte payload.
-func AblationLoadBalance(seed uint64) ([]LoadBalance, error) {
-	return ablationLoadBalanceSized(0, "", seed)
-}
-
-// ablationLoadBalanceSized is AblationLoadBalance under a payload-size
-// model: payloadBytes is the per-message mean (0 = the historic 256) and
-// model selects fixed/uniform/lognormal draws (workload.NewSizeModel), so
-// the byte-time comparison covers variable payloads, not just a constant
-// multiple of the message count.
-func ablationLoadBalanceSized(payloadBytes int, model string, seed uint64) ([]LoadBalance, error) {
+// (§1, §6): the same 100-message stream of 256-byte payloads on a flat
+// 50-member region and on a two-level 25+25 hierarchy. The paper's
+// repair-server claim is about a hierarchy of regions, so the flat cell
+// alone would not exercise it. Costs are per-member payload
+// byte-seconds; message-seconds would hide the cost of variable payloads
+// entirely.
+func ablationLoadBalance(seed uint64) (Table, error) {
 	const (
 		msgs    = 100
 		horizon = 4 * time.Second
@@ -159,47 +119,46 @@ func ablationLoadBalanceSized(payloadBytes int, model string, seed uint64) ([]Lo
 		{"flat-50", func() (*topology.Topology, error) { return topology.SingleRegion(50) }},
 		{"two-level-25+25", func() (*topology.Topology, error) { return topology.Chain(25, 25) }},
 	}
-	sizes, maxSize, err := payloadSizesFor(model, payloadBytes, msgs, seed)
-	if err != nil {
-		return nil, err
-	}
-	payloadBuf := make([]byte, maxSize)
+	payload := make([]byte, 256)
 
-	var out []LoadBalance
+	t := Table{
+		Labels: []Column{{Head: "protocol", Width: -20}, {Head: "topology", Width: -18}},
+		Cols: []Column{{Head: "mean(B·s)", Width: 12, Verb: "%.0f"}, {Head: "max(B·s)", Width: 12, Verb: "%.0f"},
+			{Head: "max/mean", Width: 10, Verb: "%.1f"}, {Head: "max-share", Width: 10, Verb: "%.0f%%"}},
+		Note: "(max-share is the most-burdened member's share of its region's byte-time cost)",
+	}
 	for _, tc := range topos {
 		// RRMP with the paper's two-phase policy.
 		topo, err := tc.build()
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		params := rrmp.DefaultParams()
 		params.LongTermTTL = time.Second
 		c, err := NewCluster(ClusterConfig{Topo: topo, Params: params, Seed: seed})
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		for i := 0; i < msgs; i++ {
-			i := i
-			c.Engine.At(time.Duration(i)*10*time.Millisecond, func() { c.Sender.Publish(payloadBuf[:sizes[i]]) })
+			c.Engine.At(time.Duration(i)*10*time.Millisecond, func() { c.Sender.Publish(payload) })
 		}
 		c.Engine.RunUntil(horizon)
 		integrals := make([]float64, topo.NumNodes())
 		for id, m := range c.Members {
 			integrals[id] = m.Buffer().ByteOccupancyIntegral(c.Engine.Now())
 		}
-		out = append(out, loadBalanceRow("rrmp two-phase", tc.name, topo, integrals))
+		t.add([]string{"rrmp two-phase", tc.name}, loadBalance(topo, integrals)...)
 
 		// Tree baseline on the identical workload and topology.
 		tree, err := NewTreeCluster(TreeClusterConfig{Topo: topo, Seed: seed})
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		for _, node := range tree.Nodes {
 			node.StartAcks()
 		}
 		for i := 0; i < msgs; i++ {
-			i := i
-			tree.Engine.At(time.Duration(i)*10*time.Millisecond, func() { tree.Sender.Publish(payloadBuf[:sizes[i]]) })
+			tree.Engine.At(time.Duration(i)*10*time.Millisecond, func() { tree.Sender.Publish(payload) })
 		}
 		tree.Engine.RunUntil(horizon)
 		integrals = make([]float64, topo.NumNodes())
@@ -208,64 +167,60 @@ func ablationLoadBalanceSized(payloadBytes int, model string, seed uint64) ([]Lo
 				integrals[id] = node.Buffer().ByteOccupancyIntegral(tree.Engine.Now())
 			}
 		}
-		out = append(out, loadBalanceRow("rmtp repair-server", tc.name, topo, integrals))
+		t.add([]string{"rmtp repair-server", tc.name}, loadBalance(topo, integrals)...)
 	}
-	return out, nil
+	return t, nil
 }
 
-// loadBalanceRow reduces per-member byte-time integrals (indexed by dense
-// NodeID) to the A2 row: global mean/max/imbalance, and the worst member's
-// share of its own region's total.
-func loadBalanceRow(name, topoName string, topo *topology.Topology, integrals []float64) LoadBalance {
-	row := LoadBalance{Protocol: name, Topology: topoName}
-	var sum float64
+// loadBalance reduces per-member byte-time integrals (indexed by dense
+// NodeID) to A2's values: the mean and the maximum, their ratio (1.0 is
+// perfectly even), and the most-burdened member's share (%) of its own
+// region's total. The share is per region because the paper's §1 claim
+// is: "a repair server bears the entire burden of buffering messages for
+// a local region" (≈ 100%), while RRMP spreads it (≪ 100%). Scoping it to
+// the region keeps the claim measurable on hierarchies, where each region
+// has its own server.
+func loadBalance(topo *topology.Topology, integrals []float64) []float64 {
+	var sum, mean, maxInt, imbalance, maxShare float64
 	regionSums := make([]float64, topo.NumRegions())
 	for id, v := range integrals {
 		sum += v
-		if v > row.MaxIntegral {
-			row.MaxIntegral = v
-		}
+		maxInt = max(maxInt, v)
 		regionSums[topo.RegionOf(topology.NodeID(id))] += v
 	}
 	if len(integrals) > 0 {
-		row.MeanIntegral = sum / float64(len(integrals))
+		mean = sum / float64(len(integrals))
 	}
-	if row.MeanIntegral > 0 {
-		row.Imbalance = row.MaxIntegral / row.MeanIntegral
+	if mean > 0 {
+		imbalance = maxInt / mean
 	}
 	for id, v := range integrals {
 		if rs := regionSums[topo.RegionOf(topology.NodeID(id))]; rs > 0 {
-			if share := v / rs; share > row.MaxShare {
-				row.MaxShare = share
-			}
+			maxShare = max(maxShare, v/rs)
 		}
 	}
-	return row
+	return []float64{mean, maxInt, imbalance, 100 * maxShare}
 }
 
-// SearchImplosion is one row of ablation A3.
-type SearchImplosion struct {
-	Mode    string
-	Holders int
-	// RepliesPerEpisode is the mean number of repair transmissions the
-	// remote requester's query generated (1.0 is ideal).
-	RepliesPerEpisode float64
-}
-
-// AblationSearchImplosion (A3) reproduces §3.3's argument for the random
+// ablationSearchImplosion (A3) reproduces §3.3's argument for the random
 // walk: when a remote request arrives for a message that one member
 // discarded but many members still buffer, a multicast query with back-off
 // proportional to C triggers a storm of replies, while the random search
-// transmits ~1 repair regardless of the holder count.
-func AblationSearchImplosion(runs int, seed uint64) ([]SearchImplosion, error) {
-	var out []SearchImplosion
+// transmits ~1 repair regardless of the holder count. Replies is the mean
+// number of repair transmissions the remote requester's query generated
+// (1.0 is ideal).
+func ablationSearchImplosion(runs int, seed uint64) (Table, error) {
+	t := Table{
+		Labels: []Column{{Head: "mode", Width: -18}, {Head: "#holders", Width: 10}},
+		Cols:   []Column{{Head: "replies", Width: 12, Verb: "%.1f"}},
+	}
 	for _, holders := range []int{10, 50, 90} {
 		for _, mode := range []rrmp.SearchMode{rrmp.SearchRandomWalk, rrmp.SearchMulticastQuery} {
 			total := 0.0
 			for run := 0; run < runs; run++ {
 				replies, err := implosionRun(mode, holders, seed+uint64(run)*31337)
 				if err != nil {
-					return nil, err
+					return Table{}, err
 				}
 				total += float64(replies)
 			}
@@ -273,14 +228,10 @@ func AblationSearchImplosion(runs int, seed uint64) ([]SearchImplosion, error) {
 			if mode == rrmp.SearchMulticastQuery {
 				name = "multicast-query"
 			}
-			out = append(out, SearchImplosion{
-				Mode:              name,
-				Holders:           holders,
-				RepliesPerEpisode: total / float64(runs),
-			})
+			t.add([]string{name, strconv.Itoa(holders)}, total/float64(runs))
 		}
 	}
-	return out, nil
+	return t, nil
 }
 
 func implosionRun(mode rrmp.SearchMode, holders int, seed uint64) (int64, error) {
@@ -329,42 +280,39 @@ func implosionRun(mode rrmp.SearchMode, holders int, seed uint64) (int64, error)
 	return replies, nil
 }
 
-// ChurnResult is one row of ablation A4.
-type ChurnResult struct {
-	Mode       string
-	Recovered  bool
-	RecoveryMs float64
-	// Handoffs is the number of buffer transfers the departure triggered.
-	Handoffs int64
-}
-
-// AblationChurn (A4) demonstrates §3.2's leave protocol: when every
+// ablationChurn (A4) demonstrates §3.2's leave protocol: when every
 // long-term bufferer departs gracefully, handoffs keep the message
 // recoverable; when they all crash, a straggler's loss becomes permanent.
-func AblationChurn(seed uint64) ([]ChurnResult, error) {
-	var out []ChurnResult
-	for _, graceful := range []bool{true, false} {
-		res, err := churnRun(graceful, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
+// Each row gives whether the straggler recovered (1 or 0), its recovery
+// latency and the number of buffer transfers the departure triggered.
+func ablationChurn(seed uint64) (Table, error) {
+	t := Table{
+		Labels: []Column{{Head: "mode", Width: -18}},
+		Cols: []Column{{Head: "recovered", Width: 10, Verb: "%t"}, {Head: "recovery(ms)", Width: 14, Verb: "%.1f"},
+			{Head: MKHandoffs, Width: 10, Verb: "%.0f"}},
 	}
-	return out, nil
+	for _, graceful := range []bool{true, false} {
+		vals, err := churnRun(graceful, seed)
+		if err != nil {
+			return Table{}, err
+		}
+		t.add([]string{map[bool]string{true: "graceful-handoff", false: "crash"}[graceful]}, vals...)
+	}
+	return t, nil
 }
 
-func churnRun(graceful bool, seed uint64) (ChurnResult, error) {
+func churnRun(graceful bool, seed uint64) ([]float64, error) {
 	const n, bufferers = 50, 3
 	topo, err := topology.SingleRegion(n)
 	if err != nil {
-		return ChurnResult{}, err
+		return nil, err
 	}
 	params := rrmp.DefaultParams()
 	params.LongTermTTL = 0
 	params.MaxLocalTries = 32
 	c, err := NewCluster(ClusterConfig{Topo: topo, Params: params, Seed: seed})
 	if err != nil {
-		return ChurnResult{}, err
+		return nil, err
 	}
 	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
 	region := topo.Members(0)
@@ -401,51 +349,42 @@ func churnRun(graceful bool, seed uint64) (ChurnResult, error) {
 	c.Engine.At(100*time.Millisecond, func() { c.Members[straggler].StartRecovery(id) })
 	c.Engine.RunUntil(20 * time.Second)
 
-	res := ChurnResult{Mode: map[bool]string{true: "graceful-handoff", false: "crash"}[graceful]}
+	var recovered, recoveryMs float64
 	if c.Members[straggler].HasReceived(id) {
-		res.Recovered = true
+		recovered = 1
 		// Latency from the recovery histogram (single loss in this run).
-		res.RecoveryMs = c.Members[straggler].Metrics().RecoveryLatency.Mean()
+		recoveryMs = c.Members[straggler].Metrics().RecoveryLatency.Mean()
 	}
+	var handoffs int64
 	for node := range holderSet {
-		res.Handoffs += c.Members[node].Metrics().HandoffsSent.Value()
+		handoffs += c.Members[node].Metrics().HandoffsSent.Value()
 	}
-	return res, nil
+	return []float64{recovered, recoveryMs, float64(handoffs)}, nil
 }
 
-// LambdaPoint is one row of ablation A5.
-type LambdaPoint struct {
-	Lambda float64
-	// RemoteRequests is the mean number of remote requests per region-wide
-	// loss (the duplicate-control metric; the paper designs for λ).
-	RemoteRequests float64
-	// RecoveryMs is the mean time until the entire child region holds the
-	// message.
-	RecoveryMs float64
-}
-
-// AblationLambda (A5) sweeps the remote-recovery aggressiveness λ (§2.2):
+// ablationLambda (A5) sweeps the remote-recovery aggressiveness λ (§2.2):
 // larger λ repairs a region-wide loss faster but sends more duplicate
-// remote requests.
-func AblationLambda(lambdas []float64, runs int, seed uint64) ([]LambdaPoint, error) {
-	out := make([]LambdaPoint, 0, len(lambdas))
+// remote requests. Each point gives the mean number of remote requests per
+// region-wide loss (the duplicate-control metric; the paper designs for
+// λ) and the mean time until the entire child region holds the message.
+func ablationLambda(lambdas []float64, runs int, seed uint64) (Table, error) {
+	t := Table{
+		Labels: []Column{{Head: "lambda", Width: 8}},
+		Cols:   []Column{{Head: "remote-reqs", Width: 14, Verb: "%.1f"}, {Head: "recovery(ms)", Width: 14, Verb: "%.1f"}},
+	}
 	for _, lambda := range lambdas {
 		var reqSum, recSum float64
 		for run := 0; run < runs; run++ {
 			reqs, recMs, err := lambdaRun(lambda, seed+uint64(run)*7919)
 			if err != nil {
-				return nil, err
+				return Table{}, err
 			}
 			reqSum += reqs
 			recSum += recMs
 		}
-		out = append(out, LambdaPoint{
-			Lambda:         lambda,
-			RemoteRequests: reqSum / float64(runs),
-			RecoveryMs:     recSum / float64(runs),
-		})
+		t.add([]string{fmt.Sprintf("%.1f", lambda)}, reqSum/float64(runs), recSum/float64(runs))
 	}
-	return out, nil
+	return t, nil
 }
 
 func lambdaRun(lambda float64, seed uint64) (reqs, recoveryMs float64, err error) {
@@ -490,36 +429,27 @@ func lambdaRun(lambda float64, seed uint64) (reqs, recoveryMs float64, err error
 	return float64(rr), float64(lastAt) / 1e6, nil
 }
 
-// OverheadResult is one row of ablation A6.
-type OverheadResult struct {
-	Scheme string
-	// DigestBytes is the stability-detection history traffic (zero for
-	// RRMP: §3.1's scheme "does not introduce extra traffic").
-	DigestBytes int64
-	// ControlBytes is all non-DATA traffic (requests, repairs, sessions,
-	// digests).
-	ControlBytes int64
-	// BufferIntegral is total message-seconds across members.
-	BufferIntegral float64
-	// DeliveryRatio is distinct deliveries / (members × messages).
-	DeliveryRatio float64
-}
-
-// AblationStabilityTraffic (A6) compares the paper's implicit feedback
+// ablationStabilityTraffic (A6) compares the paper's implicit feedback
 // against an explicit stability-detection deployment (history digests every
-// 100 ms, buffer-all until stable) on the same lossy workload.
-func AblationStabilityTraffic(seed uint64) ([]OverheadResult, error) {
+// 100 ms, buffer-all until stable) on the same lossy workload. Digest bytes
+// are the stability-detection history traffic (zero for RRMP: §3.1's
+// scheme "does not introduce extra traffic"); control bytes are all
+// non-DATA traffic (requests, repairs, sessions, digests).
+func ablationStabilityTraffic(seed uint64) (Table, error) {
 	const (
 		n       = 50
 		msgs    = 30
 		horizon = 5 * time.Second
 	)
-	var out []OverheadResult
-
+	t := Table{
+		Labels: []Column{{Head: "scheme", Width: -22}},
+		Cols: []Column{{Head: "digest(B)", Width: 14, Verb: "%.0f"}, {Head: "control(B)", Width: 14, Verb: "%.0f"},
+			{Head: "buf(msg·s)", Width: 14, Verb: "%.1f"}, {Head: "delivery", Width: 10, Verb: "%.2f%%"}},
+	}
 	for _, scheme := range []string{"rrmp two-phase", "stability-detection"} {
 		topo, err := topology.SingleRegion(n)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		params := rrmp.DefaultParams()
 		params.LongTermTTL = time.Second
@@ -538,7 +468,7 @@ func AblationStabilityTraffic(seed uint64) ([]OverheadResult, error) {
 		}
 		c, err := NewCluster(cfg)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 
 		var detectors []*stability.Detector
@@ -549,7 +479,7 @@ func AblationStabilityTraffic(seed uint64) ([]OverheadResult, error) {
 				m := c.Members[node]
 				view, err := topo.ViewOf(node)
 				if err != nil {
-					return nil, err
+					return Table{}, err
 				}
 				det := stability.New(stability.Config{
 					View:        view,
@@ -586,16 +516,15 @@ func AblationStabilityTraffic(seed uint64) ([]OverheadResult, error) {
 			det.Stop()
 		}
 
-		row := OverheadResult{Scheme: scheme}
-		row.DigestBytes = c.Net.Stats().BytesSent(wire.TypeHistory)
-		row.ControlBytes = c.Net.Stats().TotalBytes() - c.Net.Stats().BytesSent(wire.TypeData)
+		digest := c.Net.Stats().BytesSent(wire.TypeHistory)
+		control := c.Net.Stats().TotalBytes() - c.Net.Stats().BytesSent(wire.TypeData)
 		var delivered int64
+		var integral float64
 		for _, m := range c.Members {
 			delivered += m.Metrics().Delivered.Value()
-			row.BufferIntegral += m.Buffer().OccupancyIntegral(c.Engine.Now())
+			integral += m.Buffer().OccupancyIntegral(c.Engine.Now())
 		}
-		row.DeliveryRatio = float64(delivered) / float64(n*msgs)
-		out = append(out, row)
+		t.add([]string{scheme}, float64(digest), float64(control), integral, 100*(float64(delivered)/float64(n*msgs)))
 	}
-	return out, nil
+	return t, nil
 }

@@ -8,207 +8,159 @@ import (
 )
 
 func TestAblationPolicies(t *testing.T) {
-	rows, err := AblationPolicies(1)
+	tab, err := ablationPolicies(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("%d rows", len(rows))
+	if len(tab.Rows) != 5 {
+		t.Fatalf("%d rows", len(tab.Rows))
 	}
-	byName := map[string]PolicyComparison{}
-	for _, r := range rows {
-		byName[r.Policy] = r
-	}
-	twoPhase := byName["two-phase C=6"]
-	bufferAll := byName["buffer-all"]
-	fixedShort := byName["fixed-hold 200ms"]
-
+	const buf = "buf(msg·s)"
 	// Buffer-all must pay far more buffer space than two-phase.
-	if bufferAll.BufferIntegral < 5*twoPhase.BufferIntegral {
-		t.Fatalf("buffer-all integral %.1f not ≫ two-phase %.1f",
-			bufferAll.BufferIntegral, twoPhase.BufferIntegral)
+	if all, two := val(t, tab, buf, "buffer-all"), val(t, tab, buf, "two-phase C=6"); all < 5*two {
+		t.Fatalf("buffer-all integral %.1f not ≫ two-phase %.1f", all, two)
 	}
 	// Everyone must deliver everything on this mild workload except
 	// possibly the probabilistic policies losing a straggler.
-	for name, r := range byName {
-		if r.DeliveryRatio < 0.99 {
-			t.Fatalf("%s delivery ratio %.4f", name, r.DeliveryRatio)
+	for _, r := range tab.Rows {
+		if d := r.Vals[col(t, tab, "delivery")]; d < 99 {
+			t.Fatalf("%s delivery %.2f%%", r.Labels[0], d)
 		}
 	}
 	// Fixed 200ms holds longer than two-phase's ~T+quiet period on a
 	// mostly-received workload.
-	if fixedShort.MeanBufferingMs <= twoPhase.MeanBufferingMs {
-		t.Fatalf("fixed 200ms mean %.1f ms <= two-phase %.1f ms",
-			fixedShort.MeanBufferingMs, twoPhase.MeanBufferingMs)
+	const mean = "mean-buf(ms)"
+	if fixed, two := val(t, tab, mean, "fixed-hold 200ms"), val(t, tab, mean, "two-phase C=6"); fixed <= two {
+		t.Fatalf("fixed 200ms mean %.1f ms <= two-phase %.1f ms", fixed, two)
 	}
 }
 
 func TestAblationLoadBalance(t *testing.T) {
-	rows, err := AblationLoadBalance(2)
+	tab, err := ablationLoadBalance(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flat and two-level topologies, RRMP vs tree on each.
-	if len(rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(rows))
+	if len(tab.Rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(tab.Rows))
 	}
-	for i := 0; i < len(rows); i += 2 {
-		rrmpRow, treeRow := rows[i], rows[i+1]
-		if rrmpRow.Topology != treeRow.Topology {
-			t.Fatalf("row pairing broken: %q vs %q", rrmpRow.Topology, treeRow.Topology)
-		}
+	for _, topo := range []string{"flat-50", "two-level-25+25"} {
+		rrmp := func(head string) float64 { return val(t, tab, head, "rrmp two-phase", topo) }
+		tree := func(head string) float64 { return val(t, tab, head, "rmtp repair-server", topo) }
 		// The byte-time integrals must be live, not the dead constant the
 		// message-second metric used to alias.
-		if rrmpRow.MeanIntegral <= 0 || treeRow.MeanIntegral <= 0 {
-			t.Fatalf("%s: zero byte-time integrals: rrmp %.1f tree %.1f",
-				rrmpRow.Topology, rrmpRow.MeanIntegral, treeRow.MeanIntegral)
+		if rrmp("mean(B·s)") <= 0 || tree("mean(B·s)") <= 0 {
+			t.Fatalf("%s: zero byte-time integrals: rrmp %.1f tree %.1f", topo, rrmp("mean(B·s)"), tree("mean(B·s)"))
 		}
 		// The tree server concentrates the load: imbalance must dwarf
 		// RRMP's on every topology.
-		if treeRow.Imbalance < 5*rrmpRow.Imbalance {
-			t.Fatalf("%s: tree imbalance %.1f not ≫ rrmp %.1f",
-				treeRow.Topology, treeRow.Imbalance, rrmpRow.Imbalance)
+		if tree("max/mean") < 5*rrmp("max/mean") {
+			t.Fatalf("%s: tree imbalance %.1f not ≫ rrmp %.1f", topo, tree("max/mean"), rrmp("max/mean"))
 		}
 		// The paper's §1 claim, per region: a repair server bears
 		// (essentially) the entire regional burden, while no RRMP member
 		// carries more than a small share of its region's.
-		if treeRow.MaxShare < 0.9 {
-			t.Fatalf("%s: tree server share %.2f, want ~1.0", treeRow.Topology, treeRow.MaxShare)
+		if tree("max-share") < 90 {
+			t.Fatalf("%s: tree server share %.0f%%, want ~100%%", topo, tree("max-share"))
 		}
-		if rrmpRow.MaxShare > 0.3 {
-			t.Fatalf("%s: rrmp max member share %.2f, want well spread", rrmpRow.Topology, rrmpRow.MaxShare)
+		if rrmp("max-share") > 30 {
+			t.Fatalf("%s: rrmp max member share %.0f%%, want well spread", topo, rrmp("max-share"))
 		}
-	}
-}
-
-// TestAblationLoadBalanceSized drives the payload-size model through A2:
-// a lognormal 1 KB payload must scale the byte-time integrals roughly
-// with the mean size, and the qualitative claim must survive variable
-// payloads.
-func TestAblationLoadBalanceSized(t *testing.T) {
-	small, err := ablationLoadBalanceSized(256, "", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := ablationLoadBalanceSized(1024, "lognormal", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big[1].MeanIntegral < 2*small[1].MeanIntegral {
-		t.Fatalf("1 KB lognormal tree integral %.0f not ≫ 256 B fixed %.0f",
-			big[1].MeanIntegral, small[1].MeanIntegral)
-	}
-	if big[1].MaxShare < 0.9 || big[0].MaxShare > 0.3 {
-		t.Fatalf("variable payloads broke the load-balance claim: rrmp %.2f tree %.2f",
-			big[0].MaxShare, big[1].MaxShare)
 	}
 }
 
 func TestAblationSearchImplosion(t *testing.T) {
-	rows, err := AblationSearchImplosion(5, 3)
+	tab, err := ablationSearchImplosion(5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]map[int]float64{}
-	for _, r := range rows {
-		if byKey[r.Mode] == nil {
-			byKey[r.Mode] = map[int]float64{}
-		}
-		byKey[r.Mode][r.Holders] = r.RepliesPerEpisode
-	}
+	replies := func(mode, holders string) float64 { return val(t, tab, "replies", mode, holders) }
 	// Random walk stays near 1 reply regardless of holder count.
-	for h, replies := range byKey["random-walk"] {
-		if replies > 3 {
-			t.Fatalf("random walk sent %.1f replies with %d holders", replies, h)
+	for _, h := range []string{"10", "50", "90"} {
+		if r := replies("random-walk", h); r > 3 {
+			t.Fatalf("random walk sent %.1f replies with %s holders", r, h)
 		}
 	}
 	// Multicast query implodes as holders grow, and is far worse at 90
 	// holders than the random walk (§3.3).
-	if byKey["multicast-query"][90] < 3*byKey["random-walk"][90] {
-		t.Fatalf("multicast query %.1f replies not ≫ random walk %.1f at 90 holders",
-			byKey["multicast-query"][90], byKey["random-walk"][90])
+	if q, w := replies("multicast-query", "90"), replies("random-walk", "90"); q < 3*w {
+		t.Fatalf("multicast query %.1f replies not ≫ random walk %.1f at 90 holders", q, w)
 	}
-	if byKey["multicast-query"][90] <= byKey["multicast-query"][10] {
-		t.Fatalf("multicast query replies did not grow with holders: %v", byKey["multicast-query"])
+	if replies("multicast-query", "90") <= replies("multicast-query", "10") {
+		t.Fatalf("multicast query replies did not grow with holders: %+v", tab.Rows)
 	}
 }
 
 func TestAblationChurn(t *testing.T) {
-	rows, err := AblationChurn(4)
+	tab, err := ablationChurn(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	if len(tab.Rows) != 2 {
+		t.Fatalf("%d rows", len(tab.Rows))
 	}
-	var graceful, crash ChurnResult
-	for _, r := range rows {
-		if r.Mode == "graceful-handoff" {
-			graceful = r
-		} else {
-			crash = r
-		}
-	}
-	if !graceful.Recovered {
+	if val(t, tab, "recovered", "graceful-handoff") != 1 {
 		t.Fatal("graceful handoff did not preserve recoverability")
 	}
-	if graceful.Handoffs == 0 {
+	if val(t, tab, MKHandoffs, "graceful-handoff") == 0 {
 		t.Fatal("no handoffs recorded on graceful leave")
 	}
-	if crash.Recovered {
+	if val(t, tab, "recovered", "crash") != 0 {
 		t.Fatal("crash of all bufferers should have made the loss unrecoverable")
 	}
-	if crash.Handoffs != 0 {
+	if val(t, tab, MKHandoffs, "crash") != 0 {
 		t.Fatal("crashed members performed handoffs")
 	}
 }
 
 func TestAblationLambda(t *testing.T) {
-	rows, err := AblationLambda([]float64{0.5, 2, 8}, 3, 5)
+	tab, err := ablationLambda([]float64{0.5, 2, 8}, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
+	if len(tab.Rows) != 3 {
+		t.Fatalf("%d rows", len(tab.Rows))
 	}
+	reqs, rec := column(t, tab, "remote-reqs"), column(t, tab, "recovery(ms)")
 	// More aggressive λ sends more remote requests...
-	if !(rows[0].RemoteRequests < rows[2].RemoteRequests) {
-		t.Fatalf("remote requests not increasing in λ: %+v", rows)
+	if !(reqs[0] < reqs[2]) {
+		t.Fatalf("remote requests not increasing in λ: %v", reqs)
 	}
 	// ...and repairs the region at least as fast (allow modest noise).
-	if rows[2].RecoveryMs > rows[0].RecoveryMs*1.5 {
-		t.Fatalf("λ=8 recovery %.1f ms slower than λ=0.5 %.1f ms", rows[2].RecoveryMs, rows[0].RecoveryMs)
+	if rec[2] > rec[0]*1.5 {
+		t.Fatalf("λ=8 recovery %.1f ms slower than λ=0.5 %.1f ms", rec[2], rec[0])
 	}
 }
 
 func TestAblationStabilityTraffic(t *testing.T) {
-	rows, err := AblationStabilityTraffic(6)
+	tab, err := ablationStabilityTraffic(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	if len(tab.Rows) != 2 {
+		t.Fatalf("%d rows", len(tab.Rows))
 	}
-	rrmpRow, stabRow := rows[0], rows[1]
-	if rrmpRow.DigestBytes != 0 {
-		t.Fatalf("RRMP generated %d digest bytes; §3.1 promises zero", rrmpRow.DigestBytes)
+	rrmp := func(head string) float64 { return val(t, tab, head, "rrmp two-phase") }
+	stab := func(head string) float64 { return val(t, tab, head, "stability-detection") }
+	if rrmp("digest(B)") != 0 {
+		t.Fatalf("RRMP generated %.0f digest bytes; §3.1 promises zero", rrmp("digest(B)"))
 	}
-	if stabRow.DigestBytes == 0 {
+	if stab("digest(B)") == 0 {
 		t.Fatal("stability scheme generated no digest traffic")
 	}
-	if stabRow.ControlBytes <= rrmpRow.ControlBytes {
-		t.Fatalf("stability control bytes %d not > rrmp %d", stabRow.ControlBytes, rrmpRow.ControlBytes)
+	if stab("control(B)") <= rrmp("control(B)") {
+		t.Fatalf("stability control bytes %.0f not > rrmp %.0f", stab("control(B)"), rrmp("control(B)"))
 	}
-	for _, r := range rows {
-		if r.DeliveryRatio < 0.99 {
-			t.Fatalf("%s delivery ratio %.4f", r.Scheme, r.DeliveryRatio)
+	for _, r := range tab.Rows {
+		if d := r.Vals[col(t, tab, "delivery")]; d < 99 {
+			t.Fatalf("%s delivery %.2f%%", r.Labels[0], d)
 		}
 	}
 	// Both schemes must trim to a finite integral; which is smaller depends
 	// on RRMP's long-term TTL versus the digest interval, so only
 	// positivity is asserted here (EXPERIMENTS.md reports both numbers).
-	if stabRow.BufferIntegral <= 0 || rrmpRow.BufferIntegral <= 0 {
-		t.Fatalf("degenerate integrals: %+v", rows)
+	if stab("buf(msg·s)") <= 0 || rrmp("buf(msg·s)") <= 0 {
+		t.Fatalf("degenerate integrals: %+v", tab.Rows)
 	}
 }
 

@@ -81,13 +81,9 @@ const (
 	MKNakGiveups = "nak_giveups"
 )
 
-// Ablation-only summary columns (multitrial.go reduces ablation rows under
-// these names; they never appear in sweep cells).
-const (
-	MKBufferIntegral = "buffer_integral"
-	MKPeakPerMember  = "peak_per_member"
-	MKRecoveryMs     = "recovery_ms"
-)
+// MKRecoveryMs is the one key no sweep cell emits: bench/ reports a
+// trial's mean recovery latency under it.
+const MKRecoveryMs = "recovery_ms"
 
 // MetricKeyInfo catalogues one registered key. Protocol is "rrmp", "rmtp"
 // or "both"; Axis names the machinery that produces the key ("core",
@@ -148,7 +144,5 @@ var metricKeyRegistry = []MetricKeyInfo{
 	{Key: MKAckTrim, Protocol: "rmtp", Axis: "core"},
 	{Key: MKNakGiveups, Protocol: "rmtp", Axis: "core"},
 
-	{Key: MKBufferIntegral, Protocol: "rrmp", Axis: "ablation"},
-	{Key: MKPeakPerMember, Protocol: "rrmp", Axis: "ablation"},
 	{Key: MKRecoveryMs, Protocol: "rrmp", Axis: "ablation"},
 }

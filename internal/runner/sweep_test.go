@@ -92,41 +92,43 @@ func TestRunSweepDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestAblationPoliciesTrials(t *testing.T) {
-	rows, err := AblationPoliciesTrials(exp.Options{Trials: 2, Parallel: 2, BaseSeed: 5})
+	tab, err := figure(t, "A1").RunTrials(1, exp.Options{Trials: 2, Parallel: 2, BaseSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("got %d policy rows, want 5", len(rows))
+	if len(tab.Rows) != 5 {
+		t.Fatalf("got %d policy rows, want 5", len(tab.Rows))
 	}
-	if rows[0].Policy != "two-phase C=6" {
-		t.Fatalf("row order changed: first policy %q", rows[0].Policy)
+	if tab.Rows[0].Labels[0] != "two-phase C=6" {
+		t.Fatalf("row order changed: first policy %q", tab.Rows[0].Labels[0])
 	}
-	for _, r := range rows {
-		if r.DeliveryRatio.N != 2 {
-			t.Fatalf("policy %q aggregated %d trials, want 2", r.Policy, r.DeliveryRatio.N)
+	if tab.Trials != 2 {
+		t.Fatalf("aggregated %d trials, want 2", tab.Trials)
+	}
+	for _, r := range tab.Rows {
+		if d := r.Vals[col(t, tab, "delivery")]; d <= 90 || d > 100 {
+			t.Fatalf("policy %q delivery %v%% implausible", r.Labels[0], d)
 		}
-		if r.DeliveryRatio.Mean <= 0.9 || r.DeliveryRatio.Mean > 1 {
-			t.Fatalf("policy %q delivery %v implausible", r.Policy, r.DeliveryRatio.Mean)
-		}
-		if r.BufferIntegral.Mean <= 0 {
-			t.Fatalf("policy %q has zero buffering cost", r.Policy)
+		if r.Vals[col(t, tab, "buf(msg·s)")] <= 0 {
+			t.Fatalf("policy %q has zero buffering cost", r.Labels[0])
 		}
 	}
 }
 
 func TestAblationLambdaTrials(t *testing.T) {
-	rows, err := AblationLambdaTrials([]float64{1, 4}, 2, exp.Options{Trials: 2, Parallel: 2, BaseSeed: 5})
+	f := Figure{ID: "A5", Run: func(runs int, seed uint64) (Table, error) {
+		return ablationLambda([]float64{1, 4}, runs, seed)
+	}}
+	tab, err := f.RunTrials(2, exp.Options{Trials: 2, Parallel: 2, BaseSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Lambda != 1 || rows[1].Lambda != 4 {
-		t.Fatalf("lambda rows wrong: %+v", rows)
+	if len(tab.Rows) != 2 || tab.Rows[0].Labels[0] != "1.0" || tab.Rows[1].Labels[0] != "4.0" {
+		t.Fatalf("lambda rows wrong: %+v", tab.Rows)
 	}
 	// More aggressive λ must send more remote requests on average.
-	if rows[1].RemoteRequests.Mean <= rows[0].RemoteRequests.Mean {
-		t.Fatalf("λ=4 requests (%v) not above λ=1 (%v)",
-			rows[1].RemoteRequests.Mean, rows[0].RemoteRequests.Mean)
+	if r1, r4 := val(t, tab, "remote-reqs", "1.0"), val(t, tab, "remote-reqs", "4.0"); r4 <= r1 {
+		t.Fatalf("λ=4 requests (%v) not above λ=1 (%v)", r4, r1)
 	}
 }
 
