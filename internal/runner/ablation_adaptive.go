@@ -15,8 +15,9 @@ import (
 // where a fixed hold pays the same byte-seconds for both and two-phase's
 // idle threshold reacts to silence, not to demand. Rows come ranked by
 // the multi-objective fitness score under the default weights, best
-// first; costs are normalized against the other rows, so the score only
-// ranks the policies within this ablation.
+// first, and aggregated trials are re-ranked by mean score; costs are
+// normalized against the other rows, so the score only ranks the policies
+// within this ablation.
 func ablationAdaptiveDemand(seed uint64) (Table, error) {
 	base := exp.Scenario{
 		Regions:  []int{12, 12},
@@ -50,7 +51,8 @@ func ablationAdaptiveDemand(seed uint64) (Table, error) {
 		Cols: []Column{{Head: "fitness", Width: 10, Verb: "%.3f"}, {Head: "delivery", Width: 10, Verb: "%.2f%%"},
 			{Head: MKUnrecoverable, Width: 14, Verb: "%.0f"}, {Head: "recovery(ms)", Width: 13, Verb: "%.1f"},
 			{Head: "buffer(B·s)", Width: 14, Verb: "%.0f"}},
-		Note: "(rows ranked by the default-weight fitness score; costs normalized within the table)",
+		Note:   "(rows ranked by the default-weight fitness score; costs normalized within the table)",
+		Ranked: true,
 	}
 	for _, r := range exp.Fitness(rows, exp.DefaultFitnessWeights()) {
 		t.add([]string{r.Name}, r.Score, 100*r.Delivery, r.Unrecoverable, r.RecoveryMs, r.ByteSeconds)

@@ -37,7 +37,9 @@ var Figures = []Figure{
 			return figure6([]int{1, 2, 4, 8, 16, 32, 64}, runs, seed)
 		}},
 	{ID: "7", Title: "Figure 7 — #received vs #buffered over time (1 initial holder, n=100)", Runs: 1,
-		Run: func(_ int, seed uint64) (Table, error) { return figure7(100, seed) }},
+		Run: func(_ int, seed uint64) (Table, error) {
+			return figure7(100, seed, 5*time.Millisecond, 250*time.Millisecond)
+		}},
 	{ID: "8", Title: "Figure 8 — search time vs #bufferers (n=100)", Runs: 100, Run: figure8},
 	{ID: "9", Title: "Figure 9 — search time vs region size (B=10)", Runs: 100, Run: figure9},
 	{ID: "A1", Title: "Ablation A1 — buffering policy cost (n=100, 30 msgs, 10% loss)", Runs: 1,
@@ -198,11 +200,11 @@ func fig6Run(k int, seed uint64, hist *stats.Histogram) error {
 }
 
 // figure7 reproduces Figure 7: starting from one initial holder in a
-// region of n members, it samples #received and #buffered every 5 ms.
-// The horizon runs past the paper's 140 ms x-range so the buffered
-// count's collapse to zero is visible in full.
-func figure7(n int, seed uint64) (Table, error) {
-	const horizon = 250 * time.Millisecond
+// region of n members, it samples #received and #buffered every
+// sampleEvery until horizon. The catalogue's 250 ms horizon runs past the
+// paper's 140 ms x-range so the buffered count's collapse to zero is
+// visible in full.
+func figure7(n int, seed uint64, sampleEvery, horizon time.Duration) (Table, error) {
 	topo, err := topology.SingleRegion(n)
 	if err != nil {
 		return Table{}, err
@@ -226,7 +228,7 @@ func figure7(n int, seed uint64) (Table, error) {
 		Labels: []Column{{Head: "t(ms)", Width: 10}},
 		Cols:   []Column{{Head: "#received", Width: 10, Verb: "%.0f"}, {Head: "#buffered", Width: 10, Verb: "%.0f"}},
 	}
-	for at := time.Duration(0); at <= horizon; at += 5 * time.Millisecond {
+	for at := time.Duration(0); at <= horizon; at += sampleEvery {
 		at := at
 		c.Engine.At(at, func() {
 			t.add([]string{fmt.Sprintf("%.0f", float64(at)/1e6)},

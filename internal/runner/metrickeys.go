@@ -87,8 +87,8 @@ const MKRecoveryMs = "recovery_ms"
 
 // MetricKeyInfo catalogues one registered key. Protocol is "rrmp", "rmtp"
 // or "both"; Axis names the machinery that produces the key ("core",
-// "reach", "bytes", "workload", "ablation") and documents when the key may
-// be absent from a cell.
+// "reach", "bytes", "workload"; "bench" for the key only bench/ reports)
+// and documents when the key may be absent from a cell.
 type MetricKeyInfo struct {
 	Key      string
 	Protocol string
@@ -144,5 +144,5 @@ var metricKeyRegistry = []MetricKeyInfo{
 	{Key: MKAckTrim, Protocol: "rmtp", Axis: "core"},
 	{Key: MKNakGiveups, Protocol: "rmtp", Axis: "core"},
 
-	{Key: MKRecoveryMs, Protocol: "rrmp", Axis: "ablation"},
+	{Key: MKRecoveryMs, Protocol: "rrmp", Axis: "bench"},
 }

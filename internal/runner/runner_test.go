@@ -94,7 +94,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	tab, err := figure7(100, 5)
+	tab, err := figure7(100, 5, time.Millisecond, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package runner
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -41,6 +42,10 @@ type Table struct {
 	// Trials is the number of seeded trials Rows aggregate; above one,
 	// every value is a mean and Row.CI is set.
 	Trials int
+	// Ranked marks a table whose rows are ordered by their first numeric
+	// column, highest first (A8's fitness). RunTrials re-ranks the
+	// aggregated rows by that column's mean.
+	Ranked bool
 }
 
 // seriesTable is the shape of the paper's plots: one x label column and
@@ -146,7 +151,8 @@ type Figure struct {
 // RunTrials runs f o.Trials times on exp's seeded worker pool and
 // aggregates every numeric cell to its mean and 95% CI, matching rows
 // across trials by their labels: a driver may order its rows differently
-// per trial (A8 ranks them). With one trial it is f.Run on o.BaseSeed
+// per trial (A8 ranks them). Rows keep trial 0's order unless the table
+// is Ranked. With one trial it is f.Run on o.BaseSeed
 // itself. The result is a pure function of (runs, o.Trials, o.BaseSeed),
 // whatever o.Parallel is.
 func (f Figure) RunTrials(runs int, o exp.Options) (Table, error) {
@@ -181,6 +187,9 @@ func (f Figure) RunTrials(runs int, o exp.Options) (Table, error) {
 			agg.Vals[j], agg.CI[j] = s.Mean, s.CI95
 		}
 		out.Rows[i] = agg
+	}
+	if out.Ranked {
+		sort.SliceStable(out.Rows, func(a, b int) bool { return out.Rows[a].Vals[0] > out.Rows[b].Vals[0] })
 	}
 	return out, nil
 }

@@ -125,3 +125,31 @@ func TestRunTrialsMatchesRowsByLabel(t *testing.T) {
 		t.Fatalf("aggregate does not print mean±CI:\n%s", outs[0])
 	}
 }
+
+// TestRunTrialsReranksRankedRows aggregates a ranked driver whose first
+// trial puts the row with the lower mean first: the aggregate must list
+// rows by mean of the first column, highest first.
+func TestRunTrialsReranksRankedRows(t *testing.T) {
+	f := Figure{ID: "x", Run: func(_ int, seed uint64) (Table, error) {
+		tab := Table{
+			Labels: []Column{{Head: "name", Width: -6}},
+			Cols:   []Column{{Head: "score", Width: 6, Verb: "%.1f"}},
+			Ranked: true,
+		}
+		if seed == exp.TrialSeed(3, 0) { // trial 0: a ranks first
+			tab.add([]string{"a"}, 5)
+			tab.add([]string{"b"}, 4)
+		} else {
+			tab.add([]string{"b"}, 9)
+			tab.add([]string{"a"}, 1)
+		}
+		return tab, nil
+	}}
+	tab, err := f.RunTrials(0, exp.Options{Trials: 4, Parallel: 2, BaseSeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Rows[0].Labels[0] != "b" || tab.Rows[1].Labels[0] != "a" {
+		t.Fatalf("aggregate not ranked by mean score: %+v", tab.Rows)
+	}
+}
