@@ -10,41 +10,6 @@ import (
 	"repro/internal/runner"
 )
 
-// TestA1A5TablesMatchGolden is cmd/rrmp-figures' first test: it regenerates
-// the A1 (buffering-policy cost) and A5 (λ sweep) tables in-process with a
-// pinned seed and small run counts and compares them byte for byte against
-// the committed golden — the same style as rrmp-sim's sweep golden test.
-// The tables are pure functions of (figure, runs, seed), so any drift means
-// an intentional experiment change; regenerate deliberately with:
-//
-//	UPDATE_FIGURES_GOLDEN=1 go test ./cmd/rrmp-figures -run A1A5
-func TestA1A5TablesMatchGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, "A1", 2, 1, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&buf, "A5", 2, 1, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.Bytes()
-
-	golden := filepath.Join("testdata", "a1_a5.golden")
-	if os.Getenv("UPDATE_FIGURES_GOLDEN") != "" {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("A1/A5 tables diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
-	}
-}
-
 // TestAllFiguresMatchGolden pins every table rrmp-figures prints, Figures
 // 3–9 and A1–A8, byte for byte at two runs per point and seed 1 (well
 // under a second). Regenerate deliberately with:

@@ -1,37 +1,21 @@
 // Command rrmp-lint is the multichecker for the repository's determinism
 // contract: the simtime, maporder, streamlabel and metrickey analyzers
 // (internal/lint) run over whole packages and fail the build on any
-// unannotated finding.
-//
-// Standalone (what CI runs):
+// unannotated finding. CI runs it over the module:
 //
 //	go run ./cmd/rrmp-lint ./...
 //
-// As a vet tool (per-package, driven by the go command's build graph):
-//
-//	go build -o /tmp/rrmp-lint ./cmd/rrmp-lint
-//	go vet -vettool=/tmp/rrmp-lint ./...
-//
-// The vet protocol is the same JSON-config contract
-// golang.org/x/tools/go/analysis/unitchecker implements: `-V=full` prints
-// a version line the go command uses as a cache key, and a trailing
-// *.cfg argument selects unit mode. Exit status is non-zero iff findings
-// were reported.
+// Package patterns default to ./...; -json prints the findings as a JSON
+// array and -list prints the analyzer names. Exit status is 1 iff
+// findings were reported, and 2 on a load or usage error.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"hash/fnv"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -41,28 +25,14 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// Second half of the vet handshake: the go command probes the tool
-	// with `-flags` for its analyzer-flag definitions (a JSON array).
-	// This suite exposes none.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
 	fs := flag.NewFlagSet("rrmp-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	version := fs.String("V", "", "print version and exit (-V=full is the go vet handshake)")
 	list := fs.Bool("list", false, "print the analyzer names, one per line, and exit")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	switch {
-	case *version != "":
-		// The go command consumes `name version ...` as the vettool's
-		// build ID; hash the binary so edits invalidate vet's cache.
-		fmt.Fprintf(stdout, "rrmp-lint version devel buildID=%x\n", selfID())
-		return 0
-	case *list:
+	if *list {
 		for _, a := range lint.All() {
 			fmt.Fprintln(stdout, a.Name)
 		}
@@ -70,9 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitMode(rest[0], stderr)
-	}
 	if len(rest) == 0 {
 		rest = []string{"./..."}
 	}
@@ -104,154 +71,3 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return 0
 }
-
-// selfID hashes the running binary so `go vet` re-runs the tool when it
-// changes (the hash is the dominant part of vet's action cache key).
-func selfID() uint64 {
-	h := fnv.New64a()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			defer f.Close()
-			io.Copy(h, f)
-		}
-	}
-	return h.Sum64()
-}
-
-// vetConfig is the JSON the go command writes for each package when
-// driving a vet tool (the unitchecker contract).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitMode analyzes one package under the go vet protocol: type-check the
-// unit against the export data the go command already built, run the
-// suite, write the (empty — the analyzers use no cross-package facts)
-// vetx output, and exit 2 on findings.
-func unitMode(cfgFile string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "rrmp-lint: parsing %s: %v\n", cfgFile, err)
-		return 2
-	}
-	writeVetx := func() bool {
-		if cfg.VetxOutput == "" {
-			return true
-		}
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(stderr, err)
-			return false
-		}
-		return true
-	}
-	if cfg.VetxOnly {
-		if !writeVetx() {
-			return 2
-		}
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// The determinism contract binds shipped code only; vet also
-		// feeds us test variants, whose _test.go files are exempt.
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		if !writeVetx() {
-			return 2
-		}
-		return 0
-	}
-
-	compilerImp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("rrmp-lint: no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath]
-		if !ok {
-			return nil, fmt.Errorf("rrmp-lint: can't resolve import %q", importPath)
-		}
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return compilerImp.Import(path)
-	})
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	tconf := types.Config{Importer: imp, FakeImportC: true}
-	typed, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			if !writeVetx() {
-				return 2
-			}
-			return 0
-		}
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
-	pkg := &lint.Package{
-		ImportPath: strings.TrimSuffix(strings.Split(cfg.ImportPath, " ")[0], "_test"),
-		Name:       typed.Name(),
-		Dir:        cfg.Dir,
-		Fset:       fset,
-		Syntax:     files,
-		Types:      typed,
-		TypesInfo:  info,
-	}
-	diags, err := lint.RunAnalyzers([]*lint.Package{pkg}, lint.All())
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if !writeVetx() {
-		return 2
-	}
-	if len(diags) > 0 {
-		for _, d := range diags {
-			fmt.Fprintln(stderr, d)
-		}
-		return 2
-	}
-	return 0
-}
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,19 +17,6 @@ func TestListAnalyzers(t *testing.T) {
 	want := []string{"simtime", "maporder", "streamlabel", "metrickey"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("-list = %v, want %v", got, want)
-	}
-}
-
-// TestVersionHandshake checks the -V=full go vet handshake: one line,
-// `name version ...`, exit 0.
-func TestVersionHandshake(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-V=full"}, &out, &errb); code != 0 {
-		t.Fatalf("run(-V=full) = %d, stderr:\n%s", code, errb.String())
-	}
-	line := strings.TrimSpace(out.String())
-	if !strings.HasPrefix(line, "rrmp-lint version ") || strings.ContainsRune(line, '\n') {
-		t.Errorf("-V=full printed %q, want one `rrmp-lint version ...` line", line)
 	}
 }
 
@@ -79,36 +64,5 @@ func TestJSONOutput(t *testing.T) {
 	}
 	if len(diags) != 1 || diags[0].Analyzer != "simtime" {
 		t.Errorf("-json diagnostics = %+v, want one simtime finding", diags)
-	}
-}
-
-// TestVetToolProtocol builds the binary and drives it through
-// `go vet -vettool` — the unitchecker-protocol integration. The clean
-// module must pass (proving the protocol round-trips: -V handshake, cfg
-// parsing, export-data type-checking, vetx output) and the smoke module
-// must fail with a simtime finding.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary and runs go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "rrmp-lint")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	vet := func(dir string) (string, error) {
-		cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		return string(out), err
-	}
-	if out, err := vet("testdata/clean"); err != nil {
-		t.Fatalf("go vet -vettool on clean fixture failed: %v\n%s", err, out)
-	}
-	out, err := vet("testdata/smoke")
-	if err == nil {
-		t.Fatalf("go vet -vettool on smoke fixture passed, want a simtime failure\n%s", out)
-	}
-	if !strings.Contains(out, "time.Now") {
-		t.Errorf("go vet output missing the seeded finding:\n%s", out)
 	}
 }

@@ -31,8 +31,8 @@ func TestMetricKeyFixture(t *testing.T) {
 	linttest.Run(t, "testdata/metrickey", []*lint.Analyzer{lint.MetricKey})
 }
 
-// TestAnalyzerRoster pins the suite: CI's analyzer count and the vet-tool
-// registration both key off All().
+// TestAnalyzerRoster pins the suite: CI's analyzer count and rrmp-lint
+// both key off All().
 func TestAnalyzerRoster(t *testing.T) {
 	want := []string{"simtime", "maporder", "streamlabel", "metrickey"}
 	all := lint.All()

@@ -3,6 +3,8 @@ package lint_test
 import (
 	"go/ast"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,5 +151,141 @@ func TestFiguresHaveOneCatalogue(t *testing.T) {
 	}
 	if len(extra) > 0 {
 		t.Fatalf("package runner exports figure drivers outside Figures: %s", strings.Join(extra, ", "))
+	}
+}
+
+// TestProtocolSettingsHaveCallers keeps every protocol and baseline
+// setting in use: each exported field of rrmp.Params, rmtp.Params,
+// rmtp.Config and stability.Config must be written somewhere outside its
+// declaring package's non-test code, as a composite-literal key or an
+// assignment, or else be listed in keep with its reason. A setting only
+// its default ever fills is a constant spelled as a knob, and the
+// branches only a non-default value reaches are dead. A keep entry that
+// names a missing field, or a field that has since gained a caller,
+// fails too, so the list cannot go stale.
+func TestProtocolSettingsHaveCallers(t *testing.T) {
+	settings := map[string][]string{
+		"repro/internal/rrmp":      {"Params"},
+		"repro/internal/rmtp":      {"Params", "Config"},
+		"repro/internal/stability": {"Config"},
+	}
+	const timing = "the paper's timing model; library callers set it through repro.GroupConfig.Tune"
+	const bound = "a termination bound; tests set it to reach the give-up and never-give-up regimes"
+	const aliasing = "the aliasing contract for callers that reuse publish buffers, pinned by the budget tests"
+	keep := map[string]string{
+		"rrmp.Params.IntraRTT":        timing,
+		"rrmp.Params.ParentRTT":       timing,
+		"rrmp.Params.IdleThreshold":   timing,
+		"rrmp.Params.SessionInterval": timing,
+		"rrmp.Params.MaxRemoteTries":  bound,
+		"rrmp.Params.MaxSearchTries":  bound,
+		"rmtp.Params.MaxTries":        bound,
+		"rrmp.Params.CopyOnStore":     aliasing,
+		"rmtp.Params.CopyOnStore":     aliasing,
+	}
+
+	pkgs, err := lint.Load("../..", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// key names a field as "pkg.Type.Field" when its struct is one of the
+	// settings types; ok is false otherwise.
+	key := func(owner types.Type, field string) (string, bool) {
+		if p, isPtr := owner.(*types.Pointer); isPtr {
+			owner = p.Elem()
+		}
+		named, isNamed := owner.(*types.Named)
+		if !isNamed || named.Obj().Pkg() == nil {
+			return "", false
+		}
+		pkg := named.Obj().Pkg()
+		if !slices.Contains(settings[pkg.Path()], named.Obj().Name()) {
+			return "", false
+		}
+		return pkg.Name() + "." + named.Obj().Name() + "." + field, true
+	}
+
+	declared := map[string]bool{}
+	written := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, name := range settings[pkg.ImportPath] {
+			st := pkg.Types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					declared[pkg.Name+"."+name+"."+f.Name()] = true
+				}
+			}
+		}
+		if settings[pkg.ImportPath] != nil {
+			continue // a package's own writes are its defaults
+		}
+		info := pkg.TypesInfo
+		noteSelector := func(e ast.Expr) {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			s := info.Selections[sel]
+			if s == nil || s.Kind() != types.FieldVal {
+				return
+			}
+			// Walk embedded fields to the struct that declares the field.
+			owner := s.Recv()
+			for _, i := range s.Index()[:len(s.Index())-1] {
+				if p, isPtr := owner.Underlying().(*types.Pointer); isPtr {
+					owner = p.Elem()
+				}
+				owner = owner.Underlying().(*types.Struct).Field(i).Type()
+			}
+			if k, ok := key(owner, sel.Sel.Name); ok {
+				written[k] = true
+			}
+		}
+		for _, f := range pkg.Syntax {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if k, ok := key(info.TypeOf(n), id.Name); ok {
+									written[k] = true
+								}
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						noteSelector(lhs)
+					}
+				case *ast.IncDecStmt:
+					noteSelector(n.X)
+				}
+				return true
+			})
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("found none of the settings types; the walk proves nothing")
+	}
+
+	var uncalled []string
+	for k := range declared {
+		if !written[k] && keep[k] == "" {
+			uncalled = append(uncalled, k)
+		}
+	}
+	slices.Sort(uncalled)
+	if len(uncalled) > 0 {
+		t.Errorf("%d settings are never set outside their package; make each a constant or delete it, or list it in keep with a reason:\n  %s",
+			len(uncalled), strings.Join(uncalled, "\n  "))
+	}
+	for _, k := range slices.Sorted(maps.Keys(keep)) {
+		switch {
+		case !declared[k]:
+			t.Errorf("keep lists %s, which is not a declared setting", k)
+		case written[k]:
+			t.Errorf("keep lists %s, which now has a caller outside its package; drop it from keep", k)
+		}
 	}
 }

@@ -63,8 +63,7 @@ func TestNakRetryAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New()
-	params := DefaultParams()
-	params.MaxTries = 1 << 30 // never give up inside the measurement
+	params := Params{MaxTries: 1 << 30} // never give up inside the measurement
 	receiver := New(Config{
 		Self:          topo.MemberAt(0, 1),
 		Server:        topo.MemberAt(0, 0),
@@ -80,7 +79,7 @@ func TestNakRetryAllocs(t *testing.T) {
 	receiver.Receive(topo.MemberAt(0, 0), wire.Message{
 		Type: wire.TypeSession, From: topo.Sender(), TopSeq: 1,
 	})
-	step := params.NakRTT
+	step := nakRTT
 	for i := 0; i < 64; i++ { // warm the event pool
 		s.RunFor(step)
 	}

@@ -27,9 +27,7 @@ func TestCopyOnStorePinsServerPayloadImmutability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		params := DefaultParams()
-		params.CopyOnStore = copyOn
-		c := newTreeCluster(t, topo, params, 21, nil)
+		c := newTreeCluster(t, topo, Params{CopyOnStore: copyOn}, 21, nil)
 		// No ACK loops: nothing trims, so every entry survives for the
 		// post-run check.
 		var published [][]byte
@@ -102,7 +100,7 @@ func TestBudgetedServerRefetchesDisplacedEntry(t *testing.T) {
 		}
 		for _, node := range topo.Members(rid) {
 			node := node
-			params := DefaultParams()
+			var params Params
 			if node == serverOf(1) {
 				params.ByteBudget = 2 * 512 // room for two of five payloads
 			}
@@ -186,8 +184,7 @@ func TestRefetchReArmsAfterExhaustion(t *testing.T) {
 		}
 		for _, node := range topo.Members(rid) {
 			node := node
-			params := DefaultParams()
-			params.MaxTries = 4 // exhaust fast so the outage outlives the loop
+			params := Params{MaxTries: 4} // exhaust fast so the outage outlives the loop
 			if node == serverOf(1) {
 				params.ByteBudget = 2 * 512
 			}

@@ -37,22 +37,27 @@ type Send func(to topology.NodeID, msg wire.Message)
 // Broadcast transmits the initial multicast to the whole group.
 type Broadcast func(msg wire.Message)
 
+// The baseline's timers mirror the RRMP defaults for a fair comparison:
+// each NAK retry period is rrmp's RTT estimate plus its retry grace.
+const (
+	// nakRTT is the retry period for NAKs to the local repair server.
+	nakRTT = 10*time.Millisecond + 500*time.Microsecond
+	// parentRTT is the retry period for server-to-parent-server NAKs.
+	parentRTT = 100*time.Millisecond + 500*time.Microsecond
+	// ackInterval is the period of receiver->server ACK windows.
+	ackInterval = 100 * time.Millisecond
+	// sessionInterval is the sender's session-message period.
+	sessionInterval = 100 * time.Millisecond
+	// defaultMaxTries is MaxTries when Params leaves it unset.
+	defaultMaxTries = 64
+)
+
 // Params tunes the baseline protocol.
 type Params struct {
-	// NakRTT is the retry period for NAKs to the local repair server.
-	NakRTT time.Duration
-	// ParentRTT is the retry period for server-to-parent-server NAKs.
-	ParentRTT time.Duration
-	// AckInterval is the period of receiver->server ACK windows.
-	AckInterval time.Duration
-	// SessionInterval is the sender's session-message period.
-	SessionInterval time.Duration
 	// MaxTries bounds NAK retries (give-ups are counted, and the missing
 	// sequence lands in Metrics.Unrecoverable / Unrecovered() until a
-	// late repair or session-driven retry delivers it).
+	// late repair or session-driven retry delivers it). Zero selects 64.
 	MaxTries int
-	// StartSeq is the reliability baseline, as in rrmp.Params.
-	StartSeq uint64
 	// ByteBudget caps the repair server's buffer at this many payload
 	// bytes (core.Config.ByteBudget), the same knob rrmp.Params exposes.
 	// A store past the cap pressure-evicts the longest-idle entries; a
@@ -66,17 +71,6 @@ type Params struct {
 	// rrmp.Params.CopyOnStore gives the diffused buffers, so byte-for-byte
 	// protocol comparisons cover both sides.
 	CopyOnStore bool
-}
-
-// DefaultParams mirrors the RRMP defaults for fair comparison.
-func DefaultParams() Params {
-	return Params{
-		NakRTT:          10*time.Millisecond + 500*time.Microsecond,
-		ParentRTT:       100*time.Millisecond + 500*time.Microsecond,
-		AckInterval:     100 * time.Millisecond,
-		SessionInterval: 100 * time.Millisecond,
-		MaxTries:        64,
-	}
 }
 
 // Config assembles a node.
@@ -99,10 +93,8 @@ type Config struct {
 	Send  Send
 	Sched clock.Scheduler
 	Rng   *rng.Source
-	// Params tunes timers; zero fields default.
+	// Params tunes the node; zero fields default.
 	Params Params
-	// OnDeliver observes distinct deliveries.
-	OnDeliver func(id wire.MessageID, at time.Duration)
 }
 
 // Metrics tallies one node's protocol activity.
@@ -187,34 +179,18 @@ func New(cfg Config) *Node {
 		panic("rmtp: Send, Sched and Rng are required")
 	}
 	p := cfg.Params
-	d := DefaultParams()
-	if p.NakRTT <= 0 {
-		p.NakRTT = d.NakRTT
-	}
-	if p.ParentRTT <= 0 {
-		p.ParentRTT = d.ParentRTT
-	}
-	if p.AckInterval <= 0 {
-		p.AckInterval = d.AckInterval
-	}
-	if p.SessionInterval <= 0 {
-		p.SessionInterval = d.SessionInterval
-	}
 	if p.MaxTries <= 0 {
-		p.MaxTries = d.MaxTries
+		p.MaxTries = defaultMaxTries
 	}
 	n := &Node{
 		cfg:         cfg,
 		params:      p,
 		isServer:    cfg.Self == cfg.Server,
 		received:    make(map[uint64]bool),
-		maxSeen:     p.StartSeq,
-		prefix:      p.StartSeq,
 		source:      topology.NoNode,
 		naks:        make(map[uint64]*nakState),
 		waiters:     make(map[uint64][]topology.NodeID),
 		ackFloors:   make(map[topology.NodeID]uint64),
-		trimmed:     p.StartSeq,
 		unrecovered: make(map[uint64]bool),
 	}
 	if ps, ok := cfg.Sched.(poster); ok {
@@ -240,11 +216,11 @@ func New(cfg Config) *Node {
 		})
 		for _, m := range cfg.RegionMembers {
 			if m != cfg.Self {
-				n.ackFloors[m] = p.StartSeq
+				n.ackFloors[m] = 0
 			}
 		}
 		for _, c := range cfg.ChildServers {
-			n.ackFloors[c] = p.StartSeq
+			n.ackFloors[c] = 0
 		}
 	}
 	return n
@@ -296,9 +272,9 @@ func (n *Node) armAckLoop() {
 	var tick func()
 	tick = func() {
 		n.sendAck()
-		n.ackTimer.Arm(n.cfg.Sched, n.params.AckInterval, tick)
+		n.ackTimer.Arm(n.cfg.Sched, ackInterval, tick)
 	}
-	jitter := time.Duration(n.cfg.Rng.Jitter(float64(n.params.AckInterval), 0.2))
+	jitter := time.Duration(n.cfg.Rng.Jitter(float64(ackInterval), 0.2))
 	n.ackTimer.Arm(n.cfg.Sched, jitter, tick)
 }
 
@@ -413,9 +389,6 @@ func (n *Node) deliver(id wire.MessageID, payload []byte) {
 			}
 		}
 	}
-	if n.cfg.OnDeliver != nil {
-		n.cfg.OnDeliver(id, n.cfg.Sched.Now())
-	}
 	n.noteTop(id.Source, id.Seq)
 }
 
@@ -502,9 +475,9 @@ func (n *Node) nakAttempt(seq uint64, st *nakState) {
 	var rtt time.Duration
 	switch {
 	case !n.isServer:
-		to, rtt = n.cfg.Server, n.params.NakRTT
+		to, rtt = n.cfg.Server, nakRTT
 	case n.cfg.ParentServer != topology.NoNode:
-		to, rtt = n.cfg.ParentServer, n.params.ParentRTT
+		to, rtt = n.cfg.ParentServer, parentRTT
 	default:
 		// Root server missing a message: with the sender as root there is
 		// nobody to ask; give up (the sender cannot lose its own data).
@@ -687,7 +660,7 @@ func (n *Node) Recover() {
 	if n.acksStarted {
 		n.armAckLoop()
 	}
-	for seq := n.params.StartSeq + 1; seq <= n.maxSeen; seq++ {
+	for seq := uint64(1); seq <= n.maxSeen; seq++ {
 		if !n.received[seq] {
 			n.startNak(seq)
 		}

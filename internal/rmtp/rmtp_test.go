@@ -81,7 +81,7 @@ func TestTreeLosslessDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, DefaultParams(), 1, nil)
+	c := newTreeCluster(t, topo, Params{}, 1, nil)
 	for i := 0; i < 3; i++ {
 		c.sender.Publish([]byte{byte(i)})
 	}
@@ -107,7 +107,7 @@ func TestTreeLocalRepair(t *testing.T) {
 	}
 	victim := topo.MemberAt(0, 4)
 	loss := &victimLoss{victim: victim}
-	c := newTreeCluster(t, topo, DefaultParams(), 2, loss)
+	c := newTreeCluster(t, topo, Params{}, 2, loss)
 	c.sender.StartSessions()
 	c.sender.Publish([]byte("a"))
 	c.sender.Publish([]byte("b"))
@@ -149,7 +149,7 @@ func TestTreeHierarchicalRepair(t *testing.T) {
 	for _, n := range topo.Members(1) {
 		victims[n] = true
 	}
-	c := newTreeCluster(t, topo, DefaultParams(), 3, &regionDataLoss{victims: victims})
+	c := newTreeCluster(t, topo, Params{}, 3, &regionDataLoss{victims: victims})
 	c.sender.StartSessions()
 	c.sender.Publish([]byte("x"))
 	c.sim.RunUntil(3 * time.Second)
@@ -169,7 +169,7 @@ func TestAckTrimsServerBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, DefaultParams(), 4, nil)
+	c := newTreeCluster(t, topo, Params{}, 4, nil)
 	for _, n := range c.nodes {
 		n.StartAcks()
 	}
@@ -200,7 +200,7 @@ func TestServerKeepsBufferUntilChildAcks(t *testing.T) {
 	// Drop DATA to the entire child region AND suppress its recovery by
 	// not starting sessions: the root server's buffer must retain
 	// everything because the child server never acks.
-	c := newTreeCluster(t, topo, DefaultParams(), 5, &regionDataLoss{victims: victims})
+	c := newTreeCluster(t, topo, Params{}, 5, &regionDataLoss{victims: victims})
 	for _, n := range c.nodes {
 		n.StartAcks()
 	}
@@ -221,7 +221,7 @@ func TestLoadConcentratesAtServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, DefaultParams(), 6, nil)
+	c := newTreeCluster(t, topo, Params{}, 6, nil)
 	for i := 0; i < 50; i++ {
 		c.sender.Publish([]byte{byte(i)})
 	}
@@ -242,7 +242,7 @@ func TestStaleNakForTrimmedMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, DefaultParams(), 7, nil)
+	c := newTreeCluster(t, topo, Params{}, 7, nil)
 	for _, n := range c.nodes {
 		n.StartAcks()
 	}
@@ -269,7 +269,7 @@ func TestGiveUpAtRootForUnknownSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, DefaultParams(), 8, nil)
+	c := newTreeCluster(t, topo, Params{}, 8, nil)
 	server := c.nodes[topo.MemberAt(0, 0)]
 	// Root server told about a sequence that will never arrive.
 	server.Receive(topo.MemberAt(0, 1), wire.Message{

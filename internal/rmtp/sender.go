@@ -47,9 +47,9 @@ func (s *Sender) StartSessions() {
 	var tick func()
 	tick = func() {
 		s.broadcast(wire.Message{Type: wire.TypeSession, From: s.n.cfg.Self, TopSeq: s.seq})
-		s.sessionTimer.Arm(s.n.cfg.Sched, s.n.params.SessionInterval, tick)
+		s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, tick)
 	}
-	s.sessionTimer.Arm(s.n.cfg.Sched, s.n.params.SessionInterval, tick)
+	s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, tick)
 }
 
 // StopSessions cancels the session loop.

@@ -96,7 +96,7 @@ func TestTraceSitesGoldenCannotReach(t *testing.T) {
 	m.Receive(0, wire.Message{Type: wire.TypeData, From: 0, ID: id, Payload: []byte("x")})
 	m.Receive(5, wire.Message{Type: wire.TypeQuery, From: 5, ID: id, Origin: 9})
 	// Stop short of the idle threshold so the copy is still held.
-	c.sim.RunUntil(params.withDefaults().QueryBackoffMax + time.Millisecond)
+	c.sim.RunUntil(params.withDefaults().queryBackoffMax() + time.Millisecond)
 
 	for kind, want := range map[trace.Kind]string{
 		trace.Ignore:     "IGNORE       type=ACK from=5",

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -41,49 +40,6 @@ func TestSenderSequencesAndSessions(t *testing.T) {
 	// The sender buffers its own messages (it is also a receiver, §2.1).
 	if c.members[topo.Sender()].Metrics().Delivered.Value() != 2 {
 		t.Fatal("sender did not deliver to itself")
-	}
-}
-
-func TestLateJoinerBaseline(t *testing.T) {
-	// A member that joins after 10 messages must not try to recover
-	// history before its StartSeq baseline.
-	topo := singleRegion(t, 6)
-	c := newCluster(t, topo, DefaultParams(), 21, nil)
-	for i := 0; i < 10; i++ {
-		c.sender.Publish([]byte{byte(i)})
-	}
-	c.sim.RunUntil(500 * time.Millisecond)
-
-	// "Join": rebuild member 5 with a baseline at the current top.
-	params := DefaultParams()
-	params.StartSeq = c.sender.Seq()
-	view, err := topo.ViewOf(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joiner := NewMember(Config{
-		View:      view,
-		Transport: &NetTransport{Net: c.net, Self: 5, Group: c.all},
-		Sched:     c.sim,
-		Rng:       c.members[5].cfg.Rng,
-		Params:    params,
-	})
-	c.members[5] = joiner
-	c.net.Register(5, func(p netsim.Packet) { joiner.Receive(p.From, p.Msg) })
-
-	id11 := c.sender.Publish([]byte("post-join"))
-	c.sim.RunUntil(2 * time.Second)
-
-	if !joiner.HasReceived(id11) {
-		t.Fatal("joiner missed a post-join message")
-	}
-	if joiner.Metrics().LocalReqSent.Value() != 0 {
-		t.Fatal("joiner tried to recover pre-join history")
-	}
-	for seq := uint64(1); seq <= 10; seq++ {
-		if recovering(joiner, wire.MessageID{Source: topo.Sender(), Seq: seq}) {
-			t.Fatalf("joiner recovering pre-baseline seq %d", seq)
-		}
 	}
 }
 

@@ -49,11 +49,6 @@ type Params struct {
 	// messages let receivers detect the loss of the last messages in a
 	// burst (§2.1).
 	SessionInterval time.Duration
-	// RetryGrace is added to every RTT-based retry timer so that a reply
-	// arriving at exactly the estimated RTT wins the race against the
-	// retransmission timer (real deployments get this slack from RTT
-	// estimation conservatism). Zero selects IntraRTT/20.
-	RetryGrace time.Duration
 	// MaxLocalTries, MaxRemoteTries and MaxSearchTries bound retries so a
 	// simulation with an unrecoverable loss terminates; the paper assumes
 	// unbounded retries. Exhaustion is counted in Metrics, never silent.
@@ -63,21 +58,6 @@ type Params struct {
 	// SearchMode selects random-walk search (the paper's design, default)
 	// or the rejected multicast-query alternative.
 	SearchMode SearchMode
-	// QueryBackoffMax is the reply back-off window for
-	// SearchMulticastQuery. Zero selects C × IntraRTT, the "proportional
-	// to C" rule §3.3 shows to be inadequate.
-	QueryBackoffMax time.Duration
-	// StartSeq is the highest sequence number this member should NOT
-	// attempt to recover: members present from the beginning use 0; late
-	// joiners set it to the sender's current top sequence so they only
-	// take responsibility from their join point onwards.
-	StartSeq uint64
-	// RecoverOnRemoteEvidence, when true (the default), lets a remote
-	// request or handoff for an unseen sequence number advance loss
-	// detection: the PDU proves the message exists. The paper's member
-	// merely records the waiter; a session message would trigger the same
-	// recovery moments later.
-	RecoverOnRemoteEvidence bool
 	// ByteBudget caps each member's buffer at this many payload bytes
 	// (core.Config.ByteBudget). Stores past the cap pressure-evict older
 	// entries — short-term longest-idle first, then oldest long-term
@@ -97,14 +77,10 @@ type Params struct {
 	// peers are skipped when picking local-recovery, search and handoff
 	// targets, so crashed bufferers do not soak up retries; recovery then
 	// re-routes via the §3.3 search path. Graceful-leave-only experiments
-	// leave this off and behave exactly as before.
+	// leave this off and behave exactly as before. The detector runs on
+	// gossipfd's default timing (50 ms gossip, suspect after 8 intervals,
+	// cleanup after 2 fail timeouts).
 	FDEnabled bool
-	// FDGossipInterval, FDFailTimeout and FDCleanupTimeout tune the
-	// detector; zeros take gossipfd's defaults (50 ms gossip, suspect
-	// after 8 intervals, cleanup after 2 fail timeouts).
-	FDGossipInterval time.Duration
-	FDFailTimeout    time.Duration
-	FDCleanupTimeout time.Duration
 }
 
 // Default parameter values (the paper's evaluation settings where given).
@@ -122,17 +98,16 @@ const (
 // threshold 4×RTT = 40 ms, C = 6, λ = 1.
 func DefaultParams() Params {
 	return Params{
-		IntraRTT:                DefaultIntraRTT,
-		ParentRTT:               DefaultParentRTT,
-		IdleThreshold:           4 * DefaultIntraRTT,
-		C:                       DefaultC,
-		Lambda:                  DefaultLambda,
-		LongTermTTL:             DefaultLongTermTTL,
-		SessionInterval:         DefaultSessionInterval,
-		MaxLocalTries:           DefaultMaxTries,
-		MaxRemoteTries:          DefaultMaxTries,
-		MaxSearchTries:          DefaultMaxTries,
-		RecoverOnRemoteEvidence: true,
+		IntraRTT:        DefaultIntraRTT,
+		ParentRTT:       DefaultParentRTT,
+		IdleThreshold:   4 * DefaultIntraRTT,
+		C:               DefaultC,
+		Lambda:          DefaultLambda,
+		LongTermTTL:     DefaultLongTermTTL,
+		SessionInterval: DefaultSessionInterval,
+		MaxLocalTries:   DefaultMaxTries,
+		MaxRemoteTries:  DefaultMaxTries,
+		MaxSearchTries:  DefaultMaxTries,
 	}
 }
 
@@ -155,18 +130,8 @@ func (p Params) withDefaults() Params {
 	if p.SessionInterval <= 0 {
 		p.SessionInterval = d.SessionInterval
 	}
-	if p.RetryGrace <= 0 {
-		p.RetryGrace = p.IntraRTT / 20
-	}
 	if p.SearchMode == 0 {
 		p.SearchMode = SearchRandomWalk
-	}
-	if p.QueryBackoffMax <= 0 {
-		c := p.C
-		if c < 1 {
-			c = 1
-		}
-		p.QueryBackoffMax = time.Duration(c * float64(p.IntraRTT))
 	}
 	if p.MaxLocalTries <= 0 {
 		p.MaxLocalTries = d.MaxLocalTries
@@ -177,12 +142,24 @@ func (p Params) withDefaults() Params {
 	if p.MaxSearchTries <= 0 {
 		p.MaxSearchTries = d.MaxSearchTries
 	}
-	// C=0, LongTermTTL=0 and StartSeq=0 are meaningful values (no
-	// long-term election, no TTL, recover-from-start), so they are left
-	// alone; a negative C means zero. Lambda has no such value: any
-	// Lambda <= 0 took the default above.
+	// C=0 and LongTermTTL=0 are meaningful values (no long-term election,
+	// no TTL), so they are left alone; a negative C means zero. Lambda has
+	// no such value: any Lambda <= 0 took the default above.
 	if p.C < 0 {
 		p.C = 0
 	}
 	return p
+}
+
+// retryGrace is added to every RTT-based retry timer so that a reply
+// arriving at exactly the estimated RTT wins the race against the
+// retransmission timer (real deployments get this slack from RTT
+// estimation conservatism).
+func (p Params) retryGrace() time.Duration { return p.IntraRTT / 20 }
+
+// queryBackoffMax is the reply back-off window for SearchMulticastQuery:
+// C × IntraRTT (C at least 1), the "proportional to C" rule §3.3 shows to
+// be inadequate.
+func (p Params) queryBackoffMax() time.Duration {
+	return time.Duration(max(p.C, 1) * float64(p.IntraRTT))
 }

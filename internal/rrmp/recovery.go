@@ -119,7 +119,7 @@ func (m *Member) localAttempt(rec *recovery) {
 	if rec.localRetry == nil {
 		rec.localRetry = func() { m.localAttempt(rec) }
 	}
-	rec.localTimer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.RetryGrace, rec.localRetry)
+	rec.localTimer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.retryGrace(), rec.localRetry)
 }
 
 // remoteAttempt runs one remote-recovery round: with probability λ/n send a
@@ -155,7 +155,7 @@ func (m *Member) remoteAttempt(rec *recovery) {
 	if rec.remoteRetry == nil {
 		rec.remoteRetry = func() { m.remoteAttempt(rec) }
 	}
-	rec.remoteTimer.Arm(m.cfg.Sched, m.params.ParentRTT+m.params.RetryGrace, rec.remoteRetry)
+	rec.remoteTimer.Arm(m.cfg.Sched, m.params.ParentRTT+m.params.retryGrace(), rec.remoteRetry)
 }
 
 // checkAbandoned finishes an episode once neither phase can make further

@@ -102,7 +102,7 @@ type Config struct {
 // state for a 10k-message run is ~1.25 KB. The contiguous-prefix cursor is
 // cached and advanced incrementally — bits are never cleared, so the prefix
 // is monotone and each sequence is inspected at most once across all
-// Prefix calls instead of rescanning from the start-sequence every time.
+// Prefix calls instead of rescanning from sequence 1 every time.
 type sourceState struct {
 	maxSeen uint64
 	// base is the first sequence the bitset covers (64-aligned, fixed at
@@ -111,8 +111,8 @@ type sourceState struct {
 	base   uint64
 	bits   []uint64
 	marked bool
-	// prefix is the cached largest k with every sequence in (prefixStart,
-	// k] received; it only ever advances.
+	// prefix is the cached largest k with every sequence in [1, k]
+	// received; it only ever advances.
 	prefix uint64
 }
 
@@ -133,8 +133,8 @@ func (st *sourceState) mark(seq uint64) {
 		st.marked = true
 	}
 	if seq < st.base {
-		// A sequence below the first-ever mark (late joiner probing old
-		// history): prepend words so the bitset still covers it.
+		// A sequence below the first-ever mark's word (an early loss
+		// recovered late): prepend words so the bitset still covers it.
 		shift := (st.base - seq + 63) >> 6
 		grown := make([]uint64, uint64(len(st.bits))+shift)
 		copy(grown[shift:], st.bits)
@@ -281,15 +281,12 @@ func NewMember(cfg Config) *Member {
 	})
 	if m.params.FDEnabled && cfg.View.NumPeers() > 0 {
 		m.fd = gossipfd.New(gossipfd.Config{
-			View:           cfg.View,
-			Sched:          cfg.Sched,
-			Rng:            cfg.Rng.Split(gossipFDStreamLabel),
-			Send:           func(to topology.NodeID, msg wire.Message) { m.cfg.Transport.Send(to, msg) },
-			GossipInterval: m.params.FDGossipInterval,
-			FailTimeout:    m.params.FDFailTimeout,
-			CleanupTimeout: m.params.FDCleanupTimeout,
-			OnSuspect:      m.onSuspect,
-			OnRestore:      m.onRestore,
+			View:      cfg.View,
+			Sched:     cfg.Sched,
+			Rng:       cfg.Rng.Split(gossipFDStreamLabel),
+			Send:      func(to topology.NodeID, msg wire.Message) { m.cfg.Transport.Send(to, msg) },
+			OnSuspect: m.onSuspect,
+			OnRestore: m.onRestore,
 		})
 		m.fd.Start()
 	}
@@ -379,17 +376,14 @@ func (m *Member) HasReceived(id wire.MessageID) bool {
 }
 
 // Prefix returns the contiguous received prefix for src: the largest k such
-// that every sequence in (StartSeq, k] has been received. Stability
-// detection baselines gossip this value as their message-history digest.
+// that every sequence in [1, k] has been received. Stability detection
+// baselines gossip this value as their message-history digest.
 func (m *Member) Prefix(src topology.NodeID) uint64 {
 	st, ok := m.sources[src]
 	if !ok {
-		return m.params.StartSeq
+		return 0
 	}
 	k := st.prefix
-	if k < m.params.StartSeq {
-		k = m.params.StartSeq
-	}
 	for st.has(k + 1) {
 		k++
 	}
@@ -401,7 +395,7 @@ func (m *Member) Prefix(src topology.NodeID) uint64 {
 func (m *Member) MaxSeen(src topology.NodeID) uint64 {
 	st, ok := m.sources[src]
 	if !ok {
-		return m.params.StartSeq
+		return 0
 	}
 	return st.maxSeen
 }
@@ -413,12 +407,11 @@ func (m *Member) SetDeliverHook(fn func(id wire.MessageID, at time.Duration)) {
 	m.cfg.Hooks.OnDeliver = fn
 }
 
-// source returns (creating if needed) the reception state for src, with the
-// loss-detection baseline at Params.StartSeq.
+// source returns (creating if needed) the reception state for src.
 func (m *Member) source(src topology.NodeID) *sourceState {
 	st, ok := m.sources[src]
 	if !ok {
-		st = &sourceState{maxSeen: m.params.StartSeq, prefix: m.params.StartSeq}
+		st = &sourceState{}
 		m.sources[src] = st
 	}
 	return st
@@ -501,9 +494,7 @@ func (m *Member) onRemoteRequest(from topology.NodeID, msg wire.Message) {
 	if !st.has(id.Seq) {
 		// Never received: remember the requester and relay on receipt.
 		m.addWaiter(id, from)
-		if m.params.RecoverOnRemoteEvidence {
-			m.noteTop(id.Source, id.Seq)
-		}
+		m.noteTop(id.Source, id.Seq)
 		return
 	}
 	// Received but discarded: search the region for a bufferer.
@@ -756,7 +747,7 @@ func (m *Member) Recover() {
 	// with messages, so map iteration order must not leak into runs.
 	for _, src := range slices.Sorted(maps.Keys(m.sources)) {
 		st := m.sources[src]
-		for seq := m.params.StartSeq + 1; seq <= st.maxSeen; seq++ {
+		for seq := uint64(1); seq <= st.maxSeen; seq++ {
 			if !st.has(seq) {
 				id := wire.MessageID{Source: src, Seq: seq}
 				if ms := m.msgs[id]; ms != nil && ms.unrecovered {

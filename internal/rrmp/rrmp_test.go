@@ -154,9 +154,7 @@ func TestWaiterRelay(t *testing.T) {
 	// A remote request arrives at a parent member that never received the
 	// message; when the parent recovers it, the waiter gets a relay (§2.2).
 	topo := chainRegions(t, 3, 3)
-	params := DefaultParams()
-	params.RecoverOnRemoteEvidence = false // force the pure waiter path
-	c := newCluster(t, topo, params, 6, nil)
+	c := newCluster(t, topo, DefaultParams(), 6, nil)
 
 	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
 	parentHolder := c.members[topo.MemberAt(0, 1)]
@@ -181,6 +179,29 @@ func TestWaiterRelay(t *testing.T) {
 	}
 	if got := c.members[parentWaitee].Metrics().WaitersRecorded.Value(); got != 1 {
 		t.Fatalf("WaitersRecorded = %d", got)
+	}
+}
+
+// TestRemoteRequestStartsRecovery: a remote request for a sequence the
+// member never saw proves the message exists, so the member starts
+// recovering it at once. A zero Params must behave exactly as
+// DefaultParams here: no setting may turn this off.
+func TestRemoteRequestStartsRecovery(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		params Params
+	}{{"DefaultParams", DefaultParams()}, {"Params{}", Params{}}} {
+		topo := chainRegions(t, 3, 3)
+		c := newCluster(t, topo, tc.params, 6, nil)
+		id := wire.MessageID{Source: topo.Sender(), Seq: 1}
+		asked := c.members[topo.MemberAt(0, 2)]
+		downstream := topo.MemberAt(1, 0)
+		asked.Receive(downstream, wire.Message{
+			Type: wire.TypeRemoteRequest, From: downstream, ID: id, Origin: downstream,
+		})
+		if !recovering(asked, id) {
+			t.Errorf("%s: member asked for unseen %v is not recovering it", tc.name, id)
+		}
 	}
 }
 

@@ -25,10 +25,9 @@ type searchState struct {
 	msg *msgState
 	// origins are the remote requesters awaiting the repair. Usually one;
 	// multiple remote requests for the same discarded message merge.
-	origins   []topology.NodeID
-	startedAt time.Duration
-	tries     int
-	timer     clock.Handle
+	origins []topology.NodeID
+	tries   int
+	timer   clock.Handle
 	// retry is the timer's callback, bound once by newSearch.
 	retry func()
 	// done is set when the episode leaves its message's record; a retry
@@ -76,7 +75,7 @@ func (m *Member) startSearch(id wire.MessageID, origin topology.NodeID) {
 // in id's record ms, its retry bound to the search mode's attempt once for
 // the episode's lifetime.
 func (m *Member) newSearch(ms *msgState, id wire.MessageID, origin topology.NodeID) *searchState {
-	s := &searchState{id: id, msg: ms, origins: []topology.NodeID{origin}, startedAt: m.cfg.Sched.Now()}
+	s := &searchState{id: id, msg: ms, origins: []topology.NodeID{origin}}
 	ms.search = s
 	if m.params.SearchMode == SearchMulticastQuery {
 		s.retry = func() { m.queryAttempt(s) }
@@ -120,11 +119,11 @@ func (m *Member) queryAttempt(s *searchState) {
 	}
 	// Wait out the worst-case reply back-off plus a round trip before
 	// re-multicasting.
-	s.timer.Arm(m.cfg.Sched, m.params.QueryBackoffMax+m.params.IntraRTT+m.params.RetryGrace, s.retry)
+	s.timer.Arm(m.cfg.Sched, m.params.queryBackoffMax()+m.params.IntraRTT+m.params.retryGrace(), s.retry)
 }
 
 // onQuery handles a multicast bufferer query: holders schedule a reply
-// after a uniform back-off in (0, QueryBackoffMax], suppressed if another
+// after a uniform back-off in (0, queryBackoffMax], suppressed if another
 // member's HAVE for the same message arrives first.
 func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
 	id, origin := msg.ID, msg.Origin
@@ -138,7 +137,7 @@ func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
 	if ms.reply.Armed() {
 		return
 	}
-	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.QueryBackoffMax))) + 1
+	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.queryBackoffMax()))) + 1
 	ms.reply.Arm(m.cfg.Sched, delay, func() {
 		ms.reply = clock.Handle{}
 		m.release(id, ms)
@@ -201,7 +200,7 @@ func (m *Member) searchAttempt(s *searchState) {
 	for _, o := range s.origins {
 		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: s.id, Origin: o})
 	}
-	s.timer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.RetryGrace, s.retry)
+	s.timer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.retryGrace(), s.retry)
 }
 
 // nextDeterministicTarget walks the hash-elected bufferer set in rank
@@ -271,9 +270,7 @@ func (m *Member) onSearch(from topology.NodeID, msg wire.Message) {
 		// Footnote 4: a member that never received the message recovers it
 		// itself; the recorded waiter gets the relay on receipt.
 		m.addWaiter(id, origin)
-		if m.params.RecoverOnRemoteEvidence {
-			m.noteTop(id.Source, id.Seq)
-		}
+		m.noteTop(id.Source, id.Seq)
 		return
 	}
 	m.metrics.SearchJoins.Inc()

@@ -207,9 +207,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Member returns the member for a node id.
-func (c *Cluster) Member(n topology.NodeID) *rrmp.Member { return c.Members[n] }
-
 // CountReceived returns how many members have ever received id.
 func (c *Cluster) CountReceived(id wire.MessageID) int {
 	count := 0

@@ -58,11 +58,11 @@ func TestProtocolSweepDeterministicAcrossParallelism(t *testing.T) {
 		Msgs:       10,
 		Horizon:    3 * time.Second,
 	}
-	serial, err := RunSweep(exp.Options{Trials: 3, Parallel: 1, BaseSeed: 5}, sw)
+	serial, err := RunSweeps(exp.Options{Trials: 3, Parallel: 1, BaseSeed: 5}, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := RunSweep(exp.Options{Trials: 3, Parallel: 8, BaseSeed: 5}, sw)
+	wide, err := RunSweeps(exp.Options{Trials: 3, Parallel: 8, BaseSeed: 5}, sw)
 	if err != nil {
 		t.Fatal(err)
 	}

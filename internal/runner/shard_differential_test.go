@@ -37,7 +37,7 @@ func shardWidths() []int {
 func sweepAtShards(t *testing.T, sw exp.Sweep, o exp.Options, n int) string {
 	t.Helper()
 	sw.Shards = n
-	rep, err := RunSweep(o, sw)
+	rep, err := RunSweeps(o, sw)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", n, err)
 	}

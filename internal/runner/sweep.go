@@ -480,12 +480,6 @@ func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline, trace
 	return out, nil
 }
 
-// RunSweep expands sw and runs every (cell, trial) pair through the exp
-// worker pool with RunScenario as the kernel.
-func RunSweep(o exp.Options, sw exp.Sweep) (exp.Report, error) {
-	return RunSweeps(o, sw)
-}
-
 // execNotes summarizes the cells that cannot honor a requested -shards
 // width — their loss model is not shard-safe (netsim.ShardSafe, whose
 // reason the note quotes), or they are rmtp cells: instead of failing or

@@ -76,7 +76,7 @@ func TestRunScenarioRejectsUnknownPolicy(t *testing.T) {
 func TestRunSweepDeterministicAcrossParallelism(t *testing.T) {
 	var blobs []string
 	for _, parallel := range []int{1, 4} {
-		rep, err := RunSweep(exp.Options{Trials: 3, Parallel: parallel, BaseSeed: 11}, smallSweep())
+		rep, err := RunSweeps(exp.Options{Trials: 3, Parallel: parallel, BaseSeed: 11}, smallSweep())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestRunSweepFaultCellsDeterministicAcrossParallelism(t *testing.T) {
 		Horizon:    2 * time.Second,
 	}
 	blob := func(parallel int) string {
-		rep, err := RunSweep(exp.Options{Trials: 3, Parallel: parallel, BaseSeed: 42}, sw)
+		rep, err := RunSweeps(exp.Options{Trials: 3, Parallel: parallel, BaseSeed: 42}, sw)
 		if err != nil {
 			t.Fatal(err)
 		}

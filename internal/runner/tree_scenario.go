@@ -42,13 +42,11 @@ func newRMTPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss n
 		return protocolDriver{}, fmt.Errorf("runner: the rmtp baseline has no tracer hook")
 	}
 
-	params := rmtp.DefaultParams()
-	params.ByteBudget = sc.ByteBudget
 	// The rmtp baseline always runs one event loop (Scenario.Shards is
 	// ignored here, see NewTreeCluster).
 	c, err := NewTreeCluster(TreeClusterConfig{
 		Topo:   topo,
-		Params: params,
+		Params: rmtp.Params{ByteBudget: sc.ByteBudget},
 		Seed:   seed,
 		Loss:   loss,
 	})

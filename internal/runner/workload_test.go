@@ -239,12 +239,12 @@ func TestWorkloadSweepByteIdenticalAcrossParallelism(t *testing.T) {
 	sw := exp.WorkloadSweep()
 	sw.Regions = [][]int{{8, 8}}
 	o := exp.Options{Trials: 2, BaseSeed: 1, Parallel: 1}
-	serial, err := RunSweep(o, sw)
+	serial, err := RunSweeps(o, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Parallel = 8
-	wide, err := RunSweep(o, sw)
+	wide, err := RunSweeps(o, sw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@
 // Under this scheme a member buffers every message (core.BufferAll) and
 // periodically gossips a message-history digest — here the contiguous
 // received prefix per source — to its region. A sequence number is declared
-// stable once every live region member's digest covers it; only then is the
-// message discarded. Liveness comes from a failure detector (gossipfd), so
-// a crashed member cannot block stability forever.
+// stable once every region member's digest covers it; only then is the
+// message discarded. There is no failure detector here, so a member that
+// stops gossiping (a crash, a straggler) blocks stability for the region.
 //
 // The paper's point, which ablation A6 quantifies, is that this buys
 // certainty at the price of periodic digest traffic, whereas RRMP's
@@ -24,12 +24,11 @@ import (
 	"repro/internal/wire"
 )
 
+// interval is the digest gossip period.
+const interval = 100 * time.Millisecond
+
 // Send transmits a digest PDU to a peer; bind it to the network.
 type Send func(to topology.NodeID, msg wire.Message)
-
-// Liveness reports whether a region member should be counted in the
-// stability quorum. Bind it to a failure detector; nil counts everyone.
-type Liveness func(n topology.NodeID) bool
 
 // Config assembles a detector for one (member, source) pair.
 type Config struct {
@@ -46,10 +45,6 @@ type Config struct {
 	// LocalPrefix returns this member's own contiguous received prefix
 	// for Source; required (bind to rrmp.Member.Prefix).
 	LocalPrefix func() uint64
-	// Alive filters quorum membership; nil counts all region members.
-	Alive Liveness
-	// Interval is the digest gossip period (default 100 ms).
-	Interval time.Duration
 	// OnStable fires once per newly stable sequence number, in order.
 	OnStable func(seq uint64)
 }
@@ -73,9 +68,6 @@ type Detector struct {
 func New(cfg Config) *Detector {
 	if cfg.Sched == nil || cfg.Rng == nil || cfg.Send == nil || cfg.LocalPrefix == nil {
 		panic("stability: Sched, Rng, Send and LocalPrefix are required")
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * time.Millisecond
 	}
 	peers := cfg.View.Peers()
 	d := &Detector{
@@ -111,7 +103,7 @@ func (d *Detector) Stop() {
 }
 
 func (d *Detector) scheduleTick() {
-	delay := time.Duration(d.cfg.Rng.Jitter(float64(d.cfg.Interval), 0.1))
+	delay := time.Duration(d.cfg.Rng.Jitter(float64(interval), 0.1))
 	d.ticker.Arm(d.cfg.Sched, delay, d.onTick)
 }
 
@@ -144,13 +136,10 @@ func (d *Detector) Receive(msg wire.Message) {
 }
 
 // evaluate advances the stability floor: the minimum digest over self and
-// all live peers.
+// all peers.
 func (d *Detector) evaluate() {
 	floor := d.cfg.LocalPrefix()
 	for _, p := range d.peers {
-		if d.cfg.Alive != nil && !d.cfg.Alive(p) {
-			continue
-		}
 		if f := d.floors[p]; f < floor {
 			floor = f
 		}

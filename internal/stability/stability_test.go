@@ -20,10 +20,9 @@ type stabCluster struct {
 	detectors map[topology.NodeID]*Detector
 	prefixes  map[topology.NodeID]uint64
 	stable    map[topology.NodeID][]uint64
-	alive     map[topology.NodeID]bool
 }
 
-func newStabCluster(t *testing.T, n int, seed uint64, withLiveness bool) *stabCluster {
+func newStabCluster(t *testing.T, n int, seed uint64) *stabCluster {
 	t.Helper()
 	topo, err := topology.SingleRegion(n)
 	if err != nil {
@@ -37,10 +36,6 @@ func newStabCluster(t *testing.T, n int, seed uint64, withLiveness bool) *stabCl
 		detectors: make(map[topology.NodeID]*Detector),
 		prefixes:  make(map[topology.NodeID]uint64),
 		stable:    make(map[topology.NodeID][]uint64),
-		alive:     make(map[topology.NodeID]bool),
-	}
-	for _, node := range topo.Members(0) {
-		c.alive[node] = true
 	}
 	for _, node := range topo.Members(0) {
 		node := node
@@ -48,7 +43,7 @@ func newStabCluster(t *testing.T, n int, seed uint64, withLiveness bool) *stabCl
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{
+		d := New(Config{
 			View:        view,
 			Source:      topo.Sender(),
 			Sched:       s,
@@ -56,11 +51,7 @@ func newStabCluster(t *testing.T, n int, seed uint64, withLiveness bool) *stabCl
 			Send:        func(to topology.NodeID, msg wire.Message) { net.Unicast(node, to, msg) },
 			LocalPrefix: func() uint64 { return c.prefixes[node] },
 			OnStable:    func(seq uint64) { c.stable[node] = append(c.stable[node], seq) },
-		}
-		if withLiveness {
-			cfg.Alive = func(p topology.NodeID) bool { return c.alive[p] }
-		}
-		d := New(cfg)
+		})
 		c.detectors[node] = d
 		net.Register(node, func(p netsim.Packet) { d.Receive(p.Msg) })
 	}
@@ -74,7 +65,7 @@ func (c *stabCluster) startAll() {
 }
 
 func TestStabilityAdvancesToMinimum(t *testing.T) {
-	c := newStabCluster(t, 4, 1, false)
+	c := newStabCluster(t, 4, 1)
 	c.prefixes[0] = 10
 	c.prefixes[1] = 7
 	c.prefixes[2] = 9
@@ -100,7 +91,7 @@ func TestStabilityAdvancesToMinimum(t *testing.T) {
 }
 
 func TestStabilityFollowsProgress(t *testing.T) {
-	c := newStabCluster(t, 3, 2, false)
+	c := newStabCluster(t, 3, 2)
 	c.startAll()
 	// Everyone advances together in steps.
 	for step := uint64(1); step <= 5; step++ {
@@ -123,7 +114,7 @@ func TestStabilityFollowsProgress(t *testing.T) {
 }
 
 func TestStragglerBlocksStability(t *testing.T) {
-	c := newStabCluster(t, 3, 3, false)
+	c := newStabCluster(t, 3, 3)
 	c.prefixes[0] = 100
 	c.prefixes[1] = 100
 	c.prefixes[2] = 0 // straggler never advances
@@ -136,22 +127,8 @@ func TestStragglerBlocksStability(t *testing.T) {
 	}
 }
 
-func TestDeadMemberExcludedFromQuorum(t *testing.T) {
-	c := newStabCluster(t, 3, 4, true)
-	c.prefixes[0] = 50
-	c.prefixes[1] = 50
-	c.prefixes[2] = 0 // dead: never gossips, never advances
-	c.alive[2] = false
-	c.net.SetDown(2, true)
-	c.startAll()
-	c.sim.RunUntil(2 * time.Second)
-	if got := c.detectors[0].StableFloor(); got != 50 {
-		t.Fatalf("floor %d with dead member excluded, want 50", got)
-	}
-}
-
 func TestReceiveFiltersSourceAndType(t *testing.T) {
-	c := newStabCluster(t, 2, 5, false)
+	c := newStabCluster(t, 2, 5)
 	d := c.detectors[0]
 	// Wrong type.
 	d.Receive(wire.Message{Type: wire.TypeData, From: 1, TopSeq: 99, ID: wire.MessageID{Source: c.topo.Sender()}})
@@ -169,7 +146,7 @@ func TestReceiveFiltersSourceAndType(t *testing.T) {
 }
 
 func TestDigestTrafficCounted(t *testing.T) {
-	c := newStabCluster(t, 5, 6, false)
+	c := newStabCluster(t, 5, 6)
 	c.startAll()
 	c.sim.RunUntil(time.Second)
 	var digests int64
@@ -186,7 +163,7 @@ func TestDigestTrafficCounted(t *testing.T) {
 }
 
 func TestStopHaltsGossip(t *testing.T) {
-	c := newStabCluster(t, 3, 7, false)
+	c := newStabCluster(t, 3, 7)
 	c.startAll()
 	c.sim.RunUntil(500 * time.Millisecond)
 	for _, d := range c.detectors {
