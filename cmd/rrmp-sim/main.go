@@ -81,15 +81,15 @@
 //	rrmp-sim -regions 30,30 -loss 0.2 -policy adaptive:tmin=20ms,tmax=200ms,target=2
 //	rrmp-sim -sweep -trials 8 -fitness-weights delivery=1,bytesec=0.5
 //
-// -sweep-scale starts from the scale matrix (members×depth balanced trees,
-// plus the 10k/100k/1M rows when uncustomized) and records wall-clock and
-// events/sec per cell:
+// -sweep-scale starts from the scale matrix instead (members×depth
+// balanced trees, plus the 10k/100k rows when uncustomized) and writes the
+// same report, to BENCH_scale.json by default:
 //
-//	rrmp-sim -sweep-scale -trials 3 -shards 32
+//	rrmp-sim -sweep-scale -trials 3
 //	rrmp-sim -sweep-scale -tree 4:3:2000 -trials 1 -out /tmp/scale.json
 //
 // The report is a pure function of (matrix, -trials, -seed): the same
-// seeds produce byte-identical aggregates at any -parallel width.
+// seeds produce byte-identical reports at any -parallel width.
 package main
 
 import (
@@ -122,8 +122,6 @@ func main() {
 	switch {
 	case a.listPolicies:
 		printPolicyRoster(os.Stdout)
-	case a.sweepScale:
-		err = runScale(a)
 	case a.single:
 		err = runSingle(os.Stdout, a)
 	default:
@@ -286,7 +284,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 	fs.StringVar(&a.traceReplay, "trace-replay", "", "drive the run from a recorded rrmp-trace/v1 file instead of generating the timeline (single -workload cell × one trial only)")
 
 	fs.BoolVar(&a.sweep, "sweep", false, "start from the standing scenario matrix instead of the one-cell defaults (given scenario flags pin their axes either way)")
-	fs.BoolVar(&a.sweepScale, "sweep-scale", false, "start from the scale matrix (members×depth balanced trees) and record wall-clock + events/sec per cell")
+	fs.BoolVar(&a.sweepScale, "sweep-scale", false, "start from the scale matrix (members×depth balanced trees) instead of the one-cell defaults")
 	fs.IntVar(&a.trials, "trials", 1, "independently seeded trials per scenario cell")
 	fs.IntVar(&a.parallel, "parallel", 0, "worker pool size for trials (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 1, "region-sharded event loops per trial (1 = serial; aggregates are byte-identical at any width)")
@@ -314,7 +312,9 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 	}
 	if !a.sweepScale {
 		// These six defaults have always been written into every cell of
-		// both bases: the committed record's cells serialize c 6 and lambda 1.
+		// these two bases: BENCH_sweep.json's cells serialize c 6 and
+		// lambda 1. The scale matrix never carried them, and
+		// BENCH_scale.json's cells keep their bytes.
 		a.sw.C, a.sw.Lambda, a.sw.FixedHold = 6, 1, 500*time.Millisecond
 		a.sw.Msgs, a.sw.Gap, a.sw.Horizon = 20, 20*time.Millisecond, 5*time.Second
 	}
@@ -337,6 +337,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 	if err := a.sw.Validate(); err != nil {
 		return a, err
 	}
+	// A -sweep-scale run is a report even when it is one cell.
 	a.single = !a.sweepScale && a.trials <= 1 && len(a.sw.Expand()) == 1
 	if err := checkFlags(a); err != nil {
 		return a, err
@@ -377,7 +378,7 @@ func checkFlags(a sweepArgs) error {
 		return fmt.Errorf("-trace-record/-trace-replay require -workload (the spec names the cell the timeline belongs to)")
 	case a.traceRecord != "" && a.traceReplay != "":
 		return fmt.Errorf("choose one of -trace-record or -trace-replay")
-	case a.fitnessWeights != "" && (a.sweepScale || a.single):
+	case a.fitnessWeights != "" && a.single:
 		return fmt.Errorf("-fitness-weights scores multi-cell/multi-trial reports (use with -sweep, list-valued flags or -trials > 1)")
 	case a.outSet && a.outPath != "" && a.single:
 		return fmt.Errorf("-out only applies to a report (several cells, -sweep-scale or -trials > 1)")
@@ -462,17 +463,22 @@ func parseWorkload(s string) (*workload.Spec, error) {
 // reports per-cell aggregates.
 func runSweep(a sweepArgs) error {
 	// The uncustomized -sweep is the standing matrix plus the workload and
-	// adaptive-policy families, run through one pool into one report —
-	// the shape BENCH_sweep.json records. Each family's cells append after
-	// all earlier cells, so the committed record grows without a single
-	// pre-existing cell moving or re-byting.
+	// adaptive-policy families, and the uncustomized -sweep-scale is the
+	// scale matrix plus its XL rows, each run through one pool into one
+	// report — the shapes BENCH_sweep.json and BENCH_scale.json record.
+	// Each family's cells append after all earlier cells, so a committed
+	// record grows without a single pre-existing cell moving or re-byting.
 	sweeps := []exp.Sweep{a.sw}
-	if a.sweep && !a.customized {
-		wf := exp.WorkloadSweep()
-		wf.Shards = a.sw.Shards
-		af := exp.AdaptiveSweep()
-		af.Shards = a.sw.Shards
-		sweeps = append(sweeps, wf, af)
+	if !a.customized {
+		switch {
+		case a.sweepScale:
+			sweeps = append(sweeps, exp.ScaleSweepXL())
+		case a.sweep:
+			sweeps = append(sweeps, exp.WorkloadSweep(), exp.AdaptiveSweep())
+		}
+	}
+	for i := range sweeps {
+		sweeps[i].Shards = a.sw.Shards
 	}
 	rep, err := runner.RunSweeps(exp.Options{
 		Trials:   a.trials,
@@ -483,7 +489,7 @@ func runSweep(a sweepArgs) error {
 		return err
 	}
 
-	if err := emitReport(a, rep, len(rep.Cells), rep.Trials, func() { printReport(rep) }); err != nil {
+	if err := emitReport(a, rep); err != nil {
 		return err
 	}
 	if a.fitnessWeights != "" && !a.quiet {
@@ -518,8 +524,8 @@ func printFitness(w io.Writer, rep exp.Report, spec string) error {
 }
 
 // emitReport prints a finished report — as indented JSON under -json,
-// else through table — and writes the same JSON bytes to -out.
-func emitReport(a sweepArgs, rep any, cells, trials int, table func()) error {
+// else as printReport's table — and writes the same JSON bytes to -out.
+func emitReport(a sweepArgs, rep exp.Report) error {
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -530,57 +536,15 @@ func emitReport(a sweepArgs, rep any, cells, trials int, table func()) error {
 	case a.json:
 		os.Stdout.Write(blob)
 	default:
-		table()
+		printReport(rep)
 	}
 	if a.outPath != "" {
 		if err := os.WriteFile(a.outPath, blob, 0o644); err != nil {
 			return fmt.Errorf("writing report: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d cells × %d trials)\n", a.outPath, cells, trials)
+		fmt.Fprintf(os.Stderr, "rrmp-sim: wrote %s (%d cells × %d trials)\n", a.outPath, len(rep.Cells), rep.Trials)
 	}
 	return nil
-}
-
-// runScale runs the scale declaration, timing every cell, and writes the
-// rrmp-scale/v1 report (BENCH_scale.json by default — the committed
-// perf-trajectory record every PR regenerates).
-func runScale(a sweepArgs) error {
-	// The uncustomized grid appends the XL rows (10k/100k members) and the
-	// 1M hash-burst row after the standing matrix.
-	sweeps := []exp.Sweep{a.sw}
-	if !a.customized {
-		xl := exp.ScaleSweepXL()
-		xl.Shards = a.sw.Shards
-		m1 := exp.ScaleSweep1M()
-		m1.Shards = a.sw.Shards
-		sweeps = append(sweeps, xl, m1)
-	}
-	rep, err := runner.RunScale(exp.Options{
-		Trials:   a.trials,
-		Parallel: a.parallel,
-		BaseSeed: a.seed,
-	}, sweeps...)
-	if err != nil {
-		return err
-	}
-
-	return emitReport(a, rep, len(rep.Cells), rep.Trials, func() { printScaleReport(rep) })
-}
-
-// printScaleReport prints the scale table: per-cell delivery, recovery and
-// the machine cost columns the record tracks.
-func printScaleReport(rep runner.ScaleReport) {
-	fmt.Printf("scale: %d cells × %d trials (base seed %d)\n", len(rep.Cells), rep.Trials, rep.BaseSeed)
-	fmt.Printf("note: %s\n\n", rep.Note)
-	fmt.Printf("%-58s %8s %8s %6s %12s %14s %12s %12s\n",
-		"cell", "members", "regions", "depth", "delivery", "recovery(ms)", "wall(ms)", "events/s")
-	for _, cell := range rep.Cells {
-		fmt.Printf("%-58s %8d %8d %6d %12s %14s %12.0f %12.2g\n",
-			cell.Name, cell.Members, cell.Regions, cell.Depth,
-			meanCI(cell.Aggregate, runner.MKDeliveryRatio, "%.3f"),
-			meanCI(cell.Aggregate, runner.MKMeanRecoveryMs, "%.1f"),
-			cell.WallMsPerTrial, cell.EventsPerSec)
-	}
 }
 
 // printReport prints the human-readable sweep table: headline metrics as

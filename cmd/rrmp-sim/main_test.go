@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -275,17 +276,18 @@ func TestSweepReportMatchesGolden(t *testing.T) {
 }
 
 // TestScaleAggregatesByteIdenticalAcrossParallelism runs the -sweep-scale
-// code path in-process on miniature tree cells at -parallel 1 and 8 and
-// asserts the deterministic part of the report — everything except the
-// machine-dependent wall_ms_per_trial / events_per_sec annotations — is
-// byte-identical, extending the sweep determinism contract to the new
-// scale cells.
+// code path in-process on miniature tree cells. The report is an ordinary
+// rrmp-sweep/v1 report, so the sweep determinism contract applies whole:
+// its bytes are identical at -parallel 1 and 8, and its cells are
+// identical at -shards 1 and 2. Only exec_note may differ across widths:
+// the scale matrix's legacy-loss cells fall back to serial under -shards,
+// and the report must say so.
 func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 	dir := t.TempDir()
-	report := func(parallel, shards int) []byte {
+	report := func(parallel, shards int) ([]byte, exp.Report) {
 		t.Helper()
 		out := filepath.Join(dir, "scale.json")
-		if err := runScale(parse(t, "-sweep-scale", "-tree", "4:2:120;4:3:150", "-trials", "2",
+		if err := runSweep(parse(t, "-sweep-scale", "-tree", "4:2:120;4:3:150", "-trials", "2",
 			"-parallel", fmt.Sprint(parallel), "-shards", fmt.Sprint(shards), "-seed", "1", "-out", out)); err != nil {
 			t.Fatal(err)
 		}
@@ -293,35 +295,74 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep runner.ScaleReport
+		var rep exp.Report
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			t.Fatalf("scale report is not valid JSON: %v", err)
 		}
-		if rep.Schema != "rrmp-scale/v1" {
-			t.Fatalf("schema %q, want rrmp-scale/v1", rep.Schema)
+		if rep.Schema != exp.ReportSchema {
+			t.Fatalf("schema %q, want %s", rep.Schema, exp.ReportSchema)
 		}
-		for i := range rep.Cells {
-			if rep.Cells[i].Members == 0 || rep.Cells[i].Depth == 0 {
-				t.Fatalf("cell %q lacks topology annotations", rep.Cells[i].Name)
-			}
-			rep.Cells[i].WallMsPerTrial = 0
-			rep.Cells[i].EventsPerSec = 0
-		}
-		canon, err := json.Marshal(rep)
+		return blob, rep
+	}
+
+	serial, serialRep := report(1, 1)
+	if wide, _ := report(8, 1); !bytes.Equal(serial, wide) {
+		t.Fatal("scale reports differ between -parallel 1 and -parallel 8")
+	}
+	_, sharded := report(8, 2)
+	if serialRep.ExecNote != "" || sharded.ExecNote == "" {
+		t.Fatalf("exec_note %q at -shards 1 and %q at -shards 2; want it only where cells fall back to serial",
+			serialRep.ExecNote, sharded.ExecNote)
+	}
+	a, err := json.Marshal(serialRep.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(sharded.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("scale cells differ between -shards 1 and -shards 2")
+	}
+}
+
+// TestCommittedRecordsAreSweepReports decodes both committed records
+// strictly into exp.Report: a field the schema does not know (a host-time
+// annotation, a second report layout) fails it. BENCH_scale.json must
+// also hold exactly the uncustomized -sweep-scale matrix, cell for cell
+// in order. Their bytes are CI's record job to check.
+func TestCommittedRecordsAreSweepReports(t *testing.T) {
+	decode := func(name string) exp.Report {
+		t.Helper()
+		blob, err := os.ReadFile(filepath.Join("..", "..", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return canon
+		dec := json.NewDecoder(bytes.NewReader(blob))
+		dec.DisallowUnknownFields()
+		var rep exp.Report
+		if err := dec.Decode(&rep); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep.Schema != exp.ReportSchema {
+			t.Fatalf("%s: schema %q, want %s", name, rep.Schema, exp.ReportSchema)
+		}
+		return rep
 	}
-
-	serial := report(1, 1)
-	wide := report(8, 1)
-	if !bytes.Equal(serial, wide) {
-		t.Fatal("scale aggregates differ between -parallel 1 and -parallel 8")
+	decode("BENCH_sweep.json")
+	scale := decode("BENCH_scale.json")
+	var want []string
+	for _, sc := range append(exp.ScaleSweep().Expand(), exp.ScaleSweepXL().Expand()...) {
+		want = append(want, sc.Name())
 	}
-	sharded := report(8, 4)
-	if !bytes.Equal(serial, sharded) {
-		t.Fatal("scale aggregates differ between -shards 1 and -shards 4")
+	var got []string
+	for _, cell := range scale.Cells {
+		got = append(got, cell.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("BENCH_scale.json cells:\n%s\nwant the -sweep-scale matrix:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -666,7 +707,7 @@ func TestCheckFlags(t *testing.T) {
 		{"record alone", "-workload mc -trace-record f", ""},
 		{"workload with -trials", "-trials 2 -workload mc", ""},
 		{"fitness on a single run", "-fitness-weights default", "-fitness-weights scores multi-cell/multi-trial reports"},
-		{"fitness with -sweep-scale", "-sweep-scale -fitness-weights default", "-fitness-weights scores multi-cell/multi-trial reports"},
+		{"fitness with -sweep-scale", "-sweep-scale -fitness-weights default", ""},
 		{"fitness with -trials", "-trials 2 -fitness-weights default", ""},
 		{"fitness with a two-value axis", "-policy two-phase;fixed -fitness-weights default", ""},
 		{"-out on a single run", "-out x.json", "-out only applies"},

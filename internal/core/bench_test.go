@@ -12,7 +12,7 @@ import (
 // Benchmarks for the buffer hot path: every delivered message is one Store
 // (id lookup + timer arm), every retransmission request one OnRequest, and
 // each of the ~n·msgs entries in a sweep rides the idle-check/re-arm cycle.
-// BENCH_scale.json tracks the macro effect; these isolate the index.
+// bench/'s workloads measure the macro effect; these isolate the index.
 
 func benchBuffer(b *testing.B) (*sim.Sim, *Buffer) {
 	b.Helper()

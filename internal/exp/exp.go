@@ -203,12 +203,3 @@ func AggregateTrials(trials []map[string]float64) Aggregate {
 	}
 	return agg
 }
-
-// Run executes the trials and returns their aggregate.
-func Run(o Options, fn TrialFunc) (Aggregate, error) {
-	trials, err := RunTrials(o, fn)
-	if err != nil {
-		return Aggregate{}, err
-	}
-	return AggregateTrials(trials), nil
-}

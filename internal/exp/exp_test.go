@@ -51,11 +51,11 @@ func TestTrialSeedsDistinctAndStable(t *testing.T) {
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	var blobs [][]byte
 	for _, parallel := range []int{1, 3, 8} {
-		agg, err := Run(Options{Trials: 32, Parallel: parallel, BaseSeed: 7}, noisyTrial)
+		trials, err := RunTrials(Options{Trials: 32, Parallel: parallel, BaseSeed: 7}, noisyTrial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := json.Marshal(agg)
+		blob, err := json.Marshal(AggregateTrials(trials))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 func TestRunUsesWorkerPool(t *testing.T) {
 	var mu sync.Mutex
 	inFlight, peak := 0, 0
-	_, err := Run(Options{Trials: 16, Parallel: 4, BaseSeed: 1},
+	_, err := RunTrials(Options{Trials: 16, Parallel: 4, BaseSeed: 1},
 		func(int, uint64) (map[string]float64, error) {
 			mu.Lock()
 			inFlight++
@@ -96,7 +96,7 @@ func TestRunUsesWorkerPool(t *testing.T) {
 
 func TestRunPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(Options{Trials: 8, Parallel: 4, BaseSeed: 1},
+	_, err := RunTrials(Options{Trials: 8, Parallel: 4, BaseSeed: 1},
 		func(trial int, _ uint64) (map[string]float64, error) {
 			if trial == 3 {
 				return nil, boom
@@ -115,13 +115,14 @@ func TestRunPropagatesError(t *testing.T) {
 // sample stddev ≈ 1/√12 and the CI95 half-width ≈ 1.96·sd/√n.
 func TestCIWidthOnKnownDistribution(t *testing.T) {
 	const trials = 1000
-	agg, err := Run(Options{Trials: trials, Parallel: 8, BaseSeed: 99},
+	results, err := RunTrials(Options{Trials: trials, Parallel: 8, BaseSeed: 99},
 		func(_ int, seed uint64) (map[string]float64, error) {
 			return map[string]float64{"u": rng.New(seed).Float64()}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := AggregateTrials(results)
 	m, ok := agg.Metric("u")
 	if !ok {
 		t.Fatal("metric u missing")
@@ -334,7 +335,7 @@ func TestSweepValidateDomains(t *testing.T) {
 	}
 	for name, sw := range map[string]Sweep{
 		"zero": {}, "default": DefaultSweep(), "workload": WorkloadSweep(), "adaptive": AdaptiveSweep(),
-		"scale": ScaleSweep(), "scaleXL": ScaleSweepXL(), "scale1M": ScaleSweep1M(),
+		"scale": ScaleSweep(), "scaleXL": ScaleSweepXL(),
 		"boundaries": {Losses: []float64{0, 1}, PayloadModel: "lognormal", LossMode: "hash", Protocols: []string{"", "rrmp", "rmtp"}},
 	} {
 		if err := sw.Validate(); err != nil {

@@ -297,10 +297,10 @@ func DefaultSweep() Sweep {
 
 // ScaleSweep returns the standing scale matrix (rrmp-sim -sweep-scale): a
 // members × depth grid of balanced branch-4 trees under the default loss
-// rate, with and without churn. BENCH_scale.json tracks this matrix — and
-// with it the simulator's wall-clock and events/sec trajectory — across
-// PRs. Levels counts region levels, so levels L is hierarchy depth L-1
-// parent hops; the paper's deep-hierarchy regime starts at 3 levels.
+// rate, with and without churn. BENCH_scale.json records this matrix,
+// followed by ScaleSweepXL, as an ordinary sweep report. Levels counts
+// region levels, so levels L is hierarchy depth L-1 parent hops; the
+// paper's deep-hierarchy regime starts at 3 levels.
 func ScaleSweep() Sweep {
 	return Sweep{
 		Trees: []TreeShape{
@@ -342,31 +342,6 @@ func ScaleSweepXL() Sweep {
 		Losses:   []float64{0.05},
 		LossMode: "hash",
 		Churns:   []float64{0, 1},
-		Policies: []string{"two-phase"},
-		Msgs:     10,
-		Horizon:  2 * time.Second,
-	}
-}
-
-// ScaleSweep1M returns the final rung of the scale ladder, appended after
-// ScaleSweepXL in BENCH_scale.json: one million members on a branch-16
-// 4-level tree (hierarchy depth 3, ~229 members per region across 4369
-// regions). The row runs the XL burst probe under hash-mode Gilbert–
-// Elliott loss (HashBurstLoss) — the loss regime of wireless multicast —
-// proving both that burst cells run on the sharded engine and that
-// cluster construction no longer dominates at this size. It is a separate
-// sweep rather than a Burst flag on ScaleSweepXL because Burst is part of
-// cell identity: flipping it on the XL sweep would re-byte the committed
-// 10k/100k rows.
-func ScaleSweep1M() Sweep {
-	return Sweep{
-		Trees: []TreeShape{
-			{Branch: 16, Levels: 4, Members: 1000000},
-		},
-		Losses:   []float64{0.05},
-		LossMode: "hash",
-		Burst:    true,
-		Churns:   []float64{0},
 		Policies: []string{"two-phase"},
 		Msgs:     10,
 		Horizon:  2 * time.Second,

@@ -35,10 +35,10 @@ var globalRandExempt = map[string]bool{
 
 // SimTime forbids wall-clock time and the global math/rand source inside
 // the simulation packages. All time must flow through internal/clock
-// schedulers and all randomness through internal/rng streams; the
-// sanctioned wall-clock sites (trial timing in runner/scale.go,
-// benchmarks) are either outside the sim set or carry a //lint:allow
-// simtime annotation.
+// schedulers and all randomness through internal/rng streams; a
+// wall-clock site the simulation packages genuinely need (benchmarks,
+// macro-test logging) is either outside the sim set or carries a
+// //lint:allow simtime annotation.
 var SimTime = &Analyzer{
 	Name: "simtime",
 	Doc:  "forbid time.Now/Sleep/After and the global math/rand source in simulation packages",

@@ -400,13 +400,6 @@ func (m *Member) MaxSeen(src topology.NodeID) uint64 {
 	return st.maxSeen
 }
 
-// SetDeliverHook (re)binds the delivery callback after construction.
-// Experiment harnesses use this when the hook must close over state that
-// exists only once the full cluster is wired.
-func (m *Member) SetDeliverHook(fn func(id wire.MessageID, at time.Duration)) {
-	m.cfg.Hooks.OnDeliver = fn
-}
-
 // source returns (creating if needed) the reception state for src.
 func (m *Member) source(src topology.NodeID) *sourceState {
 	st, ok := m.sources[src]

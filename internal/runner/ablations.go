@@ -395,27 +395,37 @@ func lambdaRun(lambda float64, seed uint64) (reqs, recoveryMs float64, err error
 	params := rrmp.DefaultParams()
 	params.Lambda = lambda
 	params.LongTermTTL = 0
-	c, err := NewCluster(ClusterConfig{Topo: topo, Params: params, Seed: seed})
+	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
+	var lastAt time.Duration
+	delivered := 0
+	c, err := NewCluster(ClusterConfig{
+		Topo:   topo,
+		Params: params,
+		Seed:   seed,
+		Hooks: func(n topology.NodeID) rrmp.Hooks {
+			if topo.RegionOf(n) != 1 {
+				return rrmp.Hooks{}
+			}
+			return rrmp.Hooks{
+				OnDeliver: func(got wire.MessageID, at time.Duration) {
+					if got == id {
+						delivered++
+						lastAt = at
+					}
+				},
+			}
+		},
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
 	// Parents hold pinned long-term copies: this experiment measures the
 	// child region's remote-recovery behaviour, not parent-side buffer
 	// management (whose rare zero-bufferer outcome is Figure 4's subject).
 	for _, node := range topo.Members(0) {
 		c.Members[node].InjectLongTerm(id, []byte("a5"))
 	}
-	var lastAt time.Duration
-	delivered := 0
 	for _, node := range topo.Members(1) {
-		node := node
-		c.Members[node].SetDeliverHook(func(got wire.MessageID, at time.Duration) {
-			if got == id {
-				delivered++
-				lastAt = at
-			}
-		})
 		c.Members[node].StartRecovery(id)
 	}
 	c.Engine.RunUntil(30 * time.Second)

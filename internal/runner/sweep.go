@@ -333,6 +333,20 @@ func RunScenarioWith(sc exp.Scenario, seed uint64, timeline workload.Timeline, t
 	return runScenario(sc, seed, timeline, tracer)
 }
 
+// ScenarioTopology builds the topology a scenario's Tree, Star and Regions
+// fields describe. The kernel and repro.Group both build theirs here, so a
+// shape means one thing at every door.
+func ScenarioTopology(sc exp.Scenario) (*topology.Topology, error) {
+	switch {
+	case sc.Tree != nil:
+		return topology.BalancedTree(sc.Tree.Branch, sc.Tree.Levels, sc.Tree.Members)
+	case sc.Star:
+		return topology.Star(sc.Regions...)
+	default:
+		return topology.Chain(sc.Regions...)
+	}
+}
+
 // runScenario is the scenario kernel, the only one: topology, loss,
 // timeline, publisher set, late joiners, publishes, faults, run, and the
 // keys gated `both`, for whichever protocol the driver speaks. A nil

@@ -218,7 +218,8 @@ func checkTwoPhaseInvariant(t *testing.T, c *Cluster, topo *topology.Topology,
 // executes today, which is the work a wall-clock regression would have to
 // come from. The 1k rows keep the full 20-message / 5 s workload; the XL
 // rows use ScaleSweepXL's trimmed burst probe (10 messages / 2 s), the
-// same cells BENCH_scale.json records. Under -short only the 10k row runs
+// same cells BENCH_scale.json records (their aggregates there are checked
+// byte for byte by CI's record job). Under -short only the 10k row runs
 // (the CI race job's macro check); RRMP_SHARDS overrides the XL shard
 // widths (the event count is the same at every width).
 func TestScaleTrialUnder10s(t *testing.T) {
@@ -282,20 +283,27 @@ func TestScaleTrialUnder10s(t *testing.T) {
 }
 
 // TestScaleTrial1M is the acceptance bound for the final rung of the
-// scale ladder: the 1M-member hash-burst row (ScaleSweep1M's only cell)
-// must finish one trial with delivery intact inside an event budget about
-// 10% above BENCH_scale.json's record for it (60.7–61.1M events; ~6 min at
-// 32 shards on the 1-core reference host). The wall is logged, not
-// asserted, for TestScaleTrialUnder10s's reason. Even sharded, one trial
-// costs minutes, so the test only runs when RRMP_SCALE_1M=1 — the
-// BENCH_scale.json regeneration exercises the same cell for real.
-// RRMP_SHARDS overrides the shard width.
+// scale ladder, a cell no committed record carries: one million members on
+// a branch-16 4-level tree (hierarchy depth 3, ~229 members per region
+// across 4369 regions) running ScaleSweepXL's burst probe under hash-mode
+// Gilbert–Elliott loss, the loss regime of wireless multicast. It must
+// finish one trial with delivery intact inside an event budget about 10%
+// above what the cell executes (60.7–61.1M events over seeds 1–3; ~6 min
+// at 32 shards on a 1-core host). The wall is logged, not asserted, for
+// TestScaleTrialUnder10s's reason. Even sharded, one trial costs minutes
+// and gigabytes, so this test is the cell's only runner and runs only when
+// RRMP_SCALE_1M=1. RRMP_SHARDS overrides the shard width.
 func TestScaleTrial1M(t *testing.T) {
 	if os.Getenv("RRMP_SCALE_1M") == "" {
 		t.Skip("set RRMP_SCALE_1M=1 to run the 1M-member macro trial")
 	}
-	sc := exp.ScaleSweep1M().Expand()[0]
-	sc.Shards = envShards(32)
+	sc := exp.Scenario{
+		Tree: &exp.TreeShape{Branch: 16, Levels: 4, Members: 1000000},
+		Loss: 0.05, LossMode: "hash", Burst: true, Policy: "two-phase",
+		FixedHold: 500 * time.Millisecond,
+		Msgs:      10, Gap: 20 * time.Millisecond, Horizon: 2 * time.Second,
+		Shards: envShards(32),
+	}
 	start := time.Now()
 	out, err := RunScenario(sc, 1)
 	if err != nil {

@@ -300,19 +300,6 @@ func (t *Topology) RegionDistance(ra, rb RegionID) int {
 	return dist
 }
 
-// Depth returns the deepest region's distance from the root (0 for a
-// single-level topology). Scale experiments report it alongside member
-// counts.
-func (t *Topology) Depth() int {
-	max := int32(0)
-	for _, d := range t.depth {
-		if d > max {
-			max = d
-		}
-	}
-	return int(max)
-}
-
 // ShardMap partitions the regions into at most shards contiguous blocks of
 // region ids, balanced by member count, and returns the region -> shard
 // assignment. Contiguity matters twice over: regions are the protocol's
