@@ -87,10 +87,12 @@ func TestUnicastDeliverAllocs(t *testing.T) {
 
 // TestMulticastFanoutAllocs guards the initial-dissemination path: a full
 // 200-member multicast with per-receiver delivery events, once from each
-// region. At width 2 half of each fan-out crosses to the other shard through
-// the outbox, and a delivery record is recycled into the shard it lands on
-// — so traffic in both directions is what keeps every shard's pool stocked;
-// one-way cross-shard traffic pays one record per packet at the sender.
+// region. A fan-out takes one delivery record per arrival instant and
+// receiving shard, not one per target. At width 2 half of each fan-out
+// crosses to the other shard through the outbox, and a record is recycled
+// into the shard it lands on — so traffic in both directions is what keeps
+// every shard's pool stocked; one-way cross-shard traffic pays one record
+// per (arrival instant, receiving shard) of each send at the sender.
 func TestMulticastFanoutAllocs(t *testing.T) {
 	for _, width := range allocWidths {
 		step, net, topo, all := allocNet(t, width)

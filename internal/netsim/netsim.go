@@ -10,10 +10,14 @@
 //
 // The delivery path is engineered for 1000+-member fan-outs: per-node state
 // (receivers, crash flags, partition classes) lives in dense slices indexed
-// by NodeID, traffic counters are fixed per-type arrays, in-flight packets
-// are pooled delivery records with a pre-bound callback, and events are
+// by NodeID, traffic counters are fixed per-type arrays, and events are
 // scheduled through the scheduler's no-handle Post path when available.
-// Steady-state packet delivery therefore allocates nothing.
+// A transmission is one pooled delivery record per arrival instant and
+// receiving shard: the record holds one Packet and the list of targets
+// that land together, every target still gets its own event, and each
+// receiver borrows the record's Packet for the length of its callback. A
+// 10 000-target multicast is therefore a handful of records, not 10 000
+// message copies, and steady-state packet delivery allocates nothing.
 package netsim
 
 import (
@@ -35,20 +39,30 @@ type Packet struct {
 	Size     int // bytes charged to traffic accounting
 }
 
-// Handler consumes packets delivered to a registered node.
+// Handler consumes packets delivered to a registered node. It gets its own
+// copy of the Packet.
 type Handler func(pkt Packet)
 
 // PacketReceiver consumes packets like a Handler, but as an interface: a
 // receiver registers its own method (RegisterReceiver) instead of a
 // per-node closure, so wiring n nodes costs no handler allocations — the
 // difference between a million closures and none at cluster setup.
+//
+// The Packet is borrowed: every target of one transmission that arrives at
+// the same instant is handed the same *Packet, with To set to the receiver
+// in turn. It is valid only until ReceivePacket returns and must not be
+// modified; once the last target has received it the network zeroes it
+// for reuse. The slices the message references (Payload, Digest,
+// Counters) are not copied and follow the sender's ownership: a unicast
+// PDU's slices belong to its one receiver, a multicast's are shared by all
+// of its targets and are read-only.
 type PacketReceiver interface {
-	ReceivePacket(pkt Packet)
+	ReceivePacket(pkt *Packet)
 }
 
 // ReceivePacket makes a Handler a PacketReceiver, so the network keeps one
 // receiver table whichever way a node registered.
-func (h Handler) ReceivePacket(pkt Packet) { h(pkt) }
+func (h Handler) ReceivePacket(pkt *Packet) { h(*pkt) }
 
 // LatencyModel yields the one-way delay between two members.
 type LatencyModel interface {
@@ -74,6 +88,14 @@ type poster interface {
 // loop owning node to, sent from node from's context. *sim.Sharded
 // implements it (EnableSharding installs it); until then the network routes
 // through singleLoop.
+//
+// Ordering requirement: posts from one sending context with the same delay
+// and the same destination loop must run in the order they were posted.
+// The network binds all the events of one delivery record to one callback
+// and relies on this to hand the k-th firing to the record's k-th target.
+// The simulator's engines keep it (their queues order equal timestamps by
+// push time, source and push sequence, and the sharded engine drains its
+// outboxes in order), and so does a scheduler's FIFO After fallback.
 type ShardRouter interface {
 	PostFrom(from, to int32, d time.Duration, fn func())
 }
@@ -119,22 +141,37 @@ type Network struct {
 
 // shard is the traffic accounting and delivery-record pool of one event
 // loop. Each pooled record carries a pre-bound callback, so scheduling an
-// in-flight packet allocates nothing in steady state.
+// in-flight packet allocates nothing in steady state. open is the scratch
+// of the send in progress on this loop: the records it has filled so far,
+// one per (latency, receiving shard). It lives per shard because shard
+// loops send concurrently.
 type shard struct {
 	stats Stats
 	pool  []*delivery
+	open  []*delivery
 }
 
-// delivery is one in-flight packet. fire is bound once at construction and
-// reused for the record's whole pooled lifetime. shard is the receiving
-// node's, resolved when the packet is sent.
+// maxOpen bounds the records one send keeps open for joining, so a latency
+// model with many distinct delays costs a bounded scan per target. Past
+// the bound each new record takes the last slot, so the first maxOpen-1
+// arrival classes stay joinable and any later one only while it holds it.
+const maxOpen = 64
+
+// delivery is one transmission's packet for every target that arrives at
+// the same instant on the same receiving shard. Each target has its own
+// event, all bound to fn, which is bound once at construction and reused
+// for the record's whole pooled lifetime. Those events fire in post order
+// (see ShardRouter), so the k-th firing delivers to targets[k]; next is
+// that cursor. shard is the receiving shard, resolved when the packet is
+// sent.
 type delivery struct {
-	n        *Network
-	from, to topology.NodeID
-	shard    int32
-	msg      wire.Message
-	size     int
-	fn       func()
+	n       *Network
+	pkt     Packet
+	shard   int32
+	lat     time.Duration
+	targets []topology.NodeID
+	next    int
+	fn      func()
 }
 
 // Stats aggregates traffic accounting per message type, stored as dense
@@ -356,70 +393,52 @@ func (n *Network) getDelivery(sh *shard) *delivery {
 	return d
 }
 
-// fire completes an in-flight packet: re-check liveness and connectivity at
-// delivery time (the node may have crashed, or a partition may have cut the
-// path, while the packet was in flight), then dispatch to the receiver. The
-// record is returned to the pool before the receiver runs, so a receiver
-// that immediately sends (the common protocol pattern) reuses it.
+// fire delivers the record's packet to its next target: re-check liveness
+// and connectivity at delivery time (the node may have crashed, or a
+// partition may have cut the path, while the packet was in flight), then
+// lend the packet to the receiver. After the last target's callback
+// returns, the record is zeroed and goes back to the pool.
 func (d *delivery) fire() {
-	n, from, to, msg, size := d.n, d.from, d.to, d.msg, d.size
-	d.msg = wire.Message{} // drop payload references while pooled
-	// Delivery runs on the receiving node's shard loop: recycle into and
-	// account against that shard's state.
+	n, to := d.n, d.targets[d.next]
+	d.next++
+	// Delivery runs on the receiving node's shard loop: account against
+	// and recycle into that shard's state.
 	sh := &n.shards[d.shard]
-	sh.pool = append(sh.pool, d)
-	st := &sh.stats
+	if r := n.admit(&sh.stats, d.pkt.From, to, d.pkt.Msg.Type); r != nil {
+		d.pkt.To = to
+		r.ReceivePacket(&d.pkt)
+	}
+	if d.next == len(d.targets) {
+		d.pkt = Packet{} // drop payload references while pooled
+		d.targets, d.next = d.targets[:0], 0
+		sh.pool = append(sh.pool, d)
+	}
+}
 
-	ti := int(msg.Type) % wire.TypeCount
+// admit is fire's delivery-time check. It returns to's receiver, or counts
+// the packet dropped in st and returns nil.
+func (n *Network) admit(st *Stats, from, to topology.NodeID, t wire.Type) PacketReceiver {
+	ti := int(t) % wire.TypeCount
 	if n.partActive && n.classOf(from) != n.classOf(to) {
 		st.Partitioned.Inc()
 		st.dropped[ti].Inc()
-		return
-	}
-	if n.isDown(to) {
-		st.dropped[ti].Inc()
-		return
+		return nil
 	}
 	var r PacketReceiver
-	if int(to) < len(n.receivers) {
+	if !n.isDown(to) && int(to) < len(n.receivers) {
 		r = n.receivers[to]
 	}
 	if r == nil {
 		st.dropped[ti].Inc()
-		return
+		return nil
 	}
 	st.delivered[ti].Inc()
-	r.ReceivePacket(Packet{From: from, To: to, Msg: msg, Size: size})
+	return r
 }
 
 // Unicast sends msg from -> to, applying latency and loss models.
 func (n *Network) Unicast(from, to topology.NodeID, msg wire.Message) {
-	size := msg.EncodedSize()
-	ti := int(msg.Type) % wire.TypeCount
-	// Send runs on the sending node's shard loop (or the coordinator,
-	// which is exclusive): account against that shard's state. The loss
-	// model must likewise be shard-safe there (see ShardSafe).
-	var src, dst int32
-	if n.shardOf != nil {
-		src, dst = n.shardOf[from], n.shardOf[to]
-	}
-	sh := &n.shards[src]
-	st := &sh.stats
-	st.sent[ti].Inc()
-	st.bytes[ti].Add(int64(size))
-	if n.partActive && n.classOf(from) != n.classOf(to) {
-		st.Partitioned.Inc()
-		st.dropped[ti].Inc()
-		return
-	}
-	if n.isDown(from) || n.isDown(to) || n.loss.Drop(from, to, msg.Type) {
-		st.dropped[ti].Inc()
-		return
-	}
-	lat := n.latency.OneWay(from, to)
-	d := n.getDelivery(sh)
-	d.from, d.to, d.shard, d.msg, d.size = from, to, dst, msg, size
-	n.router.PostFrom(int32(from), int32(to), lat, d.fn)
+	n.send(from, []topology.NodeID{to}, &msg, false)
 }
 
 // Multicast sends msg from -> each target with independent latency and loss
@@ -427,12 +446,72 @@ func (n *Network) Unicast(from, to topology.NodeID, msg wire.Message) {
 // Loss and latency draws happen in target order, exactly as a loop of
 // Unicast calls would, so fan-out batching never changes a seeded run.
 func (n *Network) Multicast(from topology.NodeID, targets []topology.NodeID, msg wire.Message) {
+	n.send(from, targets, &msg, true)
+}
+
+// send is the one transmission path. Each target is accounted, cut by the
+// partition, crash flags and loss model, and given its latency exactly as
+// a lone unicast would be, in target order. A surviving target joins the
+// send's open record with its (latency, receiving shard), or opens one from
+// the sending shard's pool, and its event is posted at once, so posts stay
+// interleaved in target order. msg is copied into each record it opens.
+func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wire.Message, skipSelf bool) {
+	size := msg.EncodedSize()
+	ti := int(msg.Type) % wire.TypeCount
+	// Send runs on the sending node's shard loop (or the coordinator,
+	// which is exclusive): account against that shard's state. The loss
+	// model must likewise be shard-safe there (see ShardSafe).
+	var src int32
+	if n.shardOf != nil {
+		src = n.shardOf[from]
+	}
+	sh := &n.shards[src]
+	st := &sh.stats
 	for _, to := range targets {
-		if to == from {
+		if skipSelf && to == from {
 			continue
 		}
-		n.Unicast(from, to, msg)
+		st.sent[ti].Inc()
+		st.bytes[ti].Add(int64(size))
+		if n.partActive && n.classOf(from) != n.classOf(to) {
+			st.Partitioned.Inc()
+			st.dropped[ti].Inc()
+			continue
+		}
+		if n.isDown(from) || n.isDown(to) || n.loss.Drop(from, to, msg.Type) {
+			st.dropped[ti].Inc()
+			continue
+		}
+		lat := n.latency.OneWay(from, to)
+		var dst int32
+		if n.shardOf != nil {
+			dst = n.shardOf[to]
+		}
+		d := sh.joinable(lat, dst)
+		if d == nil {
+			d = n.getDelivery(sh)
+			d.pkt = Packet{From: from, Msg: *msg, Size: size}
+			d.shard, d.lat = dst, lat
+			if len(sh.open) < maxOpen {
+				sh.open = append(sh.open, d)
+			} else {
+				sh.open[maxOpen-1] = d
+			}
+		}
+		d.targets = append(d.targets, to)
+		n.router.PostFrom(int32(from), int32(to), lat, d.fn)
 	}
+	sh.open = sh.open[:0]
+}
+
+// joinable returns the send's open record for (lat, dst), or nil.
+func (sh *shard) joinable(lat time.Duration, dst int32) *delivery {
+	for i := len(sh.open) - 1; i >= 0; i-- {
+		if d := sh.open[i]; d.lat == lat && d.shard == dst {
+			return d
+		}
+	}
+	return nil
 }
 
 // NoLoss is the lossless LossModel.

@@ -173,11 +173,15 @@ func TestUntracedFreshDataAllocs(t *testing.T) {
 }
 
 // countTransport counts sends and drops them, so a guard measures the
-// member's own allocations and not the simulated network's.
+// member's own allocations and not the simulated network's. A multicast
+// counts one send per listed target.
 type countTransport struct{ sends int }
 
 func (c *countTransport) Send(topology.NodeID, wire.Message) { c.sends++ }
-func (c *countTransport) Broadcast(wire.Message)             {}
+func (c *countTransport) Multicast(targets []topology.NodeID, _ wire.Message) {
+	c.sends += len(targets)
+}
+func (c *countTransport) Broadcast(wire.Message) {}
 
 // TestPeerPickDoesNotAllocate pins the live-peer pick on the two paths
 // that draw one per attempt. Before PR 17 a member with the failure
@@ -231,11 +235,20 @@ type heartbeatTap struct {
 }
 
 func (h heartbeatTap) Send(to topology.NodeID, msg wire.Message) {
+	h.note(msg)
+	h.Transport.Send(to, msg)
+}
+
+func (h heartbeatTap) Multicast(targets []topology.NodeID, msg wire.Message) {
+	h.note(msg)
+	h.Transport.Multicast(targets, msg)
+}
+
+func (h heartbeatTap) note(msg wire.Message) {
 	if msg.Type == wire.TypeHeartbeat {
 		*h.pdus++
 		h.tables[&msg.Counters[0]] = msg.Counters
 	}
-	h.Transport.Send(to, msg)
 }
 
 // TestHeartbeatTablesAreRecycled pins the one place a delivered heartbeat

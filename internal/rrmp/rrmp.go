@@ -46,6 +46,9 @@ const (
 type Transport interface {
 	// Send transmits msg to one peer.
 	Send(to topology.NodeID, msg wire.Message)
+	// Multicast transmits msg to every member of targets except the
+	// sender itself, in target order (a region fan-out).
+	Multicast(targets []topology.NodeID, msg wire.Message)
 	// Broadcast transmits msg to the entire multicast group (the initial
 	// IP multicast). Only the sender uses this.
 	Broadcast(msg wire.Message)
@@ -410,11 +413,16 @@ func (m *Member) source(src topology.NodeID) *sourceState {
 	return st
 }
 
-// Receive dispatches one incoming PDU. It is the single entry point for
-// network input. The PDU must be this member's alone (netsim delivers each
-// one once and keeps no reference): a heartbeat's Counters are handed to
-// the failure detector for reuse.
-func (m *Member) Receive(from topology.NodeID, msg wire.Message) {
+// Receive dispatches one incoming PDU, as ReceivePacket does for a packet
+// from the network. A heartbeat's Counters are handed to the failure
+// detector for reuse, so they must be this member's alone.
+func (m *Member) Receive(from topology.NodeID, msg wire.Message) { m.receive(from, &msg) }
+
+// receive is the single entry point for network input. msg is borrowed:
+// netsim lends one message to every target of a multicast, so nothing here
+// keeps the pointer or writes through it. The slices it references may be
+// kept (a payload is stored, a unicast heartbeat's Counters are recycled).
+func (m *Member) receive(from topology.NodeID, msg *wire.Message) {
 	if m.left || m.crashed {
 		return
 	}
@@ -439,7 +447,7 @@ func (m *Member) Receive(from topology.NodeID, msg wire.Message) {
 		m.onHandoff(from, msg)
 	case wire.TypeHeartbeat:
 		if m.fd != nil {
-			m.fd.Receive(msg)
+			m.fd.Receive(*msg)
 			m.fd.Recycle(msg.Counters)
 		}
 	default:
@@ -449,20 +457,20 @@ func (m *Member) Receive(from topology.NodeID, msg wire.Message) {
 }
 
 // onData handles the sender's initial multicast.
-func (m *Member) onData(msg wire.Message) {
+func (m *Member) onData(msg *wire.Message) {
 	m.deliver(msg.ID, msg.Payload, msg.From)
 }
 
 // onSession advances loss detection to the sender's announced top sequence
 // (§2.1: session messages catch the loss of the last message in a burst).
-func (m *Member) onSession(msg wire.Message) {
+func (m *Member) onSession(msg *wire.Message) {
 	m.noteTop(msg.From, msg.TopSeq)
 }
 
 // onLocalRequest answers a local-recovery NAK if the message is buffered;
 // otherwise the request is ignored (§2.2). Either way the request is
 // feedback for the buffering algorithm when the entry exists (§3.1).
-func (m *Member) onLocalRequest(from topology.NodeID, msg wire.Message) {
+func (m *Member) onLocalRequest(from topology.NodeID, msg *wire.Message) {
 	m.metrics.LocalReqRecv.Inc()
 	e, ok := m.buf.Get(msg.ID)
 	if !ok {
@@ -474,7 +482,7 @@ func (m *Member) onLocalRequest(from topology.NodeID, msg wire.Message) {
 
 // onRemoteRequest implements §3.3's three cases: buffered → repair;
 // never received → record waiter; received-but-discarded → search.
-func (m *Member) onRemoteRequest(from topology.NodeID, msg wire.Message) {
+func (m *Member) onRemoteRequest(from topology.NodeID, msg *wire.Message) {
 	m.metrics.RemoteReqRecv.Inc()
 	id := msg.ID
 	if e, ok := m.buf.Get(id); ok {
@@ -497,7 +505,7 @@ func (m *Member) onRemoteRequest(from topology.NodeID, msg wire.Message) {
 // onRepair handles a retransmission: deliver it, and if it arrived from a
 // remote region, multicast it into the local region so members sharing the
 // loss receive it (§2.2).
-func (m *Member) onRepair(from topology.NodeID, msg wire.Message) {
+func (m *Member) onRepair(from topology.NodeID, msg *wire.Message) {
 	m.metrics.RepairsRecv.Inc()
 	fromLocal := m.inOwnRegion(from)
 	isNew := m.deliver(msg.ID, msg.Payload, from)
@@ -516,7 +524,7 @@ func (m *Member) onRepair(from topology.NodeID, msg wire.Message) {
 }
 
 // onHandoff accepts a long-term buffer transfer from a leaving peer (§3.2).
-func (m *Member) onHandoff(_ topology.NodeID, msg wire.Message) {
+func (m *Member) onHandoff(_ topology.NodeID, msg *wire.Message) {
 	m.metrics.HandoffsRecv.Inc()
 	id := msg.ID
 	st := m.source(id.Source)
@@ -631,13 +639,8 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
 	m.metrics.RegionalMulticasts.Inc()
 	m.trace(trace.Event{Kind: trace.RegionMC, ID: id})
-	msg := wire.Message{Type: wire.TypeRepair, From: m.self, ID: id, Payload: payload}
-	for i, p := range m.cfg.View.RegionMembers {
-		if i == m.cfg.View.SelfIdx {
-			continue
-		}
-		m.cfg.Transport.Send(p, msg)
-	}
+	m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
+		wire.Message{Type: wire.TypeRepair, From: m.self, ID: id, Payload: payload})
 }
 
 // addWaiter records a remote requester to relay to on receipt, without

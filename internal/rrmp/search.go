@@ -109,13 +109,8 @@ func (m *Member) queryAttempt(s *searchState) {
 	s.tries++
 	for _, o := range s.origins {
 		m.metrics.QueriesSent.Inc()
-		msg := wire.Message{Type: wire.TypeQuery, From: m.self, ID: s.id, Origin: o}
-		for i, p := range m.cfg.View.RegionMembers {
-			if i == m.cfg.View.SelfIdx {
-				continue
-			}
-			m.cfg.Transport.Send(p, msg)
-		}
+		m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
+			wire.Message{Type: wire.TypeQuery, From: m.self, ID: s.id, Origin: o})
 	}
 	// Wait out the worst-case reply back-off plus a round trip before
 	// re-multicasting.
@@ -125,7 +120,7 @@ func (m *Member) queryAttempt(s *searchState) {
 // onQuery handles a multicast bufferer query: holders schedule a reply
 // after a uniform back-off in (0, queryBackoffMax], suppressed if another
 // member's HAVE for the same message arrives first.
-func (m *Member) onQuery(from topology.NodeID, msg wire.Message) {
+func (m *Member) onQuery(from topology.NodeID, msg *wire.Message) {
 	id, origin := msg.ID, msg.Origin
 	if _, ok := m.buf.Get(id); !ok {
 		// Non-holders stay silent under the multicast-query design; the
@@ -232,7 +227,7 @@ func (m *Member) nextDeterministicTarget(s *searchState) (topology.NodeID, bool)
 // onSearch handles a forwarded search request: serve it from the buffer,
 // join the search, or (if never received) record the waiter and recover
 // (§3.3 and its footnote 4).
-func (m *Member) onSearch(from topology.NodeID, msg wire.Message) {
+func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 	id, origin := msg.ID, msg.Origin
 	if e, ok := m.buf.Get(id); ok {
 		m.buf.OnRequest(id) // a use: keeps the long-term copy warm
@@ -281,19 +276,14 @@ func (m *Member) onSearch(from topology.NodeID, msg wire.Message) {
 // the search episode for origin (§3.3).
 func (m *Member) announceHave(id wire.MessageID, origin topology.NodeID) {
 	m.metrics.HavesSent.Inc()
-	msg := wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin}
-	for i, p := range m.cfg.View.RegionMembers {
-		if i == m.cfg.View.SelfIdx {
-			continue
-		}
-		m.cfg.Transport.Send(p, msg)
-	}
+	m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
+		wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
 }
 
 // onHave ends the local search episode for the served origin. If this
 // member's episode carries other origins, they are redirected straight to
 // the announcing bufferer rather than continuing the random walk.
-func (m *Member) onHave(from topology.NodeID, msg wire.Message) {
+func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	m.metrics.HavesRecv.Inc()
 	ms := m.msg(msg.ID)
 	ms.bufferer = from

@@ -24,6 +24,11 @@ func (t *NetTransport) Send(to topology.NodeID, msg wire.Message) {
 	t.Net.Unicast(t.Self, to, msg)
 }
 
+// Multicast implements Transport.
+func (t *NetTransport) Multicast(targets []topology.NodeID, msg wire.Message) {
+	t.Net.Multicast(t.Self, targets, msg)
+}
+
 // Broadcast implements Transport.
 func (t *NetTransport) Broadcast(msg wire.Message) {
 	t.Net.Multicast(t.Self, t.Group, msg)
@@ -31,9 +36,10 @@ func (t *NetTransport) Broadcast(msg wire.Message) {
 
 // ReceivePacket implements netsim.PacketReceiver, so a member registers
 // itself on the network directly (netsim.RegisterReceiver) instead of
-// through a per-member closure.
-func (m *Member) ReceivePacket(p netsim.Packet) {
-	m.Receive(p.From, p.Msg)
+// through a per-member closure. The packet is borrowed (see
+// netsim.PacketReceiver); receive keeps no reference to it.
+func (m *Member) ReceivePacket(p *netsim.Packet) {
+	m.receive(p.From, &p.Msg)
 }
 
 var _ netsim.PacketReceiver = (*Member)(nil)
