@@ -95,6 +95,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -196,9 +197,9 @@ var scenarioFlags = []scenarioFlag{
 	{name: "tree", usage: "balanced tree shapes 'branch,levels,members' (or ':'-separated), ';'-separated; tree cells follow the -regions cells and replace the default -regions 100",
 		set: func(sw *exp.Sweep, v string) (err error) { sw.Trees, err = list(v, ";", parseTreeShape); return }},
 	{name: "msgs", usage: "messages to publish (default 20)",
-		set: func(sw *exp.Sweep, v string) (err error) { sw.Msgs, err = strconv.Atoi(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Msgs, err = nonZero(strconv.Atoi)(v); return }},
 	{name: "gap", usage: "inter-message gap (default 20ms)",
-		set: func(sw *exp.Sweep, v string) (err error) { sw.Gap, err = time.ParseDuration(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Gap, err = nonZero(time.ParseDuration)(v); return }},
 	{name: "loss", usage: "independent DATA loss probabilities, e.g. 0.2 or 0.05,0.2 (default 0.2; -sweep: 0.05,0.2)",
 		set: func(sw *exp.Sweep, v string) (err error) { sw.Losses, err = list(v, ",", parseFloat); return }},
 	{name: "loss-mode", usage: "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs parallel under -shards; combine with -burst for the shard-safe Gilbert-Elliott chain)",
@@ -219,9 +220,9 @@ var scenarioFlags = []scenarioFlag{
 			return
 		}},
 	{name: "c", usage: "expected long-term bufferers per region (C) (default 6)",
-		set: func(sw *exp.Sweep, v string) (err error) { sw.C, err = parseFloat(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.C, err = nonZero(parseFloat)(v); return }},
 	{name: "lambda", usage: "expected remote requests per regional loss (lambda) (default 1)",
-		set: func(sw *exp.Sweep, v string) (err error) { sw.Lambda, err = parseFloat(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Lambda, err = nonZero(parseFloat)(v); return }},
 	{name: "payload", usage: "payload bytes per message, e.g. 1024 or 512,2048; 0 = the historic 256 (default 0; -sweep: 0,1024)",
 		set: func(sw *exp.Sweep, v string) (err error) { sw.PayloadSizes, err = list(v, ",", strconv.Atoi); return }},
 	{name: "payload-model", usage: "payload size model: fixed|uniform|lognormal (sizes drawn around -payload)",
@@ -241,9 +242,9 @@ var scenarioFlags = []scenarioFlag{
 	{name: "policy", usage: "buffering policy specs, ';'-separated: two-phase, 'two-phase;fixed:hold=200ms', adaptive:tmin=20ms,tmax=200ms,target=2 (rrmp only; rmtp cells always run the repair-server discipline; see -list-policies) (default two-phase; -sweep: two-phase;fixed)",
 		set: func(sw *exp.Sweep, v string) (err error) { sw.Policies, err = list(v, ";", text); return }},
 	{name: "hold", usage: "retention for -policy fixed (default 500ms)",
-		set: func(sw *exp.Sweep, v string) (err error) { sw.FixedHold, err = time.ParseDuration(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.FixedHold, err = nonZero(time.ParseDuration)(v); return }},
 	{name: "horizon", usage: "virtual run time (default 5s)",
-		set: func(sw *exp.Sweep, v string) (err error) { sw.Horizon, err = time.ParseDuration(v); return }},
+		set: func(sw *exp.Sweep, v string) (err error) { sw.Horizon, err = nonZero(time.ParseDuration)(v); return }},
 	{name: "backoff", usage: "regional repair multicast back-off window (default 0 = immediate)",
 		set: func(sw *exp.Sweep, v string) (err error) { sw.RepairBackoff, err = time.ParseDuration(v); return }},
 	{name: "workload", usage: "multi-client publish workloads, ';'-separated: a preset (mc|bursty|vod) or 'key=val,...' with keys clients,msgs,arrival(constant|poisson|burst),gap,zipf,burst-len,burst-gap,window(from-to:factor),size-model(fixed|uniform|lognormal),size-mean,late-frac,late-at,late-spread",
@@ -429,6 +430,19 @@ func text(s string) (string, error) {
 }
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// nonZero wraps the parser of a scalar whose 0 exp.Sweep reads as "use the
+// default": given on the command line, 0 would silently run the default,
+// so it is refused.
+func nonZero[T int | float64 | time.Duration](parse func(string) (T, error)) func(string) (T, error) {
+	return func(s string) (T, error) {
+		v, err := parse(s)
+		if err == nil && v == 0 {
+			err = errors.New("0 would silently run the default; give a positive value")
+		}
+		return v, err
+	}
+}
 
 // parseSizes parses one comma-separated region-size vector.
 func parseSizes(s string) ([]int, error) { return list(s, ",", strconv.Atoi) }

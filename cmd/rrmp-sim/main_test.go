@@ -1052,10 +1052,18 @@ func TestShardsFallbackQuotesTheRule(t *testing.T) {
 
 // TestOutOfDomainFlagsRejected pins ROADMAP aim 3 at the CLI: a value
 // outside its parameter's domain is a typed error before anything runs.
-// Every line below ran to completion at the parent commit and printed a
-// cell named e.g. "loss=NaN".
+// Every line below once ran to completion, printing a cell named e.g.
+// "loss=NaN" or, for an explicit 0 the library reads as "use the
+// default", the default run's metrics.
 func TestOutOfDomainFlagsRejected(t *testing.T) {
+	const zero = ": 0 would silently run the default"
 	for line, want := range map[string]string{
+		"-msgs 0":               "flag -msgs" + zero,
+		"-gap 0s":               "flag -gap" + zero,
+		"-horizon 0s":           "flag -horizon" + zero,
+		"-hold 0s":              "flag -hold" + zero,
+		"-regions 10 -c 0":      "flag -c" + zero,
+		"-lambda 0":             "flag -lambda" + zero,
 		"-loss NaN":             "loss NaN",
 		"-loss 1.5":             "loss 1.5",
 		"-loss -0.5":            "loss -0.5",

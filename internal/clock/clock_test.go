@@ -65,7 +65,7 @@ func TestTimersFireInTimeOrder(t *testing.T) {
 		after(sched, 30*time.Millisecond, func() { order = append(order, 3) })
 		after(sched, 10*time.Millisecond, func() { order = append(order, 1) })
 		after(sched, 20*time.Millisecond, func() { order = append(order, 2) })
-		s.Run()
+		s.RunUntil(-1)
 		if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 			t.Fatalf("fired in order %v, want [1 2 3]", order)
 		}
@@ -77,7 +77,7 @@ func TestNowAdvancesToTimerDeadline(t *testing.T) {
 		sched, s := newSched()
 		var at time.Duration = -1
 		after(sched, 7*time.Millisecond, func() { at = sched.Now() })
-		s.Run()
+		s.RunUntil(-1)
 		if at != 7*time.Millisecond {
 			t.Fatalf("callback saw Now()=%v, want 7ms", at)
 		}
@@ -100,7 +100,7 @@ func TestSameTickFiresInSchedulingOrder(t *testing.T) {
 				i := i
 				after(sched, 5*time.Millisecond, func() { order = append(order, i) })
 			}
-			s.Run()
+			s.RunUntil(-1)
 			for i, got := range order {
 				if got != i {
 					t.Fatalf("run %d: same-tick order %v, want ascending", run, order)
@@ -121,7 +121,7 @@ func TestStopCancelsBeforeFiring(t *testing.T) {
 		if tm.Stop() {
 			t.Fatal("second Stop returned true")
 		}
-		s.Run()
+		s.RunUntil(-1)
 		if fired {
 			t.Fatal("stopped timer fired anyway")
 		}
@@ -132,7 +132,7 @@ func TestStopAfterFiringReturnsFalse(t *testing.T) {
 	eachBinding(t, func(t *testing.T, newSched newSched, after arm) {
 		sched, s := newSched()
 		tm := after(sched, time.Millisecond, func() {})
-		s.Run()
+		s.RunUntil(-1)
 		if tm.Stop() {
 			t.Fatal("Stop after firing returned true")
 		}
@@ -154,7 +154,7 @@ func TestStopFromEarlierCallbackSuppresses(t *testing.T) {
 			}
 		})
 		victim = after(sched, time.Millisecond, func() { fired = true })
-		s.Run()
+		s.RunUntil(-1)
 		if fired {
 			t.Fatal("timer fired after being stopped by a same-tick callback")
 		}
@@ -172,7 +172,7 @@ func TestZeroDelayIsAsynchronous(t *testing.T) {
 			t.Fatal("zero-delay callback ran synchronously")
 		}
 		after(sched, -time.Second, func() {})
-		s.Run()
+		s.RunUntil(-1)
 		if !ran {
 			t.Fatal("zero-delay callback never ran")
 		}
@@ -191,7 +191,7 @@ func TestNestedSchedulingKeepsRelativeTime(t *testing.T) {
 		after(sched, 10*time.Millisecond, func() {
 			after(sched, 5*time.Millisecond, func() { at = sched.Now() })
 		})
-		s.Run()
+		s.RunUntil(-1)
 		if at != 15*time.Millisecond {
 			t.Fatalf("nested timer fired at %v, want 15ms", at)
 		}
@@ -220,7 +220,7 @@ func TestHandleLifecycle(t *testing.T) {
 			if !h.Armed() {
 				t.Fatal("Handle not armed after Arm")
 			}
-			s.Run()
+			s.RunUntil(-1)
 			if fires != 3 || s.Now() != 3*time.Millisecond {
 				t.Fatalf("re-armed %d times to %v, want 3 to 3ms", fires, s.Now())
 			}

@@ -97,11 +97,6 @@ func (p *AdaptiveHold) Name() string { return "adaptive" }
 // of the rng passed to OnIdle.
 func (p *AdaptiveHold) BindRng(r *rng.Source) { p.rng = r }
 
-// Demand returns the current smoothed request demand tracked for src
-// (requests per stored message at steady state). Exposed for tests and
-// instrumentation.
-func (p *AdaptiveHold) Demand(src topology.NodeID) float64 { return p.demand[src] }
-
 // Hold implements Policy: TMin + (TMax−TMin)·min(1, demand/Target) for the
 // message's source, re-armed by request feedback like TwoPhase.
 func (p *AdaptiveHold) Hold(id wire.MessageID) (time.Duration, bool) {

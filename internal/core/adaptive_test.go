@@ -33,7 +33,7 @@ func TestAdaptiveHoldScalesWithDemand(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.ObserveRequest(srcID(1, 1), 0)
 	}
-	if d := p.Demand(1); d != 2 {
+	if d := p.demand[1]; d != 2 {
 		t.Fatalf("demand after 4 requests = %v, want 2", d)
 	}
 	if d, _ := p.Hold(srcID(1, 2)); d != 200*time.Millisecond {
@@ -66,7 +66,7 @@ func TestAdaptiveDemandDecaysOnStore(t *testing.T) {
 	p.ObserveRequest(srcID(1, 1), 0)
 	p.ObserveRequest(srcID(1, 1), 0) // demand 1.0
 	p.ObserveStore(srcID(1, 2), 0)   // ×(1-0.5) → 0.5
-	if d := p.Demand(1); d != 0.5 {
+	if d := p.demand[1]; d != 0.5 {
 		t.Fatalf("demand after store decay = %v, want 0.5", d)
 	}
 	// A steady k-requests-per-message regime converges to demand k: with
@@ -75,7 +75,7 @@ func TestAdaptiveDemandDecaysOnStore(t *testing.T) {
 		p.ObserveStore(srcID(1, uint64(10+i)), 0)
 		p.ObserveRequest(srcID(1, uint64(10+i)), 0)
 	}
-	if d := p.Demand(1); d < 0.99 || d > 1.01 {
+	if d := p.demand[1]; d < 0.99 || d > 1.01 {
 		t.Fatalf("steady-state demand = %v, want ~1 (k=1 requests/message)", d)
 	}
 }
@@ -156,7 +156,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	mustPanic("N=0", bad)
 	p := NewAdaptiveHold(ok) // Alpha 0 defaults rather than panics
 	p.ObserveRequest(srcID(1, 1), 0)
-	if d := p.Demand(1); d != DefaultAdaptiveAlpha {
+	if d := p.demand[1]; d != DefaultAdaptiveAlpha {
 		t.Fatalf("default-alpha request moved demand to %v, want %v", d, DefaultAdaptiveAlpha)
 	}
 	if p.Name() != "adaptive" {

@@ -34,7 +34,7 @@ func BenchmarkBufferStoreEvict(b *testing.B) {
 		id := wire.MessageID{Source: 0, Seq: uint64(i + 1)}
 		buf.Store(id, payload)
 		if buf.Len() > 512 {
-			s.RunFor(time.Millisecond) // let idle checks drain the window
+			s.RunUntil(s.Now() + time.Millisecond) // let idle checks drain the window
 		}
 	}
 }

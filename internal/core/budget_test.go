@@ -29,7 +29,7 @@ func budgetBuffer(s *sim.Sim, kind indexKind, budget int) (*Buffer, *[]evictReco
 		Rng:        rng.New(1),
 		ByteBudget: budget,
 		OnEvict: func(e *Entry, r EvictReason) {
-			*log = append(*log, evictRecord{e.ID.Seq, r, e.State, b.ShortTermCount()})
+			*log = append(*log, evictRecord{e.ID.Seq, r, e.State, b.Len() - b.LongTermCount()})
 		},
 	}, kind)
 	return b, log
@@ -69,7 +69,7 @@ func TestPressureEvictionOrder(t *testing.T) {
 				t.Error("900 B store denied under a 1000 B budget")
 			}
 		})
-		s.Run()
+		s.RunUntil(-1)
 
 		want := []evictRecord{
 			{4, EvictPressure, StateShortTerm, 1},
@@ -197,7 +197,7 @@ func TestBudgetEvictionOrderProperty(t *testing.T) {
 					}
 				})
 			}
-			s.Run()
+			s.RunUntil(-1)
 			for i, rec := range *log {
 				if rec.reason == EvictPressure && rec.state == StateLongTerm && rec.shortRemaining != 0 {
 					t.Fatalf("seed %d: eviction %d displaced a long-term copy with %d short-term entries still held",

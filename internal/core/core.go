@@ -180,9 +180,6 @@ func (b *Buffer) Len() int { return b.idx.size() }
 // LongTermCount returns the number of entries in the long-term phase.
 func (b *Buffer) LongTermCount() int { return b.longCount }
 
-// ShortTermCount returns the number of entries in the short-term phase.
-func (b *Buffer) ShortTermCount() int { return b.idx.size() - b.longCount }
-
 // EvictedCount returns how many entries have been evicted for the reason,
 // and 0 for a value that is not an EvictReason.
 func (b *Buffer) EvictedCount(r EvictReason) int {

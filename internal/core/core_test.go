@@ -35,7 +35,7 @@ func TestIdleDiscardAtThreshold(t *testing.T) {
 		*ev = append(*ev, r)
 	}
 	b.Store(id(1), []byte("x"))
-	s.Run()
+	s.RunUntil(-1)
 	if evictedAt != testT {
 		t.Fatalf("evicted at %v, want exactly T=%v", evictedAt, testT)
 	}
@@ -59,7 +59,7 @@ func TestRequestFeedbackExtendsBuffering(t *testing.T) {
 		at := at * time.Millisecond
 		s.At(at, func() { b.OnRequest(id(1)) })
 	}
-	s.Run()
+	s.RunUntil(-1)
 	want := 30*time.Millisecond + testT
 	if evictedAt != want {
 		t.Fatalf("evicted at %v, want %v (last request + T)", evictedAt, want)
@@ -106,12 +106,12 @@ func TestPromotionWithCertainElection(t *testing.T) {
 		}
 	}
 	b.Store(id(1), nil)
-	s.Run()
+	s.RunUntil(-1)
 	if promoted != 1 {
 		t.Fatalf("promoted %d entries", promoted)
 	}
-	if b.LongTermCount() != 1 || b.ShortTermCount() != 0 {
-		t.Fatalf("long=%d short=%d", b.LongTermCount(), b.ShortTermCount())
+	if b.LongTermCount() != 1 || b.Len()-b.LongTermCount() != 0 {
+		t.Fatalf("long=%d short=%d", b.LongTermCount(), b.Len()-b.LongTermCount())
 	}
 	if !b.Has(id(1)) {
 		t.Fatal("long-term entry missing")
@@ -130,7 +130,7 @@ func TestElectionRate(t *testing.T) {
 	for i := uint64(0); i < msgs; i++ {
 		b.Store(id(i), nil)
 	}
-	s.Run()
+	s.RunUntil(-1)
 	got := float64(b.LongTermCount()) / msgs
 	want := c / n
 	if math.Abs(got-want) > 0.005 {
@@ -148,7 +148,7 @@ func TestLongTermTTLExpiry(t *testing.T) {
 		*ev = append(*ev, r)
 	}
 	b.Store(id(1), nil)
-	s.Run()
+	s.RunUntil(-1)
 	if len(*ev) != 1 || (*ev)[0] != EvictTTL {
 		t.Fatalf("evictions %v, want one TTL eviction", *ev)
 	}
@@ -170,7 +170,7 @@ func TestLongTermTTLReArmedByUse(t *testing.T) {
 	b.Store(id(1), nil)
 	// A use at 100ms (after promotion at 40ms) must push expiry to 200ms.
 	s.At(100*time.Millisecond, func() { b.OnRequest(id(1)) })
-	s.Run()
+	s.RunUntil(-1)
 	if evictedAt != 200*time.Millisecond {
 		t.Fatalf("TTL eviction at %v, want 200ms", evictedAt)
 	}
@@ -186,7 +186,7 @@ func TestStoreLongTermDirect(t *testing.T) {
 	if b.LongTermCount() != 1 {
 		t.Fatal("long-term count wrong")
 	}
-	s.Run()
+	s.RunUntil(-1)
 	// C=0 would have discarded a short-term entry; the handoff copy stays.
 	if !b.Has(id(1)) {
 		t.Fatal("handoff entry evicted")
@@ -260,7 +260,7 @@ func TestBufferAllNeverIdles(t *testing.T) {
 	s := sim.New()
 	b, ev := newTestBuffer(t, s, BufferAll{})
 	b.Store(id(1), nil)
-	s.RunFor(time.Hour)
+	s.RunUntil(s.Now() + time.Hour)
 	if b.Len() != 1 || len(*ev) != 0 {
 		t.Fatalf("buffer-all evicted: len=%d evictions=%v", b.Len(), *ev)
 	}
@@ -274,7 +274,7 @@ func TestFixedHoldIgnoresFeedback(t *testing.T) {
 	b.cfg.OnEvict = func(*Entry, EvictReason) { evictedAt = s.Now() }
 	b.Store(id(1), nil)
 	s.At(40*time.Millisecond, func() { b.OnRequest(id(1)) }) // must not extend
-	s.Run()
+	s.RunUntil(-1)
 	if evictedAt != hold {
 		t.Fatalf("fixed-hold evicted at %v, want %v", evictedAt, hold)
 	}
@@ -285,7 +285,7 @@ func TestCloseStopsTimers(t *testing.T) {
 	b, ev := newTestBuffer(t, s, NewTwoPhase(testT, 0, 100, 0))
 	b.Store(id(1), nil)
 	b.Close()
-	s.Run()
+	s.RunUntil(-1)
 	if len(*ev) != 0 {
 		t.Fatalf("evictions after Close: %v", *ev)
 	}
@@ -298,7 +298,7 @@ func TestOccupancyIntegral(t *testing.T) {
 	s := sim.New()
 	b, _ := newTestBuffer(t, s, NewTwoPhase(testT, 0, 100, 0))
 	b.Store(id(1), make([]byte, 1000))
-	s.Run() // evicted at 40ms
+	s.RunUntil(-1) // evicted at 40ms
 	gotMsgSec := b.OccupancyIntegral(s.Now())
 	wantMsgSec := testT.Seconds() // 1 message for 40ms
 	if math.Abs(gotMsgSec-wantMsgSec) > 1e-9 {

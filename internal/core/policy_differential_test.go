@@ -59,7 +59,7 @@ func diffScript(policy Policy, kind indexKind, seed uint64) (ledger []string, me
 		ByteBudget: budget,
 		OnEvict: func(e *Entry, r EvictReason) {
 			ledger = append(ledger, fmt.Sprintf("%d/%d %v %v short=%d",
-				e.ID.Source, e.ID.Seq, r, e.State, b.ShortTermCount()))
+				e.ID.Source, e.ID.Seq, r, e.State, b.Len()-b.LongTermCount()))
 		},
 	}, kind)
 	list := func(es []*Entry) string {
@@ -103,13 +103,13 @@ func diffScript(policy Policy, kind indexKind, seed uint64) (ledger []string, me
 			do(at, func() { ledger = append(ledger, "handoff"+list(b.TakeForHandoff())) })
 		}
 	}
-	s.Run()
+	s.RunUntil(-1)
 	var counts []string
 	for _, reason := range []EvictReason{EvictIdle, EvictTTL, EvictHandoff, EvictStable, EvictManual, EvictPressure} {
 		counts = append(counts, fmt.Sprintf("%v=%d", reason, b.EvictedCount(reason)))
 	}
 	metrics = fmt.Sprintf("len=%d bytes=%d peak=%d short=%d denied=%d evicted=%v",
-		b.Len(), b.Bytes(), b.PeakBytes(), b.ShortTermCount(), b.DeniedCount(), counts)
+		b.Len(), b.Bytes(), b.PeakBytes(), b.Len()-b.LongTermCount(), b.DeniedCount(), counts)
 	return ledger, metrics
 }
 

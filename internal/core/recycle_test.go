@@ -156,7 +156,7 @@ func TestStoreSteadyStateAllocs(t *testing.T) {
 			cycle := func() {
 				seq++
 				b.Store(id(seq), payload)
-				s.RunFor(testT / 4)
+				s.RunUntil(s.Now() + testT/4)
 			}
 			for range 256 {
 				cycle()

@@ -95,13 +95,6 @@ func tailSlot(at time.Duration) uint64 {
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return q.live }
 
-// Push schedules fn to run at virtual time at and returns a handle that can
-// be passed (with its Gen) to Cancel. Scheduling in the past is allowed
-// (the simulator clamps, firing such events "now").
-func (q *Queue) Push(at time.Duration, fn func()) *Event {
-	return q.PushKeyed(at, 0, 0, fn)
-}
-
 // PushKeyed schedules fn at virtual time at under the extended ordering key
 // (at, pushAt, src, seq). The sharded simulator uses it to merge event
 // streams from several shards into one total order that matches what a

@@ -323,15 +323,3 @@ func (d *Detector) Suspected(n topology.NodeID) bool {
 	i, known := slices.BinarySearch(d.order, n)
 	return !known || d.state[i] != peerLive
 }
-
-// Live returns the sorted region members currently considered alive
-// (including self).
-func (d *Detector) Live() []topology.NodeID {
-	out := make([]topology.NodeID, 0, d.live+1)
-	for i, s := range d.state {
-		if s == peerLive {
-			out = append(out, d.order[i])
-		}
-	}
-	return out
-}

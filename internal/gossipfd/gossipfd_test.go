@@ -219,10 +219,10 @@ func TestStartStopIdempotent(t *testing.T) {
 	d.Stop()
 	c.sim.RunUntil(time.Second)
 	// After stop, no more gossip from node 0.
-	sent := c.net.Stats().SentCount(wire.TypeHeartbeat)
+	sent := c.net.Stats().BytesSent(wire.TypeHeartbeat)
 	c.sim.RunUntil(2 * time.Second)
 	// Other detectors were never started, so traffic must not grow.
-	if got := c.net.Stats().SentCount(wire.TypeHeartbeat); got != sent {
+	if got := c.net.Stats().BytesSent(wire.TypeHeartbeat); got != sent {
 		t.Fatalf("gossip continued after Stop: %d -> %d", sent, got)
 	}
 }

@@ -37,7 +37,6 @@ import (
 // internal failures (a finding is never an error).
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 }
 

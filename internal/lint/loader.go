@@ -18,8 +18,6 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Name       string
-	Dir        string
 	Fset       *token.FileSet
 	Syntax     []*ast.File
 	Types      *types.Package
@@ -29,7 +27,6 @@ type Package struct {
 // listPackage is the subset of `go list -json` output the loader consumes.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
@@ -116,8 +113,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: t.ImportPath,
-			Name:       t.Name,
-			Dir:        t.Dir,
 			Fset:       fset,
 			Syntax:     files,
 			Types:      typed,

@@ -24,7 +24,6 @@ import (
 // `//lint:allow maporder -- reason`.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc:  "flag order-sensitive bodies in range-over-map loops in simulation packages",
 	Run:  runMapOrder,
 }
 

@@ -28,7 +28,6 @@ import (
 //     must have a metricKeyRegistry entry.
 var MetricKey = &Analyzer{
 	Name: "metrickey",
-	Doc:  "require metric-name strings to come from the central metrickeys registry",
 	Run:  runMetricKey,
 }
 

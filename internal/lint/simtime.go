@@ -41,7 +41,6 @@ var globalRandExempt = map[string]bool{
 // //lint:allow simtime annotation.
 var SimTime = &Analyzer{
 	Name: "simtime",
-	Doc:  "forbid time.Now/Sleep/After and the global math/rand source in simulation packages",
 	Run:  runSimTime,
 }
 

@@ -16,7 +16,6 @@ import (
 // Tests and internal/rng itself are exempt.
 var StreamLabel = &Analyzer{
 	Name: "streamlabel",
-	Doc:  "require rng stream derivation to go through declared *StreamLabel constants",
 	Run:  runStreamLabel,
 }
 

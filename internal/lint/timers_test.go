@@ -56,7 +56,7 @@ func TestProtocolTimersAreOwned(t *testing.T) {
 					return true
 				}
 				if recv := s.Recv(); types.Implements(recv, scheduler) || types.Implements(types.NewPointer(recv), scheduler) {
-					found[pkg.Name] = append(found[pkg.Name], pkg.Fset.Position(call.Pos()).String())
+					found[pkg.Types.Name()] = append(found[pkg.Types.Name()], pkg.Fset.Position(call.Pos()).String())
 				}
 				return true
 			})
@@ -212,7 +212,7 @@ func TestProtocolSettingsHaveCallers(t *testing.T) {
 			st := pkg.Types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() {
-					declared[pkg.Name+"."+name+"."+f.Name()] = true
+					declared[pkg.Types.Name()+"."+name+"."+f.Name()] = true
 				}
 			}
 		}

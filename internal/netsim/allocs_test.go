@@ -32,7 +32,7 @@ func allocNet(t *testing.T, width int) (step func(from topology.NodeID, send fun
 		net = New(s, lat, nil)
 		step = func(_ topology.NodeID, send func()) {
 			send()
-			s.Run()
+			s.RunUntil(-1)
 		}
 	} else {
 		nodeShard, eff := topo.NodeShards(width)
@@ -48,7 +48,7 @@ func allocNet(t *testing.T, width int) (step func(from topology.NodeID, send fun
 		e.RunUntil(0)
 		step = func(from topology.NodeID, send func()) {
 			e.PostFrom(int32(from), int32(from), 0, send)
-			e.Run()
+			e.RunUntil(-1)
 		}
 	}
 	for r := 0; r < topo.NumRegions(); r++ {
@@ -79,8 +79,8 @@ func TestUnicastDeliverAllocs(t *testing.T) {
 		if avg != 0 {
 			t.Fatalf("width %d: unicast delivery allocates %.2f objects/op, want 0", width, avg)
 		}
-		if sent, got := net.Stats().SentCount(wire.TypeData), net.Stats().DeliveredCount(wire.TypeData); got != sent || got == 0 {
-			t.Fatalf("width %d: %d of %d unicasts delivered", width, got, sent)
+		if sent, lost := net.Stats().sent[wire.TypeData].Value(), net.Stats().DroppedCount(wire.TypeData); lost != 0 || sent == 0 {
+			t.Fatalf("width %d: %d of %d unicasts dropped", width, lost, sent)
 		}
 	}
 }
@@ -112,8 +112,8 @@ func TestMulticastFanoutAllocs(t *testing.T) {
 		if avg != 0 {
 			t.Fatalf("width %d: two 200-receiver multicasts allocate %.2f objects/op, want 0", width, avg)
 		}
-		if sent, got := net.Stats().SentCount(wire.TypeData), net.Stats().DeliveredCount(wire.TypeData); got != sent || got == 0 {
-			t.Fatalf("width %d: %d of %d multicast packets delivered", width, got, sent)
+		if sent, lost := net.Stats().sent[wire.TypeData].Value(), net.Stats().DroppedCount(wire.TypeData); lost != 0 || sent == 0 {
+			t.Fatalf("width %d: %d of %d multicast packets dropped", width, lost, sent)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func BenchmarkUnicastDeliver(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Unicast(topo.Sender(), to, msg)
-		s.Run()
+		s.RunUntil(-1)
 	}
 }
 
@@ -53,7 +53,7 @@ func BenchmarkUnicastLossy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Unicast(topo.Sender(), to, msg)
-		s.Run()
+		s.RunUntil(-1)
 	}
 }
 
@@ -69,7 +69,7 @@ func BenchmarkMulticastFanout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Multicast(topo.Sender(), all, msg)
-		s.Run()
+		s.RunUntil(-1)
 	}
 	b.ReportMetric(float64(len(all)), "receivers")
 }
@@ -95,7 +95,7 @@ func BenchmarkMulticastFanout1kDeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Multicast(topo.Sender(), all, msg)
-		s.Run()
+		s.RunUntil(-1)
 	}
 	b.ReportMetric(float64(len(all)), "receivers")
 }

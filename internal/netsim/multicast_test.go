@@ -44,7 +44,6 @@ type arrival struct {
 	to, from topology.NodeID
 	id       wire.MessageID
 	typ      wire.Type
-	size     int
 }
 
 // diffTopo is the harness topology: a depth-3 binary tree of regions, so
@@ -90,7 +89,7 @@ func runScript(t testing.TB, topo *topology.Topology, width int, loss LossModel,
 	lat := HierLatency{Topo: topo, IntraOneWay: 5 * time.Millisecond, InterOneWay: 50 * time.Millisecond}
 	var (
 		at      func(time.Duration, func())
-		run     func() uint64
+		run     func(deadline time.Duration) uint64
 		net     *Network
 		shardOf []int32
 		now     func(node topology.NodeID) time.Duration
@@ -99,7 +98,7 @@ func runScript(t testing.TB, topo *topology.Topology, width int, loss LossModel,
 		s := sim.New()
 		net = New(s, lat, loss)
 		at = func(d time.Duration, fn func()) { s.At(d, fn) }
-		run, now = s.Run, func(topology.NodeID) time.Duration { return s.Now() }
+		run, now = s.RunUntil, func(topology.NodeID) time.Duration { return s.Now() }
 	} else {
 		var eff int
 		shardOf, eff = topo.NodeShards(width)
@@ -113,7 +112,7 @@ func runScript(t testing.TB, topo *topology.Topology, width int, loss LossModel,
 		net = New(e, lat, loss)
 		net.EnableSharding(e, shardOf, width)
 		at = func(d time.Duration, fn func()) { e.At(d, fn) }
-		run = e.Run
+		run = e.RunUntil
 		now = func(node topology.NodeID) time.Duration { return e.Clock(shardOf[node]).Now() }
 	}
 	send := func(from topology.NodeID, targets []topology.NodeID, msg wire.Message) {
@@ -135,10 +134,7 @@ func runScript(t testing.TB, topo *topology.Topology, width int, loss LossModel,
 			lane = int(shardOf[self])
 		}
 		net.RegisterReceiver(self, receiverFunc(func(p *Packet) {
-			if p.To != self {
-				t.Errorf("node %d handed a packet for %d", self, p.To)
-			}
-			logs[lane] = append(logs[lane], arrival{now(self), p.To, p.From, p.Msg.ID, p.Msg.Type, p.Size})
+			logs[lane] = append(logs[lane], arrival{now(self), self, p.From, p.Msg.ID, p.Msg.Type})
 			if p.Msg.Type != wire.TypeData {
 				return
 			}
@@ -173,7 +169,7 @@ func runScript(t testing.TB, topo *topology.Topology, width int, loss LossModel,
 			}
 		})
 	}
-	run()
+	run(-1)
 	return logs, *net.Stats()
 }
 
@@ -289,7 +285,7 @@ func TestMulticastPastMaxOpen(t *testing.T) {
 		n := New(s, cyclicLatency(classes), nil)
 		var log []arrival
 		for _, id := range all {
-			n.Register(id, func(p Packet) { log = append(log, arrival{s.Now(), p.To, p.From, p.Msg.ID, p.Msg.Type, p.Size}) })
+			n.Register(id, func(p Packet) { log = append(log, arrival{s.Now(), id, p.From, p.Msg.ID, p.Msg.Type}) })
 		}
 		msg := wire.Message{Type: wire.TypeData, ID: wire.MessageID{Seq: 1}}
 		if fanout {
@@ -299,7 +295,7 @@ func TestMulticastPastMaxOpen(t *testing.T) {
 				n.Unicast(0, to, msg)
 			}
 		}
-		s.Run()
+		s.RunUntil(-1)
 		return log
 	}
 	if m, u := run(true), run(false); !reflect.DeepEqual(m, u) || len(m) != members-1 {
@@ -329,10 +325,10 @@ func TestMulticastIsOneRecordPerArrival(t *testing.T) {
 		// Send from the sender's own event-loop context, as allocNet does.
 		var net *Network
 		var post func(func())
-		var run func() uint64
+		var run func(deadline time.Duration) uint64
 		if width == 0 {
 			s := sim.New()
-			net, run = New(s, lat, nil), s.Run
+			net, run = New(s, lat, nil), s.RunUntil
 			post = func(fn func()) { s.Post(0, fn) }
 		} else {
 			shardOf, _ := topo.NodeShards(width)
@@ -340,7 +336,7 @@ func TestMulticastIsOneRecordPerArrival(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net, run = New(e, lat, nil), e.Run
+			net, run = New(e, lat, nil), e.RunUntil
 			net.EnableSharding(e, shardOf, width)
 			e.RunUntil(0)
 			post = func(fn func()) { e.PostFrom(int32(from), int32(from), 0, fn) }
@@ -353,7 +349,7 @@ func TestMulticastIsOneRecordPerArrival(t *testing.T) {
 		msg := wire.Message{Type: wire.TypeData, From: from,
 			ID: wire.MessageID{Source: from, Seq: 1}, Payload: make([]byte, 256)}
 		post(func() { net.Multicast(from, all, msg) })
-		run()
+		run(-1)
 		got := 0
 		for _, h := range hits {
 			got += h
@@ -384,14 +380,14 @@ func TestBorrowedPacketIsZeroedOnRecycle(t *testing.T) {
 	var kept []*Packet
 	for id := topology.NodeID(1); id <= 3; id++ {
 		n.RegisterReceiver(id, receiverFunc(func(p *Packet) {
-			if p.To != id || p.From != 0 || len(p.Msg.Payload) != 8 {
+			if p.From != 0 || len(p.Msg.Payload) != 8 {
 				t.Errorf("node %d received %+v", id, *p)
 			}
 			kept = append(kept, p)
 		}))
 	}
 	n.Multicast(0, []topology.NodeID{0, 1, 2, 3}, wire.Message{Type: wire.TypeData, Payload: make([]byte, 8)})
-	s.Run()
+	s.RunUntil(-1)
 	if len(kept) != 3 || kept[0] != kept[1] || kept[1] != kept[2] {
 		t.Fatalf("kept %v: want one packet lent to all three targets", kept)
 	}

@@ -34,9 +34,8 @@ import (
 
 // Packet is one message in flight together with its delivery metadata.
 type Packet struct {
-	From, To topology.NodeID
-	Msg      wire.Message
-	Size     int // bytes charged to traffic accounting
+	From topology.NodeID
+	Msg  wire.Message
 }
 
 // Handler consumes packets delivered to a registered node. It gets its own
@@ -49,11 +48,11 @@ type Handler func(pkt Packet)
 // difference between a million closures and none at cluster setup.
 //
 // The Packet is borrowed: every target of one transmission that arrives at
-// the same instant is handed the same *Packet, with To set to the receiver
-// in turn. It is valid only until ReceivePacket returns and must not be
-// modified; once the last target has received it the network zeroes it
-// for reuse. The slices the message references (Payload, Digest,
-// Counters) are not copied and follow the sender's ownership: a unicast
+// the same instant is handed the same *Packet in turn. It is valid only
+// until ReceivePacket returns and must not be modified; once the last
+// target has received it the network zeroes it for reuse. The slices the
+// message references (Payload, Digest, Counters) are not copied and
+// follow the sender's ownership: a unicast
 // PDU's slices belong to its one receiver, a multicast's are shared by all
 // of its targets and are read-only.
 type PacketReceiver interface {
@@ -177,21 +176,14 @@ type delivery struct {
 // Stats aggregates traffic accounting per message type, stored as dense
 // per-type arrays (bump = one array index, no map hashing on the hot path).
 type Stats struct {
-	sent      [wire.TypeCount]stats.Counter
-	delivered [wire.TypeCount]stats.Counter
-	dropped   [wire.TypeCount]stats.Counter
-	bytes     [wire.TypeCount]stats.Counter
+	sent    [wire.TypeCount]stats.Counter
+	dropped [wire.TypeCount]stats.Counter
+	bytes   [wire.TypeCount]stats.Counter
 	// Partitioned counts packets (all types) that vanished because their
 	// endpoints were in different partition classes; each is also counted
 	// in Dropped under its type.
 	Partitioned stats.Counter
 }
-
-// SentCount returns packets offered for transmission of type t.
-func (s *Stats) SentCount(t wire.Type) int64 { return s.sent[int(t)%wire.TypeCount].Value() }
-
-// DeliveredCount returns packets delivered of type t.
-func (s *Stats) DeliveredCount(t wire.Type) int64 { return s.delivered[int(t)%wire.TypeCount].Value() }
 
 // DroppedCount returns packets dropped of type t.
 func (s *Stats) DroppedCount(t wire.Type) int64 { return s.dropped[int(t)%wire.TypeCount].Value() }
@@ -283,11 +275,6 @@ func (n *Network) SetDown(node topology.NodeID, down bool) {
 	n.down[node] = down
 }
 
-// IsDown reports whether the node is marked crashed.
-func (n *Network) IsDown(node topology.NodeID) bool {
-	return node >= 0 && int(node) < len(n.down) && n.down[node]
-}
-
 // isDown is the bounds-checked hot-path variant (inlined by the compiler).
 func (n *Network) isDown(node topology.NodeID) bool {
 	return int(node) < len(n.down) && n.down[node]
@@ -330,15 +317,6 @@ func (n *Network) classOf(node topology.NodeID) int32 {
 	return 0
 }
 
-// Partitioned reports whether a and b are currently in different
-// partition classes.
-func (n *Network) Partitioned(a, b topology.NodeID) bool {
-	if !n.partActive {
-		return false
-	}
-	return n.classOf(a) != n.classOf(b)
-}
-
 // EnableSharding switches the network onto a sharded simulator: deliveries
 // route through r (landing on the shard loop owning the destination node)
 // and traffic accounting splits per shard. Call it once, before any
@@ -372,7 +350,6 @@ func (n *Network) Stats() *Stats {
 func (s *Stats) add(o *Stats) {
 	for i := 0; i < wire.TypeCount; i++ {
 		s.sent[i].Add(o.sent[i].Value())
-		s.delivered[i].Add(o.delivered[i].Value())
 		s.dropped[i].Add(o.dropped[i].Value())
 		s.bytes[i].Add(o.bytes[i].Value())
 	}
@@ -405,7 +382,6 @@ func (d *delivery) fire() {
 	// and recycle into that shard's state.
 	sh := &n.shards[d.shard]
 	if r := n.admit(&sh.stats, d.pkt.From, to, d.pkt.Msg.Type); r != nil {
-		d.pkt.To = to
 		r.ReceivePacket(&d.pkt)
 	}
 	if d.next == len(d.targets) {
@@ -432,7 +408,6 @@ func (n *Network) admit(st *Stats, from, to topology.NodeID, t wire.Type) Packet
 		st.dropped[ti].Inc()
 		return nil
 	}
-	st.delivered[ti].Inc()
 	return r
 }
 
@@ -490,7 +465,7 @@ func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wir
 		d := sh.joinable(lat, dst)
 		if d == nil {
 			d = n.getDelivery(sh)
-			d.pkt = Packet{From: from, Msg: *msg, Size: size}
+			d.pkt = Packet{From: from, Msg: *msg}
 			d.shard, d.lat = dst, lat
 			if len(sh.open) < maxOpen {
 				sh.open = append(sh.open, d)

@@ -81,10 +81,10 @@ func TestNakRetryAllocs(t *testing.T) {
 	})
 	step := nakRTT
 	for i := 0; i < 64; i++ { // warm the event pool
-		s.RunFor(step)
+		s.RunUntil(s.Now() + step)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		s.RunFor(step) // fires exactly one retry re-arm
+		s.RunUntil(s.Now() + step) // fires exactly one retry re-arm
 	})
 	if avg != 0 {
 		t.Fatalf("NAK retry re-arm allocates %.2f objects/op, want 0", avg)

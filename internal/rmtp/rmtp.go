@@ -235,26 +235,11 @@ func (n *Node) Buffer() *core.Buffer { return n.buffer }
 // HasReceived reports whether seq has been delivered to this node.
 func (n *Node) HasReceived(seq uint64) bool { return n.received[seq] }
 
-// Prefix returns the contiguous received prefix.
-func (n *Node) Prefix() uint64 { return n.prefix }
-
 // Left reports whether the node has left the group.
 func (n *Node) Left() bool { return n.left }
 
 // Crashed reports whether the node is currently crashed.
 func (n *Node) Crashed() bool { return n.crashed }
-
-// Unrecovered returns the sequences this node has given up recovering,
-// ascending. Empty for a healthy quiesced run; always consistent with
-// Metrics.Unrecoverable (counter ≡ set).
-func (n *Node) Unrecovered() []uint64 {
-	out := make([]uint64, 0, len(n.unrecovered))
-	for seq := range n.unrecovered {
-		out = append(out, seq)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // StartAcks begins the periodic ACK-window loop (receivers report to their
 // region server; servers report the aggregated floor to their parent).
@@ -276,12 +261,6 @@ func (n *Node) armAckLoop() {
 	}
 	jitter := time.Duration(n.cfg.Rng.Jitter(float64(ackInterval), 0.2))
 	n.ackTimer.Arm(n.cfg.Sched, jitter, tick)
-}
-
-// StopAcks halts the ACK loop.
-func (n *Node) StopAcks() {
-	n.ackTimer.Stop()
-	n.acksStarted = false
 }
 
 // sendAck reports this node's floor upward: receivers to their server,

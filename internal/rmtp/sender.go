@@ -26,9 +26,6 @@ func NewSender(n *Node, b Broadcast) *Sender {
 	return &Sender{n: n, broadcast: b}
 }
 
-// Seq returns the highest published sequence number.
-func (s *Sender) Seq() uint64 { return s.seq }
-
 // Publish multicasts one message to the group and stores it in the root
 // server's buffer.
 func (s *Sender) Publish(payload []byte) wire.MessageID {
@@ -50,9 +47,4 @@ func (s *Sender) StartSessions() {
 		s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, tick)
 	}
 	s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, tick)
-}
-
-// StopSessions cancels the session loop.
-func (s *Sender) StopSessions() {
-	s.sessionTimer.Stop()
 }

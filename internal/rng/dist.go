@@ -25,72 +25,6 @@ func (r *Source) ExpFloat64(rate float64) float64 {
 	return -math.Log(1-r.Float64()) / rate
 }
 
-// Binomial returns a draw from Binomial(n, p): the number of successes in n
-// independent trials each succeeding with probability p.
-//
-// For small n it sums Bernoulli trials; for large n with small mean it uses
-// the exact BTPE-free inversion by waiting-time geometric skips, which stays
-// exact and is O(np) expected.
-func (r *Source) Binomial(n int, p float64) int {
-	switch {
-	case n <= 0 || p <= 0:
-		return 0
-	case p >= 1:
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	// Geometric skipping: the index gap between successes is Geometric(p).
-	// Expected work is O(np + 1) which is fine for the region sizes (<=10^4)
-	// used by the protocol and experiments.
-	k := 0
-	i := 0
-	logq := math.Log1p(-p)
-	for {
-		// Skip a Geometric(p) number of failures.
-		g := int(math.Floor(math.Log(1-r.Float64()) / logq))
-		i += g + 1
-		if i > n {
-			return k
-		}
-		k++
-	}
-}
-
-// Poisson returns a draw from Poisson(lambda). It panics if lambda < 0.
-//
-// Knuth's multiplication method is used for lambda <= 30; larger lambdas sum
-// independent Poisson halves, which keeps the method exact without needing
-// floating-point rejection machinery.
-func (r *Source) Poisson(lambda float64) int {
-	if lambda < 0 {
-		panic("rng: Poisson with lambda < 0")
-	}
-	if lambda == 0 {
-		return 0
-	}
-	if lambda > 30 {
-		// Poisson(a+b) = Poisson(a) + Poisson(b) for independent draws.
-		half := lambda / 2
-		return r.Poisson(half) + r.Poisson(lambda-half)
-	}
-	limit := math.Exp(-lambda)
-	k := 0
-	prod := r.Float64()
-	for prod > limit {
-		k++
-		prod *= r.Float64()
-	}
-	return k
-}
-
 // NormFloat64 returns a standard normal draw (mean 0, stddev 1) via the
 // Box–Muller transform. Exactly two uniform draws are consumed per call,
 // so streams using it stay trivially reproducible.

@@ -66,87 +66,6 @@ func TestExpFloat64PanicsOnBadRate(t *testing.T) {
 	New(1).ExpFloat64(0)
 }
 
-func TestBinomialEdgeCases(t *testing.T) {
-	r := New(4)
-	if got := r.Binomial(0, 0.5); got != 0 {
-		t.Fatalf("Binomial(0, .5) = %d", got)
-	}
-	if got := r.Binomial(10, 0); got != 0 {
-		t.Fatalf("Binomial(10, 0) = %d", got)
-	}
-	if got := r.Binomial(10, 1); got != 10 {
-		t.Fatalf("Binomial(10, 1) = %d", got)
-	}
-	if got := r.Binomial(-3, 0.5); got != 0 {
-		t.Fatalf("Binomial(-3, .5) = %d", got)
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	r := New(5)
-	cases := []struct {
-		n int
-		p float64
-	}{
-		{10, 0.3},   // small-n path
-		{500, 0.02}, // geometric-skip path
-		{1000, 0.5}, // geometric-skip path, large mean
-	}
-	for _, tc := range cases {
-		const trials = 20000
-		var sum, sumSq float64
-		for i := 0; i < trials; i++ {
-			k := r.Binomial(tc.n, tc.p)
-			if k < 0 || k > tc.n {
-				t.Fatalf("Binomial(%d,%v) out of range: %d", tc.n, tc.p, k)
-			}
-			sum += float64(k)
-			sumSq += float64(k) * float64(k)
-		}
-		mean := sum / trials
-		wantMean := float64(tc.n) * tc.p
-		variance := sumSq/trials - mean*mean
-		wantVar := wantMean * (1 - tc.p)
-		if math.Abs(mean-wantMean) > 3*math.Sqrt(wantVar/trials)+0.05 {
-			t.Errorf("Binomial(%d,%v) mean %v, want ~%v", tc.n, tc.p, mean, wantMean)
-		}
-		if math.Abs(variance-wantVar) > wantVar*0.15+0.1 {
-			t.Errorf("Binomial(%d,%v) variance %v, want ~%v", tc.n, tc.p, variance, wantVar)
-		}
-	}
-}
-
-func TestPoissonMoments(t *testing.T) {
-	r := New(6)
-	for _, lambda := range []float64{0.5, 6, 50} {
-		const trials = 50000
-		var sum, sumSq float64
-		for i := 0; i < trials; i++ {
-			k := r.Poisson(lambda)
-			if k < 0 {
-				t.Fatalf("Poisson(%v) returned %d", lambda, k)
-			}
-			sum += float64(k)
-			sumSq += float64(k) * float64(k)
-		}
-		mean := sum / trials
-		variance := sumSq/trials - mean*mean
-		if math.Abs(mean-lambda) > lambda*0.05+0.05 {
-			t.Errorf("Poisson(%v) mean %v", lambda, mean)
-		}
-		if math.Abs(variance-lambda) > lambda*0.1+0.1 {
-			t.Errorf("Poisson(%v) variance %v", lambda, variance)
-		}
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	r := New(7)
-	if got := r.Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d", got)
-	}
-}
-
 func TestPickExcludesSelf(t *testing.T) {
 	r := New(8)
 	for i := 0; i < 10000; i++ {

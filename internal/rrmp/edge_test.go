@@ -17,8 +17,8 @@ func TestSenderSequencesAndSessions(t *testing.T) {
 	if id1.Seq != 1 || id2.Seq != 2 {
 		t.Fatalf("sequence numbers %d, %d", id1.Seq, id2.Seq)
 	}
-	if c.sender.Seq() != 2 {
-		t.Fatalf("Seq() = %d", c.sender.Seq())
+	if c.sender.seq != 2 {
+		t.Fatalf("seq = %d", c.sender.seq)
 	}
 	if id1.Source != topo.Sender() {
 		t.Fatalf("source %d", id1.Source)
@@ -29,12 +29,12 @@ func TestSenderSequencesAndSessions(t *testing.T) {
 	c.sim.RunUntil(450 * time.Millisecond)
 	c.sender.StopSessions()
 	c.sender.StopSessions() // idempotent
-	sent := c.net.Stats().SentCount(wire.TypeSession)
+	sent := c.net.Stats().BytesSent(wire.TypeSession)
 	if sent == 0 {
 		t.Fatal("no session messages sent")
 	}
 	c.sim.RunUntil(2 * time.Second)
-	if got := c.net.Stats().SentCount(wire.TypeSession); got != sent {
+	if got := c.net.Stats().BytesSent(wire.TypeSession); got != sent {
 		t.Fatalf("sessions continued after stop: %d -> %d", sent, got)
 	}
 	// The sender buffers its own messages (it is also a receiver, §2.1).
@@ -185,7 +185,7 @@ func TestPrefixAndMaxSeen(t *testing.T) {
 	c := newCluster(t, topo, DefaultParams(), 27, nil)
 	m := c.members[1]
 	src := topo.Sender()
-	if m.Prefix(src) != 0 || m.MaxSeen(src) != 0 {
+	if m.Prefix(src) != 0 {
 		t.Fatal("fresh member has nonzero progress")
 	}
 	m.InjectDeliver(wire.MessageID{Source: src, Seq: 1}, nil)
@@ -194,7 +194,7 @@ func TestPrefixAndMaxSeen(t *testing.T) {
 	if got := m.Prefix(src); got != 2 {
 		t.Fatalf("prefix = %d, want 2 (gap at 3)", got)
 	}
-	if got := m.MaxSeen(src); got != 5 {
+	if got := m.sources[src].maxSeen; got != 5 {
 		t.Fatalf("maxSeen = %d", got)
 	}
 	m.InjectDeliver(wire.MessageID{Source: src, Seq: 3}, nil)

@@ -358,9 +358,6 @@ func (m *Member) randomPeer() (topology.NodeID, bool) {
 	return rm[m.cfg.Rng.Pick(len(rm), m.cfg.View.SelfIdx)], true
 }
 
-// ID returns the member's node id.
-func (m *Member) ID() topology.NodeID { return m.self }
-
 // Buffer exposes the member's message buffer (read-mostly; experiments
 // sample occupancy and long-term counts).
 func (m *Member) Buffer() *core.Buffer { return m.buf }
@@ -392,15 +389,6 @@ func (m *Member) Prefix(src topology.NodeID) uint64 {
 	}
 	st.prefix = k
 	return k
-}
-
-// MaxSeen returns the highest sequence number observed from src.
-func (m *Member) MaxSeen(src topology.NodeID) uint64 {
-	st, ok := m.sources[src]
-	if !ok {
-		return 0
-	}
-	return st.maxSeen
 }
 
 // source returns (creating if needed) the reception state for src.

@@ -304,7 +304,7 @@ func TestLeaveHandsOffLongTermBuffers(t *testing.T) {
 	leaver := c.members[topo.MemberAt(0, 2)]
 	leaver.InjectLongTerm(id, []byte("h"))
 	for _, n := range topo.Members(0) {
-		if n != leaver.ID() {
+		if n != leaver.self {
 			c.members[n].InjectDiscarded(id)
 		}
 	}
@@ -403,7 +403,7 @@ func TestHashElectPolicyRoutesSearchDirectly(t *testing.T) {
 			t.Fatal(err)
 		}
 		var policy core.Policy
-		if view.Region == 0 {
+		if topo.RegionOf(n) == 0 {
 			regionAll := append([]topology.NodeID{}, region...)
 			policy = core.NewHashElect(params.IdleThreshold, 3, n, regionAll, 0)
 		}

@@ -20,12 +20,6 @@ func NewSender(m *Member) *Sender {
 	return &Sender{m: m}
 }
 
-// Member returns the underlying member.
-func (s *Sender) Member() *Member { return s.m }
-
-// Seq returns the highest sequence number published so far.
-func (s *Sender) Seq() uint64 { return s.seq }
-
 // Publish multicasts one data message to the whole group and delivers it
 // locally (the sender buffers its own messages under the same policy as
 // everyone else). It returns the assigned message id.

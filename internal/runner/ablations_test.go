@@ -175,7 +175,13 @@ func TestTreeClusterDelivery(t *testing.T) {
 	}
 	c.Sender.Publish([]byte("x"))
 	c.Engine.RunUntil(time.Second)
-	if got := c.CountReceived(1); got != 10 {
+	got := 0
+	for _, n := range c.Nodes {
+		if n.HasReceived(1) {
+			got++
+		}
+	}
+	if got != 10 {
 		t.Fatalf("tree cluster delivered %d/10", got)
 	}
 }

@@ -130,14 +130,3 @@ func NewTreeCluster(cfg TreeClusterConfig) (*TreeCluster, error) {
 	})
 	return c, nil
 }
-
-// CountReceived returns how many nodes have received seq.
-func (c *TreeCluster) CountReceived(seq uint64) int {
-	count := 0
-	for _, n := range c.Nodes {
-		if n.HasReceived(seq) {
-			count++
-		}
-	}
-	return count
-}

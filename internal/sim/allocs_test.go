@@ -26,7 +26,7 @@ func TestPostFireAllocs(t *testing.T) {
 		s := New()
 		check(t, func() {
 			s.Post(time.Millisecond, fn)
-			s.Run()
+			s.RunUntil(-1)
 		})
 	})
 
@@ -44,7 +44,7 @@ func TestPostFireAllocs(t *testing.T) {
 		before := e.lanes[0].loop.processed
 		check(t, func() {
 			e.PostFrom(0, 0, time.Millisecond, fn)
-			e.Run()
+			e.RunUntil(-1)
 		})
 		if e.lanes[0].loop.processed == before {
 			t.Fatal("same-shard posts did not run on the owning lane")
@@ -57,7 +57,7 @@ func TestPostFireAllocs(t *testing.T) {
 		hop := func() { e.PostFrom(0, 1, lookahead, fn) }
 		check(t, func() {
 			e.PostFrom(0, 0, 0, hop)
-			e.Run()
+			e.RunUntil(-1)
 		})
 		if e.lanes[1].loop.processed == before {
 			t.Fatal("cross-shard posts did not run on the destination lane")

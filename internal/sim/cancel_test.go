@@ -39,7 +39,7 @@ func TestCancelledTimerNeverMovesClock(t *testing.T) {
 	s.After(10*time.Millisecond, func() {})
 	tm := s.After(time.Hour, func() { fired = true })
 	tm.Stop()
-	s.Run()
+	s.RunUntil(-1)
 	if fired || s.Now() != 10*time.Millisecond {
 		t.Fatalf("Sim after Run: fired=%v, Now=%v, want the last live event's 10ms", fired, s.Now())
 	}
@@ -50,7 +50,7 @@ func TestCancelledTimerNeverMovesClock(t *testing.T) {
 	stopped := false
 	e.PostFrom(0, 0, 5*time.Millisecond, func() { stopped = gt.Stop() })
 	e.PostFrom(1, 1, 5*time.Millisecond, func() {})
-	e.Run()
+	e.RunUntil(-1)
 	if !stopped || fired {
 		t.Fatalf("lane Stop of a global timer: stopped=%v fired=%v", stopped, fired)
 	}

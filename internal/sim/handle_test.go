@@ -49,12 +49,12 @@ func TestHandleArmAllocs(t *testing.T) {
 	}
 	t.Run("sim", func(t *testing.T) {
 		s := New()
-		check(t, s, func() { s.Run() })
+		check(t, s, func() { s.RunUntil(-1) })
 	})
 	t.Run("lane", func(t *testing.T) {
 		e := newTwoLaneEngine(t)
 		before := e.lanes[0].loop.processed
-		check(t, e.Clock(0), func() { e.Run() })
+		check(t, e.Clock(0), func() { e.RunUntil(-1) })
 		if e.lanes[0].loop.processed == before {
 			t.Fatal("lane handles did not run on the owning lane")
 		}
@@ -72,7 +72,7 @@ func TestHandleStaleStop(t *testing.T) {
 	}
 	fired := 0
 	h.Arm(s, time.Millisecond, func() { fired++ })
-	s.Run()
+	s.RunUntil(-1)
 	other := false
 	if ref, _ := s.queue.PushRef(s.now+time.Millisecond, s.now, s.src, func() { other = true }); ref != 1 {
 		t.Fatalf("setup: the later event took slot %d, want the fired event's slot 1", ref)
@@ -80,12 +80,12 @@ func TestHandleStaleStop(t *testing.T) {
 	if h.Stop() {
 		t.Fatal("stale Stop returned true")
 	}
-	s.Run()
+	s.RunUntil(-1)
 	if !other {
 		t.Fatal("stale Stop cancelled the event that reused its slot")
 	}
 	h.Arm(s, time.Millisecond, func() { fired++ })
-	s.Run()
+	s.RunUntil(-1)
 	if fired != 2 {
 		t.Fatalf("fired %d times, want 2: re-Arm over a fired handle", fired)
 	}
@@ -108,7 +108,7 @@ func TestLaneHandleDuringSetupStopsMidWindow(t *testing.T) {
 	e.RunUntil(0)
 	e.PostFrom(0, 0, 5*time.Millisecond, func() { stopped = h.Stop() })
 	e.PostFrom(1, 1, 5*time.Millisecond, func() {})
-	e.Run()
+	e.RunUntil(-1)
 	if !stopped || fired || e.Pending() != 0 {
 		t.Fatalf("lane Stop of a setup-time handle: stopped=%v fired=%v pending=%d", stopped, fired, e.Pending())
 	}

@@ -230,10 +230,6 @@ func (e *Sharded) RunUntil(deadline time.Duration) uint64 {
 	return e.Processed() - start
 }
 
-// Run executes events until every queue is empty and returns the number
-// executed.
-func (e *Sharded) Run() uint64 { return e.RunUntil(-1) }
-
 // runTo advances the engine to the absolute time deadline (>= 0): a barrier,
 // then windows of at most the lookahead bound, each closed by a barrier at
 // its upper edge.

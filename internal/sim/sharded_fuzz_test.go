@@ -81,7 +81,7 @@ func (e serialMergeEngine) at(at time.Duration, fn func()) { e.s.At(at, fn) }
 func (e serialMergeEngine) postFrom(_, _ int32, d time.Duration, fn func()) {
 	e.s.Post(d, fn)
 }
-func (e serialMergeEngine) run() { e.s.Run() }
+func (e serialMergeEngine) run() { e.s.RunUntil(-1) }
 
 type shardedMergeEngine struct{ e *Sharded }
 
@@ -89,7 +89,7 @@ func (e shardedMergeEngine) at(at time.Duration, fn func()) { e.e.At(at, fn) }
 func (e shardedMergeEngine) postFrom(from, to int32, d time.Duration, fn func()) {
 	e.e.PostFrom(from, to, d, fn)
 }
-func (e shardedMergeEngine) run() { e.e.Run() }
+func (e shardedMergeEngine) run() { e.e.RunUntil(-1) }
 
 // laneTimerMergeEngine schedules through the lanes' own schedulers wherever
 // a protocol member's timer could be armed — roots during setup, and every
@@ -118,7 +118,7 @@ func (e laneTimerMergeEngine) postFrom(from, to int32, d time.Duration, fn func(
 	}
 	e.schedule(to, d, fn)
 }
-func (e laneTimerMergeEngine) run() { e.e.Run() }
+func (e laneTimerMergeEngine) run() { e.e.RunUntil(-1) }
 
 // mix is the splitmix64 finalizer: the program's behavior generator.
 func mix(z uint64) uint64 {

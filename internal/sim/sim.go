@@ -174,12 +174,6 @@ func (s *Sim) runDue(limit time.Duration) {
 	}
 }
 
-// Run executes events until the queue is empty. It returns the number of
-// events executed. Run panics if called reentrantly from an event callback.
-func (s *Sim) Run() uint64 {
-	return s.RunUntil(-1)
-}
-
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to the deadline. A negative deadline means "run to exhaustion". It
 // returns the number of events executed by this call.
@@ -196,11 +190,6 @@ func (s *Sim) RunUntil(deadline time.Duration) uint64 {
 		s.now = deadline
 	}
 	return s.processed - start
-}
-
-// RunFor advances the simulation by d from the current time; see RunUntil.
-func (s *Sim) RunFor(d time.Duration) uint64 {
-	return s.RunUntil(s.now + d)
 }
 
 // MustQuiesce runs to exhaustion but panics if more than limit events

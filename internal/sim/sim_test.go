@@ -9,7 +9,7 @@ func TestClockAdvancesToEventTime(t *testing.T) {
 	s := New()
 	var at time.Duration
 	s.After(25*time.Millisecond, func() { at = s.Now() })
-	s.Run()
+	s.RunUntil(-1)
 	if at != 25*time.Millisecond {
 		t.Fatalf("callback saw t=%v, want 25ms", at)
 	}
@@ -23,7 +23,7 @@ func TestNegativeDelayFiresNow(t *testing.T) {
 	s.RunUntil(10 * time.Millisecond)
 	var at time.Duration = -1
 	s.After(-5*time.Millisecond, func() { at = s.Now() })
-	s.Run()
+	s.RunUntil(-1)
 	if at != 10*time.Millisecond {
 		t.Fatalf("past-scheduled event fired at %v, want clamped to 10ms", at)
 	}
@@ -39,7 +39,7 @@ func TestTimerStop(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop returned true")
 	}
-	s.Run()
+	s.RunUntil(-1)
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
@@ -48,7 +48,7 @@ func TestTimerStop(t *testing.T) {
 func TestStopAfterFire(t *testing.T) {
 	s := New()
 	tm := s.After(1, func() {})
-	s.Run()
+	s.RunUntil(-1)
 	if tm.Stop() {
 		t.Fatal("Stop after firing returned true")
 	}
@@ -67,7 +67,7 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	if s.Now() != 20 {
 		t.Fatalf("clock %v after RunUntil(20)", s.Now())
 	}
-	s.Run()
+	s.RunUntil(-1)
 	if len(fired) != 3 {
 		t.Fatalf("fired %v after Run", fired)
 	}
@@ -75,7 +75,7 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 
 func TestRunForAdvancesIdleClock(t *testing.T) {
 	s := New()
-	s.RunFor(time.Second)
+	s.RunUntil(s.Now() + time.Second)
 	if s.Now() != time.Second {
 		t.Fatalf("idle RunFor left clock at %v", s.Now())
 	}
@@ -90,7 +90,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 		s.After(0, func() { order = append(order, "a2") })
 	})
 	s.After(12, func() { order = append(order, "c") })
-	s.Run()
+	s.RunUntil(-1)
 	want := []string{"a", "a2", "c", "b"}
 	if len(order) != len(want) {
 		t.Fatalf("order %v, want %v", order, want)
@@ -110,7 +110,7 @@ func TestDeterministicInterleaving(t *testing.T) {
 			i := i
 			s.After(time.Duration(i%7)*time.Millisecond, func() { got = append(got, i) })
 		}
-		s.Run()
+		s.RunUntil(-1)
 		return got
 	}
 	a, b := run(), run()
@@ -139,9 +139,9 @@ func TestReentrantRunPanics(t *testing.T) {
 	var recovered any
 	s.After(1, func() {
 		defer func() { recovered = recover() }()
-		s.Run()
+		s.RunUntil(-1)
 	})
-	s.Run()
+	s.RunUntil(-1)
 	if recovered == nil {
 		t.Fatal("reentrant Run did not panic")
 	}
@@ -154,7 +154,7 @@ func TestProcessedAndPending(t *testing.T) {
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d", s.Pending())
 	}
-	s.Run()
+	s.RunUntil(-1)
 	if s.Processed() != 2 || s.Pending() != 0 {
 		t.Fatalf("Processed = %d, Pending = %d", s.Processed(), s.Pending())
 	}
@@ -166,7 +166,7 @@ func TestAtSchedulesAbsolute(t *testing.T) {
 	s.After(10, func() {
 		s.At(40, func() { at = s.Now() })
 	})
-	s.Run()
+	s.RunUntil(-1)
 	if at != 40 {
 		t.Fatalf("At(40) fired at %v", at)
 	}

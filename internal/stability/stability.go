@@ -59,9 +59,6 @@ type Detector struct {
 	onTick  func() // the timer callback, bound once
 	ticker  clock.Handle
 	running bool
-
-	// DigestsSent counts outgoing history PDUs (the A6 overhead metric).
-	DigestsSent int64
 }
 
 // New constructs a detector (stopped; call Start).
@@ -119,7 +116,6 @@ func (d *Detector) tick() {
 	}
 	for _, p := range d.peers {
 		d.cfg.Send(p, msg)
-		d.DigestsSent++
 	}
 	d.evaluate()
 }
@@ -151,6 +147,3 @@ func (d *Detector) evaluate() {
 		}
 	}
 }
-
-// StableFloor returns the highest sequence number declared stable.
-func (d *Detector) StableFloor() uint64 { return d.stable }

@@ -1,16 +1,17 @@
 // Package stats provides the measurement primitives the experiments use:
-// counters, exact-sample histograms with percentiles, time series, and a
-// step-function integrator for buffer-occupancy × time accounting.
+// counters, exact-sample histograms that report the mean, extremes and a
+// 95% confidence interval, and a step-function integrator for
+// buffer-occupancy × time accounting.
 //
-// All types favor exactness over constant memory because experiment scales
-// here are modest (at most a few million samples); this keeps reported
-// percentiles free of sketch error when comparing against the paper.
+// A histogram keeps every sample: experiment scales here are modest (at
+// most a few million samples), and Values lets members' samples merge
+// exactly.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -34,13 +35,11 @@ func (c *Counter) Value() int64 { return c.n }
 // The zero value is ready to use.
 type Histogram struct {
 	samples []float64
-	sorted  bool
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.samples = append(h.samples, v)
-	h.sorted = false
 }
 
 // AddDuration records a duration sample in milliseconds, the unit used by
@@ -62,21 +61,6 @@ func (h *Histogram) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(h.samples))
-}
-
-// Stddev returns the population standard deviation (0 with <2 samples).
-func (h *Histogram) Stddev() float64 {
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // SampleStddev returns the Bessel-corrected (n−1) standard deviation, the
@@ -124,8 +108,7 @@ func (h *Histogram) Min() float64 {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	h.sort()
-	return h.samples[0]
+	return slices.Min(h.samples)
 }
 
 // Max returns the largest sample (0 with no samples).
@@ -133,102 +116,13 @@ func (h *Histogram) Max() float64 {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	h.sort()
-	return h.samples[len(h.samples)-1]
+	return slices.Max(h.samples)
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between order statistics. It returns 0 with no samples.
-func (h *Histogram) Percentile(p float64) float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	h.sort()
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return h.samples[lo]
-	}
-	frac := rank - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
-}
-
-// Buckets counts samples into k equal-width buckets across [min, max] and
-// returns the bucket boundaries and counts. Useful for printing figure-style
-// distributions. With no samples it returns nils.
-func (h *Histogram) Buckets(k int) (bounds []float64, counts []int) {
-	if len(h.samples) == 0 || k < 1 {
-		return nil, nil
-	}
-	h.sort()
-	lo, hi := h.samples[0], h.samples[len(h.samples)-1]
-	if hi == lo {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(k)
-	bounds = make([]float64, k+1)
-	for i := range bounds {
-		bounds[i] = lo + float64(i)*width
-	}
-	counts = make([]int, k)
-	for _, v := range h.samples {
-		i := int((v - lo) / width)
-		if i >= k {
-			i = k - 1
-		}
-		counts[i]++
-	}
-	return bounds, counts
-}
-
-func (h *Histogram) sort() {
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-}
-
-// Values returns a copy of all recorded samples (in sorted order if any
-// order statistic has been queried; insertion order otherwise). Use it to
-// merge histograms across members.
+// Values returns a copy of all recorded samples in insertion order. Use it
+// to merge histograms across members.
 func (h *Histogram) Values() []float64 {
-	out := make([]float64, len(h.samples))
-	copy(out, h.samples)
-	return out
-}
-
-// Summary is a compact digest of a histogram.
-type Summary struct {
-	N                  int
-	Mean, Stddev       float64
-	Min, P50, P95, Max float64
-}
-
-// Summarize returns the histogram's summary.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		N:      h.N(),
-		Mean:   h.Mean(),
-		Stddev: h.Stddev(),
-		Min:    h.Min(),
-		P50:    h.Percentile(50),
-		P95:    h.Percentile(95),
-		Max:    h.Max(),
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f max=%.2f",
-		s.N, s.Mean, s.Stddev, s.Min, s.P50, s.P95, s.Max)
+	return slices.Clone(h.samples)
 }
 
 // Occupancy integrates a step function over time: it tracks a current level
@@ -255,14 +149,6 @@ func (o *Occupancy) Set(now time.Duration, v float64) {
 		o.peak = v
 	}
 }
-
-// Adjust adds dv to the current level at time now.
-func (o *Occupancy) Adjust(now time.Duration, dv float64) {
-	o.Set(now, o.level+dv)
-}
-
-// Level returns the current level.
-func (o *Occupancy) Level() float64 { return o.level }
 
 // Peak returns the highest level observed.
 func (o *Occupancy) Peak() float64 { return o.peak }

@@ -19,7 +19,7 @@ func TestBalancedTree(t *testing.T) {
 		t.Fatalf("nodes=%d regions=%d depth=%d", topo.NumNodes(), topo.NumRegions(), depth)
 	}
 	for r := 0; r < topo.NumRegions(); r++ {
-		if got := topo.RegionSize(RegionID(r)); got != 48 {
+		if got := len(topo.Members(RegionID(r))); got != 48 {
 			t.Fatalf("region %d size %d, want 48", r, got)
 		}
 	}
@@ -31,7 +31,7 @@ func TestBalancedTree(t *testing.T) {
 	}
 	want := []int{3, 3, 2}
 	for r, n := range want {
-		if got := topo.RegionSize(RegionID(r)); got != n {
+		if got := len(topo.Members(RegionID(r))); got != n {
 			t.Fatalf("region %d size %d, want %d", r, got, n)
 		}
 	}

@@ -226,17 +226,8 @@ func (t *Topology) Parent(r RegionID) RegionID {
 	return t.regions[r].Parent
 }
 
-// RegionSize returns the number of members in region r (0 if unknown).
-func (t *Topology) RegionSize(r RegionID) int {
-	if r < 0 || int(r) >= len(t.regions) {
-		return 0
-	}
-	return len(t.regions[r].Members)
-}
-
-// MemberAt returns the i-th member of region r. It panics on out-of-range
-// arguments; use RegionSize to bound i. This accessor exists so hot protocol
-// paths can pick random members without allocating.
+// MemberAt returns the i-th member of region r without copying the member
+// list. It panics on out-of-range arguments.
 func (t *Topology) MemberAt(r RegionID, i int) NodeID {
 	return t.regions[r].Members[i]
 }
@@ -356,7 +347,6 @@ func (t *Topology) NodeShards(shards int) ([]int32, int) {
 // self-excluding list takes Peers().
 type View struct {
 	Self         NodeID
-	Region       RegionID
 	ParentRegion RegionID // NoRegion if the member is in the root region
 	// RegionMembers is the member's own region, Self included. Regions are
 	// contiguous by construction: build, the only place members get IDs,
@@ -404,7 +394,7 @@ func (t *Topology) ViewOf(node NodeID) (View, error) {
 	if r == NoRegion {
 		return View{}, fmt.Errorf("%w: node %d not in topology", errInvalid, node)
 	}
-	v := View{Self: node, Region: r, ParentRegion: t.Parent(r), RegionMembers: t.regions[r].Members}
+	v := View{Self: node, ParentRegion: t.Parent(r), RegionMembers: t.regions[r].Members}
 	// Regions are contiguous by construction (see View.RegionMembers), so
 	// Self's index is a subtraction.
 	v.SelfIdx = int(node - v.RegionMembers[0])

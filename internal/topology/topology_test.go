@@ -19,8 +19,8 @@ func TestSingleRegion(t *testing.T) {
 	if topo.Parent(0) != NoRegion {
 		t.Fatal("single region has a parent")
 	}
-	if topo.RegionSize(0) != 100 {
-		t.Fatalf("region size %d", topo.RegionSize(0))
+	if len(topo.Members(0)) != 100 {
+		t.Fatalf("region size %d", len(topo.Members(0)))
 	}
 }
 
@@ -115,10 +115,10 @@ func TestViewOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Region != 1 || v.ParentRegion != 0 {
-		t.Fatalf("view region=%d parent=%d", v.Region, v.ParentRegion)
+	if v.ParentRegion != 0 {
+		t.Fatalf("view parent=%d", v.ParentRegion)
 	}
-	if len(v.RegionMembers) != 4 || v.NumPeers() != 3 {
+	if v.RegionMembers[0] != 3 || len(v.RegionMembers) != 4 || v.NumPeers() != 3 {
 		t.Fatalf("region members = %v", v.RegionMembers)
 	}
 	if v.RegionMembers[v.SelfIdx] != 5 {

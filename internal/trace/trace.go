@@ -175,9 +175,6 @@ func (m *Memory) Events() []Event {
 	return out
 }
 
-// Count returns the number of retained events.
-func (m *Memory) Count() int { return len(m.events) }
-
 // Filter returns retained events whose Kind equals kind.
 func (m *Memory) Filter(kind Kind) []Event {
 	var out []Event

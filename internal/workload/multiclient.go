@@ -252,14 +252,6 @@ func (tl Timeline) Valid() bool {
 	return true
 }
 
-// Span returns the time of the last publish (0 for an empty timeline).
-func (tl Timeline) Span() time.Duration {
-	if len(tl) == 0 {
-		return 0
-	}
-	return tl[len(tl)-1].At
-}
-
 // Clients returns the number of client slots the timeline addresses
 // (max index + 1).
 func (tl Timeline) Clients() int {
