@@ -194,24 +194,60 @@ func receiver(fn *types.Func) *types.Named {
 
 // TestFieldsAreRead keeps every struct field under internal/ that non-test
 // code writes read by non-test code too: a field only ever assigned, or a
-// counter only ever incremented, is state nothing consults. A write is a
-// composite-literal element or the direct target of an assignment or
-// ++/--; every other mention reads. Exempt are json-tagged fields, which
-// encoding/json reads, fields of struct types used as a map key or
-// compared with == or !=, whose every field the comparison reads, and the
-// keep list.
+// counter only ever incremented, is state nothing consults. The rule is
+// unreadFields; TestFieldsAreReadFixture pins what it finds.
 func TestFieldsAreRead(t *testing.T) {
 	const registry = "the metrickey analyzer reads the metricKeyRegistry literal from source"
+	const load = "repro's Example prints per-member request load, the no-repair-server claim (§1)"
 	keep := map[string]string{
 		"runner.MetricKeyInfo.Key":      registry,
 		"runner.MetricKeyInfo.Protocol": registry,
 		"runner.MetricKeyInfo.Axis":     registry,
+		"rrmp.Metrics.LocalReqRecv":     load,
+		"rrmp.Metrics.RemoteReqRecv":    load,
 	}
 
 	pkgs, err := lint.Load("../..", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if unread := unreadFields(t, pkgs, keep); len(unread) > 0 {
+		t.Errorf("%d fields under internal/ are written but never read outside tests; delete each, or list it in keep with a reason:\n  %s",
+			len(unread), strings.Join(unread, "\n  "))
+	}
+}
+
+// TestFieldsAreReadFixture pins both halves of the rule on a fixture module
+// that declares its own repro/internal/stats: a counter only incremented
+// and a counter read only by its own merge are found; a counter both
+// incremented and read, and a field whose result-less method has effects
+// beyond the field, are not.
+func TestFieldsAreReadFixture(t *testing.T) {
+	pkgs, err := lint.Load("testdata/fields", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"node.Metrics.Merged", "node.Metrics.Sent"}
+	if got := unreadFields(t, pkgs, nil); !slices.Equal(got, want) {
+		t.Errorf("unreadFields on the fixture = %v, want %v", got, want)
+	}
+}
+
+// unreadFields returns, sorted, the fields declared in audited packages
+// that non-test code writes but never reads, less the keep list; it fails t
+// on a keep entry that is not declared or no longer needed.
+//
+// A write is a composite-literal element, the direct target of an
+// assignment or ++/--, or the receiver x.F or x.F[i] of an accumulator
+// call: a pointer-receiver method with no results on a type of
+// repro/internal/stats (Counter.Inc, Histogram.Add, Occupancy.Set). A read
+// of F inside the value written to F, such as s.n.Add(o.n.Value()), is
+// only a merge and does not count; every other mention reads. Exempt are
+// json-tagged fields, which encoding/json reads, and fields of struct
+// types used as a map key or compared with == or !=, whose every field the
+// comparison reads.
+func unreadFields(t *testing.T, pkgs []*lint.Package, keep map[string]string) []string {
+	t.Helper()
 	names := map[string]string{} // objKey -> pkg.Type.Field
 	exempt := map[string]bool{}
 	written := map[string]bool{}
@@ -219,9 +255,32 @@ func TestFieldsAreRead(t *testing.T) {
 	var compared []types.Type
 	for _, pkg := range pkgs {
 		info := pkg.TypesInfo
+		// field is the objKey of the struct field sel selects, or "".
+		field := func(sel *ast.SelectorExpr) string {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return objKey(pkg.Fset, s.Obj().(*types.Var).Origin())
+			}
+			return ""
+		}
 		for _, f := range pkg.Syntax {
 			prefix := map[*ast.StructType]string{}
 			writes := map[*ast.SelectorExpr]bool{}
+			merges := map[*ast.SelectorExpr]bool{}
+			// merge marks every selection of field k inside value as a
+			// merge into k rather than a read of it.
+			merge := func(k string, value ...ast.Expr) {
+				if k == "" {
+					return
+				}
+				for _, v := range value {
+					ast.Inspect(v, func(n ast.Node) bool {
+						if sel, ok := n.(*ast.SelectorExpr); ok && field(sel) == k {
+							merges[sel] = true
+						}
+						return true
+					})
+				}
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.TypeSpec:
@@ -254,23 +313,32 @@ func TestFieldsAreRead(t *testing.T) {
 						break
 					}
 					for i, elt := range n.Elts {
+						v, value := st.Field(i), elt
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-								written[objKey(pkg.Fset, v.Origin())] = true
-							}
-						} else {
-							written[objKey(pkg.Fset, st.Field(i).Origin())] = true
+							v, _ = info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+							value = kv.Value
+						}
+						if v != nil {
+							k := objKey(pkg.Fset, v.Origin())
+							written[k] = true
+							merge(k, value)
 						}
 					}
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
 						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
 							writes[sel] = true
+							merge(field(sel), n.Rhs...)
 						}
 					}
 				case *ast.IncDecStmt:
 					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
 						writes[sel] = true
+					}
+				case *ast.CallExpr:
+					if sel := accumulated(info, n); sel != nil {
+						writes[sel] = true
+						merge(field(sel), n.Args...)
 					}
 				case *ast.BinaryExpr:
 					if n.Op == token.EQL || n.Op == token.NEQ {
@@ -283,7 +351,7 @@ func TestFieldsAreRead(t *testing.T) {
 					}
 					// Every embedded field on the way to the selected
 					// member is read; the member itself is read unless
-					// this selector is a write target.
+					// this selector is a write target or a merge.
 					owner := s.Recv()
 					path := s.Index()
 					if s.Kind() != types.FieldVal {
@@ -294,10 +362,13 @@ func TestFieldsAreRead(t *testing.T) {
 							owner = p.Elem()
 						}
 						v := owner.Underlying().(*types.Struct).Field(i).Origin()
-						if j < len(path)-1 || !writes[n] || s.Kind() != types.FieldVal {
+						switch {
+						case j < len(path)-1 || s.Kind() != types.FieldVal:
 							read[objKey(pkg.Fset, v)] = true
-						} else {
+						case writes[n]:
 							written[objKey(pkg.Fset, v)] = true
+						case !merges[n]:
+							read[objKey(pkg.Fset, v)] = true
 						}
 						owner = v.Type()
 					}
@@ -341,10 +412,6 @@ func TestFieldsAreRead(t *testing.T) {
 		}
 	}
 	slices.Sort(unread)
-	if len(unread) > 0 {
-		t.Errorf("%d fields under internal/ are written but never read outside tests; delete each, or list it in keep with a reason:\n  %s",
-			len(unread), strings.Join(unread, "\n  "))
-	}
 	checkKeep(t, keep, func(k string) bool {
 		_, ok := byName[k]
 		return ok
@@ -352,6 +419,37 @@ func TestFieldsAreRead(t *testing.T) {
 		v := byName[k]
 		return !written[v] || read[v] || exempt[v]
 	})
+	return unread
+}
+
+// accumulated returns the selector x.F that call writes when call is
+// x.F.M(…) or x.F[i].M(…) with M an accumulator method, or nil. The rule is
+// kept to repro/internal/stats, whose types hold nothing but their tallies:
+// a result-less method elsewhere (rrmp.NetTransport's Net.Unicast) has
+// effects beyond its receiver, and calling it reads the field.
+func accumulated(info *types.Info, call *ast.CallExpr) *ast.SelectorExpr {
+	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	s := info.Selections[fun]
+	if s == nil || s.Kind() != types.MethodVal {
+		return nil
+	}
+	m := s.Obj().(*types.Func)
+	sig := m.Type().(*types.Signature)
+	if m.Pkg() == nil || m.Pkg().Path() != "repro/internal/stats" || sig.Results().Len() > 0 { // nil: error.Error
+		return nil
+	}
+	if _, ptr := sig.Recv().Type().(*types.Pointer); !ptr {
+		return nil
+	}
+	x := ast.Unparen(fun.X)
+	if ix, ok := x.(*ast.IndexExpr); ok {
+		x = ast.Unparen(ix.X)
+	}
+	sel, _ := x.(*ast.SelectorExpr)
+	return sel
 }
 
 // TestDocRefsResolve keeps README.md and DESIGN.md pointing at code that

@@ -104,7 +104,6 @@ type Metrics struct {
 	NaksSent    stats.Counter
 	NaksRecv    stats.Counter
 	RepairsSent stats.Counter
-	RepairsRecv stats.Counter
 	AcksSent    stats.Counter
 	AcksRecv    stats.Counter
 	GiveUps     stats.Counter
@@ -301,9 +300,6 @@ func (n *Node) Receive(from topology.NodeID, msg wire.Message) {
 	}
 	switch msg.Type {
 	case wire.TypeData, wire.TypeRepair:
-		if msg.Type == wire.TypeRepair {
-			n.metrics.RepairsRecv.Inc()
-		}
 		n.deliver(msg.ID, msg.Payload)
 	case wire.TypeSession:
 		n.noteTop(msg.From, msg.TopSeq)

@@ -19,6 +19,7 @@ type cluster struct {
 	members map[topology.NodeID]*Member
 	sender  *Sender
 	all     []topology.NodeID
+	tally   *tally
 }
 
 func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint64, loss netsim.LossModel) *cluster {
@@ -32,7 +33,7 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint6
 	net := netsim.New(s, lat, loss)
 	root := rng.New(seed)
 
-	c := &cluster{sim: s, net: net, topo: topo, members: make(map[topology.NodeID]*Member)}
+	c := &cluster{sim: s, net: net, topo: topo, members: make(map[topology.NodeID]*Member), tally: newTally()}
 	for r := 0; r < topo.NumRegions(); r++ {
 		for _, n := range topo.Members(topology.RegionID(r)) {
 			c.all = append(c.all, n)
@@ -45,16 +46,77 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint6
 		}
 		m := NewMember(Config{
 			View:      view,
-			Transport: &NetTransport{Net: net, Self: n, Group: c.all},
+			Transport: c.tally.wrap(n, &NetTransport{Net: net, Self: n, Group: c.all}),
 			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
 			Params:    params,
 		})
 		c.members[n] = m
-		net.Register(n, func(p netsim.Packet) { m.Receive(p.From, p.Msg) })
+		net.Register(n, c.tally.handler(n, m))
 	}
 	c.sender = NewSender(c.members[topo.Sender()])
 	return c
+}
+
+// tally counts packets per (node, wire.Type), where a test needs a count
+// the protocol does not keep: recv at the node's network handler, before
+// the member sees the packet, and sent at the node's Transport, one per
+// call, so a region multicast counts once.
+type tally struct {
+	sent, recv map[nodeType]int64
+}
+
+type nodeType struct {
+	node topology.NodeID
+	typ  wire.Type
+}
+
+func newTally() *tally {
+	return &tally{sent: map[nodeType]int64{}, recv: map[nodeType]int64{}}
+}
+
+// wrap returns n's Transport tr, counting each call in t.sent.
+func (t *tally) wrap(n topology.NodeID, tr Transport) Transport {
+	return &tallyTransport{Transport: tr, self: n, t: t}
+}
+
+// handler is n's network handler: it counts each packet in t.recv and
+// hands it to m.
+func (t *tally) handler(n topology.NodeID, m *Member) netsim.Handler {
+	return func(p netsim.Packet) {
+		t.recv[nodeType{n, p.Msg.Type}]++
+		m.Receive(p.From, p.Msg)
+	}
+}
+
+// sum totals counts of typ over nodes.
+func sum(counts map[nodeType]int64, typ wire.Type, nodes ...topology.NodeID) int64 {
+	var n int64
+	for _, node := range nodes {
+		n += counts[nodeType{node, typ}]
+	}
+	return n
+}
+
+type tallyTransport struct {
+	Transport
+	self topology.NodeID
+	t    *tally
+}
+
+func (tt *tallyTransport) Send(to topology.NodeID, msg wire.Message) {
+	tt.t.sent[nodeType{tt.self, msg.Type}]++
+	tt.Transport.Send(to, msg)
+}
+
+func (tt *tallyTransport) Multicast(targets []topology.NodeID, msg wire.Message) {
+	tt.t.sent[nodeType{tt.self, msg.Type}]++
+	tt.Transport.Multicast(targets, msg)
+}
+
+func (tt *tallyTransport) Broadcast(msg wire.Message) {
+	tt.t.sent[nodeType{tt.self, msg.Type}]++
+	tt.Transport.Broadcast(msg)
 }
 
 func (c *cluster) deliveredCount(id wire.MessageID) int {

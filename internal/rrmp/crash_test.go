@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -159,13 +160,15 @@ func TestLeaveHandsOffToLivePeersOnly(t *testing.T) {
 	c := newCluster(t, topo, params, 5, nil)
 
 	leaver, corpse, survivor := topology.NodeID(1), topology.NodeID(2), topology.NodeID(0)
+	mem := &trace.Memory{}
+	c.members[survivor].cfg.Tracer = mem
 	c.members[leaver].InjectLongTerm(wire.MessageID{Source: 0, Seq: 1}, []byte("a"))
 	c.members[leaver].InjectLongTerm(wire.MessageID{Source: 0, Seq: 2}, []byte("b"))
 	c.sim.At(50*time.Millisecond, func() { c.crashNode(corpse) })
 	c.sim.At(1500*time.Millisecond, func() { c.members[leaver].Leave() })
 	c.sim.RunUntil(3 * time.Second)
 
-	if got := c.members[survivor].Metrics().HandoffsRecv.Value(); got != 2 {
+	if got := len(mem.Filter(trace.HandoffRecv)); got != 2 {
 		t.Fatalf("survivor received %d handoffs, want 2 (none may go to the corpse)", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -52,7 +53,9 @@ func TestMulticastQueryModeEndToEnd(t *testing.T) {
 
 	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
 	region := topo.Members(0)
+	mem := &trace.Memory{}
 	for i, n := range region {
+		c.members[n].cfg.Tracer = mem
 		if i < 5 {
 			c.members[n].InjectLongTerm(id, []byte("q"))
 		} else {
@@ -69,15 +72,10 @@ func TestMulticastQueryModeEndToEnd(t *testing.T) {
 	if !c.members[requester].HasReceived(id) {
 		t.Fatal("multicast-query search failed to repair the requester")
 	}
-	var queries, replies int64
-	for _, n := range region {
-		queries += c.members[n].Metrics().QueriesSent.Value()
-		replies += c.members[n].Metrics().QueryReplies.Value()
-	}
-	if queries == 0 {
+	if sum(c.tally.sent, wire.TypeQuery, region...) == 0 {
 		t.Fatal("no multicast queries sent")
 	}
-	if replies == 0 {
+	if len(mem.Filter(trace.QueryReply)) == 0 {
 		t.Fatal("no query replies sent")
 	}
 }
@@ -148,7 +146,7 @@ func TestDuplicateRemoteRequestsMergeOrigins(t *testing.T) {
 	// Each requester is repaired without implosion: the serve-side dedupe
 	// bounds repairs per origin to ~1 within the search window.
 	for _, r := range []topology.NodeID{r1, r2} {
-		if got := c.members[r].Metrics().RepairsRecv.Value(); got < 1 || got > 2 {
+		if got := c.tally.recv[nodeType{r, wire.TypeRepair}]; got < 1 || got > 2 {
 			t.Fatalf("requester %d received %d repairs, want 1..2", r, got)
 		}
 	}

@@ -4,7 +4,7 @@ import "repro/internal/stats"
 
 // Metrics tallies one member's protocol activity. All counters are updated
 // synchronously on the member's executor; read them after the simulation
-// quiesces (or from the member's goroutine in real-time mode).
+// quiesces.
 type Metrics struct {
 	// Delivered counts distinct data messages delivered to this member.
 	Delivered stats.Counter
@@ -18,59 +18,28 @@ type Metrics struct {
 	// RemoteReqSent / RemoteReqRecv count remote-recovery NAKs (§2.2).
 	RemoteReqSent stats.Counter
 	RemoteReqRecv stats.Counter
-	// RepairsSent / RepairsRecv count retransmissions.
+	// RepairsSent counts retransmissions; the A3 ablation contrasts the
+	// multicast query's replies with the random walk's single repair.
 	RepairsSent stats.Counter
-	RepairsRecv stats.Counter
 
 	// RegionalMulticasts counts repairs this member multicast into its
-	// region after receiving them from a remote region; Suppressed counts
-	// pending regional multicasts cancelled by the back-off scheme.
-	RegionalMulticasts   stats.Counter
-	SuppressedMulticasts stats.Counter
+	// region after receiving them from a remote region.
+	RegionalMulticasts stats.Counter
 
-	// SearchesStarted counts search episodes this member initiated on a
-	// remote request for a discarded message (§3.3); SearchForwards counts
-	// SEARCH messages sent (initial and retries); SearchJoins counts
-	// searches joined on behalf of another member; SearchServed counts
-	// searches this member terminated from its buffer; SearchFailures
+	// SearchesStarted counts search episodes this member opened (§3.3):
+	// on a remote request for a message it discarded, and on joining
+	// another member's search for a message it received. SearchFailures
 	// counts searches abandoned after MaxSearchTries.
 	SearchesStarted stats.Counter
-	SearchForwards  stats.Counter
-	SearchJoins     stats.Counter
-	SearchServed    stats.Counter
 	SearchFailures  stats.Counter
-	// HavesSent / HavesRecv count "I have the message" notices.
-	HavesSent stats.Counter
-	HavesRecv stats.Counter
 
-	// QueriesSent counts multicast bufferer queries (the §3.3 rejected
-	// design, SearchMulticastQuery); QueryReplies counts repair+HAVE
-	// replies actually transmitted; SuppressedReplies counts replies
-	// cancelled by another member's HAVE during back-off. The A3 ablation
-	// contrasts QueryReplies with the random walk's single repair.
-	QueriesSent       stats.Counter
-	QueryReplies      stats.Counter
-	SuppressedReplies stats.Counter
-
-	// WaitersRecorded counts remote requests remembered for later relay;
-	// WaiterRelays counts repairs forwarded to recorded waiters (§2.2).
-	WaitersRecorded stats.Counter
-	WaiterRelays    stats.Counter
-
-	// HandoffsSent / HandoffsRecv count long-term buffer transfers on
-	// voluntary leave (§3.2).
+	// HandoffsSent counts long-term buffer transfers on voluntary leave
+	// (§3.2).
 	HandoffsSent stats.Counter
-	HandoffsRecv stats.Counter
 
-	// LocalGiveUps / RemoteGiveUps count recovery phases that exhausted
-	// their retry budgets.
-	LocalGiveUps  stats.Counter
-	RemoteGiveUps stats.Counter
-
-	// Suspects / Restores count failure-detector suspicion transitions
-	// observed by this member (FDEnabled only).
+	// Suspects counts failure-detector suspicions observed by this member
+	// (FDEnabled only).
 	Suspects stats.Counter
-	Restores stats.Counter
 	// Unrecoverable counts loss-recovery episodes abandoned after every
 	// recovery phase exhausted its retry budget — the explicit "this
 	// message is lost" signal crash faults can produce. A late delivery

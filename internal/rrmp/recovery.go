@@ -106,7 +106,6 @@ func (m *Member) localAttempt(rec *recovery) {
 		return
 	}
 	if rec.localTries >= m.params.MaxLocalTries {
-		m.metrics.LocalGiveUps.Inc()
 		rec.localDead = true
 		m.checkAbandoned(rec)
 		return
@@ -138,7 +137,6 @@ func (m *Member) remoteAttempt(rec *recovery) {
 		return
 	}
 	if rec.remoteTries >= m.params.MaxRemoteTries {
-		m.metrics.RemoteGiveUps.Inc()
 		rec.remoteDead = true
 		m.checkAbandoned(rec)
 		return

@@ -311,7 +311,6 @@ func (m *Member) onSuspect(n topology.NodeID) {
 }
 
 func (m *Member) onRestore(n topology.NodeID) {
-	m.metrics.Restores.Inc()
 	m.trace(trace.Event{Kind: trace.Restore, Peer: n})
 }
 
@@ -494,7 +493,6 @@ func (m *Member) onRemoteRequest(from topology.NodeID, msg *wire.Message) {
 // remote region, multicast it into the local region so members sharing the
 // loss receive it (§2.2).
 func (m *Member) onRepair(from topology.NodeID, msg *wire.Message) {
-	m.metrics.RepairsRecv.Inc()
 	fromLocal := m.inOwnRegion(from)
 	isNew := m.deliver(msg.ID, msg.Payload, from)
 	switch {
@@ -505,7 +503,6 @@ func (m *Member) onRepair(from topology.NodeID, msg *wire.Message) {
 		// pending regional multicast of the same message.
 		if ms := m.msgs[msg.ID]; ms != nil && ms.mc.Armed() {
 			ms.mc.Stop()
-			m.metrics.SuppressedMulticasts.Inc()
 			m.release(msg.ID, ms)
 		}
 	}
@@ -513,7 +510,6 @@ func (m *Member) onRepair(from topology.NodeID, msg *wire.Message) {
 
 // onHandoff accepts a long-term buffer transfer from a leaving peer (§3.2).
 func (m *Member) onHandoff(_ topology.NodeID, msg *wire.Message) {
-	m.metrics.HandoffsRecv.Inc()
 	id := msg.ID
 	st := m.source(id.Source)
 	if !st.has(id.Seq) {
@@ -571,7 +567,6 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 		ms.waiters = nil
 		m.release(id, ms)
 		for _, w := range ws {
-			m.metrics.WaiterRelays.Inc()
 			m.sendRepairPayload(w, id, payload, false)
 		}
 	}
@@ -638,7 +633,6 @@ func (m *Member) addWaiter(id wire.MessageID, who topology.NodeID) {
 	if slices.Contains(ms.waiters, who) {
 		return
 	}
-	m.metrics.WaitersRecorded.Inc()
 	ms.waiters = append(ms.waiters, who)
 }
 

@@ -1,6 +1,7 @@
 package rrmp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -167,18 +168,28 @@ func TestWaiterRelay(t *testing.T) {
 	c.net.Unicast(downstream, parentWaitee, wire.Message{
 		Type: wire.TypeRemoteRequest, From: downstream, ID: id, Origin: downstream,
 	})
-	// Later the parent member recovers the message via local recovery.
+	// Later the parent member recovers the message via local recovery. The
+	// request arrives one inter-region hop (50 ms) after it is sent; the
+	// recovery needs at least one intra-region round trip (10 ms), so at
+	// 55 ms the waiter is recorded and not yet relayed.
 	c.sim.At(50*time.Millisecond, func() { c.members[parentWaitee].StartRecovery(id) })
+	c.sim.At(55*time.Millisecond, func() {
+		var waiters []topology.NodeID
+		if ms := c.members[parentWaitee].msgs[id]; ms != nil {
+			waiters = ms.waiters
+		}
+		if !slices.Equal(waiters, []topology.NodeID{downstream}) {
+			t.Errorf("parent recorded waiters %v, want [%d]", waiters, downstream)
+		}
+	})
 	c.sim.RunUntil(2 * time.Second)
 
 	if !c.members[downstream].HasReceived(id) {
 		t.Fatal("waiter never received the relayed repair")
 	}
-	if got := c.members[parentWaitee].Metrics().WaiterRelays.Value(); got != 1 {
-		t.Fatalf("WaiterRelays = %d", got)
-	}
-	if got := c.members[parentWaitee].Metrics().WaitersRecorded.Value(); got != 1 {
-		t.Fatalf("WaitersRecorded = %d", got)
+	// The relay is the only repair the parent sends.
+	if got := c.tally.sent[nodeType{parentWaitee, wire.TypeRepair}]; got != 1 {
+		t.Fatalf("parent sent %d repairs, want the 1 relay", got)
 	}
 }
 
@@ -251,11 +262,7 @@ func TestSearchFindsBufferer(t *testing.T) {
 		t.Fatalf("search took %v, far beyond plausible bounds", resolvedAt)
 	}
 	// The searchers must have produced HAVE traffic to terminate.
-	var haves int64
-	for _, n := range region {
-		haves += c.members[n].Metrics().HavesSent.Value()
-	}
-	if haves == 0 {
+	if sum(c.tally.sent, wire.TypeHave, region...) == 0 {
 		t.Fatal("no HAVE notice terminated the search")
 	}
 }
@@ -292,7 +299,7 @@ func TestSearchTimeZeroWhenRequestHitsBufferer(t *testing.T) {
 	if resolvedAt != arrival {
 		t.Fatalf("resolved at %v, want %v (zero search time)", resolvedAt, arrival)
 	}
-	if c.members[bufferer].Metrics().SearchForwards.Value() != 0 {
+	if c.tally.sent[nodeType{bufferer, wire.TypeSearch}] != 0 {
 		t.Fatal("bufferer forwarded a search despite holding the message")
 	}
 }
@@ -359,12 +366,30 @@ func TestBackoffSuppressesDuplicateRegionalMulticasts(t *testing.T) {
 	for _, r := range receivers {
 		c.net.Unicast(parent, r, wire.Message{Type: wire.TypeRepair, From: parent, ID: id, Payload: payload})
 	}
+	// pending reports whether r's regional multicast waits out its back-off.
+	pending := func(r topology.NodeID) bool {
+		ms := c.members[r].msgs[id]
+		return ms != nil && ms.mc.Armed()
+	}
+	// The repairs arrive at 50 ms, one inter-region hop; every back-off
+	// is at least 1 ns, so each receiver's multicast is pending now.
+	c.sim.RunUntil(50 * time.Millisecond)
+	for _, r := range receivers {
+		if !pending(r) {
+			t.Fatalf("member %d scheduled no regional multicast of the remote repair", r)
+		}
+	}
 	c.sim.RunUntil(time.Second)
 
+	// A pending multicast that never went out and is no longer pending was
+	// suppressed.
 	var mcs, suppressed int64
 	for _, r := range receivers {
-		mcs += c.members[r].Metrics().RegionalMulticasts.Value()
-		suppressed += c.members[r].Metrics().SuppressedMulticasts.Value()
+		mc := c.members[r].Metrics().RegionalMulticasts.Value()
+		mcs += mc
+		if mc == 0 && !pending(r) {
+			suppressed++
+		}
 	}
 	if mcs+suppressed != 2 {
 		t.Fatalf("multicasts %d + suppressed %d != 2", mcs, suppressed)
@@ -392,6 +417,7 @@ func TestHashElectPolicyRoutesSearchDirectly(t *testing.T) {
 	root := rng.New(12)
 
 	members := make(map[topology.NodeID]*Member)
+	tl := newTally()
 	var all []topology.NodeID
 	for r := 0; r < topo.NumRegions(); r++ {
 		all = append(all, topo.Members(topology.RegionID(r))...)
@@ -409,14 +435,14 @@ func TestHashElectPolicyRoutesSearchDirectly(t *testing.T) {
 		}
 		m := NewMember(Config{
 			View:      view,
-			Transport: &NetTransport{Net: net, Self: n, Group: all},
+			Transport: tl.wrap(n, &NetTransport{Net: net, Self: n, Group: all}),
 			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
 			Params:    params,
 			Policy:    policy,
 		})
 		members[n] = m
-		net.Register(n, func(p netsim.Packet) { m.Receive(p.From, p.Msg) })
+		net.Register(n, tl.handler(n, m))
 	}
 
 	id := wire.MessageID{Source: topo.Sender(), Seq: 7}
@@ -450,14 +476,17 @@ func TestHashElectPolicyRoutesSearchDirectly(t *testing.T) {
 	if !members[downstream].HasReceived(id) {
 		t.Fatal("deterministic lookup failed to repair the requester")
 	}
-	// The search must have gone directly to a bufferer: exactly one forward
-	// from the target, no joins anywhere.
-	if got := members[target].Metrics().SearchForwards.Value(); got != 1 {
-		t.Fatalf("SearchForwards = %d, want 1 (direct route)", got)
+	// The search must have gone directly to a bufferer: exactly one SEARCH
+	// from the target, and no search opened anywhere else (a join opens
+	// one at the joiner).
+	if got := tl.sent[nodeType{target, wire.TypeSearch}]; got != 1 {
+		t.Fatalf("target sent %d SEARCH messages, want 1 (direct route)", got)
 	}
 	var joins int64
 	for _, n := range region {
-		joins += members[n].Metrics().SearchJoins.Value()
+		if n != target {
+			joins += members[n].Metrics().SearchesStarted.Value()
+		}
 	}
 	if joins != 0 {
 		t.Fatalf("deterministic routing caused %d search joins", joins)
@@ -507,8 +536,9 @@ func TestUnrecoverableLossGivesUp(t *testing.T) {
 	if m.HasReceived(id) {
 		t.Fatal("recovered a message nobody had")
 	}
-	if m.Metrics().LocalGiveUps.Value() != 1 {
-		t.Fatalf("LocalGiveUps = %d", m.Metrics().LocalGiveUps.Value())
+	// No parent region: the local give-up abandons the last phase.
+	if got := m.Metrics().Unrecoverable.Value(); got != 1 {
+		t.Fatalf("Unrecoverable = %d after the local give-up, want 1", got)
 	}
 	if got := m.Metrics().LocalReqSent.Value(); got != 5 {
 		t.Fatalf("sent %d local requests, want 5", got)

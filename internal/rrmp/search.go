@@ -108,7 +108,6 @@ func (m *Member) queryAttempt(s *searchState) {
 	}
 	s.tries++
 	for _, o := range s.origins {
-		m.metrics.QueriesSent.Inc()
 		m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
 			wire.Message{Type: wire.TypeQuery, From: m.self, ID: s.id, Origin: o})
 	}
@@ -140,7 +139,6 @@ func (m *Member) onQuery(from topology.NodeID, msg *wire.Message) {
 		if !still {
 			return
 		}
-		m.metrics.QueryReplies.Inc()
 		m.sendRepair(origin, cur)
 		m.announceHave(id, origin)
 		m.resolveSearch(id, origin)
@@ -189,7 +187,6 @@ func (m *Member) searchAttempt(s *searchState) {
 		return
 	}
 	s.tries++
-	m.metrics.SearchForwards.Inc()
 	m.trace(trace.Event{Kind: trace.SearchFwd, ID: s.id, Peer: q, N: int32(s.tries)})
 	// One SEARCH per origin so each awaiting requester is carried forward.
 	for _, o := range s.origins {
@@ -240,7 +237,6 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 			// Duplicate probe for an already-served requester: answer with
 			// a unicast HAVE (no payload) so the prober stops, without
 			// re-sending the repair or re-multicasting.
-			m.metrics.HavesSent.Inc()
 			m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
 			return
 		}
@@ -253,7 +249,6 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 			}
 		}
 		m.served[key] = now
-		m.metrics.SearchServed.Inc()
 		m.sendRepair(origin, e)
 		m.announceHave(id, origin)
 		m.resolveSearch(id, origin)
@@ -268,14 +263,12 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 		m.noteTop(id.Source, id.Seq)
 		return
 	}
-	m.metrics.SearchJoins.Inc()
 	m.startSearch(id, origin)
 }
 
 // announceHave multicasts "I have the message" in the region, terminating
 // the search episode for origin (§3.3).
 func (m *Member) announceHave(id wire.MessageID, origin topology.NodeID) {
-	m.metrics.HavesSent.Inc()
 	m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
 		wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
 }
@@ -284,7 +277,6 @@ func (m *Member) announceHave(id wire.MessageID, origin topology.NodeID) {
 // member's episode carries other origins, they are redirected straight to
 // the announcing bufferer rather than continuing the random walk.
 func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
-	m.metrics.HavesRecv.Inc()
 	ms := m.msg(msg.ID)
 	ms.bufferer = from
 	// The requester named in the HAVE has been served: holders receiving
@@ -293,7 +285,6 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	// Another member answered: suppress our own pending query reply.
 	if ms.reply.Armed() {
 		ms.reply.Stop()
-		m.metrics.SuppressedReplies.Inc()
 	}
 	s := ms.search
 	if s == nil {
@@ -307,7 +298,6 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	}
 	// Redirect remaining origins to the known bufferer.
 	for _, o := range s.origins {
-		m.metrics.SearchForwards.Inc()
 		m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeSearch, From: m.self, ID: msg.ID, Origin: o})
 	}
 	m.endSearch(s)

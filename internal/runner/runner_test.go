@@ -8,6 +8,7 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/rrmp"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -206,11 +207,55 @@ func TestCountHelpers(t *testing.T) {
 	}
 }
 
-// Sanity-check the §3.1 feedback formula against a live region: with all
-// members missing (p=1) nearly every holder sees a request.
+// TestProbNoRequestSanity checks the §3.1 feedback formula against a live
+// region: of n = 100 members a fraction p start recovery at t = 0 and the
+// rest hold the message. Each first-round local request goes to a uniform
+// live peer (localAttempt), the formula's model, so the share of holders
+// that no first-round request targets estimates ProbNoRequest(n, p):
+// about 60 % at p = 0.5.
 func TestProbNoRequestSanity(t *testing.T) {
-	got := analytic.ProbNoRequest(100, 1)
-	if got > 0.40 || got < 0.30 {
-		t.Fatalf("ProbNoRequest(100, 1) = %v, want ~e^-1", got)
+	const n, p, trials = 100, 0.5, 20
+	topo, err := topology.SingleRegion(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
+	missing := int(p * n)
+	var holders, unasked int
+	for trial := range trials {
+		mem := &trace.Memory{}
+		c, err := NewCluster(ClusterConfig{Topo: topo, Seed: uint64(trial) + 1, Tracer: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := c.Root.Perm(n)
+		for _, k := range perm[missing:] {
+			c.Members[k].InjectDeliver(id, []byte("p"))
+		}
+		for _, k := range perm[:missing] {
+			c.Members[k].StartRecovery(id)
+		}
+		asked := map[topology.NodeID]bool{}
+		for _, e := range mem.Filter(trace.LocalReq) {
+			if e.N == 1 {
+				asked[e.Peer] = true
+			}
+		}
+		for _, k := range perm[missing:] {
+			holders++
+			if !asked[topology.NodeID(k)] {
+				unasked++
+			}
+		}
+	}
+	// Within a trial the holders' outcomes are negatively correlated (a
+	// request that lands on one holder misses the rest), so the binomial
+	// standard deviation over all holders bounds the spread; allow four.
+	want := analytic.ProbNoRequest(n, p)
+	got := float64(unasked) / float64(holders)
+	if sd := math.Sqrt(want * (1 - want) / float64(holders)); math.Abs(got-want) > 4*sd {
+		t.Fatalf("%d of %d holders saw no first-round request (%.3f), want ProbNoRequest(%d, %v) = %.3f ± %.3f",
+			unasked, holders, got, n, p, want, 4*sd)
+	}
+	t.Logf("%d of %d holders saw no first-round request (%.3f); ProbNoRequest(%d, %v) = %.3f", unasked, holders, got, n, p, want)
 }

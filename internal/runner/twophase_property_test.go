@@ -11,6 +11,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/rrmp"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -33,11 +34,13 @@ func runTwoPhaseInvariantTrial(t *testing.T, topo *topology.Topology, seed uint6
 	params.C = 3
 	params.LongTermTTL = 3 * time.Second
 
+	mem := &trace.Memory{}
 	c, err := NewCluster(ClusterConfig{
 		Topo:   topo,
 		Params: params,
 		Seed:   seed,
 		Loss:   netsimBernoulli{p: 0.05, rng: rng.New(seed).Split(lossStreamLabel)},
+		Tracer: mem,
 		Policy: func(view topology.View, p rrmp.Params) core.Policy {
 			region := append([]topology.NodeID{view.Self}, view.Peers()...)
 			return core.NewHashElect(p.IdleThreshold, int(p.C), view.Self, region, p.LongTermTTL)
@@ -79,9 +82,11 @@ func runTwoPhaseInvariantTrial(t *testing.T, topo *topology.Topology, seed uint6
 		longTerm: make(map[topology.NodeID]map[wire.MessageID]bool),
 		handoffs: make(map[topology.NodeID]int64),
 	}
+	for _, e := range mem.Filter(trace.HandoffRecv) {
+		snap.handoffs[e.Node]++
+	}
 	for _, n := range c.All {
 		m := c.Members[n]
-		snap.handoffs[n] = m.Metrics().HandoffsRecv.Value()
 		holders := make(map[wire.MessageID]bool)
 		for _, id := range ids {
 			if e, ok := m.Buffer().Get(id); ok {

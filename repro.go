@@ -262,8 +262,9 @@ type GroupStats struct {
 	Repairs            int64
 	RegionalMulticasts int64
 	Handoffs           int64
-	// Searches counts §3.3 search-for-bufferer episodes started;
-	// SearchFailures counts those abandoned after MaxSearchTries.
+	// Searches counts §3.3 search-for-bufferer episodes members opened,
+	// joins of another member's search included; SearchFailures counts
+	// those abandoned after MaxSearchTries.
 	Searches       int64
 	SearchFailures int64
 	// Suspects counts failure-detector suspicion events (the detector
