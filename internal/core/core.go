@@ -174,9 +174,6 @@ func NewBuffer(cfg Config) *Buffer {
 	return &Buffer{cfg: cfg, idx: newDenseIndex()}
 }
 
-// Len returns the number of buffered entries (both phases).
-func (b *Buffer) Len() int { return b.idx.size() }
-
 // LongTermCount returns the number of entries in the long-term phase.
 func (b *Buffer) LongTermCount() int { return b.longCount }
 
@@ -344,9 +341,6 @@ func (b *Buffer) ByteOccupancyIntegral(now time.Duration) float64 {
 
 // PeakLen returns the highest entry count ever held.
 func (b *Buffer) PeakLen() int { return int(b.occupancy.Peak()) }
-
-// Bytes returns the payload bytes currently held.
-func (b *Buffer) Bytes() int { return b.bytes }
 
 // PeakBytes returns the highest payload-byte occupancy ever held.
 func (b *Buffer) PeakBytes() int { return int(b.byteOcc.Peak()) }

@@ -176,19 +176,9 @@ func TestDifferentialAgainstMapDetector(t *testing.T) {
 	var suspects, restores, drops, readmits, fallbacks int
 	for seed := uint64(1); seed <= schedules; seed++ {
 		script := rng.New(seed * 7919)
-		cfg := Config{
-			View:           diffView(script, sizes[int(seed)%len(sizes)], seed%3 == 0),
-			GossipInterval: 50 * time.Millisecond,
-		}
-		switch seed % 4 {
-		case 1: // cleanup fires before suspicion ever can
-			cfg.FailTimeout, cfg.CleanupTimeout = 400*time.Millisecond, 250*time.Millisecond
-		case 2:
-			cfg.FailTimeout, cfg.CleanupTimeout = 200*time.Millisecond, 300*time.Millisecond
-		}
+		cfg := Config{View: diffView(script, sizes[int(seed)%len(sizes)], seed%3 == 0)}
 		dense := newRig(cfg, seed, func(c Config) fdAPI { return New(c) })
 		ref := newRig(cfg, seed, func(c Config) fdAPI { return newRef(c) })
-		cleanup := ref.fd.(*refDetector).cfg.CleanupTimeout
 
 		n := len(cfg.View.RegionMembers)
 		world := make([]uint64, n) // each peer's true heartbeat counter
@@ -236,8 +226,8 @@ func TestDifferentialAgainstMapDetector(t *testing.T) {
 			case k < 58: // a peer goes silent or comes back
 				i := script.Intn(n)
 				alive[i] = !alive[i]
-			case k < 62: // Stop, possibly for longer than CleanupTimeout, Start
-				pause := time.Duration(script.Intn(int(2 * cleanup)))
+			case k < 62: // Stop, possibly for longer than cleanupTimeout, Start
+				pause := time.Duration(script.Intn(int(2 * cleanupTimeout)))
 				both(func(r *rig) {
 					r.fd.Stop()
 					r.fd.Stop()
@@ -248,7 +238,7 @@ func TestDifferentialAgainstMapDetector(t *testing.T) {
 			default: // time passes, ticks fire
 				dt := time.Duration(script.Intn(int(90 * time.Millisecond)))
 				if script.Intn(12) == 0 {
-					dt = time.Duration(script.Intn(int(2 * cleanup)))
+					dt = time.Duration(script.Intn(int(2 * cleanupTimeout)))
 				}
 				both(func(r *rig) { r.sched.advance(r.sched.now + dt) })
 			}

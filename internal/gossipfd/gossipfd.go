@@ -5,8 +5,8 @@
 // Each member maintains a heartbeat counter per known peer. Periodically it
 // increments its own counter and sends its whole table to one uniformly
 // random peer, which merges by taking element-wise maxima. A peer whose
-// counter has not increased for FailTimeout is suspected; after
-// CleanupTimeout it is dropped from the table so that counters of departed
+// counter has not increased for failTimeout is suspected; after
+// cleanupTimeout it is dropped from the table so that counters of departed
 // members do not linger forever.
 //
 // The detector is region-scoped, matching RRMP's partial-membership model:
@@ -53,19 +53,20 @@ type Config struct {
 	Rng *rng.Source
 	// Send transmits heartbeats; required.
 	Send Send
-	// GossipInterval is the heartbeat/gossip period (default 50 ms).
-	GossipInterval time.Duration
-	// FailTimeout marks a peer suspected after this much silence
-	// (default 8 × GossipInterval).
-	FailTimeout time.Duration
-	// CleanupTimeout drops a suspected peer's state entirely
-	// (default 2 × FailTimeout).
-	CleanupTimeout time.Duration
 	// OnSuspect and OnRestore observe suspicion transitions.
 	OnSuspect func(n topology.NodeID)
 	// OnRestore fires when a suspected peer's counter advances again.
 	OnRestore func(n topology.NodeID)
 }
+
+// The detector's timing: the heartbeat/gossip period, the silence after
+// which a peer is suspected, and the silence after which its state is
+// dropped entirely.
+const (
+	gossipInterval = 50 * time.Millisecond
+	failTimeout    = 8 * gossipInterval
+	cleanupTimeout = 2 * failTimeout
+)
 
 // Peer states. A dropped peer keeps its slot: its counter reads 0 in
 // outgoing tables (as an absent peer always did) and Suspected reports true.
@@ -107,15 +108,6 @@ type Detector struct {
 func New(cfg Config) *Detector {
 	if cfg.Sched == nil || cfg.Rng == nil || cfg.Send == nil {
 		panic("gossipfd: Sched, Rng and Send are required")
-	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = 50 * time.Millisecond
-	}
-	if cfg.FailTimeout <= 0 {
-		cfg.FailTimeout = 8 * cfg.GossipInterval
-	}
-	if cfg.CleanupTimeout <= 0 {
-		cfg.CleanupTimeout = 2 * cfg.FailTimeout
 	}
 	// The view's slice is the table order as is; slot lookup and the
 	// ascending callback order depend on what topology promises for it.
@@ -169,7 +161,7 @@ func (d *Detector) Stop() {
 
 func (d *Detector) scheduleTick() {
 	// Jitter desynchronizes members so gossip rounds do not phase-lock.
-	delay := time.Duration(d.cfg.Rng.Jitter(float64(d.cfg.GossipInterval), 0.1))
+	delay := time.Duration(d.cfg.Rng.Jitter(float64(gossipInterval), 0.1))
 	d.ticker.Arm(d.cfg.Sched, delay, d.onTick)
 }
 
@@ -204,8 +196,8 @@ func (d *Detector) tick() {
 }
 
 // sweep updates suspicion state from timeouts, in table order. Cleanup is
-// tested first, so a CleanupTimeout below FailTimeout drops a silent peer
-// without ever reporting it suspected.
+// tested first, so a peer that fell silent past cleanupTimeout while the
+// detector was stopped is dropped without ever being reported suspected.
 func (d *Detector) sweep(now time.Duration) {
 	for i, s := range d.state {
 		if s == peerDropped || i == d.selfIdx {
@@ -213,13 +205,13 @@ func (d *Detector) sweep(now time.Duration) {
 		}
 		silence := now - d.updatedAt[i]
 		switch {
-		case silence > d.cfg.CleanupTimeout:
+		case silence > cleanupTimeout:
 			if d.tombstone == nil {
 				d.tombstone = make([]uint64, len(d.order))
 			}
 			d.tombstone[i], d.counter[i] = d.counter[i], 0
 			d.setState(i, peerDropped)
-		case silence > d.cfg.FailTimeout && s == peerLive:
+		case silence > failTimeout && s == peerLive:
 			d.setState(i, peerSuspected)
 			if d.cfg.OnSuspect != nil {
 				d.cfg.OnSuspect(d.order[i])

@@ -245,7 +245,7 @@ func TestSameSweepSuspectsAscend(t *testing.T) {
 		view := diffView(rng.New(uint64(rep)), 9, rep%2 == 1)
 		r := newRig(Config{View: view}, 1, func(c Config) fdAPI { return New(c) })
 		r.fd.Start()
-		// Nobody ever gossips back: the first tick past FailTimeout
+		// Nobody ever gossips back: the first tick past failTimeout
 		// (8 × 50 ms) suspects all eight peers in one sweep.
 		r.sched.advance(time.Second)
 		if len(r.calls) != 8 {

@@ -45,15 +45,6 @@ func newRef(cfg Config) *refDetector {
 	if cfg.Sched == nil || cfg.Rng == nil || cfg.Send == nil {
 		panic("gossipfd: Sched, Rng and Send are required")
 	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = 50 * time.Millisecond
-	}
-	if cfg.FailTimeout <= 0 {
-		cfg.FailTimeout = 8 * cfg.GossipInterval
-	}
-	if cfg.CleanupTimeout <= 0 {
-		cfg.CleanupTimeout = 2 * cfg.FailTimeout
-	}
 	// The detector owns its member ordering (and the view's slice is
 	// shared), so copy before sorting. Region slices are already
 	// ascending, but the sorted order is this package's invariant — keep
@@ -98,7 +89,7 @@ func (d *refDetector) Stop() {
 
 func (d *refDetector) scheduleTick() {
 	// Jitter desynchronizes members so gossip rounds do not phase-lock.
-	delay := time.Duration(d.cfg.Rng.Jitter(float64(d.cfg.GossipInterval), 0.1))
+	delay := time.Duration(d.cfg.Rng.Jitter(float64(gossipInterval), 0.1))
 	d.ticker = d.cfg.Sched.After(delay, func() {
 		d.tick()
 		if d.running {
@@ -142,10 +133,10 @@ func (d *refDetector) sweep(now time.Duration) {
 		}
 		silence := now - e.updatedAt
 		switch {
-		case silence > d.cfg.CleanupTimeout:
+		case silence > cleanupTimeout:
 			d.tombstones[n] = e.counter
 			delete(d.entries, n)
-		case silence > d.cfg.FailTimeout && !e.suspected:
+		case silence > failTimeout && !e.suspected:
 			e.suspected = true
 			if d.cfg.OnSuspect != nil {
 				d.cfg.OnSuspect(n)

@@ -42,10 +42,11 @@ func checkKeep(t *testing.T, keep map[string]string, declared, fine func(string)
 // and method declared in a non-test file under internal/ must be
 // referenced by non-test code somewhere in the module (a command, the
 // bench harness, the facade or another package), implement a method of an
-// interface, or be listed in keep with its reason. Code only a test calls
-// is code nothing runs; a test that needs to reach inside a package does
-// it from that package's export_test.go. A function's references to
-// itself do not count.
+// interface that something calls through, or be listed in keep with its
+// reason. Code only a test calls is code nothing runs; a test that needs
+// to reach inside a package does it from that package's export_test.go.
+// The rule is uncalledFuncs; TestProductionCodeHasCallersFixture pins what
+// it finds.
 func TestProductionCodeHasCallers(t *testing.T) {
 	const oracle = "a closed form of the paper's analysis (§2.2, §3.1, §3.2), the result the reproduction is about; analytic's tests pin it"
 	const codec = "the reference encoding EncodedSize is tested against"
@@ -66,9 +67,44 @@ func TestProductionCodeHasCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if uncalled := uncalledFuncs(t, pkgs, keep); len(uncalled) > 0 {
+		t.Errorf("%d functions under internal/ have no caller outside tests; delete each (with the tests that test only it), move it to its package's export_test.go, or list it in keep with a reason:\n  %s",
+			len(uncalled), strings.Join(uncalled, "\n  "))
+	}
+}
+
+// TestProductionCodeHasCallersFixture pins the interface half of the rule
+// on a fixture module: a method implementing a module interface counts
+// only if something calls that interface method through the interface,
+// an interface method nothing calls through is itself a finding, and an
+// implementation of an interface from outside the module (fmt.Stringer)
+// counts as called.
+func TestProductionCodeHasCallersFixture(t *testing.T) {
+	pkgs, err := lint.Load("testdata/callers", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"shape.Box.Size", "shape.Sizer.Size", "shape.Unused"}
+	if got := uncalledFuncs(t, pkgs, nil); !slices.Equal(got, want) {
+		t.Errorf("uncalledFuncs on the fixture = %v, want %v", got, want)
+	}
+}
+
+// uncalledFuncs returns, sorted, the functions and methods declared in
+// audited packages that no non-test code references, less the keep list;
+// it fails t on a keep entry that is not declared or no longer needed. A
+// function's references to itself do not count. A method counts as
+// called when it implements a method of an interface from outside the
+// module (error, fmt.Stringer), or of a module interface whose method
+// something references through the interface, as a call or a method
+// value. The methods of interfaces declared in audited packages are
+// checked like any other method.
+func uncalledFuncs(t *testing.T, pkgs []*lint.Package, keep map[string]string) []string {
+	t.Helper()
 	declared := map[string]*types.Func{}
 	referenced := map[string]bool{}
 	ifaces := map[*types.Interface]bool{}
+	module := map[string]bool{}
 	seen := map[*types.Package]bool{}
 	var collect func(p *types.Package)
 	collect = func(p *types.Package) {
@@ -89,10 +125,25 @@ func TestProductionCodeHasCallers(t *testing.T) {
 	}
 	ifaces[types.Universe.Lookup("error").Type().Underlying().(*types.Interface)] = true
 	for _, pkg := range pkgs {
+		module[pkg.ImportPath] = true
 		collect(pkg.Types)
 		for _, tv := range pkg.TypesInfo.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.IsMethodSet() && it.NumMethods() > 0 {
 				ifaces[it] = true
+			}
+		}
+		if audited(pkg) {
+			scope := pkg.Types.Scope()
+			for _, name := range scope.Names() {
+				tn, ok := scope.Lookup(name).(*types.TypeName)
+				if !ok || tn.IsAlias() {
+					continue
+				}
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					for i := 0; i < it.NumExplicitMethods(); i++ {
+						declared[pkg.Types.Name()+"."+name+"."+it.ExplicitMethod(i).Name()] = it.ExplicitMethod(i)
+					}
+				}
 			}
 		}
 		for _, f := range pkg.Syntax {
@@ -127,7 +178,8 @@ func TestProductionCodeHasCallers(t *testing.T) {
 	}
 	// satisfies holds every method some interface reaches: a method of a
 	// type that implements the interface, or promoted into one from an
-	// embedded field (core.PolicyBase's defaults).
+	// embedded field (core.PolicyBase's defaults). A module interface
+	// reaches only the methods it is called through.
 	fset := pkgs[0].Fset
 	satisfies := map[string]bool{}
 	for _, pkg := range pkgs {
@@ -144,7 +196,11 @@ func TestProductionCodeHasCallers(t *testing.T) {
 					}
 				}
 				for i := 0; i < it.NumMethods(); i++ {
-					obj, _, _ := types.LookupFieldOrMethod(impl, false, pkg.Types, it.Method(i).Name())
+					m := it.Method(i)
+					if m.Pkg() != nil && module[m.Pkg().Path()] && !referenced[objKey(fset, m)] {
+						continue
+					}
+					obj, _, _ := types.LookupFieldOrMethod(impl, false, pkg.Types, m.Name())
 					satisfies[objKey(fset, obj)] = true
 				}
 			}
@@ -161,11 +217,8 @@ func TestProductionCodeHasCallers(t *testing.T) {
 			uncalled = append(uncalled, k)
 		}
 	}
-	if len(uncalled) > 0 {
-		t.Errorf("%d functions under internal/ have no caller outside tests; delete each (with the tests that test only it), move it to its package's export_test.go, or list it in keep with a reason:\n  %s",
-			len(uncalled), strings.Join(uncalled, "\n  "))
-	}
 	checkKeep(t, keep, func(k string) bool { return declared[k] != nil }, called)
+	return uncalled
 }
 
 // objKey names a declaration by file, line and name. Load type-checks each
@@ -197,14 +250,10 @@ func receiver(fn *types.Func) *types.Named {
 // counter only ever incremented, is state nothing consults. The rule is
 // unreadFields; TestFieldsAreReadFixture pins what it finds.
 func TestFieldsAreRead(t *testing.T) {
-	const registry = "the metrickey analyzer reads the metricKeyRegistry literal from source"
 	const load = "repro's Example prints per-member request load, the no-repair-server claim (§1)"
 	keep := map[string]string{
-		"runner.MetricKeyInfo.Key":      registry,
-		"runner.MetricKeyInfo.Protocol": registry,
-		"runner.MetricKeyInfo.Axis":     registry,
-		"rrmp.Metrics.LocalReqRecv":     load,
-		"rrmp.Metrics.RemoteReqRecv":    load,
+		"rrmp.Metrics.LocalReqRecv":  load,
+		"rrmp.Metrics.RemoteReqRecv": load,
 	}
 
 	pkgs, err := lint.Load("../..", "./...")

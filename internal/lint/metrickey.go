@@ -11,21 +11,21 @@ import (
 
 // MetricKey enforces the metric-name registry: every metric key the sweep
 // machinery emits or looks up is declared once in the runner package's
-// metrickeys.go (constants prefixed MK, catalogued with their protocol and
-// axis in metricKeyRegistry). The analyzer checks three things:
+// metrickeys.go, as an MK constant in a const block whose doc comment
+// carries a `//metrics:gate both|rrmp|rmtp` directive. The analyzer checks
+// three things:
 //
 //  1. No raw metric-name string literals: in any package that declares or
 //     imports the registry, a string literal equal to a registered key
 //     must be replaced by its MK constant. This keeps emitters, reducers
 //     and report printers agreeing by construction, not convention.
 //  2. Protocol scoping: a file carrying a `//metrics:scope rrmp` (or
-//     rmtp) directive may only mention keys whose registry entry is gated
-//     to that protocol or to both; `//metrics:scope both` (the shared
-//     scenario kernel) admits only keys gated both. This is the PR 5
-//     invariant — RRMP-only keys never leak into rmtp cells — checked
-//     statically.
-//  3. Registry completeness: every MK constant in the registry package
-//     must have a metricKeyRegistry entry.
+//     rmtp) directive may only mention keys whose block is gated to that
+//     protocol or to both; `//metrics:scope both` (the shared scenario
+//     kernel) admits only keys gated both. RRMP-only keys never leak into
+//     rmtp cells, checked statically.
+//  3. Gate completeness: every MK constant in the registry package must
+//     sit in a gated block.
 var MetricKey = &Analyzer{
 	Name: "metrickey",
 	Run:  runMetricKey,
@@ -36,8 +36,12 @@ var MetricKey = &Analyzer{
 const metricKeysFile = "metrickeys.go"
 
 // scopeDirective marks a file as emitting cells for one protocol (or,
-// with `both`, for either).
-const scopeDirective = "//metrics:scope "
+// with `both`, for either); gateDirective marks a const block's keys as
+// belonging to one.
+const (
+	scopeDirective = "//metrics:scope "
+	gateDirective  = "//metrics:gate "
+)
 
 // mkPrefix is the naming convention for registry constants.
 const mkPrefix = "MK"
@@ -50,8 +54,8 @@ func runMetricKey(pass *Pass) error {
 
 	var registry map[string]string // key value -> protocol gate
 	if registryPkg == pass.Pkg {
-		registry = extractRegistry(pass)
-		checkRegistryComplete(pass, keys, registry)
+		registry = extractGates(pass)
+		checkGated(pass, keys, registry)
 	}
 
 	for _, file := range pass.Files {
@@ -171,53 +175,29 @@ func checkScope(pass *Pass, file *ast.File, scope string, registry map[string]st
 	})
 }
 
-// extractRegistry reads the metricKeyRegistry composite literal from the
-// registry package's syntax and returns key value -> protocol gate.
-func extractRegistry(pass *Pass) map[string]string {
+// extractGates reads the `//metrics:gate` directives of the registry
+// package's const blocks and returns key value -> protocol gate.
+func extractGates(pass *Pass) map[string]string {
 	registry := map[string]string{}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			gen, ok := decl.(*ast.GenDecl)
-			if !ok || gen.Tok != token.VAR {
+			if !ok || gen.Tok != token.CONST || gen.Doc == nil {
+				continue
+			}
+			gate := ""
+			for _, c := range gen.Doc.List {
+				if strings.HasPrefix(c.Text, gateDirective) {
+					gate = strings.TrimSpace(strings.TrimPrefix(c.Text, gateDirective))
+				}
+			}
+			if gate == "" {
 				continue
 			}
 			for _, spec := range gen.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "metricKeyRegistry" || len(vs.Values) != 1 {
-					continue
-				}
-				lit, ok := vs.Values[0].(*ast.CompositeLit)
-				if !ok {
-					continue
-				}
-				for _, elt := range lit.Elts {
-					entry, ok := elt.(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					var key, proto string
-					for _, field := range entry.Elts {
-						kv, ok := field.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						name, ok := kv.Key.(*ast.Ident)
-						if !ok {
-							continue
-						}
-						tv, ok := pass.TypesInfo.Types[kv.Value]
-						if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-							continue
-						}
-						switch name.Name {
-						case "Key":
-							key = constant.StringVal(tv.Value)
-						case "Protocol":
-							proto = constant.StringVal(tv.Value)
-						}
-					}
-					if key != "" {
-						registry[key] = proto
+				for _, id := range spec.(*ast.ValueSpec).Names {
+					if c, ok := pass.TypesInfo.Defs[id].(*types.Const); ok && c.Val().Kind() == constant.String {
+						registry[constant.StringVal(c.Val())] = gate
 					}
 				}
 			}
@@ -226,8 +206,8 @@ func extractRegistry(pass *Pass) map[string]string {
 	return registry
 }
 
-// checkRegistryComplete reports MK constants that lack a registry entry.
-func checkRegistryComplete(pass *Pass, keys, registry map[string]string) {
+// checkGated reports MK constants declared outside a gated const block.
+func checkGated(pass *Pass, keys, registry map[string]string) {
 	scope := pass.Pkg.Scope()
 	for value, name := range keys {
 		if _, ok := registry[value]; ok {
@@ -235,7 +215,7 @@ func checkRegistryComplete(pass *Pass, keys, registry map[string]string) {
 		}
 		if obj := scope.Lookup(name); obj != nil {
 			pass.Reportf(obj.Pos(),
-				"metric key constant %s (%q) has no metricKeyRegistry entry: declare its protocol/axis gating", name, value)
+				"metric key constant %s (%q) is outside a //metrics:gate block: declare it in a const block gated both, rrmp or rmtp", name, value)
 		}
 	}
 }

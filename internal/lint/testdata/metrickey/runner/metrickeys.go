@@ -1,26 +1,29 @@
 // Package runner models the metric-key registry just closely enough for
-// the metrickey analyzer: MK constants, the metricKeyRegistry table, and
+// the metrickey analyzer: MK constants in gated const blocks, and
 // protocol-scoped emitter files. This file is the one place allowed to
 // spell registered keys as string literals.
 package runner
 
-// Registered metric keys. MKOrphan deliberately has no registry entry.
+// Keys both protocols emit.
+//
+//metrics:gate both
+const MKDeliveryRatio = "delivery_ratio"
+
+// An RMTP-only key.
+//
+//metrics:gate rmtp
 const (
-	MKDeliveryRatio = "delivery_ratio"
-	MKNakSent       = "nak_sent"
-	MKSearches      = "searches"
-	MKOrphan        = "orphan_metric" // want "metric key constant MKOrphan .* has no metricKeyRegistry entry"
+	MKNakSent = "nak_sent"
 )
 
-// MetricKeyInfo mirrors the real registry's row type.
-type MetricKeyInfo struct {
-	Key      string
-	Protocol string
-	Axis     string
-}
+// An RRMP-only key.
+//
+//metrics:gate rrmp
+const (
+	MKSearches = "searches"
+)
 
-var metricKeyRegistry = []MetricKeyInfo{
-	{Key: MKDeliveryRatio, Protocol: "both", Axis: "core"},
-	{Key: MKNakSent, Protocol: "rmtp", Axis: "core"},
-	{Key: MKSearches, Protocol: "rrmp", Axis: "core"},
-}
+// MKOrphan deliberately sits in a block with no gate.
+const (
+	MKOrphan = "orphan_metric" // want "metric key constant MKOrphan .* is outside a //metrics:gate block"
+)

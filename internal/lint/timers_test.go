@@ -156,9 +156,9 @@ func TestFiguresHaveOneCatalogue(t *testing.T) {
 
 // TestProtocolSettingsHaveCallers keeps every protocol and baseline
 // setting in use: each exported field of rrmp.Params, rmtp.Params,
-// rmtp.Config and stability.Config must be written somewhere outside its
-// declaring package's non-test code, as a composite-literal key or an
-// assignment, or else be listed in keep with its reason. A setting only
+// rmtp.Config, stability.Config and gossipfd.Config must be written by
+// non-test code outside its declaring package, as a composite-literal key
+// or an assignment, or else be listed in keep with its reason. A setting only
 // its default ever fills is a constant spelled as a knob, and the
 // branches only a non-default value reaches are dead. A keep entry that
 // names a missing field, or a field that has since gained a caller,
@@ -168,6 +168,7 @@ func TestProtocolSettingsHaveCallers(t *testing.T) {
 		"repro/internal/rrmp":      {"Params"},
 		"repro/internal/rmtp":      {"Params", "Config"},
 		"repro/internal/stability": {"Config"},
+		"repro/internal/gossipfd":  {"Config"},
 	}
 	const timing = "the paper's timing model; library callers set it through repro.GroupConfig.Tune"
 	const bound = "a termination bound; tests set it to reach the give-up and never-give-up regimes"
@@ -189,8 +190,9 @@ func TestProtocolSettingsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// key names a field as "pkg.Type.Field" when its struct is one of the
-	// settings types; ok is false otherwise.
-	key := func(owner types.Type, field string) (string, bool) {
+	// settings types declared outside package from; ok is false otherwise,
+	// since a package's own writes are its defaults.
+	key := func(owner types.Type, field, from string) (string, bool) {
 		if p, isPtr := owner.(*types.Pointer); isPtr {
 			owner = p.Elem()
 		}
@@ -199,7 +201,7 @@ func TestProtocolSettingsHaveCallers(t *testing.T) {
 			return "", false
 		}
 		pkg := named.Obj().Pkg()
-		if !slices.Contains(settings[pkg.Path()], named.Obj().Name()) {
+		if pkg.Path() == from || !slices.Contains(settings[pkg.Path()], named.Obj().Name()) {
 			return "", false
 		}
 		return pkg.Name() + "." + named.Obj().Name() + "." + field, true
@@ -215,9 +217,6 @@ func TestProtocolSettingsHaveCallers(t *testing.T) {
 					declared[pkg.Types.Name()+"."+name+"."+f.Name()] = true
 				}
 			}
-		}
-		if settings[pkg.ImportPath] != nil {
-			continue // a package's own writes are its defaults
 		}
 		info := pkg.TypesInfo
 		noteSelector := func(e ast.Expr) {
@@ -237,7 +236,7 @@ func TestProtocolSettingsHaveCallers(t *testing.T) {
 				}
 				owner = owner.Underlying().(*types.Struct).Field(i).Type()
 			}
-			if k, ok := key(owner, sel.Sel.Name); ok {
+			if k, ok := key(owner, sel.Sel.Name, pkg.ImportPath); ok {
 				written[k] = true
 			}
 		}
@@ -248,7 +247,7 @@ func TestProtocolSettingsHaveCallers(t *testing.T) {
 					for _, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
 							if id, ok := kv.Key.(*ast.Ident); ok {
-								if k, ok := key(info.TypeOf(n), id.Name); ok {
+								if k, ok := key(info.TypeOf(n), id.Name, pkg.ImportPath); ok {
 									written[k] = true
 								}
 							}

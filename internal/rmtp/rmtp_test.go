@@ -179,7 +179,7 @@ func TestAckTrimsServerBuffer(t *testing.T) {
 	server := c.nodes[topo.MemberAt(0, 0)]
 	c.sim.RunUntil(200 * time.Millisecond) // before most trimming
 	c.sim.RunUntil(2 * time.Second)
-	if got := server.Buffer().Len(); got != 0 {
+	if got := len(server.Buffer().Entries()); got != 0 {
 		t.Fatalf("server still buffers %d messages after full ACKs", got)
 	}
 	if server.Buffer().EvictedCount(0) != 0 {
@@ -209,7 +209,7 @@ func TestServerKeepsBufferUntilChildAcks(t *testing.T) {
 	}
 	c.sim.RunUntil(2 * time.Second)
 	rootServer := c.nodes[topo.MemberAt(0, 0)]
-	if got := rootServer.Buffer().Len(); got != 5 {
+	if got := len(rootServer.Buffer().Entries()); got != 5 {
 		t.Fatalf("root server trimmed to %d entries while the child region lags", got)
 	}
 }
@@ -249,7 +249,7 @@ func TestStaleNakForTrimmedMessage(t *testing.T) {
 	c.sender.Publish([]byte("x"))
 	c.sim.RunUntil(time.Second) // fully acked and trimmed
 	server := c.nodes[topo.MemberAt(0, 0)]
-	if server.Buffer().Len() != 0 {
+	if len(server.Buffer().Entries()) != 0 {
 		t.Fatal("setup: buffer not trimmed")
 	}
 	// A stale NAK for the trimmed message must be ignored, not crash or

@@ -156,7 +156,7 @@ func TestUntracedFreshDataAllocs(t *testing.T) {
 	const warm, runs = 1024, 200
 	m, data, s := warmMember(t, warm)
 	s.RunUntil(time.Second) // past the idle threshold: the discarded copies' entries wait for reuse
-	if held := m.Buffer().Len(); held == warm || held < runs {
+	if held := len(m.Buffer().Entries()); held == warm || held < runs {
 		t.Fatalf("setup: %d of %d warm copies held after the idle threshold", held, warm)
 	}
 	seq := uint64(warm)

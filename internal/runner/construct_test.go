@@ -2,6 +2,7 @@ package runner
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/policy"
 	"repro/internal/topology"
@@ -27,7 +28,7 @@ func TestNewClusterSchedulesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := c.Engine.Pending(); n != 0 {
-		t.Fatalf("NewCluster left %d events pending, want 0", n)
+	if n := c.Engine.RunUntil(time.Hour); n != 0 {
+		t.Fatalf("running a fresh cluster to the horizon executed %d events, want 0", n)
 	}
 }

@@ -245,10 +245,10 @@ func TestTreeClusterLeaveDeregistersAcker(t *testing.T) {
 		c.Engine.RunUntil(3 * time.Second)
 		server := c.Nodes[topo.MemberAt(0, 0)]
 		if graceful {
-			if got := server.Buffer().Len(); got != 0 {
+			if got := len(server.Buffer().Entries()); got != 0 {
 				t.Fatalf("server still buffers %d entries after the laggard left gracefully", got)
 			}
-		} else if got := server.Buffer().Len(); got != 4 {
+		} else if got := len(server.Buffer().Entries()); got != 4 {
 			t.Fatalf("server trimmed to %d entries while a crashed member's floor is frozen; want 4", got)
 		}
 	}

@@ -111,47 +111,18 @@ func newRRMPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss n
 			c.Members[v].Recover()
 		},
 		received: func(n topology.NodeID, id wire.MessageID) bool { return c.Members[n].HasReceived(id) },
-		node: func(n topology.NodeID) nodeView {
-			m := c.Members[n]
-			mm := m.Metrics()
-			return nodeView{
-				delivered:       mm.Delivered.Value(),
-				duplicates:      mm.Duplicates.Value(),
-				repairsSent:     mm.RepairsSent.Value(),
-				unrecoverable:   mm.Unrecoverable.Value(),
-				recoveryLatency: &mm.RecoveryLatency,
-				bufferingTime:   &mm.BufferingTime,
-				buffer:          m.Buffer(),
-			}
-		},
-		collect: func(out map[string]float64) {
-			var localReq, remoteReq, regional, handoffs int64
-			var searches, searchFailures, suspects int64
-			var rerecSum, rerecN float64
-			longTerm := 0
-			for _, m := range c.Members {
-				mm := m.Metrics()
-				localReq += mm.LocalReqSent.Value()
-				remoteReq += mm.RemoteReqSent.Value()
-				regional += mm.RegionalMulticasts.Value()
-				handoffs += mm.HandoffsSent.Value()
-				searches += mm.SearchesStarted.Value()
-				searchFailures += mm.SearchFailures.Value()
-				suspects += mm.Suspects.Value()
-				longTerm += m.Buffer().LongTermCount()
-				rerecSum += mm.ReRecoveryLatency.Mean() * float64(mm.ReRecoveryLatency.N())
-				rerecN += float64(mm.ReRecoveryLatency.N())
-			}
-			out[MKLocalRequests] = float64(localReq)
-			out[MKRemoteRequests] = float64(remoteReq)
-			out[MKRegionalMulticasts] = float64(regional)
-			out[MKHandoffs] = float64(handoffs)
-			out[MKSearches] = float64(searches)
-			out[MKSearchFailures] = float64(searchFailures)
-			out[MKLongTermEntries] = float64(longTerm)
-			out[MKSuspects] = float64(suspects)
-			if rerecN > 0 {
-				out[MKMeanReRecoveryMs] = rerecSum / rerecN
+		totals:   c.Totals,
+		collect: func(out map[string]float64, t *Totals) {
+			out[MKLocalRequests] = float64(t.LocalRequests)
+			out[MKRemoteRequests] = float64(t.RemoteRequests)
+			out[MKRegionalMulticasts] = float64(t.RegionalMulticasts)
+			out[MKHandoffs] = float64(t.Handoffs)
+			out[MKSearches] = float64(t.Searches)
+			out[MKSearchFailures] = float64(t.SearchFailures)
+			out[MKLongTermEntries] = float64(t.LongTermEntries)
+			out[MKSuspects] = float64(t.Suspects)
+			if t.reRecovery.n > 0 {
+				out[MKMeanReRecoveryMs] = t.MeanReRecoveryMs
 			}
 		},
 	}, nil

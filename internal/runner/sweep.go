@@ -10,12 +10,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -189,19 +187,10 @@ type protocolDriver struct {
 	recover func(victim topology.NodeID)
 	// received reports whether the node ever received the message.
 	received func(node topology.NodeID, id wire.MessageID) bool
-	// node returns the node's share of the state both protocols keep.
-	node func(node topology.NodeID) nodeView
+	// totals sums the members at the engine's current instant.
+	totals func() Totals
 	// collect adds the protocol-only keys (its //metrics:scope file's).
-	collect func(out map[string]float64)
-}
-
-// nodeView is one node's slice of the fields rrmp.Metrics and rmtp.Metrics
-// share by name, plus its buffer (nil where the node keeps none: rmtp
-// receivers).
-type nodeView struct {
-	delivered, duplicates, repairsSent, unrecoverable int64
-	recoveryLatency, bufferingTime                    *stats.Histogram
-	buffer                                            *core.Buffer
+	collect func(out map[string]float64, t *Totals)
 }
 
 // scheduleScenarioFaults schedules the scenario's churn, crash/recover and
@@ -421,76 +410,44 @@ func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline, trace
 
 	d.engine.RunUntil(sc.Horizon)
 
-	n := topo.NumNodes()
-	now := d.engine.Now()
+	t := d.totals()
 	out := map[string]float64{
 		MKLeaves:      float64(*leaves),
 		MKPacketsSent: float64(d.net.Stats().TotalSent()),
 		MKBytesSent:   float64(d.net.Stats().TotalBytes()),
 		MKEvents:      float64(d.engine.Processed()),
 	}
-	var delivered, duplicates, repairs, unrecoverable int64
-	var bufferIntegral, byteIntegral float64
-	var peak, peakBytes, survivors int
-	var pressureEvictions, budgetDenials int
-	var recSum, recN, bufSum, bufN float64
-	for node := topology.NodeID(0); int(node) < n; node++ {
-		v := d.node(node)
-		delivered += v.delivered
-		duplicates += v.duplicates
-		repairs += v.repairsSent
-		if b := v.buffer; b != nil {
-			bufferIntegral += b.OccupancyIntegral(now)
-			byteIntegral += b.ByteOccupancyIntegral(now)
-			if p := b.PeakLen(); p > peak {
-				peak = p
-			}
-			if p := b.PeakBytes(); p > peakBytes {
-				peakBytes = p
-			}
-			pressureEvictions += b.EvictedCount(core.EvictPressure)
-			budgetDenials += b.DeniedCount()
-		}
-		recSum += v.recoveryLatency.Mean() * float64(v.recoveryLatency.N())
-		recN += float64(v.recoveryLatency.N())
-		bufSum += v.bufferingTime.Mean() * float64(v.bufferingTime.N())
-		bufN += float64(v.bufferingTime.N())
-		if !d.excused(node) {
-			survivors++
-			unrecoverable += v.unrecoverable
-		}
-	}
 	msgs := sc.Msgs
 	if sc.Workload != nil {
 		msgs = len(ids)
 	}
-	reachMetrics(out, d, msgs, n, survivors, delivered, ids)
-	out[MKDuplicates] = float64(duplicates)
-	out[MKRepairs] = float64(repairs)
-	out[MKBufferIntegralMsgSec] = bufferIntegral
-	out[MKPeakBuffered] = float64(peak)
+	reachMetrics(out, d, msgs, topo.NumNodes(), t.survivors, t.Delivered, ids)
+	out[MKDuplicates] = float64(t.Duplicates)
+	out[MKRepairs] = float64(t.Repairs)
+	out[MKBufferIntegralMsgSec] = t.BufferIntegral
+	out[MKPeakBuffered] = float64(t.PeakBuffered)
 	// The byte-currency keys appear only in cells that engage the payload
 	// or budget axes (or a size-drawing workload): pre-axis cells must
 	// keep the exact key set the committed golden reports pin byte for
 	// byte. (Their values are computed either way; for a 256-byte fixed
 	// payload they are just the message metrics × 256.)
 	if workloadBytesEngaged(sc) {
-		out[MKBufferIntegralByteSec] = byteIntegral
-		out[MKPeakBufferedBytes] = float64(peakBytes)
-		out[MKPressureEvictions] = float64(pressureEvictions)
-		out[MKBudgetDenials] = float64(budgetDenials)
+		out[MKBufferIntegralByteSec] = t.ByteIntegral
+		out[MKPeakBufferedBytes] = float64(t.PeakBufferedBytes)
+		out[MKPressureEvictions] = float64(t.PressureEvictions)
+		out[MKBudgetDenials] = float64(t.BudgetDenials)
 	}
 	workloadMetrics(out, sc, len(ids), joiners)
 	out[MKCrashes] = float64(*crashes)
-	out[MKUnrecoverable] = float64(unrecoverable)
+	out[MKUnrecoverable] = float64(t.Unrecoverable)
 	out[MKPartitionDrops] = float64(d.net.Stats().PartitionDrops())
-	if recN > 0 {
-		out[MKMeanRecoveryMs] = recSum / recN
+	if t.recovery.n > 0 {
+		out[MKMeanRecoveryMs] = t.MeanRecoveryMs
 	}
-	if bufN > 0 {
-		out[MKMeanBufferingMs] = bufSum / bufN
+	if t.buffering.n > 0 {
+		out[MKMeanBufferingMs] = t.MeanBufferingMs
 	}
-	d.collect(out)
+	d.collect(out, &t)
 	return out, nil
 }
 

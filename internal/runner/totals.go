@@ -1,0 +1,148 @@
+package runner
+
+import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/stats"
+)
+
+// Totals is a deployment's members summed at one instant, in node order:
+// the scenario kernel's member keys, each driver's protocol keys and
+// repro.Group.Stats all read this one roll-up. The RRMP-only counters stay
+// zero in an RMTP deployment, and a node that keeps no buffer (an RMTP
+// receiver) adds nothing to the buffer figures.
+type Totals struct {
+	Delivered          int64
+	Duplicates         int64
+	LocalRequests      int64
+	RemoteRequests     int64
+	Repairs            int64
+	RegionalMulticasts int64
+	Handoffs           int64
+	// Searches counts §3.3 search-for-bufferer episodes members opened,
+	// joins of another member's search included; SearchFailures counts
+	// those abandoned after MaxSearchTries.
+	Searches       int64
+	SearchFailures int64
+	// Suspects counts failure-detector suspicion events (the detector
+	// runs only with Params.FDEnabled).
+	Suspects int64
+	// Unrecoverable counts losses whose recovery exhausted every retry
+	// budget at members still in the group — the explicit signal that a
+	// message is gone, never a silent omission.
+	Unrecoverable   int64
+	LongTermEntries int
+	// BufferIntegral is total message-seconds of buffering paid so far.
+	BufferIntegral float64
+	// ByteIntegral is total payload-byte-seconds of buffering paid so
+	// far — the byte currency the two-phase policy actually saves.
+	ByteIntegral float64
+	// PeakBuffered and PeakBufferedBytes are the most entries and the most
+	// payload bytes any single member ever held.
+	PeakBuffered      int
+	PeakBufferedBytes int
+	// PressureEvictions counts entries displaced to fit newer messages
+	// under Params.ByteBudget; BudgetDenials counts stores refused
+	// because one payload exceeded the whole budget. Both stay zero
+	// without a budget.
+	PressureEvictions int
+	BudgetDenials     int
+	// MeanRecoveryMs averages recovery latency over all repaired losses.
+	MeanRecoveryMs float64
+	// MeanReRecoveryMs averages the latency of recoveries re-initiated
+	// after a crash outage (Member.Recover).
+	MeanReRecoveryMs float64
+	// MeanBufferingMs averages store→evict times.
+	MeanBufferingMs float64
+
+	// survivors counts the members that neither left nor crashed.
+	survivors int
+	// recovery, reRecovery and buffering pool the member histograms behind
+	// the three means; a mean with no sample reads 0, and the kernel then
+	// omits its key.
+	recovery, reRecovery, buffering pool
+}
+
+// pool merges histograms into one mean: each adds mean × count and count,
+// member by member, and the sum is divided once.
+type pool struct{ sum, n float64 }
+
+func (p *pool) add(h *stats.Histogram) {
+	p.sum += h.Mean() * float64(h.N())
+	p.n += float64(h.N())
+}
+
+func (p *pool) mean() float64 {
+	if p.n == 0 {
+		return 0
+	}
+	return p.sum / p.n
+}
+
+// add folds in one member's share of what both protocols keep: its
+// counters, its two histograms and its buffer (nil where it keeps none).
+// A member that left or crashed adds no unrecoverable losses.
+func (t *Totals) add(now time.Duration, survivor bool, delivered, duplicates, repairs, unrecoverable int64,
+	recovery, buffering *stats.Histogram, b *core.Buffer) {
+	t.Delivered += delivered
+	t.Duplicates += duplicates
+	t.Repairs += repairs
+	if survivor {
+		t.survivors++
+		t.Unrecoverable += unrecoverable
+	}
+	t.recovery.add(recovery)
+	t.buffering.add(buffering)
+	if b == nil {
+		return
+	}
+	t.BufferIntegral += b.OccupancyIntegral(now)
+	t.ByteIntegral += b.ByteOccupancyIntegral(now)
+	t.PeakBuffered = max(t.PeakBuffered, b.PeakLen())
+	t.PeakBufferedBytes = max(t.PeakBufferedBytes, b.PeakBytes())
+	t.PressureEvictions += b.EvictedCount(core.EvictPressure)
+	t.BudgetDenials += b.DeniedCount()
+}
+
+// means divides the pooled histograms.
+func (t *Totals) means() {
+	t.MeanRecoveryMs = t.recovery.mean()
+	t.MeanReRecoveryMs = t.reRecovery.mean()
+	t.MeanBufferingMs = t.buffering.mean()
+}
+
+// Totals sums the members at the engine's current instant.
+func (c *Cluster) Totals() Totals {
+	var t Totals
+	now := c.Engine.Now()
+	for _, m := range c.Members {
+		mm := m.Metrics()
+		t.add(now, !m.Left() && !m.Crashed(), mm.Delivered.Value(), mm.Duplicates.Value(),
+			mm.RepairsSent.Value(), mm.Unrecoverable.Value(), &mm.RecoveryLatency, &mm.BufferingTime, m.Buffer())
+		t.LocalRequests += mm.LocalReqSent.Value()
+		t.RemoteRequests += mm.RemoteReqSent.Value()
+		t.RegionalMulticasts += mm.RegionalMulticasts.Value()
+		t.Handoffs += mm.HandoffsSent.Value()
+		t.Searches += mm.SearchesStarted.Value()
+		t.SearchFailures += mm.SearchFailures.Value()
+		t.Suspects += mm.Suspects.Value()
+		t.LongTermEntries += m.Buffer().LongTermCount()
+		t.reRecovery.add(&mm.ReRecoveryLatency)
+	}
+	t.means()
+	return t
+}
+
+// totals sums the nodes at the engine's current instant.
+func (c *TreeCluster) totals() Totals {
+	var t Totals
+	now := c.Engine.Now()
+	for _, n := range c.Nodes {
+		mm := n.Metrics()
+		t.add(now, !n.Left() && !n.Crashed(), mm.Delivered.Value(), mm.Duplicates.Value(),
+			mm.RepairsSent.Value(), mm.Unrecoverable.Value(), &mm.RecoveryLatency, &mm.BufferingTime, n.Buffer())
+	}
+	t.means()
+	return t
+}

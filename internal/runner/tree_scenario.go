@@ -67,20 +67,8 @@ func newRMTPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss n
 		crash:    c.Crash,
 		recover:  c.Recover,
 		received: func(n topology.NodeID, id wire.MessageID) bool { return c.Nodes[n].HasReceived(id.Seq) },
-		node: func(n topology.NodeID) nodeView {
-			node := c.Nodes[n]
-			mm := node.Metrics()
-			return nodeView{
-				delivered:       mm.Delivered.Value(),
-				duplicates:      mm.Duplicates.Value(),
-				repairsSent:     mm.RepairsSent.Value(),
-				unrecoverable:   mm.Unrecoverable.Value(),
-				recoveryLatency: &mm.RecoveryLatency,
-				bufferingTime:   &mm.BufferingTime,
-				buffer:          node.Buffer(),
-			}
-		},
-		collect: func(out map[string]float64) {
+		totals:   c.totals,
+		collect: func(out map[string]float64, _ *Totals) {
 			var nakSent, nakRecv, ackSent, ackRecv, giveUps int64
 			ackTrims := 0
 			for _, node := range c.Nodes {

@@ -146,15 +146,6 @@ func (e *Sharded) Processed() uint64 {
 	return total
 }
 
-// Pending returns the number of scheduled events not yet executed.
-func (e *Sharded) Pending() int {
-	n := e.global.Pending()
-	for _, ln := range e.lanes {
-		n += ln.loop.Pending()
-	}
-	return n
-}
-
 // After schedules fn on the global lane d after the barrier clock.
 func (e *Sharded) After(d time.Duration, fn func()) clock.Timer { return e.global.After(d, fn) }
 

@@ -29,12 +29,8 @@ type Engine interface {
 	clock.Scheduler
 	// Processed returns the number of events executed so far.
 	Processed() uint64
-	// Pending returns the number of scheduled events not yet executed.
-	Pending() int
 	// At schedules fn at the absolute virtual time at, clamped to now.
 	At(at time.Duration, fn func()) clock.Timer
-	// Post schedules fn like After without a cancellation handle.
-	Post(d time.Duration, fn func())
 	// RunUntil executes events with timestamps <= deadline, advances the
 	// clock to the deadline, and returns the number executed by this call.
 	RunUntil(deadline time.Duration) uint64
@@ -71,9 +67,6 @@ func (s *Sim) Now() time.Duration { return s.now }
 
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() uint64 { return s.processed }
-
-// Pending returns the number of scheduled events not yet executed.
-func (s *Sim) Pending() int { return s.queue.Len() }
 
 // Cancel cancels the event ArmAfter returned as (ref, gen); see
 // clock.Canceller. Events are pooled, so a Cancel after the event fired

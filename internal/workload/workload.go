@@ -26,9 +26,6 @@ type Schedule []time.Duration
 // many bytes each publish carries. Byte-budgeted buffer experiments sweep
 // this axis to decouple byte cost from message count.
 type SizeModel interface {
-	// Name returns the model's stable token ("fixed", "uniform",
-	// "lognormal"), used in scenario cell names.
-	Name() string
 	// Size draws one payload size in bytes (always >= 1). Deterministic
 	// models ignore r; randomized models must not be called with a nil r.
 	Size(r *rng.Source) int
@@ -44,9 +41,6 @@ const (
 // FixedSize yields every payload at exactly this many bytes.
 type FixedSize int
 
-// Name implements SizeModel.
-func (f FixedSize) Name() string { return SizeFixed }
-
 // Size implements SizeModel.
 func (f FixedSize) Size(*rng.Source) int {
 	if f < 1 {
@@ -59,9 +53,6 @@ func (f FixedSize) Size(*rng.Source) int {
 type UniformSize struct {
 	Min, Max int
 }
-
-// Name implements SizeModel.
-func (u UniformSize) Name() string { return SizeUniform }
 
 // Size implements SizeModel.
 func (u UniformSize) Size(r *rng.Source) int {
@@ -85,9 +76,6 @@ type LognormalSize struct {
 	Mean  int
 	Sigma float64
 }
-
-// Name implements SizeModel.
-func (l LognormalSize) Name() string { return SizeLognormal }
 
 // Size implements SizeModel.
 func (l LognormalSize) Size(r *rng.Source) int {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/rrmp"
@@ -31,6 +30,9 @@ type (
 	// TreeShape is a balanced multi-level hierarchy: branch, levels and
 	// total members (Scenario.Tree).
 	TreeShape = exp.TreeShape
+	// GroupStats sums per-member metrics across the whole group (see
+	// internal/runner.Totals for field docs).
+	GroupStats = runner.Totals
 )
 
 // DefaultParams returns the paper's §4 parameter defaults.
@@ -253,97 +255,5 @@ func (g *Group) Heal() { g.cluster.Net.ClearPartition() }
 // random region peers (§3.2).
 func (g *Group) Leave(id NodeID) { g.cluster.Members[id].Leave() }
 
-// GroupStats aggregates per-member metrics across the whole group.
-type GroupStats struct {
-	Delivered          int64
-	Duplicates         int64
-	LocalRequests      int64
-	RemoteRequests     int64
-	Repairs            int64
-	RegionalMulticasts int64
-	Handoffs           int64
-	// Searches counts §3.3 search-for-bufferer episodes members opened,
-	// joins of another member's search included; SearchFailures counts
-	// those abandoned after MaxSearchTries.
-	Searches       int64
-	SearchFailures int64
-	// Suspects counts failure-detector suspicion events (the detector
-	// runs only with Params.FDEnabled).
-	Suspects int64
-	// Unrecoverable counts losses whose recovery exhausted every retry
-	// budget at members still in the group — the explicit signal that a
-	// message is gone, never a silent omission.
-	Unrecoverable   int64
-	LongTermEntries int
-	BufferedEntries int
-	// BufferIntegral is total message-seconds of buffering paid so far.
-	BufferIntegral float64
-	// ByteIntegral is total payload-byte-seconds of buffering paid so
-	// far — the byte currency the two-phase policy actually saves.
-	ByteIntegral float64
-	// BufferedBytes and PeakBufferedBytes are the payload bytes held now
-	// (summed over members) and the highest any single member ever held.
-	BufferedBytes     int
-	PeakBufferedBytes int
-	// PressureEvictions counts entries displaced to fit newer messages
-	// under Params.ByteBudget; BudgetDenials counts stores refused
-	// because one payload exceeded the whole budget. Both stay zero
-	// without a budget.
-	PressureEvictions int
-	BudgetDenials     int
-	// MeanRecoveryMs averages recovery latency over all repaired losses.
-	MeanRecoveryMs float64
-	// MeanReRecoveryMs averages the latency of recoveries re-initiated
-	// after a crash outage (Member.Recover).
-	MeanReRecoveryMs float64
-	// MeanBufferingMs averages store→evict times.
-	MeanBufferingMs float64
-}
-
-// Stats aggregates metrics across all members at the current instant.
-func (g *Group) Stats() GroupStats {
-	var s GroupStats
-	var recSum, recN, bufSum, bufN, rerecSum, rerecN float64
-	for _, m := range g.cluster.Members {
-		mm := m.Metrics()
-		s.Delivered += mm.Delivered.Value()
-		s.Duplicates += mm.Duplicates.Value()
-		s.LocalRequests += mm.LocalReqSent.Value()
-		s.RemoteRequests += mm.RemoteReqSent.Value()
-		s.Repairs += mm.RepairsSent.Value()
-		s.RegionalMulticasts += mm.RegionalMulticasts.Value()
-		s.Handoffs += mm.HandoffsSent.Value()
-		s.Searches += mm.SearchesStarted.Value()
-		s.SearchFailures += mm.SearchFailures.Value()
-		s.Suspects += mm.Suspects.Value()
-		if !m.Crashed() && !m.Left() {
-			s.Unrecoverable += mm.Unrecoverable.Value()
-		}
-		s.LongTermEntries += m.Buffer().LongTermCount()
-		s.BufferedEntries += m.Buffer().Len()
-		s.BufferIntegral += m.Buffer().OccupancyIntegral(g.Now())
-		s.ByteIntegral += m.Buffer().ByteOccupancyIntegral(g.Now())
-		s.BufferedBytes += m.Buffer().Bytes()
-		if p := m.Buffer().PeakBytes(); p > s.PeakBufferedBytes {
-			s.PeakBufferedBytes = p
-		}
-		s.PressureEvictions += m.Buffer().EvictedCount(core.EvictPressure)
-		s.BudgetDenials += m.Buffer().DeniedCount()
-		recSum += mm.RecoveryLatency.Mean() * float64(mm.RecoveryLatency.N())
-		recN += float64(mm.RecoveryLatency.N())
-		bufSum += mm.BufferingTime.Mean() * float64(mm.BufferingTime.N())
-		bufN += float64(mm.BufferingTime.N())
-		rerecSum += mm.ReRecoveryLatency.Mean() * float64(mm.ReRecoveryLatency.N())
-		rerecN += float64(mm.ReRecoveryLatency.N())
-	}
-	if recN > 0 {
-		s.MeanRecoveryMs = recSum / recN
-	}
-	if bufN > 0 {
-		s.MeanBufferingMs = bufSum / bufN
-	}
-	if rerecN > 0 {
-		s.MeanReRecoveryMs = rerecSum / rerecN
-	}
-	return s
-}
+// Stats sums the members' metrics at the current instant.
+func (g *Group) Stats() GroupStats { return g.cluster.Totals() }

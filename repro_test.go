@@ -259,7 +259,9 @@ func TestGroupByteBudget(t *testing.T) {
 // TestGroupMatchesScenarioKernel is the facade≡kernel check: a Group and a
 // RunScenario cell given the same deployment, seed and publish timeline
 // are the same run — one topology, loss, parameter and policy constructor
-// each — and so report the same numbers on every key GroupStats has.
+// each — and so report the same numbers on every key GroupStats has. Every
+// other key the kernel reports must be a fact no member holds, so a new
+// member sum the facade cannot report fails here.
 func TestGroupMatchesScenarioKernel(t *testing.T) {
 	const seed = 11
 	cell := func(edit func(*repro.Scenario)) repro.Scenario {
@@ -321,11 +323,13 @@ func TestGroupMatchesScenarioKernel(t *testing.T) {
 				runner.MKLongTermEntries:       float64(st.LongTermEntries),
 				runner.MKBufferIntegralMsgSec:  st.BufferIntegral,
 				runner.MKBufferIntegralByteSec: st.ByteIntegral,
+				runner.MKPeakBuffered:          float64(st.PeakBuffered),
 				runner.MKPeakBufferedBytes:     float64(st.PeakBufferedBytes),
 				runner.MKPressureEvictions:     float64(st.PressureEvictions),
 				runner.MKBudgetDenials:         float64(st.BudgetDenials),
 				runner.MKMeanRecoveryMs:        st.MeanRecoveryMs,
 				runner.MKMeanBufferingMs:       st.MeanBufferingMs,
+				runner.MKMeanReRecoveryMs:      st.MeanReRecoveryMs,
 			}
 			// The kernel reports the byte-currency keys only for cells
 			// that engage a payload or budget axis.
@@ -335,9 +339,31 @@ func TestGroupMatchesScenarioKernel(t *testing.T) {
 				delete(got, runner.MKPressureEvictions)
 				delete(got, runner.MKBudgetDenials)
 			}
+			// The kernel omits mean_rerecovery_ms when no member recovered
+			// after a crash outage; the facade's mean then reads 0.
+			if _, ok := want[runner.MKMeanReRecoveryMs]; !ok && st.MeanReRecoveryMs == 0 {
+				delete(got, runner.MKMeanReRecoveryMs)
+			}
 			for k, v := range got {
 				if w, ok := want[k]; !ok || w != v {
 					t.Errorf("%s: Group %v, RunScenario %v", k, v, w)
+				}
+			}
+			// Keys that are no member's: the fault timeline, the engine's
+			// event count, the network's partition drops and the reach
+			// keys, which read who holds each message.
+			nonMember := map[string]bool{
+				runner.MKLeaves:                true,
+				runner.MKCrashes:               true,
+				runner.MKEvents:                true,
+				runner.MKPartitionDrops:        true,
+				runner.MKMinReachFrac:          true,
+				runner.MKSurvivorDeliveryRatio: true,
+				runner.MKSurvivorMinReachFrac:  true,
+			}
+			for k := range want {
+				if _, compared := got[k]; !compared && !nonMember[k] {
+					t.Errorf("%s: the kernel reports it, and the test neither compares it nor lists it as a non-member fact", k)
 				}
 			}
 			if want[runner.MKDeliveryRatio] == 0 || want[runner.MKPacketsSent] == 0 {
