@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -30,51 +30,68 @@ type entryIndex interface {
 	reset()
 }
 
-// denseIndex holds one srcSlot per message source. Sequence numbers from a
-// source are dense in practice (a sender counts 1, 2, 3, ...), so a slot is
-// a base offset plus a slice indexed by seq-base; lookups and removals are
-// pure array ops after one cheap int32-keyed map access, with no
-// MessageID hashing, and sorted iteration comes for free (sources
-// ascending, sequences ascending).
+// denseIndex holds one srcSlot per message source, sorted by source.
+// Sequence numbers from a source are dense in practice (a sender counts 1,
+// 2, 3, ...), so a slot is a base offset plus a slice indexed by seq-base;
+// lookups and removals are pure array ops after a binary search over the
+// slots (almost every simulation has exactly one source), with no hashing,
+// and sorted iteration comes for free (sources ascending, sequences
+// ascending).
 type denseIndex struct {
-	srcs map[topology.NodeID]*srcSlot
-	// order is the sorted source list, maintained on slot creation (a rare
-	// event: almost every simulation has exactly one source), giving
-	// sorted() a single allocation-free pass.
-	order []topology.NodeID
+	slots []srcSlot
 	n     int
 }
 
-func newDenseIndex() *denseIndex {
-	return &denseIndex{srcs: make(map[topology.NodeID]*srcSlot)}
-}
+func newDenseIndex() *denseIndex { return &denseIndex{} }
 
 // srcSlot's entries window is a subslice of back, its backing array. Every
 // slot of back outside the window is nil, so the window can grow into
 // back, or slide to its start, without clearing first.
 type srcSlot struct {
+	src     topology.NodeID
 	base    uint64 // seq of entries[0]
 	entries []*Entry
 	back    []*Entry // len(back) == cap(back)
 	count   int
 }
 
-func (x *denseIndex) slot(src topology.NodeID) *srcSlot {
-	if s, ok := x.srcs[src]; ok {
-		return s
+// find returns src's slot, or nil if src has none.
+func (x *denseIndex) find(src topology.NodeID) *srcSlot {
+	i, ok := x.search(src)
+	if !ok {
+		return nil
 	}
-	s := &srcSlot{}
-	x.srcs[src] = s
-	i := sort.Search(len(x.order), func(i int) bool { return x.order[i] >= src })
-	x.order = append(x.order, 0)
-	copy(x.order[i+1:], x.order[i:])
-	x.order[i] = src
-	return s
+	return &x.slots[i]
+}
+
+// search returns where src's slot is, or belongs, in x.slots: a binary
+// search written out, as a hot path's generic callback would copy a slot
+// per probe.
+func (x *denseIndex) search(src topology.NodeID) (int, bool) {
+	lo, hi := 0, len(x.slots)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); x.slots[h].src < src {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(x.slots) && x.slots[lo].src == src
+}
+
+// slot returns src's slot, creating it if needed. The pointer is valid
+// until the next slot creation.
+func (x *denseIndex) slot(src topology.NodeID) *srcSlot {
+	i, ok := x.search(src)
+	if !ok {
+		x.slots = slices.Insert(x.slots, i, srcSlot{src: src})
+	}
+	return &x.slots[i]
 }
 
 func (x *denseIndex) get(id wire.MessageID) (*Entry, bool) {
-	s, ok := x.srcs[id.Source]
-	if !ok || s.count == 0 || id.Seq < s.base {
+	s := x.find(id.Source)
+	if s == nil || s.count == 0 || id.Seq < s.base {
 		return nil, false
 	}
 	i := id.Seq - s.base
@@ -110,8 +127,8 @@ func (x *denseIndex) put(e *Entry) {
 }
 
 func (x *denseIndex) remove(id wire.MessageID) {
-	s, ok := x.srcs[id.Source]
-	if !ok || id.Seq < s.base {
+	s := x.find(id.Source)
+	if s == nil || id.Seq < s.base {
 		return
 	}
 	i := id.Seq - s.base
@@ -158,9 +175,8 @@ func (s *srcSlot) place(shift, n uint64) {
 func (x *denseIndex) size() int { return x.n }
 
 func (x *denseIndex) sorted(dst []*Entry) []*Entry {
-	for _, src := range x.order {
-		s := x.srcs[src]
-		for _, e := range s.entries {
+	for i := range x.slots {
+		for _, e := range x.slots[i].entries {
 			if e != nil {
 				dst = append(dst, e)
 			}
@@ -171,8 +187,8 @@ func (x *denseIndex) sorted(dst []*Entry) []*Entry {
 
 func (x *denseIndex) victim(p Policy) *Entry {
 	var v *Entry
-	for _, src := range x.order {
-		for _, e := range x.srcs[src].entries {
+	for i := range x.slots {
+		for _, e := range x.slots[i].entries {
 			if e != nil && (v == nil || p.DisplacedBefore(e, v)) {
 				v = e
 			}
@@ -182,8 +198,8 @@ func (x *denseIndex) victim(p Policy) *Entry {
 }
 
 func (x *denseIndex) each(fn func(e *Entry)) {
-	for _, src := range x.order {
-		for _, e := range x.srcs[src].entries {
+	for i := range x.slots {
+		for _, e := range x.slots[i].entries {
 			if e != nil {
 				fn(e)
 			}
@@ -192,7 +208,6 @@ func (x *denseIndex) each(fn func(e *Entry)) {
 }
 
 func (x *denseIndex) reset() {
-	x.srcs = make(map[topology.NodeID]*srcSlot)
-	x.order = x.order[:0]
+	x.slots = nil
 	x.n = 0
 }

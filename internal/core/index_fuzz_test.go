@@ -157,7 +157,11 @@ func checkIndexesAgree(t *testing.T, step int, dense *denseIndex, oracle *mapInd
 	if dv, ov := dense.victim(BufferAll{}), oracle.victim(BufferAll{}); dv != ov {
 		t.Fatalf("step %d: victim %p, oracle %p", step, dv, ov)
 	}
-	for src, s := range dense.srcs {
+	for j, s := range dense.slots {
+		if j > 0 && dense.slots[j-1].src >= s.src {
+			t.Fatalf("step %d: slot %d source %d not above slot %d source %d", step, j, s.src, j-1, dense.slots[j-1].src)
+		}
+		src := s.src
 		n := 0
 		for i, e := range s.entries {
 			if e == nil {

@@ -82,21 +82,56 @@ func TestMemberHasOneMessageTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := pkgs[0].Types.Scope().Lookup("Member")
-	if obj == nil {
-		t.Fatal("package rrmp declares no Member")
-	}
-	st := obj.Type().Underlying().(*types.Struct)
-	var tables []string
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if m, ok := f.Type().Underlying().(*types.Map); ok && types.TypeString(m.Key(), nil) == "repro/internal/wire.MessageID" {
-			tables = append(tables, f.Name())
-		}
-	}
+	tables := mapFieldsKeyedBy(t, pkgs[0], "Member", "repro/internal/wire.MessageID")
 	if len(tables) != 1 {
 		t.Fatalf("rrmp.Member has %d fields of a map type keyed by wire.MessageID (%s), want exactly one", len(tables), strings.Join(tables, ", "))
 	}
+}
+
+// TestSourceStateIsNotHashed keeps per-source state in slices sorted by
+// source: neither rrmp.Member nor core.denseIndex may declare a field of a
+// map type keyed by topology.NodeID. A group has one sender or a handful,
+// so such a map cost every member an allocation up front and every lookup
+// a hash. The matcher is TestMemberHasOneMessageTable's, which must find
+// its one table.
+func TestSourceStateIsNotHashed(t *testing.T) {
+	pkgs, err := lint.Load("../..", "./internal/core", "./internal/rrmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"repro/internal/core": "denseIndex", "repro/internal/rrmp": "Member"}
+	for _, p := range pkgs {
+		name, ok := want[p.ImportPath]
+		if !ok {
+			continue
+		}
+		delete(want, p.ImportPath)
+		if hashed := mapFieldsKeyedBy(t, p, name, "repro/internal/topology.NodeID"); len(hashed) > 0 {
+			t.Errorf("%s.%s has fields of a map type keyed by topology.NodeID: %s", p.Types.Name(), name, strings.Join(hashed, ", "))
+		}
+	}
+	if len(want) > 0 {
+		t.Fatalf("packages not loaded: %v", slices.Sorted(maps.Keys(want)))
+	}
+}
+
+// mapFieldsKeyedBy returns the fields of struct type name in p whose type
+// is a map keyed by the type spelled key.
+func mapFieldsKeyedBy(t *testing.T, p *lint.Package, name, key string) []string {
+	t.Helper()
+	obj := p.Types.Scope().Lookup(name)
+	if obj == nil {
+		t.Fatalf("package %s declares no %s", p.Types.Name(), name)
+	}
+	st := obj.Type().Underlying().(*types.Struct)
+	var fields []string
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if m, ok := f.Type().Underlying().(*types.Map); ok && types.TypeString(m.Key(), nil) == key {
+			fields = append(fields, f.Name())
+		}
+	}
+	return fields
 }
 
 // TestFacadeHasOneConstructor keeps the root package to one way of saying

@@ -18,19 +18,19 @@ import (
 // Per packet of a covered type the chain consumes exactly two draws, in
 // GilbertElliott's order: draw 2k advances the state (Bernoulli PGB from
 // Good, PBG from Bad), draw 2k+1 draws the loss from the new state (PGood
-// or PBad). If Only is non-empty, loss applies exclusively to the listed
-// types (other types consume no draw).
+// or PBad). If NewHashBurstLoss's only is non-empty, loss applies
+// exclusively to the listed types (other types consume no draw).
 type HashBurstLoss struct {
 	PGood, PBad float64
 	PGB, PBG    float64
 	Seed        uint64
-	Only        map[wire.Type]bool
+	exempt      lossless
 
 	// st[f][t] packs pair (f, t)'s chain as drawCounter<<1 | badBit. The
 	// outer slice is pre-sized at construction; a sender's row is
 	// allocated lazily on its first draw, from its own shard loop (Drop
 	// runs on the sending shard), so rows for nodes that never send a
-	// covered type — everyone but the publisher under an Only={DATA}
+	// covered type — everyone but the publisher under an only={DATA}
 	// model — cost nothing even at 1M members.
 	st [][]uint64
 	n  int
@@ -41,7 +41,7 @@ func NewHashBurstLoss(seed uint64, pGood, pBad, pGB, pBG float64, n int, only ma
 	return &HashBurstLoss{
 		PGood: pGood, PBad: pBad,
 		PGB: pGB, PBG: pBG,
-		Seed: seed, Only: only,
+		Seed: seed, exempt: losslessOutside(only),
 		st: make([][]uint64, n), n: n,
 	}
 }
@@ -61,7 +61,7 @@ func (h *HashBurstLoss) draw(from, to topology.NodeID, k uint64) float64 {
 
 // Drop implements LossModel.
 func (h *HashBurstLoss) Drop(from, to topology.NodeID, t wire.Type) bool {
-	if len(h.Only) > 0 && !h.Only[t] {
+	if h.exempt[t] {
 		return false
 	}
 	row := h.st[from]

@@ -524,12 +524,12 @@ var _ LossModel = (*BernoulliLoss)(nil)
 // which a deterministic shard loop preserves — the model gives
 // byte-identical loss patterns at any shard count, where a shared-stream
 // model (BernoulliLoss) would entangle the global send interleaving. If
-// Only is non-empty, loss applies exclusively to the listed types (other
-// types consume no draw).
+// NewHashLoss's only is non-empty, loss applies exclusively to the listed
+// types (other types consume no draw).
 type HashLoss struct {
-	P    float64
-	Seed uint64
-	Only map[wire.Type]bool
+	P      float64
+	Seed   uint64
+	exempt lossless
 
 	// ctr[f] counts loss draws by sender f. Pre-sized at construction so
 	// concurrent shard loops never grow the slice.
@@ -538,12 +538,27 @@ type HashLoss struct {
 
 // NewHashLoss builds a HashLoss covering nodes [0, n).
 func NewHashLoss(seed uint64, p float64, n int, only map[wire.Type]bool) *HashLoss {
-	return &HashLoss{P: p, Seed: seed, Only: only, ctr: make([]uint64, n)}
+	return &HashLoss{P: p, Seed: seed, exempt: losslessOutside(only), ctr: make([]uint64, n)}
+}
+
+// lossless marks, by type byte, the packet types a hash model never drops.
+type lossless [256]bool
+
+// losslessOutside exempts every type outside only; an empty only exempts
+// none.
+func losslessOutside(only map[wire.Type]bool) lossless {
+	var l lossless
+	if len(only) > 0 {
+		for t := range l {
+			l[t] = !only[wire.Type(t)]
+		}
+	}
+	return l
 }
 
 // Drop implements LossModel.
 func (h *HashLoss) Drop(from, _ topology.NodeID, t wire.Type) bool {
-	if len(h.Only) > 0 && !h.Only[t] {
+	if h.exempt[t] {
 		return false
 	}
 	k := h.ctr[from]

@@ -1,6 +1,7 @@
 package rrmp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -239,5 +240,56 @@ func TestCrashedMemberIgnoresTrafficAndLeave(t *testing.T) {
 		ID: wire.MessageID{Source: 0, Seq: 1}, Payload: []byte("x")})
 	if !victim.HasReceived(wire.MessageID{Source: 0, Seq: 1}) {
 		t.Fatal("recovered member did not resume processing")
+	}
+}
+
+// TestSourcesHeardOutOfOrder: a member first hears sources 9, 2 and 5, in
+// that order, each with gaps. Reception answers per source, the buffer
+// lists its entries by (source, sequence), and after an outage Recover
+// re-requests the gaps in (source, sequence) order — the order that pairs
+// its rng draws with messages, so it must not depend on the order the
+// sources were first heard.
+func TestSourcesHeardOutOfOrder(t *testing.T) {
+	c := newCluster(t, singleRegion(t, 3), DefaultParams(), 11, nil)
+	m := c.members[1]
+	heard := map[topology.NodeID][]uint64{9: {1, 3}, 2: {2, 4}, 5: {3}}
+	for _, src := range []topology.NodeID{9, 2, 5} {
+		for _, seq := range heard[src] {
+			m.InjectDeliver(wire.MessageID{Source: src, Seq: seq}, nil)
+		}
+	}
+	for _, src := range []topology.NodeID{2, 5, 7, 9} {
+		for seq := uint64(1); seq <= 4; seq++ {
+			id := wire.MessageID{Source: src, Seq: seq}
+			if got, want := m.HasReceived(id), slices.Contains(heard[src], seq); got != want {
+				t.Errorf("HasReceived(%v) = %v, want %v", id, got, want)
+			}
+		}
+	}
+	for src, want := range map[topology.NodeID]uint64{2: 0, 5: 0, 7: 0, 9: 1} {
+		if got := m.Prefix(src); got != want {
+			t.Errorf("Prefix(%d) = %d, want %d", src, got, want)
+		}
+	}
+	var stored []wire.MessageID
+	for _, e := range m.Buffer().Entries() {
+		stored = append(stored, e.ID)
+	}
+	wantStored := []wire.MessageID{{Source: 2, Seq: 2}, {Source: 2, Seq: 4}, {Source: 5, Seq: 3}, {Source: 9, Seq: 1}, {Source: 9, Seq: 3}}
+	if !slices.Equal(stored, wantStored) {
+		t.Errorf("buffer entries %v, want %v", stored, wantStored)
+	}
+
+	m.Crash()
+	mem := &trace.Memory{}
+	m.cfg.Tracer = mem
+	m.Recover()
+	var asked []wire.MessageID
+	for _, e := range mem.Filter(trace.LocalReq) {
+		asked = append(asked, e.ID)
+	}
+	wantAsked := []wire.MessageID{{Source: 2, Seq: 1}, {Source: 2, Seq: 3}, {Source: 5, Seq: 1}, {Source: 5, Seq: 2}, {Source: 9, Seq: 2}}
+	if !slices.Equal(asked, wantAsked) {
+		t.Fatalf("re-recovery asked for %v, want %v", asked, wantAsked)
 	}
 }

@@ -12,7 +12,6 @@ package rrmp
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 	"time"
 
@@ -95,6 +94,17 @@ type Config struct {
 	Hooks Hooks
 }
 
+// env is the part of a Config a member reads after construction; Params
+// lives on, defaulted, in Member.params and the policy in the buffer.
+type env struct {
+	View      topology.View
+	Transport Transport
+	Sched     clock.Scheduler
+	Rng       *rng.Source
+	Tracer    trace.Tracer
+	Hooks     Hooks
+}
+
 // sourceState tracks per-sender reception: the highest sequence observed
 // and the set of sequences ever received (which outlives buffer eviction —
 // "received but discarded" is a distinct protocol state, §3.3).
@@ -107,6 +117,7 @@ type Config struct {
 // is monotone and each sequence is inspected at most once across all
 // Prefix calls instead of rescanning from sequence 1 every time.
 type sourceState struct {
+	src     topology.NodeID
 	maxSeen uint64
 	// base is the first sequence the bitset covers (64-aligned, fixed at
 	// the first mark); bit (seq-base) of bits[(seq-base)/64] is set iff
@@ -199,7 +210,7 @@ func (m *Member) release(id wire.MessageID, ms *msgState) {
 // Member is one RRMP group member. Not safe for concurrent use; drive it
 // from a single goroutine.
 type Member struct {
-	cfg    Config
+	cfg    env
 	params Params
 	self   topology.NodeID
 
@@ -215,13 +226,18 @@ type Member struct {
 	// size) setup cost the 1M-member path cannot afford.
 	inRegionLo topology.NodeID
 	inRegionHi topology.NodeID
-	sources    map[topology.NodeID]*sourceState
+	// sources holds the reception state of every sender heard from,
+	// sorted by src. A group has one sender, or a handful, so a binary
+	// search beats hashing the id, and the slice costs nothing until the
+	// first message.
+	sources []*sourceState
 	// msgs holds the record of every message with protocol state in
 	// flight at this member (see msgState); made on first use.
 	msgs map[wire.MessageID]*msgState
 	// served records when this member last repaired a given (message,
 	// origin) pair from a search, so the burst of in-flight SEARCH PDUs
 	// that race the terminating HAVE does not each trigger another repair.
+	// Made on first use (markServed).
 	served map[servedKey]time.Duration
 	// fd is the optional gossip failure detector (Params.FDEnabled);
 	// nil when disabled, in which case every peer counts as live.
@@ -245,11 +261,16 @@ func NewMember(cfg Config) *Member {
 		panic("rrmp: Config.Rng is required")
 	}
 	m := &Member{
-		cfg:     cfg,
-		params:  cfg.Params.withDefaults(),
-		self:    cfg.View.Self,
-		sources: make(map[topology.NodeID]*sourceState),
-		served:  make(map[servedKey]time.Duration),
+		cfg: env{
+			View:      cfg.View,
+			Transport: cfg.Transport,
+			Sched:     cfg.Sched,
+			Rng:       cfg.Rng,
+			Tracer:    cfg.Tracer,
+			Hooks:     cfg.Hooks,
+		},
+		params: cfg.Params.withDefaults(),
+		self:   cfg.View.Self,
 	}
 	m.initRegionMembership(cfg.View)
 
@@ -274,10 +295,10 @@ func NewMember(cfg Config) *Member {
 		Rng:         cfg.Rng.Split(bufferStreamLabel),
 		OnEvict: func(e *core.Entry, r core.EvictReason) {
 			if r != core.EvictHandoff {
-				m.metrics.BufferingTime.AddDuration(cfg.Sched.Now() - e.StoredAt)
+				m.metrics.BufferingTime.AddDuration(m.cfg.Sched.Now() - e.StoredAt)
 			}
-			if cfg.Hooks.OnEvict != nil {
-				cfg.Hooks.OnEvict(e, r)
+			if m.cfg.Hooks.OnEvict != nil {
+				m.cfg.Hooks.OnEvict(e, r)
 			}
 		},
 		OnPromote: cfg.Hooks.OnPromote,
@@ -370,18 +391,19 @@ func (m *Member) Left() bool { return m.left }
 // HasReceived reports whether id was ever delivered to this member
 // (it may since have been discarded from the buffer).
 func (m *Member) HasReceived(id wire.MessageID) bool {
-	st, ok := m.sources[id.Source]
-	return ok && st.has(id.Seq)
+	i, ok := m.findSource(id.Source)
+	return ok && m.sources[i].has(id.Seq)
 }
 
 // Prefix returns the contiguous received prefix for src: the largest k such
 // that every sequence in [1, k] has been received. Stability detection
 // baselines gossip this value as their message-history digest.
 func (m *Member) Prefix(src topology.NodeID) uint64 {
-	st, ok := m.sources[src]
+	i, ok := m.findSource(src)
 	if !ok {
 		return 0
 	}
+	st := m.sources[i]
 	k := st.prefix
 	for st.has(k + 1) {
 		k++
@@ -390,14 +412,27 @@ func (m *Member) Prefix(src topology.NodeID) uint64 {
 	return k
 }
 
+// findSource returns where src's reception state is, or belongs, in
+// m.sources, by binary search.
+func (m *Member) findSource(src topology.NodeID) (int, bool) {
+	lo, hi := 0, len(m.sources)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); m.sources[h].src < src {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(m.sources) && m.sources[lo].src == src
+}
+
 // source returns (creating if needed) the reception state for src.
 func (m *Member) source(src topology.NodeID) *sourceState {
-	st, ok := m.sources[src]
+	i, ok := m.findSource(src)
 	if !ok {
-		st = &sourceState{}
-		m.sources[src] = st
+		m.sources = slices.Insert(m.sources, i, &sourceState{src: src})
 	}
-	return st
+	return m.sources[i]
 }
 
 // Receive dispatches one incoming PDU, as ReceivePacket does for a packet
@@ -721,13 +756,12 @@ func (m *Member) Recover() {
 		m.fd.Start()
 	}
 	m.trace(trace.Event{Kind: trace.Recover})
-	// Walk sources in a fixed order: recovery start order pairs rng draws
-	// with messages, so map iteration order must not leak into runs.
-	for _, src := range slices.Sorted(maps.Keys(m.sources)) {
-		st := m.sources[src]
+	// Walk sources in ascending order: recovery start order pairs rng
+	// draws with messages, so it must be a function of the state alone.
+	for _, st := range m.sources {
 		for seq := uint64(1); seq <= st.maxSeen; seq++ {
 			if !st.has(seq) {
-				id := wire.MessageID{Source: src, Seq: seq}
+				id := wire.MessageID{Source: st.src, Seq: seq}
 				if ms := m.msgs[id]; ms != nil && ms.unrecovered {
 					// A fresh retry budget: the message is back in
 					// flight, not lost.

@@ -240,15 +240,7 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 			m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
 			return
 		}
-		if len(m.served) > 1024 {
-			// Lazy purge: entries matter only within the dedupe window.
-			for k, at := range m.served {
-				if now-at > 2*m.params.IntraRTT {
-					delete(m.served, k)
-				}
-			}
-		}
-		m.served[key] = now
+		m.markServed(key, now)
 		m.sendRepair(origin, e)
 		m.announceHave(id, origin)
 		m.resolveSearch(id, origin)
@@ -266,6 +258,22 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 	m.startSearch(id, origin)
 }
 
+// markServed records key as served at now, making the table on first use.
+// Past 1024 records it first purges those older than the dedupe window,
+// which onSearch's lookup ignores anyway.
+func (m *Member) markServed(key servedKey, now time.Duration) {
+	if m.served == nil {
+		m.served = make(map[servedKey]time.Duration)
+	} else if len(m.served) > 1024 {
+		for k, at := range m.served {
+			if now-at > 2*m.params.IntraRTT {
+				delete(m.served, k)
+			}
+		}
+	}
+	m.served[key] = now
+}
+
 // announceHave multicasts "I have the message" in the region, terminating
 // the search episode for origin (§3.3).
 func (m *Member) announceHave(id wire.MessageID, origin topology.NodeID) {
@@ -281,7 +289,7 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	ms.bufferer = from
 	// The requester named in the HAVE has been served: holders receiving
 	// late probes for the same (message, origin) must not repair again.
-	m.served[servedKey{id: msg.ID, origin: msg.Origin}] = m.cfg.Sched.Now()
+	m.markServed(servedKey{id: msg.ID, origin: msg.Origin}, m.cfg.Sched.Now())
 	// Another member answered: suppress our own pending query reply.
 	if ms.reply.Armed() {
 		ms.reply.Stop()

@@ -47,28 +47,38 @@ func BenchmarkNewCluster(b *testing.B) {
 
 // TestNewClusterAllocsPerMember is the AllocsPerRun-style guard on the
 // setup path: constructing a cluster must stay under a fixed allocation
-// budget per member, so the wins that made the 1M-member row buildable
-// (shared region views, range-check region membership, batched transports
-// and rng streams, closure-free packet registration) cannot silently
-// erode. The bound is measured headroom over the current ~18
-// allocs/member (down from 33 before the setup overhaul; the eliminated
-// terms also scaled with region size, which the survivors do not), not a
-// target.
+// and byte budget per member, so the wins that made the 1M-member row
+// buildable (shared region views, range-check region membership, batched
+// transports and rng streams, closure-free packet registration, sorted
+// per-source slices made on first message) cannot silently erode. Both
+// budgets are headroom over the measured 6.0 allocs and 1101 B per member
+// (from 33 allocs before the setup overhaul, then 10.0 allocs and 1685 B
+// while each member still made its per-source maps and the served map up
+// front), not targets.
 func TestNewClusterAllocsPerMember(t *testing.T) {
 	if testing.Short() {
 		t.Skip("construction macro-measurement; skipped with -short")
 	}
 	topo := benchTopo(t)
-	members := float64(topo.NumNodes())
-	avg := testing.AllocsPerRun(3, func() {
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
 		if _, err := NewCluster(ClusterConfig{Topo: topo, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	perMember := avg / members
-	const budget = 25.0
-	if perMember > budget {
-		t.Fatalf("NewCluster allocates %.1f/member (%.0f total); budget %.0f/member", perMember, avg, budget)
 	}
-	t.Logf("NewCluster: %.1f allocs/member (%.0f total for %d members)", perMember, avg, topo.NumNodes())
+	runtime.ReadMemStats(&after)
+	members := float64(runs * topo.NumNodes())
+	allocs := float64(after.Mallocs-before.Mallocs) / members
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / members
+	const allocBudget, byteBudget = 7.0, 1250.0
+	if allocs > allocBudget {
+		t.Errorf("NewCluster allocates %.1f/member; budget %.0f/member", allocs, allocBudget)
+	}
+	if bytes > byteBudget {
+		t.Errorf("NewCluster allocates %.0f B/member; budget %.0f B/member", bytes, byteBudget)
+	}
+	t.Logf("NewCluster: %.2f allocs and %.0f B per member (%d members)", allocs, bytes, topo.NumNodes())
 }
