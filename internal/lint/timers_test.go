@@ -115,6 +115,91 @@ func TestSourceStateIsNotHashed(t *testing.T) {
 	}
 }
 
+// TestMemberMetricsAreConstantSize keeps a member's metrics constant-size:
+// neither rrmp.Metrics nor rmtp.Metrics may declare a field whose type is,
+// or contains, a slice or a map. Each member once kept every latency
+// sample in a list until collect, half a million floats in a 10k-member
+// stream trial, when every reader used only the mean and the count.
+// TestMemberMetricsAreConstantSizeFixture pins the matcher.
+func TestMemberMetricsAreConstantSize(t *testing.T) {
+	pkgs, err := lint.Load("../..", "./internal/rmtp", "./internal/rrmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"repro/internal/rmtp": true, "repro/internal/rrmp": true}
+	for _, p := range pkgs {
+		if !want[p.ImportPath] {
+			continue
+		}
+		delete(want, p.ImportPath)
+		if grown := growingFields(t, p, "Metrics"); len(grown) > 0 {
+			t.Errorf("%s.Metrics has fields that grow with the run: %s", p.Types.Name(), strings.Join(grown, ", "))
+		}
+	}
+	if len(want) > 0 {
+		t.Fatalf("packages not loaded: %v", slices.Sorted(maps.Keys(want)))
+	}
+}
+
+// TestMemberMetricsAreConstantSizeFixture pins growingFields on a fixture
+// whose Metrics has each shape: a slice or a map, directly or inside a
+// struct, an array or a pointed-to value, is found; scalars, a fixed array
+// of scalars, a constant-size struct and a self-referencing list are not.
+func TestMemberMetricsAreConstantSizeFixture(t *testing.T) {
+	pkgs, err := lint.Load("testdata/constsize", "./internal/node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"ByPeer", "Last", "Ring", "Samples", "Seen"}
+	if got := growingFields(t, pkgs[0], "Metrics"); !slices.Equal(got, want) {
+		t.Errorf("growingFields on the fixture = %v, want %v", got, want)
+	}
+}
+
+// growingFields returns the fields of struct type name in p whose type is,
+// or contains through struct fields, array elements or pointers, a slice
+// or a map.
+func growingFields(t *testing.T, p *lint.Package, name string) []string {
+	t.Helper()
+	obj := p.Types.Scope().Lookup(name)
+	if obj == nil {
+		t.Fatalf("package %s declares no %s", p.Types.Name(), name)
+	}
+	inside := map[types.Type]bool{}
+	var grows func(typ types.Type) bool
+	grows = func(typ types.Type) bool {
+		if inside[typ] {
+			return false
+		}
+		inside[typ] = true
+		defer delete(inside, typ)
+		switch u := typ.Underlying().(type) {
+		case *types.Slice, *types.Map:
+			return true
+		case *types.Array:
+			return grows(u.Elem())
+		case *types.Pointer:
+			return grows(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if grows(u.Field(i).Type()) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	st := obj.Type().Underlying().(*types.Struct)
+	var fields []string
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); grows(f.Type()) {
+			fields = append(fields, f.Name())
+		}
+	}
+	slices.Sort(fields)
+	return fields
+}
+
 // mapFieldsKeyedBy returns the fields of struct type name in p whose type
 // is a map keyed by the type spelled key.
 func mapFieldsKeyedBy(t *testing.T, p *lint.Package, name, key string) []string {

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -115,5 +117,38 @@ func TestMulticastFanoutAllocs(t *testing.T) {
 		if sent, lost := net.Stats().sent[wire.TypeData].Value(), net.Stats().DroppedCount(wire.TypeData); lost != 0 || sent == 0 {
 			t.Fatalf("width %d: %d of %d multicast packets dropped", width, lost, sent)
 		}
+	}
+}
+
+// TestReserveSizesTablesOnce pins that a network told its node count up
+// front registers that many nodes without regrowing a table. Growing one
+// slot per registration reallocated both per-node tables about 35 times
+// over a 100k-member build.
+func TestReserveSizesTablesOnce(t *testing.T) {
+	const nodes = 10000
+	topo, err := topology.SingleRegion(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r PacketReceiver = receiverFunc(func(*Packet) {})
+	net := New(sim.New(), HierLatency{Topo: topo, IntraOneWay: time.Millisecond, InterOneWay: time.Millisecond}, nil)
+	net.Reserve(nodes)
+	// A MemStats delta over the first pass: AllocsPerRun's warm-up pass
+	// would size the tables before it measured. MemStats also counts the
+	// odd runtime allocation on another thread (a few KB at most), so the
+	// bound is one receiver table, which any regrowth exceeds.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for node := range topology.NodeID(nodes) {
+		net.RegisterReceiver(node, r)
+		net.SetDown(node, false)
+	}
+	runtime.ReadMemStats(&after)
+	table := uint64(nodes * unsafe.Sizeof(r))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= table {
+		t.Fatalf("registering %d reserved nodes allocated %d B, want under one %d B table", nodes, got, table)
+	}
+	if len(net.receivers) != nodes || len(net.down) != nodes {
+		t.Fatalf("tables cover %d and %d nodes, want %d", len(net.receivers), len(net.down), nodes)
 	}
 }

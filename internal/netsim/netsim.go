@@ -113,8 +113,9 @@ type Network struct {
 	loss    LossModel
 
 	// receivers and down are dense, indexed by NodeID (IDs are dense by
-	// construction, see topology). Slices grow on
-	// Register/RegisterReceiver/SetDown; the last registration wins.
+	// construction, see topology). Reserve sizes both once for a known
+	// node count; Register/RegisterReceiver/SetDown grow them past it. The
+	// last registration wins.
 	receivers []PacketReceiver
 	down      []bool
 	// partition assigns each node a partition class; packets between
@@ -233,14 +234,22 @@ func New(sched clock.Scheduler, latency LatencyModel, loss LossModel) *Network {
 	}
 }
 
+// Reserve sizes the per-node tables for nodes 0..nodes-1 in one
+// allocation each, so registering that many nodes does not regrow them.
+func (n *Network) Reserve(nodes int) {
+	if nodes > 0 {
+		n.grow(topology.NodeID(nodes - 1))
+	}
+}
+
 // grow extends the dense per-node slices to cover node.
 func (n *Network) grow(node topology.NodeID) {
 	need := int(node) + 1
-	for len(n.receivers) < need {
-		n.receivers = append(n.receivers, nil)
+	if len(n.receivers) < need {
+		n.receivers = append(n.receivers, make([]PacketReceiver, need-len(n.receivers))...)
 	}
-	for len(n.down) < need {
-		n.down = append(n.down, false)
+	if len(n.down) < need {
+		n.down = append(n.down, make([]bool, need-len(n.down))...)
 	}
 }
 

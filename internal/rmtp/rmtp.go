@@ -111,12 +111,12 @@ type Metrics struct {
 	// that have not arrived since; it is decremented when a late repair
 	// delivers the message (counter ≡ Unrecovered() set at all times).
 	Unrecoverable stats.Counter
-	// RecoveryLatency records detect→deliver times for repaired gaps, in
+	// RecoveryLatency averages detect→deliver times for repaired gaps, in
 	// milliseconds (the unit rrmp.Metrics.RecoveryLatency uses).
-	RecoveryLatency stats.Histogram
-	// BufferingTime records store→evict times at the repair server, in
+	RecoveryLatency stats.RunningMean
+	// BufferingTime averages store→evict times at the repair server, in
 	// milliseconds.
-	BufferingTime stats.Histogram
+	BufferingTime stats.RunningMean
 }
 
 // poster is the scheduler fast path netsim also uses: schedule with no

@@ -1,6 +1,10 @@
 package rrmp
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +173,72 @@ func TestUntracedFreshDataAllocs(t *testing.T) {
 	}
 	if got := m.Metrics().Delivered.Value(); got != int64(seq) {
 		t.Fatalf("delivered %d of %d packets: the guard did not measure deliveries", got, seq)
+	}
+}
+
+// TestLatencySamplesDoNotAllocate pins that a member's latency metrics are
+// constant-size: over thousands of recoveries and store→evict cycles on a
+// warm member, the deliveries that complete the recoveries and the
+// evictions that follow allocate no bytes. It sums runtime.MemStats bytes
+// over every cycle, because AllocsPerRun's integer average rounds away a
+// slice that doubles now and then: TestUntracedFreshDataAllocs read 0
+// while every sample was still appended to a list. Each recovery is opened
+// outside the measured window, since the episode itself is allocated.
+// MemStats also counts what the runtime allocates on other threads (a new
+// OS thread, a GC worker), so the collector is off and the guard takes the
+// least of three runs of cycles; a growing list allocates in every run.
+func TestLatencySamplesDoNotAllocate(t *testing.T) {
+	const warm, cycles, runs = 1024, 4096, 3
+	params := DefaultParams()
+	// No long-term copies: every copy is evicted at the idle threshold, so
+	// the buffer holds a constant number of entries and recycles them.
+	params.C = 0
+	c := newCluster(t, singleRegion(t, 10), params, 1, nil)
+	m, s := c.members[3], c.sim
+	m.cfg.Transport = &countTransport{}
+	payload := make([]byte, 256)
+	seq := uint64(0)
+	// cycle opens a recovery for the next message, then runs a millisecond
+	// on and delivers it; it returns the bytes the second half allocated.
+	var before, after runtime.MemStats
+	cycle := func() uint64 {
+		seq++
+		id := wire.MessageID{Source: 0, Seq: seq}
+		m.StartRecovery(id)
+		runtime.ReadMemStats(&before)
+		s.RunUntil(s.Now() + time.Millisecond)
+		m.Receive(0, wire.Message{Type: wire.TypeData, From: 0, ID: id, Payload: payload})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for range warm {
+		cycle()
+	}
+	// The received bitset grows by one bit per message, as it must; room
+	// for the measured messages is made here, so the windows measure the
+	// metrics and not it.
+	st := m.source(0)
+	st.bits = slices.Grow(st.bits, runs*cycles/64+1)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	mm := m.Metrics()
+	least := uint64(math.MaxUint64)
+	for range runs {
+		recovered, buffered := mm.RecoveryLatency.N(), mm.BufferingTime.N()
+		var bytes uint64
+		for range cycles {
+			bytes += cycle()
+		}
+		if got := mm.RecoveryLatency.N() - recovered; got != cycles {
+			t.Fatalf("%d recoveries completed in %d cycles: the guard did not measure them", got, cycles)
+		}
+		if got := mm.BufferingTime.N() - buffered; got < cycles*9/10 {
+			t.Fatalf("%d evictions in %d cycles: the guard did not measure store→evict cycles", got, cycles)
+		}
+		least = min(least, bytes)
+	}
+	if least != 0 {
+		t.Fatalf("%d cycles allocated at least %d B (%.2f B/cycle), want 0", cycles, least, float64(least)/cycles)
 	}
 }
 

@@ -4,7 +4,9 @@ import "repro/internal/stats"
 
 // Metrics tallies one member's protocol activity. All counters are updated
 // synchronously on the member's executor; read them after the simulation
-// quiesces.
+// quiesces. Every field is constant-size: latencies are running means, not
+// sample lists, so a member's metrics do not grow with the messages it sees
+// (lint.TestMemberMetricsAreConstantSize).
 type Metrics struct {
 	// Delivered counts distinct data messages delivered to this member.
 	Delivered stats.Counter
@@ -48,13 +50,13 @@ type Metrics struct {
 	// still lacks and no longer pursues; nothing is ever silently lost.
 	Unrecoverable stats.Counter
 
-	// RecoveryLatency records detect→recover times in milliseconds.
-	RecoveryLatency stats.Histogram
-	// ReRecoveryLatency records detect→recover times for recoveries
+	// RecoveryLatency averages detect→recover times in milliseconds.
+	RecoveryLatency stats.RunningMean
+	// ReRecoveryLatency averages detect→recover times for recoveries
 	// re-initiated by Member.Recover after a crash outage: the time to
 	// close each gap the member rediscovered when it came back.
-	ReRecoveryLatency stats.Histogram
-	// BufferingTime records store→evict times in milliseconds (all
+	ReRecoveryLatency stats.RunningMean
+	// BufferingTime averages store→evict times in milliseconds (all
 	// eviction reasons except handoff).
-	BufferingTime stats.Histogram
+	BufferingTime stats.RunningMean
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/rrmp"
 	"repro/internal/stability"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -82,19 +81,8 @@ func ablationPolicies(seed uint64) (Table, error) {
 		}
 		c.Engine.RunUntil(horizon)
 
-		var delivered int64
-		var integral float64
-		peak := 0
-		var bufTime stats.Histogram
-		for _, m := range c.Members {
-			delivered += m.Metrics().Delivered.Value()
-			integral += m.Buffer().OccupancyIntegral(c.Engine.Now())
-			peak = max(peak, m.Buffer().PeakLen())
-			for _, v := range m.Metrics().BufferingTime.Values() {
-				bufTime.Add(v)
-			}
-		}
-		t.add([]string{pe.name}, 100*(float64(delivered)/float64(n*msgs)), integral, float64(peak), bufTime.Mean())
+		tot := c.Totals()
+		t.add([]string{pe.name}, 100*(float64(tot.Delivered)/float64(n*msgs)), tot.BufferIntegral, float64(tot.PeakBuffered), tot.MeanBufferingMs)
 	}
 	return t, nil
 }

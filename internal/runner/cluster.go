@@ -125,12 +125,14 @@ func newDeployment(cfg ClusterConfig) (*deployment, error) {
 			d.clockOf = func(n topology.NodeID) clock.Scheduler { return sharded.Clock(nodeShard[n]) }
 			d.net = netsim.New(sharded, lat, cfg.Loss)
 			d.net.EnableSharding(sharded, nodeShard, eff)
+			d.net.Reserve(cfg.Topo.NumNodes())
 			return d, nil
 		}
 	}
 	d.engine = sim.New()
 	d.clockOf = func(topology.NodeID) clock.Scheduler { return d.engine }
 	d.net = netsim.New(d.engine, lat, cfg.Loss)
+	d.net.Reserve(cfg.Topo.NumNodes())
 	return d, nil
 }
 

@@ -58,17 +58,19 @@ type Totals struct {
 
 	// survivors counts the members that neither left nor crashed.
 	survivors int
-	// recovery, reRecovery and buffering pool the member histograms behind
-	// the three means; a mean with no sample reads 0, and the kernel then
-	// omits its key.
+	// recovery, reRecovery and buffering pool the member running means
+	// behind the three means; a mean with no sample reads 0, and the kernel
+	// then omits its key.
 	recovery, reRecovery, buffering pool
 }
 
-// pool merges histograms into one mean: each adds mean × count and count,
-// member by member, and the sum is divided once.
+// pool merges running means into one mean: each adds mean × count and
+// count, member by member, and the sum is divided once. Mean × count, not
+// the member's raw sum, is what the pooled figures of every committed
+// record were computed from.
 type pool struct{ sum, n float64 }
 
-func (p *pool) add(h *stats.Histogram) {
+func (p *pool) add(h *stats.RunningMean) {
 	p.sum += h.Mean() * float64(h.N())
 	p.n += float64(h.N())
 }
@@ -81,10 +83,10 @@ func (p *pool) mean() float64 {
 }
 
 // add folds in one member's share of what both protocols keep: its
-// counters, its two histograms and its buffer (nil where it keeps none).
+// counters, its two running means and its buffer (nil where it keeps none).
 // A member that left or crashed adds no unrecoverable losses.
 func (t *Totals) add(now time.Duration, survivor bool, delivered, duplicates, repairs, unrecoverable int64,
-	recovery, buffering *stats.Histogram, b *core.Buffer) {
+	recovery, buffering *stats.RunningMean, b *core.Buffer) {
 	t.Delivered += delivered
 	t.Duplicates += duplicates
 	t.Repairs += repairs
@@ -105,7 +107,7 @@ func (t *Totals) add(now time.Duration, survivor bool, delivered, duplicates, re
 	t.BudgetDenials += b.DeniedCount()
 }
 
-// means divides the pooled histograms.
+// means divides the pooled running means.
 func (t *Totals) means() {
 	t.MeanRecoveryMs = t.recovery.mean()
 	t.MeanReRecoveryMs = t.reRecovery.mean()

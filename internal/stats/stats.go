@@ -1,11 +1,12 @@
 // Package stats provides the measurement primitives the experiments use:
-// counters, exact-sample histograms that report the mean, extremes and a
-// 95% confidence interval, and a step-function integrator for
-// buffer-occupancy × time accounting.
+// counters, running means, exact-sample histograms that report the mean,
+// extremes and a 95% confidence interval, and a step-function integrator
+// for buffer-occupancy × time accounting.
 //
-// A histogram keeps every sample: experiment scales here are modest (at
-// most a few million samples), and Values lets members' samples merge
-// exactly.
+// A member keeps only counters, running means and integrators, so its
+// metrics stay constant-size however many messages it sees. A histogram
+// keeps every sample; it summarizes a sweep cell's trials or a figure's
+// runs, a few samples each.
 package stats
 
 import (
@@ -31,6 +32,36 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current tally.
 func (c *Counter) Value() int64 { return c.n }
 
+// RunningMean accumulates duration samples into a count and a sum. It adds
+// in insertion order, as Histogram.Mean sums, so on one sequence the two
+// means are the same bits. The zero value is ready to use.
+type RunningMean struct {
+	sum float64
+	n   int
+}
+
+// AddDuration records a duration sample in milliseconds, the unit used by
+// every figure in the paper.
+func (r *RunningMean) AddDuration(d time.Duration) {
+	r.add(float64(d) / float64(time.Millisecond))
+}
+
+func (r *RunningMean) add(v float64) {
+	r.sum += v
+	r.n++
+}
+
+// N returns the number of samples recorded.
+func (r *RunningMean) N() int { return r.n }
+
+// Mean returns the sample mean (0 with no samples).
+func (r *RunningMean) Mean() float64 {
+	if r.n == 0 {
+		return 0
+	}
+	return r.sum / float64(r.n)
+}
+
 // Histogram accumulates float64 samples and reports exact order statistics.
 // The zero value is ready to use.
 type Histogram struct {
@@ -40,12 +71,6 @@ type Histogram struct {
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.samples = append(h.samples, v)
-}
-
-// AddDuration records a duration sample in milliseconds, the unit used by
-// every figure in the paper.
-func (h *Histogram) AddDuration(d time.Duration) {
-	h.Add(float64(d) / float64(time.Millisecond))
 }
 
 // N returns the number of samples recorded.
@@ -117,12 +142,6 @@ func (h *Histogram) Max() float64 {
 		return 0
 	}
 	return slices.Max(h.samples)
-}
-
-// Values returns a copy of all recorded samples in insertion order. Use it
-// to merge histograms across members.
-func (h *Histogram) Values() []float64 {
-	return slices.Clone(h.samples)
 }
 
 // Occupancy integrates a step function over time: it tracks a current level
