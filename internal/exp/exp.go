@@ -192,6 +192,10 @@ func AggregateTrials(trials []map[string]float64) Aggregate {
 	sort.Strings(sorted)
 
 	agg := Aggregate{Trials: len(trials)}
+	// Without metrics the slice stays nil, which encodes as null.
+	if len(sorted) > 0 {
+		agg.Metrics = make([]MetricSummary, 0, len(sorted))
+	}
 	for _, name := range sorted {
 		samples := make([]float64, 0, len(trials))
 		for _, t := range trials {

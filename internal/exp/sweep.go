@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	policyspec "repro/internal/policy"
@@ -724,10 +725,19 @@ func RunSweeps(o Options, sweeps []Sweep, run ScenarioFunc) (Report, error) {
 		}
 		scenarios = append(scenarios, sw.Expand()...)
 	}
+	// A cell is aggregated by whichever job finishes its last trial, and
+	// its trial maps are dropped then, so the pool holds the trial maps of
+	// the cells in flight only, not of the whole matrix. The reduction
+	// still reads the maps in trial order.
 	results := make([][]map[string]float64, len(scenarios))
 	for i := range results {
 		results[i] = make([]map[string]float64, o.Trials)
 	}
+	pending := make([]atomic.Int32, len(scenarios))
+	for i := range pending {
+		pending[i].Store(int32(o.Trials))
+	}
+	aggs := make([]Aggregate, len(scenarios))
 	err := runJobs(o.Parallel, len(scenarios)*o.Trials, func(j int) error {
 		cell, trial := j/o.Trials, j%o.Trials
 		seed := TrialSeed(o.BaseSeed, trial)
@@ -737,19 +747,20 @@ func RunSweeps(o Options, sweeps []Sweep, run ScenarioFunc) (Report, error) {
 				scenarios[cell].Name(), trial, seed, err)
 		}
 		results[cell][trial] = m
+		if pending[cell].Add(-1) == 0 {
+			aggs[cell] = AggregateTrials(results[cell])
+			results[cell] = nil
+		}
 		return nil
 	})
 	if err != nil {
 		return Report{}, err
 	}
 
-	rep := Report{Schema: ReportSchema, BaseSeed: o.BaseSeed, Trials: o.Trials}
+	rep := Report{Schema: ReportSchema, BaseSeed: o.BaseSeed, Trials: o.Trials,
+		Cells: make([]Cell, len(scenarios))}
 	for i, sc := range scenarios {
-		rep.Cells = append(rep.Cells, Cell{
-			Name:      sc.Name(),
-			Scenario:  sc,
-			Aggregate: AggregateTrials(results[i]),
-		})
+		rep.Cells[i] = Cell{Name: sc.Name(), Scenario: sc, Aggregate: aggs[i]}
 	}
 	return rep, nil
 }

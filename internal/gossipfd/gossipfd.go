@@ -24,8 +24,10 @@
 // and true from Suspected, exactly as an absent peer would, and only a
 // counter above its tombstone re-admits it. The copy a tick sends goes into
 // a table an earlier heartbeat arrived in when the owner has handed one back
-// (Recycle), so a healthy region circulates its tables instead of
-// allocating one per tick. This is the fault cells' hot path (DESIGN §6);
+// (Recycle). A region's detectors share one free list of such tables
+// (Tables), so the region circulates about as many tables as it has
+// heartbeats in flight instead of allocating one per tick. This is the
+// fault cells' hot path (DESIGN §6);
 // the map-based original survives as the oracle of differential_test.go.
 package gossipfd
 
@@ -57,7 +59,36 @@ type Config struct {
 	OnSuspect func(n topology.NodeID)
 	// OnRestore fires when a suspected peer's counter advances again.
 	OnRestore func(n topology.NodeID)
+	// Tables is the free list of heartbeat tables the detector shares
+	// with the rest of its region (see Tables). Nil gives the detector a
+	// list of its own that keeps ownSpares tables.
+	Tables *Tables
 }
+
+// Tables is a free list of heartbeat tables: a tick sends its snapshot in
+// one from here when there is one, and Recycle puts a spent PDU's table
+// back. The detectors of one region share a list, so a table any member
+// receives is one any member's next tick can send. A list of one
+// detector's own fills and empties at random, as more or fewer PDUs
+// happen to reach it than it sends, and it drops a table when full and
+// allocates one when empty: one tick in eight in a 100-member region with
+// crashes. Not safe for concurrent use: the detectors sharing a
+// list run on one event loop, as a region's members do (shards split the
+// group by region).
+type Tables struct {
+	free [][]uint64
+	max  int // tables kept at most; Recycle drops the rest
+}
+
+// NewTables returns an empty free list for the detectors of a region of
+// size members. It keeps at most size tables. A tick allocates only when
+// the list is empty, so the region owns about as many tables as it has
+// heartbeats in flight at once: one per member when the region's
+// latencies are under the gossip interval.
+func NewTables(size int) *Tables { return &Tables{max: size} }
+
+// ownSpares is how many tables a detector without a shared list keeps.
+const ownSpares = 4
 
 // The detector's timing: the heartbeat/gossip period, the silence after
 // which a peer is suspected, and the silence after which its state is
@@ -95,10 +126,9 @@ type Detector struct {
 	// genuinely fresh heartbeat.
 	tombstone []uint64
 	live      int // peers (Self excluded) in state peerLive
-	// spare[:spares] are tables handed back through Recycle; a tick takes
+	// tables holds the tables handed back through Recycle; a tick takes
 	// its PDU's snapshot from here before it allocates one.
-	spare   [4][]uint64
-	spares  int
+	tables  *Tables
 	onTick  func() // the timer callback, bound once
 	ticker  clock.Handle
 	running bool
@@ -127,6 +157,10 @@ func New(cfg Config) *Detector {
 		updatedAt: make([]time.Duration, n),
 		state:     make([]uint8, n),
 		live:      n - 1,
+		tables:    cfg.Tables,
+	}
+	if d.tables == nil {
+		d.tables = &Tables{max: ownSpares}
 	}
 	now := cfg.Sched.Now()
 	for i := range d.updatedAt {
@@ -181,9 +215,10 @@ func (d *Detector) tick() {
 	// The PDU outlives the tick (it rides the network), so it gets its own
 	// snapshot of the table, in a recycled one when there is one.
 	var counters []uint64
-	if d.spares > 0 {
-		d.spares--
-		counters, d.spare[d.spares] = d.spare[d.spares], nil
+	if t := d.tables; len(t.free) > 0 {
+		k := len(t.free) - 1
+		counters, t.free[k] = t.free[k], nil
+		t.free = t.free[:k]
 	} else {
 		counters = make([]uint64, len(d.counter))
 	}
@@ -299,13 +334,13 @@ func (d *Detector) Receive(msg wire.Message) {
 
 // Recycle hands the detector the Counters of a heartbeat PDU that is spent:
 // Receive has merged it and nothing else references it (the network
-// delivered it to this member only). A later tick sends its snapshot in it
-// instead of allocating one. Tables of another length, and more than the
-// detector can hold, are left to the collector.
+// delivered it to this member only). It goes into the detector's free
+// list, and a later tick of any detector sharing the list sends its
+// snapshot in it instead of allocating one. Tables of another length, and
+// more than the list keeps, are left to the collector.
 func (d *Detector) Recycle(table []uint64) {
-	if len(table) == len(d.counter) && d.spares < len(d.spare) {
-		d.spare[d.spares] = table
-		d.spares++
+	if t := d.tables; len(table) == len(d.counter) && len(t.free) < t.max {
+		t.free = append(t.free, table)
 	}
 }
 

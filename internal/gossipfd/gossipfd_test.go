@@ -1,6 +1,7 @@
 package gossipfd
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -23,6 +24,13 @@ type fdCluster struct {
 }
 
 func newFDCluster(t *testing.T, n int, seed uint64) *fdCluster {
+	t.Helper()
+	return newFDClusterSharing(t, n, seed, nil)
+}
+
+// newFDClusterSharing is newFDCluster with every detector's Config.Tables
+// set to tables.
+func newFDClusterSharing(t *testing.T, n int, seed uint64, tables *Tables) *fdCluster {
 	t.Helper()
 	topo, err := topology.SingleRegion(n)
 	if err != nil {
@@ -52,6 +60,7 @@ func newFDCluster(t *testing.T, n int, seed uint64) *fdCluster {
 			},
 			OnSuspect: func(x topology.NodeID) { c.suspects[node] = append(c.suspects[node], x) },
 			OnRestore: func(x topology.NodeID) { c.restores[node] = append(c.restores[node], x) },
+			Tables:    tables,
 		})
 		c.detectors[node] = d
 		net.Register(node, func(p netsim.Packet) { d.Receive(p.Msg) })
@@ -337,69 +346,84 @@ func TestDetectorAllocs(t *testing.T) {
 // TestRecycledTablesCarrySnapshots runs a region whose members hand every
 // delivered heartbeat table back to their detector, as rrmp does, and
 // checks the ownership rule that makes it safe: a table is in one place at
-// a time (on the network or in one detector's spares), what arrives is
-// what was sent, and most PDUs ride in a recycled table.
+// a time (on the network or in one free list), what arrives is what was
+// sent, and most PDUs ride in a recycled table. With a free list per
+// detector, tables pile up where more PDUs happen to arrive and run short
+// where fewer do; with one list for the region, as runner builds it, the
+// region owns no more tables than it has members.
 func TestRecycledTablesCarrySnapshots(t *testing.T) {
-	c := newFDCluster(t, 20, 11)
-	inFlight := map[*uint64][]uint64{} // a copy as sent, by the table's first element
-	spare := map[*uint64]bool{}        // accepted by some detector's Recycle
-	var pdus, fresh int
-	for node, d := range c.detectors {
-		node, d := node, d
-		d.cfg.Send = func(to topology.NodeID, msg wire.Message) {
-			key := &msg.Counters[0]
-			if _, dup := inFlight[key]; dup {
-				t.Fatalf("member %d sent a table that is still on the network", node)
+	for _, shared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+			var tables *Tables
+			if shared {
+				tables = NewTables(20)
 			}
-			pdus++
-			if !spare[key] {
-				fresh++
+			c := newFDClusterSharing(t, 20, 11, tables)
+			inFlight := map[*uint64][]uint64{} // a copy as sent, by the table's first element
+			spare := map[*uint64]bool{}        // accepted by some detector's Recycle
+			var pdus, fresh int
+			for node, d := range c.detectors {
+				node, d := node, d
+				d.cfg.Send = func(to topology.NodeID, msg wire.Message) {
+					key := &msg.Counters[0]
+					if _, dup := inFlight[key]; dup {
+						t.Fatalf("member %d sent a table that is still on the network", node)
+					}
+					pdus++
+					if !spare[key] {
+						fresh++
+					}
+					delete(spare, key)
+					if msg.Counters[d.selfIdx] != d.counter[d.selfIdx] || len(msg.Counters) != len(d.counter) {
+						t.Fatalf("member %d sent a table that is not its current one", node)
+					}
+					inFlight[key] = slices.Clone(msg.Counters)
+					c.net.Unicast(node, to, msg)
+				}
+				c.net.Register(node, func(p netsim.Packet) {
+					key := &p.Msg.Counters[0]
+					if sent := inFlight[key]; !slices.Equal(sent, p.Msg.Counters) {
+						t.Fatalf("member %d received %v, sent was %v", node, p.Msg.Counters, sent)
+					}
+					delete(inFlight, key)
+					d.Receive(p.Msg)
+					before := len(d.tables.free)
+					d.Recycle(p.Msg.Counters)
+					if len(d.tables.free) > before {
+						spare[key] = true
+					}
+				})
 			}
-			delete(spare, key)
-			if msg.Counters[d.selfIdx] != d.counter[d.selfIdx] || len(msg.Counters) != len(d.counter) {
-				t.Fatalf("member %d sent a table that is not its current one", node)
+			c.startAll()
+			c.sim.RunUntil(10 * time.Second)
+			t.Logf("%d of %d PDUs in a fresh table", fresh, pdus)
+			if pdus < 3000 || fresh*4 > pdus {
+				t.Errorf("%d of %d PDUs needed a fresh table, want under a quarter of at least 3000", fresh, pdus)
 			}
-			inFlight[key] = slices.Clone(msg.Counters)
-			c.net.Unicast(node, to, msg)
-		}
-		c.net.Register(node, func(p netsim.Packet) {
-			key := &p.Msg.Counters[0]
-			if sent := inFlight[key]; !slices.Equal(sent, p.Msg.Counters) {
-				t.Fatalf("member %d received %v, sent was %v", node, p.Msg.Counters, sent)
+			if shared && fresh > 20 {
+				t.Errorf("the region allocated %d tables, want at most one per member (20)", fresh)
 			}
-			delete(inFlight, key)
-			d.Receive(p.Msg)
-			before := d.spares
-			d.Recycle(p.Msg.Counters)
-			if d.spares > before {
-				spare[key] = true
+			for node, d := range c.detectors {
+				if got := len(d.Live()); got != 20 {
+					t.Errorf("member %d sees %d live members, want 20", node, got)
+				}
+			}
+
+			// Tables of another length and tables beyond the list's bound
+			// are refused.
+			d := c.detectors[0]
+			d.tables.free = nil
+			d.Recycle(make([]uint64, 19))
+			d.Recycle(make([]uint64, 21))
+			if len(d.tables.free) != 0 {
+				t.Errorf("Recycle kept a table of the wrong length")
+			}
+			for i := 0; i < 2*d.tables.max; i++ {
+				d.Recycle(make([]uint64, 20))
+			}
+			if want := map[bool]int{false: ownSpares, true: 20}[shared]; len(d.tables.free) != want {
+				t.Errorf("%d spares after overfilling, want %d", len(d.tables.free), want)
 			}
 		})
-	}
-	c.startAll()
-	c.sim.RunUntil(10 * time.Second)
-	t.Logf("%d of %d PDUs in a fresh table", fresh, pdus)
-	if pdus < 3000 || fresh*4 > pdus {
-		t.Errorf("%d of %d PDUs needed a fresh table, want under a quarter of at least 3000", fresh, pdus)
-	}
-	for node, d := range c.detectors {
-		if got := len(d.Live()); got != 20 {
-			t.Errorf("member %d sees %d live members, want 20", node, got)
-		}
-	}
-
-	// Tables of another length and tables beyond the stack are refused.
-	d := c.detectors[0]
-	d.spares = 0
-	d.Recycle(make([]uint64, 19))
-	d.Recycle(make([]uint64, 21))
-	if d.spares != 0 {
-		t.Errorf("Recycle kept a table of the wrong length")
-	}
-	for i := 0; i < 2*len(d.spare); i++ {
-		d.Recycle(make([]uint64, 20))
-	}
-	if d.spares != len(d.spare) {
-		t.Errorf("%d spares after overfilling, want %d", d.spares, len(d.spare))
 	}
 }

@@ -92,6 +92,10 @@ type Config struct {
 	Tracer trace.Tracer
 	// Hooks are optional instrumentation callbacks.
 	Hooks Hooks
+	// HeartbeatTables is the free list of heartbeat tables the member's
+	// failure detector (Params.FDEnabled) shares with the rest of its
+	// region; nil gives the detector a list of its own.
+	HeartbeatTables *gossipfd.Tables
 }
 
 // env is the part of a Config a member reads after construction; Params
@@ -311,6 +315,7 @@ func NewMember(cfg Config) *Member {
 			Send:      func(to topology.NodeID, msg wire.Message) { m.cfg.Transport.Send(to, msg) },
 			OnSuspect: m.onSuspect,
 			OnRestore: m.onRestore,
+			Tables:    cfg.HeartbeatTables,
 		})
 		m.fd.Start()
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/gossipfd"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/rrmp"
@@ -178,10 +179,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// per-member closures, transport boxes, or split sources that used to
 	// dominate construction survive at scale.
 	transports := make([]rrmp.NetTransport, total)
+	// The failure detectors of a region share one free list of heartbeat
+	// tables. Regions are contiguous in c.All, and a shard runs whole
+	// regions, so the detectors sharing a list run on one event loop.
+	var heartbeats *gossipfd.Tables
 	for _, n := range c.All {
 		view, err := cfg.Topo.ViewOf(n)
 		if err != nil {
 			return nil, fmt.Errorf("runner: view of node %d: %w", n, err)
+		}
+		if cfg.Params.FDEnabled && view.SelfIdx == 0 {
+			heartbeats = gossipfd.NewTables(len(view.RegionMembers))
 		}
 		var policy core.Policy
 		if cfg.Policy != nil {
@@ -193,14 +201,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		transports[n] = rrmp.NetTransport{Net: net, Self: n, Group: c.All}
 		m := rrmp.NewMember(rrmp.Config{
-			View:      view,
-			Transport: &transports[n],
-			Sched:     d.clockOf(n),
-			Rng:       d.memberRng(n),
-			Params:    cfg.Params,
-			Policy:    policy,
-			Tracer:    cfg.Tracer,
-			Hooks:     hooks,
+			View:            view,
+			Transport:       &transports[n],
+			Sched:           d.clockOf(n),
+			Rng:             d.memberRng(n),
+			Params:          cfg.Params,
+			Policy:          policy,
+			Tracer:          cfg.Tracer,
+			Hooks:           hooks,
+			HeartbeatTables: heartbeats,
 		})
 		c.Members[n] = m
 		net.RegisterReceiver(n, m)
