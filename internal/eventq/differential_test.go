@@ -11,7 +11,11 @@ import (
 // The differential test drives Queue and the frozen binary heap
 // (reference_test.go) through the same program of pushes, pops and cancels
 // and requires identical observable behaviour after every step: the popped
-// (time, tag) sequence, Len, NextAt and every Cancel result. Programs come
+// (time, tag) sequence, Len, NextAt and every Cancel result. A counted push
+// (PushN of n firings) is n consecutive single pushes in the reference, so
+// the reference's Len counts firings where the queue's counts events, and
+// cancelling a counted event cancels each of its reference events still
+// pending. Programs come
 // from seeded generators (TestQueueDifferential) or raw fuzz bytes
 // (FuzzQueueDifferential); one interpreter reads both.
 
@@ -42,9 +46,11 @@ func (s *byteSource) arg() byte {
 // Op byte layout: the low nibble selects the operation, the high nibble a
 // push's time mode (bits 5-7) and whether its key is lane-like (bit 4).
 const (
-	opPush      = 0  // 0-5: push one event
+	opPush      = 0  // 0-4: push one event
+	opCounted   = 5  // push one event of 1-12 firings
 	opBurst     = 6  // push 2-15 events at one instant
-	opPop       = 7  // 7-9: PopFire
+	opPop       = 7  // 7-8: PopFire
+	opPopPush   = 9  // PopFire, then push at the fired instant, as its callback would
 	opFireAt    = 10 // fire every event at the earliest instant, then push at it again
 	opCancel    = 11 // 11-13: cancel a pending event
 	opCancelAny = 14 // cancel any handle ever issued (mostly stale)
@@ -93,11 +99,11 @@ func (s *rngSource) op() byte {
 	var kind byte
 	switch x := s.r.Intn(1000); {
 	case x < s.weights[0]:
-		kind = opPush
+		kind = []byte{opPush, opPush, opPush, opCounted}[s.r.Intn(4)]
 	case x < s.weights[0]+s.weights[1]:
 		kind = opBurst
 	case x < s.weights[0]+s.weights[1]+s.weights[2]:
-		kind = opPop
+		kind = []byte{opPop, opPop, opPop, opPopPush}[s.r.Intn(4)]
 	case x < s.weights[0]+s.weights[1]+s.weights[2]+s.weights[3]:
 		kind = opCancel
 	default:
@@ -129,13 +135,27 @@ type diffCoverage struct {
 	cancelHead, cancelMiddle, cancelTail, cancelSingleton int
 	staleCancels, doubleCancels                           int
 	compactions, promoted                                 int
+	// counted: counted pushes; midFirePushes: pushes at the instant of a
+	// counted event fired and still due, made between its firings;
+	// midFireCancels: counted events cancelled after a firing;
+	// countedCompactions: compactions of a run that held a counted event
+	// with firings left beside a tombstone.
+	counted, midFirePushes, midFireCancels, countedCompactions int
+}
+
+// refHandle is one reference event and its generation.
+type refHandle struct {
+	r   *refEvent
+	gen uint32
 }
 
 type diffHandle struct {
-	e         *Event
-	gen       uint32
-	r         *refEvent
-	rgen      uint32
+	e   *Event
+	gen uint32
+	// refs are the event's firings in the reference queue, in push order;
+	// the first left-many of the last are pending.
+	refs      []refHandle
+	left      int
 	at        time.Duration
 	pushAt    time.Duration
 	cancelled bool
@@ -157,6 +177,7 @@ type differ struct {
 	hs         []diffHandle
 	tagOf      map[tailKey]int
 	pend       []int // tags of pending events
+	pendFires  int   // firings pending: the reference's Len
 	pos        []int // tag -> index in pend
 	firedNew   int
 	firedRef   int
@@ -186,15 +207,28 @@ func (d *differ) step(src source) {
 	op := src.op()
 	kind, lane, mode := op&15, op>>4&1 == 1, op>>5
 	switch {
-	case kind <= 5:
-		d.push(d.instant(mode, src), lane, src)
+	case kind < opCounted:
+		d.push(d.instant(mode, src), lane, src, 1)
+	case kind == opCounted:
+		at := d.instant(mode, src)
+		d.push(at, lane, src, 1+int(src.arg()%12))
 	case kind == opBurst:
 		at := d.instant(mode, src)
 		for n := 2 + int(src.arg()%14); n > 0; n-- {
-			d.push(at, lane, src)
+			d.push(at, lane, src, 1)
 		}
-	case kind <= 9:
+	case kind < opPopPush:
 		d.pop()
+	case kind == opPopPush:
+		at, ok := d.q.NextAt()
+		if !ok {
+			return
+		}
+		d.pop()
+		if h := &d.hs[d.firedNew]; !h.fired {
+			d.cov.midFirePushes++
+		}
+		d.push(at, lane, src, 1)
 	case kind == opFireAt:
 		at, ok := d.q.NextAt()
 		if !ok {
@@ -207,7 +241,7 @@ func (d *differ) step(src source) {
 			}
 			d.pop()
 		}
-		d.push(at, lane, src)
+		d.push(at, lane, src, 1)
 	case kind <= 13:
 		if len(d.pend) == 0 {
 			return
@@ -271,7 +305,9 @@ func (d *differ) pendingAt(src source) time.Duration {
 	return d.hs[d.pend[(int(src.arg())<<8|int(src.arg()))%len(d.pend)]].at
 }
 
-func (d *differ) push(at time.Duration, lane bool, src source) {
+// push pushes one event of n firings: through PushKeyed when n is 1,
+// through PushN otherwise, and as n single pushes in the reference.
+func (d *differ) push(at time.Duration, lane bool, src source, n int) {
 	pushAt, s := d.now, int32(0)
 	var prev *diffHandle
 	if n := len(d.hs); n > 0 {
@@ -307,8 +343,20 @@ func (d *differ) push(at time.Duration, lane bool, src source) {
 	tag := len(d.hs)
 	before, t := len(d.q.heap), d.q.tails[tailSlot(at)]
 	d.classifyProbe(at, pushAt, s)
-	e := d.q.PushKeyed(at, pushAt, s, func() { d.firedNew = tag })
-	r := d.ref.PushKeyed(at, pushAt, s, func() { d.firedRef = tag })
+	fire := func() { d.firedNew = tag }
+	var e *Event
+	if n == 1 {
+		e = d.q.PushKeyed(at, pushAt, s, fire)
+	} else {
+		ref, _ := d.q.PushN(at, pushAt, s, uint32(n), fire)
+		e = d.q.event(ref)
+		d.cov.counted++
+	}
+	refs := make([]refHandle, n)
+	for i := range refs {
+		r := d.ref.PushKeyed(at, pushAt, s, func() { d.firedRef = tag })
+		refs[i] = refHandle{r, r.Gen()}
+	}
 	if len(d.q.heap) == before {
 		d.cov.runJoins++
 		if prev == nil || d.q.event(t.ref) != prev.e || t.gen != prev.gen {
@@ -316,9 +364,10 @@ func (d *differ) push(at time.Duration, lane bool, src source) {
 		}
 	}
 	d.tagOf[tailKey{e, e.Gen()}] = tag
-	d.hs = append(d.hs, diffHandle{e: e, gen: e.Gen(), r: r, rgen: r.Gen(), at: at, pushAt: pushAt})
+	d.hs = append(d.hs, diffHandle{e: e, gen: e.Gen(), refs: refs, left: n, at: at, pushAt: pushAt})
 	d.pos = append(d.pos, len(d.pend))
 	d.pend = append(d.pend, tag)
+	d.pendFires += n
 	d.cov.pushes++
 }
 
@@ -342,7 +391,7 @@ func (d *differ) classifyProbe(at, pushAt time.Duration, src int32) {
 		}
 	case d.hs[d.tagOf[tailKey{tail, t.gen}]].fired:
 		d.cov.tailFired++
-	case tail.live || tail.gen != t.gen+1 || d.isFree(t.ref):
+	case tail.fires > 0 || tail.gen != t.gen+1 || d.isFree(t.ref):
 		d.cov.tailReleased++
 	default:
 		d.cov.tailCancelled++
@@ -382,10 +431,14 @@ func (d *differ) pop() {
 	}
 	h := &d.hs[d.firedNew]
 	if h.fired || h.cancelled {
-		d.fail("tag %d fired twice or after its cancel", d.firedNew)
+		d.fail("tag %d fired past its firings or after its cancel", d.firedNew)
 	}
-	h.fired = true
-	d.settle(d.firedNew)
+	h.left--
+	d.pendFires--
+	if h.left == 0 {
+		h.fired = true
+		d.settle(d.firedNew)
+	}
 	d.now = at
 	d.cov.pops++
 }
@@ -394,14 +447,20 @@ func (d *differ) cancel(tag int) {
 	h := &d.hs[tag]
 	where := d.locate(h.e, h.gen)
 	compacting := d.q.dead+1 > d.q.live-1 && d.q.dead+1 >= compactMin
-	promotable := 0
+	promotable, counted := 0, 0
 	if compacting && where != "" {
 		promotable = d.promotable(h.e)
+		counted = d.countedBesideTombstone(h.e)
 	}
 	ok := d.q.Cancel(h.e, h.gen)
-	rok := d.ref.Cancel(h.r, h.rgen)
-	if ok != rok {
-		d.fail("Cancel(tag %d) = %v, reference %v", tag, ok, rok)
+	// The reference cancels the firings still due; every one of them must
+	// agree, and any already fired is stale there too.
+	due := h.refs[len(h.refs)-h.left:]
+	for i, r := range h.refs {
+		rok := d.ref.Cancel(r.r, r.gen)
+		if want := ok && i >= len(h.refs)-h.left; rok != want {
+			d.fail("Cancel(tag %d) = %v, reference firing %d of %d (%d due) = %v", tag, ok, i, len(h.refs), len(due), rok)
+		}
 	}
 	if (where != "") != ok {
 		d.fail("Cancel(tag %d) = %v but the event is held as %q", tag, ok, where)
@@ -427,7 +486,13 @@ func (d *differ) cancel(tag int) {
 	if d.q.dead == 0 {
 		d.cov.compactions++
 		d.cov.promoted += promotable
+		d.cov.countedCompactions += counted
 	}
+	if h.left < len(h.refs) {
+		d.cov.midFireCancels++
+	}
+	d.pendFires -= h.left
+	h.left = 0
 	h.cancelled = true
 	d.settle(tag)
 	d.lastCancel = tag
@@ -436,7 +501,7 @@ func (d *differ) cancel(tag int) {
 // locate reports where a pending handle sits in its run ("head",
 // "middle", "tail", "single"), or "" if the handle is not pending.
 func (d *differ) locate(e *Event, gen uint32) string {
-	if !e.live || e.gen != gen {
+	if e.fires == 0 || e.gen != gen {
 		return ""
 	}
 	for _, h := range d.q.heap {
@@ -469,11 +534,11 @@ func (d *differ) promotable(e *Event) int {
 	n := 0
 	for _, h := range d.q.heap {
 		head := d.q.event(h.ref)
-		if head.live && head != e {
+		if head.fires > 0 && head != e {
 			continue
 		}
 		for ref := head.next; ref != 0; ref = d.q.event(ref).next {
-			if s := d.q.event(ref); s.live && s != e {
+			if s := d.q.event(ref); s.fires > 0 && s != e {
 				n++
 				break
 			}
@@ -482,9 +547,31 @@ func (d *differ) promotable(e *Event) int {
 	return n
 }
 
+// countedBesideTombstone counts the runs that hold a counted event with
+// more than one firing left, other than e, and a dead event (or e, about
+// to die).
+func (d *differ) countedBesideTombstone(e *Event) int {
+	n := 0
+	for _, h := range d.q.heap {
+		counted, dead := false, false
+		for ref := h.ref; ref != 0; ref = d.q.event(ref).next {
+			switch s := d.q.event(ref); {
+			case s == e || s.fires == 0:
+				dead = true
+			case s.fires > 1:
+				counted = true
+			}
+		}
+		if counted && dead {
+			n++
+		}
+	}
+	return n
+}
+
 func (d *differ) compare() {
-	if d.q.Len() != d.ref.Len() {
-		d.fail("Len = %d, reference %d", d.q.Len(), d.ref.Len())
+	if d.ref.Len() != d.pendFires {
+		d.fail("reference Len = %d with %d firings pending", d.ref.Len(), d.pendFires)
 	}
 	at, ok := d.q.NextAt()
 	p := d.ref.Peek()
@@ -531,7 +618,7 @@ func checkStructure(t testing.TB, q *Queue) {
 				t.Fatalf("run out of order: %+v before %+v", prev, cur)
 			}
 			prev = cur
-			if e.live {
+			if e.fires > 0 {
 				live++
 			} else {
 				dead++
@@ -543,7 +630,7 @@ func checkStructure(t testing.TB, q *Queue) {
 	}
 	free := 0
 	for ref := q.free; ref != 0; ref = q.event(ref).next {
-		if seen[ref] || q.event(ref).live {
+		if seen[ref] || q.event(ref).fires > 0 {
 			t.Fatalf("slot %d both free and held", ref)
 		}
 		seen[ref] = true
@@ -562,15 +649,16 @@ func checkStructure(t testing.TB, q *Queue) {
 		if tailSlot(c.at) != uint64(i) {
 			t.Fatalf("tails slot %d holds instant %v of slot %d", i, c.at, tailSlot(c.at))
 		}
-		if e := q.event(c.ref); !e.live || e.next != 0 || runAt[c.ref] != c.at {
+		if e := q.event(c.ref); e.fires == 0 || e.next != 0 || runAt[c.ref] != c.at {
 			t.Fatalf("tails slot %d (instant %v) names slot %d, not a run tail at that instant", i, c.at, c.ref)
 		}
 	}
 }
 
 // TestQueueDifferential runs 320 seeded programs (clustered, equal, random
-// and mixed times; sim-like and lane-like keys; grow, churn and shrink
-// phases) through both queues and asserts what they covered.
+// and mixed times; sim-like and lane-like keys; single and counted pushes;
+// grow, churn and shrink phases) through both queues and asserts what they
+// covered.
 func TestQueueDifferential(t *testing.T) {
 	var cov diffCoverage
 	for seed := uint64(1); seed <= 320; seed++ {
@@ -600,6 +688,10 @@ func TestQueueDifferential(t *testing.T) {
 		{"double cancels", cov.doubleCancels, 100},
 		{"compactions", cov.compactions, 300},
 		{"dead heads promoted by compaction", cov.promoted, 100},
+		{"counted pushes", cov.counted, 10000},
+		{"pushes between a counted event's firings", cov.midFirePushes, 1000},
+		{"counted events cancelled after a firing", cov.midFireCancels, 500},
+		{"compactions around a counted event", cov.countedCompactions, 100},
 	} {
 		if c.n < c.min {
 			t.Errorf("programs covered %d %s, want >= %d", c.n, c.name, c.min)
@@ -623,6 +715,10 @@ func FuzzQueueDifferential(f *testing.F) {
 	// there, push at a colliding instant, then pop and cancel across them.
 	f.Add([]byte{6 << 5, 1, 6 << 5, 2, 1 << 5, 0, 0, 1<<5 | 1<<4, 0, 1, 2,
 		3 << 5, 0, 0, 7, opPop, 1 << 5, 0, 1, opCancel, 0, 0, 1 << 5, 0, 0})
+	// A counted event of five firings beside a single push at its instant;
+	// pushes from its firings land between them, and a cancel cuts it.
+	f.Add([]byte{opCounted, 4, opPush, opPopPush, opPopPush, 1<<4 | opPopPush, 1,
+		opCancel, 0, 0, opPop, opCounted, 2, opPop, opCancelAny, 0, 6})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			t.Skip()

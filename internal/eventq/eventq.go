@@ -12,15 +12,23 @@
 //
 // Same-instant runs: a push whose instant has a pending run, and whose key
 // orders after that run's tail, is linked behind the tail in the arena and
-// never enters the heap (a multicast's n-1 deliveries, and the timers they
-// arm, arrive this way). Run tails are found through a 256-slot index
-// direct-mapped by instant, so concurrent sources interleaving a handful
-// of instants still join their runs; a slot lost to a colliding instant
-// only costs the next push there a heap entry of its own. The heap holds
-// one entry per run, keyed by its head; popping a head moves its
-// successor's key into the root with one sift-down. Runs are sorted, so
-// merging them pops events in exactly the order a heap of single events
-// would.
+// never enters the heap (the timers one instant's deliveries arm, and the
+// deliveries of several sends landing at one instant, arrive this way).
+// Run tails are found through a 256-slot index direct-mapped by instant,
+// so concurrent sources interleaving a handful of instants still join
+// their runs; a slot lost to a colliding instant only costs the next push
+// there a heap entry of its own. The heap holds one entry per run, keyed
+// by its head; popping a head moves its successor's key into the root with
+// one sift-down. Runs are sorted, so merging them pops events in exactly
+// the order a heap of single events would.
+//
+// Counted events: PushN schedules one callback to fire n times in a row
+// from one slot, the way n pushes of it with consecutive sequence numbers
+// would. PopFire fires the head and leaves the slot at the root until its
+// count reaches zero, so no other event can fire between its firings, and
+// none could have between n single pushes either: nothing else holds a
+// sequence number between theirs. A multicast's n deliveries that land at
+// one instant on one loop are one such event.
 //
 // Cancel is a tombstone: the dead event is discarded when it surfaces at
 // the root. Once tombstones outnumber live events (and number compactMin or
@@ -30,7 +38,7 @@
 //
 // Slots are recycled by later pushes, so steady-state simulation allocates
 // no queue memory; holders must keep the Gen observed at Push time and
-// cancel through Cancel, which refuses a stale generation. PushRef and
+// cancel through Cancel, which refuses a stale generation. PushN and
 // CancelRef do the same with the slot's 32-bit reference in place of the
 // *Event, which is what a clock.Handle stores.
 package eventq
@@ -55,7 +63,9 @@ type Event struct {
 	// next is the slot ref of the next run member while the event is held,
 	// of the next free slot while it is free; 0 for none.
 	next uint32
-	live bool
+	// fires is how many more times the event fires; it is pending while
+	// fires > 0.
+	fires uint32
 }
 
 // Gen returns the event's current generation. A handle is only valid for
@@ -92,7 +102,8 @@ func tailSlot(at time.Duration) uint64 {
 	return uint64(at) * 0x9e3779b97f4a7c15 >> (64 - tailBits)
 }
 
-// Len returns the number of pending events.
+// Len returns the number of pending events; a counted event is one however
+// many firings it has left.
 func (q *Queue) Len() int { return q.live }
 
 // PushKeyed schedules fn at virtual time at under the extended ordering key
@@ -105,18 +116,23 @@ func (q *Queue) Len() int { return q.live }
 // in seq, so (at, pushAt, src, seq) with constant src orders identically to
 // the legacy (at, seq) key.
 func (q *Queue) PushKeyed(at, pushAt time.Duration, src int32, fn func()) *Event {
-	_, e := q.push(at, pushAt, src, fn)
+	_, e := q.push(at, pushAt, src, 1, fn)
 	return e
 }
 
-// PushRef is PushKeyed for a holder that keeps the event's slot reference
-// and generation, two words, instead of an *Event; CancelRef takes them.
-func (q *Queue) PushRef(at, pushAt time.Duration, src int32, fn func()) (ref, gen uint32) {
-	ref, e := q.push(at, pushAt, src, fn)
+// PushN schedules fn to fire n (>= 1) times in a row under one key, as n
+// PushKeyed calls in a row would, and returns the event's slot reference
+// and generation, two words, in place of an *Event; CancelRef takes them
+// and cancels the firings still due.
+func (q *Queue) PushN(at, pushAt time.Duration, src int32, n uint32, fn func()) (ref, gen uint32) {
+	if n == 0 {
+		panic("eventq: PushN of zero firings")
+	}
+	ref, e := q.push(at, pushAt, src, n, fn)
 	return ref, e.gen
 }
 
-// CancelRef is Cancel for the event PushRef returned as (ref, gen).
+// CancelRef is Cancel for the event PushN returned as (ref, gen).
 func (q *Queue) CancelRef(ref, gen uint32) bool {
 	if ref == 0 || ref > q.used {
 		return false
@@ -124,12 +140,13 @@ func (q *Queue) CancelRef(ref, gen uint32) bool {
 	return q.Cancel(q.event(ref), gen)
 }
 
-// push places a pending event under the key and returns its slot.
-func (q *Queue) push(at, pushAt time.Duration, src int32, fn func()) (uint32, *Event) {
+// push places a pending event of n firings under the key and returns its
+// slot.
+func (q *Queue) push(at, pushAt time.Duration, src int32, n uint32, fn func()) (uint32, *Event) {
 	seq := q.nextSeq
 	q.nextSeq++
 	q.live++
-	ref := q.alloc(pushAt, seq, src, fn)
+	ref := q.alloc(pushAt, seq, src, n, fn)
 	e := q.event(ref)
 	// A cached tail whose generation matches is pending, so alloc never
 	// hands out its slot; it takes the new event if the key orders after it.
@@ -153,7 +170,7 @@ func (q *Queue) NextAt() (at time.Duration, ok bool) {
 	for len(q.heap) > 0 {
 		ref := q.heap[0].ref
 		e := q.event(ref)
-		if e.live {
+		if e.fires > 0 {
 			return q.heap[0].at, true
 		}
 		q.popHead(e)
@@ -163,8 +180,9 @@ func (q *Queue) NextAt() (at time.Duration, ok bool) {
 	return 0, false
 }
 
-// PopFire removes the earliest pending event and returns its (time,
-// callback), recycling its slot before the callback is exposed. It returns
+// PopFire fires the earliest pending event once and returns its (time,
+// callback). An event with firings left stays at the head; on its last
+// firing its slot is recycled before the callback is exposed. It returns
 // ok=false when nothing is pending. This is the simulator's main-loop
 // primitive: one event dispatch with zero allocation.
 func (q *Queue) PopFire() (at time.Duration, fn func(), ok bool) {
@@ -174,19 +192,24 @@ func (q *Queue) PopFire() (at time.Duration, fn func(), ok bool) {
 	ref := q.heap[0].ref
 	e := q.event(ref)
 	fn = e.fn
+	if e.fires > 1 {
+		e.fires--
+		return at, fn, true
+	}
 	q.popHead(e)
 	q.retire(e)
 	q.release(ref)
 	return at, fn, true
 }
 
-// Cancel cancels a pending event if the handle's generation still matches.
-// It returns false for a stale handle (the event fired, was cancelled, and
-// possibly reused since) — the guarantee timers rely on: after a true
-// Cancel the callback never runs, and a stale Stop can never kill an
-// unrelated event that happens to reuse the slot.
+// Cancel cancels a pending event, every firing it has left, if the
+// handle's generation still matches. It returns false for a stale handle
+// (the event fired, was cancelled, and possibly reused since) — the
+// guarantee timers rely on: after a true Cancel the callback never runs
+// again, and a stale Stop can never kill an unrelated event that happens
+// to reuse the slot.
 func (q *Queue) Cancel(e *Event, gen uint32) bool {
-	if e == nil || e.gen != gen || !e.live {
+	if e == nil || e.gen != gen || e.fires == 0 {
 		return false
 	}
 	q.dead++
@@ -201,7 +224,7 @@ func (q *Queue) event(ref uint32) *Event {
 }
 
 // alloc fills a free slot, or a fresh one, with a pending event.
-func (q *Queue) alloc(pushAt time.Duration, seq uint64, src int32, fn func()) uint32 {
+func (q *Queue) alloc(pushAt time.Duration, seq uint64, src int32, n uint32, fn func()) uint32 {
 	ref := q.free
 	if ref != 0 {
 		q.free = q.event(ref).next
@@ -213,7 +236,7 @@ func (q *Queue) alloc(pushAt time.Duration, seq uint64, src int32, fn func()) ui
 		ref = q.used
 	}
 	e := q.event(ref)
-	e.fn, e.pushAt, e.seq, e.src, e.next, e.live = fn, pushAt, seq, src, 0, true
+	e.fn, e.pushAt, e.seq, e.src, e.next, e.fires = fn, pushAt, seq, src, 0, n
 	return ref
 }
 
@@ -221,7 +244,7 @@ func (q *Queue) alloc(pushAt time.Duration, seq uint64, src int32, fn func()) ui
 // dead by the caller) and compacts once tombstones outnumber live events.
 func (q *Queue) retire(e *Event) {
 	e.gen++
-	e.fn, e.live = nil, false
+	e.fn, e.fires = nil, 0
 	q.live--
 	if q.dead > q.live && q.dead >= compactMin {
 		q.compact()
@@ -258,7 +281,7 @@ func (q *Queue) compact() {
 		for ref := h.ref; ref != 0; {
 			e := q.event(ref)
 			next := e.next
-			if e.live {
+			if e.fires > 0 {
 				*link, link = ref, &e.next
 			} else {
 				q.release(ref)

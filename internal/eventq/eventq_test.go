@@ -1,10 +1,12 @@
 package eventq
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // drain fires every pending event in order.
@@ -196,5 +198,46 @@ func TestRandomizedRemoval(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCountedEventHoldsTheHead pins a counted event's place: its firings
+// come in a row, ahead of a later push at its instant and of pushes its
+// own firings make there, and Len counts it once until the last firing.
+func TestCountedEventHoldsTheHead(t *testing.T) {
+	var q Queue
+	var got []int
+	q.Push(5, func() { got = append(got, 0) })
+	k := 1
+	q.PushN(5, 0, 0, 3, func() {
+		got = append(got, k)
+		k++
+		q.PushKeyed(5, 5, 0, func() { got = append(got, 9) })
+	})
+	q.Push(5, func() { got = append(got, 4) })
+	if q.Len() != 3 {
+		t.Fatalf("Len = %d, want 3 events", q.Len())
+	}
+	drain(&q)
+	want := []int{0, 1, 2, 3, 4, 9, 9, 9}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	// A cancel after the first firing drops the rest.
+	ref, gen := q.PushN(7, 0, 0, 3, func() { got = append(got, 7) })
+	q.PopFire()
+	if !q.CancelRef(ref, gen) || q.Len() != 0 {
+		t.Fatalf("cancel after one firing: Len = %d", q.Len())
+	}
+	if _, _, ok := q.PopFire(); ok {
+		t.Fatal("a cancelled counted event fired again")
+	}
+}
+
+// TestEventSlotSize pins the arena slot at 40 bytes: the firing count
+// replaced the live flag, it did not add a word.
+func TestEventSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 40 {
+		t.Fatalf("Event is %d bytes, want 40", n)
 	}
 }

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"go/types"
 	"os/exec"
 	"strings"
 	"testing"
@@ -21,6 +22,51 @@ func TestSimTimeFixture(t *testing.T) {
 
 func TestMapOrderFixture(t *testing.T) {
 	linttest.Run(t, "testdata/maporder", []*lint.Analyzer{lint.MapOrder})
+}
+
+// TestEventPostMethodsExist keeps maporder's list of scheduling calls true
+// to the module: every listed name is a method, of a named type or an
+// interface, declared in one of the listed packages. The list once named
+// a Push and a Send that no such package declared, while it missed the
+// queue's pushes, Unicast and the timers' arms; a rename now fails here
+// instead of leaving the analyzer watching a name nothing calls.
+func TestEventPostMethodsExist(t *testing.T) {
+	var patterns []string
+	for tail := range lint.EventPostPackages {
+		patterns = append(patterns, "./internal/"+tail)
+	}
+	pkgs, err := lint.Load("../..", patterns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != len(patterns) {
+		t.Fatalf("loaded %d packages for %v", len(pkgs), patterns)
+	}
+	declared := map[string]bool{}
+	for _, pkg := range pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := range iface.NumMethods() {
+					declared[iface.Method(i).Name()] = true
+				}
+			}
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := range named.NumMethods() {
+					declared[named.Method(i).Name()] = true
+				}
+			}
+		}
+	}
+	for name := range lint.EventPostMethods {
+		if !declared[name] {
+			t.Errorf("maporder lists %s, which no method of %v declares", name, patterns)
+		}
+	}
 }
 
 func TestStreamLabelFixture(t *testing.T) {

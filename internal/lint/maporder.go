@@ -28,15 +28,22 @@ var MapOrder = &Analyzer{
 }
 
 // eventPostMethods are scheduling/sending entry points: calling one inside
-// a map-order loop injects events in randomized order.
+// a map-order loop injects events in randomized order. Each is a method
+// declared in one of eventPostPackages (TestEventPostMethodsExist): the
+// engines' After/At/Post/PostN/PostFrom, the timers' Arm/ArmAfter, the
+// network's Unicast/Multicast and the queue's PushKeyed/PushN.
 var eventPostMethods = map[string]bool{
 	"After":     true,
 	"At":        true,
 	"Post":      true,
+	"PostN":     true,
 	"PostFrom":  true,
-	"Send":      true,
+	"Arm":       true,
+	"ArmAfter":  true,
+	"Unicast":   true,
 	"Multicast": true,
-	"Push":      true,
+	"PushKeyed": true,
+	"PushN":     true,
 }
 
 // eventPostPackages are the packages whose methods count as event posting.

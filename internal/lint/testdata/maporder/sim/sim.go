@@ -1,5 +1,6 @@
 // Package sim models the event-loop surface: the package tail is "sim",
-// so its At/Post methods count as event posting for the maporder analyzer.
+// so its At/Post/PostN/PostFrom methods count as event posting for the
+// maporder analyzer.
 package sim
 
 // Engine is a stub event loop.
@@ -10,3 +11,13 @@ func (e *Engine) At(t int64, fn func()) { _ = t; e.queue = append(e.queue, fn) }
 
 // Post enqueues fn immediately.
 func (e *Engine) Post(fn func()) { e.queue = append(e.queue, fn) }
+
+// PostN enqueues fn to fire n times.
+func (e *Engine) PostN(from, to int32, d int64, n int, fn func()) {
+	for range n {
+		e.queue = append(e.queue, fn)
+	}
+}
+
+// PostFrom enqueues fn once.
+func (e *Engine) PostFrom(from, to int32, d int64, fn func()) { e.PostN(from, to, d, 1, fn) }

@@ -14,8 +14,8 @@ import (
 // TestProtocolTimersAreOwned keeps every protocol timer a clock.Handle its
 // owner embeds and re-arms: no non-test code in the protocol packages may
 // call After on a clock.Scheduler, which allocates a Timer per arm.
-// Drivers (runner, the bench harness) and the network's fallback for
-// schedulers without Post keep After. netsim is walked as the control: its
+// Drivers (runner, the bench harness) and the network's router for
+// schedulers that are not a netsim.ShardRouter keep After. netsim is walked as the control: its
 // one After call must be found, or the walk proves nothing.
 func TestProtocolTimersAreOwned(t *testing.T) {
 	protocol := []string{"core", "rrmp", "gossipfd", "rmtp", "stability"}

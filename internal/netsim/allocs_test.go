@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 	"unsafe"
@@ -28,6 +30,13 @@ func allocNet(t *testing.T, width int) (step func(from topology.NodeID, send fun
 	if err != nil {
 		t.Fatal(err)
 	}
+	step, net, all = allocNetOn(t, topo, width)
+	return step, net, topo, all
+}
+
+// allocNetOn is allocNet over topo.
+func allocNetOn(t *testing.T, topo *topology.Topology, width int) (step func(from topology.NodeID, send func()), net *Network, all []topology.NodeID) {
+	t.Helper()
 	lat := HierLatency{Topo: topo, IntraOneWay: 5 * time.Millisecond, InterOneWay: 50 * time.Millisecond}
 	if width == 0 {
 		s := sim.New()
@@ -59,7 +68,7 @@ func allocNet(t *testing.T, width int) (step func(from topology.NodeID, send fun
 			all = append(all, n)
 		}
 	}
-	return step, net, topo, all
+	return step, net, all
 }
 
 // allocWidths are the routes the guards cover: the plain single loop, and
@@ -88,13 +97,11 @@ func TestUnicastDeliverAllocs(t *testing.T) {
 }
 
 // TestMulticastFanoutAllocs guards the initial-dissemination path: a full
-// 200-member multicast with per-receiver delivery events, once from each
-// region. A fan-out takes one delivery record per arrival instant and
-// receiving shard, not one per target. At width 2 half of each fan-out
-// crosses to the other shard through the outbox, and a record is recycled
-// into the shard it lands on — so traffic in both directions is what keeps
-// every shard's pool stocked; one-way cross-shard traffic pays one record
-// per (arrival instant, receiving shard) of each send at the sender.
+// 200-member multicast, once from each region. A fan-out takes one
+// delivery record, and one queued event, per arrival instant and receiving
+// shard, not one per target. At width 2 half of each fan-out crosses to
+// the other shard through the outbox, and its records go home to the
+// sending shard's pools once delivered.
 func TestMulticastFanoutAllocs(t *testing.T) {
 	for _, width := range allocWidths {
 		step, net, topo, all := allocNet(t, width)
@@ -116,6 +123,53 @@ func TestMulticastFanoutAllocs(t *testing.T) {
 		}
 		if sent, lost := net.Stats().sent[wire.TypeData].Value(), net.Stats().DroppedCount(wire.TypeData); lost != 0 || sent == 0 {
 			t.Fatalf("width %d: %d of %d multicast packets dropped", width, lost, sent)
+		}
+	}
+}
+
+// TestLargeMulticastAllocs holds a 10 000-target multicast from one sender
+// on a warm network at zero bytes, at every width: its records take target
+// lists from the sending shard's spare lists, and the records delivered on
+// the other shard return them there. It sums runtime.MemStats bytes, which
+// AllocsPerRun's integer average of objects would round away for a list
+// that regrows now and then. MemStats also counts what the runtime
+// allocates on other threads, so the collector is off and the guard takes
+// the least of three runs. Under the race detector the sharded widths'
+// windows allocate in the detector's instrumentation (raceEnabled), so
+// there only the plain route and width 1 are held to zero.
+func TestLargeMulticastAllocs(t *testing.T) {
+	topo, err := topology.BalancedTree(4, 4, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, sends, runs = 2, 8, 3
+	for _, width := range allocWidths {
+		step, net, all := allocNetOn(t, topo, width)
+		from := topo.Sender()
+		msg := wire.Message{Type: wire.TypeData, From: from,
+			ID: wire.MessageID{Source: from, Seq: 1}, Payload: make([]byte, 256)}
+		send := func() { net.Multicast(from, all, msg) }
+		for range warm { // warm the pools to fan-out depth
+			step(from, send)
+		}
+		least := uint64(math.MaxUint64)
+		func() {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var before, after runtime.MemStats
+			for range runs {
+				runtime.ReadMemStats(&before)
+				for range sends {
+					step(from, send)
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+		}()
+		if least != 0 && !(raceEnabled && width > 1) {
+			t.Fatalf("width %d: %d multicasts to %d targets allocated at least %d B, want 0", width, sends, len(all)-1, least)
+		}
+		if got, want := net.Stats().sent[wire.TypeData].Value(), int64((warm+sends*runs)*(len(all)-1)); got != want {
+			t.Fatalf("width %d: %d packets sent, want %d", width, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,9 +304,40 @@ func TestMulticastPastMaxOpen(t *testing.T) {
 	}
 }
 
+// postCount counts what a router is asked to queue: events and firings.
+type postCount struct{ events, fires atomic.Int64 }
+
+func (c *postCount) add(n int) {
+	c.events.Add(1)
+	c.fires.Add(int64(n))
+}
+
+// countingSim and countingSharded are the engines' routers, counted.
+type countingSim struct {
+	*sim.Sim
+	c *postCount
+}
+
+func (s countingSim) PostN(from, to int32, d time.Duration, n int, fn func()) {
+	s.c.add(n)
+	s.Sim.PostN(from, to, d, n, fn)
+}
+
+type countingSharded struct {
+	*sim.Sharded
+	c *postCount
+}
+
+func (e countingSharded) PostN(from, to int32, d time.Duration, n int, fn func()) {
+	e.c.add(n)
+	e.Sharded.PostN(from, to, d, n, fn)
+}
+
 // TestMulticastIsOneRecordPerArrival pins the record count: a 10 000-member
 // fan-out takes at most one record per (arrival instant, receiving shard)
-// from the pools, not one per target.
+// from the pools, not one per target, and queues one event per record
+// that fires once per target: the engine processes one event per delivery
+// (and one for the send itself).
 func TestMulticastIsOneRecordPerArrival(t *testing.T) {
 	topo, err := topology.BalancedTree(4, 4, 10000)
 	if err != nil {
@@ -326,9 +358,11 @@ func TestMulticastIsOneRecordPerArrival(t *testing.T) {
 		var net *Network
 		var post func(func())
 		var run func(deadline time.Duration) uint64
+		var processed func() uint64
+		var posts postCount
 		if width == 0 {
 			s := sim.New()
-			net, run = New(s, lat, nil), s.RunUntil
+			net, run, processed = New(countingSim{s, &posts}, lat, nil), s.RunUntil, s.Processed
 			post = func(fn func()) { s.Post(0, fn) }
 		} else {
 			shardOf, _ := topo.NodeShards(width)
@@ -336,8 +370,8 @@ func TestMulticastIsOneRecordPerArrival(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net, run = New(e, lat, nil), e.RunUntil
-			net.EnableSharding(e, shardOf, width)
+			net, run, processed = New(e, lat, nil), e.RunUntil, e.Processed
+			net.EnableSharding(countingSharded{e, &posts}, shardOf, width)
 			e.RunUntil(0)
 			post = func(fn func()) { e.PostFrom(int32(from), int32(from), 0, fn) }
 		}
@@ -348,6 +382,7 @@ func TestMulticastIsOneRecordPerArrival(t *testing.T) {
 		}
 		msg := wire.Message{Type: wire.TypeData, From: from,
 			ID: wire.MessageID{Source: from, Seq: 1}, Payload: make([]byte, 256)}
+		before := processed()
 		post(func() { net.Multicast(from, all, msg) })
 		run(-1)
 		got := 0
@@ -358,14 +393,21 @@ func TestMulticastIsOneRecordPerArrival(t *testing.T) {
 			t.Fatalf("width %d: %d of %d targets received the multicast", width, got, len(all)-1)
 		}
 		// The pools started empty and every record has come home, so the
-		// pooled records are all the records the fan-out took.
+		// pooled and returned records are all the records the fan-out took.
 		records := 0
 		for i := range net.shards {
-			records += len(net.shards[i].pool)
+			records += len(net.shards[i].pool) + len(net.shards[i].returned)
 		}
 		if bound := len(instants) * len(net.shards); records == 0 || records > bound {
 			t.Fatalf("width %d: the fan-out took %d records, want 1..%d (%d arrival instants × %d shards)",
 				width, records, bound, len(instants), len(net.shards))
+		}
+		if events, fires := posts.events.Load(), posts.fires.Load(); events != int64(records) || fires != int64(got) {
+			t.Fatalf("width %d: the fan-out queued %d events of %d firings, want one per record (%d) and one firing per delivery (%d)",
+				width, events, fires, records, got)
+		}
+		if n := processed() - before; n != uint64(got)+1 {
+			t.Fatalf("width %d: the engine processed %d events, want the send and its %d deliveries", width, n, got)
 		}
 	}
 }

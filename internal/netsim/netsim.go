@@ -10,19 +10,22 @@
 //
 // The delivery path is engineered for 1000+-member fan-outs: per-node state
 // (receivers, crash flags, partition classes) lives in dense slices indexed
-// by NodeID, traffic counters are fixed per-type arrays, and events are
-// scheduled through the scheduler's no-handle Post path when available.
-// A transmission is one pooled delivery record per arrival instant and
+// by NodeID, and traffic counters are fixed per-type arrays. A
+// transmission is one pooled delivery record per arrival instant and
 // receiving shard: the record holds one Packet and the list of targets
-// that land together, every target still gets its own event, and each
-// receiver borrows the record's Packet for the length of its callback. A
-// 10 000-target multicast is therefore a handful of records, not 10 000
-// message copies, and steady-state packet delivery allocates nothing.
+// that land together, it is posted as one counted event that fires once
+// per target (ShardRouter), and each receiver borrows the record's Packet
+// for the length of its callback. A 10 000-target multicast is therefore a
+// handful of records and queued events, not 10 000 of either, and
+// steady-state packet delivery allocates nothing: records and their target
+// lists are recycled into the pools of the shard that sent them.
 package netsim
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -75,36 +78,27 @@ type LossModel interface {
 	Drop(from, to topology.NodeID, t wire.Type) bool
 }
 
-// poster is the optional scheduler fast path: schedule without returning a
-// cancellation handle (packet deliveries are never cancelled). The
-// simulator's *sim.Sim implements it; any other clock.Scheduler falls back
-// to After with the handle discarded.
-type poster interface {
-	Post(d time.Duration, fn func())
-}
-
-// ShardRouter is the delivery primitive: schedule fn after d on the event
-// loop owning node to, sent from node from's context. *sim.Sharded
-// implements it (EnableSharding installs it); until then the network routes
-// through singleLoop.
-//
-// Ordering requirement: posts from one sending context with the same delay
-// and the same destination loop must run in the order they were posted.
-// The network binds all the events of one delivery record to one callback
-// and relies on this to hand the k-th firing to the record's k-th target.
-// The simulator's engines keep it (their queues order equal timestamps by
-// push time, source and push sequence, and the sharded engine drains its
-// outboxes in order), and so does a scheduler's FIFO After fallback.
+// ShardRouter is the delivery primitive: schedule fn to fire n times in a
+// row, d after node from's context's clock, as one event on the event loop
+// owning node to. Every fire of one record's event delivers to the
+// record's next target, so each target is delivered exactly once whatever
+// order the router fires records in. *sim.Sim (one loop) and *sim.Sharded
+// (EnableSharding installs it) implement it; a scheduler that does not is
+// routed through afterLoop.
 type ShardRouter interface {
-	PostFrom(from, to int32, d time.Duration, fn func())
+	PostN(from, to int32, d time.Duration, n int, fn func())
 }
 
-// singleLoop is the router of an unsharded network: one event loop owns
-// every node, so every delivery is a plain post on it.
-type singleLoop func(d time.Duration, fn func())
+// afterLoop routes through a plain clock.Scheduler: n timers per record,
+// their handles dropped, since deliveries are never cancelled.
+type afterLoop struct{ sched clock.Scheduler }
 
-// PostFrom implements ShardRouter.
-func (post singleLoop) PostFrom(_, _ int32, d time.Duration, fn func()) { post(d, fn) }
+// PostN implements ShardRouter.
+func (a afterLoop) PostN(_, _ int32, d time.Duration, n int, fn func()) {
+	for range n {
+		a.sched.After(d, fn)
+	}
+}
 
 // Network delivers packets between registered nodes over a clock.Scheduler.
 type Network struct {
@@ -131,47 +125,66 @@ type Network struct {
 	// touch one counter or free list: sends account to (and allocate from)
 	// the sending node's shard, deliveries account to (and recycle into)
 	// the receiving node's shard, and each shard's state is only ever
-	// touched by its own loop or by the coordinator between windows.
-	// Records migrate between pools on cross-shard packets, which is safe
-	// for the same reason.
+	// touched by its own loop or by the coordinator between windows. A
+	// record belongs to the pools of the shard that sent it; one delivered
+	// on another shard goes home through the home shard's returned list,
+	// the one piece of shard state another loop writes, under its lock.
 	shardOf []int32
 	shards  []shard
 	merged  Stats
 }
 
-// shard is the traffic accounting and delivery-record pool of one event
+// shard is the traffic accounting and delivery-record pools of one event
 // loop. Each pooled record carries a pre-bound callback, so scheduling an
 // in-flight packet allocates nothing in steady state. open is the scratch
 // of the send in progress on this loop: the records it has filled so far,
-// one per (latency, receiving shard). It lives per shard because shard
-// loops send concurrently.
+// one per (latency, receiving shard), in the order it opened them. It
+// lives per shard because shard loops send concurrently.
 type shard struct {
 	stats Stats
 	pool  []*delivery
 	open  []*delivery
+	// spare holds target lists of capacity minSpare<<k in spare[k], for
+	// records whose targets outgrow their inline room.
+	spare [bits.UintSize][][]topology.NodeID
+	// returned takes this shard's records delivered on other shards;
+	// reclaim moves them into the pools. back is the other half of the
+	// swap, so reclaiming allocates nothing.
+	mu             sync.Mutex
+	returned, back []*delivery
 }
 
 // maxOpen bounds the records one send keeps open for joining, so a latency
 // model with many distinct delays costs a bounded scan per target. Past
-// the bound each new record takes the last slot, so the first maxOpen-1
-// arrival classes stay joinable and any later one only while it holds it.
+// the bound only the latest record joins besides the first maxOpen-1, so
+// those arrival classes stay joinable and any later one only while it is
+// the latest.
 const maxOpen = 64
 
+// inlineTargets is the target room a record carries in itself: a unicast,
+// and any arrival class of up to four targets, never touch the spare
+// lists.
+const inlineTargets = 4
+
+// minSpare is the capacity of the smallest spare target list.
+const minSpare = 2 * inlineTargets
+
 // delivery is one transmission's packet for every target that arrives at
-// the same instant on the same receiving shard. Each target has its own
-// event, all bound to fn, which is bound once at construction and reused
-// for the record's whole pooled lifetime. Those events fire in post order
-// (see ShardRouter), so the k-th firing delivers to targets[k]; next is
-// that cursor. shard is the receiving shard, resolved when the packet is
-// sent.
+// the same instant on the same receiving shard. It is posted as one event
+// of len(targets) firings bound to fn, which is bound once at
+// construction and reused for the record's whole pooled lifetime; the
+// k-th firing delivers to targets[k], and next is that cursor. home is the
+// sending shard, whose pools the record and its targets return to; shard
+// is the receiving shard, resolved when the packet is sent.
 type delivery struct {
-	n       *Network
-	pkt     Packet
-	shard   int32
-	lat     time.Duration
-	targets []topology.NodeID
-	next    int
-	fn      func()
+	n           *Network
+	pkt         Packet
+	home, shard int32
+	lat         time.Duration
+	targets     []topology.NodeID
+	next        int
+	inline      [inlineTargets]topology.NodeID
+	fn          func()
 }
 
 // Stats aggregates traffic accounting per message type, stored as dense
@@ -214,7 +227,9 @@ func (s *Stats) TotalBytes() int64 {
 }
 
 // New creates a network over the given scheduler with the given models.
-// A nil loss model means lossless.
+// A nil loss model means lossless. A scheduler that is a ShardRouter routes
+// the deliveries itself; a *sim.Sharded must then be given its shard map
+// by EnableSharding before it runs.
 func New(sched clock.Scheduler, latency LatencyModel, loss LossModel) *Network {
 	if latency == nil {
 		panic("netsim: nil latency model")
@@ -222,12 +237,12 @@ func New(sched clock.Scheduler, latency LatencyModel, loss LossModel) *Network {
 	if loss == nil {
 		loss = NoLoss{}
 	}
-	post := func(d time.Duration, fn func()) { sched.After(d, fn) }
-	if p, ok := sched.(poster); ok {
-		post = p.Post
+	router, ok := sched.(ShardRouter)
+	if !ok {
+		router = afterLoop{sched}
 	}
 	return &Network{
-		router:  singleLoop(post),
+		router:  router,
 		latency: latency,
 		loss:    loss,
 		shards:  make([]shard, 1),
@@ -365,38 +380,110 @@ func (s *Stats) add(o *Stats) {
 	s.Partitioned.Add(o.Partitioned.Value())
 }
 
-// getDelivery takes a delivery record from the shard's pool, or builds one
-// with its callback pre-bound.
-func (n *Network) getDelivery(sh *shard) *delivery {
+// getDelivery takes a delivery record from shard src's pool, reclaiming
+// its returned records when the pool is empty, or builds one with its
+// callback pre-bound.
+func (n *Network) getDelivery(src int32) *delivery {
+	sh := &n.shards[src]
+	if len(sh.pool) == 0 {
+		sh.reclaim()
+	}
 	if k := len(sh.pool); k > 0 {
 		d := sh.pool[k-1]
 		sh.pool[k-1] = nil
 		sh.pool = sh.pool[:k-1]
 		return d
 	}
-	d := &delivery{n: n}
+	d := &delivery{n: n, home: src}
+	d.targets = d.inline[:0]
 	d.fn = d.fire
 	return d
+}
+
+// recycle puts a delivered record back into its home shard's pools: a
+// target list past the inline room goes to the spare lists, and the record
+// keeps its inline room.
+func (sh *shard) recycle(d *delivery) {
+	sh.putSpare(d.targets)
+	d.targets = d.inline[:0]
+	sh.pool = append(sh.pool, d)
+}
+
+// reclaim recycles the records other shards have returned since the last
+// reclaim.
+func (sh *shard) reclaim() {
+	sh.mu.Lock()
+	got := sh.returned
+	sh.returned = sh.back
+	sh.mu.Unlock()
+	for i, d := range got {
+		sh.recycle(d)
+		got[i] = nil
+	}
+	sh.back = got[:0]
+}
+
+// spareClass is the spare list of target lists of capacity c, a power of
+// two from minSpare up.
+func spareClass(c int) int { return bits.Len(uint(c)) - bits.Len(minSpare) }
+
+// putSpare keeps a target list for a later record, unless it is a
+// record's inline room.
+func (sh *shard) putSpare(ts []topology.NodeID) {
+	if cap(ts) > inlineTargets {
+		k := spareClass(cap(ts))
+		sh.spare[k] = append(sh.spare[k], ts[:0])
+	}
+}
+
+// growTargets moves d's full target list to a spare one of twice its
+// capacity, reclaiming returned records first if the class has none; the
+// full one becomes a spare itself.
+func (sh *shard) growTargets(d *delivery) {
+	c := 2 * cap(d.targets)
+	k := spareClass(c)
+	if len(sh.spare[k]) == 0 {
+		sh.reclaim()
+	}
+	var grown []topology.NodeID
+	if last := len(sh.spare[k]) - 1; last >= 0 {
+		grown = sh.spare[k][last]
+		sh.spare[k][last] = nil
+		sh.spare[k] = sh.spare[k][:last]
+	} else {
+		grown = make([]topology.NodeID, 0, c)
+	}
+	grown = append(grown, d.targets...)
+	sh.putSpare(d.targets)
+	d.targets = grown
 }
 
 // fire delivers the record's packet to its next target: re-check liveness
 // and connectivity at delivery time (the node may have crashed, or a
 // partition may have cut the path, while the packet was in flight), then
 // lend the packet to the receiver. After the last target's callback
-// returns, the record is zeroed and goes back to the pool.
+// returns, the record is zeroed and goes home: straight into its pools if
+// it was delivered on its home shard, else onto the home's returned list.
 func (d *delivery) fire() {
 	n, to := d.n, d.targets[d.next]
 	d.next++
 	// Delivery runs on the receiving node's shard loop: account against
-	// and recycle into that shard's state.
+	// that shard's counters.
 	sh := &n.shards[d.shard]
 	if r := n.admit(&sh.stats, d.pkt.From, to, d.pkt.Msg.Type); r != nil {
 		r.ReceivePacket(&d.pkt)
 	}
 	if d.next == len(d.targets) {
 		d.pkt = Packet{} // drop payload references while pooled
-		d.targets, d.next = d.targets[:0], 0
-		sh.pool = append(sh.pool, d)
+		d.next = 0
+		home := &n.shards[d.home]
+		if d.home == d.shard {
+			home.recycle(d)
+			return
+		}
+		home.mu.Lock()
+		home.returned = append(home.returned, d)
+		home.mu.Unlock()
 	}
 }
 
@@ -437,8 +524,16 @@ func (n *Network) Multicast(from topology.NodeID, targets []topology.NodeID, msg
 // partition, crash flags and loss model, and given its latency exactly as
 // a lone unicast would be, in target order. A surviving target joins the
 // send's open record with its (latency, receiving shard), or opens one from
-// the sending shard's pool, and its event is posted at once, so posts stay
-// interleaved in target order. msg is copied into each record it opens.
+// the sending shard's pool. msg is copied into each record it opens. Once
+// every target is placed, each record is posted as one event of
+// len(targets) firings, in the order the records were opened.
+//
+// Posting a record once fires its targets in the order their own posts
+// would have: a record's targets share the key (arrival, send instant,
+// sending context) and nothing else is pushed during the send, so their
+// events would have been contiguous in their queue, in target order; and
+// the records that share a key are two arrival classes' successive
+// records, opened, and so posted, in order.
 func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wire.Message, skipSelf bool) {
 	size := msg.EncodedSize()
 	ti := int(msg.Type) % wire.TypeCount
@@ -473,25 +568,35 @@ func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wir
 		}
 		d := sh.joinable(lat, dst)
 		if d == nil {
-			d = n.getDelivery(sh)
+			d = n.getDelivery(src)
 			d.pkt = Packet{From: from, Msg: *msg}
 			d.shard, d.lat = dst, lat
-			if len(sh.open) < maxOpen {
-				sh.open = append(sh.open, d)
-			} else {
-				sh.open[maxOpen-1] = d
-			}
+			sh.open = append(sh.open, d)
+		}
+		if len(d.targets) == cap(d.targets) {
+			sh.growTargets(d)
 		}
 		d.targets = append(d.targets, to)
-		n.router.PostFrom(int32(from), int32(to), lat, d.fn)
+	}
+	for i, d := range sh.open {
+		n.router.PostN(int32(from), int32(d.targets[0]), d.lat, len(d.targets), d.fn)
+		sh.open[i] = nil
 	}
 	sh.open = sh.open[:0]
 }
 
-// joinable returns the send's open record for (lat, dst), or nil.
+// joinable returns the send's joinable record for (lat, dst), or nil:
+// among the first maxOpen-1 records opened and the latest.
 func (sh *shard) joinable(lat time.Duration, dst int32) *delivery {
-	for i := len(sh.open) - 1; i >= 0; i-- {
-		if d := sh.open[i]; d.lat == lat && d.shard == dst {
+	open := sh.open
+	if k := len(open); k > maxOpen {
+		if d := open[k-1]; d.lat == lat && d.shard == dst {
+			return d
+		}
+		open = open[:maxOpen-1]
+	}
+	for i := len(open) - 1; i >= 0; i-- {
+		if d := open[i]; d.lat == lat && d.shard == dst {
 			return d
 		}
 	}

@@ -113,29 +113,34 @@ type env struct {
 // and the set of sequences ever received (which outlives buffer eviction —
 // "received but discarded" is a distinct protocol state, §3.3).
 //
-// The received set is a bitset over sequence numbers rather than a map:
-// sequences are dense (senders count 1, 2, 3, ...), so membership is one
-// shift-and-mask, marking never hashes, and a member's whole reception
-// state for a 10k-message run is ~1.25 KB. The contiguous-prefix cursor is
-// cached and advanced incrementally — bits are never cleared, so the prefix
-// is monotone and each sequence is inspected at most once across all
-// Prefix calls instead of rescanning from sequence 1 every time.
+// The received set is the contiguous prefix plus a bitset over the
+// sequences past it, rather than a map: sequences are dense (senders count
+// 1, 2, 3, ...), so membership is one compare or one shift-and-mask, and
+// marking never hashes. mark advances the prefix as it closes and drops
+// the bitset's words below it, so a member that receives in order keeps at
+// most two words per source however long the run, and one with gaps keeps
+// the words from its oldest gap to its newest sequence. The prefix only
+// ever advances.
 type sourceState struct {
 	src     topology.NodeID
 	maxSeen uint64
-	// base is the first sequence the bitset covers (64-aligned, fixed at
-	// the first mark); bit (seq-base) of bits[(seq-base)/64] is set iff
-	// seq was received.
+	// prefix is the largest k with every sequence in [1, k] received.
+	prefix uint64
+	// base is the first sequence the bitset covers (64-aligned; set at the
+	// first mark, lowered by a mark below it, raised past words the prefix
+	// covers); bit (seq-base) of bits[(seq-base)/64] is set iff seq was
+	// received. Every sequence from 1 to below base is within the prefix
+	// once base has been raised.
 	base   uint64
 	bits   []uint64
 	marked bool
-	// prefix is the cached largest k with every sequence in [1, k]
-	// received; it only ever advances.
-	prefix uint64
 }
 
-// has reports whether seq was ever received.
+// has reports whether seq was ever received. Sequences start at 1.
 func (st *sourceState) has(seq uint64) bool {
+	if seq-1 < st.prefix {
+		return true
+	}
 	if !st.marked || seq < st.base {
 		return false
 	}
@@ -144,8 +149,12 @@ func (st *sourceState) has(seq uint64) bool {
 	return w < uint64(len(st.bits)) && st.bits[w]&(1<<(i&63)) != 0
 }
 
-// mark records seq as received.
+// mark records seq as received, then advances the prefix over it and what
+// it joins, and drops the words the prefix now covers.
 func (st *sourceState) mark(seq uint64) {
+	if seq-1 < st.prefix {
+		return
+	}
 	if !st.marked {
 		st.base = seq &^ 63
 		st.marked = true
@@ -164,6 +173,19 @@ func (st *sourceState) mark(seq uint64) {
 		st.bits = append(st.bits, 0)
 	}
 	st.bits[i>>6] |= 1 << (i & 63)
+	if seq != st.prefix+1 {
+		return
+	}
+	for st.has(st.prefix + 1) {
+		st.prefix++
+	}
+	// Words wholly at or below the prefix hold nothing has needs.
+	if drop := (st.prefix + 1 - st.base) >> 6; drop > 0 {
+		n := copy(st.bits, st.bits[drop:])
+		clear(st.bits[n:])
+		st.bits = st.bits[:n]
+		st.base += drop << 6
+	}
 }
 
 // msgState is all a member keeps about one message while any of it is in
@@ -408,13 +430,7 @@ func (m *Member) Prefix(src topology.NodeID) uint64 {
 	if !ok {
 		return 0
 	}
-	st := m.sources[i]
-	k := st.prefix
-	for st.has(k + 1) {
-		k++
-	}
-	st.prefix = k
-	return k
+	return m.sources[i].prefix
 }
 
 // findSource returns where src's reception state is, or belongs, in

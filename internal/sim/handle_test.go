@@ -74,7 +74,7 @@ func TestHandleStaleStop(t *testing.T) {
 	h.Arm(s, time.Millisecond, func() { fired++ })
 	s.RunUntil(-1)
 	other := false
-	if ref, _ := s.queue.PushRef(s.now+time.Millisecond, s.now, s.src, func() { other = true }); ref != 1 {
+	if ref, _ := s.queue.PushN(s.now+time.Millisecond, s.now, s.src, 1, func() { other = true }); ref != 1 {
 		t.Fatalf("setup: the later event took slot %d, want the fired event's slot 1", ref)
 	}
 	if h.Stop() {

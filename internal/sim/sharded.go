@@ -55,7 +55,7 @@ import (
 // Concurrency contract: all Engine/Scheduler methods are driver-side and
 // must be called from the driving goroutine, outside RunUntil, or from a
 // global-lane event. During a window, each shard's goroutine may only touch
-// its own lane (through its Clock or PostFrom with a same/cross-shard
+// its own lane (through its Clock or PostN/PostFrom with a same/cross-shard
 // target); cross-shard effects are deferred to the barrier.
 type Sharded struct {
 	lanes     []*lane
@@ -73,7 +73,8 @@ type Sharded struct {
 	barrier bool // coordinator is executing between windows
 	running bool
 
-	active []*lane // scratch for runWindow
+	active []*lane        // scratch for runWindow
+	wg     sync.WaitGroup // runWindow's lanes off the coordinator goroutine
 }
 
 // lane is one shard: its event loop (a Sim whose src is the shard index),
@@ -84,12 +85,15 @@ type lane struct {
 	loop Sim
 	out  []outEvent
 	e    *Sharded
+	// limit is the window's limit while the lane runs off the
+	// coordinator goroutine (runLaneJob).
+	limit time.Duration
 }
 
-// outEvent is a cross-shard push captured during a window, keyed at the
-// barrier with the capturing lane's src.
+// outEvent is a cross-shard push of n firings captured during a window,
+// keyed at the barrier with the capturing lane's src.
 type outEvent struct {
-	dst        int32
+	dst, n     uint32
 	at, pushAt time.Duration
 	fn         func()
 }
@@ -162,27 +166,32 @@ func (e *Sharded) At(at time.Duration, fn func()) clock.Timer { return e.global.
 func (e *Sharded) Post(d time.Duration, fn func()) { e.global.Post(d, fn) }
 
 // PostFrom schedules fn to run d after the sending context's clock, on the
-// shard owning node to. from identifies the sending node; the sending
-// context is from's shard during a window, or the coordinator during setup
-// and barriers. This is the network's delivery primitive (netsim routes
-// through it when sharding is enabled). Cross-shard posts with d below the
-// lookahead bound panic: they would land inside another shard's current
-// window, which the engine cannot order deterministically.
-func (e *Sharded) PostFrom(from, to int32, d time.Duration, fn func()) {
+// shard owning node to: PostN's one-firing case.
+func (e *Sharded) PostFrom(from, to int32, d time.Duration, fn func()) { e.PostN(from, to, d, 1, fn) }
+
+// PostN schedules fn to fire n (>= 1) times in a row, d after the sending
+// context's clock, as one event on the shard owning node to. from
+// identifies the sending node; the sending context is from's shard during
+// a window, or the coordinator during setup and barriers. This is the
+// network's delivery primitive (netsim routes through it when sharding is
+// enabled). Cross-shard posts with d below the lookahead bound panic: they
+// would land inside another shard's current window, which the engine
+// cannot order deterministically.
+func (e *Sharded) PostN(from, to int32, d time.Duration, n int, fn func()) {
 	if e.setup {
-		e.global.Post(d, fn)
+		e.global.push(d, e.global.src, n, fn)
 		return
 	}
 	dst := e.nodeShard[to]
 	if e.barrier {
 		// Lane clocks equal the barrier clock here (see barrierAt).
-		e.lanes[dst].loop.push(d, coordinatorSrc, fn)
+		e.lanes[dst].loop.push(d, coordinatorSrc, n, fn)
 		return
 	}
 	src := e.nodeShard[from]
 	ln := e.lanes[src]
 	if src == dst {
-		ln.loop.Post(d, fn)
+		ln.loop.push(d, ln.loop.src, n, fn)
 		return
 	}
 	if fn == nil {
@@ -191,7 +200,7 @@ func (e *Sharded) PostFrom(from, to int32, d time.Duration, fn func()) {
 	if d < e.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard post from node %d to node %d with delay %v below the %v lookahead bound", from, to, d, e.lookahead))
 	}
-	ln.out = append(ln.out, outEvent{dst: dst, at: ln.loop.now + d, pushAt: ln.loop.now, fn: fn})
+	ln.out = append(ln.out, outEvent{dst: uint32(dst), n: fires(n), at: ln.loop.now + d, pushAt: ln.loop.now, fn: fn})
 }
 
 // RunUntil executes events with timestamps <= deadline in lookahead-bounded
@@ -270,9 +279,10 @@ func (e *Sharded) nextEventAt() (at time.Duration, ok bool) {
 	return at, ok
 }
 
-// runWindow executes every lane's events due by limit concurrently, one
-// goroutine per lane with due events, then merges the cross-shard pushes
-// they made.
+// runWindow executes every lane's events due by limit concurrently, the
+// first lane with due events on the coordinator goroutine and each other
+// one on a goroutine of its own that ends with its share of the window,
+// then merges the cross-shard pushes they made.
 func (e *Sharded) runWindow(limit time.Duration) {
 	e.active = e.active[:0]
 	for _, ln := range e.lanes {
@@ -280,22 +290,32 @@ func (e *Sharded) runWindow(limit time.Duration) {
 			e.active = append(e.active, ln)
 		}
 	}
-	switch len(e.active) {
-	case 0: // an empty window
-	case 1:
-		e.active[0].loop.runDue(limit)
-	default:
-		var wg sync.WaitGroup
-		wg.Add(len(e.active))
-		for _, ln := range e.active {
-			go func(ln *lane) {
-				defer wg.Done()
-				ln.loop.runDue(limit)
-			}(ln)
+	if len(e.active) > 0 {
+		e.wg.Add(len(e.active) - 1)
+		for _, ln := range e.active[1:] {
+			ln.limit = limit
+			go runLaneJob()
+			laneJobs <- ln
 		}
-		wg.Wait()
+		e.active[0].loop.runDue(limit)
+		e.wg.Wait()
 	}
 	e.drainOutboxes()
+}
+
+// laneJobs hands each runLaneJob goroutine its lane. A goroutine started
+// on a function with no arguments needs no closure, so starting one per
+// lane per window allocates nothing once the runtime has goroutines to
+// reuse. Every engine shares the channel: a lane carries its window's
+// limit and its engine, and each send has the receiver started just
+// before it.
+var laneJobs = make(chan *lane)
+
+// runLaneJob runs one lane's share of a window from laneJobs and ends.
+func runLaneJob() {
+	ln := <-laneJobs
+	ln.loop.runDue(ln.limit)
+	ln.e.wg.Done()
 }
 
 // drainOutboxes merges the window's cross-shard pushes into their target
@@ -304,7 +324,7 @@ func (e *Sharded) drainOutboxes() {
 	for _, ln := range e.lanes {
 		for i := range ln.out {
 			o := &ln.out[i]
-			e.lanes[o.dst].loop.queue.PushKeyed(o.at, o.pushAt, ln.loop.src, o.fn)
+			e.lanes[o.dst].loop.queue.PushN(o.at, o.pushAt, ln.loop.src, o.n, o.fn)
 			o.fn = nil
 		}
 		ln.out = ln.out[:0]

@@ -31,6 +31,12 @@ import (
 //  4. a second sharded run produces bitwise-identical per-lane logs
 //     (goroutine scheduling never leaks into the merge).
 //
+// A child may be a counted post (PostN of n firings). The serial run, the
+// oracle, posts it as n consecutive single posts, so (1)-(4) also hold a
+// counted event's firings to n single events of consecutive push order:
+// none lost, none added, and no other event fired between them that the
+// single posts would not have let in.
+//
 // Pushes from *different* contexts at identical (at, pushAt) order by the
 // fixed context index rather than the serial global sequence — the one
 // documented divergence (see the package comment in sharded.go); the
@@ -58,10 +64,11 @@ type mergeRoot struct {
 	at time.Duration
 }
 
-// evrec is one fired event: its structural label (engine-independent) and
-// the extended key its push carried.
+// evrec is one fired event: its structural label (engine-independent),
+// which firing of its post it is, and the extended key its push carried.
 type evrec struct {
 	label  uint64
+	firing int
 	at     time.Duration
 	pushAt time.Duration
 	src    int32
@@ -71,30 +78,52 @@ type evrec struct {
 // mergeEngine abstracts the two engines for the shared program driver.
 type mergeEngine interface {
 	at(at time.Duration, fn func())
-	postFrom(from, to int32, d time.Duration, fn func())
+	// post schedules n firings, fire(0) … fire(n-1) in that order.
+	post(from, to int32, d time.Duration, n int, fire func(k int))
 	run()
+}
+
+// singles is the oracle's post: n single posts in a row.
+func singles(post func(fn func()), n int, fire func(k int)) {
+	for k := range n {
+		post(func() { fire(k) })
+	}
+}
+
+// counted is one callback for n firings: its k-th call is fire(k).
+func counted(fire func(k int)) func() {
+	k := 0
+	return func() {
+		k++
+		fire(k - 1)
+	}
 }
 
 type serialMergeEngine struct{ s *Sim }
 
 func (e serialMergeEngine) at(at time.Duration, fn func()) { e.s.At(at, fn) }
-func (e serialMergeEngine) postFrom(_, _ int32, d time.Duration, fn func()) {
-	e.s.Post(d, fn)
+func (e serialMergeEngine) post(_, _ int32, d time.Duration, n int, fire func(k int)) {
+	singles(func(fn func()) { e.s.Post(d, fn) }, n, fire)
 }
 func (e serialMergeEngine) run() { e.s.RunUntil(-1) }
 
 type shardedMergeEngine struct{ e *Sharded }
 
 func (e shardedMergeEngine) at(at time.Duration, fn func()) { e.e.At(at, fn) }
-func (e shardedMergeEngine) postFrom(from, to int32, d time.Duration, fn func()) {
-	e.e.PostFrom(from, to, d, fn)
+func (e shardedMergeEngine) post(from, to int32, d time.Duration, n int, fire func(k int)) {
+	if n == 1 {
+		e.e.PostFrom(from, to, d, func() { fire(0) })
+		return
+	}
+	e.e.PostN(from, to, d, n, counted(fire))
 }
 func (e shardedMergeEngine) run() { e.e.RunUntil(-1) }
 
 // laneTimerMergeEngine schedules through the lanes' own schedulers wherever
 // a protocol member's timer could be armed — roots during setup, and every
 // push from a barrier or onto the pushing lane — by After or by
-// clock.Handle; cross-shard pushes from a lane still go through PostFrom.
+// clock.Handle, one timer per firing; cross-shard pushes from a lane still
+// go through PostN.
 type laneTimerMergeEngine struct {
 	e      *Sharded
 	handle bool
@@ -111,12 +140,12 @@ func (e laneTimerMergeEngine) schedule(lane int32, d time.Duration, fn func()) {
 
 // at is only called during setup, when the clock reads zero.
 func (e laneTimerMergeEngine) at(at time.Duration, fn func()) { e.schedule(0, at, fn) }
-func (e laneTimerMergeEngine) postFrom(from, to int32, d time.Duration, fn func()) {
+func (e laneTimerMergeEngine) post(from, to int32, d time.Duration, n int, fire func(k int)) {
 	if from >= 0 && from != to {
-		e.e.PostFrom(from, to, d, fn)
+		e.e.PostN(from, to, d, n, counted(fire))
 		return
 	}
-	e.schedule(to, d, fn)
+	singles(func(fn func()) { e.schedule(to, d, fn) }, n, fire)
 }
 func (e laneTimerMergeEngine) run() { e.e.RunUntil(-1) }
 
@@ -140,7 +169,8 @@ func mix(z uint64) uint64 {
 // Labels encode the tree path in base 4, so they are engine-independent
 // too. Branching ≤ 2 and depth ≤ mergeMaxDepth bound the program
 // structurally (no runtime event cap that could bite engines in different
-// orders). Index 0 is the coordinator's (lane -1) log.
+// orders). A child whose hash picks it is a counted post of 2–3 firings.
+// Index 0 is the coordinator's (lane -1) log.
 func runMergeProg(eng mergeEngine, prog mergeProg) [][]evrec {
 	logs := make([][]evrec, prog.shards+1)
 	var fire func(r evrec, depth int)
@@ -197,12 +227,21 @@ func runMergeProg(eng mergeEngine, prog mergeProg) [][]evrec {
 				src:    from,
 				lane:   to,
 			}
-			eng.postFrom(from, to, d, fireClosure(&fire, child, depth+1))
+			n := 1
+			if (hi>>48)%3 == 0 {
+				n = 2 + int(hi>>50)%2
+			}
+			eng.post(from, to, d, n, fireClosure(&fire, child, depth+1))
 		}
 	}
 	fire = func(r evrec, depth int) {
 		logs[r.lane+1] = append(logs[r.lane+1], r)
-		schedule(r.label, r.lane, r.at, depth)
+		// A counted post's first firing schedules its children (labels
+		// name tree paths, so one parent label has one set of children);
+		// a zero-delay child lands between that firing and the next.
+		if r.firing == 0 {
+			schedule(r.label, r.lane, r.at, depth)
+		}
 	}
 	for i, r := range prog.roots {
 		label := uint64(i+1) << 40
@@ -220,9 +259,13 @@ func runMergeProg(eng mergeEngine, prog mergeProg) [][]evrec {
 }
 
 // fireClosure breaks the schedule/fire mutual recursion without capturing
-// loop variables by reference.
-func fireClosure(fire *func(evrec, int), r evrec, depth int) func() {
-	return func() { (*fire)(r, depth) }
+// loop variables by reference; its k-th firing logs r as firing k.
+func fireClosure(fire *func(evrec, int), r evrec, depth int) func(k int) {
+	return func(k int) {
+		r := r
+		r.firing = k
+		(*fire)(r, depth)
+	}
 }
 
 // keyLess orders two records by the extended key (at, pushAt, src).

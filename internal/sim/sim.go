@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -88,23 +89,32 @@ var _ clock.Scheduler = (*Sim)(nil)
 var _ clock.Armer = (*Sim)(nil)
 var _ Engine = (*Sim)(nil)
 
-// push is the one way an event enters the queue: d after the loop's clock
-// (a non-positive d means "now"; the event still goes through the queue so
-// it runs after the currently executing event completes), keyed as pushed
-// by context src.
-func (s *Sim) push(d time.Duration, src int32, fn func()) (ref, gen uint32) {
+// push is the one way an event enters the queue: n firings of fn, d after
+// the loop's clock (a non-positive d means "now"; the event still goes
+// through the queue so it runs after the currently executing event
+// completes), keyed as pushed by context src.
+func (s *Sim) push(d time.Duration, src int32, n int, fn func()) (ref, gen uint32) {
 	if fn == nil {
 		panic("sim: scheduling a nil callback")
 	}
 	if d < 0 {
 		d = 0
 	}
-	return s.queue.PushRef(s.now+d, s.now, src, fn)
+	return s.queue.PushN(s.now+d, s.now, src, fires(n), fn)
+}
+
+// fires converts a firing count to the queue's, refusing one it cannot
+// hold.
+func fires(n int) uint32 {
+	if n < 1 || uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("sim: posting an event of %d firings", n))
+	}
+	return uint32(n)
 }
 
 // arm is push returning what a clock.Handle keeps.
 func (s *Sim) arm(d time.Duration, src int32, fn func()) (clock.Canceller, uint32, uint32) {
-	ref, gen := s.push(d, src, fn)
+	ref, gen := s.push(d, src, 1, fn)
 	return s, ref, gen
 }
 
@@ -127,19 +137,26 @@ func (s *Sim) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32, uin
 }
 
 // Post schedules fn like After but returns no cancellation handle, saving
-// the timer allocation. It exists for fire-and-forget events — the
-// simulated network's packet deliveries are never cancelled, and they
-// dominate event volume at scale.
-func (s *Sim) Post(d time.Duration, fn func()) { s.push(d, s.src, fn) }
+// the timer allocation: PostN's one-firing case.
+func (s *Sim) Post(d time.Duration, fn func()) { s.PostN(0, 0, d, 1, fn) }
+
+// PostN schedules fn to fire n (>= 1) times in a row, d after the current
+// virtual time, as one queued event with no cancellation handle. It exists
+// for fire-and-forget events — the simulated network's packet deliveries
+// are never cancelled, and they dominate event volume at scale: one
+// transmission's deliveries that arrive together are one event. A Sim is
+// the router of a network on one loop (see netsim.ShardRouter): every node
+// lives on it, so from and to only name the endpoints.
+func (s *Sim) PostN(_, _ int32, d time.Duration, n int, fn func()) { s.push(d, s.src, n, fn) }
 
 // At schedules fn at the absolute virtual time at, clamped to now.
 func (s *Sim) At(at time.Duration, fn func()) clock.Timer {
 	return s.After(at-s.now, fn)
 }
 
-// Step executes the single earliest pending event. It returns false if no
-// events are pending. Cancelled events are skipped: never run, counted or
-// allowed to move the clock.
+// Step executes the single earliest pending event, one firing of a counted
+// event. It returns false if no events are pending. Cancelled events are
+// skipped: never run, counted or allowed to move the clock.
 func (s *Sim) Step() bool {
 	at, fn, ok := s.queue.PopFire()
 	if !ok {
