@@ -29,15 +29,6 @@ func ProbNoRequest(n int, p float64) float64 {
 	return clamp01(v)
 }
 
-// ProbNoRequestLimit returns the large-region limit exp(-p) of
-// ProbNoRequest (paper §3.1).
-func ProbNoRequestLimit(p float64) float64 {
-	if p <= 0 {
-		return 1
-	}
-	return math.Exp(-p)
-}
-
 // PoissonPMF returns P[X = k] for X ~ Poisson(lambda): the paper's model
 // for the number of long-term bufferers of an idle message in a large
 // region with expected bufferer count lambda = C (§3.2, Figure 3).

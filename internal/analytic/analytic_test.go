@@ -7,10 +7,10 @@ import (
 )
 
 func TestProbNoRequestMatchesPaper(t *testing.T) {
-	// As n -> infinity the probability approaches e^-p.
+	// As n -> infinity the probability approaches e^-p (§3.1).
 	for _, p := range []float64{0.1, 0.5, 0.9} {
 		exact := ProbNoRequest(100000, p)
-		limit := ProbNoRequestLimit(p)
+		limit := math.Exp(-p)
 		if math.Abs(exact-limit) > 1e-3 {
 			t.Errorf("p=%v: exact %v vs limit %v", p, exact, limit)
 		}

@@ -12,42 +12,46 @@ import (
 // Allocation-regression guards for the baseline's hot paths, mirroring
 // internal/netsim's: the protocol-axis sweep runs the RMTP kernel over
 // every fault cell, so a quiet allocation regression here would tax the
-// whole matrix. The NAK retry loop re-arms through the scheduler's pooled
-// Post path with a once-bound callback, and a repair served from the
+// whole matrix. The NAK retry loop re-arms the clock.Handle in its
+// nakState with a once-bound callback, and a repair served from the
 // buffer builds only value-typed messages — both must stay at zero
 // steady-state allocations.
 
-// allocServer builds a standalone repair server whose sends vanish.
-func allocServer(t *testing.T) (*sim.Sim, *Node, topology.NodeID) {
+// dropTransport is a Transport whose sends vanish.
+type dropTransport struct{}
+
+func (dropTransport) Send(topology.NodeID, wire.Message) {}
+func (dropTransport) Broadcast(wire.Message)             {}
+
+// standalone builds one node of a 4-member region on its own simulator,
+// with sends that vanish.
+func standalone(t *testing.T, idx int, seed uint64, params Params) (*sim.Sim, *Node, *topology.Topology) {
 	t.Helper()
 	topo, err := topology.SingleRegion(4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	view, err := topo.ViewOf(topo.MemberAt(0, idx))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := sim.New()
-	server := New(Config{
-		Self:          topo.MemberAt(0, 0),
-		Server:        topo.MemberAt(0, 0),
-		ParentServer:  topology.NoNode,
-		RegionMembers: topo.Members(0),
-		Send:          func(topology.NodeID, wire.Message) {},
-		Sched:         s,
-		Rng:           rng.New(1),
-	})
-	return s, server, topo.MemberAt(0, 1)
+	n := New(Config{View: view, Transport: dropTransport{}, Sched: s, Rng: rng.New(seed), Params: params})
+	return s, n, topo
 }
 
 // TestRepairServeAllocs guards the NAK → buffer hit → repair path.
 func TestRepairServeAllocs(t *testing.T) {
-	_, server, peer := allocServer(t)
-	id := wire.MessageID{Source: server.cfg.Self, Seq: 1}
+	_, server, topo := standalone(t, 0, 1, Params{})
+	peer := topo.MemberAt(0, 1)
+	id := wire.MessageID{Source: server.cfg.View.Self, Seq: 1}
 	server.deliver(id, make([]byte, 256))
 	nak := wire.Message{Type: wire.TypeNak, From: peer, ID: id}
 	for i := 0; i < 64; i++ { // warm metric and map internals
-		server.Receive(peer, nak)
+		server.receive(peer, &nak)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		server.Receive(peer, nak)
+		server.receive(peer, &nak)
 	})
 	if avg != 0 {
 		t.Fatalf("served repair allocates %.2f objects/op, want 0", avg)
@@ -55,28 +59,14 @@ func TestRepairServeAllocs(t *testing.T) {
 }
 
 // TestNakRetryAllocs guards the receiver's retry loop: after the episode
-// starts, every re-arm (send + pooled Post) must allocate nothing, however
-// many times it fires.
+// starts, every re-arm (send + handle re-arm) must allocate nothing,
+// however many times it fires.
 func TestNakRetryAllocs(t *testing.T) {
-	topo, err := topology.SingleRegion(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sim.New()
-	params := Params{MaxTries: 1 << 30} // never give up inside the measurement
-	receiver := New(Config{
-		Self:          topo.MemberAt(0, 1),
-		Server:        topo.MemberAt(0, 0),
-		ParentServer:  topology.NoNode,
-		RegionMembers: topo.Members(0),
-		Send:          func(topology.NodeID, wire.Message) {},
-		Sched:         s,
-		Rng:           rng.New(2),
-		Params:        params,
-	})
+	// Never give up inside the measurement.
+	s, receiver, topo := standalone(t, 1, 2, Params{MaxTries: 1 << 30})
 	// A session announces seq 1 that never arrives: the retry loop runs
 	// forever against the void.
-	receiver.Receive(topo.MemberAt(0, 0), wire.Message{
+	receiver.receive(topo.MemberAt(0, 0), &wire.Message{
 		Type: wire.TypeSession, From: topo.Sender(), TopSeq: 1,
 	})
 	step := nakRTT

@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -27,7 +24,7 @@ func TestCopyOnStorePinsServerPayloadImmutability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newTreeCluster(t, topo, Params{CopyOnStore: copyOn}, 21, nil)
+		c := newTreeCluster(t, topo, 21, nil, func(topology.NodeID) Params { return Params{CopyOnStore: copyOn} })
 		// No ACK loops: nothing trims, so every entry survives for the
 		// post-run check.
 		var published [][]byte
@@ -77,50 +74,17 @@ func TestBudgetedServerRefetchesDisplacedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	lat := netsim.HierLatency{Topo: topo, IntraOneWay: 5 * time.Millisecond, InterOneWay: 50 * time.Millisecond}
 	victim := topo.MemberAt(1, 2)
-	net := netsim.New(s, lat, &victimLoss{victim: victim})
-	root := rng.New(31)
-
-	// Hand-built cluster so only the leaf server is budgeted: the root
-	// keeps everything and can answer refetches.
-	serverOf := func(r topology.RegionID) topology.NodeID { return topo.MemberAt(r, 0) }
-	nodes := make(map[topology.NodeID]*Node)
-	var all []topology.NodeID
-	for r := 0; r < topo.NumRegions(); r++ {
-		rid := topology.RegionID(r)
-		parentServer := topology.NoNode
-		if p := topo.Parent(rid); p != topology.NoRegion {
-			parentServer = serverOf(p)
+	leafServer := topo.MemberAt(1, 0)
+	// Only the leaf server is budgeted: the root keeps everything and can
+	// answer refetches.
+	c := newTreeCluster(t, topo, 31, &victimLoss{victim: victim}, func(node topology.NodeID) Params {
+		if node == leafServer {
+			return Params{ByteBudget: 2 * 512} // room for two of five payloads
 		}
-		var childServers []topology.NodeID
-		if rid == 0 {
-			childServers = []topology.NodeID{serverOf(1)}
-		}
-		for _, node := range topo.Members(rid) {
-			node := node
-			var params Params
-			if node == serverOf(1) {
-				params.ByteBudget = 2 * 512 // room for two of five payloads
-			}
-			n := New(Config{
-				Self:          node,
-				Server:        serverOf(rid),
-				ParentServer:  parentServer,
-				RegionMembers: topo.Members(rid),
-				ChildServers:  childServers,
-				Send:          func(to topology.NodeID, msg wire.Message) { net.Unicast(node, to, msg) },
-				Sched:         s,
-				Rng:           root.Split(uint64(node) + 1),
-				Params:        params,
-			})
-			nodes[node] = n
-			all = append(all, node)
-			net.Register(node, func(p netsim.Packet) { n.Receive(p.From, p.Msg) })
-		}
-	}
-	sender := NewSender(nodes[serverOf(0)], func(msg wire.Message) { net.Multicast(topo.Sender(), all, msg) })
+		return Params{}
+	})
+	s, nodes, sender := c.sim, c.nodes, c.sender
 
 	// Publish five 512 B messages back to back; the leaf server keeps only
 	// the newest two. No sessions yet, so the victim stays ignorant.
@@ -128,11 +92,10 @@ func TestBudgetedServerRefetchesDisplacedEntry(t *testing.T) {
 		sender.Publish(make([]byte, 512))
 	}
 	s.RunUntil(time.Second)
-	leafServer := nodes[serverOf(1)]
-	if got := leafServer.Buffer().EvictedCount(core.EvictPressure); got != 3 {
+	if got := nodes[leafServer].Buffer().EvictedCount(core.EvictPressure); got != 3 {
 		t.Fatalf("leaf server pressure-evicted %d entries, want 3", got)
 	}
-	if !leafServer.HasReceived(1) || leafServer.Buffer().Has(wire.MessageID{Source: topo.Sender(), Seq: 1}) {
+	if !nodes[leafServer].HasReceived(1) || nodes[leafServer].Buffer().Has(wire.MessageID{Source: topo.Sender(), Seq: 1}) {
 		t.Fatal("setup: seq 1 should be received-but-displaced at the leaf server")
 	}
 
@@ -144,7 +107,7 @@ func TestBudgetedServerRefetchesDisplacedEntry(t *testing.T) {
 			t.Fatalf("victim still missing seq %d: displaced entry was not re-fetched", seq)
 		}
 	}
-	if leafServer.Metrics().NaksSent.Value() == 0 {
+	if nodes[leafServer].Metrics().NaksSent.Value() == 0 {
 		t.Fatal("leaf server never escalated a refetch to the root server")
 	}
 	if got := nodes[victim].Metrics().Unrecoverable.Value(); got != 0 {
@@ -163,49 +126,17 @@ func TestRefetchReArmsAfterExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	lat := netsim.HierLatency{Topo: topo, IntraOneWay: 5 * time.Millisecond, InterOneWay: 50 * time.Millisecond}
 	victim := topo.MemberAt(1, 2)
-	net := netsim.New(s, lat, &victimLoss{victim: victim})
-	root := rng.New(41)
-
-	serverOf := func(r topology.RegionID) topology.NodeID { return topo.MemberAt(r, 0) }
-	nodes := make(map[topology.NodeID]*Node)
-	var all []topology.NodeID
-	for r := 0; r < topo.NumRegions(); r++ {
-		rid := topology.RegionID(r)
-		parentServer := topology.NoNode
-		if p := topo.Parent(rid); p != topology.NoRegion {
-			parentServer = serverOf(p)
+	leafServer := topo.MemberAt(1, 0)
+	c := newTreeCluster(t, topo, 41, &victimLoss{victim: victim}, func(node topology.NodeID) Params {
+		params := Params{MaxTries: 4} // exhaust fast so the outage outlives the loop
+		if node == leafServer {
+			params.ByteBudget = 2 * 512
 		}
-		var childServers []topology.NodeID
-		if rid == 0 {
-			childServers = []topology.NodeID{serverOf(1)}
-		}
-		for _, node := range topo.Members(rid) {
-			node := node
-			params := Params{MaxTries: 4} // exhaust fast so the outage outlives the loop
-			if node == serverOf(1) {
-				params.ByteBudget = 2 * 512
-			}
-			n := New(Config{
-				Self:          node,
-				Server:        serverOf(rid),
-				ParentServer:  parentServer,
-				RegionMembers: topo.Members(rid),
-				ChildServers:  childServers,
-				Send:          func(to topology.NodeID, msg wire.Message) { net.Unicast(node, to, msg) },
-				Sched:         s,
-				Rng:           root.Split(uint64(node) + 1),
-				Params:        params,
-			})
-			nodes[node] = n
-			all = append(all, node)
-			net.Register(node, func(p netsim.Packet) { n.Receive(p.From, p.Msg) })
-		}
-	}
-	rootServer := nodes[serverOf(0)]
-	sender := NewSender(rootServer, func(msg wire.Message) { net.Multicast(topo.Sender(), all, msg) })
+		return params
+	})
+	s, net, nodes, sender := c.sim, c.net, c.nodes, c.sender
+	rootServer := nodes[topo.Sender()]
 
 	// Displace seq 1 at the leaf server, then take the root down before
 	// the straggler's NAKs can be escalated successfully.
@@ -221,7 +152,7 @@ func TestRefetchReArmsAfterExhaustion(t *testing.T) {
 	// (the crashed sender is silent) and NAKs into the outage: the leaf
 	// server's refetch loop exhausts against the dead root.
 	s.At(210*time.Millisecond, func() {
-		nodes[victim].Receive(serverOf(1), wire.Message{Type: wire.TypeSession, From: topo.Sender(), TopSeq: 5})
+		nodes[victim].receive(leafServer, &wire.Message{Type: wire.TypeSession, From: topo.Sender(), TopSeq: 5})
 	})
 	s.RunUntil(2 * time.Second)
 	if nodes[victim].HasReceived(1) {

@@ -25,17 +25,23 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
 
-// Send transmits a PDU to a peer; bind it to the network.
-type Send func(to topology.NodeID, msg wire.Message)
-
-// Broadcast transmits the initial multicast to the whole group.
-type Broadcast func(msg wire.Message)
+// Transport sends a node's PDUs; netsim.Endpoint implements it. Like
+// rrmp.Transport, it must deliver asynchronously (never call back into the
+// node from Send).
+type Transport interface {
+	// Send transmits msg to one peer.
+	Send(to topology.NodeID, msg wire.Message)
+	// Broadcast transmits msg to the whole group (the initial multicast).
+	// Only the sender uses it.
+	Broadcast(msg wire.Message)
+}
 
 // The baseline's timers mirror the RRMP defaults for a fair comparison:
 // each NAK retry period is rrmp's RTT estimate plus its retry grace.
@@ -75,24 +81,18 @@ type Params struct {
 
 // Config assembles a node.
 type Config struct {
-	// Self is this node's id.
-	Self topology.NodeID
-	// Server is the repair server of this node's region. A node whose
-	// Server equals Self is the repair server.
-	Server topology.NodeID
-	// ParentServer is the repair server of the parent region
-	// (topology.NoNode at the root).
-	ParentServer topology.NodeID
-	// RegionMembers lists this region's members including Self; the repair
-	// server tracks ACK floors for all of them.
-	RegionMembers []topology.NodeID
+	// View is this node's place in the tree, as rrmp.Config's is. The
+	// first of View.RegionMembers is the region's repair server, which
+	// tracks ACK floors for all the others; the first of
+	// View.ParentMembers is the parent region's server (none at the root).
+	View topology.View
 	// ChildServers lists the repair servers of child regions; their ACKs
 	// also gate buffer trimming (a child region may still need repairs).
 	ChildServers []topology.NodeID
-	// Send, Sched, Rng are required.
-	Send  Send
-	Sched clock.Scheduler
-	Rng   *rng.Source
+	// Transport, Sched and Rng are required.
+	Transport Transport
+	Sched     clock.Scheduler
+	Rng       *rng.Source
 	// Params tunes the node; zero fields default.
 	Params Params
 }
@@ -119,13 +119,6 @@ type Metrics struct {
 	BufferingTime stats.RunningMean
 }
 
-// poster is the scheduler fast path netsim also uses: schedule with no
-// cancellation handle. NAK retries ride it so re-arming the loop never
-// allocates a timer wrapper; stale fires are rejected by identity checks.
-type poster interface {
-	Post(d time.Duration, fn func())
-}
-
 // nakState is one in-flight NAK retry loop. fire is bound once at creation
 // so every retry re-arm reuses the same callback, and detection time is
 // kept for the recovery-latency histogram.
@@ -138,23 +131,28 @@ type nakState struct {
 	// check and never count toward Unrecoverable.
 	refetch bool
 	fire    func()
+	// timer is the pending retry. It is never stopped: a loop ends when
+	// its nakState leaves Node.naks, and the retry still queued fails the
+	// identity check when it fires. Stopping it would drop that event and
+	// change the run's event count.
+	timer clock.Handle
 }
 
 // Node is one RMTP participant (receiver or repair server). Not safe for
 // concurrent use.
 type Node struct {
-	cfg    Config
-	params Params
-	post   func(d time.Duration, fn func())
+	cfg Config // Params defaulted
 
 	isServer bool
-	buffer   *core.Buffer // repair servers only
+	server   topology.NodeID // this region's repair server
+	parent   topology.NodeID // the parent region's server, or NoNode
+	buffer   *core.Buffer    // repair servers only
 
-	received map[uint64]bool
+	received wire.SeqSet
 	maxSeen  uint64
-	prefix   uint64
 	source   topology.NodeID // learned from the first DATA/SESSION
 
+	// The maps are made on first write; only servers have ackFloors.
 	naks        map[uint64]*nakState
 	waiters     map[uint64][]topology.NodeID
 	ackFloors   map[topology.NodeID]uint64
@@ -174,49 +172,37 @@ type Node struct {
 // the ACK protocol (budgeted and copy-on-store per Params); plain
 // receivers buffer nothing (they never retransmit).
 func New(cfg Config) *Node {
-	if cfg.Send == nil || cfg.Sched == nil || cfg.Rng == nil {
-		panic("rmtp: Send, Sched and Rng are required")
+	if cfg.Transport == nil || cfg.Sched == nil || cfg.Rng == nil {
+		panic("rmtp: Transport, Sched and Rng are required")
 	}
-	p := cfg.Params
-	if p.MaxTries <= 0 {
-		p.MaxTries = defaultMaxTries
+	if cfg.Params.MaxTries <= 0 {
+		cfg.Params.MaxTries = defaultMaxTries
 	}
+	v := cfg.View
 	n := &Node{
-		cfg:         cfg,
-		params:      p,
-		isServer:    cfg.Self == cfg.Server,
-		received:    make(map[uint64]bool),
-		source:      topology.NoNode,
-		naks:        make(map[uint64]*nakState),
-		waiters:     make(map[uint64][]topology.NodeID),
-		ackFloors:   make(map[topology.NodeID]uint64),
-		unrecovered: make(map[uint64]bool),
+		cfg:      cfg,
+		isServer: v.SelfIdx == 0,
+		server:   v.RegionMembers[0],
+		parent:   topology.NoNode,
+		source:   topology.NoNode,
 	}
-	if ps, ok := cfg.Sched.(poster); ok {
-		n.post = ps.Post
-	} else {
-		n.post = func(d time.Duration, fn func()) {
-			// Like Post's, these events are never cancelled: the handle
-			// is dropped.
-			var h clock.Handle
-			h.Arm(cfg.Sched, d, fn)
-		}
+	if len(v.ParentMembers) > 0 {
+		n.parent = v.ParentMembers[0]
 	}
 	if n.isServer {
 		n.buffer = core.NewBuffer(core.Config{
 			Policy:      core.BufferAll{},
 			Sched:       cfg.Sched,
 			Rng:         cfg.Rng,
-			ByteBudget:  p.ByteBudget,
-			CopyPayload: p.CopyOnStore,
+			ByteBudget:  cfg.Params.ByteBudget,
+			CopyPayload: cfg.Params.CopyOnStore,
 			OnEvict: func(e *core.Entry, _ core.EvictReason) {
-				n.metrics.BufferingTime.AddDuration(cfg.Sched.Now() - e.StoredAt)
+				n.metrics.BufferingTime.AddDuration(n.cfg.Sched.Now() - e.StoredAt)
 			},
 		})
-		for _, m := range cfg.RegionMembers {
-			if m != cfg.Self {
-				n.ackFloors[m] = 0
-			}
+		n.ackFloors = make(map[topology.NodeID]uint64, len(v.RegionMembers)-1+len(cfg.ChildServers))
+		for _, m := range v.RegionMembers[1:] {
+			n.ackFloors[m] = 0
 		}
 		for _, c := range cfg.ChildServers {
 			n.ackFloors[c] = 0
@@ -232,7 +218,7 @@ func (n *Node) Metrics() *Metrics { return &n.metrics }
 func (n *Node) Buffer() *core.Buffer { return n.buffer }
 
 // HasReceived reports whether seq has been delivered to this node.
-func (n *Node) HasReceived(seq uint64) bool { return n.received[seq] }
+func (n *Node) HasReceived(seq uint64) bool { return n.received.Has(seq) }
 
 // Left reports whether the node has left the group.
 func (n *Node) Left() bool { return n.left }
@@ -265,25 +251,25 @@ func (n *Node) armAckLoop() {
 // sendAck reports this node's floor upward: receivers to their server,
 // servers to their parent server (hierarchical aggregation).
 func (n *Node) sendAck() {
-	floor := n.prefix
+	floor := n.received.Prefix()
 	var to topology.NodeID
 	switch {
 	case !n.isServer:
-		to = n.cfg.Server
-	case n.cfg.ParentServer != topology.NoNode:
+		to = n.server
+	case n.parent != topology.NoNode:
 		// A server acks the minimum of its own prefix and its region's
 		// floors: the parent may trim only what this whole subtree has.
 		floor = n.aggregateFloor()
-		to = n.cfg.ParentServer
+		to = n.parent
 	default:
 		return // root server acks nobody
 	}
 	n.metrics.AcksSent.Inc()
-	n.cfg.Send(to, wire.Message{Type: wire.TypeAck, From: n.cfg.Self, TopSeq: floor})
+	n.cfg.Transport.Send(to, wire.Message{Type: wire.TypeAck, From: n.cfg.View.Self, TopSeq: floor})
 }
 
 func (n *Node) aggregateFloor() uint64 {
-	floor := n.prefix
+	floor := n.received.Prefix()
 	for _, f := range n.ackFloors {
 		if f < floor {
 			floor = f
@@ -292,9 +278,14 @@ func (n *Node) aggregateFloor() uint64 {
 	return floor
 }
 
-// Receive dispatches one incoming PDU. Left and crashed nodes ignore all
+// ReceivePacket implements netsim.PacketReceiver, so a node registers
+// itself on the network (netsim.RegisterReceiver), as an rrmp.Member does.
+// The packet is borrowed; receive keeps only the payload slice.
+func (n *Node) ReceivePacket(p *netsim.Packet) { n.receive(p.From, &p.Msg) }
+
+// receive dispatches one incoming PDU. Left and crashed nodes ignore all
 // input, exactly like rrmp.Member.
-func (n *Node) Receive(from topology.NodeID, msg wire.Message) {
+func (n *Node) receive(from topology.NodeID, msg *wire.Message) {
 	if n.left || n.crashed {
 		return
 	}
@@ -321,7 +312,7 @@ func (n *Node) deliver(id wire.MessageID, payload []byte) {
 	if n.source == topology.NoNode {
 		n.source = id.Source
 	}
-	if n.received[id.Seq] {
+	if n.received.Has(id.Seq) {
 		n.metrics.Duplicates.Inc()
 		if n.isServer && id.Seq > n.trimmed {
 			if st, ok := n.naks[id.Seq]; ok && st.refetch {
@@ -337,11 +328,8 @@ func (n *Node) deliver(id wire.MessageID, payload []byte) {
 		}
 		return
 	}
-	n.received[id.Seq] = true
+	n.received.Mark(id.Seq)
 	n.metrics.Delivered.Inc()
-	for n.received[n.prefix+1] {
-		n.prefix++
-	}
 	if st, ok := n.naks[id.Seq]; ok {
 		delete(n.naks, id.Seq)
 		if !st.refetch {
@@ -376,7 +364,7 @@ func (n *Node) noteTop(src topology.NodeID, top uint64) {
 		return
 	}
 	for seq := n.maxSeen + 1; seq <= top; seq++ {
-		if !n.received[seq] {
+		if !n.received.Has(seq) {
 			n.startNak(seq)
 		}
 	}
@@ -396,7 +384,7 @@ func (n *Node) retryStalled() {
 	}
 	var seqs []uint64
 	for seq := range n.unrecovered {
-		if _, running := n.naks[seq]; !running && !n.received[seq] {
+		if _, running := n.naks[seq]; !running && !n.received.Has(seq) {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -408,13 +396,10 @@ func (n *Node) retryStalled() {
 
 // startNak begins the retry loop for one missing sequence.
 func (n *Node) startNak(seq uint64) {
-	if _, ok := n.naks[seq]; ok || n.received[seq] {
+	if _, ok := n.naks[seq]; ok || n.received.Has(seq) {
 		return
 	}
-	st := &nakState{detectedAt: n.cfg.Sched.Now()}
-	st.fire = func() { n.nakAttempt(seq, st) }
-	n.naks[seq] = st
-	n.nakAttempt(seq, st)
+	n.startLoop(seq, false)
 }
 
 // startRefetch begins a server-side NAK loop toward the parent server for
@@ -422,14 +407,22 @@ func (n *Node) startNak(seq uint64) {
 // Params.ByteBudget) while receivers still wait for it. The root has no
 // parent to ask; its requesters' own retry budgets surface the loss.
 func (n *Node) startRefetch(seq uint64) {
-	if n.cfg.ParentServer == topology.NoNode {
+	if n.parent == topology.NoNode {
 		return
 	}
 	if _, ok := n.naks[seq]; ok {
 		return
 	}
-	st := &nakState{detectedAt: n.cfg.Sched.Now(), refetch: true}
+	n.startLoop(seq, true)
+}
+
+// startLoop registers a retry loop for seq and makes its first attempt.
+func (n *Node) startLoop(seq uint64, refetch bool) {
+	st := &nakState{detectedAt: n.cfg.Sched.Now(), refetch: refetch}
 	st.fire = func() { n.nakAttempt(seq, st) }
+	if n.naks == nil {
+		n.naks = make(map[uint64]*nakState)
+	}
 	n.naks[seq] = st
 	n.nakAttempt(seq, st)
 }
@@ -443,16 +436,16 @@ func (n *Node) nakAttempt(seq uint64, st *nakState) {
 			delete(n.naks, seq)
 			return
 		}
-	} else if n.received[seq] {
+	} else if n.received.Has(seq) {
 		return
 	}
 	var to topology.NodeID
 	var rtt time.Duration
 	switch {
 	case !n.isServer:
-		to, rtt = n.cfg.Server, nakRTT
-	case n.cfg.ParentServer != topology.NoNode:
-		to, rtt = n.cfg.ParentServer, parentRTT
+		to, rtt = n.server, nakRTT
+	case n.parent != topology.NoNode:
+		to, rtt = n.parent, parentRTT
 	default:
 		// Root server missing a message: with the sender as root there is
 		// nobody to ask; give up (the sender cannot lose its own data).
@@ -461,7 +454,7 @@ func (n *Node) nakAttempt(seq uint64, st *nakState) {
 		n.markUnrecoverable(seq)
 		return
 	}
-	if st.tries >= n.params.MaxTries {
+	if st.tries >= n.cfg.Params.MaxTries {
 		n.metrics.GiveUps.Inc()
 		delete(n.naks, seq)
 		if !st.refetch {
@@ -471,29 +464,29 @@ func (n *Node) nakAttempt(seq uint64, st *nakState) {
 	}
 	st.tries++
 	n.metrics.NaksSent.Inc()
-	n.cfg.Send(to, wire.Message{
+	n.cfg.Transport.Send(to, wire.Message{
 		Type: wire.TypeNak,
-		From: n.cfg.Self,
+		From: n.cfg.View.Self,
 		ID:   wire.MessageID{Source: n.source, Seq: seq},
 	})
-	// Post, not After: retries are cancelled by deleting the nakState (the
-	// identity check above rejects stale fires), so the loop re-arms with
-	// zero allocations however many times it retries.
-	n.post(rtt, st.fire)
+	st.timer.Arm(n.cfg.Sched, rtt, st.fire)
 }
 
 // markUnrecoverable records an exhausted recovery exactly once; delivery
 // clears it, keeping Metrics.Unrecoverable ≡ the Unrecovered set.
 func (n *Node) markUnrecoverable(seq uint64) {
-	if n.received[seq] || n.unrecovered[seq] {
+	if n.received.Has(seq) || n.unrecovered[seq] {
 		return
+	}
+	if n.unrecovered == nil {
+		n.unrecovered = make(map[uint64]bool)
 	}
 	n.unrecovered[seq] = true
 	n.metrics.Unrecoverable.Inc()
 }
 
 // onNak answers from the buffer or records a waiter and escalates.
-func (n *Node) onNak(from topology.NodeID, msg wire.Message) {
+func (n *Node) onNak(from topology.NodeID, msg *wire.Message) {
 	n.metrics.NaksRecv.Inc()
 	if !n.isServer {
 		return // receivers never retransmit in a tree protocol
@@ -526,9 +519,12 @@ func (n *Node) onNak(from topology.NodeID, msg wire.Message) {
 		}
 	}
 	if !recorded {
+		if n.waiters == nil {
+			n.waiters = make(map[uint64][]topology.NodeID)
+		}
 		n.waiters[seq] = append(n.waiters[seq], from)
 	}
-	if n.received[seq] {
+	if n.received.Has(seq) {
 		n.startRefetch(seq)
 		return
 	}
@@ -538,12 +534,12 @@ func (n *Node) onNak(from topology.NodeID, msg wire.Message) {
 
 func (n *Node) sendRepair(to topology.NodeID, id wire.MessageID, payload []byte) {
 	n.metrics.RepairsSent.Inc()
-	n.cfg.Send(to, wire.Message{Type: wire.TypeRepair, From: n.cfg.Self, ID: id, Payload: payload})
+	n.cfg.Transport.Send(to, wire.Message{Type: wire.TypeRepair, From: n.cfg.View.Self, ID: id, Payload: payload})
 }
 
 // onAck merges a floor report and trims the buffer up to the region-wide
 // minimum.
-func (n *Node) onAck(from topology.NodeID, msg wire.Message) {
+func (n *Node) onAck(from topology.NodeID, msg *wire.Message) {
 	n.metrics.AcksRecv.Inc()
 	if !n.isServer {
 		return
@@ -585,11 +581,11 @@ func (n *Node) ForgetAcker(who topology.NodeID) {
 }
 
 // stopProtocolTimers halts the ACK loop (without clearing acksStarted) and
-// abandons every NAK loop. Pending Post-scheduled retries become stale and
-// are rejected by the nakState identity check.
+// abandons every NAK loop; each pending retry then fails the nakState
+// identity check when it fires (see nakState.timer).
 func (n *Node) stopProtocolTimers() {
 	n.ackTimer.Stop()
-	n.naks = make(map[uint64]*nakState)
+	n.naks = nil
 }
 
 // Leave departs the group cleanly: all timers stop and input is ignored
@@ -635,8 +631,8 @@ func (n *Node) Recover() {
 	if n.acksStarted {
 		n.armAckLoop()
 	}
-	for seq := uint64(1); seq <= n.maxSeen; seq++ {
-		if !n.received[seq] {
+	for seq := n.received.Prefix() + 1; seq <= n.maxSeen; seq++ {
+		if !n.received.Has(seq) {
 			n.startNak(seq)
 		}
 	}

@@ -11,58 +11,62 @@ import (
 	"repro/internal/wire"
 )
 
-// treeCluster wires an RMTP deployment: the first member of each region is
-// its repair server; the root region's server is the sender.
+// treeCluster is an RMTP deployment on one simulator: the first member of
+// each region is its repair server; the root region's server is the
+// sender.
 type treeCluster struct {
 	sim    *sim.Sim
 	net    *netsim.Network
 	topo   *topology.Topology
-	nodes  map[topology.NodeID]*Node
+	nodes  []*Node // indexed by NodeID
 	sender *Sender
-	all    []topology.NodeID
 }
 
-func newTreeCluster(t *testing.T, topo *topology.Topology, params Params, seed uint64, loss netsim.LossModel) *treeCluster {
+// newTreeCluster wires topo the way runner.NewTreeCluster does (a view,
+// an endpoint and a self-registered receiver per node), with paper §4
+// latencies. paramsOf gives each node's Params; nil gives every node the
+// defaults.
+func newTreeCluster(t *testing.T, topo *topology.Topology, seed uint64, loss netsim.LossModel, paramsOf func(topology.NodeID) Params) *treeCluster {
 	t.Helper()
 	s := sim.New()
 	lat := netsim.HierLatency{Topo: topo, IntraOneWay: 5 * time.Millisecond, InterOneWay: 50 * time.Millisecond}
 	net := netsim.New(s, lat, loss)
 	root := rng.New(seed)
-	c := &treeCluster{sim: s, net: net, topo: topo, nodes: make(map[topology.NodeID]*Node)}
-
-	serverOf := func(r topology.RegionID) topology.NodeID { return topo.MemberAt(r, 0) }
-	childServers := make(map[topology.RegionID][]topology.NodeID)
-	for r := 0; r < topo.NumRegions(); r++ {
+	total := topo.NumNodes()
+	c := &treeCluster{sim: s, net: net, topo: topo, nodes: make([]*Node, total)}
+	all := make([]topology.NodeID, total)
+	for i := range all {
+		all[i] = topology.NodeID(i)
+	}
+	childServers := make([][]topology.NodeID, topo.NumRegions())
+	for r := range childServers {
 		if p := topo.Parent(topology.RegionID(r)); p != topology.NoRegion {
-			childServers[p] = append(childServers[p], serverOf(topology.RegionID(r)))
+			childServers[p] = append(childServers[p], topo.MemberAt(topology.RegionID(r), 0))
 		}
 	}
-	for r := 0; r < topo.NumRegions(); r++ {
-		rid := topology.RegionID(r)
-		parentServer := topology.NoNode
-		if p := topo.Parent(rid); p != topology.NoRegion {
-			parentServer = serverOf(p)
+	endpoints := make([]netsim.Endpoint, total)
+	for _, node := range all {
+		view, err := topo.ViewOf(node)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, node := range topo.Members(rid) {
-			node := node
-			n := New(Config{
-				Self:          node,
-				Server:        serverOf(rid),
-				ParentServer:  parentServer,
-				RegionMembers: topo.Members(rid),
-				ChildServers:  childServers[rid],
-				Send:          func(to topology.NodeID, msg wire.Message) { net.Unicast(node, to, msg) },
-				Sched:         s,
-				Rng:           root.Split(uint64(node) + 1),
-				Params:        params,
-			})
-			c.nodes[node] = n
-			c.all = append(c.all, node)
-			net.Register(node, func(p netsim.Packet) { n.Receive(p.From, p.Msg) })
+		var params Params
+		if paramsOf != nil {
+			params = paramsOf(node)
 		}
+		endpoints[node] = netsim.Endpoint{Net: net, Self: node, Group: all}
+		n := New(Config{
+			View:         view,
+			ChildServers: childServers[topo.RegionOf(node)],
+			Transport:    &endpoints[node],
+			Sched:        s,
+			Rng:          root.Split(uint64(node) + 1),
+			Params:       params,
+		})
+		c.nodes[node] = n
+		net.RegisterReceiver(node, n)
 	}
-	rootNode := c.nodes[serverOf(0)]
-	c.sender = NewSender(rootNode, func(msg wire.Message) { net.Multicast(topo.Sender(), c.all, msg) })
+	c.sender = NewSender(c.nodes[topo.Sender()])
 	return c
 }
 
@@ -81,7 +85,7 @@ func TestTreeLosslessDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, Params{}, 1, nil)
+	c := newTreeCluster(t, topo, 1, nil, nil)
 	for i := 0; i < 3; i++ {
 		c.sender.Publish([]byte{byte(i)})
 	}
@@ -107,7 +111,7 @@ func TestTreeLocalRepair(t *testing.T) {
 	}
 	victim := topo.MemberAt(0, 4)
 	loss := &victimLoss{victim: victim}
-	c := newTreeCluster(t, topo, Params{}, 2, loss)
+	c := newTreeCluster(t, topo, 2, loss, nil)
 	c.sender.StartSessions()
 	c.sender.Publish([]byte("a"))
 	c.sender.Publish([]byte("b"))
@@ -149,7 +153,7 @@ func TestTreeHierarchicalRepair(t *testing.T) {
 	for _, n := range topo.Members(1) {
 		victims[n] = true
 	}
-	c := newTreeCluster(t, topo, Params{}, 3, &regionDataLoss{victims: victims})
+	c := newTreeCluster(t, topo, 3, &regionDataLoss{victims: victims}, nil)
 	c.sender.StartSessions()
 	c.sender.Publish([]byte("x"))
 	c.sim.RunUntil(3 * time.Second)
@@ -169,7 +173,7 @@ func TestAckTrimsServerBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, Params{}, 4, nil)
+	c := newTreeCluster(t, topo, 4, nil, nil)
 	for _, n := range c.nodes {
 		n.StartAcks()
 	}
@@ -200,7 +204,7 @@ func TestServerKeepsBufferUntilChildAcks(t *testing.T) {
 	// Drop DATA to the entire child region AND suppress its recovery by
 	// not starting sessions: the root server's buffer must retain
 	// everything because the child server never acks.
-	c := newTreeCluster(t, topo, Params{}, 5, &regionDataLoss{victims: victims})
+	c := newTreeCluster(t, topo, 5, &regionDataLoss{victims: victims}, nil)
 	for _, n := range c.nodes {
 		n.StartAcks()
 	}
@@ -221,7 +225,7 @@ func TestLoadConcentratesAtServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, Params{}, 6, nil)
+	c := newTreeCluster(t, topo, 6, nil, nil)
 	for i := 0; i < 50; i++ {
 		c.sender.Publish([]byte{byte(i)})
 	}
@@ -242,7 +246,7 @@ func TestStaleNakForTrimmedMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, Params{}, 7, nil)
+	c := newTreeCluster(t, topo, 7, nil, nil)
 	for _, n := range c.nodes {
 		n.StartAcks()
 	}
@@ -269,10 +273,10 @@ func TestGiveUpAtRootForUnknownSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTreeCluster(t, topo, Params{}, 8, nil)
+	c := newTreeCluster(t, topo, 8, nil, nil)
 	server := c.nodes[topo.MemberAt(0, 0)]
 	// Root server told about a sequence that will never arrive.
-	server.Receive(topo.MemberAt(0, 1), wire.Message{
+	server.receive(topo.MemberAt(0, 1), &wire.Message{
 		Type: wire.TypeSession, From: topo.Sender(), TopSeq: 3,
 	})
 	c.sim.MustQuiesce(100_000)
@@ -283,21 +287,21 @@ func TestGiveUpAtRootForUnknownSeq(t *testing.T) {
 
 func TestSenderValidation(t *testing.T) {
 	topo, _ := topology.SingleRegion(2)
+	view, err := topo.ViewOf(topo.MemberAt(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := sim.New()
-	net := netsim.New(s, netsim.UniformLatency{}, nil)
 	receiver := New(Config{
-		Self:          topo.MemberAt(0, 1),
-		Server:        topo.MemberAt(0, 0),
-		ParentServer:  topology.NoNode,
-		RegionMembers: topo.Members(0),
-		Send:          func(to topology.NodeID, msg wire.Message) { net.Unicast(1, to, msg) },
-		Sched:         s,
-		Rng:           rng.New(1),
+		View:      view,
+		Transport: &netsim.Endpoint{Net: netsim.New(s, netsim.UniformLatency{}, nil), Self: view.Self},
+		Sched:     s,
+		Rng:       rng.New(1),
 	})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewSender on a receiver did not panic")
 		}
 	}()
-	NewSender(receiver, func(wire.Message) {})
+	NewSender(receiver)
 }

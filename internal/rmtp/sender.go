@@ -6,33 +6,31 @@ import (
 )
 
 // Sender publishes data through the tree protocol. It wraps the root
-// repair server (the sender and root server coincide, as in RMTP).
+// repair server (the sender and root server coincide, as in RMTP) and
+// multicasts through its Transport's Broadcast.
 type Sender struct {
 	n            *Node
-	broadcast    Broadcast
 	seq          uint64
 	sessionTimer clock.Handle
 }
 
 // NewSender wraps the root server node. It panics if the node is not a
 // repair server (the tree's root must buffer everything it sends).
-func NewSender(n *Node, b Broadcast) *Sender {
+func NewSender(n *Node) *Sender {
 	if !n.isServer {
 		panic("rmtp: sender must be a repair server")
 	}
-	if b == nil {
-		panic("rmtp: Broadcast is required")
-	}
-	return &Sender{n: n, broadcast: b}
+	return &Sender{n: n}
 }
 
 // Publish multicasts one message to the group and stores it in the root
 // server's buffer.
 func (s *Sender) Publish(payload []byte) wire.MessageID {
 	s.seq++
-	id := wire.MessageID{Source: s.n.cfg.Self, Seq: s.seq}
+	self := s.n.cfg.View.Self
+	id := wire.MessageID{Source: self, Seq: s.seq}
 	s.n.deliver(id, payload)
-	s.broadcast(wire.Message{Type: wire.TypeData, From: s.n.cfg.Self, ID: id, Payload: payload})
+	s.n.cfg.Transport.Broadcast(wire.Message{Type: wire.TypeData, From: self, ID: id, Payload: payload})
 	return id
 }
 
@@ -43,7 +41,7 @@ func (s *Sender) StartSessions() {
 	}
 	var tick func()
 	tick = func() {
-		s.broadcast(wire.Message{Type: wire.TypeSession, From: s.n.cfg.Self, TopSeq: s.seq})
+		s.n.cfg.Transport.Broadcast(wire.Message{Type: wire.TypeSession, From: s.n.cfg.View.Self, TopSeq: s.seq})
 		s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, tick)
 	}
 	s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, tick)

@@ -1,9 +1,9 @@
 package rrmp
 
 import (
-	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -185,7 +185,9 @@ func TestUntracedFreshDataAllocs(t *testing.T) {
 // outside the measured window, since the episode itself is allocated.
 // MemStats also counts what the runtime allocates on other threads (a new
 // OS thread, a GC worker), so the collector is off and the guard takes the
-// least of three runs of cycles; a growing list allocates in every run.
+// median of three runs of cycles: such noise lands in one run, while a
+// structure that grows with the run (a sample list, a received bitset
+// that keeps its words) allocates in at least two of them.
 func TestLatencySamplesDoNotAllocate(t *testing.T) {
 	const warm, cycles, runs = 1024, 4096, 3
 	params := DefaultParams()
@@ -216,8 +218,8 @@ func TestLatencySamplesDoNotAllocate(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	mm := m.Metrics()
-	least := uint64(math.MaxUint64)
-	for range runs {
+	var perRun [runs]uint64
+	for run := range runs {
 		recovered, buffered := mm.RecoveryLatency.N(), mm.BufferingTime.N()
 		var bytes uint64
 		for range cycles {
@@ -229,10 +231,11 @@ func TestLatencySamplesDoNotAllocate(t *testing.T) {
 		if got := mm.BufferingTime.N() - buffered; got < cycles*9/10 {
 			t.Fatalf("%d evictions in %d cycles: the guard did not measure store→evict cycles", got, cycles)
 		}
-		least = min(least, bytes)
+		perRun[run] = bytes
 	}
-	if least != 0 {
-		t.Fatalf("%d cycles allocated at least %d B (%.2f B/cycle), want 0", cycles, least, float64(least)/cycles)
+	slices.Sort(perRun[:])
+	if median := perRun[runs/2]; median != 0 {
+		t.Fatalf("runs of %d cycles allocated %v B (median %.2f B/cycle), want 0", cycles, perRun, float64(median)/cycles)
 	}
 }
 

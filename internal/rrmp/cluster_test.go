@@ -46,7 +46,7 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint6
 		}
 		m := NewMember(Config{
 			View:      view,
-			Transport: c.tally.wrap(n, &NetTransport{Net: net, Self: n, Group: c.all}),
+			Transport: c.tally.wrap(n, &netsim.Endpoint{Net: net, Self: n, Group: c.all}),
 			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
 			Params:    params,

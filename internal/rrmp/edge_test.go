@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rng"
+	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -203,55 +203,6 @@ func TestPrefixAndMaxSeen(t *testing.T) {
 	}
 }
 
-// TestInOrderMarksKeepTwoWords pins the received set's size: a source
-// received in order keeps at most two bitset words, however many
-// sequences it sent, because each word the prefix covers is dropped.
-func TestInOrderMarksKeepTwoWords(t *testing.T) {
-	var st sourceState
-	for seq := uint64(1); seq <= 10000; seq++ {
-		st.mark(seq)
-		if len(st.bits) > 2 {
-			t.Fatalf("after %d in-order marks the bitset holds %d words", seq, len(st.bits))
-		}
-	}
-	if st.prefix != 10000 || !st.has(1) || !st.has(10000) || st.has(10001) {
-		t.Fatalf("prefix %d, has(1)=%v has(10000)=%v has(10001)=%v", st.prefix, st.has(1), st.has(10000), st.has(10001))
-	}
-}
-
-// TestSourceStateMatchesSet holds the received set to a plain set over
-// random mark orders: early firsts, gaps, late fills and duplicates.
-// After every mark, has agrees on every sequence and the prefix is the
-// largest k with 1..k all marked.
-func TestSourceStateMatchesSet(t *testing.T) {
-	r := rng.New(5)
-	for trial := range 200 {
-		var st sourceState
-		set := map[uint64]bool{}
-		span := uint64(1 + r.Intn(400))
-		for range 3 * span {
-			seq := 1 + uint64(r.Intn(int(span)))
-			if trial%4 == 0 && r.Intn(3) > 0 {
-				seq = min(span, st.prefix+1+uint64(r.Intn(3))) // mostly in order
-			}
-			st.mark(seq)
-			set[seq] = true
-			for q := uint64(1); q <= span+64; q++ {
-				if st.has(q) != set[q] {
-					t.Fatalf("trial %d: has(%d) = %v after marking %d, want %v", trial, q, st.has(q), seq, set[q])
-				}
-			}
-			k := uint64(0)
-			for set[k+1] {
-				k++
-			}
-			if st.prefix != k {
-				t.Fatalf("trial %d: prefix %d, want %d", trial, st.prefix, k)
-			}
-		}
-	}
-}
-
 func TestRegionalMulticastSkippedForSoleMember(t *testing.T) {
 	// A single-member region receiving a remote repair has nobody to
 	// re-multicast to; must not count a regional multicast.
@@ -291,7 +242,7 @@ func TestPolicyOverrideViaConfig(t *testing.T) {
 	c := newCluster(t, topo, DefaultParams(), 30, nil)
 	m := NewMember(Config{
 		View:      view,
-		Transport: &NetTransport{Net: c.net, Self: 1, Group: c.all},
+		Transport: &netsim.Endpoint{Net: c.net, Self: 1, Group: c.all},
 		Sched:     c.sim,
 		Rng:       c.members[1].cfg.Rng.Split(99),
 		Policy:    core.BufferAll{},

@@ -37,7 +37,7 @@ func (m *Member) InjectLongTerm(id wire.MessageID, payload []byte) {
 // where the message "has become idle" at every non-bufferer.
 func (m *Member) InjectDiscarded(id wire.MessageID) {
 	st := m.source(id.Source)
-	st.mark(id.Seq)
+	st.Mark(id.Seq)
 	if id.Seq > st.maxSeen {
 		st.maxSeen = id.Seq
 	}

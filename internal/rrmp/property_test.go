@@ -150,7 +150,7 @@ func newClusterQuiet(topo *topology.Topology, params Params, seed uint64, loss n
 		}
 		m := NewMember(Config{
 			View:      view,
-			Transport: &NetTransport{Net: net, Self: n, Group: c.all},
+			Transport: &netsim.Endpoint{Net: net, Self: n, Group: c.all},
 			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
 			Params:    params,

@@ -55,7 +55,7 @@ func (m *Member) noteTop(src topology.NodeID, top uint64) {
 		return
 	}
 	for seq := st.maxSeen + 1; seq <= top; seq++ {
-		if !st.has(seq) {
+		if !st.Has(seq) {
 			m.startRecovery(wire.MessageID{Source: src, Seq: seq}, false)
 		}
 	}
@@ -77,7 +77,7 @@ func (m *Member) StartRecovery(id wire.MessageID) {
 // startRecovery starts recovery, optionally marking the episode as a
 // post-crash re-recovery (Member.Recover sets rerecovery).
 func (m *Member) startRecovery(id wire.MessageID, rerecovery bool) {
-	if m.source(id.Source).has(id.Seq) {
+	if m.source(id.Source).Has(id.Seq) {
 		return
 	}
 	ms := m.msg(id)

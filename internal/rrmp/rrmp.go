@@ -112,80 +112,10 @@ type env struct {
 // sourceState tracks per-sender reception: the highest sequence observed
 // and the set of sequences ever received (which outlives buffer eviction —
 // "received but discarded" is a distinct protocol state, §3.3).
-//
-// The received set is the contiguous prefix plus a bitset over the
-// sequences past it, rather than a map: sequences are dense (senders count
-// 1, 2, 3, ...), so membership is one compare or one shift-and-mask, and
-// marking never hashes. mark advances the prefix as it closes and drops
-// the bitset's words below it, so a member that receives in order keeps at
-// most two words per source however long the run, and one with gaps keeps
-// the words from its oldest gap to its newest sequence. The prefix only
-// ever advances.
 type sourceState struct {
 	src     topology.NodeID
 	maxSeen uint64
-	// prefix is the largest k with every sequence in [1, k] received.
-	prefix uint64
-	// base is the first sequence the bitset covers (64-aligned; set at the
-	// first mark, lowered by a mark below it, raised past words the prefix
-	// covers); bit (seq-base) of bits[(seq-base)/64] is set iff seq was
-	// received. Every sequence from 1 to below base is within the prefix
-	// once base has been raised.
-	base   uint64
-	bits   []uint64
-	marked bool
-}
-
-// has reports whether seq was ever received. Sequences start at 1.
-func (st *sourceState) has(seq uint64) bool {
-	if seq-1 < st.prefix {
-		return true
-	}
-	if !st.marked || seq < st.base {
-		return false
-	}
-	i := seq - st.base
-	w := i >> 6
-	return w < uint64(len(st.bits)) && st.bits[w]&(1<<(i&63)) != 0
-}
-
-// mark records seq as received, then advances the prefix over it and what
-// it joins, and drops the words the prefix now covers.
-func (st *sourceState) mark(seq uint64) {
-	if seq-1 < st.prefix {
-		return
-	}
-	if !st.marked {
-		st.base = seq &^ 63
-		st.marked = true
-	}
-	if seq < st.base {
-		// A sequence below the first-ever mark's word (an early loss
-		// recovered late): prepend words so the bitset still covers it.
-		shift := (st.base - seq + 63) >> 6
-		grown := make([]uint64, uint64(len(st.bits))+shift)
-		copy(grown[shift:], st.bits)
-		st.bits = grown
-		st.base -= shift << 6
-	}
-	i := seq - st.base
-	for uint64(len(st.bits)) <= i>>6 {
-		st.bits = append(st.bits, 0)
-	}
-	st.bits[i>>6] |= 1 << (i & 63)
-	if seq != st.prefix+1 {
-		return
-	}
-	for st.has(st.prefix + 1) {
-		st.prefix++
-	}
-	// Words wholly at or below the prefix hold nothing has needs.
-	if drop := (st.prefix + 1 - st.base) >> 6; drop > 0 {
-		n := copy(st.bits, st.bits[drop:])
-		clear(st.bits[n:])
-		st.bits = st.bits[:n]
-		st.base += drop << 6
-	}
+	wire.SeqSet
 }
 
 // msgState is all a member keeps about one message while any of it is in
@@ -419,7 +349,7 @@ func (m *Member) Left() bool { return m.left }
 // (it may since have been discarded from the buffer).
 func (m *Member) HasReceived(id wire.MessageID) bool {
 	i, ok := m.findSource(id.Source)
-	return ok && m.sources[i].has(id.Seq)
+	return ok && m.sources[i].Has(id.Seq)
 }
 
 // Prefix returns the contiguous received prefix for src: the largest k such
@@ -430,7 +360,7 @@ func (m *Member) Prefix(src topology.NodeID) uint64 {
 	if !ok {
 		return 0
 	}
-	return m.sources[i].prefix
+	return m.sources[i].Prefix()
 }
 
 // findSource returns where src's reception state is, or belongs, in
@@ -535,7 +465,7 @@ func (m *Member) onRemoteRequest(from topology.NodeID, msg *wire.Message) {
 		return
 	}
 	st := m.source(id.Source)
-	if !st.has(id.Seq) {
+	if !st.Has(id.Seq) {
 		// Never received: remember the requester and relay on receipt.
 		m.addWaiter(id, from)
 		m.noteTop(id.Source, id.Seq)
@@ -568,7 +498,7 @@ func (m *Member) onRepair(from topology.NodeID, msg *wire.Message) {
 func (m *Member) onHandoff(_ topology.NodeID, msg *wire.Message) {
 	id := msg.ID
 	st := m.source(id.Source)
-	if !st.has(id.Seq) {
+	if !st.Has(id.Seq) {
 		// The transfer doubles as a delivery if we never had the message.
 		m.deliver(id, msg.Payload, msg.From)
 	}
@@ -581,11 +511,11 @@ func (m *Member) onHandoff(_ topology.NodeID, msg *wire.Message) {
 // returns false for duplicates.
 func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID) bool {
 	st := m.source(id.Source)
-	if st.has(id.Seq) {
+	if st.Has(id.Seq) {
 		m.metrics.Duplicates.Inc()
 		return false
 	}
-	st.mark(id.Seq)
+	st.Mark(id.Seq)
 	now := m.cfg.Sched.Now()
 
 	m.buf.Store(id, payload)
@@ -781,7 +711,7 @@ func (m *Member) Recover() {
 	// draws with messages, so it must be a function of the state alone.
 	for _, st := range m.sources {
 		for seq := uint64(1); seq <= st.maxSeen; seq++ {
-			if !st.has(seq) {
+			if !st.Has(seq) {
 				id := wire.MessageID{Source: st.src, Seq: seq}
 				if ms := m.msgs[id]; ms != nil && ms.unrecovered {
 					// A fresh retry budget: the message is back in

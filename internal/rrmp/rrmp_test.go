@@ -440,7 +440,7 @@ func TestHashElectPolicyRoutesSearchDirectly(t *testing.T) {
 		}
 		m := NewMember(Config{
 			View:      view,
-			Transport: tl.wrap(n, &NetTransport{Net: net, Self: n, Group: all}),
+			Transport: tl.wrap(n, &netsim.Endpoint{Net: net, Self: n, Group: all}),
 			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
 			Params:    params,
@@ -613,7 +613,7 @@ func TestNewMemberValidation(t *testing.T) {
 	topo := singleRegion(t, 2)
 	view, _ := topo.ViewOf(0)
 	s := sim.New()
-	base := Config{View: view, Transport: &NetTransport{}, Sched: s, Rng: rng.New(1)}
+	base := Config{View: view, Transport: &netsim.Endpoint{}, Sched: s, Rng: rng.New(1)}
 	for name, mutate := range map[string]func(Config) Config{
 		"nil transport": func(c Config) Config { c.Transport = nil; return c },
 		"nil sched":     func(c Config) Config { c.Sched = nil; return c },

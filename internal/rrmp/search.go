@@ -248,7 +248,7 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 		return
 	}
 	st := m.source(id.Source)
-	if !st.has(id.Seq) {
+	if !st.Has(id.Seq) {
 		// Footnote 4: a member that never received the message recovers it
 		// itself; the recorded waiter gets the relay on receipt.
 		m.addWaiter(id, origin)

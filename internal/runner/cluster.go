@@ -81,6 +81,11 @@ type Cluster struct {
 type deployment struct {
 	engine sim.Engine
 	net    *netsim.Network
+	// all lists every node. Node IDs are assigned region by region in
+	// ascending order (see topology.build), so the region-ordered member
+	// list is exactly the dense range [0, NumNodes), filled directly
+	// instead of copied one region at a time.
+	all []topology.NodeID
 	// clockOf returns the scheduler a node's protocol code runs against:
 	// the engine itself on one loop, the owning shard's clock otherwise.
 	clockOf func(topology.NodeID) clock.Scheduler
@@ -99,8 +104,12 @@ func newDeployment(cfg ClusterConfig) (*deployment, error) {
 		lat = netsim.HierLatency{Topo: cfg.Topo, IntraOneWay: IntraOneWay, InterOneWay: InterOneWay}
 	}
 	d := &deployment{
+		all:     make([]topology.NodeID, cfg.Topo.NumNodes()),
 		root:    rng.New(cfg.Seed),
 		sources: make([]rng.Source, cfg.Topo.NumNodes()),
+	}
+	for i := range d.all {
+		d.all[i] = topology.NodeID(i)
 	}
 	// A tracer is one sink fed in event order and a shared-stream loss
 	// model is one rng drawn in send order: either pins the run to one
@@ -162,23 +171,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Net:     net,
 		Topo:    cfg.Topo,
 		Members: make([]*rrmp.Member, cfg.Topo.NumNodes()),
+		All:     d.all,
 		Root:    d.root.Split(clusterRootStreamLabel),
 	}
-	// Node IDs are assigned region by region in ascending order (see
-	// topology.build), so the region-ordered member list is exactly the
-	// dense range [0, NumNodes) — fill it directly instead of copying one
-	// slice per region.
-	total := cfg.Topo.NumNodes()
-	c.All = make([]topology.NodeID, total)
-	for i := range c.All {
-		c.All[i] = topology.NodeID(i)
-	}
-	// Per-member wiring is the 1M-row setup hot path: transports and rng
+	// Per-member wiring is the 1M-row setup hot path: endpoints and rng
 	// streams come from two backing slices (zero allocations per member)
 	// and members register themselves as packet receivers, so none of the
 	// per-member closures, transport boxes, or split sources that used to
-	// dominate construction survive at scale.
-	transports := make([]rrmp.NetTransport, total)
+	// dominate construction survive at scale. NewTreeCluster wires its
+	// nodes the same way.
+	endpoints := make([]netsim.Endpoint, len(c.All))
 	// The failure detectors of a region share one free list of heartbeat
 	// tables. Regions are contiguous in c.All, and a shard runs whole
 	// regions, so the detectors sharing a list run on one event loop.
@@ -199,10 +201,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.Hooks != nil {
 			hooks = cfg.Hooks(n)
 		}
-		transports[n] = rrmp.NetTransport{Net: net, Self: n, Group: c.All}
+		endpoints[n] = netsim.Endpoint{Net: net, Self: n, Group: c.All}
 		m := rrmp.NewMember(rrmp.Config{
 			View:            view,
-			Transport:       &transports[n],
+			Transport:       &endpoints[n],
 			Sched:           d.clockOf(n),
 			Rng:             d.memberRng(n),
 			Params:          cfg.Params,

@@ -84,3 +84,37 @@ func TestNewClusterAllocsPerMember(t *testing.T) {
 	}
 	t.Logf("NewCluster: %.2f allocs and %.0f B per member (%d members)", allocs, bytes, topo.NumNodes())
 }
+
+// TestNewTreeClusterAllocsPerNode is TestNewClusterAllocsPerMember's twin
+// for the RMTP baseline: NewTreeCluster wires nodes as NewCluster wires
+// members (views, endpoints and rng streams from backing slices, nodes
+// registered as their own packet receivers, maps made on first write), so
+// a plain receiver costs its Node alone and the two repair servers of a
+// 1000-node chain are noise. The budget is 2 objects per node over the
+// measured 1.03; it was 10.07 objects and 2895 B per node while each node
+// made five maps, a Post method value and two closures up front and the
+// cluster copied every region's member list twice.
+func TestNewTreeClusterAllocsPerNode(t *testing.T) {
+	topo, err := topology.Chain(500, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := NewTreeCluster(TreeClusterConfig{Topo: topo, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	nodes := float64(runs * topo.NumNodes())
+	allocs := float64(after.Mallocs-before.Mallocs) / nodes
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / nodes
+	const allocBudget = 2.0
+	if allocs > allocBudget {
+		t.Errorf("NewTreeCluster allocates %.2f objects/node; budget %.0f/node", allocs, allocBudget)
+	}
+	t.Logf("NewTreeCluster: %.2f allocs and %.0f B per node (%d nodes)", allocs, bytes, topo.NumNodes())
+}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/rmtp"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/wire"
 )
 
 // TreeClusterConfig describes an RMTP-baseline deployment.
@@ -78,7 +77,9 @@ func (c *TreeCluster) Recover(victim topology.NodeID) {
 }
 
 // NewTreeCluster builds the RMTP baseline deployment used by ablation A2
-// and the comparison benches.
+// and the comparison benches. Nodes are wired as NewCluster wires members:
+// a view each, endpoints and rng streams from backing slices, and the node
+// itself registered as its packet receiver.
 func NewTreeCluster(cfg TreeClusterConfig) (*TreeCluster, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("runner: TreeClusterConfig.Topo is required")
@@ -92,41 +93,31 @@ func NewTreeCluster(cfg TreeClusterConfig) (*TreeCluster, error) {
 	}
 	net := d.net
 
-	c := &TreeCluster{Engine: d.engine, Net: net, Topo: topo, Nodes: make([]*rmtp.Node, topo.NumNodes())}
-	serverOf := func(r topology.RegionID) topology.NodeID { return topo.MemberAt(r, 0) }
-	childServers := make(map[topology.RegionID][]topology.NodeID)
-	for r := 0; r < topo.NumRegions(); r++ {
+	c := &TreeCluster{Engine: d.engine, Net: net, Topo: topo, Nodes: make([]*rmtp.Node, len(d.all)), All: d.all}
+	childServers := make([][]topology.NodeID, topo.NumRegions())
+	for r := range childServers {
 		if p := topo.Parent(topology.RegionID(r)); p != topology.NoRegion {
-			childServers[p] = append(childServers[p], serverOf(topology.RegionID(r)))
+			childServers[p] = append(childServers[p], topo.MemberAt(topology.RegionID(r), 0))
 		}
 	}
-	for r := 0; r < topo.NumRegions(); r++ {
-		rid := topology.RegionID(r)
-		parentServer := topology.NoNode
-		if p := topo.Parent(rid); p != topology.NoRegion {
-			parentServer = serverOf(p)
+	endpoints := make([]netsim.Endpoint, len(c.All))
+	for _, n := range c.All {
+		view, err := topo.ViewOf(n)
+		if err != nil {
+			return nil, fmt.Errorf("runner: view of node %d: %w", n, err)
 		}
-		for _, node := range topo.Members(rid) {
-			node := node
-			n := rmtp.New(rmtp.Config{
-				Self:          node,
-				Server:        serverOf(rid),
-				ParentServer:  parentServer,
-				RegionMembers: topo.Members(rid),
-				ChildServers:  childServers[rid],
-				Send:          func(to topology.NodeID, msg wire.Message) { net.Unicast(node, to, msg) },
-				Sched:         d.clockOf(node),
-				Rng:           d.memberRng(node),
-				Params:        cfg.Params,
-			})
-			c.Nodes[node] = n
-			c.All = append(c.All, node)
-			net.Register(node, func(p netsim.Packet) { n.Receive(p.From, p.Msg) })
-		}
+		endpoints[n] = netsim.Endpoint{Net: net, Self: n, Group: c.All}
+		node := rmtp.New(rmtp.Config{
+			View:         view,
+			ChildServers: childServers[topo.RegionOf(n)],
+			Transport:    &endpoints[n],
+			Sched:        d.clockOf(n),
+			Rng:          d.memberRng(n),
+			Params:       cfg.Params,
+		})
+		c.Nodes[n] = node
+		net.RegisterReceiver(n, node)
 	}
-	rootNode := c.Nodes[serverOf(0)]
-	c.Sender = rmtp.NewSender(rootNode, func(msg wire.Message) {
-		net.Multicast(topo.Sender(), c.All, msg)
-	})
+	c.Sender = rmtp.NewSender(c.Nodes[topo.Sender()])
 	return c, nil
 }

@@ -162,9 +162,6 @@ func (e *Sharded) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32,
 // the barrier clock.
 func (e *Sharded) At(at time.Duration, fn func()) clock.Timer { return e.global.At(at, fn) }
 
-// Post schedules fn like After without a cancellation handle.
-func (e *Sharded) Post(d time.Duration, fn func()) { e.global.Post(d, fn) }
-
 // PostFrom schedules fn to run d after the sending context's clock, on the
 // shard owning node to: PostN's one-firing case.
 func (e *Sharded) PostFrom(from, to int32, d time.Duration, fn func()) { e.PostN(from, to, d, 1, fn) }
