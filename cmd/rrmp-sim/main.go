@@ -69,6 +69,13 @@
 // traced run takes one event loop whatever -shards says, so the trace is
 // a pure function of the seed; its metrics are the untraced run's.
 //
+// -shards N region-shards each trial's event loop, for either protocol,
+// and never changes a report byte. A cell whose loss is the legacy shared
+// stream runs on one loop instead; runner.ExecNote says so, in the
+// report's exec_note or on a single run's stderr:
+//
+//	rrmp-sim -protocol rmtp -tree 8,4,10000 -loss 0.05 -loss-mode hash -shards 4
+//
 // Policies come from the central registry: -policy accepts any registered
 // kind or alias, optionally parameterized, and -list-policies prints the
 // roster with parameter defaults. The uncustomized -sweep also appends the
@@ -107,7 +114,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/runner"
 	"repro/internal/trace"
@@ -664,16 +670,10 @@ func runSingle(w io.Writer, a sweepArgs) error {
 	}
 	// -shards never changes the metrics, but say when it cannot apply
 	// instead of letting the flag look like a no-op.
-	if a.sw.Shards > 1 {
-		if tracer != nil {
-			fmt.Fprintf(os.Stderr, "rrmp-sim: a traced run is serial, so the trace is a pure function of the seed; -shards %d ignored\n", a.sw.Shards)
-		} else {
-			// A malformed loss spec is the run's error to report, below.
-			loss, _ := runner.ScenarioLoss(sc, a.seed, 0)
-			if reason := netsim.ShardSafe(loss); reason != nil {
-				fmt.Fprintf(os.Stderr, "rrmp-sim: -shards %d ignored: %v; use -loss-mode hash for shard-safe loss\n", a.sw.Shards, reason)
-			}
-		}
+	if a.sw.Shards > 1 && tracer != nil {
+		fmt.Fprintf(os.Stderr, "rrmp-sim: a traced run is serial, so the trace is a pure function of the seed; -shards %d ignored\n", a.sw.Shards)
+	} else if note := runner.ExecNote(a.sw); note != "" {
+		fmt.Fprintln(os.Stderr, "rrmp-sim:", note)
 	}
 
 	m, err := runner.RunScenarioWith(sc, a.seed, timeline, tracer)

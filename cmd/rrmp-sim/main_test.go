@@ -281,14 +281,17 @@ func TestSweepReportMatchesGolden(t *testing.T) {
 // its bytes are identical at -parallel 1 and 8, and its cells are
 // identical at -shards 1 and 2. Only exec_note may differ across widths:
 // the scale matrix's legacy-loss cells fall back to serial under -shards,
-// and the report must say so.
+// and the report must say so. A -loss-mode hash tree runs two lanes, so
+// its cells prove the width contract on real windows, and it carries no
+// note at either width.
 func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 	dir := t.TempDir()
-	report := func(parallel, shards int) ([]byte, exp.Report) {
+	report := func(parallel, shards int, extra ...string) ([]byte, exp.Report) {
 		t.Helper()
 		out := filepath.Join(dir, "scale.json")
-		if err := runSweep(parse(t, "-sweep-scale", "-tree", "4:2:120;4:3:150", "-trials", "2",
-			"-parallel", fmt.Sprint(parallel), "-shards", fmt.Sprint(shards), "-seed", "1", "-out", out)); err != nil {
+		line := append([]string{"-sweep-scale", "-tree", "4:2:120;4:3:150", "-trials", "2",
+			"-parallel", fmt.Sprint(parallel), "-shards", fmt.Sprint(shards), "-seed", "1", "-out", out}, extra...)
+		if err := runSweep(parse(t, line...)); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := os.ReadFile(out)
@@ -304,6 +307,20 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 		}
 		return blob, rep
 	}
+	sameCells := func(what string, a, b exp.Report) {
+		t.Helper()
+		x, err := json.Marshal(a.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := json.Marshal(b.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(x, y) {
+			t.Fatalf("%s scale cells differ between -shards 1 and -shards 2", what)
+		}
+	}
 
 	serial, serialRep := report(1, 1)
 	if wide, _ := report(8, 1); !bytes.Equal(serial, wide) {
@@ -314,17 +331,15 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 		t.Fatalf("exec_note %q at -shards 1 and %q at -shards 2; want it only where cells fall back to serial",
 			serialRep.ExecNote, sharded.ExecNote)
 	}
-	a, err := json.Marshal(serialRep.Cells)
-	if err != nil {
-		t.Fatal(err)
+	sameCells("legacy-loss", serialRep, sharded)
+
+	_, hashSerial := report(8, 1, "-loss-mode", "hash")
+	_, hashSharded := report(8, 2, "-loss-mode", "hash")
+	if hashSerial.ExecNote != "" || hashSharded.ExecNote != "" {
+		t.Fatalf("hash-loss exec_note %q at -shards 1 and %q at -shards 2; no cell falls back",
+			hashSerial.ExecNote, hashSharded.ExecNote)
 	}
-	b, err := json.Marshal(sharded.Cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("scale cells differ between -shards 1 and -shards 2")
-	}
+	sameCells("hash-loss", hashSerial, hashSharded)
 }
 
 // TestCommittedRecordsAreSweepReports decodes both committed records
@@ -1003,50 +1018,53 @@ func captureStderr(t *testing.T, fn func()) string {
 
 // TestShardsFallbackQuotesTheRule pins that the two places a user learns
 // -shards could not apply — the single run's stderr warning and a sweep
-// report's exec_note — both state netsim.ShardSafe's own reason, and that
-// neither speaks when the loss model is shard-safe.
+// report's exec_note — both state netsim.ShardSafe's own reason for
+// either protocol, and that neither speaks when the loss model is
+// shard-safe.
 func TestShardsFallbackQuotesTheRule(t *testing.T) {
 	reason := netsim.ShardSafe(&netsim.BernoulliLoss{}).Error()
 
-	single := []string{"-regions", "6,6", "-loss", "0.2", "-msgs", "5", "-horizon", "2s", "-shards", "4"}
-	run := func(line ...string) string {
-		a := parse(t, line...)
-		return captureStderr(t, func() {
-			if err := runSingle(io.Discard, a); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	if got := run(single...); !strings.Contains(got, reason) || !strings.Contains(got, "-shards 4") {
-		t.Fatalf("legacy-loss -shards 4 warning %q does not state the rule %q", got, reason)
-	}
-	if got := run(append(single, "-loss-mode", "hash")...); got != "" {
-		t.Fatalf("hash-loss -shards 4 run warned: %q", got)
-	}
+	for _, proto := range []string{"rrmp", "rmtp"} {
+		single := []string{"-protocol", proto, "-regions", "6,6", "-loss", "0.2", "-msgs", "5", "-horizon", "2s", "-shards", "4"}
+		run := func(line ...string) string {
+			a := parse(t, line...)
+			return captureStderr(t, func() {
+				if err := runSingle(io.Discard, a); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		if got := run(single...); !strings.Contains(got, reason) || !strings.Contains(got, "shards=4") {
+			t.Fatalf("%s legacy-loss -shards 4 warning %q does not state the rule %q", proto, got, reason)
+		}
+		if got := run(append(single, "-loss-mode", "hash")...); got != "" {
+			t.Fatalf("%s hash-loss -shards 4 run warned: %q", proto, got)
+		}
 
-	note := func(lossMode string) string {
-		out := filepath.Join(t.TempDir(), "sweep.json")
-		if err := runSweep(parse(t, "-sweep", "-regions", "6,6", "-loss", "0.2", "-churn", "0",
-			"-policy", "two-phase", "-payload", "0", "-budget", "0", "-protocol", "rrmp",
-			"-loss-mode", lossMode, "-msgs", "5", "-horizon", "2s",
-			"-parallel", "1", "-shards", "4", "-out", out)); err != nil {
-			t.Fatal(err)
+		note := func(lossMode string) string {
+			out := filepath.Join(t.TempDir(), "sweep.json")
+			if err := runSweep(parse(t, "-sweep", "-regions", "6,6", "-loss", "0.2", "-churn", "0",
+				"-policy", "two-phase", "-payload", "0", "-budget", "0", "-protocol", proto,
+				"-loss-mode", lossMode, "-msgs", "5", "-horizon", "2s",
+				"-parallel", "1", "-shards", "4", "-out", out)); err != nil {
+				t.Fatal(err)
+			}
+			blob, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep exp.Report
+			if err := json.Unmarshal(blob, &rep); err != nil {
+				t.Fatal(err)
+			}
+			return rep.ExecNote
 		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
+		if got := note(""); !strings.Contains(got, reason) {
+			t.Fatalf("%s exec_note %q does not state the rule %q", proto, got, reason)
 		}
-		var rep exp.Report
-		if err := json.Unmarshal(blob, &rep); err != nil {
-			t.Fatal(err)
+		if got := note("hash"); got != "" {
+			t.Fatalf("%s hash-loss sweep carries an exec note: %q", proto, got)
 		}
-		return rep.ExecNote
-	}
-	if got := note(""); !strings.Contains(got, reason) {
-		t.Fatalf("exec_note %q does not state the rule %q", got, reason)
-	}
-	if got := note("hash"); got != "" {
-		t.Fatalf("hash-loss sweep carries an exec note: %q", got)
 	}
 }
 

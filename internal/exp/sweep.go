@@ -699,11 +699,12 @@ type Report struct {
 	Schema   string `json:"schema"`
 	BaseSeed uint64 `json:"base_seed"`
 	Trials   int    `json:"trials"`
-	// ExecNote records execution-only caveats — cells that ignored the
-	// requested -shards width and ran serial (legacy-stream loss, rmtp).
-	// Empty (and omitted, so default-shards reports keep their bytes)
-	// unless shards were requested and some cell fell back. Execution
-	// metadata, not cell identity: aggregates are unaffected either way.
+	// ExecNote records execution-only caveats — cells of either protocol
+	// that ignored the requested -shards width and ran serial because
+	// their loss is shared-stream (runner.ExecNote writes it). Empty (and
+	// omitted, so default-shards reports keep their bytes) unless shards
+	// were requested and some cell fell back. Execution metadata, not cell
+	// identity: aggregates are unaffected either way.
 	ExecNote string `json:"exec_note,omitempty"`
 	Cells    []Cell `json:"cells"`
 }

@@ -220,6 +220,20 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// Crash fails a member ungracefully and cuts its network: its timers
+// stop, no handoff happens, and its protocol state survives for Recover.
+func (c *Cluster) Crash(victim topology.NodeID) {
+	c.Members[victim].Crash()
+	c.Net.SetDown(victim, true)
+}
+
+// Recover reconnects a crashed member and re-runs recovery for every gap
+// it knew about; see rrmp.Member.Recover.
+func (c *Cluster) Recover(victim topology.NodeID) {
+	c.Net.SetDown(victim, false)
+	c.Members[victim].Recover()
+}
+
 // CountReceived returns how many members have ever received id.
 func (c *Cluster) CountReceived(id wire.MessageID) int {
 	count := 0

@@ -100,16 +100,10 @@ func newRRMPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss n
 		publish: func(client int, payload []byte) wire.MessageID {
 			return senders[client].Publish(payload)
 		},
-		excused: func(n topology.NodeID) bool { return c.Members[n].Left() || c.Members[n].Crashed() },
-		leave:   func(v topology.NodeID) { c.Members[v].Leave() },
-		crash: func(v topology.NodeID) {
-			c.Members[v].Crash()
-			c.Net.SetDown(v, true)
-		},
-		recover: func(v topology.NodeID) {
-			c.Net.SetDown(v, false)
-			c.Members[v].Recover()
-		},
+		excused:  func(n topology.NodeID) bool { return c.Members[n].Left() || c.Members[n].Crashed() },
+		leave:    func(v topology.NodeID) { c.Members[v].Leave() },
+		crash:    c.Crash,
+		recover:  c.Recover,
 		received: func(n topology.NodeID, id wire.MessageID) bool { return c.Members[n].HasReceived(id) },
 		totals:   c.Totals,
 		collect: func(out map[string]float64, t *Totals) {

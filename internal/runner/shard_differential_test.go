@@ -67,8 +67,8 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 	}{
 		{
 			// The pinned-golden miniature (regions 8 and 6,6 across every
-			// legacy fault axis, both protocols): ~96 cells. Lossy rrmp
-			// cells take the serial fallback; rmtp always runs serial.
+			// legacy fault axis, both protocols): ~96 cells. Lossy cells
+			// of either protocol take the serial fallback.
 			name: "golden-miniature",
 			sw: func() exp.Sweep {
 				sw := exp.DefaultSweep()
@@ -79,18 +79,20 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 			}(),
 		},
 		{
-			// Hash-mode loss runs lossy cells genuinely parallel: the
-			// per-sender counter hash makes drop decisions shard-local.
+			// Hash-mode loss runs lossy cells of both protocols genuinely
+			// parallel: the per-sender counter hash makes drop decisions
+			// shard-local.
 			name: "hash-loss",
 			sw: exp.Sweep{
-				Regions:  [][]int{{8}, {6, 6}},
-				Losses:   []float64{0.05, 0.2},
-				LossMode: "hash",
-				Churns:   []float64{0, 1},
-				Crashes:  []float64{0, 1},
-				Policies: []string{"two-phase"},
-				Msgs:     12,
-				Horizon:  3 * time.Second,
+				Protocols: []string{"rrmp", "rmtp"},
+				Regions:   [][]int{{8}, {6, 6}},
+				Losses:    []float64{0.05, 0.2},
+				LossMode:  "hash",
+				Churns:    []float64{0, 1},
+				Crashes:   []float64{0, 1},
+				Policies:  []string{"two-phase"},
+				Msgs:      12,
+				Horizon:   3 * time.Second,
 			},
 		},
 		{
@@ -100,14 +102,15 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 			// hold byte-identity through real parallel windows too.
 			name: "burst-hash",
 			sw: exp.Sweep{
-				Regions:  [][]int{{8}, {6, 6}},
-				Losses:   []float64{0.05, 0.2},
-				LossMode: "hash",
-				Burst:    true,
-				Churns:   []float64{0, 1},
-				Policies: []string{"two-phase"},
-				Msgs:     12,
-				Horizon:  3 * time.Second,
+				Protocols: []string{"rrmp", "rmtp"},
+				Regions:   [][]int{{8}, {6, 6}},
+				Losses:    []float64{0.05, 0.2},
+				LossMode:  "hash",
+				Burst:     true,
+				Churns:    []float64{0, 1},
+				Policies:  []string{"two-phase"},
+				Msgs:      12,
+				Horizon:   3 * time.Second,
 			},
 		},
 		{
@@ -116,6 +119,7 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 			// eviction all run through real parallel windows.
 			name: "faults-budget",
 			sw: exp.Sweep{
+				Protocols:    []string{"rrmp", "rmtp"},
 				Regions:      [][]int{{6, 6}},
 				Losses:       []float64{0},
 				Churns:       []float64{0, 1},

@@ -86,3 +86,59 @@ func TestSharedStreamLossKeepsOneLoop(t *testing.T) {
 // wrappedLoss is a caller-side LossModel wrapper (bench/ instruments loss
 // models this way).
 type wrappedLoss struct{ netsim.LossModel }
+
+// TestEngineChoiceIsOneRule pins that both cluster types take their engine
+// from newDeployment's one rule: at Shards: 2, a lossless or hash-loss
+// cluster of either protocol runs two lanes, and a shared-stream loss
+// keeps it on one loop. Chain(6, 6) has two regions, so two distinct lane
+// clocks mean exactly two lanes.
+func TestEngineChoiceIsOneRule(t *testing.T) {
+	topo, err := topology.Chain(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builders := map[string]func(netsim.LossModel) (sim.Engine, error){
+		"rrmp": func(loss netsim.LossModel) (sim.Engine, error) {
+			c, err := NewCluster(ClusterConfig{Topo: topo, Seed: 5, Loss: loss, Shards: 2})
+			if err != nil {
+				return nil, err
+			}
+			return c.Engine, nil
+		},
+		"rmtp": func(loss netsim.LossModel) (sim.Engine, error) {
+			c, err := NewTreeCluster(TreeClusterConfig{Topo: topo, Seed: 5, Loss: loss, Shards: 2})
+			if err != nil {
+				return nil, err
+			}
+			return c.Engine, nil
+		},
+	}
+	losses := []struct {
+		name    string
+		loss    func() netsim.LossModel
+		sharded bool
+	}{
+		{"lossless", func() netsim.LossModel { return nil }, true},
+		{"hash", func() netsim.LossModel { return netsim.NewHashLoss(9, 0.2, topo.NumNodes(), nil) }, true},
+		{"bernoulli", func() netsim.LossModel { return &netsim.BernoulliLoss{P: 0.2, Rng: rng.New(9)} }, false},
+	}
+	for proto, build := range builders {
+		for _, l := range losses {
+			engine, err := build(l.loss())
+			if err != nil {
+				t.Fatalf("%s/%s: %v", proto, l.name, err)
+			}
+			sharded, ok := engine.(*sim.Sharded)
+			switch {
+			case !l.sharded:
+				if _, ok := engine.(*sim.Sim); !ok {
+					t.Errorf("%s/%s at Shards: 2 runs %T, want *sim.Sim", proto, l.name, engine)
+				}
+			case !ok:
+				t.Errorf("%s/%s at Shards: 2 runs %T, want *sim.Sharded", proto, l.name, engine)
+			case sharded.Clock(0) == sharded.Clock(1):
+				t.Errorf("%s/%s at Shards: 2 runs one lane", proto, l.name)
+			}
+		}
+	}
+}

@@ -451,29 +451,24 @@ func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline, trace
 	return out, nil
 }
 
-// execNotes summarizes the cells that cannot honor a requested -shards
-// width — their loss model is not shard-safe (netsim.ShardSafe, whose
-// reason the note quotes), or they are rmtp cells: instead of failing or
-// silently lying about the execution, the report carries a top-level note.
-// The note is execution metadata — it never appears at the default width,
-// so the committed default-shards reports keep their bytes.
-func execNotes(sweeps []exp.Sweep) string {
-	shards, pinned, rmtp, total := 0, 0, 0, 0
+// ExecNote is the one statement of which cells cannot honor a requested
+// Shards width: those whose loss model is not shard-safe
+// (netsim.ShardSafe, whose reason the note quotes) run on one event loop.
+// RunSweeps writes it into the report and rrmp-sim's single run prints it,
+// so a fallback is said, never silent. The note is execution metadata: it
+// is empty at the default width, so the committed default-shards reports
+// keep their bytes.
+func ExecNote(sweeps ...exp.Sweep) string {
+	shards, pinned, total := 0, 0, 0
 	var why error
 	for _, sw := range sweeps {
-		if sw.Shards > shards {
-			shards = sw.Shards
-		}
+		shards = max(shards, sw.Shards)
 		cells := sw.Expand()
 		total += len(cells)
 		if sw.Shards <= 1 {
 			continue
 		}
 		for _, sc := range cells {
-			if sc.Protocol == "rmtp" {
-				rmtp++
-				continue
-			}
 			// A malformed loss spec fails its own cell; it is no fallback.
 			loss, _ := ScenarioLoss(sc, 0, 0)
 			if reason := netsim.ShardSafe(loss); reason != nil {
@@ -481,17 +476,9 @@ func execNotes(sweeps []exp.Sweep) string {
 			}
 		}
 	}
-	if shards <= 1 || (pinned == 0 && rmtp == 0) {
+	if pinned == 0 {
 		return ""
 	}
-	note := fmt.Sprintf("shards=%d requested; %d of %d cells ran serial (", shards, pinned+rmtp, total)
-	sep := ""
-	if pinned > 0 {
-		note += fmt.Sprintf("%d: %v — use LossMode \"hash\" for shard-safe loss", pinned, why)
-		sep = "; "
-	}
-	if rmtp > 0 {
-		note += fmt.Sprintf("%s%d rmtp — the serial baseline never shards", sep, rmtp)
-	}
-	return note + "); aggregates are byte-identical either way"
+	return fmt.Sprintf("shards=%d requested; %d of %d cells ran serial (%v — use LossMode \"hash\" for shard-safe loss); aggregates are byte-identical either way",
+		shards, pinned, total, why)
 }

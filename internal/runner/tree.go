@@ -20,6 +20,9 @@ type TreeClusterConfig struct {
 	Seed uint64
 	// Loss is the network loss model (nil = lossless).
 	Loss netsim.LossModel
+	// Shards is ClusterConfig.Shards: newDeployment decides the engine
+	// for both protocols by the same rule.
+	Shards int
 }
 
 // TreeCluster is a fully wired tree-protocol deployment.
@@ -85,9 +88,7 @@ func NewTreeCluster(cfg TreeClusterConfig) (*TreeCluster, error) {
 		return nil, fmt.Errorf("runner: TreeClusterConfig.Topo is required")
 	}
 	topo := cfg.Topo
-	// The baseline asks for one event loop: it exists as a reference, not
-	// a scale target.
-	d, err := newDeployment(ClusterConfig{Topo: topo, Seed: cfg.Seed, Loss: cfg.Loss})
+	d, err := newDeployment(ClusterConfig{Topo: topo, Seed: cfg.Seed, Loss: cfg.Loss, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}

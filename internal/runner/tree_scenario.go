@@ -42,13 +42,12 @@ func newRMTPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss n
 		return protocolDriver{}, fmt.Errorf("runner: the rmtp baseline has no tracer hook")
 	}
 
-	// The rmtp baseline always runs one event loop (Scenario.Shards is
-	// ignored here, see NewTreeCluster).
 	c, err := NewTreeCluster(TreeClusterConfig{
 		Topo:   topo,
 		Params: rmtp.Params{ByteBudget: sc.ByteBudget},
 		Seed:   seed,
 		Loss:   loss,
+		Shards: sc.Shards,
 	})
 	if err != nil {
 		return protocolDriver{}, fmt.Errorf("runner: scenario tree cluster: %w", err)

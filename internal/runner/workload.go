@@ -156,6 +156,6 @@ func RunSweeps(o exp.Options, sweeps ...exp.Sweep) (exp.Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	rep.ExecNote = execNotes(sweeps)
+	rep.ExecNote = ExecNote(sweeps...)
 	return rep, nil
 }

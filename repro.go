@@ -228,18 +228,12 @@ func (g *Group) TotalBytesSent() int64 { return g.cluster.Net.Stats().TotalBytes
 // Crash fails a member ungracefully: its timers stop, no handoff happens,
 // and its traffic is dropped from now on. Protocol state survives for a
 // later Recover.
-func (g *Group) Crash(id NodeID) {
-	g.cluster.Members[id].Crash()
-	g.cluster.Net.SetDown(id, true)
-}
+func (g *Group) Crash(id NodeID) { g.cluster.Crash(id) }
 
 // Recover brings a crashed member back: its network reconnects and it
 // re-runs recovery for every gap it knew about before (and learns about
 // newer losses from the next session message).
-func (g *Group) Recover(id NodeID) {
-	g.cluster.Net.SetDown(id, false)
-	g.cluster.Members[id].Recover()
-}
+func (g *Group) Recover(id NodeID) { g.cluster.Recover(id) }
 
 // Partition splits the group into two halves — along region boundaries
 // when there are multiple regions, otherwise down the middle of the
