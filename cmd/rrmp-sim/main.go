@@ -65,14 +65,13 @@
 //
 // Single-run protocol-event traces stream to stderr with -trace and/or to
 // a file with -trace-out, for any rrmp cell including -workload ones (both
-// flags reject multi-cell/multi-trial runs and -protocol rmtp loudly). A
-// traced run takes one event loop whatever -shards says, so the trace is
-// a pure function of the seed; its metrics are the untraced run's.
+// flags reject multi-cell/multi-trial runs and -protocol rmtp loudly). The
+// trace is a pure function of the seed; its metrics are the untraced run's.
 //
 // -shards N region-shards each trial's event loop, for either protocol,
-// and never changes a report byte. A cell whose loss is the legacy shared
-// stream runs on one loop instead; runner.ExecNote says so, in the
-// report's exec_note or on a single run's stderr:
+// and never changes a report byte. A cell the runner keeps on one loop (a
+// traced run, legacy shared-stream loss, one region) is said, with its
+// reason, in the report's exec_note or on a single run's stderr:
 //
 //	rrmp-sim -protocol rmtp -tree 8,4,10000 -loss 0.05 -loss-mode hash -shards 4
 //
@@ -247,7 +246,7 @@ var scenarioFlags = []scenarioFlag{
 		set: func(sw *exp.Sweep, v string) (err error) { sw.Protocols, err = list(v, ",", text); return }},
 	{name: "policy", usage: "buffering policy specs, ';'-separated: two-phase, 'two-phase;fixed:hold=200ms', adaptive:tmin=20ms,tmax=200ms,target=2 (rrmp only; rmtp cells always run the repair-server discipline; see -list-policies) (default two-phase; -sweep: two-phase;fixed)",
 		set: func(sw *exp.Sweep, v string) (err error) { sw.Policies, err = list(v, ";", text); return }},
-	{name: "hold", usage: "retention for -policy fixed (default 500ms)",
+	{name: "hold", usage: "retention for -policy fixed (default " + policy.DefaultFixedHold.String() + ")",
 		set: func(sw *exp.Sweep, v string) (err error) { sw.FixedHold, err = nonZero(time.ParseDuration)(v); return }},
 	{name: "horizon", usage: "virtual run time (default 5s)",
 		set: func(sw *exp.Sweep, v string) (err error) { sw.Horizon, err = nonZero(time.ParseDuration)(v); return }},
@@ -285,7 +284,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 		a.seed, err = strconv.ParseUint(v, 10, 64)
 		return
 	})
-	fs.BoolVar(&a.doTrace, "trace", false, "stream protocol events to stderr (single rrmp cell × one trial only; a traced run is serial whatever -shards says)")
+	fs.BoolVar(&a.doTrace, "trace", false, "stream protocol events to stderr (single rrmp cell × one trial only)")
 	fs.StringVar(&a.traceOut, "trace-out", "", "write protocol events to this file instead of stderr (single rrmp cell × one trial only)")
 	fs.StringVar(&a.traceRecord, "trace-record", "", "write the materialized publish timeline to this file as rrmp-trace/v1 (single -workload cell × one trial only)")
 	fs.StringVar(&a.traceReplay, "trace-replay", "", "drive the run from a recorded rrmp-trace/v1 file instead of generating the timeline (single -workload cell × one trial only)")
@@ -294,7 +293,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 	fs.BoolVar(&a.sweepScale, "sweep-scale", false, "start from the scale matrix (members×depth balanced trees) instead of the one-cell defaults")
 	fs.IntVar(&a.trials, "trials", 1, "independently seeded trials per scenario cell")
 	fs.IntVar(&a.parallel, "parallel", 0, "worker pool size for trials (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "region-sharded event loops per trial (1 = serial; aggregates are byte-identical at any width)")
+	shards := fs.Int("shards", 1, "region-sharded event loops per trial (1 = serial; a cell that cannot split says why on stderr or in exec_note; aggregates are byte-identical at any width)")
 	fs.BoolVar(&a.json, "json", false, "print the report as JSON instead of a table")
 	fs.Func("out", "also write the report JSON here (default BENCH_sweep.json / BENCH_scale.json for an uncustomized -sweep / -sweep-scale; empty = don't)", func(v string) error {
 		a.outPath, a.outSet = v, true
@@ -322,7 +321,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 		// these two bases: BENCH_sweep.json's cells serialize c 6 and
 		// lambda 1. The scale matrix never carried them, and
 		// BENCH_scale.json's cells keep their bytes.
-		a.sw.C, a.sw.Lambda, a.sw.FixedHold = 6, 1, 500*time.Millisecond
+		a.sw.C, a.sw.Lambda, a.sw.FixedHold = 6, 1, policy.DefaultFixedHold
 		a.sw.Msgs, a.sw.Gap, a.sw.Horizon = 20, 20*time.Millisecond, 5*time.Second
 	}
 	for _, g := range given {
@@ -670,9 +669,7 @@ func runSingle(w io.Writer, a sweepArgs) error {
 	}
 	// -shards never changes the metrics, but say when it cannot apply
 	// instead of letting the flag look like a no-op.
-	if a.sw.Shards > 1 && tracer != nil {
-		fmt.Fprintf(os.Stderr, "rrmp-sim: a traced run is serial, so the trace is a pure function of the seed; -shards %d ignored\n", a.sw.Shards)
-	} else if note := runner.ExecNote(a.sw); note != "" {
+	if note := runner.ExecNote(tracer, a.sw); note != "" {
 		fmt.Fprintln(os.Stderr, "rrmp-sim:", note)
 	}
 

@@ -1017,33 +1017,52 @@ func captureStderr(t *testing.T, fn func()) string {
 }
 
 // TestShardsFallbackQuotesTheRule pins that the two places a user learns
-// -shards could not apply — the single run's stderr warning and a sweep
-// report's exec_note — both state netsim.ShardSafe's own reason for
-// either protocol, and that neither speaks when the loss model is
-// shard-safe.
+// -shards could not apply — the single run's stderr line and a sweep
+// report's exec_note — name the runner's reason for either protocol: legacy
+// loss quotes netsim.ShardSafe's own reason, a one-region cell says it has
+// one region, a traced run (rrmp only) says it is traced. Neither speaks
+// for a two-region hash-loss cell, which gets its lanes.
 func TestShardsFallbackQuotesTheRule(t *testing.T) {
+	const oneRegion, traced = "the group has one region", "a traced run keeps one loop"
 	reason := netsim.ShardSafe(&netsim.BernoulliLoss{}).Error()
 
 	for _, proto := range []string{"rrmp", "rmtp"} {
-		single := []string{"-protocol", proto, "-regions", "6,6", "-loss", "0.2", "-msgs", "5", "-horizon", "2s", "-shards", "4"}
-		run := func(line ...string) string {
-			a := parse(t, line...)
+		run := func(regions, lossMode string, extra ...string) string {
+			a := parse(t, append([]string{"-protocol", proto, "-regions", regions, "-loss", "0.2", "-loss-mode", lossMode,
+				"-msgs", "5", "-horizon", "2s", "-shards", "4"}, extra...)...)
 			return captureStderr(t, func() {
 				if err := runSingle(io.Discard, a); err != nil {
 					t.Error(err)
 				}
 			})
 		}
-		if got := run(single...); !strings.Contains(got, reason) || !strings.Contains(got, "shards=4") {
-			t.Fatalf("%s legacy-loss -shards 4 warning %q does not state the rule %q", proto, got, reason)
+		type line struct {
+			regions, lossMode string
+			extra             []string
+			want              string // "" = silent
 		}
-		if got := run(append(single, "-loss-mode", "hash")...); got != "" {
-			t.Fatalf("%s hash-loss -shards 4 run warned: %q", proto, got)
+		single := []line{
+			{"6,6", "", nil, reason},
+			{"6,6", "hash", nil, ""},
+			{"12", "hash", nil, oneRegion},
+		}
+		if proto == "rrmp" {
+			single = append(single, line{"6,6", "", []string{"-trace-out", filepath.Join(t.TempDir(), "trace.log")}, traced})
+		}
+		for _, c := range single {
+			got := run(c.regions, c.lossMode, c.extra...)
+			switch {
+			case c.want == "" && got != "":
+				t.Fatalf("%s -regions %s -loss-mode %q -shards 4 run warned: %q", proto, c.regions, c.lossMode, got)
+			case c.want != "" && (!strings.Contains(got, c.want) || !strings.Contains(got, "shards=4") || strings.Count(got, "\n") != 1):
+				t.Fatalf("%s -regions %s -loss-mode %q %v -shards 4 stderr %q is not one line naming %q",
+					proto, c.regions, c.lossMode, c.extra, got, c.want)
+			}
 		}
 
-		note := func(lossMode string) string {
+		note := func(regions, lossMode string) string {
 			out := filepath.Join(t.TempDir(), "sweep.json")
-			if err := runSweep(parse(t, "-sweep", "-regions", "6,6", "-loss", "0.2", "-churn", "0",
+			if err := runSweep(parse(t, "-sweep", "-regions", regions, "-loss", "0.2", "-churn", "0",
 				"-policy", "two-phase", "-payload", "0", "-budget", "0", "-protocol", proto,
 				"-loss-mode", lossMode, "-msgs", "5", "-horizon", "2s",
 				"-parallel", "1", "-shards", "4", "-out", out)); err != nil {
@@ -1059,11 +1078,14 @@ func TestShardsFallbackQuotesTheRule(t *testing.T) {
 			}
 			return rep.ExecNote
 		}
-		if got := note(""); !strings.Contains(got, reason) {
+		if got := note("6,6", ""); !strings.Contains(got, reason) {
 			t.Fatalf("%s exec_note %q does not state the rule %q", proto, got, reason)
 		}
-		if got := note("hash"); got != "" {
+		if got := note("6,6", "hash"); got != "" {
 			t.Fatalf("%s hash-loss sweep carries an exec note: %q", proto, got)
+		}
+		if got := note("12", "hash"); !strings.Contains(got, oneRegion) {
+			t.Fatalf("%s one-region hash-loss exec_note %q does not say %q", proto, got, oneRegion)
 		}
 	}
 }

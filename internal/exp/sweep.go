@@ -84,7 +84,7 @@ type Scenario struct {
 	// parameterized spec like "adaptive:tmin=20ms,tmax=200ms" (see
 	// internal/policy). RMTP cells carry the placeholder "server".
 	Policy string `json:"policy"`
-	// FixedHold is the retention for Policy "fixed" (default 500 ms).
+	// FixedHold is Policy "fixed"'s retention (default policy.DefaultFixedHold).
 	FixedHold time.Duration `json:"fixed_hold_ns,omitempty"`
 	// C, Lambda and RepairBackoff override the corresponding protocol
 	// parameters when positive (zero keeps the paper's §4 defaults).
@@ -114,11 +114,11 @@ type Scenario struct {
 	// regime. Nil keeps the historic shape, omitted from JSON so legacy
 	// cells keep their bytes.
 	Workload *workload.Spec `json:"workload,omitempty"`
-	// Shards is an execution knob, not part of the cell's identity: run
-	// the trial on up to this many region-sharded event loops (<= 1 means
-	// the serial engine). Aggregates are byte-identical at any value — the
-	// same contract as Options.Parallel — so it is excluded from JSON and
-	// from Name.
+	// Shards is an execution knob, not part of the cell's identity: the
+	// region-sharded event loops the trial asks for (<= 1 means the serial
+	// engine; runner's laneWidth decides how many it gets). Aggregates are
+	// byte-identical at any value — the same contract as Options.Parallel —
+	// so it is excluded from JSON and from Name.
 	Shards int `json:"-"`
 }
 
@@ -223,7 +223,7 @@ type Sweep struct {
 	PartitionAt time.Duration `json:"partition_at_ns,omitempty"`
 	// Policies lists buffering policies (default ["two-phase"]).
 	Policies []string `json:"policies,omitempty"`
-	// FixedHold is the retention used by "fixed" cells (default 500 ms).
+	// FixedHold is "fixed" cells' retention (default policy.DefaultFixedHold).
 	FixedHold time.Duration `json:"fixed_hold_ns,omitempty"`
 	// C, Lambda and RepairBackoff apply to every cell when positive (zero
 	// keeps the paper's §4 defaults).
@@ -465,22 +465,10 @@ func (sw Sweep) Expand() []Scenario {
 	if len(regions) == 0 && len(sw.Trees) == 0 {
 		regions = [][]int{{100}}
 	}
-	losses := sw.Losses
-	if len(losses) == 0 {
-		losses = []float64{0}
-	}
-	churns := sw.Churns
-	if len(churns) == 0 {
-		churns = []float64{0}
-	}
-	crashes := sw.Crashes
-	if len(crashes) == 0 {
-		crashes = []float64{0}
-	}
-	partitions := sw.Partitions
-	if len(partitions) == 0 {
-		partitions = []time.Duration{0}
-	}
+	losses := orOne(sw.Losses, 0)
+	churns := orOne(sw.Churns, 0)
+	crashes := orOne(sw.Crashes, 0)
+	partitions := orOne(sw.Partitions, 0)
 	// Policy tokens canonicalize through the registry, so a historic alias
 	// ("fixed-hold") and its canonical kind ("fixed") name the same cell.
 	// Committed matrices already use canonical tokens; their bytes do not
@@ -492,43 +480,15 @@ func (sw Sweep) Expand() []Scenario {
 	if len(policies) == 0 {
 		policies = []string{policyspec.KindTwoPhase}
 	}
-	msgs := sw.Msgs
-	if msgs <= 0 {
-		msgs = 20
-	}
-	gap := sw.Gap
-	if gap <= 0 {
-		gap = 20 * time.Millisecond
-	}
-	horizon := sw.Horizon
-	if horizon <= 0 {
-		horizon = 5 * time.Second
-	}
-	hold := sw.FixedHold
-	if hold <= 0 {
-		hold = 500 * time.Millisecond
-	}
-
-	partAt := sw.PartitionAt
-	if partAt <= 0 {
-		partAt = horizon / 4
-	}
-	payloads := sw.PayloadSizes
-	if len(payloads) == 0 {
-		payloads = []int{0}
-	}
-	budgets := sw.Budgets
-	if len(budgets) == 0 {
-		budgets = []int{0}
-	}
-	protocols := sw.Protocols
-	if len(protocols) == 0 {
-		protocols = []string{""}
-	}
-	workloads := sw.Workloads
-	if len(workloads) == 0 {
-		workloads = []*workload.Spec{nil}
-	}
+	msgs := positiveOr(sw.Msgs, 20)
+	gap := positiveOr(sw.Gap, 20*time.Millisecond)
+	horizon := positiveOr(sw.Horizon, 5*time.Second)
+	hold := positiveOr(sw.FixedHold, policyspec.DefaultFixedHold)
+	partAt := positiveOr(sw.PartitionAt, horizon/4)
+	payloads := orOne(sw.PayloadSizes, 0)
+	budgets := orOne(sw.Budgets, 0)
+	protocols := orOne(sw.Protocols, "")
+	workloads := orOne(sw.Workloads, nil)
 
 	type topoCell struct {
 		regions []int
@@ -677,6 +637,22 @@ func nonNegative[T int | float64 | time.Duration](field string, vals ...T) error
 	return nil
 }
 
+// orOne is axis, or the one-value axis {def} when axis is empty.
+func orOne[T any](axis []T, def T) []T {
+	if len(axis) == 0 {
+		return []T{def}
+	}
+	return axis
+}
+
+// positiveOr is v, or def when v is not positive.
+func positiveOr[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
 // ScenarioFunc runs one seeded trial of one scenario and returns its
 // metrics. internal/runner provides the canonical implementation.
 type ScenarioFunc func(sc Scenario, seed uint64) (map[string]float64, error)
@@ -699,12 +675,11 @@ type Report struct {
 	Schema   string `json:"schema"`
 	BaseSeed uint64 `json:"base_seed"`
 	Trials   int    `json:"trials"`
-	// ExecNote records execution-only caveats — cells of either protocol
-	// that ignored the requested -shards width and ran serial because
-	// their loss is shared-stream (runner.ExecNote writes it). Empty (and
-	// omitted, so default-shards reports keep their bytes) unless shards
-	// were requested and some cell fell back. Execution metadata, not cell
-	// identity: aggregates are unaffected either way.
+	// ExecNote records execution-only caveats — how many cells ran serial
+	// although -shards asked for more, and why (runner.ExecNote writes
+	// it). Empty (and omitted, so default-shards reports keep their bytes)
+	// unless shards were requested and some cell fell back. Execution
+	// metadata, not cell identity: aggregates are unaffected either way.
 	ExecNote string `json:"exec_note,omitempty"`
 	Cells    []Cell `json:"cells"`
 }

@@ -738,14 +738,17 @@ var errSharedStream = errors.New("shared-stream loss draws from one rng in globa
 // if a trial using loss may run on more than one event loop, and the reason
 // if it may not. BernoulliLoss and GilbertElliott consume a single rng in
 // global send order — several loops would interleave (and race on) its
-// draws — so they, and nothing else, pin a run to one loop. Every other
-// model (nil, the counter-hash models, a caller's wrapper around one) is
-// taken to keep its draw state per sender or per pair, as Unicast requires
-// of anything it calls from a shard loop.
+// draws — so they, and nothing else, pin a run to one loop. A wrapper that
+// names its inner model with an Unwrap() LossModel method is judged by
+// that model. Every other model (nil, the counter-hash models, a caller's
+// wrapper without Unwrap) is taken to keep its draw state per sender or
+// per pair, as Unicast requires of anything it calls from a shard loop.
 func ShardSafe(loss LossModel) error {
-	switch loss.(type) {
+	switch m := loss.(type) {
 	case *BernoulliLoss, *GilbertElliott:
 		return errSharedStream
+	case interface{ Unwrap() LossModel }:
+		return ShardSafe(m.Unwrap())
 	}
 	return nil
 }

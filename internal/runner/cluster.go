@@ -4,6 +4,7 @@
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -44,17 +45,13 @@ type ClusterConfig struct {
 	Policy func(view topology.View, params rrmp.Params) core.Policy
 	// Hooks, if non-nil, builds per-member instrumentation callbacks.
 	Hooks func(n topology.NodeID) rrmp.Hooks
-	// Tracer observes all members (nil = none). A tracer is one
-	// sink fed in event order, so a traced cluster always runs the serial
-	// engine, whatever Shards says: the trace is then a pure function of
-	// the seed, and aggregates are byte-identical at any width anyway.
+	// Tracer observes all members (nil = none). A traced cluster runs one
+	// event loop whatever Shards says (see laneWidth).
 	Tracer trace.Tracer
-	// Shards > 1 runs the trial on the region-sharded parallel engine
-	// (sim.Sharded): regions are packed into at most Shards contiguous
-	// blocks and each block gets its own event loop. Aggregates stay
-	// byte-identical to the single-loop engine at any shard count. A Loss
-	// that is not shard-safe (netsim.ShardSafe: the shared-stream models)
-	// keeps the cluster on one loop whatever Shards says, as a tracer does.
+	// Shards > 1 asks for the region-sharded parallel engine (sim.Sharded):
+	// regions are packed into contiguous blocks and each block gets its own
+	// event loop. laneWidth decides how many the cluster gets, and why it
+	// gets one. Aggregates are byte-identical at any width.
 	Shards int
 	// Lookahead bounds the sharded engine's conservative windows and must
 	// not exceed the minimum cross-region packet latency. It defaults to
@@ -93,11 +90,29 @@ type deployment struct {
 	sources []rng.Source // backing store of the member streams
 }
 
+// laneWidth is the one rule for how many event loops a run gets: the
+// shards it asks for, capped at its region count, since lanes take whole
+// regions (topology.ShardMap). When that is one although more was asked,
+// the error says why, the first of three reasons in the order below.
+func laneWidth(shards int, tracer trace.Tracer, loss netsim.LossModel, regions int) (int, error) {
+	switch lossErr := netsim.ShardSafe(loss); {
+	case shards <= 1:
+		return 1, nil
+	case tracer != nil:
+		return 1, errors.New("a tracer is one sink fed in event order, so a traced run keeps one loop and its trace is a pure function of the seed")
+	case lossErr != nil:
+		return 1, fmt.Errorf("%w — use LossMode \"hash\" for shard-safe loss", lossErr)
+	case regions <= 1:
+		return 1, errors.New("lanes take whole regions, and the group has one region")
+	}
+	return min(shards, regions), nil
+}
+
 // newDeployment is the one place a deployment's execution is decided: the
-// engine (one loop unless cfg asks for more and everything in play allows
-// it), the default latency model and the lookahead it implies, whether the
-// network shards, and the root/member rng streams. It reads only the Topo,
-// Seed, Loss, Latency, Tracer, Shards and Lookahead fields.
+// engine (laneWidth's lanes), the default latency model and the lookahead
+// it implies, whether the network shards, and the root/member rng streams.
+// It reads only the Topo, Seed, Loss, Latency, Tracer, Shards and
+// Lookahead fields.
 func newDeployment(cfg ClusterConfig) (*deployment, error) {
 	lat := cfg.Latency
 	if lat == nil {
@@ -111,10 +126,12 @@ func newDeployment(cfg ClusterConfig) (*deployment, error) {
 	for i := range d.all {
 		d.all[i] = topology.NodeID(i)
 	}
-	// A tracer is one sink fed in event order and a shared-stream loss
-	// model is one rng drawn in send order: either pins the run to one
-	// event loop.
-	if cfg.Shards > 1 && cfg.Tracer == nil && netsim.ShardSafe(cfg.Loss) == nil {
+	width, _ := laneWidth(cfg.Shards, cfg.Tracer, cfg.Loss, cfg.Topo.NumRegions())
+	if width == 1 {
+		d.engine = sim.New()
+		d.clockOf = func(topology.NodeID) clock.Scheduler { return d.engine }
+		d.net = netsim.New(d.engine, lat, cfg.Loss)
+	} else {
 		look := cfg.Lookahead
 		if look <= 0 {
 			if cfg.Latency != nil {
@@ -125,23 +142,16 @@ func newDeployment(cfg ClusterConfig) (*deployment, error) {
 			// region, so InterOneWay bounds all cross-shard latency.
 			look = InterOneWay
 		}
-		nodeShard, eff := cfg.Topo.NodeShards(cfg.Shards)
-		if eff > 1 {
-			sharded, err := sim.NewSharded(eff, nodeShard, look)
-			if err != nil {
-				return nil, fmt.Errorf("runner: %w", err)
-			}
-			d.engine = sharded
-			d.clockOf = func(n topology.NodeID) clock.Scheduler { return sharded.Clock(nodeShard[n]) }
-			d.net = netsim.New(sharded, lat, cfg.Loss)
-			d.net.EnableSharding(sharded, nodeShard, eff)
-			d.net.Reserve(cfg.Topo.NumNodes())
-			return d, nil
+		nodeShard, _ := cfg.Topo.NodeShards(width)
+		sharded, err := sim.NewSharded(width, nodeShard, look)
+		if err != nil {
+			return nil, fmt.Errorf("runner: %w", err)
 		}
+		d.engine = sharded
+		d.clockOf = func(n topology.NodeID) clock.Scheduler { return sharded.Clock(nodeShard[n]) }
+		d.net = netsim.New(sharded, lat, cfg.Loss)
+		d.net.EnableSharding(sharded, nodeShard, width)
 	}
-	d.engine = sim.New()
-	d.clockOf = func(topology.NodeID) clock.Scheduler { return d.engine }
-	d.net = netsim.New(d.engine, lat, cfg.Loss)
 	d.net.Reserve(cfg.Topo.NumNodes())
 	return d, nil
 }

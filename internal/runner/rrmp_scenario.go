@@ -6,7 +6,6 @@ package runner
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -44,22 +43,17 @@ func ScenarioParams(sc exp.Scenario) rrmp.Params {
 
 // ScenarioPolicy returns the per-member policy factory a scenario
 // declares (see PolicyFactory): its Policy spec, with FixedHold as the
-// fixed kind's hold, 500 ms when unset.
+// fixed kind's hold; unset or negative, the kind's default holds.
 func ScenarioPolicy(sc exp.Scenario) (func(topology.View, rrmp.Params) core.Policy, error) {
-	hold := sc.FixedHold
-	if hold <= 0 {
-		hold = 500 * time.Millisecond
-	}
 	spec, err := policyspec.Parse(sc.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("runner: scenario: %w", err)
 	}
-	return PolicyFactory(spec, hold), nil
+	return PolicyFactory(spec, max(sc.FixedHold, 0)), nil
 }
 
 // newRRMPDriver builds the paper's protocol for the scenario kernel: the
-// cluster (sharded when the scenario asks and its loss model allows it,
-// see newDeployment), one sender per publishing client with its session
+// cluster (on laneWidth's lanes), one sender per publishing client with its session
 // stream started, and the nine rrmp-only keys.
 func newRRMPDriver(sc exp.Scenario, seed uint64, topo *topology.Topology, loss netsim.LossModel,
 	pubs []topology.NodeID, tracer trace.Tracer) (protocolDriver, error) {

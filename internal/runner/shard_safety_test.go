@@ -2,13 +2,16 @@ package runner
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -88,43 +91,59 @@ func TestSharedStreamLossKeepsOneLoop(t *testing.T) {
 type wrappedLoss struct{ netsim.LossModel }
 
 // TestEngineChoiceIsOneRule pins that both cluster types take their engine
-// from newDeployment's one rule: at Shards: 2, a lossless or hash-loss
-// cluster of either protocol runs two lanes, and a shared-stream loss
-// keeps it on one loop. Chain(6, 6) has two regions, so two distinct lane
-// clocks mean exactly two lanes.
+// from laneWidth, the one rule: at Shards: 2, a lossless or hash-loss
+// two-region cluster of either protocol runs two lanes, and each of the
+// three reasons keeps a cluster on one loop — a tracer (rrmp only: a tree
+// cluster takes none), shared-stream loss, one region. Chain(6, 6) has two
+// regions, so two distinct lane clocks mean exactly two lanes.
 func TestEngineChoiceIsOneRule(t *testing.T) {
-	topo, err := topology.Chain(6, 6)
+	two, err := topology.Chain(6, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	builders := map[string]func(netsim.LossModel) (sim.Engine, error){
-		"rrmp": func(loss netsim.LossModel) (sim.Engine, error) {
-			c, err := NewCluster(ClusterConfig{Topo: topo, Seed: 5, Loss: loss, Shards: 2})
+	one, err := topology.SingleRegion(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		topo   *topology.Topology
+		loss   netsim.LossModel
+		tracer trace.Tracer
+	}
+	builders := map[string]func(row) (sim.Engine, error){
+		"rrmp": func(r row) (sim.Engine, error) {
+			c, err := NewCluster(ClusterConfig{Topo: r.topo, Seed: 5, Loss: r.loss, Tracer: r.tracer, Shards: 2})
 			if err != nil {
 				return nil, err
 			}
 			return c.Engine, nil
 		},
-		"rmtp": func(loss netsim.LossModel) (sim.Engine, error) {
-			c, err := NewTreeCluster(TreeClusterConfig{Topo: topo, Seed: 5, Loss: loss, Shards: 2})
+		"rmtp": func(r row) (sim.Engine, error) {
+			c, err := NewTreeCluster(TreeClusterConfig{Topo: r.topo, Seed: 5, Loss: r.loss, Shards: 2})
 			if err != nil {
 				return nil, err
 			}
 			return c.Engine, nil
 		},
 	}
-	losses := []struct {
+	rows := []struct {
 		name    string
-		loss    func() netsim.LossModel
+		row     func() row
 		sharded bool
 	}{
-		{"lossless", func() netsim.LossModel { return nil }, true},
-		{"hash", func() netsim.LossModel { return netsim.NewHashLoss(9, 0.2, topo.NumNodes(), nil) }, true},
-		{"bernoulli", func() netsim.LossModel { return &netsim.BernoulliLoss{P: 0.2, Rng: rng.New(9)} }, false},
+		{"lossless", func() row { return row{topo: two} }, true},
+		{"hash", func() row { return row{topo: two, loss: netsim.NewHashLoss(9, 0.2, two.NumNodes(), nil)} }, true},
+		{"bernoulli", func() row { return row{topo: two, loss: &netsim.BernoulliLoss{P: 0.2, Rng: rng.New(9)}} }, false},
+		{"one-region hash", func() row { return row{topo: one, loss: netsim.NewHashLoss(9, 0.2, one.NumNodes(), nil)} }, false},
+		{"traced", func() row { return row{topo: two, tracer: &trace.Memory{}} }, false},
 	}
 	for proto, build := range builders {
-		for _, l := range losses {
-			engine, err := build(l.loss())
+		for _, l := range rows {
+			r := l.row()
+			if r.tracer != nil && proto == "rmtp" {
+				continue
+			}
+			engine, err := build(r)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", proto, l.name, err)
 			}
@@ -141,4 +160,64 @@ func TestEngineChoiceIsOneRule(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExecNoteMatchesEngines pins that the note says what runs: over every
+// cell of BENCH_sweep.json's three families plus one one-region hash-loss
+// cell, all at Shards: 2, the cells ExecNote counts as serial are exactly
+// those whose cluster, built as the scenario kernel builds it, is the
+// single loop. Clusters are built; nothing runs.
+func TestExecNoteMatchesEngines(t *testing.T) {
+	oneRegion := exp.Sweep{Regions: [][]int{{20}}, Losses: []float64{0.2}, LossMode: "hash"}
+	sweeps := []exp.Sweep{exp.DefaultSweep(), exp.WorkloadSweep(), exp.AdaptiveSweep(), oneRegion}
+	serial, total := 0, 0
+	for i := range sweeps {
+		sweeps[i].Shards = 2
+		for _, sc := range sweeps[i].Expand() {
+			total++
+			_, single := kernelEngine(t, sc).(*sim.Sim)
+			if noted := serialReason(sc, nil) != nil; single != noted {
+				t.Errorf("%s: builds the single loop %v, counted serial %v", sc.Name(), single, noted)
+			}
+			if single {
+				serial++
+			}
+		}
+	}
+	want := fmt.Sprintf(" %d of %d cells ran serial ", serial, total)
+	if note := ExecNote(nil, sweeps...); !strings.Contains(note, want) {
+		t.Fatalf("exec note %q, want it to count%s", note, want)
+	}
+}
+
+// kernelEngine builds sc's protocol driver for seed 1 the way runScenario
+// does and returns its engine.
+func kernelEngine(t *testing.T, sc exp.Scenario) sim.Engine {
+	t.Helper()
+	topo, err := ScenarioTopology(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, err := ScenarioLoss(sc, 1, topo.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, _, err := TimelineFor(sc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pubs, err := publisherNodes(topo, tl.Clients())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d protocolDriver
+	if sc.Protocol == "rmtp" {
+		d, err = newRMTPDriver(sc, 1, topo, loss, nil)
+	} else {
+		d, err = newRRMPDriver(sc, 1, topo, loss, pubs, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.engine
 }

@@ -8,6 +8,7 @@ package runner
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/exp"
@@ -313,7 +314,7 @@ func RunScenario(sc exp.Scenario, seed uint64) (map[string]float64, error) {
 // timelines (out of order, non-positive sizes) are rejected up front
 // rather than silently scheduled out of order. tracer, when non-nil,
 // observes every member's protocol events (rrmp only), and the run takes
-// one event loop whatever Scenario.Shards says (see NewCluster); the
+// one event loop whatever Scenario.Shards says (see laneWidth); the
 // metrics are unchanged by either.
 func RunScenarioWith(sc exp.Scenario, seed uint64, timeline workload.Timeline, tracer trace.Tracer) (map[string]float64, error) {
 	if timeline != nil && !timeline.Valid() {
@@ -452,33 +453,56 @@ func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline, trace
 }
 
 // ExecNote is the one statement of which cells cannot honor a requested
-// Shards width: those whose loss model is not shard-safe
-// (netsim.ShardSafe, whose reason the note quotes) run on one event loop.
-// RunSweeps writes it into the report and rrmp-sim's single run prints it,
-// so a fallback is said, never silent. The note is execution metadata: it
-// is empty at the default width, so the committed default-shards reports
-// keep their bytes.
-func ExecNote(sweeps ...exp.Sweep) string {
+// Shards width: it counts the cells laneWidth keeps on one event loop, each
+// under its first reason, with tracer the single run's tracer (nil for a
+// sweep). RunSweeps writes it into the report and rrmp-sim's single run
+// prints it, so a fallback is said, never silent. The note is execution
+// metadata: it is empty at the default width, so the committed
+// default-shards reports keep their bytes.
+func ExecNote(tracer trace.Tracer, sweeps ...exp.Sweep) string {
 	shards, pinned, total := 0, 0, 0
-	var why error
+	var reasons []string // in order of first appearance
+	count := map[string]int{}
 	for _, sw := range sweeps {
 		shards = max(shards, sw.Shards)
 		cells := sw.Expand()
 		total += len(cells)
-		if sw.Shards <= 1 {
-			continue
-		}
 		for _, sc := range cells {
-			// A malformed loss spec fails its own cell; it is no fallback.
-			loss, _ := ScenarioLoss(sc, 0, 0)
-			if reason := netsim.ShardSafe(loss); reason != nil {
-				pinned, why = pinned+1, reason
+			if err := serialReason(sc, tracer); err != nil {
+				if why := err.Error(); count[why] == 0 {
+					reasons = append(reasons, why)
+				}
+				count[err.Error()]++
+				pinned++
 			}
 		}
 	}
 	if pinned == 0 {
 		return ""
 	}
-	return fmt.Sprintf("shards=%d requested; %d of %d cells ran serial (%v — use LossMode \"hash\" for shard-safe loss); aggregates are byte-identical either way",
+	why := reasons[0]
+	if len(reasons) > 1 {
+		for i, r := range reasons {
+			reasons[i] = fmt.Sprintf("%d: %s", count[r], r)
+		}
+		why = strings.Join(reasons, "; ")
+	}
+	return fmt.Sprintf("shards=%d requested; %d of %d cells ran serial (%s); aggregates are byte-identical either way",
 		shards, pinned, total, why)
+}
+
+// serialReason is laneWidth's reason for running sc on one event loop, or
+// nil when it gets the lanes it asks for or is malformed (a malformed cell
+// fails on its own; it is no fallback).
+func serialReason(sc exp.Scenario, tracer trace.Tracer) error {
+	if sc.Shards <= 1 {
+		return nil
+	}
+	topo, topoErr := ScenarioTopology(sc)
+	loss, lossErr := ScenarioLoss(sc, 0, 0)
+	if topoErr != nil || lossErr != nil {
+		return nil
+	}
+	_, why := laneWidth(sc.Shards, tracer, loss, topo.NumRegions())
+	return why
 }

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/policy"
+	"repro/internal/rrmp"
 	"repro/internal/topology"
 )
 
@@ -303,5 +306,32 @@ func TestPartitionClasses(t *testing.T) {
 	}
 	if ones != 4 {
 		t.Fatalf("single-region cut put %d of 9 members in class 1, want 4", ones)
+	}
+}
+
+// TestScenarioPolicyFixedHoldDefault pins that a fixed cell holds for
+// policy.DefaultFixedHold when Scenario.FixedHold is unset or negative, so a
+// negative hold never reaches core.FixedHold, and for FixedHold otherwise.
+func TestScenarioPolicyFixedHoldDefault(t *testing.T) {
+	topo, err := topology.SingleRegion(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := topo.ViewOf(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hold, want := range map[time.Duration]time.Duration{
+		0:                      policy.DefaultFixedHold,
+		-time.Second:           policy.DefaultFixedHold,
+		200 * time.Millisecond: 200 * time.Millisecond,
+	} {
+		factory, err := ScenarioPolicy(exp.Scenario{Policy: "fixed", FixedHold: hold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := factory(view, rrmp.DefaultParams()).(*core.FixedHold).D; got != want {
+			t.Errorf("FixedHold %v builds a %v hold, want %v", hold, got, want)
+		}
 	}
 }

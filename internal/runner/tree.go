@@ -20,8 +20,8 @@ type TreeClusterConfig struct {
 	Seed uint64
 	// Loss is the network loss model (nil = lossless).
 	Loss netsim.LossModel
-	// Shards is ClusterConfig.Shards: newDeployment decides the engine
-	// for both protocols by the same rule.
+	// Shards is ClusterConfig.Shards: laneWidth decides the engine for
+	// both protocols.
 	Shards int
 }
 

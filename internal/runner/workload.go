@@ -156,6 +156,6 @@ func RunSweeps(o exp.Options, sweeps ...exp.Sweep) (exp.Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	rep.ExecNote = ExecNote(sweeps...)
+	rep.ExecNote = ExecNote(nil, sweeps...)
 	return rep, nil
 }

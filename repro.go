@@ -104,11 +104,12 @@ func (b *blackoutLoss) Drop(from, to topology.NodeID, t wire.Type) bool {
 	if t == wire.TypeData && b.victims[to] {
 		return true
 	}
-	if b.inner != nil {
-		return b.inner.Drop(from, to, t)
-	}
-	return false
+	return b.inner != nil && b.inner.Drop(from, to, t)
 }
+
+// Unwrap returns the inner model, so netsim.ShardSafe judges the group's
+// engine by the model the blackout wraps.
+func (b *blackoutLoss) Unwrap() netsim.LossModel { return b.inner }
 
 // Group is a simulated RRMP deployment: one sender plus receivers arranged
 // in regions, driven over virtual time. Not safe for concurrent use.
@@ -133,12 +134,6 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	loss, err := runner.ScenarioLoss(sc, cfg.Seed, topo.NumNodes())
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
-	}
-	// NewCluster keeps a cluster with shared-stream loss on one event loop
-	// by itself; the blackout wrapper below would hide the model from it.
-	shards := sc.Shards
-	if netsim.ShardSafe(loss) != nil {
-		shards = 1
 	}
 	if len(cfg.Blackout) > 0 {
 		victims := make(map[topology.NodeID]bool)
@@ -167,7 +162,7 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		Seed:   cfg.Seed,
 		Loss:   loss,
 		Policy: policy,
-		Shards: shards,
+		Shards: sc.Shards,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("repro: building cluster: %w", err)
