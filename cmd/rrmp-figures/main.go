@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	rrmp-figures [-fig 3|4|6|7|8|9|A1|A2|A3|A4|A5|A6|A7|A8|all] [-runs N] [-seed S]
-//	             [-trials N] [-parallel P]
+//	rrmp-figures [-fig 3|4|6|7|8|9|A1|A2|A3|A4|A5|A6|A7|A8|all] [-runs N] [-seed S] [-trials N]
 //
 // Run counts trade precision for time; the defaults regenerate each figure
 // in a few seconds. Output units match the paper's axes (milliseconds,
 // percent). With -trials > 1, each figure reruns across independently
-// seeded parallel trials and prints every numeric column as mean ± 95% CI;
-// the output does not depend on -parallel.
+// seeded trials, run on GOMAXPROCS workers, and prints every numeric column
+// as mean ± 95% CI; the output does not depend on the worker count.
 package main
 
 import (
@@ -30,10 +29,9 @@ func main() {
 	runs := flag.Int("runs", 0, "runs to average per data point (0 = per-figure default)")
 	seed := flag.Uint64("seed", 1, "root random seed")
 	trials := flag.Int("trials", 1, "independently seeded trials per figure (columns become mean±95% CI)")
-	parallel := flag.Int("parallel", 0, "worker pool size for -trials (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	if err := run(os.Stdout, *fig, *runs, *seed, *trials, *parallel); err != nil {
+	if err := run(os.Stdout, *fig, *runs, *seed, *trials); err != nil {
 		fmt.Fprintln(os.Stderr, "rrmp-figures:", err)
 		os.Exit(1)
 	}
@@ -41,16 +39,14 @@ func main() {
 
 // run regenerates the requested figures, writing every table to w (tests
 // capture a buffer; main passes os.Stdout).
-func run(w io.Writer, fig string, runs int, seed uint64, trials, parallel int) error {
+func run(w io.Writer, fig string, runs int, seed uint64, trials int) error {
 	switch {
 	case runs < 0:
 		return fmt.Errorf("-runs %d: must be 0 (per-figure default) or more", runs)
 	case trials < 1:
 		return fmt.Errorf("-trials %d: must be at least 1", trials)
-	case parallel < 0:
-		return fmt.Errorf("-parallel %d: must be 0 (GOMAXPROCS) or more", parallel)
 	}
-	opt := exp.Options{Trials: trials, Parallel: parallel, BaseSeed: seed}
+	opt := exp.Options{Trials: trials, BaseSeed: seed}
 	ran := false
 	for _, f := range runner.Figures {
 		if fig != "all" && !strings.EqualFold(fig, f.ID) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/runner"
 )
 
@@ -17,7 +19,7 @@ import (
 //	UPDATE_FIGURES_GOLDEN=1 go test ./cmd/rrmp-figures -run AllFigures
 func TestAllFiguresMatchGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "all", 2, 1, 1, 1); err != nil {
+	if err := run(&buf, "all", 2, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.Bytes()
@@ -84,7 +86,7 @@ func cell(t *testing.T, tab runner.Table, label, head string) float64 {
 // reliability.
 func TestA7VoDContrast(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "A7", 0, 1, 1, 1); err != nil {
+	if err := run(&buf, "A7", 0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"two-phase", "fixed", "all", "unrecoverable"} {
@@ -120,7 +122,7 @@ func TestA7VoDContrast(t *testing.T) {
 // bursty cell.
 func TestA8AdaptiveDemand(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "A8", 0, 1, 1, 1); err != nil {
+	if err := run(&buf, "A8", 0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"two-phase", "fixed", "adaptive", "fitness"} {
@@ -153,7 +155,7 @@ func TestA8AdaptiveDemand(t *testing.T) {
 // catalogue so the user can pick a figure.
 func TestUnknownFigureRejected(t *testing.T) {
 	var buf bytes.Buffer
-	err := run(&buf, "A99", 1, 1, 1, 1)
+	err := run(&buf, "A99", 1, 1, 1)
 	if err == nil {
 		t.Fatal("unknown figure accepted")
 	}
@@ -164,20 +166,19 @@ func TestUnknownFigureRejected(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeFlagsRejected: a negative run count or pool size, or
-// fewer than one trial, is an error before anything runs.
+// TestOutOfRangeFlagsRejected: a negative run count, or fewer than one
+// trial, is an error before anything runs.
 func TestOutOfRangeFlagsRejected(t *testing.T) {
 	for _, c := range []struct {
-		name                   string
-		runs, trials, parallel int
+		name         string
+		runs, trials int
 	}{
-		{"runs", -7, 1, 1},
-		{"trials", 1, 0, 1},
-		{"trials-negative", 1, -3, 1},
-		{"parallel", 1, 1, -1},
+		{"runs", -7, 1},
+		{"trials", 1, 0},
+		{"trials-negative", 1, -3},
 	} {
 		var buf bytes.Buffer
-		if err := run(&buf, "3", c.runs, 1, c.trials, c.parallel); err == nil || buf.Len() != 0 {
+		if err := run(&buf, "3", c.runs, 1, c.trials); err == nil || buf.Len() != 0 {
 			t.Fatalf("%s: accepted (err %v, %d bytes printed)", c.name, err, buf.Len())
 		}
 	}
@@ -185,20 +186,31 @@ func TestOutOfRangeFlagsRejected(t *testing.T) {
 
 // TestTrialsAggregateAnyFigure: -trials reaches every figure, not only
 // A1 and A5. Figure 8 over three trials prints mean ± 95% CI columns, and
-// the bytes do not depend on the pool width.
+// its table does not depend on the pool width: 1 and 3 workers print the
+// same bytes.
 func TestTrialsAggregateAnyFigure(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, "8", 2, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "3 trials; every column is mean ± 95% CI") || strings.Count(out, "±") < 11 {
+		t.Fatalf("Figure 8 at -trials 3 is not aggregated:\n%s", out)
+	}
+
+	fig := runner.Figures[slices.IndexFunc(runner.Figures, func(f runner.Figure) bool { return f.ID == "8" })]
 	var outs []string
 	for _, parallel := range []int{1, 3} {
+		tab, err := fig.RunTrials(2, exp.Options{Trials: 3, Parallel: parallel, BaseSeed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
-		if err := run(&buf, "8", 2, 1, 3, parallel); err != nil {
+		if err := tab.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		outs = append(outs, buf.String())
 	}
 	if outs[0] != outs[1] {
-		t.Fatalf("-trials 3 output differs between -parallel 1 and 3:\n%s\n%s", outs[0], outs[1])
-	}
-	if !strings.Contains(outs[0], "3 trials; every column is mean ± 95% CI") || strings.Count(outs[0], "±") < 11 {
-		t.Fatalf("Figure 8 at -trials 3 is not aggregated:\n%s", outs[0])
+		t.Fatalf("Figure 8 over 3 trials differs between 1 and 3 workers:\n%s\n%s", outs[0], outs[1])
 	}
 }

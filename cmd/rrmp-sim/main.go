@@ -23,7 +23,7 @@
 // seeded trials, run on a bounded worker pool), for one cell or for the
 // small matrix a few list-valued flags describe:
 //
-//	rrmp-sim -regions 100 -loss 0.2 -trials 16 -parallel 8
+//	rrmp-sim -regions 100 -loss 0.2 -trials 16
 //	rrmp-sim -regions '50;30,30' -loss 0.05,0.2 -policy 'two-phase;fixed' -trials 4
 //
 // -sweep starts from the standing matrix (regions × loss × churn × crash ×
@@ -31,7 +31,7 @@
 // defaults; given flags pin their axes the same way. The JSON report is
 // also written to -out for machine tracking:
 //
-//	rrmp-sim -sweep -trials 8 -parallel 4 -json
+//	rrmp-sim -sweep -trials 8 -json
 //	rrmp-sim -sweep -crash 0,2 -partition-for 0,1s -trials 4
 //	rrmp-sim -sweep -payload 512,2048 -budget 16384 -trials 4
 //
@@ -68,12 +68,11 @@
 // flags reject multi-cell/multi-trial runs and -protocol rmtp loudly). The
 // trace is a pure function of the seed; its metrics are the untraced run's.
 //
-// -shards N region-shards each trial's event loop, for either protocol,
-// and never changes a report byte. A cell the runner keeps on one loop (a
-// traced run, legacy shared-stream loss, one region) is said, with its
-// reason, in the report's exec_note or on a single run's stderr:
+// Width is chosen, not configured: a run divides GOMAXPROCS cores between
+// its (cell, trial) jobs, and a trial with cores to spare region-shards its
+// event loop, for either protocol, without changing a report byte:
 //
-//	rrmp-sim -protocol rmtp -tree 8,4,10000 -loss 0.05 -loss-mode hash -shards 4
+//	GOMAXPROCS=4 rrmp-sim -protocol rmtp -tree 8,4,10000 -loss 0.05 -loss-mode hash
 //
 // Policies come from the central registry: -policy accepts any registered
 // kind or alias, optionally parameterized, and -list-policies prints the
@@ -95,7 +94,7 @@
 //	rrmp-sim -sweep-scale -tree 4:3:2000 -trials 1 -out /tmp/scale.json
 //
 // The report is a pure function of (matrix, -trials, -seed): the same
-// seeds produce byte-identical reports at any -parallel width.
+// seeds produce byte-identical reports at any GOMAXPROCS.
 package main
 
 import (
@@ -106,6 +105,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -160,7 +160,6 @@ type sweepArgs struct {
 	listPolicies bool
 	seed         uint64
 	trials       int
-	parallel     int
 	json         bool
 	outPath      string
 	// outSet records that -out was given explicitly (it then applies only
@@ -207,7 +206,7 @@ var scenarioFlags = []scenarioFlag{
 		set: func(sw *exp.Sweep, v string) (err error) { sw.Gap, err = nonZero(time.ParseDuration)(v); return }},
 	{name: "loss", usage: "independent DATA loss probabilities, e.g. 0.2 or 0.05,0.2 (default 0.2; -sweep: 0.05,0.2)",
 		set: func(sw *exp.Sweep, v string) (err error) { sw.Losses, err = list(v, ",", parseFloat); return }},
-	{name: "loss-mode", usage: "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs parallel under -shards; combine with -burst for the shard-safe Gilbert-Elliott chain)",
+	{name: "loss-mode", usage: "loss stream model: '' = legacy shared stream (serial-only), 'hash' = per-sender counter hash (shard-safe, runs on region lanes; combine with -burst for the shard-safe Gilbert-Elliott chain)",
 		set: func(sw *exp.Sweep, v string) error { sw.LossMode = v; return nil }},
 	{name: "burst", usage: "use a Gilbert-Elliott burst loss channel instead", boolean: true,
 		set: func(sw *exp.Sweep, v string) (err error) { sw.Burst, err = strconv.ParseBool(v); return }},
@@ -292,8 +291,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 	fs.BoolVar(&a.sweep, "sweep", false, "start from the standing scenario matrix instead of the one-cell defaults (given scenario flags pin their axes either way)")
 	fs.BoolVar(&a.sweepScale, "sweep-scale", false, "start from the scale matrix (members×depth balanced trees) instead of the one-cell defaults")
 	fs.IntVar(&a.trials, "trials", 1, "independently seeded trials per scenario cell")
-	fs.IntVar(&a.parallel, "parallel", 0, "worker pool size for trials (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "region-sharded event loops per trial (1 = serial; a cell that cannot split says why on stderr or in exec_note; aggregates are byte-identical at any width)")
 	fs.BoolVar(&a.json, "json", false, "print the report as JSON instead of a table")
 	fs.Func("out", "also write the report JSON here (default BENCH_sweep.json / BENCH_scale.json for an uncustomized -sweep / -sweep-scale; empty = don't)", func(v string) error {
 		a.outPath, a.outSet = v, true
@@ -330,7 +327,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 		}
 	}
 	a.customized = a.customized || len(given) > 0
-	a.sw.Shards = *shards
 	// -partition-at without -partition-for is an open-ended partition: it
 	// runs to the horizon. (The axis encodes "no partition" as duration 0,
 	// so the open end has to be spelled as a duration.)
@@ -351,8 +347,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (sweepArgs, error) {
 	// The committed records track the *standing* matrices, so they are the
 	// default -out only when nothing that changes cell semantics was
 	// given; customized sweeps and ad-hoc multi-trial runs must not clobber
-	// them. (-trials/-parallel/-shards/-json stay allowed: trial count is
-	// visible in the report and execution width never changes its bytes.)
+	// them (-trials is visible in the report, and -json changes no byte).
 	if !a.outSet && !a.customized {
 		switch {
 		case a.sweepScale:
@@ -478,6 +473,10 @@ func parseWorkload(s string) (*workload.Spec, error) {
 	return workload.ParseSpec(s)
 }
 
+// runCell runs one seeded trial of a cell in every mode. Tests swap it to
+// pin a lane width in place of the CPU budget's share.
+var runCell = runner.RunScenarioWith
+
 // runSweep runs the declaration's cells × -trials through one pool and
 // reports per-cell aggregates.
 func runSweep(a sweepArgs) error {
@@ -496,14 +495,8 @@ func runSweep(a sweepArgs) error {
 			sweeps = append(sweeps, exp.WorkloadSweep(), exp.AdaptiveSweep())
 		}
 	}
-	for i := range sweeps {
-		sweeps[i].Shards = a.sw.Shards
-	}
-	rep, err := runner.RunSweeps(exp.Options{
-		Trials:   a.trials,
-		Parallel: a.parallel,
-		BaseSeed: a.seed,
-	}, sweeps...)
+	rep, err := exp.RunSweeps(exp.Options{Trials: a.trials, BaseSeed: a.seed}, sweeps,
+		func(sc exp.Scenario, seed uint64) (map[string]float64, error) { return runCell(sc, seed, nil, nil) })
 	if err != nil {
 		return err
 	}
@@ -667,13 +660,10 @@ func runSingle(w io.Writer, a sweepArgs) error {
 	if len(sinks) > 0 {
 		tracer = lines
 	}
-	// -shards never changes the metrics, but say when it cannot apply
-	// instead of letting the flag look like a no-op.
-	if note := runner.ExecNote(tracer, a.sw); note != "" {
-		fmt.Fprintln(os.Stderr, "rrmp-sim:", note)
-	}
-
-	m, err := runner.RunScenarioWith(sc, a.seed, timeline, tracer)
+	// The one job takes the whole CPU budget (exp.RunSweeps' rule at one
+	// job); the runner caps it at what the cell can split into.
+	sc.Shards = runtime.GOMAXPROCS(0)
+	m, err := runCell(sc, a.seed, timeline, tracer)
 	if err != nil {
 		return err
 	}

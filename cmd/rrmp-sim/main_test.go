@@ -10,15 +10,16 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/exp"
-	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/runner"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -42,34 +43,61 @@ func parse(t *testing.T, line ...string) sweepArgs {
 	return a
 }
 
+// atBudget runs fn with GOMAXPROCS at n, the CPU budget a run divides
+// between its worker pool and its trials' lanes.
+func atBudget(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// atWidth runs fn with every trial asking for n lanes in place of its
+// share of the CPU budget — the test-only width override.
+func atWidth(n int, fn func()) {
+	defer func() { runCell = runner.RunScenarioWith }()
+	runCell = func(sc exp.Scenario, seed uint64, tl workload.Timeline, tracer trace.Tracer) (map[string]float64, error) {
+		sc.Shards = n
+		return runner.RunScenarioWith(sc, seed, tl, tracer)
+	}
+	fn()
+}
+
+// sweepReport runs a report command line in-process and returns the bytes
+// it wrote to -out.
+func sweepReport(t *testing.T, line ...string) []byte {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "report.json")
+	if err := runSweep(parse(t, append(line, "-out", out)...)); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
 // TestSweepReportByteIdenticalAcrossParallelism runs the full -sweep code
 // path in-process (small topologies, the default fault axes, 2 trials)
 // and asserts the rrmp-sweep/v1 JSON report written to -out is
-// byte-identical at -parallel 1 and -parallel 4 — the determinism
-// contract the committed BENCH_sweep.json depends on — including the new
-// crash and partition cells.
+// byte-identical on 1 and 4 cores — the determinism contract the
+// committed BENCH_sweep.json depends on — including the crash and
+// partition cells. The same matrix under hash loss, whose 6,6 cells run
+// genuinely on two lanes, is byte-identical at one and two lanes.
 func TestSweepReportByteIdenticalAcrossParallelism(t *testing.T) {
-	dir := t.TempDir()
-	report := func(parallel int) []byte {
-		t.Helper()
-		out := filepath.Join(dir, "sweep.json")
-		// Shrink the topologies; keep every default axis.
-		err := runSweep(parse(t, "-sweep", "-regions", "8;6,6",
-			"-trials", "2", "-parallel", fmt.Sprint(parallel), "-seed", "1", "-out", out))
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-
-	serial := report(1)
-	wide := report(4)
+	// Shrink the topologies; keep every default axis.
+	line := []string{"-sweep", "-regions", "8;6,6", "-trials", "2", "-seed", "1"}
+	var serial, wide []byte
+	atBudget(1, func() { serial = sweepReport(t, line...) })
+	atBudget(4, func() { wide = sweepReport(t, line...) })
 	if !bytes.Equal(serial, wide) {
-		t.Fatal("sweep report bytes differ between -parallel 1 and -parallel 4")
+		t.Fatal("sweep report bytes differ between 1 and 4 cores")
+	}
+	hash := append(line, "-loss-mode", "hash")
+	var one, two []byte
+	atWidth(1, func() { one = sweepReport(t, hash...) })
+	atWidth(2, func() { two = sweepReport(t, hash...) })
+	if !bytes.Equal(one, two) {
+		t.Fatal("hash-loss sweep report bytes differ between 1 and 2 lanes per trial")
 	}
 
 	var rep exp.Report
@@ -161,30 +189,17 @@ func TestSweepReportByteIdenticalAcrossParallelism(t *testing.T) {
 // TestBudgetSweepPressureAndDeterminism is the byte-axis acceptance run: a
 // budget-constrained payload sweep must actually hit the budget (pressure
 // evictions > 0), keep survivor delivery ≥ 0.99 at a sane budget, and stay
-// byte-identical across -parallel 1 and 8. Pinned to the rrmp protocol:
+// byte-identical on 1 and 8 cores. Pinned to the rrmp protocol:
 // the ≥ 0.99 survivor bound is an RRMP property (an orphaned rmtp region
 // legitimately stalls — that regime has its own tests).
 func TestBudgetSweepPressureAndDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	report := func(parallel int) []byte {
-		t.Helper()
-		out := filepath.Join(dir, "budget_sweep.json")
-		if err := runSweep(parse(t, "-sweep", "-regions", "8;6,6",
-			"-payload", "512,1024", "-protocol", "rrmp", "-budget", "16384",
-			"-trials", "2", "-parallel", fmt.Sprint(parallel), "-seed", "1", "-out", out)); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-
-	serial := report(1)
-	wide := report(8)
+	line := []string{"-sweep", "-regions", "8;6,6",
+		"-payload", "512,1024", "-protocol", "rrmp", "-budget", "16384", "-trials", "2", "-seed", "1"}
+	var serial, wide []byte
+	atBudget(1, func() { serial = sweepReport(t, line...) })
+	atBudget(8, func() { wide = sweepReport(t, line...) })
 	if !bytes.Equal(serial, wide) {
-		t.Fatal("budget sweep report bytes differ between -parallel 1 and -parallel 8")
+		t.Fatal("budget sweep report bytes differ between 1 and 8 cores")
 	}
 
 	var rep exp.Report
@@ -235,42 +250,16 @@ func TestSweepReportMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// -shards is an execution knob like -parallel: the golden bytes must
-	// survive the region-sharded engine at any width.
-	for _, shards := range []int{1, 8} {
-		out := filepath.Join(t.TempDir(), "sweep.json")
-		if err := runSweep(parse(t, "-sweep", "-regions", "8;6,6",
-			"-payload", "0", "-budget", "0", "-protocol", "rrmp",
-			"-trials", "2", "-parallel", "4", "-shards", fmt.Sprint(shards), "-seed", "1", "-out", out)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// At -shards 8 the report gains the top-level exec note (the
-		// miniature's lossy legacy cells fall back to serial); the golden
-		// predates it, so strip the note — and pin that it appears exactly
-		// when it should — before the byte comparison. The cells
-		// themselves must match byte for byte.
-		var rep exp.Report
-		if err := json.Unmarshal(got, &rep); err != nil {
-			t.Fatalf("-shards %d sweep report is not valid JSON: %v", shards, err)
-		}
-		if shards > 1 && rep.ExecNote == "" {
-			t.Fatalf("-shards %d report lacks the exec note for its serial-fallback cells", shards)
-		}
-		if shards == 1 && rep.ExecNote != "" {
-			t.Fatalf("-shards 1 report unexpectedly carries an exec note: %q", rep.ExecNote)
-		}
-		rep.ExecNote = ""
-		canon, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		canon = append(canon, '\n')
-		if !bytes.Equal(canon, golden) {
-			t.Fatalf("-shards %d sweep report diverged from the pre-rewrite golden (testdata/sweep_golden.json); the hot-path rewrite must be behaviour-preserving", shards)
+	// The lane width is an execution choice like the pool's: the golden
+	// bytes must survive the region-sharded engine at any width.
+	for _, width := range []int{1, 8} {
+		var got []byte
+		atWidth(width, func() {
+			got = sweepReport(t, "-sweep", "-regions", "8;6,6",
+				"-payload", "0", "-budget", "0", "-protocol", "rrmp", "-trials", "2", "-seed", "1")
+		})
+		if !bytes.Equal(got, golden) {
+			t.Fatalf("sweep report at %d lanes diverged from the pre-rewrite golden (testdata/sweep_golden.json); the hot-path rewrite must be behaviour-preserving", width)
 		}
 	}
 }
@@ -278,26 +267,13 @@ func TestSweepReportMatchesGolden(t *testing.T) {
 // TestScaleAggregatesByteIdenticalAcrossParallelism runs the -sweep-scale
 // code path in-process on miniature tree cells. The report is an ordinary
 // rrmp-sweep/v1 report, so the sweep determinism contract applies whole:
-// its bytes are identical at -parallel 1 and 8, and its cells are
-// identical at -shards 1 and 2. Only exec_note may differ across widths:
-// the scale matrix's legacy-loss cells fall back to serial under -shards,
-// and the report must say so. A -loss-mode hash tree runs two lanes, so
-// its cells prove the width contract on real windows, and it carries no
-// note at either width.
+// its bytes are identical on 1 and 8 cores and at one and two lanes per
+// trial. A -loss-mode hash tree runs two lanes, so its cells prove the
+// width contract on real windows; the legacy-loss cells keep one loop.
 func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
-	dir := t.TempDir()
-	report := func(parallel, shards int, extra ...string) ([]byte, exp.Report) {
+	report := func(extra ...string) []byte {
 		t.Helper()
-		out := filepath.Join(dir, "scale.json")
-		line := append([]string{"-sweep-scale", "-tree", "4:2:120;4:3:150", "-trials", "2",
-			"-parallel", fmt.Sprint(parallel), "-shards", fmt.Sprint(shards), "-seed", "1", "-out", out}, extra...)
-		if err := runSweep(parse(t, line...)); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
+		blob := sweepReport(t, append([]string{"-sweep-scale", "-tree", "4:2:120;4:3:150", "-trials", "2", "-seed", "1"}, extra...)...)
 		var rep exp.Report
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			t.Fatalf("scale report is not valid JSON: %v", err)
@@ -305,41 +281,47 @@ func TestScaleAggregatesByteIdenticalAcrossParallelism(t *testing.T) {
 		if rep.Schema != exp.ReportSchema {
 			t.Fatalf("schema %q, want %s", rep.Schema, exp.ReportSchema)
 		}
-		return blob, rep
+		return blob
 	}
-	sameCells := func(what string, a, b exp.Report) {
-		t.Helper()
-		x, err := json.Marshal(a.Cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := json.Marshal(b.Cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(x, y) {
-			t.Fatalf("%s scale cells differ between -shards 1 and -shards 2", what)
-		}
+	var serial, wide, sharded []byte
+	atBudget(1, func() { serial = report() })
+	atBudget(8, func() { wide = report() })
+	if !bytes.Equal(serial, wide) {
+		t.Fatal("scale reports differ between 1 and 8 cores")
 	}
+	atWidth(2, func() { sharded = report() })
+	if !bytes.Equal(serial, sharded) {
+		t.Fatal("legacy-loss scale reports differ between 1 and 2 lanes")
+	}
+	var hashSerial, hashSharded []byte
+	atWidth(1, func() { hashSerial = report("-loss-mode", "hash") })
+	atWidth(2, func() { hashSharded = report("-loss-mode", "hash") })
+	if !bytes.Equal(hashSerial, hashSharded) {
+		t.Fatal("hash-loss scale reports differ between 1 and 2 lanes")
+	}
+}
 
-	serial, serialRep := report(1, 1)
-	if wide, _ := report(8, 1); !bytes.Equal(serial, wide) {
-		t.Fatal("scale reports differ between -parallel 1 and -parallel 8")
+// TestSweepRecordWidthIndependent regenerates BENCH_sweep.json's 600
+// cells with every trial asking for RRMP_SHARDS lanes and compares the
+// bytes with the committed record: the record does not depend on the lane
+// width. Its 24 "30,30" hash-loss cells run genuinely on lanes; the rest
+// keep one loop. CI's record job runs it at RRMP_SHARDS=2 (about 20 s on
+// 2 cores). It is skipped unless the variable asks for two lanes or more,
+// and under -short.
+func TestSweepRecordWidthIndependent(t *testing.T) {
+	n, _ := strconv.Atoi(os.Getenv("RRMP_SHARDS"))
+	if n < 2 || testing.Short() {
+		t.Skip("set RRMP_SHARDS=2 (or wider) to regenerate the sweep record at that width")
 	}
-	_, sharded := report(8, 2)
-	if serialRep.ExecNote != "" || sharded.ExecNote == "" {
-		t.Fatalf("exec_note %q at -shards 1 and %q at -shards 2; want it only where cells fall back to serial",
-			serialRep.ExecNote, sharded.ExecNote)
+	want, err := os.ReadFile(filepath.Join("..", "..", "BENCH_sweep.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sameCells("legacy-loss", serialRep, sharded)
-
-	_, hashSerial := report(8, 1, "-loss-mode", "hash")
-	_, hashSharded := report(8, 2, "-loss-mode", "hash")
-	if hashSerial.ExecNote != "" || hashSharded.ExecNote != "" {
-		t.Fatalf("hash-loss exec_note %q at -shards 1 and %q at -shards 2; no cell falls back",
-			hashSerial.ExecNote, hashSharded.ExecNote)
+	var got []byte
+	atWidth(n, func() { got = sweepReport(t, "-sweep", "-trials", "8") })
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the sweep record at %d lanes per trial differs from BENCH_sweep.json", n)
 	}
-	sameCells("hash-loss", hashSerial, hashSharded)
 }
 
 // TestCommittedRecordsAreSweepReports decodes both committed records
@@ -455,29 +437,16 @@ func TestParseInts(t *testing.T) {
 
 // TestProtocolSweepMiniature is the protocol-axis golden miniature: a
 // -protocol rrmp,rmtp matrix crossing faults and a budget must be
-// byte-identical at -parallel 1 and 8, append every rmtp cell after every
+// byte-identical on 1 and 8 cores, append every rmtp cell after every
 // rrmp cell, and keep the per-protocol key disciplines intact.
 func TestProtocolSweepMiniature(t *testing.T) {
-	dir := t.TempDir()
-	report := func(parallel int) []byte {
-		t.Helper()
-		out := filepath.Join(dir, "protocol_sweep.json")
-		if err := runSweep(parse(t, "-sweep", "-regions", "8;6,6",
-			"-payload", "0,512", "-budget", "0", "-protocol", "rrmp,rmtp",
-			"-trials", "2", "-parallel", fmt.Sprint(parallel), "-seed", "1", "-out", out)); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-
-	serial := report(1)
-	wide := report(8)
+	line := []string{"-sweep", "-regions", "8;6,6",
+		"-payload", "0,512", "-budget", "0", "-protocol", "rrmp,rmtp", "-trials", "2", "-seed", "1"}
+	var serial, wide []byte
+	atBudget(1, func() { serial = sweepReport(t, line...) })
+	atBudget(8, func() { wide = sweepReport(t, line...) })
 	if !bytes.Equal(serial, wide) {
-		t.Fatal("protocol sweep report bytes differ between -parallel 1 and -parallel 8")
+		t.Fatal("protocol sweep report bytes differ between 1 and 8 cores")
 	}
 
 	var rep exp.Report
@@ -531,9 +500,9 @@ func TestSingleRunRMTP(t *testing.T) {
 // TestTraceOutWritesFile pins -trace-out: traces route through the
 // kernel's Tracer hook into the named file instead of unconditionally
 // spamming stderr — for workload cells too, now that they run the same
-// kernel — and a traced run's bytes do not depend on -shards (it takes one
-// loop; at the parent commit every lane goroutine wrote the file and four
-// runs gave four files).
+// kernel — and a traced run's bytes do not depend on the lane width asked
+// for (it takes one loop; before it did, every lane goroutine wrote the
+// file and four runs gave four files).
 //
 // testdata/trace_faults.golden pins the bytes themselves. It was written
 // by the last string-detail tracer (PR 15's binary, before trace.Event was
@@ -556,9 +525,11 @@ func TestTraceOutWritesFile(t *testing.T) {
 
 	// A hash-loss four-region cell genuinely shards when untraced.
 	wide := []string{"-regions", "40,40,40,40", "-loss", "0.2", "-loss-mode", "hash", "-msgs", "10"}
-	serial := traceOf("shards1.log", append(wide, "-shards", "1")...)
-	if sharded := traceOf("shards4.log", append(wide, "-shards", "4")...); !bytes.Equal(serial, sharded) {
-		t.Fatal("trace bytes differ between -shards 1 and -shards 4")
+	var serial, sharded []byte
+	atWidth(1, func() { serial = traceOf("shards1.log", wide...) })
+	atWidth(4, func() { sharded = traceOf("shards4.log", wide...) })
+	if !bytes.Equal(serial, sharded) {
+		t.Fatal("trace bytes differ between 1 and 4 lanes")
 	}
 
 	golden, err := os.ReadFile(filepath.Join("testdata", "trace_faults.golden"))
@@ -567,10 +538,12 @@ func TestTraceOutWritesFile(t *testing.T) {
 	}
 	faults := []string{"-regions", "6,6,6", "-loss", "0.4", "-loss-mode", "hash", "-crash", "1", "-crash-recover", "300ms",
 		"-churn", "1", "-budget", "2048", "-payload", "512", "-seed", "8", "-msgs", "20", "-horizon", "2s"}
-	for _, shards := range []string{"1", "4"} {
-		if got := traceOf("faults"+shards+".log", append(faults, "-shards", shards)...); !bytes.Equal(got, golden) {
-			t.Errorf("-shards %s: trace differs from testdata/trace_faults.golden (%d bytes, golden %d)", shards, len(got), len(golden))
-		}
+	for _, width := range []int{1, 4} {
+		atWidth(width, func() {
+			if got := traceOf(fmt.Sprintf("faults%d.log", width), faults...); !bytes.Equal(got, golden) {
+				t.Errorf("%d lanes: trace differs from testdata/trace_faults.golden (%d bytes, golden %d)", width, len(got), len(golden))
+			}
+		})
 	}
 }
 
@@ -600,7 +573,7 @@ func traceFile(t *testing.T, path string, line ...string) []byte {
 // (6 files in 6 runs at the parent commit; metrics were unaffected — the
 // callback's effects commute, trace lines do not). The dense table is
 // swept in ascending NodeID order, so the bytes are now a function of the
-// seed at any -shards.
+// seed at any lane width.
 //
 // testdata/trace_partition.golden is this PR's binary's file. The parent
 // binary cannot write a stable one; what it prints equals the golden as a
@@ -618,11 +591,18 @@ func TestTracePartitionByteStable(t *testing.T) {
 	line := []string{"-regions", "30", "-loss", "0.2", "-loss-mode", "hash", "-partition-at", "500ms", "-partition-for", "1s",
 		"-seed", "3", "-msgs", "20", "-horizon", "3s"}
 	dir := t.TempDir()
-	for i, extra := range [][]string{nil, nil, nil, {"-shards", "1"}, {"-shards", "4"}} {
-		args := append(append([]string(nil), line...), extra...)
-		if got := traceFile(t, filepath.Join(dir, fmt.Sprintf("run%d.log", i)), args...); !bytes.Equal(got, golden) {
-			t.Errorf("run %d %v: trace differs from testdata/trace_partition.golden (%d bytes, golden %d)",
-				i, extra, len(got), len(golden))
+	// Three runs on the CPU budget, then one at each pinned width.
+	for i, width := range []int{0, 0, 0, 1, 4} {
+		run := func() {
+			if got := traceFile(t, filepath.Join(dir, fmt.Sprintf("run%d.log", i)), line...); !bytes.Equal(got, golden) {
+				t.Errorf("run %d (width %d): trace differs from testdata/trace_partition.golden (%d bytes, golden %d)",
+					i, width, len(got), len(golden))
+			}
+		}
+		if width > 0 {
+			atWidth(width, run)
+		} else {
+			run()
 		}
 	}
 }
@@ -996,100 +976,6 @@ func TestFitnessTableDisplayOnly(t *testing.T) {
 	}
 }
 
-// captureStderr returns what fn writes to os.Stderr.
-func captureStderr(t *testing.T, fn func()) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	old := os.Stderr
-	os.Stderr = w
-	defer func() { os.Stderr = old }()
-	fn()
-	w.Close()
-	blob, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(blob)
-}
-
-// TestShardsFallbackQuotesTheRule pins that the two places a user learns
-// -shards could not apply — the single run's stderr line and a sweep
-// report's exec_note — name the runner's reason for either protocol: legacy
-// loss quotes netsim.ShardSafe's own reason, a one-region cell says it has
-// one region, a traced run (rrmp only) says it is traced. Neither speaks
-// for a two-region hash-loss cell, which gets its lanes.
-func TestShardsFallbackQuotesTheRule(t *testing.T) {
-	const oneRegion, traced = "the group has one region", "a traced run keeps one loop"
-	reason := netsim.ShardSafe(&netsim.BernoulliLoss{}).Error()
-
-	for _, proto := range []string{"rrmp", "rmtp"} {
-		run := func(regions, lossMode string, extra ...string) string {
-			a := parse(t, append([]string{"-protocol", proto, "-regions", regions, "-loss", "0.2", "-loss-mode", lossMode,
-				"-msgs", "5", "-horizon", "2s", "-shards", "4"}, extra...)...)
-			return captureStderr(t, func() {
-				if err := runSingle(io.Discard, a); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-		type line struct {
-			regions, lossMode string
-			extra             []string
-			want              string // "" = silent
-		}
-		single := []line{
-			{"6,6", "", nil, reason},
-			{"6,6", "hash", nil, ""},
-			{"12", "hash", nil, oneRegion},
-		}
-		if proto == "rrmp" {
-			single = append(single, line{"6,6", "", []string{"-trace-out", filepath.Join(t.TempDir(), "trace.log")}, traced})
-		}
-		for _, c := range single {
-			got := run(c.regions, c.lossMode, c.extra...)
-			switch {
-			case c.want == "" && got != "":
-				t.Fatalf("%s -regions %s -loss-mode %q -shards 4 run warned: %q", proto, c.regions, c.lossMode, got)
-			case c.want != "" && (!strings.Contains(got, c.want) || !strings.Contains(got, "shards=4") || strings.Count(got, "\n") != 1):
-				t.Fatalf("%s -regions %s -loss-mode %q %v -shards 4 stderr %q is not one line naming %q",
-					proto, c.regions, c.lossMode, c.extra, got, c.want)
-			}
-		}
-
-		note := func(regions, lossMode string) string {
-			out := filepath.Join(t.TempDir(), "sweep.json")
-			if err := runSweep(parse(t, "-sweep", "-regions", regions, "-loss", "0.2", "-churn", "0",
-				"-policy", "two-phase", "-payload", "0", "-budget", "0", "-protocol", proto,
-				"-loss-mode", lossMode, "-msgs", "5", "-horizon", "2s",
-				"-parallel", "1", "-shards", "4", "-out", out)); err != nil {
-				t.Fatal(err)
-			}
-			blob, err := os.ReadFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rep exp.Report
-			if err := json.Unmarshal(blob, &rep); err != nil {
-				t.Fatal(err)
-			}
-			return rep.ExecNote
-		}
-		if got := note("6,6", ""); !strings.Contains(got, reason) {
-			t.Fatalf("%s exec_note %q does not state the rule %q", proto, got, reason)
-		}
-		if got := note("6,6", "hash"); got != "" {
-			t.Fatalf("%s hash-loss sweep carries an exec note: %q", proto, got)
-		}
-		if got := note("12", "hash"); !strings.Contains(got, oneRegion) {
-			t.Fatalf("%s one-region hash-loss exec_note %q does not say %q", proto, got, oneRegion)
-		}
-	}
-}
-
 // TestOutOfDomainFlagsRejected pins ROADMAP aim 3 at the CLI: a value
 // outside its parameter's domain is a typed error before anything runs.
 // Every line below once ran to completion, printing a cell named e.g.
@@ -1174,8 +1060,8 @@ func TestFlagCensus(t *testing.T) {
 			t.Errorf("twin flag -%s survives", f.Name)
 		}
 	})
-	if n > 38 {
-		t.Errorf("%d flags, want at most 38", n)
+	if n > 36 {
+		t.Errorf("%d flags, want at most 36", n)
 	}
 }
 

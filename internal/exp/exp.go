@@ -36,7 +36,8 @@ type TrialFunc func(trial int, seed uint64) (map[string]float64, error)
 type Options struct {
 	// Trials is the number of independently seeded repetitions (min 1).
 	Trials int
-	// Parallel bounds the worker pool; <= 0 means GOMAXPROCS.
+	// Parallel is the CPU budget: it bounds the worker pool, and RunSweeps
+	// gives its spare cores to trials as lanes. <= 0 means GOMAXPROCS.
 	Parallel int
 	// BaseSeed roots the whole run. Trial i runs with TrialSeed(BaseSeed, i).
 	BaseSeed uint64

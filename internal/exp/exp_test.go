@@ -247,6 +247,35 @@ func TestRunSweepPairsSeedsAcrossCells(t *testing.T) {
 	}
 }
 
+// TestRunSweepDividesTheBudget pins the lanes each trial asks for: the
+// jobs take the cores first, so 3 cells × 1 trial on 7 cores ask for 2
+// lanes each, and 3 cells × 2 trials on 4 cores for 1.
+func TestRunSweepDividesTheBudget(t *testing.T) {
+	sw := Sweep{Policies: []string{"two-phase", "fixed", "all"}}
+	for _, c := range []struct{ trials, parallel, want int }{
+		{1, 7, 2},
+		{1, 3, 1},
+		{2, 4, 1},
+		{1, 1, 1},
+	} {
+		var mu sync.Mutex
+		asked := map[int]int{}
+		_, err := RunSweeps(Options{Trials: c.trials, Parallel: c.parallel, BaseSeed: 1}, []Sweep{sw},
+			func(sc Scenario, _ uint64) (map[string]float64, error) {
+				mu.Lock()
+				asked[sc.Shards]++
+				mu.Unlock()
+				return nil, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jobs := 3 * c.trials; len(asked) != 1 || asked[c.want] != jobs {
+			t.Errorf("%d jobs on %d cores asked for lanes %v, want %d each", jobs, c.parallel, asked, c.want)
+		}
+	}
+}
+
 func TestRunSweepErrorNamesCell(t *testing.T) {
 	sw := Sweep{Policies: []string{"two-phase", "fixed"}}
 	_, err := RunSweeps(Options{Trials: 2, Parallel: 2, BaseSeed: 1}, []Sweep{sw},

@@ -116,7 +116,8 @@ type Scenario struct {
 	Workload *workload.Spec `json:"workload,omitempty"`
 	// Shards is an execution knob, not part of the cell's identity: the
 	// region-sharded event loops the trial asks for (<= 1 means the serial
-	// engine; runner's laneWidth decides how many it gets). Aggregates are
+	// engine; runner's laneWidth decides how many it gets). RunSweeps sets
+	// it to the trial's share of the CPU budget. Aggregates are
 	// byte-identical at any value — the same contract as Options.Parallel —
 	// so it is excluded from JSON and from Name.
 	Shards int `json:"-"`
@@ -264,9 +265,6 @@ type Sweep struct {
 	// first, so adding workloads to a matrix appends whole families after
 	// every existing cell without moving (or re-byting) any of them.
 	Workloads []*workload.Spec `json:"workloads,omitempty"`
-	// Shards applies to every cell; an execution knob excluded from JSON
-	// and cell identity (see Scenario.Shards).
-	Shards int `json:"-"`
 }
 
 // DefaultSweep returns the standing benchmark matrix rrmp-sim runs when no
@@ -532,7 +530,6 @@ func (sw Sweep) Expand() []Scenario {
 												Tree:          tc.tree,
 												Loss:          l,
 												Burst:         sw.Burst,
-												Shards:        sw.Shards,
 												Churn:         ch,
 												Crash:         cr,
 												Policy:        p,
@@ -675,12 +672,6 @@ type Report struct {
 	Schema   string `json:"schema"`
 	BaseSeed uint64 `json:"base_seed"`
 	Trials   int    `json:"trials"`
-	// ExecNote records execution-only caveats — how many cells ran serial
-	// although -shards asked for more, and why (runner.ExecNote writes
-	// it). Empty (and omitted, so default-shards reports keep their bytes)
-	// unless shards were requested and some cell fell back. Execution
-	// metadata, not cell identity: aggregates are unaffected either way.
-	ExecNote string `json:"exec_note,omitempty"`
 	Cells    []Cell `json:"cells"`
 }
 
@@ -692,6 +683,11 @@ type Report struct {
 // the previous ones. Trial i uses the same seed in every cell of the whole
 // concatenation — common random numbers, the paired design that lets
 // per-cell differences be read as policy effects rather than draw luck.
+//
+// The pool divides one CPU budget, o.Parallel cores: the (cell, trial)
+// jobs take the cores first, and each trial asks for the rest as
+// Scenario.Shards = max(1, Parallel/jobs) region lanes. The stored cells
+// keep their Scenario as declared.
 func RunSweeps(o Options, sweeps []Sweep, run ScenarioFunc) (Report, error) {
 	o = o.normalized()
 	var scenarios []Scenario
@@ -714,10 +710,14 @@ func RunSweeps(o Options, sweeps []Sweep, run ScenarioFunc) (Report, error) {
 		pending[i].Store(int32(o.Trials))
 	}
 	aggs := make([]Aggregate, len(scenarios))
-	err := runJobs(o.Parallel, len(scenarios)*o.Trials, func(j int) error {
+	jobs := len(scenarios) * o.Trials
+	lanes := max(1, o.Parallel/max(1, jobs))
+	err := runJobs(o.Parallel, jobs, func(j int) error {
 		cell, trial := j/o.Trials, j%o.Trials
 		seed := TrialSeed(o.BaseSeed, trial)
-		m, err := run(scenarios[cell], seed)
+		sc := scenarios[cell]
+		sc.Shards = lanes
+		m, err := run(sc, seed)
 		if err != nil {
 			return fmt.Errorf("exp: cell %q trial %d (seed %#x): %w",
 				scenarios[cell].Name(), trial, seed, err)

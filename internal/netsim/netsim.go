@@ -22,7 +22,6 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -731,26 +730,23 @@ func (g *GilbertElliott) Drop(from, to topology.NodeID, t wire.Type) bool {
 
 var _ LossModel = (*GilbertElliott)(nil)
 
-// errSharedStream is why the two models above are not shard-safe.
-var errSharedStream = errors.New("shared-stream loss draws from one rng in global send order, which only a single event loop reproduces")
-
-// ShardSafe is the one statement of the shard-safety rule: it returns nil
-// if a trial using loss may run on more than one event loop, and the reason
-// if it may not. BernoulliLoss and GilbertElliott consume a single rng in
-// global send order — several loops would interleave (and race on) its
-// draws — so they, and nothing else, pin a run to one loop. A wrapper that
+// ShardSafe is the one statement of the shard-safety rule: it reports
+// whether a trial using loss may run on more than one event loop.
+// BernoulliLoss and GilbertElliott consume a single rng in global send
+// order — several loops would interleave (and race on) its draws — so
+// they, and nothing else, pin a run to one loop. A wrapper that
 // names its inner model with an Unwrap() LossModel method is judged by
 // that model. Every other model (nil, the counter-hash models, a caller's
 // wrapper without Unwrap) is taken to keep its draw state per sender or
 // per pair, as Unicast requires of anything it calls from a shard loop.
-func ShardSafe(loss LossModel) error {
+func ShardSafe(loss LossModel) bool {
 	switch m := loss.(type) {
 	case *BernoulliLoss, *GilbertElliott:
-		return errSharedStream
+		return false
 	case interface{ Unwrap() LossModel }:
 		return ShardSafe(m.Unwrap())
 	}
-	return nil
+	return true
 }
 
 // UniformLatency applies a fixed one-way delay between every pair.

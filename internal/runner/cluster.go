@@ -4,7 +4,6 @@
 package runner
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -50,8 +49,8 @@ type ClusterConfig struct {
 	Tracer trace.Tracer
 	// Shards > 1 asks for the region-sharded parallel engine (sim.Sharded):
 	// regions are packed into contiguous blocks and each block gets its own
-	// event loop. laneWidth decides how many the cluster gets, and why it
-	// gets one. Aggregates are byte-identical at any width.
+	// event loop. laneWidth decides how many the cluster gets. Aggregates
+	// are byte-identical at any width.
 	Shards int
 	// Lookahead bounds the sharded engine's conservative windows and must
 	// not exceed the minimum cross-region packet latency. It defaults to
@@ -92,20 +91,14 @@ type deployment struct {
 
 // laneWidth is the one rule for how many event loops a run gets: the
 // shards it asks for, capped at its region count, since lanes take whole
-// regions (topology.ShardMap). When that is one although more was asked,
-// the error says why, the first of three reasons in the order below.
-func laneWidth(shards int, tracer trace.Tracer, loss netsim.LossModel, regions int) (int, error) {
-	switch lossErr := netsim.ShardSafe(loss); {
-	case shards <= 1:
-		return 1, nil
-	case tracer != nil:
-		return 1, errors.New("a tracer is one sink fed in event order, so a traced run keeps one loop and its trace is a pure function of the seed")
-	case lossErr != nil:
-		return 1, fmt.Errorf("%w — use LossMode \"hash\" for shard-safe loss", lossErr)
-	case regions <= 1:
-		return 1, errors.New("lanes take whole regions, and the group has one region")
+// regions (topology.ShardMap). A tracer (one sink fed in event order) or
+// shared-stream loss (netsim.ShardSafe) keeps one loop. A run asking for
+// one lane is decided before the loss model is consulted.
+func laneWidth(shards int, tracer trace.Tracer, loss netsim.LossModel, regions int) int {
+	if shards <= 1 || tracer != nil || !netsim.ShardSafe(loss) {
+		return 1
 	}
-	return min(shards, regions), nil
+	return min(shards, regions)
 }
 
 // newDeployment is the one place a deployment's execution is decided: the
@@ -126,7 +119,7 @@ func newDeployment(cfg ClusterConfig) (*deployment, error) {
 	for i := range d.all {
 		d.all[i] = topology.NodeID(i)
 	}
-	width, _ := laneWidth(cfg.Shards, cfg.Tracer, cfg.Loss, cfg.Topo.NumRegions())
+	width := laneWidth(cfg.Shards, cfg.Tracer, cfg.Loss, cfg.Topo.NumRegions())
 	if width == 1 {
 		d.engine = sim.New()
 		d.clockOf = func(topology.NodeID) clock.Scheduler { return d.engine }

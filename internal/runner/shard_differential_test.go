@@ -32,19 +32,24 @@ func shardWidths() []int {
 	return widths
 }
 
-// sweepAtShards runs the sweep with Shards=n and returns the report's
-// canonical JSON — the exact bytes the determinism contract covers.
+// atWidth is RunScenario with every trial asking for n lanes in place of
+// its share of the CPU budget — the test-only width override.
+func atWidth(n int) exp.ScenarioFunc {
+	return func(sc exp.Scenario, seed uint64) (map[string]float64, error) {
+		sc.Shards = n
+		return RunScenario(sc, seed)
+	}
+}
+
+// sweepAtShards runs the sweep at n lanes per trial and returns the
+// report's canonical JSON — the exact bytes the determinism contract
+// covers.
 func sweepAtShards(t *testing.T, sw exp.Sweep, o exp.Options, n int) string {
 	t.Helper()
-	sw.Shards = n
-	rep, err := RunSweeps(o, sw)
+	rep, err := exp.RunSweeps(o, []exp.Sweep{sw}, atWidth(n))
 	if err != nil {
 		t.Fatalf("shards=%d: %v", n, err)
 	}
-	// The top-level exec note names the requested width (it reports cells
-	// that fell back to serial), so it legitimately differs across widths;
-	// the contract this test pins covers the cells.
-	rep.ExecNote = ""
 	return fmtReport(t, rep)
 }
 

@@ -2,7 +2,9 @@ package runner
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,31 +164,98 @@ func TestEngineChoiceIsOneRule(t *testing.T) {
 	}
 }
 
-// TestExecNoteMatchesEngines pins that the note says what runs: over every
-// cell of BENCH_sweep.json's three families plus one one-region hash-loss
-// cell, all at Shards: 2, the cells ExecNote counts as serial are exactly
-// those whose cluster, built as the scenario kernel builds it, is the
-// single loop. Clusters are built; nothing runs.
-func TestExecNoteMatchesEngines(t *testing.T) {
-	oneRegion := exp.Sweep{Regions: [][]int{{20}}, Losses: []float64{0.2}, LossMode: "hash"}
-	sweeps := []exp.Sweep{exp.DefaultSweep(), exp.WorkloadSweep(), exp.AdaptiveSweep(), oneRegion}
-	serial, total := 0, 0
-	for i := range sweeps {
-		sweeps[i].Shards = 2
-		for _, sc := range sweeps[i].Expand() {
+// TestLaneCensus pins which standing cells get lanes: over the 600 cells
+// of BENCH_sweep.json's three families, each asking for two lanes, exactly
+// the 24 "30,30" hash-loss cells build the sharded engine. The other 576
+// are one-region cells, which lanes cannot split, or shared-stream-loss
+// cells, and build the single loop. Clusters are built; nothing runs.
+func TestLaneCensus(t *testing.T) {
+	sharded, total := 0, 0
+	for _, sw := range standingSweeps() {
+		for _, sc := range sw.Expand() {
 			total++
-			_, single := kernelEngine(t, sc).(*sim.Sim)
-			if noted := serialReason(sc, nil) != nil; single != noted {
-				t.Errorf("%s: builds the single loop %v, counted serial %v", sc.Name(), single, noted)
-			}
-			if single {
-				serial++
+			sc.Shards = 2
+			want := sc.LossMode == "hash" && slices.Equal(sc.Regions, []int{30, 30})
+			switch engine := kernelEngine(t, sc).(type) {
+			case *sim.Sharded:
+				sharded++
+				if !want {
+					t.Errorf("%s: builds lanes", sc.Name())
+				}
+			case *sim.Sim:
+				if want {
+					t.Errorf("%s: builds the single loop", sc.Name())
+				}
+			default:
+				t.Fatalf("%s: engine %T", sc.Name(), engine)
 			}
 		}
 	}
-	want := fmt.Sprintf(" %d of %d cells ran serial ", serial, total)
-	if note := ExecNote(nil, sweeps...); !strings.Contains(note, want) {
-		t.Fatalf("exec note %q, want it to count%s", note, want)
+	if sharded != 24 || total != 600 {
+		t.Fatalf("%d of %d cells build lanes, want 24 of 600", sharded, total)
+	}
+}
+
+// standingSweeps returns BENCH_sweep.json's three families in record order.
+func standingSweeps() []exp.Sweep {
+	return []exp.Sweep{exp.DefaultSweep(), exp.WorkloadSweep(), exp.AdaptiveSweep()}
+}
+
+// TestBudgetDividesCores pins how RunSweeps divides the CPU budget. A
+// one-job run of a two-region hash-loss cell at Parallel: 2 takes both
+// cores as lanes; the 600-cell matrix at Parallel: 2 has more jobs than
+// cores, so every trial gets one lane. Either way each stored
+// Cell.Scenario is the declared one: the budget reaches the kernel only.
+func TestBudgetDividesCores(t *testing.T) {
+	hash := exp.Sweep{Regions: [][]int{{6, 6}}, Losses: []float64{0.2}, LossMode: "hash", Msgs: 5, Horizon: time.Second}
+	var ran exp.Scenario
+	rep, err := exp.RunSweeps(exp.Options{Trials: 1, Parallel: 2, BaseSeed: 1}, []exp.Sweep{hash},
+		func(sc exp.Scenario, seed uint64) (map[string]float64, error) {
+			ran = sc
+			return RunScenario(sc, seed)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := kernelEngine(t, ran)
+	if sharded, ok := engine.(*sim.Sharded); !ok || sharded.Clock(0) == sharded.Clock(1) {
+		t.Fatalf("one-job two-region hash cell at Parallel: 2 runs %T, want two lanes", engine)
+	}
+	sameScenarios(t, rep, hash)
+
+	var mu sync.Mutex
+	widths := map[int]int{}
+	rep, err = exp.RunSweeps(exp.Options{Trials: 1, Parallel: 2, BaseSeed: 1}, standingSweeps(),
+		func(sc exp.Scenario, _ uint64) (map[string]float64, error) {
+			mu.Lock()
+			widths[sc.Shards]++
+			mu.Unlock()
+			return nil, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(widths) != 1 || widths[1] != 600 {
+		t.Fatalf("600-cell sweep at Parallel: 2 asked for lane widths %v, want 600 trials at 1", widths)
+	}
+	sameScenarios(t, rep, standingSweeps()...)
+}
+
+// sameScenarios fails unless rep stores exactly the sweeps' declared
+// cells, in order.
+func sameScenarios(t *testing.T, rep exp.Report, sweeps ...exp.Sweep) {
+	t.Helper()
+	var want []exp.Scenario
+	for _, sw := range sweeps {
+		want = append(want, sw.Expand()...)
+	}
+	if len(rep.Cells) != len(want) {
+		t.Fatalf("report holds %d cells, the sweeps declare %d", len(rep.Cells), len(want))
+	}
+	for i, c := range rep.Cells {
+		if !reflect.DeepEqual(c.Scenario, want[i]) {
+			t.Fatalf("cell %d stored as %+v, declared %+v", i, c.Scenario, want[i])
+		}
 	}
 }
 

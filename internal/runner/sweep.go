@@ -8,7 +8,6 @@ package runner
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/exp"
@@ -450,59 +449,4 @@ func runScenario(sc exp.Scenario, seed uint64, timeline workload.Timeline, trace
 	}
 	d.collect(out, &t)
 	return out, nil
-}
-
-// ExecNote is the one statement of which cells cannot honor a requested
-// Shards width: it counts the cells laneWidth keeps on one event loop, each
-// under its first reason, with tracer the single run's tracer (nil for a
-// sweep). RunSweeps writes it into the report and rrmp-sim's single run
-// prints it, so a fallback is said, never silent. The note is execution
-// metadata: it is empty at the default width, so the committed
-// default-shards reports keep their bytes.
-func ExecNote(tracer trace.Tracer, sweeps ...exp.Sweep) string {
-	shards, pinned, total := 0, 0, 0
-	var reasons []string // in order of first appearance
-	count := map[string]int{}
-	for _, sw := range sweeps {
-		shards = max(shards, sw.Shards)
-		cells := sw.Expand()
-		total += len(cells)
-		for _, sc := range cells {
-			if err := serialReason(sc, tracer); err != nil {
-				if why := err.Error(); count[why] == 0 {
-					reasons = append(reasons, why)
-				}
-				count[err.Error()]++
-				pinned++
-			}
-		}
-	}
-	if pinned == 0 {
-		return ""
-	}
-	why := reasons[0]
-	if len(reasons) > 1 {
-		for i, r := range reasons {
-			reasons[i] = fmt.Sprintf("%d: %s", count[r], r)
-		}
-		why = strings.Join(reasons, "; ")
-	}
-	return fmt.Sprintf("shards=%d requested; %d of %d cells ran serial (%s); aggregates are byte-identical either way",
-		shards, pinned, total, why)
-}
-
-// serialReason is laneWidth's reason for running sc on one event loop, or
-// nil when it gets the lanes it asks for or is malformed (a malformed cell
-// fails on its own; it is no fallback).
-func serialReason(sc exp.Scenario, tracer trace.Tracer) error {
-	if sc.Shards <= 1 {
-		return nil
-	}
-	topo, topoErr := ScenarioTopology(sc)
-	loss, lossErr := ScenarioLoss(sc, 0, 0)
-	if topoErr != nil || lossErr != nil {
-		return nil
-	}
-	_, why := laneWidth(sc.Shards, tracer, loss, topo.NumRegions())
-	return why
 }

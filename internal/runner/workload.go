@@ -152,10 +152,5 @@ func workloadMetrics(out map[string]float64, sc exp.Scenario, published int, joi
 // BENCH_sweep.json appends the workload family after the standing matrix
 // without re-byting it.
 func RunSweeps(o exp.Options, sweeps ...exp.Sweep) (exp.Report, error) {
-	rep, err := exp.RunSweeps(o, sweeps, RunScenario)
-	if err != nil {
-		return rep, err
-	}
-	rep.ExecNote = ExecNote(nil, sweeps...)
-	return rep, nil
+	return exp.RunSweeps(o, sweeps, RunScenario)
 }

@@ -249,6 +249,6 @@ func TestWorkloadSweepByteIdenticalAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmtReport(t, serial) != fmtReport(t, wide) {
-		t.Fatal("workload sweep report differs across -parallel widths")
+		t.Fatal("workload sweep report differs across pool widths")
 	}
 }
