@@ -239,6 +239,74 @@ func TestLatencySamplesDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestEpisodesDoNotAllocate pins the episode idiom (records.go): once a
+// region's free list holds records, a whole §2.2 recovery episode (detect,
+// local and remote attempts and their retries, repair by delivery) and a
+// whole §3.3 search episode (a remote request for a discarded message,
+// its hops, the give-up) allocate nothing. Each takes its message record
+// and episode off the list, arms retries with callbacks bound when the
+// record was made, and returns both to the list when it ends. (Each
+// episode once made its record, its episode and one closure per retry
+// callback, and a search an origins slice too.)
+func TestEpisodesDoNotAllocate(t *testing.T) {
+	const warm, runs = 64, 100
+	params := DefaultParams()
+	// Every copy is evicted at the idle threshold, and a few are held at
+	// once, so the buffer cycles its entries (it keeps no spares while
+	// empty).
+	params.C, params.IdleThreshold = 0, time.Second
+	params.MaxSearchTries = 4
+	c := newCluster(t, chainRegions(t, 10, 10), params, 1, nil)
+	m, s := c.members[c.topo.MemberAt(1, 3)], c.sim
+	net := &countTransport{}
+	m.cfg.Transport = net
+	payload := make([]byte, 256)
+	seq := uint64(0)
+
+	recoveryEpisode := func() {
+		seq++
+		id := wire.MessageID{Source: 0, Seq: seq}
+		m.StartRecovery(id)
+		s.RunUntil(s.Now() + 250*time.Millisecond) // local retries, two remote rounds
+		m.Receive(0, wire.Message{Type: wire.TypeData, From: 0, ID: id, Payload: payload})
+	}
+	searchEpisode := func() {
+		seq++
+		id := wire.MessageID{Source: 0, Seq: seq}
+		m.InjectDiscarded(id)
+		m.Receive(1, wire.Message{Type: wire.TypeRemoteRequest, From: 1, ID: id, Origin: 1})
+		s.RunUntil(s.Now() + 100*time.Millisecond) // every hop, then the give-up
+	}
+	for _, ep := range []struct {
+		name string
+		run  func()
+		done func() int64
+	}{
+		{"recovery", recoveryEpisode, func() int64 { return int64(m.Metrics().RecoveryLatency.N()) }},
+		{"search", searchEpisode, m.Metrics().SearchFailures.Value},
+	} {
+		for range warm {
+			ep.run()
+		}
+		done, sends := ep.done(), net.sends
+		if n := testing.AllocsPerRun(runs, ep.run); n != 0 {
+			t.Errorf("%s episode: %v allocs, want 0", ep.name, n)
+		}
+		if got := ep.done() - done; got != runs+1 {
+			t.Fatalf("%d %s episodes ended in %d runs: the guard did not measure them", got, ep.name, runs+1)
+		}
+		if net.sends-sends < 4*(runs+1) {
+			t.Fatalf("%d sends in %d %s episodes: the guard did not measure attempts", net.sends-sends, runs+1, ep.name)
+		}
+	}
+	if n := m.Metrics().RemoteReqSent.Value(); n == 0 {
+		t.Fatal("no remote request in any recovery episode")
+	}
+	for ms := range m.records {
+		t.Fatalf("record %v outlived its episode", ms.id)
+	}
+}
+
 // countTransport counts sends and drops them, so a guard measures the
 // member's own allocations and not the simulated network's. A multicast
 // counts one send per listed target.
@@ -256,9 +324,8 @@ func (c *countTransport) Broadcast(wire.Message) {}
 // lookup per region member) on every local request, search hop and
 // handoff; the pick is now the detector's own walk over its table. The
 // retry timer allocates nothing either: it is a clock.Handle in the
-// episode, re-armed with a callback bound once (a search's by newSearch,
-// a recovery's on its first arm, which AllocsPerRun's warm-up run makes).
-// The guard stops the previous retry timer first, as firing would, so the
+// episode, re-armed with a callback bound when the episode's record was
+// made. The guard stops the previous retry timer first, as firing would, so the
 // simulator's event comes from its pool.
 func TestPeerPickDoesNotAllocate(t *testing.T) {
 	params := DefaultParams()
@@ -276,13 +343,11 @@ func TestPeerPickDoesNotAllocate(t *testing.T) {
 	net := &countTransport{}
 	m.cfg.Transport = net
 
-	rec := &recovery{id: wire.MessageID{Source: 0, Seq: 99}}
-	m.msg(rec.id).recovery = rec
+	rec := m.newRecovery(m.msg(wire.MessageID{Source: 0, Seq: 99}), false)
 	if n := testing.AllocsPerRun(200, func() { rec.localTimer.Stop(); m.localAttempt(rec) }); n != 0 {
 		t.Errorf("local request attempt: %v allocs, want 0", n)
 	}
-	id := wire.MessageID{Source: 0, Seq: 98}
-	s := m.newSearch(m.msg(id), id, 12)
+	s := m.newSearch(m.msg(wire.MessageID{Source: 0, Seq: 98}), 12)
 	if n := testing.AllocsPerRun(200, func() { s.timer.Stop(); m.searchAttempt(s) }); n != 0 {
 		t.Errorf("search hop: %v allocs, want 0", n)
 	}
@@ -352,9 +417,11 @@ func TestHeartbeatTablesAreRecycled(t *testing.T) {
 // the buffer counts evictions in an array where it kept a map (10). The
 // per-source tables are now sorted slices that cost nothing until the
 // first message, the served table is made on first use, and the member
-// keeps no escaped copy of its Config. What is left: the Member, its
-// Buffer, the index header, the policy, one rng split and the eviction
-// closure.
+// keeps no escaped copy of its Config. Message records live in the
+// per-source windows, and a member given no region free list makes its
+// own on first use, so neither costs anything here. What is left: the
+// Member, its Buffer, the index header, the policy, one rng split and the
+// eviction closure, with or without a shared list.
 func TestNewMemberAllocs(t *testing.T) {
 	view, err := singleRegion(t, 10).ViewOf(3)
 	if err != nil {
@@ -370,22 +437,29 @@ func TestNewMemberAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 6 {
 		t.Fatalf("NewMember: %v allocs, want 6", n)
 	}
-}
-
-// TestMsgStateSize keeps a message's record at twelve words or less: a
-// HAVE makes one at every region member that has none, to hold only the
-// announced bufferer.
-func TestMsgStateSize(t *testing.T) {
-	if n := unsafe.Sizeof(msgState{}); n > 96 {
-		t.Fatalf("msgState is %d bytes, want at most 96", n)
+	cfg.Records = new(Records)
+	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 6 {
+		t.Fatalf("NewMember with a shared free list: %v allocs, want 6", n)
 	}
 }
 
-// TestMemberSize keeps a Member in the 576-byte size class: a 100k-member
-// trial builds 100k of them. It holds only the Config fields it reads
-// after construction, and one copy of the Params.
+// TestMsgStateSize keeps a message's record at eleven words: a HAVE makes
+// one at every region member that has none, to hold only the announced
+// bufferer. Its episodes and back-offs are pointers to records of their
+// own, so a record that holds none pays 32 bytes for them, not 72 for two
+// embedded timer handles.
+func TestMsgStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(msgState{}); n > 88 {
+		t.Fatalf("msgState is %d bytes, want at most 88", n)
+	}
+}
+
+// TestMemberSize keeps a Member at its 520 bytes (the 576-byte size
+// class): a 100k-member trial builds 100k of them. It holds only the
+// Config fields it reads after construction, one copy of the Params, and
+// a pointer to its region's free list where the message table was.
 func TestMemberSize(t *testing.T) {
-	if n := unsafe.Sizeof(Member{}); n > 576 {
-		t.Fatalf("Member is %d bytes, want at most 576", n)
+	if n := unsafe.Sizeof(Member{}); n > 520 {
+		t.Fatalf("Member is %d bytes, want at most 520", n)
 	}
 }

@@ -39,10 +39,16 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint6
 			c.all = append(c.all, n)
 		}
 	}
+	// A region's members share one free list of records, as in
+	// runner.NewCluster.
+	var records *Records
 	for _, n := range c.all {
 		view, err := topo.ViewOf(n)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if view.SelfIdx == 0 {
+			records = new(Records)
 		}
 		m := NewMember(Config{
 			View:      view,
@@ -50,6 +56,7 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint6
 			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
 			Params:    params,
+			Records:   records,
 		})
 		c.members[n] = m
 		net.Register(n, c.tally.handler(n, m))

@@ -14,19 +14,19 @@ import (
 // RTT-based retries; remote recovery flips a λ/n coin per round and asks a
 // random parent-region member.
 type recovery struct {
-	id          wire.MessageID
+	// ms is the record of the message being recovered.
+	ms          *msgState
 	detectedAt  time.Duration
 	localTries  int
 	remoteTries int
 	localTimer  clock.Handle
 	remoteTimer clock.Handle
-	// localRetry / remoteRetry are the timers' callbacks, bound on their
-	// first arm, so a retry re-arms without allocating.
+	// localRetry / remoteRetry are the timers' callbacks, bound once when
+	// the record is made.
 	localRetry  func()
 	remoteRetry func()
 	// done is set when the episode leaves its message's record (repaired,
-	// abandoned, or dropped by Leave/Crash); a retry that fires after that
-	// is stale and does nothing.
+	// abandoned, or dropped by Leave/Crash) and goes back on the free list.
 	done bool
 	// localDead / remoteDead mark a phase that can make no further
 	// progress (retry budget exhausted, or no peers to ask). When both
@@ -38,12 +38,30 @@ type recovery struct {
 	rerecovery bool
 }
 
-// end stops the episode's timers and marks it done; the caller removes it
-// from its message's record.
-func (r *recovery) end() {
-	r.localTimer.Stop()
-	r.remoteTimer.Stop()
-	r.done = true
+func (r *recovery) retryLocal()  { r.ms.m.localAttempt(r) }
+func (r *recovery) retryRemote() { r.ms.m.remoteAttempt(r) }
+
+// newRecovery puts a recovery episode detected now in ms, taking its
+// record off the free list.
+func (m *Member) newRecovery(ms *msgState, rerecovery bool) *recovery {
+	rec := take(&m.list().recs)
+	if rec == nil {
+		rec = new(recovery)
+		rec.localRetry, rec.remoteRetry = rec.retryLocal, rec.retryRemote
+	}
+	rec.ms, rec.detectedAt, rec.rerecovery, rec.done = ms, m.cfg.Sched.Now(), rerecovery, false
+	ms.recovery = rec
+	return rec
+}
+
+// endRecovery stops rec's timers, takes it out of its message's record and
+// puts it back on the free list; the caller releases the record.
+func (m *Member) endRecovery(rec *recovery) {
+	rec.localTimer.Stop()
+	rec.remoteTimer.Stop()
+	rec.ms.recovery = nil
+	*rec = recovery{localRetry: rec.localRetry, remoteRetry: rec.remoteRetry, done: true}
+	m.free.recs = append(m.free.recs, rec)
 }
 
 // noteTop advances loss detection for src up to sequence top: every
@@ -84,8 +102,7 @@ func (m *Member) startRecovery(id wire.MessageID, rerecovery bool) {
 	if ms.recovery != nil {
 		return
 	}
-	rec := &recovery{id: id, detectedAt: m.cfg.Sched.Now(), rerecovery: rerecovery}
-	ms.recovery = rec
+	rec := m.newRecovery(ms, rerecovery)
 	m.trace(trace.Event{Kind: trace.Detect, ID: id})
 	m.localAttempt(rec)
 	m.remoteAttempt(rec)
@@ -113,11 +130,9 @@ func (m *Member) localAttempt(rec *recovery) {
 	rec.localTries++
 	q, _ := m.randomPeer() // ok: the region has peers, checked above
 	m.metrics.LocalReqSent.Inc()
-	m.trace(trace.Event{Kind: trace.LocalReq, ID: rec.id, Peer: q, N: int32(rec.localTries)})
-	m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self, ID: rec.id})
-	if rec.localRetry == nil {
-		rec.localRetry = func() { m.localAttempt(rec) }
-	}
+	id := rec.ms.id
+	m.trace(trace.Event{Kind: trace.LocalReq, ID: id, Peer: q, N: int32(rec.localTries)})
+	m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self, ID: id})
 	rec.localTimer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.retryGrace(), rec.localRetry)
 }
 
@@ -147,11 +162,9 @@ func (m *Member) remoteAttempt(rec *recovery) {
 	if m.cfg.Rng.Bernoulli(p) {
 		r := parents[m.cfg.Rng.Intn(len(parents))]
 		m.metrics.RemoteReqSent.Inc()
-		m.trace(trace.Event{Kind: trace.RemoteReq, ID: rec.id, Peer: r, N: int32(rec.remoteTries)})
-		m.cfg.Transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self, ID: rec.id, Origin: m.self})
-	}
-	if rec.remoteRetry == nil {
-		rec.remoteRetry = func() { m.remoteAttempt(rec) }
+		id := rec.ms.id
+		m.trace(trace.Event{Kind: trace.RemoteReq, ID: id, Peer: r, N: int32(rec.remoteTries)})
+		m.cfg.Transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self, ID: id, Origin: m.self})
 	}
 	rec.remoteTimer.Arm(m.cfg.Sched, m.params.ParentRTT+m.params.retryGrace(), rec.remoteRetry)
 }
@@ -164,12 +177,11 @@ func (m *Member) checkAbandoned(rec *recovery) {
 	if !rec.localDead || !rec.remoteDead || rec.done {
 		return
 	}
-	rec.end()
-	ms := m.msgs[rec.id]
-	ms.recovery = nil
+	ms := rec.ms
+	m.endRecovery(rec)
 	if !ms.unrecovered {
 		ms.unrecovered = true
 		m.metrics.Unrecoverable.Inc()
 	}
-	m.trace(trace.Event{Kind: trace.Unrecoverable, ID: rec.id})
+	m.trace(trace.Event{Kind: trace.Unrecoverable, ID: ms.id})
 }

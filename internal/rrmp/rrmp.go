@@ -11,7 +11,6 @@
 package rrmp
 
 import (
-	"cmp"
 	"slices"
 	"time"
 
@@ -96,6 +95,9 @@ type Config struct {
 	// failure detector (Params.FDEnabled) shares with the rest of its
 	// region; nil gives the detector a list of its own.
 	HeartbeatTables *gossipfd.Tables
+	// Records is the free list of per-message records the member shares
+	// with the rest of its region; nil gives the member a list of its own.
+	Records *Records
 }
 
 // env is the part of a Config a member reads after construction; Params
@@ -111,56 +113,13 @@ type env struct {
 
 // sourceState tracks per-sender reception: the highest sequence observed
 // and the set of sequences ever received (which outlives buffer eviction —
-// "received but discarded" is a distinct protocol state, §3.3).
+// "received but discarded" is a distinct protocol state, §3.3), beside the
+// window of records of that sender's messages in flight.
 type sourceState struct {
 	src     topology.NodeID
 	maxSeen uint64
 	wire.SeqSet
-}
-
-// msgState is all a member keeps about one message while any of it is in
-// flight. A record exists only while one of its fields is set: every path
-// that clears one and may leave the record idle passes it to release.
-type msgState struct {
-	// The live §2.2 recovery and §3.3 search episodes; an episode is here
-	// exactly while it is not done.
-	recovery *recovery
-	search   *searchState
-	// waiters are the remote requesters to relay the message to (§2.2).
-	waiters []topology.NodeID
-	// The back-offs of the regional repair multicast and of a
-	// multicast-query reply. Each callback clears its own handle, since a
-	// fired Handle stays Armed.
-	mc, reply clock.Handle
-	// bufferer is the sender of the last HAVE, or topology.NoNode: a
-	// search starting after the terminating HAVE routes straight to it
-	// instead of re-igniting the random walk.
-	bufferer topology.NodeID
-	// unrecovered marks a message whose recovery was abandoned after every
-	// retry budget ran out, until it arrives late. See
-	// Metrics.Unrecoverable.
-	unrecovered bool
-}
-
-// msg returns id's record, making it if there is none.
-func (m *Member) msg(id wire.MessageID) *msgState {
-	ms := m.msgs[id]
-	if ms == nil {
-		if m.msgs == nil {
-			m.msgs = make(map[wire.MessageID]*msgState)
-		}
-		ms = &msgState{bufferer: topology.NoNode}
-		m.msgs[id] = ms
-	}
-	return ms
-}
-
-// release drops id's record ms once nothing about the message is in flight.
-func (m *Member) release(id wire.MessageID, ms *msgState) {
-	if ms.recovery == nil && ms.search == nil && len(ms.waiters) == 0 && !ms.mc.Armed() &&
-		!ms.reply.Armed() && ms.bufferer == topology.NoNode && !ms.unrecovered {
-		delete(m.msgs, id)
-	}
+	window
 }
 
 // Member is one RRMP group member. Not safe for concurrent use; drive it
@@ -187,9 +146,10 @@ type Member struct {
 	// search beats hashing the id, and the slice costs nothing until the
 	// first message.
 	sources []*sourceState
-	// msgs holds the record of every message with protocol state in
-	// flight at this member (see msgState); made on first use.
-	msgs map[wire.MessageID]*msgState
+	// free is the list the member's message records and episodes come
+	// from and go back to (see Records); made on first use when the
+	// Config gives none.
+	free *Records
 	// served records when this member last repaired a given (message,
 	// origin) pair from a search, so the burst of in-flight SEARCH PDUs
 	// that race the terminating HAVE does not each trigger another repair.
@@ -227,6 +187,7 @@ func NewMember(cfg Config) *Member {
 		},
 		params: cfg.Params.withDefaults(),
 		self:   cfg.View.Self,
+		free:   cfg.Records,
 	}
 	m.initRegionMembership(cfg.View)
 
@@ -279,10 +240,10 @@ func NewMember(cfg Config) *Member {
 // back to the random walk instead of probing a corpse.
 func (m *Member) onSuspect(n topology.NodeID) {
 	m.metrics.Suspects.Inc()
-	for id, ms := range m.msgs {
+	for ms := range m.records {
 		if ms.bufferer == n {
 			ms.bufferer = topology.NoNode
-			m.release(id, ms)
+			m.release(ms)
 		}
 	}
 	m.trace(trace.Event{Kind: trace.Suspect, Peer: n})
@@ -487,9 +448,9 @@ func (m *Member) onRepair(from topology.NodeID, msg *wire.Message) {
 	case fromLocal:
 		// Seeing the repair multicast by a local peer suppresses our own
 		// pending regional multicast of the same message.
-		if ms := m.msgs[msg.ID]; ms != nil && ms.mc.Armed() {
-			ms.mc.Stop()
-			m.release(msg.ID, ms)
+		if ms := m.record(msg.ID); ms != nil && ms.mc != nil {
+			m.endBackoff(ms.mc)
+			m.release(ms)
 		}
 	}
 }
@@ -522,14 +483,13 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 	m.metrics.Delivered.Inc()
 	m.trace(trace.Event{Kind: trace.Deliver, ID: id, Peer: from})
 
-	if ms := m.msgs[id]; ms != nil {
+	if ms := st.record(id.Seq); ms != nil {
 		// Complete an in-flight recovery.
 		if rec := ms.recovery; rec != nil {
-			rec.end()
-			ms.recovery = nil
-			latency := now - rec.detectedAt
+			latency, rerecovery := now-rec.detectedAt, rec.rerecovery
+			m.endRecovery(rec)
 			m.metrics.RecoveryLatency.AddDuration(latency)
-			if rec.rerecovery {
+			if rerecovery {
 				m.metrics.ReRecoveryLatency.AddDuration(latency)
 			}
 			if m.cfg.Hooks.OnRecovered != nil {
@@ -551,7 +511,7 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 		// displaced), and the waiters deserve the message either way.
 		ws := ms.waiters
 		ms.waiters = nil
-		m.release(id, ms)
+		m.release(ms)
 		for _, w := range ws {
 			m.sendRepairPayload(w, id, payload, false)
 		}
@@ -597,12 +557,10 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 	}
 	// A message is new to a member once, so no back-off is pending yet.
 	ms := m.msg(id)
+	b := m.newBackoff(ms, &ms.mc)
+	b.payload = payload
 	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.RepairBackoffMax))) + 1
-	ms.mc.Arm(m.cfg.Sched, delay, func() {
-		ms.mc = clock.Handle{}
-		m.release(id, ms)
-		m.regionalMulticast(id, payload)
-	})
+	b.timer.Arm(m.cfg.Sched, delay, b.fire)
 }
 
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
@@ -659,18 +617,20 @@ func (m *Member) Leave() {
 // pending back-off timer, leaving the member with no protocol timer but
 // its detector's. Waiters, known bufferers and unrecovered marks stay.
 func (m *Member) stopEpisodes() {
-	for id, ms := range m.msgs {
+	for ms := range m.records {
 		if ms.recovery != nil {
-			ms.recovery.end()
-			ms.recovery = nil
+			m.endRecovery(ms.recovery)
 		}
 		if ms.search != nil {
-			ms.search.end()
-			ms.search = nil
+			m.endSearch(ms.search)
 		}
-		ms.mc.Stop()
-		ms.reply.Stop()
-		m.release(id, ms)
+		if ms.mc != nil {
+			m.endBackoff(ms.mc)
+		}
+		if ms.reply != nil {
+			m.endBackoff(ms.reply)
+		}
+		m.release(ms)
 	}
 }
 
@@ -713,7 +673,7 @@ func (m *Member) Recover() {
 		for seq := uint64(1); seq <= st.maxSeen; seq++ {
 			if !st.Has(seq) {
 				id := wire.MessageID{Source: st.src, Seq: seq}
-				if ms := m.msgs[id]; ms != nil && ms.unrecovered {
+				if ms := st.record(seq); ms != nil && ms.unrecovered {
 					// A fresh retry budget: the message is back in
 					// flight, not lost.
 					ms.unrecovered = false
@@ -732,14 +692,11 @@ func (m *Member) Crashed() bool { return m.crashed }
 // sorted by (source, sequence). Empty for a healthy quiesced run.
 func (m *Member) Unrecovered() []wire.MessageID {
 	out := []wire.MessageID{}
-	for id, ms := range m.msgs {
+	for ms := range m.records {
 		if ms.unrecovered {
-			out = append(out, id)
+			out = append(out, ms.id)
 		}
 	}
-	slices.SortFunc(out, func(a, b wire.MessageID) int {
-		return cmp.Or(cmp.Compare(a.Source, b.Source), cmp.Compare(a.Seq, b.Seq))
-	})
 	return out
 }
 

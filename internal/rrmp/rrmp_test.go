@@ -175,7 +175,7 @@ func TestWaiterRelay(t *testing.T) {
 	c.sim.At(50*time.Millisecond, func() { c.members[parentWaitee].StartRecovery(id) })
 	c.sim.At(55*time.Millisecond, func() {
 		var waiters []topology.NodeID
-		if ms := c.members[parentWaitee].msgs[id]; ms != nil {
+		if ms := c.members[parentWaitee].record(id); ms != nil {
 			waiters = ms.waiters
 		}
 		if !slices.Equal(waiters, []topology.NodeID{downstream}) {
@@ -368,8 +368,8 @@ func TestBackoffSuppressesDuplicateRegionalMulticasts(t *testing.T) {
 	}
 	// pending reports whether r's regional multicast waits out its back-off.
 	pending := func(r topology.NodeID) bool {
-		ms := c.members[r].msgs[id]
-		return ms != nil && ms.mc.Armed()
+		ms := c.members[r].record(id)
+		return ms != nil && ms.mc != nil
 	}
 	// The repairs arrive at 50 ms, one inter-region hop; every back-off
 	// is at least 1 ns, so each receiver's multicast is pending now.

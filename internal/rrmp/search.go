@@ -20,26 +20,29 @@ type servedKey struct {
 // asked for a message it received but has since discarded, and is probing
 // random region members for a surviving copy.
 type searchState struct {
-	id wire.MessageID
-	// msg is the record of id that holds the episode while it is live.
-	msg *msgState
+	// ms is the record of the message searched for.
+	ms *msgState
 	// origins are the remote requesters awaiting the repair. Usually one;
 	// multiple remote requests for the same discarded message merge.
 	origins []topology.NodeID
 	tries   int
 	timer   clock.Handle
-	// retry is the timer's callback, bound once by newSearch.
+	// retry is the timer's callback, bound once when the record is made.
 	retry func()
-	// done is set when the episode leaves its message's record; a retry
-	// that fires after that is stale and does nothing.
+	// done is set when the episode leaves its message's record and goes
+	// back on the free list.
 	done bool
 }
 
-// end stops the episode's timer and marks it done; the caller removes it
-// from its message's record.
-func (s *searchState) end() {
-	s.timer.Stop()
-	s.done = true
+// attempt is a search's retry: the next attempt of its member's search
+// mode.
+func (s *searchState) attempt() {
+	m := s.ms.m
+	if m.params.SearchMode == SearchMulticastQuery {
+		m.queryAttempt(s)
+		return
+	}
+	m.searchAttempt(s)
 }
 
 func (s *searchState) addOrigin(o topology.NodeID) {
@@ -61,36 +64,39 @@ func (m *Member) startSearch(id wire.MessageID, origin topology.NodeID) {
 		s.addOrigin(origin)
 		return
 	}
-	s := m.newSearch(ms, id, origin)
+	s := m.newSearch(ms, origin)
 	m.metrics.SearchesStarted.Inc()
 	m.trace(trace.Event{Kind: trace.SearchStart, ID: id, Origin: origin})
-	if m.params.SearchMode == SearchMulticastQuery {
-		m.queryAttempt(s)
-		return
-	}
-	m.searchAttempt(s)
+	s.attempt()
 }
 
-// newSearch builds a search episode for id on behalf of origin and puts it
-// in id's record ms, its retry bound to the search mode's attempt once for
-// the episode's lifetime.
-func (m *Member) newSearch(ms *msgState, id wire.MessageID, origin topology.NodeID) *searchState {
-	s := &searchState{id: id, msg: ms, origins: []topology.NodeID{origin}}
-	ms.search = s
-	if m.params.SearchMode == SearchMulticastQuery {
-		s.retry = func() { m.queryAttempt(s) }
-	} else {
-		s.retry = func() { m.searchAttempt(s) }
+// newSearch puts a search episode on behalf of origin in ms, taking its
+// record off the free list.
+func (m *Member) newSearch(ms *msgState, origin topology.NodeID) *searchState {
+	s := take(&m.list().searches)
+	if s == nil {
+		s = new(searchState)
+		s.retry = s.attempt
 	}
+	s.ms, s.origins, s.done = ms, append(s.origins, origin), false
+	ms.search = s
 	return s
 }
 
-// endSearch finishes an episode: its timer stops, it is marked done and it
-// leaves its message's record, which is released.
+// endSearch stops s's timer, takes it out of its message's record and puts
+// it back on the free list; the caller releases the record.
 func (m *Member) endSearch(s *searchState) {
-	s.end()
-	s.msg.search = nil
-	m.release(s.id, s.msg)
+	s.timer.Stop()
+	s.ms.search = nil
+	*s = searchState{origins: s.origins[:0], retry: s.retry, done: true}
+	m.free.searches = append(m.free.searches, s)
+}
+
+// finishSearch ends s and releases its message's record.
+func (m *Member) finishSearch(s *searchState) {
+	ms := s.ms
+	m.endSearch(s)
+	m.release(ms)
 }
 
 // queryAttempt multicasts the bufferer query in the region (§3.3's rejected
@@ -103,13 +109,13 @@ func (m *Member) queryAttempt(s *searchState) {
 		if len(s.origins) > 0 {
 			m.metrics.SearchFailures.Inc()
 		}
-		m.endSearch(s)
+		m.finishSearch(s)
 		return
 	}
 	s.tries++
 	for _, o := range s.origins {
 		m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
-			wire.Message{Type: wire.TypeQuery, From: m.self, ID: s.id, Origin: o})
+			wire.Message{Type: wire.TypeQuery, From: m.self, ID: s.ms.id, Origin: o})
 	}
 	// Wait out the worst-case reply back-off plus a round trip before
 	// re-multicasting.
@@ -128,22 +134,27 @@ func (m *Member) onQuery(from topology.NodeID, msg *wire.Message) {
 	}
 	m.buf.OnRequest(id)
 	ms := m.msg(id)
-	if ms.reply.Armed() {
+	if ms.reply != nil {
 		return
 	}
+	b := m.newBackoff(ms, &ms.reply)
+	b.origin, b.querier = origin, from
 	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.queryBackoffMax()))) + 1
-	ms.reply.Arm(m.cfg.Sched, delay, func() {
-		ms.reply = clock.Handle{}
-		m.release(id, ms)
-		cur, still := m.buf.Get(id)
-		if !still {
-			return
-		}
-		m.sendRepair(origin, cur)
-		m.announceHave(id, origin)
-		m.resolveSearch(id, origin)
-		m.trace(trace.Event{Kind: trace.QueryReply, ID: id, Origin: origin, Peer: from})
-	})
+	b.timer.Arm(m.cfg.Sched, delay, b.fire)
+}
+
+// queryReply answers a multicast query for id on behalf of origin once
+// the reply's back-off has run out unsuppressed, if the copy is still
+// held.
+func (m *Member) queryReply(id wire.MessageID, origin, querier topology.NodeID) {
+	cur, still := m.buf.Get(id)
+	if !still {
+		return
+	}
+	m.sendRepair(origin, cur)
+	m.announceHave(id, origin)
+	m.resolveSearch(id, origin)
+	m.trace(trace.Event{Kind: trace.QueryReply, ID: id, Origin: origin, Peer: querier})
 }
 
 // searchAttempt forwards the search to the next candidate and arms the
@@ -159,23 +170,24 @@ func (m *Member) searchAttempt(s *searchState) {
 	if s.done {
 		return
 	}
+	id := s.ms.id
 	if len(s.origins) == 0 {
-		m.endSearch(s)
+		m.finishSearch(s)
 		return
 	}
 	if s.tries >= m.params.MaxSearchTries {
 		m.metrics.SearchFailures.Inc()
-		m.trace(trace.Event{Kind: trace.SearchFail, ID: s.id})
-		m.endSearch(s)
+		m.trace(trace.Event{Kind: trace.SearchFail, ID: id})
+		m.finishSearch(s)
 		return
 	}
 	var q topology.NodeID
 	var ok bool
-	if known := s.msg.bufferer; s.tries == 0 && known != topology.NoNode && known != m.self {
+	if known := s.ms.bufferer; s.tries == 0 && known != topology.NoNode && known != m.self {
 		// A HAVE identified a bufferer: route directly. It is consumed so
 		// a stale pointer (bufferer discarded since) degrades back to the
 		// random walk on the next attempt.
-		s.msg.bufferer = topology.NoNode
+		s.ms.bufferer = topology.NoNode
 		q, ok = known, true
 	} else if m.locator != nil {
 		q, ok = m.nextDeterministicTarget(s)
@@ -183,14 +195,14 @@ func (m *Member) searchAttempt(s *searchState) {
 		q, ok = m.randomPeer()
 	}
 	if !ok {
-		m.endSearch(s)
+		m.finishSearch(s)
 		return
 	}
 	s.tries++
-	m.trace(trace.Event{Kind: trace.SearchFwd, ID: s.id, Peer: q, N: int32(s.tries)})
+	m.trace(trace.Event{Kind: trace.SearchFwd, ID: id, Peer: q, N: int32(s.tries)})
 	// One SEARCH per origin so each awaiting requester is carried forward.
 	for _, o := range s.origins {
-		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: s.id, Origin: o})
+		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: id, Origin: o})
 	}
 	s.timer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.retryGrace(), s.retry)
 }
@@ -201,7 +213,7 @@ func (m *Member) searchAttempt(s *searchState) {
 // suspected it falls back to rank order — a stale suspicion must not make
 // the set unreachable forever.
 func (m *Member) nextDeterministicTarget(s *searchState) (topology.NodeID, bool) {
-	set := m.locator.Bufferers(s.id)
+	set := m.locator.Bufferers(s.ms.id)
 	var fallback topology.NodeID = topology.NoNode
 	for i := s.tries; i < len(set)+s.tries; i++ {
 		cand := set[i%len(set)]
@@ -291,8 +303,8 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	// late probes for the same (message, origin) must not repair again.
 	m.markServed(servedKey{id: msg.ID, origin: msg.Origin}, m.cfg.Sched.Now())
 	// Another member answered: suppress our own pending query reply.
-	if ms.reply.Armed() {
-		ms.reply.Stop()
+	if ms.reply != nil {
+		m.endBackoff(ms.reply)
 	}
 	s := ms.search
 	if s == nil {
@@ -300,7 +312,7 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	}
 	s.dropOrigin(msg.Origin)
 	if len(s.origins) == 0 {
-		m.endSearch(s)
+		m.finishSearch(s)
 		m.trace(trace.Event{Kind: trace.SearchEnd, ID: msg.ID, Peer: from})
 		return
 	}
@@ -308,18 +320,18 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	for _, o := range s.origins {
 		m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeSearch, From: m.self, ID: msg.ID, Origin: o})
 	}
-	m.endSearch(s)
+	m.finishSearch(s)
 }
 
 // resolveSearch reports a served remote requester to the hooks (the Fig. 8
 // and Fig. 9 measurement point) and clears the origin from any local
 // episode.
 func (m *Member) resolveSearch(id wire.MessageID, origin topology.NodeID) {
-	if ms := m.msgs[id]; ms != nil && ms.search != nil {
+	if ms := m.record(id); ms != nil && ms.search != nil {
 		s := ms.search
 		s.dropOrigin(origin)
 		if len(s.origins) == 0 {
-			m.endSearch(s)
+			m.finishSearch(s)
 		}
 	}
 	if m.cfg.Hooks.OnSearchResolved != nil {

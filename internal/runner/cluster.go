@@ -184,17 +184,22 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// dominate construction survive at scale. NewTreeCluster wires its
 	// nodes the same way.
 	endpoints := make([]netsim.Endpoint, len(c.All))
-	// The failure detectors of a region share one free list of heartbeat
-	// tables. Regions are contiguous in c.All, and a shard runs whole
-	// regions, so the detectors sharing a list run on one event loop.
+	// The members of a region share one free list of per-message records,
+	// and their failure detectors one of heartbeat tables. Regions are
+	// contiguous in c.All, and a shard runs whole regions, so the members
+	// sharing a list run on one event loop.
+	var records *rrmp.Records
 	var heartbeats *gossipfd.Tables
 	for _, n := range c.All {
 		view, err := cfg.Topo.ViewOf(n)
 		if err != nil {
 			return nil, fmt.Errorf("runner: view of node %d: %w", n, err)
 		}
-		if cfg.Params.FDEnabled && view.SelfIdx == 0 {
-			heartbeats = gossipfd.NewTables(len(view.RegionMembers))
+		if view.SelfIdx == 0 {
+			records = new(rrmp.Records)
+			if cfg.Params.FDEnabled {
+				heartbeats = gossipfd.NewTables(len(view.RegionMembers))
+			}
 		}
 		var policy core.Policy
 		if cfg.Policy != nil {
@@ -215,6 +220,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Tracer:          cfg.Tracer,
 			Hooks:           hooks,
 			HeartbeatTables: heartbeats,
+			Records:         records,
 		})
 		c.Members[n] = m
 		net.RegisterReceiver(n, m)
