@@ -103,12 +103,35 @@ type Entry struct {
 	PromotedAt time.Duration
 
 	timer clock.Handle // idle timer in short-term, TTL timer in long-term
-	// fire is the entry's timer callback, bound once when the Entry object
-	// is first allocated and kept while the buffer recycles it, so neither
-	// re-arming the idle or TTL clock nor storing a message binds a new
-	// closure. It dispatches on State: short-term entries run the idle
-	// check, long-term ones the TTL check.
+	// buf is the buffer holding the entry. A recycled entry may serve any
+	// buffer that shares its Spares, so Store sets it on every reuse.
+	buf *Buffer
+	// fire is e.expire, bound once when the Entry object is first
+	// allocated and kept while it is recycled, so neither re-arming the
+	// idle or TTL clock nor storing a message binds a new closure.
 	fire func()
+}
+
+// expire is the entry's timer callback. It dispatches on State:
+// short-term entries run the idle check, long-term ones the TTL check.
+func (e *Entry) expire() {
+	if e.State == StateLongTerm {
+		e.buf.ttlCheck(e)
+	} else {
+		e.buf.idleCheck(e)
+	}
+}
+
+// Spares is a free list of evicted entries for Store to reuse, so the
+// store/evict cycle allocates nothing in steady state. Buffers on one
+// event loop may share one list (Config.Spares): an entry one buffer
+// evicts then serves the next store at any of them. Every eviction but a
+// handoff puts its entry on the list, and a store makes a new entry only
+// when the list is empty, so a list never holds more entries than the
+// buffers sharing it held live at once (their summed peak), whatever
+// they have drained since. The zero Spares is ready to use.
+type Spares struct {
+	entries []*Entry
 }
 
 // Config assembles a Buffer's dependencies.
@@ -120,8 +143,9 @@ type Config struct {
 	// Rng drives randomized election. Required by randomized policies.
 	Rng *rng.Source
 	// OnEvict, if set, observes every eviction. The *Entry is valid only
-	// during the callback: once it returns, the buffer may recycle the
-	// object for a later Store. Copy out what must outlive the call.
+	// during the callback: once it returns, the object may be recycled for
+	// a later Store at this buffer or at any buffer sharing its Spares.
+	// Copy out what must outlive the call.
 	OnEvict func(e *Entry, reason EvictReason)
 	// OnPromote, if set, observes long-term elections.
 	OnPromote func(e *Entry)
@@ -140,19 +164,18 @@ type Config struct {
 	// the same backing array; enable this when the caller may reuse or
 	// mutate payload buffers after publishing.
 	CopyPayload bool
+	// Spares is the free list evicted entries go to and stores take from.
+	// Buffers driven from one goroutine may share one; nil gives the
+	// buffer a list of its own, made on its first eviction.
+	Spares *Spares
 }
 
 // Buffer is the per-member message store managed by a buffering policy.
 // It is not safe for concurrent use; drive it from one goroutine (the
 // simulator loop or a member's executor).
 type Buffer struct {
-	cfg Config
+	cfg Config // cfg.Spares is the buffer's free list once it evicts
 	idx entryIndex
-	// free holds evicted entries for Store to reuse, so the store/evict
-	// cycle allocates nothing in steady state. An eviction recycles its
-	// entry only while the list is shorter than the live entry count, so
-	// a buffer that drains from N entries keeps at most N/2 spares.
-	free []*Entry
 
 	occupancy stats.Occupancy // message-count step function over time
 	byteOcc   stats.Occupancy // payload-byte step function over time
@@ -173,6 +196,9 @@ func NewBuffer(cfg Config) *Buffer {
 	}
 	return &Buffer{cfg: cfg, idx: newDenseIndex()}
 }
+
+// Policy returns the buffer's retention policy.
+func (b *Buffer) Policy() Policy { return b.cfg.Policy }
 
 // LongTermCount returns the number of entries in the long-term phase.
 func (b *Buffer) LongTermCount() int { return b.longCount }
@@ -317,12 +343,11 @@ func (b *Buffer) TakeForHandoff() []*Entry {
 	return out
 }
 
-// Close stops all timers and drops all entries, and the spares kept for
-// reuse, without eviction callbacks.
+// Close stops all timers and drops all entries without eviction
+// callbacks. Its spares stay with the list, which other buffers may share.
 func (b *Buffer) Close() {
 	b.idx.each(func(e *Entry) { e.timer.Stop() })
 	b.idx.reset()
-	b.free = nil
 	b.longCount = 0
 	b.bytes = 0
 	b.account(b.cfg.Sched.Now())
@@ -481,29 +506,30 @@ func (b *Buffer) evict(e *Entry, reason EvictReason) {
 	if b.cfg.OnEvict != nil {
 		b.cfg.OnEvict(e, reason)
 	}
-	if reason != EvictHandoff && len(b.free) < b.idx.size() {
-		e.Payload = nil // never reused: payload slices are shared with the network and peers
-		b.free = append(b.free, e)
+	if reason == EvictHandoff {
+		return // the caller keeps it (TakeForHandoff)
 	}
+	if b.cfg.Spares == nil {
+		b.cfg.Spares = new(Spares)
+	}
+	e.Payload = nil // never reused: payload slices are shared with the network and peers
+	b.cfg.Spares.entries = append(b.cfg.Spares.entries, e)
 }
 
 // newEntry returns a spare from the free list, or a new entry with its
-// fire callback bound. The caller sets every exported field.
+// fire callback bound, in either case held by b. The caller sets every
+// exported field.
 func (b *Buffer) newEntry() *Entry {
-	if n := len(b.free); n > 0 {
-		e := b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
+	if s := b.cfg.Spares; s != nil && len(s.entries) > 0 {
+		n := len(s.entries)
+		e := s.entries[n-1]
+		s.entries[n-1] = nil
+		s.entries = s.entries[:n-1]
+		e.buf = b
 		return e
 	}
-	e := &Entry{}
-	e.fire = func() {
-		if e.State == StateLongTerm {
-			b.ttlCheck(e)
-		} else {
-			b.idleCheck(e)
-		}
-	}
+	e := &Entry{buf: b}
+	e.fire = e.expire
 	return e
 }
 

@@ -418,10 +418,11 @@ func TestHeartbeatTablesAreRecycled(t *testing.T) {
 // per-source tables are now sorted slices that cost nothing until the
 // first message, the served table is made on first use, and the member
 // keeps no escaped copy of its Config. Message records live in the
-// per-source windows, and a member given no region free list makes its
-// own on first use, so neither costs anything here. What is left: the
-// Member, its Buffer, the index header, the policy, one rng split and the
-// eviction closure, with or without a shared list.
+// per-source windows. What is left with a shared Region: the Member, its
+// Buffer, the index header, one rng split and the eviction closure (5).
+// A member given no Region makes its own (7: the Region, and the
+// two-phase policy the region's first member builds). Members of one
+// Region share one Params, one policy and one list of spare entries.
 func TestNewMemberAllocs(t *testing.T) {
 	view, err := singleRegion(t, 10).ViewOf(3)
 	if err != nil {
@@ -434,12 +435,19 @@ func TestNewMemberAllocs(t *testing.T) {
 		Rng:       rng.New(1),
 		Params:    DefaultParams(),
 	}
-	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 6 {
-		t.Fatalf("NewMember: %v allocs, want 6", n)
+	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 7 {
+		t.Fatalf("NewMember: %v allocs, want 7", n)
 	}
-	cfg.Records = new(Records)
-	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 6 {
-		t.Fatalf("NewMember with a shared free list: %v allocs, want 6", n)
+	cfg.Region = new(Region)
+	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 5 {
+		t.Fatalf("NewMember on a shared Region: %v allocs, want 5", n)
+	}
+	a, b := NewMember(cfg), NewMember(cfg)
+	if a.params != b.params || a.params != &cfg.Region.params {
+		t.Error("two members of one Region hold two copies of its Params")
+	}
+	if a.buf.Policy() != b.buf.Policy() {
+		t.Error("two members of one Region hold two two-phase policies")
 	}
 }
 
@@ -454,12 +462,16 @@ func TestMsgStateSize(t *testing.T) {
 	}
 }
 
-// TestMemberSize keeps a Member at its 520 bytes (the 576-byte size
-// class): a 100k-member trial builds 100k of them. It holds only the
-// Config fields it reads after construction, one copy of the Params, and
-// a pointer to its region's free list where the message table was.
+// TestMemberSize keeps a Member at its 368 bytes (the 384-byte size
+// class): a 100k-member trial builds 100k of them. It holds only what is
+// its own: the Config fields it reads after construction but the Sched,
+// and pointers to its Region and the Region's Params, which its region's
+// members share. It was 520 bytes (the 576-byte class) while each member
+// kept a copy of the Params, its scheduler, its own id and region ends
+// beside its View, and the hash policy's locator beside its buffer's
+// policy.
 func TestMemberSize(t *testing.T) {
-	if n := unsafe.Sizeof(Member{}); n > 520 {
-		t.Fatalf("Member is %d bytes, want at most 520", n)
+	if n := unsafe.Sizeof(Member{}); n != 368 {
+		t.Fatalf("Member is %d bytes, want 368", n)
 	}
 }

@@ -45,9 +45,9 @@ func TestEpisodeLivenessInvariant(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.sim.At(time.Duration(i)*10*time.Millisecond, func() { c.sender.Publish(make([]byte, 512)) })
 	}
-	lists := map[*Records]bool{}
+	lists := map[*Region]bool{}
 	for _, m := range c.members {
-		lists[m.free] = true
+		lists[m.region] = true
 	}
 	if len(lists) != 3 {
 		t.Fatalf("%d free lists for three regions", len(lists))

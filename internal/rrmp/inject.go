@@ -20,7 +20,7 @@ func (m *Member) InjectDeliver(id wire.MessageID, payload []byte) {
 	m.buf.Store(id, payload)
 	m.metrics.Delivered.Inc()
 	if m.cfg.Hooks.OnDeliver != nil {
-		m.cfg.Hooks.OnDeliver(id, m.cfg.Sched.Now())
+		m.cfg.Hooks.OnDeliver(id, m.region.sched.Now())
 	}
 }
 

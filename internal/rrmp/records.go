@@ -2,6 +2,8 @@ package rrmp
 
 import (
 	"repro/internal/clock"
+	"repro/internal/core"
+	"repro/internal/gossipfd"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -10,7 +12,7 @@ import (
 // the message record (msgState) and the episodes it holds, recovery
 // (§2.2), searchState (§3.3) and backoff. Every kind follows one idiom:
 //
-//   - A record comes off its region's free list (Records), or is made
+//   - A record comes off its region's free list (Region), or is made
 //     when the list is empty; only then are its timer callbacks bound, as
 //     method values that reach the member through the record, so no arm
 //     and no reuse builds a closure.
@@ -27,14 +29,64 @@ import (
 // members run about one episode per trial, episodes still reuse one
 // another's records.
 
-// Records is the free list of per-message records a region's members
-// share. A region never spans event loops, so one loop touches each list.
-// The zero Records is ready to use.
-type Records struct {
+// Region is everything the members of one region share: every member runs
+// the same T, C and n (§3.1–3.2), so the region holds one copy of the
+// defaulted Params, the scheduler of the event loop it runs on, and the
+// paper's two-phase policy for members given no other; and its members'
+// buffers fill and go idle together, so it holds the free lists their
+// message records, buffer entries and heartbeat tables come from and go
+// back to. A region never spans event loops, so one loop touches each
+// list.
+//
+// The zero Region is ready to use. The first member built on it binds its
+// Params, Sched and region size; a later member that brings other ones is
+// a programming error, and NewMember panics.
+type Region struct {
+	params Params
+	sched  clock.Scheduler
+	size   int
+	// policy is the two-phase policy, made by the first member that needs
+	// it; it holds only parameters, so the members share it.
+	policy *core.TwoPhase
+	// entries are the members' buffers' spare entries (core.Spares).
+	entries core.Spares
+	// heartbeats are the members' failure detectors' spare tables, made by
+	// the first member that runs a detector.
+	heartbeats *gossipfd.Tables
+
 	msgs     []*msgState
 	recs     []*recovery
 	searches []*searchState
 	backoffs []*backoff
+}
+
+// join binds r to its first member's defaulted Params, scheduler and
+// region size, and checks every later member's against them.
+func (r *Region) join(p Params, sched clock.Scheduler, size int) {
+	if r.sched == nil {
+		r.params, r.sched, r.size = p, sched, size
+		return
+	}
+	if p != r.params || sched != r.sched || size != r.size {
+		panic("rrmp: the members of a Region must bring equal Params, one Sched and one region size")
+	}
+}
+
+// twoPhase returns the region's two-phase policy, made on first use.
+func (r *Region) twoPhase() *core.TwoPhase {
+	if r.policy == nil {
+		r.policy = core.NewTwoPhase(r.params.IdleThreshold, r.params.C, r.size, r.params.LongTermTTL)
+	}
+	return r.policy
+}
+
+// heartbeatTables returns the region's heartbeat tables, made on first
+// use.
+func (r *Region) heartbeatTables() *gossipfd.Tables {
+	if r.heartbeats == nil {
+		r.heartbeats = gossipfd.NewTables(r.size)
+	}
+	return r.heartbeats
 }
 
 // take pops a record off free, or returns nil if there is none.
@@ -47,15 +99,6 @@ func take[T any](free *[]*T) *T {
 	(*free)[n-1] = nil
 	*free = (*free)[:n-1]
 	return x
-}
-
-// list returns the member's free list, making a private one for a member
-// built without Config.Records.
-func (m *Member) list() *Records {
-	if m.free == nil {
-		m.free = new(Records)
-	}
-	return m.free
 }
 
 // msgState is all a member keeps about one message while any of it is in
@@ -99,7 +142,7 @@ func (m *Member) msg(id wire.MessageID) *msgState {
 	if ms := st.record(id.Seq); ms != nil {
 		return ms
 	}
-	ms := take(&m.list().msgs)
+	ms := take(&m.region.msgs)
 	if ms == nil {
 		ms = new(msgState)
 	}
@@ -118,7 +161,7 @@ func (m *Member) release(ms *msgState) {
 	i, _ := m.findSource(ms.id.Source)
 	m.sources[i].drop(ms.id.Seq)
 	*ms = msgState{}
-	m.free.msgs = append(m.free.msgs, ms)
+	m.region.msgs = append(m.region.msgs, ms)
 }
 
 // records yields every record the member holds, in (source, seq) order.
@@ -153,7 +196,7 @@ type backoff struct {
 // newBackoff puts a back-off for ms in slot (&ms.mc or &ms.reply), taking
 // its record off the free list; the caller fills it in and arms it.
 func (m *Member) newBackoff(ms *msgState, slot **backoff) *backoff {
-	b := take(&m.list().backoffs)
+	b := take(&m.region.backoffs)
 	if b == nil {
 		b = new(backoff)
 		b.fire = b.expire
@@ -173,7 +216,7 @@ func (m *Member) endBackoff(b *backoff) {
 		b.ms.reply = nil
 	}
 	*b = backoff{fire: b.fire}
-	m.free.backoffs = append(m.free.backoffs, b)
+	m.region.backoffs = append(m.region.backoffs, b)
 }
 
 // expire runs out a back-off. Its record goes back first, so the action

@@ -44,12 +44,12 @@ func (r *recovery) retryRemote() { r.ms.m.remoteAttempt(r) }
 // newRecovery puts a recovery episode detected now in ms, taking its
 // record off the free list.
 func (m *Member) newRecovery(ms *msgState, rerecovery bool) *recovery {
-	rec := take(&m.list().recs)
+	rec := take(&m.region.recs)
 	if rec == nil {
 		rec = new(recovery)
 		rec.localRetry, rec.remoteRetry = rec.retryLocal, rec.retryRemote
 	}
-	rec.ms, rec.detectedAt, rec.rerecovery, rec.done = ms, m.cfg.Sched.Now(), rerecovery, false
+	rec.ms, rec.detectedAt, rec.rerecovery, rec.done = ms, m.region.sched.Now(), rerecovery, false
 	ms.recovery = rec
 	return rec
 }
@@ -61,7 +61,7 @@ func (m *Member) endRecovery(rec *recovery) {
 	rec.remoteTimer.Stop()
 	rec.ms.recovery = nil
 	*rec = recovery{localRetry: rec.localRetry, remoteRetry: rec.remoteRetry, done: true}
-	m.free.recs = append(m.free.recs, rec)
+	m.region.recs = append(m.region.recs, rec)
 }
 
 // noteTop advances loss detection for src up to sequence top: every
@@ -132,8 +132,8 @@ func (m *Member) localAttempt(rec *recovery) {
 	m.metrics.LocalReqSent.Inc()
 	id := rec.ms.id
 	m.trace(trace.Event{Kind: trace.LocalReq, ID: id, Peer: q, N: int32(rec.localTries)})
-	m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self, ID: id})
-	rec.localTimer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.retryGrace(), rec.localRetry)
+	m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.cfg.View.Self, ID: id})
+	rec.localTimer.Arm(m.region.sched, m.params.IntraRTT+m.params.retryGrace(), rec.localRetry)
 }
 
 // remoteAttempt runs one remote-recovery round: with probability λ/n send a
@@ -164,9 +164,9 @@ func (m *Member) remoteAttempt(rec *recovery) {
 		m.metrics.RemoteReqSent.Inc()
 		id := rec.ms.id
 		m.trace(trace.Event{Kind: trace.RemoteReq, ID: id, Peer: r, N: int32(rec.remoteTries)})
-		m.cfg.Transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self, ID: id, Origin: m.self})
+		m.cfg.Transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.cfg.View.Self, ID: id, Origin: m.cfg.View.Self})
 	}
-	rec.remoteTimer.Arm(m.cfg.Sched, m.params.ParentRTT+m.params.retryGrace(), rec.remoteRetry)
+	rec.remoteTimer.Arm(m.region.sched, m.params.ParentRTT+m.params.retryGrace(), rec.remoteRetry)
 }
 
 // checkAbandoned finishes an episode once neither phase can make further

@@ -78,11 +78,13 @@ type Config struct {
 	View topology.View
 	// Transport sends PDUs; required.
 	Transport Transport
-	// Sched supplies time and timers; required.
+	// Sched supplies time and timers; required. The members of one Region
+	// run on one event loop, so they bring the same Sched.
 	Sched clock.Scheduler
 	// Rng is this member's private randomness stream; required.
 	Rng *rng.Source
-	// Params tunes the protocol; zero fields take defaults.
+	// Params tunes the protocol; zero fields take defaults. The members of
+	// one Region bring equal Params.
 	Params Params
 	// Policy overrides the buffering policy. Nil selects the paper's
 	// two-phase policy built from Params.
@@ -91,21 +93,18 @@ type Config struct {
 	Tracer trace.Tracer
 	// Hooks are optional instrumentation callbacks.
 	Hooks Hooks
-	// HeartbeatTables is the free list of heartbeat tables the member's
-	// failure detector (Params.FDEnabled) shares with the rest of its
-	// region; nil gives the detector a list of its own.
-	HeartbeatTables *gossipfd.Tables
-	// Records is the free list of per-message records the member shares
-	// with the rest of its region; nil gives the member a list of its own.
-	Records *Records
+	// Region is what the member shares with the rest of its region: the
+	// defaulted Params, the Sched, the two-phase policy and the free
+	// lists (see Region). Nil gives the member a region of its own.
+	Region *Region
 }
 
-// env is the part of a Config a member reads after construction; Params
-// lives on, defaulted, in Member.params and the policy in the buffer.
+// env is the part of a Config a member reads after construction and keeps
+// itself; Params and Sched live on in its Region and the policy in the
+// buffer.
 type env struct {
 	View      topology.View
 	Transport Transport
-	Sched     clock.Scheduler
 	Rng       *rng.Source
 	Tracer    trace.Tracer
 	Hooks     Hooks
@@ -125,31 +124,19 @@ type sourceState struct {
 // Member is one RRMP group member. Not safe for concurrent use; drive it
 // from a single goroutine.
 type Member struct {
-	cfg    env
-	params Params
-	self   topology.NodeID
+	cfg env
+	// params are region.params: a region's members share one copy.
+	params *Params
+	// region is what the member shares with the rest of its region: the
+	// scheduler, the policy and the free lists (see Region).
+	region *Region
 
-	buf     *core.Buffer
-	locator interface {
-		Bufferers(id wire.MessageID) []topology.NodeID
-	} // non-nil only under the deterministic hash policy (§3.4)
-
-	// Own-region membership (incl. self). The topology assigns region
-	// members contiguous ascending IDs (topology.View.RegionMembers), so
-	// membership is the range check [inRegionLo, inRegionHi] — a
-	// region-sized map per member would be exactly the O(members × region
-	// size) setup cost the 1M-member path cannot afford.
-	inRegionLo topology.NodeID
-	inRegionHi topology.NodeID
+	buf *core.Buffer
 	// sources holds the reception state of every sender heard from,
 	// sorted by src. A group has one sender, or a handful, so a binary
 	// search beats hashing the id, and the slice costs nothing until the
 	// first message.
 	sources []*sourceState
-	// free is the list the member's message records and episodes come
-	// from and go back to (see Records); made on first use when the
-	// Config gives none.
-	free *Records
 	// served records when this member last repaired a given (message,
 	// origin) pair from a search, so the burst of in-flight SEARCH PDUs
 	// that race the terminating HAVE does not each trigger another repair.
@@ -176,30 +163,26 @@ func NewMember(cfg Config) *Member {
 	if cfg.Rng == nil {
 		panic("rrmp: Config.Rng is required")
 	}
+	region := cfg.Region
+	if region == nil {
+		region = new(Region)
+	}
+	region.join(cfg.Params.withDefaults(), cfg.Sched, cfg.View.NumPeers()+1)
 	m := &Member{
 		cfg: env{
 			View:      cfg.View,
 			Transport: cfg.Transport,
-			Sched:     cfg.Sched,
 			Rng:       cfg.Rng,
 			Tracer:    cfg.Tracer,
 			Hooks:     cfg.Hooks,
 		},
-		params: cfg.Params.withDefaults(),
-		self:   cfg.View.Self,
-		free:   cfg.Records,
+		params: &region.params,
+		region: region,
 	}
-	m.initRegionMembership(cfg.View)
 
 	policy := cfg.Policy
 	if policy == nil {
-		regionSize := cfg.View.NumPeers() + 1
-		policy = core.NewTwoPhase(m.params.IdleThreshold, m.params.C, regionSize, m.params.LongTermTTL)
-	}
-	if loc, ok := policy.(interface {
-		Bufferers(id wire.MessageID) []topology.NodeID
-	}); ok {
-		m.locator = loc
+		policy = region.twoPhase()
 	}
 	if binder, ok := policy.(core.RngBinder); ok {
 		binder.BindRng(cfg.Rng.Split(policyStreamLabel))
@@ -210,9 +193,10 @@ func NewMember(cfg Config) *Member {
 		ByteBudget:  m.params.ByteBudget,
 		CopyPayload: m.params.CopyOnStore,
 		Rng:         cfg.Rng.Split(bufferStreamLabel),
+		Spares:      &region.entries,
 		OnEvict: func(e *core.Entry, r core.EvictReason) {
 			if r != core.EvictHandoff {
-				m.metrics.BufferingTime.AddDuration(m.cfg.Sched.Now() - e.StoredAt)
+				m.metrics.BufferingTime.AddDuration(m.region.sched.Now() - e.StoredAt)
 			}
 			if m.cfg.Hooks.OnEvict != nil {
 				m.cfg.Hooks.OnEvict(e, r)
@@ -228,7 +212,7 @@ func NewMember(cfg Config) *Member {
 			Send:      func(to topology.NodeID, msg wire.Message) { m.cfg.Transport.Send(to, msg) },
 			OnSuspect: m.onSuspect,
 			OnRestore: m.onRestore,
-			Tables:    cfg.HeartbeatTables,
+			Tables:    region.heartbeatTables(),
 		})
 		m.fd.Start()
 	}
@@ -259,22 +243,17 @@ func (m *Member) peerLive(n topology.NodeID) bool {
 	return m.fd == nil || !m.fd.Suspected(n)
 }
 
-// initRegionMembership derives the own-region membership range from the
-// view's region slice, which the topology builds as one dense ascending ID
-// range covering Self.
-func (m *Member) initRegionMembership(v topology.View) {
-	rm := v.RegionMembers
-	if len(rm) == 0 {
-		m.inRegionLo, m.inRegionHi = m.self, m.self
-		return
-	}
-	m.inRegionLo, m.inRegionHi = rm[0], rm[len(rm)-1]
-}
-
 // inOwnRegion reports whether n is a member of this member's own region
-// (Self included).
+// (Self included). The topology gives a region one dense ascending ID
+// range (topology.View.RegionMembers), so membership is a check against
+// its ends: a region-sized set per member would be exactly the
+// O(members × region size) setup cost the 1M-member path cannot afford.
 func (m *Member) inOwnRegion(n topology.NodeID) bool {
-	return n >= m.inRegionLo && n <= m.inRegionHi
+	rm := m.cfg.View.RegionMembers
+	if len(rm) == 0 {
+		return n == m.cfg.View.Self
+	}
+	return n >= rm[0] && n <= rm[len(rm)-1]
 }
 
 // randomPeer draws one uniformly random region peer with a single rng
@@ -477,7 +456,7 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 		return false
 	}
 	st.Mark(id.Seq)
-	now := m.cfg.Sched.Now()
+	now := m.region.sched.Now()
 
 	m.buf.Store(id, payload)
 	m.metrics.Delivered.Inc()
@@ -537,7 +516,7 @@ func (m *Member) sendRepairPayload(to topology.NodeID, id wire.MessageID, payloa
 	m.metrics.RepairsSent.Inc()
 	m.cfg.Transport.Send(to, wire.Message{
 		Type:     wire.TypeRepair,
-		From:     m.self,
+		From:     m.cfg.View.Self,
 		ID:       id,
 		Payload:  payload,
 		LongTerm: longTerm,
@@ -560,14 +539,14 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 	b := m.newBackoff(ms, &ms.mc)
 	b.payload = payload
 	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.RepairBackoffMax))) + 1
-	b.timer.Arm(m.cfg.Sched, delay, b.fire)
+	b.timer.Arm(m.region.sched, delay, b.fire)
 }
 
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
 	m.metrics.RegionalMulticasts.Inc()
 	m.trace(trace.Event{Kind: trace.RegionMC, ID: id})
 	m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
-		wire.Message{Type: wire.TypeRepair, From: m.self, ID: id, Payload: payload})
+		wire.Message{Type: wire.TypeRepair, From: m.cfg.View.Self, ID: id, Payload: payload})
 }
 
 // addWaiter records a remote requester to relay to on receipt, without
@@ -599,7 +578,7 @@ func (m *Member) Leave() {
 		m.trace(trace.Event{Kind: trace.HandoffSend, ID: e.ID, Peer: to})
 		m.cfg.Transport.Send(to, wire.Message{
 			Type:     wire.TypeHandoff,
-			From:     m.self,
+			From:     m.cfg.View.Self,
 			ID:       e.ID,
 			Payload:  e.Payload,
 			LongTerm: true,
@@ -706,6 +685,6 @@ func (m *Member) trace(e trace.Event) {
 	if m.cfg.Tracer == nil {
 		return
 	}
-	e.At, e.Node = m.cfg.Sched.Now(), m.self
+	e.At, e.Node = m.region.sched.Now(), m.cfg.View.Self
 	m.cfg.Tracer.Emit(e)
 }

@@ -311,7 +311,7 @@ func TestLeaveHandsOffLongTermBuffers(t *testing.T) {
 	leaver := c.members[topo.MemberAt(0, 2)]
 	leaver.InjectLongTerm(id, []byte("h"))
 	for _, n := range topo.Members(0) {
-		if n != leaver.self {
+		if n != leaver.cfg.View.Self {
 			c.members[n].InjectDiscarded(id)
 		}
 	}

@@ -73,7 +73,7 @@ func (m *Member) startSearch(id wire.MessageID, origin topology.NodeID) {
 // newSearch puts a search episode on behalf of origin in ms, taking its
 // record off the free list.
 func (m *Member) newSearch(ms *msgState, origin topology.NodeID) *searchState {
-	s := take(&m.list().searches)
+	s := take(&m.region.searches)
 	if s == nil {
 		s = new(searchState)
 		s.retry = s.attempt
@@ -89,7 +89,7 @@ func (m *Member) endSearch(s *searchState) {
 	s.timer.Stop()
 	s.ms.search = nil
 	*s = searchState{origins: s.origins[:0], retry: s.retry, done: true}
-	m.free.searches = append(m.free.searches, s)
+	m.region.searches = append(m.region.searches, s)
 }
 
 // finishSearch ends s and releases its message's record.
@@ -115,11 +115,11 @@ func (m *Member) queryAttempt(s *searchState) {
 	s.tries++
 	for _, o := range s.origins {
 		m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
-			wire.Message{Type: wire.TypeQuery, From: m.self, ID: s.ms.id, Origin: o})
+			wire.Message{Type: wire.TypeQuery, From: m.cfg.View.Self, ID: s.ms.id, Origin: o})
 	}
 	// Wait out the worst-case reply back-off plus a round trip before
 	// re-multicasting.
-	s.timer.Arm(m.cfg.Sched, m.params.queryBackoffMax()+m.params.IntraRTT+m.params.retryGrace(), s.retry)
+	s.timer.Arm(m.region.sched, m.params.queryBackoffMax()+m.params.IntraRTT+m.params.retryGrace(), s.retry)
 }
 
 // onQuery handles a multicast bufferer query: holders schedule a reply
@@ -140,7 +140,7 @@ func (m *Member) onQuery(from topology.NodeID, msg *wire.Message) {
 	b := m.newBackoff(ms, &ms.reply)
 	b.origin, b.querier = origin, from
 	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.queryBackoffMax()))) + 1
-	b.timer.Arm(m.cfg.Sched, delay, b.fire)
+	b.timer.Arm(m.region.sched, delay, b.fire)
 }
 
 // queryReply answers a multicast query for id on behalf of origin once
@@ -183,14 +183,14 @@ func (m *Member) searchAttempt(s *searchState) {
 	}
 	var q topology.NodeID
 	var ok bool
-	if known := s.ms.bufferer; s.tries == 0 && known != topology.NoNode && known != m.self {
+	if known := s.ms.bufferer; s.tries == 0 && known != topology.NoNode && known != m.cfg.View.Self {
 		// A HAVE identified a bufferer: route directly. It is consumed so
 		// a stale pointer (bufferer discarded since) degrades back to the
 		// random walk on the next attempt.
 		s.ms.bufferer = topology.NoNode
 		q, ok = known, true
-	} else if m.locator != nil {
-		q, ok = m.nextDeterministicTarget(s)
+	} else if loc, hashed := m.buf.Policy().(locator); hashed {
+		q, ok = m.nextDeterministicTarget(loc, s)
 	} else {
 		q, ok = m.randomPeer()
 	}
@@ -202,9 +202,15 @@ func (m *Member) searchAttempt(s *searchState) {
 	m.trace(trace.Event{Kind: trace.SearchFwd, ID: id, Peer: q, N: int32(s.tries)})
 	// One SEARCH per origin so each awaiting requester is carried forward.
 	for _, o := range s.origins {
-		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: id, Origin: o})
+		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.cfg.View.Self, ID: id, Origin: o})
 	}
-	s.timer.Arm(m.cfg.Sched, m.params.IntraRTT+m.params.retryGrace(), s.retry)
+	s.timer.Arm(m.region.sched, m.params.IntraRTT+m.params.retryGrace(), s.retry)
+}
+
+// locator is the side of the deterministic hash policy (§3.4) a search
+// uses: the region's elected bufferers of a message, in rank order.
+type locator interface {
+	Bufferers(id wire.MessageID) []topology.NodeID
 }
 
 // nextDeterministicTarget walks the hash-elected bufferer set in rank
@@ -212,12 +218,12 @@ func (m *Member) searchAttempt(s *searchState) {
 // candidates the failure detector considers alive. If every candidate is
 // suspected it falls back to rank order — a stale suspicion must not make
 // the set unreachable forever.
-func (m *Member) nextDeterministicTarget(s *searchState) (topology.NodeID, bool) {
-	set := m.locator.Bufferers(s.ms.id)
+func (m *Member) nextDeterministicTarget(loc locator, s *searchState) (topology.NodeID, bool) {
+	set := loc.Bufferers(s.ms.id)
 	var fallback topology.NodeID = topology.NoNode
 	for i := s.tries; i < len(set)+s.tries; i++ {
 		cand := set[i%len(set)]
-		if cand == m.self {
+		if cand == m.cfg.View.Self {
 			continue
 		}
 		if m.peerLive(cand) {
@@ -244,12 +250,12 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 		// in-flight PDUs race the terminating HAVE). Serve each remote
 		// requester at most once per round-trip window.
 		key := servedKey{id: id, origin: origin}
-		now := m.cfg.Sched.Now()
+		now := m.region.sched.Now()
 		if at, ok := m.served[key]; ok && now-at <= 2*m.params.IntraRTT {
 			// Duplicate probe for an already-served requester: answer with
 			// a unicast HAVE (no payload) so the prober stops, without
 			// re-sending the repair or re-multicasting.
-			m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
+			m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeHave, From: m.cfg.View.Self, ID: id, Origin: origin})
 			return
 		}
 		m.markServed(key, now)
@@ -290,7 +296,7 @@ func (m *Member) markServed(key servedKey, now time.Duration) {
 // the search episode for origin (§3.3).
 func (m *Member) announceHave(id wire.MessageID, origin topology.NodeID) {
 	m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
-		wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
+		wire.Message{Type: wire.TypeHave, From: m.cfg.View.Self, ID: id, Origin: origin})
 }
 
 // onHave ends the local search episode for the served origin. If this
@@ -301,7 +307,7 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	ms.bufferer = from
 	// The requester named in the HAVE has been served: holders receiving
 	// late probes for the same (message, origin) must not repair again.
-	m.markServed(servedKey{id: msg.ID, origin: msg.Origin}, m.cfg.Sched.Now())
+	m.markServed(servedKey{id: msg.ID, origin: msg.Origin}, m.region.sched.Now())
 	// Another member answered: suppress our own pending query reply.
 	if ms.reply != nil {
 		m.endBackoff(ms.reply)
@@ -318,7 +324,7 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	}
 	// Redirect remaining origins to the known bufferer.
 	for _, o := range s.origins {
-		m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeSearch, From: m.self, ID: msg.ID, Origin: o})
+		m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeSearch, From: m.cfg.View.Self, ID: msg.ID, Origin: o})
 	}
 	m.finishSearch(s)
 }

@@ -25,11 +25,11 @@ func NewSender(m *Member) *Sender {
 // everyone else). It returns the assigned message id.
 func (s *Sender) Publish(payload []byte) wire.MessageID {
 	s.seq++
-	id := wire.MessageID{Source: s.m.self, Seq: s.seq}
-	s.m.deliver(id, payload, s.m.self)
+	id := wire.MessageID{Source: s.m.cfg.View.Self, Seq: s.seq}
+	s.m.deliver(id, payload, s.m.cfg.View.Self)
 	s.m.cfg.Transport.Broadcast(wire.Message{
 		Type:    wire.TypeData,
-		From:    s.m.self,
+		From:    s.m.cfg.View.Self,
 		ID:      id,
 		Payload: payload,
 	})
@@ -48,12 +48,12 @@ func (s *Sender) StartSessions() {
 	tick = func() {
 		s.m.cfg.Transport.Broadcast(wire.Message{
 			Type:   wire.TypeSession,
-			From:   s.m.self,
+			From:   s.m.cfg.View.Self,
 			TopSeq: s.seq,
 		})
-		s.sessionTimer.Arm(s.m.cfg.Sched, s.m.params.SessionInterval, tick)
+		s.sessionTimer.Arm(s.m.region.sched, s.m.params.SessionInterval, tick)
 	}
-	s.sessionTimer.Arm(s.m.cfg.Sched, s.m.params.SessionInterval, tick)
+	s.sessionTimer.Arm(s.m.region.sched, s.m.params.SessionInterval, tick)
 }
 
 // StopSessions cancels periodic session messages.

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/gossipfd"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/rrmp"
@@ -184,22 +183,18 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// dominate construction survive at scale. NewTreeCluster wires its
 	// nodes the same way.
 	endpoints := make([]netsim.Endpoint, len(c.All))
-	// The members of a region share one free list of per-message records,
-	// and their failure detectors one of heartbeat tables. Regions are
-	// contiguous in c.All, and a shard runs whole regions, so the members
-	// sharing a list run on one event loop.
-	var records *rrmp.Records
-	var heartbeats *gossipfd.Tables
+	// The members of a region share one rrmp.Region: the defaulted
+	// Params, the policy and the free lists of records, buffer entries and
+	// heartbeat tables. Regions are contiguous in c.All, and a shard runs
+	// whole regions, so the members sharing one run on one event loop.
+	var region *rrmp.Region
 	for _, n := range c.All {
 		view, err := cfg.Topo.ViewOf(n)
 		if err != nil {
 			return nil, fmt.Errorf("runner: view of node %d: %w", n, err)
 		}
 		if view.SelfIdx == 0 {
-			records = new(rrmp.Records)
-			if cfg.Params.FDEnabled {
-				heartbeats = gossipfd.NewTables(len(view.RegionMembers))
-			}
+			region = new(rrmp.Region)
 		}
 		var policy core.Policy
 		if cfg.Policy != nil {
@@ -211,16 +206,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		endpoints[n] = netsim.Endpoint{Net: net, Self: n, Group: c.All}
 		m := rrmp.NewMember(rrmp.Config{
-			View:            view,
-			Transport:       &endpoints[n],
-			Sched:           d.clockOf(n),
-			Rng:             d.memberRng(n),
-			Params:          cfg.Params,
-			Policy:          policy,
-			Tracer:          cfg.Tracer,
-			Hooks:           hooks,
-			HeartbeatTables: heartbeats,
-			Records:         records,
+			View:      view,
+			Transport: &endpoints[n],
+			Sched:     d.clockOf(n),
+			Rng:       d.memberRng(n),
+			Params:    cfg.Params,
+			Policy:    policy,
+			Tracer:    cfg.Tracer,
+			Hooks:     hooks,
+			Region:    region,
 		})
 		c.Members[n] = m
 		net.RegisterReceiver(n, m)

@@ -295,8 +295,8 @@ func TestScaleTrialUnder10s(t *testing.T) {
 // finish one trial with delivery intact inside an event budget about 10%
 // above what the cell executes (60.7–61.1M events over seeds 1–3). On a
 // 2-core Intel Xeon host seed 1 executes 60 906 733 events: at one lane in
-// 44.9–52.5 s (1.16–1.36 M events/s; the shared host's speed drifts
-// between runs) with a peak RSS of 2 524 MB, and at two lanes in 28.3 s
+// 44.9–54.5 s (1.12–1.36 M events/s; the shared host's speed drifts
+// between runs) with a peak RSS of 2 212 MB, and at two lanes in 28.3 s
 // (2.15 M events/s). The wall is logged, not asserted, for
 // TestScaleTrialUnder10s's reason. One trial costs most of a minute and
 // gigabytes, so this test runs only when RRMP_SCALE_1M=1; RRMP_SHARDS
