@@ -124,14 +124,90 @@ func (e *Entry) expire() {
 
 // Spares is a free list of evicted entries for Store to reuse, so the
 // store/evict cycle allocates nothing in steady state. Buffers on one
-// event loop may share one list (Config.Spares): an entry one buffer
+// event loop may share one list (Shared.Spares): an entry one buffer
 // evicts then serves the next store at any of them. Every eviction but a
 // handoff puts its entry on the list, and a store makes a new entry only
 // when the list is empty, so a list never holds more entries than the
 // buffers sharing it held live at once (their summed peak), whatever
 // they have drained since. The zero Spares is ready to use.
+//
+// The list is a stack of fixed-size chunks, kept once made: growing it
+// copies nothing and leaves nothing behind, where a slice grown by append
+// discarded every backing array but its last (5.3 MB of a scale100k
+// trial's allocation). Reuse is last in, first out.
 type Spares struct {
-	entries []*Entry
+	chunks []*[spareChunk]*Entry
+	n      int // entries held; the top is chunks[(n-1)/spareChunk]
+}
+
+// spareChunk is the entries one chunk of a Spares list holds: 512 bytes,
+// the largest object the runtime allocates without an 8-byte header, which
+// would put a 1 KiB chunk in the 1152-byte size class.
+const spareChunk = 64
+
+// push puts e on top of the list.
+func (s *Spares) push(e *Entry) {
+	c := s.n / spareChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, new([spareChunk]*Entry))
+	}
+	s.chunks[c][s.n%spareChunk] = e
+	s.n++
+}
+
+// pop takes the top entry off the list, or returns nil if it is empty.
+func (s *Spares) pop() *Entry {
+	if s.n == 0 {
+		return nil
+	}
+	s.n--
+	c := s.chunks[s.n/spareChunk]
+	e := c[s.n%spareChunk]
+	c[s.n%spareChunk] = nil
+	return e
+}
+
+// Shared is what a group of buffers driven from one goroutine have in
+// common: the scheduler, the byte budget, the copy flag and the spare
+// entries. rrmp's members of one region pass their region's one value
+// (Config.Shared), so each buffer keeps a pointer, not a copy.
+type Shared struct {
+	// Sched supplies time and timers; required.
+	Sched clock.Scheduler
+	// ByteBudget and CopyPayload are as in Config.
+	ByteBudget  int
+	CopyPayload bool
+	// Spares is the free list the buffers share; nil gives them one,
+	// made on the first eviction.
+	Spares *Spares
+}
+
+// Observer is told of a buffer's evictions and long-term promotions, as
+// Config.OnEvict and OnPromote are. A pointer type implementing it costs a
+// buffer no closure: rrmp's members observe their buffers as themselves.
+// The *Entry is valid only during the call, as with OnEvict.
+type Observer interface {
+	Evicted(e *Entry, reason EvictReason)
+	Promoted(e *Entry)
+}
+
+// callbacks is the Observer a buffer makes of Config.OnEvict and
+// OnPromote.
+type callbacks struct {
+	onEvict   func(e *Entry, reason EvictReason)
+	onPromote func(e *Entry)
+}
+
+func (c *callbacks) Evicted(e *Entry, reason EvictReason) {
+	if c.onEvict != nil {
+		c.onEvict(e, reason)
+	}
+}
+
+func (c *callbacks) Promoted(e *Entry) {
+	if c.onPromote != nil {
+		c.onPromote(e)
+	}
 }
 
 // Config assembles a Buffer's dependencies.
@@ -168,14 +244,35 @@ type Config struct {
 	// Buffers driven from one goroutine may share one; nil gives the
 	// buffer a list of its own, made on its first eviction.
 	Spares *Spares
+	// Shared, if set, supplies the scheduler, byte budget, copy flag and
+	// spares in place of Sched, ByteBudget, CopyPayload and Spares, which
+	// must then be zero. Nil gives the buffer a Shared of its own, made
+	// from those four.
+	Shared *Shared
+	// Observer, if set, is told of evictions and promotions in place of
+	// OnEvict and OnPromote, which must then be nil.
+	Observer Observer
 }
+
+// noCopy makes vet's copylocks check flag a copied Buffer: the buffer's
+// idx points at its own dense index, so a copy would index the original.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Buffer is the per-member message store managed by a buffering policy.
 // It is not safe for concurrent use; drive it from one goroutine (the
-// simulator loop or a member's executor).
+// simulator loop or a member's executor). Its zero value is made ready by
+// Init, in place, so a Buffer can live inside the value that owns it.
 type Buffer struct {
-	cfg Config // cfg.Spares is the buffer's free list once it evicts
-	idx entryIndex
+	_      noCopy
+	sh     *Shared
+	policy Policy
+	rng    *rng.Source
+	obs    Observer   // nil when nothing observes the buffer
+	idx    entryIndex // &dense; the tests swap in a reference index
+	dense  denseIndex
 
 	occupancy stats.Occupancy // message-count step function over time
 	byteOcc   stats.Occupancy // payload-byte step function over time
@@ -185,20 +282,44 @@ type Buffer struct {
 	denied    int                    // stores refused because the payload exceeds ByteBudget
 }
 
-// NewBuffer constructs an empty buffer. It panics on a missing policy or
-// scheduler since both are programming errors, not runtime conditions.
+// NewBuffer constructs an empty buffer: new(Buffer) made ready by Init.
 func NewBuffer(cfg Config) *Buffer {
+	b := new(Buffer)
+	b.Init(cfg)
+	return b
+}
+
+// Init makes the zero Buffer b an empty buffer in place. It panics on a
+// missing policy or scheduler, or on a Config that sets both Shared and
+// the fields it replaces, or both Observer and the callbacks it
+// replaces, since all are programming errors, not runtime conditions.
+func (b *Buffer) Init(cfg Config) {
 	if cfg.Policy == nil {
 		panic("core: Config.Policy is required")
 	}
-	if cfg.Sched == nil {
+	sh := cfg.Shared
+	switch {
+	case sh == nil:
+		sh = &Shared{Sched: cfg.Sched, ByteBudget: cfg.ByteBudget, CopyPayload: cfg.CopyPayload, Spares: cfg.Spares}
+	case cfg.Sched != nil || cfg.ByteBudget != 0 || cfg.CopyPayload || cfg.Spares != nil:
+		panic("core: Config.Shared replaces Sched, ByteBudget, CopyPayload and Spares; leave them zero")
+	}
+	if sh.Sched == nil {
 		panic("core: Config.Sched is required")
 	}
-	return &Buffer{cfg: cfg, idx: newDenseIndex()}
+	obs := cfg.Observer
+	if cfg.OnEvict != nil || cfg.OnPromote != nil {
+		if obs != nil {
+			panic("core: Config.Observer replaces OnEvict and OnPromote; leave them nil")
+		}
+		obs = &callbacks{cfg.OnEvict, cfg.OnPromote}
+	}
+	b.sh, b.policy, b.rng, b.obs = sh, cfg.Policy, cfg.Rng, obs
+	b.idx = &b.dense
 }
 
 // Policy returns the buffer's retention policy.
-func (b *Buffer) Policy() Policy { return b.cfg.Policy }
+func (b *Buffer) Policy() Policy { return b.policy }
 
 // LongTermCount returns the number of entries in the long-term phase.
 func (b *Buffer) LongTermCount() int { return b.longCount }
@@ -253,10 +374,10 @@ func (b *Buffer) Store(id wire.MessageID, payload []byte) *Entry {
 		b.denied++
 		return nil
 	}
-	if b.cfg.CopyPayload && payload != nil {
+	if b.sh.CopyPayload && payload != nil {
 		payload = append([]byte(nil), payload...)
 	}
-	now := b.cfg.Sched.Now()
+	now := b.sh.Sched.Now()
 	e := b.newEntry()
 	e.ID = id
 	e.Payload = payload
@@ -270,10 +391,10 @@ func (b *Buffer) Store(id wire.MessageID, payload []byte) *Entry {
 
 	// The store event reaches the policy before Hold is consulted, so a
 	// demand-aware hold already reflects this message.
-	b.cfg.Policy.ObserveStore(id, now)
-	hold, _ := b.cfg.Policy.Hold(id)
+	b.policy.ObserveStore(id, now)
+	hold, _ := b.policy.Hold(id)
 	if hold > 0 {
-		e.timer.Arm(b.cfg.Sched, hold, e.fire)
+		e.timer.Arm(b.sh.Sched, hold, e.fire)
 	}
 	// hold == 0 means "never idles": retention until external removal
 	// (buffer-all / stability-detection baselines).
@@ -308,9 +429,9 @@ func (b *Buffer) OnRequest(id wire.MessageID) bool {
 	if !ok {
 		return false
 	}
-	now := b.cfg.Sched.Now()
+	now := b.sh.Sched.Now()
 	e.LastRequest = now
-	b.cfg.Policy.ObserveRequest(id, now)
+	b.policy.ObserveRequest(id, now)
 	return true
 }
 
@@ -350,7 +471,7 @@ func (b *Buffer) Close() {
 	b.idx.reset()
 	b.longCount = 0
 	b.bytes = 0
-	b.account(b.cfg.Sched.Now())
+	b.account(b.sh.Sched.Now())
 }
 
 // OccupancyIntegral returns the accumulated messages × seconds up to now;
@@ -390,20 +511,20 @@ func (b *Buffer) DeniedCount() int { return b.denied }
 // closure), keeping budgeted cells on the same no-garbage footing as the
 // rest of the store path.
 func (b *Buffer) reserve(need int) bool {
-	if b.cfg.ByteBudget <= 0 || b.bytes+need <= b.cfg.ByteBudget {
+	if b.sh.ByteBudget <= 0 || b.bytes+need <= b.sh.ByteBudget {
 		return true
 	}
-	if need > b.cfg.ByteBudget {
+	if need > b.sh.ByteBudget {
 		return false
 	}
-	for b.bytes+need > b.cfg.ByteBudget {
-		victim := b.idx.victim(b.cfg.Policy)
+	for b.bytes+need > b.sh.ByteBudget {
+		victim := b.idx.victim(b.policy)
 		if victim == nil {
 			break // empty buffer; need fits by the check above
 		}
 		b.evict(victim, EvictPressure)
 	}
-	return b.bytes+need <= b.cfg.ByteBudget
+	return b.bytes+need <= b.sh.ByteBudget
 }
 
 // DefaultDisplacedBefore is the historic strict total displacement order
@@ -437,8 +558,8 @@ func (b *Buffer) idleCheck(e *Entry) {
 	if cur, ok := b.idx.get(e.ID); !ok || cur != e {
 		return // already evicted
 	}
-	now := b.cfg.Sched.Now()
-	hold, resetOnRequest := b.cfg.Policy.Hold(e.ID)
+	now := b.sh.Sched.Now()
+	hold, resetOnRequest := b.policy.Hold(e.ID)
 	if resetOnRequest {
 		quietFor := now - e.LastRequest
 		if quietFor < hold {
@@ -446,17 +567,17 @@ func (b *Buffer) idleCheck(e *Entry) {
 			// idle yet. Sleep exactly until the earliest instant it could
 			// become idle. Re-arming reuses the entry's bound callback —
 			// O(1), no closure allocation, however often feedback arrives.
-			e.timer.Arm(b.cfg.Sched, hold-quietFor, e.fire)
+			e.timer.Arm(b.sh.Sched, hold-quietFor, e.fire)
 			return
 		}
 	}
-	switch d := b.cfg.Policy.OnIdle(e.ID, b.cfg.Rng); d {
+	switch d := b.policy.OnIdle(e.ID, b.rng); d {
 	case Discard:
 		b.evict(e, EvictIdle)
 	case PromoteLongTerm:
 		b.promote(e)
 	default:
-		panic(fmt.Sprintf("core: policy %q returned invalid decision %d", b.cfg.Policy.Name(), d))
+		panic(fmt.Sprintf("core: policy %q returned invalid decision %d", b.policy.Name(), d))
 	}
 }
 
@@ -464,13 +585,13 @@ func (b *Buffer) idleCheck(e *Entry) {
 func (b *Buffer) promote(e *Entry) {
 	e.timer.Stop()
 	e.State = StateLongTerm
-	e.PromotedAt = b.cfg.Sched.Now()
+	e.PromotedAt = b.sh.Sched.Now()
 	b.longCount++
-	if ttl := b.cfg.Policy.LongTermTTL(); ttl > 0 {
-		e.timer.Arm(b.cfg.Sched, ttl, e.fire)
+	if ttl := b.policy.LongTermTTL(); ttl > 0 {
+		e.timer.Arm(b.sh.Sched, ttl, e.fire)
 	}
-	if b.cfg.OnPromote != nil {
-		b.cfg.OnPromote(e)
+	if b.obs != nil {
+		b.obs.Promoted(e)
 	}
 }
 
@@ -481,11 +602,11 @@ func (b *Buffer) ttlCheck(e *Entry) {
 	if cur, ok := b.idx.get(e.ID); !ok || cur != e {
 		return
 	}
-	now := b.cfg.Sched.Now()
-	ttl := b.cfg.Policy.LongTermTTL()
+	now := b.sh.Sched.Now()
+	ttl := b.policy.LongTermTTL()
 	unusedFor := now - e.LastRequest
 	if unusedFor < ttl {
-		e.timer.Arm(b.cfg.Sched, ttl-unusedFor, e.fire)
+		e.timer.Arm(b.sh.Sched, ttl-unusedFor, e.fire)
 		return
 	}
 	b.evict(e, EvictTTL)
@@ -501,32 +622,30 @@ func (b *Buffer) evict(e *Entry, reason EvictReason) {
 	if reason >= 0 && int(reason) < len(b.evicted) {
 		b.evicted[reason]++
 	}
-	b.cfg.Policy.ObserveEvict(e.ID, reason)
-	b.account(b.cfg.Sched.Now())
-	if b.cfg.OnEvict != nil {
-		b.cfg.OnEvict(e, reason)
+	b.policy.ObserveEvict(e.ID, reason)
+	b.account(b.sh.Sched.Now())
+	if b.obs != nil {
+		b.obs.Evicted(e, reason)
 	}
 	if reason == EvictHandoff {
 		return // the caller keeps it (TakeForHandoff)
 	}
-	if b.cfg.Spares == nil {
-		b.cfg.Spares = new(Spares)
+	if b.sh.Spares == nil {
+		b.sh.Spares = new(Spares)
 	}
 	e.Payload = nil // never reused: payload slices are shared with the network and peers
-	b.cfg.Spares.entries = append(b.cfg.Spares.entries, e)
+	b.sh.Spares.push(e)
 }
 
 // newEntry returns a spare from the free list, or a new entry with its
 // fire callback bound, in either case held by b. The caller sets every
 // exported field.
 func (b *Buffer) newEntry() *Entry {
-	if s := b.cfg.Spares; s != nil && len(s.entries) > 0 {
-		n := len(s.entries)
-		e := s.entries[n-1]
-		s.entries[n-1] = nil
-		s.entries = s.entries[:n-1]
-		e.buf = b
-		return e
+	if s := b.sh.Spares; s != nil {
+		if e := s.pop(); e != nil {
+			e.buf = b
+			return e
+		}
 	}
 	e := &Entry{buf: b}
 	e.fire = e.expire

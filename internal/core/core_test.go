@@ -30,7 +30,7 @@ func TestIdleDiscardAtThreshold(t *testing.T) {
 	s := sim.New()
 	b, ev := newTestBuffer(t, s, NewTwoPhase(testT, 0, 100, 0)) // C=0: never elect
 	var evictedAt time.Duration = -1
-	b.cfg.OnEvict = func(e *Entry, r EvictReason) {
+	b.hooks().onEvict = func(e *Entry, r EvictReason) {
 		evictedAt = s.Now()
 		*ev = append(*ev, r)
 	}
@@ -51,7 +51,7 @@ func TestRequestFeedbackExtendsBuffering(t *testing.T) {
 	s := sim.New()
 	b, _ := newTestBuffer(t, s, NewTwoPhase(testT, 0, 100, 0))
 	var evictedAt time.Duration = -1
-	b.cfg.OnEvict = func(*Entry, EvictReason) { evictedAt = s.Now() }
+	b.hooks().onEvict = func(*Entry, EvictReason) { evictedAt = s.Now() }
 	b.Store(id(1), nil)
 	// Requests at 10, 20, 30 ms: each re-arms the idle window, so the entry
 	// becomes idle only at 30ms + T = 70ms.
@@ -96,7 +96,7 @@ func TestPromotionWithCertainElection(t *testing.T) {
 	// C = N makes the election probability 1.
 	b, _ := newTestBuffer(t, s, NewTwoPhase(testT, 100, 100, 0))
 	promoted := 0
-	b.cfg.OnPromote = func(e *Entry) {
+	b.hooks().onPromote = func(e *Entry) {
 		promoted++
 		if e.State != StateLongTerm {
 			t.Errorf("OnPromote saw state %v", e.State)
@@ -143,7 +143,7 @@ func TestLongTermTTLExpiry(t *testing.T) {
 	ttl := 500 * time.Millisecond
 	b, ev := newTestBuffer(t, s, NewTwoPhase(testT, 100, 100, ttl))
 	var evictedAt time.Duration
-	b.cfg.OnEvict = func(_ *Entry, r EvictReason) {
+	b.hooks().onEvict = func(_ *Entry, r EvictReason) {
 		evictedAt = s.Now()
 		*ev = append(*ev, r)
 	}
@@ -166,7 +166,7 @@ func TestLongTermTTLReArmedByUse(t *testing.T) {
 	ttl := 100 * time.Millisecond
 	b, _ := newTestBuffer(t, s, NewTwoPhase(testT, 100, 100, ttl))
 	var evictedAt time.Duration
-	b.cfg.OnEvict = func(*Entry, EvictReason) { evictedAt = s.Now() }
+	b.hooks().onEvict = func(*Entry, EvictReason) { evictedAt = s.Now() }
 	b.Store(id(1), nil)
 	// A use at 100ms (after promotion at 40ms) must push expiry to 200ms.
 	s.At(100*time.Millisecond, func() { b.OnRequest(id(1)) })
@@ -271,7 +271,7 @@ func TestFixedHoldIgnoresFeedback(t *testing.T) {
 	hold := 50 * time.Millisecond
 	b, _ := newTestBuffer(t, s, &FixedHold{D: hold})
 	var evictedAt time.Duration
-	b.cfg.OnEvict = func(*Entry, EvictReason) { evictedAt = s.Now() }
+	b.hooks().onEvict = func(*Entry, EvictReason) { evictedAt = s.Now() }
 	b.Store(id(1), nil)
 	s.At(40*time.Millisecond, func() { b.OnRequest(id(1)) }) // must not extend
 	s.RunUntil(-1)

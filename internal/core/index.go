@@ -37,12 +37,17 @@ type entryIndex interface {
 // slots (almost every simulation has exactly one source), with no hashing,
 // and sorted iteration comes for free (sources ascending, sequences
 // ascending).
+//
+// The first source's slot is held inline (first), so a one-sender group's
+// buffer makes no slot table at all. When a second source arrives the
+// slots move to the heap and the inline copy is cleared, so it does not
+// keep the first window's old array alive; a Buffer never moves, so the
+// inline slot's address is stable while it serves.
 type denseIndex struct {
 	slots []srcSlot
 	n     int
+	first [1]srcSlot
 }
-
-func newDenseIndex() *denseIndex { return &denseIndex{} }
 
 // srcSlot's entries window is a subslice of back, its backing array. Every
 // slot of back outside the window is nil, so the window can grow into
@@ -83,8 +88,17 @@ func (x *denseIndex) search(src topology.NodeID) (int, bool) {
 // until the next slot creation.
 func (x *denseIndex) slot(src topology.NodeID) *srcSlot {
 	i, ok := x.search(src)
-	if !ok {
+	switch {
+	case ok:
+	case len(x.slots) == 0:
+		x.first[0] = srcSlot{src: src}
+		x.slots = x.first[:]
+	default:
+		inline := &x.slots[0] == &x.first[0]
 		x.slots = slices.Insert(x.slots, i, srcSlot{src: src})
+		if inline {
+			x.first[0] = srcSlot{}
+		}
 	}
 	return &x.slots[i]
 }
@@ -210,4 +224,5 @@ func (x *denseIndex) each(fn func(e *Entry)) {
 func (x *denseIndex) reset() {
 	x.slots = nil
 	x.n = 0
+	x.first[0] = srcSlot{}
 }

@@ -16,11 +16,17 @@ import (
 // displacement order. It also checks the dense layout itself: a non-nil
 // window slot i holds seq base+i, and no slot of the backing array outside
 // the window holds a pointer (a stale one would resurface when the window
-// grows back over it).
+// grows back over it). Once a second source moves the slots off the
+// inline first one, that one must hold no window.
 func FuzzIndexDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 0, 4, 1, 0, 2, 5, 6, 7, 200})
 	f.Add([]byte{0, 0, 0, 0, 3, 3, 2, 0, 2, 1, 0, 7, 90, 3, 3, 3, 2, 2, 0})
 	f.Add([]byte{8, 16, 0, 7, 40, 15, 99, 23, 77, 4, 1, 12, 3, 2, 3, 14, 0, 22, 0})
+	// The first source is 2, held in the inline slot; sources 1 and 0
+	// arrive after it and sort before it, so the slots move to the heap
+	// with the first one landing at index 2.
+	f.Add([]byte{16, 0, 16, 1, 16, 2, 8, 3, 16, 4, 0, 5, 8, 6, 19, 16, 7, 11, 0, 8, 22, 16, 9})
+	f.Add([]byte{16, 0, 8, 1, 0, 2, 17, 40, 16, 3, 9, 50, 0, 4, 21, 7, 16, 5, 8, 6, 0, 7})
 	for seed := uint64(1); seed <= 4; seed++ {
 		r := rng.New(seed)
 		script := make([]byte, 400)
@@ -53,7 +59,7 @@ const (
 
 func runIndexScript(t *testing.T, script []byte) {
 	t.Helper()
-	dense := newDenseIndex()
+	dense := new(denseIndex)
 	oracle := &mapIndex{entries: make(map[wire.MessageID]*Entry)}
 	var (
 		pos  int
@@ -135,6 +141,9 @@ func runIndexScript(t *testing.T, script []byte) {
 
 func checkIndexesAgree(t *testing.T, step int, dense *denseIndex, oracle *mapIndex, ids []wire.MessageID) {
 	t.Helper()
+	if len(dense.slots) > 1 && (dense.first[0].back != nil || dense.first[0].entries != nil) {
+		t.Fatalf("step %d: the slots moved to the heap, but the inline slot still holds a window", step)
+	}
 	if dense.size() != oracle.size() {
 		t.Fatalf("step %d: size %d, oracle %d", step, dense.size(), oracle.size())
 	}

@@ -72,7 +72,7 @@ func TestRecycledEntryStartsClean(t *testing.T) {
 	}
 	// The reused entry's idle clock runs from its new store, not its old.
 	var promotedAt time.Duration = -1
-	b.cfg.OnPromote = func(*Entry) { promotedAt = s.Now() }
+	b.hooks().onPromote = func(*Entry) { promotedAt = s.Now() }
 	s.RunUntil(time.Second)
 	if want := 80*time.Millisecond + testT; promotedAt != want || old.PromotedAt != want {
 		t.Fatalf("reused entry promoted at %v (reads %v), want %v", promotedAt, old.PromotedAt, want)
@@ -118,7 +118,7 @@ func TestOnEvictSeesEntryBeforeReuse(t *testing.T) {
 		b.Store(id(seq), bytes.Repeat([]byte{byte(seq)}, 100))
 	}
 	var seen *Entry
-	b.cfg.OnEvict = func(e *Entry, r EvictReason) {
+	b.hooks().onEvict = func(e *Entry, r EvictReason) {
 		if e.ID != id(1) || r != EvictPressure || !bytes.Equal(e.Payload, bytes.Repeat([]byte{1}, 100)) {
 			t.Errorf("OnEvict saw %v %v %q, want entry 1's pressure eviction", e.ID, r, e.Payload)
 		}

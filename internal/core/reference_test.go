@@ -69,7 +69,7 @@ type indexKind struct {
 }
 
 var (
-	indexDense     = indexKind{"IndexDense", func() entryIndex { return newDenseIndex() }}
+	indexDense     = indexKind{"IndexDense", func() entryIndex { return new(denseIndex) }}
 	indexLegacyMap = indexKind{"IndexLegacyMap", func() entryIndex {
 		return &mapIndex{entries: make(map[wire.MessageID]*Entry)}
 	}}

@@ -95,6 +95,73 @@ func TestMemberHasNoMessageTable(t *testing.T) {
 	}
 }
 
+// TestMemberHoldsNothingItsRegionHolds keeps rrmp.Member to what is its
+// own: it may not declare a field of a type its Region holds once for the
+// whole region (the scheduler, the Params, the View's member lists, the
+// tracer, the buffers' common settings and their spare entries). A
+// scale100k trial builds 100k members, so a copy per member costs 100k
+// copies; a member reads these through its region. Fields of the structs
+// a member holds by value count too. Region itself is the control: the matcher must find every type there, or the match proves
+// nothing.
+func TestMemberHoldsNothingItsRegionHolds(t *testing.T) {
+	pkgs, err := lint.Load("../..", "./internal/rrmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	regionTypes := []string{
+		"repro/internal/clock.Scheduler",
+		"repro/internal/rrmp.Params",
+		"[]repro/internal/topology.NodeID",
+		"repro/internal/trace.Tracer",
+		"repro/internal/core.Shared",
+		"repro/internal/core.Spares",
+	}
+	control := map[string]bool{}
+	for _, f := range fieldsOfTypes(t, pkgs[0], "Region", regionTypes) {
+		control[f.typ] = true
+	}
+	for _, typ := range regionTypes {
+		if !control[typ] {
+			t.Fatalf("control: the matcher found no field of type %s in rrmp.Region", typ)
+		}
+	}
+	for _, f := range fieldsOfTypes(t, pkgs[0], "Member", regionTypes) {
+		t.Errorf("rrmp.Member declares %s %s, which its Region holds; read it through the region", f.name, f.typ)
+	}
+}
+
+// typedField is a struct field's name and type.
+type typedField struct{ name, typ string }
+
+// fieldsOfTypes returns the fields of struct name in p whose type is one
+// of typs, written as types.TypeString writes them. It looks inside the
+// struct-typed fields the struct holds by value (a member's buffer, or an
+// env struct holding its Config's fields), naming a field found there by
+// its path.
+func fieldsOfTypes(t *testing.T, p *lint.Package, name string, typs []string) []typedField {
+	t.Helper()
+	obj := p.Types.Scope().Lookup(name)
+	if obj == nil {
+		t.Fatalf("package %s declares no %s", p.Types.Name(), name)
+	}
+	var fields []typedField
+	var walk func(prefix string, st *types.Struct)
+	walk = func(prefix string, st *types.Struct) {
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			typ := types.TypeString(f.Type(), nil)
+			switch inner, ok := f.Type().Underlying().(*types.Struct); {
+			case slices.Contains(typs, typ):
+				fields = append(fields, typedField{prefix + f.Name(), typ})
+			case ok:
+				walk(prefix+f.Name()+".", inner)
+			}
+		}
+	}
+	walk("", obj.Type().Underlying().(*types.Struct))
+	return fields
+}
+
 // TestSourceStateIsNotHashed keeps per-source state in slices sorted by
 // source: neither rrmp.Member nor core.denseIndex may declare a field of a
 // map type keyed by topology.NodeID. A group has one sender or a handful,

@@ -65,7 +65,7 @@ func TestUntracedTraceDoesNotAllocate(t *testing.T) {
 func TestTracedLinesMatchStringDetailTracer(t *testing.T) {
 	m := newCluster(t, singleRegion(t, 10), DefaultParams(), 1, nil).members[3]
 	var sink trace.Memory
-	m.cfg.Tracer = &sink
+	traceMember(m, &sink)
 	for _, tc := range traceTable {
 		m.trace(tc.e)
 	}
@@ -92,7 +92,7 @@ func TestTraceSitesGoldenCannotReach(t *testing.T) {
 	c := newCluster(t, singleRegion(t, 10), params, 1, nil)
 	m := c.members[3]
 	var sink trace.Memory
-	m.cfg.Tracer = &sink
+	traceMember(m, &sink)
 
 	m.Receive(5, wire.Message{Type: wire.TypeAck, From: 5})
 	id := wire.MessageID{Source: 0, Seq: 1}
@@ -196,7 +196,7 @@ func TestLatencySamplesDoNotAllocate(t *testing.T) {
 	params.C = 0
 	c := newCluster(t, singleRegion(t, 10), params, 1, nil)
 	m, s := c.members[3], c.sim
-	m.cfg.Transport = &countTransport{}
+	m.transport = &countTransport{}
 	payload := make([]byte, 256)
 	seq := uint64(0)
 	// cycle opens a recovery for the next message, then runs a millisecond
@@ -259,7 +259,7 @@ func TestEpisodesDoNotAllocate(t *testing.T) {
 	c := newCluster(t, chainRegions(t, 10, 10), params, 1, nil)
 	m, s := c.members[c.topo.MemberAt(1, 3)], c.sim
 	net := &countTransport{}
-	m.cfg.Transport = net
+	m.transport = net
 	payload := make([]byte, 256)
 	seq := uint64(0)
 
@@ -341,7 +341,7 @@ func TestPeerPickDoesNotAllocate(t *testing.T) {
 		t.Fatal("setup: member 3 should suspect exactly the crashed member 6")
 	}
 	net := &countTransport{}
-	m.cfg.Transport = net
+	m.transport = net
 
 	rec := m.newRecovery(m.msg(wire.MessageID{Source: 0, Seq: 99}), false)
 	if n := testing.AllocsPerRun(200, func() { rec.localTimer.Stop(); m.localAttempt(rec) }); n != 0 {
@@ -395,7 +395,7 @@ func TestHeartbeatTablesAreRecycled(t *testing.T) {
 	c := newCluster(t, singleRegion(t, 10), params, 1, nil)
 	pdus, tables := 0, map[*uint64][]uint64{}
 	for _, m := range c.members {
-		m.cfg.Transport = heartbeatTap{m.cfg.Transport, &pdus, tables}
+		m.transport = heartbeatTap{m.transport, &pdus, tables}
 	}
 	c.sim.RunUntil(10 * time.Second)
 	if pdus < 1500 || len(tables)*4 > pdus {
@@ -411,18 +411,22 @@ func TestHeartbeatTablesAreRecycled(t *testing.T) {
 }
 
 // TestNewMemberAllocs pins what constructing a member costs, with the
-// failure detector off, in a ten-member region. Each member once made
-// nine maps up front, seven of them keyed by MessageID (18 allocations
-// here); the per-message state became one table made on first use, and
-// the buffer counts evictions in an array where it kept a map (10). The
-// per-source tables are now sorted slices that cost nothing until the
-// first message, the served table is made on first use, and the member
-// keeps no escaped copy of its Config. Message records live in the
-// per-source windows. What is left with a shared Region: the Member, its
-// Buffer, the index header, one rng split and the eviction closure (5).
-// A member given no Region makes its own (7: the Region, and the
-// two-phase policy the region's first member builds). Members of one
-// Region share one Params, one policy and one list of spare entries.
+// failure detector off, in a ten-member region, and what its first
+// message adds. Each member once made nine maps up front, seven of them
+// keyed by MessageID (18 allocations here); then its per-message state
+// became one table made on first use and the buffer's eviction counts an
+// array (10); then its per-source tables became sorted slices made on the
+// first message (6), and the Params and two-phase policy moved to the
+// region (5: the Member, its Buffer, the index header, the buffer's rng
+// split and the eviction closure). Now a member holds its buffer, index,
+// buffer rng and first source inline and reports evictions as itself, so
+// on a shared Region it is one allocation, and runner.NewCluster, which
+// makes its members in one slice, pays none per member. A member given no
+// Region makes its own (3: the Region, and the two-phase policy the
+// region's first member builds). The first DATA from a source makes the
+// buffer's entry and its bound timer callback, the index window's array
+// and the reception bitset's word (4), and no table of sources or of index
+// slots: both start in the member.
 func TestNewMemberAllocs(t *testing.T) {
 	view, err := singleRegion(t, 10).ViewOf(3)
 	if err != nil {
@@ -435,12 +439,16 @@ func TestNewMemberAllocs(t *testing.T) {
 		Rng:       rng.New(1),
 		Params:    DefaultParams(),
 	}
-	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 7 {
-		t.Fatalf("NewMember: %v allocs, want 7", n)
+	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 3 {
+		t.Fatalf("NewMember: %v allocs, want 3", n)
 	}
 	cfg.Region = new(Region)
-	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 5 {
-		t.Fatalf("NewMember on a shared Region: %v allocs, want 5", n)
+	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 1 {
+		t.Fatalf("NewMember on a shared Region: %v allocs, want 1", n)
+	}
+	data := wire.Message{Type: wire.TypeData, From: 0, ID: wire.MessageID{Source: 0, Seq: 1}, Payload: []byte("x")}
+	if n := testing.AllocsPerRun(100, func() { NewMember(cfg).Receive(0, data) }); n != 1+4 {
+		t.Fatalf("NewMember and a first DATA: %v allocs, want 1+4", n)
 	}
 	a, b := NewMember(cfg), NewMember(cfg)
 	if a.params != b.params || a.params != &cfg.Region.params {
@@ -462,16 +470,21 @@ func TestMsgStateSize(t *testing.T) {
 	}
 }
 
-// TestMemberSize keeps a Member at its 368 bytes (the 384-byte size
-// class): a 100k-member trial builds 100k of them. It holds only what is
-// its own: the Config fields it reads after construction but the Sched,
-// and pointers to its Region and the Region's Params, which its region's
-// members share. It was 520 bytes (the 576-byte class) while each member
-// kept a copy of the Params, its scheduler, its own id and region ends
-// beside its View, and the hash policy's locator beside its buffer's
-// policy.
+// TestMemberSize keeps a Member at its 704 bytes. runner.NewCluster
+// makes a group's members in one slice, so the size is the exact per
+// member cost with no size-class rounding; a 100k-member trial holds 100k.
+// A member holds what is its own: its place in the View, the Config fields
+// it reads after construction, its buffer (core.Buffer, 312 bytes with its
+// index and first index slot), the buffer's rng stream, the first source's
+// reception state and the one-element table pointing at it, its metrics,
+// and pointers to its Region, the region's Params and, when set, its
+// Hooks. It reads the View's member lists, the scheduler and the tracer
+// through the region. It was 368 bytes (the 384-byte class) beside a
+// separately allocated Buffer (240), index header (32), rng (32), eviction
+// closure (16), and, from the first message, a sourceState (96) and two
+// one-element tables (8 and 80): 888 bytes in eight objects.
 func TestMemberSize(t *testing.T) {
-	if n := unsafe.Sizeof(Member{}); n != 368 {
-		t.Fatalf("Member is %d bytes, want 368", n)
+	if n := unsafe.Sizeof(Member{}); n != 704 {
+		t.Fatalf("Member is %d bytes, want 704", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -24,6 +25,14 @@ type cluster struct {
 
 func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint64, loss netsim.LossModel) *cluster {
 	t.Helper()
+	return buildCluster(t, topo, params, seed, loss, nil, false)
+}
+
+// buildCluster is newCluster with every member traced to tracer (nil for
+// none), its members built one by one through NewMember, or, with slab,
+// made in place in one slice as runner.NewCluster makes them.
+func buildCluster(t testing.TB, topo *topology.Topology, params Params, seed uint64, loss netsim.LossModel, tracer trace.Tracer, slab bool) *cluster {
+	t.Helper()
 	s := sim.New()
 	lat := netsim.HierLatency{
 		Topo:        topo,
@@ -39,9 +48,13 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint6
 			c.all = append(c.all, n)
 		}
 	}
+	var members []Member
+	if slab {
+		members = make([]Member, len(c.all))
+	}
 	// A region's members share one Region, as in runner.NewCluster.
 	var region *Region
-	for _, n := range c.all {
+	for i, n := range c.all {
 		view, err := topo.ViewOf(n)
 		if err != nil {
 			t.Fatal(err)
@@ -49,14 +62,22 @@ func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint6
 		if view.SelfIdx == 0 {
 			region = new(Region)
 		}
-		m := NewMember(Config{
+		cfg := Config{
 			View:      view,
 			Transport: c.tally.wrap(n, &netsim.Endpoint{Net: net, Self: n, Group: c.all}),
 			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
 			Params:    params,
+			Tracer:    tracer,
 			Region:    region,
-		})
+		}
+		var m *Member
+		if slab {
+			m = &members[i]
+			m.Init(cfg)
+		} else {
+			m = NewMember(cfg)
+		}
 		c.members[n] = m
 		net.Register(n, c.tally.handler(n, m))
 	}
@@ -161,4 +182,21 @@ type regionLoss struct {
 
 func (r *regionLoss) Drop(_, to topology.NodeID, t wire.Type) bool {
 	return t == wire.TypeData && r.victims[to]
+}
+
+// traceMember makes sink see the events m emits. A tracer is its region's,
+// so this one passes on m's events and drops its peers'.
+func traceMember(m *Member, sink trace.Tracer) {
+	m.region.tracer = memberTracer{m.self, sink}
+}
+
+type memberTracer struct {
+	node topology.NodeID
+	sink trace.Tracer
+}
+
+func (t memberTracer) Emit(e trace.Event) {
+	if e.Node == t.node {
+		t.sink.Emit(e)
+	}
 }

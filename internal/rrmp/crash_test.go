@@ -162,7 +162,7 @@ func TestLeaveHandsOffToLivePeersOnly(t *testing.T) {
 
 	leaver, corpse, survivor := topology.NodeID(1), topology.NodeID(2), topology.NodeID(0)
 	mem := &trace.Memory{}
-	c.members[survivor].cfg.Tracer = mem
+	traceMember(c.members[survivor], mem)
 	c.members[leaver].InjectLongTerm(wire.MessageID{Source: 0, Seq: 1}, []byte("a"))
 	c.members[leaver].InjectLongTerm(wire.MessageID{Source: 0, Seq: 2}, []byte("b"))
 	c.sim.At(50*time.Millisecond, func() { c.crashNode(corpse) })
@@ -282,7 +282,7 @@ func TestSourcesHeardOutOfOrder(t *testing.T) {
 
 	m.Crash()
 	mem := &trace.Memory{}
-	m.cfg.Tracer = mem
+	traceMember(m, mem)
 	m.Recover()
 	var asked []wire.MessageID
 	for _, e := range mem.Filter(trace.LocalReq) {

@@ -55,8 +55,8 @@ func TestMulticastQueryModeEndToEnd(t *testing.T) {
 	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
 	region := topo.Members(0)
 	mem := &trace.Memory{}
+	c.members[region[0]].region.tracer = mem // the region's tracer sees all its members
 	for i, n := range region {
-		c.members[n].cfg.Tracer = mem
 		if i < 5 {
 			c.members[n].InjectLongTerm(id, []byte("q"))
 		} else {
@@ -244,7 +244,7 @@ func TestPolicyOverrideViaConfig(t *testing.T) {
 		View:      view,
 		Transport: &netsim.Endpoint{Net: c.net, Self: 1, Group: c.all},
 		Sched:     c.sim,
-		Rng:       c.members[1].cfg.Rng.Split(99),
+		Rng:       c.members[1].rng.Split(99),
 		Policy:    core.BufferAll{},
 	})
 	id := wire.MessageID{Source: 0, Seq: 1}

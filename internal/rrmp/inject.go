@@ -19,8 +19,8 @@ func (m *Member) InjectDeliver(id wire.MessageID, payload []byte) {
 	m.InjectDiscarded(id)
 	m.buf.Store(id, payload)
 	m.metrics.Delivered.Inc()
-	if m.cfg.Hooks.OnDeliver != nil {
-		m.cfg.Hooks.OnDeliver(id, m.region.sched.Now())
+	if m.hooks != nil && m.hooks.OnDeliver != nil {
+		m.hooks.OnDeliver(id, m.region.sched.Now())
 	}
 }
 

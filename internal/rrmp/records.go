@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gossipfd"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -31,7 +32,9 @@ import (
 
 // Region is everything the members of one region share: every member runs
 // the same T, C and n (§3.1–3.2), so the region holds one copy of the
-// defaulted Params, the scheduler of the event loop it runs on, and the
+// defaulted Params, the region's and its parent region's member lists
+// (every member's View repeats them), the scheduler of the event loop it
+// runs on, the tracer, the buffers' common settings (core.Shared) and the
 // paper's two-phase policy for members given no other; and its members'
 // buffers fill and go idle together, so it holds the free lists their
 // message records, buffer entries and heartbeat tables come from and go
@@ -39,17 +42,22 @@ import (
 // list.
 //
 // The zero Region is ready to use. The first member built on it binds its
-// Params, Sched and region size; a later member that brings other ones is
-// a programming error, and NewMember panics.
+// Params, Sched, member lists and Tracer; a later member that brings other
+// ones is a programming error, and Member.Init panics.
 type Region struct {
 	params Params
 	sched  clock.Scheduler
-	size   int
+	tracer trace.Tracer
+	// members and parents are the View's RegionMembers and ParentMembers,
+	// which topology shares across the region's views.
+	members, parents []topology.NodeID
+	// buffers is what the members' buffers share: the scheduler, the byte
+	// budget, the copy flag and a pointer to entries, their spare entries.
+	buffers core.Shared
+	entries core.Spares
 	// policy is the two-phase policy, made by the first member that needs
 	// it; it holds only parameters, so the members share it.
 	policy *core.TwoPhase
-	// entries are the members' buffers' spare entries (core.Spares).
-	entries core.Spares
 	// heartbeats are the members' failure detectors' spare tables, made by
 	// the first member that runs a detector.
 	heartbeats *gossipfd.Tables
@@ -60,22 +68,35 @@ type Region struct {
 	backoffs []*backoff
 }
 
-// join binds r to its first member's defaulted Params, scheduler and
-// region size, and checks every later member's against them.
-func (r *Region) join(p Params, sched clock.Scheduler, size int) {
+// join binds r to its first member's defaulted Params, scheduler, member
+// lists and tracer, and checks every later member's against them.
+func (r *Region) join(cfg *Config) {
+	p, v := cfg.Params.withDefaults(), &cfg.View
 	if r.sched == nil {
-		r.params, r.sched, r.size = p, sched, size
+		r.params, r.sched, r.tracer = p, cfg.Sched, cfg.Tracer
+		r.members, r.parents = v.RegionMembers, v.ParentMembers
+		r.buffers = core.Shared{Sched: cfg.Sched, ByteBudget: p.ByteBudget, CopyPayload: p.CopyOnStore, Spares: &r.entries}
 		return
 	}
-	if p != r.params || sched != r.sched || size != r.size {
-		panic("rrmp: the members of a Region must bring equal Params, one Sched and one region size")
+	if p != r.params || cfg.Sched != r.sched || cfg.Tracer != r.tracer ||
+		!sameList(v.RegionMembers, r.members) || !sameList(v.ParentMembers, r.parents) {
+		panic("rrmp: the members of a Region must bring equal Params, one Sched, one Tracer and one region's View")
 	}
 }
+
+// sameList reports whether a and b are one shared list: topology gives
+// every view of a region the same slice.
+func sameList(a, b []topology.NodeID) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// size is the number of members in the region.
+func (r *Region) size() int { return max(len(r.members), 1) }
 
 // twoPhase returns the region's two-phase policy, made on first use.
 func (r *Region) twoPhase() *core.TwoPhase {
 	if r.policy == nil {
-		r.policy = core.NewTwoPhase(r.params.IdleThreshold, r.params.C, r.size, r.params.LongTermTTL)
+		r.policy = core.NewTwoPhase(r.params.IdleThreshold, r.params.C, r.size(), r.params.LongTermTTL)
 	}
 	return r.policy
 }
@@ -84,7 +105,7 @@ func (r *Region) twoPhase() *core.TwoPhase {
 // use.
 func (r *Region) heartbeatTables() *gossipfd.Tables {
 	if r.heartbeats == nil {
-		r.heartbeats = gossipfd.NewTables(r.size)
+		r.heartbeats = gossipfd.NewTables(r.size())
 	}
 	return r.heartbeats
 }

@@ -6,10 +6,13 @@ import (
 	"maps"
 	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -51,8 +54,9 @@ func newBareMember(t testing.TB) *Member {
 // orders of making and releasing records: in order, reversed, below the
 // window's base, far past its end, and across several sources. After
 // every operation the touched id's record is the map's and the windows
-// hold exactly the map's records, each once; a walk op also checks that
-// they come in (source, seq) order.
+// hold exactly the map's records, each once, and the first source's state
+// is the member's inline one; a walk op also checks that they come in
+// (source, seq) order.
 //
 //	go test -fuzz=FuzzMsgWindow -fuzztime=20s ./internal/rrmp
 func FuzzMsgWindow(f *testing.F) {
@@ -76,6 +80,12 @@ func FuzzMsgWindow(f *testing.F) {
 		mixed = append(mixed, windowOp(2, 0, 1)...)
 	}
 	f.Add(mixed)
+	// Sources 2 and 5 arrive after 7 and sort before it: the table leaves
+	// its inline backing, and 7's state, held inline, stays where it is.
+	f.Add(slices.Concat(windowOps(0, 0, 1, 2, 3), windowOps(0, 1, 4, 5), windowOp(2, 0, 1),
+		windowOps(0, 2, 9, 1), windowOps(1, 0, 2), windowOps(0, 0, 4), windowOps(1, 1, 4), windowOp(2, 0, 1)))
+	f.Add(slices.Concat(windowOps(0, 0, 7), windowOps(0, 2, 3), windowOps(0, 1, 2), windowOps(1, 0, 7),
+		windowOps(0, 0, 8, 6), windowOp(2, 0, 1), windowOps(1, 2, 3), windowOps(0, 1, 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newBareMember(t)
@@ -128,6 +138,9 @@ func FuzzMsgWindow(f *testing.F) {
 			if n != len(oracle) {
 				t.Fatalf("op %d (kind %d): the windows hold %d records, want %d", i/3, kind, n, len(oracle))
 			}
+			if len(m.sources) > 0 && !slices.Contains(m.sources, &m.first) {
+				t.Fatalf("op %d (kind %d): no source's state is the inline one", i/3, kind)
+			}
 		}
 	})
 }
@@ -151,7 +164,7 @@ func seqRange(lo, hi uint64, step int) []uint64 {
 func TestRecordWindowBounded(t *testing.T) {
 	c := newCluster(t, chainRegions(t, 10, 10), DefaultParams(), 1, nil)
 	m := c.members[c.topo.MemberAt(1, 3)]
-	m.cfg.Transport = &countTransport{}
+	m.transport = &countTransport{}
 	payload := make([]byte, 16)
 	for seq := uint64(1); seq <= 10000; seq++ {
 		m.StartRecovery(wire.MessageID{Source: 0, Seq: seq + 1})
@@ -163,4 +176,62 @@ func TestRecordWindowBounded(t *testing.T) {
 	if !recovering(m, wire.MessageID{Source: 0, Seq: 10001}) || m.Metrics().RecoveryLatency.N() != 9999 {
 		t.Fatalf("%d recoveries completed, want 9999 and the last still open: the test did not run episodes", m.Metrics().RecoveryLatency.N())
 	}
+}
+
+// TestSlabMembersMatchNewMember runs one lossy scenario with three sources
+// and a byte budget twice: once on members built one by one through
+// NewMember, once on members made in place in one slice, as
+// runner.NewCluster makes them. A slab member holds its buffer, index and
+// first source inline and reads the rest through its region, which must
+// change no protocol decision: every member's metrics, buffered entries
+// and trace events must be equal, in the same order.
+func TestSlabMembersMatchNewMember(t *testing.T) {
+	params := DefaultParams()
+	params.ByteBudget = 2048
+	run := func(slab bool) (*cluster, *trace.Memory) {
+		sink := &trace.Memory{}
+		loss := &netsim.BernoulliLoss{P: 0.2, Rng: rng.New(17)}
+		topo := chainRegions(t, 10, 10, 10)
+		c := buildCluster(t, topo, params, 5, loss, sink, slab)
+		c.sender.StartSessions()
+		senders := []*Sender{c.sender, NewSender(c.members[topo.MemberAt(1, 4)]), NewSender(c.members[topo.MemberAt(2, 7)])}
+		for i := range 60 {
+			s := senders[i%len(senders)]
+			c.sim.At(time.Duration(i)*7*time.Millisecond, func() { s.Publish(make([]byte, 300+i)) })
+		}
+		c.sim.RunUntil(5 * time.Second)
+		return c, sink
+	}
+	own, ownTrace := run(false)
+	slab, slabTrace := run(true)
+	var recoveries int64
+	for _, n := range own.all {
+		a, b := own.members[n], slab.members[n]
+		if *a.Metrics() != *b.Metrics() {
+			t.Errorf("member %d: metrics %+v built by NewMember, %+v in a slab", n, *a.Metrics(), *b.Metrics())
+		}
+		if x, y := entryIDs(a), entryIDs(b); !slices.Equal(x, y) {
+			t.Errorf("member %d: buffers %v built by NewMember, %v in a slab", n, x, y)
+		}
+		recoveries += int64(a.Metrics().RecoveryLatency.N())
+	}
+	if !slices.Equal(ownTrace.Events(), slabTrace.Events()) {
+		t.Errorf("the trace streams differ: %d events built by NewMember, %d in a slab", len(ownTrace.Events()), len(slabTrace.Events()))
+	}
+	sources := map[topology.NodeID]bool{}
+	for _, e := range ownTrace.Filter(trace.Deliver) {
+		sources[e.ID.Source] = true
+	}
+	if recoveries == 0 || len(sources) != 3 || len(ownTrace.Filter(trace.LocalReq)) == 0 {
+		t.Fatalf("%d recoveries, deliveries from %d sources: the scenario did not exercise loss recovery from three sources", recoveries, len(sources))
+	}
+}
+
+// entryIDs lists the ids m buffers, in id order.
+func entryIDs(m *Member) []wire.MessageID {
+	var ids []wire.MessageID
+	for _, e := range m.Buffer().Entries() {
+		ids = append(ids, e.ID)
+	}
+	return ids
 }

@@ -116,7 +116,7 @@ func (m *Member) localAttempt(rec *recovery) {
 	if rec.done {
 		return
 	}
-	if m.cfg.View.NumPeers() == 0 {
+	if len(m.region.members) < 2 {
 		// Single-member region: only remote recovery can help.
 		rec.localDead = true
 		m.checkAbandoned(rec)
@@ -132,7 +132,7 @@ func (m *Member) localAttempt(rec *recovery) {
 	m.metrics.LocalReqSent.Inc()
 	id := rec.ms.id
 	m.trace(trace.Event{Kind: trace.LocalReq, ID: id, Peer: q, N: int32(rec.localTries)})
-	m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.cfg.View.Self, ID: id})
+	m.transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self, ID: id})
 	rec.localTimer.Arm(m.region.sched, m.params.IntraRTT+m.params.retryGrace(), rec.localRetry)
 }
 
@@ -144,7 +144,7 @@ func (m *Member) remoteAttempt(rec *recovery) {
 	if rec.done {
 		return
 	}
-	parents := m.cfg.View.ParentMembers
+	parents := m.region.parents
 	if len(parents) == 0 {
 		// Root-region member: there is nobody above to ask.
 		rec.remoteDead = true
@@ -157,14 +157,14 @@ func (m *Member) remoteAttempt(rec *recovery) {
 		return
 	}
 	rec.remoteTries++
-	regionSize := m.cfg.View.NumPeers() + 1
+	regionSize := m.region.size()
 	p := m.params.Lambda / float64(regionSize)
-	if m.cfg.Rng.Bernoulli(p) {
-		r := parents[m.cfg.Rng.Intn(len(parents))]
+	if m.rng.Bernoulli(p) {
+		r := parents[m.rng.Intn(len(parents))]
 		m.metrics.RemoteReqSent.Inc()
 		id := rec.ms.id
 		m.trace(trace.Event{Kind: trace.RemoteReq, ID: id, Peer: r, N: int32(rec.remoteTries)})
-		m.cfg.Transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.cfg.View.Self, ID: id, Origin: m.cfg.View.Self})
+		m.transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self, ID: id, Origin: m.self})
 	}
 	rec.remoteTimer.Arm(m.region.sched, m.params.ParentRTT+m.params.retryGrace(), rec.remoteRetry)
 }

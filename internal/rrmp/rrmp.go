@@ -89,25 +89,22 @@ type Config struct {
 	// Policy overrides the buffering policy. Nil selects the paper's
 	// two-phase policy built from Params.
 	Policy core.Policy
-	// Tracer observes protocol events; nil means no tracing.
+	// Tracer observes protocol events; nil means no tracing. The members
+	// of one Region bring the same Tracer, which the region holds.
 	Tracer trace.Tracer
 	// Hooks are optional instrumentation callbacks.
 	Hooks Hooks
 	// Region is what the member shares with the rest of its region: the
-	// defaulted Params, the Sched, the two-phase policy and the free
+	// View's member lists, the defaulted Params, the Sched, the Tracer,
+	// the two-phase policy, the buffers' common settings and the free
 	// lists (see Region). Nil gives the member a region of its own.
 	Region *Region
 }
 
-// env is the part of a Config a member reads after construction and keeps
-// itself; Params and Sched live on in its Region and the policy in the
-// buffer.
-type env struct {
-	View      topology.View
-	Transport Transport
-	Rng       *rng.Source
-	Tracer    trace.Tracer
-	Hooks     Hooks
+// any reports whether any hook is set.
+func (h *Hooks) any() bool {
+	return h.OnDeliver != nil || h.OnEvict != nil || h.OnPromote != nil ||
+		h.OnSearchResolved != nil || h.OnRecovered != nil
 }
 
 // sourceState tracks per-sender reception: the highest sequence observed
@@ -121,22 +118,50 @@ type sourceState struct {
 	window
 }
 
+// noCopy makes vet's copylocks check flag a copied Member: a member
+// points into itself (sources at srcBack and first, its buffer at bufRng
+// and its own index), so a copy would share the original's state.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // Member is one RRMP group member. Not safe for concurrent use; drive it
 // from a single goroutine.
+//
+// A member holds by value what only it owns: its buffer, the buffer's rng
+// stream, and the first source's reception state with the one-element
+// table that points at it, so runner.NewCluster builds a whole group's
+// members in one slab. What its region's members share (the View's member
+// lists, the Params, the scheduler, the tracer, the buffers' common
+// settings and the free lists) it reads through its Region.
 type Member struct {
-	cfg env
+	_ noCopy
+	// selfIdx and self (beside the flags, where it packs) are the
+	// member's place in its View; the View's member lists are its
+	// region's (Region.members, Region.parents).
+	selfIdx   int
+	transport Transport
+	rng       *rng.Source
+	// hooks are the Config's Hooks, or nil when none is set.
+	hooks *Hooks
 	// params are region.params: a region's members share one copy.
 	params *Params
-	// region is what the member shares with the rest of its region: the
-	// scheduler, the policy and the free lists (see Region).
+	// region is what the member shares with the rest of its region (see
+	// Region).
 	region *Region
 
-	buf *core.Buffer
+	buf    core.Buffer
+	bufRng rng.Source // the buffer's election stream
 	// sources holds the reception state of every sender heard from,
 	// sorted by src. A group has one sender, or a handful, so a binary
-	// search beats hashing the id, and the slice costs nothing until the
-	// first message.
+	// search beats hashing the id. The first sender's state is first and
+	// the table starts in srcBack, so a one-sender group's member makes
+	// neither; a second sender moves the table to the heap, and first
+	// stays where it is.
 	sources []*sourceState
+	srcBack [1]*sourceState
+	first   sourceState
 	// served records when this member last repaired a given (message,
 	// origin) pair from a search, so the burst of in-flight SEARCH PDUs
 	// that race the terminating HAVE does not each trigger another repair.
@@ -147,13 +172,23 @@ type Member struct {
 	fd *gossipfd.Detector
 
 	metrics Metrics
+	self    topology.NodeID
 	left    bool
 	crashed bool
 }
 
-// NewMember constructs a member. It panics on missing required
-// dependencies (programming errors).
+// NewMember constructs a member: new(Member) made ready by Init.
 func NewMember(cfg Config) *Member {
+	m := new(Member)
+	m.Init(cfg)
+	return m
+}
+
+// Init makes the zero Member m a member, in place; a member never moves
+// once made. It panics on missing required dependencies, and on a Region
+// whose earlier members brought other Params, Sched, member lists or
+// Tracer (programming errors).
+func (m *Member) Init(cfg Config) {
 	if cfg.Transport == nil {
 		panic("rrmp: Config.Transport is required")
 	}
@@ -167,17 +202,14 @@ func NewMember(cfg Config) *Member {
 	if region == nil {
 		region = new(Region)
 	}
-	region.join(cfg.Params.withDefaults(), cfg.Sched, cfg.View.NumPeers()+1)
-	m := &Member{
-		cfg: env{
-			View:      cfg.View,
-			Transport: cfg.Transport,
-			Rng:       cfg.Rng,
-			Tracer:    cfg.Tracer,
-			Hooks:     cfg.Hooks,
-		},
-		params: &region.params,
-		region: region,
+	region.join(&cfg)
+	m.self, m.selfIdx = cfg.View.Self, cfg.View.SelfIdx
+	m.transport, m.rng = cfg.Transport, cfg.Rng
+	m.params, m.region = &region.params, region
+	m.sources = m.srcBack[:0]
+	if cfg.Hooks.any() {
+		hooks := cfg.Hooks
+		m.hooks = &hooks
 	}
 
 	policy := cfg.Policy
@@ -187,36 +219,45 @@ func NewMember(cfg Config) *Member {
 	if binder, ok := policy.(core.RngBinder); ok {
 		binder.BindRng(cfg.Rng.Split(policyStreamLabel))
 	}
-	m.buf = core.NewBuffer(core.Config{
-		Policy:      policy,
-		Sched:       cfg.Sched,
-		ByteBudget:  m.params.ByteBudget,
-		CopyPayload: m.params.CopyOnStore,
-		Rng:         cfg.Rng.Split(bufferStreamLabel),
-		Spares:      &region.entries,
-		OnEvict: func(e *core.Entry, r core.EvictReason) {
-			if r != core.EvictHandoff {
-				m.metrics.BufferingTime.AddDuration(m.region.sched.Now() - e.StoredAt)
-			}
-			if m.cfg.Hooks.OnEvict != nil {
-				m.cfg.Hooks.OnEvict(e, r)
-			}
-		},
-		OnPromote: cfg.Hooks.OnPromote,
+	cfg.Rng.SplitInto(bufferStreamLabel, &m.bufRng)
+	m.buf.Init(core.Config{
+		Policy:   policy,
+		Rng:      &m.bufRng,
+		Shared:   &region.buffers,
+		Observer: (*bufferEvents)(m),
 	})
 	if m.params.FDEnabled && cfg.View.NumPeers() > 0 {
 		m.fd = gossipfd.New(gossipfd.Config{
 			View:      cfg.View,
 			Sched:     cfg.Sched,
 			Rng:       cfg.Rng.Split(gossipFDStreamLabel),
-			Send:      func(to topology.NodeID, msg wire.Message) { m.cfg.Transport.Send(to, msg) },
+			Send:      func(to topology.NodeID, msg wire.Message) { m.transport.Send(to, msg) },
 			OnSuspect: m.onSuspect,
 			OnRestore: m.onRestore,
 			Tables:    region.heartbeatTables(),
 		})
 		m.fd.Start()
 	}
-	return m
+}
+
+// bufferEvents is a Member seen as its buffer's core.Observer, so the
+// buffer reports evictions and promotions to the member with no closure.
+type bufferEvents Member
+
+func (o *bufferEvents) Evicted(e *core.Entry, r core.EvictReason) {
+	m := (*Member)(o)
+	if r != core.EvictHandoff {
+		m.metrics.BufferingTime.AddDuration(m.region.sched.Now() - e.StoredAt)
+	}
+	if m.hooks != nil && m.hooks.OnEvict != nil {
+		m.hooks.OnEvict(e, r)
+	}
+}
+
+func (o *bufferEvents) Promoted(e *core.Entry) {
+	if m := (*Member)(o); m.hooks != nil && m.hooks.OnPromote != nil {
+		m.hooks.OnPromote(e)
+	}
 }
 
 // onSuspect reacts to the failure detector marking a peer dead: cached
@@ -249,9 +290,9 @@ func (m *Member) peerLive(n topology.NodeID) bool {
 // its ends: a region-sized set per member would be exactly the
 // O(members × region size) setup cost the 1M-member path cannot afford.
 func (m *Member) inOwnRegion(n topology.NodeID) bool {
-	rm := m.cfg.View.RegionMembers
+	rm := m.region.members
 	if len(rm) == 0 {
-		return n == m.cfg.View.Self
+		return n == m.self
 	}
 	return n >= rm[0] && n <= rm[len(rm)-1]
 }
@@ -266,18 +307,18 @@ func (m *Member) inOwnRegion(n topology.NodeID) bool {
 // shared view is a candidate. Neither branch allocates.
 func (m *Member) randomPeer() (topology.NodeID, bool) {
 	if m.fd != nil {
-		return m.fd.PickPeer(m.cfg.Rng)
+		return m.fd.PickPeer(m.rng)
 	}
-	rm := m.cfg.View.RegionMembers
+	rm := m.region.members
 	if len(rm) < 2 {
 		return topology.NoNode, false
 	}
-	return rm[m.cfg.Rng.Pick(len(rm), m.cfg.View.SelfIdx)], true
+	return rm[m.rng.Pick(len(rm), m.selfIdx)], true
 }
 
 // Buffer exposes the member's message buffer (read-mostly; experiments
 // sample occupancy and long-term counts).
-func (m *Member) Buffer() *core.Buffer { return m.buf }
+func (m *Member) Buffer() *core.Buffer { return &m.buf }
 
 // Metrics returns the member's live metrics.
 func (m *Member) Metrics() *Metrics { return &m.metrics }
@@ -321,7 +362,12 @@ func (m *Member) findSource(src topology.NodeID) (int, bool) {
 func (m *Member) source(src topology.NodeID) *sourceState {
 	i, ok := m.findSource(src)
 	if !ok {
-		m.sources = slices.Insert(m.sources, i, &sourceState{src: src})
+		st := &m.first
+		if len(m.sources) > 0 {
+			st = new(sourceState)
+		}
+		st.src = src
+		m.sources = slices.Insert(m.sources, i, st)
 	}
 	return m.sources[i]
 }
@@ -471,8 +517,8 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 			if rerecovery {
 				m.metrics.ReRecoveryLatency.AddDuration(latency)
 			}
-			if m.cfg.Hooks.OnRecovered != nil {
-				m.cfg.Hooks.OnRecovered(id, latency)
+			if m.hooks != nil && m.hooks.OnRecovered != nil {
+				m.hooks.OnRecovered(id, latency)
 			}
 		}
 
@@ -499,8 +545,8 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 	// Detect gaps below this sequence number.
 	m.noteTop(id.Source, id.Seq)
 
-	if m.cfg.Hooks.OnDeliver != nil {
-		m.cfg.Hooks.OnDeliver(id, now)
+	if m.hooks != nil && m.hooks.OnDeliver != nil {
+		m.hooks.OnDeliver(id, now)
 	}
 	return true
 }
@@ -514,9 +560,9 @@ func (m *Member) sendRepair(to topology.NodeID, e *core.Entry) {
 // where the message need not (or no longer) be buffered locally.
 func (m *Member) sendRepairPayload(to topology.NodeID, id wire.MessageID, payload []byte, longTerm bool) {
 	m.metrics.RepairsSent.Inc()
-	m.cfg.Transport.Send(to, wire.Message{
+	m.transport.Send(to, wire.Message{
 		Type:     wire.TypeRepair,
-		From:     m.cfg.View.Self,
+		From:     m.self,
 		ID:       id,
 		Payload:  payload,
 		LongTerm: longTerm,
@@ -527,7 +573,7 @@ func (m *Member) sendRepairPayload(to topology.NodeID, id wire.MessageID, payloa
 // local region, optionally after a randomized back-off that lets concurrent
 // receivers suppress duplicates (§2.2, [14]).
 func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
-	if m.cfg.View.NumPeers() == 0 {
+	if len(m.region.members) < 2 {
 		return
 	}
 	if m.params.RepairBackoffMax <= 0 {
@@ -538,15 +584,15 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 	ms := m.msg(id)
 	b := m.newBackoff(ms, &ms.mc)
 	b.payload = payload
-	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.RepairBackoffMax))) + 1
+	delay := time.Duration(m.rng.Uint64n(uint64(m.params.RepairBackoffMax))) + 1
 	b.timer.Arm(m.region.sched, delay, b.fire)
 }
 
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
 	m.metrics.RegionalMulticasts.Inc()
 	m.trace(trace.Event{Kind: trace.RegionMC, ID: id})
-	m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
-		wire.Message{Type: wire.TypeRepair, From: m.cfg.View.Self, ID: id, Payload: payload})
+	m.transport.Multicast(m.region.members,
+		wire.Message{Type: wire.TypeRepair, From: m.self, ID: id, Payload: payload})
 }
 
 // addWaiter records a remote requester to relay to on receipt, without
@@ -576,9 +622,9 @@ func (m *Member) Leave() {
 		}
 		m.metrics.HandoffsSent.Inc()
 		m.trace(trace.Event{Kind: trace.HandoffSend, ID: e.ID, Peer: to})
-		m.cfg.Transport.Send(to, wire.Message{
+		m.transport.Send(to, wire.Message{
 			Type:     wire.TypeHandoff,
-			From:     m.cfg.View.Self,
+			From:     m.self,
 			ID:       e.ID,
 			Payload:  e.Payload,
 			LongTerm: true,
@@ -682,9 +728,9 @@ func (m *Member) Unrecovered() []wire.MessageID {
 // trace stamps e with the time and this member and hands it to the tracer.
 // Call sites fill in typed fields only, so an untraced run formats nothing.
 func (m *Member) trace(e trace.Event) {
-	if m.cfg.Tracer == nil {
+	if m.region.tracer == nil {
 		return
 	}
-	e.At, e.Node = m.region.sched.Now(), m.cfg.View.Self
-	m.cfg.Tracer.Emit(e)
+	e.At, e.Node = m.region.sched.Now(), m.self
+	m.region.tracer.Emit(e)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -123,19 +124,19 @@ func TestFeedbackKeepsHoldersBuffering(t *testing.T) {
 	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
 	holder := c.members[topo.MemberAt(0, 0)]
 	holder.InjectDeliver(id, []byte("x"))
+	// The buffer reports evictions to the member, which reads its hooks
+	// at each one, so a hook set after construction sees them.
 	var evictedAt time.Duration
-	holder.cfg.Hooks.OnEvict = func(e *core.Entry, r core.EvictReason) {
+	holder.hooks = &Hooks{}
+	holder.hooks.OnEvict = func(e *core.Entry, r core.EvictReason) {
 		if e.ID == id {
 			evictedAt = c.sim.Now()
 		}
 	}
-	// Re-register the eviction hook through the buffer config (the hook was
-	// captured at construction); instead, read BufferingTime metric below.
 	for _, n := range topo.Members(0)[1:] {
 		c.members[n].StartRecovery(id)
 	}
 	c.sim.RunUntil(5 * time.Second)
-	_ = evictedAt
 
 	if got := c.deliveredCount(id); got != 20 {
 		t.Fatalf("delivered %d/20", got)
@@ -148,6 +149,10 @@ func TestFeedbackKeepsHoldersBuffering(t *testing.T) {
 	// below the 5 s horizon once the region went quiet.
 	if bt.Mean() <= 40 || bt.Mean() > 500 {
 		t.Fatalf("holder buffering time %.1f ms, want (40, 500]", bt.Mean())
+	}
+	// The message was stored at 0, so it left at its buffering time.
+	if want := time.Duration(bt.Mean() * float64(time.Millisecond)); (evictedAt - want).Abs() > time.Microsecond {
+		t.Fatalf("the OnEvict hook saw the eviction at %v, want %v", evictedAt, want)
 	}
 }
 
@@ -240,7 +245,8 @@ func TestSearchFindsBufferer(t *testing.T) {
 	var resolvedAt time.Duration
 	for _, n := range region {
 		m := c.members[n]
-		m.cfg.Hooks.OnSearchResolved = func(gotID wire.MessageID, origin topology.NodeID) {
+		m.hooks = &Hooks{}
+		m.hooks.OnSearchResolved = func(gotID wire.MessageID, origin topology.NodeID) {
 			if gotID == id && origin == downstream && !resolved {
 				resolved = true
 				resolvedAt = c.sim.Now()
@@ -283,7 +289,8 @@ func TestSearchTimeZeroWhenRequestHitsBufferer(t *testing.T) {
 	downstream := topo.MemberAt(1, 0)
 	var resolvedAt time.Duration = -1
 	var reqArrive time.Duration
-	c.members[bufferer].cfg.Hooks.OnSearchResolved = func(wire.MessageID, topology.NodeID) {
+	c.members[bufferer].hooks = &Hooks{}
+	c.members[bufferer].hooks.OnSearchResolved = func(wire.MessageID, topology.NodeID) {
 		resolvedAt = c.sim.Now()
 	}
 	c.sim.After(0, func() { reqArrive = c.sim.Now() })
@@ -311,7 +318,7 @@ func TestLeaveHandsOffLongTermBuffers(t *testing.T) {
 	leaver := c.members[topo.MemberAt(0, 2)]
 	leaver.InjectLongTerm(id, []byte("h"))
 	for _, n := range topo.Members(0) {
-		if n != leaver.cfg.View.Self {
+		if n != leaver.self {
 			c.members[n].InjectDiscarded(id)
 		}
 	}
@@ -624,6 +631,43 @@ func TestNewMemberValidation(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s: no panic", name)
+				}
+			}()
+			NewMember(cfg)
+		}()
+	}
+}
+
+// TestRegionJoinChecksMembers pins what a Region binds: a member reads
+// its region's member lists, Params, scheduler and tracer through the
+// region, so a later member that brings other ones would silently run on
+// the first member's. Init panics instead; a peer of the same region
+// bringing the same ones joins.
+func TestRegionJoinChecksMembers(t *testing.T) {
+	topo := chainRegions(t, 4, 4)
+	own, _ := topo.ViewOf(topo.MemberAt(1, 0))
+	peer, _ := topo.ViewOf(topo.MemberAt(1, 2))
+	other, _ := topo.ViewOf(topo.MemberAt(0, 1))
+	s := sim.New()
+	base := Config{View: own, Transport: &countTransport{}, Sched: s, Rng: rng.New(1), Params: DefaultParams()}
+	for name, mutate := range map[string]func(*Config){
+		"another region's view": func(c *Config) { c.View = other },
+		"other params":          func(c *Config) { c.Params.C++ },
+		"another sched":         func(c *Config) { c.Sched = sim.New() },
+		"a tracer":              func(c *Config) { c.Tracer = &trace.Memory{} },
+	} {
+		region := new(Region)
+		first := base
+		first.Region = region
+		NewMember(first)
+		cfg := first
+		cfg.View = peer
+		NewMember(cfg) // a peer with the same settings joins
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a member joined a region bound to other settings", name)
 				}
 			}()
 			NewMember(cfg)

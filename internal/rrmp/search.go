@@ -114,8 +114,8 @@ func (m *Member) queryAttempt(s *searchState) {
 	}
 	s.tries++
 	for _, o := range s.origins {
-		m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
-			wire.Message{Type: wire.TypeQuery, From: m.cfg.View.Self, ID: s.ms.id, Origin: o})
+		m.transport.Multicast(m.region.members,
+			wire.Message{Type: wire.TypeQuery, From: m.self, ID: s.ms.id, Origin: o})
 	}
 	// Wait out the worst-case reply back-off plus a round trip before
 	// re-multicasting.
@@ -139,7 +139,7 @@ func (m *Member) onQuery(from topology.NodeID, msg *wire.Message) {
 	}
 	b := m.newBackoff(ms, &ms.reply)
 	b.origin, b.querier = origin, from
-	delay := time.Duration(m.cfg.Rng.Uint64n(uint64(m.params.queryBackoffMax()))) + 1
+	delay := time.Duration(m.rng.Uint64n(uint64(m.params.queryBackoffMax()))) + 1
 	b.timer.Arm(m.region.sched, delay, b.fire)
 }
 
@@ -183,7 +183,7 @@ func (m *Member) searchAttempt(s *searchState) {
 	}
 	var q topology.NodeID
 	var ok bool
-	if known := s.ms.bufferer; s.tries == 0 && known != topology.NoNode && known != m.cfg.View.Self {
+	if known := s.ms.bufferer; s.tries == 0 && known != topology.NoNode && known != m.self {
 		// A HAVE identified a bufferer: route directly. It is consumed so
 		// a stale pointer (bufferer discarded since) degrades back to the
 		// random walk on the next attempt.
@@ -202,7 +202,7 @@ func (m *Member) searchAttempt(s *searchState) {
 	m.trace(trace.Event{Kind: trace.SearchFwd, ID: id, Peer: q, N: int32(s.tries)})
 	// One SEARCH per origin so each awaiting requester is carried forward.
 	for _, o := range s.origins {
-		m.cfg.Transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.cfg.View.Self, ID: id, Origin: o})
+		m.transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: id, Origin: o})
 	}
 	s.timer.Arm(m.region.sched, m.params.IntraRTT+m.params.retryGrace(), s.retry)
 }
@@ -223,7 +223,7 @@ func (m *Member) nextDeterministicTarget(loc locator, s *searchState) (topology.
 	var fallback topology.NodeID = topology.NoNode
 	for i := s.tries; i < len(set)+s.tries; i++ {
 		cand := set[i%len(set)]
-		if cand == m.cfg.View.Self {
+		if cand == m.self {
 			continue
 		}
 		if m.peerLive(cand) {
@@ -255,7 +255,7 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 			// Duplicate probe for an already-served requester: answer with
 			// a unicast HAVE (no payload) so the prober stops, without
 			// re-sending the repair or re-multicasting.
-			m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeHave, From: m.cfg.View.Self, ID: id, Origin: origin})
+			m.transport.Send(from, wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
 			return
 		}
 		m.markServed(key, now)
@@ -295,8 +295,8 @@ func (m *Member) markServed(key servedKey, now time.Duration) {
 // announceHave multicasts "I have the message" in the region, terminating
 // the search episode for origin (§3.3).
 func (m *Member) announceHave(id wire.MessageID, origin topology.NodeID) {
-	m.cfg.Transport.Multicast(m.cfg.View.RegionMembers,
-		wire.Message{Type: wire.TypeHave, From: m.cfg.View.Self, ID: id, Origin: origin})
+	m.transport.Multicast(m.region.members,
+		wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
 }
 
 // onHave ends the local search episode for the served origin. If this
@@ -324,7 +324,7 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	}
 	// Redirect remaining origins to the known bufferer.
 	for _, o := range s.origins {
-		m.cfg.Transport.Send(from, wire.Message{Type: wire.TypeSearch, From: m.cfg.View.Self, ID: msg.ID, Origin: o})
+		m.transport.Send(from, wire.Message{Type: wire.TypeSearch, From: m.self, ID: msg.ID, Origin: o})
 	}
 	m.finishSearch(s)
 }
@@ -340,7 +340,7 @@ func (m *Member) resolveSearch(id wire.MessageID, origin topology.NodeID) {
 			m.finishSearch(s)
 		}
 	}
-	if m.cfg.Hooks.OnSearchResolved != nil {
-		m.cfg.Hooks.OnSearchResolved(id, origin)
+	if m.hooks != nil && m.hooks.OnSearchResolved != nil {
+		m.hooks.OnSearchResolved(id, origin)
 	}
 }

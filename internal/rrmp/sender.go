@@ -25,11 +25,11 @@ func NewSender(m *Member) *Sender {
 // everyone else). It returns the assigned message id.
 func (s *Sender) Publish(payload []byte) wire.MessageID {
 	s.seq++
-	id := wire.MessageID{Source: s.m.cfg.View.Self, Seq: s.seq}
-	s.m.deliver(id, payload, s.m.cfg.View.Self)
-	s.m.cfg.Transport.Broadcast(wire.Message{
+	id := wire.MessageID{Source: s.m.self, Seq: s.seq}
+	s.m.deliver(id, payload, s.m.self)
+	s.m.transport.Broadcast(wire.Message{
 		Type:    wire.TypeData,
-		From:    s.m.cfg.View.Self,
+		From:    s.m.self,
 		ID:      id,
 		Payload: payload,
 	})
@@ -46,9 +46,9 @@ func (s *Sender) StartSessions() {
 	}
 	var tick func()
 	tick = func() {
-		s.m.cfg.Transport.Broadcast(wire.Message{
+		s.m.transport.Broadcast(wire.Message{
 			Type:   wire.TypeSession,
-			From:   s.m.cfg.View.Self,
+			From:   s.m.self,
 			TopSeq: s.seq,
 		})
 		s.sessionTimer.Arm(s.m.region.sched, s.m.params.SessionInterval, tick)

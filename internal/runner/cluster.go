@@ -176,12 +176,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		All:     d.all,
 		Root:    d.root.Split(clusterRootStreamLabel),
 	}
-	// Per-member wiring is the 1M-row setup hot path: endpoints and rng
-	// streams come from two backing slices (zero allocations per member)
-	// and members register themselves as packet receivers, so none of the
-	// per-member closures, transport boxes, or split sources that used to
-	// dominate construction survive at scale. NewTreeCluster wires its
+	// Per-member wiring is the 1M-row setup hot path: members, endpoints
+	// and rng streams come from three backing slices, each member made
+	// ready in place (rrmp.Member.Init) with its buffer, index and first
+	// source inline, and members register themselves as packet receivers,
+	// so a member costs no allocation of its own. NewTreeCluster wires its
 	// nodes the same way.
+	members := make([]rrmp.Member, len(c.All))
 	endpoints := make([]netsim.Endpoint, len(c.All))
 	// The members of a region share one rrmp.Region: the defaulted
 	// Params, the policy and the free lists of records, buffer entries and
@@ -205,7 +206,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			hooks = cfg.Hooks(n)
 		}
 		endpoints[n] = netsim.Endpoint{Net: net, Self: n, Group: c.All}
-		m := rrmp.NewMember(rrmp.Config{
+		m := &members[n]
+		m.Init(rrmp.Config{
 			View:      view,
 			Transport: &endpoints[n],
 			Sched:     d.clockOf(n),

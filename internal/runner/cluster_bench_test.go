@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // benchTopo builds the construction-benchmark tree: 10k members at depth
@@ -53,14 +54,19 @@ func BenchmarkNewCluster(b *testing.B) {
 // buildable (shared region views, range-check region membership, batched
 // transports and rng streams, closure-free packet registration, sorted
 // per-source slices made on first message, network tables sized once)
-// cannot silently erode. Both budgets are headroom (about 13 % on bytes)
-// over the measured 5.02 allocs and 810 B per member, not targets. The
-// history: 33 allocs before the setup overhaul; 10.0 allocs and 1685 B
-// while each member still made its per-source maps and the served map up
-// front; 1101 B while the network regrew its per-node tables one
-// registration at a time; 6.0 allocs and 1047 B while each member kept
+// cannot silently erode. Both budgets are 5 % headroom over the measured
+// 0.0188 allocs and 811 B per member, not targets: the members, their
+// endpoints and their rng streams come from three slices, so what is left
+// is per region (the rrmp.Region and its two-phase policy) and per
+// cluster. The history: 33 allocs before the setup overhaul; 10.0 allocs
+// and 1685 B while each member still made its per-source maps and the
+// served map up front; 1101 B while the network regrew its per-node tables
+// one registration at a time; 6.0 allocs and 1047 B while each member kept
 // its own copy of the Params and built its own two-phase policy, before
-// both moved to the region (rrmp.Region).
+// both moved to the region (rrmp.Region); 5.02 allocs and 810 B while each
+// member was its own Member, Buffer, index header, rng split and eviction
+// closure, before the members were made in one slab holding the rest
+// inline.
 func TestNewClusterAllocsPerMember(t *testing.T) {
 	if testing.Short() {
 		t.Skip("construction macro-measurement; skipped with -short")
@@ -79,14 +85,14 @@ func TestNewClusterAllocsPerMember(t *testing.T) {
 	members := float64(runs * topo.NumNodes())
 	allocs := float64(after.Mallocs-before.Mallocs) / members
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / members
-	const allocBudget, byteBudget = 6.0, 915.0
+	const allocBudget, byteBudget = 0.02, 852.0
 	if allocs > allocBudget {
-		t.Errorf("NewCluster allocates %.1f/member; budget %.0f/member", allocs, allocBudget)
+		t.Errorf("NewCluster allocates %.4f/member; budget %.2f/member", allocs, allocBudget)
 	}
 	if bytes > byteBudget {
 		t.Errorf("NewCluster allocates %.0f B/member; budget %.0f B/member", bytes, byteBudget)
 	}
-	t.Logf("NewCluster: %.2f allocs and %.0f B per member (%d members)", allocs, bytes, topo.NumNodes())
+	t.Logf("NewCluster: %.4f allocs and %.1f B per member (%d members)", allocs, bytes, topo.NumNodes())
 }
 
 // TestNewTreeClusterAllocsPerNode is TestNewClusterAllocsPerMember's twin
@@ -124,43 +130,81 @@ func TestNewTreeClusterAllocsPerNode(t *testing.T) {
 }
 
 // TestTrialBytesPerMember is the run-phase twin of
-// TestNewClusterAllocsPerMember: one whole trial of scale100k's shape at
-// 10k members (tree 8,4,10000, hash loss 0.05, ten messages, one lane,
-// TrialSeed(1, 0)), construction included, must stay under a byte and an
-// object budget per member. The trial is deterministic, so both budgets
-// are 5 % headroom over the measured 2 422 B and 27.24 objects per
-// member, tight enough to fail the 2 703 B and 30.18 objects the trial
-// allocated while each member kept its own Params and policy and each
-// buffer its own spare entries, before the region shared them
-// (rrmp.Region). The counts are the process's MemStats deltas, so the
-// test does not run in parallel.
+// TestNewClusterAllocsPerMember: one whole trial of each bench workload's
+// shape, construction included, at TrialSeed(1, 0) on one lane, must stay
+// under a byte and an object budget per member. The rows are scale100k's
+// shape at 10k members (tree 8,4,10000, hash loss 0.05, ten messages),
+// stream10k's scenario (tree 4,4,10000, lossless, 50 messages) and
+// pressure300's (three regions of 100, hash loss 0.2, the adaptive policy
+// under a 16 KB budget, four bursty sources). Each trial is
+// deterministic, so every budget is 5 % headroom over its row's
+// measurement. The scale row fails the tree before members were made in
+// one slab holding their buffer, index and first source inline (2 267 B
+// and 18.98 objects per member now; 2 422 B and 27.24 objects then). The
+// counts are the process's MemStats deltas, so the test does not run in
+// parallel.
 func TestTrialBytesPerMember(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trial macro-measurement; skipped with -short")
 	}
-	sc := exp.Scenario{
-		Tree: &exp.TreeShape{Branch: 8, Levels: 4, Members: 10000},
-		Loss: 0.05, LossMode: "hash", Policy: "two-phase",
-		Msgs: 10, Gap: 20 * time.Millisecond, Horizon: 2 * time.Second,
-		Shards: 1,
+	for _, row := range []struct {
+		name                  string
+		members               int
+		sc                    exp.Scenario
+		byteBudget, objBudget float64 // per member
+	}{
+		{
+			name: "scale100k@10k", members: 10000, byteBudget: 2340, objBudget: 19.93, // 2 229 B, 18.98
+			sc: exp.Scenario{
+				Tree: &exp.TreeShape{Branch: 8, Levels: 4, Members: 10000},
+				Loss: 0.05, LossMode: "hash", Policy: "two-phase",
+				Msgs: 10, Gap: 20 * time.Millisecond, Horizon: 2 * time.Second,
+			},
+		},
+		{
+			name: "stream10k", members: 10000, byteBudget: 2684, objBudget: 19.04, // 2 556 B, 18.13
+			sc: exp.Scenario{
+				Tree:   &exp.TreeShape{Branch: 4, Levels: 4, Members: 10000},
+				Policy: "two-phase",
+				Msgs:   50, Gap: 20 * time.Millisecond, Horizon: 3 * time.Second,
+			},
+		},
+		{
+			name: "pressure300", members: 300, byteBudget: 26052, objBudget: 167.5, // 24 811 B, 159.51
+			sc: exp.Scenario{
+				Regions: []int{100, 100, 100},
+				Loss:    0.2, LossMode: "hash",
+				Policy:     "adaptive",
+				ByteBudget: 16384,
+				Horizon:    10 * time.Second,
+				Workload: &workload.Spec{
+					Clients: 4, Msgs: 240,
+					Arrival: workload.ArrivalBurst, Gap: 200 * time.Millisecond,
+					BurstLen: 8, BurstGap: 2 * time.Millisecond,
+					SizeModel: workload.SizeLognormal, SizeMean: 1024,
+				},
+			},
+		},
+	} {
+		sc := row.sc
+		sc.Shards = 1
+		members := float64(row.members)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := RunScenario(sc, exp.TrialSeed(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / members
+		objects := float64(after.Mallocs-before.Mallocs) / members
+		if bytes > row.byteBudget {
+			t.Errorf("%s: a trial allocates %.0f B/member; budget %.0f B/member", row.name, bytes, row.byteBudget)
+		}
+		if objects > row.objBudget {
+			t.Errorf("%s: a trial allocates %.2f objects/member; budget %.2f/member", row.name, objects, row.objBudget)
+		}
+		t.Logf("%s: %.0f B and %.2f objects per member (%.1f MB, %.1fk objects)",
+			row.name, bytes, objects, bytes*members/1e6, objects*members/1e3)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if _, err := RunScenario(sc, exp.TrialSeed(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	members := float64(sc.Tree.Members)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / members
-	objects := float64(after.Mallocs-before.Mallocs) / members
-	const byteBudget, objectBudget = 2545.0, 28.6
-	if bytes > byteBudget {
-		t.Errorf("a trial allocates %.0f B/member; budget %.0f B/member", bytes, byteBudget)
-	}
-	if objects > objectBudget {
-		t.Errorf("a trial allocates %.1f objects/member; budget %.1f/member", objects, objectBudget)
-	}
-	t.Logf("trial: %.0f B and %.2f objects per member (%.1f MB, %.1fk objects)",
-		bytes, objects, bytes*members/1e6, objects*members/1e3)
 }
