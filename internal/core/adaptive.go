@@ -11,7 +11,7 @@ import (
 
 // RngBinder is implemented by policies that own a private randomness
 // stream instead of drawing from the buffer's shared election stream.
-// rrmp.NewMember binds cfg.Rng.Split(policyStreamLabel) to any policy
+// rrmp.Member.Init binds cfg.Rng.Split(policyStreamLabel) to any policy
 // implementing it, so a demand-aware policy's draws never perturb the
 // draws legacy policies make from the buffer stream.
 type RngBinder interface {

@@ -28,8 +28,10 @@ func budgetBuffer(s *sim.Sim, kind indexKind, budget int) (*Buffer, *[]evictReco
 		Sched:      s,
 		Rng:        rng.New(1),
 		ByteBudget: budget,
-		OnEvict: func(e *Entry, r EvictReason) {
-			*log = append(*log, evictRecord{e.ID.Seq, r, e.State, b.Len() - b.LongTermCount()})
+		Observer: &callbacks{
+			onEvict: func(e *Entry, r EvictReason) {
+				*log = append(*log, evictRecord{e.ID.Seq, r, e.State, b.Len() - b.LongTermCount()})
+			},
 		},
 	}, kind)
 	return b, log

@@ -124,7 +124,7 @@ func (e *Entry) expire() {
 
 // Spares is a free list of evicted entries for Store to reuse, so the
 // store/evict cycle allocates nothing in steady state. Buffers on one
-// event loop may share one list (Shared.Spares): an entry one buffer
+// event loop share one list through their Shared: an entry one buffer
 // evicts then serves the next store at any of them. Every eviction but a
 // handoff puts its entry on the list, and a store makes a new entry only
 // when the list is empty, so a list never holds more entries than the
@@ -169,48 +169,31 @@ func (s *Spares) pop() *Entry {
 
 // Shared is what a group of buffers driven from one goroutine have in
 // common: the scheduler, the byte budget, the copy flag and the spare
-// entries. rrmp's members of one region pass their region's one value
-// (Config.Shared), so each buffer keeps a pointer, not a copy.
+// entries. Each buffer keeps a pointer to it (Buffer.Init), so rrmp's
+// members of one region hold one value, their region's, and a buffer
+// built by NewBuffer holds one of its own.
 type Shared struct {
 	// Sched supplies time and timers; required.
 	Sched clock.Scheduler
 	// ByteBudget and CopyPayload are as in Config.
 	ByteBudget  int
 	CopyPayload bool
-	// Spares is the free list the buffers share; nil gives them one,
-	// made on the first eviction.
-	Spares *Spares
+	// Spares is the free list the buffers share.
+	Spares Spares
 }
 
-// Observer is told of a buffer's evictions and long-term promotions, as
-// Config.OnEvict and OnPromote are. A pointer type implementing it costs a
-// buffer no closure: rrmp's members observe their buffers as themselves.
-// The *Entry is valid only during the call, as with OnEvict.
+// Observer is told of a buffer's evictions and long-term promotions. A
+// pointer type implementing it costs a buffer no closure: rrmp's members
+// and rmtp's repair servers observe their buffers as themselves. The
+// *Entry is valid only during the call: once it returns, the object may
+// be recycled for a later Store at this buffer or at any buffer sharing
+// its Spares. Copy out what must outlive the call.
 type Observer interface {
 	Evicted(e *Entry, reason EvictReason)
 	Promoted(e *Entry)
 }
 
-// callbacks is the Observer a buffer makes of Config.OnEvict and
-// OnPromote.
-type callbacks struct {
-	onEvict   func(e *Entry, reason EvictReason)
-	onPromote func(e *Entry)
-}
-
-func (c *callbacks) Evicted(e *Entry, reason EvictReason) {
-	if c.onEvict != nil {
-		c.onEvict(e, reason)
-	}
-}
-
-func (c *callbacks) Promoted(e *Entry) {
-	if c.onPromote != nil {
-		c.onPromote(e)
-	}
-}
-
-// Config assembles a Buffer's dependencies.
+// Config assembles a buffer that shares nothing with another (NewBuffer).
 type Config struct {
 	// Policy decides retention; use NewTwoPhase for the paper's algorithm.
 	Policy Policy
@@ -218,13 +201,6 @@ type Config struct {
 	Sched clock.Scheduler
 	// Rng drives randomized election. Required by randomized policies.
 	Rng *rng.Source
-	// OnEvict, if set, observes every eviction. The *Entry is valid only
-	// during the callback: once it returns, the object may be recycled for
-	// a later Store at this buffer or at any buffer sharing its Spares.
-	// Copy out what must outlive the call.
-	OnEvict func(e *Entry, reason EvictReason)
-	// OnPromote, if set, observes long-term elections.
-	OnPromote func(e *Entry)
 	// ByteBudget caps the summed payload bytes this buffer may hold; zero
 	// or negative means unlimited (the paper's model, where buffer cost is
 	// measured but never constrained). When a Store would exceed the
@@ -240,17 +216,7 @@ type Config struct {
 	// the same backing array; enable this when the caller may reuse or
 	// mutate payload buffers after publishing.
 	CopyPayload bool
-	// Spares is the free list evicted entries go to and stores take from.
-	// Buffers driven from one goroutine may share one; nil gives the
-	// buffer a list of its own, made on its first eviction.
-	Spares *Spares
-	// Shared, if set, supplies the scheduler, byte budget, copy flag and
-	// spares in place of Sched, ByteBudget, CopyPayload and Spares, which
-	// must then be zero. Nil gives the buffer a Shared of its own, made
-	// from those four.
-	Shared *Shared
-	// Observer, if set, is told of evictions and promotions in place of
-	// OnEvict and OnPromote, which must then be nil.
+	// Observer, if set, is told of evictions and promotions.
 	Observer Observer
 }
 
@@ -282,39 +248,27 @@ type Buffer struct {
 	denied    int                    // stores refused because the payload exceeds ByteBudget
 }
 
-// NewBuffer constructs an empty buffer: new(Buffer) made ready by Init.
+// NewBuffer constructs an empty buffer with a Shared of its own:
+// new(Buffer) made ready by Init.
 func NewBuffer(cfg Config) *Buffer {
 	b := new(Buffer)
-	b.Init(cfg)
+	b.Init(&Shared{Sched: cfg.Sched, ByteBudget: cfg.ByteBudget, CopyPayload: cfg.CopyPayload}, cfg.Policy, cfg.Rng, cfg.Observer)
 	return b
 }
 
-// Init makes the zero Buffer b an empty buffer in place. It panics on a
-// missing policy or scheduler, or on a Config that sets both Shared and
-// the fields it replaces, or both Observer and the callbacks it
-// replaces, since all are programming errors, not runtime conditions.
-func (b *Buffer) Init(cfg Config) {
-	if cfg.Policy == nil {
-		panic("core: Config.Policy is required")
-	}
-	sh := cfg.Shared
-	switch {
-	case sh == nil:
-		sh = &Shared{Sched: cfg.Sched, ByteBudget: cfg.ByteBudget, CopyPayload: cfg.CopyPayload, Spares: cfg.Spares}
-	case cfg.Sched != nil || cfg.ByteBudget != 0 || cfg.CopyPayload || cfg.Spares != nil:
-		panic("core: Config.Shared replaces Sched, ByteBudget, CopyPayload and Spares; leave them zero")
+// Init makes the zero Buffer b an empty buffer in place, sharing sh with
+// the other buffers built on it, under policy p, drawing its elections
+// from r and reporting to obs (nil for none). It panics on a missing
+// policy or scheduler, since both are programming errors, not runtime
+// conditions.
+func (b *Buffer) Init(sh *Shared, p Policy, r *rng.Source, obs Observer) {
+	if p == nil {
+		panic("core: a Buffer needs a Policy")
 	}
 	if sh.Sched == nil {
-		panic("core: Config.Sched is required")
+		panic("core: a Buffer needs a Sched")
 	}
-	obs := cfg.Observer
-	if cfg.OnEvict != nil || cfg.OnPromote != nil {
-		if obs != nil {
-			panic("core: Config.Observer replaces OnEvict and OnPromote; leave them nil")
-		}
-		obs = &callbacks{cfg.OnEvict, cfg.OnPromote}
-	}
-	b.sh, b.policy, b.rng, b.obs = sh, cfg.Policy, cfg.Rng, obs
+	b.sh, b.policy, b.rng, b.obs = sh, p, r, obs
 	b.idx = &b.dense
 }
 
@@ -630,9 +584,6 @@ func (b *Buffer) evict(e *Entry, reason EvictReason) {
 	if reason == EvictHandoff {
 		return // the caller keeps it (TakeForHandoff)
 	}
-	if b.sh.Spares == nil {
-		b.sh.Spares = new(Spares)
-	}
 	e.Payload = nil // never reused: payload slices are shared with the network and peers
 	b.sh.Spares.push(e)
 }
@@ -641,11 +592,9 @@ func (b *Buffer) evict(e *Entry, reason EvictReason) {
 // fire callback bound, in either case held by b. The caller sets every
 // exported field.
 func (b *Buffer) newEntry() *Entry {
-	if s := b.sh.Spares; s != nil {
-		if e := s.pop(); e != nil {
-			e.buf = b
-			return e
-		}
+	if e := b.sh.Spares.pop(); e != nil {
+		e.buf = b
+		return e
 	}
 	e := &Entry{buf: b}
 	e.fire = e.expire

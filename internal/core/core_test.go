@@ -18,10 +18,12 @@ func newTestBuffer(t *testing.T, s *sim.Sim, p Policy) (*Buffer, *[]EvictReason)
 	t.Helper()
 	evictions := &[]EvictReason{}
 	b := NewBuffer(Config{
-		Policy:  p,
-		Sched:   s,
-		Rng:     rng.New(1),
-		OnEvict: func(_ *Entry, r EvictReason) { *evictions = append(*evictions, r) },
+		Policy: p,
+		Sched:  s,
+		Rng:    rng.New(1),
+		Observer: &callbacks{
+			onEvict: func(_ *Entry, r EvictReason) { *evictions = append(*evictions, r) },
+		},
 	})
 	return b, evictions
 }

@@ -57,9 +57,11 @@ func diffScript(policy Policy, kind indexKind, seed uint64) (ledger []string, me
 		Sched:      s,
 		Rng:        rng.New(seed),
 		ByteBudget: budget,
-		OnEvict: func(e *Entry, r EvictReason) {
-			ledger = append(ledger, fmt.Sprintf("%d/%d %v %v short=%d",
-				e.ID.Source, e.ID.Seq, r, e.State, b.Len()-b.LongTermCount()))
+		Observer: &callbacks{
+			onEvict: func(e *Entry, r EvictReason) {
+				ledger = append(ledger, fmt.Sprintf("%d/%d %v %v short=%d",
+					e.ID.Source, e.ID.Seq, r, e.State, b.Len()-b.LongTermCount()))
+			},
 		},
 	}, kind)
 	list := func(es []*Entry) string {

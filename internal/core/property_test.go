@@ -34,8 +34,10 @@ func TestBufferOpSequenceProperty(t *testing.T) {
 			Policy: NewTwoPhase(testT, c, 100, 0),
 			Sched:  s,
 			Rng:    rng.New(1),
-			OnEvict: func(e *Entry, _ EvictReason) {
-				evictions[e.ID]++
+			Observer: &callbacks{
+				onEvict: func(e *Entry, _ EvictReason) {
+					evictions[e.ID]++
+				},
 			},
 		})
 		lastIntegral := 0.0
@@ -110,12 +112,14 @@ func TestBufferEvictionExactlyOnceProperty(t *testing.T) {
 			Policy: NewTwoPhase(testT, 50, 100, ttl), // 50% election
 			Sched:  s,
 			Rng:    rng.New(7),
-			OnEvict: func(e *Entry, r EvictReason) {
-				evicted[e.ID]++
-				if r == EvictTTL && e.State != StateLongTerm {
-					// TTL evictions can only happen to long-term entries.
-					evicted[e.ID] += 100
-				}
+			Observer: &callbacks{
+				onEvict: func(e *Entry, r EvictReason) {
+					evicted[e.ID]++
+					if r == EvictTTL && e.State != StateLongTerm {
+						// TTL evictions can only happen to long-term entries.
+						evicted[e.ID] += 100
+					}
+				},
 			},
 		})
 		stored := make(map[wire.MessageID]bool)

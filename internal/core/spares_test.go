@@ -12,7 +12,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Shared spares: buffers on one event loop may share one Spares list, so
+// Shared spares: buffers on one event loop may share one Shared, and with
+// it one Spares list, so
 // an entry one buffer evicts serves the next store at another. These pin
 // that a reused entry belongs to the buffer that took it (its timer fires
 // into that buffer, never into the one that evicted it), that sharing
@@ -21,22 +22,20 @@ import (
 // sharedPair returns two buffers on s sharing one Spares list, each with
 // its own policy, and one log of both buffers' evictions and promotions.
 func sharedPair(s *sim.Sim, pa, pb Policy) (a, b *Buffer, sp *Spares, log *[]string) {
-	sp, log = new(Spares), &[]string{}
+	sh, log := &Shared{Sched: s}, &[]string{}
 	mk := func(name string, p Policy) *Buffer {
-		return NewBuffer(Config{
-			Policy: p,
-			Sched:  s,
-			Rng:    rng.New(1),
-			Spares: sp,
-			OnEvict: func(e *Entry, r EvictReason) {
+		b := new(Buffer)
+		b.Init(sh, p, rng.New(1), &callbacks{
+			onEvict: func(e *Entry, r EvictReason) {
 				*log = append(*log, fmt.Sprintf("%s %v %v at %v", name, e.ID.Seq, r, s.Now()))
 			},
-			OnPromote: func(e *Entry) {
+			onPromote: func(e *Entry) {
 				*log = append(*log, fmt.Sprintf("%s %v promoted at %v", name, e.ID.Seq, s.Now()))
 			},
 		})
+		return b
 	}
-	return mk("A", pa), mk("B", pb), sp, log
+	return mk("A", pa), mk("B", pb), &sh.Spares, log
 }
 
 func TestSharedSparesServeAnotherBuffer(t *testing.T) {
@@ -110,16 +109,14 @@ func TestSharedSparesCancelledTimerNeverFires(t *testing.T) {
 // entry never comes back.
 func TestSharedSparesBound(t *testing.T) {
 	s := sim.New()
-	sp := new(Spares)
+	sh := &Shared{Sched: s}
+	sp := &sh.Spares
 	made := map[*Entry]bool{}
 	var bufs []*Buffer
 	for i := range 3 {
-		bufs = append(bufs, NewBuffer(Config{
-			Policy: NewTwoPhase(testT, 0, 100, 0),
-			Sched:  s,
-			Rng:    rng.New(uint64(i)),
-			Spares: sp,
-		}))
+		b := new(Buffer)
+		b.Init(sh, NewTwoPhase(testT, 0, 100, 0), rng.New(uint64(i)), nil)
+		bufs = append(bufs, b)
 	}
 	live, peak := 0, 0
 	for step := range 60 {
@@ -221,7 +218,7 @@ func FuzzSharedSparesDifferential(f *testing.F) {
 		if len(script) > 1024 {
 			t.Skip()
 		}
-		shared, own := newSparesWorld(new(Spares)), newSparesWorld(nil)
+		shared, own := newSparesWorld(true), newSparesWorld(false)
 		live, peak, logged := 0, 0, 0
 		for step, op := range script {
 			shared.apply(op)
@@ -252,25 +249,30 @@ func FuzzSharedSparesDifferential(f *testing.F) {
 type sparesWorld struct {
 	s      *sim.Sim
 	bufs   []*Buffer
-	spares *Spares
+	spares *Spares // the shared list, or the first buffer's own
 	log    []string
 }
 
-func newSparesWorld(sp *Spares) *sparesWorld {
-	w := &sparesWorld{s: sim.New(), spares: sp}
+// newSparesWorld builds a world whose buffers share one Shared, or each
+// have their own.
+func newSparesWorld(shared bool) *sparesWorld {
+	w := &sparesWorld{s: sim.New()}
+	sh := &Shared{Sched: w.s}
+	w.spares = &sh.Spares
 	for i := range 3 {
-		w.bufs = append(w.bufs, NewBuffer(Config{
-			Policy: NewTwoPhase(testT, 1, 3, 200*time.Millisecond),
-			Sched:  w.s,
-			Rng:    rng.New(uint64(i) + 1),
-			Spares: sp,
-			OnEvict: func(e *Entry, r EvictReason) {
+		if !shared && i > 0 {
+			sh = &Shared{Sched: w.s}
+		}
+		b := new(Buffer)
+		b.Init(sh, NewTwoPhase(testT, 1, 3, 200*time.Millisecond), rng.New(uint64(i)+1), &callbacks{
+			onEvict: func(e *Entry, r EvictReason) {
 				w.log = append(w.log, fmt.Sprintf("%d evict %d %v at %v", i, e.ID.Seq, r, w.s.Now()))
 			},
-			OnPromote: func(e *Entry) {
+			onPromote: func(e *Entry) {
 				w.log = append(w.log, fmt.Sprintf("%d promote %d at %v", i, e.ID.Seq, w.s.Now()))
 			},
-		}))
+		})
+		w.bufs = append(w.bufs, b)
 	}
 	return w
 }

@@ -59,7 +59,6 @@ func TestProductionCodeHasCallers(t *testing.T) {
 		"wire.Message.Marshal":                      codec,
 		"wire.Unmarshal":                            codec,
 		"rrmp.Member.Unrecovered":                   "the set the Unrecoverable counter must equal (DESIGN §2)",
-		"rrmp.NewMember":                            "builds one member outside a slab; runner.NewCluster makes its members in one with Member.Init, and TestSlabMembersMatchNewMember holds the two to one behaviour",
 		"trace.Memory.Filter":                       "trace.Memory is the Tracer fake tests substitute for a Writer; they query it through this",
 	}
 

@@ -98,15 +98,24 @@ func TestMemberHasNoMessageTable(t *testing.T) {
 // TestMemberHoldsNothingItsRegionHolds keeps rrmp.Member to what is its
 // own: it may not declare a field of a type its Region holds once for the
 // whole region (the scheduler, the Params, the View's member lists, the
-// tracer, the buffers' common settings and their spare entries). A
-// scale100k trial builds 100k members, so a copy per member costs 100k
-// copies; a member reads these through its region. Fields of the structs
-// a member holds by value count too. Region itself is the control: the matcher must find every type there, or the match proves
-// nothing.
+// tracer, the buffers' common settings and their spare entries), nor a
+// pointer to one of the Params, the settings or the spares. A scale100k
+// trial builds 100k members, so a copy per member costs 100k copies, and a
+// pointer beside the one to the region costs 100k words; a member reads
+// these through its region. Fields of the structs a member holds by value
+// count too, but for a pointer only those its own package declares: its
+// core.Buffer reaches the region's core.Shared by the one pointer a buffer
+// has. Region itself is the control for the value types, and core.Buffer
+// for the pointer: the matcher must find every type there, or the match
+// proves nothing.
 func TestMemberHoldsNothingItsRegionHolds(t *testing.T) {
-	pkgs, err := lint.Load("../..", "./internal/rrmp")
+	pkgs, err := lint.Load("../..", "./internal/rrmp", "./internal/core")
 	if err != nil {
 		t.Fatal(err)
+	}
+	rrmp, core := pkgs[0], pkgs[1]
+	if rrmp.ImportPath != "repro/internal/rrmp" {
+		rrmp, core = core, rrmp
 	}
 	regionTypes := []string{
 		"repro/internal/clock.Scheduler",
@@ -116,8 +125,13 @@ func TestMemberHoldsNothingItsRegionHolds(t *testing.T) {
 		"repro/internal/core.Shared",
 		"repro/internal/core.Spares",
 	}
+	regionPointers := []string{
+		"*repro/internal/rrmp.Params",
+		"*repro/internal/core.Shared",
+		"*repro/internal/core.Spares",
+	}
 	control := map[string]bool{}
-	for _, f := range fieldsOfTypes(t, pkgs[0], "Region", regionTypes) {
+	for _, f := range fieldsOfTypes(t, rrmp, "Region", regionTypes) {
 		control[f.typ] = true
 	}
 	for _, typ := range regionTypes {
@@ -125,18 +139,27 @@ func TestMemberHoldsNothingItsRegionHolds(t *testing.T) {
 			t.Fatalf("control: the matcher found no field of type %s in rrmp.Region", typ)
 		}
 	}
-	for _, f := range fieldsOfTypes(t, pkgs[0], "Member", regionTypes) {
+	if fs := fieldsOfTypes(t, core, "Buffer", regionPointers); len(fs) != 1 || fs[0].typ != "*repro/internal/core.Shared" {
+		t.Fatalf("control: the matcher found %v in core.Buffer, want its one *core.Shared", fs)
+	}
+	for _, f := range fieldsOfTypes(t, rrmp, "Member", regionTypes) {
 		t.Errorf("rrmp.Member declares %s %s, which its Region holds; read it through the region", f.name, f.typ)
+	}
+	for _, f := range fieldsOfTypes(t, rrmp, "Member", regionPointers) {
+		if f.pkg == rrmp.ImportPath {
+			t.Errorf("rrmp.Member declares %s %s, pointing at what its Region holds; read it through the region", f.name, f.typ)
+		}
 	}
 }
 
-// typedField is a struct field's name and type.
-type typedField struct{ name, typ string }
+// typedField is a struct field's name and type, and the path of the
+// package that declares the struct holding it.
+type typedField struct{ name, typ, pkg string }
 
 // fieldsOfTypes returns the fields of struct name in p whose type is one
 // of typs, written as types.TypeString writes them. It looks inside the
-// struct-typed fields the struct holds by value (a member's buffer, or an
-// env struct holding its Config's fields), naming a field found there by
+// struct-typed fields the struct holds by value (a member's buffer, or a
+// region's buffer settings), matched or not, naming a field found there by
 // its path.
 func fieldsOfTypes(t *testing.T, p *lint.Package, name string, typs []string) []typedField {
 	t.Helper()
@@ -150,10 +173,10 @@ func fieldsOfTypes(t *testing.T, p *lint.Package, name string, typs []string) []
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
 			typ := types.TypeString(f.Type(), nil)
-			switch inner, ok := f.Type().Underlying().(*types.Struct); {
-			case slices.Contains(typs, typ):
-				fields = append(fields, typedField{prefix + f.Name(), typ})
-			case ok:
+			if slices.Contains(typs, typ) {
+				fields = append(fields, typedField{prefix + f.Name(), typ, f.Pkg().Path()})
+			}
+			if inner, ok := f.Type().Underlying().(*types.Struct); ok {
 				walk(prefix+f.Name()+".", inner)
 			}
 		}

@@ -196,9 +196,7 @@ func New(cfg Config) *Node {
 			Rng:         cfg.Rng,
 			ByteBudget:  cfg.Params.ByteBudget,
 			CopyPayload: cfg.Params.CopyOnStore,
-			OnEvict: func(e *core.Entry, _ core.EvictReason) {
-				n.metrics.BufferingTime.AddDuration(n.cfg.Sched.Now() - e.StoredAt)
-			},
+			Observer:    (*serverBuffer)(n),
 		})
 		n.ackFloors = make(map[topology.NodeID]uint64, len(v.RegionMembers)-1+len(cfg.ChildServers))
 		for _, m := range v.RegionMembers[1:] {
@@ -210,6 +208,17 @@ func New(cfg Config) *Node {
 	}
 	return n
 }
+
+// serverBuffer is a repair server seen as its buffer's core.Observer, so
+// the buffer reports evictions to the node with no closure.
+type serverBuffer Node
+
+func (o *serverBuffer) Evicted(e *core.Entry, _ core.EvictReason) {
+	n := (*Node)(o)
+	n.metrics.BufferingTime.AddDuration(n.cfg.Sched.Now() - e.StoredAt)
+}
+
+func (*serverBuffer) Promoted(*core.Entry) {}
 
 // Metrics returns the node's live metrics.
 func (n *Node) Metrics() *Metrics { return &n.metrics }

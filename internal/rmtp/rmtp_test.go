@@ -191,6 +191,29 @@ func TestAckTrimsServerBuffer(t *testing.T) {
 	}
 }
 
+// TestServerRecordsBufferingTime pins that a repair server observes its
+// own buffer (serverBuffer): every message the ACK window trims adds one
+// store→evict time to BufferingTime.
+func TestServerRecordsBufferingTime(t *testing.T) {
+	topo, err := topology.SingleRegion(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTreeCluster(t, topo, 4, nil, nil)
+	for _, n := range c.nodes {
+		n.StartAcks()
+	}
+	for i := 0; i < 10; i++ {
+		c.sender.Publish([]byte{byte(i)})
+	}
+	c.sim.RunUntil(2 * time.Second)
+	server := c.nodes[topo.MemberAt(0, 0)]
+	bt := &server.Metrics().BufferingTime
+	if bt.N() != 10 || bt.Mean() <= 0 {
+		t.Fatalf("server recorded %d buffering times, mean %v ms; want 10 with a positive mean", bt.N(), bt.Mean())
+	}
+}
+
 func TestServerKeepsBufferUntilChildAcks(t *testing.T) {
 	// Root server must not trim while the child region's server lags.
 	topo, err := topology.Chain(3, 3)

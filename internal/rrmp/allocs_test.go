@@ -421,39 +421,39 @@ func TestHeartbeatTablesAreRecycled(t *testing.T) {
 // split and the eviction closure). Now a member holds its buffer, index,
 // buffer rng and first source inline and reports evictions as itself, so
 // on a shared Region it is one allocation, and runner.NewCluster, which
-// makes its members in one slice, pays none per member. A member given no
-// Region makes its own (3: the Region, and the two-phase policy the
-// region's first member builds). The first DATA from a source makes the
-// buffer's entry and its bound timer callback, the index window's array
-// and the reception bitset's word (4), and no table of sources or of index
-// slots: both start in the member.
+// makes its members in one slice, pays none per member. A new Region and
+// its first member make 3 (the Region, the Member, and the two-phase
+// policy the region's first member builds). The first DATA from a source
+// makes the buffer's entry and its bound timer callback and the index
+// window's array (3); an in-order mark keeps no reception bitset word, and
+// no table of sources or of index slots is made: both start in the member.
 func TestNewMemberAllocs(t *testing.T) {
 	view, err := singleRegion(t, 10).ViewOf(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := sim.New()
 	cfg := Config{
 		View:      view,
 		Transport: &countTransport{},
-		Sched:     sim.New(),
 		Rng:       rng.New(1),
-		Params:    DefaultParams(),
 	}
-	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 3 {
-		t.Fatalf("NewMember: %v allocs, want 3", n)
+	if n := testing.AllocsPerRun(100, func() {
+		cfg := cfg
+		cfg.Region = NewRegion(view, s, DefaultParams(), nil)
+		NewMember(cfg)
+	}); n != 3 {
+		t.Fatalf("NewRegion and NewMember: %v allocs, want 3", n)
 	}
-	cfg.Region = new(Region)
+	cfg.Region = NewRegion(view, s, DefaultParams(), nil)
 	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 1 {
 		t.Fatalf("NewMember on a shared Region: %v allocs, want 1", n)
 	}
 	data := wire.Message{Type: wire.TypeData, From: 0, ID: wire.MessageID{Source: 0, Seq: 1}, Payload: []byte("x")}
-	if n := testing.AllocsPerRun(100, func() { NewMember(cfg).Receive(0, data) }); n != 1+4 {
-		t.Fatalf("NewMember and a first DATA: %v allocs, want 1+4", n)
+	if n := testing.AllocsPerRun(100, func() { NewMember(cfg).Receive(0, data) }); n != 1+3 {
+		t.Fatalf("NewMember and a first DATA: %v allocs, want 1+3", n)
 	}
 	a, b := NewMember(cfg), NewMember(cfg)
-	if a.params != b.params || a.params != &cfg.Region.params {
-		t.Error("two members of one Region hold two copies of its Params")
-	}
 	if a.buf.Policy() != b.buf.Policy() {
 		t.Error("two members of one Region hold two two-phase policies")
 	}
@@ -470,21 +470,22 @@ func TestMsgStateSize(t *testing.T) {
 	}
 }
 
-// TestMemberSize keeps a Member at its 704 bytes. runner.NewCluster
+// TestMemberSize keeps a Member at its 696 bytes. runner.NewCluster
 // makes a group's members in one slice, so the size is the exact per
 // member cost with no size-class rounding; a 100k-member trial holds 100k.
 // A member holds what is its own: its place in the View, the Config fields
 // it reads after construction, its buffer (core.Buffer, 312 bytes with its
 // index and first index slot), the buffer's rng stream, the first source's
 // reception state and the one-element table pointing at it, its metrics,
-// and pointers to its Region, the region's Params and, when set, its
-// Hooks. It reads the View's member lists, the scheduler and the tracer
-// through the region. It was 368 bytes (the 384-byte class) beside a
-// separately allocated Buffer (240), index header (32), rng (32), eviction
-// closure (16), and, from the first message, a sourceState (96) and two
-// one-element tables (8 and 80): 888 bytes in eight objects.
+// and pointers to its Region and, when set, its Hooks. It reads the
+// Params, the View's member lists, the scheduler and the tracer through
+// the region. It was 368 bytes (the 384-byte class) beside a separately
+// allocated Buffer (240), index header (32), rng (32), eviction closure
+// (16), and, from the first message, a sourceState (96) and two
+// one-element tables (8 and 80): 888 bytes in eight objects; then 704
+// with a pointer to the region's Params beside the one to the region.
 func TestMemberSize(t *testing.T) {
-	if n := unsafe.Sizeof(Member{}); n != 704 {
-		t.Fatalf("Member is %d bytes, want 704", n)
+	if n := unsafe.Sizeof(Member{}); n != 696 {
+		t.Fatalf("Member is %d bytes, want 696", n)
 	}
 }

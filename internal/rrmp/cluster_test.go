@@ -60,15 +60,12 @@ func buildCluster(t testing.TB, topo *topology.Topology, params Params, seed uin
 			t.Fatal(err)
 		}
 		if view.SelfIdx == 0 {
-			region = new(Region)
+			region = NewRegion(view, s, params, tracer)
 		}
 		cfg := Config{
 			View:      view,
 			Transport: c.tally.wrap(n, &netsim.Endpoint{Net: net, Self: n, Group: c.all}),
-			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
-			Params:    params,
-			Tracer:    tracer,
 			Region:    region,
 		}
 		var m *Member

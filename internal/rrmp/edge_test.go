@@ -243,9 +243,9 @@ func TestPolicyOverrideViaConfig(t *testing.T) {
 	m := NewMember(Config{
 		View:      view,
 		Transport: &netsim.Endpoint{Net: c.net, Self: 1, Group: c.all},
-		Sched:     c.sim,
 		Rng:       c.members[1].rng.Split(99),
 		Policy:    core.BufferAll{},
+		Region:    NewRegion(view, c.sim, Params{}, nil),
 	})
 	id := wire.MessageID{Source: 0, Seq: 1}
 	m.InjectDeliver(id, nil)

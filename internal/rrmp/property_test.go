@@ -151,9 +151,8 @@ func newClusterQuiet(topo *topology.Topology, params Params, seed uint64, loss n
 		m := NewMember(Config{
 			View:      view,
 			Transport: &netsim.Endpoint{Net: net, Self: n, Group: c.all},
-			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
-			Params:    params,
+			Region:    NewRegion(view, s, params, nil),
 		})
 		c.members[n] = m
 		member := m

@@ -34,16 +34,12 @@ import (
 // the same T, C and n (§3.1–3.2), so the region holds one copy of the
 // defaulted Params, the region's and its parent region's member lists
 // (every member's View repeats them), the scheduler of the event loop it
-// runs on, the tracer, the buffers' common settings (core.Shared) and the
-// paper's two-phase policy for members given no other; and its members'
-// buffers fill and go idle together, so it holds the free lists their
-// message records, buffer entries and heartbeat tables come from and go
-// back to. A region never spans event loops, so one loop touches each
-// list.
-//
-// The zero Region is ready to use. The first member built on it binds its
-// Params, Sched, member lists and Tracer; a later member that brings other
-// ones is a programming error, and Member.Init panics.
+// runs on, the tracer, the buffers' common settings and spare entries
+// (core.Shared) and the paper's two-phase policy for members given no
+// other; and its members' buffers fill and go idle together, so it holds
+// the free lists their message records and heartbeat tables come from and
+// go back to. A region never spans event loops, so one loop touches each
+// list. NewRegion builds it once, before its members.
 type Region struct {
 	params Params
 	sched  clock.Scheduler
@@ -52,9 +48,8 @@ type Region struct {
 	// which topology shares across the region's views.
 	members, parents []topology.NodeID
 	// buffers is what the members' buffers share: the scheduler, the byte
-	// budget, the copy flag and a pointer to entries, their spare entries.
+	// budget, the copy flag and their spare entries.
 	buffers core.Shared
-	entries core.Spares
 	// policy is the two-phase policy, made by the first member that needs
 	// it; it holds only parameters, so the members share it.
 	policy *core.TwoPhase
@@ -68,26 +63,20 @@ type Region struct {
 	backoffs []*backoff
 }
 
-// join binds r to its first member's defaulted Params, scheduler, member
-// lists and tracer, and checks every later member's against them.
-func (r *Region) join(cfg *Config) {
-	p, v := cfg.Params.withDefaults(), &cfg.View
-	if r.sched == nil {
-		r.params, r.sched, r.tracer = p, cfg.Sched, cfg.Tracer
-		r.members, r.parents = v.RegionMembers, v.ParentMembers
-		r.buffers = core.Shared{Sched: cfg.Sched, ByteBudget: p.ByteBudget, CopyPayload: p.CopyOnStore, Spares: &r.entries}
-		return
+// NewRegion builds the region of view's members, running on sched under
+// params (zero fields take defaults) and traced to tracer (nil for none).
+// Every member built on it reads these through it, so its members cannot
+// disagree on them. It panics on a nil sched, a programming error.
+func NewRegion(view topology.View, sched clock.Scheduler, params Params, tracer trace.Tracer) *Region {
+	if sched == nil {
+		panic("rrmp: NewRegion needs a Sched")
 	}
-	if p != r.params || cfg.Sched != r.sched || cfg.Tracer != r.tracer ||
-		!sameList(v.RegionMembers, r.members) || !sameList(v.ParentMembers, r.parents) {
-		panic("rrmp: the members of a Region must bring equal Params, one Sched, one Tracer and one region's View")
+	p := params.withDefaults()
+	return &Region{
+		params: p, sched: sched, tracer: tracer,
+		members: view.RegionMembers, parents: view.ParentMembers,
+		buffers: core.Shared{Sched: sched, ByteBudget: p.ByteBudget, CopyPayload: p.CopyOnStore},
 	}
-}
-
-// sameList reports whether a and b are one shared list: topology gives
-// every view of a region the same slice.
-func sameList(a, b []topology.NodeID) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // size is the number of members in the region.

@@ -47,7 +47,7 @@ func newBareMember(t testing.TB) *Member {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewMember(Config{View: view, Transport: &countTransport{}, Sched: sim.New(), Rng: rng.New(1), Params: DefaultParams()})
+	return NewMember(Config{View: view, Transport: &countTransport{}, Rng: rng.New(1), Region: NewRegion(view, sim.New(), DefaultParams(), nil)})
 }
 
 // FuzzMsgWindow holds a member's record windows to a map over fuzzed

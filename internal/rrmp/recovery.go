@@ -122,7 +122,7 @@ func (m *Member) localAttempt(rec *recovery) {
 		m.checkAbandoned(rec)
 		return
 	}
-	if rec.localTries >= m.params.MaxLocalTries {
+	if rec.localTries >= m.region.params.MaxLocalTries {
 		rec.localDead = true
 		m.checkAbandoned(rec)
 		return
@@ -133,7 +133,7 @@ func (m *Member) localAttempt(rec *recovery) {
 	id := rec.ms.id
 	m.trace(trace.Event{Kind: trace.LocalReq, ID: id, Peer: q, N: int32(rec.localTries)})
 	m.transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self, ID: id})
-	rec.localTimer.Arm(m.region.sched, m.params.IntraRTT+m.params.retryGrace(), rec.localRetry)
+	rec.localTimer.Arm(m.region.sched, m.region.params.IntraRTT+m.region.params.retryGrace(), rec.localRetry)
 }
 
 // remoteAttempt runs one remote-recovery round: with probability λ/n send a
@@ -151,14 +151,14 @@ func (m *Member) remoteAttempt(rec *recovery) {
 		m.checkAbandoned(rec)
 		return
 	}
-	if rec.remoteTries >= m.params.MaxRemoteTries {
+	if rec.remoteTries >= m.region.params.MaxRemoteTries {
 		rec.remoteDead = true
 		m.checkAbandoned(rec)
 		return
 	}
 	rec.remoteTries++
 	regionSize := m.region.size()
-	p := m.params.Lambda / float64(regionSize)
+	p := m.region.params.Lambda / float64(regionSize)
 	if m.rng.Bernoulli(p) {
 		r := parents[m.rng.Intn(len(parents))]
 		m.metrics.RemoteReqSent.Inc()
@@ -166,7 +166,7 @@ func (m *Member) remoteAttempt(rec *recovery) {
 		m.trace(trace.Event{Kind: trace.RemoteReq, ID: id, Peer: r, N: int32(rec.remoteTries)})
 		m.transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self, ID: id, Origin: m.self})
 	}
-	rec.remoteTimer.Arm(m.region.sched, m.params.ParentRTT+m.params.retryGrace(), rec.remoteRetry)
+	rec.remoteTimer.Arm(m.region.sched, m.region.params.ParentRTT+m.region.params.retryGrace(), rec.remoteRetry)
 }
 
 // checkAbandoned finishes an episode once neither phase can make further

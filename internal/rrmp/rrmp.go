@@ -14,7 +14,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/gossipfd"
 	"repro/internal/rng"
@@ -57,9 +56,11 @@ type Transport interface {
 type Hooks struct {
 	// OnDeliver fires once per distinct data message delivered.
 	OnDeliver func(id wire.MessageID, at time.Duration)
-	// OnEvict mirrors the buffer's eviction callback.
+	// OnEvict is told of each eviction from the member's buffer, as
+	// core.Observer.Evicted is; the *Entry is valid only during the call.
 	OnEvict func(e *core.Entry, reason core.EvictReason)
-	// OnPromote mirrors the buffer's long-term promotion callback.
+	// OnPromote is told of each long-term election, as
+	// core.Observer.Promoted is.
 	OnPromote func(e *core.Entry)
 	// OnSearchResolved fires when this member sends a repair to a remote
 	// requester, either straight from its buffer or at the end of a search
@@ -71,33 +72,23 @@ type Hooks struct {
 	OnRecovered func(id wire.MessageID, latency time.Duration)
 }
 
-// Config assembles a member.
+// Config assembles a member. What the member shares with its region
+// (the scheduler, the Params and the tracer) its Region holds.
 type Config struct {
 	// View is this member's partial group knowledge (own region + parent
 	// region, §2.1).
 	View topology.View
 	// Transport sends PDUs; required.
 	Transport Transport
-	// Sched supplies time and timers; required. The members of one Region
-	// run on one event loop, so they bring the same Sched.
-	Sched clock.Scheduler
 	// Rng is this member's private randomness stream; required.
 	Rng *rng.Source
-	// Params tunes the protocol; zero fields take defaults. The members of
-	// one Region bring equal Params.
-	Params Params
 	// Policy overrides the buffering policy. Nil selects the paper's
-	// two-phase policy built from Params.
+	// two-phase policy built from the region's Params.
 	Policy core.Policy
-	// Tracer observes protocol events; nil means no tracing. The members
-	// of one Region bring the same Tracer, which the region holds.
-	Tracer trace.Tracer
 	// Hooks are optional instrumentation callbacks.
 	Hooks Hooks
-	// Region is what the member shares with the rest of its region: the
-	// View's member lists, the defaulted Params, the Sched, the Tracer,
-	// the two-phase policy, the buffers' common settings and the free
-	// lists (see Region). Nil gives the member a region of its own.
+	// Region is what the member shares with the rest of its region, built
+	// by NewRegion from a View of it; required.
 	Region *Region
 }
 
@@ -145,8 +136,6 @@ type Member struct {
 	rng       *rng.Source
 	// hooks are the Config's Hooks, or nil when none is set.
 	hooks *Hooks
-	// params are region.params: a region's members share one copy.
-	params *Params
 	// region is what the member shares with the rest of its region (see
 	// Region).
 	region *Region
@@ -177,35 +166,19 @@ type Member struct {
 	crashed bool
 }
 
-// NewMember constructs a member: new(Member) made ready by Init.
-func NewMember(cfg Config) *Member {
-	m := new(Member)
-	m.Init(cfg)
-	return m
-}
-
-// Init makes the zero Member m a member, in place; a member never moves
-// once made. It panics on missing required dependencies, and on a Region
-// whose earlier members brought other Params, Sched, member lists or
-// Tracer (programming errors).
+// Init makes the zero Member m a member of cfg.Region, in place; a member
+// never moves once made. It panics on a missing Transport or Rng
+// (programming errors).
 func (m *Member) Init(cfg Config) {
 	if cfg.Transport == nil {
 		panic("rrmp: Config.Transport is required")
-	}
-	if cfg.Sched == nil {
-		panic("rrmp: Config.Sched is required")
 	}
 	if cfg.Rng == nil {
 		panic("rrmp: Config.Rng is required")
 	}
 	region := cfg.Region
-	if region == nil {
-		region = new(Region)
-	}
-	region.join(&cfg)
 	m.self, m.selfIdx = cfg.View.Self, cfg.View.SelfIdx
-	m.transport, m.rng = cfg.Transport, cfg.Rng
-	m.params, m.region = &region.params, region
+	m.transport, m.rng, m.region = cfg.Transport, cfg.Rng, region
 	m.sources = m.srcBack[:0]
 	if cfg.Hooks.any() {
 		hooks := cfg.Hooks
@@ -220,16 +193,11 @@ func (m *Member) Init(cfg Config) {
 		binder.BindRng(cfg.Rng.Split(policyStreamLabel))
 	}
 	cfg.Rng.SplitInto(bufferStreamLabel, &m.bufRng)
-	m.buf.Init(core.Config{
-		Policy:   policy,
-		Rng:      &m.bufRng,
-		Shared:   &region.buffers,
-		Observer: (*bufferEvents)(m),
-	})
-	if m.params.FDEnabled && cfg.View.NumPeers() > 0 {
+	m.buf.Init(&region.buffers, policy, &m.bufRng, (*bufferEvents)(m))
+	if region.params.FDEnabled && cfg.View.NumPeers() > 0 {
 		m.fd = gossipfd.New(gossipfd.Config{
 			View:      cfg.View,
-			Sched:     cfg.Sched,
+			Sched:     region.sched,
 			Rng:       cfg.Rng.Split(gossipFDStreamLabel),
 			Send:      func(to topology.NodeID, msg wire.Message) { m.transport.Send(to, msg) },
 			OnSuspect: m.onSuspect,
@@ -576,7 +544,7 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 	if len(m.region.members) < 2 {
 		return
 	}
-	if m.params.RepairBackoffMax <= 0 {
+	if m.region.params.RepairBackoffMax <= 0 {
 		m.regionalMulticast(id, payload)
 		return
 	}
@@ -584,7 +552,7 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 	ms := m.msg(id)
 	b := m.newBackoff(ms, &ms.mc)
 	b.payload = payload
-	delay := time.Duration(m.rng.Uint64n(uint64(m.params.RepairBackoffMax))) + 1
+	delay := time.Duration(m.rng.Uint64n(uint64(m.region.params.RepairBackoffMax))) + 1
 	b.timer.Arm(m.region.sched, delay, b.fire)
 }
 

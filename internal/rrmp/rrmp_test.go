@@ -10,7 +10,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -448,10 +447,9 @@ func TestHashElectPolicyRoutesSearchDirectly(t *testing.T) {
 		m := NewMember(Config{
 			View:      view,
 			Transport: tl.wrap(n, &netsim.Endpoint{Net: net, Self: n, Group: all}),
-			Sched:     s,
 			Rng:       root.Split(uint64(n) + 1),
-			Params:    params,
 			Policy:    policy,
+			Region:    NewRegion(view, s, params, nil),
 		})
 		members[n] = m
 		net.Register(n, tl.handler(n, m))
@@ -620,57 +618,19 @@ func TestNewMemberValidation(t *testing.T) {
 	topo := singleRegion(t, 2)
 	view, _ := topo.ViewOf(0)
 	s := sim.New()
-	base := Config{View: view, Transport: &netsim.Endpoint{}, Sched: s, Rng: rng.New(1)}
-	for name, mutate := range map[string]func(Config) Config{
-		"nil transport": func(c Config) Config { c.Transport = nil; return c },
-		"nil sched":     func(c Config) Config { c.Sched = nil; return c },
-		"nil rng":       func(c Config) Config { c.Rng = nil; return c },
+	base := Config{View: view, Transport: &netsim.Endpoint{}, Rng: rng.New(1), Region: NewRegion(view, s, Params{}, nil)}
+	for name, build := range map[string]func(){
+		"nil transport": func() { c := base; c.Transport = nil; NewMember(c) },
+		"nil sched":     func() { NewRegion(view, nil, Params{}, nil) },
+		"nil rng":       func() { c := base; c.Rng = nil; NewMember(c) },
 	} {
-		cfg := mutate(base)
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s: no panic", name)
 				}
 			}()
-			NewMember(cfg)
-		}()
-	}
-}
-
-// TestRegionJoinChecksMembers pins what a Region binds: a member reads
-// its region's member lists, Params, scheduler and tracer through the
-// region, so a later member that brings other ones would silently run on
-// the first member's. Init panics instead; a peer of the same region
-// bringing the same ones joins.
-func TestRegionJoinChecksMembers(t *testing.T) {
-	topo := chainRegions(t, 4, 4)
-	own, _ := topo.ViewOf(topo.MemberAt(1, 0))
-	peer, _ := topo.ViewOf(topo.MemberAt(1, 2))
-	other, _ := topo.ViewOf(topo.MemberAt(0, 1))
-	s := sim.New()
-	base := Config{View: own, Transport: &countTransport{}, Sched: s, Rng: rng.New(1), Params: DefaultParams()}
-	for name, mutate := range map[string]func(*Config){
-		"another region's view": func(c *Config) { c.View = other },
-		"other params":          func(c *Config) { c.Params.C++ },
-		"another sched":         func(c *Config) { c.Sched = sim.New() },
-		"a tracer":              func(c *Config) { c.Tracer = &trace.Memory{} },
-	} {
-		region := new(Region)
-		first := base
-		first.Region = region
-		NewMember(first)
-		cfg := first
-		cfg.View = peer
-		NewMember(cfg) // a peer with the same settings joins
-		mutate(&cfg)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: a member joined a region bound to other settings", name)
-				}
-			}()
-			NewMember(cfg)
+			build()
 		}()
 	}
 }

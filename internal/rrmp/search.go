@@ -38,7 +38,7 @@ type searchState struct {
 // mode.
 func (s *searchState) attempt() {
 	m := s.ms.m
-	if m.params.SearchMode == SearchMulticastQuery {
+	if m.region.params.SearchMode == SearchMulticastQuery {
 		m.queryAttempt(s)
 		return
 	}
@@ -105,7 +105,7 @@ func (m *Member) queryAttempt(s *searchState) {
 	if s.done {
 		return
 	}
-	if len(s.origins) == 0 || s.tries >= m.params.MaxSearchTries {
+	if len(s.origins) == 0 || s.tries >= m.region.params.MaxSearchTries {
 		if len(s.origins) > 0 {
 			m.metrics.SearchFailures.Inc()
 		}
@@ -119,7 +119,7 @@ func (m *Member) queryAttempt(s *searchState) {
 	}
 	// Wait out the worst-case reply back-off plus a round trip before
 	// re-multicasting.
-	s.timer.Arm(m.region.sched, m.params.queryBackoffMax()+m.params.IntraRTT+m.params.retryGrace(), s.retry)
+	s.timer.Arm(m.region.sched, m.region.params.queryBackoffMax()+m.region.params.IntraRTT+m.region.params.retryGrace(), s.retry)
 }
 
 // onQuery handles a multicast bufferer query: holders schedule a reply
@@ -139,7 +139,7 @@ func (m *Member) onQuery(from topology.NodeID, msg *wire.Message) {
 	}
 	b := m.newBackoff(ms, &ms.reply)
 	b.origin, b.querier = origin, from
-	delay := time.Duration(m.rng.Uint64n(uint64(m.params.queryBackoffMax()))) + 1
+	delay := time.Duration(m.rng.Uint64n(uint64(m.region.params.queryBackoffMax()))) + 1
 	b.timer.Arm(m.region.sched, delay, b.fire)
 }
 
@@ -175,7 +175,7 @@ func (m *Member) searchAttempt(s *searchState) {
 		m.finishSearch(s)
 		return
 	}
-	if s.tries >= m.params.MaxSearchTries {
+	if s.tries >= m.region.params.MaxSearchTries {
 		m.metrics.SearchFailures.Inc()
 		m.trace(trace.Event{Kind: trace.SearchFail, ID: id})
 		m.finishSearch(s)
@@ -204,7 +204,7 @@ func (m *Member) searchAttempt(s *searchState) {
 	for _, o := range s.origins {
 		m.transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: id, Origin: o})
 	}
-	s.timer.Arm(m.region.sched, m.params.IntraRTT+m.params.retryGrace(), s.retry)
+	s.timer.Arm(m.region.sched, m.region.params.IntraRTT+m.region.params.retryGrace(), s.retry)
 }
 
 // locator is the side of the deterministic hash policy (§3.4) a search
@@ -251,7 +251,7 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 		// requester at most once per round-trip window.
 		key := servedKey{id: id, origin: origin}
 		now := m.region.sched.Now()
-		if at, ok := m.served[key]; ok && now-at <= 2*m.params.IntraRTT {
+		if at, ok := m.served[key]; ok && now-at <= 2*m.region.params.IntraRTT {
 			// Duplicate probe for an already-served requester: answer with
 			// a unicast HAVE (no payload) so the prober stops, without
 			// re-sending the repair or re-multicasting.
@@ -284,7 +284,7 @@ func (m *Member) markServed(key servedKey, now time.Duration) {
 		m.served = make(map[servedKey]time.Duration)
 	} else if len(m.served) > 1024 {
 		for k, at := range m.served {
-			if now-at > 2*m.params.IntraRTT {
+			if now-at > 2*m.region.params.IntraRTT {
 				delete(m.served, k)
 			}
 		}

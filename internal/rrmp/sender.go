@@ -51,9 +51,9 @@ func (s *Sender) StartSessions() {
 			From:   s.m.self,
 			TopSeq: s.seq,
 		})
-		s.sessionTimer.Arm(s.m.region.sched, s.m.params.SessionInterval, tick)
+		s.sessionTimer.Arm(s.m.region.sched, s.m.region.params.SessionInterval, tick)
 	}
-	s.sessionTimer.Arm(s.m.region.sched, s.m.params.SessionInterval, tick)
+	s.sessionTimer.Arm(s.m.region.sched, s.m.region.params.SessionInterval, tick)
 }
 
 // StopSessions cancels periodic session messages.

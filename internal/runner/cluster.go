@@ -184,10 +184,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// nodes the same way.
 	members := make([]rrmp.Member, len(c.All))
 	endpoints := make([]netsim.Endpoint, len(c.All))
-	// The members of a region share one rrmp.Region: the defaulted
-	// Params, the policy and the free lists of records, buffer entries and
-	// heartbeat tables. Regions are contiguous in c.All, and a shard runs
-	// whole regions, so the members sharing one run on one event loop.
+	// The members of a region share one rrmp.Region, built at its first
+	// member: the defaulted Params, the scheduler, the tracer, the policy
+	// and the free lists of records, buffer entries and heartbeat tables.
+	// Regions are contiguous in c.All, and a shard runs whole regions, so
+	// the members sharing one run on one event loop.
 	var region *rrmp.Region
 	for _, n := range c.All {
 		view, err := cfg.Topo.ViewOf(n)
@@ -195,7 +196,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("runner: view of node %d: %w", n, err)
 		}
 		if view.SelfIdx == 0 {
-			region = new(rrmp.Region)
+			region = rrmp.NewRegion(view, d.clockOf(n), cfg.Params, cfg.Tracer)
 		}
 		var policy core.Policy
 		if cfg.Policy != nil {
@@ -210,11 +211,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		m.Init(rrmp.Config{
 			View:      view,
 			Transport: &endpoints[n],
-			Sched:     d.clockOf(n),
 			Rng:       d.memberRng(n),
-			Params:    cfg.Params,
 			Policy:    policy,
-			Tracer:    cfg.Tracer,
 			Hooks:     hooks,
 			Region:    region,
 		})

@@ -5,9 +5,8 @@ package wire
 // a map. Sequences are dense (senders count 1, 2, 3, ...), so membership
 // is one compare or one shift-and-mask, and marking never hashes. Mark
 // advances the prefix as it closes and drops the bitset's words below it,
-// so a receiver that gets a source in order keeps at most two words
-// however long the run, and one with gaps keeps the words from its oldest
-// gap to its newest sequence. The prefix only ever advances. The zero
+// so a receiver that gets a source in order keeps no word at all, and one
+// with gaps keeps the words from its oldest gap to its newest sequence. The prefix only ever advances. The zero
 // SeqSet is empty.
 //
 // It backs the reception state of both protocols: rrmp keeps one per
@@ -46,6 +45,14 @@ func (s *SeqSet) Has(seq uint64) bool {
 // joins, and drops the words the prefix now covers.
 func (s *SeqSet) Mark(seq uint64) {
 	if seq-1 < s.prefix {
+		return
+	}
+	if seq == s.prefix+1 && len(s.bits) == 0 {
+		// In order with nothing marked past the prefix: the prefix alone
+		// holds the set, so no word is made, and the next mark past a gap
+		// places the bitset afresh.
+		s.prefix = seq
+		s.marked = false
 		return
 	}
 	if !s.marked {

@@ -21,6 +21,36 @@ func TestInOrderMarksKeepTwoWords(t *testing.T) {
 	}
 }
 
+// TestInOrderMarksAllocateNothing pins the in-order fast path: a source
+// received in order is held by the prefix alone, so its marks make no
+// bitset word. Before the fast path, a set's first in-order mark made one,
+// which every rrmp member paid once per source.
+func TestInOrderMarksAllocateNothing(t *testing.T) {
+	var s SeqSet
+	seq := uint64(0)
+	if n := testing.AllocsPerRun(10000, func() { seq++; s.Mark(seq) }); n != 0 {
+		t.Fatalf("%v allocs per in-order mark, want 0", n)
+	}
+	if s.Prefix() != seq || len(s.bits) != 0 || s.marked {
+		t.Fatalf("after %d in-order marks: prefix %d, %d words, marked %v", seq, s.Prefix(), len(s.bits), s.marked)
+	}
+	// A set whose gap closed returns to the fast path once the prefix
+	// passes its last word, and its next gap places one word afresh, not
+	// words back to where the old bitset began.
+	var g SeqSet
+	g.Mark(2)
+	for seq := uint64(1); seq <= 64; seq++ {
+		g.Mark(seq)
+	}
+	if n := testing.AllocsPerRun(10000, func() { g.Mark(g.Prefix() + 1) }); n != 0 {
+		t.Fatalf("%v allocs per in-order mark after a closed gap, want 0", n)
+	}
+	g.Mark(g.Prefix() + 2)
+	if len(g.bits) != 1 {
+		t.Fatalf("a one-sequence gap at %d holds %d words, want 1", g.Prefix()+1, len(g.bits))
+	}
+}
+
 // seqSpan bounds the sequences a fuzzed mark order names: sixteen bitset
 // words, enough for gaps that straddle words and marks below the first.
 const seqSpan = 1024
