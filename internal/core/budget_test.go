@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -20,10 +19,10 @@ type evictRecord struct {
 
 // budgetBuffer builds a budgeted buffer over BufferAll (no timers: full
 // manual control over phases via StoreLongTerm) and logs every eviction.
-func budgetBuffer(s *sim.Sim, kind indexKind, budget int) (*Buffer, *[]evictRecord) {
+func budgetBuffer(s *sim.Sim, budget int) (*Buffer, *[]evictRecord) {
 	log := &[]evictRecord{}
 	var b *Buffer
-	b = newBufferWithIndex(Config{
+	b = NewBuffer(Config{
 		Policy:     BufferAll{},
 		Sched:      s,
 		Rng:        rng.New(1),
@@ -33,24 +32,18 @@ func budgetBuffer(s *sim.Sim, kind indexKind, budget int) (*Buffer, *[]evictReco
 				*log = append(*log, evictRecord{e.ID.Seq, r, e.State, b.Len() - b.LongTermCount()})
 			},
 		},
-	}, kind)
+	})
 	return b, log
-}
-
-func eachIndexKind(t *testing.T, fn func(t *testing.T, kind indexKind)) {
-	t.Helper()
-	for _, kind := range []indexKind{indexDense, indexLegacyMap} {
-		t.Run(kind.name, func(t *testing.T) { fn(t, kind) })
-	}
 }
 
 // TestPressureEvictionOrder pins the deterministic displacement order:
 // short-term entries leave longest-idle first, and long-term copies are
 // touched only once no short-term entry remains, oldest promotion first.
+// The subtest names the index the buffer orders its victims by.
 func TestPressureEvictionOrder(t *testing.T) {
-	eachIndexKind(t, func(t *testing.T, kind indexKind) {
+	t.Run("IndexDense", func(t *testing.T) {
 		s := sim.New()
-		b, log := budgetBuffer(s, kind, 1000)
+		b, log := budgetBuffer(s, 1000)
 
 		s.At(0, func() { b.StoreLongTerm(id(1), make([]byte, 100)) })                   // L1, promoted at 0
 		s.At(10*time.Millisecond, func() { b.StoreLongTerm(id(2), make([]byte, 100)) }) // L2, promoted at 10ms
@@ -104,10 +97,11 @@ func TestPressureEvictionOrder(t *testing.T) {
 
 // TestBudgetDenials pins the overflow case: a payload larger than the whole
 // budget is refused outright — nil entry, denial counted, nothing evicted.
+// The subtest names the index the buffer orders its victims by.
 func TestBudgetDenials(t *testing.T) {
-	eachIndexKind(t, func(t *testing.T, kind indexKind) {
+	t.Run("IndexDense", func(t *testing.T) {
 		s := sim.New()
-		b, log := budgetBuffer(s, kind, 100)
+		b, log := budgetBuffer(s, 100)
 		if e := b.Store(id(1), make([]byte, 150)); e != nil {
 			t.Fatal("oversized store accepted")
 		}
@@ -149,78 +143,72 @@ func TestCopyPayloadSnapshotsContent(t *testing.T) {
 	}
 }
 
-// TestBudgetEvictionOrderProperty drives identical randomized op scripts
-// (stores of varying size, feedback, promotions, time advances) against a
-// budgeted buffer under both index implementations and checks, at every
-// step: the budget is never exceeded; a long-term copy is pressure-evicted
+// TestBudgetEvictionOrderProperty drives randomized op scripts (stores of
+// varying size, feedback, promotions, time advances) against a budgeted
+// buffer and checks, at every step: the budget is never exceeded; the
+// buffer's index agrees with the map oracle on its snapshot order and its
+// pressure victim (mirrorAgrees); a long-term copy is pressure-evicted
 // only when no short-term entry remains (so a region's last long-term copy
-// is never sacrificed while cheaper short-term bytes exist); the per-reason
-// counters equal the observed eviction log (counter ≡ set); and both
-// indexes produce the identical eviction sequence.
+// is never sacrificed while cheaper short-term bytes exist); and the
+// per-reason counters equal the observed eviction log (counter ≡ set).
 func TestBudgetEvictionOrderProperty(t *testing.T) {
 	const budget = 1 << 12
 	for seed := uint64(1); seed <= 24; seed++ {
-		logs := map[string][]evictRecord{}
-		for _, kind := range []indexKind{indexDense, indexLegacyMap} {
-			s := sim.New()
-			b, log := budgetBuffer(s, kind, budget)
-			r := rng.New(seed)
-			at := time.Duration(0)
-			for op, seq := 0, uint64(0); op < 400; op++ {
-				at += time.Duration(r.Intn(5)) * time.Millisecond
-				switch draw := r.Intn(10); {
-				case draw < 5: // store a new short-term entry
-					seq++
-					sz, n := r.Intn(budget/3), seq
-					s.At(at, func() { b.Store(id(n), make([]byte, sz)) })
-				case draw < 7: // handoff-style long-term store
-					seq++
-					sz, n := r.Intn(budget/3), seq
-					s.At(at, func() { b.StoreLongTerm(id(n), make([]byte, sz)) })
-				case draw < 9: // feedback touch on a random known id
-					if seq > 0 {
-						n := uint64(r.Intn(int(seq))) + 1
-						s.At(at, func() { b.OnRequest(id(n)) })
-					}
-				default: // promote a random known id if still buffered
-					if seq > 0 {
-						n := uint64(r.Intn(int(seq))) + 1
-						s.At(at, func() {
-							if b.Has(id(n)) {
-								b.StoreLongTerm(id(n), nil)
-							}
-						})
-					}
+		s := sim.New()
+		b, log := budgetBuffer(s, budget)
+		r := rng.New(seed)
+		at := time.Duration(0)
+		for op, seq := 0, uint64(0); op < 400; op++ {
+			at += time.Duration(r.Intn(5)) * time.Millisecond
+			switch draw := r.Intn(10); {
+			case draw < 5: // store a new short-term entry
+				seq++
+				sz, n := r.Intn(budget/3), seq
+				s.At(at, func() { b.Store(id(n), make([]byte, sz)) })
+			case draw < 7: // handoff-style long-term store
+				seq++
+				sz, n := r.Intn(budget/3), seq
+				s.At(at, func() { b.StoreLongTerm(id(n), make([]byte, sz)) })
+			case draw < 9: // feedback touch on a random known id
+				if seq > 0 {
+					n := uint64(r.Intn(int(seq))) + 1
+					s.At(at, func() { b.OnRequest(id(n)) })
 				}
-				end := at
-				s.At(end, func() {
-					if b.Bytes() > budget {
-						t.Fatalf("seed %d: %d B held exceeds budget %d", seed, b.Bytes(), budget)
-					}
-				})
-			}
-			s.RunUntil(-1)
-			for i, rec := range *log {
-				if rec.reason == EvictPressure && rec.state == StateLongTerm && rec.shortRemaining != 0 {
-					t.Fatalf("seed %d: eviction %d displaced a long-term copy with %d short-term entries still held",
-						seed, i, rec.shortRemaining)
+			default: // promote a random known id if still buffered
+				if seq > 0 {
+					n := uint64(r.Intn(int(seq))) + 1
+					s.At(at, func() {
+						if b.Has(id(n)) {
+							b.StoreLongTerm(id(n), nil)
+						}
+					})
 				}
 			}
-			byReason := map[EvictReason]int{}
-			for _, rec := range *log {
-				byReason[rec.reason]++
-			}
-			for _, reason := range []EvictReason{EvictIdle, EvictTTL, EvictHandoff, EvictStable, EvictManual, EvictPressure} {
-				if b.EvictedCount(reason) != byReason[reason] {
-					t.Fatalf("seed %d: counter %v = %d but log has %d",
-						seed, reason, b.EvictedCount(reason), byReason[reason])
+			s.At(at, func() {
+				if b.Bytes() > budget {
+					t.Fatalf("seed %d: %d B held exceeds budget %d", seed, b.Bytes(), budget)
 				}
-			}
-			logs[kind.name] = *log
+				if err := mirrorAgrees(b, BufferAll{}); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			})
 		}
-		if dense, legacy := logs[indexDense.name], logs[indexLegacyMap.name]; fmt.Sprint(dense) != fmt.Sprint(legacy) {
-			t.Fatalf("seed %d: index implementations diverge:\ndense:  %+v\nlegacy: %+v",
-				seed, dense, legacy)
+		s.RunUntil(-1)
+		for i, rec := range *log {
+			if rec.reason == EvictPressure && rec.state == StateLongTerm && rec.shortRemaining != 0 {
+				t.Fatalf("seed %d: eviction %d displaced a long-term copy with %d short-term entries still held",
+					seed, i, rec.shortRemaining)
+			}
+		}
+		byReason := map[EvictReason]int{}
+		for _, rec := range *log {
+			byReason[rec.reason]++
+		}
+		for _, reason := range []EvictReason{EvictIdle, EvictTTL, EvictHandoff, EvictStable, EvictManual, EvictPressure} {
+			if b.EvictedCount(reason) != byReason[reason] {
+				t.Fatalf("seed %d: counter %v = %d but log has %d",
+					seed, reason, b.EvictedCount(reason), byReason[reason])
+			}
 		}
 	}
 }

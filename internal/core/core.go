@@ -220,8 +220,9 @@ type Config struct {
 	Observer Observer
 }
 
-// noCopy makes vet's copylocks check flag a copied Buffer: the buffer's
-// idx points at its own dense index, so a copy would index the original.
+// noCopy makes vet's copylocks check flag a copied Buffer: the index's
+// slot table points at its own inline first slot, so a copy would index
+// the original.
 type noCopy struct{}
 
 func (*noCopy) Lock()   {}
@@ -236,16 +237,16 @@ type Buffer struct {
 	sh     *Shared
 	policy Policy
 	rng    *rng.Source
-	obs    Observer   // nil when nothing observes the buffer
-	idx    entryIndex // &dense; the tests swap in a reference index
-	dense  denseIndex
+	obs    Observer // nil when nothing observes the buffer
+	idx    denseIndex
 
-	occupancy stats.Occupancy // message-count step function over time
-	byteOcc   stats.Occupancy // payload-byte step function over time
-	bytes     int             // current payload bytes held
-	longCount int
-	evicted   [EvictPressure + 1]int // indexed by EvictReason
-	denied    int                    // stores refused because the payload exceeds ByteBudget
+	// occ integrates the two levels, idx.n entries and bytes payload
+	// bytes; every change to either is accounted before it is made.
+	occ       stats.Occupancy
+	bytes     int // current payload bytes held
+	longCount int32
+	denied    uint32                // stores refused because the payload exceeds ByteBudget
+	evicted   [EvictPressure]uint32 // evicted[r-1] counts reason r
 }
 
 // NewBuffer constructs an empty buffer with a Shared of its own:
@@ -269,22 +270,21 @@ func (b *Buffer) Init(sh *Shared, p Policy, r *rng.Source, obs Observer) {
 		panic("core: a Buffer needs a Sched")
 	}
 	b.sh, b.policy, b.rng, b.obs = sh, p, r, obs
-	b.idx = &b.dense
 }
 
 // Policy returns the buffer's retention policy.
 func (b *Buffer) Policy() Policy { return b.policy }
 
 // LongTermCount returns the number of entries in the long-term phase.
-func (b *Buffer) LongTermCount() int { return b.longCount }
+func (b *Buffer) LongTermCount() int { return int(b.longCount) }
 
 // EvictedCount returns how many entries have been evicted for the reason,
 // and 0 for a value that is not an EvictReason.
 func (b *Buffer) EvictedCount(r EvictReason) int {
-	if r < 0 || int(r) >= len(b.evicted) {
+	if r < EvictIdle || r > EvictPressure {
 		return 0
 	}
-	return b.evicted[r]
+	return int(b.evicted[r-1])
 }
 
 // Has reports whether id is currently buffered.
@@ -339,9 +339,10 @@ func (b *Buffer) Store(id wire.MessageID, payload []byte) *Entry {
 	e.LastRequest = now
 	e.State = StateShortTerm
 	e.PromotedAt = 0
+	b.occ.Advance(now, b.levels())
 	b.idx.put(e)
 	b.bytes += len(e.Payload)
-	b.account(now)
+	b.occ.Raise(b.levels())
 
 	// The store event reaches the policy before Hold is consulted, so a
 	// demand-aware hold already reflects this message.
@@ -422,33 +423,33 @@ func (b *Buffer) TakeForHandoff() []*Entry {
 // callbacks. Its spares stay with the list, which other buffers may share.
 func (b *Buffer) Close() {
 	b.idx.each(func(e *Entry) { e.timer.Stop() })
+	b.occ.Advance(b.sh.Sched.Now(), b.levels())
 	b.idx.reset()
 	b.longCount = 0
 	b.bytes = 0
-	b.account(b.sh.Sched.Now())
 }
 
 // OccupancyIntegral returns the accumulated messages × seconds up to now;
 // the A1 ablation compares policies on this buffer-cost measure.
 func (b *Buffer) OccupancyIntegral(now time.Duration) float64 {
-	return b.occupancy.Integral(now)
+	return b.occ.Integral(now, b.levels())[0]
 }
 
 // ByteOccupancyIntegral returns accumulated payload-bytes × seconds.
 func (b *Buffer) ByteOccupancyIntegral(now time.Duration) float64 {
-	return b.byteOcc.Integral(now)
+	return b.occ.Integral(now, b.levels())[1]
 }
 
 // PeakLen returns the highest entry count ever held.
-func (b *Buffer) PeakLen() int { return int(b.occupancy.Peak()) }
+func (b *Buffer) PeakLen() int { return int(b.occ.Peak()[0]) }
 
 // PeakBytes returns the highest payload-byte occupancy ever held.
-func (b *Buffer) PeakBytes() int { return int(b.byteOcc.Peak()) }
+func (b *Buffer) PeakBytes() int { return int(b.occ.Peak()[1]) }
 
 // DeniedCount returns how many stores were refused because their payload
 // exceeded the whole ByteBudget. A denied message was still delivered to
 // the application; it just was never retained for repair.
-func (b *Buffer) DeniedCount() int { return b.denied }
+func (b *Buffer) DeniedCount() int { return int(b.denied) }
 
 // reserve makes room for need payload bytes under the budget by pressure-
 // evicting entries in a deterministic order: short-term entries first,
@@ -568,16 +569,16 @@ func (b *Buffer) ttlCheck(e *Entry) {
 
 func (b *Buffer) evict(e *Entry, reason EvictReason) {
 	e.timer.Stop()
+	b.occ.Advance(b.sh.Sched.Now(), b.levels())
 	b.idx.remove(e.ID)
 	b.bytes -= len(e.Payload)
 	if e.State == StateLongTerm {
 		b.longCount--
 	}
-	if reason >= 0 && int(reason) < len(b.evicted) {
-		b.evicted[reason]++
+	if reason >= EvictIdle && reason <= EvictPressure {
+		b.evicted[reason-1]++
 	}
 	b.policy.ObserveEvict(e.ID, reason)
-	b.account(b.sh.Sched.Now())
 	if b.obs != nil {
 		b.obs.Evicted(e, reason)
 	}
@@ -601,7 +602,8 @@ func (b *Buffer) newEntry() *Entry {
 	return e
 }
 
-func (b *Buffer) account(now time.Duration) {
-	b.occupancy.Set(now, float64(b.idx.size()))
-	b.byteOcc.Set(now, float64(b.bytes))
+// levels returns the buffer's two occupancy levels: entries and payload
+// bytes held.
+func (b *Buffer) levels() [2]float64 {
+	return [2]float64{float64(b.idx.n), float64(b.bytes)}
 }

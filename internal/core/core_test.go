@@ -296,22 +296,26 @@ func TestCloseStopsTimers(t *testing.T) {
 	}
 }
 
+// TestOccupancyIntegral stores a second message while the first is held,
+// so each level must be accounted at its old value before a store or an
+// eviction changes it.
 func TestOccupancyIntegral(t *testing.T) {
 	s := sim.New()
 	b, _ := newTestBuffer(t, s, NewTwoPhase(testT, 0, 100, 0))
 	b.Store(id(1), make([]byte, 1000))
-	s.RunUntil(-1) // evicted at 40ms
+	s.At(10*time.Millisecond, func() { b.Store(id(2), make([]byte, 500)) })
+	s.RunUntil(-1) // evicted at 40ms and 50ms
 	gotMsgSec := b.OccupancyIntegral(s.Now())
-	wantMsgSec := testT.Seconds() // 1 message for 40ms
+	wantMsgSec := 2 * testT.Seconds() // each message for 40ms
 	if math.Abs(gotMsgSec-wantMsgSec) > 1e-9 {
 		t.Fatalf("occupancy integral %v, want %v", gotMsgSec, wantMsgSec)
 	}
 	gotByteSec := b.ByteOccupancyIntegral(s.Now())
-	if math.Abs(gotByteSec-1000*testT.Seconds()) > 1e-6 {
+	if math.Abs(gotByteSec-1500*testT.Seconds()) > 1e-6 {
 		t.Fatalf("byte occupancy %v", gotByteSec)
 	}
-	if b.PeakLen() != 1 {
-		t.Fatalf("peak %d", b.PeakLen())
+	if b.PeakLen() != 2 || b.PeakBytes() != 1500 {
+		t.Fatalf("peak %d entries, %d B; want 2 and 1500", b.PeakLen(), b.PeakBytes())
 	}
 }
 

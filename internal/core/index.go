@@ -7,30 +7,8 @@ import (
 	"repro/internal/wire"
 )
 
-// entryIndex stores a Buffer's live entries. The Buffer runs on denseIndex;
-// the interface is the seam the tests swap the map-based reference index
-// through (reference_test.go). Implementations must agree on
-// the observable contract exactly: sorted() iterates in (Source, Seq) order
-// (rng draws are paired with entries during leave handoff, so this order is
-// part of the determinism contract), and size/get/remove reflect puts
-// immediately.
-type entryIndex interface {
-	get(id wire.MessageID) (*Entry, bool)
-	put(e *Entry)
-	remove(id wire.MessageID)
-	size() int
-	// sorted appends all entries in (Source, Seq) order to dst and returns
-	// the result.
-	sorted(dst []*Entry) []*Entry
-	// victim returns the entry p displaces first — the minimum under
-	// p.DisplacedBefore — or nil when the index is empty.
-	victim(p Policy) *Entry
-	// each visits all entries in unspecified order (timer teardown only).
-	each(fn func(*Entry))
-	reset()
-}
-
-// denseIndex holds one srcSlot per message source, sorted by source.
+// denseIndex stores a Buffer's live entries, one srcSlot per message
+// source, sorted by source.
 // Sequence numbers from a source are dense in practice (a sender counts 1,
 // 2, 3, ...), so a slot is a base offset plus a slice indexed by seq-base;
 // lookups and removals are pure array ops after a binary search over the
@@ -43,6 +21,11 @@ type entryIndex interface {
 // slots move to the heap and the inline copy is cleared, so it does not
 // keep the first window's old array alive; a Buffer never moves, so the
 // inline slot's address is stable while it serves.
+//
+// sorted iterates in (Source, Seq) order: rng draws are paired with
+// entries during leave handoff, so this order is part of the determinism
+// contract. FuzzIndexDifferential holds the index to a map-based oracle
+// (reference_test.go) under every policy's displacement order.
 type denseIndex struct {
 	slots []srcSlot
 	n     int
@@ -188,6 +171,8 @@ func (s *srcSlot) place(shift, n uint64) {
 
 func (x *denseIndex) size() int { return x.n }
 
+// sorted appends all entries in (Source, Seq) order to dst and returns the
+// result.
 func (x *denseIndex) sorted(dst []*Entry) []*Entry {
 	for i := range x.slots {
 		for _, e := range x.slots[i].entries {
@@ -199,6 +184,8 @@ func (x *denseIndex) sorted(dst []*Entry) []*Entry {
 	return dst
 }
 
+// victim returns the entry p displaces first, the minimum under
+// p.DisplacedBefore, or nil when the index is empty.
 func (x *denseIndex) victim(p Policy) *Entry {
 	var v *Entry
 	for i := range x.slots {
@@ -211,6 +198,7 @@ func (x *denseIndex) victim(p Policy) *Entry {
 	return v
 }
 
+// each visits all entries (timer teardown only).
 func (x *denseIndex) each(fn func(e *Entry)) {
 	for i := range x.slots {
 		for _, e := range x.slots[i].entries {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,8 +14,9 @@ import (
 // FuzzIndexDifferential drives the dense index and the map oracle
 // (reference_test.go) through one byte-decoded script of puts and removes
 // and requires them to agree after every op: get on every id ever put,
-// size, the sorted snapshot and the pressure victim under the default
-// displacement order. It also checks the dense layout itself: a non-nil
+// size, the sorted snapshot and the pressure victim under every
+// registered policy's displacement order (diffPolicies), which see every
+// put and touch as a store and a request. It also checks the dense layout itself: a non-nil
 // window slot i holds seq base+i, and no slot of the backing array outside
 // the window holds a pointer (a stale one would resurface when the window
 // grows back over it). Once a second source moves the slots off the
@@ -61,6 +64,12 @@ func runIndexScript(t *testing.T, script []byte) {
 	t.Helper()
 	dense := new(denseIndex)
 	oracle := &mapIndex{entries: make(map[wire.MessageID]*Entry)}
+	mk := diffPolicies()
+	names := slices.Sorted(maps.Keys(mk))
+	policies := make([]Policy, len(names))
+	for i, name := range names {
+		policies[i] = mk[name]()
+	}
 	var (
 		pos  int
 		hi   = [3]uint64{1 << 20, 1 << 20, 1 << 20} // highest seq ever put per source
@@ -90,6 +99,9 @@ func runIndexScript(t *testing.T, script []byte) {
 		e := &Entry{ID: id, LastRequest: time.Duration(idle) * time.Millisecond, State: StateShortTerm}
 		dense.put(e)
 		oracle.put(e)
+		for _, p := range policies {
+			p.ObserveStore(id, 0)
+		}
 		ids = append(ids, id)
 		hi[src] = max(hi[src], seq)
 	}
@@ -126,6 +138,9 @@ func runIndexScript(t *testing.T, script []byte) {
 				e := es[k%len(es)]
 				if k&1 == 0 {
 					e.LastRequest = time.Duration(k) * time.Millisecond
+					for _, p := range policies {
+						p.ObserveRequest(e.ID, e.LastRequest) // adaptive's demand orders sources
+					}
 				} else {
 					e.State, e.PromotedAt = StateLongTerm, time.Duration(k)*time.Millisecond
 				}
@@ -136,6 +151,11 @@ func runIndexScript(t *testing.T, script []byte) {
 			}
 		}
 		checkIndexesAgree(t, step, dense, oracle, ids)
+		for i, p := range policies {
+			if dv, ov := dense.victim(p), oracle.victim(p); dv != ov {
+				t.Fatalf("step %d: %s victim %p, oracle %p", step, names[i], dv, ov)
+			}
+		}
 	}
 }
 

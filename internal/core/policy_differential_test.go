@@ -15,7 +15,7 @@ import (
 // diffPolicies builds one fresh instance of every registered policy shape
 // for a differential run. Fresh per call: the adaptive policy carries
 // demand state and the feedback policies carry rng state, so instances
-// must never be shared across index kinds.
+// must never be shared across runs.
 func diffPolicies() map[string]func() Policy {
 	region := make([]topology.NodeID, 8)
 	for i := range region {
@@ -41,18 +41,19 @@ func diffPolicies() map[string]func() Policy {
 
 // diffScript drives one randomized op script (stores from several sources,
 // feedback, stability removals, leave handoffs, time advances, pressure
-// from a byte budget) against a buffer running the given policy and index
-// kind, and returns the full ledger plus the end-of-run metric snapshot.
-// The ledger records every eviction, the entries each TakeForHandoff
-// returns, and the Entries() snapshot after every op — the order leave
-// handoff pairs with rng draws, so a change in it would re-pair handoff
-// peers in every churn cell. The script is a pure function of seed, so two
-// calls with the same seed see identical ops.
-func diffScript(policy Policy, kind indexKind, seed uint64) (ledger []string, metrics string) {
+// from a byte budget) against a buffer running the given policy, and
+// returns the full ledger plus the end-of-run metric snapshot. The ledger
+// records every eviction, the entries each TakeForHandoff returns, and the
+// Entries() snapshot after every op — the order leave handoff pairs with
+// rng draws, so a change in it would re-pair handoff peers in every churn
+// cell — and any disagreement between the buffer's index and the map
+// oracle after an op (mirrorAgrees). The script is a pure function of
+// seed, so two calls with the same seed see identical ops.
+func diffScript(policy Policy, seed uint64) (ledger []string, metrics string) {
 	const budget = 1 << 11
 	s := sim.New()
 	var b *Buffer
-	b = newBufferWithIndex(Config{
+	b = NewBuffer(Config{
 		Policy:     policy,
 		Sched:      s,
 		Rng:        rng.New(seed),
@@ -63,7 +64,7 @@ func diffScript(policy Policy, kind indexKind, seed uint64) (ledger []string, me
 					e.ID.Source, e.ID.Seq, r, e.State, b.Len()-b.LongTermCount()))
 			},
 		},
-	}, kind)
+	})
 	list := func(es []*Entry) string {
 		var sb strings.Builder
 		for _, e := range es {
@@ -75,6 +76,9 @@ func diffScript(policy Policy, kind indexKind, seed uint64) (ledger []string, me
 		s.At(at, func() {
 			op()
 			ledger = append(ledger, "entries"+list(b.Entries()))
+			if err := mirrorAgrees(b, policy); err != nil {
+				ledger = append(ledger, "oracle: "+err.Error())
+			}
 		})
 	}
 	script := rng.New(seed)
@@ -116,29 +120,30 @@ func diffScript(policy Policy, kind indexKind, seed uint64) (ledger []string, me
 }
 
 // TestPolicyDifferentialAcrossIndexKinds is the widened-contract
-// differential property: every registered policy — the four legacy shapes
-// riding PolicyBase and the demand-aware adaptive policy — must produce a
-// byte-identical ledger and end-of-run metrics under the dense index and
-// the map reference (reference_test.go) for the same op script. This pins
-// the contract three ways: the observation hooks fire identically
-// regardless of index layout; the policy-owned DisplacedBefore order is a
-// strict total order (an ambiguous comparator would let the index's
-// internal iteration order pick different pressure victims); and
-// Entries() and TakeForHandoff walk entries in (Source, Seq) order, the
-// order leave handoff pairs with rng draws.
+// differential property: under every registered policy — the four legacy
+// shapes riding PolicyBase and the demand-aware adaptive policy — the
+// buffer's dense index must agree with the map reference
+// (reference_test.go) after every op of the script on Entries() order, the
+// order leave handoff pairs with rng draws, and on the pressure victim,
+// which a policy-owned DisplacedBefore that is not a strict total order
+// would let the map's iteration order change; and two runs of one script
+// must give byte-identical ledgers and end-of-run metrics.
 func TestPolicyDifferentialAcrossIndexKinds(t *testing.T) {
 	for name, mk := range diffPolicies() {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 12; seed++ {
-				denseLedger, denseMetrics := diffScript(mk(), indexDense, seed)
-				legacyLedger, legacyMetrics := diffScript(mk(), indexLegacyMap, seed)
-				if fmt.Sprint(denseLedger) != fmt.Sprint(legacyLedger) {
-					t.Fatalf("seed %d: ledgers diverge:\ndense:  %v\nlegacy: %v",
-						seed, denseLedger, legacyLedger)
+				ledger, metrics := diffScript(mk(), seed)
+				for _, line := range ledger {
+					if strings.HasPrefix(line, "oracle: ") {
+						t.Fatalf("seed %d: %s", seed, line)
+					}
 				}
-				if denseMetrics != legacyMetrics {
-					t.Fatalf("seed %d: metrics diverge:\ndense:  %s\nlegacy: %s",
-						seed, denseMetrics, legacyMetrics)
+				again, againMetrics := diffScript(mk(), seed)
+				if fmt.Sprint(ledger) != fmt.Sprint(again) {
+					t.Fatalf("seed %d: ledgers diverge:\nfirst:  %v\nsecond: %v", seed, ledger, again)
+				}
+				if metrics != againMetrics {
+					t.Fatalf("seed %d: metrics diverge:\nfirst:  %s\nsecond: %s", seed, metrics, againMetrics)
 				}
 			}
 		})

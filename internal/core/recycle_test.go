@@ -113,7 +113,7 @@ func TestHandoffEntriesAreNotRecycled(t *testing.T) {
 
 func TestOnEvictSeesEntryBeforeReuse(t *testing.T) {
 	s := sim.New()
-	b, _ := budgetBuffer(s, indexDense, 300)
+	b, _ := budgetBuffer(s, 300)
 	for seq := uint64(1); seq <= 3; seq++ {
 		b.Store(id(seq), bytes.Repeat([]byte{byte(seq)}, 100))
 	}

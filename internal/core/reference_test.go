@@ -2,11 +2,13 @@ package core
 
 // This file is the buffer's entry index as it stood before the dense
 // per-source rewrite: a flat map[MessageID]*Entry with an O(n log n) sort
-// on every ordered snapshot. It is kept verbatim as the oracle the budget
-// and policy differential tests drive the dense index against, swapped in
-// through the entryIndex interface.
+// on every ordered snapshot. It is kept verbatim as the oracle
+// FuzzIndexDifferential drives the dense index against, and that
+// mirrorAgrees holds a buffer's index to in the budget and policy
+// differential tests.
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/wire"
@@ -61,23 +63,25 @@ func (x *mapIndex) sorted(dst []*Entry) []*Entry {
 	return dst
 }
 
-// indexKind names an entry-index implementation for the differential
-// tests: the production dense index, or the map reference above.
-type indexKind struct {
-	name string
-	mk   func() entryIndex
-}
-
-var (
-	indexDense     = indexKind{"IndexDense", func() entryIndex { return new(denseIndex) }}
-	indexLegacyMap = indexKind{"IndexLegacyMap", func() entryIndex {
-		return &mapIndex{entries: make(map[wire.MessageID]*Entry)}
-	}}
-)
-
-// newBufferWithIndex is NewBuffer running on the given index kind.
-func newBufferWithIndex(cfg Config, kind indexKind) *Buffer {
-	b := NewBuffer(cfg)
-	b.idx = kind.mk()
-	return b
+// mirrorAgrees copies b's live entries into a map oracle and reports
+// whether the two indexes agree on the sorted snapshot and on p's pressure
+// victim. The oracle visits its entries in map order, so a p whose
+// DisplacedBefore is not a strict total order picks a different victim
+// from run to run.
+func mirrorAgrees(b *Buffer, p Policy) error {
+	oracle := &mapIndex{entries: make(map[wire.MessageID]*Entry)}
+	b.idx.each(oracle.put)
+	ds, ms := b.idx.sorted(nil), oracle.sorted(nil)
+	if len(ds) != len(ms) || b.idx.size() != oracle.size() {
+		return fmt.Errorf("dense holds %d entries (size %d), oracle %d", len(ds), b.idx.size(), len(ms))
+	}
+	for i := range ds {
+		if ds[i] != ms[i] {
+			return fmt.Errorf("sorted[%d] = %v, oracle %v", i, ds[i].ID, ms[i].ID)
+		}
+	}
+	if dv, ov := b.idx.victim(p), oracle.victim(p); dv != ov {
+		return fmt.Errorf("victim %p, oracle %p", dv, ov)
+	}
+	return nil
 }

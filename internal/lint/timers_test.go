@@ -107,7 +107,17 @@ func TestMemberHasNoMessageTable(t *testing.T) {
 // core.Buffer reaches the region's core.Shared by the one pointer a buffer
 // has. Region itself is the control for the value types, and core.Buffer
 // for the pointer: the matcher must find every type there, or the match
-// proves nothing.
+// proves nothing. The region's scheduler is its buffers' (core.Shared), so
+// the control finds it through them.
+//
+// Nor may a member hold what it can derive or seldom uses, by value or by
+// pointer: the transport (its region's, every call naming the sender), a
+// gossipfd.Detector or its Hooks (both in the cold state it makes on first
+// use), or a topology.NodeID of its own (its id is its region's
+// members[selfIdx]; a NodeID inside a by-value field, like a source's
+// src, names someone else). Each has a control where it now lives: the
+// transport in Region, the detector and the hooks in coldState, and the
+// member's id in its Config's View, which Init reads it from.
 func TestMemberHoldsNothingItsRegionHolds(t *testing.T) {
 	pkgs, err := lint.Load("../..", "./internal/rrmp", "./internal/core")
 	if err != nil {
@@ -116,6 +126,24 @@ func TestMemberHoldsNothingItsRegionHolds(t *testing.T) {
 	rrmp, core := pkgs[0], pkgs[1]
 	if rrmp.ImportPath != "repro/internal/rrmp" {
 		rrmp, core = core, rrmp
+	}
+	derivable := []struct{ typ, home, field string }{
+		{"repro/internal/rrmp.Transport", "Region", "transport"},
+		{"repro/internal/gossipfd.Detector", "coldState", "fd"},
+		{"repro/internal/rrmp.Hooks", "coldState", "hooks"},
+		{"repro/internal/topology.NodeID", "Config", "View.Self"},
+	}
+	for _, d := range derivable {
+		typs := []string{d.typ, "*" + d.typ}
+		if fs := fieldsOfTypes(t, rrmp, d.home, typs); !slices.ContainsFunc(fs, func(f typedField) bool { return f.name == d.field }) {
+			t.Fatalf("control: the matcher found %v of type %s in rrmp.%s, want its %s", fs, d.typ, d.home, d.field)
+		}
+		for _, f := range fieldsOfTypes(t, rrmp, "Member", typs) {
+			if d.typ == "repro/internal/topology.NodeID" && strings.Contains(f.name, ".") {
+				continue // a by-value field's NodeID names a source or a peer
+			}
+			t.Errorf("rrmp.Member declares %s %s, which it can derive or keeps in %s", f.name, f.typ, d.home)
+		}
 	}
 	regionTypes := []string{
 		"repro/internal/clock.Scheduler",
@@ -213,8 +241,8 @@ func TestSourceStateIsNotHashed(t *testing.T) {
 }
 
 // TestMemberMetricsAreConstantSize keeps a member's metrics constant-size:
-// neither rrmp.Metrics nor rmtp.Metrics may declare a field whose type is,
-// or contains, a slice or a map. Each member once kept every latency
+// none of rrmp.Metrics, rrmp.FaultMetrics and rmtp.Metrics may declare a
+// field whose type is, or contains, a slice or a map. Each member once kept every latency
 // sample in a list until collect, half a million floats in a 10k-member
 // stream trial, when every reader used only the mean and the count.
 // TestMemberMetricsAreConstantSizeFixture pins the matcher.
@@ -223,15 +251,14 @@ func TestMemberMetricsAreConstantSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{"repro/internal/rmtp": true, "repro/internal/rrmp": true}
+	want := map[string][]string{"repro/internal/rmtp": {"Metrics"}, "repro/internal/rrmp": {"Metrics", "FaultMetrics"}}
 	for _, p := range pkgs {
-		if !want[p.ImportPath] {
-			continue
+		for _, name := range want[p.ImportPath] {
+			if grown := growingFields(t, p, name); len(grown) > 0 {
+				t.Errorf("%s.%s has fields that grow with the run: %s", p.Types.Name(), name, strings.Join(grown, ", "))
+			}
 		}
 		delete(want, p.ImportPath)
-		if grown := growingFields(t, p, "Metrics"); len(grown) > 0 {
-			t.Errorf("%s.Metrics has fields that grow with the run: %s", p.Types.Name(), strings.Join(grown, ", "))
-		}
 	}
 	if len(want) > 0 {
 		t.Fatalf("packages not loaded: %v", slices.Sorted(maps.Keys(want)))

@@ -196,7 +196,7 @@ func TestLatencySamplesDoNotAllocate(t *testing.T) {
 	params.C = 0
 	c := newCluster(t, singleRegion(t, 10), params, 1, nil)
 	m, s := c.members[3], c.sim
-	m.transport = &countTransport{}
+	m.region.transport = &countTransport{}
 	payload := make([]byte, 256)
 	seq := uint64(0)
 	// cycle opens a recovery for the next message, then runs a millisecond
@@ -259,7 +259,7 @@ func TestEpisodesDoNotAllocate(t *testing.T) {
 	c := newCluster(t, chainRegions(t, 10, 10), params, 1, nil)
 	m, s := c.members[c.topo.MemberAt(1, 3)], c.sim
 	net := &countTransport{}
-	m.transport = net
+	m.region.transport = net
 	payload := make([]byte, 256)
 	seq := uint64(0)
 
@@ -308,15 +308,15 @@ func TestEpisodesDoNotAllocate(t *testing.T) {
 }
 
 // countTransport counts sends and drops them, so a guard measures the
-// member's own allocations and not the simulated network's. A multicast
+// members' own allocations and not the simulated network's. A multicast
 // counts one send per listed target.
 type countTransport struct{ sends int }
 
-func (c *countTransport) Send(topology.NodeID, wire.Message) { c.sends++ }
-func (c *countTransport) Multicast(targets []topology.NodeID, _ wire.Message) {
+func (c *countTransport) Send(_, _ topology.NodeID, _ wire.Message) { c.sends++ }
+func (c *countTransport) Multicast(_ topology.NodeID, targets []topology.NodeID, _ wire.Message) {
 	c.sends += len(targets)
 }
-func (c *countTransport) Broadcast(wire.Message) {}
+func (c *countTransport) Broadcast(topology.NodeID, wire.Message) {}
 
 // TestPeerPickDoesNotAllocate pins the live-peer pick on the two paths
 // that draw one per attempt. Before PR 17 a member with the failure
@@ -337,11 +337,11 @@ func TestPeerPickDoesNotAllocate(t *testing.T) {
 	// off the everyone-is-live shortcut and onto the table walk.
 	c.members[6].Crash()
 	c.sim.RunUntil(time.Second)
-	if !m.fd.Suspected(6) || m.fd.Suspected(5) {
+	if !m.detector().Suspected(6) || m.detector().Suspected(5) {
 		t.Fatal("setup: member 3 should suspect exactly the crashed member 6")
 	}
 	net := &countTransport{}
-	m.transport = net
+	m.region.transport = net
 
 	rec := m.newRecovery(m.msg(wire.MessageID{Source: 0, Seq: 99}), false)
 	if n := testing.AllocsPerRun(200, func() { rec.localTimer.Stop(); m.localAttempt(rec) }); n != 0 {
@@ -356,7 +356,7 @@ func TestPeerPickDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// heartbeatTap forwards to the member's transport and notes every
+// heartbeatTap forwards to the region's transport and notes every
 // heartbeat table on the way. It keeps each table reachable, so an address
 // seen twice is one table sent twice and never a freed block handed out
 // again.
@@ -366,14 +366,14 @@ type heartbeatTap struct {
 	tables map[*uint64][]uint64
 }
 
-func (h heartbeatTap) Send(to topology.NodeID, msg wire.Message) {
+func (h heartbeatTap) Send(from, to topology.NodeID, msg wire.Message) {
 	h.note(msg)
-	h.Transport.Send(to, msg)
+	h.Transport.Send(from, to, msg)
 }
 
-func (h heartbeatTap) Multicast(targets []topology.NodeID, msg wire.Message) {
+func (h heartbeatTap) Multicast(from topology.NodeID, targets []topology.NodeID, msg wire.Message) {
 	h.note(msg)
-	h.Transport.Multicast(targets, msg)
+	h.Transport.Multicast(from, targets, msg)
 }
 
 func (h heartbeatTap) note(msg wire.Message) {
@@ -394,16 +394,15 @@ func TestHeartbeatTablesAreRecycled(t *testing.T) {
 	params.FDEnabled = true
 	c := newCluster(t, singleRegion(t, 10), params, 1, nil)
 	pdus, tables := 0, map[*uint64][]uint64{}
-	for _, m := range c.members {
-		m.transport = heartbeatTap{m.transport, &pdus, tables}
-	}
+	region := c.members[0].region
+	region.transport = heartbeatTap{region.transport, &pdus, tables}
 	c.sim.RunUntil(10 * time.Second)
 	if pdus < 1500 || len(tables)*4 > pdus {
 		t.Errorf("%d heartbeats rode in %d distinct tables, want under a quarter of at least 1500", pdus, len(tables))
 	}
 	for n, m := range c.members {
 		for peer := range c.members {
-			if m.fd.Suspected(peer) {
+			if m.detector().Suspected(peer) {
 				t.Errorf("member %d suspects %d", n, peer)
 			}
 		}
@@ -427,31 +426,36 @@ func TestHeartbeatTablesAreRecycled(t *testing.T) {
 // makes the buffer's entry and its bound timer callback and the index
 // window's array (3); an in-order mark keeps no reception bitset word, and
 // no table of sources or of index slots is made: both start in the member.
+// Nor is the member's cold state (hooks, detector, churn and fault
+// metrics): a member with no hooks and no detector makes it only when it
+// hands a copy off on leave or closes a gap it re-detected after a crash.
 func TestNewMemberAllocs(t *testing.T) {
 	view, err := singleRegion(t, 10).ViewOf(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := sim.New()
-	cfg := Config{
-		View:      view,
-		Transport: &countTransport{},
-		Rng:       rng.New(1),
-	}
+	transport := &countTransport{}
+	cfg := Config{View: view, Rng: rng.New(1)}
 	if n := testing.AllocsPerRun(100, func() {
 		cfg := cfg
-		cfg.Region = NewRegion(view, s, DefaultParams(), nil)
+		cfg.Region = NewRegion(view, s, transport, DefaultParams(), nil)
 		NewMember(cfg)
 	}); n != 3 {
 		t.Fatalf("NewRegion and NewMember: %v allocs, want 3", n)
 	}
-	cfg.Region = NewRegion(view, s, DefaultParams(), nil)
+	cfg.Region = NewRegion(view, s, transport, DefaultParams(), nil)
 	if n := testing.AllocsPerRun(100, func() { NewMember(cfg) }); n != 1 {
 		t.Fatalf("NewMember on a shared Region: %v allocs, want 1", n)
 	}
 	data := wire.Message{Type: wire.TypeData, From: 0, ID: wire.MessageID{Source: 0, Seq: 1}, Payload: []byte("x")}
 	if n := testing.AllocsPerRun(100, func() { NewMember(cfg).Receive(0, data) }); n != 1+3 {
 		t.Fatalf("NewMember and a first DATA: %v allocs, want 1+3", n)
+	}
+	m := NewMember(cfg)
+	m.Receive(0, data)
+	if !m.HasReceived(data.ID) || m.cold != nil {
+		t.Error("a lossless first DATA made the member's cold state")
 	}
 	a, b := NewMember(cfg), NewMember(cfg)
 	if a.buf.Policy() != b.buf.Policy() {
@@ -470,22 +474,26 @@ func TestMsgStateSize(t *testing.T) {
 	}
 }
 
-// TestMemberSize keeps a Member at its 696 bytes. runner.NewCluster
+// TestMemberSize keeps a Member at its 544 bytes. runner.NewCluster
 // makes a group's members in one slice, so the size is the exact per
 // member cost with no size-class rounding; a 100k-member trial holds 100k.
-// A member holds what is its own: its place in the View, the Config fields
-// it reads after construction, its buffer (core.Buffer, 312 bytes with its
-// index and first index slot), the buffer's rng stream, the first source's
-// reception state and the one-element table pointing at it, its metrics,
-// and pointers to its Region and, when set, its Hooks. It reads the
-// Params, the View's member lists, the scheduler and the tracer through
-// the region. It was 368 bytes (the 384-byte class) beside a separately
-// allocated Buffer (240), index header (32), rng (32), eviction closure
-// (16), and, from the first message, a sourceState (96) and two
-// one-element tables (8 and 80): 888 bytes in eight objects; then 704
-// with a pointer to the region's Params beside the one to the region.
+// A member holds its hot state: its place in its region's member list, its
+// rng, its buffer (core.Buffer, 232 bytes with its index and first index
+// slot), the buffer's rng stream, the first source's reception state, the
+// served table, its metrics, and pointers to its Region and its cold state.
+// It reads the Params, the View's member lists (its own id among them),
+// the transport, the scheduler and the tracer through the region, and its
+// hooks, detector and churn and fault metrics through the cold state. It
+// was 368 bytes (the 384-byte class) beside a separately allocated Buffer
+// (240), index header (32), rng (32), eviction closure (16), and, from the
+// first message, a sourceState (96) and two one-element tables (8 and 80):
+// 888 bytes in eight objects; then 704 with a pointer to the region's
+// Params beside the one to the region; then 696, holding its own
+// transport, hooks, detector, id and fault metrics, a one-element source
+// table and a 312-byte buffer (an index interface, int counters and two
+// occupancy integrators).
 func TestMemberSize(t *testing.T) {
-	if n := unsafe.Sizeof(Member{}); n != 696 {
-		t.Fatalf("Member is %d bytes, want 696", n)
+	if n := unsafe.Sizeof(Member{}); n != 544 {
+		t.Fatalf("Member is %d bytes, want 544", n)
 	}
 }

@@ -48,6 +48,7 @@ func buildCluster(t testing.TB, topo *topology.Topology, params Params, seed uin
 			c.all = append(c.all, n)
 		}
 	}
+	transport := c.tally.wrap(&netsim.Group{Net: net, Members: c.all})
 	var members []Member
 	if slab {
 		members = make([]Member, len(c.all))
@@ -60,13 +61,12 @@ func buildCluster(t testing.TB, topo *topology.Topology, params Params, seed uin
 			t.Fatal(err)
 		}
 		if view.SelfIdx == 0 {
-			region = NewRegion(view, s, params, tracer)
+			region = NewRegion(view, s, transport, params, tracer)
 		}
 		cfg := Config{
-			View:      view,
-			Transport: c.tally.wrap(n, &netsim.Endpoint{Net: net, Self: n, Group: c.all}),
-			Rng:       root.Split(uint64(n) + 1),
-			Region:    region,
+			View:   view,
+			Rng:    root.Split(uint64(n) + 1),
+			Region: region,
 		}
 		var m *Member
 		if slab {
@@ -84,8 +84,8 @@ func buildCluster(t testing.TB, topo *topology.Topology, params Params, seed uin
 
 // tally counts packets per (node, wire.Type), where a test needs a count
 // the protocol does not keep: recv at the node's network handler, before
-// the member sees the packet, and sent at the node's Transport, one per
-// call, so a region multicast counts once.
+// the member sees the packet, and sent at the Transport, one per call, so
+// a region multicast counts once.
 type tally struct {
 	sent, recv map[nodeType]int64
 }
@@ -99,9 +99,9 @@ func newTally() *tally {
 	return &tally{sent: map[nodeType]int64{}, recv: map[nodeType]int64{}}
 }
 
-// wrap returns n's Transport tr, counting each call in t.sent.
-func (t *tally) wrap(n topology.NodeID, tr Transport) Transport {
-	return &tallyTransport{Transport: tr, self: n, t: t}
+// wrap returns the Transport tr, counting each call in t.sent.
+func (t *tally) wrap(tr Transport) Transport {
+	return &tallyTransport{Transport: tr, t: t}
 }
 
 // handler is n's network handler: it counts each packet in t.recv and
@@ -124,23 +124,22 @@ func sum(counts map[nodeType]int64, typ wire.Type, nodes ...topology.NodeID) int
 
 type tallyTransport struct {
 	Transport
-	self topology.NodeID
-	t    *tally
+	t *tally
 }
 
-func (tt *tallyTransport) Send(to topology.NodeID, msg wire.Message) {
-	tt.t.sent[nodeType{tt.self, msg.Type}]++
-	tt.Transport.Send(to, msg)
+func (tt *tallyTransport) Send(from, to topology.NodeID, msg wire.Message) {
+	tt.t.sent[nodeType{from, msg.Type}]++
+	tt.Transport.Send(from, to, msg)
 }
 
-func (tt *tallyTransport) Multicast(targets []topology.NodeID, msg wire.Message) {
-	tt.t.sent[nodeType{tt.self, msg.Type}]++
-	tt.Transport.Multicast(targets, msg)
+func (tt *tallyTransport) Multicast(from topology.NodeID, targets []topology.NodeID, msg wire.Message) {
+	tt.t.sent[nodeType{from, msg.Type}]++
+	tt.Transport.Multicast(from, targets, msg)
 }
 
-func (tt *tallyTransport) Broadcast(msg wire.Message) {
-	tt.t.sent[nodeType{tt.self, msg.Type}]++
-	tt.Transport.Broadcast(msg)
+func (tt *tallyTransport) Broadcast(from topology.NodeID, msg wire.Message) {
+	tt.t.sent[nodeType{from, msg.Type}]++
+	tt.Transport.Broadcast(from, msg)
 }
 
 func (c *cluster) deliveredCount(id wire.MessageID) int {
@@ -184,7 +183,7 @@ func (r *regionLoss) Drop(_, to topology.NodeID, t wire.Type) bool {
 // traceMember makes sink see the events m emits. A tracer is its region's,
 // so this one passes on m's events and drops its peers'.
 func traceMember(m *Member, sink trace.Tracer) {
-	m.region.tracer = memberTracer{m.self, sink}
+	m.region.tracer = memberTracer{m.self(), sink}
 }
 
 type memberTracer struct {

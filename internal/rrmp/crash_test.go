@@ -48,7 +48,7 @@ func TestFailureDetectorSuspectsCrashedPeer(t *testing.T) {
 		if m.peerLive(victim) {
 			t.Fatalf("member %d still considers crashed %d live", n, victim)
 		}
-		if m.Metrics().Suspects.Value() == 0 {
+		if m.coldState().faults.Suspects.Value() == 0 {
 			t.Fatalf("member %d recorded no suspect events", n)
 		}
 		// No false positives: all other peers stayed live.
@@ -140,8 +140,8 @@ func TestCrashRecoverReRecoversKnownGaps(t *testing.T) {
 	if !m.HasReceived(id) {
 		t.Fatal("victim never re-recovered the gap it knew about")
 	}
-	if m.Metrics().ReRecoveryLatency.N() != 1 {
-		t.Fatalf("ReRecoveryLatency.N() = %d, want 1", m.Metrics().ReRecoveryLatency.N())
+	if m.coldState().faults.ReRecoveryLatency.N() != 1 {
+		t.Fatalf("ReRecoveryLatency.N() = %d, want 1", m.coldState().faults.ReRecoveryLatency.N())
 	}
 	if m.Metrics().Unrecoverable.Value() != 0 {
 		t.Fatal("recovered message still counted unrecoverable")

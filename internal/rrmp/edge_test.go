@@ -91,7 +91,7 @@ func TestLeaveIsIdempotentAndSoleMemberSafe(t *testing.T) {
 	if !m.Left() {
 		t.Fatal("not left")
 	}
-	if m.Metrics().HandoffsSent.Value() != 0 {
+	if m.coldState().faults.HandoffsSent.Value() != 0 {
 		t.Fatal("sole member handed off to nobody?")
 	}
 }
@@ -110,7 +110,7 @@ func TestHandoffToCrashedPeerIsLost(t *testing.T) {
 		t.Fatal("crashed peer holds the handoff")
 	}
 	// The handoff was sent (and dropped by the network).
-	if c.members[0].Metrics().HandoffsSent.Value() != 1 {
+	if c.members[0].coldState().faults.HandoffsSent.Value() != 1 {
 		t.Fatal("handoff not attempted")
 	}
 	if c.net.Stats().DroppedCount(wire.TypeHandoff) != 1 {
@@ -241,11 +241,10 @@ func TestPolicyOverrideViaConfig(t *testing.T) {
 	}
 	c := newCluster(t, topo, DefaultParams(), 30, nil)
 	m := NewMember(Config{
-		View:      view,
-		Transport: &netsim.Endpoint{Net: c.net, Self: 1, Group: c.all},
-		Rng:       c.members[1].rng.Split(99),
-		Policy:    core.BufferAll{},
-		Region:    NewRegion(view, c.sim, Params{}, nil),
+		View:   view,
+		Rng:    c.members[1].rng.Split(99),
+		Policy: core.BufferAll{},
+		Region: NewRegion(view, c.sim, &netsim.Group{Net: c.net, Members: c.all}, Params{}, nil),
 	})
 	id := wire.MessageID{Source: 0, Seq: 1}
 	m.InjectDeliver(id, nil)

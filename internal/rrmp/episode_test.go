@@ -216,7 +216,7 @@ func BenchmarkSearchHop(b *testing.B) {
 	params := DefaultParams()
 	params.MaxSearchTries = 1 << 62
 	m := newCluster(b, singleRegion(b, 10), params, 1, nil).members[3]
-	m.transport = &countTransport{}
+	m.region.transport = &countTransport{}
 	s := m.newSearch(m.msg(wire.MessageID{Source: 0, Seq: 98}), 12)
 	b.ReportAllocs()
 	b.ResetTimer()

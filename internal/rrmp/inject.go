@@ -19,8 +19,8 @@ func (m *Member) InjectDeliver(id wire.MessageID, payload []byte) {
 	m.InjectDiscarded(id)
 	m.buf.Store(id, payload)
 	m.metrics.Delivered.Inc()
-	if m.hooks != nil && m.hooks.OnDeliver != nil {
-		m.hooks.OnDeliver(id, m.region.sched.Now())
+	if h := m.hooks(); h != nil && h.OnDeliver != nil {
+		h.OnDeliver(id, m.region.sched().Now())
 	}
 }
 

@@ -35,13 +35,6 @@ type Metrics struct {
 	SearchesStarted stats.Counter
 	SearchFailures  stats.Counter
 
-	// HandoffsSent counts long-term buffer transfers on voluntary leave
-	// (§3.2).
-	HandoffsSent stats.Counter
-
-	// Suspects counts failure-detector suspicions observed by this member
-	// (FDEnabled only).
-	Suspects stats.Counter
 	// Unrecoverable counts loss-recovery episodes abandoned after every
 	// recovery phase exhausted its retry budget — the explicit "this
 	// message is lost" signal crash faults can produce. A late delivery
@@ -52,11 +45,24 @@ type Metrics struct {
 
 	// RecoveryLatency averages detect→recover times in milliseconds.
 	RecoveryLatency stats.RunningMean
+	// BufferingTime averages store→evict times in milliseconds (all
+	// eviction reasons except handoff).
+	BufferingTime stats.RunningMean
+}
+
+// FaultMetrics tallies what only churn and faults move at a member. Most
+// members of most scenarios never touch them, so a member keeps them in
+// its cold state, made on first use, and reports them by
+// Member.Faults. Like Metrics, every field is constant-size.
+type FaultMetrics struct {
+	// HandoffsSent counts long-term buffer transfers on voluntary leave
+	// (§3.2).
+	HandoffsSent stats.Counter
+	// Suspects counts failure-detector suspicions observed by this member
+	// (FDEnabled only).
+	Suspects stats.Counter
 	// ReRecoveryLatency averages detect→recover times for recoveries
 	// re-initiated by Member.Recover after a crash outage: the time to
 	// close each gap the member rediscovered when it came back.
 	ReRecoveryLatency stats.RunningMean
-	// BufferingTime averages store→evict times in milliseconds (all
-	// eviction reasons except handoff).
-	BufferingTime stats.RunningMean
 }

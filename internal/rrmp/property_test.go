@@ -143,16 +143,16 @@ func newClusterQuiet(topo *topology.Topology, params Params, seed uint64, loss n
 	for r := 0; r < topo.NumRegions(); r++ {
 		c.all = append(c.all, topo.Members(topology.RegionID(r))...)
 	}
+	transport := &netsim.Group{Net: net, Members: c.all}
 	for _, n := range c.all {
 		view, err := topo.ViewOf(n)
 		if err != nil {
 			panic(err)
 		}
 		m := NewMember(Config{
-			View:      view,
-			Transport: &netsim.Endpoint{Net: net, Self: n, Group: c.all},
-			Rng:       root.Split(uint64(n) + 1),
-			Region:    NewRegion(view, s, params, nil),
+			View:   view,
+			Rng:    root.Split(uint64(n) + 1),
+			Region: NewRegion(view, s, transport, params, nil),
 		})
 		c.members[n] = m
 		member := m

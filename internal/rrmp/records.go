@@ -33,22 +33,24 @@ import (
 // Region is everything the members of one region share: every member runs
 // the same T, C and n (§3.1–3.2), so the region holds one copy of the
 // defaulted Params, the region's and its parent region's member lists
-// (every member's View repeats them), the scheduler of the event loop it
-// runs on, the tracer, the buffers' common settings and spare entries
-// (core.Shared) and the paper's two-phase policy for members given no
-// other; and its members' buffers fill and go idle together, so it holds
+// (every member's View repeats them), the transport its members send
+// through, the tracer, the buffers' common settings and spare entries
+// (core.Shared, which holds the scheduler of the event loop the region
+// runs on) and the paper's two-phase policy for members given no other;
+// and its members' buffers fill and go idle together, so it holds
 // the free lists their message records and heartbeat tables come from and
 // go back to. A region never spans event loops, so one loop touches each
 // list. NewRegion builds it once, before its members.
 type Region struct {
-	params Params
-	sched  clock.Scheduler
-	tracer trace.Tracer
+	params    Params
+	transport Transport
+	tracer    trace.Tracer
 	// members and parents are the View's RegionMembers and ParentMembers,
 	// which topology shares across the region's views.
 	members, parents []topology.NodeID
-	// buffers is what the members' buffers share: the scheduler, the byte
-	// budget, the copy flag and their spare entries.
+	// buffers is what the members' buffers share: the scheduler (the
+	// region's, see sched), the byte budget, the copy flag and their spare
+	// entries.
 	buffers core.Shared
 	// policy is the two-phase policy, made by the first member that needs
 	// it; it holds only parameters, so the members share it.
@@ -63,21 +65,28 @@ type Region struct {
 	backoffs []*backoff
 }
 
-// NewRegion builds the region of view's members, running on sched under
-// params (zero fields take defaults) and traced to tracer (nil for none).
-// Every member built on it reads these through it, so its members cannot
-// disagree on them. It panics on a nil sched, a programming error.
-func NewRegion(view topology.View, sched clock.Scheduler, params Params, tracer trace.Tracer) *Region {
+// NewRegion builds the region of view's members, running on sched,
+// sending through transport, under params (zero fields take defaults) and
+// traced to tracer (nil for none). Every member built on it reads these
+// through it, so its members cannot disagree on them. It panics on a nil
+// sched or transport, programming errors.
+func NewRegion(view topology.View, sched clock.Scheduler, transport Transport, params Params, tracer trace.Tracer) *Region {
 	if sched == nil {
 		panic("rrmp: NewRegion needs a Sched")
 	}
+	if transport == nil {
+		panic("rrmp: NewRegion needs a Transport")
+	}
 	p := params.withDefaults()
 	return &Region{
-		params: p, sched: sched, tracer: tracer,
+		params: p, transport: transport, tracer: tracer,
 		members: view.RegionMembers, parents: view.ParentMembers,
 		buffers: core.Shared{Sched: sched, ByteBudget: p.ByteBudget, CopyPayload: p.CopyOnStore},
 	}
 }
+
+// sched is the scheduler of the event loop the region runs on.
+func (r *Region) sched() clock.Scheduler { return r.buffers.Sched }
 
 // size is the number of members in the region.
 func (r *Region) size() int { return max(len(r.members), 1) }
@@ -139,11 +148,11 @@ type msgState struct {
 
 // record returns id's record, or nil if it has none.
 func (m *Member) record(id wire.MessageID) *msgState {
-	i, ok := m.findSource(id.Source)
-	if !ok {
+	st := m.findSource(id.Source)
+	if st == nil {
 		return nil
 	}
-	return m.sources[i].record(id.Seq)
+	return st.record(id.Seq)
 }
 
 // msg returns id's record, making it if there is none.
@@ -168,8 +177,7 @@ func (m *Member) release(ms *msgState) {
 		len(ms.waiters) > 0 || ms.bufferer != topology.NoNode || ms.unrecovered {
 		return
 	}
-	i, _ := m.findSource(ms.id.Source)
-	m.sources[i].drop(ms.id.Seq)
+	m.findSource(ms.id.Source).drop(ms.id.Seq)
 	*ms = msgState{}
 	m.region.msgs = append(m.region.msgs, ms)
 }
@@ -178,7 +186,7 @@ func (m *Member) release(ms *msgState) {
 // The loop body may release records but must not make one, which could
 // slide a window under the walk.
 func (m *Member) records(yield func(*msgState) bool) {
-	for _, st := range m.sources {
+	for st := range m.sources {
 		for _, ms := range st.back {
 			if ms != nil && !yield(ms) {
 				return

@@ -47,7 +47,7 @@ func newBareMember(t testing.TB) *Member {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewMember(Config{View: view, Transport: &countTransport{}, Rng: rng.New(1), Region: NewRegion(view, sim.New(), DefaultParams(), nil)})
+	return NewMember(Config{View: view, Rng: rng.New(1), Region: NewRegion(view, sim.New(), &countTransport{}, DefaultParams(), nil)})
 }
 
 // FuzzMsgWindow holds a member's record windows to a map over fuzzed
@@ -138,8 +138,8 @@ func FuzzMsgWindow(f *testing.F) {
 			if n != len(oracle) {
 				t.Fatalf("op %d (kind %d): the windows hold %d records, want %d", i/3, kind, n, len(oracle))
 			}
-			if len(m.sources) > 0 && !slices.Contains(m.sources, &m.first) {
-				t.Fatalf("op %d (kind %d): no source's state is the inline one", i/3, kind)
+			if m.more != nil && (len(m.more) < 2 || !slices.Contains(m.more, &m.first)) {
+				t.Fatalf("op %d (kind %d): a table of %d sources, none of them the inline one", i/3, kind, len(m.more))
 			}
 		}
 	})
@@ -164,12 +164,12 @@ func seqRange(lo, hi uint64, step int) []uint64 {
 func TestRecordWindowBounded(t *testing.T) {
 	c := newCluster(t, chainRegions(t, 10, 10), DefaultParams(), 1, nil)
 	m := c.members[c.topo.MemberAt(1, 3)]
-	m.transport = &countTransport{}
+	m.region.transport = &countTransport{}
 	payload := make([]byte, 16)
 	for seq := uint64(1); seq <= 10000; seq++ {
 		m.StartRecovery(wire.MessageID{Source: 0, Seq: seq + 1})
 		m.Receive(0, wire.Message{Type: wire.TypeData, From: 0, ID: wire.MessageID{Source: 0, Seq: seq}, Payload: payload})
-		if n := len(m.sources[0].back); n > 2 {
+		if n := len(m.first.back); n > 2 {
 			t.Fatalf("after %d in-order episodes the window holds %d slots", seq, n)
 		}
 	}

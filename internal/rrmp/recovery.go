@@ -34,7 +34,7 @@ type recovery struct {
 	localDead  bool
 	remoteDead bool
 	// rerecovery marks an episode re-initiated by Member.Recover after a
-	// crash outage; its completion feeds Metrics.ReRecoveryLatency.
+	// crash outage; its completion feeds FaultMetrics.ReRecoveryLatency.
 	rerecovery bool
 }
 
@@ -49,7 +49,7 @@ func (m *Member) newRecovery(ms *msgState, rerecovery bool) *recovery {
 		rec = new(recovery)
 		rec.localRetry, rec.remoteRetry = rec.retryLocal, rec.retryRemote
 	}
-	rec.ms, rec.detectedAt, rec.rerecovery, rec.done = ms, m.region.sched.Now(), rerecovery, false
+	rec.ms, rec.detectedAt, rec.rerecovery, rec.done = ms, m.region.sched().Now(), rerecovery, false
 	ms.recovery = rec
 	return rec
 }
@@ -132,8 +132,8 @@ func (m *Member) localAttempt(rec *recovery) {
 	m.metrics.LocalReqSent.Inc()
 	id := rec.ms.id
 	m.trace(trace.Event{Kind: trace.LocalReq, ID: id, Peer: q, N: int32(rec.localTries)})
-	m.transport.Send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self, ID: id})
-	rec.localTimer.Arm(m.region.sched, m.region.params.IntraRTT+m.region.params.retryGrace(), rec.localRetry)
+	m.send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self(), ID: id})
+	rec.localTimer.Arm(m.region.sched(), m.region.params.IntraRTT+m.region.params.retryGrace(), rec.localRetry)
 }
 
 // remoteAttempt runs one remote-recovery round: with probability λ/n send a
@@ -164,9 +164,9 @@ func (m *Member) remoteAttempt(rec *recovery) {
 		m.metrics.RemoteReqSent.Inc()
 		id := rec.ms.id
 		m.trace(trace.Event{Kind: trace.RemoteReq, ID: id, Peer: r, N: int32(rec.remoteTries)})
-		m.transport.Send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self, ID: id, Origin: m.self})
+		m.send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self(), ID: id, Origin: m.self()})
 	}
-	rec.remoteTimer.Arm(m.region.sched, m.region.params.ParentRTT+m.region.params.retryGrace(), rec.remoteRetry)
+	rec.remoteTimer.Arm(m.region.sched(), m.region.params.ParentRTT+m.region.params.retryGrace(), rec.remoteRetry)
 }
 
 // checkAbandoned finishes an episode once neither phase can make further

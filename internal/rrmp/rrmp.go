@@ -37,18 +37,19 @@ const (
 	policyStreamLabel = 0x706f6c6963797267
 )
 
-// Transport lets a member send PDUs. Implementations must deliver
-// asynchronously (never call back into the member synchronously from Send),
+// Transport lets members send PDUs. A region's members share one (Region),
+// so every method names the member sending. Implementations must deliver
+// asynchronously (never call back into a member synchronously from Send),
 // which the simulator's network guarantees.
 type Transport interface {
-	// Send transmits msg to one peer.
-	Send(to topology.NodeID, msg wire.Message)
-	// Multicast transmits msg to every member of targets except the
-	// sender itself, in target order (a region fan-out).
-	Multicast(targets []topology.NodeID, msg wire.Message)
-	// Broadcast transmits msg to the entire multicast group (the initial
-	// IP multicast). Only the sender uses this.
-	Broadcast(msg wire.Message)
+	// Send transmits msg from one member to one peer.
+	Send(from, to topology.NodeID, msg wire.Message)
+	// Multicast transmits msg from one member to every member of targets
+	// except the sender itself, in target order (a region fan-out).
+	Multicast(from topology.NodeID, targets []topology.NodeID, msg wire.Message)
+	// Broadcast transmits msg from one member to the entire multicast
+	// group (the initial IP multicast). Only the sender uses this.
+	Broadcast(from topology.NodeID, msg wire.Message)
 }
 
 // Hooks are optional experiment/instrumentation callbacks. All hooks run
@@ -73,13 +74,12 @@ type Hooks struct {
 }
 
 // Config assembles a member. What the member shares with its region
-// (the scheduler, the Params and the tracer) its Region holds.
+// (the scheduler, the transport, the Params and the tracer) its Region
+// holds.
 type Config struct {
 	// View is this member's partial group knowledge (own region + parent
 	// region, §2.1).
 	View topology.View
-	// Transport sends PDUs; required.
-	Transport Transport
 	// Rng is this member's private randomness stream; required.
 	Rng *rng.Source
 	// Policy overrides the buffering policy. Nil selects the paper's
@@ -109,9 +109,20 @@ type sourceState struct {
 	window
 }
 
+// coldState is what a member holds that most scenarios never touch: its
+// instrumentation hooks, its failure detector and the metrics only churn
+// and faults move. A member makes it on first use (Member.coldState), so
+// a member with no hooks and no detector that never leaves, suspects a
+// peer or recovers from a crash holds one nil pointer for all of it.
+type coldState struct {
+	hooks  Hooks
+	fd     *gossipfd.Detector
+	faults FaultMetrics
+}
+
 // noCopy makes vet's copylocks check flag a copied Member: a member
-// points into itself (sources at srcBack and first, its buffer at bufRng
-// and its own index), so a copy would share the original's state.
+// points into itself (its source table at first, its buffer at bufRng and
+// its own index), so a copy would share the original's state.
 type noCopy struct{}
 
 func (*noCopy) Lock()   {}
@@ -121,68 +132,56 @@ func (*noCopy) Unlock() {}
 // from a single goroutine.
 //
 // A member holds by value what only it owns: its buffer, the buffer's rng
-// stream, and the first source's reception state with the one-element
-// table that points at it, so runner.NewCluster builds a whole group's
-// members in one slab. What its region's members share (the View's member
-// lists, the Params, the scheduler, the tracer, the buffers' common
-// settings and the free lists) it reads through its Region.
+// stream and the first source's reception state, so runner.NewCluster
+// builds a whole group's members in one slab. What its region's members
+// share (the View's member lists, the transport, the Params, the
+// scheduler, the tracer, the buffers' common settings and the free lists)
+// it reads through its Region, and what few members touch (hooks, a
+// failure detector, churn and fault metrics) through its coldState.
 type Member struct {
-	_ noCopy
-	// selfIdx and self (beside the flags, where it packs) are the
-	// member's place in its View; the View's member lists are its
-	// region's (Region.members, Region.parents).
-	selfIdx   int
-	transport Transport
-	rng       *rng.Source
-	// hooks are the Config's Hooks, or nil when none is set.
-	hooks *Hooks
+	_   noCopy
+	rng *rng.Source
 	// region is what the member shares with the rest of its region (see
 	// Region).
 	region *Region
+	// cold is made on first use (coldState); nil until then.
+	cold *coldState
 
 	buf    core.Buffer
 	bufRng rng.Source // the buffer's election stream
-	// sources holds the reception state of every sender heard from,
-	// sorted by src. A group has one sender, or a handful, so a binary
-	// search beats hashing the id. The first sender's state is first and
-	// the table starts in srcBack, so a one-sender group's member makes
-	// neither; a second sender moves the table to the heap, and first
-	// stays where it is.
-	sources []*sourceState
-	srcBack [1]*sourceState
-	first   sourceState
+	// first is the reception state of the first sender heard from (its
+	// src is topology.NoNode until then), and more, once a second sender
+	// is heard, the table of every sender's, first included, sorted by
+	// src. A group has one sender, or a handful, so a binary search beats
+	// hashing the id, and a one-sender group's member makes no table.
+	first sourceState
+	more  []*sourceState
 	// served records when this member last repaired a given (message,
 	// origin) pair from a search, so the burst of in-flight SEARCH PDUs
 	// that race the terminating HAVE does not each trigger another repair.
 	// Made on first use (markServed).
 	served map[servedKey]time.Duration
-	// fd is the optional gossip failure detector (Params.FDEnabled);
-	// nil when disabled, in which case every peer counts as live.
-	fd *gossipfd.Detector
 
 	metrics Metrics
-	self    topology.NodeID
+	// selfIdx is the member's place in its region's member list
+	// (Region.members), which names it (self).
+	selfIdx int32
 	left    bool
 	crashed bool
 }
 
 // Init makes the zero Member m a member of cfg.Region, in place; a member
-// never moves once made. It panics on a missing Transport or Rng
-// (programming errors).
+// never moves once made. It panics on a missing Rng (a programming error).
 func (m *Member) Init(cfg Config) {
-	if cfg.Transport == nil {
-		panic("rrmp: Config.Transport is required")
-	}
 	if cfg.Rng == nil {
 		panic("rrmp: Config.Rng is required")
 	}
 	region := cfg.Region
-	m.self, m.selfIdx = cfg.View.Self, cfg.View.SelfIdx
-	m.transport, m.rng, m.region = cfg.Transport, cfg.Rng, region
-	m.sources = m.srcBack[:0]
+	m.selfIdx = int32(cfg.View.SelfIdx)
+	m.rng, m.region = cfg.Rng, region
+	m.first.src = topology.NoNode
 	if cfg.Hooks.any() {
-		hooks := cfg.Hooks
-		m.hooks = &hooks
+		m.coldState().hooks = cfg.Hooks
 	}
 
 	policy := cfg.Policy
@@ -195,17 +194,56 @@ func (m *Member) Init(cfg Config) {
 	cfg.Rng.SplitInto(bufferStreamLabel, &m.bufRng)
 	m.buf.Init(&region.buffers, policy, &m.bufRng, (*bufferEvents)(m))
 	if region.params.FDEnabled && cfg.View.NumPeers() > 0 {
-		m.fd = gossipfd.New(gossipfd.Config{
+		fd := gossipfd.New(gossipfd.Config{
 			View:      cfg.View,
-			Sched:     region.sched,
+			Sched:     region.sched(),
 			Rng:       cfg.Rng.Split(gossipFDStreamLabel),
-			Send:      func(to topology.NodeID, msg wire.Message) { m.transport.Send(to, msg) },
+			Send:      m.send,
 			OnSuspect: m.onSuspect,
 			OnRestore: m.onRestore,
 			Tables:    region.heartbeatTables(),
 		})
-		m.fd.Start()
+		m.coldState().fd = fd
+		fd.Start()
 	}
+}
+
+// coldState returns the member's cold state, making it on first use.
+func (m *Member) coldState() *coldState {
+	if m.cold == nil {
+		m.cold = new(coldState)
+	}
+	return m.cold
+}
+
+// hooks returns the member's hooks, or nil when it has none.
+func (m *Member) hooks() *Hooks {
+	if m.cold == nil {
+		return nil
+	}
+	return &m.cold.hooks
+}
+
+// detector returns the member's failure detector, or nil when it runs
+// none (Params.FDEnabled), in which case every peer counts as live.
+func (m *Member) detector() *gossipfd.Detector {
+	if m.cold == nil {
+		return nil
+	}
+	return m.cold.fd
+}
+
+// self is the member's node id.
+func (m *Member) self() topology.NodeID { return m.region.members[m.selfIdx] }
+
+// send transmits msg from the member to one peer.
+func (m *Member) send(to topology.NodeID, msg wire.Message) {
+	m.region.transport.Send(m.self(), to, msg)
+}
+
+// multicast transmits msg from the member to the rest of its region.
+func (m *Member) multicast(msg wire.Message) {
+	m.region.transport.Multicast(m.self(), m.region.members, msg)
 }
 
 // bufferEvents is a Member seen as its buffer's core.Observer, so the
@@ -215,16 +253,16 @@ type bufferEvents Member
 func (o *bufferEvents) Evicted(e *core.Entry, r core.EvictReason) {
 	m := (*Member)(o)
 	if r != core.EvictHandoff {
-		m.metrics.BufferingTime.AddDuration(m.region.sched.Now() - e.StoredAt)
+		m.metrics.BufferingTime.AddDuration(m.region.sched().Now() - e.StoredAt)
 	}
-	if m.hooks != nil && m.hooks.OnEvict != nil {
-		m.hooks.OnEvict(e, r)
+	if h := m.hooks(); h != nil && h.OnEvict != nil {
+		h.OnEvict(e, r)
 	}
 }
 
 func (o *bufferEvents) Promoted(e *core.Entry) {
-	if m := (*Member)(o); m.hooks != nil && m.hooks.OnPromote != nil {
-		m.hooks.OnPromote(e)
+	if h := (*Member)(o).hooks(); h != nil && h.OnPromote != nil {
+		h.OnPromote(e)
 	}
 }
 
@@ -232,7 +270,7 @@ func (o *bufferEvents) Promoted(e *core.Entry) {
 // bufferer pointers at the suspect are dropped so in-flight searches fall
 // back to the random walk instead of probing a corpse.
 func (m *Member) onSuspect(n topology.NodeID) {
-	m.metrics.Suspects.Inc()
+	m.coldState().faults.Suspects.Inc()
 	for ms := range m.records {
 		if ms.bufferer == n {
 			ms.bufferer = topology.NoNode
@@ -249,7 +287,8 @@ func (m *Member) onRestore(n topology.NodeID) {
 // peerLive reports whether the failure detector considers n alive. With
 // no detector every peer is live, preserving the pre-FD protocol exactly.
 func (m *Member) peerLive(n topology.NodeID) bool {
-	return m.fd == nil || !m.fd.Suspected(n)
+	fd := m.detector()
+	return fd == nil || !fd.Suspected(n)
 }
 
 // inOwnRegion reports whether n is a member of this member's own region
@@ -259,9 +298,6 @@ func (m *Member) peerLive(n topology.NodeID) bool {
 // O(members × region size) setup cost the 1M-member path cannot afford.
 func (m *Member) inOwnRegion(n topology.NodeID) bool {
 	rm := m.region.members
-	if len(rm) == 0 {
-		return n == m.self
-	}
 	return n >= rm[0] && n <= rm[len(rm)-1]
 }
 
@@ -274,14 +310,14 @@ func (m *Member) inOwnRegion(n topology.NodeID) bool {
 // deadlocking on an empty candidate set. Without it, every peer of the
 // shared view is a candidate. Neither branch allocates.
 func (m *Member) randomPeer() (topology.NodeID, bool) {
-	if m.fd != nil {
-		return m.fd.PickPeer(m.rng)
+	if fd := m.detector(); fd != nil {
+		return fd.PickPeer(m.rng)
 	}
 	rm := m.region.members
 	if len(rm) < 2 {
 		return topology.NoNode, false
 	}
-	return rm[m.rng.Pick(len(rm), m.selfIdx)], true
+	return rm[m.rng.Pick(len(rm), int(m.selfIdx))], true
 }
 
 // Buffer exposes the member's message buffer (read-mostly; experiments
@@ -291,53 +327,95 @@ func (m *Member) Buffer() *core.Buffer { return &m.buf }
 // Metrics returns the member's live metrics.
 func (m *Member) Metrics() *Metrics { return &m.metrics }
 
+// Faults returns the member's churn and fault metrics: zero unless it
+// left with long-term copies, suspected a peer or recovered from a crash.
+func (m *Member) Faults() FaultMetrics {
+	if m.cold == nil {
+		return FaultMetrics{}
+	}
+	return m.cold.faults
+}
+
 // Left reports whether the member has left the group.
 func (m *Member) Left() bool { return m.left }
 
 // HasReceived reports whether id was ever delivered to this member
 // (it may since have been discarded from the buffer).
 func (m *Member) HasReceived(id wire.MessageID) bool {
-	i, ok := m.findSource(id.Source)
-	return ok && m.sources[i].Has(id.Seq)
+	st := m.findSource(id.Source)
+	return st != nil && st.Has(id.Seq)
 }
 
 // Prefix returns the contiguous received prefix for src: the largest k such
 // that every sequence in [1, k] has been received. Stability detection
 // baselines gossip this value as their message-history digest.
 func (m *Member) Prefix(src topology.NodeID) uint64 {
-	i, ok := m.findSource(src)
-	if !ok {
+	st := m.findSource(src)
+	if st == nil {
 		return 0
 	}
-	return m.sources[i].Prefix()
+	return st.Prefix()
 }
 
-// findSource returns where src's reception state is, or belongs, in
-// m.sources, by binary search.
-func (m *Member) findSource(src topology.NodeID) (int, bool) {
-	lo, hi := 0, len(m.sources)
+// findSource returns src's reception state, or nil if src was never heard.
+func (m *Member) findSource(src topology.NodeID) *sourceState {
+	if m.more == nil {
+		if m.first.src == src && src != topology.NoNode {
+			return &m.first
+		}
+		return nil
+	}
+	if i, ok := m.searchMore(src); ok {
+		return m.more[i]
+	}
+	return nil
+}
+
+// searchMore returns where src's reception state is, or belongs, in
+// m.more, by binary search.
+func (m *Member) searchMore(src topology.NodeID) (int, bool) {
+	lo, hi := 0, len(m.more)
 	for lo < hi {
-		if h := int(uint(lo+hi) >> 1); m.sources[h].src < src {
+		if h := int(uint(lo+hi) >> 1); m.more[h].src < src {
 			lo = h + 1
 		} else {
 			hi = h
 		}
 	}
-	return lo, lo < len(m.sources) && m.sources[lo].src == src
+	return lo, lo < len(m.more) && m.more[lo].src == src
 }
 
 // source returns (creating if needed) the reception state for src.
 func (m *Member) source(src topology.NodeID) *sourceState {
-	i, ok := m.findSource(src)
-	if !ok {
-		st := &m.first
-		if len(m.sources) > 0 {
-			st = new(sourceState)
-		}
-		st.src = src
-		m.sources = slices.Insert(m.sources, i, st)
+	if st := m.findSource(src); st != nil {
+		return st
 	}
-	return m.sources[i]
+	if m.first.src == topology.NoNode {
+		m.first.src = src
+		return &m.first
+	}
+	if m.more == nil {
+		m.more = append(make([]*sourceState, 0, 2), &m.first)
+	}
+	st := &sourceState{src: src}
+	i, _ := m.searchMore(src)
+	m.more = slices.Insert(m.more, i, st)
+	return st
+}
+
+// sources yields the member's reception states in ascending src order.
+func (m *Member) sources(yield func(*sourceState) bool) {
+	if m.more == nil {
+		if m.first.src != topology.NoNode {
+			yield(&m.first)
+		}
+		return
+	}
+	for _, st := range m.more {
+		if !yield(st) {
+			return
+		}
+	}
 }
 
 // Receive dispatches one incoming PDU, as ReceivePacket does for a packet
@@ -373,9 +451,9 @@ func (m *Member) receive(from topology.NodeID, msg *wire.Message) {
 	case wire.TypeHandoff:
 		m.onHandoff(from, msg)
 	case wire.TypeHeartbeat:
-		if m.fd != nil {
-			m.fd.Receive(*msg)
-			m.fd.Recycle(msg.Counters)
+		if fd := m.detector(); fd != nil {
+			fd.Receive(*msg)
+			fd.Recycle(msg.Counters)
 		}
 	default:
 		// Unknown/baseline-only PDUs are ignored by the RRMP engine.
@@ -470,7 +548,7 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 		return false
 	}
 	st.Mark(id.Seq)
-	now := m.region.sched.Now()
+	now := m.region.sched().Now()
 
 	m.buf.Store(id, payload)
 	m.metrics.Delivered.Inc()
@@ -483,10 +561,10 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 			m.endRecovery(rec)
 			m.metrics.RecoveryLatency.AddDuration(latency)
 			if rerecovery {
-				m.metrics.ReRecoveryLatency.AddDuration(latency)
+				m.coldState().faults.ReRecoveryLatency.AddDuration(latency)
 			}
-			if m.hooks != nil && m.hooks.OnRecovered != nil {
-				m.hooks.OnRecovered(id, latency)
+			if h := m.hooks(); h != nil && h.OnRecovered != nil {
+				h.OnRecovered(id, latency)
 			}
 		}
 
@@ -513,8 +591,8 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 	// Detect gaps below this sequence number.
 	m.noteTop(id.Source, id.Seq)
 
-	if m.hooks != nil && m.hooks.OnDeliver != nil {
-		m.hooks.OnDeliver(id, now)
+	if h := m.hooks(); h != nil && h.OnDeliver != nil {
+		h.OnDeliver(id, now)
 	}
 	return true
 }
@@ -528,9 +606,9 @@ func (m *Member) sendRepair(to topology.NodeID, e *core.Entry) {
 // where the message need not (or no longer) be buffered locally.
 func (m *Member) sendRepairPayload(to topology.NodeID, id wire.MessageID, payload []byte, longTerm bool) {
 	m.metrics.RepairsSent.Inc()
-	m.transport.Send(to, wire.Message{
+	m.send(to, wire.Message{
 		Type:     wire.TypeRepair,
-		From:     m.self,
+		From:     m.self(),
 		ID:       id,
 		Payload:  payload,
 		LongTerm: longTerm,
@@ -553,14 +631,13 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 	b := m.newBackoff(ms, &ms.mc)
 	b.payload = payload
 	delay := time.Duration(m.rng.Uint64n(uint64(m.region.params.RepairBackoffMax))) + 1
-	b.timer.Arm(m.region.sched, delay, b.fire)
+	b.timer.Arm(m.region.sched(), delay, b.fire)
 }
 
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {
 	m.metrics.RegionalMulticasts.Inc()
 	m.trace(trace.Event{Kind: trace.RegionMC, ID: id})
-	m.transport.Multicast(m.region.members,
-		wire.Message{Type: wire.TypeRepair, From: m.self, ID: id, Payload: payload})
+	m.multicast(wire.Message{Type: wire.TypeRepair, From: m.self(), ID: id, Payload: payload})
 }
 
 // addWaiter records a remote requester to relay to on receipt, without
@@ -588,19 +665,19 @@ func (m *Member) Leave() {
 		if !ok {
 			break // sole region member: nothing to transfer to
 		}
-		m.metrics.HandoffsSent.Inc()
+		m.coldState().faults.HandoffsSent.Inc()
 		m.trace(trace.Event{Kind: trace.HandoffSend, ID: e.ID, Peer: to})
-		m.transport.Send(to, wire.Message{
+		m.send(to, wire.Message{
 			Type:     wire.TypeHandoff,
-			From:     m.self,
+			From:     m.self(),
 			ID:       e.ID,
 			Payload:  e.Payload,
 			LongTerm: true,
 		})
 	}
 	m.stopEpisodes()
-	if m.fd != nil {
-		m.fd.Stop()
+	if fd := m.detector(); fd != nil {
+		fd.Stop()
 	}
 	m.buf.Close()
 	m.left = true
@@ -638,8 +715,8 @@ func (m *Member) Crash() {
 		return
 	}
 	m.stopEpisodes()
-	if m.fd != nil {
-		m.fd.Stop()
+	if fd := m.detector(); fd != nil {
+		fd.Stop()
 	}
 	m.crashed = true
 	m.trace(trace.Event{Kind: trace.Crash})
@@ -648,7 +725,7 @@ func (m *Member) Crash() {
 // Recover resumes a crashed member. Gossip restarts, and every gap the
 // member had already observed (detected losses whose recovery died with
 // the crash) is re-detected and recovered again — the re-recovery path
-// whose latency Metrics.ReRecoveryLatency records. Losses of messages
+// whose latency FaultMetrics.ReRecoveryLatency records. Losses of messages
 // published during the outage surface through the next session message as
 // usual. No-op unless the member is crashed.
 func (m *Member) Recover() {
@@ -656,13 +733,13 @@ func (m *Member) Recover() {
 		return
 	}
 	m.crashed = false
-	if m.fd != nil {
-		m.fd.Start()
+	if fd := m.detector(); fd != nil {
+		fd.Start()
 	}
 	m.trace(trace.Event{Kind: trace.Recover})
 	// Walk sources in ascending order: recovery start order pairs rng
 	// draws with messages, so it must be a function of the state alone.
-	for _, st := range m.sources {
+	for st := range m.sources {
 		for seq := uint64(1); seq <= st.maxSeen; seq++ {
 			if !st.Has(seq) {
 				id := wire.MessageID{Source: st.src, Seq: seq}
@@ -699,6 +776,6 @@ func (m *Member) trace(e trace.Event) {
 	if m.region.tracer == nil {
 		return
 	}
-	e.At, e.Node = m.region.sched.Now(), m.self
+	e.At, e.Node = m.region.sched().Now(), m.self()
 	m.region.tracer.Emit(e)
 }

@@ -126,8 +126,7 @@ func TestFeedbackKeepsHoldersBuffering(t *testing.T) {
 	// The buffer reports evictions to the member, which reads its hooks
 	// at each one, so a hook set after construction sees them.
 	var evictedAt time.Duration
-	holder.hooks = &Hooks{}
-	holder.hooks.OnEvict = func(e *core.Entry, r core.EvictReason) {
+	holder.coldState().hooks.OnEvict = func(e *core.Entry, r core.EvictReason) {
 		if e.ID == id {
 			evictedAt = c.sim.Now()
 		}
@@ -244,8 +243,7 @@ func TestSearchFindsBufferer(t *testing.T) {
 	var resolvedAt time.Duration
 	for _, n := range region {
 		m := c.members[n]
-		m.hooks = &Hooks{}
-		m.hooks.OnSearchResolved = func(gotID wire.MessageID, origin topology.NodeID) {
+		m.coldState().hooks.OnSearchResolved = func(gotID wire.MessageID, origin topology.NodeID) {
 			if gotID == id && origin == downstream && !resolved {
 				resolved = true
 				resolvedAt = c.sim.Now()
@@ -288,8 +286,7 @@ func TestSearchTimeZeroWhenRequestHitsBufferer(t *testing.T) {
 	downstream := topo.MemberAt(1, 0)
 	var resolvedAt time.Duration = -1
 	var reqArrive time.Duration
-	c.members[bufferer].hooks = &Hooks{}
-	c.members[bufferer].hooks.OnSearchResolved = func(wire.MessageID, topology.NodeID) {
+	c.members[bufferer].coldState().hooks.OnSearchResolved = func(wire.MessageID, topology.NodeID) {
 		resolvedAt = c.sim.Now()
 	}
 	c.sim.After(0, func() { reqArrive = c.sim.Now() })
@@ -317,7 +314,7 @@ func TestLeaveHandsOffLongTermBuffers(t *testing.T) {
 	leaver := c.members[topo.MemberAt(0, 2)]
 	leaver.InjectLongTerm(id, []byte("h"))
 	for _, n := range topo.Members(0) {
-		if n != leaver.self {
+		if n != leaver.self() {
 			c.members[n].InjectDiscarded(id)
 		}
 	}
@@ -336,8 +333,8 @@ func TestLeaveHandsOffLongTermBuffers(t *testing.T) {
 	if holders != 1 {
 		t.Fatalf("%d members hold the message after handoff, want exactly 1", holders)
 	}
-	if leaver.Metrics().HandoffsSent.Value() != 1 {
-		t.Fatalf("HandoffsSent = %d", leaver.Metrics().HandoffsSent.Value())
+	if leaver.coldState().faults.HandoffsSent.Value() != 1 {
+		t.Fatalf("HandoffsSent = %d", leaver.coldState().faults.HandoffsSent.Value())
 	}
 	if !leaver.Left() {
 		t.Fatal("Left() = false after Leave")
@@ -434,6 +431,7 @@ func TestHashElectPolicyRoutesSearchDirectly(t *testing.T) {
 		all = append(all, topo.Members(topology.RegionID(r))...)
 	}
 	params := DefaultParams()
+	transport := tl.wrap(&netsim.Group{Net: net, Members: all})
 	for _, n := range all {
 		view, err := topo.ViewOf(n)
 		if err != nil {
@@ -445,11 +443,10 @@ func TestHashElectPolicyRoutesSearchDirectly(t *testing.T) {
 			policy = core.NewHashElect(params.IdleThreshold, 3, n, regionAll, 0)
 		}
 		m := NewMember(Config{
-			View:      view,
-			Transport: tl.wrap(n, &netsim.Endpoint{Net: net, Self: n, Group: all}),
-			Rng:       root.Split(uint64(n) + 1),
-			Policy:    policy,
-			Region:    NewRegion(view, s, params, nil),
+			View:   view,
+			Rng:    root.Split(uint64(n) + 1),
+			Policy: policy,
+			Region: NewRegion(view, s, transport, params, nil),
 		})
 		members[n] = m
 		net.Register(n, tl.handler(n, m))
@@ -618,10 +615,11 @@ func TestNewMemberValidation(t *testing.T) {
 	topo := singleRegion(t, 2)
 	view, _ := topo.ViewOf(0)
 	s := sim.New()
-	base := Config{View: view, Transport: &netsim.Endpoint{}, Rng: rng.New(1), Region: NewRegion(view, s, Params{}, nil)}
+	transport := &netsim.Group{}
+	base := Config{View: view, Rng: rng.New(1), Region: NewRegion(view, s, transport, Params{}, nil)}
 	for name, build := range map[string]func(){
-		"nil transport": func() { c := base; c.Transport = nil; NewMember(c) },
-		"nil sched":     func() { NewRegion(view, nil, Params{}, nil) },
+		"nil transport": func() { NewRegion(view, s, nil, Params{}, nil) },
+		"nil sched":     func() { NewRegion(view, nil, transport, Params{}, nil) },
 		"nil rng":       func() { c := base; c.Rng = nil; NewMember(c) },
 	} {
 		func() {

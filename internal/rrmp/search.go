@@ -114,12 +114,11 @@ func (m *Member) queryAttempt(s *searchState) {
 	}
 	s.tries++
 	for _, o := range s.origins {
-		m.transport.Multicast(m.region.members,
-			wire.Message{Type: wire.TypeQuery, From: m.self, ID: s.ms.id, Origin: o})
+		m.multicast(wire.Message{Type: wire.TypeQuery, From: m.self(), ID: s.ms.id, Origin: o})
 	}
 	// Wait out the worst-case reply back-off plus a round trip before
 	// re-multicasting.
-	s.timer.Arm(m.region.sched, m.region.params.queryBackoffMax()+m.region.params.IntraRTT+m.region.params.retryGrace(), s.retry)
+	s.timer.Arm(m.region.sched(), m.region.params.queryBackoffMax()+m.region.params.IntraRTT+m.region.params.retryGrace(), s.retry)
 }
 
 // onQuery handles a multicast bufferer query: holders schedule a reply
@@ -140,7 +139,7 @@ func (m *Member) onQuery(from topology.NodeID, msg *wire.Message) {
 	b := m.newBackoff(ms, &ms.reply)
 	b.origin, b.querier = origin, from
 	delay := time.Duration(m.rng.Uint64n(uint64(m.region.params.queryBackoffMax()))) + 1
-	b.timer.Arm(m.region.sched, delay, b.fire)
+	b.timer.Arm(m.region.sched(), delay, b.fire)
 }
 
 // queryReply answers a multicast query for id on behalf of origin once
@@ -183,7 +182,7 @@ func (m *Member) searchAttempt(s *searchState) {
 	}
 	var q topology.NodeID
 	var ok bool
-	if known := s.ms.bufferer; s.tries == 0 && known != topology.NoNode && known != m.self {
+	if known := s.ms.bufferer; s.tries == 0 && known != topology.NoNode && known != m.self() {
 		// A HAVE identified a bufferer: route directly. It is consumed so
 		// a stale pointer (bufferer discarded since) degrades back to the
 		// random walk on the next attempt.
@@ -202,9 +201,9 @@ func (m *Member) searchAttempt(s *searchState) {
 	m.trace(trace.Event{Kind: trace.SearchFwd, ID: id, Peer: q, N: int32(s.tries)})
 	// One SEARCH per origin so each awaiting requester is carried forward.
 	for _, o := range s.origins {
-		m.transport.Send(q, wire.Message{Type: wire.TypeSearch, From: m.self, ID: id, Origin: o})
+		m.send(q, wire.Message{Type: wire.TypeSearch, From: m.self(), ID: id, Origin: o})
 	}
-	s.timer.Arm(m.region.sched, m.region.params.IntraRTT+m.region.params.retryGrace(), s.retry)
+	s.timer.Arm(m.region.sched(), m.region.params.IntraRTT+m.region.params.retryGrace(), s.retry)
 }
 
 // locator is the side of the deterministic hash policy (§3.4) a search
@@ -223,7 +222,7 @@ func (m *Member) nextDeterministicTarget(loc locator, s *searchState) (topology.
 	var fallback topology.NodeID = topology.NoNode
 	for i := s.tries; i < len(set)+s.tries; i++ {
 		cand := set[i%len(set)]
-		if cand == m.self {
+		if cand == m.self() {
 			continue
 		}
 		if m.peerLive(cand) {
@@ -250,12 +249,12 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 		// in-flight PDUs race the terminating HAVE). Serve each remote
 		// requester at most once per round-trip window.
 		key := servedKey{id: id, origin: origin}
-		now := m.region.sched.Now()
+		now := m.region.sched().Now()
 		if at, ok := m.served[key]; ok && now-at <= 2*m.region.params.IntraRTT {
 			// Duplicate probe for an already-served requester: answer with
 			// a unicast HAVE (no payload) so the prober stops, without
 			// re-sending the repair or re-multicasting.
-			m.transport.Send(from, wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
+			m.send(from, wire.Message{Type: wire.TypeHave, From: m.self(), ID: id, Origin: origin})
 			return
 		}
 		m.markServed(key, now)
@@ -295,8 +294,7 @@ func (m *Member) markServed(key servedKey, now time.Duration) {
 // announceHave multicasts "I have the message" in the region, terminating
 // the search episode for origin (§3.3).
 func (m *Member) announceHave(id wire.MessageID, origin topology.NodeID) {
-	m.transport.Multicast(m.region.members,
-		wire.Message{Type: wire.TypeHave, From: m.self, ID: id, Origin: origin})
+	m.multicast(wire.Message{Type: wire.TypeHave, From: m.self(), ID: id, Origin: origin})
 }
 
 // onHave ends the local search episode for the served origin. If this
@@ -307,7 +305,7 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	ms.bufferer = from
 	// The requester named in the HAVE has been served: holders receiving
 	// late probes for the same (message, origin) must not repair again.
-	m.markServed(servedKey{id: msg.ID, origin: msg.Origin}, m.region.sched.Now())
+	m.markServed(servedKey{id: msg.ID, origin: msg.Origin}, m.region.sched().Now())
 	// Another member answered: suppress our own pending query reply.
 	if ms.reply != nil {
 		m.endBackoff(ms.reply)
@@ -324,7 +322,7 @@ func (m *Member) onHave(from topology.NodeID, msg *wire.Message) {
 	}
 	// Redirect remaining origins to the known bufferer.
 	for _, o := range s.origins {
-		m.transport.Send(from, wire.Message{Type: wire.TypeSearch, From: m.self, ID: msg.ID, Origin: o})
+		m.send(from, wire.Message{Type: wire.TypeSearch, From: m.self(), ID: msg.ID, Origin: o})
 	}
 	m.finishSearch(s)
 }
@@ -340,7 +338,7 @@ func (m *Member) resolveSearch(id wire.MessageID, origin topology.NodeID) {
 			m.finishSearch(s)
 		}
 	}
-	if m.hooks != nil && m.hooks.OnSearchResolved != nil {
-		m.hooks.OnSearchResolved(id, origin)
+	if h := m.hooks(); h != nil && h.OnSearchResolved != nil {
+		h.OnSearchResolved(id, origin)
 	}
 }

@@ -25,11 +25,12 @@ func NewSender(m *Member) *Sender {
 // everyone else). It returns the assigned message id.
 func (s *Sender) Publish(payload []byte) wire.MessageID {
 	s.seq++
-	id := wire.MessageID{Source: s.m.self, Seq: s.seq}
-	s.m.deliver(id, payload, s.m.self)
-	s.m.transport.Broadcast(wire.Message{
+	self := s.m.self()
+	id := wire.MessageID{Source: self, Seq: s.seq}
+	s.m.deliver(id, payload, self)
+	s.m.region.transport.Broadcast(self, wire.Message{
 		Type:    wire.TypeData,
-		From:    s.m.self,
+		From:    self,
 		ID:      id,
 		Payload: payload,
 	})
@@ -46,14 +47,14 @@ func (s *Sender) StartSessions() {
 	}
 	var tick func()
 	tick = func() {
-		s.m.transport.Broadcast(wire.Message{
+		s.m.region.transport.Broadcast(s.m.self(), wire.Message{
 			Type:   wire.TypeSession,
-			From:   s.m.self,
+			From:   s.m.self(),
 			TopSeq: s.seq,
 		})
-		s.sessionTimer.Arm(s.m.region.sched, s.m.region.params.SessionInterval, tick)
+		s.sessionTimer.Arm(s.m.region.sched(), s.m.region.params.SessionInterval, tick)
 	}
-	s.sessionTimer.Arm(s.m.region.sched, s.m.region.params.SessionInterval, tick)
+	s.sessionTimer.Arm(s.m.region.sched(), s.m.region.params.SessionInterval, tick)
 }
 
 // StopSessions cancels periodic session messages.

@@ -2,7 +2,7 @@ package rrmp
 
 import "repro/internal/netsim"
 
-var _ Transport = (*netsim.Endpoint)(nil)
+var _ Transport = (*netsim.Group)(nil)
 
 // ReceivePacket implements netsim.PacketReceiver, so a member registers
 // itself on the network directly (netsim.RegisterReceiver) instead of

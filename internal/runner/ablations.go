@@ -345,7 +345,8 @@ func churnRun(graceful bool, seed uint64) ([]float64, error) {
 	}
 	var handoffs int64
 	for node := range holderSet {
-		handoffs += c.Members[node].Metrics().HandoffsSent.Value()
+		faults := c.Members[node].Faults()
+		handoffs += faults.HandoffsSent.Value()
 	}
 	return []float64{recovered, recoveryMs, float64(handoffs)}, nil
 }

@@ -176,17 +176,19 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		All:     d.all,
 		Root:    d.root.Split(clusterRootStreamLabel),
 	}
-	// Per-member wiring is the 1M-row setup hot path: members, endpoints
-	// and rng streams come from three backing slices, each member made
-	// ready in place (rrmp.Member.Init) with its buffer, index and first
-	// source inline, and members register themselves as packet receivers,
-	// so a member costs no allocation of its own. NewTreeCluster wires its
-	// nodes the same way.
+	// Per-member wiring is the 1M-row setup hot path: members and rng
+	// streams come from two backing slices, each member made ready in
+	// place (rrmp.Member.Init) with its buffer, index and first source
+	// inline, and members register themselves as packet receivers, so a
+	// member costs no allocation of its own. NewTreeCluster wires its
+	// nodes the same way, with an endpoint each.
 	members := make([]rrmp.Member, len(c.All))
-	endpoints := make([]netsim.Endpoint, len(c.All))
+	// Every member sends through the cluster's one netsim.Group.
+	group := &netsim.Group{Net: net, Members: c.All}
 	// The members of a region share one rrmp.Region, built at its first
-	// member: the defaulted Params, the scheduler, the tracer, the policy
-	// and the free lists of records, buffer entries and heartbeat tables.
+	// member: the defaulted Params, the scheduler, the transport, the
+	// tracer, the policy and the free lists of records, buffer entries and
+	// heartbeat tables.
 	// Regions are contiguous in c.All, and a shard runs whole regions, so
 	// the members sharing one run on one event loop.
 	var region *rrmp.Region
@@ -196,7 +198,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("runner: view of node %d: %w", n, err)
 		}
 		if view.SelfIdx == 0 {
-			region = rrmp.NewRegion(view, d.clockOf(n), cfg.Params, cfg.Tracer)
+			region = rrmp.NewRegion(view, d.clockOf(n), group, cfg.Params, cfg.Tracer)
 		}
 		var policy core.Policy
 		if cfg.Policy != nil {
@@ -206,15 +208,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.Hooks != nil {
 			hooks = cfg.Hooks(n)
 		}
-		endpoints[n] = netsim.Endpoint{Net: net, Self: n, Group: c.All}
 		m := &members[n]
 		m.Init(rrmp.Config{
-			View:      view,
-			Transport: &endpoints[n],
-			Rng:       d.memberRng(n),
-			Policy:    policy,
-			Hooks:     hooks,
-			Region:    region,
+			View:   view,
+			Rng:    d.memberRng(n),
+			Policy: policy,
+			Hooks:  hooks,
+			Region: region,
 		})
 		c.Members[n] = m
 		net.RegisterReceiver(n, m)

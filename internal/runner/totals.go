@@ -125,12 +125,13 @@ func (c *Cluster) Totals() Totals {
 		t.LocalRequests += mm.LocalReqSent.Value()
 		t.RemoteRequests += mm.RemoteReqSent.Value()
 		t.RegionalMulticasts += mm.RegionalMulticasts.Value()
-		t.Handoffs += mm.HandoffsSent.Value()
 		t.Searches += mm.SearchesStarted.Value()
 		t.SearchFailures += mm.SearchFailures.Value()
-		t.Suspects += mm.Suspects.Value()
 		t.LongTermEntries += m.Buffer().LongTermCount()
-		t.reRecovery.add(&mm.ReRecoveryLatency)
+		faults := m.Faults()
+		t.Handoffs += faults.HandoffsSent.Value()
+		t.Suspects += faults.Suspects.Value()
+		t.reRecovery.add(&faults.ReRecoveryLatency)
 	}
 	t.means()
 	return t

@@ -296,14 +296,15 @@ func TestScaleTrialUnder10s(t *testing.T) {
 // above what the cell executes (60.7–61.1M events over seeds 1–3). On a
 // 2-core Intel Xeon host seed 1 executes 60 906 733 events. One fresh
 // test process at one lane (RRMP_SHARDS=1), peak RSS read as VmHWM, ran
-// it in 35.4 s (1.72 M events/s) peaking at 1 956 MB; the same run of the
-// tree before members were made in one slab took 43.4 s and peaked at
-// 2 232 MB (the shared host's speed drifts between runs, 44.9–54.5 s
-// earlier). At two lanes it once took 28.3 s. The wall is logged, not
-// asserted, for TestScaleTrialUnder10s's reason. One trial costs most of
-// a minute and gigabytes, so this test runs only when RRMP_SCALE_1M=1;
-// RRMP_SHARDS overrides the shard width. The same cell runs outside go
-// test, on the CPU budget's width, as
+// it in 36.6 s (1.66 M events/s) peaking at 1 802 812 kB (1 761 MiB);
+// the same run peaked at 1 989 468 kB (1 943 MiB, 37.8 s) before members
+// held only their hot state, and at 2 232 MB (43.4 s) before members
+// were made in one slab (the shared host's speed drifts between runs,
+// 44.9–54.5 s earlier). At two lanes it once took 28.3 s. The wall is
+// logged, not asserted, for TestScaleTrialUnder10s's reason. One trial
+// costs most of a minute and gigabytes, so this test runs only when
+// RRMP_SCALE_1M=1; RRMP_SHARDS overrides the shard width. The same cell
+// runs outside go test, on the CPU budget's width, as
 //
 //	rrmp-sim -tree 16,4,1000000 -loss 0.05 -loss-mode hash -burst -hold 500ms -msgs 10 -horizon 2s
 func TestScaleTrial1M(t *testing.T) {

@@ -144,38 +144,51 @@ func (h *Histogram) Max() float64 {
 	return slices.Max(h.samples)
 }
 
-// Occupancy integrates a step function over time: it tracks a current level
-// (for example "buffered messages at this member") and accumulates
-// level × elapsed-time. The integral's unit is value-seconds.
-// The zero value starts at level 0 at time 0.
+// Occupancy integrates two step functions over time that change at the
+// same instants, such as a buffer's message count and its payload bytes:
+// it accumulates level × elapsed-time for each. It holds no level of its
+// own: its owner keeps the levels, passes them to Advance before it
+// changes either and to Raise after it raises one. The integrals' unit is
+// value-seconds. The zero value starts at time 0.
 type Occupancy struct {
-	level    float64
 	since    time.Duration
-	integral float64 // value-seconds accumulated before 'since'
-	peak     float64
+	integral [2]float64 // value-seconds accumulated before since
+	peak     [2]float64
 }
 
-// Set moves the level to v at time now. Time must be non-decreasing across
-// calls; regressions panic because they indicate simulator misuse.
-func (o *Occupancy) Set(now time.Duration, v float64) {
+// Advance accumulates levels, held since the previous call, up to now.
+// Time must be non-decreasing across calls; regressions panic because they
+// indicate simulator misuse.
+func (o *Occupancy) Advance(now time.Duration, levels [2]float64) {
 	if now < o.since {
 		panic(fmt.Sprintf("stats: Occupancy time moved backwards: %v < %v", now, o.since))
 	}
-	o.integral += o.level * (now - o.since).Seconds()
+	for i, v := range levels {
+		o.integral[i] += v * (now - o.since).Seconds()
+	}
 	o.since = now
-	o.level = v
-	if v > o.peak {
-		o.peak = v
+}
+
+// Raise records levels as reached, for Peak.
+func (o *Occupancy) Raise(levels [2]float64) {
+	for i, v := range levels {
+		if v > o.peak[i] {
+			o.peak[i] = v
+		}
 	}
 }
 
-// Peak returns the highest level observed.
-func (o *Occupancy) Peak() float64 { return o.peak }
+// Peak returns the highest levels Raise was given.
+func (o *Occupancy) Peak() [2]float64 { return o.peak }
 
-// Integral returns the accumulated value-seconds up to time now.
-func (o *Occupancy) Integral(now time.Duration) float64 {
+// Integral returns the accumulated value-seconds up to time now, with
+// levels held since the last Advance.
+func (o *Occupancy) Integral(now time.Duration, levels [2]float64) [2]float64 {
 	if now < o.since {
 		panic(fmt.Sprintf("stats: Occupancy integral queried in the past: %v < %v", now, o.since))
 	}
-	return o.integral + o.level*(now-o.since).Seconds()
+	for i, v := range levels {
+		levels[i] = o.integral[i] + v*(now-o.since).Seconds()
+	}
+	return levels
 }

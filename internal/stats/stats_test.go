@@ -102,40 +102,52 @@ func TestRunningMeanMatchesSampleList(t *testing.T) {
 	}
 }
 
+// TestOccupancyIntegral drives both levels through steps, the second at
+// ten times the first, with Advance before each change and Raise after.
 func TestOccupancyIntegral(t *testing.T) {
 	var o Occupancy
-	o.Set(0, 2)             // level 2 from t=0
-	o.Set(1*time.Second, 5) // level 5 from t=1s
-	o.Set(3*time.Second, 1) // level 1 from t=3s
-	// integral at t=4s: 2*1 + 5*2 + 1*1 = 13
-	if got := o.Integral(4 * time.Second); math.Abs(got-13) > 1e-9 {
-		t.Fatalf("integral = %v, want 13", got)
+	var level [2]float64
+	set := func(now time.Duration, v float64) {
+		o.Advance(now, level)
+		level = [2]float64{v, 10 * v}
+		o.Raise(level)
 	}
-	if o.Peak() != 5 {
+	set(0, 2)             // level 2 from t=0
+	set(1*time.Second, 5) // level 5 from t=1s
+	set(3*time.Second, 1) // level 1 from t=3s
+	// integral at t=4s: 2*1 + 5*2 + 1*1 = 13
+	got := o.Integral(4*time.Second, level)
+	if math.Abs(got[0]-13) > 1e-9 || math.Abs(got[1]-130) > 1e-9 {
+		t.Fatalf("integral = %v, want [13 130]", got)
+	}
+	if o.Peak() != [2]float64{5, 50} {
 		t.Fatalf("peak = %v", o.Peak())
 	}
 }
 
 func TestOccupancyPanicsOnTimeRegression(t *testing.T) {
 	var o Occupancy
-	o.Set(2*time.Second, 1)
+	o.Advance(2*time.Second, [2]float64{1, 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on time regression")
 		}
 	}()
-	o.Set(1*time.Second, 2)
+	o.Advance(1*time.Second, [2]float64{2, 2})
 }
 
 func TestOccupancyIntegralNonNegativeProperty(t *testing.T) {
 	prop := func(levels []uint8) bool {
 		var o Occupancy
+		var level [2]float64
 		now := time.Duration(0)
 		for _, l := range levels {
 			now += time.Duration(l%16) * time.Millisecond
-			o.Set(now, float64(l%8))
+			o.Advance(now, level)
+			level = [2]float64{float64(l % 8), float64(l)}
 		}
-		return o.Integral(now+time.Second) >= 0
+		got := o.Integral(now+time.Second, level)
+		return got[0] >= 0 && got[1] >= 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
