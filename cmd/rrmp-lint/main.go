@@ -1,6 +1,6 @@
 // Command rrmp-lint is the multichecker for the repository's determinism
-// contract: the simtime, maporder, streamlabel and metrickey analyzers
-// (internal/lint) run over whole packages and fail the build on any
+// contract: the simtime, maporder, streamlabel, metrickey and timerowner
+// analyzers (internal/lint) run over whole packages and fail the build on any
 // unannotated finding. CI runs it over the module:
 //
 //	go run ./cmd/rrmp-lint ./...

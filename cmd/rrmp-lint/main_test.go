@@ -14,7 +14,7 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("run(-list) = %d, stderr:\n%s", code, errb.String())
 	}
 	got := strings.Fields(out.String())
-	want := []string{"simtime", "maporder", "streamlabel", "metrickey"}
+	want := []string{"simtime", "maporder", "streamlabel", "metrickey", "timerowner"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("-list = %v, want %v", got, want)
 	}

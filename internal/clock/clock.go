@@ -8,10 +8,12 @@
 // protocol code run on one event loop or across sharded lanes.
 //
 // A protocol timer is a Handle its owner embeds (a buffer entry's idle
-// clock, a recovery's retry, a detector's tick) and re-arms in place: on a
-// scheduler that implements Armer, arming allocates nothing. Timer and
-// Scheduler.After remain for drivers, which schedule one-off events, and
-// for schedulers without Armer, which Handle.Arm falls back to.
+// clock, a recovery's retry, a detector's tick) and re-arms in place with
+// the owner itself, a Firer, as the callback: on a scheduler that
+// implements Armer, arming allocates nothing and the queued event holds
+// the owner, not a closure bound to it. Timer and Scheduler.After remain
+// for drivers, which schedule one-off events, and for schedulers without
+// Armer, which Handle.Arm falls back to.
 package clock
 
 import "time"
@@ -34,6 +36,19 @@ type Scheduler interface {
 	After(d time.Duration, fn func()) Timer
 }
 
+// Firer is what a timer calls when it fires. A protocol timer's owner
+// implements it itself, or through a named pointer type per timer when it
+// owns several, so the event queue holds the owner and arming binds no
+// closure.
+type Firer interface{ Fire() }
+
+// Func adapts a plain callback to a Firer. A func value is one pointer,
+// so storing a Func in a Firer allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Canceller cancels an event an Armer scheduled, named by the reference
 // and generation ArmAfter returned with it. It returns false, and cancels
 // nothing, once that event has fired or been cancelled, even if the
@@ -43,10 +58,10 @@ type Canceller interface {
 }
 
 // Armer is the optional allocation-free side of a Scheduler. ArmAfter
-// schedules fn exactly as After would and returns, instead of a Timer, the
-// triple a Handle keeps.
+// schedules f.Fire exactly as After would schedule a callback and
+// returns, instead of a Timer, the triple a Handle keeps.
 type Armer interface {
-	ArmAfter(d time.Duration, fn func()) (c Canceller, ref, gen uint32)
+	ArmAfter(d time.Duration, f Firer) (c Canceller, ref, gen uint32)
 }
 
 // Handle is a re-armable timer its owner holds by value. The zero Handle
@@ -54,19 +69,24 @@ type Armer interface {
 // concurrent use.
 type Handle struct {
 	// c is the Canceller ArmAfter returned, or, on a scheduler without
-	// Armer, the Timer its After returned: held as is, so the fallback
-	// allocates no more than After itself does.
+	// Armer, the Timer its After returned: held as is, so arming a Func
+	// there allocates no more than After itself does.
 	c        any
 	ref, gen uint32
 }
 
-// Arm schedules fn d from now on s. It replaces whatever the handle held
-// without cancelling it; Stop first to cancel a pending event. On a
-// Scheduler without Armer it keeps s.After's Timer.
-func (h *Handle) Arm(s Scheduler, d time.Duration, fn func()) {
+// Arm schedules f to fire d from now on s. It replaces whatever the
+// handle held without cancelling it; Stop first to cancel a pending event.
+// On a Scheduler without Armer it keeps s.After's Timer, passing a Func to
+// After as the callback it is and binding f.Fire only for other Firers.
+func (h *Handle) Arm(s Scheduler, d time.Duration, f Firer) {
 	if a, ok := s.(Armer); ok {
-		h.c, h.ref, h.gen = a.ArmAfter(d, fn)
+		h.c, h.ref, h.gen = a.ArmAfter(d, f)
 		return
+	}
+	fn, ok := f.(Func)
+	if !ok {
+		fn = f.Fire
 	}
 	h.c, h.ref, h.gen = s.After(d, fn), 0, 0
 }

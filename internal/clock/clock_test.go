@@ -28,7 +28,7 @@ func viaAfter(s clock.Scheduler, d time.Duration, fn func()) clock.Timer { retur
 
 func viaHandle(s clock.Scheduler, d time.Duration, fn func()) clock.Timer {
 	h := new(clock.Handle)
-	h.Arm(s, d, fn)
+	h.Arm(s, d, clock.Func(fn))
 	return h
 }
 
@@ -213,10 +213,10 @@ func TestHandleLifecycle(t *testing.T) {
 			retry = func() {
 				fires++
 				if fires < 3 {
-					h.Arm(sched, time.Millisecond, retry)
+					h.Arm(sched, time.Millisecond, clock.Func(retry))
 				}
 			}
-			h.Arm(sched, time.Millisecond, retry)
+			h.Arm(sched, time.Millisecond, clock.Func(retry))
 			if !h.Armed() {
 				t.Fatal("Handle not armed after Arm")
 			}
@@ -231,5 +231,50 @@ func TestHandleLifecycle(t *testing.T) {
 				t.Fatal("Stop left the Handle armed")
 			}
 		})
+	}
+}
+
+// recordingSched is a Scheduler without Armer whose After keeps the
+// callback it is given and returns itself as the Timer, so After
+// allocates nothing of its own.
+type recordingSched struct{ fn func() }
+
+func (*recordingSched) Now() time.Duration { return 0 }
+
+func (r *recordingSched) After(_ time.Duration, fn func()) clock.Timer {
+	r.fn = fn
+	return r
+}
+
+func (*recordingSched) Stop() bool { return false }
+
+// counter is a Firer that is not a Func.
+type counter int
+
+func (c *counter) Fire() { *c++ }
+
+// TestArmFallbackPassesFuncThrough pins what Handle.Arm costs on a
+// scheduler without Armer: a Func reaches After as the callback it is,
+// with nothing allocated beyond what After allocates, and any other Firer
+// costs the one closure that binds its Fire.
+func TestArmFallbackPassesFuncThrough(t *testing.T) {
+	sched := new(recordingSched)
+	var h clock.Handle
+	fired := 0
+	fn := clock.Func(func() { fired++ })
+	if allocs := testing.AllocsPerRun(100, func() { h.Arm(sched, time.Millisecond, fn) }); allocs != 0 {
+		t.Errorf("arming a Func on a scheduler without Armer allocates %.1f objects, want 0", allocs)
+	}
+	sched.fn()
+	if fired != 1 {
+		t.Fatalf("After was handed a callback that fired the Func %d times, want 1", fired)
+	}
+	var c counter
+	if allocs := testing.AllocsPerRun(100, func() { h.Arm(sched, time.Millisecond, &c) }); allocs != 1 {
+		t.Errorf("arming a Firer on a scheduler without Armer allocates %.1f objects, want 1 (its bound Fire)", allocs)
+	}
+	sched.fn()
+	if c != 1 {
+		t.Fatalf("After was handed a callback that fired the Firer %d times, want 1", c)
 	}
 }

@@ -86,15 +86,15 @@ func TestAdaptiveDemandDecaysOnStore(t *testing.T) {
 func TestAdaptiveDisplacedBefore(t *testing.T) {
 	p := adaptiveForTest()
 	p.ObserveRequest(srcID(2, 1), 0) // source 2 is in demand
-	cold := &Entry{ID: srcID(1, 1), State: StateShortTerm}
-	hot := &Entry{ID: srcID(2, 1), State: StateShortTerm}
+	cold := &Entry{ID: srcID(1, 1), PromotedAt: -1}
+	hot := &Entry{ID: srcID(2, 1), PromotedAt: -1}
 	if !p.DisplacedBefore(cold, hot) || p.DisplacedBefore(hot, cold) {
 		t.Fatal("lower-demand source must displace before the in-demand one")
 	}
 	// Same source (equal demand): the historic order decides, which prefers
 	// the longer-idle short-term entry.
-	a := &Entry{ID: srcID(1, 1), State: StateShortTerm, LastRequest: 10 * time.Millisecond}
-	b := &Entry{ID: srcID(1, 2), State: StateShortTerm, LastRequest: 20 * time.Millisecond}
+	a := &Entry{ID: srcID(1, 1), PromotedAt: -1, LastRequest: 10 * time.Millisecond}
+	b := &Entry{ID: srcID(1, 2), PromotedAt: -1, LastRequest: 20 * time.Millisecond}
 	if !p.DisplacedBefore(a, b) || p.DisplacedBefore(b, a) {
 		t.Fatal("equal demand must fall back to the default idle-first order")
 	}
@@ -208,8 +208,8 @@ func BenchmarkAdaptiveDemandTracking(b *testing.B) {
 func BenchmarkAdaptiveDisplacedBefore(b *testing.B) {
 	p := adaptiveForTest()
 	p.ObserveRequest(srcID(2, 1), 0)
-	x := &Entry{ID: srcID(1, 1), State: StateShortTerm}
-	y := &Entry{ID: srcID(2, 1), State: StateShortTerm}
+	x := &Entry{ID: srcID(1, 1), PromotedAt: -1}
+	y := &Entry{ID: srcID(2, 1), PromotedAt: -1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.DisplacedBefore(x, y)
@@ -219,8 +219,8 @@ func BenchmarkAdaptiveDisplacedBefore(b *testing.B) {
 // BenchmarkDefaultDisplacedBefore is the baseline comparator the legacy
 // policies inherit through PolicyBase.
 func BenchmarkDefaultDisplacedBefore(b *testing.B) {
-	x := &Entry{ID: srcID(1, 1), State: StateShortTerm}
-	y := &Entry{ID: srcID(2, 1), State: StateShortTerm, LastRequest: time.Millisecond}
+	x := &Entry{ID: srcID(1, 1), PromotedAt: -1}
+	y := &Entry{ID: srcID(2, 1), PromotedAt: -1, LastRequest: time.Millisecond}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DefaultDisplacedBefore(x, y)

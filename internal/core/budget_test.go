@@ -29,7 +29,7 @@ func budgetBuffer(s *sim.Sim, budget int) (*Buffer, *[]evictRecord) {
 		ByteBudget: budget,
 		Observer: &callbacks{
 			onEvict: func(e *Entry, r EvictReason) {
-				*log = append(*log, evictRecord{e.ID.Seq, r, e.State, b.Len() - b.LongTermCount()})
+				*log = append(*log, evictRecord{e.ID.Seq, r, e.State(), b.Len() - b.LongTermCount()})
 			},
 		},
 	})

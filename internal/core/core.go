@@ -87,7 +87,9 @@ func (r EvictReason) String() string {
 	}
 }
 
-// Entry is one buffered message.
+// Entry is one buffered message. It is its own idle and TTL timer's
+// clock.Firer, so a buffered copy is one object and arming its timer
+// binds no closure.
 type Entry struct {
 	ID      wire.MessageID
 	Payload []byte
@@ -97,25 +99,29 @@ type Entry struct {
 	// buffer "use", such as answering a search) touched this entry; it
 	// equals StoredAt until the first request.
 	LastRequest time.Duration
-	// State is the current retention phase.
-	State State
-	// PromotedAt is when the entry became long-term (zero until then).
+	// PromotedAt is when the entry became long-term, or -1 while it is
+	// short-term; State reads the phase from it.
 	PromotedAt time.Duration
 
 	timer clock.Handle // idle timer in short-term, TTL timer in long-term
 	// buf is the buffer holding the entry. A recycled entry may serve any
 	// buffer that shares its Spares, so Store sets it on every reuse.
 	buf *Buffer
-	// fire is e.expire, bound once when the Entry object is first
-	// allocated and kept while it is recycled, so neither re-arming the
-	// idle or TTL clock nor storing a message binds a new closure.
-	fire func()
 }
 
-// expire is the entry's timer callback. It dispatches on State:
+// State returns the entry's retention phase: short-term until it is
+// promoted, long-term from then on.
+func (e *Entry) State() State {
+	if e.PromotedAt < 0 {
+		return StateShortTerm
+	}
+	return StateLongTerm
+}
+
+// Fire is the entry's timer callback. It dispatches on the phase:
 // short-term entries run the idle check, long-term ones the TTL check.
-func (e *Entry) expire() {
-	if e.State == StateLongTerm {
+func (e *Entry) Fire() {
+	if e.State() == StateLongTerm {
 		e.buf.ttlCheck(e)
 	} else {
 		e.buf.idleCheck(e)
@@ -337,8 +343,7 @@ func (b *Buffer) Store(id wire.MessageID, payload []byte) *Entry {
 	e.Payload = payload
 	e.StoredAt = now
 	e.LastRequest = now
-	e.State = StateShortTerm
-	e.PromotedAt = 0
+	e.PromotedAt = -1
 	b.occ.Advance(now, b.levels())
 	b.idx.put(e)
 	b.bytes += len(e.Payload)
@@ -349,7 +354,7 @@ func (b *Buffer) Store(id wire.MessageID, payload []byte) *Entry {
 	b.policy.ObserveStore(id, now)
 	hold, _ := b.policy.Hold(id)
 	if hold > 0 {
-		e.timer.Arm(b.sh.Sched, hold, e.fire)
+		e.timer.Arm(b.sh.Sched, hold, e)
 	}
 	// hold == 0 means "never idles": retention until external removal
 	// (buffer-all / stability-detection baselines).
@@ -363,13 +368,13 @@ func (b *Buffer) Store(id wire.MessageID, payload []byte) *Entry {
 // Store, it returns nil when a ByteBudget denies the store.
 func (b *Buffer) StoreLongTerm(id wire.MessageID, payload []byte) *Entry {
 	if e, ok := b.idx.get(id); ok {
-		if e.State != StateLongTerm {
+		if e.State() != StateLongTerm {
 			b.promote(e)
 		}
 		return e
 	}
 	e := b.Store(id, payload)
-	if e != nil && e.State != StateLongTerm {
+	if e != nil && e.State() != StateLongTerm {
 		b.promote(e)
 	}
 	return e
@@ -409,7 +414,7 @@ func (b *Buffer) Remove(id wire.MessageID, reason EvictReason) bool {
 func (b *Buffer) TakeForHandoff() []*Entry {
 	var out []*Entry
 	for _, e := range b.Entries() {
-		if e.State == StateLongTerm {
+		if e.State() == StateLongTerm {
 			out = append(out, e)
 			b.evict(e, EvictHandoff)
 		} else {
@@ -490,10 +495,10 @@ func (b *Buffer) reserve(need int) bool {
 // implementations evict identically. Policies that do not override
 // DisplacedBefore (via PolicyBase) use exactly this order.
 func DefaultDisplacedBefore(a, c *Entry) bool {
-	if (a.State == StateLongTerm) != (c.State == StateLongTerm) {
-		return a.State != StateLongTerm
+	if (a.State() == StateLongTerm) != (c.State() == StateLongTerm) {
+		return a.State() != StateLongTerm
 	}
-	if a.State == StateLongTerm {
+	if a.State() == StateLongTerm {
 		if a.PromotedAt != c.PromotedAt {
 			return a.PromotedAt < c.PromotedAt
 		}
@@ -520,9 +525,9 @@ func (b *Buffer) idleCheck(e *Entry) {
 		if quietFor < hold {
 			// A request arrived during the hold window: the message is not
 			// idle yet. Sleep exactly until the earliest instant it could
-			// become idle. Re-arming reuses the entry's bound callback —
-			// O(1), no closure allocation, however often feedback arrives.
-			e.timer.Arm(b.sh.Sched, hold-quietFor, e.fire)
+			// become idle. Re-arming queues the entry itself — O(1), no
+			// closure allocation, however often feedback arrives.
+			e.timer.Arm(b.sh.Sched, hold-quietFor, e)
 			return
 		}
 	}
@@ -539,11 +544,10 @@ func (b *Buffer) idleCheck(e *Entry) {
 // promote moves an entry to the long-term phase and arms its TTL.
 func (b *Buffer) promote(e *Entry) {
 	e.timer.Stop()
-	e.State = StateLongTerm
 	e.PromotedAt = b.sh.Sched.Now()
 	b.longCount++
 	if ttl := b.policy.LongTermTTL(); ttl > 0 {
-		e.timer.Arm(b.sh.Sched, ttl, e.fire)
+		e.timer.Arm(b.sh.Sched, ttl, e)
 	}
 	if b.obs != nil {
 		b.obs.Promoted(e)
@@ -561,7 +565,7 @@ func (b *Buffer) ttlCheck(e *Entry) {
 	ttl := b.policy.LongTermTTL()
 	unusedFor := now - e.LastRequest
 	if unusedFor < ttl {
-		e.timer.Arm(b.sh.Sched, ttl-unusedFor, e.fire)
+		e.timer.Arm(b.sh.Sched, ttl-unusedFor, e)
 		return
 	}
 	b.evict(e, EvictTTL)
@@ -572,7 +576,7 @@ func (b *Buffer) evict(e *Entry, reason EvictReason) {
 	b.occ.Advance(b.sh.Sched.Now(), b.levels())
 	b.idx.remove(e.ID)
 	b.bytes -= len(e.Payload)
-	if e.State == StateLongTerm {
+	if e.State() == StateLongTerm {
 		b.longCount--
 	}
 	if reason >= EvictIdle && reason <= EvictPressure {
@@ -589,17 +593,14 @@ func (b *Buffer) evict(e *Entry, reason EvictReason) {
 	b.sh.Spares.push(e)
 }
 
-// newEntry returns a spare from the free list, or a new entry with its
-// fire callback bound, in either case held by b. The caller sets every
-// exported field.
+// newEntry returns a spare from the free list, or a new entry, in either
+// case held by b. The caller sets every exported field.
 func (b *Buffer) newEntry() *Entry {
 	if e := b.sh.Spares.pop(); e != nil {
 		e.buf = b
 		return e
 	}
-	e := &Entry{buf: b}
-	e.fire = e.expire
-	return e
+	return &Entry{buf: b}
 }
 
 // levels returns the buffer's two occupancy levels: entries and payload

@@ -100,8 +100,8 @@ func TestPromotionWithCertainElection(t *testing.T) {
 	promoted := 0
 	b.hooks().onPromote = func(e *Entry) {
 		promoted++
-		if e.State != StateLongTerm {
-			t.Errorf("OnPromote saw state %v", e.State)
+		if e.State() != StateLongTerm {
+			t.Errorf("OnPromote saw state %v", e.State())
 		}
 		if e.PromotedAt != s.Now() {
 			t.Errorf("PromotedAt %v, want %v", e.PromotedAt, s.Now())
@@ -182,8 +182,8 @@ func TestStoreLongTermDirect(t *testing.T) {
 	s := sim.New()
 	b, _ := newTestBuffer(t, s, NewTwoPhase(testT, 0, 100, 0))
 	e := b.StoreLongTerm(id(1), []byte("h"))
-	if e.State != StateLongTerm {
-		t.Fatalf("state %v", e.State)
+	if e.State() != StateLongTerm {
+		t.Fatalf("state %v", e.State())
 	}
 	if b.LongTermCount() != 1 {
 		t.Fatal("long-term count wrong")
@@ -200,7 +200,7 @@ func TestStoreLongTermLiftsExisting(t *testing.T) {
 	b, _ := newTestBuffer(t, s, NewTwoPhase(testT, 0, 100, 0))
 	b.Store(id(1), []byte("x"))
 	e := b.StoreLongTerm(id(1), nil)
-	if e.State != StateLongTerm {
+	if e.State() != StateLongTerm {
 		t.Fatal("existing entry not lifted to long-term")
 	}
 	if b.Len() != 1 {

@@ -96,7 +96,7 @@ func runIndexScript(t *testing.T, script []byte) {
 		if _, ok := oracle.get(id); ok {
 			return // a Buffer never puts a held id
 		}
-		e := &Entry{ID: id, LastRequest: time.Duration(idle) * time.Millisecond, State: StateShortTerm}
+		e := &Entry{ID: id, LastRequest: time.Duration(idle) * time.Millisecond, PromotedAt: -1}
 		dense.put(e)
 		oracle.put(e)
 		for _, p := range policies {
@@ -142,7 +142,7 @@ func runIndexScript(t *testing.T, script []byte) {
 						p.ObserveRequest(e.ID, e.LastRequest) // adaptive's demand orders sources
 					}
 				} else {
-					e.State, e.PromotedAt = StateLongTerm, time.Duration(k)*time.Millisecond
+					e.PromotedAt = time.Duration(k) * time.Millisecond
 				}
 			}
 		case opDrain:

@@ -61,14 +61,14 @@ func diffScript(policy Policy, seed uint64) (ledger []string, metrics string) {
 		Observer: &callbacks{
 			onEvict: func(e *Entry, r EvictReason) {
 				ledger = append(ledger, fmt.Sprintf("%d/%d %v %v short=%d",
-					e.ID.Source, e.ID.Seq, r, e.State, b.Len()-b.LongTermCount()))
+					e.ID.Source, e.ID.Seq, r, e.State(), b.Len()-b.LongTermCount()))
 			},
 		},
 	})
 	list := func(es []*Entry) string {
 		var sb strings.Builder
 		for _, e := range es {
-			fmt.Fprintf(&sb, " %d/%d:%v", e.ID.Source, e.ID.Seq, e.State)
+			fmt.Fprintf(&sb, " %d/%d:%v", e.ID.Source, e.ID.Seq, e.State())
 		}
 		return sb.String()
 	}
@@ -172,8 +172,8 @@ func TestLegacyPoliciesIgnoreObservations(t *testing.T) {
 		if h0 != h1 || r0 != r1 {
 			t.Fatalf("%s: Hold changed after observations: (%v,%v) -> (%v,%v)", name, h0, r0, h1, r1)
 		}
-		a := &Entry{ID: wire.MessageID{Source: 0, Seq: 1}, State: StateShortTerm}
-		c := &Entry{ID: wire.MessageID{Source: 2, Seq: 2}, State: StateShortTerm, LastRequest: time.Millisecond}
+		a := &Entry{ID: wire.MessageID{Source: 0, Seq: 1}, PromotedAt: -1}
+		c := &Entry{ID: wire.MessageID{Source: 2, Seq: 2}, PromotedAt: -1, LastRequest: time.Millisecond}
 		if p.DisplacedBefore(a, c) != DefaultDisplacedBefore(a, c) {
 			t.Fatalf("%s: DisplacedBefore diverges from the historic order", name)
 		}

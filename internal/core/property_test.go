@@ -88,7 +88,7 @@ func TestBufferOpSequenceProperty(t *testing.T) {
 		// After drain with C=0, only long-term entries may remain.
 		if c == 0 {
 			for _, e := range b.Entries() {
-				if e.State != StateLongTerm {
+				if e.State() != StateLongTerm {
 					return false
 				}
 			}
@@ -115,7 +115,7 @@ func TestBufferEvictionExactlyOnceProperty(t *testing.T) {
 			Observer: &callbacks{
 				onEvict: func(e *Entry, r EvictReason) {
 					evicted[e.ID]++
-					if r == EvictTTL && e.State != StateLongTerm {
+					if r == EvictTTL && e.State() != StateLongTerm {
 						// TTL evictions can only happen to long-term entries.
 						evicted[e.ID] += 100
 					}

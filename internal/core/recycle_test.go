@@ -35,8 +35,8 @@ func TestRecycledEntryStartsClean(t *testing.T) {
 	b.Store(id(2), []byte("keeps the buffer non-empty"))
 	old := b.Store(id(1), []byte("first life"))
 	s.RunUntil(testT)
-	if old.State != StateLongTerm || old.PromotedAt != testT || !old.timer.Armed() {
-		t.Fatalf("setup: entry 1 is %v promoted at %v, TTL armed %v", old.State, old.PromotedAt, old.timer.Armed())
+	if old.State() != StateLongTerm || old.PromotedAt != testT || !old.timer.Armed() {
+		t.Fatalf("setup: entry 1 is %v promoted at %v, TTL armed %v", old.State(), old.PromotedAt, old.timer.Armed())
 	}
 	s.RunUntil(50 * time.Millisecond)
 	b.OnRequest(id(1))
@@ -53,8 +53,8 @@ func TestRecycledEntryStartsClean(t *testing.T) {
 			t.Fatalf("reused entry holds %v %q, want %v %q", e.ID, e.Payload, id(seq), payload)
 		case e.StoredAt != now || e.LastRequest != now:
 			t.Fatalf("reused entry stored at %v, last request %v, want both %v", e.StoredAt, e.LastRequest, now)
-		case e.State != StateShortTerm || e.PromotedAt != 0:
-			t.Fatalf("reused entry is %v promoted at %v, want short-term, never promoted", e.State, e.PromotedAt)
+		case e.PromotedAt != -1:
+			t.Fatalf("reused entry is %v promoted at %v, want short-term, PromotedAt -1", e.State(), e.PromotedAt)
 		case e.timer.Armed() != armed:
 			t.Fatalf("reused entry's timer armed = %v, want %v", e.timer.Armed(), armed)
 		}
@@ -105,8 +105,8 @@ func TestHandoffEntriesAreNotRecycled(t *testing.T) {
 		if held[e] {
 			t.Fatalf("handoff entry %d was reused by a later store", seq)
 		}
-		if e.ID != id(seq) || !bytes.Equal(e.Payload, []byte{byte(seq)}) || e.State != StateLongTerm {
-			t.Fatalf("handoff entry %d now reads %v %v %v", seq, e.ID, e.Payload, e.State)
+		if e.ID != id(seq) || !bytes.Equal(e.Payload, []byte{byte(seq)}) || e.State() != StateLongTerm {
+			t.Fatalf("handoff entry %d now reads %v %v %v", seq, e.ID, e.Payload, e.State())
 		}
 	}
 }
@@ -177,13 +177,43 @@ func TestStoreSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEntrySize keeps core.Entry at 112 bytes, the top of its size
-// class; every buffered copy of every message is one. The pointer to the
-// buffer holding it, which a shared Spares list needs, took the last
-// eight bytes the class had free.
+// TestStoreWithoutSpareMakesOneObject pins a buffered copy at one heap
+// object: a Store that finds no spare allocates the entry and nothing
+// else, its idle timer armed with the entry itself as the Firer. Each
+// copy is removed for handoff, which leaves it with the caller and off
+// the spare list, so every measured Store finds the list empty; the
+// window slides in place and the queue reuses its slots. A callback bound
+// to the entry (the fire closure entries carried until they became their
+// timer's Firer) makes it two.
+func TestStoreWithoutSpareMakesOneObject(t *testing.T) {
+	s := sim.New()
+	b, _ := newTestBuffer(t, s, NewTwoPhase(testT, 0, 100, 0))
+	seq := uint64(0)
+	store := func() {
+		seq++
+		if e := b.Store(id(seq), nil); e == nil || !e.timer.Armed() {
+			t.Fatal("the store holds no entry with its idle timer armed")
+		}
+		b.Remove(id(seq), EvictHandoff)
+	}
+	for range 1024 { // warm the index window and the event queue
+		store()
+	}
+	if n := testing.AllocsPerRun(200, store); n != 1 {
+		t.Fatalf("a Store that finds no spare allocates %v objects, want 1 (the entry)", n)
+	}
+	if b.sh.Spares.n != 0 {
+		t.Fatalf("the spare list holds %d entries; the stores did not all find it empty", b.sh.Spares.n)
+	}
+}
+
+// TestEntrySize keeps core.Entry at 96 bytes, the top of its size class;
+// every buffered copy of every message is one. The entry is its timer's
+// Firer, so it binds no callback, and its phase is read from PromotedAt,
+// so it stores none: a field more moves it to the 112-byte class.
 func TestEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(Entry{}); n != 112 {
-		t.Fatalf("Entry is %d bytes, want 112", n)
+	if n := unsafe.Sizeof(Entry{}); n != 96 {
+		t.Fatalf("Entry is %d bytes, want 96", n)
 	}
 }
 

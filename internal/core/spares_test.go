@@ -51,8 +51,8 @@ func TestSharedSparesServeAnotherBuffer(t *testing.T) {
 	if e != old {
 		t.Fatal("B's store did not reuse the entry A evicted")
 	}
-	if e.buf != b || e.ID != id(7) || e.StoredAt != 10*time.Millisecond || e.State != StateShortTerm {
-		t.Fatalf("reused entry reads buffer %p (B is %p), %v stored at %v, %v", e.buf, b, e.ID, e.StoredAt, e.State)
+	if e.buf != b || e.ID != id(7) || e.StoredAt != 10*time.Millisecond || e.State() != StateShortTerm {
+		t.Fatalf("reused entry reads buffer %p (B is %p), %v stored at %v, %v", e.buf, b, e.ID, e.StoredAt, e.State())
 	}
 	// B's idle timer fires into B: the entry idles out of B at its own T.
 	s.RunUntil(time.Second)
@@ -86,15 +86,15 @@ func TestSharedSparesCancelledTimerNeverFires(t *testing.T) {
 			old := a.Store(id(1), []byte("m"))
 			s.RunUntil(tc.evict)
 			if !old.timer.Armed() {
-				t.Fatalf("setup: A's entry is %v with no timer armed", old.State)
+				t.Fatalf("setup: A's entry is %v with no timer armed", old.State())
 			}
 			a.Remove(id(1), tc.reason)
 			if e := b.Store(id(1), []byte("m")); e != old {
 				t.Fatal("B's store did not reuse the entry A evicted")
 			}
 			s.RunUntil(10 * time.Second)
-			if e, ok := b.Get(id(1)); !ok || e != old || e.State != StateShortTerm {
-				t.Fatalf("B holds the message: %v, %v; want it held short-term", ok, e.State)
+			if e, ok := b.Get(id(1)); !ok || e != old || e.State() != StateShortTerm {
+				t.Fatalf("B holds the message: %v, %v; want it held short-term", ok, e.State())
 			}
 			if !slices.Equal(*log, tc.want) {
 				t.Fatalf("log %q, want %q", *log, tc.want)
@@ -308,7 +308,7 @@ func (w *sparesWorld) snapshot(i int) string {
 	var out []string
 	for _, e := range w.bufs[i].Entries() {
 		out = append(out, fmt.Sprintf("%v %q %v %v %v %v %v",
-			e.ID, e.Payload, e.StoredAt, e.LastRequest, e.State, e.PromotedAt, e.timer.Armed()))
+			e.ID, e.Payload, e.StoredAt, e.LastRequest, e.State(), e.PromotedAt, e.timer.Armed()))
 	}
 	return fmt.Sprint(out)
 }

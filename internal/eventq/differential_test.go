@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/rng"
 )
 
@@ -348,7 +349,7 @@ func (d *differ) push(at time.Duration, lane bool, src source, n int) {
 	if n == 1 {
 		e = d.q.PushKeyed(at, pushAt, s, fire)
 	} else {
-		ref, _ := d.q.PushN(at, pushAt, s, uint32(n), fire)
+		ref, _ := d.q.PushN(at, pushAt, s, uint32(n), clock.Func(fire))
 		e = d.q.event(ref)
 		d.cov.counted++
 	}
@@ -386,7 +387,7 @@ func (d *differ) classifyProbe(at, pushAt time.Duration, src int32) {
 			d.cov.slotCollisions++
 		}
 	case tail.gen == t.gen:
-		if pushAt < tail.pushAt || pushAt == tail.pushAt && src < tail.src {
+		if pushAt != t.pushAt || src != t.src {
 			d.cov.keyRefusals++
 		}
 	case d.hs[d.tagOf[tailKey{tail, t.gen}]].fired:
@@ -424,7 +425,7 @@ func (d *differ) pop() {
 	if !ok {
 		return
 	}
-	fn()
+	fn.Fire()
 	rfn()
 	if d.firedNew != d.firedRef {
 		d.fail("PopFire at %v fired tag %d, reference tag %d", at, d.firedNew, d.firedRef)
@@ -588,7 +589,7 @@ func (d *differ) compare() {
 // every run sorted and keyed by its head, the live/dead counts, every slot
 // either held once or free, the tombstone bound, and the tails index: a
 // slot whose generation still matches names the tail of a run at its
-// instant.
+// instant, pushed at its pushAt by its src.
 func checkStructure(t testing.TB, q *Queue) {
 	t.Helper()
 	h := q.heap
@@ -598,7 +599,7 @@ func checkStructure(t testing.TB, q *Queue) {
 		}
 	}
 	seen := make([]bool, q.used+1)
-	runAt := make([]time.Duration, q.used+1)
+	runOf := make([]entry, q.used+1)
 	live, dead := 0, 0
 	for _, ent := range h {
 		prev := entry{at: ent.at, pushAt: ent.pushAt, seq: ent.seq, src: ent.src}
@@ -607,9 +608,9 @@ func checkStructure(t testing.TB, q *Queue) {
 				t.Fatalf("slot %d held twice", ref)
 			}
 			seen[ref] = true
-			runAt[ref] = ent.at
+			runOf[ref] = ent
 			e := q.event(ref)
-			cur := entry{at: ent.at, pushAt: e.pushAt, seq: e.seq, src: e.src}
+			cur := entry{at: ent.at, pushAt: ent.pushAt, seq: e.seq, src: ent.src}
 			if ref == ent.ref {
 				if cur != prev {
 					t.Fatalf("heap entry key %+v differs from its head's %+v", prev, cur)
@@ -649,8 +650,8 @@ func checkStructure(t testing.TB, q *Queue) {
 		if tailSlot(c.at) != uint64(i) {
 			t.Fatalf("tails slot %d holds instant %v of slot %d", i, c.at, tailSlot(c.at))
 		}
-		if e := q.event(c.ref); e.fires == 0 || e.next != 0 || runAt[c.ref] != c.at {
-			t.Fatalf("tails slot %d (instant %v) names slot %d, not a run tail at that instant", i, c.at, c.ref)
+		if e, run := q.event(c.ref), runOf[c.ref]; e.fires == 0 || e.next != 0 || run.at != c.at || run.pushAt != c.pushAt || run.src != c.src {
+			t.Fatalf("tails slot %d (instant %v) names slot %d, not the tail of a run of its key", i, c.at, c.ref)
 		}
 	}
 }
@@ -679,7 +680,7 @@ func TestQueueDifferential(t *testing.T) {
 		{"joins refused: the cached tail fired", cov.tailFired, 1000},
 		{"joins refused: the cached tail was cancelled", cov.tailCancelled, 100},
 		{"joins refused: the cached tail's slot was released", cov.tailReleased, 100},
-		{"joins refused on key order", cov.keyRefusals, 1000},
+		{"joins refused: the run has another (pushAt, src)", cov.keyRefusals, 1000},
 		{"cancelled run heads", cov.cancelHead, 100},
 		{"cancelled run middles", cov.cancelMiddle, 100},
 		{"cancelled run tails", cov.cancelTail, 100},

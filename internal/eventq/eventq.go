@@ -10,19 +10,24 @@
 // index, so a heap slot holds no pointer. Events live in arena chunks that
 // never move, so the *Event handles Push returns stay valid.
 //
-// Same-instant runs: a push whose instant has a pending run, and whose key
-// orders after that run's tail, is linked behind the tail in the arena and
-// never enters the heap (the timers one instant's deliveries arm, and the
-// deliveries of several sends landing at one instant, arrive this way).
-// Run tails are found through a 256-slot index direct-mapped by instant,
-// so concurrent sources interleaving a handful of instants still join
-// their runs; a slot lost to a colliding instant only costs the next push
-// there a heap entry of its own. The heap holds one entry per run, keyed
-// by its head; popping a head moves its successor's key into the root with
-// one sift-down. Runs are sorted, so merging them pops events in exactly
-// the order a heap of single events would.
+// Same-instant runs: a push that shares (at, pushAt, src) with the newest
+// pending run at its instant is linked behind that run's tail in the arena
+// and never enters the heap (the timers one instant's deliveries arm, and
+// the deliveries of several sends landing at one instant, arrive this
+// way). Its seq is the highest yet, so the run stays sorted. Run tails are
+// found through a 256-slot index direct-mapped by instant, so concurrent
+// sources interleaving a handful of instants still join their runs; a
+// slot lost to a colliding instant, or a push from another (pushAt, src),
+// only costs that push a heap entry of its own. The heap holds one entry
+// per run, keyed by its head; a run's events share all of the key but seq,
+// so an event keeps only its seq, and popping a head moves its successor's
+// seq into the root with one sift-down. Runs are sorted, so merging them
+// pops events in exactly the order a heap of single events would.
 //
-// Counted events: PushN schedules one callback to fire n times in a row
+// An event holds a clock.Firer, so a timer's owner queues itself;
+// PushKeyed wraps a plain func() in a clock.Func.
+//
+// Counted events: PushN schedules one Firer to fire n times in a row
 // from one slot, the way n pushes of it with consecutive sequence numbers
 // would. PopFire fires the head and leaves the slot at the root until its
 // count reaches zero, so no other event can fire between its firings, and
@@ -43,7 +48,11 @@
 // *Event, which is what a clock.Handle stores.
 package eventq
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/clock"
+)
 
 const (
 	chunkBits  = 9
@@ -52,14 +61,12 @@ const (
 	tailBits   = 8
 )
 
-// Event is the handle of a scheduled callback. Its time is its run's, kept
-// in the heap entry; the rest of its key lets it become the run's head.
+// Event is the handle of a scheduled callback. Its (at, pushAt, src) are
+// its run's, kept in the heap entry; its seq lets it become the run's head.
 type Event struct {
-	fn     func()
-	pushAt time.Duration
-	seq    uint64
-	src    int32
-	gen    uint32 // advances when the event fires or is cancelled
+	f   clock.Firer
+	seq uint64
+	gen uint32 // advances when the event fires or is cancelled
 	// next is the slot ref of the next run member while the event is held,
 	// of the next free slot while it is free; 0 for none.
 	next uint32
@@ -88,11 +95,13 @@ type Queue struct {
 	used, free uint32 // slots handed out (refs 1..used); first free ref
 	live, dead int    // pending events; cancelled events still held
 	nextSeq    uint64
-	// tails[tailSlot(at)] caches a run tail at instant at, valid while the
-	// event in slot ref still has generation gen.
+	// tails[tailSlot(at)] caches the tail of the newest run at instant at,
+	// pushed at pushAt by src, valid while the event in slot ref still has
+	// generation gen.
 	tails [1 << tailBits]struct {
-		at       time.Duration
-		ref, gen uint32
+		at, pushAt time.Duration
+		src        int32
+		ref, gen   uint32
 	}
 }
 
@@ -116,19 +125,19 @@ func (q *Queue) Len() int { return q.live }
 // in seq, so (at, pushAt, src, seq) with constant src orders identically to
 // the legacy (at, seq) key.
 func (q *Queue) PushKeyed(at, pushAt time.Duration, src int32, fn func()) *Event {
-	_, e := q.push(at, pushAt, src, 1, fn)
+	_, e := q.push(at, pushAt, src, 1, clock.Func(fn))
 	return e
 }
 
-// PushN schedules fn to fire n (>= 1) times in a row under one key, as n
+// PushN schedules f to fire n (>= 1) times in a row under one key, as n
 // PushKeyed calls in a row would, and returns the event's slot reference
 // and generation, two words, in place of an *Event; CancelRef takes them
 // and cancels the firings still due.
-func (q *Queue) PushN(at, pushAt time.Duration, src int32, n uint32, fn func()) (ref, gen uint32) {
+func (q *Queue) PushN(at, pushAt time.Duration, src int32, n uint32, f clock.Firer) (ref, gen uint32) {
 	if n == 0 {
 		panic("eventq: PushN of zero firings")
 	}
-	ref, e := q.push(at, pushAt, src, n, fn)
+	ref, e := q.push(at, pushAt, src, n, f)
 	return ref, e.gen
 }
 
@@ -142,17 +151,17 @@ func (q *Queue) CancelRef(ref, gen uint32) bool {
 
 // push places a pending event of n firings under the key and returns its
 // slot.
-func (q *Queue) push(at, pushAt time.Duration, src int32, n uint32, fn func()) (uint32, *Event) {
+func (q *Queue) push(at, pushAt time.Duration, src int32, n uint32, f clock.Firer) (uint32, *Event) {
 	seq := q.nextSeq
 	q.nextSeq++
 	q.live++
-	ref := q.alloc(pushAt, seq, src, n, fn)
+	ref := q.alloc(seq, n, f)
 	e := q.event(ref)
 	// A cached tail whose generation matches is pending, so alloc never
-	// hands out its slot; it takes the new event if the key orders after it.
+	// hands out its slot; it takes the new event if it shares the run's key.
 	t := &q.tails[tailSlot(at)]
-	if t.ref != 0 && t.at == at {
-		if tail := q.event(t.ref); tail.gen == t.gen && (pushAt > tail.pushAt || pushAt == tail.pushAt && src >= tail.src) {
+	if t.ref != 0 && t.at == at && t.pushAt == pushAt && t.src == src {
+		if tail := q.event(t.ref); tail.gen == t.gen {
 			tail.next = ref
 			t.ref, t.gen = ref, e.gen
 			return ref, e
@@ -160,7 +169,7 @@ func (q *Queue) push(at, pushAt time.Duration, src int32, n uint32, fn func()) (
 	}
 	q.heap = append(q.heap, entry{})
 	q.up(len(q.heap)-1, entry{at: at, pushAt: pushAt, seq: seq, src: src, ref: ref})
-	t.at, t.ref, t.gen = at, ref, e.gen
+	t.at, t.pushAt, t.src, t.ref, t.gen = at, pushAt, src, ref, e.gen
 	return ref, e
 }
 
@@ -181,25 +190,25 @@ func (q *Queue) NextAt() (at time.Duration, ok bool) {
 }
 
 // PopFire fires the earliest pending event once and returns its (time,
-// callback). An event with firings left stays at the head; on its last
-// firing its slot is recycled before the callback is exposed. It returns
+// Firer). An event with firings left stays at the head; on its last
+// firing its slot is recycled before the Firer is exposed. It returns
 // ok=false when nothing is pending. This is the simulator's main-loop
 // primitive: one event dispatch with zero allocation.
-func (q *Queue) PopFire() (at time.Duration, fn func(), ok bool) {
+func (q *Queue) PopFire() (at time.Duration, f clock.Firer, ok bool) {
 	if at, ok = q.NextAt(); !ok {
 		return 0, nil, false
 	}
 	ref := q.heap[0].ref
 	e := q.event(ref)
-	fn = e.fn
+	f = e.f
 	if e.fires > 1 {
 		e.fires--
-		return at, fn, true
+		return at, f, true
 	}
 	q.popHead(e)
 	q.retire(e)
 	q.release(ref)
-	return at, fn, true
+	return at, f, true
 }
 
 // Cancel cancels a pending event, every firing it has left, if the
@@ -224,7 +233,7 @@ func (q *Queue) event(ref uint32) *Event {
 }
 
 // alloc fills a free slot, or a fresh one, with a pending event.
-func (q *Queue) alloc(pushAt time.Duration, seq uint64, src int32, n uint32, fn func()) uint32 {
+func (q *Queue) alloc(seq uint64, n uint32, f clock.Firer) uint32 {
 	ref := q.free
 	if ref != 0 {
 		q.free = q.event(ref).next
@@ -236,7 +245,7 @@ func (q *Queue) alloc(pushAt time.Duration, seq uint64, src int32, n uint32, fn 
 		ref = q.used
 	}
 	e := q.event(ref)
-	e.fn, e.pushAt, e.seq, e.src, e.next, e.fires = fn, pushAt, seq, src, 0, n
+	e.f, e.seq, e.next, e.fires = f, seq, 0, n
 	return ref
 }
 
@@ -244,7 +253,7 @@ func (q *Queue) alloc(pushAt time.Duration, seq uint64, src int32, n uint32, fn 
 // dead by the caller) and compacts once tombstones outnumber live events.
 func (q *Queue) retire(e *Event) {
 	e.gen++
-	e.fn, e.fires = nil, 0
+	e.f, e.fires = nil, 0
 	q.live--
 	if q.dead > q.live && q.dead >= compactMin {
 		q.compact()
@@ -257,12 +266,12 @@ func (q *Queue) release(ref uint32) {
 	q.free = ref
 }
 
-// popHead removes the root's head event e from its run: its successor's key
-// takes the root, or the root entry goes when the run is exhausted.
+// popHead removes the root's head event e from its run: its successor's
+// seq takes the root, or the root entry goes when the run is exhausted.
 func (q *Queue) popHead(e *Event) {
 	if next := e.next; next != 0 {
-		s, r := q.event(next), &q.heap[0]
-		r.pushAt, r.seq, r.src, r.ref = s.pushAt, s.seq, s.src, next
+		r := &q.heap[0]
+		r.seq, r.ref = q.event(next).seq, next
 	} else {
 		n := len(q.heap) - 1
 		q.heap[0] = q.heap[n]
@@ -292,8 +301,8 @@ func (q *Queue) compact() {
 		if head == 0 {
 			continue
 		}
-		e := q.event(head)
-		q.heap[w] = entry{at: h.at, pushAt: e.pushAt, seq: e.seq, src: e.src, ref: head}
+		h.seq, h.ref = q.event(head).seq, head
+		q.heap[w] = h
 		w++
 	}
 	q.heap = q.heap[:w]

@@ -7,16 +7,18 @@ import (
 	"testing/quick"
 	"time"
 	"unsafe"
+
+	"repro/internal/clock"
 )
 
 // drain fires every pending event in order.
 func drain(q *Queue) {
 	for {
-		_, fn, ok := q.PopFire()
+		_, f, ok := q.PopFire()
 		if !ok {
 			return
 		}
-		fn()
+		f.Fire()
 	}
 }
 
@@ -209,11 +211,11 @@ func TestCountedEventHoldsTheHead(t *testing.T) {
 	var got []int
 	q.Push(5, func() { got = append(got, 0) })
 	k := 1
-	q.PushN(5, 0, 0, 3, func() {
+	q.PushN(5, 0, 0, 3, clock.Func(func() {
 		got = append(got, k)
 		k++
 		q.PushKeyed(5, 5, 0, func() { got = append(got, 9) })
-	})
+	}))
 	q.Push(5, func() { got = append(got, 4) })
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 events", q.Len())
@@ -224,7 +226,7 @@ func TestCountedEventHoldsTheHead(t *testing.T) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
 	// A cancel after the first firing drops the rest.
-	ref, gen := q.PushN(7, 0, 0, 3, func() { got = append(got, 7) })
+	ref, gen := q.PushN(7, 0, 0, 3, clock.Func(func() { got = append(got, 7) }))
 	q.PopFire()
 	if !q.CancelRef(ref, gen) || q.Len() != 0 {
 		t.Fatalf("cancel after one firing: Len = %d", q.Len())
@@ -235,7 +237,9 @@ func TestCountedEventHoldsTheHead(t *testing.T) {
 }
 
 // TestEventSlotSize pins the arena slot at 40 bytes: the firing count
-// replaced the live flag, it did not add a word.
+// replaced the live flag without adding a word, and the clock.Firer's
+// second word took the room of pushAt and src, which the run's heap entry
+// holds for all of its events.
 func TestEventSlotSize(t *testing.T) {
 	if n := unsafe.Sizeof(Event{}); n != 40 {
 		t.Fatalf("Event is %d bytes, want 40", n)

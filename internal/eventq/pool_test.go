@@ -77,11 +77,11 @@ func TestCancelOrderingUnchanged(t *testing.T) {
 	push(10, 3) // same instant as tag 1: must fire after it
 	push(5, 4)
 	for {
-		_, fn, ok := q.PopFire()
+		_, f, ok := q.PopFire()
 		if !ok {
 			break
 		}
-		fn()
+		f.Fire()
 	}
 	want := []int{4, 1, 3, 0}
 	if len(fired) != len(want) {

@@ -25,20 +25,22 @@ type manualSched struct {
 	timers []manualTimer
 }
 
+var _ clock.Armer = (*manualSched)(nil)
+
 type manualTimer struct {
 	at  time.Duration
 	seq uint32
-	fn  func()
+	f   clock.Firer
 }
 
 func (s *manualSched) Now() time.Duration { return s.now }
 
-func (s *manualSched) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32, uint32) {
+func (s *manualSched) ArmAfter(d time.Duration, f clock.Firer) (clock.Canceller, uint32, uint32) {
 	if d < 0 {
 		d = 0
 	}
 	s.seq++
-	s.timers = append(s.timers, manualTimer{at: s.now + d, seq: s.seq, fn: fn})
+	s.timers = append(s.timers, manualTimer{at: s.now + d, seq: s.seq, f: f})
 	return s, s.seq, 0
 }
 
@@ -54,7 +56,7 @@ func (s *manualSched) Cancel(ref, _ uint32) bool {
 }
 
 func (s *manualSched) After(d time.Duration, fn func()) clock.Timer {
-	_, ref, _ := s.ArmAfter(d, fn)
+	_, ref, _ := s.ArmAfter(d, clock.Func(fn))
 	return &manualStop{s: s, ref: ref}
 }
 
@@ -80,7 +82,7 @@ func (s *manualSched) advance(to time.Duration) {
 		t := s.timers[next]
 		s.Cancel(t.seq, 0)
 		s.now = t.at
-		t.fn()
+		t.f.Fire()
 	}
 	s.now = to
 }

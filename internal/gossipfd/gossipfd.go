@@ -129,8 +129,7 @@ type Detector struct {
 	// tables holds the tables handed back through Recycle; a tick takes
 	// its PDU's snapshot from here before it allocates one.
 	tables  *Tables
-	onTick  func() // the timer callback, bound once
-	ticker  clock.Handle
+	ticker  clock.Handle // fires (*tickTimer)(d)
 	running bool
 }
 
@@ -166,12 +165,6 @@ func New(cfg Config) *Detector {
 	for i := range d.updatedAt {
 		d.updatedAt[i] = now
 	}
-	d.onTick = func() {
-		d.tick()
-		if d.running {
-			d.scheduleTick()
-		}
-	}
 	return d
 }
 
@@ -196,7 +189,19 @@ func (d *Detector) Stop() {
 func (d *Detector) scheduleTick() {
 	// Jitter desynchronizes members so gossip rounds do not phase-lock.
 	delay := time.Duration(d.cfg.Rng.Jitter(float64(gossipInterval), 0.1))
-	d.ticker.Arm(d.cfg.Sched, delay, d.onTick)
+	d.ticker.Arm(d.cfg.Sched, delay, (*tickTimer)(d))
+}
+
+// tickTimer is a Detector as its ticker's Firer: one gossip round, and the
+// next one scheduled while the detector runs.
+type tickTimer Detector
+
+func (t *tickTimer) Fire() {
+	d := (*Detector)(t)
+	d.tick()
+	if d.running {
+		d.scheduleTick()
+	}
 }
 
 // tick increments the own counter, sweeps timeouts, and gossips the table

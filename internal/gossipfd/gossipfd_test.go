@@ -318,7 +318,7 @@ func TestDetectorAllocs(t *testing.T) {
 	}
 	// One steady-state tick allocates exactly one object: the PDU's counter
 	// snapshot (it outlives the tick on the network). No candidate slice,
-	// no closure — the tick callback is bound once in New — and no timer
+	// no closure — the detector is its ticker's Firer — and no timer
 	// handle: the ticker is a clock.Handle in the detector, armed through
 	// the scheduler's ArmAfter as on sim.Sim.
 	a := testing.AllocsPerRun(200, func() {

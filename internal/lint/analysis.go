@@ -2,8 +2,9 @@
 // contract: the invariants DESIGN.md promises (all simulated time flows
 // through internal/clock, all randomness through internal/rng streams,
 // map iteration order never leaks into results, metric keys come from the
-// central registry) are checked by four analyzers instead of being left to
-// convention and runtime differential tests.
+// central registry, protocol timers fire their owners) are checked by five
+// analyzers instead of being left to convention and runtime differential
+// tests.
 //
 // The analyzers are written against a deliberately small framework modeled
 // on golang.org/x/tools/go/analysis (Analyzer / Pass / Diagnostic, an
@@ -170,5 +171,5 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 // and the CI analyzer-count probe both key off this list, so adding an
 // analyzer here is the single registration step.
 func All() []*Analyzer {
-	return []*Analyzer{SimTime, MapOrder, StreamLabel, MetricKey}
+	return []*Analyzer{SimTime, MapOrder, StreamLabel, MetricKey, TimerOwner}
 }

@@ -77,10 +77,17 @@ func TestMetricKeyFixture(t *testing.T) {
 	linttest.Run(t, "testdata/metrickey", []*lint.Analyzer{lint.MetricKey})
 }
 
+// TestTimerOwnerFixture runs timerowner over a protocol package (core),
+// where the bound-callback shapes are flagged and the Firer idioms pass,
+// and over a driver (runner), the control, where the same shapes pass.
+func TestTimerOwnerFixture(t *testing.T) {
+	linttest.Run(t, "testdata/timerowner", []*lint.Analyzer{lint.TimerOwner})
+}
+
 // TestAnalyzerRoster pins the suite: CI's analyzer count and rrmp-lint
 // both key off All().
 func TestAnalyzerRoster(t *testing.T) {
-	want := []string{"simtime", "maporder", "streamlabel", "metrickey"}
+	want := []string{"simtime", "maporder", "streamlabel", "metrickey", "timerowner"}
 	all := lint.All()
 	if len(all) != len(want) {
 		t.Fatalf("lint.All() has %d analyzers, want %d", len(all), len(want))

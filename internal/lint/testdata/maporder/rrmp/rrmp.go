@@ -96,15 +96,16 @@ func SliceRange(eng *sim.Engine, members []int) {
 func PostEach(eng *sim.Engine, net *netsim.Network, q *eventq.Queue, a clock.Armer, hs map[int]*clock.Handle) {
 	for id, h := range hs {
 		fn := func() {}
+		f := clock.Func(fn)
 		eng.Post(fn)                      // want "event posting \\(sim\\.Post\\) inside range over map"
-		eng.PostN(0, int32(id), 1, 3, fn) // want "event posting \\(sim\\.PostN\\) inside range over map"
+		eng.PostN(0, int32(id), 1, 3, f)  // want "event posting \\(sim\\.PostN\\) inside range over map"
 		eng.PostFrom(0, int32(id), 1, fn) // want "event posting \\(sim\\.PostFrom\\) inside range over map"
 		net.Unicast(0, id)                // want "event posting \\(netsim\\.Unicast\\) inside range over map"
 		net.Multicast(0, []int{id})       // want "event posting \\(netsim\\.Multicast\\) inside range over map"
 		q.PushKeyed(1, 0, 0, fn)          // want "event posting \\(eventq\\.PushKeyed\\) inside range over map"
-		q.PushN(1, 0, 0, 2, fn)           // want "event posting \\(eventq\\.PushN\\) inside range over map"
-		h.Arm(a, 1, fn)                   // want "event posting \\(clock\\.Arm\\) inside range over map"
-		a.ArmAfter(1, fn)                 // want "event posting \\(clock\\.ArmAfter\\) inside range over map"
+		q.PushN(1, 0, 0, 2, f)            // want "event posting \\(eventq\\.PushN\\) inside range over map"
+		h.Arm(a, 1, f)                    // want "event posting \\(clock\\.Arm\\) inside range over map"
+		a.ArmAfter(1, f)                  // want "event posting \\(clock\\.ArmAfter\\) inside range over map"
 		_ = net.Sent() + q.Len()          // read-only accessors of the same types are clean
 		_ = h.Armed()
 	}

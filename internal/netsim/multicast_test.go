@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -318,9 +319,9 @@ type countingSim struct {
 	c *postCount
 }
 
-func (s countingSim) PostN(from, to int32, d time.Duration, n int, fn func()) {
+func (s countingSim) PostN(from, to int32, d time.Duration, n int, f clock.Firer) {
 	s.c.add(n)
-	s.Sim.PostN(from, to, d, n, fn)
+	s.Sim.PostN(from, to, d, n, f)
 }
 
 type countingSharded struct {
@@ -328,9 +329,9 @@ type countingSharded struct {
 	c *postCount
 }
 
-func (e countingSharded) PostN(from, to int32, d time.Duration, n int, fn func()) {
+func (e countingSharded) PostN(from, to int32, d time.Duration, n int, f clock.Firer) {
 	e.c.add(n)
-	e.Sharded.PostN(from, to, d, n, fn)
+	e.Sharded.PostN(from, to, d, n, f)
 }
 
 // TestMulticastIsOneRecordPerArrival pins the record count: a 10 000-member

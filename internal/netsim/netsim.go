@@ -77,7 +77,7 @@ type LossModel interface {
 	Drop(from, to topology.NodeID, t wire.Type) bool
 }
 
-// ShardRouter is the delivery primitive: schedule fn to fire n times in a
+// ShardRouter is the delivery primitive: schedule f to fire n times in a
 // row, d after node from's context's clock, as one event on the event loop
 // owning node to. Every fire of one record's event delivers to the
 // record's next target, so each target is delivered exactly once whatever
@@ -85,15 +85,18 @@ type LossModel interface {
 // (EnableSharding installs it) implement it; a scheduler that does not is
 // routed through afterLoop.
 type ShardRouter interface {
-	PostN(from, to int32, d time.Duration, n int, fn func())
+	PostN(from, to int32, d time.Duration, n int, f clock.Firer)
 }
 
 // afterLoop routes through a plain clock.Scheduler: n timers per record,
-// their handles dropped, since deliveries are never cancelled.
+// their handles dropped, since deliveries are never cancelled. The
+// record's Fire is bound once per post, the one closure this path costs
+// beyond the scheduler's timers.
 type afterLoop struct{ sched clock.Scheduler }
 
 // PostN implements ShardRouter.
-func (a afterLoop) PostN(_, _ int32, d time.Duration, n int, fn func()) {
+func (a afterLoop) PostN(_, _ int32, d time.Duration, n int, f clock.Firer) {
+	fn := f.Fire
 	for range n {
 		a.sched.After(d, fn)
 	}
@@ -134,7 +137,7 @@ type Network struct {
 }
 
 // shard is the traffic accounting and delivery-record pools of one event
-// loop. Each pooled record carries a pre-bound callback, so scheduling an
+// loop. A pooled record is its own event's Firer, so scheduling an
 // in-flight packet allocates nothing in steady state. open is the scratch
 // of the send in progress on this loop: the records it has filled so far,
 // one per (latency, receiving shard), in the order it opened them. It
@@ -170,8 +173,7 @@ const minSpare = 2 * inlineTargets
 
 // delivery is one transmission's packet for every target that arrives at
 // the same instant on the same receiving shard. It is posted as one event
-// of len(targets) firings bound to fn, which is bound once at
-// construction and reused for the record's whole pooled lifetime; the
+// of len(targets) firings of the record itself, its own clock.Firer; the
 // k-th firing delivers to targets[k], and next is that cursor. home is the
 // sending shard, whose pools the record and its targets return to; shard
 // is the receiving shard, resolved when the packet is sent.
@@ -183,7 +185,6 @@ type delivery struct {
 	targets     []topology.NodeID
 	next        int
 	inline      [inlineTargets]topology.NodeID
-	fn          func()
 }
 
 // Stats aggregates traffic accounting per message type, stored as dense
@@ -380,8 +381,7 @@ func (s *Stats) add(o *Stats) {
 }
 
 // getDelivery takes a delivery record from shard src's pool, reclaiming
-// its returned records when the pool is empty, or builds one with its
-// callback pre-bound.
+// its returned records when the pool is empty, or builds one.
 func (n *Network) getDelivery(src int32) *delivery {
 	sh := &n.shards[src]
 	if len(sh.pool) == 0 {
@@ -395,7 +395,6 @@ func (n *Network) getDelivery(src int32) *delivery {
 	}
 	d := &delivery{n: n, home: src}
 	d.targets = d.inline[:0]
-	d.fn = d.fire
 	return d
 }
 
@@ -457,13 +456,13 @@ func (sh *shard) growTargets(d *delivery) {
 	d.targets = grown
 }
 
-// fire delivers the record's packet to its next target: re-check liveness
+// Fire delivers the record's packet to its next target: re-check liveness
 // and connectivity at delivery time (the node may have crashed, or a
 // partition may have cut the path, while the packet was in flight), then
 // lend the packet to the receiver. After the last target's callback
 // returns, the record is zeroed and goes home: straight into its pools if
 // it was delivered on its home shard, else onto the home's returned list.
-func (d *delivery) fire() {
+func (d *delivery) Fire() {
 	n, to := d.n, d.targets[d.next]
 	d.next++
 	// Delivery runs on the receiving node's shard loop: account against
@@ -486,7 +485,7 @@ func (d *delivery) fire() {
 	}
 }
 
-// admit is fire's delivery-time check. It returns to's receiver, or counts
+// admit is Fire's delivery-time check. It returns to's receiver, or counts
 // the packet dropped in st and returns nil.
 func (n *Network) admit(st *Stats, from, to topology.NodeID, t wire.Type) PacketReceiver {
 	ti := int(t) % wire.TypeCount
@@ -578,7 +577,7 @@ func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wir
 		d.targets = append(d.targets, to)
 	}
 	for i, d := range sh.open {
-		n.router.PostN(int32(from), int32(d.targets[0]), d.lat, len(d.targets), d.fn)
+		n.router.PostN(int32(from), int32(d.targets[0]), d.lat, len(d.targets), d)
 		sh.open[i] = nil
 	}
 	sh.open = sh.open[:0]

@@ -13,7 +13,7 @@ import (
 // internal/netsim's: the protocol-axis sweep runs the RMTP kernel over
 // every fault cell, so a quiet allocation regression here would tax the
 // whole matrix. The NAK retry loop re-arms the clock.Handle in its
-// nakState with a once-bound callback, and a repair served from the
+// nakState with the nakState as its Firer, and a repair served from the
 // buffer builds only value-typed messages — both must stay at zero
 // steady-state allocations.
 

@@ -119,10 +119,14 @@ type Metrics struct {
 	BufferingTime stats.RunningMean
 }
 
-// nakState is one in-flight NAK retry loop. fire is bound once at creation
-// so every retry re-arm reuses the same callback, and detection time is
-// kept for the recovery-latency histogram.
+// nakState is one in-flight NAK retry loop for sequence seq at node n,
+// and its retry timer's Firer, so a loop is one object and every re-arm
+// queues the same one. Detection time is kept for the recovery-latency
+// histogram. Records are not pooled: a retry left queued by an ended loop
+// tells it is stale by the record's identity (see timer).
 type nakState struct {
+	n          *Node
+	seq        uint64
 	tries      int
 	detectedAt time.Duration
 	// refetch marks a server-side loop re-fetching a pressure-displaced
@@ -130,7 +134,6 @@ type nakState struct {
 	// already delivered the message, so refetch loops bypass the received
 	// check and never count toward Unrecoverable.
 	refetch bool
-	fire    func()
 	// timer is the pending retry. It is never stopped: a loop ends when
 	// its nakState leaves Node.naks, and the retry still queued fails the
 	// identity check when it fires. Stopping it would drop that event and
@@ -156,7 +159,7 @@ type Node struct {
 	naks        map[uint64]*nakState
 	waiters     map[uint64][]topology.NodeID
 	ackFloors   map[topology.NodeID]uint64
-	ackTimer    clock.Handle
+	ackTimer    clock.Handle // fires (*ackTick)(n)
 	acksStarted bool
 	trimmed     uint64 // highest seq removed from the server buffer
 	// unrecovered holds sequences this node gave up recovering; cleared on
@@ -248,13 +251,18 @@ func (n *Node) StartAcks() {
 // armAckLoop schedules the first (jittered) tick of the ACK loop; Recover
 // reuses it to restart the loop a crash stopped.
 func (n *Node) armAckLoop() {
-	var tick func()
-	tick = func() {
-		n.sendAck()
-		n.ackTimer.Arm(n.cfg.Sched, ackInterval, tick)
-	}
 	jitter := time.Duration(n.cfg.Rng.Jitter(float64(ackInterval), 0.2))
-	n.ackTimer.Arm(n.cfg.Sched, jitter, tick)
+	n.ackTimer.Arm(n.cfg.Sched, jitter, (*ackTick)(n))
+}
+
+// ackTick is a Node as its ACK timer's Firer: one ACK, and the next tick
+// armed.
+type ackTick Node
+
+func (t *ackTick) Fire() {
+	n := (*Node)(t)
+	n.sendAck()
+	n.ackTimer.Arm(n.cfg.Sched, ackInterval, t)
 }
 
 // sendAck reports this node's floor upward: receivers to their server,
@@ -427,16 +435,18 @@ func (n *Node) startRefetch(seq uint64) {
 
 // startLoop registers a retry loop for seq and makes its first attempt.
 func (n *Node) startLoop(seq uint64, refetch bool) {
-	st := &nakState{detectedAt: n.cfg.Sched.Now(), refetch: refetch}
-	st.fire = func() { n.nakAttempt(seq, st) }
+	st := &nakState{n: n, seq: seq, detectedAt: n.cfg.Sched.Now(), refetch: refetch}
 	if n.naks == nil {
 		n.naks = make(map[uint64]*nakState)
 	}
 	n.naks[seq] = st
-	n.nakAttempt(seq, st)
+	st.Fire()
 }
 
-func (n *Node) nakAttempt(seq uint64, st *nakState) {
+// Fire makes the loop's next attempt: a NAK and the retry re-armed, or the
+// loop's end.
+func (st *nakState) Fire() {
+	n, seq := st.n, st.seq
 	if n.naks[seq] != st || n.left || n.crashed {
 		return
 	}
@@ -478,7 +488,7 @@ func (n *Node) nakAttempt(seq uint64, st *nakState) {
 		From: n.cfg.View.Self,
 		ID:   wire.MessageID{Source: n.source, Seq: seq},
 	})
-	st.timer.Arm(n.cfg.Sched, rtt, st.fire)
+	st.timer.Arm(n.cfg.Sched, rtt, st)
 }
 
 // markUnrecoverable records an exhausted recovery exactly once; delivery

@@ -11,7 +11,7 @@ import (
 type Sender struct {
 	n            *Node
 	seq          uint64
-	sessionTimer clock.Handle
+	sessionTimer clock.Handle // fires (*sessionTick)(s)
 }
 
 // NewSender wraps the root server node. It panics if the node is not a
@@ -39,10 +39,15 @@ func (s *Sender) StartSessions() {
 	if s.sessionTimer.Armed() {
 		return
 	}
-	var tick func()
-	tick = func() {
-		s.n.cfg.Transport.Broadcast(wire.Message{Type: wire.TypeSession, From: s.n.cfg.View.Self, TopSeq: s.seq})
-		s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, tick)
-	}
-	s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, tick)
+	s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, (*sessionTick)(s))
+}
+
+// sessionTick is a Sender as its session timer's Firer: one session
+// message, and the next tick armed.
+type sessionTick Sender
+
+func (t *sessionTick) Fire() {
+	s := (*Sender)(t)
+	s.n.cfg.Transport.Broadcast(wire.Message{Type: wire.TypeSession, From: s.n.cfg.View.Self, TopSeq: s.seq})
+	s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, t)
 }

@@ -147,10 +147,9 @@ func TestUntracedDuplicateDataDoesNotAllocate(t *testing.T) {
 // TestUntracedFreshDataAllocs pins that a first, in-order DATA packet
 // allocates nothing with tracing off once the member's buffer is cycling.
 // The warm copies the election did not keep are discarded at the idle
-// threshold, and the buffer recycles their entries, each with the fire
-// closure bound when it was first allocated, so the fresh copies reuse
-// them. The idle timer is a clock.Handle inside the entry, so arming it
-// allocates nothing. (Each store once allocated its *core.Entry and fire
+// threshold, and the buffer recycles their entries, so the fresh copies
+// reuse them. The idle timer is a clock.Handle inside the entry, which is
+// the timer's Firer, so arming it allocates nothing. (Each store once allocated its *core.Entry and fire
 // closure, which became garbage at eviction; the string-detail tracer
 // added four more: Sprintf's result, the boxed id, and MessageID.String's
 // result and boxed sequence number; a heap-allocated timer handle per arm
@@ -244,8 +243,8 @@ func TestLatencySamplesDoNotAllocate(t *testing.T) {
 // local and remote attempts and their retries, repair by delivery) and a
 // whole §3.3 search episode (a remote request for a discarded message,
 // its hops, the give-up) allocate nothing. Each takes its message record
-// and episode off the list, arms retries with callbacks bound when the
-// record was made, and returns both to the list when it ends. (Each
+// and episode off the list, arms retries that fire the episode record
+// itself, and returns both to the list when it ends. (Each
 // episode once made its record, its episode and one closure per retry
 // callback, and a search an origins slice too.)
 func TestEpisodesDoNotAllocate(t *testing.T) {
@@ -324,8 +323,8 @@ func (c *countTransport) Broadcast(topology.NodeID, wire.Message) {}
 // lookup per region member) on every local request, search hop and
 // handoff; the pick is now the detector's own walk over its table. The
 // retry timer allocates nothing either: it is a clock.Handle in the
-// episode, re-armed with a callback bound when the episode's record was
-// made. The guard stops the previous retry timer first, as firing would, so the
+// episode, re-armed with the episode as its Firer. The guard stops the
+// previous retry timer first, as firing would, so the
 // simulator's event comes from its pool.
 func TestPeerPickDoesNotAllocate(t *testing.T) {
 	params := DefaultParams()
@@ -423,8 +422,8 @@ func TestHeartbeatTablesAreRecycled(t *testing.T) {
 // makes its members in one slice, pays none per member. A new Region and
 // its first member make 3 (the Region, the Member, and the two-phase
 // policy the region's first member builds). The first DATA from a source
-// makes the buffer's entry and its bound timer callback and the index
-// window's array (3); an in-order mark keeps no reception bitset word, and
+// makes the buffer's entry, which is its own timer's Firer, and the index
+// window's array (2); an in-order mark keeps no reception bitset word, and
 // no table of sources or of index slots is made: both start in the member.
 // Nor is the member's cold state (hooks, detector, churn and fault
 // metrics): a member with no hooks and no detector makes it only when it
@@ -449,8 +448,8 @@ func TestNewMemberAllocs(t *testing.T) {
 		t.Fatalf("NewMember on a shared Region: %v allocs, want 1", n)
 	}
 	data := wire.Message{Type: wire.TypeData, From: 0, ID: wire.MessageID{Source: 0, Seq: 1}, Payload: []byte("x")}
-	if n := testing.AllocsPerRun(100, func() { NewMember(cfg).Receive(0, data) }); n != 1+3 {
-		t.Fatalf("NewMember and a first DATA: %v allocs, want 1+3", n)
+	if n := testing.AllocsPerRun(100, func() { NewMember(cfg).Receive(0, data) }); n != 1+2 {
+		t.Fatalf("NewMember and a first DATA: %v allocs, want 1+2", n)
 	}
 	m := NewMember(cfg)
 	m.Receive(0, data)

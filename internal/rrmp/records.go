@@ -14,14 +14,14 @@ import (
 // (§2.2), searchState (§3.3) and backoff. Every kind follows one idiom:
 //
 //   - A record comes off its region's free list (Region), or is made
-//     when the list is empty; only then are its timer callbacks bound, as
-//     method values that reach the member through the record, so no arm
-//     and no reuse builds a closure.
+//     when the list is empty. It is its own timers' clock.Firer (through
+//     a named pointer type per timer, such as (*localRetry)(rec)), so no
+//     arm and no reuse builds a closure.
 //   - An episode or back-off is reachable from its message record
 //     exactly while it is live. Ending it stops its timers, takes it out
-//     of the record and puts it back on the list, zeroed but for its
-//     callbacks (and a search's origins array); an episode is marked done
-//     there, so a retry can tell it is stale.
+//     of the record and puts it back on the list, zeroed but for a
+//     search's origins array; an episode is marked done there, so a
+//     retry can tell it is stale.
 //   - A message record sits in its source's window while any of its
 //     fields is set; every path that clears one passes it to release,
 //     which returns an idle record to the list.
@@ -125,8 +125,8 @@ func take[T any](free *[]*T) *T {
 // every path that clears one and may leave the record idle passes it to
 // release.
 type msgState struct {
-	// m and id say whose record this is, for the callbacks of its
-	// episodes, which are bound once per record and not per member.
+	// m and id say whose record this is, for its episodes' timers, which
+	// fire the episode records themselves.
 	m  *Member
 	id wire.MessageID
 	// The live §2.2 recovery and §3.3 search episodes, and the back-offs
@@ -202,8 +202,6 @@ func (m *Member) records(yield func(*msgState) bool) {
 type backoff struct {
 	ms    *msgState
 	timer clock.Handle
-	// fire is the timer's callback, bound once when the record is made.
-	fire func()
 	// payload is the repair an mc back-off multicasts.
 	payload []byte
 	// origin and querier are a reply's remote requester and the member
@@ -217,7 +215,6 @@ func (m *Member) newBackoff(ms *msgState, slot **backoff) *backoff {
 	b := take(&m.region.backoffs)
 	if b == nil {
 		b = new(backoff)
-		b.fire = b.expire
 	}
 	b.ms = ms
 	*slot = b
@@ -233,13 +230,13 @@ func (m *Member) endBackoff(b *backoff) {
 	} else {
 		b.ms.reply = nil
 	}
-	*b = backoff{fire: b.fire}
+	*b = backoff{}
 	m.region.backoffs = append(m.region.backoffs, b)
 }
 
-// expire runs out a back-off. Its record goes back first, so the action
+// Fire runs out a back-off. Its record goes back first, so the action
 // sees the message's record as it will stay.
-func (b *backoff) expire() {
+func (b *backoff) Fire() {
 	ms := b.ms
 	m, id, mc := ms.m, ms.id, ms.mc == b
 	payload, origin, querier := b.payload, b.origin, b.querier

@@ -19,12 +19,9 @@ type recovery struct {
 	detectedAt  time.Duration
 	localTries  int
 	remoteTries int
+	// localTimer fires (*localRetry)(rec), remoteTimer (*remoteRetry)(rec).
 	localTimer  clock.Handle
 	remoteTimer clock.Handle
-	// localRetry / remoteRetry are the timers' callbacks, bound once when
-	// the record is made.
-	localRetry  func()
-	remoteRetry func()
 	// done is set when the episode leaves its message's record (repaired,
 	// abandoned, or dropped by Leave/Crash) and goes back on the free list.
 	done bool
@@ -38,8 +35,15 @@ type recovery struct {
 	rerecovery bool
 }
 
-func (r *recovery) retryLocal()  { r.ms.m.localAttempt(r) }
-func (r *recovery) retryRemote() { r.ms.m.remoteAttempt(r) }
+// localRetry and remoteRetry are a recovery as the Firer of one of its
+// timers: the retry of its local or of its remote phase.
+type (
+	localRetry  recovery
+	remoteRetry recovery
+)
+
+func (r *localRetry) Fire()  { r.ms.m.localAttempt((*recovery)(r)) }
+func (r *remoteRetry) Fire() { r.ms.m.remoteAttempt((*recovery)(r)) }
 
 // newRecovery puts a recovery episode detected now in ms, taking its
 // record off the free list.
@@ -47,7 +51,6 @@ func (m *Member) newRecovery(ms *msgState, rerecovery bool) *recovery {
 	rec := take(&m.region.recs)
 	if rec == nil {
 		rec = new(recovery)
-		rec.localRetry, rec.remoteRetry = rec.retryLocal, rec.retryRemote
 	}
 	rec.ms, rec.detectedAt, rec.rerecovery, rec.done = ms, m.region.sched().Now(), rerecovery, false
 	ms.recovery = rec
@@ -60,7 +63,7 @@ func (m *Member) endRecovery(rec *recovery) {
 	rec.localTimer.Stop()
 	rec.remoteTimer.Stop()
 	rec.ms.recovery = nil
-	*rec = recovery{localRetry: rec.localRetry, remoteRetry: rec.remoteRetry, done: true}
+	*rec = recovery{done: true}
 	m.region.recs = append(m.region.recs, rec)
 }
 
@@ -133,7 +136,7 @@ func (m *Member) localAttempt(rec *recovery) {
 	id := rec.ms.id
 	m.trace(trace.Event{Kind: trace.LocalReq, ID: id, Peer: q, N: int32(rec.localTries)})
 	m.send(q, wire.Message{Type: wire.TypeLocalRequest, From: m.self(), ID: id})
-	rec.localTimer.Arm(m.region.sched(), m.region.params.IntraRTT+m.region.params.retryGrace(), rec.localRetry)
+	rec.localTimer.Arm(m.region.sched(), m.region.params.IntraRTT+m.region.params.retryGrace(), (*localRetry)(rec))
 }
 
 // remoteAttempt runs one remote-recovery round: with probability λ/n send a
@@ -166,7 +169,7 @@ func (m *Member) remoteAttempt(rec *recovery) {
 		m.trace(trace.Event{Kind: trace.RemoteReq, ID: id, Peer: r, N: int32(rec.remoteTries)})
 		m.send(r, wire.Message{Type: wire.TypeRemoteRequest, From: m.self(), ID: id, Origin: m.self()})
 	}
-	rec.remoteTimer.Arm(m.region.sched(), m.region.params.ParentRTT+m.region.params.retryGrace(), rec.remoteRetry)
+	rec.remoteTimer.Arm(m.region.sched(), m.region.params.ParentRTT+m.region.params.retryGrace(), (*remoteRetry)(rec))
 }
 
 // checkAbandoned finishes an episode once neither phase can make further

@@ -599,7 +599,7 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 
 // sendRepair transmits a buffered entry to one peer.
 func (m *Member) sendRepair(to topology.NodeID, e *core.Entry) {
-	m.sendRepairPayload(to, e.ID, e.Payload, e.State == core.StateLongTerm)
+	m.sendRepairPayload(to, e.ID, e.Payload, e.State() == core.StateLongTerm)
 }
 
 // sendRepairPayload transmits a repair from an in-hand payload, for paths
@@ -631,7 +631,7 @@ func (m *Member) scheduleRegionalMulticast(id wire.MessageID, payload []byte) {
 	b := m.newBackoff(ms, &ms.mc)
 	b.payload = payload
 	delay := time.Duration(m.rng.Uint64n(uint64(m.region.params.RepairBackoffMax))) + 1
-	b.timer.Arm(m.region.sched(), delay, b.fire)
+	b.timer.Arm(m.region.sched(), delay, b)
 }
 
 func (m *Member) regionalMulticast(id wire.MessageID, payload []byte) {

@@ -324,7 +324,7 @@ func TestLeaveHandsOffLongTermBuffers(t *testing.T) {
 	holders := 0
 	for _, m := range c.members {
 		if m.Buffer().Has(id) {
-			if e, _ := m.Buffer().Get(id); e.State != core.StateLongTerm {
+			if e, _ := m.Buffer().Get(id); e.State() != core.StateLongTerm {
 				t.Fatal("handoff copy is not long-term")
 			}
 			holders++
@@ -606,7 +606,7 @@ func TestInjectHelpers(t *testing.T) {
 	id3 := wire.MessageID{Source: 0, Seq: 6}
 	m.InjectLongTerm(id3, nil)
 	e, ok := m.Buffer().Get(id3)
-	if !ok || e.State != core.StateLongTerm {
+	if !ok || e.State() != core.StateLongTerm {
 		t.Fatal("InjectLongTerm state wrong")
 	}
 }

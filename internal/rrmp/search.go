@@ -27,16 +27,14 @@ type searchState struct {
 	origins []topology.NodeID
 	tries   int
 	timer   clock.Handle
-	// retry is the timer's callback, bound once when the record is made.
-	retry func()
 	// done is set when the episode leaves its message's record and goes
 	// back on the free list.
 	done bool
 }
 
-// attempt is a search's retry: the next attempt of its member's search
+// Fire is a search's retry: the next attempt of its member's search
 // mode.
-func (s *searchState) attempt() {
+func (s *searchState) Fire() {
 	m := s.ms.m
 	if m.region.params.SearchMode == SearchMulticastQuery {
 		m.queryAttempt(s)
@@ -67,7 +65,7 @@ func (m *Member) startSearch(id wire.MessageID, origin topology.NodeID) {
 	s := m.newSearch(ms, origin)
 	m.metrics.SearchesStarted.Inc()
 	m.trace(trace.Event{Kind: trace.SearchStart, ID: id, Origin: origin})
-	s.attempt()
+	s.Fire()
 }
 
 // newSearch puts a search episode on behalf of origin in ms, taking its
@@ -76,7 +74,6 @@ func (m *Member) newSearch(ms *msgState, origin topology.NodeID) *searchState {
 	s := take(&m.region.searches)
 	if s == nil {
 		s = new(searchState)
-		s.retry = s.attempt
 	}
 	s.ms, s.origins, s.done = ms, append(s.origins, origin), false
 	ms.search = s
@@ -88,7 +85,7 @@ func (m *Member) newSearch(ms *msgState, origin topology.NodeID) *searchState {
 func (m *Member) endSearch(s *searchState) {
 	s.timer.Stop()
 	s.ms.search = nil
-	*s = searchState{origins: s.origins[:0], retry: s.retry, done: true}
+	*s = searchState{origins: s.origins[:0], done: true}
 	m.region.searches = append(m.region.searches, s)
 }
 
@@ -118,7 +115,7 @@ func (m *Member) queryAttempt(s *searchState) {
 	}
 	// Wait out the worst-case reply back-off plus a round trip before
 	// re-multicasting.
-	s.timer.Arm(m.region.sched(), m.region.params.queryBackoffMax()+m.region.params.IntraRTT+m.region.params.retryGrace(), s.retry)
+	s.timer.Arm(m.region.sched(), m.region.params.queryBackoffMax()+m.region.params.IntraRTT+m.region.params.retryGrace(), s)
 }
 
 // onQuery handles a multicast bufferer query: holders schedule a reply
@@ -139,7 +136,7 @@ func (m *Member) onQuery(from topology.NodeID, msg *wire.Message) {
 	b := m.newBackoff(ms, &ms.reply)
 	b.origin, b.querier = origin, from
 	delay := time.Duration(m.rng.Uint64n(uint64(m.region.params.queryBackoffMax()))) + 1
-	b.timer.Arm(m.region.sched(), delay, b.fire)
+	b.timer.Arm(m.region.sched(), delay, b)
 }
 
 // queryReply answers a multicast query for id on behalf of origin once
@@ -203,7 +200,7 @@ func (m *Member) searchAttempt(s *searchState) {
 	for _, o := range s.origins {
 		m.send(q, wire.Message{Type: wire.TypeSearch, From: m.self(), ID: id, Origin: o})
 	}
-	s.timer.Arm(m.region.sched(), m.region.params.IntraRTT+m.region.params.retryGrace(), s.retry)
+	s.timer.Arm(m.region.sched(), m.region.params.IntraRTT+m.region.params.retryGrace(), s)
 }
 
 // locator is the side of the deterministic hash policy (§3.4) a search

@@ -11,7 +11,7 @@ import (
 type Sender struct {
 	m            *Member
 	seq          uint64
-	sessionTimer clock.Handle
+	sessionTimer clock.Handle // fires (*sessionTick)(s)
 }
 
 // NewSender wraps a member with sender duties. The member's node id becomes
@@ -45,16 +45,21 @@ func (s *Sender) StartSessions() {
 	if s.sessionTimer.Armed() {
 		return
 	}
-	var tick func()
-	tick = func() {
-		s.m.region.transport.Broadcast(s.m.self(), wire.Message{
-			Type:   wire.TypeSession,
-			From:   s.m.self(),
-			TopSeq: s.seq,
-		})
-		s.sessionTimer.Arm(s.m.region.sched(), s.m.region.params.SessionInterval, tick)
-	}
-	s.sessionTimer.Arm(s.m.region.sched(), s.m.region.params.SessionInterval, tick)
+	s.sessionTimer.Arm(s.m.region.sched(), s.m.region.params.SessionInterval, (*sessionTick)(s))
+}
+
+// sessionTick is a Sender as its session timer's Firer: one session
+// message, and the next tick armed.
+type sessionTick Sender
+
+func (t *sessionTick) Fire() {
+	s := (*Sender)(t)
+	s.m.region.transport.Broadcast(s.m.self(), wire.Message{
+		Type:   wire.TypeSession,
+		From:   s.m.self(),
+		TopSeq: s.seq,
+	})
+	s.sessionTimer.Arm(s.m.region.sched(), s.m.region.params.SessionInterval, t)
 }
 
 // StopSessions cancels periodic session messages.

@@ -140,9 +140,12 @@ func TestNewTreeClusterAllocsPerNode(t *testing.T) {
 // under a 16 KB budget, four bursty sources). Each trial is
 // deterministic, so every budget is 5 % headroom over its row's
 // measurement. The scale and stream rows fail the tree before members
-// held only their hot state (2 025 and 2 347 B per member now; 2 216 and
-// 2 539 B then). The counts are the process's MemStats deltas, so the
-// test does not run in parallel.
+// held only their hot state (2 216 and 2 539 B per member then), and all
+// three fail it before timers fired their owners (2 025, 2 347 and
+// 24 607 B; 18.34, 17.13 and 159.49 objects per member, when every
+// buffered copy and every rrmp episode record bound its callbacks). The
+// counts are the process's MemStats deltas, so the test does not run in
+// parallel.
 func TestTrialBytesPerMember(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trial macro-measurement; skipped with -short")
@@ -154,7 +157,7 @@ func TestTrialBytesPerMember(t *testing.T) {
 		byteBudget, objBudget float64 // per member
 	}{
 		{
-			name: "scale100k@10k", members: 10000, byteBudget: 2126, objBudget: 19.26, // 2 025 B, 18.34
+			name: "scale100k@10k", members: 10000, byteBudget: 1934, objBudget: 13.14, // 1 842 B, 12.51
 			sc: exp.Scenario{
 				Tree: &exp.TreeShape{Branch: 8, Levels: 4, Members: 10000},
 				Loss: 0.05, LossMode: "hash", Policy: "two-phase",
@@ -162,7 +165,7 @@ func TestTrialBytesPerMember(t *testing.T) {
 			},
 		},
 		{
-			name: "stream10k", members: 10000, byteBudget: 2464, objBudget: 17.99, // 2 347 B, 17.13
+			name: "stream10k", members: 10000, byteBudget: 2285, objBudget: 12.34, // 2 176 B, 11.75
 			sc: exp.Scenario{
 				Tree:   &exp.TreeShape{Branch: 4, Levels: 4, Members: 10000},
 				Policy: "two-phase",
@@ -170,7 +173,7 @@ func TestTrialBytesPerMember(t *testing.T) {
 			},
 		},
 		{
-			name: "pressure300", members: 300, byteBudget: 25837, objBudget: 167.46, // 24 607 B, 159.49
+			name: "pressure300", members: 300, byteBudget: 24937, objBudget: 134.62, // 23 750 B, 128.21
 			sc: exp.Scenario{
 				Regions: []int{100, 100, 100},
 				Loss:    0.2, LossMode: "hash",

@@ -90,8 +90,8 @@ func runTwoPhaseInvariantTrial(t *testing.T, topo *topology.Topology, seed uint6
 		holders := make(map[wire.MessageID]bool)
 		for _, id := range ids {
 			if e, ok := m.Buffer().Get(id); ok {
-				if e.State != core.StateLongTerm {
-					t.Fatalf("node %d holds %v short-term %v after the idle horizon", n, id, e.State)
+				if e.State() != core.StateLongTerm {
+					t.Fatalf("node %d holds %v short-term %v after the idle horizon", n, id, e.State())
 				}
 				holders[id] = true
 			}
@@ -296,11 +296,11 @@ func TestScaleTrialUnder10s(t *testing.T) {
 // above what the cell executes (60.7–61.1M events over seeds 1–3). On a
 // 2-core Intel Xeon host seed 1 executes 60 906 733 events. One fresh
 // test process at one lane (RRMP_SHARDS=1), peak RSS read as VmHWM, ran
-// it in 36.6 s (1.66 M events/s) peaking at 1 802 812 kB (1 761 MiB);
-// the same run peaked at 1 989 468 kB (1 943 MiB, 37.8 s) before members
-// held only their hot state, and at 2 232 MB (43.4 s) before members
-// were made in one slab (the shared host's speed drifts between runs,
-// 44.9–54.5 s earlier). At two lanes it once took 28.3 s. The wall is
+// it in 27.5 s (2.2 M events/s) peaking at 1 725 428 kB (1 685 MiB);
+// the same run peaked at 1 808 360 kB (1 766 MiB, 27.6 s) before timers
+// fired their owners, 1 989 468 kB (1 943 MiB) before members held only
+// their hot state, and 2 232 MB before members were made in one slab
+// (the shared host's speed drifts between runs, 27.5–54.5 s). The wall is
 // logged, not asserted, for TestScaleTrialUnder10s's reason. One trial
 // costs most of a minute and gigabytes, so this test runs only when
 // RRMP_SCALE_1M=1; RRMP_SHARDS overrides the shard width. The same cell

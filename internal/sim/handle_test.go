@@ -24,7 +24,7 @@ func TestHandleSize(t *testing.T) {
 }
 
 func TestHandleArmAllocs(t *testing.T) {
-	fn := func() {}
+	fn := clock.Func(func() {})
 	check := func(t *testing.T, sched clock.Scheduler, run func()) {
 		t.Helper()
 		var h clock.Handle
@@ -71,10 +71,10 @@ func TestHandleStaleStop(t *testing.T) {
 		t.Fatal("Stop on a zero Handle returned true")
 	}
 	fired := 0
-	h.Arm(s, time.Millisecond, func() { fired++ })
+	h.Arm(s, time.Millisecond, clock.Func(func() { fired++ }))
 	s.RunUntil(-1)
 	other := false
-	if ref, _ := s.queue.PushN(s.now+time.Millisecond, s.now, s.src, 1, func() { other = true }); ref != 1 {
+	if ref, _ := s.queue.PushN(s.now+time.Millisecond, s.now, s.src, 1, clock.Func(func() { other = true })); ref != 1 {
 		t.Fatalf("setup: the later event took slot %d, want the fired event's slot 1", ref)
 	}
 	if h.Stop() {
@@ -84,7 +84,7 @@ func TestHandleStaleStop(t *testing.T) {
 	if !other {
 		t.Fatal("stale Stop cancelled the event that reused its slot")
 	}
-	h.Arm(s, time.Millisecond, func() { fired++ })
+	h.Arm(s, time.Millisecond, clock.Func(func() { fired++ }))
 	s.RunUntil(-1)
 	if fired != 2 {
 		t.Fatalf("fired %d times, want 2: re-Arm over a fired handle", fired)
@@ -101,7 +101,7 @@ func TestLaneHandleDuringSetupStopsMidWindow(t *testing.T) {
 	}
 	fired, stopped := false, false
 	var h clock.Handle
-	h.Arm(e.Clock(0), time.Hour, func() { fired = true })
+	h.Arm(e.Clock(0), time.Hour, clock.Func(func() { fired = true }))
 	if e.global.Pending() != 1 {
 		t.Fatal("a setup-time lane handle did not land on the global lane")
 	}
@@ -126,7 +126,7 @@ func BenchmarkArmStop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Arm(s, time.Millisecond, fn)
+		h.Arm(s, time.Millisecond, clock.Func(fn))
 		h.Stop()
 	}
 }

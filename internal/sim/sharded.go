@@ -95,7 +95,7 @@ type lane struct {
 type outEvent struct {
 	dst, n     uint32
 	at, pushAt time.Duration
-	fn         func()
+	f          clock.Firer
 }
 
 // coordinatorSrc orders barrier-context pushes before any shard's pushes at
@@ -154,8 +154,8 @@ func (e *Sharded) Processed() uint64 {
 func (e *Sharded) After(d time.Duration, fn func()) clock.Timer { return e.global.After(d, fn) }
 
 // ArmAfter is After for a clock.Handle.
-func (e *Sharded) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32, uint32) {
-	return e.global.ArmAfter(d, fn)
+func (e *Sharded) ArmAfter(d time.Duration, f clock.Firer) (clock.Canceller, uint32, uint32) {
+	return e.global.ArmAfter(d, f)
 }
 
 // At schedules fn on the global lane at the absolute time at, clamped to
@@ -164,9 +164,11 @@ func (e *Sharded) At(at time.Duration, fn func()) clock.Timer { return e.global.
 
 // PostFrom schedules fn to run d after the sending context's clock, on the
 // shard owning node to: PostN's one-firing case.
-func (e *Sharded) PostFrom(from, to int32, d time.Duration, fn func()) { e.PostN(from, to, d, 1, fn) }
+func (e *Sharded) PostFrom(from, to int32, d time.Duration, fn func()) {
+	e.PostN(from, to, d, 1, firer(fn))
+}
 
-// PostN schedules fn to fire n (>= 1) times in a row, d after the sending
+// PostN schedules f to fire n (>= 1) times in a row, d after the sending
 // context's clock, as one event on the shard owning node to. from
 // identifies the sending node; the sending context is from's shard during
 // a window, or the coordinator during setup and barriers. This is the
@@ -174,30 +176,30 @@ func (e *Sharded) PostFrom(from, to int32, d time.Duration, fn func()) { e.PostN
 // enabled). Cross-shard posts with d below the lookahead bound panic: they
 // would land inside another shard's current window, which the engine
 // cannot order deterministically.
-func (e *Sharded) PostN(from, to int32, d time.Duration, n int, fn func()) {
+func (e *Sharded) PostN(from, to int32, d time.Duration, n int, f clock.Firer) {
 	if e.setup {
-		e.global.push(d, e.global.src, n, fn)
+		e.global.push(d, e.global.src, n, f)
 		return
 	}
 	dst := e.nodeShard[to]
 	if e.barrier {
 		// Lane clocks equal the barrier clock here (see barrierAt).
-		e.lanes[dst].loop.push(d, coordinatorSrc, n, fn)
+		e.lanes[dst].loop.push(d, coordinatorSrc, n, f)
 		return
 	}
 	src := e.nodeShard[from]
 	ln := e.lanes[src]
 	if src == dst {
-		ln.loop.push(d, ln.loop.src, n, fn)
+		ln.loop.push(d, ln.loop.src, n, f)
 		return
 	}
-	if fn == nil {
+	if f == nil {
 		panic("sim: scheduling a nil callback")
 	}
 	if d < e.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard post from node %d to node %d with delay %v below the %v lookahead bound", from, to, d, e.lookahead))
 	}
-	ln.out = append(ln.out, outEvent{dst: uint32(dst), n: fires(n), at: ln.loop.now + d, pushAt: ln.loop.now, fn: fn})
+	ln.out = append(ln.out, outEvent{dst: uint32(dst), n: fires(n), at: ln.loop.now + d, pushAt: ln.loop.now, f: f})
 }
 
 // RunUntil executes events with timestamps <= deadline in lookahead-bounded
@@ -321,8 +323,8 @@ func (e *Sharded) drainOutboxes() {
 	for _, ln := range e.lanes {
 		for i := range ln.out {
 			o := &ln.out[i]
-			e.lanes[o.dst].loop.queue.PushN(o.at, o.pushAt, ln.loop.src, o.n, o.fn)
-			o.fn = nil
+			e.lanes[o.dst].loop.queue.PushN(o.at, o.pushAt, ln.loop.src, o.n, o.f)
+			o.f = nil
 		}
 		ln.out = ln.out[:0]
 	}
@@ -334,17 +336,17 @@ func (ln *lane) Now() time.Duration { return ln.loop.now }
 // After schedules fn on the shard's loop, routed as ArmAfter routes.
 func (ln *lane) After(d time.Duration, fn func()) clock.Timer { return newTimer(ln, d, fn) }
 
-// ArmAfter schedules fn on the shard's loop for a clock.Handle. During
+// ArmAfter schedules f on the shard's loop for a clock.Handle. During
 // setup it routes to the global lane (matching the serial engine's pre-run
 // insertion order); from a barrier it is keyed as a coordinator push.
-func (ln *lane) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32, uint32) {
+func (ln *lane) ArmAfter(d time.Duration, f clock.Firer) (clock.Canceller, uint32, uint32) {
 	switch e := ln.e; {
 	case e.setup:
-		return e.global.ArmAfter(d, fn)
+		return e.global.ArmAfter(d, f)
 	case e.barrier:
-		return ln.loop.arm(d, coordinatorSrc, fn)
+		return ln.loop.arm(d, coordinatorSrc, f)
 	default:
-		return ln.loop.ArmAfter(d, fn)
+		return ln.loop.ArmAfter(d, f)
 	}
 }
 

@@ -115,7 +115,7 @@ func (e shardedMergeEngine) post(from, to int32, d time.Duration, n int, fire fu
 		e.e.PostFrom(from, to, d, func() { fire(0) })
 		return
 	}
-	e.e.PostN(from, to, d, n, counted(fire))
+	e.e.PostN(from, to, d, n, clock.Func(counted(fire)))
 }
 func (e shardedMergeEngine) run() { e.e.RunUntil(-1) }
 
@@ -132,7 +132,7 @@ type laneTimerMergeEngine struct {
 func (e laneTimerMergeEngine) schedule(lane int32, d time.Duration, fn func()) {
 	if e.handle {
 		var h clock.Handle
-		h.Arm(e.e.Clock(lane), d, fn)
+		h.Arm(e.e.Clock(lane), d, clock.Func(fn))
 		return
 	}
 	e.e.Clock(lane).After(d, fn)
@@ -142,7 +142,7 @@ func (e laneTimerMergeEngine) schedule(lane int32, d time.Duration, fn func()) {
 func (e laneTimerMergeEngine) at(at time.Duration, fn func()) { e.schedule(0, at, fn) }
 func (e laneTimerMergeEngine) post(from, to int32, d time.Duration, n int, fire func(k int)) {
 	if from >= 0 && from != to {
-		e.e.PostN(from, to, d, n, counted(fire))
+		e.e.PostN(from, to, d, n, clock.Func(counted(fire)))
 		return
 	}
 	singles(func(fn func()) { e.schedule(to, d, fn) }, n, fire)

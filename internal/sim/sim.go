@@ -9,7 +9,8 @@
 //
 // Sim implements clock.Scheduler, which is the only interface the protocol
 // stack sees, and clock.Armer, through which the protocol's owner-embedded
-// timers (clock.Handle) arm without allocating.
+// timers (clock.Handle) arm without allocating. An event is a clock.Firer;
+// the func() surface (After, At, Post) wraps its callback in a clock.Func.
 package sim
 
 import (
@@ -89,18 +90,27 @@ var _ clock.Scheduler = (*Sim)(nil)
 var _ clock.Armer = (*Sim)(nil)
 var _ Engine = (*Sim)(nil)
 
-// push is the one way an event enters the queue: n firings of fn, d after
+// push is the one way an event enters the queue: n firings of f, d after
 // the loop's clock (a non-positive d means "now"; the event still goes
 // through the queue so it runs after the currently executing event
 // completes), keyed as pushed by context src.
-func (s *Sim) push(d time.Duration, src int32, n int, fn func()) (ref, gen uint32) {
-	if fn == nil {
+func (s *Sim) push(d time.Duration, src int32, n int, f clock.Firer) (ref, gen uint32) {
+	if f == nil {
 		panic("sim: scheduling a nil callback")
 	}
 	if d < 0 {
 		d = 0
 	}
-	return s.queue.PushN(s.now+d, s.now, src, fires(n), fn)
+	return s.queue.PushN(s.now+d, s.now, src, fires(n), f)
+}
+
+// firer wraps a driver's callback as the Firer an event holds, refusing a
+// nil one where it is scheduled rather than where it would fire.
+func firer(fn func()) clock.Firer {
+	if fn == nil {
+		panic("sim: scheduling a nil callback")
+	}
+	return clock.Func(fn)
 }
 
 // fires converts a firing count to the queue's, refusing one it cannot
@@ -113,8 +123,8 @@ func fires(n int) uint32 {
 }
 
 // arm is push returning what a clock.Handle keeps.
-func (s *Sim) arm(d time.Duration, src int32, fn func()) (clock.Canceller, uint32, uint32) {
-	ref, gen := s.push(d, src, 1, fn)
+func (s *Sim) arm(d time.Duration, src int32, f clock.Firer) (clock.Canceller, uint32, uint32) {
+	ref, gen := s.push(d, src, 1, f)
 	return s, ref, gen
 }
 
@@ -126,28 +136,28 @@ func (s *Sim) After(d time.Duration, fn func()) clock.Timer { return newTimer(s,
 // clock.Handle of its own, armed through the scheduler's ArmAfter.
 func newTimer(s clock.Scheduler, d time.Duration, fn func()) clock.Timer {
 	h := new(clock.Handle)
-	h.Arm(s, d, fn)
+	h.Arm(s, d, firer(fn))
 	return h
 }
 
-// ArmAfter schedules fn like After and returns the triple a clock.Handle
+// ArmAfter schedules f like After and returns the triple a clock.Handle
 // keeps in place of a Timer, so arming allocates nothing.
-func (s *Sim) ArmAfter(d time.Duration, fn func()) (clock.Canceller, uint32, uint32) {
-	return s.arm(d, s.src, fn)
+func (s *Sim) ArmAfter(d time.Duration, f clock.Firer) (clock.Canceller, uint32, uint32) {
+	return s.arm(d, s.src, f)
 }
 
 // Post schedules fn like After but returns no cancellation handle, saving
 // the timer allocation: PostN's one-firing case.
-func (s *Sim) Post(d time.Duration, fn func()) { s.PostN(0, 0, d, 1, fn) }
+func (s *Sim) Post(d time.Duration, fn func()) { s.PostN(0, 0, d, 1, firer(fn)) }
 
-// PostN schedules fn to fire n (>= 1) times in a row, d after the current
+// PostN schedules f to fire n (>= 1) times in a row, d after the current
 // virtual time, as one queued event with no cancellation handle. It exists
 // for fire-and-forget events — the simulated network's packet deliveries
 // are never cancelled, and they dominate event volume at scale: one
 // transmission's deliveries that arrive together are one event. A Sim is
 // the router of a network on one loop (see netsim.ShardRouter): every node
 // lives on it, so from and to only name the endpoints.
-func (s *Sim) PostN(_, _ int32, d time.Duration, n int, fn func()) { s.push(d, s.src, n, fn) }
+func (s *Sim) PostN(_, _ int32, d time.Duration, n int, f clock.Firer) { s.push(d, s.src, n, f) }
 
 // At schedules fn at the absolute virtual time at, clamped to now.
 func (s *Sim) At(at time.Duration, fn func()) clock.Timer {
@@ -158,7 +168,7 @@ func (s *Sim) At(at time.Duration, fn func()) clock.Timer {
 // event. It returns false if no events are pending. Cancelled events are
 // skipped: never run, counted or allowed to move the clock.
 func (s *Sim) Step() bool {
-	at, fn, ok := s.queue.PopFire()
+	at, f, ok := s.queue.PopFire()
 	if !ok {
 		return false
 	}
@@ -166,7 +176,7 @@ func (s *Sim) Step() bool {
 		s.now = at
 	}
 	s.processed++
-	fn()
+	f.Fire()
 	return true
 }
 

@@ -55,9 +55,8 @@ type Detector struct {
 	cfg     Config
 	peers   []topology.NodeID // region peers (excluding self)
 	floors  map[topology.NodeID]uint64
-	stable  uint64 // highest sequence declared stable so far
-	onTick  func() // the timer callback, bound once
-	ticker  clock.Handle
+	stable  uint64       // highest sequence declared stable so far
+	ticker  clock.Handle // fires (*tickTimer)(d)
 	running bool
 }
 
@@ -67,18 +66,11 @@ func New(cfg Config) *Detector {
 		panic("stability: Sched, Rng, Send and LocalPrefix are required")
 	}
 	peers := cfg.View.Peers()
-	d := &Detector{
+	return &Detector{
 		cfg:    cfg,
 		peers:  peers,
 		floors: make(map[topology.NodeID]uint64, len(peers)),
 	}
-	d.onTick = func() {
-		d.tick()
-		if d.running {
-			d.scheduleTick()
-		}
-	}
-	return d
 }
 
 // Start begins periodic digest gossip. Idempotent.
@@ -101,7 +93,19 @@ func (d *Detector) Stop() {
 
 func (d *Detector) scheduleTick() {
 	delay := time.Duration(d.cfg.Rng.Jitter(float64(interval), 0.1))
-	d.ticker.Arm(d.cfg.Sched, delay, d.onTick)
+	d.ticker.Arm(d.cfg.Sched, delay, (*tickTimer)(d))
+}
+
+// tickTimer is a Detector as its ticker's Firer: one digest round, and
+// the next one scheduled while the detector runs.
+type tickTimer Detector
+
+func (t *tickTimer) Fire() {
+	d := (*Detector)(t)
+	d.tick()
+	if d.running {
+		d.scheduleTick()
+	}
 }
 
 // tick multicasts this member's digest to the region and re-evaluates
