@@ -227,7 +227,7 @@ type Config struct {
 }
 
 // noCopy makes vet's copylocks check flag a copied Buffer: the index's
-// slot table points at its own inline first slot, so a copy would index
+// source table points at its own inline first slot, so a copy would index
 // the original.
 type noCopy struct{}
 
@@ -429,7 +429,7 @@ func (b *Buffer) TakeForHandoff() []*Entry {
 func (b *Buffer) Close() {
 	b.idx.each(func(e *Entry) { e.timer.Stop() })
 	b.occ.Advance(b.sh.Sched.Now(), b.levels())
-	b.idx.reset()
+	b.idx = denseIndex{}
 	b.longCount = 0
 	b.bytes = 0
 }

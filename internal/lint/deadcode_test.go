@@ -473,7 +473,7 @@ func unreadFields(t *testing.T, pkgs []*lint.Package, keep map[string]string) []
 // accumulated returns the selector x.F that call writes when call is
 // x.F.M(…) or x.F[i].M(…) with M an accumulator method, or nil. The rule is
 // kept to repro/internal/stats, whose types hold nothing but their tallies:
-// a result-less method elsewhere (netsim.Endpoint's Net.Unicast) has
+// a result-less method elsewhere (netsim.Group's Net.Unicast) has
 // effects beyond its receiver, and calling it reads the field.
 func accumulated(info *types.Info, call *ast.CallExpr) *ast.SelectorExpr {
 	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

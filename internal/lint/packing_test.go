@@ -18,7 +18,8 @@ var wordSizes = &types.StdSizes{WordSize: 8, MaxAlign: 8}
 // TestHotStructsArePacked keeps the structs a large trial holds by the
 // hundred thousand free of padding a field order could remove: rrmp.Member
 // and the core.Buffer and rrmp.sourceState it holds (one each per member),
-// core.Entry (one per buffered copy) and eventq.Event (one per pending
+// wire's per-source window and source table, which both of those are built
+// of, core.Entry (one per buffered copy) and eventq.Event (one per pending
 // event). Each byte of a member is about 0.1 MB of scale100k's peak RSS.
 // A struct fails when ordering its fields by alignment would make it
 // smaller. TestHotStructsArePackedFixture pins the rule.
@@ -27,8 +28,9 @@ func TestHotStructsArePacked(t *testing.T) {
 		"repro/internal/rrmp":   {"Member", "sourceState"},
 		"repro/internal/core":   {"Buffer", "Entry"},
 		"repro/internal/eventq": {"Event"},
+		"repro/internal/wire":   {"SeqWindow", "SourceTable", "SourceSlot"},
 	}
-	pkgs, err := lint.Load("../..", "./internal/rrmp", "./internal/core", "./internal/eventq")
+	pkgs, err := lint.Load("../..", "./internal/rrmp", "./internal/core", "./internal/eventq", "./internal/wire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +65,26 @@ func TestHotStructsArePackedFixture(t *testing.T) {
 // packing returns the size of struct type name in p and the size of the
 // same fields ordered by alignment, largest first, with zero-size fields
 // leading (gc pads a struct that ends in one), each rounded up to the
-// struct's alignment.
+// struct's alignment. A generic type is measured with every type argument
+// a byte, the argument that pads most when it sits before a word.
 func packing(t *testing.T, p *lint.Package, name string) (size, packed int64) {
 	t.Helper()
 	obj := p.Types.Scope().Lookup(name)
 	if obj == nil {
 		t.Fatalf("package %s declares no %s", p.Types.Name(), name)
 	}
-	st := obj.Type().Underlying().(*types.Struct)
+	typ := obj.Type()
+	if params := typ.(*types.Named).TypeParams(); params.Len() > 0 {
+		args := make([]types.Type, params.Len())
+		for i := range args {
+			args[i] = types.Typ[types.Byte]
+		}
+		var err error
+		if typ, err = types.Instantiate(nil, typ, args, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := typ.Underlying().(*types.Struct)
 	fields := make([]types.Type, st.NumFields())
 	for i := range fields {
 		fields[i] = st.Field(i).Type()

@@ -20,8 +20,8 @@ import (
 // dropTransport is a Transport whose sends vanish.
 type dropTransport struct{}
 
-func (dropTransport) Send(topology.NodeID, wire.Message) {}
-func (dropTransport) Broadcast(wire.Message)             {}
+func (dropTransport) Send(_, _ topology.NodeID, _ wire.Message) {}
+func (dropTransport) Broadcast(topology.NodeID, wire.Message)   {}
 
 // standalone builds one node of a 4-member region on its own simulator,
 // with sends that vanish.

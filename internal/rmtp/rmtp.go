@@ -32,15 +32,16 @@ import (
 	"repro/internal/wire"
 )
 
-// Transport sends a node's PDUs; netsim.Endpoint implements it. Like
-// rrmp.Transport, it must deliver asynchronously (never call back into the
-// node from Send).
+// Transport sends nodes' PDUs; netsim.Group implements it. As with
+// rrmp.Transport, every method names the node sending, so a cluster's
+// nodes share one, and it must deliver asynchronously (never call back
+// into a node from Send).
 type Transport interface {
-	// Send transmits msg to one peer.
-	Send(to topology.NodeID, msg wire.Message)
-	// Broadcast transmits msg to the whole group (the initial multicast).
-	// Only the sender uses it.
-	Broadcast(msg wire.Message)
+	// Send transmits msg from one node to one peer.
+	Send(from, to topology.NodeID, msg wire.Message)
+	// Broadcast transmits msg from one node to the whole group (the
+	// initial multicast). Only the sender uses it.
+	Broadcast(from topology.NodeID, msg wire.Message)
 }
 
 // The baseline's timers mirror the RRMP defaults for a fair comparison:
@@ -282,7 +283,7 @@ func (n *Node) sendAck() {
 		return // root server acks nobody
 	}
 	n.metrics.AcksSent.Inc()
-	n.cfg.Transport.Send(to, wire.Message{Type: wire.TypeAck, From: n.cfg.View.Self, TopSeq: floor})
+	n.cfg.Transport.Send(n.cfg.View.Self, to, wire.Message{Type: wire.TypeAck, From: n.cfg.View.Self, TopSeq: floor})
 }
 
 func (n *Node) aggregateFloor() uint64 {
@@ -483,7 +484,7 @@ func (st *nakState) Fire() {
 	}
 	st.tries++
 	n.metrics.NaksSent.Inc()
-	n.cfg.Transport.Send(to, wire.Message{
+	n.cfg.Transport.Send(n.cfg.View.Self, to, wire.Message{
 		Type: wire.TypeNak,
 		From: n.cfg.View.Self,
 		ID:   wire.MessageID{Source: n.source, Seq: seq},
@@ -553,7 +554,7 @@ func (n *Node) onNak(from topology.NodeID, msg *wire.Message) {
 
 func (n *Node) sendRepair(to topology.NodeID, id wire.MessageID, payload []byte) {
 	n.metrics.RepairsSent.Inc()
-	n.cfg.Transport.Send(to, wire.Message{Type: wire.TypeRepair, From: n.cfg.View.Self, ID: id, Payload: payload})
+	n.cfg.Transport.Send(n.cfg.View.Self, to, wire.Message{Type: wire.TypeRepair, From: n.cfg.View.Self, ID: id, Payload: payload})
 }
 
 // onAck merges a floor report and trims the buffer up to the region-wide

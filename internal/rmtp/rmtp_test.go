@@ -23,7 +23,7 @@ type treeCluster struct {
 }
 
 // newTreeCluster wires topo the way runner.NewTreeCluster does (a view,
-// an endpoint and a self-registered receiver per node), with paper §4
+// one netsim.Group for all and a self-registered receiver per node), with paper §4
 // latencies. paramsOf gives each node's Params; nil gives every node the
 // defaults.
 func newTreeCluster(t *testing.T, topo *topology.Topology, seed uint64, loss netsim.LossModel, paramsOf func(topology.NodeID) Params) *treeCluster {
@@ -44,7 +44,7 @@ func newTreeCluster(t *testing.T, topo *topology.Topology, seed uint64, loss net
 			childServers[p] = append(childServers[p], topo.MemberAt(topology.RegionID(r), 0))
 		}
 	}
-	endpoints := make([]netsim.Endpoint, total)
+	group := &netsim.Group{Net: net, Members: all}
 	for _, node := range all {
 		view, err := topo.ViewOf(node)
 		if err != nil {
@@ -54,11 +54,10 @@ func newTreeCluster(t *testing.T, topo *topology.Topology, seed uint64, loss net
 		if paramsOf != nil {
 			params = paramsOf(node)
 		}
-		endpoints[node] = netsim.Endpoint{Net: net, Self: node, Group: all}
 		n := New(Config{
 			View:         view,
 			ChildServers: childServers[topo.RegionOf(node)],
-			Transport:    &endpoints[node],
+			Transport:    group,
 			Sched:        s,
 			Rng:          root.Split(uint64(node) + 1),
 			Params:       params,
@@ -317,7 +316,7 @@ func TestSenderValidation(t *testing.T) {
 	s := sim.New()
 	receiver := New(Config{
 		View:      view,
-		Transport: &netsim.Endpoint{Net: netsim.New(s, netsim.UniformLatency{}, nil), Self: view.Self},
+		Transport: &netsim.Group{Net: netsim.New(s, netsim.UniformLatency{}, nil)},
 		Sched:     s,
 		Rng:       rng.New(1),
 	})

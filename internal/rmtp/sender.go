@@ -30,7 +30,7 @@ func (s *Sender) Publish(payload []byte) wire.MessageID {
 	self := s.n.cfg.View.Self
 	id := wire.MessageID{Source: self, Seq: s.seq}
 	s.n.deliver(id, payload)
-	s.n.cfg.Transport.Broadcast(wire.Message{Type: wire.TypeData, From: self, ID: id, Payload: payload})
+	s.n.cfg.Transport.Broadcast(self, wire.Message{Type: wire.TypeData, From: self, ID: id, Payload: payload})
 	return id
 }
 
@@ -48,6 +48,7 @@ type sessionTick Sender
 
 func (t *sessionTick) Fire() {
 	s := (*Sender)(t)
-	s.n.cfg.Transport.Broadcast(wire.Message{Type: wire.TypeSession, From: s.n.cfg.View.Self, TopSeq: s.seq})
+	self := s.n.cfg.View.Self
+	s.n.cfg.Transport.Broadcast(self, wire.Message{Type: wire.TypeSession, From: self, TopSeq: s.seq})
 	s.sessionTimer.Arm(s.n.cfg.Sched, sessionInterval, t)
 }

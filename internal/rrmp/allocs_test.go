@@ -473,13 +473,14 @@ func TestMsgStateSize(t *testing.T) {
 	}
 }
 
-// TestMemberSize keeps a Member at its 544 bytes. runner.NewCluster
+// TestMemberSize keeps a Member at its 512 bytes. runner.NewCluster
 // makes a group's members in one slice, so the size is the exact per
 // member cost with no size-class rounding; a 100k-member trial holds 100k.
 // A member holds its hot state: its place in its region's member list, its
-// rng, its buffer (core.Buffer, 232 bytes with its index and first index
-// slot), the buffer's rng stream, the first source's reception state, the
-// served table, its metrics, and pointers to its Region and its cold state.
+// rng, its buffer (core.Buffer, 200 bytes with its index and first index
+// slot), the buffer's rng stream, its source table with the first
+// source's reception state inline, the served table, its metrics, and
+// pointers to its Region and its cold state.
 // It reads the Params, the View's member lists (its own id among them),
 // the transport, the scheduler and the tracer through the region, and its
 // hooks, detector and churn and fault metrics through the cold state. It
@@ -490,9 +491,10 @@ func TestMsgStateSize(t *testing.T) {
 // Params beside the one to the region; then 696, holding its own
 // transport, hooks, detector, id and fault metrics, a one-element source
 // table and a 312-byte buffer (an index interface, int counters and two
-// occupancy integrators).
+// occupancy integrators); then 544, while the buffer's index kept a
+// window layout of its own, 32 bytes wider per source.
 func TestMemberSize(t *testing.T) {
-	if n := unsafe.Sizeof(Member{}); n != 544 {
-		t.Fatalf("Member is %d bytes, want 544", n)
+	if n := unsafe.Sizeof(Member{}); n != 512 {
+		t.Fatalf("Member is %d bytes, want 512", n)
 	}
 }

@@ -193,7 +193,7 @@ func TestPrefixAndMaxSeen(t *testing.T) {
 	if got := m.Prefix(src); got != 2 {
 		t.Fatalf("prefix = %d, want 2 (gap at 3)", got)
 	}
-	if got := m.source(src).maxSeen; got != 5 {
+	if got := m.sources.Find(src).maxSeen; got != 5 {
 		t.Fatalf("maxSeen = %d", got)
 	}
 	m.InjectDeliver(wire.MessageID{Source: src, Seq: 3}, nil)

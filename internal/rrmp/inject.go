@@ -36,7 +36,7 @@ func (m *Member) InjectLongTerm(id wire.MessageID, payload []byte) {
 // ever entering the buffer: the §3.3 search experiments start from regions
 // where the message "has become idle" at every non-bufferer.
 func (m *Member) InjectDiscarded(id wire.MessageID) {
-	st := m.source(id.Source)
+	st := m.sources.Add(id.Source)
 	st.Mark(id.Seq)
 	if id.Seq > st.maxSeen {
 		st.maxSeen = id.Seq

@@ -22,9 +22,9 @@ import (
 //     of the record and puts it back on the list, zeroed but for a
 //     search's origins array; an episode is marked done there, so a
 //     retry can tell it is stale.
-//   - A message record sits in its source's window while any of its
-//     fields is set; every path that clears one passes it to release,
-//     which returns an idle record to the list.
+//   - A message record sits in its source's window (sourceState.recs)
+//     while any of its fields is set; every path that clears one passes
+//     it to release, which returns an idle record to the list.
 //
 // A region's members share one list, so at 100k members, where most
 // members run about one episode per trial, episodes still reuse one
@@ -148,17 +148,17 @@ type msgState struct {
 
 // record returns id's record, or nil if it has none.
 func (m *Member) record(id wire.MessageID) *msgState {
-	st := m.findSource(id.Source)
+	st := m.sources.Find(id.Source)
 	if st == nil {
 		return nil
 	}
-	return st.record(id.Seq)
+	return st.recs.Get(id.Seq)
 }
 
 // msg returns id's record, making it if there is none.
 func (m *Member) msg(id wire.MessageID) *msgState {
-	st := m.source(id.Source)
-	if ms := st.record(id.Seq); ms != nil {
+	st := m.sources.Add(id.Source)
+	if ms := st.recs.Get(id.Seq); ms != nil {
 		return ms
 	}
 	ms := take(&m.region.msgs)
@@ -166,7 +166,7 @@ func (m *Member) msg(id wire.MessageID) *msgState {
 		ms = new(msgState)
 	}
 	ms.m, ms.id, ms.bufferer = m, id, topology.NoNode
-	st.put(id.Seq, ms)
+	st.recs.Put(id.Seq, ms)
 	return ms
 }
 
@@ -177,7 +177,7 @@ func (m *Member) release(ms *msgState) {
 		len(ms.waiters) > 0 || ms.bufferer != topology.NoNode || ms.unrecovered {
 		return
 	}
-	m.findSource(ms.id.Source).drop(ms.id.Seq)
+	m.sources.Find(ms.id.Source).recs.Drop(ms.id.Seq)
 	*ms = msgState{}
 	m.region.msgs = append(m.region.msgs, ms)
 }
@@ -186,8 +186,9 @@ func (m *Member) release(ms *msgState) {
 // The loop body may release records but must not make one, which could
 // slide a window under the walk.
 func (m *Member) records(yield func(*msgState) bool) {
-	for st := range m.sources {
-		for _, ms := range st.back {
+	srcs := m.sources.Slots()
+	for i := range srcs {
+		for _, ms := range srcs[i].State.recs.Slots() {
 			if ms != nil && !yield(ms) {
 				return
 			}
@@ -248,58 +249,3 @@ func (b *backoff) Fire() {
 		m.queryReply(id, origin, querier)
 	}
 }
-
-// window is a source's message records: back[i] is the record of
-// sequence base+i, or nil. A drop only clears its slot. A put past either
-// end moves the records in flight to the start of back when they and the
-// new one fit there, and only otherwise grows back, geometrically (core's
-// srcSlot keeps buffer entries the same way). So the window spans about
-// the records in flight, not the source's history.
-type window struct {
-	base uint64
-	back []*msgState // len(back) == cap(back)
-}
-
-// record returns seq's record, or nil.
-func (w *window) record(seq uint64) *msgState {
-	if i := seq - w.base; i < uint64(len(w.back)) { // seq < base wraps past len
-		return w.back[i]
-	}
-	return nil
-}
-
-// put places ms in seq's slot, which is empty.
-func (w *window) put(seq uint64, ms *msgState) {
-	if i := seq - w.base; i < uint64(len(w.back)) {
-		w.back[i] = ms
-		return
-	}
-	// The span of records in flight, back[lo:hi], and the sequences the
-	// window must now cover, first..last.
-	lo, hi := 0, len(w.back)
-	for lo < hi && w.back[lo] == nil {
-		lo++
-	}
-	for hi > lo && w.back[hi-1] == nil {
-		hi--
-	}
-	first, last, shift := seq, seq, uint64(0) // shift: where back[lo] moves to
-	if lo < hi {
-		first, last = min(seq, w.base+uint64(lo)), max(seq, w.base+uint64(hi-1))
-		shift = w.base + uint64(lo) - first
-	}
-	if n := last - first + 1; n <= uint64(len(w.back)) {
-		live := copy(w.back[shift:], w.back[lo:hi])
-		clear(w.back[:shift])
-		clear(w.back[shift+uint64(live):])
-	} else {
-		grown := make([]*msgState, max(n, 2*uint64(len(w.back))))
-		copy(grown[shift:], w.back[lo:hi])
-		w.back = grown
-	}
-	w.base = first
-	w.back[seq-first] = ms
-}
-
-// drop empties seq's slot, which holds a record.
-func (w *window) drop(seq uint64) { w.back[seq-w.base] = nil }

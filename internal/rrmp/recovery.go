@@ -71,7 +71,7 @@ func (m *Member) endRecovery(rec *recovery) {
 // unreceived sequence in (maxSeen, top] is a detected loss (§2.1: gaps in
 // the sequence space, plus session messages for burst tails).
 func (m *Member) noteTop(src topology.NodeID, top uint64) {
-	st := m.source(src)
+	st := m.sources.Add(src)
 	if top <= st.maxSeen {
 		return
 	}
@@ -98,7 +98,7 @@ func (m *Member) StartRecovery(id wire.MessageID) {
 // startRecovery starts recovery, optionally marking the episode as a
 // post-crash re-recovery (Member.Recover sets rerecovery).
 func (m *Member) startRecovery(id wire.MessageID, rerecovery bool) {
-	if m.source(id.Source).Has(id.Seq) {
+	if m.sources.Add(id.Source).Has(id.Seq) {
 		return
 	}
 	ms := m.msg(id)

@@ -103,10 +103,9 @@ func (h *Hooks) any() bool {
 // "received but discarded" is a distinct protocol state, §3.3), beside the
 // window of records of that sender's messages in flight.
 type sourceState struct {
-	src     topology.NodeID
 	maxSeen uint64
 	wire.SeqSet
-	window
+	recs wire.SeqWindow[msgState]
 }
 
 // coldState is what a member holds that most scenarios never touch: its
@@ -149,13 +148,8 @@ type Member struct {
 
 	buf    core.Buffer
 	bufRng rng.Source // the buffer's election stream
-	// first is the reception state of the first sender heard from (its
-	// src is topology.NoNode until then), and more, once a second sender
-	// is heard, the table of every sender's, first included, sorted by
-	// src. A group has one sender, or a handful, so a binary search beats
-	// hashing the id, and a one-sender group's member makes no table.
-	first sourceState
-	more  []*sourceState
+	// sources is every sender's reception state, the first one's inline.
+	sources wire.SourceTable[sourceState]
 	// served records when this member last repaired a given (message,
 	// origin) pair from a search, so the burst of in-flight SEARCH PDUs
 	// that race the terminating HAVE does not each trigger another repair.
@@ -179,7 +173,6 @@ func (m *Member) Init(cfg Config) {
 	region := cfg.Region
 	m.selfIdx = int32(cfg.View.SelfIdx)
 	m.rng, m.region = cfg.Rng, region
-	m.first.src = topology.NoNode
 	if cfg.Hooks.any() {
 		m.coldState().hooks = cfg.Hooks
 	}
@@ -342,7 +335,7 @@ func (m *Member) Left() bool { return m.left }
 // HasReceived reports whether id was ever delivered to this member
 // (it may since have been discarded from the buffer).
 func (m *Member) HasReceived(id wire.MessageID) bool {
-	st := m.findSource(id.Source)
+	st := m.sources.Find(id.Source)
 	return st != nil && st.Has(id.Seq)
 }
 
@@ -350,72 +343,11 @@ func (m *Member) HasReceived(id wire.MessageID) bool {
 // that every sequence in [1, k] has been received. Stability detection
 // baselines gossip this value as their message-history digest.
 func (m *Member) Prefix(src topology.NodeID) uint64 {
-	st := m.findSource(src)
+	st := m.sources.Find(src)
 	if st == nil {
 		return 0
 	}
 	return st.Prefix()
-}
-
-// findSource returns src's reception state, or nil if src was never heard.
-func (m *Member) findSource(src topology.NodeID) *sourceState {
-	if m.more == nil {
-		if m.first.src == src && src != topology.NoNode {
-			return &m.first
-		}
-		return nil
-	}
-	if i, ok := m.searchMore(src); ok {
-		return m.more[i]
-	}
-	return nil
-}
-
-// searchMore returns where src's reception state is, or belongs, in
-// m.more, by binary search.
-func (m *Member) searchMore(src topology.NodeID) (int, bool) {
-	lo, hi := 0, len(m.more)
-	for lo < hi {
-		if h := int(uint(lo+hi) >> 1); m.more[h].src < src {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	return lo, lo < len(m.more) && m.more[lo].src == src
-}
-
-// source returns (creating if needed) the reception state for src.
-func (m *Member) source(src topology.NodeID) *sourceState {
-	if st := m.findSource(src); st != nil {
-		return st
-	}
-	if m.first.src == topology.NoNode {
-		m.first.src = src
-		return &m.first
-	}
-	if m.more == nil {
-		m.more = append(make([]*sourceState, 0, 2), &m.first)
-	}
-	st := &sourceState{src: src}
-	i, _ := m.searchMore(src)
-	m.more = slices.Insert(m.more, i, st)
-	return st
-}
-
-// sources yields the member's reception states in ascending src order.
-func (m *Member) sources(yield func(*sourceState) bool) {
-	if m.more == nil {
-		if m.first.src != topology.NoNode {
-			yield(&m.first)
-		}
-		return
-	}
-	for _, st := range m.more {
-		if !yield(st) {
-			return
-		}
-	}
 }
 
 // Receive dispatches one incoming PDU, as ReceivePacket does for a packet
@@ -496,7 +428,7 @@ func (m *Member) onRemoteRequest(from topology.NodeID, msg *wire.Message) {
 		m.resolveSearch(id, from) // request landed on a holder: search time 0
 		return
 	}
-	st := m.source(id.Source)
+	st := m.sources.Add(id.Source)
 	if !st.Has(id.Seq) {
 		// Never received: remember the requester and relay on receipt.
 		m.addWaiter(id, from)
@@ -529,7 +461,7 @@ func (m *Member) onRepair(from topology.NodeID, msg *wire.Message) {
 // onHandoff accepts a long-term buffer transfer from a leaving peer (§3.2).
 func (m *Member) onHandoff(_ topology.NodeID, msg *wire.Message) {
 	id := msg.ID
-	st := m.source(id.Source)
+	st := m.sources.Add(id.Source)
 	if !st.Has(id.Seq) {
 		// The transfer doubles as a delivery if we never had the message.
 		m.deliver(id, msg.Payload, msg.From)
@@ -542,7 +474,7 @@ func (m *Member) onHandoff(_ topology.NodeID, msg *wire.Message) {
 // completes any recovery, relays to waiters, and satisfies searches. It
 // returns false for duplicates.
 func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID) bool {
-	st := m.source(id.Source)
+	st := m.sources.Add(id.Source)
 	if st.Has(id.Seq) {
 		m.metrics.Duplicates.Inc()
 		return false
@@ -554,7 +486,7 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 	m.metrics.Delivered.Inc()
 	m.trace(trace.Event{Kind: trace.Deliver, ID: id, Peer: from})
 
-	if ms := st.record(id.Seq); ms != nil {
+	if ms := st.recs.Get(id.Seq); ms != nil {
 		// Complete an in-flight recovery.
 		if rec := ms.recovery; rec != nil {
 			latency, rerecovery := now-rec.detectedAt, rec.rerecovery
@@ -739,11 +671,13 @@ func (m *Member) Recover() {
 	m.trace(trace.Event{Kind: trace.Recover})
 	// Walk sources in ascending order: recovery start order pairs rng
 	// draws with messages, so it must be a function of the state alone.
-	for st := range m.sources {
+	srcs := m.sources.Slots()
+	for i := range srcs {
+		st := &srcs[i].State
 		for seq := uint64(1); seq <= st.maxSeen; seq++ {
 			if !st.Has(seq) {
-				id := wire.MessageID{Source: st.src, Seq: seq}
-				if ms := st.record(seq); ms != nil && ms.unrecovered {
+				id := wire.MessageID{Source: srcs[i].Source, Seq: seq}
+				if ms := st.recs.Get(seq); ms != nil && ms.unrecovered {
 					// A fresh retry budget: the message is back in
 					// flight, not lost.
 					ms.unrecovered = false

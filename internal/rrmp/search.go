@@ -261,7 +261,7 @@ func (m *Member) onSearch(from topology.NodeID, msg *wire.Message) {
 		m.trace(trace.Event{Kind: trace.SearchServe, ID: id, Origin: origin, Peer: from})
 		return
 	}
-	st := m.source(id.Source)
+	st := m.sources.Add(id.Source)
 	if !st.Has(id.Seq) {
 		// Footnote 4: a member that never received the message recovers it
 		// itself; the recorded waiter gets the relay on receipt.

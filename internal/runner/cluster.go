@@ -181,7 +181,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// place (rrmp.Member.Init) with its buffer, index and first source
 	// inline, and members register themselves as packet receivers, so a
 	// member costs no allocation of its own. NewTreeCluster wires its
-	// nodes the same way, with an endpoint each.
+	// nodes the same way.
 	members := make([]rrmp.Member, len(c.All))
 	// Every member sends through the cluster's one netsim.Group.
 	group := &netsim.Group{Net: net, Members: c.All}

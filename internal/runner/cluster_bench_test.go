@@ -98,8 +98,9 @@ func TestNewClusterAllocsPerMember(t *testing.T) {
 
 // TestNewTreeClusterAllocsPerNode is TestNewClusterAllocsPerMember's twin
 // for the RMTP baseline: NewTreeCluster wires nodes as NewCluster wires
-// members (views, endpoints and rng streams from backing slices, nodes
-// registered as their own packet receivers, maps made on first write), so
+// members (views and rng streams from backing slices, one netsim.Group
+// for all, nodes registered as their own packet receivers, maps made on
+// first write), so
 // a plain receiver costs its Node alone and the two repair servers of a
 // 1000-node chain are noise. The budget is 2 objects per node over the
 // measured 1.03; it was 10.07 objects and 2895 B per node while each node

@@ -81,8 +81,9 @@ func (c *TreeCluster) Recover(victim topology.NodeID) {
 
 // NewTreeCluster builds the RMTP baseline deployment used by ablation A2
 // and the comparison benches. Nodes are wired as NewCluster wires members:
-// a view each, endpoints and rng streams from backing slices, and the node
-// itself registered as its packet receiver.
+// a view each, rng streams from a backing slice, the cluster's one
+// netsim.Group to send through, and the node itself registered as its
+// packet receiver.
 func NewTreeCluster(cfg TreeClusterConfig) (*TreeCluster, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("runner: TreeClusterConfig.Topo is required")
@@ -101,17 +102,16 @@ func NewTreeCluster(cfg TreeClusterConfig) (*TreeCluster, error) {
 			childServers[p] = append(childServers[p], topo.MemberAt(topology.RegionID(r), 0))
 		}
 	}
-	endpoints := make([]netsim.Endpoint, len(c.All))
+	group := &netsim.Group{Net: net, Members: c.All}
 	for _, n := range c.All {
 		view, err := topo.ViewOf(n)
 		if err != nil {
 			return nil, fmt.Errorf("runner: view of node %d: %w", n, err)
 		}
-		endpoints[n] = netsim.Endpoint{Net: net, Self: n, Group: c.All}
 		node := rmtp.New(rmtp.Config{
 			View:         view,
 			ChildServers: childServers[topo.RegionOf(n)],
-			Transport:    &endpoints[n],
+			Transport:    group,
 			Sched:        d.clockOf(n),
 			Rng:          d.memberRng(n),
 			Params:       cfg.Params,
