@@ -21,18 +21,15 @@ type evictRecord struct {
 // manual control over phases via StoreLongTerm) and logs every eviction.
 func budgetBuffer(s *sim.Sim, budget int) (*Buffer, *[]evictRecord) {
 	log := &[]evictRecord{}
-	var b *Buffer
-	b = NewBuffer(Config{
+	b := NewBuffer(Config{
 		Policy:     BufferAll{},
 		Sched:      s,
 		Rng:        rng.New(1),
 		ByteBudget: budget,
-		Observer: &callbacks{
-			onEvict: func(e *Entry, r EvictReason) {
-				*log = append(*log, evictRecord{e.ID.Seq, r, e.State(), b.Len() - b.LongTermCount()})
-			},
-		},
 	})
+	b.hooks().onEvict = func(e *Entry, r EvictReason) {
+		*log = append(*log, evictRecord{e.ID.Seq, r, e.State(), b.Len() - b.LongTermCount()})
+	}
 	return b, log
 }
 

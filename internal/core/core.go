@@ -188,12 +188,12 @@ type Shared struct {
 	Spares Spares
 }
 
-// Observer is told of a buffer's evictions and long-term promotions. A
-// pointer type implementing it costs a buffer no closure: rrmp's members
-// and rmtp's repair servers observe their buffers as themselves. The
-// *Entry is valid only during the call: once it returns, the object may
-// be recycled for a later Store at this buffer or at any buffer sharing
-// its Spares. Copy out what must outlive the call.
+// Observer is told of a buffer's evictions and long-term promotions, for
+// instrumentation (rrmp's member Hooks); what a protocol reports of its
+// buffer the buffer keeps itself. The *Entry is valid only during the
+// call: once it returns, the object may be recycled for a later Store at
+// this buffer or at any buffer sharing its Spares. Copy out what must
+// outlive the call.
 type Observer interface {
 	Evicted(e *Entry, reason EvictReason)
 	Promoted(e *Entry)
@@ -222,8 +222,6 @@ type Config struct {
 	// the same backing array; enable this when the caller may reuse or
 	// mutate payload buffers after publishing.
 	CopyPayload bool
-	// Observer, if set, is told of evictions and promotions.
-	Observer Observer
 }
 
 // noCopy makes vet's copylocks check flag a copied Buffer: the index's
@@ -249,8 +247,8 @@ type Buffer struct {
 	// occ integrates the two levels, idx.n entries and bytes payload
 	// bytes; every change to either is accounted before it is made.
 	occ       stats.Occupancy
-	bytes     int // current payload bytes held
-	longCount int32
+	bytes     int                   // current payload bytes held
+	buffering stats.RunningMean     // store→evict times (BufferingTime)
 	denied    uint32                // stores refused because the payload exceeds ByteBudget
 	evicted   [EvictPressure]uint32 // evicted[r-1] counts reason r
 }
@@ -259,7 +257,7 @@ type Buffer struct {
 // new(Buffer) made ready by Init.
 func NewBuffer(cfg Config) *Buffer {
 	b := new(Buffer)
-	b.Init(&Shared{Sched: cfg.Sched, ByteBudget: cfg.ByteBudget, CopyPayload: cfg.CopyPayload}, cfg.Policy, cfg.Rng, cfg.Observer)
+	b.Init(&Shared{Sched: cfg.Sched, ByteBudget: cfg.ByteBudget, CopyPayload: cfg.CopyPayload}, cfg.Policy, cfg.Rng, nil)
 	return b
 }
 
@@ -281,8 +279,22 @@ func (b *Buffer) Init(sh *Shared, p Policy, r *rng.Source, obs Observer) {
 // Policy returns the buffer's retention policy.
 func (b *Buffer) Policy() Policy { return b.policy }
 
-// LongTermCount returns the number of entries in the long-term phase.
-func (b *Buffer) LongTermCount() int { return int(b.longCount) }
+// LongTermCount returns the number of entries in the long-term phase,
+// counted in the index.
+func (b *Buffer) LongTermCount() int {
+	n := 0
+	b.idx.each(func(e *Entry) {
+		if e.State() == StateLongTerm {
+			n++
+		}
+	})
+	return n
+}
+
+// BufferingTime averages the store→evict times of the entries evicted so
+// far, in milliseconds (§3.1, Fig. 6): every eviction reason counts but
+// EvictHandoff, whose copy lives on at a peer.
+func (b *Buffer) BufferingTime() *stats.RunningMean { return &b.buffering }
 
 // EvictedCount returns how many entries have been evicted for the reason,
 // and 0 for a value that is not an EvictReason.
@@ -430,7 +442,6 @@ func (b *Buffer) Close() {
 	b.idx.each(func(e *Entry) { e.timer.Stop() })
 	b.occ.Advance(b.sh.Sched.Now(), b.levels())
 	b.idx = denseIndex{}
-	b.longCount = 0
 	b.bytes = 0
 }
 
@@ -545,7 +556,6 @@ func (b *Buffer) idleCheck(e *Entry) {
 func (b *Buffer) promote(e *Entry) {
 	e.timer.Stop()
 	e.PromotedAt = b.sh.Sched.Now()
-	b.longCount++
 	if ttl := b.policy.LongTermTTL(); ttl > 0 {
 		e.timer.Arm(b.sh.Sched, ttl, e)
 	}
@@ -573,11 +583,12 @@ func (b *Buffer) ttlCheck(e *Entry) {
 
 func (b *Buffer) evict(e *Entry, reason EvictReason) {
 	e.timer.Stop()
-	b.occ.Advance(b.sh.Sched.Now(), b.levels())
+	now := b.sh.Sched.Now()
+	b.occ.Advance(now, b.levels())
 	b.idx.remove(e.ID)
 	b.bytes -= len(e.Payload)
-	if e.State() == StateLongTerm {
-		b.longCount--
+	if reason != EvictHandoff {
+		b.buffering.AddDuration(now - e.StoredAt)
 	}
 	if reason >= EvictIdle && reason <= EvictPressure {
 		b.evicted[reason-1]++

@@ -21,10 +21,8 @@ func newTestBuffer(t *testing.T, s *sim.Sim, p Policy) (*Buffer, *[]EvictReason)
 		Policy: p,
 		Sched:  s,
 		Rng:    rng.New(1),
-		Observer: &callbacks{
-			onEvict: func(_ *Entry, r EvictReason) { *evictions = append(*evictions, r) },
-		},
 	})
+	b.hooks().onEvict = func(_ *Entry, r EvictReason) { *evictions = append(*evictions, r) }
 	return b, evictions
 }
 

@@ -73,7 +73,7 @@ func (x *denseIndex) victim(p Policy) *Entry {
 	return v
 }
 
-// each visits all entries (timer teardown only).
+// each visits all entries in (Source, Seq) order.
 func (x *denseIndex) each(fn func(e *Entry)) {
 	srcs := x.srcs.Slots()
 	for i := range srcs {

@@ -52,19 +52,16 @@ func diffPolicies() map[string]func() Policy {
 func diffScript(policy Policy, seed uint64) (ledger []string, metrics string) {
 	const budget = 1 << 11
 	s := sim.New()
-	var b *Buffer
-	b = NewBuffer(Config{
+	b := NewBuffer(Config{
 		Policy:     policy,
 		Sched:      s,
 		Rng:        rng.New(seed),
 		ByteBudget: budget,
-		Observer: &callbacks{
-			onEvict: func(e *Entry, r EvictReason) {
-				ledger = append(ledger, fmt.Sprintf("%d/%d %v %v short=%d",
-					e.ID.Source, e.ID.Seq, r, e.State(), b.Len()-b.LongTermCount()))
-			},
-		},
 	})
+	b.hooks().onEvict = func(e *Entry, r EvictReason) {
+		ledger = append(ledger, fmt.Sprintf("%d/%d %v %v short=%d",
+			e.ID.Source, e.ID.Seq, r, e.State(), b.Len()-b.LongTermCount()))
+	}
 	list := func(es []*Entry) string {
 		var sb strings.Builder
 		for _, e := range es {

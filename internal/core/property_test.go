@@ -34,12 +34,10 @@ func TestBufferOpSequenceProperty(t *testing.T) {
 			Policy: NewTwoPhase(testT, c, 100, 0),
 			Sched:  s,
 			Rng:    rng.New(1),
-			Observer: &callbacks{
-				onEvict: func(e *Entry, _ EvictReason) {
-					evictions[e.ID]++
-				},
-			},
 		})
+		b.hooks().onEvict = func(e *Entry, _ EvictReason) {
+			evictions[e.ID]++
+		}
 		lastIntegral := 0.0
 		for _, o := range ops {
 			id := wire.MessageID{Source: 0, Seq: uint64(o.Seq % 16)}
@@ -112,16 +110,14 @@ func TestBufferEvictionExactlyOnceProperty(t *testing.T) {
 			Policy: NewTwoPhase(testT, 50, 100, ttl), // 50% election
 			Sched:  s,
 			Rng:    rng.New(7),
-			Observer: &callbacks{
-				onEvict: func(e *Entry, r EvictReason) {
-					evicted[e.ID]++
-					if r == EvictTTL && e.State() != StateLongTerm {
-						// TTL evictions can only happen to long-term entries.
-						evicted[e.ID] += 100
-					}
-				},
-			},
 		})
+		b.hooks().onEvict = func(e *Entry, r EvictReason) {
+			evicted[e.ID]++
+			if r == EvictTTL && e.State() != StateLongTerm {
+				// TTL evictions can only happen to long-term entries.
+				evicted[e.ID] += 100
+			}
+		}
 		stored := make(map[wire.MessageID]bool)
 		for _, q := range seqs {
 			id := wire.MessageID{Source: 1, Seq: uint64(q)}

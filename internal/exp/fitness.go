@@ -60,16 +60,6 @@ func ParseFitnessWeights(s string) (FitnessWeights, error) {
 	return w, nil
 }
 
-// FitnessKeys names the report metrics each objective reads. The caller
-// supplies them (internal/runner passes its registered key constants), so
-// this package stays free of metric-name literals and protocol coupling.
-type FitnessKeys struct {
-	Delivery      string
-	ByteSeconds   string
-	Unrecoverable string
-	RecoveryMs    string
-}
-
 // FitnessInput is one scored candidate's raw objective values.
 type FitnessInput struct {
 	Name          string
@@ -134,31 +124,4 @@ func Fitness(rows []FitnessInput, w FitnessWeights) []FitnessRow {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// FitnessFromCells reads each cell's objective means by the given keys (a
-// metric a cell never reported contributes 0) and scores the cells
-// against each other. Compare like with like: the normalization spans
-// every cell passed in, so scoring a whole heterogeneous report ranks
-// cells against the report-wide maxima, while scoring one family ranks
-// within that family.
-func FitnessFromCells(cells []Cell, keys FitnessKeys, w FitnessWeights) []FitnessRow {
-	rows := make([]FitnessInput, len(cells))
-	mean := func(c Cell, key string) float64 {
-		m, ok := c.Aggregate.Metric(key)
-		if !ok {
-			return 0
-		}
-		return m.Mean
-	}
-	for i, c := range cells {
-		rows[i] = FitnessInput{
-			Name:          c.Name,
-			Delivery:      mean(c, keys.Delivery),
-			ByteSeconds:   mean(c, keys.ByteSeconds),
-			Unrecoverable: mean(c, keys.Unrecoverable),
-			RecoveryMs:    mean(c, keys.RecoveryMs),
-		}
-	}
-	return Fitness(rows, w)
 }

@@ -56,36 +56,3 @@ func TestFitnessScoring(t *testing.T) {
 		t.Fatalf("zero-cost score = %v, want pure delivery 1", tied[0].Score)
 	}
 }
-
-// TestFitnessFromCells pins the metric extraction: objective values come
-// from the named aggregate means, and a metric a cell never reported
-// contributes zero rather than failing.
-func TestFitnessFromCells(t *testing.T) {
-	keys := FitnessKeys{
-		Delivery: "delivery", ByteSeconds: "bytesec",
-		Unrecoverable: "unrec", RecoveryMs: "recovery",
-	}
-	cells := []Cell{
-		{Name: "full", Aggregate: Aggregate{Metrics: []MetricSummary{
-			{Name: "delivery", Mean: 0.8},
-			{Name: "bytesec", Mean: 200},
-			{Name: "unrec", Mean: 2},
-			{Name: "recovery", Mean: 5},
-		}}},
-		{Name: "sparse", Aggregate: Aggregate{Metrics: []MetricSummary{
-			{Name: "delivery", Mean: 1.0},
-		}}},
-	}
-	rows := FitnessFromCells(cells, keys, DefaultFitnessWeights())
-	if len(rows) != 2 || rows[0].Name != "sparse" {
-		t.Fatalf("rows = %+v; want sparse ranked first (it pays no cost)", rows)
-	}
-	if rows[0].Score != 1 {
-		t.Fatalf("sparse score = %v, want 1 (absent metrics contribute 0)", rows[0].Score)
-	}
-	w := DefaultFitnessWeights()
-	wantFull := w.Delivery*0.8 - w.ByteSeconds*1 - w.Unrecoverable*1 - w.RecoveryMs*1
-	if rows[1].Score != wantFull {
-		t.Fatalf("full score = %v, want %v", rows[1].Score, wantFull)
-	}
-}

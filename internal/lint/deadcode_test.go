@@ -58,7 +58,6 @@ func TestProductionCodeHasCallers(t *testing.T) {
 		"analytic.ProbNoRequest":                    oracle,
 		"wire.Message.Marshal":                      codec,
 		"wire.Unmarshal":                            codec,
-		"rrmp.Member.Unrecovered":                   "the set the Unrecoverable counter must equal (DESIGN §2)",
 		"trace.Memory.Filter":                       "trace.Memory is the Tracer fake tests substitute for a Writer; they query it through this",
 	}
 

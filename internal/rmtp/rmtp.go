@@ -12,15 +12,15 @@
 //
 // Fault semantics (DESIGN.md "RMTP baseline semantics"): a crashed repair
 // server orphans its region — receivers keep NAKing a corpse, exhaust
-// their retry budgets and count the loss in Metrics.Unrecoverable — until
-// the server recovers, upon which session messages restart the stalled
-// NAK loops. Loss is always explicit, never silent: at any instant, every
+// their retry budgets and list the loss in Unrecovered() — until the
+// server recovers, upon which session messages restart the stalled NAK
+// loops. Loss is always explicit, never silent: at any instant, every
 // sequence a node is missing is either in an active NAK loop or in the
-// Unrecovered set (counter ≡ set, the same invariant RRMP pins).
+// Unrecovered set, the same invariant RRMP pins.
 package rmtp
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -62,8 +62,8 @@ const (
 // Params tunes the baseline protocol.
 type Params struct {
 	// MaxTries bounds NAK retries (give-ups are counted, and the missing
-	// sequence lands in Metrics.Unrecoverable / Unrecovered() until a
-	// late repair or session-driven retry delivers it). Zero selects 64.
+	// sequence lands in Unrecovered() until a late repair or
+	// session-driven retry delivers it). Zero selects 64.
 	MaxTries int
 	// ByteBudget caps the repair server's buffer at this many payload
 	// bytes (core.Config.ByteBudget), the same knob rrmp.Params exposes.
@@ -108,16 +108,9 @@ type Metrics struct {
 	AcksSent    stats.Counter
 	AcksRecv    stats.Counter
 	GiveUps     stats.Counter
-	// Unrecoverable counts sequences whose NAK loop exhausted MaxTries and
-	// that have not arrived since; it is decremented when a late repair
-	// delivers the message (counter ≡ Unrecovered() set at all times).
-	Unrecoverable stats.Counter
 	// RecoveryLatency averages detect→deliver times for repaired gaps, in
 	// milliseconds (the unit rrmp.Metrics.RecoveryLatency uses).
 	RecoveryLatency stats.RunningMean
-	// BufferingTime averages store→evict times at the repair server, in
-	// milliseconds.
-	BufferingTime stats.RunningMean
 }
 
 // nakState is one in-flight NAK retry loop for sequence seq at node n,
@@ -133,7 +126,7 @@ type nakState struct {
 	// refetch marks a server-side loop re-fetching a pressure-displaced
 	// message from the parent to serve recorded waiters; the server has
 	// already delivered the message, so refetch loops bypass the received
-	// check and never count toward Unrecoverable.
+	// check and never land in Unrecovered().
 	refetch bool
 	// timer is the pending retry. It is never stopped: a loop ends when
 	// its nakState leaves Node.naks, and the retry still queued fails the
@@ -164,7 +157,7 @@ type Node struct {
 	acksStarted bool
 	trimmed     uint64 // highest seq removed from the server buffer
 	// unrecovered holds sequences this node gave up recovering; cleared on
-	// late delivery. See Metrics.Unrecoverable.
+	// late delivery. See Unrecovered.
 	unrecovered map[uint64]bool
 
 	metrics Metrics
@@ -200,7 +193,6 @@ func New(cfg Config) *Node {
 			Rng:         cfg.Rng,
 			ByteBudget:  cfg.Params.ByteBudget,
 			CopyPayload: cfg.Params.CopyOnStore,
-			Observer:    (*serverBuffer)(n),
 		})
 		n.ackFloors = make(map[topology.NodeID]uint64, len(v.RegionMembers)-1+len(cfg.ChildServers))
 		for _, m := range v.RegionMembers[1:] {
@@ -212,17 +204,6 @@ func New(cfg Config) *Node {
 	}
 	return n
 }
-
-// serverBuffer is a repair server seen as its buffer's core.Observer, so
-// the buffer reports evictions to the node with no closure.
-type serverBuffer Node
-
-func (o *serverBuffer) Evicted(e *core.Entry, _ core.EvictReason) {
-	n := (*Node)(o)
-	n.metrics.BufferingTime.AddDuration(n.cfg.Sched.Now() - e.StoredAt)
-}
-
-func (*serverBuffer) Promoted(*core.Entry) {}
 
 // Metrics returns the node's live metrics.
 func (n *Node) Metrics() *Metrics { return &n.metrics }
@@ -238,6 +219,18 @@ func (n *Node) Left() bool { return n.left }
 
 // Crashed reports whether the node is currently crashed.
 func (n *Node) Crashed() bool { return n.crashed }
+
+// Unrecovered returns the sequences this node has given up recovering, in
+// ascending order: the explicit count of loss that runner.Totals sums. A
+// sequence leaves it only when it arrives. Empty for a healthy run.
+func (n *Node) Unrecovered() []uint64 {
+	out := make([]uint64, 0, len(n.unrecovered))
+	for seq := range n.unrecovered {
+		out = append(out, seq)
+	}
+	slices.Sort(out)
+	return out
+}
 
 // StartAcks begins the periodic ACK-window loop (receivers report to their
 // region server; servers report the aggregated floor to their parent).
@@ -357,10 +350,7 @@ func (n *Node) deliver(id wire.MessageID, payload []byte) {
 	// A sequence given up on can still arrive — a very late repair, or a
 	// session-driven retry that finally reached a recovered server. It is
 	// then no longer lost.
-	if n.unrecovered[id.Seq] {
-		delete(n.unrecovered, id.Seq)
-		n.metrics.Unrecoverable.Add(-1)
-	}
+	delete(n.unrecovered, id.Seq)
 	if n.isServer && id.Seq > n.trimmed {
 		n.buffer.Store(id, payload)
 		if ws := n.waiters[id.Seq]; len(ws) > 0 {
@@ -394,7 +384,7 @@ func (n *Node) noteTop(src topology.NodeID, top uint64) {
 // budget only bounds one episode). The sequence stays in the unrecovered
 // set until it actually arrives, so accounting never flickers: a missing
 // message that has exhausted at least one retry budget is always visible
-// in Metrics.Unrecoverable. Sequences are walked in ascending order so
+// in Unrecovered(). Sequences are walked in ascending order so
 // identically seeded runs schedule identical retries.
 func (n *Node) retryStalled() {
 	if len(n.unrecovered) == 0 {
@@ -406,7 +396,7 @@ func (n *Node) retryStalled() {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	for _, seq := range seqs {
 		n.startNak(seq)
 	}
@@ -492,17 +482,16 @@ func (st *nakState) Fire() {
 	st.timer.Arm(n.cfg.Sched, rtt, st)
 }
 
-// markUnrecoverable records an exhausted recovery exactly once; delivery
-// clears it, keeping Metrics.Unrecoverable ≡ the Unrecovered set.
+// markUnrecoverable records an exhausted recovery in the unrecovered set;
+// delivery clears it.
 func (n *Node) markUnrecoverable(seq uint64) {
-	if n.received.Has(seq) || n.unrecovered[seq] {
+	if n.received.Has(seq) {
 		return
 	}
 	if n.unrecovered == nil {
 		n.unrecovered = make(map[uint64]bool)
 	}
 	n.unrecovered[seq] = true
-	n.metrics.Unrecoverable.Inc()
 }
 
 // onNak answers from the buffer or records a waiter and escalates.

@@ -190,9 +190,9 @@ func TestAckTrimsServerBuffer(t *testing.T) {
 	}
 }
 
-// TestServerRecordsBufferingTime pins that a repair server observes its
-// own buffer (serverBuffer): every message the ACK window trims adds one
-// store→evict time to BufferingTime.
+// TestServerRecordsBufferingTime pins that a repair server's buffer times
+// its copies: every message the ACK window trims adds one store→evict time
+// to the buffer's BufferingTime.
 func TestServerRecordsBufferingTime(t *testing.T) {
 	topo, err := topology.SingleRegion(6)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestServerRecordsBufferingTime(t *testing.T) {
 	}
 	c.sim.RunUntil(2 * time.Second)
 	server := c.nodes[topo.MemberAt(0, 0)]
-	bt := &server.Metrics().BufferingTime
+	bt := server.Buffer().BufferingTime()
 	if bt.N() != 10 || bt.Mean() <= 0 {
 		t.Fatalf("server recorded %d buffering times, mean %v ms; want 10 with a positive mean", bt.N(), bt.Mean())
 	}

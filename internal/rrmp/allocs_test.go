@@ -216,10 +216,10 @@ func TestLatencySamplesDoNotAllocate(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	mm := m.Metrics()
+	mm, bt := m.Metrics(), m.Buffer().BufferingTime()
 	var perRun [runs]uint64
 	for run := range runs {
-		recovered, buffered := mm.RecoveryLatency.N(), mm.BufferingTime.N()
+		recovered, buffered := mm.RecoveryLatency.N(), bt.N()
 		var bytes uint64
 		for range cycles {
 			bytes += cycle()
@@ -227,7 +227,7 @@ func TestLatencySamplesDoNotAllocate(t *testing.T) {
 		if got := mm.RecoveryLatency.N() - recovered; got != cycles {
 			t.Fatalf("%d recoveries completed in %d cycles: the guard did not measure them", got, cycles)
 		}
-		if got := mm.BufferingTime.N() - buffered; got < cycles*9/10 {
+		if got := bt.N() - buffered; got < cycles*9/10 {
 			t.Fatalf("%d evictions in %d cycles: the guard did not measure store→evict cycles", got, cycles)
 		}
 		perRun[run] = bytes
@@ -473,12 +473,12 @@ func TestMsgStateSize(t *testing.T) {
 	}
 }
 
-// TestMemberSize keeps a Member at its 512 bytes. runner.NewCluster
+// TestMemberSize keeps a Member at its 504 bytes. runner.NewCluster
 // makes a group's members in one slice, so the size is the exact per
 // member cost with no size-class rounding; a 100k-member trial holds 100k.
 // A member holds its hot state: its place in its region's member list, its
-// rng, its buffer (core.Buffer, 200 bytes with its index and first index
-// slot), the buffer's rng stream, its source table with the first
+// rng, its buffer (core.Buffer, 216 bytes with its index, first index
+// slot and buffering-time mean), the buffer's rng stream, its source table with the first
 // source's reception state inline, the served table, its metrics, and
 // pointers to its Region and its cold state.
 // It reads the Params, the View's member lists (its own id among them),
@@ -492,9 +492,11 @@ func TestMsgStateSize(t *testing.T) {
 // transport, hooks, detector, id and fault metrics, a one-element source
 // table and a 312-byte buffer (an index interface, int counters and two
 // occupancy integrators); then 544, while the buffer's index kept a
-// window layout of its own, 32 bytes wider per source.
+// window layout of its own, 32 bytes wider per source; then 512, while its
+// metrics kept an unrecoverable counter beside its unrecovered marks and
+// a buffering-time mean its buffer now keeps.
 func TestMemberSize(t *testing.T) {
-	if n := unsafe.Sizeof(Member{}); n != 512 {
-		t.Fatalf("Member is %d bytes, want 512", n)
+	if n := unsafe.Sizeof(Member{}); n != 504 {
+		t.Fatalf("Member is %d bytes, want 504", n)
 	}
 }

@@ -48,10 +48,6 @@ func TestBudgetPressureNoSilentLoss(t *testing.T) {
 		for _, id := range m.Unrecovered() {
 			unrecovered[id] = true
 		}
-		if int64(len(unrecovered)) != m.Metrics().Unrecoverable.Value() {
-			t.Fatalf("member %d: Unrecoverable counter %d != set size %d",
-				n, m.Metrics().Unrecoverable.Value(), len(unrecovered))
-		}
 		for _, id := range ids {
 			if !m.HasReceived(id) && !unrecovered[id] {
 				t.Fatalf("member %d silently missing %v: neither received nor counted unrecoverable", n, id)

@@ -25,13 +25,15 @@ type cluster struct {
 
 func newCluster(t testing.TB, topo *topology.Topology, params Params, seed uint64, loss netsim.LossModel) *cluster {
 	t.Helper()
-	return buildCluster(t, topo, params, seed, loss, nil, false)
+	return buildCluster(t, topo, params, seed, loss, nil, nil, false)
 }
 
 // buildCluster is newCluster with every member traced to tracer (nil for
-// none), its members built one by one through NewMember, or, with slab,
-// made in place in one slice as runner.NewCluster makes them.
-func buildCluster(t testing.TB, topo *topology.Topology, params Params, seed uint64, loss netsim.LossModel, tracer trace.Tracer, slab bool) *cluster {
+// none) and given hooks(n) (nil for none), its members built one by one
+// through NewMember, or, with slab, made in place in one slice as
+// runner.NewCluster makes them.
+func buildCluster(t testing.TB, topo *topology.Topology, params Params, seed uint64, loss netsim.LossModel,
+	tracer trace.Tracer, hooks func(topology.NodeID) Hooks, slab bool) *cluster {
 	t.Helper()
 	s := sim.New()
 	lat := netsim.HierLatency{
@@ -67,6 +69,9 @@ func buildCluster(t testing.TB, topo *topology.Topology, params Params, seed uin
 			View:   view,
 			Rng:    root.Split(uint64(n) + 1),
 			Region: region,
+		}
+		if hooks != nil {
+			cfg.Hooks = hooks(n)
 		}
 		var m *Member
 		if slab {

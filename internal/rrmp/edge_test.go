@@ -228,7 +228,7 @@ func TestBufferingTimeExcludesHandoff(t *testing.T) {
 	m.InjectLongTerm(wire.MessageID{Source: 0, Seq: 1}, nil)
 	c.sim.RunUntil(100 * time.Millisecond)
 	m.Leave()
-	if got := m.Metrics().BufferingTime.N(); got != 0 {
+	if got := m.Buffer().BufferingTime().N(); got != 0 {
 		t.Fatalf("handoff recorded %d buffering-time samples", got)
 	}
 }

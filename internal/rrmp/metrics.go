@@ -35,19 +35,8 @@ type Metrics struct {
 	SearchesStarted stats.Counter
 	SearchFailures  stats.Counter
 
-	// Unrecoverable counts loss-recovery episodes abandoned after every
-	// recovery phase exhausted its retry budget — the explicit "this
-	// message is lost" signal crash faults can produce. A late delivery
-	// (e.g. a repair multicast by a peer that kept trying) decrements it
-	// again, so at quiescence the counter equals the messages this member
-	// still lacks and no longer pursues; nothing is ever silently lost.
-	Unrecoverable stats.Counter
-
 	// RecoveryLatency averages detect→recover times in milliseconds.
 	RecoveryLatency stats.RunningMean
-	// BufferingTime averages store→evict times in milliseconds (all
-	// eviction reasons except handoff).
-	BufferingTime stats.RunningMean
 }
 
 // FaultMetrics tallies what only churn and faults move at a member. Most

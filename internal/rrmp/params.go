@@ -62,9 +62,9 @@ type Params struct {
 	// (core.Config.ByteBudget). Stores past the cap pressure-evict older
 	// entries — short-term longest-idle first, then oldest long-term
 	// copies — and a pressure-evicted message behaves like any other
-	// miss: recoverable via local repair or the §3.3 search, and counted
-	// in Metrics.Unrecoverable when every path fails, never silently
-	// lost. Zero means unlimited, the paper's unconstrained model.
+	// miss: recoverable via local repair or the §3.3 search, and listed
+	// in Member.Unrecovered when every path fails, never silently lost.
+	// Zero means unlimited, the paper's unconstrained model.
 	ByteBudget int
 	// CopyOnStore makes each member's buffer keep a private copy of every
 	// payload instead of aliasing the received slice (core.Config.

@@ -167,7 +167,7 @@ func newClusterQuiet(topo *topology.Topology, params Params, seed uint64, loss n
 // (fewer than half the group crash-stops, at arbitrary times, possibly
 // including every long-term bufferer of a message), every published
 // message is eventually either delivered to each surviving member or
-// explicitly counted in that member's Unrecoverable metric. Nothing is
+// explicitly listed in that member's Unrecovered set. Nothing is
 // ever silently lost. Run across 24 deterministic seeds.
 func TestCrashFaultAccountingProperty(t *testing.T) {
 	const seeds = 24
@@ -241,13 +241,6 @@ func TestCrashFaultAccountingProperty(t *testing.T) {
 					if !unrec {
 						t.Fatalf("member %d silently lost %v: neither delivered nor counted unrecoverable", node, id)
 					}
-				}
-			}
-			// Accounting invariant: the counter equals the set size.
-			for _, node := range c.all {
-				m := c.members[node]
-				if got, want := m.Metrics().Unrecoverable.Value(), int64(len(m.Unrecovered())); got != want {
-					t.Fatalf("member %d Unrecoverable=%d but |Unrecovered|=%d", node, got, want)
 				}
 			}
 		})

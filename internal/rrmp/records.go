@@ -141,8 +141,8 @@ type msgState struct {
 	// instead of re-igniting the random walk.
 	bufferer topology.NodeID
 	// unrecovered marks a message whose recovery was abandoned after every
-	// retry budget ran out, until it arrives late. See
-	// Metrics.Unrecoverable.
+	// retry budget ran out, until it arrives late or Recover retries it;
+	// Member.Unrecovered lists the marked messages.
 	unrecovered bool
 }
 

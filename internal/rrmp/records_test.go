@@ -189,7 +189,7 @@ func TestSlabMembersMatchNewMember(t *testing.T) {
 		sink := &trace.Memory{}
 		loss := &netsim.BernoulliLoss{P: 0.2, Rng: rng.New(17)}
 		topo := chainRegions(t, 10, 10, 10)
-		c := buildCluster(t, topo, params, 5, loss, sink, slab)
+		c := buildCluster(t, topo, params, 5, loss, sink, nil, slab)
 		c.sender.StartSessions()
 		senders := []*Sender{c.sender, NewSender(c.members[topo.MemberAt(1, 4)]), NewSender(c.members[topo.MemberAt(2, 7)])}
 		for i := range 60 {

@@ -182,9 +182,6 @@ func (m *Member) checkAbandoned(rec *recovery) {
 	}
 	ms := rec.ms
 	m.endRecovery(rec)
-	if !ms.unrecovered {
-		ms.unrecovered = true
-		m.metrics.Unrecoverable.Inc()
-	}
+	ms.unrecovered = true
 	m.trace(trace.Event{Kind: trace.Unrecoverable, ID: ms.id})
 }

@@ -61,7 +61,8 @@ type Hooks struct {
 	// core.Observer.Evicted is; the *Entry is valid only during the call.
 	OnEvict func(e *core.Entry, reason core.EvictReason)
 	// OnPromote is told of each long-term election, as
-	// core.Observer.Promoted is.
+	// core.Observer.Promoted is. A member whose hooks set neither OnEvict
+	// nor OnPromote has no buffer observer.
 	OnPromote func(e *core.Entry)
 	// OnSearchResolved fires when this member sends a repair to a remote
 	// requester, either straight from its buffer or at the end of a search
@@ -96,6 +97,20 @@ type Config struct {
 func (h *Hooks) any() bool {
 	return h.OnDeliver != nil || h.OnEvict != nil || h.OnPromote != nil ||
 		h.OnSearchResolved != nil || h.OnRecovered != nil
+}
+
+// Evicted implements core.Observer: it calls OnEvict, if set.
+func (h *Hooks) Evicted(e *core.Entry, r core.EvictReason) {
+	if h.OnEvict != nil {
+		h.OnEvict(e, r)
+	}
+}
+
+// Promoted implements core.Observer: it calls OnPromote, if set.
+func (h *Hooks) Promoted(e *core.Entry) {
+	if h.OnPromote != nil {
+		h.OnPromote(e)
+	}
 }
 
 // sourceState tracks per-sender reception: the highest sequence observed
@@ -173,8 +188,13 @@ func (m *Member) Init(cfg Config) {
 	region := cfg.Region
 	m.selfIdx = int32(cfg.View.SelfIdx)
 	m.rng, m.region = cfg.Rng, region
+	var obs core.Observer // nil unless a hook watches the buffer
 	if cfg.Hooks.any() {
-		m.coldState().hooks = cfg.Hooks
+		h := &m.coldState().hooks
+		*h = cfg.Hooks
+		if h.OnEvict != nil || h.OnPromote != nil {
+			obs = h
+		}
 	}
 
 	policy := cfg.Policy
@@ -185,7 +205,7 @@ func (m *Member) Init(cfg Config) {
 		binder.BindRng(cfg.Rng.Split(policyStreamLabel))
 	}
 	cfg.Rng.SplitInto(bufferStreamLabel, &m.bufRng)
-	m.buf.Init(&region.buffers, policy, &m.bufRng, (*bufferEvents)(m))
+	m.buf.Init(&region.buffers, policy, &m.bufRng, obs)
 	if region.params.FDEnabled && cfg.View.NumPeers() > 0 {
 		fd := gossipfd.New(gossipfd.Config{
 			View:      cfg.View,
@@ -237,26 +257,6 @@ func (m *Member) send(to topology.NodeID, msg wire.Message) {
 // multicast transmits msg from the member to the rest of its region.
 func (m *Member) multicast(msg wire.Message) {
 	m.region.transport.Multicast(m.self(), m.region.members, msg)
-}
-
-// bufferEvents is a Member seen as its buffer's core.Observer, so the
-// buffer reports evictions and promotions to the member with no closure.
-type bufferEvents Member
-
-func (o *bufferEvents) Evicted(e *core.Entry, r core.EvictReason) {
-	m := (*Member)(o)
-	if r != core.EvictHandoff {
-		m.metrics.BufferingTime.AddDuration(m.region.sched().Now() - e.StoredAt)
-	}
-	if h := m.hooks(); h != nil && h.OnEvict != nil {
-		h.OnEvict(e, r)
-	}
-}
-
-func (o *bufferEvents) Promoted(e *core.Entry) {
-	if h := (*Member)(o).hooks(); h != nil && h.OnPromote != nil {
-		h.OnPromote(e)
-	}
 }
 
 // onSuspect reacts to the failure detector marking a peer dead: cached
@@ -503,10 +503,7 @@ func (m *Member) deliver(id wire.MessageID, payload []byte, from topology.NodeID
 		// A message given up on can still arrive — a peer's regional repair
 		// multicast, a handoff, a very late retransmission. It is then no
 		// longer lost.
-		if ms.unrecovered {
-			ms.unrecovered = false
-			m.metrics.Unrecoverable.Add(-1)
-		}
+		ms.unrecovered = false
 
 		// Relay to downstream members recorded as waiting (§2.2). The repair
 		// is built from the in-hand payload, not the buffer: under a byte
@@ -677,11 +674,10 @@ func (m *Member) Recover() {
 		for seq := uint64(1); seq <= st.maxSeen; seq++ {
 			if !st.Has(seq) {
 				id := wire.MessageID{Source: srcs[i].Source, Seq: seq}
-				if ms := st.recs.Get(seq); ms != nil && ms.unrecovered {
+				if ms := st.recs.Get(seq); ms != nil {
 					// A fresh retry budget: the message is back in
 					// flight, not lost.
 					ms.unrecovered = false
-					m.metrics.Unrecoverable.Add(-1)
 				}
 				m.startRecovery(id, true)
 			}
@@ -693,7 +689,9 @@ func (m *Member) Recover() {
 func (m *Member) Crashed() bool { return m.crashed }
 
 // Unrecovered returns the messages this member has given up recovering,
-// sorted by (source, sequence). Empty for a healthy quiesced run.
+// sorted by (source, sequence): the explicit count of loss (§3.2) that
+// runner.Totals sums. A message leaves it when it arrives late or Recover
+// retries it. Empty for a healthy quiesced run.
 func (m *Member) Unrecovered() []wire.MessageID {
 	out := []wire.MessageID{}
 	for ms := range m.records {

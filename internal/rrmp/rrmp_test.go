@@ -118,19 +118,24 @@ func TestFeedbackKeepsHoldersBuffering(t *testing.T) {
 	topo := singleRegion(t, 20)
 	params := DefaultParams()
 	params.C = 0 // isolate short-term behaviour
-	c := newCluster(t, topo, params, 5, nil)
-
 	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
+	// The holder's hooks observe its buffer; the clock is read only once
+	// the cluster runs.
+	var c *cluster
+	var evictedAt time.Duration
+	c = buildCluster(t, topo, params, 5, nil, nil, func(n topology.NodeID) Hooks {
+		if n != topo.MemberAt(0, 0) {
+			return Hooks{}
+		}
+		return Hooks{OnEvict: func(e *core.Entry, r core.EvictReason) {
+			if e.ID == id {
+				evictedAt = c.sim.Now()
+			}
+		}}
+	}, false)
+
 	holder := c.members[topo.MemberAt(0, 0)]
 	holder.InjectDeliver(id, []byte("x"))
-	// The buffer reports evictions to the member, which reads its hooks
-	// at each one, so a hook set after construction sees them.
-	var evictedAt time.Duration
-	holder.coldState().hooks.OnEvict = func(e *core.Entry, r core.EvictReason) {
-		if e.ID == id {
-			evictedAt = c.sim.Now()
-		}
-	}
 	for _, n := range topo.Members(0)[1:] {
 		c.members[n].StartRecovery(id)
 	}
@@ -139,7 +144,7 @@ func TestFeedbackKeepsHoldersBuffering(t *testing.T) {
 	if got := c.deliveredCount(id); got != 20 {
 		t.Fatalf("delivered %d/20", got)
 	}
-	bt := holder.Metrics().BufferingTime
+	bt := holder.Buffer().BufferingTime()
 	if bt.N() != 1 {
 		t.Fatalf("holder recorded %d buffering times", bt.N())
 	}
@@ -544,8 +549,8 @@ func TestUnrecoverableLossGivesUp(t *testing.T) {
 		t.Fatal("recovered a message nobody had")
 	}
 	// No parent region: the local give-up abandons the last phase.
-	if got := m.Metrics().Unrecoverable.Value(); got != 1 {
-		t.Fatalf("Unrecoverable = %d after the local give-up, want 1", got)
+	if got := m.Unrecovered(); len(got) != 1 {
+		t.Fatalf("Unrecovered() = %v after the local give-up, want [%v]", got, id)
 	}
 	if got := m.Metrics().LocalReqSent.Value(); got != 5 {
 		t.Fatalf("sent %d local requests, want 5", got)

@@ -38,13 +38,7 @@ func ablationAdaptiveDemand(seed uint64) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		rows = append(rows, exp.FitnessInput{
-			Name:          policy,
-			Delivery:      m[MKDeliveryRatio],
-			ByteSeconds:   m[MKBufferIntegralByteSec],
-			Unrecoverable: m[MKUnrecoverable],
-			RecoveryMs:    m[MKMeanRecoveryMs],
-		})
+		rows = append(rows, fitnessInput(policy, func(key string) float64 { return m[key] }))
 	}
 	t := Table{
 		Labels: []Column{{Head: "policy", Width: -12}},

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/rng"
 	"repro/internal/rrmp"
 	"repro/internal/stability"
@@ -27,25 +28,13 @@ func ablationPolicies(seed uint64) (Table, error) {
 		msgs    = 30
 		horizon = 5 * time.Second
 	)
-	type entry struct {
-		name   string
-		policy func(view topology.View, p rrmp.Params) core.Policy
-	}
-	policies := []entry{
-		{"two-phase C=6", nil}, // nil: the member builds the paper's policy
-		{"fixed-hold 200ms", func(topology.View, rrmp.Params) core.Policy {
-			return &core.FixedHold{D: 200 * time.Millisecond}
-		}},
-		{"fixed-hold 1s", func(topology.View, rrmp.Params) core.Policy {
-			return &core.FixedHold{D: time.Second}
-		}},
-		{"buffer-all", func(topology.View, rrmp.Params) core.Policy {
-			return core.BufferAll{}
-		}},
-		{"hash-elect C=6", func(view topology.View, p rrmp.Params) core.Policy {
-			region := append([]topology.NodeID{view.Self}, view.Peers()...)
-			return core.NewHashElect(p.IdleThreshold, 6, view.Self, region, p.LongTermTTL)
-		}},
+	// Each row's policy comes from the registry; C is DefaultParams' 6.
+	policies := []struct{ name, spec string }{
+		{"two-phase C=6", "two-phase"},
+		{"fixed-hold 200ms", "fixed:hold=200ms"},
+		{"fixed-hold 1s", "fixed:hold=1s"},
+		{"buffer-all", "all"},
+		{"hash-elect C=6", "hash"},
 	}
 
 	t := Table{
@@ -54,6 +43,10 @@ func ablationPolicies(seed uint64) (Table, error) {
 			{Head: "peak", Width: 8, Verb: "%.0f"}, {Head: "mean-buf(ms)", Width: 12, Verb: "%.1f"}},
 	}
 	for _, pe := range policies {
+		spec, err := policy.Parse(pe.spec)
+		if err != nil {
+			return Table{}, err
+		}
 		topo, err := topology.SingleRegion(n)
 		if err != nil {
 			return Table{}, err
@@ -64,7 +57,7 @@ func ablationPolicies(seed uint64) (Table, error) {
 			Topo:   topo,
 			Params: params,
 			Seed:   seed,
-			Policy: pe.policy,
+			Policy: PolicyFactory(spec, 0),
 			Loss: &netsim.BernoulliLoss{
 				P:    0.10,
 				Only: map[wire.Type]bool{wire.TypeData: true},
@@ -237,20 +230,12 @@ func implosionRun(mode rrmp.SearchMode, holders int, seed uint64) (int64, error)
 	}
 	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
 	region := topo.Members(0)
-	perm := c.Root.Perm(len(region))
-	holderSet := make(map[topology.NodeID]bool, holders)
-	for i := 0; i < holders; i++ {
-		holderSet[region[perm[i]]] = true
-	}
+	holderSet := c.injectHolders(region, holders, id, []byte("a3"))
 	var target topology.NodeID = topology.NoNode
 	for _, n := range region {
-		if holderSet[n] {
-			c.Members[n].InjectLongTerm(id, []byte("a3"))
-		} else {
-			c.Members[n].InjectDiscarded(id)
-			if target == topology.NoNode {
-				target = n
-			}
+		if !holderSet[n] {
+			target = n // the first member that discarded the message
+			break
 		}
 	}
 	requester := topo.MemberAt(1, 0)
@@ -305,18 +290,7 @@ func churnRun(graceful bool, seed uint64) ([]float64, error) {
 	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
 	region := topo.Members(0)
 	straggler := region[n-1] // never received the message
-	holderSet := map[topology.NodeID]bool{}
-	perm := c.Root.Perm(n - 1) // exclude the straggler index
-	for i := 0; i < bufferers; i++ {
-		holderSet[region[perm[i]]] = true
-	}
-	for _, node := range region[:n-1] {
-		if holderSet[node] {
-			c.Members[node].InjectLongTerm(id, []byte("a4"))
-		} else {
-			c.Members[node].InjectDiscarded(id)
-		}
-	}
+	holderSet := c.injectHolders(region[:n-1], bufferers, id, []byte("a4"))
 
 	// All bufferers depart at t = 0, in ascending node order: events at
 	// the same instant run in insertion order, so iterating the holder
@@ -445,33 +419,39 @@ func ablationStabilityTraffic(seed uint64) (Table, error) {
 		Cols: []Column{{Head: "digest(B)", Width: 14, Verb: "%.0f"}, {Head: "control(B)", Width: 14, Verb: "%.0f"},
 			{Head: "buf(msg·s)", Width: 14, Verb: "%.1f"}, {Head: "delivery", Width: 10, Verb: "%.2f%%"}},
 	}
-	for _, scheme := range []string{"rrmp two-phase", "stability-detection"} {
+	// Stability detection buffers everything until its digests say
+	// stable.
+	for _, scheme := range []struct{ name, policy string }{
+		{"rrmp two-phase", "two-phase"},
+		{"stability-detection", "all"},
+	} {
+		spec, err := policy.Parse(scheme.policy)
+		if err != nil {
+			return Table{}, err
+		}
 		topo, err := topology.SingleRegion(n)
 		if err != nil {
 			return Table{}, err
 		}
 		params := rrmp.DefaultParams()
 		params.LongTermTTL = time.Second
-		cfg := ClusterConfig{
+		c, err := NewCluster(ClusterConfig{
 			Topo:   topo,
 			Params: params,
 			Seed:   seed,
+			Policy: PolicyFactory(spec, 0),
 			Loss: &netsim.BernoulliLoss{
 				P:    0.05,
 				Only: map[wire.Type]bool{wire.TypeData: true},
 				Rng:  rng.New(seed ^ 0x5afe),
 			},
-		}
-		if scheme == "stability-detection" {
-			cfg.Policy = func(topology.View, rrmp.Params) core.Policy { return core.BufferAll{} }
-		}
-		c, err := NewCluster(cfg)
+		})
 		if err != nil {
 			return Table{}, err
 		}
 
 		var detectors []*stability.Detector
-		if scheme == "stability-detection" {
+		if scheme.name == "stability-detection" {
 			root := rng.New(seed ^ 0xd1685)
 			for _, node := range c.All {
 				node := node
@@ -523,7 +503,7 @@ func ablationStabilityTraffic(seed uint64) (Table, error) {
 			delivered += m.Metrics().Delivered.Value()
 			integral += m.Buffer().OccupancyIntegral(c.Engine.Now())
 		}
-		t.add([]string{scheme}, float64(digest), float64(control), integral, 100*(float64(delivered)/float64(n*msgs)))
+		t.add([]string{scheme.name}, float64(digest), float64(control), integral, 100*(float64(delivered)/float64(n*msgs)))
 	}
 	return t, nil
 }

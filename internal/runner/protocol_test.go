@@ -138,8 +138,8 @@ func TestRMTPServerCrashUnrecoverableNeverSilent(t *testing.T) {
 			}
 			sawLoss = true
 		}
-		if got := nd.Metrics().Unrecoverable.Value(); got != int64(len(ids)) {
-			t.Fatalf("node %d: Unrecoverable = %d, want all %d lost messages counted", node, got, len(ids))
+		if got := len(nd.Unrecovered()); got != len(ids) {
+			t.Fatalf("node %d: %d unrecovered, want all %d lost messages counted", node, got, len(ids))
 		}
 	}
 	if !sawLoss {
@@ -192,8 +192,8 @@ func TestRMTPServerRecoverRepairsOrphanedRegion(t *testing.T) {
 				t.Fatalf("node %d still missing seq %d after server recovery", node, id.Seq)
 			}
 		}
-		if got := nd.Metrics().Unrecoverable.Value(); got != 0 {
-			t.Fatalf("node %d: %d unrecoverable after every message arrived", node, got)
+		if got := nd.Unrecovered(); len(got) != 0 {
+			t.Fatalf("node %d: %v unrecoverable after every message arrived", node, got)
 		}
 	}
 }

@@ -74,18 +74,7 @@ func searchRun(n, bufferers int, seed uint64) (ms float64, ok bool, err error) {
 
 	id := wire.MessageID{Source: topo.Sender(), Seq: 1}
 	region := topo.Members(0)
-	holders := make(map[topology.NodeID]bool, bufferers)
-	perm := c.Root.Perm(len(region))
-	for i := 0; i < bufferers; i++ {
-		holders[region[perm[i]]] = true
-	}
-	for _, m := range region {
-		if holders[m] {
-			c.Members[m].InjectLongTerm(id, []byte("search"))
-		} else {
-			c.Members[m].InjectDiscarded(id)
-		}
-	}
+	c.injectHolders(region, bufferers, id, []byte("search"))
 	target := region[c.Root.Intn(len(region))]
 	requester := topo.MemberAt(1, 0)
 	c.Net.Unicast(requester, target, wire.Message{
@@ -98,6 +87,26 @@ func searchRun(n, bufferers int, seed uint64) (ms float64, ok bool, err error) {
 		return 0, false, nil
 	}
 	return float64(resolvedAt-arrival) / 1e6, true, nil
+}
+
+// injectHolders sets up a message that has gone idle across members: k of
+// them, picked uniformly by one c.Root.Perm draw, hold a long-term copy of
+// id with the given payload, and the rest received and discarded it. It
+// returns the holders.
+func (c *Cluster) injectHolders(members []topology.NodeID, k int, id wire.MessageID, payload []byte) map[topology.NodeID]bool {
+	holders := make(map[topology.NodeID]bool, k)
+	perm := c.Root.Perm(len(members))
+	for _, i := range perm[:k] {
+		holders[members[i]] = true
+	}
+	for _, m := range members {
+		if holders[m] {
+			c.Members[m].InjectLongTerm(id, payload)
+		} else {
+			c.Members[m].InjectDiscarded(id)
+		}
+	}
+	return holders
 }
 
 // figure8 reproduces Figure 8: mean search time versus the number of

@@ -29,8 +29,8 @@ type Totals struct {
 	// runs only with Params.FDEnabled).
 	Suspects int64
 	// Unrecoverable counts losses whose recovery exhausted every retry
-	// budget at members still in the group — the explicit signal that a
-	// message is gone, never a silent omission.
+	// budget at members still in the group (their unrecovered sets) — the
+	// explicit signal that a message is gone, never a silent omission.
 	Unrecoverable   int64
 	LongTermEntries int
 	// BufferIntegral is total message-seconds of buffering paid so far.
@@ -83,22 +83,24 @@ func (p *pool) mean() float64 {
 }
 
 // add folds in one member's share of what both protocols keep: its
-// counters, its two running means and its buffer (nil where it keeps none).
-// A member that left or crashed adds no unrecoverable losses.
-func (t *Totals) add(now time.Duration, survivor bool, delivered, duplicates, repairs, unrecoverable int64,
-	recovery, buffering *stats.RunningMean, b *core.Buffer) {
+// counters, its recovery mean, the size of its unrecovered set and its
+// buffer (nil where it keeps none). A member that left or crashed adds no
+// unrecoverable losses.
+func (t *Totals) add(now time.Duration, survivor bool, delivered, duplicates, repairs int64, unrecoverable int,
+	recovery *stats.RunningMean, b *core.Buffer) {
 	t.Delivered += delivered
 	t.Duplicates += duplicates
 	t.Repairs += repairs
 	if survivor {
 		t.survivors++
-		t.Unrecoverable += unrecoverable
+		t.Unrecoverable += int64(unrecoverable)
 	}
 	t.recovery.add(recovery)
-	t.buffering.add(buffering)
 	if b == nil {
 		return
 	}
+	t.buffering.add(b.BufferingTime())
+	t.LongTermEntries += b.LongTermCount()
 	t.BufferIntegral += b.OccupancyIntegral(now)
 	t.ByteIntegral += b.ByteOccupancyIntegral(now)
 	t.PeakBuffered = max(t.PeakBuffered, b.PeakLen())
@@ -121,13 +123,12 @@ func (c *Cluster) Totals() Totals {
 	for _, m := range c.Members {
 		mm := m.Metrics()
 		t.add(now, !m.Left() && !m.Crashed(), mm.Delivered.Value(), mm.Duplicates.Value(),
-			mm.RepairsSent.Value(), mm.Unrecoverable.Value(), &mm.RecoveryLatency, &mm.BufferingTime, m.Buffer())
+			mm.RepairsSent.Value(), len(m.Unrecovered()), &mm.RecoveryLatency, m.Buffer())
 		t.LocalRequests += mm.LocalReqSent.Value()
 		t.RemoteRequests += mm.RemoteReqSent.Value()
 		t.RegionalMulticasts += mm.RegionalMulticasts.Value()
 		t.Searches += mm.SearchesStarted.Value()
 		t.SearchFailures += mm.SearchFailures.Value()
-		t.LongTermEntries += m.Buffer().LongTermCount()
 		faults := m.Faults()
 		t.Handoffs += faults.HandoffsSent.Value()
 		t.Suspects += faults.Suspects.Value()
@@ -144,7 +145,7 @@ func (c *TreeCluster) totals() Totals {
 	for _, n := range c.Nodes {
 		mm := n.Metrics()
 		t.add(now, !n.Left() && !n.Crashed(), mm.Delivered.Value(), mm.Duplicates.Value(),
-			mm.RepairsSent.Value(), mm.Unrecoverable.Value(), &mm.RecoveryLatency, &mm.BufferingTime, n.Buffer())
+			mm.RepairsSent.Value(), len(n.Unrecovered()), &mm.RecoveryLatency, n.Buffer())
 	}
 	t.means()
 	return t

@@ -69,7 +69,7 @@ func TestTotalsMeansMatchSampleLists(t *testing.T) {
 			got  *stats.RunningMean
 			want *stats.Histogram
 		}{
-			{"BufferingTime", &mm.BufferingTime, &buffering[n]},
+			{"BufferingTime", m.Buffer().BufferingTime(), &buffering[n]},
 			{"RecoveryLatency", &mm.RecoveryLatency, &recovery[n]},
 		} {
 			if tc.got.N() != tc.want.N() || math.Float64bits(tc.got.Mean()) != math.Float64bits(tc.want.Mean()) {
