@@ -239,8 +239,10 @@ func TestBudgetSweepPressureAndDeterminism(t *testing.T) {
 // (pooled event queue, batched netsim fan-out, indexed buffer, bitset gap
 // tracking) and before the byte and protocol axes existed — so the sweep
 // is pinned to the legacy axes (payload 0, budget 0, protocol rrmp): every
-// cell must keep its pre-axis name, keys, and bytes. Regenerate
-// deliberately with:
+// cell must keep its pre-axis name, keys, and bytes. It was regenerated
+// once since, when the buffer integral became an exact sum of residences:
+// only the last bits of buffer_integral_msgsec moved, in 46 of 64 cells.
+// Regenerate deliberately with:
 //
 //	go run ./cmd/rrmp-sim -sweep -regions '8;6,6' -trials 2 \
 //	    -payload 0 -budget 0 -protocol rrmp \

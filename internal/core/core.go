@@ -244,13 +244,17 @@ type Buffer struct {
 	obs    Observer // nil when nothing observes the buffer
 	idx    denseIndex
 
-	// occ integrates the two levels, idx.n entries and bytes payload
-	// bytes; every change to either is accounted before it is made.
-	occ       stats.Occupancy
-	bytes     int                   // current payload bytes held
-	buffering stats.RunningMean     // store→evict times (BufferingTime)
-	denied    uint32                // stores refused because the payload exceeds ByteBudget
-	evicted   [EvictPressure]uint32 // evicted[r-1] counts reason r
+	// occ holds the occupancy integrals of the two levels, idx.n entries
+	// and bytes payload bytes, in level-nanoseconds less level × now: a
+	// store subtracts its instant (times the copy's bytes) and an eviction
+	// or Close adds its own back, so the integral at t is occ + level × t,
+	// exactly the sum of every copy's residence (OccupancyIntegral).
+	occ                [2]int64
+	bytes              int // current payload bytes held
+	peakLen, peakBytes int
+	buffering          stats.RunningMean     // store→evict times (BufferingTime)
+	denied             uint32                // stores refused because the payload exceeds ByteBudget
+	evicted            [EvictPressure]uint32 // evicted[r-1] counts reason r
 }
 
 // NewBuffer constructs an empty buffer with a Shared of its own:
@@ -356,10 +360,12 @@ func (b *Buffer) Store(id wire.MessageID, payload []byte) *Entry {
 	e.StoredAt = now
 	e.LastRequest = now
 	e.PromotedAt = -1
-	b.occ.Advance(now, b.levels())
 	b.idx.put(e)
 	b.bytes += len(e.Payload)
-	b.occ.Raise(b.levels())
+	b.occ[0] -= int64(now)
+	b.occ[1] -= int64(len(e.Payload)) * int64(now)
+	b.peakLen = max(b.peakLen, b.idx.n)
+	b.peakBytes = max(b.peakBytes, b.bytes)
 
 	// The store event reaches the policy before Hold is consulted, so a
 	// demand-aware hold already reflects this message.
@@ -440,27 +446,26 @@ func (b *Buffer) TakeForHandoff() []*Entry {
 // callbacks. Its spares stay with the list, which other buffers may share.
 func (b *Buffer) Close() {
 	b.idx.each(func(e *Entry) { e.timer.Stop() })
-	b.occ.Advance(b.sh.Sched.Now(), b.levels())
+	now := int64(b.sh.Sched.Now())
+	b.occ[0] += int64(b.idx.n) * now
+	b.occ[1] += int64(b.bytes) * now
 	b.idx = denseIndex{}
 	b.bytes = 0
 }
 
-// OccupancyIntegral returns the accumulated messages × seconds up to now;
-// the A1 ablation compares policies on this buffer-cost measure.
-func (b *Buffer) OccupancyIntegral(now time.Duration) float64 {
-	return b.occ.Integral(now, b.levels())[0]
-}
-
-// ByteOccupancyIntegral returns accumulated payload-bytes × seconds.
-func (b *Buffer) ByteOccupancyIntegral(now time.Duration) float64 {
-	return b.occ.Integral(now, b.levels())[1]
+// OccupancyIntegral returns the buffer's cost up to now, no earlier than
+// its last store or eviction (§3.1, Fig. 6): the residences of every copy
+// it has held, summed exactly, in message-nanoseconds, and weighted by
+// payload size, in byte-nanoseconds. A copy still held counts up to now.
+func (b *Buffer) OccupancyIntegral(now time.Duration) (msgNs, byteNs int64) {
+	return b.occ[0] + int64(b.idx.n)*int64(now), b.occ[1] + int64(b.bytes)*int64(now)
 }
 
 // PeakLen returns the highest entry count ever held.
-func (b *Buffer) PeakLen() int { return int(b.occ.Peak()[0]) }
+func (b *Buffer) PeakLen() int { return b.peakLen }
 
 // PeakBytes returns the highest payload-byte occupancy ever held.
-func (b *Buffer) PeakBytes() int { return int(b.occ.Peak()[1]) }
+func (b *Buffer) PeakBytes() int { return b.peakBytes }
 
 // DeniedCount returns how many stores were refused because their payload
 // exceeded the whole ByteBudget. A denied message was still delivered to
@@ -584,9 +589,10 @@ func (b *Buffer) ttlCheck(e *Entry) {
 func (b *Buffer) evict(e *Entry, reason EvictReason) {
 	e.timer.Stop()
 	now := b.sh.Sched.Now()
-	b.occ.Advance(now, b.levels())
 	b.idx.remove(e.ID)
 	b.bytes -= len(e.Payload)
+	b.occ[0] += int64(now)
+	b.occ[1] += int64(len(e.Payload)) * int64(now)
 	if reason != EvictHandoff {
 		b.buffering.AddDuration(now - e.StoredAt)
 	}
@@ -612,10 +618,4 @@ func (b *Buffer) newEntry() *Entry {
 		return e
 	}
 	return &Entry{buf: b}
-}
-
-// levels returns the buffer's two occupancy levels: entries and payload
-// bytes held.
-func (b *Buffer) levels() [2]float64 {
-	return [2]float64{float64(b.idx.n), float64(b.bytes)}
 }

@@ -295,25 +295,34 @@ func TestCloseStopsTimers(t *testing.T) {
 }
 
 // TestOccupancyIntegral stores a second message while the first is held,
-// so each level must be accounted at its old value before a store or an
-// eviction changes it.
+// so the integral must sum two overlapping residences of 40ms each, and
+// reads it again after Close has dropped a third copy 10ms after storing
+// it.
 func TestOccupancyIntegral(t *testing.T) {
 	s := sim.New()
 	b, _ := newTestBuffer(t, s, NewTwoPhase(testT, 0, 100, 0))
 	b.Store(id(1), make([]byte, 1000))
 	s.At(10*time.Millisecond, func() { b.Store(id(2), make([]byte, 500)) })
 	s.RunUntil(-1) // evicted at 40ms and 50ms
-	gotMsgSec := b.OccupancyIntegral(s.Now())
-	wantMsgSec := 2 * testT.Seconds() // each message for 40ms
-	if math.Abs(gotMsgSec-wantMsgSec) > 1e-9 {
-		t.Fatalf("occupancy integral %v, want %v", gotMsgSec, wantMsgSec)
+	msgNs, byteNs := b.OccupancyIntegral(s.Now())
+	if want := 2 * int64(testT); msgNs != want {
+		t.Fatalf("occupancy integral %d msg·ns, want %d", msgNs, want)
 	}
-	gotByteSec := b.ByteOccupancyIntegral(s.Now())
-	if math.Abs(gotByteSec-1500*testT.Seconds()) > 1e-6 {
-		t.Fatalf("byte occupancy %v", gotByteSec)
+	if want := 1500 * int64(testT); byteNs != want {
+		t.Fatalf("byte occupancy %d B·ns, want %d", byteNs, want)
 	}
 	if b.PeakLen() != 2 || b.PeakBytes() != 1500 {
 		t.Fatalf("peak %d entries, %d B; want 2 and 1500", b.PeakLen(), b.PeakBytes())
+	}
+	b.Store(id(3), make([]byte, 100))
+	s.RunUntil(s.Now() + 10*time.Millisecond)
+	b.Close()
+	msgNs, byteNs = b.OccupancyIntegral(s.Now() + time.Second)
+	if want := 2*int64(testT) + int64(10*time.Millisecond); msgNs != want {
+		t.Fatalf("after Close: occupancy integral %d msg·ns, want %d", msgNs, want)
+	}
+	if want := 1500*int64(testT) + 100*int64(10*time.Millisecond); byteNs != want {
+		t.Fatalf("after Close: byte occupancy %d B·ns, want %d", byteNs, want)
 	}
 }
 

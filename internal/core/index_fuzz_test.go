@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -18,6 +19,13 @@ import (
 // registered policy's displacement order (diffPolicies), which see every
 // put and touch as a store and a request. The window and source table the
 // index is built of are wire's, whose layout FuzzSourceWindows pins.
+//
+// The same puts and removes store and evict at a Buffer while simulated
+// time advances by an op-dependent odd step. After every op, and after a
+// final Close, the buffer's occupancy integral must equal the exact sum of
+// its copies' residences (each weighted by its payload for the byte
+// integral), and the float integrator it replaced (floatOccupancy) must
+// agree within its rounding bound.
 func FuzzIndexDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 0, 4, 1, 0, 2, 5, 6, 7, 200})
 	f.Add([]byte{0, 0, 0, 0, 3, 3, 2, 0, 2, 1, 0, 7, 90, 3, 3, 3, 2, 2, 0})
@@ -66,6 +74,31 @@ func runIndexScript(t *testing.T, script []byte) {
 	for i, name := range names {
 		policies[i] = mk[name]()
 	}
+	s := sim.New()
+	buf := NewBuffer(Config{Policy: BufferAll{}, Sched: s}) // no timers: only the script evicts
+	var (
+		payload [256]byte
+		held    = map[wire.MessageID]heldCopy{} // the buffer's live copies
+		closed  [2]int64                        // residences of evicted copies
+		float   floatOccupancy
+		levels  = func() [2]float64 { return [2]float64{float64(buf.Len()), float64(buf.Bytes())} }
+	)
+	checkOccupancy := func(step int) {
+		t.Helper()
+		now := s.Now()
+		exact := closed
+		for _, c := range held {
+			exact[0] += int64(now - c.at)
+			exact[1] += c.bytes * int64(now-c.at)
+		}
+		float.advance(now, levels())
+		if got0, got1 := buf.OccupancyIntegral(now); got0 != exact[0] || got1 != exact[1] {
+			t.Fatalf("step %d: occupancy integral %d msg·ns, %d B·ns; residences sum to %d, %d", step, got0, got1, exact[0], exact[1])
+		}
+		if !float.agrees(exact) {
+			t.Fatalf("step %d: float integrator %v after %d advances; residences sum to %v ns", step, float.integral, float.advances, exact)
+		}
+	}
 	var (
 		pos  int
 		hi   = [3]uint64{1 << 20, 1 << 20, 1 << 20} // highest seq ever put per source
@@ -95,6 +128,9 @@ func runIndexScript(t *testing.T, script []byte) {
 		e := &Entry{ID: id, LastRequest: time.Duration(idle) * time.Millisecond, PromotedAt: -1}
 		dense.put(e)
 		oracle.put(e)
+		float.advance(s.Now(), levels())
+		buf.Store(id, payload[:idle])
+		held[id] = heldCopy{s.Now(), int64(idle)}
 		for _, p := range policies {
 			p.ObserveStore(id, 0)
 		}
@@ -104,9 +140,16 @@ func runIndexScript(t *testing.T, script []byte) {
 	remove := func(e *Entry) {
 		dense.remove(e.ID)
 		oracle.remove(e.ID)
+		float.advance(s.Now(), levels())
+		buf.Remove(e.ID, EvictManual)
+		c := held[e.ID]
+		closed[0] += int64(s.Now() - c.at)
+		closed[1] += c.bytes * int64(s.Now()-c.at)
+		delete(held, e.ID)
 	}
 	for step := 0; pos < len(script); step++ {
 		b := next()
+		s.RunUntil(s.Now() + time.Duration(b)*7919*time.Microsecond + 1)
 		src := topology.NodeID(b>>3) % 3
 		es := live(src)
 		switch b & 7 {
@@ -147,12 +190,30 @@ func runIndexScript(t *testing.T, script []byte) {
 			}
 		}
 		checkIndexesAgree(t, step, dense, oracle, ids)
+		checkOccupancy(step)
 		for i, p := range policies {
 			if dv, ov := dense.victim(p), oracle.victim(p); dv != ov {
 				t.Fatalf("step %d: %s victim %p, oracle %p", step, names[i], dv, ov)
 			}
 		}
 	}
+	// Close ends every live residence now; the integral then stays put.
+	float.advance(s.Now(), levels())
+	buf.Close()
+	for id, c := range held {
+		closed[0] += int64(s.Now() - c.at)
+		closed[1] += c.bytes * int64(s.Now()-c.at)
+		delete(held, id)
+	}
+	s.RunUntil(s.Now() + time.Second)
+	checkOccupancy(-1)
+}
+
+// heldCopy is a copy the fuzzed buffer holds: when it was stored and its
+// payload bytes.
+type heldCopy struct {
+	at    time.Duration
+	bytes int64
 }
 
 func checkIndexesAgree(t *testing.T, step int, dense *denseIndex, oracle *mapIndex, ids []wire.MessageID) {

@@ -38,7 +38,7 @@ func TestBufferOpSequenceProperty(t *testing.T) {
 		b.hooks().onEvict = func(e *Entry, _ EvictReason) {
 			evictions[e.ID]++
 		}
-		lastIntegral := 0.0
+		var lastIntegral int64
 		for _, o := range ops {
 			id := wire.MessageID{Source: 0, Seq: uint64(o.Seq % 16)}
 			switch o.Kind % 5 {
@@ -62,8 +62,8 @@ func TestBufferOpSequenceProperty(t *testing.T) {
 			if b.LongTermCount() < 0 || b.LongTermCount() > b.Len() {
 				return false
 			}
-			integral := b.OccupancyIntegral(s.Now())
-			if integral < lastIntegral-1e-9 {
+			integral, _ := b.OccupancyIntegral(s.Now())
+			if integral < lastIntegral {
 				return false
 			}
 			lastIntegral = integral

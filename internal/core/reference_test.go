@@ -1,18 +1,58 @@
 package core
 
-// This file is the buffer's entry index as it stood before the dense
-// per-source rewrite: a flat map[MessageID]*Entry with an O(n log n) sort
-// on every ordered snapshot. It is kept verbatim as the oracle
-// FuzzIndexDifferential drives the dense index against, and that
-// mirrorAgrees holds a buffer's index to in the budget and policy
-// differential tests.
+// This file holds two pieces of the buffer as they stood before rewrites,
+// kept as oracles. The entry index before the dense per-source rewrite: a
+// flat map[MessageID]*Entry with an O(n log n) sort on every ordered
+// snapshot, kept verbatim; FuzzIndexDifferential drives the dense index
+// against it, and mirrorAgrees holds a buffer's index to it in the budget
+// and policy differential tests. And the float step integrator the buffer
+// kept before its occupancy integral became an exact sum of residences,
+// which FuzzIndexDifferential holds that sum to within rounding.
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"time"
 
 	"repro/internal/wire"
 )
+
+// floatOccupancy is the buffer's occupancy integrator before the integral
+// became a sum of residences: before every change of its two levels
+// (entries and payload bytes), the buffer advanced it, adding level ×
+// elapsed time in float seconds.
+type floatOccupancy struct {
+	since    time.Duration
+	integral [2]float64 // level-seconds accumulated before since
+	advances int        // calls to advance, each one rounding step
+}
+
+func (o *floatOccupancy) advance(now time.Duration, levels [2]float64) {
+	for i, v := range levels {
+		o.integral[i] += v * (now - o.since).Seconds()
+	}
+	o.since = now
+	o.advances++
+}
+
+// agrees reports whether the float integrals are within rounding of the
+// exact ones, given in level-nanoseconds. An advance rounds its term three
+// times (twice in Seconds, once in the product) and the running sum once,
+// each with relative error at most 2⁻⁵³, and every term is non-negative,
+// so after k advances both integrals lie within (k+2)·2⁻⁵³ of the exact
+// value, relative, to first order. The check allows (3k+5)·2⁻⁵³, which
+// also covers the exact value's own conversion to seconds.
+func (o *floatOccupancy) agrees(exact [2]int64) bool {
+	tol := float64(3*(o.advances+1)+2) * 0x1p-53
+	for i, ns := range exact {
+		want := float64(ns) / float64(time.Second)
+		if math.Abs(o.integral[i]-want) > tol*want {
+			return false
+		}
+	}
+	return true
+}
 
 // mapIndex is the PR 2 implementation: a flat map with an O(n log n) sort
 // on every ordered snapshot.

@@ -288,7 +288,7 @@ func TestFieldsAreReadFixture(t *testing.T) {
 // assignment or ++/--, or the receiver x.F or x.F[i] of an accumulator
 // call: a pointer-receiver method with no results on a type of
 // repro/internal/stats (Counter.Inc, RunningMean.AddDuration,
-// Histogram.Add, Occupancy.Set). A read of F inside the value written to
+// Histogram.Add). A read of F inside the value written to
 // F, such as s.n.Add(o.n.Value()), is only a merge and does not count; every other mention reads. Exempt are
 // json-tagged fields, which encoding/json reads, and fields of struct
 // types used as a map key or compared with == or !=, whose every field the

@@ -4,7 +4,7 @@ package stats
 
 // RunningMean is a count and a sum.
 type RunningMean struct {
-	sum float64
+	sum int64
 	n   int
 }
 

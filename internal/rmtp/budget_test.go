@@ -110,8 +110,8 @@ func TestBudgetedServerRefetchesDisplacedEntry(t *testing.T) {
 	if nodes[leafServer].Metrics().NaksSent.Value() == 0 {
 		t.Fatal("leaf server never escalated a refetch to the root server")
 	}
-	if got := nodes[victim].Unrecovered(); len(got) != 0 {
-		t.Fatalf("victim counted %v unrecoverable on a recoverable budget miss", got)
+	if got := nodes[victim].Unrecoverable(); got != 0 {
+		t.Fatalf("victim counted %d unrecoverable on a recoverable budget miss", got)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestRefetchReArmsAfterExhaustion(t *testing.T) {
 			t.Fatalf("victim still missing seq %d after the root recovered", seq)
 		}
 	}
-	if got := nodes[victim].Unrecovered(); len(got) != 0 {
-		t.Fatalf("victim still counts %v unrecoverable after full recovery", got)
+	if got := nodes[victim].Unrecoverable(); got != 0 {
+		t.Fatalf("victim still counts %d unrecoverable after full recovery", got)
 	}
 }

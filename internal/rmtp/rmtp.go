@@ -12,7 +12,7 @@
 //
 // Fault semantics (DESIGN.md "RMTP baseline semantics"): a crashed repair
 // server orphans its region — receivers keep NAKing a corpse, exhaust
-// their retry budgets and list the loss in Unrecovered() — until the
+// their retry budgets and count the loss as unrecoverable — until the
 // server recovers, upon which session messages restart the stalled NAK
 // loops. Loss is always explicit, never silent: at any instant, every
 // sequence a node is missing is either in an active NAK loop or in the
@@ -62,7 +62,7 @@ const (
 // Params tunes the baseline protocol.
 type Params struct {
 	// MaxTries bounds NAK retries (give-ups are counted, and the missing
-	// sequence lands in Unrecovered() until a late repair or
+	// sequence counts as unrecoverable until a late repair or
 	// session-driven retry delivers it). Zero selects 64.
 	MaxTries int
 	// ByteBudget caps the repair server's buffer at this many payload
@@ -126,7 +126,7 @@ type nakState struct {
 	// refetch marks a server-side loop re-fetching a pressure-displaced
 	// message from the parent to serve recorded waiters; the server has
 	// already delivered the message, so refetch loops bypass the received
-	// check and never land in Unrecovered().
+	// check and never count as unrecoverable.
 	refetch bool
 	// timer is the pending retry. It is never stopped: a loop ends when
 	// its nakState leaves Node.naks, and the retry still queued fails the
@@ -220,17 +220,10 @@ func (n *Node) Left() bool { return n.left }
 // Crashed reports whether the node is currently crashed.
 func (n *Node) Crashed() bool { return n.crashed }
 
-// Unrecovered returns the sequences this node has given up recovering, in
-// ascending order: the explicit count of loss that runner.Totals sums. A
-// sequence leaves it only when it arrives. Empty for a healthy run.
-func (n *Node) Unrecovered() []uint64 {
-	out := make([]uint64, 0, len(n.unrecovered))
-	for seq := range n.unrecovered {
-		out = append(out, seq)
-	}
-	slices.Sort(out)
-	return out
-}
+// Unrecoverable returns how many sequences this node has given up
+// recovering: the explicit count of loss that runner.Totals sums. A
+// sequence leaves the set only when it arrives. Zero for a healthy run.
+func (n *Node) Unrecoverable() int { return len(n.unrecovered) }
 
 // StartAcks begins the periodic ACK-window loop (receivers report to their
 // region server; servers report the aggregated floor to their parent).
@@ -384,7 +377,7 @@ func (n *Node) noteTop(src topology.NodeID, top uint64) {
 // budget only bounds one episode). The sequence stays in the unrecovered
 // set until it actually arrives, so accounting never flickers: a missing
 // message that has exhausted at least one retry budget is always visible
-// in Unrecovered(). Sequences are walked in ascending order so
+// in Unrecoverable(). Sequences are walked in ascending order so
 // identically seeded runs schedule identical retries.
 func (n *Node) retryStalled() {
 	if len(n.unrecovered) == 0 {

@@ -473,12 +473,12 @@ func TestMsgStateSize(t *testing.T) {
 	}
 }
 
-// TestMemberSize keeps a Member at its 504 bytes. runner.NewCluster
+// TestMemberSize keeps a Member at its 496 bytes. runner.NewCluster
 // makes a group's members in one slice, so the size is the exact per
 // member cost with no size-class rounding; a 100k-member trial holds 100k.
 // A member holds its hot state: its place in its region's member list, its
-// rng, its buffer (core.Buffer, 216 bytes with its index, first index
-// slot and buffering-time mean), the buffer's rng stream, its source table with the first
+// rng, its buffer (core.Buffer, 208 bytes with its index, first index
+// slot, occupancy sums, peaks and buffering-time mean), the buffer's rng stream, its source table with the first
 // source's reception state inline, the served table, its metrics, and
 // pointers to its Region and its cold state.
 // It reads the Params, the View's member lists (its own id among them),
@@ -494,9 +494,10 @@ func TestMsgStateSize(t *testing.T) {
 // occupancy integrators); then 544, while the buffer's index kept a
 // window layout of its own, 32 bytes wider per source; then 512, while its
 // metrics kept an unrecoverable counter beside its unrecovered marks and
-// a buffering-time mean its buffer now keeps.
+// a buffering-time mean its buffer now keeps; then 504, while the buffer
+// integrated its occupancy in floats, with a time of its own.
 func TestMemberSize(t *testing.T) {
-	if n := unsafe.Sizeof(Member{}); n != 504 {
-		t.Fatalf("Member is %d bytes, want 504", n)
+	if n := unsafe.Sizeof(Member{}); n != 496 {
+		t.Fatalf("Member is %d bytes, want 496", n)
 	}
 }

@@ -45,7 +45,7 @@ func TestBudgetPressureNoSilentLoss(t *testing.T) {
 		m := c.members[n]
 		pressure += m.Buffer().EvictedCount(core.EvictPressure)
 		unrecovered := map[wire.MessageID]bool{}
-		for _, id := range m.Unrecovered() {
+		for id := range m.Unrecovered {
 			unrecovered[id] = true
 		}
 		for _, id := range ids {

@@ -143,7 +143,7 @@ func TestCrashRecoverReRecoversKnownGaps(t *testing.T) {
 	if m.coldState().faults.ReRecoveryLatency.N() != 1 {
 		t.Fatalf("ReRecoveryLatency.N() = %d, want 1", m.coldState().faults.ReRecoveryLatency.N())
 	}
-	if len(m.Unrecovered()) != 0 {
+	if len(slices.Collect(m.Unrecovered)) != 0 {
 		t.Fatal("recovered message still counted unrecoverable")
 	}
 }
@@ -191,8 +191,8 @@ func TestAbandonedRecoveryCountsUnrecoverable(t *testing.T) {
 	c.sim.At(0, func() { m.StartRecovery(id) })
 	c.sim.RunUntil(5 * time.Second) // 64 local tries ≈ 0.7 s, then give up
 
-	if got := m.Unrecovered(); len(got) != 1 || got[0] != id {
-		t.Fatalf("Unrecovered() = %v, want [%v]", got, id)
+	if got := slices.Collect(m.Unrecovered); len(got) != 1 || got[0] != id {
+		t.Fatalf("Unrecovered yields %v, want [%v]", got, id)
 	}
 
 	// A very late repair still lands: the loss is no longer unrecoverable.
@@ -201,8 +201,8 @@ func TestAbandonedRecoveryCountsUnrecoverable(t *testing.T) {
 	if !m.HasReceived(id) {
 		t.Fatal("late repair not delivered")
 	}
-	if len(m.Unrecovered()) != 0 {
-		t.Fatal("Unrecovered() not cleared by late delivery")
+	if len(slices.Collect(m.Unrecovered)) != 0 {
+		t.Fatal("Unrecovered still yields the message after its late delivery")
 	}
 }
 

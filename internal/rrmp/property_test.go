@@ -232,7 +232,7 @@ func TestCrashFaultAccountingProperty(t *testing.T) {
 						t.Fatalf("member %d still recovering %v at horizon", node, id)
 					}
 					unrec := false
-					for _, u := range m.Unrecovered() {
+					for u := range m.Unrecovered {
 						if u == id {
 							unrec = true
 							break

@@ -688,18 +688,16 @@ func (m *Member) Recover() {
 // Crashed reports whether the member is currently crashed.
 func (m *Member) Crashed() bool { return m.crashed }
 
-// Unrecovered returns the messages this member has given up recovering,
-// sorted by (source, sequence): the explicit count of loss (§3.2) that
+// Unrecovered yields the messages this member has given up recovering, in
+// (source, sequence) order: the explicit count of loss (§3.2) that
 // runner.Totals sums. A message leaves it when it arrives late or Recover
-// retries it. Empty for a healthy quiesced run.
-func (m *Member) Unrecovered() []wire.MessageID {
-	out := []wire.MessageID{}
+// retries it. Yields nothing for a healthy quiesced run.
+func (m *Member) Unrecovered(yield func(wire.MessageID) bool) {
 	for ms := range m.records {
-		if ms.unrecovered {
-			out = append(out, ms.id)
+		if ms.unrecovered && !yield(ms.id) {
+			return
 		}
 	}
-	return out
 }
 
 // trace stamps e with the time and this member and hands it to the tracer.

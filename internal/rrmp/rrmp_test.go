@@ -549,8 +549,8 @@ func TestUnrecoverableLossGivesUp(t *testing.T) {
 		t.Fatal("recovered a message nobody had")
 	}
 	// No parent region: the local give-up abandons the last phase.
-	if got := m.Unrecovered(); len(got) != 1 {
-		t.Fatalf("Unrecovered() = %v after the local give-up, want [%v]", got, id)
+	if got := slices.Collect(m.Unrecovered); len(got) != 1 {
+		t.Fatalf("Unrecovered yields %v after the local give-up, want [%v]", got, id)
 	}
 	if got := m.Metrics().LocalReqSent.Value(); got != 5 {
 		t.Fatalf("sent %d local requests, want 5", got)

@@ -126,7 +126,8 @@ func ablationLoadBalance(seed uint64) (Table, error) {
 		c.Engine.RunUntil(horizon)
 		integrals := make([]float64, topo.NumNodes())
 		for id, m := range c.Members {
-			integrals[id] = m.Buffer().ByteOccupancyIntegral(c.Engine.Now())
+			_, byteNs := m.Buffer().OccupancyIntegral(c.Engine.Now())
+			integrals[id] = float64(byteNs) / float64(time.Second)
 		}
 		t.add([]string{"rrmp two-phase", tc.name}, loadBalance(topo, integrals)...)
 
@@ -145,7 +146,8 @@ func ablationLoadBalance(seed uint64) (Table, error) {
 		integrals = make([]float64, topo.NumNodes())
 		for id, node := range tree.Nodes {
 			if node.Buffer() != nil {
-				integrals[id] = node.Buffer().ByteOccupancyIntegral(tree.Engine.Now())
+				_, byteNs := node.Buffer().OccupancyIntegral(tree.Engine.Now())
+				integrals[id] = float64(byteNs) / float64(time.Second)
 			}
 		}
 		t.add([]string{"rmtp repair-server", tc.name}, loadBalance(topo, integrals)...)
@@ -497,13 +499,13 @@ func ablationStabilityTraffic(seed uint64) (Table, error) {
 
 		digest := c.Net.Stats().BytesSent(wire.TypeHistory)
 		control := c.Net.Stats().TotalBytes() - c.Net.Stats().BytesSent(wire.TypeData)
-		var delivered int64
-		var integral float64
+		var delivered, msgNs int64
 		for _, m := range c.Members {
 			delivered += m.Metrics().Delivered.Value()
-			integral += m.Buffer().OccupancyIntegral(c.Engine.Now())
+			ns, _ := m.Buffer().OccupancyIntegral(c.Engine.Now())
+			msgNs += ns
 		}
-		t.add([]string{scheme.name}, float64(digest), float64(control), integral, 100*(float64(delivered)/float64(n*msgs)))
+		t.add([]string{scheme.name}, float64(digest), float64(control), float64(msgNs)/float64(time.Second), 100*(float64(delivered)/float64(n*msgs)))
 	}
 	return t, nil
 }

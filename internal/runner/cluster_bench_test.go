@@ -139,8 +139,11 @@ func TestNewTreeClusterAllocsPerNode(t *testing.T) {
 // stream10k's scenario (tree 4,4,10000, lossless, 50 messages) and
 // pressure300's (three regions of 100, hash loss 0.2, the adaptive policy
 // under a 16 KB budget, four bursty sources). Each trial is
-// deterministic, so every budget is 5 % headroom over its row's
-// measurement. The scale and stream rows fail the tree before members
+// deterministic, so every budget is about 5 % headroom over its row's
+// measurement, given beside it (a budget only ever tightens, so two sit
+// 4.9 % over). pressure300 read 125.47 objects per member while Totals
+// built a list of each member's unrecovered messages to count them. The
+// scale and stream rows fail the tree before members
 // held only their hot state (2 216 and 2 539 B per member then), and all
 // three fail it before timers fired their owners (2 025, 2 347 and
 // 24 607 B; 18.34, 17.13 and 159.49 objects per member, when every
@@ -158,7 +161,7 @@ func TestTrialBytesPerMember(t *testing.T) {
 		byteBudget, objBudget float64 // per member
 	}{
 		{
-			name: "scale100k@10k", members: 10000, byteBudget: 1934, objBudget: 13.14, // 1 842 B, 12.51
+			name: "scale100k@10k", members: 10000, byteBudget: 1885, objBudget: 13.14, // 1 795 B, 12.51
 			sc: exp.Scenario{
 				Tree: &exp.TreeShape{Branch: 8, Levels: 4, Members: 10000},
 				Loss: 0.05, LossMode: "hash", Policy: "two-phase",
@@ -166,7 +169,7 @@ func TestTrialBytesPerMember(t *testing.T) {
 			},
 		},
 		{
-			name: "stream10k", members: 10000, byteBudget: 2285, objBudget: 12.34, // 2 176 B, 11.75
+			name: "stream10k", members: 10000, byteBudget: 2234, objBudget: 12.34, // 2 127 B, 11.76
 			sc: exp.Scenario{
 				Tree:   &exp.TreeShape{Branch: 4, Levels: 4, Members: 10000},
 				Policy: "two-phase",
@@ -174,7 +177,7 @@ func TestTrialBytesPerMember(t *testing.T) {
 			},
 		},
 		{
-			name: "pressure300", members: 300, byteBudget: 24937, objBudget: 134.62, // 23 750 B, 128.21
+			name: "pressure300", members: 300, byteBudget: 24937, objBudget: 131.47, // 23 775 B, 125.21
 			sc: exp.Scenario{
 				Regions: []int{100, 100, 100},
 				Loss:    0.2, LossMode: "hash",

@@ -138,7 +138,7 @@ func TestRMTPServerCrashUnrecoverableNeverSilent(t *testing.T) {
 			}
 			sawLoss = true
 		}
-		if got := len(nd.Unrecovered()); got != len(ids) {
+		if got := nd.Unrecoverable(); got != len(ids) {
 			t.Fatalf("node %d: %d unrecovered, want all %d lost messages counted", node, got, len(ids))
 		}
 	}
@@ -192,8 +192,8 @@ func TestRMTPServerRecoverRepairsOrphanedRegion(t *testing.T) {
 				t.Fatalf("node %d still missing seq %d after server recovery", node, id.Seq)
 			}
 		}
-		if got := nd.Unrecovered(); len(got) != 0 {
-			t.Fatalf("node %d: %v unrecoverable after every message arrived", node, got)
+		if got := nd.Unrecoverable(); got != 0 {
+			t.Fatalf("node %d: %d unrecoverable after every message arrived", node, got)
 		}
 	}
 }

@@ -52,12 +52,12 @@ func TestSharedStreamLossKeepsOneLoop(t *testing.T) {
 					c.Engine.At(time.Duration(i)*20*time.Millisecond, func() { c.Sender.Publish(make([]byte, 64)) })
 				}
 				c.Engine.RunUntil(3 * time.Second)
-				var delivered, duplicates int64
-				var integral float64
+				var delivered, duplicates, integral int64
 				for _, m := range c.Members {
 					delivered += m.Metrics().Delivered.Value()
 					duplicates += m.Metrics().Duplicates.Value()
-					integral += m.Buffer().OccupancyIntegral(c.Engine.Now())
+					msgNs, _ := m.Buffer().OccupancyIntegral(c.Engine.Now())
+					integral += msgNs
 				}
 				st := c.Net.Stats()
 				return fmt.Sprintf("delivered=%d duplicates=%d sent=%d dropped_data=%d events=%d integral=%v",

@@ -1,15 +1,19 @@
 package runner
 
 import (
+	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/stats"
 )
 
-// Totals is a deployment's members summed at one instant, in node order:
-// the scenario kernel's member keys, each driver's protocol keys and
-// repro.Group.Stats all read this one roll-up. The RRMP-only counters stay
+// Totals is a deployment's members summed at one instant: the scenario
+// kernel's member keys, each driver's protocol keys and repro.Group.Stats
+// all read this one roll-up. Every sum is exact, of integer counts and
+// nanoseconds, and each float is made once from its sum, so the totals do
+// not depend on the order of the members. The RRMP-only counters stay
 // zero in an RMTP deployment, and a node that keeps no buffer (an RMTP
 // receiver) adds nothing to the buffer figures.
 type Totals struct {
@@ -58,28 +62,59 @@ type Totals struct {
 
 	// survivors counts the members that neither left nor crashed.
 	survivors int
+	// bufferNs and byteNs sum the buffers' occupancy integrals, in
+	// message- and byte-nanoseconds.
+	bufferNs, byteNs wide
 	// recovery, reRecovery and buffering pool the member running means
 	// behind the three means; a mean with no sample reads 0, and the kernel
 	// then omits its key.
 	recovery, reRecovery, buffering pool
 }
 
-// pool merges running means into one mean: each adds mean × count and
-// count, member by member, and the sum is divided once. Mean × count, not
-// the member's raw sum, is what the pooled figures of every committed
-// record were computed from.
-type pool struct{ sum, n float64 }
+// wide is an exact sum of non-negative int64s in two words, since a large
+// deployment's byte integral passes 2⁶³ (a million members each holding
+// ten 1 KiB copies for a second reach 10¹⁹ byte-nanoseconds).
+type wide struct{ hi, lo uint64 }
+
+func (w *wide) add(v int64) {
+	var carry uint64
+	w.lo, carry = bits.Add64(w.lo, uint64(v), 0)
+	w.hi += carry
+}
+
+// float returns the sum rounded once to the nearest float64: the top 64
+// bits convert with one rounding, and a sticky low bit stands for any
+// nonzero bits below them, which only break a tie.
+func (w wide) float() float64 {
+	if w.hi == 0 {
+		return float64(w.lo)
+	}
+	shift := bits.Len64(w.hi)
+	top := w.hi<<(64-shift) | w.lo>>shift
+	if w.lo<<(64-shift) != 0 {
+		top |= 1
+	}
+	return math.Ldexp(float64(top), shift)
+}
+
+// pool merges running means into one: the members' exact nanosecond sums
+// and their counts are added, and the pooled mean is divided once, as
+// stats.RunningMean.Mean divides.
+type pool struct {
+	sum wide
+	n   int
+}
 
 func (p *pool) add(h *stats.RunningMean) {
-	p.sum += h.Mean() * float64(h.N())
-	p.n += float64(h.N())
+	p.sum.add(int64(h.Sum()))
+	p.n += h.N()
 }
 
 func (p *pool) mean() float64 {
 	if p.n == 0 {
 		return 0
 	}
-	return p.sum / p.n
+	return p.sum.float() / (float64(p.n) * float64(time.Millisecond))
 }
 
 // add folds in one member's share of what both protocols keep: its
@@ -101,16 +136,20 @@ func (t *Totals) add(now time.Duration, survivor bool, delivered, duplicates, re
 	}
 	t.buffering.add(b.BufferingTime())
 	t.LongTermEntries += b.LongTermCount()
-	t.BufferIntegral += b.OccupancyIntegral(now)
-	t.ByteIntegral += b.ByteOccupancyIntegral(now)
+	msgNs, byteNs := b.OccupancyIntegral(now)
+	t.bufferNs.add(msgNs)
+	t.byteNs.add(byteNs)
 	t.PeakBuffered = max(t.PeakBuffered, b.PeakLen())
 	t.PeakBufferedBytes = max(t.PeakBufferedBytes, b.PeakBytes())
 	t.PressureEvictions += b.EvictedCount(core.EvictPressure)
 	t.BudgetDenials += b.DeniedCount()
 }
 
-// means divides the pooled running means.
-func (t *Totals) means() {
+// finish makes the reported floats from the exact sums: the integrals in
+// seconds and the pooled means in milliseconds.
+func (t *Totals) finish() {
+	t.BufferIntegral = t.bufferNs.float() / float64(time.Second)
+	t.ByteIntegral = t.byteNs.float() / float64(time.Second)
 	t.MeanRecoveryMs = t.recovery.mean()
 	t.MeanReRecoveryMs = t.reRecovery.mean()
 	t.MeanBufferingMs = t.buffering.mean()
@@ -122,8 +161,12 @@ func (c *Cluster) Totals() Totals {
 	now := c.Engine.Now()
 	for _, m := range c.Members {
 		mm := m.Metrics()
+		unrecovered := 0
+		for range m.Unrecovered {
+			unrecovered++
+		}
 		t.add(now, !m.Left() && !m.Crashed(), mm.Delivered.Value(), mm.Duplicates.Value(),
-			mm.RepairsSent.Value(), len(m.Unrecovered()), &mm.RecoveryLatency, m.Buffer())
+			mm.RepairsSent.Value(), unrecovered, &mm.RecoveryLatency, m.Buffer())
 		t.LocalRequests += mm.LocalReqSent.Value()
 		t.RemoteRequests += mm.RemoteReqSent.Value()
 		t.RegionalMulticasts += mm.RegionalMulticasts.Value()
@@ -134,7 +177,7 @@ func (c *Cluster) Totals() Totals {
 		t.Suspects += faults.Suspects.Value()
 		t.reRecovery.add(&faults.ReRecoveryLatency)
 	}
-	t.means()
+	t.finish()
 	return t
 }
 
@@ -145,8 +188,8 @@ func (c *TreeCluster) totals() Totals {
 	for _, n := range c.Nodes {
 		mm := n.Metrics()
 		t.add(now, !n.Left() && !n.Crashed(), mm.Delivered.Value(), mm.Duplicates.Value(),
-			mm.RepairsSent.Value(), len(n.Unrecovered()), &mm.RecoveryLatency, n.Buffer())
+			mm.RepairsSent.Value(), n.Unrecoverable(), &mm.RecoveryLatency, n.Buffer())
 	}
-	t.means()
+	t.finish()
 	return t
 }

@@ -293,17 +293,14 @@ func TestScaleTrialUnder10s(t *testing.T) {
 // across 4369 regions) running ScaleSweepXL's burst probe under hash-mode
 // Gilbert–Elliott loss, the loss regime of wireless multicast. It must
 // finish one trial with delivery intact inside an event budget about 10%
-// above what the cell executes (60.7–61.1M events over seeds 1–3). On a
-// 2-core Intel Xeon host seed 1 executes 60 906 733 events. One fresh
-// test process at one lane (RRMP_SHARDS=1), peak RSS read as VmHWM, ran
-// it in 27.5 s (2.2 M events/s) peaking at 1 725 428 kB (1 685 MiB);
-// the same run peaked at 1 808 360 kB (1 766 MiB, 27.6 s) before timers
-// fired their owners, 1 989 468 kB (1 943 MiB) before members held only
-// their hot state, and 2 232 MB before members were made in one slab
-// (the shared host's speed drifts between runs, 27.5–54.5 s). The wall is
-// logged, not asserted, for TestScaleTrialUnder10s's reason. One trial
-// costs most of a minute and gigabytes, so this test runs only when
-// RRMP_SCALE_1M=1; RRMP_SHARDS overrides the shard width. The same cell
+// above what the cell executes (60.7–61.1M events over seeds 1–3); seed 1
+// executes 60 906 733. Its wall time and peak memory are host figures and
+// live in CHANGES.md: the latest, from the entry in which a timer began
+// to call its owner (clock.Firer), is 1 688 016 kB peak RSS (VmHWM) in
+// 25.4 s, one fresh test process at one lane (RRMP_SHARDS=1) on a 2-core
+// host. The wall is logged, not asserted, for TestScaleTrialUnder10s's
+// reason. One trial costs tens of seconds and gigabytes, so this test
+// runs only when RRMP_SCALE_1M=1; RRMP_SHARDS overrides the shard width. The same cell
 // runs outside go test, on the CPU budget's width, as
 //
 //	rrmp-sim -tree 16,4,1000000 -loss 0.05 -loss-mode hash -burst -hold 500ms -msgs 10 -horizon 2s

@@ -1,16 +1,14 @@
 // Package stats provides the measurement primitives the experiments use:
-// counters, running means, exact-sample histograms that report the mean,
-// extremes and a 95% confidence interval, and a step-function integrator
-// for buffer-occupancy × time accounting.
+// counters, running means of durations, and exact-sample histograms that
+// report the mean, extremes and a 95% confidence interval.
 //
-// A member keeps only counters, running means and integrators, so its
-// metrics stay constant-size however many messages it sees. A histogram
+// A member keeps only counters and running means, so its metrics stay
+// constant-size however many messages it sees. A histogram
 // keeps every sample; it summarizes a sweep cell's trials or a figure's
 // runs, a few samples each.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -32,34 +30,34 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current tally.
 func (c *Counter) Value() int64 { return c.n }
 
-// RunningMean accumulates duration samples into a count and a sum. It adds
-// in insertion order, as Histogram.Mean sums, so on one sequence the two
-// means are the same bits. The zero value is ready to use.
+// RunningMean accumulates duration samples into a count and an exact
+// nanosecond sum, so its mean does not depend on the order of the samples.
+// The zero value is ready to use.
 type RunningMean struct {
-	sum float64
+	sum int64 // nanoseconds
 	n   int
 }
 
-// AddDuration records a duration sample in milliseconds, the unit used by
-// every figure in the paper.
+// AddDuration records one duration sample.
 func (r *RunningMean) AddDuration(d time.Duration) {
-	r.add(float64(d) / float64(time.Millisecond))
-}
-
-func (r *RunningMean) add(v float64) {
-	r.sum += v
+	r.sum += int64(d)
 	r.n++
 }
 
 // N returns the number of samples recorded.
 func (r *RunningMean) N() int { return r.n }
 
-// Mean returns the sample mean (0 with no samples).
+// Sum returns the samples' exact total.
+func (r *RunningMean) Sum() time.Duration { return time.Duration(r.sum) }
+
+// Mean returns the sample mean in milliseconds, the unit of every figure in
+// the paper (0 with no samples). It divides once: below 2⁵³ ns and 2⁵³/10⁶
+// samples the result is the exact mean rounded once.
 func (r *RunningMean) Mean() float64 {
 	if r.n == 0 {
 		return 0
 	}
-	return r.sum / float64(r.n)
+	return float64(r.sum) / (float64(r.n) * float64(time.Millisecond))
 }
 
 // Histogram accumulates float64 samples and reports exact order statistics.
@@ -142,53 +140,4 @@ func (h *Histogram) Max() float64 {
 		return 0
 	}
 	return slices.Max(h.samples)
-}
-
-// Occupancy integrates two step functions over time that change at the
-// same instants, such as a buffer's message count and its payload bytes:
-// it accumulates level × elapsed-time for each. It holds no level of its
-// own: its owner keeps the levels, passes them to Advance before it
-// changes either and to Raise after it raises one. The integrals' unit is
-// value-seconds. The zero value starts at time 0.
-type Occupancy struct {
-	since    time.Duration
-	integral [2]float64 // value-seconds accumulated before since
-	peak     [2]float64
-}
-
-// Advance accumulates levels, held since the previous call, up to now.
-// Time must be non-decreasing across calls; regressions panic because they
-// indicate simulator misuse.
-func (o *Occupancy) Advance(now time.Duration, levels [2]float64) {
-	if now < o.since {
-		panic(fmt.Sprintf("stats: Occupancy time moved backwards: %v < %v", now, o.since))
-	}
-	for i, v := range levels {
-		o.integral[i] += v * (now - o.since).Seconds()
-	}
-	o.since = now
-}
-
-// Raise records levels as reached, for Peak.
-func (o *Occupancy) Raise(levels [2]float64) {
-	for i, v := range levels {
-		if v > o.peak[i] {
-			o.peak[i] = v
-		}
-	}
-}
-
-// Peak returns the highest levels Raise was given.
-func (o *Occupancy) Peak() [2]float64 { return o.peak }
-
-// Integral returns the accumulated value-seconds up to time now, with
-// levels held since the last Advance.
-func (o *Occupancy) Integral(now time.Duration, levels [2]float64) [2]float64 {
-	if now < o.since {
-		panic(fmt.Sprintf("stats: Occupancy integral queried in the past: %v < %v", now, o.since))
-	}
-	for i, v := range levels {
-		levels[i] = o.integral[i] + v*(now-o.since).Seconds()
-	}
-	return levels
 }

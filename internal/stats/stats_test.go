@@ -2,8 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/big"
+	"slices"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -48,109 +49,58 @@ func TestAddDurationUsesMilliseconds(t *testing.T) {
 	}
 }
 
-// TestRunningMeanMatchesSampleList pins that a running mean reads the same
-// bits as the mean of the sample list it replaced, on sequences where the
-// order of summation shows: cancellation of large terms, magnitudes far
-// apart, and subnormals. With no samples both read 0.
+// TestRunningMeanMatchesSampleList pins that a running mean is the exact
+// mean of its samples rounded once: on each sample list, forwards and
+// reversed, Mean must read the bits of Σ/(n·10⁶) computed in rationals and
+// rounded to the nearest float64, and Sum the exact total. The lists keep
+// the sum below 2⁵³ ns, where that one rounding is Mean's only one; they
+// include cancellation, magnitudes far apart and orders a float sum would
+// round differently. With no samples the mean reads 0.
 func TestRunningMeanMatchesSampleList(t *testing.T) {
-	sub := math.SmallestNonzeroFloat64
-	seqs := [][]float64{
+	const big53 = time.Duration(1) << 52
+	seqs := [][]time.Duration{
 		{},
-		{1e16, 1, -1e16},
-		{1, 1e16, -1e16, 1, 1},
-		{-1e16, 1e16, 1, 1, 1},
-		{0.1, 0.2, 0.3, 1e-3, 123456.789, 1e-9, 7},
-		{1e300, 1e300, -1e300, 3},
-		{1e-310, 1e-312, 1e-315, sub, sub},
-		{sub, 1, -1, sub, 3 * sub},
-		{math.MaxFloat64 / 4, math.MaxFloat64 / 4, -math.MaxFloat64 / 4, 1e-300},
+		{1},
+		{big53, 1, -big53},
+		{1, big53, -big53, 1, 1},
+		{-big53, big53, 1, 1, 1},
+		{100 * time.Microsecond, 200 * time.Microsecond, 300 * time.Microsecond, 1, 123456789 * time.Microsecond, 7},
+		{999_999, 3, 1, 1, 1},
 	}
 	// Mixed magnitudes in a fixed pseudo-random order.
 	x := uint64(0x9e3779b97f4a7c15)
-	var mixed []float64
+	var mixed []time.Duration
 	for range 4096 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		v := math.Ldexp(float64(x>>11)/(1<<53), int(x%80)-40)
+		d := time.Duration(x>>(11+x%40)) % (1 << 40)
 		if x&1 == 1 {
-			v = -v
+			d = -d
 		}
-		mixed = append(mixed, v)
+		mixed = append(mixed, d)
 	}
 	seqs = append(seqs, mixed)
 	for i, seq := range seqs {
-		var r RunningMean
-		var h Histogram
-		for _, v := range seq {
-			r.add(v)
-			h.Add(v)
+		sum := new(big.Int)
+		for _, d := range seq {
+			sum.Add(sum, big.NewInt(int64(d)))
 		}
-		if math.Float64bits(r.Mean()) != math.Float64bits(h.Mean()) || r.N() != h.N() {
-			t.Errorf("sequence %d: running mean %v over %d, sample list %v over %d", i, r.Mean(), r.N(), h.Mean(), h.N())
+		want := 0.0
+		if len(seq) > 0 {
+			want, _ = new(big.Rat).SetFrac(sum, big.NewInt(int64(len(seq))*int64(time.Millisecond))).Float64()
 		}
-	}
-	// Durations at the ends of their range, through the exported path.
-	var r RunningMean
-	var h Histogram
-	for _, d := range []time.Duration{math.MaxInt64, 1, math.MinInt64 + 1, 1, 999_999, 3} {
-		r.AddDuration(d)
-		h.Add(float64(d) / float64(time.Millisecond))
-	}
-	if math.Float64bits(r.Mean()) != math.Float64bits(h.Mean()) {
-		t.Errorf("extreme durations: running mean %v, sample list %v", r.Mean(), h.Mean())
-	}
-}
-
-// TestOccupancyIntegral drives both levels through steps, the second at
-// ten times the first, with Advance before each change and Raise after.
-func TestOccupancyIntegral(t *testing.T) {
-	var o Occupancy
-	var level [2]float64
-	set := func(now time.Duration, v float64) {
-		o.Advance(now, level)
-		level = [2]float64{v, 10 * v}
-		o.Raise(level)
-	}
-	set(0, 2)             // level 2 from t=0
-	set(1*time.Second, 5) // level 5 from t=1s
-	set(3*time.Second, 1) // level 1 from t=3s
-	// integral at t=4s: 2*1 + 5*2 + 1*1 = 13
-	got := o.Integral(4*time.Second, level)
-	if math.Abs(got[0]-13) > 1e-9 || math.Abs(got[1]-130) > 1e-9 {
-		t.Fatalf("integral = %v, want [13 130]", got)
-	}
-	if o.Peak() != [2]float64{5, 50} {
-		t.Fatalf("peak = %v", o.Peak())
-	}
-}
-
-func TestOccupancyPanicsOnTimeRegression(t *testing.T) {
-	var o Occupancy
-	o.Advance(2*time.Second, [2]float64{1, 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on time regression")
+		reversed := slices.Clone(seq)
+		slices.Reverse(reversed)
+		for _, order := range [][]time.Duration{seq, reversed} {
+			var r RunningMean
+			for _, d := range order {
+				r.AddDuration(d)
+			}
+			if math.Float64bits(r.Mean()) != math.Float64bits(want) || r.N() != len(seq) || int64(r.Sum()) != sum.Int64() {
+				t.Errorf("sequence %d: running mean %v over %d (sum %v), exact %v over %d (sum %v)", i, r.Mean(), r.N(), r.Sum(), want, len(seq), sum)
+			}
 		}
-	}()
-	o.Advance(1*time.Second, [2]float64{2, 2})
-}
-
-func TestOccupancyIntegralNonNegativeProperty(t *testing.T) {
-	prop := func(levels []uint8) bool {
-		var o Occupancy
-		var level [2]float64
-		now := time.Duration(0)
-		for _, l := range levels {
-			now += time.Duration(l%16) * time.Millisecond
-			o.Advance(now, level)
-			level = [2]float64{float64(l % 8), float64(l)}
-		}
-		got := o.Integral(now+time.Second, level)
-		return got[0] >= 0 && got[1] >= 0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
