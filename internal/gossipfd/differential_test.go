@@ -116,6 +116,15 @@ type rig struct {
 	fd    fdAPI
 	sent  []sentPDU
 	calls []callback
+	// onNet holds the tables of sent PDUs still on the network, each
+	// with the index of its entry in sent.
+	onNet []netTable
+}
+
+// netTable is a sent heartbeat's table itself, not a copy.
+type netTable struct {
+	table []uint64
+	sent  int
 }
 
 func newRig(cfg Config, seed uint64, build func(Config) fdAPI) *rig {
@@ -125,6 +134,7 @@ func newRig(cfg Config, seed uint64, build func(Config) fdAPI) *rig {
 		if msg.Type != wire.TypeHeartbeat || msg.From != cfg.View.Self {
 			panic(fmt.Sprintf("unexpected PDU %v from %d", msg.Type, msg.From))
 		}
+		r.onNet = append(r.onNet, netTable{msg.Counters, len(r.sent)})
 		r.sent = append(r.sent, sentPDU{r.sched.now, to, append([]uint64(nil), msg.Counters...)})
 	}
 	cfg.OnSuspect = func(n topology.NodeID) { r.calls = append(r.calls, callback{r.sched.now, false, n}) }
@@ -171,11 +181,18 @@ func diffView(r *rng.Source, size int, gaps bool) topology.View {
 // frozen map detector (reference_test.go) through seeded random schedules
 // and requires everything observable to agree: heartbeat PDUs (instant,
 // target, counters), rng consumption, Suspected/Live after every step and
-// the OnSuspect/OnRestore sequences.
+// the OnSuspect/OnRestore sequences. The dense detector's own PDUs meet
+// the fates the network deals them: dropped (the table comes back through
+// Recycle, as rrmp's netsim.PacketDropper hands it back), never delivered
+// (it is lost to the collector), or delivered back to the detector and
+// recycled after the merge. A table must read as it was sent until its
+// fate, so a table handed out twice shows as a PDU that changed in
+// flight.
 func TestDifferentialAgainstMapDetector(t *testing.T) {
 	const schedules = 240
-	sizes := []int{1, 2, 3, 5, 8, 13}
+	sizes := []int{1, 2, 3, 5, 8, 13, 70, 131}
 	var suspects, restores, drops, readmits, fallbacks int
+	var fates [3]int // dropped, undelivered, delivered back
 	for seed := uint64(1); seed <= schedules; seed++ {
 		script := rng.New(seed * 7919)
 		cfg := Config{View: diffView(script, sizes[int(seed)%len(sizes)], seed%3 == 0)}
@@ -237,6 +254,25 @@ func TestDifferentialAgainstMapDetector(t *testing.T) {
 					r.fd.Start()
 					r.fd.Start()
 				})
+			case k < 70 && len(dense.onNet) > 0: // a sent PDU meets its fate
+				j := script.Intn(len(dense.onNet))
+				pdu := dense.onNet[j]
+				dense.onNet = slices.Delete(dense.onNet, j, j+1)
+				if !slices.Equal(pdu.table, dense.sent[pdu.sent].counters) {
+					t.Fatalf("seed %d step %d: PDU %d changed on the network: %v, sent %v", seed, step, pdu.sent, pdu.table, dense.sent[pdu.sent].counters)
+				}
+				fate := script.Intn(3)
+				fates[fate]++
+				switch fate {
+				case 0:
+					dense.fd.(*Detector).Recycle(pdu.table)
+				case 2:
+					msg := wire.Message{Type: wire.TypeHeartbeat, From: dense.sent[pdu.sent].to, Counters: slices.Clone(pdu.table)}
+					ref.fd.Receive(msg)
+					msg.Counters = pdu.table
+					dense.fd.Receive(msg)
+					dense.fd.(*Detector).Recycle(pdu.table)
+				}
 			default: // time passes, ticks fire
 				dt := time.Duration(script.Intn(int(90 * time.Millisecond)))
 				if script.Intn(12) == 0 {
@@ -247,7 +283,7 @@ func TestDifferentialAgainstMapDetector(t *testing.T) {
 
 			// A PDU sent in a step that ends with nobody live went to a
 			// target drawn from the static view.
-			if d := dense.fd.(*Detector); d.live == 0 && len(dense.sent) > sentBefore {
+			if d := dense.fd.(*Detector); d.nLive == 0 && len(dense.sent) > sentBefore {
 				fallbacks++
 			}
 			if len(dense.sent) != len(ref.sent) {
@@ -300,9 +336,10 @@ func TestDifferentialAgainstMapDetector(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d schedules: %d suspects, %d restores, %d with drops, %d re-admitted slots, %d steps gossiping on the static fallback",
-		schedules, suspects, restores, drops, readmits, fallbacks)
-	for name, v := range map[string]int{"suspects": suspects, "restores": restores, "drops": drops, "re-admissions": readmits, "fallbacks": fallbacks} {
+	t.Logf("%d schedules: %d suspects, %d restores, %d with drops, %d re-admitted slots, %d steps gossiping on the static fallback; own PDUs %d dropped, %d undelivered, %d delivered back",
+		schedules, suspects, restores, drops, readmits, fallbacks, fates[0], fates[1], fates[2])
+	for name, v := range map[string]int{"suspects": suspects, "restores": restores, "drops": drops, "re-admissions": readmits, "fallbacks": fallbacks,
+		"dropped tables": fates[0], "undelivered tables": fates[1], "tables delivered back": fates[2]} {
 		if v == 0 {
 			t.Errorf("no schedule exercised %s", name)
 		}

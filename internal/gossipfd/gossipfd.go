@@ -17,21 +17,29 @@
 // The table is four parallel slices (counter, last-advance time, state,
 // tombstone) indexed by a peer's position in the view's shared, ascending
 // RegionMembers, which is also the order of the Counters in a heartbeat
-// PDU. A tick is one linear pass plus one copy, a merge compares two
-// slices, and everything observable happens in that order: a sweep that
-// suspects several peers reports them by ascending NodeID. A cleaned-up
-// peer keeps its slot in state "dropped": it reads 0 in outgoing tables
-// and true from Suspected, exactly as an absent peer would, and only a
-// counter above its tombstone re-admits it. The copy a tick sends goes into
-// a table an earlier heartbeat arrived in when the owner has handed one back
-// (Recycle). A region's detectors share one free list of such tables
-// (Tables), so the region circulates about as many tables as it has
-// heartbeats in flight instead of allocating one per tick. This is the
-// fault cells' hot path (DESIGN §6);
-// the map-based original survives as the oracle of differential_test.go.
+// PDU. A merge compares two slices, a live peer's slot without a branch,
+// and everything observable happens in that order: a sweep that suspects
+// several peers reports them by ascending NodeID. A cleaned-up peer keeps
+// its slot in state "dropped": it reads 0 in outgoing tables and true from
+// Suspected, exactly as an absent peer would, and only a counter above its
+// tombstone re-admits it.
+//
+// A tick does no search over the table. Its sweep is skipped outright
+// until the earliest instant a timeout can expire (quiet), and otherwise
+// reads a peer's state only when its last advance is older than
+// failTimeout. Its gossip target is one draw over a bitmap of the live
+// peers' slots, which a state change flips one bit of. The copy a tick
+// sends goes into a table an earlier heartbeat arrived in when the owner
+// has handed one back (Recycle). A region's detectors share one free list
+// of such tables (Tables), so the region circulates about as many tables
+// as it has heartbeats in flight instead of allocating one per tick. This
+// is the fault cells' hot path (DESIGN §6); the map-based original
+// survives as the oracle of differential_test.go.
 package gossipfd
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -125,7 +133,21 @@ type Detector struct {
 	// final counter; re-admission requires a strictly higher value, i.e. a
 	// genuinely fresh heartbeat.
 	tombstone []uint64
-	live      int // peers (Self excluded) in state peerLive
+	// live marks the slots of the peers (Self excluded) in state
+	// peerLive: bit i%64 of live[i/64] is slot i. nLive counts them.
+	// PickPeer's k-th live peer is the k-th set bit, in slot order.
+	// setState keeps both in step. Peers flap, so states change about as
+	// often as peers are picked, and a change must stay one bit flip.
+	live  []uint64
+	nLive int
+	// quiet bounds the next timeout from below: no sweep can act while
+	// now−failTimeout ≤ quiet. A sweep sets it to the least last advance
+	// of Self and the live peers, and for a suspected peer the instant
+	// failTimeout before its cleanup. A merge only delays timeouts, and a
+	// peer re-admitted after that sweep starts its clock later than Self's
+	// advance in it, so neither moves the bound. A dropped peer's updatedAt
+	// is never, so it neither passes a sweep's filter nor bounds quiet.
+	quiet time.Duration
 	// tables holds the tables handed back through Recycle; a tick takes
 	// its PDU's snapshot from here before it allocates one.
 	tables  *Tables
@@ -148,25 +170,39 @@ func New(cfg Config) *Detector {
 	if !ok {
 		panic("gossipfd: View.RegionMembers must be ascending with Self at SelfIdx")
 	}
+	now := cfg.Sched.Now()
+	words := make([]uint64, n+(n+63)/64) // the counters, then the live bitmap
 	d := &Detector{
 		cfg:       cfg,
 		order:     order,
 		selfIdx:   cfg.View.SelfIdx,
-		counter:   make([]uint64, n),
+		counter:   words[:n:n],
 		updatedAt: make([]time.Duration, n),
 		state:     make([]uint8, n),
-		live:      n - 1,
+		live:      words[n:],
+		nLive:     n - 1,
+		quiet:     now,
 		tables:    cfg.Tables,
 	}
 	if d.tables == nil {
 		d.tables = &Tables{max: ownSpares}
 	}
-	now := cfg.Sched.Now()
 	for i := range d.updatedAt {
 		d.updatedAt[i] = now
 	}
+	// Every peer starts live: the bitmap's n bits, less Self's.
+	for w := range d.live {
+		d.live[w] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		d.live[n/64] = 1<<r - 1
+	}
+	d.live[d.selfIdx/64] &^= 1 << (d.selfIdx % 64)
 	return d
 }
+
+// never is the updatedAt of a dropped peer: no timeout expires after it.
+const never = time.Duration(math.MaxInt64)
 
 // Start begins periodic gossip. Idempotent.
 func (d *Detector) Start() {
@@ -235,37 +271,57 @@ func (d *Detector) tick() {
 	})
 }
 
-// sweep updates suspicion state from timeouts, in table order. Cleanup is
-// tested first, so a peer that fell silent past cleanupTimeout while the
-// detector was stopped is dropped without ever being reported suspected.
+// sweep updates suspicion state from timeouts, in table order: a peer
+// silent for more than failTimeout is suspected, and one silent for more
+// than cleanupTimeout is dropped. Cleanup is tested first, so a peer that
+// fell silent past cleanupTimeout while the detector was stopped is
+// dropped without ever being reported suspected. Only a peer heard from
+// before threshold is silent for more than failTimeout, so the others are
+// passed over on their updatedAt alone; and while quiet is at or after
+// threshold, nobody is.
 func (d *Detector) sweep(now time.Duration) {
-	for i, s := range d.state {
-		if s == peerDropped || i == d.selfIdx {
+	threshold := now - failTimeout
+	if threshold <= d.quiet {
+		return
+	}
+	const grace = cleanupTimeout - failTimeout
+	quiet := never
+	for i, u := range d.updatedAt {
+		if threshold <= u { // heard from lately (Self at every tick), or dropped
+			quiet = min(quiet, u)
 			continue
 		}
-		silence := now - d.updatedAt[i]
 		switch {
-		case silence > cleanupTimeout:
+		case now-u > cleanupTimeout:
 			if d.tombstone == nil {
 				d.tombstone = make([]uint64, len(d.order))
 			}
 			d.tombstone[i], d.counter[i] = d.counter[i], 0
+			d.updatedAt[i] = never
 			d.setState(i, peerDropped)
-		case silence > failTimeout && s == peerLive:
+		case d.state[i] == peerLive:
+			quiet = min(quiet, u+grace)
 			d.setState(i, peerSuspected)
 			if d.cfg.OnSuspect != nil {
 				d.cfg.OnSuspect(d.order[i])
 			}
+		default:
+			quiet = min(quiet, u+grace)
 		}
 	}
+	d.quiet = quiet
 }
 
-// setState moves peer slot i to state s, keeping the live count in step.
+// setState moves peer slot i to state s, keeping the live bitmap and
+// count in step.
 func (d *Detector) setState(i int, s uint8) {
-	if d.state[i] == peerLive {
-		d.live--
-	} else if s == peerLive {
-		d.live++
+	if was := d.state[i]; (was == peerLive) != (s == peerLive) {
+		d.live[i/64] ^= 1 << (i % 64)
+		if s == peerLive {
+			d.nLive++
+		} else {
+			d.nLive--
+		}
 	}
 	d.state[i] = s
 }
@@ -277,7 +333,7 @@ func (d *Detector) setState(i int, s uint8) {
 // candidate list from Suspected.
 func (d *Detector) PickPeer(r *rng.Source) (topology.NodeID, bool) {
 	peers := len(d.order) - 1
-	if d.live == 0 || d.live == peers {
+	if d.nLive == 0 || d.nLive == peers {
 		// Nobody is excluded — or everyone looks dead, typical after this
 		// node itself was partitioned or paused: then fall back to the
 		// static view so a rejoining member can re-establish contact
@@ -287,20 +343,25 @@ func (d *Detector) PickPeer(r *rng.Source) (topology.NodeID, bool) {
 		}
 		return d.order[r.Pick(len(d.order), d.selfIdx)], true
 	}
-	k := r.Intn(d.live)
-	for i, s := range d.state {
-		if s == peerLive && i != d.selfIdx {
-			if k == 0 {
-				return d.order[i], true
-			}
-			k--
+	k := r.Intn(d.nLive)
+	for w, word := range d.live {
+		if c := bits.OnesCount64(word); k >= c {
+			k -= c
+			continue
 		}
+		for range k {
+			word &= word - 1 // clear the lowest set bit
+		}
+		return d.order[64*w+bits.TrailingZeros64(word)], true
 	}
 	panic("gossipfd: live count out of step with the table")
 }
 
 // Receive merges an incoming heartbeat table (wire.TypeHeartbeat): slot by
 // slot, a counter above the one held is adopted and stamped with the time.
+// About half of a gossiped table is news, so which slots advance is a coin
+// toss: a live peer's slot is merged without a branch on it (a max and a
+// conditional move), and only a suspected or dropped peer's takes one.
 func (d *Detector) Receive(msg wire.Message) {
 	if msg.Type != wire.TypeHeartbeat {
 		return
@@ -309,37 +370,48 @@ func (d *Detector) Receive(msg wire.Message) {
 	// drop the bounds checks of the merge loop.
 	n := min(len(msg.Counters), len(d.counter))
 	in, counter, updatedAt, state := msg.Counters[:n], d.counter[:n], d.updatedAt[:n], d.state[:n]
-	now := time.Duration(-1) // read on the first advance only
+	now := d.cfg.Sched.Now()
+	// Self's slot is live and takes nothing from a merge: it is merged
+	// with the rest and put back.
+	self, selfCounter, selfAt := d.selfIdx, d.counter[d.selfIdx], d.updatedAt[d.selfIdx]
 	for i, c := range in {
-		if c <= counter[i] || i == d.selfIdx {
-			continue
-		}
-		s := state[i]
-		// Re-admit a cleaned-up peer only on fresh evidence: a counter
-		// strictly above its tombstone. Stale tables recirculating the
-		// final pre-crash counter must not resurrect it.
-		if s == peerDropped && c <= d.tombstone[i] {
-			continue
-		}
-		if now < 0 {
-			now = d.cfg.Sched.Now()
-		}
-		counter[i] = c
-		updatedAt[i] = now
-		if s != peerLive {
-			// Re-admission is a restore too: the peer was considered
-			// failed (dropped reads as suspected) and is demonstrably alive.
-			d.setState(i, peerLive)
-			if d.cfg.OnRestore != nil {
-				d.cfg.OnRestore(d.order[i])
+		old := counter[i]
+		if state[i] != peerLive {
+			if c > old {
+				d.revive(i, c, now)
 			}
+			continue
 		}
+		at := updatedAt[i]
+		if c > old {
+			at = now
+		}
+		counter[i], updatedAt[i] = max(c, old), at
+	}
+	d.counter[self], d.updatedAt[self] = selfCounter, selfAt
+}
+
+// revive adopts counter c, which is above the one held, for the suspected
+// or dropped peer in slot i, and restores it. A cleaned-up peer is
+// re-admitted only on fresh evidence: a counter strictly above its
+// tombstone. Stale tables recirculating the final pre-crash counter must
+// not resurrect it.
+func (d *Detector) revive(i int, c uint64, now time.Duration) {
+	if d.state[i] == peerDropped && c <= d.tombstone[i] {
+		return
+	}
+	d.counter[i], d.updatedAt[i] = c, now
+	// Re-admission is a restore too: the peer was considered failed
+	// (dropped reads as suspected) and is demonstrably alive.
+	d.setState(i, peerLive)
+	if d.cfg.OnRestore != nil {
+		d.cfg.OnRestore(d.order[i])
 	}
 }
 
 // Recycle hands the detector the Counters of a heartbeat PDU that is spent:
-// Receive has merged it and nothing else references it (the network
-// delivered it to this member only). It goes into the detector's free
+// merged by Receive, or dropped on its way, and referenced by nothing else
+// (the network sent it to this member only). It goes into the detector's free
 // list, and a later tick of any detector sharing the list sends its
 // snapshot in it instead of allocating one. Tables of another length, and
 // more than the list keeps, are left to the collector.

@@ -287,8 +287,8 @@ func TestDetectorAllocs(t *testing.T) {
 	sched := &manualSched{}
 	d := New(Config{View: view, Sched: sched, Rng: rng.New(1), Send: func(topology.NodeID, wire.Message) {}})
 	d.Start()
-	// Silence three peers into suspicion so picks walk the table instead of
-	// taking the everyone-is-live shortcut.
+	// Silence three peers into suspicion so picks select in the live
+	// bitmap instead of taking the everyone-is-live shortcut.
 	fresh := wire.Message{Type: wire.TypeHeartbeat, From: 1, Counters: make([]uint64, n)}
 	advanceAll := func() {
 		for i := range fresh.Counters {
@@ -425,5 +425,42 @@ func TestRecycledTablesCarrySnapshots(t *testing.T) {
 				t.Errorf("%d spares after overfilling, want %d", len(d.tables.free), want)
 			}
 		})
+	}
+}
+
+// TestSweepTimeoutsAreStrict pins the sweep's boundaries: a peer silent
+// for exactly failTimeout is not suspected and one silent for exactly
+// cleanupTimeout is not dropped; a nanosecond more does each. Peer A is
+// heard from a millisecond before peer B, so the sweeps that find B at a
+// boundary are not skipped on quiet: A is past its own.
+func TestSweepTimeoutsAreStrict(t *testing.T) {
+	members := []topology.NodeID{4, 5, 6}
+	r := newRig(Config{View: topology.View{Self: 4, RegionMembers: members}}, 1, func(c Config) fdAPI { return New(c) })
+	d := r.fd.(*Detector)
+	const a, b = 1, 2 // slots of peers 5 and 6
+	heard := func(slot int, at time.Duration) {
+		r.sched.now = at
+		counters := make([]uint64, len(members))
+		counters[slot] = d.counter[slot] + 1
+		d.Receive(wire.Message{Type: wire.TypeHeartbeat, Counters: counters})
+	}
+	heard(a, 10*time.Millisecond)
+	heard(b, 11*time.Millisecond)
+	check := func(now time.Duration, want string) {
+		t.Helper()
+		r.sched.now = now
+		d.tick()
+		got := fmt.Sprint(d.state[a], d.state[b])
+		if got != want {
+			t.Fatalf("after the sweep at %v: states %s, want %s (0 live, 1 suspected, 2 dropped)", now, got, want)
+		}
+	}
+	check(11*time.Millisecond+failTimeout, "1 0")
+	check(11*time.Millisecond+failTimeout+1, "1 1")
+	check(10*time.Millisecond+cleanupTimeout+1, "2 1")
+	check(11*time.Millisecond+cleanupTimeout, "2 1")
+	check(11*time.Millisecond+cleanupTimeout+1, "2 2")
+	if d.nLive != 0 || len(r.calls) != 2 {
+		t.Fatalf("%d live peers and %d callbacks after both drops, want 0 and 2 suspicions", d.nLive, len(r.calls))
 	}
 }

@@ -61,6 +61,23 @@ type PacketReceiver interface {
 	ReceivePacket(pkt *Packet)
 }
 
+// PacketDropper is a PacketReceiver that is also handed the unicast
+// packets the network drops on their way to it: cut by a partition, sent
+// to or from a down node, lost by the loss model, or arriving at a node
+// that went down in flight. The dropped packet's slices are the
+// receiver's exactly as a delivered one's would be, so a receiver that
+// reuses what it is sent (rrmp hands a heartbeat's table back to its
+// region's free list) reuses what the network drops too. The packet is
+// borrowed, as in ReceivePacket. DropPacket runs on the event loop where
+// the drop happens: the receiver's own for a drop at delivery; the
+// sender's for a drop at send, so that one is offered only when sender
+// and receiver share a loop. Multicast packets are never offered: their
+// slices are shared by every target.
+type PacketDropper interface {
+	PacketReceiver
+	DropPacket(pkt *Packet)
+}
+
 // ReceivePacket makes a Handler a PacketReceiver, so the network keeps one
 // receiver table whichever way a node registered.
 func (h Handler) ReceivePacket(pkt *Packet) { h(*pkt) }
@@ -154,6 +171,9 @@ type shard struct {
 	// swap, so reclaiming allocates nothing.
 	mu             sync.Mutex
 	returned, back []*delivery
+	// dropped is the packet a unicast dropped at send time is lent as to
+	// its receiver's DropPacket.
+	dropped Packet
 }
 
 // maxOpen bounds the records one send keeps open for joining, so a latency
@@ -176,11 +196,13 @@ const minSpare = 2 * inlineTargets
 // of len(targets) firings of the record itself, its own clock.Firer; the
 // k-th firing delivers to targets[k], and next is that cursor. home is the
 // sending shard, whose pools the record and its targets return to; shard
-// is the receiving shard, resolved when the packet is sent.
+// is the receiving shard, resolved when the packet is sent. unicast marks
+// a record whose packet a drop at delivery offers to its target.
 type delivery struct {
 	n           *Network
 	pkt         Packet
 	home, shard int32
+	unicast     bool
 	lat         time.Duration
 	targets     []topology.NodeID
 	next        int
@@ -470,6 +492,8 @@ func (d *delivery) Fire() {
 	sh := &n.shards[d.shard]
 	if r := n.admit(&sh.stats, d.pkt.From, to, d.pkt.Msg.Type); r != nil {
 		r.ReceivePacket(&d.pkt)
+	} else if d.unicast {
+		n.offerDropped(to, &d.pkt)
 	}
 	if d.next == len(d.targets) {
 		d.pkt = Packet{} // drop payload references while pooled
@@ -505,6 +529,27 @@ func (n *Network) admit(st *Stats, from, to topology.NodeID, t wire.Type) Packet
 	return r
 }
 
+// offerDropped hands a dropped unicast packet to to's receiver, if that is
+// a PacketDropper.
+func (n *Network) offerDropped(to topology.NodeID, pkt *Packet) {
+	if int(to) < len(n.receivers) {
+		if r, ok := n.receivers[to].(PacketDropper); ok {
+			r.DropPacket(pkt)
+		}
+	}
+}
+
+// dropUnicast offers a unicast that send dropped to its receiver, when the
+// receiver's loop is the sending shard src's (PacketDropper).
+func (n *Network) dropUnicast(sh *shard, src int32, from, to topology.NodeID, msg *wire.Message) {
+	if n.shardOf != nil && n.shardOf[to] != src {
+		return
+	}
+	sh.dropped = Packet{From: from, Msg: *msg}
+	n.offerDropped(to, &sh.dropped)
+	sh.dropped = Packet{}
+}
+
 // Unicast sends msg from -> to, applying latency and loss models.
 func (n *Network) Unicast(from, to topology.NodeID, msg wire.Message) {
 	n.send(from, []topology.NodeID{to}, &msg, false)
@@ -519,8 +564,9 @@ func (n *Network) Multicast(from topology.NodeID, targets []topology.NodeID, msg
 }
 
 // send is the one transmission path. Each target is accounted, cut by the
-// partition, crash flags and loss model, and given its latency exactly as
-// a lone unicast would be, in target order. A surviving target joins the
+// partition, crash flags and loss model (a dropped unicast is offered to
+// its receiver, see PacketDropper), and given its latency exactly as a
+// lone unicast would be, in target order. A surviving target joins the
 // send's open record with its (latency, receiving shard), or opens one from
 // the sending shard's pool. msg is copied into each record it opens. Once
 // every target is placed, each record is posted as one event of
@@ -532,7 +578,7 @@ func (n *Network) Multicast(from topology.NodeID, targets []topology.NodeID, msg
 // events would have been contiguous in their queue, in target order; and
 // the records that share a key are two arrival classes' successive
 // records, opened, and so posted, in order.
-func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wire.Message, skipSelf bool) {
+func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wire.Message, multicast bool) {
 	size := msg.EncodedSize()
 	ti := int(msg.Type) % wire.TypeCount
 	// Send runs on the sending node's shard loop (or the coordinator,
@@ -545,7 +591,7 @@ func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wir
 	sh := &n.shards[src]
 	st := &sh.stats
 	for _, to := range targets {
-		if skipSelf && to == from {
+		if multicast && to == from {
 			continue
 		}
 		st.sent[ti].Inc()
@@ -553,10 +599,16 @@ func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wir
 		if n.partActive && n.classOf(from) != n.classOf(to) {
 			st.Partitioned.Inc()
 			st.dropped[ti].Inc()
+			if !multicast {
+				n.dropUnicast(sh, src, from, to, msg)
+			}
 			continue
 		}
 		if n.isDown(from) || n.isDown(to) || n.loss.Drop(from, to, msg.Type) {
 			st.dropped[ti].Inc()
+			if !multicast {
+				n.dropUnicast(sh, src, from, to, msg)
+			}
 			continue
 		}
 		lat := n.latency.OneWay(from, to)
@@ -568,7 +620,7 @@ func (n *Network) send(from topology.NodeID, targets []topology.NodeID, msg *wir
 		if d == nil {
 			d = n.getDelivery(src)
 			d.pkt = Packet{From: from, Msg: *msg}
-			d.shard, d.lat = dst, lat
+			d.shard, d.lat, d.unicast = dst, lat, !multicast
 			sh.open = append(sh.open, d)
 		}
 		if len(d.targets) == cap(d.targets) {

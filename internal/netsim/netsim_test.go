@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -291,5 +294,77 @@ func TestSetPartitionCopiesTheMap(t *testing.T) {
 	s.RunUntil(-1)
 	if got != 1 {
 		t.Fatal("SetPartition(nil) should clear the partition")
+	}
+}
+
+// dropLog is a PacketDropper that logs what it is handed, and how.
+type dropLog struct {
+	s   *sim.Sim
+	log *[]string
+}
+
+func (d dropLog) ReceivePacket(p *Packet) { d.note("recv", p) }
+func (d dropLog) DropPacket(p *Packet)    { d.note("drop", p) }
+
+func (d dropLog) note(how string, p *Packet) {
+	*d.log = append(*d.log, fmt.Sprintf("%v %s %v from %d table %p", d.s.Now(), how, p.Msg.Type, p.From, p.Msg.Counters))
+}
+
+// TestDroppedUnicastIsOffered pins which drops a PacketDropper is handed:
+// a unicast cut at send by the loss model, a down endpoint or a
+// partition, and one whose target went down in flight, each with its own
+// slices; never a multicast's, whose slices its targets share; and at send
+// only when the target's loop is the sender's.
+func TestDroppedUnicastIsOffered(t *testing.T) {
+	s := sim.New()
+	loss := &BernoulliLoss{P: 1, Only: map[wire.Type]bool{wire.TypeRepair: true}, Rng: rng.New(1)}
+	n := New(s, UniformLatency{Delay: 10 * time.Millisecond}, loss)
+	var log []string
+	for node := topology.NodeID(1); node <= 3; node++ {
+		n.RegisterReceiver(node, dropLog{s, &log})
+	}
+	table := []uint64{7}
+	hb := wire.Message{Type: wire.TypeHeartbeat, From: 0, Counters: table}
+	step := func(f func()) {
+		f()
+		s.RunUntil(s.Now() + time.Second)
+	}
+	step(func() { n.Unicast(0, 1, hb) })                                          // delivered
+	step(func() { n.Unicast(0, 1, wire.Message{Type: wire.TypeRepair}) })         // lost at send
+	step(func() { n.SetDown(1, true); n.Unicast(0, 1, hb); n.SetDown(1, false) }) // target down
+	step(func() { n.SetDown(0, true); n.Unicast(0, 1, hb); n.SetDown(0, false) }) // sender down
+	step(func() {
+		n.SetPartition(map[topology.NodeID]int{1: 1})
+		n.Unicast(0, 1, hb)
+		n.ClearPartition()
+	})
+	step(func() { // the target goes down in flight: dropped on arrival
+		n.Unicast(0, 1, hb)
+		s.After(5*time.Millisecond, func() { n.SetDown(1, true) })
+	})
+	n.SetDown(1, false)
+	step(func() { n.Multicast(0, []topology.NodeID{1, 2}, wire.Message{Type: wire.TypeRepair, Counters: table}) })
+	step(func() { // a multicast target goes down in flight
+		n.Multicast(0, []topology.NodeID{1}, hb)
+		s.After(5*time.Millisecond, func() { n.SetDown(1, true) })
+	})
+	n.SetDown(1, false)
+	// Nodes 0 and 2 share a loop and node 3 runs on another: a drop at
+	// send is offered only to a receiver on the sender's loop.
+	n.shardOf, n.shards = []int32{0, 0, 0, 1}, make([]shard, 2)
+	step(func() { n.SetDown(2, true); n.SetDown(3, true); n.Unicast(0, 2, hb); n.Unicast(0, 3, hb) })
+
+	p := fmt.Sprintf("%p", table)
+	want := []string{
+		"10ms recv HB from 0 table " + p,
+		"1s drop REPAIR from 0 table 0x0",
+		"2s drop HB from 0 table " + p,
+		"3s drop HB from 0 table " + p,
+		"4s drop HB from 0 table " + p,
+		"5.01s drop HB from 0 table " + p,
+		"8s drop HB from 0 table " + p,
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("receivers were handed\n%s\nwant\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
 	}
 }

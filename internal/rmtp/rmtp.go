@@ -20,6 +20,7 @@
 package rmtp
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -149,10 +150,20 @@ type Node struct {
 	maxSeen  uint64
 	source   topology.NodeID // learned from the first DATA/SESSION
 
-	// The maps are made on first write; only servers have ackFloors.
-	naks        map[uint64]*nakState
-	waiters     map[uint64][]topology.NodeID
-	ackFloors   map[topology.NodeID]uint64
+	// The maps are made on first write.
+	naks    map[uint64]*nakState
+	waiters map[uint64][]topology.NodeID
+	// ackFloors is a server's ACK floor per acker slot (see ackSlot):
+	// slot i < len(View.RegionMembers) is RegionMembers[i], and slot
+	// len(RegionMembers)+j is ChildServers[j]. Slot 0, the server itself,
+	// and forgotten ackers hold forgotten, which no ACK raises and no
+	// minimum picks while a real floor remains. minFloor is the least
+	// floor and atMin how many slots hold it, so the floor an ACK trims to
+	// is read without a walk; only raising the last floor at the minimum
+	// rescans (raiseFloor). Nil for plain receivers.
+	ackFloors   []uint64
+	minFloor    uint64
+	atMin       int
 	ackTimer    clock.Handle // fires (*ackTick)(n)
 	acksStarted bool
 	trimmed     uint64 // highest seq removed from the server buffer
@@ -194,16 +205,17 @@ func New(cfg Config) *Node {
 			ByteBudget:  cfg.Params.ByteBudget,
 			CopyPayload: cfg.Params.CopyOnStore,
 		})
-		n.ackFloors = make(map[topology.NodeID]uint64, len(v.RegionMembers)-1+len(cfg.ChildServers))
-		for _, m := range v.RegionMembers[1:] {
-			n.ackFloors[m] = 0
-		}
-		for _, c := range cfg.ChildServers {
-			n.ackFloors[c] = 0
-		}
+		n.ackFloors = make([]uint64, len(v.RegionMembers)+len(cfg.ChildServers))
+		n.ackFloors[0] = forgotten
+		n.rescanFloors()
 	}
 	return n
 }
+
+// forgotten is the floor of a slot that tracks nobody: the server's own,
+// and a departed acker's. A real floor never reaches it, since sequences
+// count up from 1.
+const forgotten = math.MaxUint64
 
 // Metrics returns the node's live metrics.
 func (n *Node) Metrics() *Metrics { return &n.metrics }
@@ -272,14 +284,54 @@ func (n *Node) sendAck() {
 	n.cfg.Transport.Send(n.cfg.View.Self, to, wire.Message{Type: wire.TypeAck, From: n.cfg.View.Self, TopSeq: floor})
 }
 
-func (n *Node) aggregateFloor() uint64 {
-	floor := n.received.Prefix()
-	for _, f := range n.ackFloors {
-		if f < floor {
-			floor = f
+// aggregateFloor is the floor this server's subtree has acknowledged: the
+// least of its own prefix and its ackers' floors.
+func (n *Node) aggregateFloor() uint64 { return min(n.received.Prefix(), n.minFloor) }
+
+// ackSlot returns who's slot in ackFloors, or -1 if who is neither a
+// region member nor a child server. A region's members are the contiguous
+// range RegionMembers[0]+i (topology.View), so a member's slot is its
+// offset; the few child servers are searched.
+func (n *Node) ackSlot(who topology.NodeID) int {
+	rm := n.cfg.View.RegionMembers
+	if i := int(who) - int(rm[0]); i >= 0 && i < len(rm) && rm[i] == who {
+		return i
+	}
+	for j, c := range n.cfg.ChildServers {
+		if c == who {
+			return len(rm) + j
 		}
 	}
-	return floor
+	return -1
+}
+
+// raiseFloor raises slot's floor to f (forgotten, to stop tracking it);
+// a lower f is a stale report and changes nothing. The kept minimum moves
+// only when the last floor at it rises, and then one walk finds the next.
+func (n *Node) raiseFloor(slot int, f uint64) {
+	old := n.ackFloors[slot]
+	if f <= old {
+		return
+	}
+	n.ackFloors[slot] = f
+	if old == n.minFloor {
+		if n.atMin--; n.atMin == 0 {
+			n.rescanFloors()
+		}
+	}
+}
+
+// rescanFloors recomputes the kept minimum and its count from the floors.
+func (n *Node) rescanFloors() {
+	n.minFloor, n.atMin = forgotten, 0
+	for _, f := range n.ackFloors {
+		switch {
+		case f < n.minFloor:
+			n.minFloor, n.atMin = f, 1
+		case f == n.minFloor:
+			n.atMin++
+		}
+	}
 }
 
 // ReceivePacket implements netsim.PacketReceiver, so a node registers
@@ -546,12 +598,11 @@ func (n *Node) onAck(from topology.NodeID, msg *wire.Message) {
 	if !n.isServer {
 		return
 	}
-	if _, tracked := n.ackFloors[from]; !tracked {
+	slot := n.ackSlot(from)
+	if slot < 0 || n.ackFloors[slot] == forgotten {
 		return // not one of ours
 	}
-	if msg.TopSeq > n.ackFloors[from] {
-		n.ackFloors[from] = msg.TopSeq
-	}
+	n.raiseFloor(slot, msg.TopSeq)
 	n.trim()
 }
 
@@ -573,10 +624,11 @@ func (n *Node) ForgetAcker(who topology.NodeID) {
 	if !n.isServer || n.left {
 		return
 	}
-	if _, ok := n.ackFloors[who]; !ok {
+	slot := n.ackSlot(who)
+	if slot < 0 || n.ackFloors[slot] == forgotten {
 		return
 	}
-	delete(n.ackFloors, who)
+	n.raiseFloor(slot, forgotten)
 	if !n.crashed {
 		n.trim()
 	}

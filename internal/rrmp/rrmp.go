@@ -361,6 +361,9 @@ func (m *Member) Receive(from topology.NodeID, msg wire.Message) { m.receive(fro
 // kept (a payload is stored, a unicast heartbeat's Counters are recycled).
 func (m *Member) receive(from topology.NodeID, msg *wire.Message) {
 	if m.left || m.crashed {
+		if msg.Type == wire.TypeHeartbeat {
+			m.recycleTable(msg.Counters) // spent, though nobody merges it
+		}
 		return
 	}
 	switch msg.Type {
@@ -385,11 +388,19 @@ func (m *Member) receive(from topology.NodeID, msg *wire.Message) {
 	case wire.TypeHeartbeat:
 		if fd := m.detector(); fd != nil {
 			fd.Receive(*msg)
-			fd.Recycle(msg.Counters)
 		}
+		m.recycleTable(msg.Counters)
 	default:
 		// Unknown/baseline-only PDUs are ignored by the RRMP engine.
 		m.trace(trace.Event{Kind: trace.Ignore, Peer: from, N: int32(msg.Type)})
+	}
+}
+
+// recycleTable hands a spent heartbeat's table to the failure detector,
+// whose region reuses it for a later heartbeat (gossipfd.Tables).
+func (m *Member) recycleTable(counters []uint64) {
+	if fd := m.detector(); fd != nil {
+		fd.Recycle(counters)
 	}
 }
 

@@ -1,6 +1,9 @@
 package rrmp
 
-import "repro/internal/netsim"
+import (
+	"repro/internal/netsim"
+	"repro/internal/wire"
+)
 
 var _ Transport = (*netsim.Group)(nil)
 
@@ -12,4 +15,13 @@ func (m *Member) ReceivePacket(p *netsim.Packet) {
 	m.receive(p.From, &p.Msg)
 }
 
-var _ netsim.PacketReceiver = (*Member)(nil)
+// DropPacket implements netsim.PacketDropper: a heartbeat the network
+// dropped on its way to this member is spent like a delivered one, so its
+// table goes back to the region's free list.
+func (m *Member) DropPacket(p *netsim.Packet) {
+	if p.Msg.Type == wire.TypeHeartbeat {
+		m.recycleTable(p.Msg.Counters)
+	}
+}
+
+var _ netsim.PacketDropper = (*Member)(nil)
